@@ -10,14 +10,35 @@ PYTEST  := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PY) -m pytest
 HAS_COV := $(shell $(PY) -c "import pytest_cov" 2>/dev/null && echo 1)
 COVOPTS := $(if $(HAS_COV),--cov=repro --cov-report=term-missing)
 
-.PHONY: check test bench-smoke bench-serving golden serve-demo \
+.PHONY: check test sanitize bench-smoke bench-serving golden serve-demo \
 	serve-smoke chaos fleet-chaos ladder-smoke policy-smoke torture clean
 
-check: test bench-smoke bench-serving serve-smoke chaos fleet-chaos \
+check: test sanitize bench-smoke bench-serving serve-smoke chaos fleet-chaos \
 	ladder-smoke policy-smoke torture
 
 test:
 	$(PYTEST) -x -q $(COVOPTS)
+
+# Native kernels under AddressSanitizer + UBSan: kernels.c is rebuilt
+# with the sanitizer flags (a separate _build/ cache entry — the flags
+# are part of the key) and the native-vs-NumPy differential tests run
+# against it.  ASan must be the first runtime loaded, hence LD_PRELOAD;
+# CPython "leaks" by design, so leak detection is off.  Without an ASan
+# runtime the target says so and skips — it never passes silently, and
+# a sanitizer build that fails to load fails the run (conftest).
+ASAN_RT := $(shell cc -print-file-name=libasan.so 2>/dev/null)
+SANFLAGS := -fsanitize=address,undefined -fno-sanitize-recover=undefined \
+	-fno-omit-frame-pointer -g
+
+sanitize:
+	@if [ -f "$(ASAN_RT)" ]; then \
+		LD_PRELOAD=$(ASAN_RT) ASAN_OPTIONS=detect_leaks=0 \
+		$(PYTEST) tests/test_native_kernels.py -q -p no:cacheprovider \
+			--capture=sys \
+			--native-cflags="$(SANFLAGS)"; \
+	else \
+		echo "sanitize: SKIPPED - no ASan runtime (cc -print-file-name=libasan.so)"; \
+	fi
 
 bench-smoke:
 	$(PYTEST) benchmarks -q -p no:cacheprovider --override-ini="addopts=" \

@@ -47,8 +47,9 @@ from repro.codec.transform import (
 )
 from repro.codec.zigzag import zigzag_indices, zigzag_scan
 from repro import native
-from repro.observability import get_tracer
+from repro.observability import get_registry, get_tracer
 from repro.motion.base import MotionSearchResult, SearchContext
+from repro.motion.proposed import TileHookSpec, TileLearned, spec_hook
 from repro.tiling.tile import Tile, TileGrid
 from repro.video.frame import Frame, Video
 from repro.video.metrics import psnr_from_mse
@@ -162,6 +163,10 @@ class TileStats:
     #: the process pool so the parent can emit stage spans for tiles
     #: encoded in workers.
     stage_seconds: Optional[Dict[str, float]] = None
+    #: What the tile learned for the proposed search policy (first P
+    #: frame of a GOP, encodes driven by a ``hook_spec`` only); fold
+    #: into the GOP state with :func:`repro.motion.proposed.merge_learned`.
+    learned: Optional[TileLearned] = None
 
     @property
     def num_pixels(self) -> int:
@@ -243,14 +248,12 @@ class TileEncoder:
     def __init__(self, config: EncoderConfig):
         self.config = config
         #: Lazily-built search algorithm (one instance per tile encode
-        #: instead of one per block) and its native driver dispatch.
+        #: instead of one per block).
         self._search = None
-        self._native_search_spec = None
 
     def _get_search(self):
         if self._search is None:
             self._search = self.config.make_search()
-            self._native_search_spec = self._search.native_spec()
         return self._search
 
     @staticmethod
@@ -270,6 +273,7 @@ class TileEncoder:
         upsampled_refs: Optional[List[np.ndarray]] = None,
         block_info_out: Optional[List[BlockInfo]] = None,
         measure_stages: bool = False,
+        hook_spec: Optional[TileHookSpec] = None,
     ) -> TileStats:
         """Encode ``tile`` of ``original`` into ``reconstruction``.
 
@@ -281,41 +285,77 @@ class TileEncoder:
         computes them once per frame).  ``measure_stages`` accumulates
         per-stage wall time into :attr:`TileStats.stage_seconds`
         (tracing support; off by default so the hot path pays nothing).
+
+        ``hook_spec`` drives the motion search with the proposed policy
+        as plain data; what a first-P-frame tile learned comes back in
+        :attr:`TileStats.learned`.  A callable ``motion_hook`` takes
+        precedence and always runs the per-block path.
+
+        I/P tiles at integer-pel precision on contiguous uint8 planes
+        run as **one** native call (:func:`repro.native.encode_tile`,
+        GIL released for the whole tile).  Everything the driver
+        declines runs the per-block loop below — same bits, same
+        reconstruction, same op counts — and is counted in
+        ``repro_codec_tile_fallback_total{reason}``.
         """
         references = normalize_references(reference, frame_type)
+        if frame_type is FrameType.I:
+            motion_hook = hook_spec = None  # no motion estimation to drive
+        if native.lib is not None:
+            plan = self._driver_plan(
+                original, references, reconstruction, tile, frame_type,
+                motion_hook, hook_spec,
+            )
+            if not isinstance(plan, str):
+                return self._encode_tile_driver(
+                    plan, original, references, reconstruction, tile,
+                    writer, block_info_out, measure_stages, hook_spec,
+                )
+            get_registry().inc(
+                "repro_codec_tile_fallback_total", reason=plan,
+                help="Tiles the native tile driver declined, by reason",
+            )
+        policy = None
+        if motion_hook is None and hook_spec is not None:
+            policy = hook_spec.policy()
+            motion_hook = spec_hook(hook_spec, policy)
         if self.config.half_pel and upsampled_refs is None:
             upsampled_refs = [upsample2x_cached(r) for r in references]
-        cfg = self.config
-        bs = cfg.block_size
         ops = OpCounts()
+        stage_acc = {"motion": 0.0, "entropy": 0.0} if measure_stages else None
+        bits, ssd = self._encode_tile_blocks(
+            original, references, reconstruction, tile, frame_type, writer,
+            motion_hook, ops, upsampled_refs, block_info_out, stage_acc,
+        )
+        learned = None
+        if policy is not None and hook_spec.is_first:
+            learned = TileLearned(
+                tile_id=hook_spec.tile_id,
+                first_axis=policy.state.dominant_axis,
+                final_mv=policy.state.tile_mv.get(hook_spec.tile_id),
+            )
+        return TileStats(tile=tile, bits=bits, ssd=ssd, ops=ops,
+                         stage_seconds=stage_acc, learned=learned)
+
+    def _encode_tile_blocks(
+        self,
+        original: np.ndarray,
+        references: List[np.ndarray],
+        reconstruction: np.ndarray,
+        tile: Tile,
+        frame_type: FrameType,
+        writer: Optional[BitWriter],
+        motion_hook: Optional[MotionHook],
+        ops: OpCounts,
+        upsampled_refs: Optional[List[np.ndarray]],
+        block_info_out: Optional[List[BlockInfo]],
+        stage_acc: Optional[Dict[str, float]],
+    ) -> tuple:
+        """The per-block raster loop (NumPy oracle of the tile driver);
+        returns ``(bits, ssd)``."""
+        bs = self.config.block_size
         bits = 0
         ssd = 0.0
-        stage_acc = {"motion": 0.0, "entropy": 0.0} if measure_stages else None
-        # Fully-native block path: I/P frames at integer-pel precision
-        # on contiguous uint8 planes go through `_encode_block_native`,
-        # which keeps the whole block pipeline (intra choice, motion
-        # search, transform/quant, entropy emission, reconstruction)
-        # inside the C kernels — same outputs bit-for-bit.
-        native_ok = (
-            native.lib is not None
-            and TRANSFORM_SIZE == 8
-            and not cfg.half_pel
-            and frame_type is not FrameType.B
-            and bs <= 64
-            and original.dtype == np.uint8
-            and original.flags.c_contiguous
-            and reconstruction.dtype == np.uint8
-            and reconstruction.flags.c_contiguous
-            and all(
-                r.dtype == np.uint8 and r.flags.c_contiguous
-                for r in references
-            )
-        )
-        if native_ok:
-            return self._encode_tile_native(
-                original, references, reconstruction, tile, frame_type,
-                writer, motion_hook, ops, block_info_out, stage_acc,
-            )
         for by in range(tile.y, tile.y_end, bs):
             left_mv = (0, 0)
             for bx in range(tile.x, tile.x_end, bs):
@@ -332,265 +372,124 @@ class TileEncoder:
                 left_mv = mv
                 if block_info_out is not None:
                     block_info_out.append(info)
-        return TileStats(tile=tile, bits=bits, ssd=ssd, ops=ops,
-                         stage_seconds=stage_acc)
+        return bits, ssd
 
     # ------------------------------------------------------------------
-    def _encode_tile_native(
+    def _driver_plan(
         self,
         original: np.ndarray,
         references: List[np.ndarray],
         reconstruction: np.ndarray,
         tile: Tile,
         frame_type: FrameType,
-        writer: Optional[BitWriter],
         motion_hook: Optional[MotionHook],
-        ops: OpCounts,
-        block_info_out: Optional[List[BlockInfo]],
-        stage_acc: Optional[Dict[str, float]],
-    ) -> TileStats:
-        """Fused-kernel twin of the block loop for I/P frames.
+        hook_spec: Optional[TileHookSpec],
+    ):
+        """What the native tile driver needs to run this tile, or the
+        reason (a ``str``) it cannot.
 
-        The current samples never leave the uint8 plane (uint8 ->
-        float64 conversion is exact, so every arithmetic result matches
-        the staged float64 path bit-for-bit), the motion search runs in
-        the C driver when the algorithm has a native spec, and the
-        residual bits are batch-emitted and spliced into the writer.
-        Outputs, op accounting, and written bits are identical to the
-        legacy path.
-
-        Plane base pointers, strides and per-tile constants are hoisted
-        out of the block loop; blocks address the kernels by pointer
-        arithmetic, so the steady state performs no ndarray slicing and
-        no ``.ctypes`` attribute traffic.
+        The plan is ``(alg, param, window, predictor, learn)``; the
+        checks are the driver's contract (see ``encode_tile_u8``).
         """
         cfg = self.config
-        lib = native.lib
-        sc = native.scratch()
-        bs = cfg.block_size
-        step = quantization_step(cfg.qp)
-        lam = cfg.lambda_mv
-        window = cfg.search_window
-        ostride = original.strides[0]
-        orig_ptr = original.ctypes.data
-        rstride = reconstruction.strides[0]
-        recon_ptr = reconstruction.ctypes.data
-        not_i = frame_type is not FrameType.I
-        is_p = not_i and bool(references)
-        spec = None
-        ref = ref_ptr = ref_stride = ref_h = ref_w = None
-        if is_p:
-            ref = references[0]
-            ref_stride = ref.strides[0]
-            ref_ptr = ref.ctypes.data
-            ref_h, ref_w = ref.shape
-            if motion_hook is None:
-                self._get_search()
-                spec = self._native_search_spec
-        emit = writer is not None
-        bitbuf_ptr = sc.bitbuf_ptr if emit else None
-        bitbuf_cap = sc.bitbuf.size if emit else 0
-        pred_ptr = sc.pred_ptr
-        mode_ptr = sc.mode_ptr
-        sad_ptr = sc.sad_ptr
-        stats3 = sc.stats3
-        stats3_ptr = sc.stats3_ptr
-        levels_ptr = sc.levels_ptr
-        sadf = sc.sad
-        tile_x = tile.x
-        tile_y = tile.y
-        choose_intra = lib.choose_intra_plane_u8
-        fused = lib.encode_block_fused2
-        infos = block_info_out
-        measure = stage_acc is not None
-        bits = 0
-        ssd = 0.0
-        pp = spx = mec = tb = eb = 0  # op-count accumulators
-        for by in range(tile_y, tile.y_end, bs):
-            left_mv = (0, 0)
-            for bx in range(tile_x, tile.x_end, bs):
-                bw = min(bs, tile.x_end - bx)
-                bh = min(bs, tile.y_end - by)
-                if bw % 8 or bh % 8:
-                    # Partial edge block: the legacy path handles it
-                    # (native_ok guarantees integer-pel, so no
-                    # upsampled references are needed).
-                    block = original[by : by + bh, bx : bx + bw]
-                    b_bits, b_ssd, mv, info = self._encode_block(
-                        block, bx, by, bw, bh, tile, frame_type, references,
-                        reconstruction, left_mv, writer, motion_hook, ops,
-                        None, stage_acc,
-                    )
-                    bits += b_bits
-                    ssd += b_ssd
-                    left_mv = mv
-                    if infos is not None:
-                        infos.append(info)
-                    continue
-                area = bw * bh
-                blk_ptr = orig_ptr + by * ostride + bx
+        if frame_type is FrameType.B:
+            return "b_frame"
+        if cfg.half_pel:
+            return "half_pel"
+        height, width = original.shape
+        if (
+            cfg.block_size > 64
+            or tile.x_end > width
+            or tile.y_end > height
+            or any(
+                p.dtype != np.uint8 or not p.flags.c_contiguous
+                or p.shape != original.shape
+                for p in (original, reconstruction, *references)
+            )
+        ):
+            return "layout"
+        if tile.width % TRANSFORM_SIZE or tile.height % TRANSFORM_SIZE:
+            return "partial_block"
+        if frame_type is FrameType.I:
+            return (0, 0, 0, None, False)
+        if motion_hook is not None:
+            return "motion_hook"
+        if hook_spec is not None:
+            algorithm, window = hook_spec.algorithm(), hook_spec.window
+            predictor, learn = hook_spec.predictor, hook_spec.is_first
+        else:
+            algorithm, window = self._get_search(), cfg.search_window
+            predictor, learn = None, False
+        spec = algorithm.native_spec()
+        if spec is None:
+            return "search"
+        # Pattern offsets reach at most window + window // 2 (cross)
+        # past the origin; seeds and candidates must stay inside the
+        # driver's cost-cache table.
+        half = native.MOTION_CACHE_HALF
+        if window + window // 2 >= half or (
+            predictor is not None
+            and max(abs(predictor[0]), abs(predictor[1])) >= half
+        ):
+            return "window"
+        return (spec[0], spec[1], window, predictor, learn)
 
-                # --- intra candidate -----------------------------------------
-                choose_intra(
-                    blk_ptr, ostride, recon_ptr, rstride,
-                    bh, bw, bx, by, tile_x, tile_y,
-                    pred_ptr, mode_ptr, sad_ptr,
-                )
-                intra_sad = sadf[0]
-                pp += 4 * area  # four intra mode trials
-
-                # --- inter candidate (single reference; B frames take
-                # --- the legacy path) ----------------------------------------
-                use_inter = False
-                inter_rate = 0
-                pred_f = None
-                mv = (0, 0)
-                if is_p:
-                    if measure:
-                        _t_motion = time.perf_counter()
-                    raw = (ref_ptr, ref_stride, ref_h, ref_w,
-                           blk_ptr, ostride, bh, bw, bx, by)
-                    if motion_hook is not None:
-                        def ctx_factory(w, _bx=bx, _by=by, _bw=bw, _bh=bh):
-                            return SearchContext(
-                                ref,
-                                original[_by : _by + _bh, _bx : _bx + _bw],
-                                _bx, _by, w, lambda_mv=lam,
-                            )
-
-                        ctx_factory.native_args = (ref, None, bx, by, lam, raw)
-                        result = motion_hook(ctx_factory, left_mv)
-                    else:
-                        result = None
-                        if spec is not None:
-                            ns = native.motion_search_raw(
-                                raw, window, lam, spec[0], spec[1],
-                                ((0, 0), left_mv),
-                            )
-                            if ns is not None:
-                                result = MotionSearchResult(
-                                    mv=ns[0], cost=ns[1],
-                                    sad_evaluations=ns[2],
-                                    pixel_ops=ns[2] * area, sad=ns[3],
-                                )
-                        if result is None:
-                            result = self._search.search(
-                                SearchContext(
-                                    ref,
-                                    original[by : by + bh, bx : bx + bw],
-                                    bx, by, window, lambda_mv=lam,
-                                ),
-                                start=left_mv,
-                            )
-                    spx += result.pixel_ops
-                    mec += result.sad_evaluations
-                    rmv = result.mv
-                    sad = result.sad
-                    if (
-                        sad is None
-                        or sad < 0
-                        or bx + rmv[0] < 0
-                        or by + rmv[1] < 0
-                        or bx + rmv[0] + bw > ref_w
-                        or by + rmv[1] + bh > ref_h
-                    ):
-                        # Search didn't hand back the winning SAD
-                        # (non-native algorithm) or the MV needs
-                        # clamping — derive both like the legacy path.
-                        mv = clamp_mv(rmv, bx, by, bw, bh, ref_w, ref_h)
-                        pred_f = motion_compensate(ref, bx, by, mv, bw, bh)
-                        sad = float(np.abs(
-                            original[by : by + bh, bx : bx + bw]
-                            .astype(np.float64) - pred_f
-                        ).sum())
-                    else:
-                        mv = rmv
-                    pp += area
-                    # Inline mvd_bit_length (signed exp-Golomb rate).
-                    mdx = mv[0] - left_mv[0]
-                    mdy = mv[1] - left_mv[1]
-                    mdx = 2 * mdx - 1 if mdx > 0 else -2 * mdx
-                    mdy = 2 * mdy - 1 if mdy > 0 else -2 * mdy
-                    inter_rate = (
-                        2 * (mdx + 1).bit_length()
-                        + 2 * (mdy + 1).bit_length() - 2
-                    )
-                    use_inter = sad + lam * inter_rate <= intra_sad
-                    if measure:
-                        stage_acc["motion"] += time.perf_counter() - _t_motion
-
-                # --- residual coding + reconstruction ------------------------
-                if measure:
-                    _t_entropy = time.perf_counter()
-                if use_inter:
-                    if pred_f is None:
-                        # Integer-pel motion compensation straight off
-                        # the uint8 reference window — no staging copy.
-                        predd_ptr, pds = None, 0
-                        predu_ptr = (
-                            ref_ptr + (by + mv[1]) * ref_stride + (bx + mv[0])
-                        )
-                        pus = ref_stride
-                    else:
-                        pred_f = np.ascontiguousarray(pred_f)
-                        predd_ptr, pds = pred_f.ctypes.data, bw
-                        predu_ptr, pus = None, 0
-                else:
-                    predd_ptr, pds = pred_ptr, bw
-                    predu_ptr, pus = None, 0
-                fused(
-                    blk_ptr, ostride, predd_ptr, pds, predu_ptr, pus,
-                    bh, bw, step, _BASIS8_PTR, _ZZ_ORDER8_PTR,
-                    levels_ptr, recon_ptr + by * rstride + bx, rstride,
-                    bitbuf_ptr, bitbuf_cap, stats3_ptr, sad_ptr,
-                )
-                residual_bits, num_active, emitted = stats3.tolist()
-                tb += num_active
-                header_bits = (1 if not_i else 0) + (
-                    inter_rate if use_inter else 2
-                )
-                total_bits = header_bits + residual_bits
-                eb += total_bits
-                if emit:
-                    if not_i:
-                        writer.write_bits(0 if use_inter else 1, 1)
-                    if use_inter:
-                        write_mvd(writer, mv, left_mv)
-                    else:
-                        writer.write_bits(int(sc.mode[0]), 2)
-                    if emitted == residual_bits:
-                        writer.append_bits(
-                            sc.bitbuf[: (emitted + 7) // 8].tobytes(), emitted
-                        )
-                    else:
-                        # Emission buffer overflow (pathological
-                        # residual): re-emit the cached levels through
-                        # the Python writer.
-                        n_sub = (bh // TRANSFORM_SIZE) * (bw // TRANSFORM_SIZE)
-                        zz = zigzag_scan(sc.levels[:n_sub].copy())
-                        for i in range(zz.shape[0]):
-                            write_block(writer, zz[i])
-                if measure:
-                    stage_acc["entropy"] += time.perf_counter() - _t_entropy
-                pp += area  # reconstruction
-                bits += total_bits
-                ssd += sadf[0]
-                if infos is not None:
-                    infos.append(BlockInfo(
-                        bx=bx, by=by, bw=bw, bh=bh,
-                        use_inter=use_inter, mode=0,
-                        mvs=((mv if use_inter else (0, 0)),),
+    def _encode_tile_driver(
+        self,
+        plan: tuple,
+        original: np.ndarray,
+        references: List[np.ndarray],
+        reconstruction: np.ndarray,
+        tile: Tile,
+        writer: Optional[BitWriter],
+        block_info_out: Optional[List[BlockInfo]],
+        measure_stages: bool,
+        hook_spec: Optional[TileHookSpec],
+    ) -> TileStats:
+        """Run the tile through :func:`repro.native.encode_tile` and
+        translate its counters back into the encoder's types."""
+        cfg = self.config
+        alg, param, window, predictor, learn = plan
+        res = native.encode_tile(
+            original, references[0] if references else None, reconstruction,
+            tile, cfg.block_size, quantization_step(cfg.qp), cfg.lambda_mv,
+            _BASIS8_PTR, _ZZ_ORDER8_PTR,
+            search=(alg, param, window), predictor=predictor, learn=learn,
+            emit=writer is not None, want_info=block_info_out is not None,
+            measure=measure_stages,
+        )
+        if writer is not None:
+            writer.append_bits(*res.payload)
+        if block_info_out is not None:
+            bs = cfg.block_size
+            rows = iter(res.info)
+            for by in range(tile.y, tile.y_end, bs):
+                for bx in range(tile.x, tile.x_end, bs):
+                    use_inter, dx, dy = next(rows)
+                    block_info_out.append(BlockInfo(
+                        bx=bx, by=by, bw=min(bs, tile.x_end - bx),
+                        bh=min(bs, tile.y_end - by),
+                        use_inter=bool(use_inter), mode=0, mvs=((dx, dy),),
                     ))
-                if use_inter:
-                    left_mv = mv
-        ops.pred_pixels += pp
-        ops.sad_pixel_ops += spx
-        ops.me_candidates += mec
-        ops.transform_blocks += tb
-        ops.quant_coeffs += tb * (TRANSFORM_SIZE * TRANSFORM_SIZE)
-        ops.entropy_bits += eb
-        return TileStats(tile=tile, bits=bits, ssd=float(ssd), ops=ops,
-                         stage_seconds=stage_acc)
+        ops = OpCounts(
+            pred_pixels=res.pred_pixels,
+            sad_pixel_ops=res.sad_pixel_ops,
+            me_candidates=res.me_candidates,
+            transform_blocks=res.transform_blocks,
+            quant_coeffs=res.transform_blocks * TRANSFORM_SIZE * TRANSFORM_SIZE,
+            entropy_bits=res.bits,
+        )
+        return TileStats(
+            tile=tile, bits=res.bits, ssd=res.ssd, ops=ops,
+            stage_seconds=(
+                {"motion": res.motion_seconds, "entropy": res.entropy_seconds}
+                if measure_stages else None
+            ),
+            learned=(
+                TileLearned(hook_spec.tile_id, res.first_axis, res.final_mv)
+                if learn else None
+            ),
+        )
 
     # ------------------------------------------------------------------
     def _search_reference(
@@ -645,7 +544,7 @@ class TileEncoder:
             result = motion_hook(ctx_factory, start)
         else:
             search = self._get_search()
-            spec = self._native_search_spec
+            spec = search.native_spec()
             result = None
             if spec is not None and hasattr(ctx_factory, "native_args"):
                 ns = native.motion_search(
@@ -785,7 +684,9 @@ class TileEncoder:
         stage_acc: Optional[Dict[str, float]] = None,
     ) -> tuple:
         cfg = self.config
-        block_f = block.astype(np.float64)
+        # order="C": the native block kernels below read block_f by raw
+        # pointer, whatever the memory order of the plane it came from.
+        block_f = block.astype(np.float64, order="C")
         area = bw * bh
         # Pointer of the block samples, reused by every native kernel
         # call below (0 when native kernels are off).
@@ -987,12 +888,17 @@ class FrameEncoder:
         writer: Optional[BitWriter] = None,
         motion_hooks: Optional[Sequence[Optional[MotionHook]]] = None,
         block_infos_out: Optional[List[List[BlockInfo]]] = None,
+        hook_specs: Optional[Sequence[Optional[TileHookSpec]]] = None,
     ) -> tuple:
         """Returns ``(FrameStats, reconstruction)``.
 
         ``reference`` accepts a single reconstructed plane (P frames)
         or a sequence of up to two planes, most recent first (B
-        frames).
+        frames).  ``hook_specs`` carries the proposed policy's per-tile
+        decisions as data (see :meth:`TileEncoder.encode`); after a
+        first-P-frame call fold ``[t.learned for t in stats.tiles]``
+        into the policy with ``merge_learned``.  ``motion_hooks``
+        (callables) force the per-block path.
         """
         if len(configs) != len(grid):
             raise ValueError(
@@ -1000,6 +906,8 @@ class FrameEncoder:
             )
         if motion_hooks is not None and len(motion_hooks) != len(grid):
             raise ValueError("motion_hooks length must match tile count")
+        if hook_specs is not None and len(hook_specs) != len(grid):
+            raise ValueError("hook_specs length must match tile count")
         if original.shape != (grid.frame_height, grid.frame_width):
             raise ValueError(
                 f"frame {original.shape} does not match grid "
@@ -1017,6 +925,7 @@ class FrameEncoder:
         trace_on = tracer.enabled
         for i, tile in enumerate(grid):
             hook = motion_hooks[i] if motion_hooks is not None else None
+            spec = hook_specs[i] if hook_specs is not None else None
             encoder = TileEncoder(configs[i])
             info_sink: Optional[List[BlockInfo]] = None
             if block_infos_out is not None:
@@ -1029,7 +938,7 @@ class FrameEncoder:
                     writer=writer, motion_hook=hook,
                     upsampled_refs=upsampled_refs if configs[i].half_pel else None,
                     block_info_out=info_sink,
-                    measure_stages=trace_on,
+                    measure_stages=trace_on, hook_spec=spec,
                 )
                 if trace_on and stats.stage_seconds is not None:
                     tracer.record_span(

@@ -9,10 +9,13 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.analysis.evaluator import ContentEvaluator
-from repro.analysis.motion_probe import MotionClass
 from repro.codec.config import EncoderConfig, FrameType, GopConfig
 from repro.codec.encoder import FrameEncoder, SequenceStats, VideoEncoder
-from repro.motion.proposed import BioMedicalSearchPolicy, ProposedSearchConfig
+from repro.motion.proposed import (
+    BioMedicalSearchPolicy,
+    ProposedSearchConfig,
+    merge_learned,
+)
 from repro.platform.cost_model import CostModel
 from repro.platform.mpsoc import XEON_E5_2667
 from repro.tiling.tile import TileGrid
@@ -132,33 +135,21 @@ def encode_with_proposed_policy(
         pos = gop.position_in_gop(frame.index)
         if pos == 0:
             policy.start_gop()
-        hooks = None
+        specs = None
         if frame_type is FrameType.P:
             contents = evaluator.evaluate(grid, frame.luma, previous_original)
             is_first = pos <= 1
-            hooks = [
-                _policy_hook(policy, contents[i].motion, is_first, i)
-                for i in range(len(grid))
+            specs = [
+                policy.tile_spec(content.motion, is_first, i)
+                for i, content in enumerate(contents)
             ]
         frame_stats, reconstruction = frame_encoder.encode(
             frame.luma, grid, configs, frame_type,
-            reference=reference, frame_index=frame.index, motion_hooks=hooks,
+            reference=reference, frame_index=frame.index, hook_specs=specs,
         )
+        merge_learned(policy.state, [t.learned for t in frame_stats.tiles])
         stats.frames.append(frame_stats)
         reference = reconstruction
         previous_original = frame.luma
     return EncodeOutcome(stats, encode_cpu_seconds(stats, cost_model))
 
-
-def _policy_hook(
-    policy: BioMedicalSearchPolicy,
-    motion: MotionClass,
-    is_first_in_gop: bool,
-    tile_index: int,
-):
-    def hook(ctx_factory, left_mv):
-        return policy.search_block(
-            ctx_factory, motion, is_first_in_gop, tile_index, left_mv=left_mv
-        )
-
-    return hook

@@ -19,12 +19,18 @@ high           rotating hexagon, max    horizontal/vertical hexagon
 
 The learned state (dominant axis and a motion-vector predictor per
 tile) is carried by :class:`GopMotionState`, reset at each GOP start.
+
+Per tile, the policy's decision crosses into the encoder as plain data:
+a :class:`TileHookSpec` snapshot goes in, a :class:`TileLearned` record
+comes back and :func:`merge_learned` folds it into the GOP state.  That
+is what lets the native tile driver (and pool workers in other
+processes) run a tile without touching the stream's mutable policy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.motion_probe import MotionClass
 from repro import native
@@ -116,6 +122,26 @@ class BioMedicalSearchPolicy:
         )
         return HexagonSearch(orientation), cfg.high_rest_window
 
+    def tile_spec(
+        self,
+        motion: MotionClass,
+        is_first_in_gop: bool,
+        tile_id: int,
+        window: Optional[int] = None,
+    ) -> "TileHookSpec":
+        """Snapshot of this tile's decision for the encoder.
+
+        ``window`` overrides the policy's own choice (the pipeline's
+        framerate feedback may have shrunk it).
+        """
+        if window is None:
+            window = self.select(motion, is_first_in_gop)[1]
+        return TileHookSpec(
+            motion=motion, is_first=is_first_in_gop, tile_id=tile_id,
+            window=window, axis=self.state.dominant_axis,
+            predictor=self.state.predictor(tile_id), search=self.config,
+        )
+
     def search_block(
         self,
         ctx_factory,
@@ -176,3 +202,101 @@ class BioMedicalSearchPolicy:
         if is_first_in_gop:
             self.state.learn(tile_id, result.mv)
         return result
+
+
+@dataclass(frozen=True)
+class TileHookSpec:
+    """Picklable snapshot of one tile's proposed-search decision.
+
+    Captures everything :meth:`BioMedicalSearchPolicy.search_block`
+    reads for this tile — motion class, GOP position, the
+    feedback-adjusted window, the GOP's learned dominant axis and this
+    tile's MV predictor — so the native tile driver, or a worker
+    process, can run the tile without sharing the stream's mutable
+    policy state.
+    """
+
+    motion: MotionClass
+    is_first: bool
+    tile_id: int
+    window: int
+    axis: Optional[str]
+    predictor: MotionVector
+    search: ProposedSearchConfig = ProposedSearchConfig()
+
+    def policy(self) -> BioMedicalSearchPolicy:
+        """A tile-local policy seeded from the snapshot.
+
+        On first-P frames the local dominant axis starts ``None`` so the
+        tile's own first vote is captured (the axis is never *read* on
+        first frames); on later frames it carries the learned axis,
+        which ``select`` consumes and nothing mutates.
+        """
+        policy = BioMedicalSearchPolicy(self.search)
+        policy.state = GopMotionState(
+            dominant_axis=None if self.is_first else self.axis,
+            tile_mv={self.tile_id: self.predictor},
+        )
+        return policy
+
+    def algorithm(self) -> MotionSearch:
+        """The search algorithm the policy selects for this tile."""
+        return self.policy().select(self.motion, self.is_first)[0]
+
+
+@dataclass(frozen=True)
+class TileLearned:
+    """What one first-P-frame tile learned, reported back for merging.
+
+    ``first_axis`` is the tile's first non-zero-MV axis vote (the
+    quantity the dominant-axis election consumes) and ``final_mv`` the
+    tile's last block MV (the value that survives in
+    ``GopMotionState.tile_mv`` after the tile).
+    """
+
+    tile_id: int
+    first_axis: Optional[str]
+    final_mv: Optional[MotionVector]
+
+
+def merge_learned(
+    state: GopMotionState, learned: Sequence[Optional[TileLearned]]
+) -> None:
+    """Fold per-tile learning back into the shared GOP state.
+
+    Replays the election in tile order: tiles are visited by index and
+    the first axis vote wins — the first non-zero MV in tile-then-block
+    order sets the dominant axis.  ``None`` entries (tiles that did not
+    learn) are skipped.
+    """
+    for rec in sorted((r for r in learned if r is not None),
+                      key=lambda r: r.tile_id):
+        if rec.final_mv is not None:
+            state.tile_mv[rec.tile_id] = rec.final_mv
+        if state.dominant_axis is None and rec.first_axis is not None:
+            state.dominant_axis = rec.first_axis
+
+
+def spec_hook(spec: TileHookSpec, policy: BioMedicalSearchPolicy):
+    """The motion hook equivalent to ``spec``, driving ``policy``.
+
+    Used when a tile takes the encoder's per-block NumPy path: pins the
+    spec's window (the policy's own window choice is ignored, as the
+    pipeline may have shrunk it) and keeps the native search driver
+    reachable through the wrapper.
+    """
+
+    def hook(ctx_factory, left_mv):
+        def wrapped(_w):
+            return ctx_factory(spec.window)
+
+        nargs = getattr(ctx_factory, "native_args", None)
+        if nargs is not None:
+            wrapped.native_args = nargs
+            wrapped.native_window = spec.window
+        return policy.search_block(
+            wrapped, spec.motion, spec.is_first, spec.tile_id,
+            left_mv=left_mv,
+        )
+
+    return hook

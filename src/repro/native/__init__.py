@@ -20,7 +20,12 @@ same contracts as the NumPy implementations they accelerate:
 * :func:`encode_residual` — the fused residual pipeline (zero-skip ->
   DCT -> quantize -> zigzag bit count), returning the same integer
   levels and bit counts as the staged NumPy pipeline up to coefficient
-  rounding at quantization boundaries.
+  rounding at quantization boundaries;
+* :func:`encode_tile` — the whole block raster of an I/P tile in **one
+  foreign call** (intra choice, seeded motion search, mode decision,
+  residual, reconstruction, bit emission, op counts, first-P-frame
+  learning).  ctypes drops the GIL for the call, so tiles encoded from
+  different threads run on different cores.
 
 Call overhead matters as much as kernel speed here: every exported
 function is declared with ``c_void_p`` pointer arguments so callers
@@ -45,7 +50,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,10 +77,11 @@ MOTION_CACHE_HALF = 160
 lib: Optional[ctypes.CDLL] = None
 
 
-def _compile() -> Optional[Path]:
+def _compile(extra_cflags: Sequence[str] = ()) -> Optional[Path]:
+    cflags = [*_CFLAGS, *extra_cflags]
     source = _SOURCE.read_text()
     digest = hashlib.sha256(
-        (source + "\0" + " ".join(_CFLAGS)).encode()
+        (source + "\0" + " ".join(cflags)).encode()
     ).hexdigest()[:16]
     so_path = _BUILD_DIR / f"kernels-{digest}.so"
     if so_path.exists():
@@ -85,7 +91,7 @@ def _compile() -> Optional[Path]:
     # (the tile-parallel worker pool) never load a half-written object.
     fd, tmp_name = tempfile.mkstemp(suffix=".so", dir=_BUILD_DIR)
     os.close(fd)
-    cmd = ["cc", *_CFLAGS, str(_SOURCE), "-o", tmp_name, "-lm"]
+    cmd = ["cc", *cflags, str(_SOURCE), "-o", tmp_name, "-lm"]
     try:
         subprocess.run(cmd, check=True, capture_output=True, timeout=120)
         os.replace(tmp_name, so_path)
@@ -110,11 +116,11 @@ def _compile() -> Optional[Path]:
         return None
 
 
-def _load() -> Optional[ctypes.CDLL]:
+def _load(extra_cflags: Sequence[str] = ()) -> Optional[ctypes.CDLL]:
     if os.environ.get("REPRO_NATIVE", "1") == "0":
         return None
     try:
-        so_path = _compile()
+        so_path = _compile(extra_cflags)
         if so_path is None:
             return None
         cdll = ctypes.CDLL(str(so_path))
@@ -159,15 +165,15 @@ def _load() -> Optional[ctypes.CDLL]:
     cdll.motion_search_u8.restype = None
     cdll.entropy_write_levels.argtypes = [ptr, i64, ptr, ptr, i64]
     cdll.entropy_write_levels.restype = i64
-    cdll.choose_intra_plane_u8.argtypes = [
-        ptr, i64, ptr, i64, i32, i32, i64, i64, i64, i64, ptr, ptr, ptr,
+    cdll.encode_tile_u8.argtypes = [
+        ptr, i64, ptr, i64, i64, i64, ptr, i64,      # cur, ref, recon
+        i64, i64, i64, i64, i32,                     # tile x/y/w/h, bs
+        f64, f64, ptr, ptr,                          # step, lambda, tables
+        i32, i32, i32, i32, i32, i64, i64,           # search + policy
+        ptr, ptr, ptr,                               # cost cache
+        ptr, i64, ptr, i32, ptr, ptr,                # bits, info, outputs
     ]
-    cdll.choose_intra_plane_u8.restype = None
-    cdll.encode_block_fused2.argtypes = [
-        ptr, i64, ptr, i64, ptr, i64, i32, i32, f64, ptr, ptr, ptr,
-        ptr, i64, ptr, i64, ptr, ptr,
-    ]
-    cdll.encode_block_fused2.restype = None
+    cdll.encode_tile_u8.restype = None
     cdll.downscale_box_u8.argtypes = [ptr, i64, i64, i64, ptr, i64, i64]
     cdll.downscale_box_u8.restype = None
     return cdll
@@ -196,17 +202,14 @@ class _Scratch(threading.local):
         self.stats = np.empty(2, dtype=np.int64)
         self.stats_ptr = self.stats.ctypes.data
         self.cap = 0
-        # Fully-native block path scratch: intra prediction (up to a
-        # 64x64 block), quantized level stack, residual bit emission
-        # buffer, motion seeds and outputs.
-        self.stats3 = np.empty(3, dtype=np.int64)
-        self.stats3_ptr = self.stats3.ctypes.data
-        self.pred = np.empty(64 * 64, dtype=np.float64)
-        self.pred_ptr = self.pred.ctypes.data
-        self.levels = np.empty((64, 8, 8), dtype=np.int32)
-        self.levels_ptr = self.levels.ctypes.data
+        # Bit emission buffer (grown by the tile driver to its
+        # worst-case bound), motion seeds and outputs.
         self.bitbuf = np.empty(1 << 16, dtype=np.uint8)
         self.bitbuf_ptr = self.bitbuf.ctypes.data
+        self.tile_i = np.empty(9, dtype=np.int64)
+        self.tile_i_ptr = self.tile_i.ctypes.data
+        self.tile_d = np.empty(3, dtype=np.float64)
+        self.tile_d_ptr = self.tile_d.ctypes.data
         self.seed_dx = np.empty(8, dtype=np.int64)
         self.seed_dx_ptr = self.seed_dx.ctypes.data
         self.seed_dy = np.empty(8, dtype=np.int64)
@@ -443,6 +446,116 @@ def motion_search_raw(
     return (dx, dy), sc.mcost[0].item(), evals, sad
 
 
+class TileResult(NamedTuple):
+    """Outcome of one :func:`encode_tile` call."""
+
+    bits: int
+    ssd: float
+    pred_pixels: int
+    sad_pixel_ops: int
+    me_candidates: int
+    transform_blocks: int
+    #: ``(payload, nbits)`` for ``BitWriter.append_bits`` when emitting.
+    payload: Optional[Tuple[bytes, int]]
+    #: ``[use_inter, mv_x, mv_y]`` per block in raster order, on request.
+    info: Optional[List[List[int]]]
+    #: First non-zero-MV axis vote and the tile's last block MV (only
+    #: meaningful when the call was learning).
+    first_axis: Optional[str]
+    final_mv: Tuple[int, int]
+    motion_seconds: float
+    entropy_seconds: float
+
+
+#: Bytes of emission buffer per tile pixel, above the worst case: an
+#: 8x8 sub-block emits at most ue(64) + 64 * (ue(0) + se(level)) bits
+#: with |level| <= 8 * 255 / Qstep(QP 0) < 2^12, i.e. < 27 bits per
+#: pixel, and a block header (flag + MVD or mode) is < 1 bit per pixel.
+_TILE_BYTES_PER_PIXEL = 4
+
+
+def encode_tile(
+    original: np.ndarray,
+    reference: Optional[np.ndarray],
+    reconstruction: np.ndarray,
+    tile,
+    block_size: int,
+    step: float,
+    lambda_mv: float,
+    basis_ptr: int,
+    zz_order_ptr: int,
+    search: Tuple[int, int, int] = (0, 0, 0),
+    predictor: Optional[Tuple[int, int]] = None,
+    learn: bool = False,
+    emit: bool = False,
+    want_info: bool = False,
+    measure: bool = False,
+) -> TileResult:
+    """Encode one I/P tile's whole block raster in the C driver.
+
+    The caller (``TileEncoder.encode``) has vetted the envelope: all
+    planes are C-contiguous uint8 of one shape, the tile lies inside
+    them with 8-aligned width and height, ``block_size <= 64``, and
+    ``search = (alg, param, window)`` plus ``predictor`` fit the motion
+    cost-cache table.  ``reference`` is ``None`` on I frames.  The GIL
+    is released for the whole call; every mutable buffer handed over is
+    either this thread's scratch or the tile's own region of
+    ``reconstruction``.
+    """
+    sc = _scratch
+    if reference is not None and sc.mcache_costs is None:
+        sc.ensure_motion()
+    if emit:
+        cap = _TILE_BYTES_PER_PIXEL * tile.area + 64
+        if sc.bitbuf.size < cap:
+            sc.bitbuf = np.empty(cap, dtype=np.uint8)
+            sc.bitbuf_ptr = sc.bitbuf.ctypes.data
+    info = None
+    if want_info:
+        blocks = -(-tile.width // block_size) * -(-tile.height // block_size)
+        info = np.empty((blocks, 3), dtype=np.int32)
+    has_ref = reference is not None
+    lib.encode_tile_u8(
+        original.ctypes.data, original.strides[0],
+        reference.ctypes.data if has_ref else None,
+        reference.strides[0] if has_ref else 0,
+        reference.shape[0] if has_ref else 0,
+        reference.shape[1] if has_ref else 0,
+        reconstruction.ctypes.data, reconstruction.strides[0],
+        tile.x, tile.y, tile.width, tile.height, block_size,
+        step, lambda_mv, basis_ptr, zz_order_ptr,
+        search[0], search[1], search[2],
+        predictor is not None, learn,
+        predictor[0] if predictor else 0, predictor[1] if predictor else 0,
+        sc.mcache_costs_ptr if has_ref else None,
+        sc.mcache_stamps_ptr if has_ref else None,
+        sc.mcache_epoch_ptr if has_ref else None,
+        sc.bitbuf_ptr if emit else None, sc.bitbuf.size if emit else 0,
+        info.ctypes.data if want_info else None, measure,
+        sc.tile_i_ptr, sc.tile_d_ptr,
+    )
+    (bits, pred_pixels, sad_pixel_ops, me_candidates, transform_blocks,
+     emitted, axis, final_dx, final_dy) = sc.tile_i.tolist()
+    ssd, motion_s, entropy_s = sc.tile_d.tolist()
+    if emitted < 0:
+        raise RuntimeError(
+            f"tile bit buffer overflow ({sc.bitbuf.size} bytes for {tile})"
+        )
+    return TileResult(
+        bits=bits, ssd=ssd, pred_pixels=pred_pixels,
+        sad_pixel_ops=sad_pixel_ops, me_candidates=me_candidates,
+        transform_blocks=transform_blocks,
+        payload=(
+            (sc.bitbuf[: (emitted + 7) // 8].tobytes(), emitted)
+            if emit else None
+        ),
+        info=info.tolist() if want_info else None,
+        first_axis=(None, "x", "y")[axis],
+        final_mv=(final_dx, final_dy),
+        motion_seconds=motion_s, entropy_seconds=entropy_s,
+    )
+
+
 def entropy_write(
     levels: np.ndarray, zz_order: np.ndarray
 ) -> Optional[Tuple[bytes, int]]:
@@ -506,6 +619,25 @@ def _init_simd(cdll: ctypes.CDLL) -> int:
             pass
     cdll.simd_set_level(want)
     return int(cdll.simd_get_level())
+
+
+def rebuild(extra_cflags: Sequence[str]) -> None:
+    """Swap :data:`lib` for a build with ``extra_cflags`` appended.
+
+    The flags are part of the cache key, so an instrumented object
+    (``make sanitize``: ``-fsanitize=address,undefined``) never shadows
+    the production one.  Raises when that build cannot be produced or
+    loaded — an instrumented run must never quietly test the NumPy
+    fallback instead.
+    """
+    global lib, simd_level
+    cdll = _load(extra_cflags)
+    if cdll is None:
+        raise RuntimeError(
+            f"native kernels did not build/load with {list(extra_cflags)}"
+        )
+    lib = cdll
+    simd_level = _init_simd(cdll)
 
 
 lib = _load()

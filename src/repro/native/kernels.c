@@ -12,6 +12,7 @@
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
+#include <time.h>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -1071,10 +1072,10 @@ int64_t entropy_write_levels(const int32_t *levels, int64_t n_sub,
 }
 
 /* ------------------------------------------------------------------ */
-/* Plane-based fused kernels (v2): read the current block straight    */
-/* from the uint8 frame plane (u8 -> double conversion is exact, so   */
-/* the arithmetic is identical to the float64-staged path) and avoid  */
-/* the per-block NumPy staging entirely.                              */
+/* Plane-based block kernels: read the current block straight from    */
+/* the uint8 frame plane (u8 -> double conversion is exact, so the    */
+/* arithmetic is identical to the float64-staged path).  Static       */
+/* building blocks of the tile driver below.                          */
 /* ------------------------------------------------------------------ */
 
 /* choose_intra with reference samples gathered from the plane.
@@ -1084,12 +1085,12 @@ int64_t entropy_write_levels(const int32_t *levels, int64_t n_sub,
  * tile_x (tile boundaries break prediction).  Otherwise identical to
  * choose_intra above.
  */
-void choose_intra_plane_u8(const uint8_t *cur, int64_t cstride,
-                           const uint8_t *recon, int64_t rstride,
-                           int bh, int bw, int64_t bx, int64_t by,
-                           int64_t tile_x, int64_t tile_y,
-                           double *pred_out, int32_t *mode_out,
-                           double *sad_out)
+static void choose_intra_plane_u8(const uint8_t *cur, int64_t cstride,
+                                  const uint8_t *recon, int64_t rstride,
+                                  int bh, int bw, int64_t bx, int64_t by,
+                                  int64_t tile_x, int64_t tile_y,
+                                  double *pred_out, int32_t *mode_out,
+                                  double *sad_out)
 {
     int has_top = by - 1 >= tile_y;
     int has_left = bx - 1 >= tile_x;
@@ -1167,35 +1168,34 @@ void choose_intra_plane_u8(const uint8_t *cur, int64_t cstride,
     }
 }
 
-/* Fully fused per-block encode, v2: like encode_block_fused but the
- * current block is read from the uint8 plane, the prediction is either
- * a float64 buffer (predd, row pitch pdstride doubles: intra) or a
- * uint8 reference window (predu, row pitch pustride bytes: integer-pel
- * motion compensation — the u8 -> double conversion is exact, so the
- * residual arithmetic matches the staged float64 path bit-for-bit),
- * and the residual bits are optionally emitted into bits_buf.
- * stats_out = [bits, num_active, emitted_nbits (-1 overflow, or the
- * bit count when bits_buf is NULL)].
+/* Fully fused per-block encode off the planes: like
+ * encode_block_fused but the current block is read from the uint8
+ * plane, the prediction is either a float64 buffer (predd, row pitch
+ * pdstride doubles: intra) or a uint8 reference window (predu, row
+ * pitch pustride bytes: integer-pel motion compensation — the u8 ->
+ * double conversion is exact, so the residual arithmetic matches the
+ * staged float64 path bit-for-bit), and the residual syntax is emitted
+ * into sink when it is not NULL.  Returns the residual bit count;
+ * active_out / ssd_out accumulate the transformed sub-blocks and the
+ * block SSD.
  */
-void encode_block_fused2(const uint8_t *cur, int64_t cstride,
-                         const double *predd, int64_t pdstride,
-                         const uint8_t *predu, int64_t pustride,
-                         int h, int w, double step, const double *basis,
-                         const int32_t *zz_order,
-                         int32_t *levels_out,
-                         uint8_t *recon_out, int64_t recon_stride,
-                         uint8_t *bits_buf, int64_t bits_cap,
-                         int64_t *stats_out, double *ssd_out)
+static int64_t encode_block_plane(const uint8_t *cur, int64_t cstride,
+                                  const double *predd, int64_t pdstride,
+                                  const uint8_t *predu, int64_t pustride,
+                                  int h, int w, double step,
+                                  const double *basis,
+                                  const int32_t *zz_order,
+                                  uint8_t *recon_out, int64_t recon_stride,
+                                  BitSink *sink,
+                                  int64_t *active_out, double *ssd_out)
 {
     int rows = h / 8, cols = w / 8;
     double res[64], tmp[64], coef[64], pred8[64];
+    int32_t levels[64];
     int64_t bits = 0, active = 0;
     double ssd = 0.0;
-    BitSink sink = {bits_buf, bits_cap, 0, 0, 0, 0};
-    int emit = bits_buf != NULL;
     for (int rb = 0; rb < rows; rb++) {
         for (int cb = 0; cb < cols; cb++) {
-            int32_t *levels = levels_out + ((ptrdiff_t)rb * cols + cb) * 64;
             const uint8_t *csub = cur + (ptrdiff_t)rb * 8 * cstride + cb * 8;
             uint8_t *osub = recon_out
                 + (ptrdiff_t)rb * 8 * recon_stride + cb * 8;
@@ -1227,8 +1227,8 @@ void encode_block_fused2(const uint8_t *cur, int64_t cstride,
                 for (int k = 0; k < 64; k++)
                     levels[k] = 0;
                 bits += 1;
-                if (emit)
-                    bs_put_ue(&sink, 0);
+                if (sink)
+                    bs_put_ue(sink, 0);
             } else {
                 active++;
                 for (int i = 0; i < 8; i++)
@@ -1258,8 +1258,8 @@ void encode_block_fused2(const uint8_t *cur, int64_t cstride,
                         break;
                     }
                 bits += ue_bits((int64_t)last + 1);
-                if (emit)
-                    bs_put_ue(&sink, (int64_t)last + 1);
+                if (sink)
+                    bs_put_ue(sink, (int64_t)last + 1);
                 int prev = -1;
                 for (int s2 = 0; s2 <= last; s2++) {
                     int32_t lv = levels[zz_order[s2]];
@@ -1267,9 +1267,9 @@ void encode_block_fused2(const uint8_t *cur, int64_t cstride,
                         continue;
                     bits += ue_bits((int64_t)(s2 - prev - 1));
                     bits += se_bits((int64_t)lv);
-                    if (emit) {
-                        bs_put_ue(&sink, (int64_t)(s2 - prev - 1));
-                        bs_put_se(&sink, (int64_t)lv);
+                    if (sink) {
+                        bs_put_ue(sink, (int64_t)(s2 - prev - 1));
+                        bs_put_se(sink, (int64_t)lv);
                     }
                     prev = s2;
                 }
@@ -1285,17 +1285,182 @@ void encode_block_fused2(const uint8_t *cur, int64_t cstride,
             }
         }
     }
+    *active_out += active;
+    *ssd_out += ssd;
+    return bits;
+}
+
+/* ------------------------------------------------------------------ */
+/* Tile driver: the whole block raster of one tile in one call.        */
+/*                                                                     */
+/* Replicates TileEncoder's block loop (repro.codec.encoder) for I/P   */
+/* tiles at integer-pel precision: intra choice, seeded motion search, */
+/* inter-vs-intra decision with the exp-Golomb MVD rate, fused         */
+/* residual + reconstruction into the recon plane, header and residual */
+/* bit emission, the op counters and — on a GOP's first P frame — the  */
+/* proposed policy's learning (the temporal predictor follows every    */
+/* block's MV; the first non-zero MV votes the dominant axis).  ctypes */
+/* releases the GIL for the duration, so tiles of different sessions   */
+/* run on different cores; everything the driver touches is either     */
+/* read-only (cur, ref), private to the tile (its recon region) or     */
+/* owned by the calling thread (cost cache, bit buffer, outputs).      */
+/*                                                                     */
+/* Contract (checked by the Python wrapper): tile_w and tile_h are     */
+/* multiples of 8, bs is a multiple of 8 and <= 64, the tile lies      */
+/* inside cur/recon, and ref (NULL on I frames) has the shape of cur — */
+/* so the zero vector is always feasible and the search's best MV      */
+/* never needs clamping.                                               */
+/*                                                                     */
+/* seeds: (0,0), the left neighbour's MV and, when use_pred, the       */
+/* temporal predictor (pred_dx, pred_dy).  info_out (may be NULL)      */
+/* receives {use_inter, mv_x, mv_y} per block in raster order.         */
+/* out_i = {bits, pred_pixels, sad_pixel_ops, me_candidates,           */
+/* transform_blocks, emitted_bits (-1: bits_buf too small), first_axis */
+/* (0 none, 1 x, 2 y), final_dx, final_dy}; out_d = {ssd, motion_s,    */
+/* entropy_s} (stage seconds are only clocked when measure is set).    */
+/* ------------------------------------------------------------------ */
+
+static inline int64_t now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+void encode_tile_u8(const uint8_t *cur, int64_t cstride,
+                    const uint8_t *ref, int64_t rstride,
+                    int64_t ref_h, int64_t ref_w,
+                    uint8_t *recon, int64_t ostride,
+                    int64_t tile_x, int64_t tile_y,
+                    int64_t tile_w, int64_t tile_h, int bs,
+                    double step, double lambda,
+                    const double *basis, const int32_t *zz_order,
+                    int alg, int param, int window,
+                    int use_pred, int learn,
+                    int64_t pred_dx, int64_t pred_dy,
+                    double *cache_costs, int64_t *cache_stamps,
+                    int64_t *epoch_io,
+                    uint8_t *bits_buf, int64_t bits_cap,
+                    int32_t *info_out, int measure,
+                    int64_t *out_i, double *out_d)
+{
+    double pred[64 * 64];
+    BitSink sink = {bits_buf, bits_cap, 0, 0, 0, 0};
+    BitSink *emit = bits_buf ? &sink : NULL;
+    int not_i = ref != NULL;
+    int64_t bits = 0, pp = 0, spx = 0, mec = 0, tb = 0;
+    int64_t t_motion = 0, t_entropy = 0, t0 = 0;
+    int64_t first_axis = 0;
+    double ssd = 0.0;
+    int64_t x_end = tile_x + tile_w, y_end = tile_y + tile_h;
+
+    for (int64_t by = tile_y; by < y_end; by += bs) {
+        int bh = (int)(y_end - by < bs ? y_end - by : bs);
+        int64_t left_dx = 0, left_dy = 0; /* MV prediction restarts per row */
+        for (int64_t bx = tile_x; bx < x_end; bx += bs) {
+            int bw = (int)(x_end - bx < bs ? x_end - bx : bs);
+            int64_t area = (int64_t)bw * bh;
+            const uint8_t *blk = cur + by * cstride + bx;
+
+            int32_t mode;
+            double intra_sad;
+            choose_intra_plane_u8(blk, cstride, recon, ostride, bh, bw,
+                                  bx, by, tile_x, tile_y,
+                                  pred, &mode, &intra_sad);
+            pp += 4 * area; /* four intra mode trials */
+
+            int use_inter = 0;
+            int64_t mvx = 0, mvy = 0, rate = 0;
+            if (not_i) {
+                if (measure)
+                    t0 = now_ns();
+                int64_t sdx[3] = {0, left_dx, pred_dx};
+                int64_t sdy[3] = {0, left_dy, pred_dy};
+                int64_t found[4];
+                double cost;
+                motion_search_u8(ref, rstride, ref_h, ref_w, blk, cstride,
+                                 bh, bw, bx, by, window, lambda, alg, param,
+                                 sdx, sdy, use_pred ? 3 : 2,
+                                 cache_costs, cache_stamps, epoch_io,
+                                 found, &cost);
+                mvx = found[0];
+                mvy = found[1];
+                if (learn) {
+                    pred_dx = mvx;
+                    pred_dy = mvy;
+                    if (!first_axis && (mvx || mvy)) {
+                        int64_t ax = mvx < 0 ? -mvx : mvx;
+                        int64_t ay = mvy < 0 ? -mvy : mvy;
+                        first_axis = ax >= ay ? 1 : 2;
+                    }
+                }
+                spx += found[2] * area;
+                mec += found[2];
+                pp += area; /* motion-compensated prediction fetch */
+                rate = se_bits(mvx - left_dx) + se_bits(mvy - left_dy);
+                use_inter =
+                    (double)found[3] + lambda * (double)rate <= intra_sad;
+                if (measure)
+                    t_motion += now_ns() - t0;
+            }
+
+            if (measure)
+                t0 = now_ns();
+            if (emit) {
+                if (not_i)
+                    bs_put(emit, use_inter ? 0 : 1, 1);
+                if (use_inter) {
+                    bs_put_se(emit, mvx - left_dx);
+                    bs_put_se(emit, mvy - left_dy);
+                } else {
+                    bs_put(emit, (uint64_t)mode, 2);
+                }
+            }
+            bits += not_i + (use_inter ? rate : 2);
+            bits += encode_block_plane(
+                blk, cstride,
+                use_inter ? NULL : pred, bw,
+                use_inter ? ref + (by + mvy) * rstride + (bx + mvx) : NULL,
+                rstride, bh, bw, step, basis, zz_order,
+                recon + by * ostride + bx, ostride, emit, &tb, &ssd);
+            pp += area; /* reconstruction */
+            if (measure)
+                t_entropy += now_ns() - t0;
+
+            if (!use_inter)
+                mvx = mvy = 0;
+            if (info_out) {
+                info_out[0] = use_inter;
+                info_out[1] = (int32_t)mvx;
+                info_out[2] = (int32_t)mvy;
+                info_out += 3;
+            }
+            if (use_inter) {
+                left_dx = mvx;
+                left_dy = mvy;
+            }
+        }
+    }
+
     int64_t emitted = bits;
     if (emit) {
-        emitted = bs_bits(&sink);
-        bs_flush(&sink);
+        emitted = bs_bits(emit);
+        bs_flush(emit);
         if (sink.overflow)
             emitted = -1;
     }
-    stats_out[0] = bits;
-    stats_out[1] = active;
-    stats_out[2] = emitted;
-    ssd_out[0] = ssd;
+    out_i[0] = bits;
+    out_i[1] = pp;
+    out_i[2] = spx;
+    out_i[3] = mec;
+    out_i[4] = tb;
+    out_i[5] = emitted;
+    out_i[6] = first_axis;
+    out_i[7] = pred_dx;
+    out_i[8] = pred_dy;
+    out_d[0] = ssd;
+    out_d[1] = (double)t_motion * 1e-9;
+    out_d[2] = (double)t_entropy * 1e-9;
 }
 
 /* ------------------------------------------------------------------ */

@@ -19,13 +19,14 @@ The parallel path is **bit-exact** with the serial
   :meth:`BitWriter.append_bits`, producing a byte-identical stream;
 * reconstruction patches are stitched into the frame plane — identical
   because no tile ever writes outside its own region;
-* the proposed search policy's per-GOP learned state is snapshotted
-  into picklable :class:`TileHookSpec` objects before the fan-out and
-  merged back with :func:`merge_learned` afterwards.  This is sound
-  because within one frame the policy state is *per-tile*: the
+* the proposed search policy's per-GOP learned state travels as
+  picklable :class:`~repro.motion.proposed.TileHookSpec` snapshots —
+  the same data the serial encoder hands its native tile driver — and
+  returns in :attr:`TileStats.learned` for ``merge_learned``.  This is
+  sound because within one frame the policy state is *per-tile*: the
   dominant axis is only read on non-first GOP frames (when no learning
-  happens) and the MV predictor chain is keyed by tile id, so tile
-  workers never observe each other's in-frame updates even serially.
+  happens) and the MV predictor chain is keyed by tile id, so tiles
+  never observe each other's in-frame updates.
 
 Everything is opt-in (``PipelineConfig.parallel_tiles``,
 ``VideoEncoder(parallel_workers=...)``, ``--parallel-workers`` on the
@@ -38,13 +39,11 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import native
-from repro.analysis.motion_probe import MotionClass
 from repro.codec.bitstream import BitWriter
 from repro.codec.chroma import BlockInfo
 from repro.codec.config import EncoderConfig, FrameType
@@ -55,14 +54,9 @@ from repro.codec.encoder import (
     TileStats,
     normalize_references,
 )
-from repro.motion.base import MotionVector
+from repro.motion.proposed import TileHookSpec, TileLearned, merge_learned
 from repro.observability import get_registry, get_tracer
 from repro.observability.metrics import MetricsRegistry
-from repro.motion.proposed import (
-    BioMedicalSearchPolicy,
-    GopMotionState,
-    ProposedSearchConfig,
-)
 from repro.tiling.tile import TileGrid
 
 __all__ = [
@@ -101,110 +95,17 @@ def recommended_parallel(
     return effective > 1 and num_tiles > 1
 
 
-@dataclass(frozen=True)
-class TileHookSpec:
-    """Picklable snapshot of one tile's proposed-search decision.
-
-    Captures everything
-    :meth:`~repro.motion.proposed.BioMedicalSearchPolicy.search_block`
-    reads for this tile — motion class, GOP position, the
-    feedback-adjusted window, the GOP's learned dominant axis and this
-    tile's MV predictor — so a worker process can rebuild an
-    equivalent policy without sharing the parent's mutable state.
-    """
-
-    motion: MotionClass
-    is_first: bool
-    tile_id: int
-    window: int
-    axis: Optional[str]
-    predictor: MotionVector
-    search: ProposedSearchConfig = ProposedSearchConfig()
-
-
-@dataclass(frozen=True)
-class TileLearned:
-    """What one first-P-frame tile learned, reported back for merging.
-
-    ``first_axis`` is the tile's first non-zero-MV axis vote (the
-    quantity the serial dominant-axis election consumes) and
-    ``final_mv`` the tile's last block MV (the value that survives in
-    ``GopMotionState.tile_mv`` after a serial pass).
-    """
-
-    tile_id: int
-    first_axis: Optional[str]
-    final_mv: Optional[MotionVector]
-
-
-def merge_learned(
-    state: GopMotionState, learned: Sequence[TileLearned]
-) -> None:
-    """Fold per-tile learning back into the shared GOP state.
-
-    Replays the serial election order: tiles are visited by index, and
-    the first axis vote wins — exactly the outcome of the serial
-    encoder, where the first non-zero MV in tile-then-block order sets
-    the dominant axis.
-    """
-    for rec in sorted(learned, key=lambda r: r.tile_id):
-        if rec.final_mv is not None:
-            state.tile_mv[rec.tile_id] = rec.final_mv
-        if state.dominant_axis is None and rec.first_axis is not None:
-            state.dominant_axis = rec.first_axis
-
-
-def _spec_policy(spec: TileHookSpec) -> BioMedicalSearchPolicy:
-    """A worker-local policy seeded from the spec snapshot.
-
-    On first-P frames the local dominant axis starts ``None`` so the
-    tile's own first vote is captured (the axis is never *read* on
-    first frames); on later frames it carries the learned axis, which
-    ``select`` consumes and nothing mutates.
-    """
-    policy = BioMedicalSearchPolicy(spec.search)
-    policy.state = GopMotionState(
-        dominant_axis=None if spec.is_first else spec.axis,
-        tile_mv={spec.tile_id: spec.predictor},
-    )
-    return policy
-
-
 def _encode_tile_worker(task: tuple):
     """Encode one tile in a worker process (module-level: picklable).
 
-    Returns ``(stats, recon_patch, payload, nbits, infos, learned,
-    metrics)`` where ``metrics`` is a fresh worker-local
-    :class:`MetricsRegistry` snapshot — global registries do not cross
-    the process boundary, so workers report their counters as data and
-    the parent merges them on join.
+    Returns ``(stats, recon_patch, payload, nbits, infos, metrics)``
+    where ``metrics`` is a fresh worker-local :class:`MetricsRegistry`
+    snapshot — global registries do not cross the process boundary, so
+    workers report their counters as data and the parent merges them on
+    join.
     """
     (original, references, tile, config, frame_type, spec, want_infos,
      want_stages) = task
-    hook = None
-    policy = None
-    if spec is not None:
-        policy = _spec_policy(spec)
-
-        def hook(ctx_factory, left_mv):
-            def wrapped(_w):
-                return ctx_factory(spec.window)
-
-            nargs = getattr(ctx_factory, "native_args", None)
-            if nargs is not None:
-                # Keep the native search driver reachable through the
-                # wrapper and pin the spec's window, exactly like the
-                # serial pipeline's hook wrapper does.
-                wrapped.native_args = nargs
-                wrapped.native_window = spec.window
-            return policy.search_block(
-                wrapped,
-                spec.motion,
-                spec.is_first,
-                spec.tile_id,
-                left_mv=left_mv,
-            )
-
     reconstruction = np.zeros_like(original)
     writer = BitWriter()
     infos: Optional[List[BlockInfo]] = [] if want_infos else None
@@ -217,9 +118,9 @@ def _encode_tile_worker(task: tuple):
         tile,
         frame_type,
         writer=writer,
-        motion_hook=hook,
         block_info_out=infos,
         measure_stages=want_stages,
+        hook_spec=spec,
     )
     elapsed = time.perf_counter() - t0
     if want_stages and stats.stage_seconds is not None:
@@ -232,13 +133,6 @@ def _encode_tile_worker(task: tuple):
         "repro_parallel_tile_encode_seconds", elapsed,
         help="Wall time of one worker tile encode",
     )
-    learned = None
-    if policy is not None and spec.is_first:
-        learned = TileLearned(
-            tile_id=spec.tile_id,
-            first_axis=policy.state.dominant_axis,
-            final_mv=policy.state.tile_mv.get(spec.tile_id),
-        )
     patch = np.ascontiguousarray(
         reconstruction[tile.y : tile.y_end, tile.x : tile.x_end]
     )
@@ -246,7 +140,7 @@ def _encode_tile_worker(task: tuple):
     # stream to a byte boundary; the parent splices exactly nbits so
     # the padding never reaches the merged stream.
     nbits = writer.bits_written
-    return (stats, patch, writer.flush(), nbits, infos, learned,
+    return (stats, patch, writer.flush(), nbits, infos,
             local_metrics.to_dict())
 
 
@@ -295,9 +189,6 @@ class TileParallelExecutor:
                 "native kernels, or workers=1 for inline encoding."
             )
         self._pool: Optional[Executor] = None
-        #: Per-tile learning reported by the most recent
-        #: :meth:`encode_frame` fan-out (first P frames only).
-        self.last_learned: List[TileLearned] = []
 
     # -- pool lifecycle -------------------------------------------------
     def _ensure_pool(self) -> Executor:
@@ -341,15 +232,9 @@ class TileParallelExecutor:
         hook_specs: Optional[Sequence[Optional[TileHookSpec]]] = None,
         block_infos_out: Optional[List[List[BlockInfo]]] = None,
     ) -> Tuple[FrameStats, np.ndarray]:
-        """Drop-in parallel replacement for ``FrameEncoder.encode``.
-
-        ``hook_specs`` replaces the serial API's ``motion_hooks``:
-        closures cannot cross a process boundary, so the proposed
-        policy's per-tile decisions travel as :class:`TileHookSpec`
-        snapshots instead.  After a first-P-frame call, fold
-        :attr:`last_learned` into the policy with
-        :func:`merge_learned`.
-        """
+        """Drop-in parallel replacement for ``FrameEncoder.encode``
+        (minus ``motion_hooks``: closures cannot cross a process
+        boundary)."""
         if len(configs) != len(grid):
             raise ValueError(f"{len(configs)} configs for {len(grid)} tiles")
         if hook_specs is not None and len(hook_specs) != len(grid):
@@ -385,9 +270,8 @@ class TileParallelExecutor:
 
         reconstruction = np.zeros_like(original)
         tile_stats: List[TileStats] = []
-        self.last_learned = []
         registry = get_registry()
-        for i, (tile, (stats, patch, payload, nbits, infos, learned,
+        for i, (tile, (stats, patch, payload, nbits, infos,
                        worker_metrics)) in enumerate(zip(grid, results)):
             reconstruction[tile.y : tile.y_end, tile.x : tile.x_end] = patch
             tile_stats.append(stats)
@@ -395,8 +279,6 @@ class TileParallelExecutor:
                 writer.append_bits(payload, nbits)
             if want_infos:
                 block_infos_out.append(infos or [])
-            if learned is not None:
-                self.last_learned.append(learned)
             registry.merge(worker_metrics)
             if want_stages and stats.stage_seconds:
                 tracer.record_span(

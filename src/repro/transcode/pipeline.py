@@ -32,13 +32,13 @@ from repro.analysis.motion_probe import MotionClass
 from repro.analysis.texture import TextureClass
 from repro.codec.config import EncoderConfig, FrameType, GopConfig
 from repro.codec.encoder import FrameEncoder, FrameStats
-from repro.motion.proposed import BioMedicalSearchPolicy, ProposedSearchConfig
-from repro.observability import get_registry, get_tracer
-from repro.parallel.executor import (
-    TileHookSpec,
-    TileParallelExecutor,
+from repro.motion.proposed import (
+    BioMedicalSearchPolicy,
+    ProposedSearchConfig,
     merge_learned,
 )
+from repro.observability import get_registry, get_tracer
+from repro.parallel.executor import TileParallelExecutor
 from repro.platform.cost_model import CostModel
 from repro.platform.mpsoc import MpsocConfig, XEON_E5_2667
 from repro.platform.schedule import ThreadTask
@@ -321,6 +321,13 @@ class StreamTranscoder:
             )
         self.fault_injector = fault_injector
 
+    def _encode_frame(self, *args, **kwargs):
+        """Encode one frame serially or on the tile pool (the pool's
+        ``encode_frame`` is a drop-in for ``FrameEncoder.encode``)."""
+        if self._parallel is not None:
+            return self._parallel.encode_frame(*args, **kwargs)
+        return self._frame_encoder.encode(*args, **kwargs)
+
     def close(self) -> None:
         """Shut down the tile worker pool (no-op when serial)."""
         if self._parallel is not None:
@@ -462,7 +469,6 @@ class StreamTranscoder:
         bottlenecks = feedback.bottleneck_tiles
         is_first = gop_position <= 1
         configs = []
-        hooks = []
         specs = []
         windows = []
         for i, content in enumerate(contents):
@@ -478,61 +484,23 @@ class StreamTranscoder:
             )
             configs.append(cfg.base_config.with_qp(qp))
             windows.append(window)
-            if self._parallel is not None:
-                specs.append(TileHookSpec(
-                    motion=content.motion, is_first=is_first, tile_id=i,
-                    window=window, axis=policy.state.dominant_axis,
-                    predictor=policy.state.predictor(i), search=cfg.search,
-                ))
-            else:
-                hooks.append(
-                    self._make_hook(policy, content.motion, gop_position, i, window)
-                )
+            # The policy's per-tile decision as plain data.  The motion
+            # direction is learned on the first *P* frame of the GOP
+            # (the I frame has no motion estimation).
+            specs.append(policy.tile_spec(content.motion, is_first, i, window))
 
-        if self._parallel is not None:
-            frame_stats, reconstruction = self._parallel.encode_frame(
-                luma, grid, configs, frame_type,
-                reference=reference, frame_index=frame_index,
-                hook_specs=specs if frame_type is FrameType.P else None,
-            )
-            if frame_type is FrameType.P:
-                merge_learned(policy.state, self._parallel.last_learned)
-        else:
-            frame_stats, reconstruction = self._frame_encoder.encode(
-                luma, grid, configs, frame_type,
-                reference=reference, frame_index=frame_index,
-                motion_hooks=hooks if frame_type is FrameType.P else None,
-            )
+        is_p = frame_type is FrameType.P
+        frame_stats, reconstruction = self._encode_frame(
+            luma, grid, configs, frame_type,
+            reference=reference, frame_index=frame_index,
+            hook_specs=specs if is_p else None,
+        )
+        if is_p:
+            merge_learned(policy.state, [t.learned for t in frame_stats.tiles])
         record = self._record_frame(
             frame_stats, frame_type, contents, configs, windows
         )
         return record, reconstruction
-
-    def _make_hook(self, policy, motion, gop_position, tile_index, window):
-        """Build the per-tile motion hook driving the proposed policy.
-
-        The motion direction is learned on the first *P* frame of the
-        GOP (the I frame has no motion estimation).
-        """
-        is_first = gop_position <= 1
-
-        def hook(ctx_factory, left_mv):
-            def wrapped(_w):
-                return ctx_factory(window)
-
-            nargs = getattr(ctx_factory, "native_args", None)
-            if nargs is not None:
-                # Keep the native search driver reachable through the
-                # wrapper, and pin the window the pipeline chose (the
-                # wrapper ignores the policy's window the same way).
-                wrapped.native_args = nargs
-                wrapped.native_window = window
-            return policy.search_block(
-                wrapped, motion, is_first, tile_index,
-                left_mv=left_mv,
-            )
-
-        return hook
 
     # ------------------------------------------------------------------
     # Khan [19] baseline pipeline
@@ -565,16 +533,10 @@ class StreamTranscoder:
                     "pipeline.frame", frame=frame.index,
                     type=frame_type.value, gop=g, tiles=len(grid),
                 ):
-                    if self._parallel is not None:
-                        frame_stats, reference = self._parallel.encode_frame(
-                            frame.luma, grid, configs, frame_type,
-                            reference=reference, frame_index=frame.index,
-                        )
-                    else:
-                        frame_stats, reference = self._frame_encoder.encode(
-                            frame.luma, grid, configs, frame_type,
-                            reference=reference, frame_index=frame.index,
-                        )
+                    frame_stats, reference = self._encode_frame(
+                        frame.luma, grid, configs, frame_type,
+                        reference=reference, frame_index=frame.index,
+                    )
                 record.frames.append(
                     self._record_frame(
                         frame_stats, frame_type, None, configs,

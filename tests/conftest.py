@@ -19,6 +19,19 @@ def pytest_addoption(parser):
         "--update-golden", action="store_true", default=False,
         help="rewrite the golden-trace files instead of comparing",
     )
+    parser.addoption(
+        "--native-cflags", default="",
+        help="extra C flags: rebuild the native kernels with them for this "
+             "run (`make sanitize`); the run fails if that build does not load",
+    )
+
+
+def pytest_configure(config):
+    extra = config.getoption("--native-cflags")
+    if extra:
+        from repro import native
+
+        native.rebuild(extra.split())
 
 
 @pytest.fixture

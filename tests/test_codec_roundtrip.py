@@ -3,11 +3,15 @@ encoder decodes to exactly the encoder-side reconstruction."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.analysis.motion_probe import MotionClass
 from repro.codec.bitstream import BitReader, BitWriter
 from repro.codec.config import EncoderConfig, FrameType, GopConfig
 from repro.codec.decoder import FrameDecoder
 from repro.codec.encoder import FrameEncoder
+from repro.motion.proposed import TileHookSpec
+from repro.observability import scoped
 from repro.tiling.tile import TileGrid
 from repro.tiling.uniform import uniform_tiling
 
@@ -108,3 +112,67 @@ class TestRoundTrip:
         grid = uniform_tiling(small_video.width, small_video.height, 2, 1, align=16)
         with pytest.raises(ValueError):
             FrameDecoder().decode(BitReader(b"\x00"), grid, [EncoderConfig()])
+
+
+class TestTileDriverStreamsDecode:
+    """The decoder is a second implementation of the syntax (Python
+    parse + ``reconstruct_block``), not a second run of the encoder: a
+    stream emitted by the native tile driver must decode to the
+    driver's own reconstruction."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        cols=st.integers(1, 3), rows=st.integers(1, 3),
+        qps=st.lists(st.sampled_from([22, 32, 42]), min_size=9, max_size=9),
+        motion=st.sampled_from(list(MotionClass)),
+        window=st.sampled_from([8, 16, 32, 64]),
+        predictor=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_policy_driven_gop_decodes(self, cols, rows, qps, motion, window,
+                                       predictor, seed):
+        from repro import native
+
+        if not native.available():
+            pytest.skip("native kernels unavailable")
+        width, height = 48 * cols + 16, 32 * rows + 8
+        rng = np.random.default_rng(seed)
+        base = rng.integers(0, 256, (height + 8, width + 8)).astype(np.float64)
+        base = (base + np.roll(base, 1, 0) + np.roll(base, 1, 1)) / 3.0
+        frames = [
+            np.ascontiguousarray(
+                base[k:k + height, 2 * k:2 * k + width].astype(np.uint8))
+            for k in range(4)
+        ]
+        grid = uniform_tiling(width, height, cols, rows, align=8)
+        configs = [EncoderConfig(qp=qps[i]) for i in range(len(grid))]
+        encoder, writer = FrameEncoder(), BitWriter()
+        enc_recons, reference, axis = [], None, None
+        with scoped() as (registry, _):
+            for k, frame in enumerate(frames):
+                specs = None
+                if k > 0:
+                    specs = [
+                        TileHookSpec(motion=motion, is_first=k == 1,
+                                     tile_id=i, window=window, axis=axis,
+                                     predictor=predictor)
+                        for i in range(len(grid))
+                    ]
+                stats, reference = encoder.encode(
+                    frame, grid, configs,
+                    FrameType.I if k == 0 else FrameType.P,
+                    reference=reference, frame_index=k, writer=writer,
+                    hook_specs=specs,
+                )
+                if k == 1:
+                    votes = [t.learned.first_axis for t in stats.tiles]
+                    axis = next((v for v in votes if v), None)
+                enc_recons.append(reference)
+            # Every tile went through the driver.
+            assert "repro_codec_tile_fallback_total" not in registry.names()
+        reader = BitReader(writer.flush())
+        decoder, reference = FrameDecoder(), None
+        for recon in enc_recons:
+            reference = decoder.decode(reader, grid, configs,
+                                       reference=reference)
+            np.testing.assert_array_equal(reference, recon)

@@ -287,3 +287,207 @@ def test_simd_disabled_by_environment():
         check=True,
     )
     assert out.stdout.split() == ["0", "0"]
+
+
+# ----------------------------------------------------------------------
+# Tile driver (encode_tile_u8) vs the per-block loop
+# ----------------------------------------------------------------------
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+
+from repro.analysis.motion_probe import MotionClass  # noqa: E402
+from repro.codec.bitstream import BitWriter  # noqa: E402
+from repro.codec.encoder import TileEncoder  # noqa: E402
+from repro.codec.ops import OpCounts  # noqa: E402
+from repro.motion.proposed import TileHookSpec, spec_hook  # noqa: E402
+from repro.observability import scoped  # noqa: E402
+from repro.tiling.tile import Tile  # noqa: E402
+
+FALLBACK = "repro_codec_tile_fallback_total"
+
+
+def _moving_planes(seed, height, width):
+    """A textured reference and a shifted, noisy current plane, so the
+    inter/intra decision goes both ways across a tile."""
+    rng = np.random.default_rng(seed)
+    big = rng.integers(0, 256, (height + 16, width + 16)).astype(np.float64)
+    for axis in (0, 1):  # cheap smoothing: neighbouring samples correlate
+        big = (big + np.roll(big, 1, axis) + np.roll(big, -1, axis)) / 3.0
+    dx, dy = (int(v) for v in rng.integers(-4, 5, 2))
+    ref = big[8:8 + height, 8:8 + width]
+    cur = big[8 + dy:8 + dy + height, 8 + dx:8 + dx + width]
+    cur = cur + rng.normal(0.0, 2.0, cur.shape)
+    flat = rng.integers(0, 2, (height // 16 + 1, width // 16 + 1))
+    flat = np.kron(flat, np.ones((16, 16)))[:height, :width].astype(bool)
+    cur = np.where(flat, cur, rng.integers(0, 256, cur.shape))
+    return tuple(
+        np.ascontiguousarray(np.clip(np.rint(p), 0, 255).astype(np.uint8))
+        for p in (ref, cur)
+    )
+
+
+def _oracle(config, cur, ref, tile, frame_type, spec, emit, want_info):
+    """The per-block loop on fresh buffers: the driver's reference."""
+    recon = np.zeros_like(cur)
+    writer = BitWriter() if emit else None
+    infos = [] if want_info else None
+    ops = OpCounts()
+    hook = policy = None
+    if spec is not None and frame_type is FrameType.P:
+        policy = spec.policy()
+        hook = spec_hook(spec, policy)
+    bits, ssd = TileEncoder(config)._encode_tile_blocks(
+        cur, [ref] if frame_type is FrameType.P else [], recon, tile,
+        frame_type, writer, hook, ops, None, infos, None,
+    )
+    learned = None
+    if policy is not None and spec.is_first:
+        learned = (policy.state.dominant_axis,
+                   policy.state.tile_mv.get(spec.tile_id))
+    stream = (writer.bits_written, writer.flush()) if emit else None
+    return bits, ssd, ops, recon, stream, infos, learned
+
+
+@st.composite
+def _tile_cases(draw):
+    tile = Tile(draw(st.integers(0, 24)), draw(st.integers(0, 24)),
+                8 * draw(st.integers(2, 20)), 8 * draw(st.integers(2, 20)))
+    frame = (tile.y_end + draw(st.integers(0, 24)),
+             tile.x_end + draw(st.integers(0, 24)))
+    window = draw(st.sampled_from([8, 16, 32, 64]))
+    spec = None
+    if draw(st.booleans()):
+        # (motion, is_first, axis) spans cross, one-at-a-time x/y and
+        # the three hexagon orientations.
+        spec = TileHookSpec(
+            motion=draw(st.sampled_from([MotionClass.LOW, MotionClass.HIGH])),
+            is_first=draw(st.booleans()), tile_id=draw(st.integers(0, 5)),
+            window=window, axis=draw(st.sampled_from([None, "x", "y"])),
+            predictor=(draw(st.integers(-6, 6)), draw(st.integers(-6, 6))),
+        )
+    config = EncoderConfig(
+        qp=draw(st.sampled_from([22, 32, 42])),
+        search=draw(st.sampled_from([
+            "cross", "one_at_a_time", "hexagon", "hexagon_vertical",
+            "hexagon_rotating"])),
+        search_window=window,
+        block_size=draw(st.sampled_from([8, 16, 16, 32, 64])),
+    )
+    return dict(
+        tile=tile, frame=frame, config=config, spec=spec,
+        frame_type=draw(st.sampled_from([FrameType.I, FrameType.P, FrameType.P])),
+        emit=draw(st.booleans()), want_info=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_tile_cases())
+def test_tile_driver_matches_block_loop(case):
+    """One native call per tile == the per-block loop: bits, SSD, every
+    op counter, reconstruction, emitted bitstream, BlockInfo list and
+    what a first-P-frame tile learned — on every SIMD tier."""
+    tile, config, spec = case["tile"], case["config"], case["spec"]
+    frame_type, emit, want_info = (
+        case["frame_type"], case["emit"], case["want_info"])
+    ref, cur = _moving_planes(case["seed"], *case["frame"])
+    want = _oracle(config, cur, ref, tile, frame_type, spec, emit, want_info)
+
+    detected = native.lib.simd_detect()
+    try:
+        for level in range(detected + 1):
+            native.lib.simd_set_level(level)
+            recon = np.full_like(cur, 7)  # outside the tile: untouched
+            writer = BitWriter() if emit else None
+            infos = [] if want_info else None
+            with scoped() as (registry, _):
+                stats = TileEncoder(config).encode(
+                    cur, ref if frame_type is FrameType.P else None, recon,
+                    tile, frame_type, writer=writer, block_info_out=infos,
+                    measure_stages=True,
+                    hook_spec=spec if frame_type is FrameType.P else None,
+                )
+                assert FALLBACK not in registry.names()
+            bits, ssd, ops, want_recon, stream, want_infos, learned = want
+            assert (stats.bits, stats.ssd, stats.ops) == (bits, ssd, ops)
+            region = np.s_[tile.y:tile.y_end, tile.x:tile.x_end]
+            np.testing.assert_array_equal(recon[region], want_recon[region])
+            outside = np.ones(recon.shape, dtype=bool)
+            outside[region] = False
+            assert (recon[outside] == 7).all()
+            if emit:
+                assert (writer.bits_written, writer.flush()) == stream
+                assert stream[0] == bits
+            assert infos == want_infos
+            got = stats.learned
+            assert (learned is None) == (got is None)
+            if got is not None:
+                assert got.tile_id == spec.tile_id
+                assert (got.first_axis, got.final_mv) == learned
+            assert set(stats.stage_seconds) == {"motion", "entropy"}
+            assert all(v >= 0.0 for v in stats.stage_seconds.values())
+    finally:
+        native.lib.simd_set_level(detected)
+
+
+def _fallback_case(reason):
+    """``(config, cur, references, tile, frame_type, kwargs)`` forcing
+    the driver to decline with ``reason``."""
+    rng = np.random.default_rng(5)
+    cur = rng.integers(0, 256, (64, 80), dtype=np.uint8)
+    ref = np.roll(cur, 1, axis=1)
+    tile = Tile(16, 16, 48, 32)
+    config = EncoderConfig(qp=32, search_window=16)
+    frame_type, references, kwargs = FrameType.P, ref, {}
+    if reason == "b_frame":
+        frame_type, references = FrameType.B, [ref, cur]
+    elif reason == "half_pel":
+        config = EncoderConfig(qp=32, half_pel=True)
+    elif reason == "layout":
+        cur = np.asfortranarray(cur)
+    elif reason == "partial_block":
+        tile = Tile(16, 16, 44, 32)
+    elif reason == "motion_hook":
+        spec = TileHookSpec(MotionClass.LOW, True, 0, 16, None, (0, 0))
+        kwargs["motion_hook"] = spec_hook(spec, spec.policy())
+    elif reason == "search":
+        config = EncoderConfig(qp=32, search="tz", search_window=16)
+    elif reason == "window":
+        config = EncoderConfig(qp=32, search_window=128)
+    return config, cur, references, tile, frame_type, kwargs
+
+
+@pytest.mark.parametrize("reason", [
+    "b_frame", "half_pel", "layout", "motion_hook", "search", "window",
+])
+def test_tile_driver_fallback_is_counted(reason, monkeypatch):
+    """Everything the driver declines runs the per-block loop, counted
+    by reason — and still encodes what the pure-NumPy path encodes."""
+    config, cur, references, tile, frame_type, kwargs = _fallback_case(reason)
+    recon = np.zeros(cur.shape, dtype=np.uint8)
+    with scoped() as (registry, _):
+        stats = TileEncoder(config).encode(
+            cur, references, recon, tile, frame_type, **kwargs)
+        assert registry.value(FALLBACK, reason=reason) == 1
+    monkeypatch.setattr(native, "lib", None)
+    kwargs = _fallback_case(reason)[-1]  # hooks carry state: a fresh one
+    numpy_recon = np.zeros(cur.shape, dtype=np.uint8)
+    with scoped() as (registry, _):
+        numpy_stats = TileEncoder(config).encode(
+            cur, references, numpy_recon, tile, frame_type, **kwargs)
+        # No driver, nothing declined: the counter is never created.
+        assert FALLBACK not in registry.names()
+    np.testing.assert_array_equal(recon, numpy_recon)
+    assert (stats.bits, stats.ops) == (numpy_stats.bits, numpy_stats.ops)
+
+
+def test_tile_driver_declines_unaligned_tile():
+    """A tile that is not a whole number of 8x8 transforms never reaches
+    the driver (it would silently skip the remainder); the per-block
+    loop rejects it as it always has."""
+    config, cur, ref, tile, frame_type, _ = _fallback_case("partial_block")
+    with scoped() as (registry, _):
+        with pytest.raises(ValueError, match="transform size"):
+            TileEncoder(config).encode(
+                cur, ref, np.zeros_like(cur), tile, frame_type)
+        assert registry.value(FALLBACK, reason="partial_block") == 1

@@ -7,6 +7,8 @@ snapshot/merge — without forking, so they run in the fast tier.  The
 pool (run with ``-m slow`` or no marker filter).
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -274,3 +276,113 @@ def test_thread_pool_pipeline_identical(video):
         for a, b in zip(fs.tiles, fp.tiles):
             assert (a.bits, a.psnr, a.qp, a.search_window) == \
                    (b.bits, b.psnr, b.qp, b.search_window)
+
+
+# ----------------------------------------------------------------------
+# Sessions on concurrent threads (the serving layer's encode pool)
+# ----------------------------------------------------------------------
+def _session_video(seed, content, width=128, height=96, frames=10):
+    cfg = GeneratorConfig(
+        width=width, height=height, num_frames=frames, seed=seed,
+        content_class=content, motion=MotionPreset.PAN_RIGHT,
+        motion_magnitude=2.0,
+    )
+    return BioMedicalVideoGenerator(cfg).generate()
+
+
+def _run_session(video):
+    """Push a video through a fresh session; digest of every output."""
+    import zlib
+
+    session = StreamTranscoder(PipelineConfig(fps=24.0)).open_session()
+    outputs = []
+    for frame in video.frames:
+        outputs += session.push(frame)
+    outputs += session.finish()
+    return [
+        (o.frame_index, o.frame_type, zlib.crc32(o.reconstruction),
+         [(t.bits, t.psnr, t.qp, t.search_window, t.cpu_time_fmax)
+          for t in o.record.tiles])
+        for o in outputs
+    ]
+
+
+def _run_concurrently(videos, timeout=120.0):
+    import threading
+
+    results = [None] * len(videos)
+    barrier = threading.Barrier(len(videos))
+
+    def worker(i):
+        barrier.wait(timeout)
+        results[i] = _run_session(videos[i])
+
+    threads = [threading.Thread(target=worker, args=(i,))
+               for i in range(len(videos))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout)
+        assert not t.is_alive()
+    return results
+
+
+def test_concurrent_sessions_bit_identical_to_serial():
+    """Sessions pushed from several threads at once (more threads than
+    cores, aggressive switching) produce exactly their serial traces:
+    the tile driver's scratch and motion cache are per thread, and the
+    policy state crosses the GIL-free call only as data."""
+    import sys
+
+    from repro import native
+
+    if not native.available():
+        pytest.skip("native kernels unavailable")
+    videos = [
+        _session_video(11, ContentClass.BRAIN),
+        _session_video(12, ContentClass.CARDIAC),
+    ] * 2
+    serial = [_run_session(v) for v in videos]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        concurrent = _run_concurrently(videos)
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == serial
+
+
+@pytest.mark.slow
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+@pytest.mark.xfail(
+    strict=False,
+    reason="ISSUE 12 target; measured 1.9-2.3x at 320x240 (1.3-1.7x at "
+           "640x480) on the 2-vCPU KVM builder: with the codec in one "
+           "GIL-free call per tile, the GIL-held rest of a push (analysis, "
+           "re-tiling, records, LUT) is ~50% of it at this size, and the "
+           "guest kernel stacks the two GIL-trading threads on one vCPU",
+)
+def test_two_sessions_scale_across_cores():
+    """Two concurrent 320x240 sessions finish in < 1.4x the wall time
+    of one: the encode runs GIL-free, one native call per tile."""
+    import time
+
+    from repro import native
+
+    if not native.available():
+        pytest.skip("native kernels unavailable")
+    videos = [
+        _session_video(21, ContentClass.BRAIN, 320, 240, 32),
+        _session_video(22, ContentClass.BONE, 320, 240, 32),
+    ]
+    _run_session(videos[0])  # warm the classifier, caches, scratch
+
+    def timed(fn):
+        t0 = time.perf_counter()
+        fn()
+        return time.perf_counter() - t0
+
+    # Best of a few: a shared machine can take a core away mid-run.
+    solo = min(timed(lambda: _run_session(videos[0])) for _ in range(3))
+    duo = min(timed(lambda: _run_concurrently(videos)) for _ in range(5))
+    assert duo < 1.4 * solo, f"solo {solo:.3f} s, duo {duo:.3f} s"
