@@ -1,19 +1,21 @@
 # Developer entry points.  `make check` is the pre-commit gate: the
-# tier-1 test suite plus a fast smoke pass over the benchmark harnesses
-# (their `-m 'not slow'` subset runs each micro-benchmark once without
-# timing loops).  Coverage is collected when pytest-cov is installed
-# and skipped silently otherwise — the toolchain image does not bake
-# the plugin in, and the suite must not depend on it.
+# tier-1 test suite, a fast smoke pass over the paper-table benchmarks
+# under benchmarks/ (their `-m 'not slow'` subset runs each
+# micro-benchmark once without timing loops), the bench harness's
+# correctness gate and the fixed-seed drills.  Coverage is collected
+# when pytest-cov is installed and skipped silently otherwise — the
+# toolchain image does not bake the plugin in, and the suite must not
+# depend on it.
 
 PY      := python
 PYTEST  := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PY) -m pytest
 HAS_COV := $(shell $(PY) -c "import pytest_cov" 2>/dev/null && echo 1)
 COVOPTS := $(if $(HAS_COV),--cov=repro --cov-report=term-missing)
 
-.PHONY: check test sanitize bench-smoke bench-serving golden serve-demo \
+.PHONY: check test sanitize bench-smoke bench-check golden serve-demo \
 	serve-smoke chaos fleet-chaos ladder-smoke policy-smoke torture clean
 
-check: test sanitize bench-smoke bench-serving serve-smoke chaos fleet-chaos \
+check: test sanitize bench-smoke bench-check serve-smoke chaos fleet-chaos \
 	ladder-smoke policy-smoke torture
 
 test:
@@ -46,12 +48,18 @@ bench-smoke:
 	$(PYTEST) benchmarks/test_micro.py -q --override-ini="addopts=" \
 		-m "not slow" --benchmark-disable
 
-# Serving hot-path regression tripwire: one small unpaced loadgen
-# round against a live server; fails if end-to-end throughput falls
-# below the pre-hot-path seed floor.  Full measurement (BENCH_6.json):
-# `python -m repro.serving.bench_serving`.
-bench-serving:
-	PYTHONPATH=src $(PY) -m repro.serving.bench_serving --smoke
+# The one bench harness (bench/run.py, see bench/README.md) checked for
+# correctness, not speed: its self-tests, then a short run of the
+# cheapest and of the paper's-operating-point workload against a live
+# serve-net child.  A run fails unless every frame got exactly one
+# outcome, STATS agree with the client's tally and the first two GOPs
+# are bit-equal to the in-process reference.  No throughput floor and
+# no committed baseline: to compare two commits, write `--out` on each
+# and run `python3 bench/run.py compare A.json B.json`.
+bench-check:
+	$(PYTEST) bench/tests -q
+	python3 bench/run.py --workload small_churn --seed 1 --seconds 3 --trace 0
+	python3 bench/run.py --workload vga_rt1 --seed 1 --seconds 3 --trace 0
 
 # Regenerate the golden trace after an intentional instrumentation change.
 golden:

@@ -13,7 +13,6 @@ Usage::
     python -m repro.cli metrics metrics.json [--prom]
     python -m repro.cli experiment table1|fig3|table2|fig4 [options...]
     python -m repro.cli fault-drill --seed 0
-    python -m repro.cli bench [--groups motion codec] [--out BENCH.json]
 
 ``generate`` writes a synthetic bio-medical video; ``encode`` runs the
 codec substrate with a fixed configuration and reports PSNR/bitrate and
@@ -22,8 +21,7 @@ simulated CPU time; ``transcode`` runs the full content-aware pipeline
 tables/figures (forwarding the remaining arguments to that harness);
 ``fault-drill`` runs a seeded chaos scenario (corrupt frames, CPU-time
 spikes, core failures, LUT corruption) through the whole serving stack
-and prints a survival report; ``bench`` runs the micro-benchmarks and
-records throughput to ``BENCH_<n>.json``.
+and prints a survival report.
 
 ``--parallel-workers N`` on ``encode``/``transcode`` encodes each
 frame's tiles concurrently on a process pool (N=0 uses every core);
@@ -383,7 +381,6 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
         journal_dir=args.journal_dir,
         journal_fsync=not args.no_journal_fsync,
         drain_grace_s=args.drain_grace,
-        encode_floor_s=args.encode_floor,
         policy_file=args.policy,
     )
     config = FleetConfig(
@@ -609,17 +606,6 @@ def _cmd_torture(args: argparse.Namespace) -> int:
     return torture_main(["--update-golden"] if args.update_golden else [])
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro import bench
-
-    argv = []
-    if args.groups:
-        argv += ["--groups", *args.groups]
-    if args.out:
-        argv += ["--out", args.out]
-    return bench.main(argv)
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import fig3, fig4, table1, table2
     module = {"table1": table1, "fig3": fig3, "table2": table2,
@@ -806,10 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
     sf.add_argument("--breaker-threshold", type=int, default=5,
                     help="worker deaths in the flap window before the "
                          "slot's circuit breaker opens")
-    sf.add_argument("--encode-floor", type=float, default=0.0,
-                    metavar="SECONDS",
-                    help="minimum wall-clock per encoded frame (pacing "
-                         "for scaling benchmarks; 0 = off)")
     sf.add_argument("--drain-grace", type=float, default=10.0,
                     metavar="SECONDS")
     sf.add_argument("--duration", type=float, default=None,
@@ -965,16 +947,6 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("rest", nargs=argparse.REMAINDER,
                    help="arguments forwarded to the harness")
     x.set_defaults(func=_cmd_experiment)
-
-    b = sub.add_parser(
-        "bench",
-        help="run the micro-benchmarks and record BENCH_<n>.json",
-    )
-    b.add_argument("--groups", nargs="+", default=None,
-                   help="benchmark groups (default: motion codec)")
-    b.add_argument("--out", default=None,
-                   help="output path (default: next free BENCH_<n>.json)")
-    b.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -47,7 +47,7 @@ from repro.codec.transform import (
 )
 from repro.codec.zigzag import zigzag_indices, zigzag_scan
 from repro import native
-from repro.observability import get_registry, get_tracer
+from repro.observability import MetricsRegistry, get_registry, get_tracer
 from repro.motion.base import MotionSearchResult, SearchContext
 from repro.motion.proposed import TileHookSpec, TileLearned, spec_hook
 from repro.tiling.tile import Tile, TileGrid
@@ -274,6 +274,7 @@ class TileEncoder:
         block_info_out: Optional[List[BlockInfo]] = None,
         measure_stages: bool = False,
         hook_spec: Optional[TileHookSpec] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> TileStats:
         """Encode ``tile`` of ``original`` into ``reconstruction``.
 
@@ -296,7 +297,9 @@ class TileEncoder:
         GIL released for the whole tile).  Everything the driver
         declines runs the per-block loop below — same bits, same
         reconstruction, same op counts — and is counted in
-        ``repro_codec_tile_fallback_total{reason}``.
+        ``repro_codec_tile_fallback_total{reason}``, in ``metrics``
+        when given (a pool worker's registry, which its parent merges)
+        and in the process-wide registry otherwise.
         """
         references = normalize_references(reference, frame_type)
         if frame_type is FrameType.I:
@@ -311,7 +314,7 @@ class TileEncoder:
                     plan, original, references, reconstruction, tile,
                     writer, block_info_out, measure_stages, hook_spec,
                 )
-            get_registry().inc(
+            (metrics if metrics is not None else get_registry()).inc(
                 "repro_codec_tile_fallback_total", reason=plan,
                 help="Tiles the native tile driver declined, by reason",
             )

@@ -121,6 +121,7 @@ def _encode_tile_worker(task: tuple):
         block_info_out=infos,
         measure_stages=want_stages,
         hook_spec=spec,
+        metrics=local_metrics,
     )
     elapsed = time.perf_counter() - t0
     if want_stages and stats.stage_seconds is not None:

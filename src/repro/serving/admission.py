@@ -596,19 +596,14 @@ class AdmissionController:
         return decision, reason, ()
 
     def unpark(self, session_id: int, hello: Hello,
-               fps: Optional[float] = None) -> Tuple[AdmissionDecision, str]:
+               fps: Optional[float] = None) -> tuple:
         """Retry admission for a parked session (frees its park slot;
-        a PARK outcome re-takes it)."""
+        a PARK outcome re-takes it).  A ladder HELLO retries through
+        :meth:`decide_ladder` and returns its 3-tuple, any other
+        through :meth:`decide`."""
         self._parked = max(0, self._parked - 1)
-        return self.decide(session_id, hello, fps)
-
-    def unpark_ladder(
-        self, session_id: int, hello: Hello,
-        fps: Optional[float] = None,
-    ) -> Tuple[AdmissionDecision, str, Tuple[Tuple[int, int], ...]]:
-        """Ladder variant of :meth:`unpark`."""
-        self._parked = max(0, self._parked - 1)
-        return self.decide_ladder(session_id, hello, fps)
+        decide = self.decide if hello.ladder is None else self.decide_ladder
+        return decide(session_id, hello, fps)
 
     def abandon_park(self) -> None:
         """A parked session gave up (timeout or disconnect)."""

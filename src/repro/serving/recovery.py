@@ -12,8 +12,9 @@ that durability layer:
     of ``{"seq", "kind", "payload"}`` — the same canonicalisation the
     LUT checkpoint uses (:mod:`repro.resilience.checkpoint`), so the
     two on-disk formats verify identically.  Appends ``flush`` +
-    ``fsync`` by default; the server journals once per GOP, which is
-    what keeps the overhead within the <2 % budget (BENCH_4.json).
+    ``fsync`` by default; the server journals once per GOP, off the
+    encode thread (the cost is ``recovery.journal_append_ms`` in the
+    ``bench/run.py`` ledger of a journaled workload).
 
 ``read_journal`` / ``restore_session``
     Crash-tolerant loaders.  A *truncated tail* — the final line cut

@@ -190,18 +190,11 @@ class ServeNetConfig:
     reuse_port: bool = False
     #: Single-owner session leases (:mod:`repro.serving.statestore`):
     #: required for multi-worker deployments sharing one journal dir;
-    #: harmless (one file create/unlink per session) standalone.  Off
-    #: only for the lease-overhead benchmark's baseline arm.
+    #: harmless (one file create/unlink per session) standalone.
     lease: bool = True
     #: RESUME retry hint sent when a session's lease is held by a
     #: worker not yet confirmed dead (transient reject).
     lease_retry_s: float = 0.5
-    #: Wall-clock floor per encoder push, modelling a heavier codec
-    #: tier: the encode thread sleeps up to the floor after the real
-    #: push.  This is what the fleet scaling bench uses to measure the
-    #: architecture's session-concurrency ceiling (one encode thread
-    #: per worker process) independently of this machine's core count.
-    encode_floor_s: float = 0.0
     #: Tenant policy document (``None`` = pre-policy behaviour: no
     #: tenants, no energy budget, bit-identical to a policy-less build).
     policy_file: Optional[str] = None
@@ -1026,7 +1019,7 @@ class NetworkServer:
             await write_message(writer, HelloAck(
                 decision="park", session_id=session_id, reason=reason,
             ))
-            decision, reason, kept = await self._wait_parked_ladder(
+            decision, reason, kept = await self._wait_parked(
                 session_id, hello
             )
         if decision is not AdmissionDecision.ACCEPT:
@@ -1047,29 +1040,6 @@ class NetworkServer:
             ),
         ))
         await self._serve_admitted(session, reader, writer)
-
-    async def _wait_parked_ladder(self, session_id: int, hello: Hello):
-        """Ladder variant of :meth:`_wait_parked`."""
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.config.park_timeout_s
-        while True:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                self.admission.abandon_park()
-                return AdmissionDecision.REJECT, "park timeout", ()
-            self._capacity_freed.clear()
-            try:
-                await asyncio.wait_for(
-                    self._capacity_freed.wait(), timeout=remaining
-                )
-            except asyncio.TimeoutError:
-                self.admission.abandon_park()
-                return AdmissionDecision.REJECT, "park timeout", ()
-            decision, reason, kept = self.admission.unpark_ladder(
-                session_id, hello
-            )
-            if decision is not AdmissionDecision.PARK:
-                return decision, reason, kept
 
     async def _resume_connection(self, msg: Resume,
                                  reader: asyncio.StreamReader,
@@ -1347,14 +1317,19 @@ class NetworkServer:
 
     async def _wait_parked(self, session_id: int, hello: Hello):
         """Hold a parked session until capacity frees or the park
-        timeout elapses."""
+        timeout elapses.  Returns what :meth:`AdmissionController.unpark`
+        does for this HELLO (a ladder HELLO's result carries the kept
+        rungs); a timeout is a REJECT of the same shape."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.config.park_timeout_s
+        timed_out = (AdmissionDecision.REJECT, "park timeout")
+        if hello.ladder is not None:
+            timed_out += ((),)
         while True:
             remaining = deadline - loop.time()
             if remaining <= 0:
                 self.admission.abandon_park()
-                return AdmissionDecision.REJECT, "park timeout"
+                return timed_out
             self._capacity_freed.clear()
             try:
                 await asyncio.wait_for(
@@ -1362,10 +1337,10 @@ class NetworkServer:
                 )
             except asyncio.TimeoutError:
                 self.admission.abandon_park()
-                return AdmissionDecision.REJECT, "park timeout"
-            decision, reason = self.admission.unpark(session_id, hello)
-            if decision is not AdmissionDecision.PARK:
-                return decision, reason
+                return timed_out
+            result = self.admission.unpark(session_id, hello)
+            if result[0] is not AdmissionDecision.PARK:
+                return result
 
     # -- session tasks -------------------------------------------------
     async def _run_session(self, session: _Session,
@@ -1557,8 +1532,7 @@ class NetworkServer:
         loop = asyncio.get_running_loop()
         if self._tracks_gop_state(session):
             session.replay_frames.append(frame)
-        floor = self.config.encode_floor_s
-        if (floor <= 0 and session.ladder is None
+        if (session.ladder is None
                 and session.stream.pending_frames + 1 < session.gop_size):
             # Mid-GOP push: validate-and-buffer only (no encode), so
             # run it inline instead of paying an executor round-trip —
@@ -1570,20 +1544,9 @@ class NetworkServer:
                 return session.stream.push(frame)
             except CorruptFrameError as exc:
                 raise ProtocolError(f"unencodable frame: {exc}") from exc
-        if floor > 0:
-            def timed_push() -> List[FrameOutput]:
-                t0 = time.perf_counter()
-                outs = session.encode_push(frame)
-                remaining = floor - (time.perf_counter() - t0)
-                if remaining > 0:
-                    time.sleep(remaining)
-                return outs
-
-            future = loop.run_in_executor(self._encode_pool, timed_push)
-        else:
-            future = loop.run_in_executor(
-                self._encode_pool, session.encode_push, frame
-            )
+        future = loop.run_in_executor(
+            self._encode_pool, session.encode_push, frame
+        )
         timeout = self._watchdog_timeout(session)
         try:
             if timeout is None:

@@ -181,8 +181,7 @@ class SharedDirStateStore(JournalStore, StateStore):
     ``owner`` identifies this store's holder in lease records
     (convention: ``"<worker_id>:<pid>"``; defaults to the bare pid).
     ``lease`` toggles the lease protocol — ``False`` turns acquire /
-    release into no-ops for single-process deployments and for the
-    overhead benchmark's baseline arm.
+    release into no-ops for single-process deployments.
     """
 
     def __init__(self, root: Union[str, os.PathLike], fsync: bool = True,

@@ -11,18 +11,8 @@ from repro.transcode.pipeline import (
 )
 from repro.transcode.feedback import FramerateFeedback
 from repro.transcode.server import TranscodingServer, ServingReport
-from repro.transcode.dynamic import (
-    DynamicServerSimulator,
-    DynamicReport,
-    SessionRequest,
-    poisson_workload,
-)
 
 __all__ = [
-    "DynamicServerSimulator",
-    "DynamicReport",
-    "SessionRequest",
-    "poisson_workload",
     "PipelineConfig",
     "StreamTranscoder",
     "StreamTrace",

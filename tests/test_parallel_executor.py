@@ -12,11 +12,13 @@ import os
 import numpy as np
 import pytest
 
+from repro import native
 from repro.analysis.motion_probe import MotionClass
 from repro.codec.bitstream import BitWriter
 from repro.codec.config import EncoderConfig, FrameType, GopConfig
 from repro.codec.encoder import FrameEncoder, VideoEncoder
 from repro.motion.proposed import GopMotionState
+from repro.observability import scoped
 from repro.parallel.executor import (
     TileHookSpec,
     TileLearned,
@@ -276,6 +278,32 @@ def test_thread_pool_pipeline_identical(video):
         for a, b in zip(fs.tiles, fp.tiles):
             assert (a.bits, a.psnr, a.qp, a.search_window) == \
                    (b.bits, b.psnr, b.qp, b.search_window)
+
+
+@pytest.mark.skipif(native.lib is None,
+                    reason="only the native tile driver declines tiles")
+@pytest.mark.parametrize("workers,backend", [
+    (1, "process"), (2, "thread"), (2, "process"),
+], ids=["inline", "thread", "process"])
+def test_declined_tiles_counted_once_in_parent(video, workers, backend):
+    """A tile the native driver declines (half-pel here) is counted in
+    the *caller's* registry exactly once however the tile ran — a
+    forked worker's own registry dies with it, so the count must come
+    home through the worker's metrics snapshot."""
+    grid = uniform_tiling(128, 96, 2, 1)
+    configs = [EncoderConfig(qp=32, half_pel=True)] * 2
+    encoder = FrameEncoder()
+    _, ref = encoder.encode(video[0].luma, grid, configs, FrameType.I)
+
+    def declined(encode):
+        with scoped() as (registry, _):
+            encode(video[1].luma, grid, configs, FrameType.P, reference=ref)
+            return registry.value("repro_codec_tile_fallback_total",
+                                  reason="half_pel")
+
+    assert declined(encoder.encode) == 2
+    with TileParallelExecutor(workers=workers, backend=backend) as executor:
+        assert declined(executor.encode_frame) == 2
 
 
 # ----------------------------------------------------------------------

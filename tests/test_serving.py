@@ -1,16 +1,13 @@
 """Serving layer: wire protocol, admission control, streaming
-bit-exactness, metrics digest and the bench satellites."""
+bit-exactness and metrics digest."""
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import bench
 from repro.codec.config import GopConfig
 from repro.observability import scoped
 from repro.observability.metrics import (
@@ -505,37 +502,3 @@ class TestServingMetricsSection:
         assert "accepted 3" in text
         assert "p95" in text
         assert "deadline miss: 4 (10.0%)" in text
-
-
-# ----------------------------------------------------------------------
-# Bench satellites
-# ----------------------------------------------------------------------
-class TestBenchOutputs:
-    def test_next_bench_path_ignores_non_numeric_suffixes(self, tmp_path):
-        for name in ("BENCH_0.json", "BENCH_2.json", "BENCH_x.json",
-                     "BENCH_1_old.json", "BENCH_03b.json", "BENCH_.json"):
-            (tmp_path / name).write_text("{}")
-        assert bench.next_bench_path(tmp_path).name == "BENCH_1.json"
-
-    def test_next_bench_path_empty_dir(self, tmp_path):
-        assert bench.next_bench_path(tmp_path).name == "BENCH_0.json"
-
-    def test_git_sha_of_this_repo(self):
-        sha = bench.git_sha()
-        assert sha is not None and len(sha) == 40
-        int(sha, 16)
-
-    def test_git_sha_outside_git(self, tmp_path):
-        assert bench.git_sha(tmp_path) is None
-
-    def test_summarize_records_git_sha(self):
-        summary = bench.summarize({"benchmarks": []}, ["codec"])
-        assert summary["git_sha"] == bench.git_sha()
-        assert summary["benchmarks"] == []
-
-    def test_main_refuses_to_overwrite(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_7.json"
-        out.write_text(json.dumps({"keep": True}))
-        with pytest.raises(SystemExit):
-            bench.main(["--groups", "codec", "--out", str(out)])
-        assert json.loads(out.read_text()) == {"keep": True}

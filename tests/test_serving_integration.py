@@ -183,13 +183,17 @@ class TestLoopback:
         assert [a.decision for a in acks] == ["accept", "accept", "reject"]
         assert "slot cap exceeded" in acks[2].reason
 
-    def test_parked_session_admitted_when_capacity_frees(self):
-        video = generate_video(ContentClass.LUNG, width=_W, height=_H,
-                               num_frames=8, seed=3)
+    @staticmethod
+    def _second_ack_of_parked(third: Hello, free_capacity: bool):
+        """Two sessions fill the slot cap and ``third`` parks; returns
+        its second ack — after session 1 finishes and frees capacity,
+        or else after the (then short) park timeout."""
 
         async def run():
             server = NetworkServer(
-                ServeNetConfig(port=0, park_timeout_s=30.0),
+                ServeNetConfig(
+                    port=0, park_timeout_s=30.0 if free_capacity else 0.2,
+                ),
                 admission=_tight_admission(park_capacity=1),
             )
             await server.start()
@@ -208,14 +212,15 @@ class TestLoopback:
                 # The third parks...
                 r3, w3 = await asyncio.open_connection(
                     "127.0.0.1", server.port)
-                await write_message(w3, Hello(width=_W, height=_H,
-                                              fps=24.0))
+                await write_message(w3, third)
                 a3 = await read_message(r3)
                 assert a3.decision == "park"
-                # ...until session 1 completes and frees its capacity.
-                await write_message(w1, Bye("done"))
-                while not isinstance(await read_message(r1), Bye):
-                    pass
+                if free_capacity:
+                    # ...until session 1 completes and frees its
+                    # capacity.
+                    await write_message(w1, Bye("done"))
+                    while not isinstance(await read_message(r1), Bye):
+                        pass
                 a3b = await read_message(r3)
                 for w in (w1, w2, w3):
                     w.close()
@@ -224,8 +229,26 @@ class TestLoopback:
                 await server.aclose()
 
         with scoped():
-            final = asyncio.run(run())
+            return asyncio.run(run())
+
+    def test_parked_session_admitted_when_capacity_frees(self):
+        final = self._second_ack_of_parked(
+            Hello(width=_W, height=_H, fps=24.0), free_capacity=True)
         assert final.decision == "accept"
+
+    def test_parked_ladder_session_admitted_when_capacity_frees(self):
+        final = self._second_ack_of_parked(
+            Hello(width=_W, height=_H, fps=24.0, ladder=((_W, _H),)),
+            free_capacity=True)
+        assert final.decision == "accept"
+        assert final.rungs == ((0, _W, _H),)
+
+    @pytest.mark.parametrize("ladder", [None, ((_W, _H),)])
+    def test_park_timeout_rejects(self, ladder):
+        final = self._second_ack_of_parked(
+            Hello(width=_W, height=_H, fps=24.0, ladder=ladder),
+            free_capacity=False)
+        assert (final.decision, final.reason) == ("reject", "park timeout")
 
     def test_backpressure_keeps_queue_depth_bounded(self):
         frames = 24
