@@ -12,16 +12,27 @@ PYTEST  := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PY) -m pytest
 HAS_COV := $(shell $(PY) -c "import pytest_cov" 2>/dev/null && echo 1)
 COVOPTS := $(if $(HAS_COV),--cov=repro --cov-report=term-missing)
 
-.PHONY: check test sanitize bench-smoke bench-check golden serve-demo \
-	serve-smoke chaos fleet-chaos ladder-smoke policy-smoke torture clean
+.PHONY: check test reference sanitize bench-smoke bench-check golden \
+	serve-demo serve-smoke chaos fleet-chaos ladder-smoke policy-smoke \
+	torture clean
 
-check: test sanitize bench-smoke bench-check serve-smoke chaos fleet-chaos \
-	ladder-smoke policy-smoke torture
+check: test reference sanitize bench-smoke bench-check serve-smoke chaos \
+	fleet-chaos ladder-smoke policy-smoke torture
 
 test:
 	$(PYTEST) -x -q $(COVOPTS)
 
-# Native kernels under AddressSanitizer + UBSan: kernels.c is rebuilt
+# The NumPy reference on its own: the codec tests that exercise what
+# only the per-block loop runs (half-pel, B frames, the decoder) plus
+# the native test file's REPRO_NATIVE=0 check, with kernels.c never
+# compiled or loaded — the reference the tile driver is tested against
+# must stand without it.
+reference:
+	REPRO_NATIVE=0 $(PYTEST) tests/test_native_kernels.py \
+		tests/test_codec_roundtrip.py tests/test_halfpel.py \
+		tests/test_b_frames.py -q -p no:cacheprovider
+
+# The tile driver under AddressSanitizer + UBSan: kernels.c is rebuilt
 # with the sanitizer flags (a separate _build/ cache entry — the flags
 # are part of the key) and the native-vs-NumPy differential tests run
 # against it.  ASan must be the first runtime loaded, hence LD_PRELOAD;

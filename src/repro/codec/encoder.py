@@ -34,7 +34,7 @@ from repro.codec.config import EncoderConfig, FrameType, GopConfig
 from repro.codec.entropy import count_stack_bits, write_block
 from repro.codec.inter import clamp_mv, motion_compensate, mvd_bit_length, write_mvd
 from repro.codec.interpolate import halfpel_feasible, upsample2x_cached
-from repro.codec.intra import IntraMode, choose_mode, reference_samples
+from repro.codec.intra import choose_mode, reference_samples
 from repro.codec.ops import OpCounts
 from repro.codec.quant import dequantize, quantization_step, quantize
 from repro.codec.transform import (
@@ -108,32 +108,14 @@ def reconstruct_block(prediction: np.ndarray, levels: np.ndarray, qp: int) -> np
 
     ``levels`` is the ``(n, 8, 8)`` stack of quantized coefficient
     blocks covering the prediction block.  Returns the reconstructed
-    samples as ``uint8``.  Encoder and decoder call exactly this
-    function, guaranteeing bit-exact reconstruction match.
+    samples as ``uint8``.  The per-block encoder loop and the decoder
+    call exactly this function; the native tile driver's
+    reconstruction (``recon_sub8`` in ``kernels.c``) performs the same
+    operations in the same order (see ``transform._matmul_in_order``),
+    so a decoder without ``kernels.c`` rebuilds a driver-encoded
+    stream sample for sample.
     """
     h, w = prediction.shape
-    if (
-        native.lib is not None
-        and TRANSFORM_SIZE == 8
-        and h % 8 == 0
-        and w % 8 == 0
-        and prediction.dtype == np.float64
-        and prediction.flags.c_contiguous
-        and levels.dtype == np.int32
-        and levels.flags.c_contiguous
-    ):
-        # Same kernel the fused encoder path uses, so encoder and
-        # decoder reconstructions agree sample-for-sample whenever
-        # they run with the same kernel availability.  (The native
-        # inverse DCT may differ from the NumPy matmul in the last
-        # ulp; within one environment both sides share one path.)
-        out_u8 = np.empty((h, w), dtype=np.uint8)
-        native.lib.reconstruct_block_u8(
-            prediction.ctypes.data, levels.ctypes.data,
-            h, w, quantization_step(qp), _BASIS8_PTR,
-            out_u8.ctypes.data, w,
-        )
-        return out_u8
     if not levels.any():
         # All-zero residual: the inverse transform of zeros is zeros,
         # so skip it (encoder and decoder share this shortcut).
@@ -295,8 +277,8 @@ class TileEncoder:
         I/P tiles at integer-pel precision on contiguous uint8 planes
         run as **one** native call (:func:`repro.native.encode_tile`,
         GIL released for the whole tile).  Everything the driver
-        declines runs the per-block loop below — same bits, same
-        reconstruction, same op counts — and is counted in
+        declines runs the per-block loop below, which is pure NumPy —
+        same bits, same reconstruction, same op counts — and is counted in
         ``repro_codec_tile_fallback_total{reason}``, in ``metrics``
         when given (a pool worker's registry, which its parent merges)
         and in the process-wide registry otherwise.
@@ -354,8 +336,8 @@ class TileEncoder:
         block_info_out: Optional[List[BlockInfo]],
         stage_acc: Optional[Dict[str, float]],
     ) -> tuple:
-        """The per-block raster loop (NumPy oracle of the tile driver);
-        returns ``(bits, ssd)``."""
+        """The per-block raster loop — NumPy only, the reference the
+        tile driver is tested against; returns ``(bits, ssd)``."""
         bs = self.config.block_size
         bits = 0
         ssd = 0.0
@@ -524,46 +506,12 @@ class TileEncoder:
                 reference, block, bx, by, window, lambda_mv=cfg.lambda_mv
             )
 
-        if (
-            native.lib is not None
-            and reference.dtype == np.uint8
-            and reference.flags.c_contiguous
-            and block.dtype == np.uint8
-            and block.ndim == 2
-            and block.strides[1] == block.itemsize
-        ):
-            # Hooks that understand the native search driver (the
-            # bio-medical policy) can skip SearchContext entirely.
-            ctx_factory.native_args = (
-                reference, block, bx, by, cfg.lambda_mv,
-                (
-                    reference.ctypes.data, reference.strides[0],
-                    reference.shape[0], reference.shape[1],
-                    block.ctypes.data, block.strides[0],
-                    bh, bw, bx, by,
-                ),
-            )
         if motion_hook is not None:
             result = motion_hook(ctx_factory, start)
         else:
-            search = self._get_search()
-            spec = search.native_spec()
-            result = None
-            if spec is not None and hasattr(ctx_factory, "native_args"):
-                ns = native.motion_search(
-                    reference, block, bx, by, cfg.search_window,
-                    cfg.lambda_mv, spec[0], spec[1], [(0, 0), start],
-                )
-                if ns is not None:
-                    result = MotionSearchResult(
-                        mv=ns[0], cost=ns[1], sad_evaluations=ns[2],
-                        pixel_ops=ns[2] * block.shape[0] * block.shape[1],
-                        sad=ns[3],
-                    )
-            if result is None:
-                result = search.search(
-                    ctx_factory(cfg.search_window), start=start
-                )
+            result = self._get_search().search(
+                ctx_factory(cfg.search_window), start=start
+            )
         ops.sad_pixel_ops += result.pixel_ops
         ops.me_candidates += result.sad_evaluations
         mv = clamp_mv(
@@ -619,37 +567,18 @@ class TileEncoder:
                 ys.append(base_sy + hy)
         if not cands:
             return best_mv, best_pred
-        if native.lib is not None and upsampled.flags.c_contiguous:
-            # Integer SADs on the half-pel grid: the samples are uint8,
-            # so the int64 sums equal the float sums below exactly.
-            block_i = np.ascontiguousarray(block, dtype=np.int32)
-            n = len(xs)
-            nsc = native.scratch()
-            if n > nsc.cap:
-                nsc.ensure(n)
-            nsc.xs[:n] = xs
-            nsc.ys[:n] = ys
-            native.lib.sad_batch_u8(
-                upsampled.ctypes.data, upsampled.strides[0], 2,
-                block_i.ctypes.data, bh, bw,
-                nsc.xs_ptr, nsc.ys_ptr, n, nsc.sads_ptr,
-            )
-            sads = nsc.sads[:n]
-            gathered = None
-        else:
-            # Windows of the half-pel grid sampled at integer pitch:
-            # outer axes address the half-pel anchor, inner axes stride
-            # by 2.
-            s0, s1 = upsampled.strides
-            uh, uw = upsampled.shape
-            windows = np.ndarray(
-                shape=(uh - 2 * bh + 2, uw - 2 * bw + 2, bh, bw),
-                strides=(s0, s1, 2 * s0, 2 * s1),
-                dtype=upsampled.dtype,
-                buffer=upsampled,
-            )
-            gathered = windows[np.asarray(ys), np.asarray(xs)]  # (k, bh, bw)
-            sads = np.abs(block_f - gathered).sum(axis=(1, 2))
+        # Windows of the half-pel grid sampled at integer pitch: outer
+        # axes address the half-pel anchor, inner axes stride by 2.
+        s0, s1 = upsampled.strides
+        uh, uw = upsampled.shape
+        windows = np.ndarray(
+            shape=(uh - 2 * bh + 2, uw - 2 * bw + 2, bh, bw),
+            strides=(s0, s1, 2 * s0, 2 * s1),
+            dtype=upsampled.dtype,
+            buffer=upsampled,
+        )
+        gathered = windows[np.asarray(ys), np.asarray(xs)]  # (k, bh, bw)
+        sads = np.abs(block_f - gathered).sum(axis=(1, 2))
         k = len(cands)
         ops.sad_pixel_ops += k * bw * bh
         ops.me_candidates += k
@@ -659,13 +588,7 @@ class TileEncoder:
             if sad < best_sad:
                 best_mv, best_sad, best_idx = cands[idx], sad, idx
         if best_idx >= 0:
-            if gathered is not None:
-                best_pred = gathered[best_idx].astype(np.float64)
-            else:
-                sx, sy = xs[best_idx], ys[best_idx]
-                best_pred = upsampled[
-                    sy : sy + 2 * bh : 2, sx : sx + 2 * bw : 2
-                ].astype(np.float64)
+            best_pred = gathered[best_idx].astype(np.float64)
         return best_mv, best_pred
 
     def _encode_block(
@@ -687,25 +610,12 @@ class TileEncoder:
         stage_acc: Optional[Dict[str, float]] = None,
     ) -> tuple:
         cfg = self.config
-        # order="C": the native block kernels below read block_f by raw
-        # pointer, whatever the memory order of the plane it came from.
-        block_f = block.astype(np.float64, order="C")
+        block_f = block.astype(np.float64)
         area = bw * bh
-        # Pointer of the block samples, reused by every native kernel
-        # call below (0 when native kernels are off).
-        bf_ptr = block_f.ctypes.data if native.lib is not None else 0
 
         # --- intra candidate -------------------------------------------------
         top, left = reference_samples(reconstruction, bx, by, bw, bh, tile)
-        if native.lib is not None and block_f.flags.c_contiguous:
-            # Fused native decision; the winning prediction is
-            # bit-identical to predict(), which the decoder shares.
-            mode_i, intra_pred, intra_sad = native.choose_intra(
-                block_f, top, left
-            )
-            intra_mode = IntraMode(mode_i)
-        else:
-            intra_mode, intra_pred, intra_sad = choose_mode(block_f, top, left)
+        intra_mode, intra_pred, intra_sad = choose_mode(block_f, top, left)
         ops.pred_pixels += 4 * area  # four intra mode trials
 
         # --- inter candidates (P: list 0; B: list 0, list 1, bi) --------------
@@ -721,20 +631,7 @@ class TileEncoder:
                     ref, block, bx, by, bw, bh, left_mv, motion_hook, ops,
                     upsampled=up,
                 )
-                if (
-                    bf_ptr
-                    and pred.dtype == np.float64
-                    and pred.flags.c_contiguous
-                ):
-                    # Bit-identical to the NumPy sum: both operands are
-                    # integer-valued, so summation order cannot matter.
-                    nsc = native.scratch()
-                    native.lib.sad_pred_d(
-                        bf_ptr, pred.ctypes.data, area, nsc.sad_ptr
-                    )
-                    sad = float(nsc.sad[0])
-                else:
-                    sad = float(np.abs(block_f - pred).sum())
+                sad = float(np.abs(block_f - pred).sum())
                 ops.pred_pixels += area
                 per_ref.append((mv, pred, sad))
             list_bits = 2 if self._is_b_coded(frame_type, references) else 0
@@ -777,51 +674,21 @@ class TileEncoder:
         if stage_acc is not None:
             _t_entropy = time.perf_counter()
         step = quantization_step(cfg.qp)
-        zz = None
-        ssd = None
-        if (
-            native.lib is not None
-            and TRANSFORM_SIZE == 8
-            and bw % TRANSFORM_SIZE == 0
-            and bh % TRANSFORM_SIZE == 0
-            and block_f.flags.c_contiguous
-            and prediction.dtype == np.float64
-            and prediction.flags.c_contiguous
-            and reconstruction.dtype == np.uint8
-            and reconstruction.flags.c_contiguous
-        ):
-            # Fully fused native pipeline: residual, zero skip, DCT,
-            # quantization, zigzag bit count, reconstruction written
-            # straight into the frame plane, and the block SSD — one
-            # call with the module-constant basis/zigzag pointers.
-            # The reconstruction kernel is the same one
-            # reconstruct_block dispatches to, so the decoder matches.
-            n_sub = (bh // TRANSFORM_SIZE) * (bw // TRANSFORM_SIZE)
-            levels = np.empty((n_sub, 8, 8), dtype=np.int32)
-            nsc = native.scratch()
-            stride = reconstruction.strides[0]
-            native.lib.encode_block_fused(
-                block_f.ctypes.data, prediction.ctypes.data,
-                bh, bw, step, _BASIS8_PTR, _ZZ_ORDER8_PTR,
-                levels.ctypes.data,
-                reconstruction.ctypes.data + by * stride + bx, stride,
-                nsc.stats_ptr, nsc.sad_ptr,
-            )
-            residual_bits = int(nsc.stats[0])
-            num_active = int(nsc.stats[1])
-            ssd = float(nsc.sad[0])
-        else:
-            residual = block_f - prediction
-            sub = blockify(residual, TRANSFORM_SIZE)
-            sub_sad = np.abs(sub).sum(axis=(1, 2))
-            active = sub_sad >= 3.0 * step
-            levels = np.zeros(sub.shape, dtype=np.int32)
-            num_active = int(active.sum())
-            if num_active:
-                coefs = forward_dct(sub[active])
-                levels[active] = quantize(coefs, cfg.qp)
-            zz = zigzag_scan(levels)
-            residual_bits = count_stack_bits(zz)
+        residual = block_f - prediction
+        sub = blockify(residual, TRANSFORM_SIZE)
+        # Raster-order accumulation per sub-block, as in the tile driver
+        # (an intra residual is not integer-valued, so order shows).
+        sub_sad = np.add.accumulate(
+            np.abs(sub).reshape(sub.shape[0], -1), axis=1
+        )[:, -1]
+        active = sub_sad >= 3.0 * step
+        levels = np.zeros(sub.shape, dtype=np.int32)
+        num_active = int(active.sum())
+        if num_active:
+            coefs = forward_dct(sub[active])
+            levels[active] = quantize(coefs, cfg.qp)
+        zz = zigzag_scan(levels)
+        residual_bits = count_stack_bits(zz)
         ops.transform_blocks += num_active
         ops.quant_coeffs += num_active * TRANSFORM_SIZE * TRANSFORM_SIZE
 
@@ -848,8 +715,6 @@ class TileEncoder:
                     pass  # list-1 MV was written as mvs[0]
             else:
                 writer.write_bits(int(intra_mode), 2)
-            if zz is None:
-                zz = zigzag_scan(levels)
             for i in range(zz.shape[0]):
                 write_block(writer, zz[i])
 
@@ -857,13 +722,10 @@ class TileEncoder:
             stage_acc["entropy"] += time.perf_counter() - _t_entropy
 
         # --- reconstruction ----------------------------------------------------
-        # The fused native path already reconstructed into the plane
-        # and computed the SSD (integer samples: exact in any order).
-        if ssd is None:
-            recon = reconstruct_block(prediction, levels, cfg.qp)
-            reconstruction[by : by + bh, bx : bx + bw] = recon
-            diff = block_f - recon
-            ssd = float((diff * diff).sum())
+        recon = reconstruct_block(prediction, levels, cfg.qp)
+        reconstruction[by : by + bh, bx : bx + bw] = recon
+        diff = block_f - recon
+        ssd = float((diff * diff).sum())
         ops.pred_pixels += area
 
         info = BlockInfo(

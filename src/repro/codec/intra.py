@@ -15,7 +15,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro import native
 from repro.tiling.tile import Tile
 
 #: Neutral sample value used when no reference samples are available
@@ -127,6 +126,17 @@ def predict(
     raise ValueError(f"unknown intra mode {mode}")
 
 
+def _raster_sad(original: np.ndarray, prediction) -> float:
+    """SAD accumulated sample by sample in raster order.
+
+    DC and planar predictions are not integers, so the order of the
+    additions shows in the last ulp — and the modes tie to within an
+    ulp wherever the neighbourhood is flat.  Raster order is what the
+    native tile driver uses, so both pick the same mode.
+    """
+    return float(np.add.accumulate(np.abs(original - prediction).ravel())[-1])
+
+
 def choose_mode(
     original: np.ndarray,
     top: Optional[np.ndarray],
@@ -145,23 +155,14 @@ def choose_mode(
     original_f = original.astype(np.float64, copy=False)
     dc = _dc_value(top, left)
     planar = predict(IntraMode.PLANAR, top, left, block_w, block_h)
-    if (
-        native.lib is not None
-        and original_f.flags.c_contiguous
-        and planar.flags.c_contiguous
-        and (top is None or (top.dtype == np.float64 and top.flags.c_contiguous))
-        and (left is None or (left.dtype == np.float64 and left.flags.c_contiguous))
-    ):
-        sads = native.intra_sads(original_f, top, left, dc, planar)
-    else:
-        row = top if top is not None else _default_ref(block_w)
-        col = left if left is not None else _default_ref(block_h)
-        sads = (
-            float(np.abs(original_f - dc).sum()),
-            float(np.abs(original_f - planar).sum()),
-            float(np.abs(original_f - col.reshape(-1, 1)).sum()),
-            float(np.abs(original_f - row).sum()),
-        )
+    row = top if top is not None else _default_ref(block_w)
+    col = left if left is not None else _default_ref(block_h)
+    sads = (
+        _raster_sad(original_f, dc),
+        _raster_sad(original_f, planar),
+        _raster_sad(original_f, col.reshape(-1, 1)),
+        _raster_sad(original_f, row),
+    )
     best_mode = IntraMode.DC
     best_sad = sads[0]
     for mode in (IntraMode.PLANAR, IntraMode.HORIZONTAL, IntraMode.VERTICAL):

@@ -38,23 +38,46 @@ def dct_basis(n: int) -> np.ndarray:
     return basis
 
 
+def _matmul_in_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over the trailing two axes, summed in index order.
+
+    Every product is rounded once and added to the running sum in
+    ascending ``k`` — the arithmetic of the plain triple loop in
+    ``native/kernels.c`` (built without FMA contraction).  ``a @ b``
+    itself may go through BLAS, whose blocking and fused multiply-adds
+    land an ulp elsewhere: enough to flip a level at a quantization
+    boundary or a sample at a ``.5`` rounding boundary, and so to make
+    the native tile driver and this reference (or an encoder and a
+    decoder) disagree.  ``accumulate`` is sequential by definition; the
+    order of a ``reduce`` is NumPy's business.
+    """
+    products = a[..., :, :, None] * b[..., None, :, :]
+    return np.add.accumulate(products, axis=-2)[..., -1, :]
+
+
 def forward_dct(blocks: np.ndarray) -> np.ndarray:
     """Orthonormal 2-D DCT-II over the trailing two axes.
 
     ``blocks`` has shape ``(..., N, N)`` of residual samples.  The
-    separable transform is applied as two dense matrix products
-    (``C @ X @ C.T``): for the 8x8 blocks used here that beats a
-    general FFT-based DCT, whose per-call planning overhead dominates
-    at this size, and it broadcasts over arbitrary leading stack axes.
+    separable transform is two dense matrix products
+    (``(C @ X) @ C.T``), evaluated in the fixed order of
+    :func:`_matmul_in_order`; it broadcasts over arbitrary leading
+    stack axes.
     """
     basis = dct_basis(blocks.shape[-1])
-    return basis @ blocks.astype(np.float64, copy=False) @ basis.T
+    return _matmul_in_order(
+        _matmul_in_order(basis, blocks.astype(np.float64, copy=False)),
+        basis.T,
+    )
 
 
 def inverse_dct(coefficients: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`forward_dct` (``C.T @ X @ C``)."""
+    """Inverse of :func:`forward_dct` (``(C.T @ X) @ C``)."""
     basis = dct_basis(coefficients.shape[-1])
-    return basis.T @ coefficients.astype(np.float64, copy=False) @ basis
+    return _matmul_in_order(
+        _matmul_in_order(basis.T, coefficients.astype(np.float64, copy=False)),
+        basis,
+    )
 
 
 def blockify(region: np.ndarray, size: int = TRANSFORM_SIZE) -> np.ndarray:

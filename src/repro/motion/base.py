@@ -23,7 +23,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro import native
 from repro.motion.kernel import sad_batch, window_view
 
 MotionVector = Tuple[int, int]
@@ -51,10 +50,6 @@ class MotionSearchResult:
     cost: float
     sad_evaluations: int
     pixel_ops: int
-    #: Integer SAD of the winning vector when the search driver already
-    #: computed it (the native C driver does); ``None`` otherwise.  Lets
-    #: the encoder skip re-deriving the prediction SAD.
-    sad: Optional[int] = None
 
     @property
     def dx(self) -> int:
@@ -115,28 +110,6 @@ class SearchContext:
         #: overflow (int32 for 8-bit planes, as the scalar path always
         #: used; wider planes promote).
         self._diff_dtype = _diff_dtype(reference.dtype)
-        #: The C kernel computes the same int64 SADs as the NumPy
-        #: strided path (bit-identical), but only handles contiguous
-        #: 8-bit planes; anything else falls back to NumPy.
-        self._use_native = (
-            native.lib is not None
-            and reference.dtype == np.uint8
-            and reference.flags.c_contiguous
-            and self.block.flags.c_contiguous
-        )
-        if self._use_native:
-            # Pointer ints cached for the context lifetime and shared
-            # thread-local candidate scratch: the foreign call then
-            # costs ~2us instead of the ~15us of per-call ctypes
-            # pointer-object construction.  The C kernel computes the
-            # full rate-penalized cost with the exact arithmetic of the
-            # scalar path (one rounding per operation).
-            self._nc_call = native.lib.sad_cost_batch_u8
-            self._nc_ref = reference.ctypes.data
-            self._nc_blk = self.block.ctypes.data
-            self._nc_stride = reference.strides[0]
-            self._nc_scratch = native.scratch()
-            self._nc_scratch.ensure(64)
 
     @property
     def block_height(self) -> int:
@@ -177,32 +150,15 @@ class SearchContext:
         dx, dy = mv
         rx = self.block_x + dx
         ry = self.block_y + dy
-        if self._use_native:
-            sc = self._nc_scratch
-            sc.xs[0] = rx
-            sc.ys[0] = ry
-            self._nc_call(
-                self._nc_ref, self._nc_stride, self._nc_blk,
-                self.block.shape[0], self.block.shape[1],
-                sc.xs_ptr, sc.ys_ptr, 1,
-                self.block_x, self.block_y, self.lambda_mv,
-                sc.costs_ptr,
+        if self._windows is None:
+            self._windows = window_view(
+                self.reference, self.block_height, self.block_width
             )
-            cost = sc.costs[0].item()
-            self._cache[mv] = cost
-            self.sad_evaluations += 1
-            self.pixel_ops += self.block_width * self.block_height
-            return cost
-        else:
-            if self._windows is None:
-                self._windows = window_view(
-                    self.reference, self.block_height, self.block_width
-                )
-            diff = np.subtract(
-                self._windows[ry, rx], self.block, dtype=self._diff_dtype
-            )
-            np.abs(diff, out=diff)
-            sad = int(diff.sum())
+        diff = np.subtract(
+            self._windows[ry, rx], self.block, dtype=self._diff_dtype
+        )
+        np.abs(diff, out=diff)
+        sad = int(diff.sum())
         cost = sad + self.lambda_mv * (abs(dx) + abs(dy))
         self._cache[mv] = cost
         self.sad_evaluations += 1
@@ -255,39 +211,20 @@ class SearchContext:
             else:
                 cache[mv] = INFEASIBLE
         if feasible:
-            if self._use_native:
-                n = len(feasible)
-                sc = self._nc_scratch
-                if n > sc.cap:
-                    sc.ensure(n)
-                sc.xs[:n] = xs
-                sc.ys[:n] = ys
-                self._nc_call(
-                    self._nc_ref, self._nc_stride, self._nc_blk,
-                    bh, bw,
-                    sc.xs_ptr, sc.ys_ptr, n,
-                    bx, by, self.lambda_mv,
-                    sc.costs_ptr,
-                )
-                # The kernel already applied the rate penalty with the
-                # scalar path's exact arithmetic.
-                for mv, cost in zip(feasible, sc.costs[:n].tolist()):
-                    cache[mv] = cost
-            else:
-                if self._windows is None:
-                    self._windows = window_view(self.reference, bh, bw)
-                sads = sad_batch(
-                    self._windows,
-                    self.block,
-                    np.asarray(xs, dtype=np.intp),
-                    np.asarray(ys, dtype=np.intp),
-                    self._diff_dtype,
-                )
-                lam = self.lambda_mv
-                for mv, sad in zip(feasible, sads.tolist()):
-                    # Same arithmetic as the scalar path: Python int
-                    # SAD plus the float rate penalty.
-                    cache[mv] = sad + lam * (abs(mv[0]) + abs(mv[1]))
+            if self._windows is None:
+                self._windows = window_view(self.reference, bh, bw)
+            sads = sad_batch(
+                self._windows,
+                self.block,
+                np.asarray(xs, dtype=np.intp),
+                np.asarray(ys, dtype=np.intp),
+                self._diff_dtype,
+            )
+            lam = self.lambda_mv
+            for mv, sad in zip(feasible, sads.tolist()):
+                # Same arithmetic as the scalar path: Python int
+                # SAD plus the float rate penalty.
+                cache[mv] = sad + lam * (abs(mv[0]) + abs(mv[1]))
             self.sad_evaluations += len(feasible)
             self.pixel_ops += len(feasible) * bw * bh
         return [cache[mv] for mv in mvs_list]
@@ -340,11 +277,11 @@ class MotionSearch(abc.ABC):
         """Run the search and return the best motion vector found."""
 
     def native_spec(self) -> Optional[Tuple[int, int]]:
-        """``(alg_code, param)`` for :func:`repro.native.motion_search`.
+        """``(alg_code, param)`` for :func:`repro.native.encode_tile`.
 
-        Algorithms the C search driver replicates
+        Algorithms the native tile driver replicates
         evaluation-for-evaluation return their dispatch code; others
-        return ``None`` and always run the Python loop.
+        return ``None`` and their tiles run the per-block NumPy loop.
         """
         return None
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.motion_probe import MotionClass
-from repro import native
 from repro.motion.base import MotionSearch, MotionSearchResult, MotionVector, SearchContext
 from repro.motion.cross import CrossSearch
 from repro.motion.hexagon import HexagonOrientation, HexagonSearch
@@ -159,41 +158,6 @@ class BioMedicalSearchPolicy:
         an AMVP-style candidate list.
         """
         algorithm, window = self.select(motion, is_first_in_gop)
-        nargs = getattr(ctx_factory, "native_args", None)
-        if nargs is not None:
-            spec = algorithm.native_spec()
-        else:
-            spec = None
-        if spec is not None:
-            # Native search driver: same seed list, same evaluation
-            # order, same counters — SearchContext never materializes.
-            # (Probing the seeds first and starting the pattern from
-            # their argmin is exactly `_start` semantics: the argmin
-            # re-read is a cache hit either way.)
-            win = getattr(ctx_factory, "native_window", window)
-            seeds = ((0, 0), left_mv, self.state.predictor(tile_id))
-            raw = nargs[5] if len(nargs) > 5 else None
-            if raw is not None:
-                ns = native.motion_search_raw(
-                    raw, win, nargs[4], spec[0], spec[1], seeds,
-                )
-                area = raw[6] * raw[7]
-            else:
-                reference, block, bx, by, lambda_mv = nargs[:5]
-                ns = native.motion_search(
-                    reference, block, bx, by, win, lambda_mv,
-                    spec[0], spec[1], list(seeds),
-                )
-                area = block.shape[0] * block.shape[1]
-            if ns is not None:
-                mv, cost, evals, sad = ns
-                if is_first_in_gop:
-                    self.state.learn(tile_id, mv)
-                return MotionSearchResult(
-                    mv=mv, cost=cost, sad_evaluations=evals,
-                    pixel_ops=evals * area,
-                    sad=sad,
-                )
         ctx: SearchContext = ctx_factory(window)
         start, _ = ctx.evaluate_many(
             [(0, 0), left_mv, self.state.predictor(tile_id)]
@@ -282,21 +246,13 @@ def spec_hook(spec: TileHookSpec, policy: BioMedicalSearchPolicy):
 
     Used when a tile takes the encoder's per-block NumPy path: pins the
     spec's window (the policy's own window choice is ignored, as the
-    pipeline may have shrunk it) and keeps the native search driver
-    reachable through the wrapper.
+    pipeline may have shrunk it).
     """
 
     def hook(ctx_factory, left_mv):
-        def wrapped(_w):
-            return ctx_factory(spec.window)
-
-        nargs = getattr(ctx_factory, "native_args", None)
-        if nargs is not None:
-            wrapped.native_args = nargs
-            wrapped.native_window = spec.window
         return policy.search_block(
-            wrapped, spec.motion, spec.is_first, spec.tile_id,
-            left_mv=left_mv,
+            lambda _window: ctx_factory(spec.window),
+            spec.motion, spec.is_first, spec.tile_id, left_mv=left_mv,
         )
 
     return hook

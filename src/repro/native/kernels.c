@@ -1,11 +1,13 @@
-/* Native hot-path kernels for the codec substrate.
+/* Native hot path of the codec substrate: the tile driver.
  *
- * Compiled on demand by repro.native (gcc -O3, no -ffast-math: the
- * double arithmetic must follow IEEE semantics so results stay
- * deterministic and, for the integer SAD kernel, bit-identical to the
- * NumPy fallback).  Every function is a plain C symbol loaded through
- * ctypes; all arrays are C-contiguous buffers prepared by the Python
- * wrappers.
+ * Compiled on demand by repro.native (gcc -O3, no -ffast-math, no FMA
+ * contraction: the double arithmetic must follow IEEE semantics, one
+ * rounding per operation, so results stay deterministic and equal to
+ * the NumPy reference in repro.codec).  The non-static functions are
+ * the whole ctypes surface — the SIMD level controls, encode_tile_u8
+ * and downscale_box_u8; everything else is a static building block of
+ * the tile driver.  All arrays are C-contiguous buffers prepared by
+ * the Python wrappers.
  */
 
 #include <math.h>
@@ -216,271 +218,6 @@ static inline int64_t se_bits(int64_t value)
     return ue_bits(mapped);
 }
 
-/* SAD of one int32 block against n displaced windows of a uint8 plane.
- *
- * Window i anchors at (ys[i], xs[i]); element (r, c) reads
- * ref[(ys[i] + r * istep) * stride + xs[i] + c * istep].  istep is 1
- * for integer-pel search and 2 for the half-pel grid (where anchors
- * are half-pel coordinates and the window samples at integer pitch).
- * Accumulates in int64 — bit-identical to the NumPy int path.
- */
-/* Stage an int32 block into a u8 buffer when every value fits a byte
- * (true whenever the block came from a uint8 plane).  Returns 0 when
- * any value is out of range, in which case callers keep the exact
- * scalar int32 loop.  The staged copy lets the batch kernels run the
- * SIMD psadbw paths, whose integer sums are bit-identical. */
-#define SAD_STAGE_MAX 16384
-
-static int stage_block_u8(const int32_t *block, int bh, int bw,
-                          uint8_t *staged)
-{
-    ptrdiff_t n = (ptrdiff_t)bh * bw;
-    if (n > SAD_STAGE_MAX)
-        return 0;
-    for (ptrdiff_t k = 0; k < n; k++) {
-        int32_t v = block[k];
-        if (v & ~0xFF)
-            return 0;
-        staged[k] = (uint8_t)v;
-    }
-    return 1;
-}
-
-void sad_batch_u8(const uint8_t *ref, int64_t stride, int64_t istep,
-                  const int32_t *block, int bh, int bw,
-                  const int64_t *xs, const int64_t *ys, int n,
-                  int64_t *out)
-{
-    if (istep == 1 && bw % 16 == 0) {
-        uint8_t staged[SAD_STAGE_MAX];
-        if (stage_block_u8(block, bh, bw, staged)) {
-            for (int i = 0; i < n; i++)
-                out[i] = sad_win_u8(ref + ys[i] * stride + xs[i], stride,
-                                    staged, bw, bh, bw);
-            return;
-        }
-    }
-    for (int i = 0; i < n; i++) {
-        const uint8_t *anchor = ref + ys[i] * stride + xs[i];
-        int64_t acc = 0;
-        for (int r = 0; r < bh; r++) {
-            const uint8_t *wr = anchor + (int64_t)r * istep * stride;
-            const int32_t *br = block + (int64_t)r * bw;
-            for (int c = 0; c < bw; c++) {
-                int32_t d = (int32_t)wr[(int64_t)c * istep] - br[c];
-                acc += d < 0 ? -d : d;
-            }
-        }
-        out[i] = acc;
-    }
-}
-
-/* The four intra mode SADs: DC, planar, horizontal, vertical.
- *
- * block is the (bh, bw) float64 original; top/left may be NULL (tile
- * boundary), in which case the neutral sample 128 substitutes, as in
- * repro.codec.intra.  planar is the precomputed planar prediction
- * (built in Python so the winning prediction block stays identical to
- * what predict() returns).  out = [dc, planar, horizontal, vertical].
- */
-void intra_sads(const double *block, int bh, int bw,
-                const double *top, const double *left,
-                double dc, const double *planar,
-                double *out)
-{
-    double s_dc = 0.0, s_pl = 0.0, s_h = 0.0, s_v = 0.0;
-    for (int r = 0; r < bh; r++) {
-        const double *br = block + (ptrdiff_t)r * bw;
-        const double *pr = planar + (ptrdiff_t)r * bw;
-        double lv = left ? left[r] : 128.0;
-        for (int c = 0; c < bw; c++) {
-            double x = br[c];
-            double tv = top ? top[c] : 128.0;
-            s_dc += fabs(x - dc);
-            s_pl += fabs(x - pr[c]);
-            s_h += fabs(x - lv);
-            s_v += fabs(x - tv);
-        }
-    }
-    out[0] = s_dc;
-    out[1] = s_pl;
-    out[2] = s_h;
-    out[3] = s_v;
-}
-
-/* Sum of |block - pred| over n doubles.
- *
- * Used for the inter-prediction SAD, where block samples are integers
- * and predictions are integers (motion compensation, half-pel fetch)
- * or exact halves (bi-prediction average): every partial sum is then
- * exactly representable, so sequential summation is bit-identical to
- * NumPy's pairwise reduction.
- */
-void sad_pred_d(const double *block, const double *pred, int64_t n,
-                double *out)
-{
-    double acc = 0.0;
-    for (int64_t k = 0; k < n; k++)
-        acc += fabs(block[k] - pred[k]);
-    out[0] = acc;
-}
-
-/* Sum of (block - recon)^2: block is the integer-valued float64
- * original, recon the reconstructed uint8 samples.  Integer squares
- * sum exactly in double, so the order of summation cannot matter.
- */
-void ssd_recon_u8(const double *block, const uint8_t *recon, int64_t n,
-                  double *out)
-{
-    double acc = 0.0;
-    for (int64_t k = 0; k < n; k++) {
-        double d = block[k] - (double)recon[k];
-        acc += d * d;
-    }
-    out[0] = acc;
-}
-
-/* Rate-penalized motion costs: SAD plus lambda * (|dx| + |dy|).
- *
- * Same window arithmetic as sad_batch_u8 with istep == 1; (bx, by) is
- * the block position, so dx = xs[i] - bx.  The cost arithmetic
- * replicates the Python scalar path exactly (one rounding per
- * operation, no FMA): double(sad) + lam * double(|dx| + |dy|).
- */
-void sad_cost_batch_u8(const uint8_t *ref, int64_t stride,
-                       const int32_t *block, int bh, int bw,
-                       const int64_t *xs, const int64_t *ys, int n,
-                       int64_t bx, int64_t by, double lam,
-                       double *out)
-{
-    uint8_t staged[SAD_STAGE_MAX];
-    int use_staged = bw % 16 == 0 && stage_block_u8(block, bh, bw, staged);
-    for (int i = 0; i < n; i++) {
-        const uint8_t *anchor = ref + ys[i] * stride + xs[i];
-        int64_t acc;
-        if (use_staged) {
-            acc = sad_win_u8(anchor, stride, staged, bw, bh, bw);
-        } else {
-            acc = 0;
-            for (int r = 0; r < bh; r++) {
-                const uint8_t *wr = anchor + (int64_t)r * stride;
-                const int32_t *br = block + (int64_t)r * bw;
-                for (int c = 0; c < bw; c++) {
-                    int32_t d = (int32_t)wr[c] - br[c];
-                    acc += d < 0 ? -d : d;
-                }
-            }
-        }
-        int64_t adx = xs[i] - bx, ady = ys[i] - by;
-        if (adx < 0) adx = -adx;
-        if (ady < 0) ady = -ady;
-        out[i] = (double)acc + lam * (double)(adx + ady);
-    }
-}
-
-/* Fused intra mode decision for one coding block.
- *
- * Computes the DC / planar / horizontal / vertical predictions and
- * their SADs in one pass, picks the SAD-best mode (strict <, ties
- * toward the lower mode index, DC first — same order as
- * repro.codec.intra.choose_mode) and writes the winning prediction
- * into pred_out.  The prediction arithmetic replicates predict()
- * operation-for-operation (compiled with -ffp-contract=off), so the
- * winner block is bit-identical to what the Python decoder rebuilds
- * from the coded mode.  Only the SAD reductions may differ from
- * NumPy's pairwise summation in the last ulp, which matters only on
- * exact cost ties.
- *
- * top/left may be NULL (tile boundary): the neutral sample 128
- * substitutes.  mode_out[0] in {0=DC, 1=planar, 2=horizontal,
- * 3=vertical}; sad_out[0] is the winning SAD.
- */
-void choose_intra(const double *block, int bh, int bw,
-                  const double *top, const double *left,
-                  double *pred_out, int32_t *mode_out, double *sad_out)
-{
-    double s_dc = 0.0, s_pl = 0.0, s_h = 0.0, s_v = 0.0;
-    /* DC value: mean of the available reference samples.  The samples
-     * are integer-valued doubles, so sequential summation is exact and
-     * matches repro.codec.intra._dc_value bit-for-bit. */
-    double dc = 128.0;
-    if (top || left) {
-        double total = 0.0;
-        int64_t count = 0;
-        if (top) {
-            for (int c = 0; c < bw; c++)
-                total += top[c];
-            count += bw;
-        }
-        if (left) {
-            for (int r = 0; r < bh; r++)
-                total += left[r];
-            count += bh;
-        }
-        dc = total / (double)count;
-    }
-    double tr = top ? top[bw - 1] : 128.0;   /* top-right reference */
-    double bl = left ? left[bh - 1] : 128.0; /* bottom-left reference */
-    double inv_w = (double)(bw + 1);
-    double inv_h = (double)(bh + 1);
-    for (int r = 0; r < bh; r++) {
-        const double *br = block + (ptrdiff_t)r * bw;
-        double *pr = pred_out + (ptrdiff_t)r * bw;
-        double lv = left ? left[r] : 128.0;
-        double wy = (double)(r + 1) / inv_h;
-        for (int c = 0; c < bw; c++) {
-            double x = br[c];
-            double tv = top ? top[c] : 128.0;
-            double wx = (double)(c + 1) / inv_w;
-            /* planar: same op sequence as predict(PLANAR, ...) */
-            double horiz = lv * (1.0 - wx) + tr * wx;
-            double vert = tv * (1.0 - wy) + bl * wy;
-            double pl = (horiz + vert) / 2.0;
-            pr[c] = pl; /* provisional: overwritten unless planar wins */
-            s_dc += fabs(x - dc);
-            s_pl += fabs(x - pl);
-            s_h += fabs(x - lv);
-            s_v += fabs(x - tv);
-        }
-    }
-    double sads[4] = { s_dc, s_pl, s_h, s_v };
-    int best = 0;
-    for (int m = 1; m < 4; m++)
-        if (sads[m] < sads[best])
-            best = m;
-    mode_out[0] = best;
-    sad_out[0] = sads[best];
-    if (best == 0) {
-        for (ptrdiff_t k = 0; k < (ptrdiff_t)bh * bw; k++)
-            pred_out[k] = dc;
-    } else if (best == 2) {
-        for (int r = 0; r < bh; r++) {
-            double lv = left ? left[r] : 128.0;
-            double *pr = pred_out + (ptrdiff_t)r * bw;
-            for (int c = 0; c < bw; c++)
-                pr[c] = lv;
-        }
-    } else if (best == 3) {
-        for (int r = 0; r < bh; r++) {
-            double *pr = pred_out + (ptrdiff_t)r * bw;
-            for (int c = 0; c < bw; c++)
-                pr[c] = top ? top[c] : 128.0;
-        }
-    }
-}
-
-/* Fused residual pipeline for one coding block:
- * residual -> per-8x8 zero skip -> DCT (basis matmul) -> dead-zone
- * quantization -> zigzag run-length bit count.
- *
- * block/pred are (h, w) float64; basis is the orthonormal 8x8 DCT-II
- * matrix (row-major); zz_order maps scan position -> row-major index.
- * levels_out receives (h/8)*(w/8) blocks of 64 int32 levels in
- * blockify order (sub-block rows first).  stats_out = [total_bits,
- * num_active_blocks].  Matches the NumPy pipeline: a sub-block whose
- * residual SAD is below 3 * step provably quantizes to all zeros and
- * skips its transform.
- */
 /* Reconstruction of one 8x8 sub-block from its levels and prediction.
  *
  * Replicates repro.codec.encoder.reconstruct_block: all-zero levels
@@ -544,196 +281,8 @@ static void recon_sub8(const int32_t *levels, const double *pred,
     }
 }
 
-/* Reconstruction of a whole coding block (decoder and fallback path).
- * levels is the (h/8 * w/8, 8, 8) stack in blockify order; out is a
- * (h, w) uint8 buffer with out_stride bytes per row.
- */
-void reconstruct_block_u8(const double *pred, const int32_t *levels,
-                          int h, int w, double step, const double *basis,
-                          uint8_t *out, int64_t out_stride)
-{
-    int rows = h / 8, cols = w / 8;
-    for (int rb = 0; rb < rows; rb++)
-        for (int cb = 0; cb < cols; cb++)
-            recon_sub8(levels + ((ptrdiff_t)rb * cols + cb) * 64,
-                       pred + ((ptrdiff_t)rb * 8) * w + cb * 8, w,
-                       step, basis,
-                       out + (ptrdiff_t)rb * 8 * out_stride + cb * 8,
-                       out_stride);
-}
-
-/* Fully fused per-block encode: residual pipeline (zero-skip, DCT,
- * quantization, zigzag bit count) plus reconstruction written straight
- * into the frame's reconstruction plane and the SSD of the original
- * against the reconstructed samples.  recon_out points at the block's
- * top-left sample inside the plane (recon_stride bytes per row).
- * stats_out = [bits, num_active]; ssd_out[0] = sum((block - recon)^2),
- * exact in any order because both operands are integer-valued.
- */
-void encode_block_fused(const double *block, const double *pred,
-                        int h, int w, double step, const double *basis,
-                        const int32_t *zz_order,
-                        int32_t *levels_out,
-                        uint8_t *recon_out, int64_t recon_stride,
-                        int64_t *stats_out, double *ssd_out)
-{
-    int rows = h / 8, cols = w / 8;
-    double res[64], tmp[64], coef[64];
-    int64_t bits = 0, active = 0;
-    double ssd = 0.0;
-    for (int rb = 0; rb < rows; rb++) {
-        for (int cb = 0; cb < cols; cb++) {
-            int32_t *levels = levels_out + ((ptrdiff_t)rb * cols + cb) * 64;
-            const double *bsub = block + ((ptrdiff_t)rb * 8) * w + cb * 8;
-            const double *psub = pred + ((ptrdiff_t)rb * 8) * w + cb * 8;
-            uint8_t *osub = recon_out + (ptrdiff_t)rb * 8 * recon_stride + cb * 8;
-            double sad = 0.0;
-            for (int r = 0; r < 8; r++) {
-                const double *br = bsub + (ptrdiff_t)r * w;
-                const double *pr = psub + (ptrdiff_t)r * w;
-                for (int c = 0; c < 8; c++) {
-                    double d = br[c] - pr[c];
-                    res[r * 8 + c] = d;
-                    sad += fabs(d);
-                }
-            }
-            if (sad < 3.0 * step) {
-                for (int k = 0; k < 64; k++)
-                    levels[k] = 0;
-                bits += 1; /* ue(0): all-zero block header */
-            } else {
-                active++;
-                /* tmp = basis @ res */
-                for (int i = 0; i < 8; i++)
-                    for (int j = 0; j < 8; j++) {
-                        double acc = 0.0;
-                        for (int k = 0; k < 8; k++)
-                            acc += basis[i * 8 + k] * res[k * 8 + j];
-                        tmp[i * 8 + j] = acc;
-                    }
-                /* coef = tmp @ basis^T */
-                for (int i = 0; i < 8; i++)
-                    for (int j = 0; j < 8; j++) {
-                        double acc = 0.0;
-                        for (int k = 0; k < 8; k++)
-                            acc += tmp[i * 8 + k] * basis[j * 8 + k];
-                        coef[i * 8 + j] = acc;
-                    }
-                for (int k = 0; k < 64; k++) {
-                    double c = coef[k];
-                    double mag = floor(fabs(c) / step + 0.25);
-                    levels[k] = c > 0.0 ? (int32_t)mag
-                              : c < 0.0 ? -(int32_t)mag : 0;
-                }
-                int last = -1;
-                for (int s = 63; s >= 0; s--)
-                    if (levels[zz_order[s]] != 0) {
-                        last = s;
-                        break;
-                    }
-                bits += ue_bits((int64_t)last + 1);
-                int prev = -1;
-                for (int s = 0; s <= last; s++) {
-                    int32_t lv = levels[zz_order[s]];
-                    if (lv == 0)
-                        continue;
-                    bits += ue_bits((int64_t)(s - prev - 1));
-                    bits += se_bits((int64_t)lv);
-                    prev = s;
-                }
-            }
-            recon_sub8(levels, psub, w, step, basis, osub, recon_stride);
-            for (int r = 0; r < 8; r++) {
-                const double *br = bsub + (ptrdiff_t)r * w;
-                const uint8_t *orow = osub + (ptrdiff_t)r * recon_stride;
-                for (int c = 0; c < 8; c++) {
-                    double d = br[c] - (double)orow[c];
-                    ssd += d * d;
-                }
-            }
-        }
-    }
-    stats_out[0] = bits;
-    stats_out[1] = active;
-    ssd_out[0] = ssd;
-}
-
-void encode_residual(const double *block, const double *pred, int h, int w,
-                     double step, const double *basis,
-                     const int32_t *zz_order,
-                     int32_t *levels_out, int64_t *stats_out)
-{
-    int rows = h / 8, cols = w / 8;
-    double res[64], tmp[64], coef[64];
-    int64_t bits = 0, active = 0;
-    for (int rb = 0; rb < rows; rb++) {
-        for (int cb = 0; cb < cols; cb++) {
-            int32_t *levels = levels_out + ((ptrdiff_t)rb * cols + cb) * 64;
-            double sad = 0.0;
-            for (int r = 0; r < 8; r++) {
-                const double *br = block + ((ptrdiff_t)(rb * 8 + r)) * w + cb * 8;
-                const double *pr = pred + ((ptrdiff_t)(rb * 8 + r)) * w + cb * 8;
-                for (int c = 0; c < 8; c++) {
-                    double d = br[c] - pr[c];
-                    res[r * 8 + c] = d;
-                    sad += fabs(d);
-                }
-            }
-            if (sad < 3.0 * step) {
-                for (int k = 0; k < 64; k++)
-                    levels[k] = 0;
-                bits += 1; /* ue(0): all-zero block header */
-                continue;
-            }
-            active++;
-            /* tmp = basis @ res */
-            for (int i = 0; i < 8; i++)
-                for (int j = 0; j < 8; j++) {
-                    double acc = 0.0;
-                    for (int k = 0; k < 8; k++)
-                        acc += basis[i * 8 + k] * res[k * 8 + j];
-                    tmp[i * 8 + j] = acc;
-                }
-            /* coef = tmp @ basis^T */
-            for (int i = 0; i < 8; i++)
-                for (int j = 0; j < 8; j++) {
-                    double acc = 0.0;
-                    for (int k = 0; k < 8; k++)
-                        acc += tmp[i * 8 + k] * basis[j * 8 + k];
-                    coef[i * 8 + j] = acc;
-                }
-            /* dead-zone quantization (repro.codec.quant semantics) */
-            for (int k = 0; k < 64; k++) {
-                double c = coef[k];
-                double mag = floor(fabs(c) / step + 0.25);
-                levels[k] = c > 0.0 ? (int32_t)mag
-                          : c < 0.0 ? -(int32_t)mag : 0;
-            }
-            /* zigzag run-length bit count (repro.codec.entropy) */
-            int last = -1;
-            for (int s = 63; s >= 0; s--)
-                if (levels[zz_order[s]] != 0) {
-                    last = s;
-                    break;
-                }
-            bits += ue_bits((int64_t)last + 1);
-            int prev = -1;
-            for (int s = 0; s <= last; s++) {
-                int32_t lv = levels[zz_order[s]];
-                if (lv == 0)
-                    continue;
-                bits += ue_bits((int64_t)(s - prev - 1));
-                bits += se_bits((int64_t)lv);
-                prev = s;
-            }
-        }
-    }
-    stats_out[0] = bits;
-    stats_out[1] = active;
-}
-
 /* ------------------------------------------------------------------ */
-/* Motion search driver.                                               */
+/* Motion search (one block; called by the tile driver).               */
 /*                                                                     */
 /* Replicates repro.motion's SearchContext + CrossSearch /             */
 /* OneAtATimeSearch / HexagonSearch evaluation-for-evaluation: the     */
@@ -743,7 +292,7 @@ void encode_residual(const double *block, const double *pred, int h, int w,
 /* same cost arithmetic ((double)sad + lam * (double)(|dx| + |dy|)).   */
 /* The cost cache is an epoch-stamped table supplied by the caller     */
 /* (thread-local in Python), covering displacements in [-MS_H, MS_H]   */
-/* per axis; the Python wrapper only engages the driver when the       */
+/* per axis; the Python wrapper only engages the tile driver when the  */
 /* window and seeds fit the table.                                     */
 /* ------------------------------------------------------------------ */
 
@@ -847,7 +396,7 @@ static const int64_t DIAG_PLUS[8][2] = {
  * policy passes (0,0) / left MV / learned predictor; the plain path
  * passes (0,0) / start).  out_i = {best_dx, best_dy, new_evals,
  * best_sad}; out_cost[0] = rate-penalized best cost. */
-void motion_search_u8(const uint8_t *ref, int64_t rstride,
+static void motion_search_u8(const uint8_t *ref, int64_t rstride,
                       int64_t ref_h, int64_t ref_w,
                       const uint8_t *cur, int64_t cstride,
                       int bh, int bw, int64_t bx, int64_t by,
@@ -976,7 +525,7 @@ void motion_search_u8(const uint8_t *ref, int64_t rstride,
 }
 
 /* ------------------------------------------------------------------ */
-/* Batch entropy writer.                                               */
+/* Bit emission.                                                       */
 /* ------------------------------------------------------------------ */
 
 /* MSB-first bit accumulator over a caller-supplied byte buffer. */
@@ -1036,54 +585,30 @@ static inline void bs_flush(BitSink *b)
     }
 }
 
-/* Emit the residual syntax of a stack of n_sub 8x8 level blocks into
- * out (MSB-first), exactly as repro.codec.entropy.write_block does per
- * block: ue(last_plus_one), then (ue(run), se(level)) per non-zero
- * level in zigzag order.  Returns the number of bits written, or -1
- * when the buffer is too small.  The produced bits splice into a
- * BitWriter with append_bits. */
-int64_t entropy_write_levels(const int32_t *levels, int64_t n_sub,
-                             const int32_t *zz_order,
-                             uint8_t *out, int64_t cap_bytes)
-{
-    BitSink sink = {out, cap_bytes, 0, 0, 0, 0};
-    for (int64_t blk = 0; blk < n_sub; blk++) {
-        const int32_t *lv = levels + blk * 64;
-        int last = -1;
-        for (int s = 63; s >= 0; s--)
-            if (lv[zz_order[s]] != 0) {
-                last = s;
-                break;
-            }
-        bs_put_ue(&sink, (int64_t)last + 1);
-        int prev = -1;
-        for (int s = 0; s <= last; s++) {
-            int32_t v = lv[zz_order[s]];
-            if (v == 0)
-                continue;
-            bs_put_ue(&sink, (int64_t)(s - prev - 1));
-            bs_put_se(&sink, (int64_t)v);
-            prev = s;
-        }
-    }
-    int64_t nbits = bs_bits(&sink);
-    bs_flush(&sink);
-    return sink.overflow ? -1 : nbits;
-}
-
 /* ------------------------------------------------------------------ */
-/* Plane-based block kernels: read the current block straight from    */
-/* the uint8 frame plane (u8 -> double conversion is exact, so the    */
-/* arithmetic is identical to the float64-staged path).  Static       */
+/* Block kernels: read the current block straight from the uint8      */
+/* frame plane (the u8 -> double conversion is exact).  Static        */
 /* building blocks of the tile driver below.                          */
 /* ------------------------------------------------------------------ */
 
-/* choose_intra with reference samples gathered from the plane.
+/* Intra mode decision for one coding block.
  *
- * Availability follows repro.codec.intra.reference_samples: the top
- * row exists when by - 1 >= tile_y, the left column when bx - 1 >=
- * tile_x (tile boundaries break prediction).  Otherwise identical to
- * choose_intra above.
+ * Computes the DC / planar / horizontal / vertical predictions and
+ * their SADs in one pass, picks the SAD-best mode (strict <, ties
+ * toward the lower mode index, DC first — same order as
+ * repro.codec.intra.choose_mode) and writes the winning prediction
+ * into pred_out.  The prediction arithmetic replicates predict()
+ * operation-for-operation and the SADs accumulate in raster order, as
+ * choose_mode's do, so mode, SAD and prediction block are the ones the
+ * NumPy reference computes and the decoder rebuilds from the coded
+ * mode.
+ *
+ * Reference samples come from the recon plane; availability follows
+ * repro.codec.intra.reference_samples: the top row exists when
+ * by - 1 >= tile_y, the left column when bx - 1 >= tile_x (tile
+ * boundaries break prediction), and the neutral sample 128 substitutes
+ * for a missing one.  mode_out[0] in {0=DC, 1=planar, 2=horizontal,
+ * 3=vertical}; sad_out[0] is the winning SAD.
  */
 static void choose_intra_plane_u8(const uint8_t *cur, int64_t cstride,
                                   const uint8_t *recon, int64_t rstride,
@@ -1168,16 +693,20 @@ static void choose_intra_plane_u8(const uint8_t *cur, int64_t cstride,
     }
 }
 
-/* Fully fused per-block encode off the planes: like
- * encode_block_fused but the current block is read from the uint8
- * plane, the prediction is either a float64 buffer (predd, row pitch
- * pdstride doubles: intra) or a uint8 reference window (predu, row
- * pitch pustride bytes: integer-pel motion compensation — the u8 ->
- * double conversion is exact, so the residual arithmetic matches the
- * staged float64 path bit-for-bit), and the residual syntax is emitted
- * into sink when it is not NULL.  Returns the residual bit count;
- * active_out / ssd_out accumulate the transformed sub-blocks and the
- * block SSD.
+/* Fused residual coding of one (h, w) block, per 8x8 sub-block in
+ * blockify order: residual -> zero skip (a sub-block whose residual
+ * SAD is below 3 * step provably quantizes to all zeros and skips its
+ * transform) -> DCT (basis @ R @ basis^T) -> dead-zone quantization ->
+ * zigzag run-length syntax -> reconstruction written straight into the
+ * recon plane -> SSD against the current block.  The prediction is
+ * either a float64 buffer (predd, row pitch pdstride doubles: intra)
+ * or a uint8 reference window (predu, row pitch pustride bytes:
+ * integer-pel motion compensation); basis is the orthonormal 8x8
+ * DCT-II matrix (row-major) and zz_order maps scan position ->
+ * row-major index.  The residual syntax is emitted into sink when it
+ * is not NULL.  Returns the residual bit count; active_out / ssd_out
+ * accumulate the transformed sub-blocks and the block SSD (integer
+ * squares: exact in any order).
  */
 static int64_t encode_block_plane(const uint8_t *cur, int64_t cstride,
                                   const double *predd, int64_t pdstride,

@@ -884,7 +884,11 @@ class FleetAdmission:
         capacity charge lives on that worker regardless.
         """
         registry = get_registry()
-        cores, _ = self._pricer.estimate_session(hello)
+        # Priced as the worker will charge it: the whole ladder.
+        if hello.ladder:
+            cores, _, _ = self._pricer.estimate_ladder(hello, hello.ladder)
+        else:
+            cores, _ = self._pricer.estimate_session(hello)
         live = self.live_workers
         tenant = ""
         if self.compiled is not None and live:

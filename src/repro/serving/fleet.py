@@ -205,11 +205,11 @@ def _worker_config(config: FleetConfig, worker_id: str) -> ServeNetConfig:
     if config.mode == "router":
         return replace(
             config.server, worker_id=worker_id, admission=split,
-            host="127.0.0.1", port=0, reuse_port=False, lease=True,
+            host="127.0.0.1", port=0, reuse_port=False,
         )
     return replace(
         config.server, worker_id=worker_id, admission=split,
-        host=config.host, port=config.port, reuse_port=True, lease=True,
+        host=config.host, port=config.port, reuse_port=True,
     )
 
 

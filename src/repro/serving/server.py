@@ -74,7 +74,7 @@ from repro.resilience.degradation import ResilienceConfig
 # Submodule imports (not the repro.ladder package) keep the
 # ladder <-> serving import cycle unwound: repro.ladder.segments
 # imports repro.serving.protocol, which initializes this package.
-from repro.ladder.config import LadderConfig, LadderRung
+from repro.ladder.config import RUNG_MULTIPLE, LadderConfig, LadderRung
 from repro.ladder.session import LadderSession
 from repro.serving.admission import (
     AdmissionController,
@@ -188,10 +188,6 @@ class ServeNetConfig:
     #: Bind with ``SO_REUSEPORT`` so N workers share one listen port
     #: (the fleet's kernel-balanced accept group).
     reuse_port: bool = False
-    #: Single-owner session leases (:mod:`repro.serving.statestore`):
-    #: required for multi-worker deployments sharing one journal dir;
-    #: harmless (one file create/unlink per session) standalone.
-    lease: bool = True
     #: RESUME retry hint sent when a session's lease is held by a
     #: worker not yet confirmed dead (transient reject).
     lease_retry_s: float = 0.5
@@ -485,8 +481,7 @@ class NetworkServer:
         if config.journal_dir is not None:
             self._journal_store = SharedDirStateStore(
                 config.journal_dir, fsync=config.journal_fsync,
-                owner=self._owner, lease=config.lease,
-                fileops=config.fileops,
+                owner=self._owner, fileops=config.fileops,
                 retry=RetryPolicy(
                     attempts=max(1, config.journal_retry_attempts),
                     backoff_s=config.journal_retry_backoff_s,
@@ -927,6 +922,18 @@ class NetworkServer:
             await self._run_ladder_connection(
                 session_id, hello, reader, writer
             )
+            return
+        # A plain session encodes the ingest plane itself (a ladder's
+        # rungs are checked by decide_ladder): refuse here what the
+        # first GOP flush would otherwise die on in blockify.
+        if hello.width % RUNG_MULTIPLE or hello.height % RUNG_MULTIPLE:
+            await write_message(writer, HelloAck(
+                decision="reject", session_id=session_id, reason=(
+                    f"geometry {hello.width}x{hello.height} is not "
+                    "encodable: dimensions must be positive multiples "
+                    f"of {RUNG_MULTIPLE}"
+                ),
+            ))
             return
         decision, reason = self.admission.decide(session_id, hello)
         if decision is AdmissionDecision.PARK:

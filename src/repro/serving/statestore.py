@@ -180,20 +180,17 @@ class SharedDirStateStore(JournalStore, StateStore):
 
     ``owner`` identifies this store's holder in lease records
     (convention: ``"<worker_id>:<pid>"``; defaults to the bare pid).
-    ``lease`` toggles the lease protocol — ``False`` turns acquire /
-    release into no-ops for single-process deployments.
     """
 
     def __init__(self, root: Union[str, os.PathLike], fsync: bool = True,
                  owner: str = "", pid: Optional[int] = None,
-                 lease: bool = True, fileops: Optional[FileOps] = None,
+                 fileops: Optional[FileOps] = None,
                  retry: Optional[RetryPolicy] = None,
                  on_retry=None):
         super().__init__(root, fsync=fsync, fileops=fileops, retry=retry,
                          on_retry=on_retry)
         self.pid = os.getpid() if pid is None else int(pid)
         self.owner = owner or str(self.pid)
-        self.lease_enabled = lease
 
     # -- lease files ---------------------------------------------------
     def lease_path(self, token: str) -> str:
@@ -290,8 +287,6 @@ class SharedDirStateStore(JournalStore, StateStore):
           :class:`Lease` — the adoption signal;
         * live foreign lease -> :class:`LeaseHeldError`.
         """
-        if not self.lease_enabled:
-            return Lease(token=token, owner=self.owner, pid=self.pid)
         path = self.lease_path(token)
         with self._token_lock(token):
             try:
@@ -318,8 +313,6 @@ class SharedDirStateStore(JournalStore, StateStore):
 
     def release(self, token: str) -> None:
         """Give the lease back (only if we hold it; else a no-op)."""
-        if not self.lease_enabled:
-            return
         with self._token_lock(token):
             try:
                 info = self._parse_lease(self._ops.read_bytes(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -77,3 +79,25 @@ def make_textured_plane(rng: np.random.Generator, height: int, width: int,
 @pytest.fixture
 def textured_plane(rng):
     return make_textured_plane(rng, 64, 64)
+
+
+class _ForbiddenLib:
+    """Stands in for the ctypes handle where no native call may happen:
+    it is not ``None`` (the encoder still believes the driver is
+    loaded) but any attribute access — i.e. any call — fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"native.lib.{name} reached on a NumPy-only path")
+
+
+@contextlib.contextmanager
+def native_forbidden():
+    """Run a block with ``repro.native.lib`` replaced by a stub that
+    raises on any attribute access (helper importable from conftest)."""
+    from repro import native
+
+    saved, native.lib = native.lib, _ForbiddenLib()
+    try:
+        yield
+    finally:
+        native.lib = saved

@@ -15,6 +15,7 @@ import pytest
 from repro.observability import scoped
 from repro.observability.metrics import serving_summary
 from repro.serving.admission import (
+    AdmissionController,
     AdmissionDecision,
     AdmissionPolicy,
     FleetAdmission,
@@ -111,6 +112,22 @@ class TestFleetAdmission:
         assert fleet.workers["w0"].pending_cores == 0.0
         assert fleet.workers["w0"].occupancy_cores == 1.0
 
+    def test_ladder_hello_is_charged_as_the_worker_charges_it(self):
+        ladder = ((64, 64), (48, 48), (32, 32))
+        hello = Hello(width=64, height=64, fps=24.0, gop=8, ladder=ladder)
+        with scoped():
+            fleet = self._fleet(workers=1)
+            decision, worker, _ = fleet.place(hello)
+            worker_side = AdmissionController()
+            assert worker_side.decide_ladder(1, hello)[2] == ladder
+        assert decision is AdmissionDecision.ACCEPT
+        charged = fleet.workers[worker].pending_cores
+        assert charged == pytest.approx(worker_side.occupancy_cores)
+        assert charged == pytest.approx(
+            worker_side.estimate_ladder(hello, ladder)[0])
+        # ... which is more than the primary rung alone (the old charge).
+        assert charged > worker_side.estimate_session(hello)[0]
+
     def test_saturated_fleet_parks_then_rejects(self):
         with scoped():
             fleet = self._fleet(workers=2, capacity=1e-9, park_capacity=1)
@@ -159,7 +176,6 @@ class TestWorkerConfig:
         worker = _worker_config(config, "w2")
         assert worker.worker_id == "w2"
         assert worker.admission.utilization == pytest.approx(0.2)
-        assert worker.lease is True
 
     def test_router_mode_gives_private_ports(self):
         worker = _worker_config(self._config(workers=2), "w0")

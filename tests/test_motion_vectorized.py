@@ -1,6 +1,5 @@
 """Property tests: the batched candidate path of :class:`SearchContext`
-is observationally identical to scalar probing, and the native SAD
-kernels are bit-exact with the NumPy fallback.
+is observationally identical to scalar probing.
 
 These are the equivalence guarantees the search algorithms rely on
 when they submit per-step candidate batches through
@@ -9,11 +8,8 @@ calls.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import native
-from repro.motion import FullSearch, HexagonSearch, TZSearch
 from repro.motion.base import INFEASIBLE, SearchContext
 
 
@@ -77,40 +73,3 @@ def test_batch_deduplicates_but_costs_match(seed, window, mvs):
     second = ctx.evaluate_batch(mvs + mvs)
     assert second == first + first
     assert ctx.sad_evaluations == evals  # everything was cached
-
-
-@pytest.mark.skipif(not native.available(), reason="native kernels unavailable")
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10_000), window=st.integers(0, 16), mvs=candidate_lists)
-def test_native_matches_numpy_fallback(seed, window, mvs):
-    """The C cost kernel is bit-identical to the NumPy strided path."""
-    native_ctx = _context(seed, window)
-    assert native_ctx._use_native
-    saved, native.lib = native.lib, None
-    try:
-        numpy_ctx = _context(seed, window)
-    finally:
-        native.lib = saved
-    assert not numpy_ctx._use_native
-
-    assert native_ctx.evaluate_batch(mvs) == numpy_ctx.evaluate_batch(mvs)
-    for mv in mvs:
-        assert native_ctx.evaluate(mv) == numpy_ctx.evaluate(mv)
-    assert native_ctx._cache == numpy_ctx._cache
-
-
-@pytest.mark.skipif(not native.available(), reason="native kernels unavailable")
-@pytest.mark.parametrize("alg", [FullSearch(), HexagonSearch(), TZSearch()],
-                         ids=["full", "hexagon", "tz"])
-def test_search_algorithms_identical_without_native(alg, monkeypatch):
-    """Full algorithm runs agree between native and fallback paths."""
-    for seed in range(5):
-        native_ctx = _context(seed, window=12, bh=16, bw=16)
-        monkeypatch.setattr(native, "lib", None)
-        numpy_ctx = _context(seed, window=12, bh=16, bw=16)
-        monkeypatch.undo()
-        a = alg.search(native_ctx, start=(1, -2))
-        b = alg.search(numpy_ctx, start=(1, -2))
-        assert (a.mv, a.cost) == (b.mv, b.cost)
-        assert a.sad_evaluations == b.sad_evaluations
-        assert a.pixel_ops == b.pixel_ops

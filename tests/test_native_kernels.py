@@ -1,96 +1,47 @@
-"""The native (C) kernels are bit-exact with the NumPy reference paths.
+"""The native tile driver is bit-exact with the pure-NumPy block loop.
 
-Every test runs the same computation twice — once through the compiled
-kernels, once with ``native.lib`` monkeypatched away — and asserts
-byte-level equality.  This is the contract that lets the encoder and
-decoder dispatch independently (both native or both NumPy) without
-drift, and lets ``REPRO_NATIVE=0`` remain a faithful fallback.
+The codec has two tiers: ``encode_tile_u8`` (one C call per tile) and
+the per-block NumPy loop, which is the driver's reference and the only
+thing that runs what the driver declines.  The tests here encode the
+same tile through both and assert byte-level equality — with the
+reference side running under :func:`tests.conftest.native_forbidden`,
+so it demonstrably never enters ``kernels.c`` — which is also what
+keeps ``REPRO_NATIVE=0`` a faithful fallback.
 """
+
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import native
+from repro.analysis.motion_probe import MotionClass
+from repro.codec.bitstream import BitWriter
 from repro.codec.config import EncoderConfig, FrameType
-from repro.codec.encoder import FrameEncoder, reconstruct_block
-from repro.codec.intra import IntraMode, choose_mode, predict
+from repro.codec.encoder import FrameEncoder, TileEncoder
+from repro.codec.ops import OpCounts
+from repro.motion.proposed import TileHookSpec, spec_hook
+from repro.observability import scoped
+from repro.tiling.tile import Tile
 from repro.tiling.uniform import uniform_tiling
+from repro.transcode.pipeline import PipelineConfig, StreamTranscoder
+from repro.video.generator import ContentClass, MotionPreset, generate_video
+from tests.conftest import native_forbidden
 
-pytestmark = pytest.mark.skipif(
+#: Everything below compares against the driver except the
+#: ``REPRO_NATIVE=0`` check itself, which `make reference` still runs.
+needs_driver = pytest.mark.skipif(
     not native.available(), reason="native kernels unavailable"
 )
 
-
-def _blocks(rng, n=200):
-    for _ in range(n):
-        kind = rng.integers(0, 4)
-        if kind == 0:
-            block = rng.integers(0, 256, (16, 16)).astype(np.float64)
-        elif kind == 1:  # smooth gradient
-            gy, gx = np.mgrid[0:16, 0:16]
-            block = (rng.uniform(40, 200) + gx * rng.uniform(-2, 2)
-                     + gy * rng.uniform(-2, 2)).clip(0, 255)
-        elif kind == 2:  # flat
-            block = np.full((16, 16), float(rng.integers(0, 256)))
-        else:  # near-flat with noise
-            block = (128.0 + rng.normal(0, 2, (16, 16))).clip(0, 255)
-        top = None if rng.integers(0, 2) else rng.integers(0, 256, 16).astype(np.float64)
-        left = None if rng.integers(0, 2) else rng.integers(0, 256, 16).astype(np.float64)
-        yield np.ascontiguousarray(block), top, left
+REPO_ROOT = Path(__file__).resolve().parents[1]
+FALLBACK = "repro_codec_tile_fallback_total"
 
 
-def test_choose_intra_matches_choose_mode():
-    rng = np.random.default_rng(0)
-    for block, top, left in _blocks(rng):
-        mode_n, pred_n, sad_n = native.choose_intra(block, top, left)
-        assert native.lib is not None
-        saved, native.lib = native.lib, None
-        try:
-            mode_p, pred_p, sad_p = choose_mode(block, top, left)
-        finally:
-            native.lib = saved
-        assert IntraMode(mode_n) is mode_p
-        # The SAD reduction order differs (C sequential vs NumPy
-        # pairwise), so the scalar may drift by an ulp; the bit-exact
-        # contract is the mode decision and the prediction block.
-        assert sad_n == pytest.approx(sad_p, rel=1e-12)
-        np.testing.assert_array_equal(pred_n, pred_p)
-        # Decoder contract: the winner's prediction equals predict().
-        np.testing.assert_array_equal(
-            pred_n, predict(IntraMode(mode_n), top, left, 16, 16)
-        )
-
-
-def test_reconstruct_block_matches_numpy():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        pred = np.ascontiguousarray(rng.uniform(0, 255, (16, 16)))
-        levels = rng.integers(-12, 13, (4, 8, 8)).astype(np.int32)
-        if rng.integers(0, 4) == 0:
-            levels[:] = 0
-        qp = int(rng.integers(10, 50))
-        native_out = reconstruct_block(pred, levels, qp)
-        saved, native.lib = native.lib, None
-        try:
-            numpy_out = reconstruct_block(pred, levels, qp)
-        finally:
-            native.lib = saved
-        np.testing.assert_array_equal(native_out, numpy_out)
-        assert native_out.dtype == np.uint8
-
-
-def test_sad_batch_matches_numpy_windows():
-    rng = np.random.default_rng(2)
-    ref = rng.integers(0, 256, (40, 56), dtype=np.uint8)
-    block = rng.integers(0, 256, (8, 8)).astype(np.int32)
-    xs = rng.integers(0, 48, 32).astype(np.int64)
-    ys = rng.integers(0, 32, 32).astype(np.int64)
-    sads = native.sad_batch(ref, block, xs, ys)
-    for i in range(32):
-        window = ref[ys[i] : ys[i] + 8, xs[i] : xs[i] + 8].astype(np.int64)
-        assert sads[i] == np.abs(window - block).sum()
-
-
+@needs_driver
 def test_tile_encode_identical_without_native(monkeypatch):
     """Whole-tile encodes (intra + inter + half-pel + fused residual)
     agree between the native and pure-NumPy paths."""
@@ -120,162 +71,46 @@ def test_tile_encode_identical_without_native(monkeypatch):
             assert a.ops == b.ops
 
 
+@needs_driver
+def test_generator_content_identical_without_native(monkeypatch):
+    """A push-fed session over generator content (flat background,
+    smooth organ: intra modes tie to the ulp, residual sums sit on
+    quantization boundaries) encodes the same with and without the
+    driver.  Holds because the NumPy transform and SADs accumulate in
+    the driver's order; a BLAS matmul or pairwise sum diverges from
+    frame 3 of this clip on."""
+    video = generate_video(ContentClass.ULTRASOUND, 96, 96, 16,
+                           MotionPreset.PAN_RIGHT, seed=4)
+
+    def run():
+        with StreamTranscoder(PipelineConfig()) as transcoder:
+            session = transcoder.open_session()
+            outputs = [o for f in video for o in session.push(f)]
+            outputs += session.finish()
+        return [(o.frame_index, o.record.bits, o.reconstruction.tobytes())
+                for o in outputs]
+
+    with_driver = run()
+    monkeypatch.setattr(native, "lib", None)
+    assert run() == with_driver
+
+
 def test_native_disabled_by_environment():
     """REPRO_NATIVE=0 must short-circuit loading (fallback guarantee)."""
-    import subprocess
-    import sys
-
     out = subprocess.run(
         [sys.executable, "-c",
          "from repro import native; print(native.available())"],
         capture_output=True, text=True,
         env={"PYTHONPATH": "src", "REPRO_NATIVE": "0", "PATH": "/usr/bin:/bin"},
-        cwd=str(__import__("pathlib").Path(__file__).resolve().parents[1]),
+        cwd=str(REPO_ROOT),
         check=True,
     )
     assert out.stdout.strip() == "False"
 
 
-def test_motion_driver_matches_python_search():
-    """The C motion-search driver replays every Python algorithm —
-    cross, one-at-a-time (both axes), hexagon (all orientations) —
-    with identical vectors, costs and evaluation counts, and reports
-    the true SAD of the winning vector."""
-    from repro.motion.base import SearchContext
-    from repro.motion.cross import CrossSearch
-    from repro.motion.hexagon import HexagonOrientation, HexagonSearch
-    from repro.motion.one_at_a_time import OneAtATimeSearch
-
-    algos = [
-        CrossSearch(),
-        OneAtATimeSearch("x"),
-        OneAtATimeSearch("y"),
-        HexagonSearch(HexagonOrientation.HORIZONTAL),
-        HexagonSearch(HexagonOrientation.VERTICAL),
-        HexagonSearch(HexagonOrientation.ROTATING),
-    ]
-    rng = np.random.default_rng(11)
-    trials = 0
-    for trial in range(120):
-        h = int(rng.integers(32, 128))
-        w = int(rng.integers(32, 128))
-        ref = rng.integers(0, 256, (h, w), dtype=np.uint8)
-        cur = np.clip(
-            ref.astype(np.int16) + rng.integers(-8, 9, (h, w)), 0, 255
-        ).astype(np.uint8)
-        bs = int(rng.choice([8, 16]))
-        if h < bs or w < bs:
-            continue
-        bx = int(rng.integers(0, w - bs + 1))
-        by = int(rng.integers(0, h - bs + 1))
-        block = cur[by:by + bs, bx:bx + bs]
-        window = int(rng.choice([4, 8, 16, 32, 64]))
-        lam = float(rng.choice([0.0, 1.0, 4.0]))
-        seeds = [(0, 0)] + [
-            (int(rng.integers(-window, window + 1)),
-             int(rng.integers(-window, window + 1)))
-            for _ in range(int(rng.integers(0, 2)))
-        ]
-        algo = algos[trial % len(algos)]
-        spec = algo.native_spec()
-
-        ctx = SearchContext(ref, block, bx, by, window, lambda_mv=lam)
-        start, _ = ctx.evaluate_many(seeds)
-        res = algo.search(ctx, start=start)
-
-        out = native.motion_search(ref, block, bx, by, window, lam,
-                                   spec[0], spec[1], seeds)
-        assert out is not None
-        mv, cost, evals, sad = out
-        assert mv == res.mv, (trial, algo.name)
-        assert cost == res.cost, (trial, algo.name)
-        assert evals == res.sad_evaluations, (trial, algo.name)
-        ry, rx = by + mv[1], bx + mv[0]
-        want = int(np.abs(
-            ref[ry:ry + bs, rx:rx + bs].astype(np.int64)
-            - block.astype(np.int64)
-        ).sum())
-        assert sad == want, (trial, algo.name)
-        trials += 1
-    assert trials > 100
-
-
-def test_entropy_writer_matches_bitwriter():
-    """The batched C entropy entry point emits the exact bit pattern
-    of the Python ``write_block`` loop (bit count and payload)."""
-    from repro.codec.bitstream import BitWriter
-    from repro.codec.encoder import _ZZ_ORDER8
-    from repro.codec.entropy import write_block
-    from repro.codec.zigzag import zigzag_scan
-
-    rng = np.random.default_rng(13)
-    for _ in range(80):
-        n_sub = int(rng.integers(1, 9))
-        levels = rng.integers(-40, 41, (n_sub, 8, 8)).astype(np.int32)
-        levels[rng.random((n_sub, 8, 8)) < 0.8] = 0
-        w = BitWriter()
-        zz = zigzag_scan(levels)
-        for i in range(n_sub):
-            write_block(w, zz[i])
-        want_bits = w.bits_written
-        want = w.flush()
-        got = native.entropy_write(np.ascontiguousarray(levels), _ZZ_ORDER8)
-        assert got is not None
-        payload, nbits = got
-        assert nbits == want_bits
-        assert payload[: (nbits + 7) // 8] == want
-
-
-def test_sad_simd_levels_bit_identical():
-    """Every SIMD tier the CPU supports (scalar, AVX2, AVX-512)
-    returns identical SADs and identical motion-search outcomes —
-    the NumPy oracle checks the scalar tier, transitivity covers
-    the rest."""
-    detected = native.lib.simd_detect()
-    rng = np.random.default_rng(17)
-    ref = rng.integers(0, 256, (72, 88), dtype=np.uint8)
-    cases = []
-    for bs in (8, 16):
-        block = rng.integers(0, 256, (bs, bs)).astype(np.int32)
-        xs = rng.integers(0, 88 - bs + 1, 64).astype(np.int64)
-        ys = rng.integers(0, 72 - bs + 1, 64).astype(np.int64)
-        cases.append((block, xs, ys))
-    cur = np.clip(
-        ref.astype(np.int16) + rng.integers(-6, 7, ref.shape), 0, 255
-    ).astype(np.uint8)
-
-    per_level = {}
-    try:
-        for level in range(detected + 1):
-            native.lib.simd_set_level(level)
-            assert native.lib.simd_get_level() == level
-            sads = [native.sad_batch(ref, b, xs, ys).copy()
-                    for b, xs, ys in cases]
-            ms = native.motion_search(
-                ref, cur[24:40, 32:48], 32, 24, 16, 1.0, 3, 0, [(0, 0)]
-            )
-            per_level[level] = (sads, ms)
-    finally:
-        native.lib.simd_set_level(detected)
-
-    # Scalar tier against the NumPy oracle.
-    for (block, xs, ys), sads in zip(cases, per_level[0][0]):
-        bs = block.shape[0]
-        for i in range(len(xs)):
-            window = ref[ys[i]:ys[i] + bs, xs[i]:xs[i] + bs].astype(np.int64)
-            assert sads[i] == np.abs(window - block).sum()
-    # Vector tiers against scalar.
-    for level in range(1, detected + 1):
-        for a, b in zip(per_level[0][0], per_level[level][0]):
-            np.testing.assert_array_equal(a, b)
-        assert per_level[level][1] == per_level[0][1]
-
-
+@needs_driver
 def test_simd_disabled_by_environment():
     """REPRO_NATIVE_SIMD=0 must pin the dispatch to the scalar tier."""
-    import subprocess
-    import sys
-
     out = subprocess.run(
         [sys.executable, "-c",
          "from repro import native; "
@@ -283,7 +118,7 @@ def test_simd_disabled_by_environment():
         capture_output=True, text=True,
         env={"PYTHONPATH": "src", "REPRO_NATIVE_SIMD": "0",
              "PATH": "/usr/bin:/bin", "HOME": "/root"},
-        cwd=str(__import__("pathlib").Path(__file__).resolve().parents[1]),
+        cwd=str(REPO_ROOT),
         check=True,
     )
     assert out.stdout.split() == ["0", "0"]
@@ -292,17 +127,6 @@ def test_simd_disabled_by_environment():
 # ----------------------------------------------------------------------
 # Tile driver (encode_tile_u8) vs the per-block loop
 # ----------------------------------------------------------------------
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
-
-from repro.analysis.motion_probe import MotionClass  # noqa: E402
-from repro.codec.bitstream import BitWriter  # noqa: E402
-from repro.codec.encoder import TileEncoder  # noqa: E402
-from repro.codec.ops import OpCounts  # noqa: E402
-from repro.motion.proposed import TileHookSpec, spec_hook  # noqa: E402
-from repro.observability import scoped  # noqa: E402
-from repro.tiling.tile import Tile  # noqa: E402
-
-FALLBACK = "repro_codec_tile_fallback_total"
 
 
 def _moving_planes(seed, height, width):
@@ -326,7 +150,8 @@ def _moving_planes(seed, height, width):
 
 
 def _oracle(config, cur, ref, tile, frame_type, spec, emit, want_info):
-    """The per-block loop on fresh buffers: the driver's reference."""
+    """The per-block loop on fresh buffers: the driver's reference.
+    Runs with the ctypes handle forbidden — it is NumPy all the way."""
     recon = np.zeros_like(cur)
     writer = BitWriter() if emit else None
     infos = [] if want_info else None
@@ -335,10 +160,11 @@ def _oracle(config, cur, ref, tile, frame_type, spec, emit, want_info):
     if spec is not None and frame_type is FrameType.P:
         policy = spec.policy()
         hook = spec_hook(spec, policy)
-    bits, ssd = TileEncoder(config)._encode_tile_blocks(
-        cur, [ref] if frame_type is FrameType.P else [], recon, tile,
-        frame_type, writer, hook, ops, None, infos, None,
-    )
+    with native_forbidden():
+        bits, ssd = TileEncoder(config)._encode_tile_blocks(
+            cur, [ref] if frame_type is FrameType.P else [], recon, tile,
+            frame_type, writer, hook, ops, None, infos, None,
+        )
     learned = None
     if policy is not None and spec.is_first:
         learned = (policy.state.dominant_axis,
@@ -380,23 +206,20 @@ def _tile_cases(draw):
     )
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(_tile_cases())
-def test_tile_driver_matches_block_loop(case):
-    """One native call per tile == the per-block loop: bits, SSD, every
-    op counter, reconstruction, emitted bitstream, BlockInfo list and
-    what a first-P-frame tile learned — on every SIMD tier."""
-    tile, config, spec = case["tile"], case["config"], case["spec"]
-    frame_type, emit, want_info = (
-        case["frame_type"], case["emit"], case["want_info"])
-    ref, cur = _moving_planes(case["seed"], *case["frame"])
-    want = _oracle(config, cur, ref, tile, frame_type, spec, emit, want_info)
-
+def _assert_driver_matches_oracle(config, cur, ref, tile, frame_type, spec,
+                                  emit, want_info):
+    """Encode ``tile`` through the driver on every SIMD tier the CPU
+    has and compare each outcome with the per-block loop's."""
+    bits, ssd, ops, want_recon, stream, want_infos, learned = _oracle(
+        config, cur, ref, tile, frame_type, spec, emit, want_info)
+    region = np.s_[tile.y:tile.y_end, tile.x:tile.x_end]
+    outside = np.ones(cur.shape, dtype=bool)
+    outside[region] = False
     detected = native.lib.simd_detect()
     try:
         for level in range(detected + 1):
             native.lib.simd_set_level(level)
+            assert native.lib.simd_get_level() == level
             recon = np.full_like(cur, 7)  # outside the tile: untouched
             writer = BitWriter() if emit else None
             infos = [] if want_info else None
@@ -408,12 +231,8 @@ def test_tile_driver_matches_block_loop(case):
                     hook_spec=spec if frame_type is FrameType.P else None,
                 )
                 assert FALLBACK not in registry.names()
-            bits, ssd, ops, want_recon, stream, want_infos, learned = want
             assert (stats.bits, stats.ssd, stats.ops) == (bits, ssd, ops)
-            region = np.s_[tile.y:tile.y_end, tile.x:tile.x_end]
             np.testing.assert_array_equal(recon[region], want_recon[region])
-            outside = np.ones(recon.shape, dtype=bool)
-            outside[region] = False
             assert (recon[outside] == 7).all()
             if emit:
                 assert (writer.bits_written, writer.flush()) == stream
@@ -428,6 +247,58 @@ def test_tile_driver_matches_block_loop(case):
             assert all(v >= 0.0 for v in stats.stage_seconds.values())
     finally:
         native.lib.simd_set_level(detected)
+
+
+@needs_driver
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_tile_cases())
+def test_tile_driver_matches_block_loop(case):
+    """One native call per tile == the per-block loop: bits, SSD, every
+    op counter, reconstruction, emitted bitstream, BlockInfo list and
+    what a first-P-frame tile learned — on every SIMD tier."""
+    ref, cur = _moving_planes(case["seed"], *case["frame"])
+    _assert_driver_matches_oracle(
+        case["config"], cur, ref, case["tile"], case["frame_type"],
+        case["spec"], case["emit"], case["want_info"])
+
+
+def _at_odd_address(plane, offset):
+    """A C-contiguous copy of ``plane`` whose base address is
+    ``offset`` bytes past a 64-byte boundary."""
+    buf = np.empty(plane.size + 64 + offset, dtype=np.uint8)
+    start = offset + (-buf.ctypes.data) % 64
+    out = buf[start:start + plane.size].reshape(plane.shape)
+    out[...] = plane
+    return out
+
+
+@needs_driver
+def test_sad_simd_levels_bit_identical():
+    """Every SIMD tier the CPU supports (scalar/SSE2, AVX2, AVX-512)
+    encodes the same tile as the NumPy reference when block widths,
+    tile offsets and row pitch are not multiples of the vector width
+    and the planes start at unaligned addresses — the geometry
+    ``make sanitize`` needs to see an out-of-bounds vector load."""
+    # Block widths 16 (AVX2 two-row, AVX-512 four-row packing), 32, 64
+    # and the 8/24/40/48-wide remainders (scalar, SSE2, AVX2 two-row).
+    for block_size, tile in (
+        (16, Tile(5, 3, 72, 40)),
+        (32, Tile(13, 9, 104, 72)),
+        (64, Tile(27, 1, 112, 72)),
+        (64, Tile(1, 21, 152, 136)),
+    ):
+        height, width = tile.y_end + 19, tile.x_end + 23  # odd row pitch
+        ref, cur = _moving_planes(17 + block_size, height, width)
+        ref, cur = _at_odd_address(ref, 1), _at_odd_address(cur, 3)
+        config = EncoderConfig(qp=27, search="cross", search_window=32,
+                               block_size=block_size)
+        # Plain cross search, then the policy's rotating hexagon.
+        for spec in (
+            None, TileHookSpec(MotionClass.HIGH, True, 0, 64, None, (3, -2)),
+        ):
+            _assert_driver_matches_oracle(
+                config, cur, ref, tile, FrameType.P, spec, True, True)
 
 
 def _fallback_case(reason):
@@ -457,15 +328,17 @@ def _fallback_case(reason):
     return config, cur, references, tile, frame_type, kwargs
 
 
+@needs_driver
 @pytest.mark.parametrize("reason", [
     "b_frame", "half_pel", "layout", "motion_hook", "search", "window",
 ])
 def test_tile_driver_fallback_is_counted(reason, monkeypatch):
-    """Everything the driver declines runs the per-block loop, counted
-    by reason — and still encodes what the pure-NumPy path encodes."""
+    """Everything the driver declines is counted by reason and runs
+    the per-block loop without one call into ``kernels.c`` — encoding
+    what ``REPRO_NATIVE=0`` encodes."""
     config, cur, references, tile, frame_type, kwargs = _fallback_case(reason)
     recon = np.zeros(cur.shape, dtype=np.uint8)
-    with scoped() as (registry, _):
+    with scoped() as (registry, _), native_forbidden():
         stats = TileEncoder(config).encode(
             cur, references, recon, tile, frame_type, **kwargs)
         assert registry.value(FALLBACK, reason=reason) == 1
@@ -481,6 +354,7 @@ def test_tile_driver_fallback_is_counted(reason, monkeypatch):
     assert (stats.bits, stats.ops) == (numpy_stats.bits, numpy_stats.ops)
 
 
+@needs_driver
 def test_tile_driver_declines_unaligned_tile():
     """A tile that is not a whole number of 8x8 transforms never reaches
     the driver (it would silently skip the remainder); the per-block

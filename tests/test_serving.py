@@ -3,6 +3,8 @@ bit-exactness and metrics digest."""
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,8 +40,11 @@ from repro.serving.protocol import (
     encode_encoded_into,
     encode_frame_into,
     encode_message,
+    read_message,
+    write_message,
 )
 from repro.resilience.degradation import DegradationLevel
+from repro.serving.server import NetworkServer, ServeNetConfig
 from repro.transcode.pipeline import PipelineConfig, StreamTranscoder
 from repro.video.generator import ContentClass, generate_video
 
@@ -307,6 +312,54 @@ class TestProtocolRejection:
                              len(payload), zlib.crc32(payload))
         with pytest.raises(ProtocolError, match="decision"):
             decode_frame(header + payload)
+
+
+# ----------------------------------------------------------------------
+# Handshake geometry
+# ----------------------------------------------------------------------
+class TestHandshakeGeometry:
+    """Outside input: a HELLO the codec cannot encode is refused at the
+    handshake, not accepted and then dropped mid-stream."""
+
+    @staticmethod
+    def _acks(hellos):
+        async def run():
+            server = NetworkServer(ServeNetConfig(port=0))
+            await server.start()
+            acks = []
+            try:
+                for hello in hellos:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", server.port)
+                    await write_message(writer, hello)
+                    acks.append(await read_message(reader))
+                    writer.close()
+                return acks
+            finally:
+                await server.aclose()
+
+        with scoped():
+            return asyncio.run(run())
+
+    def test_plain_hello_must_be_multiple_of_8(self):
+        # Was: ACCEPT, then the first GOP flush died in blockify
+        # ("region 16x4 not divisible by transform size 8") and the
+        # client saw a bare disconnect instead of per-frame outcomes.
+        bad_h, bad_w, good = self._acks([
+            Hello(width=96, height=100, fps=24.0),
+            Hello(width=100, height=96, fps=24.0),
+            Hello(width=96, height=96, fps=24.0),
+        ])
+        for ack in (bad_h, bad_w):
+            assert ack.decision == "reject"
+            assert "dimensions must be positive multiples of 8" in ack.reason
+        assert good.decision == "accept"
+
+    def test_ladder_ingest_need_not_be_multiple_of_8(self):
+        # Only the rungs are encoded; decide_ladder checks those.
+        (ack,) = self._acks([Hello(width=100, height=100, fps=24.0,
+                                   ladder=((96, 96), (48, 48)))])
+        assert ack.decision == "accept"
 
 
 # ----------------------------------------------------------------------

@@ -151,13 +151,6 @@ class TestLeaseProtocol:
         assert bystander.lease_info("t1") is None
         assert bystander.lease_info("t3") is not None
 
-    def test_disabled_leases_are_no_ops(self, tmp_path):
-        a = _store(tmp_path, "w0:1", lease=False)
-        b = _store(tmp_path, "w1:2", lease=False)
-        a.acquire("tok")
-        b.acquire("tok")  # no conflict: protocol is off
-        assert not os.path.exists(a.lease_path("tok"))
-
 
 class TestStoreHousekeeping:
     def test_discard_removes_lease_and_lock_sidecars(self, tmp_path):
