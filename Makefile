@@ -61,16 +61,20 @@ bench-smoke:
 
 # The one bench harness (bench/run.py, see bench/README.md) checked for
 # correctness, not speed: its self-tests, then a short run of the
-# cheapest and of the paper's-operating-point workload against a live
-# serve-net child.  A run fails unless every frame got exactly one
-# outcome, STATS agree with the client's tally and the first two GOPs
-# are bit-equal to the in-process reference.  No throughput floor and
-# no committed baseline: to compare two commits, write `--out` on each
-# and run `python3 bench/run.py compare A.json B.json`.
+# cheapest workload, of the paper's operating point and of the one
+# workload where two journaled VGA sessions share the journal writer
+# thread (its two-session reference match runs nowhere else), each
+# against a live serve-net child.  A run fails unless every frame got
+# exactly one outcome, STATS agree with the client's tally and the
+# first two GOPs are bit-equal to the in-process reference.  No
+# throughput floor and no committed baseline: to compare two commits,
+# write `--out` on each and run
+# `python3 bench/run.py compare A.json B.json`.
 bench-check:
 	$(PYTEST) bench/tests -q
 	python3 bench/run.py --workload small_churn --seed 1 --seconds 3 --trace 0
 	python3 bench/run.py --workload vga_rt1 --seed 1 --seconds 3 --trace 0
+	python3 bench/run.py --workload vga_duo --seed 1 --seconds 3 --trace 0
 
 # Regenerate the golden trace after an intentional instrumentation change.
 golden:
@@ -116,9 +120,11 @@ policy-smoke:
 # mutation of a pinned serving drill, checks the write-point digest
 # against tests/golden/torture_points.json, simulates a crash (and a
 # torn write) at every recorded point asserting each prefix restores
-# bit-identically or fails with a typed StorageError, then runs a live
-# ENOSPC durability-brownout drill.  After an intentional change to
-# the set of durable write paths: `make torture UPDATE=--update-golden`.
+# bit-identically or fails with a typed StorageError (and that the
+# torn variants of the gop appends cut both a header and a plane
+# blob), then runs a live ENOSPC durability-brownout drill.  After an
+# intentional change to the set of durable write paths:
+# `make torture UPDATE=--update-golden`.
 torture:
 	PYTHONPATH=src $(PY) -m repro.storage.torture $(UPDATE)
 

@@ -396,6 +396,15 @@ def _gauge_value(fams: Dict[str, dict], name: str,
     return float(fam["samples"][-1]["value"])
 
 
+def _histogram_merged(fams: dict, name: str) -> HistogramValue:
+    """Every sample of histogram family ``name`` merged into one
+    (empty when the family is absent)."""
+    merged = HistogramValue()
+    for sample in fams.get(name, {"samples": ()})["samples"]:
+        merged.merge(HistogramValue.from_dict(sample["value"]))
+    return merged
+
+
 def serving_summary(data: dict) -> Optional[Dict[str, object]]:
     """Digest of the ``repro_serving_*`` families of a snapshot.
 
@@ -405,11 +414,12 @@ def serving_summary(data: dict) -> Optional[Dict[str, object]]:
     fams = {f["name"]: f for f in data.get("metrics", [])}
     if not any(n.startswith("repro_serving_") for n in fams):
         return None
-    latency = HistogramValue()
-    fam = fams.get("repro_serving_frame_latency_seconds")
-    if fam is not None:
-        for sample in fam["samples"]:
-            latency.merge(HistogramValue.from_dict(sample["value"]))
+    latency = _histogram_merged(
+        fams, "repro_serving_frame_latency_seconds"
+    )
+    appends = _histogram_merged(
+        fams, "repro_serving_journal_append_seconds"
+    )
     encoded = _counter_sum(fams, "repro_serving_frames_encoded_total")
     misses = _counter_sum(fams, "repro_serving_deadline_miss_total")
     adm = "repro_serving_admission_total"
@@ -520,6 +530,14 @@ def serving_summary(data: dict) -> Optional[Dict[str, object]]:
         "journal_retries": _counter_sum(
             fams, "repro_serving_journal_retries_total"
         ),
+        # What durability costs, on the journal writer thread: records
+        # appended, seconds spent building + hashing + writing + syncing
+        # them, bytes they put on disk.
+        "journal_appends": float(appends.count),
+        "journal_append_s": float(appends.sum),
+        "journal_bytes": _counter_sum(
+            fams, "repro_serving_journal_bytes_total"
+        ),
     }
 
 
@@ -569,7 +587,10 @@ def format_metrics(data: dict) -> str:
             f"parked for resume {serving['sessions_parked_for_resume']:g}, "
             f"drains {serving['drains']:g}",
             f"  journal      : GOPs {serving['journal_gops']:g}, "
-            f"corruptions {serving['journal_corruptions']:g}",
+            f"corruptions {serving['journal_corruptions']:g}, "
+            f"appends {serving['journal_appends']:g} "
+            f"({serving['journal_append_s'] * 1e3:.1f} ms, "
+            f"{serving['journal_bytes']:.0f} bytes)",
             f"  durability   : "
             + ("healthy" if serving["durability"] >= 1.0 else "BROWNOUT")
             + f", brownouts {serving['durability_brownouts']:g}, "

@@ -24,12 +24,14 @@ from repro.workload.lut import WorkloadLut
 _FORMAT_VERSION = 1
 
 
-def canonical_json(payload: dict) -> str:
+def canonical_json(payload, default=None) -> str:
     """Canonical (sorted, separator-stable) JSON rendering used for
     checksums.  Shared with the session journal
     (:mod:`repro.serving.recovery`), which reuses this checkpoint
-    format for its per-record integrity checks."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    format for its per-record integrity checks and passes ``default``
+    (as :func:`json.dumps` takes it) to stand its planes in."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      default=default)
 
 
 def payload_checksum(payload: dict) -> str:

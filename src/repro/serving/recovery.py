@@ -6,22 +6,32 @@ bit-identically is durable at every GOP boundary**.  This module owns
 that durability layer:
 
 ``SessionJournal``
-    An append-only JSONL file of checksummed records.  Each line is a
-    self-contained JSON object ``{"seq", "kind", "payload",
-    "checksum"}`` whose checksum is the SHA-256 of the canonical JSON
-    of ``{"seq", "kind", "payload"}`` — the same canonicalisation the
-    LUT checkpoint uses (:mod:`repro.resilience.checkpoint`), so the
-    two on-disk formats verify identically.  Appends ``flush`` +
-    ``fsync`` by default; the server journals once per GOP, off the
-    encode thread (the cost is ``recovery.journal_append_ms`` in the
-    ``bench/run.py`` ledger of a journaled workload).
+    An append-only file of checksummed, length-framed records.  A
+    record is one canonical-JSON header line ``{"checksum", "kind",
+    "lengths", "payload", "seq"}`` followed by ``sum(lengths)`` bytes
+    of raw luma planes; inside ``payload`` a plane appears as
+    ``{"shape": [h, w], "blob": i}`` and its pixels are the ``i``-th
+    blob.  Pixels never pass through a compressor or a text encoding:
+    at 640x480 that cost more CPU than encoding the frame did.  The
+    checksum is the SHA-256 of the header without its ``checksum``
+    field — the canonicalisation the LUT checkpoint uses
+    (:mod:`repro.resilience.checkpoint`) — continued over every blob
+    byte.  A record is written by one append and (by default) one
+    ``fdatasync``; the server journals once per GOP, off the encode
+    thread, and ``append`` is the whole durability cost
+    (``recovery.journal_append_ms`` in the ``bench/run.py`` ledger of
+    a journaled workload).  The price of skipping the compressor is
+    disk: nine raw planes per eight-frame GOP.
 
 ``read_journal`` / ``restore_session``
-    Crash-tolerant loaders.  A *truncated tail* — the final line cut
-    short by a mid-write crash — is expected and silently discarded;
-    the journal is authoritative up to its last intact record.
-    Anything else (checksum mismatch, undecodable body, sequence gap)
-    is corruption: :class:`~repro.resilience.errors.JournalCorruptionError`
+    Crash-tolerant loaders that walk records by their declared
+    lengths and hand planes out as zero-copy views of the one read
+    buffer.  A *truncated tail* — the final record cut short by a
+    mid-write crash, in its header or inside a blob — is expected and
+    silently discarded; the journal is authoritative up to its last
+    intact record.  Anything else (checksum mismatch, undecodable
+    header, sequence gap, with an intact record after it) is
+    corruption: :class:`~repro.resilience.errors.JournalCorruptionError`
     in strict mode, a best-effort prefix otherwise.
 
 Record kinds, in the order a journal accumulates them:
@@ -34,9 +44,9 @@ Record kinds, in the order a journal accumulates them:
 ``gop``
     Written at every GOP boundary: the stream's cross-GOP state
     snapshot (:meth:`ProposedStreamSession.export_state`) and the
-    GOP's per-frame outcomes, reconstruction planes included
-    (zlib-compressed) so a reconnecting client can be replayed
-    outcomes its previous connection never delivered.
+    GOP's per-frame outcomes, reconstruction planes included, so a
+    reconnecting client can be replayed outcomes its previous
+    connection never delivered.
 ``park``
     Written by graceful drain when a session is interrupted mid-GOP:
     the raw frames pushed since the last boundary plus anything still
@@ -58,24 +68,23 @@ Record kinds, in the order a journal accumulates them:
 Every filesystem touch goes through an injectable
 :class:`~repro.storage.faultfs.FileOps` seam; a failed append rolls
 the file back to its pre-write length before any retry, so a partial
-line is never welded to a later complete record (which would read as
+record is never welded to a later complete one (which would read as
 mid-file corruption instead of a repairable torn tail).
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import io
+import json
 import os
 import re
-import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.resilience.checkpoint import canonical_json, payload_checksum
+from repro.resilience.checkpoint import canonical_json
 from repro.resilience.errors import JournalCorruptionError
 from repro.serving.protocol import Encoded
 from repro.storage.errors import (
@@ -103,46 +112,69 @@ JOURNAL_SUFFIX = ".journal"
 
 _RECORD_KINDS = ("admit", "gop", "park", "resume", "tombstone")
 _TOKEN_RE = re.compile(r"[^A-Za-z0-9_.-]")
+#: Every record starts with these bytes and a 64-digit SHA-256.
+_HEAD = b'{"checksum":"'
+_BODY_AT = len(_HEAD) + 64 + len(b'",')
 
 
 # ----------------------------------------------------------------------
-# ndarray <-> JSON-safe packing
+# ndarray <-> blob reference
 # ----------------------------------------------------------------------
-def pack_plane(plane: np.ndarray) -> Dict[str, object]:
-    """Pack one uint8 luma plane into a JSON-safe dict.
-
-    zlib over the raw bytes: bio-medical planes (smooth gradients,
-    static backgrounds) compress well, which is most of why per-GOP
-    journaling stays cheap.
-    """
+def pack_plane(plane: np.ndarray, blobs: List[np.ndarray]) -> Dict[str, object]:
+    """Queue one uint8 luma plane as the next blob of a record and
+    return the ``{"shape", "blob"}`` reference that stands for it in
+    the record's JSON header.  The pixels are not copied or encoded
+    here: :meth:`SessionJournal.append` hashes and writes them as they
+    are, after the header line."""
+    if not isinstance(plane, np.ndarray):
+        raise TypeError(
+            f"journal payloads hold JSON values and planes, "
+            f"not {type(plane).__name__}"
+        )
     arr = np.ascontiguousarray(plane, dtype=np.uint8)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D plane, got shape {arr.shape}")
-    return {
-        "shape": [int(arr.shape[0]), int(arr.shape[1])],
-        "zlib": base64.b64encode(zlib.compress(arr.tobytes(), 6)).decode(
-            "ascii"
-        ),
-    }
+    blobs.append(arr)
+    return {"shape": [int(arr.shape[0]), int(arr.shape[1])],
+            "blob": len(blobs) - 1}
 
 
-def unpack_plane(obj: Dict[str, object]) -> np.ndarray:
-    """Inverse of :func:`pack_plane`."""
+def unpack_plane(obj: Dict[str, object],
+                 blobs: Sequence[memoryview]) -> np.ndarray:
+    """Inverse of :func:`pack_plane`: the referenced blob as a
+    read-only ``(h, w)`` view — no copy, the array keeps the buffer
+    the blob was sliced from alive."""
     try:
         height, width = (int(v) for v in obj["shape"])
-        raw = zlib.decompress(base64.b64decode(obj["zlib"]))
-    except (KeyError, TypeError, ValueError, zlib.error) as exc:
+        index = obj["blob"]
+        if type(index) is not int or index < 0:
+            raise ValueError(f"bad blob index {index!r}")
+        blob = blobs[index]
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise JournalCorruptionError(f"undecodable plane: {exc}") from exc
-    if len(raw) != width * height:
+    if height < 0 or width < 0 or len(blob) != width * height:
         raise JournalCorruptionError(
-            f"plane byte length {len(raw)} != {width}x{height}"
+            f"plane byte length {len(blob)} != {width}x{height}"
         )
-    return np.frombuffer(raw, dtype=np.uint8).reshape(height, width).copy()
+    return np.frombuffer(blob, dtype=np.uint8).reshape(height, width)
+
+
+def _unpack_planes(node, blobs: Sequence[memoryview]):
+    """Replace every plane reference under ``node`` by its array."""
+    if isinstance(node, dict):
+        if node.keys() == {"shape", "blob"}:
+            return unpack_plane(node, blobs)
+        return {key: _unpack_planes(value, blobs)
+                for key, value in node.items()}
+    if isinstance(node, list):
+        return [_unpack_planes(value, blobs) for value in node]
+    return node
 
 
 def frame_output_record(out) -> Dict[str, object]:
-    """Serialize one :class:`~repro.transcode.pipeline.FrameOutput`
-    into a journal-safe dict mirroring the wire ENCODED message."""
+    """One :class:`~repro.transcode.pipeline.FrameOutput` as a journal
+    payload entry mirroring the wire ENCODED message; the
+    reconstruction rides along as the array it is."""
     if out.dropped is not None:
         return {
             "frame_index": int(out.frame_index),
@@ -160,7 +192,7 @@ def frame_output_record(out) -> Dict[str, object]:
         "frame_type": out.frame_type.value,
         "bits": int(record.bits),
         "psnr": psnr,
-        "recon": pack_plane(out.reconstruction),
+        "recon": out.reconstruction,
     }
 
 
@@ -171,7 +203,7 @@ def encoded_from_record(rec: Dict[str, object]) -> Encoded:
             frame_index=int(rec["frame_index"]), frame_type="",
             dropped=str(rec["dropped"]),
         )
-    plane = unpack_plane(rec["recon"])
+    plane = rec["recon"]
     return Encoded(
         frame_index=int(rec["frame_index"]),
         frame_type=str(rec["frame_type"]),
@@ -185,7 +217,8 @@ def encoded_from_record(rec: Dict[str, object]) -> Encoded:
 # Journal writer
 # ----------------------------------------------------------------------
 class SessionJournal:
-    """Append-only checksummed JSONL journal for one session.
+    """Append-only journal of checksummed, length-framed records for
+    one session.
 
     Opened in append mode, so a resumed session keeps extending the
     same file its predecessor wrote — the journal is the session's
@@ -207,8 +240,7 @@ class SessionJournal:
         )
         #: Bytes of intact records on disk — the rollback anchor: a
         #: failed append truncates back to this before any retry.
-        self._size = os.path.getsize(self.path)
-        self.appends = 0
+        self.size = os.path.getsize(self.path)
 
     @property
     def next_seq(self) -> int:
@@ -221,17 +253,24 @@ class SessionJournal:
     def append(self, kind: str, payload: Dict[str, object]) -> int:
         """Append one record; returns its sequence number.
 
-        The record is written and (by default) fsync'd before
-        returning: once ``append`` returns, the record survives a
-        crash.  A crash *during* the write leaves at most a truncated
-        final line, which loaders discard.
+        ``payload`` is JSON values plus, anywhere inside it, 2-D uint8
+        arrays: each array becomes a ``{"shape", "blob"}`` reference
+        in the header line and its raw bytes a blob after it (see the
+        module docstring).  Framing, hashing, the write and the sync
+        all happen here, so timing this call times the durability
+        path.
+
+        The record is written by one append and (by default) synced
+        before returning: once ``append`` returns, the record survives
+        a crash.  A crash *during* the write leaves at most a
+        truncated final record, which loaders discard.
 
         Storage faults surface as the typed
         :class:`~repro.storage.errors.StorageError` taxonomy.
         Transient faults are retried under the journal's
         :class:`~repro.storage.errors.RetryPolicy` — but only after
         rolling the file back to its pre-write length, so a partial
-        line is never followed by a complete record (that would read
+        record is never followed by a complete one (that would read
         as *mid-file corruption*, not a repairable torn tail).  A
         rollback that itself fails marks the fault persistent: the
         file's tail state is unknowable and further appends would
@@ -241,16 +280,25 @@ class SessionJournal:
             raise ValueError(f"journal {self.path!r} is closed")
         if kind not in _RECORD_KINDS:
             raise ValueError(f"unknown journal record kind {kind!r}")
-        body = {"seq": self._seq, "kind": kind, "payload": payload}
-        # Serialize the (possibly large) body once: checksum the
-        # canonical body JSON, then splice the checksum field in front.
-        # ``canonical_json`` sorts keys and "checksum" sorts before
-        # "kind"/"payload"/"seq", so the spliced line is byte-identical
-        # to ``canonical_json({**body, "checksum": ...})``.
-        body_json = canonical_json(body)
-        digest = hashlib.sha256(body_json.encode("utf-8")).hexdigest()
-        line = '{"checksum":"' + digest + '",' + body_json[1:]
-        data = line.encode("utf-8") + b"\n"
+        blobs: List[np.ndarray] = []
+        # The payload is serialized first (that is what discovers the
+        # blobs) and the other fields spliced around it in sorted-key
+        # order, so the line is byte-identical to ``canonical_json`` of
+        # the whole header: "checksum" < "kind" < "lengths" < "payload"
+        # < "seq".
+        payload_json = canonical_json(
+            payload, default=lambda plane: pack_plane(plane, blobs)
+        )
+        body_json = '{"kind":"%s","lengths":%s,"payload":%s,"seq":%d}' % (
+            kind, canonical_json([b.nbytes for b in blobs]),
+            payload_json, self._seq,
+        )
+        body = body_json.encode("utf-8")
+        digest = hashlib.sha256(body)
+        for blob in blobs:
+            digest.update(blob)
+        data = b"".join([_HEAD, digest.hexdigest().encode("ascii"), b'",',
+                         body[1:], b"\n", *blobs])
 
         def write_record() -> None:
             try:
@@ -263,7 +311,7 @@ class SessionJournal:
                     self._ops.fsync_handle(self._fh, point="journal.fsync")
             except StorageError as exc:
                 try:
-                    self._ops.truncate_handle(self._fh, self._size,
+                    self._ops.truncate_handle(self._fh, self.size,
                                               point="journal.rollback")
                 except StorageError as rollback_exc:
                     rollback_exc.transient = False
@@ -271,9 +319,8 @@ class SessionJournal:
                 raise
 
         run_with_retries(write_record, self._retry, on_retry=self._on_retry)
-        self._size += len(data)
+        self.size += len(data)
         self._seq += 1
-        self.appends += 1
         return self._seq - 1
 
     def close(self) -> None:
@@ -297,13 +344,14 @@ class JournalReadResult:
 
     records: List[Tuple[str, Dict[str, object]]] = field(
         default_factory=list
-    )  #: intact ``(kind, payload)`` pairs, in sequence order
-    truncated: bool = False  #: a partial final line was discarded
+    )  #: intact ``(kind, payload)`` pairs, in sequence order; planes
+    #: in a payload are read-only views of the one read buffer
+    truncated: bool = False  #: a partial final record was discarded
     reason: str = "ok"  #: "ok", "truncated tail", or corruption detail
-    #: Byte offset just past the last intact record (newline included).
+    #: Byte offset just past the last intact record (blobs included).
     #: When ``truncated``, the file must be cut back to this offset
     #: before any further append — appending onto a torn tail would
-    #: weld the next record to the partial line and corrupt the file.
+    #: weld the next record to the partial one and corrupt the file.
     intact_bytes: int = 0
 
     @property
@@ -311,31 +359,64 @@ class JournalReadResult:
         return len(self.records)
 
 
-def _decode_record(line: bytes, expect_seq: int) -> Tuple[str, dict]:
-    import json
-
+def _decode_record(raw: bytes, pos: int,
+                   expect_seq: Optional[int]) -> Tuple[str, dict, int]:
+    """Verify and decode the record starting at ``raw[pos]``; returns
+    ``(kind, payload, end offset)``.  ``expect_seq=None`` accepts any
+    sequence number (used to look for survivors past a bad record)."""
+    newline = raw.find(b"\n", pos)
+    body_at = pos + _BODY_AT
+    if (newline < 0 or not raw.startswith(_HEAD, pos)
+            or raw[body_at - 2:body_at] != b'",'):
+        raise ValueError("no record header")
     try:
-        record = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ValueError(f"undecodable record: {exc}") from exc
-    if not isinstance(record, dict):
-        raise ValueError("record is not a JSON object")
-    try:
-        body = {"seq": record["seq"], "kind": record["kind"],
-                "payload": record["payload"]}
-        declared = record["checksum"]
+        record = json.loads(raw[pos:newline])
+        seq, kind = record["seq"], record["kind"]
+        payload, lengths = record["payload"], record["lengths"]
+    except (UnicodeDecodeError, ValueError, TypeError) as exc:
+        raise ValueError(f"undecodable record header: {exc}") from exc
     except KeyError as exc:
         raise ValueError(f"record missing field {exc}") from exc
-    if payload_checksum(body) != declared:
-        raise ValueError(f"checksum mismatch at seq {record.get('seq')}")
-    if body["seq"] != expect_seq:
+    if not (isinstance(lengths, list)
+            and all(type(n) is int and n >= 0 for n in lengths)):
+        raise ValueError("malformed blob lengths")
+    end = newline + 1 + sum(lengths)
+    if end > len(raw):
+        raise ValueError("record runs past the end of the file")
+    # The checksum covers the bytes as they are on disk — the header
+    # minus its checksum field, then every blob — so no flipped byte
+    # survives re-serialization unnoticed.
+    view = memoryview(raw)
+    digest = hashlib.sha256(b"{")
+    digest.update(view[body_at:newline])
+    digest.update(view[newline + 1:end])
+    if digest.hexdigest().encode("ascii") != raw[pos + len(_HEAD):body_at - 2]:
+        raise ValueError(f"checksum mismatch at seq {seq}")
+    if expect_seq is not None and seq != expect_seq:
         raise ValueError(
-            f"sequence gap: expected {expect_seq}, found {body['seq']}"
+            f"sequence gap: expected {expect_seq}, found {seq}"
         )
-    kind = body["kind"]
-    if kind not in _RECORD_KINDS or not isinstance(body["payload"], dict):
+    if kind not in _RECORD_KINDS or not isinstance(payload, dict):
         raise ValueError(f"malformed record of kind {kind!r}")
-    return kind, body["payload"]
+    blobs, at = [], newline + 1
+    for n in lengths:
+        blobs.append(view[at:at + n])
+        at += n
+    return kind, _unpack_planes(payload, blobs), end
+
+
+def _intact_record_after(raw: bytes, start: int) -> bool:
+    """True when a record that verifies begins anywhere in
+    ``raw[start:]`` — what tells damage in the middle of a journal
+    from a torn final write, whose debris is followed by nothing."""
+    pos = raw.find(_HEAD, start)
+    while pos >= 0:
+        try:
+            _decode_record(raw, pos, expect_seq=None)
+            return True
+        except ValueError:
+            pos = raw.find(_HEAD, pos + 1)
+    return False
 
 
 def read_journal(path: Union[str, os.PathLike],
@@ -343,40 +424,35 @@ def read_journal(path: Union[str, os.PathLike],
                  fileops: Optional[FileOps] = None) -> JournalReadResult:
     """Scan a journal, verifying every record.
 
-    A bad *final* line is the mid-write crash signature: discarded,
-    ``truncated=True``, never an error.  A bad line with intact
-    records after it cannot be a torn write — that is corruption:
-    :class:`JournalCorruptionError` when ``strict``, else the intact
-    prefix with ``reason`` describing the damage.
+    Records are walked by the lengths their headers declare.  A bad
+    *final* record — cut short anywhere in its header or its blobs, or
+    complete but failing its checksum — is the mid-write crash
+    signature: discarded, ``truncated=True``, never an error.  A bad
+    record with an intact record after it cannot be a torn write —
+    that is corruption: :class:`JournalCorruptionError` when
+    ``strict``, else the intact prefix with ``reason`` describing the
+    damage.
     """
     raw = (fileops or REAL_FILEOPS).read_bytes(path, point="journal.read")
     result = JournalReadResult()
-    lines = raw.split(b"\n")
-    # A well-formed journal ends with a newline, so the final split
-    # element is empty; anything else is a torn final record.
-    tail_torn = lines and lines[-1] != b""
-    body_lines = lines[:-1]
-    for i, line in enumerate(body_lines):
+    while result.intact_bytes < len(raw):
         try:
-            kind, payload = _decode_record(line, expect_seq=i)
+            kind, payload, end = _decode_record(
+                raw, result.intact_bytes, expect_seq=result.next_seq
+            )
         except ValueError as exc:
-            last = i == len(body_lines) - 1 and not tail_torn
-            if last:
-                # Torn write that still got its newline out.
+            if not _intact_record_after(raw, result.intact_bytes + 1):
                 result.truncated = True
                 result.reason = "truncated tail"
-                return result
-            if strict:
+            elif strict:
                 raise JournalCorruptionError(
                     f"corrupt journal {os.fspath(path)!r}: {exc}"
                 ) from exc
-            result.reason = str(exc)
-            return result
+            else:
+                result.reason = str(exc)
+            break
         result.records.append((kind, payload))
-        result.intact_bytes += len(line) + 1
-    if tail_torn:
-        result.truncated = True
-        result.reason = "truncated tail"
+        result.intact_bytes = end
     return result
 
 
@@ -391,7 +467,7 @@ class RestoredSession:
     #: HELLO fields + chosen encoder config from the ``admit`` record.
     admit: Dict[str, object]
     #: Latest GOP-boundary pipeline snapshot, ``previous_original``
-    #: already unpacked to an ndarray — ready for
+    #: an ndarray view of the journal's read buffer — ready for
     #: :meth:`ProposedStreamSession.import_state`.  ``None`` when the
     #: session never completed a GOP.
     state: Optional[Dict[str, object]]
@@ -452,11 +528,7 @@ def restore_session(path: Union[str, os.PathLike],
     last_owner = str(admit.get("owner", ""))
     for kind, payload in scan.records[1:]:
         if kind == "gop":
-            state = dict(payload["state"])
-            previous = state.get("previous_original")
-            state["previous_original"] = (
-                unpack_plane(previous) if previous is not None else None
-            )
+            state = payload["state"]
             for rec in payload["outputs"]:
                 outputs[int(rec["frame_index"])] = rec
             next_frame_index = int(payload["next_frame_index"])
@@ -464,7 +536,7 @@ def restore_session(path: Union[str, os.PathLike],
             parked = False
         elif kind == "park":
             pending = [
-                (int(f["frame_index"]), unpack_plane(f["plane"]))
+                (int(f["frame_index"]), f["plane"])
                 for f in payload.get("frames", [])
             ]
             # Outcomes egressed outside a gop record (watchdog drops)

@@ -53,7 +53,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -102,7 +102,6 @@ from repro.serving.recovery import (
     RestoredSession,
     SessionJournal,
     frame_output_record,
-    pack_plane,
     replay_messages,
 )
 from repro.serving.statestore import SharedDirStateStore
@@ -614,6 +613,26 @@ class NetworkServer:
             help="Transient journal-write faults retried",
         )
 
+    def _journal_write(self, journal: SessionJournal, kind: str,
+                       build: Callable[[], Dict[str, object]]) -> None:
+        """Build one record's payload and append it.  Runs on the
+        journal writer thread, so the histogram is that thread's whole
+        cost per record — payload, framing, hashing, write and sync."""
+        started = time.perf_counter()
+        before = journal.size
+        journal.append(kind, build())
+        registry = get_registry()
+        registry.observe(
+            "repro_serving_journal_append_seconds",
+            time.perf_counter() - started,
+            help="Journal writer thread time per record "
+                 "(build + hash + append + sync)",
+        )
+        registry.inc(
+            "repro_serving_journal_bytes_total", journal.size - before,
+            help="Bytes appended to session journals",
+        )
+
     def _note_durability_failure(self, error: BaseException) -> None:
         """Record a durable-write failure; on the healthy->browned
         transition, count the episode and start the readmission probe.
@@ -695,7 +714,7 @@ class NetworkServer:
         if journal is not None:
             def tombstone() -> None:
                 try:
-                    journal.append("tombstone", {
+                    self._journal_write(journal, "tombstone", lambda: {
                         "token": token, "reason": str(error),
                         "owner": self._owner,
                     })
@@ -972,21 +991,24 @@ class NetworkServer:
         session = _Session(session_id, hello, self,
                            resume_token=resume_token, journal=journal)
         if journal is not None:
-            admit_payload = {
-                "token": resume_token, "session_id": session_id,
-                "width": hello.width, "height": hello.height,
-                "fps": hello.fps, "num_frames": hello.num_frames,
-                "gop": hello.gop, "content_class": hello.content_class,
-                "client_id": hello.client_id,
-                "qp": session.qp, "window": session.window,
-                "owner": self._owner,
-            }
-            if hello.tenant:
-                admit_payload["tenant"] = hello.tenant
+            def admit_record() -> Dict[str, object]:
+                record = {
+                    "token": resume_token, "session_id": session_id,
+                    "width": hello.width, "height": hello.height,
+                    "fps": hello.fps, "num_frames": hello.num_frames,
+                    "gop": hello.gop, "content_class": hello.content_class,
+                    "client_id": hello.client_id,
+                    "qp": session.qp, "window": session.window,
+                    "owner": self._owner,
+                }
+                if hello.tenant:
+                    record["tenant"] = hello.tenant
+                return record
+
             try:
                 await asyncio.get_running_loop().run_in_executor(
-                    self._journal_pool, journal.append, "admit",
-                    admit_payload,
+                    self._journal_pool, self._journal_write,
+                    journal, "admit", admit_record,
                 )
             except asyncio.CancelledError:
                 raise
@@ -1122,158 +1144,184 @@ class NetworkServer:
             return
         # Claim the token before touching the journal so a concurrent
         # RESUME for the same token preempts *this* handler instead of
-        # racing it to the reopen.
-        self._attached[msg.resume_token] = asyncio.current_task()
-        # Barrier through the single journal-writer thread: any append
-        # the old session scheduled before teardown has now either
-        # landed in the file or failed against the closed handle, so
-        # the restore below reads the journal's final state.
+        # racing it to the reopen.  From here to the hand-over every
+        # exit — reject, fault, cancellation while parked — gives back
+        # whatever it holds in the one ``finally`` below; a lease left
+        # with a live worker would lock every peer out of the token.
+        task = asyncio.current_task()
+        self._attached[msg.resume_token] = task
+        loop = asyncio.get_running_loop()
+        admitted = handed_over = False
+        journal: Optional[SessionJournal] = None
+        session: Optional[_Session] = None
         try:
-            await asyncio.get_running_loop().run_in_executor(
-                self._journal_pool, lambda: None
+            def restore() -> Tuple[RestoredSession, List[Encoded]]:
+                restored = store.restore(msg.resume_token, strict=True)
+                if restored.tombstoned:
+                    return restored, []
+                return restored, replay_messages(restored, msg.have_below)
+
+            # Reading, hashing and folding a whole journal is too much
+            # for the event loop, and running it on the single journal
+            # writer thread is also the barrier this needs: any append
+            # the old session scheduled before teardown has landed in
+            # the file or failed against the closed handle by the time
+            # the restore reads it.
+            try:
+                restoring = loop.run_in_executor(self._journal_pool, restore)
+            except RuntimeError:
+                # Writer pool dead: journaling is gone for this process,
+                # so a resume cannot be served safely.  Typed refusal.
+                await write_message(writer, ResumeAck(
+                    decision="reject", reason="journal writer unavailable",
+                    retry_after_s=cfg.lease_retry_s,
+                ))
+                return
+            try:
+                restored, replay = await restoring
+            except JournalCorruptionError as exc:
+                registry.inc("repro_serving_journal_corruptions_total",
+                             help="Journals rejected by integrity checks")
+                await write_message(writer, ResumeAck(
+                    decision="reject", reason=f"journal corrupt: {exc}",
+                ))
+                return
+            except StorageError as exc:
+                # An unreadable journal is a *transient* reject, distinct
+                # from corruption: the bytes may be fine, the read failed.
+                await write_message(writer, ResumeAck(
+                    decision="reject", reason=f"journal unreadable: {exc}",
+                    retry_after_s=cfg.lease_retry_s,
+                ))
+                return
+            if restored.tombstoned:
+                # A previous run browned this session out and its
+                # tombstone record did land: same clean refusal as the
+                # in-memory set, surviving restarts.
+                registry.inc(
+                    "repro_serving_tombstone_rejects_total",
+                    help="RESUMEs refused: token tombstoned by a brownout",
+                )
+                await write_message(writer, ResumeAck(
+                    decision="reject",
+                    reason="resume token invalidated by durability brownout",
+                ))
+                return
+            adopted = restored.last_owner not in ("", self._owner)
+            if adopted:
+                registry.inc(
+                    "repro_serving_sessions_adopted_total",
+                    help="Journaled sessions adopted from a dead worker",
+                )
+                get_tracer().event(
+                    "serving.adopt", token=msg.resume_token,
+                    previous_owner=restored.last_owner, owner=self._owner,
+                    reclaimed=lease.reclaimed,
+                )
+            admit = restored.admit
+            hello = Hello(
+                width=int(admit["width"]), height=int(admit["height"]),
+                fps=float(admit["fps"]),
+                num_frames=int(admit.get("num_frames", 0)),
+                gop=int(admit["gop"]),
+                content_class=admit.get("content_class"),
+                client_id=msg.client_id or str(admit.get("client_id", "")),
+                tenant=str(admit.get("tenant", "")),
             )
-        except RuntimeError:
-            # Writer pool dead: journaling is gone for this process, so
-            # a resume cannot be served safely.  Clean typed refusal.
-            self._attached.pop(msg.resume_token, None)
-            store.release(msg.resume_token)
+            session_id = self._next_session_id
+            self._next_session_id += 1
+            # A resumed session re-charges admission capacity like any
+            # other: its old ticket died with its old connection.
+            decision, reason = self.admission.decide(session_id, hello)
+            if decision is AdmissionDecision.PARK:
+                decision, reason = await self._wait_parked(session_id, hello)
+            if decision is not AdmissionDecision.ACCEPT:
+                await write_message(writer, ResumeAck(
+                    decision="reject", session_id=session_id, reason=reason,
+                ))
+                return
+            admitted = True
+            # A mid-append crash leaves a torn final record; cut the file
+            # back to its last intact record before appending, or the
+            # next record would merge with the partial one mid-file and
+            # poison every later strict restore.
+            try:
+                journal = store.reopen(msg.resume_token, restored.next_seq,
+                                       truncate_to=restored.intact_bytes)
+            except StorageError as exc:
+                self._note_durability_failure(exc)
+                await write_message(writer, ResumeAck(
+                    decision="reject", reason=f"session store fault: {exc}",
+                    retry_after_s=cfg.lease_retry_s,
+                ))
+                return
+            session = _Session(session_id, hello, self,
+                               resume_token=msg.resume_token, journal=journal,
+                               restored=restored)
+            session.stats.resumes = restored.resumes + 1
+            session.stats.replayed = len(replay)
+            next_frame_index = restored.next_frame_index
+            try:
+                await loop.run_in_executor(
+                    self._journal_pool, self._journal_write,
+                    journal, "resume", lambda: {
+                        "have_below": msg.have_below,
+                        "next_frame_index": next_frame_index,
+                        "session_id": session_id,
+                        "owner": self._owner,
+                    },
+                )
+            except asyncio.CancelledError:
+                raise
+            except Exception as exc:
+                # The restored state is already in memory; serve the
+                # session journal-less rather than failing the resume.
+                await self._durability_brownout(session, exc)
             await write_message(writer, ResumeAck(
-                decision="reject", reason="journal writer unavailable",
-                retry_after_s=cfg.lease_retry_s,
+                decision="accept", session_id=session_id,
+                next_frame_index=next_frame_index,
+                replayed=len(replay), reason=reason,
+                queue_frames=cfg.queue_frames,
+                resume_token=session.resume_token,
             ))
-            return
-        try:
-            restored = store.restore(msg.resume_token, strict=True)
-        except JournalCorruptionError as exc:
-            registry.inc("repro_serving_journal_corruptions_total",
-                         help="Journals rejected by integrity checks")
-            store.release(msg.resume_token)
-            await write_message(writer, ResumeAck(
-                decision="reject", reason=f"journal corrupt: {exc}",
-            ))
-            return
-        except StorageError as exc:
-            # An unreadable journal is a *transient* reject, distinct
-            # from corruption: the bytes may be fine, the read failed.
-            store.release(msg.resume_token)
-            await write_message(writer, ResumeAck(
-                decision="reject", reason=f"journal unreadable: {exc}",
-                retry_after_s=cfg.lease_retry_s,
-            ))
-            return
-        if restored.tombstoned:
-            # A previous run browned this session out and its
-            # tombstone record did land: same clean refusal as the
-            # in-memory set, surviving restarts.
-            registry.inc(
-                "repro_serving_tombstone_rejects_total",
-                help="RESUMEs refused: token tombstoned by a brownout",
-            )
-            self._attached.pop(msg.resume_token, None)
-            store.release(msg.resume_token)
-            await write_message(writer, ResumeAck(
-                decision="reject",
-                reason="resume token invalidated by durability brownout",
-            ))
-            return
-        adopted = restored.last_owner not in ("", self._owner)
-        if adopted:
-            registry.inc(
-                "repro_serving_sessions_adopted_total",
-                help="Journaled sessions adopted from a dead worker",
+            for encoded in replay:
+                await write_message(writer, encoded)
+                registry.inc("repro_serving_frames_total", direction="out",
+                             help="Frames crossing the wire by direction")
+                registry.inc("repro_serving_bytes_total", len(encoded.luma),
+                             direction="out",
+                             help="Payload bytes crossing the wire by "
+                                  "direction")
+            registry.inc("repro_serving_resumes_total",
+                         help="Sessions reattached via RESUME")
+            registry.observe(
+                "repro_serving_resume_latency_seconds",
+                time.perf_counter() - started,
+                help="RESUME to RESUME_ACK (journal restore + replay)",
             )
             get_tracer().event(
-                "serving.adopt", token=msg.resume_token,
-                previous_owner=restored.last_owner, owner=self._owner,
-                reclaimed=lease.reclaimed,
+                "serving.resume", session=session_id,
+                token=msg.resume_token, replayed=session.stats.replayed,
+                next_frame_index=next_frame_index,
             )
-        admit = restored.admit
-        hello = Hello(
-            width=int(admit["width"]), height=int(admit["height"]),
-            fps=float(admit["fps"]),
-            num_frames=int(admit.get("num_frames", 0)),
-            gop=int(admit["gop"]),
-            content_class=admit.get("content_class"),
-            client_id=msg.client_id or str(admit.get("client_id", "")),
-            tenant=str(admit.get("tenant", "")),
-        )
-        session_id = self._next_session_id
-        self._next_session_id += 1
-        # A resumed session re-charges admission capacity like any
-        # other: its old ticket died with its old connection.
-        decision, reason = self.admission.decide(session_id, hello)
-        if decision is AdmissionDecision.PARK:
-            decision, reason = await self._wait_parked(session_id, hello)
-        if decision is not AdmissionDecision.ACCEPT:
-            store.release(msg.resume_token)
-            await write_message(writer, ResumeAck(
-                decision="reject", session_id=session_id, reason=reason,
-            ))
-            return
-        # A mid-append crash leaves a torn final line; cut the file back
-        # to its last intact record before appending, or the next
-        # record would merge with the partial line mid-file and poison
-        # every later strict restore.
-        try:
-            journal = store.reopen(msg.resume_token, restored.next_seq,
-                                   truncate_to=restored.intact_bytes)
-        except StorageError as exc:
-            self.admission.release(session_id)
-            store.release(msg.resume_token)
-            self._note_durability_failure(exc)
-            await write_message(writer, ResumeAck(
-                decision="reject", reason=f"session store fault: {exc}",
-                retry_after_s=cfg.lease_retry_s,
-            ))
-            return
-        session = _Session(session_id, hello, self,
-                           resume_token=msg.resume_token, journal=journal,
-                           restored=restored)
-        session.stats.resumes = restored.resumes + 1
-        try:
-            await asyncio.get_running_loop().run_in_executor(
-                self._journal_pool, journal.append, "resume", {
-                    "have_below": msg.have_below,
-                    "next_frame_index": restored.next_frame_index,
-                    "session_id": session_id,
-                    "owner": self._owner,
-                },
-            )
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            # The restored state is already in memory; serve the
-            # session journal-less rather than failing the resume.
-            await self._durability_brownout(session, exc)
-        replay = replay_messages(restored, msg.have_below)
-        session.stats.replayed = len(replay)
-        await write_message(writer, ResumeAck(
-            decision="accept", session_id=session_id,
-            next_frame_index=restored.next_frame_index,
-            replayed=len(replay), reason=reason,
-            queue_frames=cfg.queue_frames,
-            resume_token=session.resume_token,
-        ))
-        for encoded in replay:
-            await write_message(writer, encoded)
-            registry.inc("repro_serving_frames_total", direction="out",
-                         help="Frames crossing the wire by direction")
-            registry.inc("repro_serving_bytes_total", len(encoded.luma),
-                         direction="out",
-                         help="Payload bytes crossing the wire by direction")
-        registry.inc("repro_serving_resumes_total",
-                     help="Sessions reattached via RESUME")
-        registry.observe(
-            "repro_serving_resume_latency_seconds",
-            time.perf_counter() - started,
-            help="RESUME to RESUME_ACK (journal restore + replay)",
-        )
-        get_tracer().event(
-            "serving.resume", session=session_id,
-            token=msg.resume_token, replayed=len(replay),
-            next_frame_index=restored.next_frame_index,
-        )
-        await self._serve_admitted(session, reader, writer)
+            # The planes under ``restored`` are views of the journal's
+            # one read buffer; the session took the few it needs, the
+            # rest must not stay pinned for as long as it is served.
+            del restored, replay, restoring
+            handed_over = True
+            await self._serve_admitted(session, reader, writer)
+        finally:
+            if not handed_over:
+                if self._attached.get(msg.resume_token) is task:
+                    del self._attached[msg.resume_token]
+                if session is not None:
+                    session.close_encoder()
+                if journal is not None:
+                    journal.close()
+                if admitted:
+                    self.admission.release(session_id)
+                    self._capacity_freed.set()
+                store.release(msg.resume_token)
 
     async def _serve_admitted(self, session: "_Session",
                               reader: asyncio.StreamReader,
@@ -1633,8 +1681,8 @@ class NetworkServer:
         synchronously (``export_state`` builds a small dict and borrows
         the previous-original plane without copying), so the watchdog
         and drain paths always see current recovery state.  The
-        expensive durability work — plane packing, checksumming, the
-        fsync'd append — is scheduled on the journal writer thread and
+        durability work — building the record, hashing its planes, the
+        synced append — is scheduled on the journal writer thread and
         the resulting future queued alongside the outputs: the encode
         thread moves straight on to the next frame while
         :meth:`_emit_loop` awaits the append before letting the GOP
@@ -1653,16 +1701,10 @@ class NetworkServer:
                 # they become durable with this GOP record.
                 drops, session.pending_drops = session.pending_drops, []
 
-                def persist() -> None:
-                    packed_state = dict(state)
-                    previous = packed_state.get("previous_original")
-                    packed_state["previous_original"] = (
-                        pack_plane(previous) if previous is not None
-                        else None
-                    )
-                    journal.append("gop", {
+                def gop_record() -> Dict[str, object]:
+                    return {
                         "gop_index": int(state["gop_index"]) - 1,
-                        "state": packed_state,
+                        "state": state,
                         "outputs": drops + [
                             frame_output_record(o) for o in outputs
                         ],
@@ -1670,11 +1712,12 @@ class NetworkServer:
                             [o.frame_index for o in outputs]
                             + [int(d["frame_index"]) for d in drops]
                         ) + 1,
-                    })
+                    }
 
                 try:
                     append = asyncio.get_running_loop().run_in_executor(
-                        self._journal_pool, persist
+                        self._journal_pool, self._journal_write,
+                        journal, "gop", gop_record,
                     )
                 except RuntimeError as exc:
                     # Writer pool dead (thread death / shutdown): same
@@ -1734,19 +1777,21 @@ class NetworkServer:
             next_index = session.next_index
             drops, session.pending_drops = session.pending_drops, []
 
-            def park() -> None:
-                journal.append("park", {
+            def park_record() -> Dict[str, object]:
+                return {
                     "next_frame_index": next_index,
                     "frames": [
-                        {"frame_index": f.index,
-                         "plane": pack_plane(f.luma)}
+                        {"frame_index": f.index, "plane": f.luma}
                         for f in frames
                     ],
                     "outputs": drops,
-                })
+                }
 
             try:
-                await loop.run_in_executor(self._journal_pool, park)
+                await loop.run_in_executor(
+                    self._journal_pool, self._journal_write,
+                    journal, "park", park_record,
+                )
             except asyncio.CancelledError:
                 raise
             except Exception as exc:

@@ -325,6 +325,38 @@ def _verify_crash_state(root: str, full_journals: Dict[str, bytes],
     # construction — nothing to assert.
 
 
+def _torn_offsets(data_len: int) -> List[int]:
+    """Where a tearable write of ``data_len`` bytes is cut short."""
+    return [torn for torn in sorted({1, data_len // 2, data_len - 1})
+            if 0 < torn < data_len]
+
+
+def _gop_tear_report(recorder) -> Tuple[List[str], int]:
+    """Where the torn variants of the recorded ``gop`` appends landed.
+
+    A journal record is a JSON header line followed by raw plane
+    bytes, so a tear inside a plane is a different crash state from a
+    tear inside the header; the simulation is only worth its name if
+    it produces both.  Returns the report lines and how many tears
+    fell inside a blob."""
+    lines: List[str] = []
+    in_blob = 0
+    for index, op in enumerate(recorder.ops):
+        if op.point != "journal.append" or not op.tearable:
+            continue
+        header_len = op.data.index(b"\n") + 1
+        if json.loads(op.data[:header_len])["kind"] != "gop":
+            continue
+        where = [(torn, "header" if torn < header_len else "blob")
+                 for torn in _torn_offsets(len(op.data))]
+        in_blob += sum(side == "blob" for _, side in where)
+        lines.append(
+            f"torture: gop append @{index}: {len(op.data)} bytes "
+            f"({header_len} header), torn at "
+            + ", ".join(f"{torn} ({side})" for torn, side in where))
+    return lines, in_blob
+
+
 def _crash_simulation(recorder) -> Tuple[int, int]:
     """Materialize and verify every crash point (+ torn variants)."""
     full_journals = _full_journal_bytes(recorder)
@@ -348,12 +380,9 @@ def _crash_simulation(recorder) -> Tuple[int, int]:
             check(prefix, None, f"crash@{prefix}")
             states += 1
             if prefix < len(recorder.ops) and recorder.ops[prefix].tearable:
-                data_len = len(recorder.ops[prefix].data)
-                for torn in sorted({1, data_len // 2, data_len - 1}):
-                    if 0 < torn < data_len:
-                        check(prefix, torn,
-                              f"crash@{prefix}+torn{torn}")
-                        torn_states += 1
+                for torn in _torn_offsets(len(recorder.ops[prefix].data)):
+                    check(prefix, torn, f"crash@{prefix}+torn{torn}")
+                    torn_states += 1
     return states, torn_states
 
 
@@ -480,6 +509,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     print(f"torture: verified {states} crash states "
           f"+ {torn_states} torn-write variants")
+    lines, in_blob = _gop_tear_report(recorder)
+    print("\n".join(lines))
+    if not in_blob:
+        print("torture FAILED: no torn variant of a gop append cut "
+              "inside a plane blob", file=sys.stderr)
+        return 1
 
     print("torture: phase 5 — live ENOSPC durability-brownout drill")
     try:

@@ -779,7 +779,8 @@ class ProposedStreamSession:
         — the property the serving layer's journaled resume builds on.
 
         ``previous_original`` is returned as the raw ``ndarray``;
-        serialization (compression, encoding) is the caller's concern.
+        serialization is the caller's concern (the session journal
+        writes its bytes as they are).
         """
         if self._pending:
             raise ValueError(

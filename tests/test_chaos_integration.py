@@ -23,6 +23,7 @@ import pytest
 
 from repro.codec.config import EncoderConfig, GopConfig
 from repro.observability import get_registry, scoped
+from repro.observability.metrics import serving_summary
 from repro.resilience.degradation import ResilienceConfig
 from repro.serving.chaos import ChaosConfig, ChaosProxy
 from repro.serving.loadgen import LoadGenConfig, run_loadgen_async
@@ -190,10 +191,18 @@ class TestResumeAfterCut:
         with scoped():
             received = asyncio.run(run())
             resumes = get_registry().value("repro_serving_resumes_total")
+            summary = serving_summary(get_registry().to_dict())
         assert resumes == 1
         with scoped():
             reference = _offline_reference(video, content)
         _assert_bit_identical(received, reference)
+        # The writer thread's own account of what durability cost: one
+        # admit, one resume and every GOP record, each carrying its
+        # reconstructions as raw bytes.
+        assert summary["journal_appends"] >= summary["journal_gops"] + 2
+        assert summary["journal_gops"] >= _FRAMES // _GOP
+        assert summary["journal_bytes"] >= _FRAMES * _W * _H
+        assert summary["journal_append_s"] > 0.0
 
 
 class TestResumePreemption:

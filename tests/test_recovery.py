@@ -58,23 +58,40 @@ def _plane(seed: int = 0, shape=(24, 32)) -> np.ndarray:
 # Plane packing
 # ----------------------------------------------------------------------
 class TestPlanePacking:
+    @staticmethod
+    def _on_disk(blobs):
+        return [memoryview(b.tobytes()) for b in blobs]
+
     def test_roundtrip(self):
-        plane = _plane(3)
-        assert np.array_equal(unpack_plane(pack_plane(plane)), plane)
+        plane, blobs = _plane(3), []
+        refs = [pack_plane(plane, blobs), pack_plane(plane.T, blobs)]
+        assert refs[0] == {"shape": [24, 32], "blob": 0}
+        assert refs[1] == {"shape": [32, 24], "blob": 1}
+        assert blobs[0] is plane  # queued as it is, not copied
+        views = [unpack_plane(r, self._on_disk(blobs)) for r in refs]
+        assert np.array_equal(views[0], plane)
+        assert np.array_equal(views[1], plane.T)
+        assert not views[0].flags.writeable
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
-            pack_plane(np.zeros(16, dtype=np.uint8))
+            pack_plane(np.zeros(16, dtype=np.uint8), [])
 
     def test_undecodable_payload_is_corruption(self):
-        with pytest.raises(JournalCorruptionError):
-            unpack_plane({"shape": [4, 4], "zlib": "not base64!!"})
+        for ref in ({"shape": [4, 4], "blob": 1},
+                    {"shape": [4, 4], "blob": -1},
+                    {"shape": [4, 4], "blob": "0"},
+                    {"shape": [4], "blob": 0},
+                    {"shape": "4x4", "blob": 0}, {"blob": 0}):
+            with pytest.raises(JournalCorruptionError):
+                unpack_plane(ref, [memoryview(bytes(16))])
 
     def test_length_mismatch_is_corruption(self):
-        packed = pack_plane(_plane(1, (4, 4)))
+        blobs = []
+        packed = pack_plane(_plane(1, (4, 4)), blobs)
         packed["shape"] = [8, 8]
         with pytest.raises(JournalCorruptionError):
-            unpack_plane(packed)
+            unpack_plane(packed, self._on_disk(blobs))
 
 
 # ----------------------------------------------------------------------
@@ -234,7 +251,7 @@ class TestRestoreSession:
             else:
                 outputs.append({"frame_index": i, "dropped": None,
                                 "frame_type": "I", "bits": 100, "psnr": 40.0,
-                                "recon": pack_plane(_plane(i, (8, 8)))})
+                                "recon": _plane(i, (8, 8))})
         return {"gop_index": 0, "state": {"gop_index": 1,
                                           "frames_pushed": len(indices),
                                           "recent_bits": [],
@@ -253,9 +270,9 @@ class TestRestoreSession:
             ("gop", self._gop([0, 1, 2, 3], 4)),
             ("park", {"next_frame_index": 6,
                       "frames": [{"frame_index": 4,
-                                  "plane": pack_plane(park_plane)},
+                                  "plane": park_plane},
                                  {"frame_index": 5,
-                                  "plane": pack_plane(park_plane)}]}),
+                                  "plane": park_plane}]}),
         ])
         restored = restore_session(path, strict=True)
         assert restored.parked and restored.next_frame_index == 6
@@ -268,7 +285,7 @@ class TestRestoreSession:
             ("admit", {"token": "t"}),
             ("park", {"next_frame_index": 2,
                       "frames": [{"frame_index": 0,
-                                  "plane": pack_plane(_plane(1, (8, 8)))}]}),
+                                  "plane": _plane(1, (8, 8))}]}),
             ("resume", {"have_below": 0}),
         ])
         restored = restore_session(path, strict=True)
@@ -282,7 +299,7 @@ class TestRestoreSession:
             ("gop", self._gop([0, 1, 3], 4, dropped=(1,))),
             ("park", {"next_frame_index": 6,
                       "frames": [{"frame_index": 4,
-                                  "plane": pack_plane(_plane(2, (8, 8)))}]}),
+                                  "plane": _plane(2, (8, 8))}]}),
         ])
         restored = restore_session(path, strict=True)
         replay = replay_messages(restored, have_below=1)
@@ -308,7 +325,7 @@ class TestRestoreSession:
             ("gop", self._gop([0, 1], 2)),
             ("park", {"next_frame_index": 4,
                       "frames": [{"frame_index": 3,
-                                  "plane": pack_plane(_plane(3, (8, 8)))}],
+                                  "plane": _plane(3, (8, 8))}],
                       "outputs": [watchdog]}),
         ])
         restored = restore_session(path, strict=True)
@@ -490,8 +507,7 @@ class TestPipelineSnapshot:
         rec = frame_output_record(outputs[0])
         assert rec["frame_index"] == 0 and rec["dropped"] is None
         assert rec["bits"] == outputs[0].record.bits
-        assert np.array_equal(unpack_plane(rec["recon"]),
-                              outputs[0].reconstruction)
+        assert rec["recon"] is outputs[0].reconstruction
 
 
 # ----------------------------------------------------------------------

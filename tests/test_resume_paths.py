@@ -1,0 +1,202 @@
+"""RESUME handshake exits against a live loopback server.
+
+Small frames, one GOP per session: these run in the default tier.
+What is pinned here is what the handshake leaves behind — which thread
+read the journal, and that every way out short of serving the session
+gives the token's ``_attached`` entry and its lease back.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import os
+import threading
+
+import numpy as np
+
+from repro.observability import scoped
+from repro.serving.protocol import (
+    Encoded,
+    FrameMsg,
+    Hello,
+    HelloAck,
+    Resume,
+    ResumeAck,
+    read_message,
+    write_message,
+)
+from repro.serving.server import NetworkServer, ServeNetConfig
+from tests.test_journal_format import write_line_format_journal
+from tests.test_serving_integration import _tight_admission
+
+_W, _H = 48, 32
+_GOP = 4
+
+
+def _frame(index: int) -> bytes:
+    y, x = np.mgrid[0:_H, 0:_W]
+    return ((x + 2 * y + 7 * index) % 256).astype(np.uint8).tobytes()
+
+
+def _run(coro_fn, tmp_path, **server_kwargs):
+    async def main():
+        server = NetworkServer(
+            ServeNetConfig(port=0, seed=0, gop=_GOP,
+                           journal_dir=str(tmp_path)),
+            **server_kwargs,
+        )
+        await server.start()
+        try:
+            return await coro_fn(server)
+        finally:
+            await server.aclose()
+
+    with scoped():
+        return asyncio.run(asyncio.wait_for(main(), 60))
+
+
+async def _until(predicate, what: str) -> None:
+    deadline = asyncio.get_running_loop().time() + 10
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, what
+        await asyncio.sleep(0.005)
+
+
+async def _cut_after_one_gop(server) -> str:
+    """Journaled session: one durable GOP delivered, then the client
+    vanishes.  Returns the resume token once the server has torn the
+    session down (entry gone, lease released)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    await write_message(writer, Hello(width=_W, height=_H, fps=24.0,
+                                      gop=_GOP, client_id="cut"))
+    ack = await read_message(reader)
+    assert isinstance(ack, HelloAck) and ack.resume_token, ack
+    for i in range(_GOP):
+        await write_message(writer, FrameMsg(frame_index=i, width=_W,
+                                             height=_H, luma=_frame(i)))
+    for _ in range(_GOP):
+        assert isinstance(await read_message(reader), Encoded)
+    writer.close()
+    await _until(lambda: not server._attached
+                 and not os.path.exists(_lease(server, ack.resume_token)),
+                 "cut session never torn down")
+    return ack.resume_token
+
+
+def _lease(server, token: str) -> str:
+    return server._journal_store.lease_path(token)
+
+
+async def _resume(server, token: str):
+    """Send RESUME; returns (ack, reader, writer)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    await write_message(writer, Resume(resume_token=token, have_below=0,
+                                       client_id="cut"))
+    return await read_message(reader), reader, writer
+
+
+async def _rejected(server, token: str) -> ResumeAck:
+    """RESUME that must be refused: returns the reject once the server
+    has hung up (so its handler has fully unwound)."""
+    ack, reader, writer = await _resume(server, token)
+    assert isinstance(ack, ResumeAck) and ack.decision == "reject", ack
+    assert await reader.read() == b""
+    writer.close()
+    return ack
+
+
+def test_resume_reads_the_journal_on_the_writer_thread(tmp_path):
+    async def drill(server):
+        token = await _cut_after_one_gop(server)
+        store, threads = server._journal_store, []
+        restore = store.restore
+
+        def recording_restore(*args, **kwargs):
+            threads.append(threading.current_thread().name)
+            return restore(*args, **kwargs)
+
+        store.restore = recording_restore
+        ack, reader, writer = await _resume(server, token)
+        assert ack.decision == "accept" and ack.replayed == _GOP, ack
+        for i in range(_GOP):
+            msg = await read_message(reader)
+            assert isinstance(msg, Encoded) and msg.frame_index == i
+        writer.close()
+        return threads
+
+    threads = _run(drill, tmp_path)
+    assert len(threads) == 1 and threads[0].startswith("repro-journal")
+
+
+def test_resume_with_dead_writer_pool_is_a_clean_reject(tmp_path):
+    async def drill(server):
+        token = await _cut_after_one_gop(server)
+        server._journal_pool.shutdown(wait=True)
+        ack = await _rejected(server, token)
+        assert ack.reason == "journal writer unavailable"
+        assert ack.retry_after_s > 0
+        assert server._attached == {}
+        assert not os.path.exists(_lease(server, token))
+
+    _run(drill, tmp_path)
+
+
+def test_corrupt_journal_reject_leaves_nothing_attached(tmp_path):
+    async def drill(server):
+        token = await _cut_after_one_gop(server)
+        path = server._journal_store.path_for(token)
+        with open(path, "r+b") as fh:  # inside the admit record
+            fh.seek(40)
+            byte = fh.read(1)
+            fh.seek(40)
+            fh.write(bytes([byte[0] ^ 0x01]))
+        ack = await _rejected(server, token)
+        assert ack.reason.startswith("journal corrupt")
+        assert server._attached == {}
+        assert not os.path.exists(_lease(server, token))
+
+    _run(drill, tmp_path)
+
+
+def test_line_format_journal_resume_is_a_clean_reject(tmp_path):
+    async def drill(server):
+        token = "old-1-0123456789ab"
+        write_line_format_journal(server._journal_store.path_for(token),
+                                  token)
+        ack = await _rejected(server, token)
+        assert ack.reason.startswith("journal corrupt")
+        assert server._attached == {}
+        assert not os.path.exists(_lease(server, token))
+
+    _run(drill, tmp_path)
+
+
+def test_cancelled_while_parked_gives_the_lease_back(tmp_path):
+    admission = _tight_admission(park_capacity=1)  # two fit, a third parks
+
+    async def drill(server):
+        token = await _cut_after_one_gop(server)
+        fillers = []
+        for _ in range(2):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            await write_message(writer, Hello(width=_W, height=_H, fps=24.0,
+                                              gop=_GOP))
+            assert (await read_message(reader)).decision == "accept"
+            fillers.append(writer)
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port)
+        await write_message(writer, Resume(resume_token=token, have_below=0))
+        await _until(lambda: server.admission._parked == 1,
+                     "RESUME never parked")
+        assert os.path.exists(_lease(server, token))
+        handler = server._attached[token]
+        handler.cancel()
+        await asyncio.wait({handler}, timeout=10)
+        assert handler.done()
+        assert token not in server._attached
+        assert not os.path.exists(_lease(server, token))
+        for w in fillers + [writer]:
+            w.close()
+
+    _run(drill, tmp_path, admission=admission)

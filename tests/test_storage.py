@@ -16,7 +16,11 @@ import os
 
 import pytest
 
-from repro.observability.metrics import MetricsRegistry, serving_summary
+from repro.observability.metrics import (
+    MetricsRegistry,
+    format_metrics,
+    serving_summary,
+)
 from repro.policy.manager import PolicyManager
 from repro.resilience.checkpoint import load_lut, save_lut
 from repro.serving.recovery import SessionJournal, read_journal
@@ -426,6 +430,22 @@ def test_serving_summary_storage_defaults_are_stable():
     assert summary["durability_readmits"] == 0
     assert summary["tombstone_rejects"] == 0
     assert summary["journal_retries"] == 0
+    assert summary["journal_appends"] == 0
+    assert summary["journal_append_s"] == 0.0
+    assert summary["journal_bytes"] == 0
+
+
+def test_serving_summary_reports_journal_cost():
+    registry = MetricsRegistry()
+    for seconds in (0.002, 0.004):
+        registry.observe("repro_serving_journal_append_seconds", seconds)
+    registry.inc("repro_serving_journal_bytes_total", 2_765_000)
+    summary = serving_summary(registry.to_dict())
+    assert summary["journal_appends"] == 2
+    assert summary["journal_append_s"] == pytest.approx(0.006)
+    assert summary["journal_bytes"] == 2_765_000
+    assert "appends 2 (6.0 ms, 2765000 bytes)" in format_metrics(
+        registry.to_dict())
 
 
 def test_serving_summary_reports_brownout_state():
