@@ -28,10 +28,10 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
-from repro.allocation.demand import UserDemand, cores_needed
+from repro.allocation.demand import UserDemand
 from repro.allocation.proposed import AllocationResult
 from repro.platform.mpsoc import MpsocConfig, XEON_E5_2667
-from repro.platform.schedule import CoreSlot, DvfsPolicy, SlotSchedule, ThreadTask
+from repro.platform.schedule import CoreSlot, DvfsPolicy, SlotSchedule
 from repro.tiling.tile import TileGrid
 from repro.tiling.uniform import uniform_tiling
 

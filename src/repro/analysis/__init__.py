@@ -13,6 +13,7 @@ from repro.analysis.motion_probe import (
     MotionProbe,
     MotionProbeConfig,
 )
+from repro.analysis.frame_analysis import FrameAnalysis
 from repro.analysis.evaluator import ContentEvaluator, TileContent
 from repro.analysis.classes import (
     ContentClassifier,
@@ -34,5 +35,6 @@ __all__ = [
     "MotionProbe",
     "MotionProbeConfig",
     "ContentEvaluator",
+    "FrameAnalysis",
     "TileContent",
 ]

@@ -53,6 +53,14 @@ class TextureThresholds:
         if self.dark_mean < 0:
             raise ValueError("dark_mean must be non-negative")
 
+    def classify(self, mean: float, cv: float) -> TextureClass:
+        """Eq. 1 on a region's mean luma and CV (dark regions are LOW)."""
+        if mean < self.dark_mean or cv <= self.low:
+            return TextureClass.LOW
+        if cv <= self.high:
+            return TextureClass.MEDIUM
+        return TextureClass.HIGH
+
 
 def coefficient_of_variation(samples: np.ndarray) -> float:
     """CV = standard deviation / mean of the luma samples.
@@ -77,11 +85,6 @@ def classify_texture(
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("empty sample region")
-    if samples.mean() < thresholds.dark_mean:
-        return TextureClass.LOW
-    cv = coefficient_of_variation(samples)
-    if cv <= thresholds.low:
-        return TextureClass.LOW
-    if cv <= thresholds.high:
-        return TextureClass.MEDIUM
-    return TextureClass.HIGH
+    return thresholds.classify(
+        float(samples.mean()), coefficient_of_variation(samples)
+    )

@@ -8,8 +8,6 @@ exactly the same bits, which the round-trip tests verify.
 
 from __future__ import annotations
 
-from typing import List
-
 
 def ue_bit_length(value: int) -> int:
     """Number of bits of the unsigned exp-Golomb code of ``value >= 0``."""

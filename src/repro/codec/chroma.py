@@ -13,7 +13,7 @@ The chroma payload is written after the luma frame, tile by tile
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np

@@ -10,7 +10,7 @@ allocation once per GOP.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.codec.quant import MAX_QP, MIN_QP

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.allocation import KhanAllocator, ProposedAllocator, UserDemand
 from repro.platform.mpsoc import MpsocConfig, XEON_E5_2667

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.platform.cost_model import CostModel
 from repro.tiling.uniform import TABLE1_TILINGS, uniform_tiling

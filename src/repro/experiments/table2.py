@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

@@ -10,7 +10,7 @@ admission controller shed from the bottom up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 __all__ = [

@@ -18,7 +18,7 @@ rate-distortion cost used by HM/Kvazaar integer search.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np

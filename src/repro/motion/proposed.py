@@ -29,6 +29,7 @@ processes) run a tile without touching the stream's mutable policy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -76,6 +77,27 @@ class GopMotionState:
         return self.tile_mv.get(tile_id, (0, 0))
 
 
+@functools.lru_cache(maxsize=None)
+def _select(
+    cfg: ProposedSearchConfig, motion: MotionClass, is_first_in_gop: bool,
+    axis: str,
+) -> Tuple[MotionSearch, int]:
+    """The module docstring's table as a function.  The algorithms are stateless
+    value objects and the domain is a handful of combinations per
+    config, so each is built once — selection sits on the per-tile (and,
+    in the NumPy loop, per-block) hot path."""
+    if motion is MotionClass.LOW:
+        if is_first_in_gop:
+            return CrossSearch(), cfg.low_first_window
+        return OneAtATimeSearch(primary_axis=axis), cfg.low_rest_window
+    if is_first_in_gop:
+        return HexagonSearch(HexagonOrientation.ROTATING), cfg.high_first_window
+    orientation = (
+        HexagonOrientation.HORIZONTAL if axis == "x" else HexagonOrientation.VERTICAL
+    )
+    return HexagonSearch(orientation), cfg.high_rest_window
+
+
 class BioMedicalSearchPolicy:
     """Selects and runs the per-tile search of the proposed method.
 
@@ -86,10 +108,6 @@ class BioMedicalSearchPolicy:
     def __init__(self, config: ProposedSearchConfig = ProposedSearchConfig()):
         self.config = config
         self.state = GopMotionState()
-        # The algorithms are stateless value objects, so the (motion,
-        # first, axis) -> (algorithm, window) mapping is memoized —
-        # `select` sits on the per-block hot path.
-        self._select_cache: Dict[Tuple[MotionClass, bool, str], Tuple[MotionSearch, int]] = {}
 
     def start_gop(self) -> None:
         """Reset learned motion at a GOP boundary."""
@@ -99,27 +117,10 @@ class BioMedicalSearchPolicy:
         self, motion: MotionClass, is_first_in_gop: bool
     ) -> Tuple[MotionSearch, int]:
         """Return (algorithm, window) for a tile."""
-        axis = self.state.dominant_axis or "x"
-        key = (motion, is_first_in_gop, axis)
-        hit = self._select_cache.get(key)
-        if hit is None:
-            hit = self._select_cache[key] = self._select(motion, is_first_in_gop, axis)
-        return hit
-
-    def _select(
-        self, motion: MotionClass, is_first_in_gop: bool, axis: str
-    ) -> Tuple[MotionSearch, int]:
-        cfg = self.config
-        if motion is MotionClass.LOW:
-            if is_first_in_gop:
-                return CrossSearch(), cfg.low_first_window
-            return OneAtATimeSearch(primary_axis=axis), cfg.low_rest_window
-        if is_first_in_gop:
-            return HexagonSearch(HexagonOrientation.ROTATING), cfg.high_first_window
-        orientation = (
-            HexagonOrientation.HORIZONTAL if axis == "x" else HexagonOrientation.VERTICAL
+        return _select(
+            self.config, motion, is_first_in_gop,
+            self.state.dominant_axis or "x",
         )
-        return HexagonSearch(orientation), cfg.high_rest_window
 
     def tile_spec(
         self,
@@ -204,8 +205,10 @@ class TileHookSpec:
         return policy
 
     def algorithm(self) -> MotionSearch:
-        """The search algorithm the policy selects for this tile."""
-        return self.policy().select(self.motion, self.is_first)[0]
+        """The search algorithm the policy selects for this tile (what
+        ``self.policy().select(...)`` returns, without building one)."""
+        axis = None if self.is_first else self.axis
+        return _select(self.search, self.motion, self.is_first, axis or "x")[0]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "DEFAULT_TIME_BUCKETS",

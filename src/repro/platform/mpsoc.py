@@ -7,7 +7,7 @@ transition latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.platform.power import GHZ, PowerModel

@@ -31,8 +31,8 @@ time, and tests are deterministic.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Tuple
 
 from repro.observability import get_registry, get_tracer
 from repro.policy.compiler import CompiledPolicy

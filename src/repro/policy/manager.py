@@ -17,7 +17,7 @@ thread to leak.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.observability import get_registry, get_tracer

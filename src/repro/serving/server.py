@@ -1393,6 +1393,11 @@ class NetworkServer:
             except asyncio.TimeoutError:
                 self.admission.abandon_park()
                 return timed_out
+            except asyncio.CancelledError:
+                # Cancelled in the waiting room (RESUME preemption,
+                # shutdown): the slot is still this session's to return.
+                self.admission.abandon_park()
+                raise
             result = self.admission.unpark(session_id, hello)
             if result[0] is not AdmissionDecision.PARK:
                 return result

@@ -73,7 +73,6 @@ from repro.serving.recovery import JOURNAL_SUFFIX, read_journal
 from repro.serving.server import NetworkServer, ServeNetConfig
 from repro.serving.statestore import LEASE_SUFFIX, SharedDirStateStore
 from repro.storage.faultfs import FaultFS, FaultRule, FileOps
-from repro.storage.errors import StorageError
 
 GOLDEN_PATH = (Path(__file__).resolve().parents[3]
                / "tests" / "golden" / "torture_points.json")

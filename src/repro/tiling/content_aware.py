@@ -24,15 +24,17 @@ the centre cell subdivided into a near-square grid.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.analysis.evaluator import ContentEvaluator, TileContent
+from repro.analysis.frame_analysis import FrameAnalysis
 from repro.analysis.motion_probe import MotionClass
 from repro.analysis.texture import TextureClass
-from repro.observability import get_tracer
+from repro.observability import get_registry, get_tracer
 from repro.tiling.constraints import TilingConstraints
 from repro.tiling.tile import Tile, TileGrid, split_evenly
 
@@ -87,58 +89,86 @@ class ContentAwareRetiler:
         cons = self.constraints
         tracer = get_tracer()
         if width < 3 * cons.min_tile_width or height < 3 * cons.min_tile_height:
-            # Frame too small for a border/centre split: single tile.
+            # Frame too small for a border/centre split: single tile,
+            # no re-tiling pass (and no retile-seconds observation).
             with tracer.span("stage.tiling"):
                 grid = TileGrid.single(width, height)
             with tracer.span("stage.analysis", tiles=1):
                 contents = self.evaluator.evaluate(grid, current, previous)
             return RetilingResult(grid, contents)
 
+        started = time.perf_counter()
         with tracer.span("stage.tiling"):
-            left = self._grow_margin(current, previous, side="left")
-            right = self._grow_margin(current, previous, side="right")
-            top = self._grow_margin(current, previous, side="top")
-            bottom = self._grow_margin(current, previous, side="bottom")
-            grid = self._build_grid(current, previous, left, right, top, bottom)
+            # Every strip and the centre lie on this lattice, so one
+            # analysis of the frame answers all of them.
+            analysis = FrameAnalysis(current, previous, math.gcd(
+                width, height, cons.align,
+                cons.min_tile_width, cons.min_tile_height,
+            ))
+            left, right, top, bottom = self._grow_margins(analysis)
+            grid = self._build_grid(analysis, left, right, top, bottom)
         with tracer.span("stage.analysis", tiles=len(grid)):
-            contents = self.evaluator.evaluate(grid, current, previous)
+            contents = self.evaluator.evaluate(grid, current, previous, analysis)
+        get_registry().observe(
+            "repro_tiling_retile_seconds", time.perf_counter() - started,
+            help="Wall time of one content-aware re-tiling pass "
+                 "(margin growth, centre partition, grid evaluation)",
+        )
         return RetilingResult(grid, contents)
 
     # ------------------------------------------------------------------
     # Margin growth
     # ------------------------------------------------------------------
-    def _grow_margin(
-        self,
-        current: np.ndarray,
-        previous: Optional[np.ndarray],
-        side: str,
-    ) -> int:
-        """Grow a border strip from ``side`` while its content stays low.
+    def _grow_margins(self, analysis: FrameAnalysis) -> List[int]:
+        """Grow a border strip from each side while its content stays
+        low; returns the ``[left, right, top, bottom]`` margins.
 
         The paper grows each *corner tile*; the two corners sharing a
         side almost always agree on medical content (dark background),
         so we grow the full strip, which additionally guarantees an
         exact partition.  Growth is by ``growth_step`` more pixels per
         iteration, capped at ``max_margin_fraction`` of the dimension.
+        The sizes a side can take do not depend on content, so all four
+        sides' candidates are evaluated as one batch and each side keeps
+        the last size before its first non-low strip.
         """
-        height, width = current.shape
+        height, width = analysis.current.shape
         cons = self.constraints
-        horizontal = side in ("left", "right")
-        dim = width if horizontal else height
-        start = cons.min_tile_width if horizontal else cons.min_tile_height
-        limit = self._align_down(int(dim * cons.max_margin_fraction))
-        limit = max(limit, start)
+        candidates = []  # (side index, size, strip)
+        for index, side in enumerate(("left", "right", "top", "bottom")):
+            horizontal = side in ("left", "right")
+            for size in self._margin_sizes(
+                width if horizontal else height,
+                cons.min_tile_width if horizontal else cons.min_tile_height,
+            ):
+                candidates.append(
+                    (index, size, self._strip(width, height, side, size))
+                )
+        contents = self.evaluator.evaluate_tiles(
+            [strip for _, _, strip in candidates], analysis
+        )
+        margins = [0] * 4  # 0 = no low-content strip at all
+        growing = [True] * 4
+        for (index, size, _), content in zip(candidates, contents):
+            growing[index] = growing[index] and (
+                content.texture is TextureClass.LOW
+                and content.motion is MotionClass.LOW
+            )
+            if growing[index]:
+                margins[index] = size
+        return margins
 
+    def _margin_sizes(self, dim: int, start: int) -> List[int]:
+        """Candidate strip sizes along a dimension of ``dim`` samples."""
+        cons = self.constraints
+        limit = max(self._align_down(int(dim * cons.max_margin_fraction)), start)
+        sizes = []
         size = start
-        best = 0  # margin kept so far (0 = no low-content strip at all)
         while size <= limit:
-            strip = self._strip(width, height, side, size)
-            if not self._is_low(strip, current, previous):
-                break
-            best = size
+            sizes.append(size)
             grown = self._align_down(int(math.ceil(size * (1 + cons.growth_step))))
             size = max(grown, size + cons.align)
-        return best
+        return sizes
 
     def _strip(self, width: int, height: int, side: str, size: int) -> Tile:
         if side == "left":
@@ -151,15 +181,6 @@ class ContentAwareRetiler:
             return Tile(0, height - size, width, size)
         raise ValueError(f"unknown side {side!r}")
 
-    def _is_low(
-        self, tile: Tile, current: np.ndarray, previous: Optional[np.ndarray]
-    ) -> bool:
-        content = self.evaluator.evaluate_tile(tile, current, previous)
-        return (
-            content.texture is TextureClass.LOW
-            and content.motion is MotionClass.LOW
-        )
-
     def _align_down(self, value: int) -> int:
         align = self.constraints.align
         return (value // align) * align
@@ -169,14 +190,13 @@ class ContentAwareRetiler:
     # ------------------------------------------------------------------
     def _build_grid(
         self,
-        current: np.ndarray,
-        previous: Optional[np.ndarray],
+        analysis: FrameAnalysis,
         left: int,
         right: int,
         top: int,
         bottom: int,
     ) -> TileGrid:
-        height, width = current.shape
+        height, width = analysis.current.shape
         cons = self.constraints
 
         # Ensure a viable centre region.
@@ -199,7 +219,7 @@ class ContentAwareRetiler:
 
         border_tiles = self._border_tiles(width, height, left, right, top, bottom)
         budget = cons.max_tiles - len(border_tiles)
-        center_tiles = self._partition_center(center, current, previous, budget)
+        center_tiles = self._partition_center(center, analysis, budget)
         return TileGrid(width, height, border_tiles + center_tiles)
 
     def _shrink(self, margin: int) -> int:
@@ -226,13 +246,12 @@ class ContentAwareRetiler:
     def _partition_center(
         self,
         center: Tile,
-        current: np.ndarray,
-        previous: Optional[np.ndarray],
+        analysis: FrameAnalysis,
         budget: int,
     ) -> List[Tile]:
         """Split the centre into a near-square grid of similar-size tiles."""
         cons = self.constraints
-        content = self.evaluator.evaluate_tile(center, current, previous)
+        (content,) = self.evaluator.evaluate_tiles([center], analysis)
         target = _TARGET_EDGE[content.texture]
 
         cols = max(1, round(center.width / target))

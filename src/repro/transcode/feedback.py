@@ -18,7 +18,7 @@ the paper checks ("the required framerate (checked every second)").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set
+from typing import Sequence, Set
 
 
 @dataclass

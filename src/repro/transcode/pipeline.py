@@ -314,6 +314,11 @@ class StreamTranscoder:
         self.retiler = ContentAwareRetiler(config.tiling, self.evaluator)
         self._merged_retiler: Optional[ContentAwareRetiler] = None
         self._frame_encoder = FrameEncoder()
+        # Per-tile values that repeat frame after frame, built once:
+        # the base config at each QP, and the LUT key of each
+        # (texture, motion, QP, window, frame type, area bucket).
+        self._qp_configs: Dict[int, EncoderConfig] = {}
+        self._workload_keys: Dict[tuple, WorkloadKey] = {}
         self._parallel: Optional[TileParallelExecutor] = None
         if config.parallel_tiles:
             self._parallel = TileParallelExecutor(
@@ -482,7 +487,10 @@ class StreamTranscoder:
             qp, window = feedback.adjust_tile(
                 qp, window, i in bottlenecks, QP_MAX, DELTA_QP
             )
-            configs.append(cfg.base_config.with_qp(qp))
+            config = self._qp_configs.get(qp)
+            if config is None:
+                config = self._qp_configs[qp] = cfg.base_config.with_qp(qp)
+            configs.append(config)
             windows.append(window)
             # The policy's per-tile decision as plain data.  The motion
             # direction is learned on the first *P* frame of the GOP
@@ -566,6 +574,9 @@ class StreamTranscoder:
     ) -> FrameRecord:
         f_max = self.config.platform.f_max
         mode = self.config.mode.value
+        content_class = getattr(self, "_resolved_class", None)
+        resolution = self.config.rung_resolution
+        keys = self._workload_keys
         registry = get_registry()
         tracer = get_tracer()
         tile_records = []
@@ -575,28 +586,34 @@ class StreamTranscoder:
                 cpu_time = self.fault_injector.perturb_cpu_time(cpu_time)
             texture = contents[i].texture if contents else TextureClass.MEDIUM
             motion = contents[i].motion if contents else MotionClass.HIGH
+            qp, window = configs[i].qp, windows[i]
             tile_records.append(
                 TileRecord(
                     tile_index=i,
                     texture=texture,
                     motion=motion,
-                    qp=configs[i].qp,
-                    search_window=windows[i],
+                    qp=qp,
+                    search_window=window,
                     bits=tile_stat.bits,
                     psnr=tile_stat.psnr,
                     cpu_time_fmax=cpu_time,
                 )
             )
-            key = WorkloadKey(
-                texture=texture,
-                motion=motion,
-                qp=configs[i].qp,
-                search_window=windows[i],
-                frame_type=frame_type,
-                area_bucket=area_bucket(tile_stat.tile.area),
-                content_class=getattr(self, "_resolved_class", None),
-                resolution=self.config.rung_resolution,
-            )
+            bucket = area_bucket(tile_stat.tile.area)
+            memo = (texture, motion, qp, window, frame_type, bucket,
+                    content_class)
+            key = keys.get(memo)
+            if key is None:
+                key = keys[memo] = WorkloadKey(
+                    texture=texture,
+                    motion=motion,
+                    qp=qp,
+                    search_window=window,
+                    frame_type=frame_type,
+                    area_bucket=bucket,
+                    content_class=content_class,
+                    resolution=resolution,
+                )
             self.estimator.observe(key, cpu_time)
             registry.observe(
                 "repro_tile_cpu_seconds", cpu_time, mode=mode,
@@ -610,9 +627,9 @@ class StreamTranscoder:
                     type=frame_type.value,
                     texture=texture.name,
                     motion=motion.name,
-                    qp=configs[i].qp,
-                    window=windows[i],
-                    area_bucket=area_bucket(tile_stat.tile.area),
+                    qp=qp,
+                    window=window,
+                    area_bucket=bucket,
                     bits=tile_stat.bits,
                     cpu_time_fmax=cpu_time,
                 )

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.motion_probe import MotionClass
-from repro.analysis.texture import TextureClass
 from repro.codec.config import FrameType
 from repro.observability import get_registry
 from repro.workload.keys import WorkloadKey

@@ -11,6 +11,7 @@ coarse (power-of-two) tile-area bucket.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,6 +54,12 @@ class WorkloadKey:
         class"; across classes, the class-agnostic statistics still
         give a first estimate before per-class data accumulates.
         """
+        return self._generalized
+
+    @functools.cached_property
+    def _generalized(self) -> "WorkloadKey":
+        # Built once per key: the LUT asks on every observation, and
+        # the pipeline hands it the same key objects frame after frame.
         return WorkloadKey(
             texture=self.texture,
             motion=self.motion,

@@ -200,3 +200,48 @@ def test_cancelled_while_parked_gives_the_lease_back(tmp_path):
             w.close()
 
     _run(drill, tmp_path, admission=admission)
+
+
+def test_cancelled_while_parked_gives_the_park_slot_back(tmp_path):
+    """A handler cancelled in the waiting room — a parked HELLO, then a
+    parked RESUME — returns its park slot: with one slot, the next
+    arrival still parks instead of being rejected for a full room."""
+    admission = _tight_admission(park_capacity=1)  # two fit, a third parks
+
+    async def parked_handler(server, message):
+        before = set(asyncio.all_tasks())
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port)
+        await write_message(writer, message)
+        await _until(lambda: server.admission._parked == 1,
+                     f"{type(message).__name__} never parked")
+        (handler,) = [
+            t for t in asyncio.all_tasks() - before
+            if t.get_coro().__qualname__.endswith("_handle_client")
+        ]
+        return handler, writer
+
+    async def drill(server):
+        token = await _cut_after_one_gop(server)
+        writers = []
+        for _ in range(2):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            await write_message(writer, Hello(width=_W, height=_H, fps=24.0,
+                                              gop=_GOP))
+            assert (await read_message(reader)).decision == "accept"
+            writers.append(writer)
+        for message in (
+            Hello(width=_W, height=_H, fps=24.0, gop=_GOP),
+            Resume(resume_token=token, have_below=0),
+        ):
+            handler, writer = await parked_handler(server, message)
+            writers.append(writer)
+            handler.cancel()
+            await asyncio.wait({handler}, timeout=10)
+            assert handler.done()
+            assert server.admission._parked == 0, type(message).__name__
+        for w in writers:
+            w.close()
+
+    _run(drill, tmp_path, admission=admission)
