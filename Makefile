@@ -61,10 +61,13 @@ bench-smoke:
 
 # The one bench harness (bench/run.py, see bench/README.md) checked for
 # correctness, not speed: its self-tests, then a short run of the
-# cheapest workload, of the paper's operating point and of the one
+# cheapest workload, of the paper's operating point, of the one
 # workload where two journaled VGA sessions share the journal writer
-# thread (its two-session reference match runs nowhere else), each
-# against a live serve-net child.  A run fails unless every frame got
+# thread (its two-session reference match runs nowhere else) and of
+# the three-rung ladder (every session takes one handshake and one
+# encoder; its three-rung reference match is the independent oracle
+# for the multi-rung side of that shared path), each against a live
+# serve-net child.  A run fails unless every frame got
 # exactly one outcome, STATS agree with the client's tally and the
 # first two GOPs are bit-equal to the in-process reference.  No
 # throughput floor and no committed baseline: to compare two commits,
@@ -75,6 +78,7 @@ bench-check:
 	python3 bench/run.py --workload small_churn --seed 1 --seconds 3 --trace 0
 	python3 bench/run.py --workload vga_rt1 --seed 1 --seconds 3 --trace 0
 	python3 bench/run.py --workload vga_duo --seed 1 --seconds 3 --trace 0
+	python3 bench/run.py --workload vga_ladder --seed 1 --seconds 3 --trace 0
 
 # Regenerate the golden trace after an intentional instrumentation change.
 golden:

@@ -24,7 +24,7 @@ spikes, core failures, LUT corruption) through the whole serving stack
 and prints a survival report.
 
 ``--parallel-workers N`` on ``encode``/``transcode`` encodes each
-frame's tiles concurrently on a process pool (N=0 uses every core);
+frame's tiles concurrently on a thread pool (N=0 uses every core);
 the output is bit-exact with the serial path.
 
 ``serve`` runs the multi-user serving simulation end-to-end (measure a
@@ -641,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--gop", type=int, default=8)
     e.add_argument("--b-frames", action="store_true")
     e.add_argument("--parallel-workers", type=int, default=None, metavar="N",
-                   help="encode tiles on an N-worker process pool (0 = all cores)")
+                   help="encode tiles on an N-worker thread pool (0 = all cores)")
     e.set_defaults(func=_cmd_encode)
 
     t = sub.add_parser("transcode", help="run the full pipeline")
@@ -649,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--baseline", action="store_true",
                    help="use the Khan et al. [19] baseline instead")
     t.add_argument("--parallel-workers", type=int, default=None, metavar="N",
-                   help="encode tiles on an N-worker process pool (0 = all cores)")
+                   help="encode tiles on an N-worker thread pool (0 = all cores)")
     t.set_defaults(func=_cmd_transcode)
 
     la = sub.add_parser(
@@ -721,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     sn.add_argument("--park-capacity", type=int, default=2,
                     help="waiting-room size for parked sessions")
     sn.add_argument("--parallel-workers", type=int, default=None, metavar="N",
-                    help="per-session tile process pool (0 = all cores)")
+                    help="per-session tile thread pool (0 = all cores)")
     sn.add_argument("--spike-rate", type=float, default=0.0,
                     help="seeded CPU-time spike injection rate (0 = off)")
     sn.add_argument("--spike-factor", type=float, default=8.0)

@@ -47,7 +47,7 @@ from repro.codec.transform import (
 )
 from repro.codec.zigzag import zigzag_indices, zigzag_scan
 from repro import native
-from repro.observability import MetricsRegistry, get_registry, get_tracer
+from repro.observability import get_registry, get_tracer
 from repro.motion.base import MotionSearchResult, SearchContext
 from repro.motion.proposed import TileHookSpec, TileLearned, spec_hook
 from repro.tiling.tile import Tile, TileGrid
@@ -141,9 +141,9 @@ class TileStats:
     #: Wall-clock seconds spent in the motion-search and residual
     #: coding (transform/quant/entropy) stages of this tile, measured
     #: only when the encode ran with ``measure_stages=True`` (i.e. the
-    #: span tracer was enabled); ``None`` otherwise.  Travels through
-    #: the process pool so the parent can emit stage spans for tiles
-    #: encoded in workers.
+    #: span tracer was enabled); ``None`` otherwise.  Comes back
+    #: from the tile pool so the caller can emit stage spans for tiles
+    #: encoded on workers.
     stage_seconds: Optional[Dict[str, float]] = None
     #: What the tile learned for the proposed search policy (first P
     #: frame of a GOP, encodes driven by a ``hook_spec`` only); fold
@@ -256,7 +256,6 @@ class TileEncoder:
         block_info_out: Optional[List[BlockInfo]] = None,
         measure_stages: bool = False,
         hook_spec: Optional[TileHookSpec] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> TileStats:
         """Encode ``tile`` of ``original`` into ``reconstruction``.
 
@@ -279,9 +278,7 @@ class TileEncoder:
         GIL released for the whole tile).  Everything the driver
         declines runs the per-block loop below, which is pure NumPy —
         same bits, same reconstruction, same op counts — and is counted in
-        ``repro_codec_tile_fallback_total{reason}``, in ``metrics``
-        when given (a pool worker's registry, which its parent merges)
-        and in the process-wide registry otherwise.
+        ``repro_codec_tile_fallback_total{reason}``.
         """
         references = normalize_references(reference, frame_type)
         if frame_type is FrameType.I:
@@ -296,7 +293,7 @@ class TileEncoder:
                     plan, original, references, reconstruction, tile,
                     writer, block_info_out, measure_stages, hook_spec,
                 )
-            (metrics if metrics is not None else get_registry()).inc(
+            get_registry().inc(
                 "repro_codec_tile_fallback_total", reason=plan,
                 help="Tiles the native tile driver declined, by reason",
             )

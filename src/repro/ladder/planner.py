@@ -66,8 +66,10 @@ class LadderPlan:
     rungs: Tuple[PlannedRung, ...]
     #: ``(rung_id, predicted_gain_db)`` of every pruned rung.
     pruned: Tuple[Tuple[int, float], ...]
-    #: Measured content complexity the decisions were based on.
-    complexity: float
+    #: Measured content complexity the decisions were based on
+    #: (``None`` when nothing was measured: no pruning to decide and
+    #: no features handed in).
+    complexity: Optional[float]
 
     @property
     def rung_ids(self) -> List[int]:
@@ -91,6 +93,8 @@ class LadderPlanner:
         ``features`` when the caller already extracted them (the
         ladder session shares one analysis pass between classification
         and planning — computing them twice would defeat the point).
+        The feature pass only runs here when there is a pruning
+        decision to make.
 
         Never-upscale is enforced here: a configured rung larger than
         the ingest raises ``ValueError``.
@@ -103,10 +107,11 @@ class LadderPlanner:
                     f"rung {rung.width}x{rung.height} exceeds the "
                     f"{w}x{h} ingest: ladders never upscale"
                 )
-        if features is None:
+        prunes = cfg.prune and len(cfg.rungs) > 2
+        if features is None and prunes:
             features = extract_features(first_luma)
-        c = complexity_score(features)
-        if not cfg.prune or len(cfg.rungs) <= 2:
+        c = complexity_score(features) if features is not None else None
+        if not prunes:
             kept = [PlannedRung(i, r) for i, r in enumerate(cfg.rungs)]
             return LadderPlan(rungs=tuple(kept), pruned=(), complexity=c)
         # Walk bottom-up: each intermediate rung must beat the next

@@ -14,10 +14,8 @@ Tests and scoped runs swap in fresh instances with :func:`scoped`::
         ...  # run instrumented code
         assert registry.value("repro_frames_encoded_total", mode="proposed")
 
-Worker processes of the tile pool inherit the parent's globals on
-fork; they report their own deltas through fresh local registries that
-the parent merges on join (see :mod:`repro.parallel.executor`), so
-nothing here needs cross-process locking.
+The tile pool's workers are threads (:mod:`repro.parallel.executor`):
+they count in the same registry as their caller, under its lock.
 """
 
 from __future__ import annotations

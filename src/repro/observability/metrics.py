@@ -10,11 +10,10 @@ Three metric kinds, all keyed by a label tuple:
 Registries are *mergeable*: :meth:`MetricsRegistry.merge` folds another
 registry (or its :meth:`~MetricsRegistry.to_dict` snapshot) into this
 one — counters and histogram bins add, gauges take the other side's
-value when present.  That is how per-worker snapshots from the tile
-process pool come back to the parent
-(:mod:`repro.parallel.executor`), and the operation is commutative,
-associative and count/sum-preserving (property-tested in
-``tests/test_observability.py``).
+value when present.  That is how fleet workers' heartbeat snapshots
+fold into the supervisor's view (:mod:`repro.serving.fleet`), and the
+operation is commutative, associative and count/sum-preserving
+(property-tested in ``tests/test_observability.py``).
 
 Exposition formats: :meth:`~MetricsRegistry.to_dict` (JSON) and
 :meth:`~MetricsRegistry.to_prometheus_text` (Prometheus text format

@@ -18,7 +18,7 @@ achievable speedup and latency of each scheme.
 
 Tile parallelism itself is not just modelled but *implemented*:
 :mod:`repro.parallel.executor` encodes a frame's tiles concurrently on
-a process pool, bit-exact with the serial encoder.
+a thread pool, bit-exact with the serial encoder.
 """
 
 from repro.parallel.wavefront import WavefrontSchedule, simulate_wavefront

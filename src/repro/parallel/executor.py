@@ -1,4 +1,4 @@
-"""Tile-parallel frame encoding on a process or thread pool.
+"""Tile-parallel frame encoding on a thread pool.
 
 HEVC tiles are independently decodable: intra prediction breaks at
 tile boundaries, motion search only *reads* the (immutable) reference
@@ -6,10 +6,12 @@ plane, and each tile writes a disjoint region of the reconstruction.
 The per-tile encode loop is therefore embarrassingly parallel within a
 frame — the property the paper's per-tile workload allocation relies
 on (§II-C) — and this module exploits it for real wall-clock speedup
-with a :class:`concurrent.futures.ProcessPoolExecutor` or, when the
-GIL-releasing native kernels are active, a
-:class:`concurrent.futures.ThreadPoolExecutor` whose workers share
-the frame planes directly (no fork, no pickle, no patch shipping).
+with a :class:`concurrent.futures.ThreadPoolExecutor` whose workers
+share the frame planes directly (no fork, no pickle): the native tile
+driver runs a whole tile in one GIL-free call, so N threads encode N
+tiles at once.  Tiles the driver declines (TZ search, half-pel) take
+the pure-NumPy block loop, which holds the GIL — they still encode
+correctly on the pool, they just do not overlap.
 
 The parallel path is **bit-exact** with the serial
 :class:`~repro.codec.encoder.FrameEncoder`:
@@ -17,10 +19,10 @@ The parallel path is **bit-exact** with the serial
 * every worker encodes its tile into a private :class:`BitWriter`;
   the parent splices the flushed payloads back in tile order with
   :meth:`BitWriter.append_bits`, producing a byte-identical stream;
-* reconstruction patches are stitched into the frame plane — identical
-  because no tile ever writes outside its own region;
+* every worker reconstructs its tile in place in the one frame plane —
+  identical because no tile ever writes outside its own region;
 * the proposed search policy's per-GOP learned state travels as
-  picklable :class:`~repro.motion.proposed.TileHookSpec` snapshots —
+  plain-data :class:`~repro.motion.proposed.TileHookSpec` snapshots —
   the same data the serial encoder hands its native tile driver — and
   returns in :attr:`TileStats.learned` for ``merge_learned``.  This is
   sound because within one frame the policy state is *per-tile*: the
@@ -35,10 +37,9 @@ CLI); the default remains the serial encoder.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,7 +57,6 @@ from repro.codec.encoder import (
 )
 from repro.motion.proposed import TileHookSpec, TileLearned, merge_learned
 from repro.observability import get_registry, get_tracer
-from repro.observability.metrics import MetricsRegistry
 from repro.tiling.tile import TileGrid
 
 __all__ = [
@@ -74,42 +74,33 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def recommended_parallel(
-    num_tiles: int,
-    workers: Optional[int] = None,
-    backend: str = "process",
-) -> bool:
-    """Whether the pool can pay for its dispatch overhead.
+def recommended_parallel(num_tiles: int,
+                         workers: Optional[int] = None) -> bool:
+    """Whether the pool can run tiles concurrently at all.
 
-    The answer is backend-specific.  The process pool's fork/pickle
-    costs are fixed per frame and amortize only when more than one
-    tile can actually run concurrently.  The thread pool's dispatch is
-    microseconds and its workers share memory, but real concurrency
-    exists only while the native kernels hold the hot loops (ctypes
-    releases the GIL for the call's duration) — pure-NumPy encoding
-    from multiple threads just interleaves under the GIL.
+    Real concurrency exists only while the native tile driver holds
+    the hot loops (ctypes releases the GIL for the call's duration) —
+    pure-NumPy encoding from several threads just interleaves under
+    the GIL, strictly slower than encoding inline — and only when more
+    than one tile can be in flight.
     """
     effective = workers if workers is not None else default_workers()
-    if backend == "thread":
-        return native.lib is not None and effective > 1 and num_tiles > 1
-    return effective > 1 and num_tiles > 1
+    return native.lib is not None and effective > 1 and num_tiles > 1
 
 
 def _encode_tile_worker(task: tuple):
-    """Encode one tile in a worker process (module-level: picklable).
+    """Encode one tile on a pool thread (or inline).
 
-    Returns ``(stats, recon_patch, payload, nbits, infos, metrics)``
-    where ``metrics`` is a fresh worker-local :class:`MetricsRegistry`
-    snapshot — global registries do not cross the process boundary, so
-    workers report their counters as data and the parent merges them on
-    join.
+    The tile is reconstructed in place in the frame's shared
+    ``reconstruction`` plane (no tile ever writes, or reads, outside its
+    own region).  Returns ``(stats, payload, nbits, infos)``; counters
+    go straight to the process-wide registry, which pool threads share
+    with their caller.
     """
-    (original, references, tile, config, frame_type, spec, want_infos,
-     want_stages) = task
-    reconstruction = np.zeros_like(original)
+    (original, references, reconstruction, tile, config, frame_type, spec,
+     want_infos, want_stages) = task
     writer = BitWriter()
     infos: Optional[List[BlockInfo]] = [] if want_infos else None
-    local_metrics = MetricsRegistry()
     t0 = time.perf_counter()
     stats = TileEncoder(config).encode(
         original,
@@ -121,28 +112,24 @@ def _encode_tile_worker(task: tuple):
         block_info_out=infos,
         measure_stages=want_stages,
         hook_spec=spec,
-        metrics=local_metrics,
     )
     elapsed = time.perf_counter() - t0
     if want_stages and stats.stage_seconds is not None:
         stats.stage_seconds["encode"] = elapsed
-    local_metrics.inc(
+    registry = get_registry()
+    registry.inc(
         "repro_parallel_tiles_encoded_total",
         help="Tiles encoded by pool workers",
     )
-    local_metrics.observe(
+    registry.observe(
         "repro_parallel_tile_encode_seconds", elapsed,
         help="Wall time of one worker tile encode",
-    )
-    patch = np.ascontiguousarray(
-        reconstruction[tile.y : tile.y_end, tile.x : tile.x_end]
     )
     # bits_written must be captured before flush(), which zero-pads the
     # stream to a byte boundary; the parent splices exactly nbits so
     # the padding never reaches the merged stream.
     nbits = writer.bits_written
-    return (stats, patch, writer.flush(), nbits, infos,
-            local_metrics.to_dict())
+    return stats, writer.flush(), nbits, infos
 
 
 class TileParallelExecutor:
@@ -150,63 +137,25 @@ class TileParallelExecutor:
     :class:`~repro.codec.encoder.FrameEncoder`.
 
     The pool is created lazily on the first parallel frame and reused
-    across frames.  ``backend="process"`` forks workers (fork context
-    where available, so they inherit the compiled native kernels
-    without re-importing); ``backend="thread"`` runs the same worker
-    function on a thread pool — tasks hand workers *views* of the
-    shared frame planes, nothing is pickled, and concurrency comes
-    from the native kernels dropping the GIL.  With ``workers == 1``
-    every tile is encoded inline through the same worker function —
-    useful as a deterministic reference and on single-core machines,
-    where a pool would only add overhead.
+    across frames; tasks hand workers *views* of the shared frame
+    planes, and concurrency comes from the native tile driver dropping
+    the GIL.  Where a pool could not deliver concurrency
+    (:func:`recommended_parallel`: one worker, one tile, or no native
+    kernels) every tile is encoded inline through the same worker
+    function — the deterministic reference, and what a single-core
+    machine or a ``REPRO_NATIVE=0`` run gets.
     """
 
-    def __init__(self, workers: Optional[int] = None,
-                 backend: str = "process"):
-        if backend not in ("process", "thread"):
-            raise ValueError(f"unknown tile-pool backend {backend!r}")
+    def __init__(self, workers: Optional[int] = None):
         self.workers = workers if workers else default_workers()
-        self.backend = backend
-        if backend == "thread" and self.workers > 1 and native.lib is None:
-            # Refuse to build a pool that cannot deliver concurrency:
-            # without the GIL-releasing native kernels, N encode
-            # threads just interleave under the GIL — strictly slower
-            # than inline encoding, and silently so.
-            if os.environ.get("REPRO_NATIVE") == "0":
-                detail = (
-                    "native kernels are disabled by REPRO_NATIVE=0 in "
-                    "the environment; unset it to use the thread backend"
-                )
-            else:
-                detail = (
-                    "the native kernels failed to build (no C compiler "
-                    "or compilation error; re-run with REPRO_NATIVE "
-                    "unset and check stderr for the build failure)"
-                )
-            raise ValueError(
-                f"backend='thread' with workers={self.workers} needs the "
-                f"native kernels to release the GIL, but {detail}. "
-                "Use backend='process' for GIL-free parallelism without "
-                "native kernels, or workers=1 for inline encoding."
-            )
-        self._pool: Optional[Executor] = None
+        self._pool: Optional[ThreadPoolExecutor] = None
 
     # -- pool lifecycle -------------------------------------------------
-    def _ensure_pool(self) -> Executor:
+    def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
-            if self.backend == "thread":
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="repro-tile",
-                )
-            else:
-                try:
-                    ctx = multiprocessing.get_context("fork")
-                except ValueError:  # platforms without fork
-                    ctx = multiprocessing.get_context()
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=ctx
-                )
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-tile",
+            )
         return self._pool
 
     def close(self) -> None:
@@ -234,8 +183,8 @@ class TileParallelExecutor:
         block_infos_out: Optional[List[List[BlockInfo]]] = None,
     ) -> Tuple[FrameStats, np.ndarray]:
         """Drop-in parallel replacement for ``FrameEncoder.encode``
-        (minus ``motion_hooks``: closures cannot cross a process
-        boundary)."""
+        (minus ``motion_hooks``: the policy crosses as
+        :class:`TileHookSpec` data)."""
         if len(configs) != len(grid):
             raise ValueError(f"{len(configs)} configs for {len(grid)} tiles")
         if hook_specs is not None and len(hook_specs) != len(grid):
@@ -251,10 +200,12 @@ class TileParallelExecutor:
         want_infos = block_infos_out is not None
         tracer = get_tracer()
         want_stages = tracer.enabled
+        reconstruction = np.zeros_like(original)
         tasks = [
             (
                 original,
                 references,
+                reconstruction,
                 tile,
                 configs[i],
                 frame_type,
@@ -264,23 +215,18 @@ class TileParallelExecutor:
             )
             for i, tile in enumerate(grid)
         ]
-        if self.workers == 1 or len(grid) == 1:
-            results = [_encode_tile_worker(t) for t in tasks]
-        else:
+        if recommended_parallel(len(grid), self.workers):
             results = list(self._ensure_pool().map(_encode_tile_worker, tasks))
+        else:
+            results = [_encode_tile_worker(t) for t in tasks]
 
-        reconstruction = np.zeros_like(original)
         tile_stats: List[TileStats] = []
-        registry = get_registry()
-        for i, (tile, (stats, patch, payload, nbits, infos,
-                       worker_metrics)) in enumerate(zip(grid, results)):
-            reconstruction[tile.y : tile.y_end, tile.x : tile.x_end] = patch
+        for i, (stats, payload, nbits, infos) in enumerate(results):
             tile_stats.append(stats)
             if writer is not None:
                 writer.append_bits(payload, nbits)
             if want_infos:
                 block_infos_out.append(infos or [])
-            registry.merge(worker_metrics)
             if want_stages and stats.stage_seconds:
                 tracer.record_span(
                     "stage.encode", stats.stage_seconds.get("encode", 0.0),

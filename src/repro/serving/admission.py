@@ -1,19 +1,27 @@
 """Admission control for network sessions.
 
-A HELLO declares a stream's geometry, frame rate and (optionally)
-content class.  The controller prices the session with the workload-LUT
-estimator — exactly the predictor the pipeline itself uses for
-allocation (§III-D1) — and then asks Algorithm 2's admission stage
+A HELLO declares a stream's geometry, frame rate, (optionally) content
+class and (optionally) a rendition ladder; without one the session is
+a ladder of one rung at ingest geometry (:func:`requested_rungs`) and
+takes exactly the path a three-rung HELLO takes.  The controller prices
+every rung with the workload-LUT estimator — exactly the predictor the
+pipeline itself uses for allocation (§III-D1) — and then asks
+Algorithm 2's admission stage
 (:meth:`~repro.allocation.proposed.ProposedAllocator.admit`) whether
-the *whole* set of active sessions plus the candidate still fits the
-``1/FPS`` slot capacity of the platform.  Three outcomes:
+the *whole* set of active sessions plus the candidate (one thread per
+rung) still fits the ``1/FPS`` slot capacity of the platform.  Three
+outcomes:
 
-* **accept** — everything fits; the session is charged its estimated
-  core demand until :meth:`AdmissionController.release`.
-* **park** — the candidate alone overflows capacity but a bounded
-  waiting room has space; the server holds the connection and retries
-  when an active session ends.
-* **reject** — capacity and waiting room are both exhausted.
+* **accept** — a prefix of the requested rungs fits (low rungs are
+  dropped before the session is, the primary never); the session is
+  charged its estimated core demand until
+  :meth:`AdmissionController.release`.
+* **park** — even the primary alone overflows capacity (or the
+  tenant's entitlement) but a bounded waiting room has space; the
+  server holds the connection and retries when an active session ends.
+* **reject** — capacity and waiting room are both exhausted, or the
+  request can never be served (unencodable rung, draining server,
+  energy brownout).
 
 Sustained overload (a run of park/reject decisions) trips a
 server-level degradation ladder: instead of admitting sessions that
@@ -27,7 +35,7 @@ relief threshold walks the ladder back down.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.allocation.demand import UserDemand, cores_needed
@@ -54,7 +62,33 @@ __all__ = [
     "FleetAdmission",
     "SessionTicket",
     "WorkerLoad",
+    "requested_rungs",
 ]
+
+Rungs = Tuple[Tuple[int, int], ...]
+
+
+def requested_rungs(hello: Hello) -> Rungs:
+    """The rendition ladder a HELLO asks for, largest rung first: its
+    ``ladder`` key, or — the plain session — the ingest geometry as a
+    ladder of one rung."""
+    return hello.ladder or ((hello.width, hello.height),)
+
+
+def _rung_problem(hello: Hello, rungs: Rungs) -> str:
+    """Why this ladder can never be encoded from this ingest ("" when
+    it can)."""
+    for w, h in rungs:
+        if w > hello.width or h > hello.height:
+            return (f"rung {w}x{h} exceeds {hello.width}x{hello.height} "
+                    "ingest: ladders never upscale")
+        if w < 1 or h < 1 or w % RUNG_MULTIPLE or h % RUNG_MULTIPLE:
+            return (f"rung {w}x{h} is not encodable: dimensions must be "
+                    f"positive multiples of {RUNG_MULTIPLE}")
+    areas = [w * h for w, h in rungs]
+    if any(a <= b for a, b in zip(areas, areas[1:])):
+        return "ladder rungs must be strictly decreasing in area"
+    return ""
 
 
 class AdmissionDecision(enum.Enum):
@@ -181,52 +215,23 @@ class AdmissionController:
         return self.energy.admits(tenant)
 
     # -- pricing -------------------------------------------------------
-    def estimate_session(self, hello: Hello) -> Tuple[float, UserDemand]:
-        """Predicted per-slot demand of a session, from its HELLO.
-
-        The LUT key describes the session's steady state: a P frame at
-        the pipeline's default QP/window with mid texture and high
-        motion (the conservative prior before any tile statistics
-        exist); once the LUT has observations for the stream's content
-        class, the estimate sharpens automatically.
-        """
-        content = None
-        if hello.content_class:
-            try:
-                content = ContentClass(hello.content_class)
-            except ValueError:
-                content = None
-        area = max(1, hello.width * hello.height)
-        key = WorkloadKey(
-            texture=TextureClass.MEDIUM,
-            motion=MotionClass.HIGH,
-            qp=32,
-            search_window=64,
-            frame_type=FrameType.P,
-            area_bucket=area_bucket(area),
-            content_class=content,
-        )
-        cpu_per_frame = self.estimator.estimate(key, area)
-        demand = UserDemand(
-            user_id=0,
-            threads=[ThreadTask(thread_id=0, user_id=0,
-                                cpu_time_fmax=cpu_per_frame, tile_index=0)],
-        )
-        return cores_needed(demand, hello.fps), demand
-
     def estimate_ladder(
         self, hello: Hello,
         rungs: Sequence[Tuple[int, int]],
     ) -> Tuple[float, UserDemand, List[float]]:
         """Price a whole rendition ladder: the sum of per-rung estimates.
 
-        Each rung is priced with its own LUT key — the rung's area
-        bucket plus the :attr:`WorkloadKey.resolution` tag the ladder
-        sessions record under (``None`` for the full-resolution primary,
-        so its statistics pool with pre-ladder sessions).  The ladder's
-        demand carries one thread per rung, so Algorithm 2 admits or
-        refuses the *whole* ladder, exactly as §III-D2 charges a
-        session for everything it will run per slot.
+        The LUT key describes a rung's steady state: a P frame at the
+        pipeline's default QP/window with mid texture and high motion
+        (the conservative prior before any tile statistics exist; once
+        the LUT has observations for the stream's content class, the
+        estimate sharpens automatically), the rung's area bucket, and
+        the :attr:`WorkloadKey.resolution` tag the rung sessions record
+        under (``None`` for the primary, so its statistics pool with
+        every single-rendition session).  The demand carries one thread
+        per rung, so Algorithm 2 admits or refuses the *whole* ladder,
+        exactly as §III-D2 charges a session for everything it will run
+        per slot.
         """
         content = None
         if hello.content_class:
@@ -293,204 +298,45 @@ class AdmissionController:
         return qp, window
 
     # -- decisions -----------------------------------------------------
-    def decide(self, session_id: int, hello: Hello,
-               fps: Optional[float] = None) -> Tuple[AdmissionDecision, str]:
-        """Admission decision for one HELLO.
+    def decide(
+        self, session_id: int, hello: Hello,
+        fps: Optional[float] = None,
+    ) -> Tuple[AdmissionDecision, str, Rungs]:
+        """Admission decision for one HELLO:
+        ``(decision, reason, kept_rungs)``.
 
         ``fps`` overrides the HELLO's frame rate (the server's slot
         clock wins when they disagree).  An ACCEPT immediately charges
         the session; callers must :meth:`release` it when it ends.
+        ``kept_rungs`` are the ``(width, height)`` pairs actually
+        admitted, a prefix of :func:`requested_rungs` (empty unless
+        ACCEPT).  Degradation order: before parking or shedding the
+        session, the controller drops rungs from the **bottom** of the
+        ladder — the primary rung is the clinical deliverable and is
+        never dropped; low rungs are bandwidth conveniences.  Only
+        when the primary alone still overflows does the session park
+        or get rejected: against the slot cap that is server overload
+        and feeds the overload ladder, against the tenant's own
+        entitlement it is not.
         """
         fps = fps if fps is not None else hello.fps
-        if fps <= 0:
-            return AdmissionDecision.REJECT, "non-positive fps"
-        if self._draining:
-            get_registry().inc(
-                "repro_serving_admission_total", decision="reject",
-                help="Admission decisions by outcome",
-            )
-            return (AdmissionDecision.REJECT,
-                    "server draining; admissions stopped")
-        tenant = self._tenant_name(hello)
-        allowed, why = self._energy_gate(tenant)
-        if not allowed:
-            registry = get_registry()
-            registry.inc(
-                "repro_serving_admission_total", decision="reject",
-                help="Admission decisions by outcome",
-            )
-            registry.inc(
-                "repro_serving_policy_rejects_total", tenant=tenant,
-                help="Admissions refused by the energy/brownout policy",
-            )
-            return AdmissionDecision.REJECT, why
-        cores, demand = self.estimate_session(hello)
-        entitled = self._entitlement_cores(tenant)
-        if (entitled is not None
-                and self.tenant_occupancy(tenant) + cores > entitled + 1e-9):
-            registry = get_registry()
-            registry.inc(
-                "repro_serving_tenant_entitlement_total", tenant=tenant,
-                help="Admissions deferred by a tenant's entitlement cap",
-            )
-            occupied = self.tenant_occupancy(tenant)
-            detail = (
-                f"tenant {tenant!r} entitlement exceeded: need "
-                f"{cores:.2f} cores, {occupied:.2f}/{entitled:.2f} "
-                "entitled cores occupied"
-            )
-            if self._parked < self.policy.park_capacity:
-                self._parked += 1
-                decision, reason = AdmissionDecision.PARK, detail + "; parked"
-            else:
-                decision, reason = (AdmissionDecision.REJECT,
-                                    detail + "; waiting room full")
-            registry.inc(
-                "repro_serving_admission_total", decision=decision.value,
-                help="Admission decisions by outcome",
-            )
-            return decision, reason
-        demands = [
-            t.demand for t in self._active.values()
-        ]
-        candidate = UserDemand(
-            user_id=session_id,
-            threads=[
-                ThreadTask(thread_id=t.thread_id, user_id=session_id,
-                           cpu_time_fmax=t.cpu_time_fmax,
-                           tile_index=t.tile_index)
-                for t in demand.threads
-            ],
-        )
-        demands.append(candidate)
-        capacity = max(1, int(self.capacity_cores))
-        admitted, _, _ = self.allocator.admit(demands, fps, capacity=capacity)
-        fits = len(admitted) == len(demands)
+        rungs = requested_rungs(hello)
+        refusal = ("non-positive fps" if fps <= 0
+                   else _rung_problem(hello, rungs))
+        if not refusal and self._draining:
+            refusal = "server draining; admissions stopped"
+        if refusal:
+            return self._decided(session_id, AdmissionDecision.REJECT,
+                                 refusal)
         registry = get_registry()
-        if fits:
-            self._active[session_id] = SessionTicket(
-                session_id=session_id, demand=candidate, cores=cores,
-                tenant=tenant,
-            )
-            decision, reason = AdmissionDecision.ACCEPT, (
-                f"estimated {cores:.2f} cores of "
-                f"{self.capacity_cores:.0f} "
-                f"({self.occupancy_cores:.2f} occupied)"
-            )
-            if tenant:
-                registry.inc(
-                    "repro_serving_tenant_sessions_total", tenant=tenant,
-                    help="Sessions admitted per policy tenant",
-                )
-            self._observe_accept()
-        elif self._parked < self.policy.park_capacity:
-            self._parked += 1
-            decision, reason = AdmissionDecision.PARK, (
-                f"slot cap exceeded: need {cores:.2f} cores, "
-                f"{self.occupancy_cores:.2f}/{self.capacity_cores:.0f} "
-                "occupied; parked"
-            )
-            self._observe_overload()
-        else:
-            decision, reason = AdmissionDecision.REJECT, (
-                f"slot cap exceeded: need {cores:.2f} cores, "
-                f"{self.occupancy_cores:.2f}/{self.capacity_cores:.0f} "
-                "occupied; waiting room full"
-            )
-            self._observe_overload()
-        registry.inc(
-            "repro_serving_admission_total", decision=decision.value,
-            help="Admission decisions by outcome",
-        )
-        registry.set_gauge(
-            "repro_serving_occupancy_cores", self.occupancy_cores,
-            help="Estimated core demand of active sessions",
-        )
-        registry.set_gauge(
-            "repro_serving_overload_level", int(self._level),
-            help="Server-level overload degradation rung",
-        )
-        get_tracer().event(
-            "admission.decide", session=session_id,
-            decision=decision.value, cores=cores,
-            occupancy=self.occupancy_cores, level=self._level.name,
-        )
-        return decision, reason
-
-    def decide_ladder(
-        self, session_id: int, hello: Hello,
-        fps: Optional[float] = None,
-    ) -> Tuple[AdmissionDecision, str, Tuple[Tuple[int, int], ...]]:
-        """Admission decision for a HELLO that requests a ladder.
-
-        Returns ``(decision, reason, kept_rungs)`` where ``kept_rungs``
-        are the ``(width, height)`` pairs actually admitted (largest
-        first, a prefix of the request).  Degradation order: before
-        parking or shedding the session, the controller drops rungs
-        from the **bottom** of the ladder — the primary full-resolution
-        rung is the clinical deliverable and is never dropped; low
-        rungs are bandwidth conveniences.  Only when the primary alone
-        still overflows capacity does the decision fall through to the
-        ordinary park/reject path.
-        """
-        fps = fps if fps is not None else hello.fps
-        registry = get_registry()
-        if fps <= 0:
-            return AdmissionDecision.REJECT, "non-positive fps", ()
-        rungs = hello.ladder or ((hello.width, hello.height),)
-        for w, h in rungs:
-            if w > hello.width or h > hello.height:
-                registry.inc(
-                    "repro_serving_admission_total", decision="reject",
-                    help="Admission decisions by outcome",
-                )
-                return (
-                    AdmissionDecision.REJECT,
-                    f"rung {w}x{h} exceeds {hello.width}x{hello.height} "
-                    "ingest: ladders never upscale",
-                    (),
-                )
-            if w < 1 or h < 1 or w % RUNG_MULTIPLE or h % RUNG_MULTIPLE:
-                registry.inc(
-                    "repro_serving_admission_total", decision="reject",
-                    help="Admission decisions by outcome",
-                )
-                return (
-                    AdmissionDecision.REJECT,
-                    f"rung {w}x{h} is not encodable: dimensions must be "
-                    f"positive multiples of {RUNG_MULTIPLE}",
-                    (),
-                )
-        areas = [w * h for w, h in rungs]
-        if any(a <= b for a, b in zip(areas, areas[1:])):
-            registry.inc(
-                "repro_serving_admission_total", decision="reject",
-                help="Admission decisions by outcome",
-            )
-            return (
-                AdmissionDecision.REJECT,
-                "ladder rungs must be strictly decreasing in area",
-                (),
-            )
-        if self._draining:
-            registry.inc(
-                "repro_serving_admission_total", decision="reject",
-                help="Admission decisions by outcome",
-            )
-            return (AdmissionDecision.REJECT,
-                    "server draining; admissions stopped", ())
         tenant = self._tenant_name(hello)
         allowed, why = self._energy_gate(tenant)
         if not allowed:
             registry.inc(
-                "repro_serving_admission_total", decision="reject",
-                help="Admission decisions by outcome",
-            )
-            registry.inc(
                 "repro_serving_policy_rejects_total", tenant=tenant,
                 help="Admissions refused by the energy/brownout policy",
             )
-            return AdmissionDecision.REJECT, why, ()
+            return self._decided(session_id, AdmissionDecision.REJECT, why)
         trimmed = 0
         if self.compiled is not None:
             max_rungs = self.compiled.max_rungs_for(hello.tenant)
@@ -506,25 +352,22 @@ class AdmissionController:
                     help="Ladder rungs trimmed by tenant entitlements",
                 )
         entitled = self._entitlement_cores(tenant)
+        occupied = self.tenant_occupancy(tenant)
         active = [t.demand for t in self._active.values()]
         capacity = max(1, int(self.capacity_cores))
+        # Every rung is priced once; a shorter ladder is a prefix of
+        # the same threads.
+        threads = [replace(t, user_id=session_id)
+                   for t in self.estimate_ladder(hello, rungs)[1].threads]
         # Rung-drop-before-shed: try the full ladder, then successively
         # shorter prefixes, before giving up on the session entirely.
         for cut in range(len(rungs), 0, -1):
-            trial = rungs[:cut]
-            cores, demand, _ = self.estimate_ladder(hello, trial)
-            if (entitled is not None and self.tenant_occupancy(tenant)
-                    + cores > entitled + 1e-9):
+            candidate = UserDemand(user_id=session_id, threads=threads[:cut])
+            cores = cores_needed(candidate, hello.fps)
+            over_entitlement = (entitled is not None
+                                and occupied + cores > entitled + 1e-9)
+            if over_entitlement:
                 continue
-            candidate = UserDemand(
-                user_id=session_id,
-                threads=[
-                    ThreadTask(thread_id=t.thread_id, user_id=session_id,
-                               cpu_time_fmax=t.cpu_time_fmax,
-                               tile_index=t.tile_index)
-                    for t in demand.threads
-                ],
-            )
             admitted, _, _ = self.allocator.admit(
                 active + [candidate], fps, capacity=capacity,
             )
@@ -545,65 +388,75 @@ class AdmissionController:
                     "repro_serving_tenant_sessions_total", tenant=tenant,
                     help="Sessions admitted per policy tenant",
                 )
-            reason = (
-                f"ladder of {cut}/{len(rungs)} rungs at estimated "
-                f"{cores:.2f} cores of {self.capacity_cores:.0f} "
+            self._observe_accept()
+            return self._decided(
+                session_id, AdmissionDecision.ACCEPT,
+                f"{cut}/{len(rungs)} rungs at estimated {cores:.2f} cores "
+                f"of {self.capacity_cores:.0f} "
                 f"({self.occupancy_cores:.2f} occupied)"
                 + (f"; dropped {dropped} low rung(s)" if dropped else "")
                 + (f"; trimmed {trimmed} rung(s) by tenant entitlement"
-                   if trimmed else "")
+                   if trimmed else ""),
+                rungs[:cut], cores, dropped,
             )
-            self._observe_accept()
+        # Even the primary alone does not fit (``cores`` is its price):
+        # wait for room, or be turned away when the waiting room is full.
+        if over_entitlement:
             registry.inc(
-                "repro_serving_admission_total", decision="accept",
-                help="Admission decisions by outcome",
+                "repro_serving_tenant_entitlement_total", tenant=tenant,
+                help="Admissions deferred by a tenant's entitlement cap",
             )
-            registry.set_gauge(
-                "repro_serving_occupancy_cores", self.occupancy_cores,
-                help="Estimated core demand of active sessions",
-            )
-            get_tracer().event(
-                "admission.decide_ladder", session=session_id,
-                decision="accept", rungs=cut, dropped=dropped,
-                cores=cores, occupancy=self.occupancy_cores,
-            )
-            return AdmissionDecision.ACCEPT, reason, tuple(trial)
-        # Even the primary alone does not fit: ordinary park/reject.
-        cores, _, _ = self.estimate_ladder(hello, rungs[:1])
-        if self._parked < self.policy.park_capacity:
-            self._parked += 1
-            decision, reason = AdmissionDecision.PARK, (
-                f"slot cap exceeded even for the primary rung: need "
-                f"{cores:.2f} cores, {self.occupancy_cores:.2f}/"
-                f"{self.capacity_cores:.0f} occupied; parked"
+            detail = (
+                f"tenant {tenant!r} entitlement exceeded: need "
+                f"{cores:.2f} cores, {occupied:.2f}/{entitled:.2f} "
+                "entitled cores occupied"
             )
         else:
-            decision, reason = AdmissionDecision.REJECT, (
+            self._observe_overload()
+            detail = (
                 f"slot cap exceeded even for the primary rung: need "
                 f"{cores:.2f} cores, {self.occupancy_cores:.2f}/"
-                f"{self.capacity_cores:.0f} occupied; waiting room full"
+                f"{self.capacity_cores:.0f} occupied"
             )
-        self._observe_overload()
+        if self._parked < self.policy.park_capacity:
+            self._parked += 1
+            return self._decided(session_id, AdmissionDecision.PARK,
+                                 detail + "; parked", cores=cores)
+        return self._decided(session_id, AdmissionDecision.REJECT,
+                             detail + "; waiting room full", cores=cores)
+
+    def _decided(self, session_id: int, decision: AdmissionDecision,
+                 reason: str, kept: Rungs = (), cores: float = 0.0,
+                 dropped: int = 0) -> Tuple[AdmissionDecision, str, Rungs]:
+        """The one way out of :meth:`decide`: count, gauge, trace."""
+        registry = get_registry()
         registry.inc(
             "repro_serving_admission_total", decision=decision.value,
             help="Admission decisions by outcome",
         )
-        get_tracer().event(
-            "admission.decide_ladder", session=session_id,
-            decision=decision.value, cores=cores,
-            occupancy=self.occupancy_cores,
+        registry.set_gauge(
+            "repro_serving_occupancy_cores", self.occupancy_cores,
+            help="Estimated core demand of active sessions",
         )
-        return decision, reason, ()
+        registry.set_gauge(
+            "repro_serving_overload_level", int(self._level),
+            help="Server-level overload degradation rung",
+        )
+        get_tracer().event(
+            "admission.decide", session=session_id,
+            decision=decision.value, rungs=len(kept), dropped=dropped,
+            cores=cores, occupancy=self.occupancy_cores,
+            level=self._level.name,
+        )
+        return decision, reason, kept
 
-    def unpark(self, session_id: int, hello: Hello,
-               fps: Optional[float] = None) -> tuple:
+    def unpark(
+        self, session_id: int, hello: Hello, fps: Optional[float] = None,
+    ) -> Tuple[AdmissionDecision, str, Rungs]:
         """Retry admission for a parked session (frees its park slot;
-        a PARK outcome re-takes it).  A ladder HELLO retries through
-        :meth:`decide_ladder` and returns its 3-tuple, any other
-        through :meth:`decide`."""
+        a PARK outcome re-takes it)."""
         self._parked = max(0, self._parked - 1)
-        decide = self.decide if hello.ladder is None else self.decide_ladder
-        return decide(session_id, hello, fps)
+        return self.decide(session_id, hello, fps)
 
     def abandon_park(self) -> None:
         """A parked session gave up (timeout or disconnect)."""
@@ -885,10 +738,9 @@ class FleetAdmission:
         """
         registry = get_registry()
         # Priced as the worker will charge it: the whole ladder.
-        if hello.ladder:
-            cores, _, _ = self._pricer.estimate_ladder(hello, hello.ladder)
-        else:
-            cores, _ = self._pricer.estimate_session(hello)
+        cores, _, _ = self._pricer.estimate_ladder(
+            hello, requested_rungs(hello)
+        )
         live = self.live_workers
         tenant = ""
         if self.compiled is not None and live:

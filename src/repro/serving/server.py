@@ -1,19 +1,22 @@
 """Asyncio streaming front-end for the transcoding pipeline.
 
 One TCP connection is one session: HELLO -> admission decision ->
-frame ingest -> encoded-bitstream egress -> STATS/BYE.  Per session
-the server runs three tasks:
+frame ingest -> encoded-bitstream egress -> STATS/BYE.  There is one
+session shape: a rendition ladder over the rungs admission kept.  A
+HELLO without a ``ladder`` key is a ladder of one rung at ingest
+geometry and takes the same handshake, the same admission decision and
+the same encoder (:class:`repro.ladder.session.LadderSession`) as a
+three-rung HELLO.  Per session the server runs three tasks:
 
 * **ingest** reads FRAME messages off the socket and feeds a *bounded*
   queue; when the client outruns the encoder and the queue is full,
   the incoming frame is dropped (an ENCODED notice with
   ``dropped="backpressure"`` tells the client) instead of growing RAM;
-* **encode** pulls frames in order and pushes them through a
-  :class:`repro.transcode.pipeline.ProposedStreamSession` on a
-  dedicated executor thread, so the event loop never blocks on CPU
-  work (with ``parallel_workers`` set, the tile process pool of
-  :mod:`repro.parallel.executor` carries the heavy per-tile encode out
-  of the GIL entirely);
+* **encode** pulls frames in order and pushes them through the
+  session's :class:`~repro.ladder.session.LadderSession` on the encode
+  thread pool, so the event loop never blocks on CPU work (with
+  ``parallel_workers`` set, the tile thread pool of
+  :mod:`repro.parallel.executor` spreads a frame's tiles over cores);
 * **egress** writes ENCODED messages from a second bounded queue; a
   slow reader causes the *oldest* undelivered frame to be coalesced
   away (newest results win — a viewer wants the current frame, not a
@@ -30,15 +33,18 @@ Every admission decision, queue depth, drop and end-to-end frame
 latency lands in :mod:`repro.observability`.
 
 **Fault tolerance** (DESIGN.md §11).  With ``journal_dir`` set, every
-session writes a checksummed journal (:mod:`repro.serving.recovery`)
-fsync'd at GOP granularity: admission state, cross-GOP pipeline
-snapshots and the encoded outcomes themselves.  A client that loses
+one-rung session writes a checksummed journal
+(:mod:`repro.serving.recovery`) fsync'd at GOP granularity: admission
+state, cross-GOP pipeline snapshots and the encoded outcomes
+themselves.  (A ``gop`` record holds one rung's raw planes; multi-rung
+sessions run journal-less until ROADMAP item 15 replaces what the
+record holds.)  A client that loses
 its connection reattaches with RESUME and continues *bit-identically* —
 the journal restores the encoder to the last GOP boundary and replays
 any outcomes the old connection never delivered.  ``watchdog_multiple``
 arms an encode watchdog: a push that exceeds the deadline multiple is
-abandoned (the executor is replaced), the stream is rebuilt from the
-in-memory GOP-boundary snapshot, the wedged frame is dropped as
+abandoned (the executor is replaced), the encoder is rebuilt from the
+in-memory per-rung GOP-boundary snapshot, the wedged frame is dropped as
 ``"watchdog"``, the degradation ladder climbs one rung, and the
 allocator re-packs around the presumed-sick core.  :meth:`drain`
 (SIGTERM) stops admissions, finishes or parks in-flight GOPs,
@@ -49,11 +55,12 @@ server restart.
 from __future__ import annotations
 
 import asyncio
+import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
@@ -74,7 +81,7 @@ from repro.resilience.degradation import ResilienceConfig
 # Submodule imports (not the repro.ladder package) keep the
 # ladder <-> serving import cycle unwound: repro.ladder.segments
 # imports repro.serving.protocol, which initializes this package.
-from repro.ladder.config import RUNG_MULTIPLE, LadderConfig, LadderRung
+from repro.ladder.config import LadderConfig, LadderRung
 from repro.ladder.session import LadderSession
 from repro.serving.admission import (
     AdmissionController,
@@ -107,11 +114,7 @@ from repro.serving.recovery import (
 from repro.serving.statestore import SharedDirStateStore
 from repro.storage import FileOps, RetryPolicy, StorageError
 from repro.storage.brownout import DurabilityMonitor
-from repro.transcode.pipeline import (
-    FrameOutput,
-    PipelineConfig,
-    StreamTranscoder,
-)
+from repro.transcode.pipeline import FrameOutput, PipelineConfig
 from repro.video.frame import Frame
 from repro.video.generator import ContentClass
 from repro.workload.estimator import WorkloadEstimator
@@ -141,13 +144,8 @@ class ServeNetConfig:
     hello_timeout_s: float = 10.0
     max_frame_width: int = 4096
     max_frame_height: int = 4096
-    #: Tile pool per session (``None`` = serial encode).
+    #: Tile thread pool per session (``None`` = serial encode).
     parallel_workers: Optional[int] = None
-    #: Tile pool backend.  Serving defaults to ``"thread"``: session
-    #: frames are zero-copy views of socket buffers, which threads can
-    #: share directly (a fork/pickle pool would copy them right back),
-    #: and the native kernels release the GIL for the hot loops.
-    parallel_backend: str = "thread"
     #: Size of the shared encode thread pool (one GOP flush runs per
     #: thread; per-session pushes stay strictly ordered regardless).
     #: ``None`` derives the size from the Algorithm-2 core grant: the
@@ -310,7 +308,9 @@ class _EncodedOut:
 class _Session:
     """Mutable state of one accepted client session.
 
-    ``restored`` rebuilds the session from its journal: the pipeline is
+    ``rungs`` is the admitted ladder (a prefix of what the HELLO asked
+    for; one rung at ingest geometry for a HELLO without ``ladder``).
+    ``restored`` rebuilds the session from its journal: the encoder is
     restored to the last GOP-boundary snapshot, parked in-flight frames
     are staged in ``prefeed`` for the encode loop to re-push, and the
     encoder configuration (``qp``/``window``) comes from the journaled
@@ -319,10 +319,11 @@ class _Session:
     """
 
     def __init__(self, session_id: int, hello: Hello,
-                 server: "NetworkServer", resume_token: str = "",
+                 server: "NetworkServer",
+                 rungs: Tuple[Tuple[int, int], ...],
+                 resume_token: str = "",
                  journal: Optional[SessionJournal] = None,
-                 restored: Optional[RestoredSession] = None,
-                 rungs: Tuple[Tuple[int, int], ...] = ()):
+                 restored: Optional[RestoredSession] = None):
         cfg = server.config
         self.session_id = session_id
         self.hello = hello
@@ -358,7 +359,6 @@ class _Session:
             platform=cfg.platform,
             parallel_tiles=cfg.parallel_workers is not None,
             parallel_workers=cfg.parallel_workers or None,
-            parallel_backend=cfg.parallel_backend,
         )
         injector = None
         if cfg.fault_spike_rate > 0:
@@ -367,32 +367,20 @@ class _Session:
                 time_spike_rate=cfg.fault_spike_rate,
                 time_spike_factor=cfg.fault_spike_factor,
             ))
-        #: Rendition-ladder mode (``rungs`` non-empty): one shared
-        #: analysis pass feeds per-rung pipeline sessions; outputs are
-        #: rung-tagged on the wire.  The rung set is the *admitted*
-        #: ladder (a prefix of the HELLO's request), so the planner's
-        #: own content pruning is disabled — the client receives
-        #: exactly the rungs the HELLO_ACK promised.  Ladder sessions
-        #: are not journaled and run without the encode watchdog (no
-        #: cross-rung snapshot exists yet); see DESIGN.md §14.
-        self.ladder: Optional[LadderSession] = None
-        self.transcoder: Optional[StreamTranscoder] = None
-        self.stream = None
-        if rungs:
-            self.ladder = LadderSession(
-                base_config=pipeline,
-                ladder=LadderConfig(
-                    rungs=tuple(LadderRung(w, h) for w, h in rungs),
-                    prune=False,
-                ),
-                estimator=server.estimator,
-            )
-        else:
-            self.transcoder = StreamTranscoder(
-                pipeline, estimator=server.estimator,
-                fault_injector=injector,
-            )
-            self.stream = self.transcoder.open_session()
+        #: Builds a fresh encoder over the admitted rungs: the session's
+        #: first, and the one the watchdog rebuilds it on (the fault
+        #: injector's seeded stream carries over).  The rung set is the
+        #: *admitted* ladder, so the planner's own content pruning is
+        #: off — the client receives exactly the rungs the HELLO_ACK
+        #: promised.
+        self.new_encoder = functools.partial(
+            LadderSession, pipeline,
+            LadderConfig(rungs=tuple(LadderRung(w, h) for w, h in rungs),
+                         prune=False),
+            estimator=server.estimator, fault_injector=injector,
+        )
+        #: The session's one encoder; its outputs are rung-tagged.
+        self.encoder: LadderSession = self.new_encoder()
         self.slot_s = 1.0 / pipeline.fps
         self.gop_size = max(1, hello.gop)
         # -- recovery state --------------------------------------------
@@ -404,8 +392,8 @@ class _Session:
         #: Raw frames pushed since the last GOP boundary — the watchdog
         #: rebuild and the drain park record re-feed from here.
         self.replay_frames: List[Frame] = []
-        #: In-memory copy of the last GOP-boundary snapshot.
-        self.last_state: Optional[Dict[str, object]] = None
+        #: In-memory copy of the last GOP-boundary snapshot, per rung.
+        self.last_state: Optional[Dict[int, Dict[str, object]]] = None
         #: Outcomes egressed outside the GOP flush (watchdog drops),
         #: awaiting durability in the next ``gop``/``park`` record so a
         #: resume replays them with their original classification.
@@ -424,30 +412,34 @@ class _Session:
         self.completed = False
         if restored is not None:
             if restored.state is not None:
-                self.stream.import_state(restored.state)
-                self.last_state = restored.state
+                # A journal holds one rung's snapshot (the journal guard
+                # in the HELLO handshake): the primary's.
+                self.last_state = {0: restored.state}
+                self.encoder.import_state(self.last_state)
             self.next_index = restored.next_frame_index
             self.prefeed = [
                 Frame(plane, index=index)
                 for index, plane in restored.pending
             ]
 
-    # -- uniform encode surface (plain stream or ladder) ---------------
-    def encode_push(self, frame: Frame) -> List[FrameOutput]:
-        if self.ladder is not None:
-            return self.ladder.push(frame)
-        return self.stream.push(frame)
 
-    def encode_finish(self) -> List[FrameOutput]:
-        if self.ladder is not None:
-            return self.ladder.finish()
-        return self.stream.finish()
+@dataclass
+class _Claim:
+    """What a handshake holds before the session loops take it over.
 
-    def close_encoder(self) -> None:
-        if self.ladder is not None:
-            self.ladder.close()
-        else:
-            self.transcoder.close()
+    Each field is set the moment the thing is taken, so the one
+    ``finally`` of :meth:`NetworkServer._run_connection` gives back
+    exactly what a refused, faulted or cancelled handshake held.
+    """
+
+    #: Admission ticket (the session id it was charged under).
+    session_id: Optional[int] = None
+    #: Resume token whose lease (and, for a RESUME, ``_attached``
+    #: entry) this handler holds.
+    token: str = ""
+    journal: Optional[SessionJournal] = None
+    #: Owns the encoder.
+    session: Optional[_Session] = None
 
 
 class NetworkServer:
@@ -912,20 +904,101 @@ class NetworkServer:
 
     async def _run_connection(self, reader: asyncio.StreamReader,
                               writer: asyncio.StreamWriter) -> None:
-        cfg = self.config
-        registry = get_registry()
         msg = await asyncio.wait_for(
             read_message(reader, max_payload=self._recv_max_payload),
-            timeout=cfg.hello_timeout_s,
+            timeout=self.config.hello_timeout_s,
         )
         if isinstance(msg, Resume):
-            await self._resume_connection(msg, reader, writer)
-            return
-        if not isinstance(msg, Hello):
+            handshake = self._resume_handshake
+        elif isinstance(msg, Hello):
+            handshake = self._hello_handshake
+        else:
             raise ProtocolError(
                 f"expected HELLO or RESUME, got {msg.type.name}"
             )
-        hello = msg
+        # One claim scope for both doors.  From here to the hand-over
+        # every exit — a reject, a storage fault, a client gone before
+        # its ACK, cancellation in the waiting room — gives back
+        # whatever the handshake took in the one ``finally`` below: a
+        # ticket left behind occupies cores nobody uses, a lease left
+        # with a live worker locks every peer out of the token.
+        claim = _Claim()
+        session: Optional[_Session] = None
+        try:
+            session = await handshake(msg, writer, claim)
+        finally:
+            if session is None:
+                if self._attached.get(claim.token) is asyncio.current_task():
+                    del self._attached[claim.token]
+                if claim.session is not None:
+                    claim.session.encoder.close()
+                if claim.journal is not None:
+                    claim.journal.close()
+                if claim.session_id is not None:
+                    self.admission.release(claim.session_id)
+                    self._capacity_freed.set()
+                if claim.token:
+                    self._journal_store.release(claim.token)
+        if session is not None:
+            await self._serve_admitted(session, reader, writer)
+
+    async def _admit(
+        self, hello: Hello, writer: asyncio.StreamWriter, claim: _Claim,
+        ack: Type[Union[HelloAck, ResumeAck]],
+    ) -> Optional[Tuple[int, str, Tuple[Tuple[int, int], ...]]]:
+        """The one admit step of both doors: decide, hold a parked
+        session until capacity frees, refuse with ``ack``.  Returns
+        ``(session_id, reason, kept_rungs)`` with the ticket recorded
+        on the claim, or ``None`` once the reject has been sent."""
+        session_id = self._next_session_id
+        self._next_session_id += 1
+        decision, reason, rungs = self.admission.decide(session_id, hello)
+        if decision is AdmissionDecision.PARK:
+            # Only HELLO_ACK has a "park" form on the wire; a parked
+            # RESUME just sees a slow RESUME_ACK.
+            decision, reason, rungs = await self._wait_parked(
+                session_id, hello, writer,
+                HelloAck(decision="park", session_id=session_id,
+                         reason=reason) if ack is HelloAck else None,
+            )
+        if decision is not AdmissionDecision.ACCEPT:
+            await write_message(writer, ack(
+                decision="reject", session_id=session_id, reason=reason,
+            ))
+            return None
+        claim.session_id = session_id
+        return session_id, reason, rungs
+
+    async def _journal_handshake(self, claim: _Claim, kind: str,
+                                 build: Callable[[], Dict[str, object]],
+                                 ) -> None:
+        """Append the handshake's own record (``admit`` / ``resume``).
+        A journal dead on arrival (ENOSPC, writer-thread death, ...)
+        browns the session out — it is served journal-less rather than
+        refused — and the claim stops holding what the brownout gave
+        back."""
+        try:
+            await asyncio.get_running_loop().run_in_executor(
+                self._journal_pool, self._journal_write,
+                claim.journal, kind, build,
+            )
+        except asyncio.CancelledError:
+            raise
+        except Exception as exc:
+            await self._durability_brownout(claim.session, exc)
+            claim.token, claim.journal = "", None
+
+    async def _hello_handshake(self, hello: Hello,
+                               writer: asyncio.StreamWriter,
+                               claim: _Claim) -> Optional[_Session]:
+        """HELLO handshake, with or without a ``ladder`` key.
+
+        Admission prices the *whole* ladder and may drop low rungs
+        before parking or rejecting the session.  For a HELLO that
+        carried ``ladder`` the ACK's ``rungs`` list is the contract —
+        exactly those rungs arrive on the wire, each ENCODED tagged
+        with its rung id in the header flags."""
+        cfg = self.config
         if not (0 < hello.width <= cfg.max_frame_width
                 and 0 < hello.height <= cfg.max_frame_height):
             await write_message(writer, HelloAck(
@@ -934,66 +1007,43 @@ class NetworkServer:
                     f"1..{cfg.max_frame_width} x 1..{cfg.max_frame_height}"
                 ),
             ))
-            return
-        session_id = self._next_session_id
-        self._next_session_id += 1
-        if hello.ladder is not None:
-            await self._run_ladder_connection(
-                session_id, hello, reader, writer
-            )
-            return
-        # A plain session encodes the ingest plane itself (a ladder's
-        # rungs are checked by decide_ladder): refuse here what the
-        # first GOP flush would otherwise die on in blockify.
-        if hello.width % RUNG_MULTIPLE or hello.height % RUNG_MULTIPLE:
-            await write_message(writer, HelloAck(
-                decision="reject", session_id=session_id, reason=(
-                    f"geometry {hello.width}x{hello.height} is not "
-                    "encodable: dimensions must be positive multiples "
-                    f"of {RUNG_MULTIPLE}"
-                ),
-            ))
-            return
-        decision, reason = self.admission.decide(session_id, hello)
-        if decision is AdmissionDecision.PARK:
-            await write_message(writer, HelloAck(
-                decision="park", session_id=session_id, reason=reason,
-            ))
-            decision, reason = await self._wait_parked(session_id, hello)
-        if decision is not AdmissionDecision.ACCEPT:
-            await write_message(writer, HelloAck(
-                decision="reject", session_id=session_id, reason=reason,
-            ))
-            return
-        resume_token = ""
-        journal: Optional[SessionJournal] = None
-        # Brownout gate: while the journal volume is failing, new
-        # sessions are admitted journal-less (degrade, never crash);
-        # the probe loop re-enables journaling hysteretically.
-        if self._journal_store is not None and self._durability.healthy:
+            return None
+        admitted = await self._admit(hello, writer, claim, HelloAck)
+        if admitted is None:
+            return None
+        session_id, reason, rungs = admitted
+        store = self._journal_store
+        # The one thing a multi-rung session lacks: a ``gop`` record
+        # holds one rung's raw planes, and ROADMAP item 15 replaces what
+        # it holds (bitstreams), so the N-rung record is not built
+        # twice.  Brownout gate: while the journal volume is failing,
+        # new sessions are admitted journal-less too (degrade, never
+        # crash); the probe loop re-enables journaling hysteretically.
+        if len(rungs) == 1 and store is not None and self._durability.healthy:
             try:
-                resume_token = self._journal_store.new_token(
-                    session_id, hello.client_id
-                )
+                claim.token = store.new_token(session_id, hello.client_id)
                 # A fresh token is uncontended, but taking its lease
                 # here makes the invariant uniform: a journal with an
                 # appender always has a lease naming that appender.
-                self._journal_store.acquire(resume_token)
-                journal = self._journal_store.create(resume_token)
+                store.acquire(claim.token)
+                claim.journal = store.create(claim.token)
             except StorageError as exc:
-                if resume_token:
-                    try:
-                        self._journal_store.release(resume_token)
-                    except (StorageError, OSError):
-                        pass
-                resume_token, journal = "", None
+                try:
+                    store.release(claim.token)
+                except (StorageError, OSError):
+                    pass
+                claim.token = ""
                 self._note_durability_failure(exc)
-        session = _Session(session_id, hello, self,
-                           resume_token=resume_token, journal=journal)
-        if journal is not None:
+        session = claim.session = _Session(
+            session_id, hello, self, rungs,
+            resume_token=claim.token, journal=claim.journal,
+        )
+        if claim.journal is not None:
+            token = claim.token
+
             def admit_record() -> Dict[str, object]:
                 record = {
-                    "token": resume_token, "session_id": session_id,
+                    "token": token, "session_id": session_id,
                     "width": hello.width, "height": hello.height,
                     "fps": hello.fps, "num_frames": hello.num_frames,
                     "gop": hello.gop, "content_class": hello.content_class,
@@ -1003,88 +1053,48 @@ class NetworkServer:
                 }
                 if hello.tenant:
                     record["tenant"] = hello.tenant
+                if rungs[0] != (hello.width, hello.height):
+                    # The rung is a scaled rendition: a RESUME must
+                    # rebuild it, not the ingest geometry.
+                    record["ladder"] = [list(rung) for rung in rungs]
                 return record
 
-            try:
-                await asyncio.get_running_loop().run_in_executor(
-                    self._journal_pool, self._journal_write,
-                    journal, "admit", admit_record,
-                )
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                # Journal dead on arrival (ENOSPC, writer-thread death,
-                # ...): the session continues journal-less.
-                await self._durability_brownout(session, exc)
+            await self._journal_handshake(claim, "admit", admit_record)
+        if hello.ladder is not None:
+            get_registry().inc(
+                "repro_serving_ladder_sessions_total",
+                help="Sessions admitted from a HELLO that asked for a "
+                     "rendition ladder",
+            )
         await write_message(writer, HelloAck(
             decision="accept", session_id=session_id, reason=reason,
             queue_frames=cfg.queue_frames,
             # A brownout above clears the session's token; the ACK
             # must advertise what the session actually has.
             resume_token=session.resume_token,
+            rungs=tuple((i, w, h) for i, (w, h) in enumerate(rungs))
+            if hello.ladder is not None else (),
         ))
-        await self._serve_admitted(session, reader, writer)
+        return session
 
-    async def _run_ladder_connection(
-        self, session_id: int, hello: Hello,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """HELLO-with-ladder handshake.
-
-        Admission prices the *whole* ladder (sum of per-rung LUT
-        estimates) and may drop low rungs before parking or rejecting
-        the session; the HELLO_ACK's ``rungs`` list is the contract —
-        exactly those rungs arrive on the wire, each ENCODED tagged
-        with its rung id in the header flags.  Ladder sessions are not
-        journaled (no resume token) and the encode watchdog is
-        disarmed; see DESIGN.md §14 for the limitation.
-        """
-        cfg = self.config
-        decision, reason, kept = self.admission.decide_ladder(
-            session_id, hello
-        )
-        if decision is AdmissionDecision.PARK:
-            await write_message(writer, HelloAck(
-                decision="park", session_id=session_id, reason=reason,
-            ))
-            decision, reason, kept = await self._wait_parked(
-                session_id, hello
-            )
-        if decision is not AdmissionDecision.ACCEPT:
-            await write_message(writer, HelloAck(
-                decision="reject", session_id=session_id, reason=reason,
-            ))
-            return
-        session = _Session(session_id, hello, self, rungs=kept)
-        get_registry().inc(
-            "repro_serving_ladder_sessions_total",
-            help="Rendition-ladder sessions admitted by the server",
-        )
-        await write_message(writer, HelloAck(
-            decision="accept", session_id=session_id, reason=reason,
-            queue_frames=cfg.queue_frames,
-            rungs=tuple(
-                (i, w, h) for i, (w, h) in enumerate(kept)
-            ),
-        ))
-        await self._serve_admitted(session, reader, writer)
-
-    async def _resume_connection(self, msg: Resume,
-                                 reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        """RESUME handshake: restore the journaled session, replay the
-        outcomes the client lacks, and hand over to the normal loops."""
+    async def _resume_handshake(self, msg: Resume,
+                                writer: asyncio.StreamWriter,
+                                claim: _Claim) -> Optional[_Session]:
+        """RESUME handshake: restore the journaled session and replay
+        the outcomes the client lacks."""
         cfg = self.config
         registry = get_registry()
         started = time.perf_counter()
         store = self._journal_store
-        if store is None or not store.exists(msg.resume_token):
+
+        async def refuse(reason: str, transient: bool = False) -> None:
+            """Reject; ``transient`` tells the client a retry may work."""
             await write_message(writer, ResumeAck(
-                decision="reject", reason="unknown resume token",
+                decision="reject", reason=reason,
+                retry_after_s=cfg.lease_retry_s if transient else 0.0,
             ))
-            return
-        if msg.resume_token in self._tombstoned:
+
+        async def refuse_tombstoned() -> None:
             # Invalidated by a durability brownout: the journal on disk
             # (if any survived) is not trusted to be complete, so the
             # token is refused cleanly instead of resuming a session
@@ -1093,11 +1103,12 @@ class NetworkServer:
                 "repro_serving_tombstone_rejects_total",
                 help="RESUMEs refused: token tombstoned by a brownout",
             )
-            await write_message(writer, ResumeAck(
-                decision="reject",
-                reason="resume token invalidated by durability brownout",
-            ))
-            return
+            await refuse("resume token invalidated by durability brownout")
+
+        if store is None or not store.exists(msg.resume_token):
+            return await refuse("unknown resume token")
+        if msg.resume_token in self._tombstoned:
+            return await refuse_tombstoned()
         # Half-open TCP: the client timed out and reconnected while the
         # old handler is still alive (e.g. a chaos-proxy stall).  The
         # journal admits one writer, so preempt the old handler —
@@ -1110,11 +1121,8 @@ class NetworkServer:
             old.cancel()
             await asyncio.wait({old}, timeout=cfg.hello_timeout_s)
             if not old.done():
-                await write_message(writer, ResumeAck(
-                    decision="reject",
-                    reason="session still attached; preemption timed out",
-                ))
-                return
+                return await refuse(
+                    "session still attached; preemption timed out")
         # Cross-process exclusion: take the token's single-owner lease.
         # In-process preemption (above) already cleared our own path,
         # so a held lease here names *another worker* — alive means
@@ -1126,202 +1134,143 @@ class NetworkServer:
         except LeaseHeldError as exc:
             registry.inc("repro_serving_lease_conflicts_total",
                          help="RESUMEs rejected: lease held by a live peer")
-            await write_message(writer, ResumeAck(
-                decision="reject",
-                reason=f"session lease held by {exc.owner}",
-                retry_after_s=cfg.lease_retry_s,
-            ))
-            return
+            return await refuse(f"session lease held by {exc.owner}",
+                                transient=True)
         except StorageError as exc:
             # The lease write itself failed: storage trouble, not
             # contention.  Transient reject (the client may retry) and
             # note the failure against the durability latch.
             self._note_durability_failure(exc)
-            await write_message(writer, ResumeAck(
-                decision="reject", reason=f"session store fault: {exc}",
-                retry_after_s=cfg.lease_retry_s,
-            ))
-            return
+            return await refuse(f"session store fault: {exc}",
+                                transient=True)
         # Claim the token before touching the journal so a concurrent
         # RESUME for the same token preempts *this* handler instead of
-        # racing it to the reopen.  From here to the hand-over every
-        # exit — reject, fault, cancellation while parked — gives back
-        # whatever it holds in the one ``finally`` below; a lease left
-        # with a live worker would lock every peer out of the token.
-        task = asyncio.current_task()
-        self._attached[msg.resume_token] = task
+        # racing it to the reopen.
+        claim.token = msg.resume_token
+        self._attached[claim.token] = asyncio.current_task()
         loop = asyncio.get_running_loop()
-        admitted = handed_over = False
-        journal: Optional[SessionJournal] = None
-        session: Optional[_Session] = None
-        try:
-            def restore() -> Tuple[RestoredSession, List[Encoded]]:
-                restored = store.restore(msg.resume_token, strict=True)
-                if restored.tombstoned:
-                    return restored, []
-                return restored, replay_messages(restored, msg.have_below)
 
-            # Reading, hashing and folding a whole journal is too much
-            # for the event loop, and running it on the single journal
-            # writer thread is also the barrier this needs: any append
-            # the old session scheduled before teardown has landed in
-            # the file or failed against the closed handle by the time
-            # the restore reads it.
-            try:
-                restoring = loop.run_in_executor(self._journal_pool, restore)
-            except RuntimeError:
-                # Writer pool dead: journaling is gone for this process,
-                # so a resume cannot be served safely.  Typed refusal.
-                await write_message(writer, ResumeAck(
-                    decision="reject", reason="journal writer unavailable",
-                    retry_after_s=cfg.lease_retry_s,
-                ))
-                return
-            try:
-                restored, replay = await restoring
-            except JournalCorruptionError as exc:
-                registry.inc("repro_serving_journal_corruptions_total",
-                             help="Journals rejected by integrity checks")
-                await write_message(writer, ResumeAck(
-                    decision="reject", reason=f"journal corrupt: {exc}",
-                ))
-                return
-            except StorageError as exc:
-                # An unreadable journal is a *transient* reject, distinct
-                # from corruption: the bytes may be fine, the read failed.
-                await write_message(writer, ResumeAck(
-                    decision="reject", reason=f"journal unreadable: {exc}",
-                    retry_after_s=cfg.lease_retry_s,
-                ))
-                return
+        def restore() -> Tuple[RestoredSession, List[Encoded]]:
+            restored = store.restore(msg.resume_token, strict=True)
             if restored.tombstoned:
-                # A previous run browned this session out and its
-                # tombstone record did land: same clean refusal as the
-                # in-memory set, surviving restarts.
-                registry.inc(
-                    "repro_serving_tombstone_rejects_total",
-                    help="RESUMEs refused: token tombstoned by a brownout",
-                )
-                await write_message(writer, ResumeAck(
-                    decision="reject",
-                    reason="resume token invalidated by durability brownout",
-                ))
-                return
-            adopted = restored.last_owner not in ("", self._owner)
-            if adopted:
-                registry.inc(
-                    "repro_serving_sessions_adopted_total",
-                    help="Journaled sessions adopted from a dead worker",
-                )
-                get_tracer().event(
-                    "serving.adopt", token=msg.resume_token,
-                    previous_owner=restored.last_owner, owner=self._owner,
-                    reclaimed=lease.reclaimed,
-                )
-            admit = restored.admit
-            hello = Hello(
-                width=int(admit["width"]), height=int(admit["height"]),
-                fps=float(admit["fps"]),
-                num_frames=int(admit.get("num_frames", 0)),
-                gop=int(admit["gop"]),
-                content_class=admit.get("content_class"),
-                client_id=msg.client_id or str(admit.get("client_id", "")),
-                tenant=str(admit.get("tenant", "")),
-            )
-            session_id = self._next_session_id
-            self._next_session_id += 1
-            # A resumed session re-charges admission capacity like any
-            # other: its old ticket died with its old connection.
-            decision, reason = self.admission.decide(session_id, hello)
-            if decision is AdmissionDecision.PARK:
-                decision, reason = await self._wait_parked(session_id, hello)
-            if decision is not AdmissionDecision.ACCEPT:
-                await write_message(writer, ResumeAck(
-                    decision="reject", session_id=session_id, reason=reason,
-                ))
-                return
-            admitted = True
-            # A mid-append crash leaves a torn final record; cut the file
-            # back to its last intact record before appending, or the
-            # next record would merge with the partial one mid-file and
-            # poison every later strict restore.
-            try:
-                journal = store.reopen(msg.resume_token, restored.next_seq,
-                                       truncate_to=restored.intact_bytes)
-            except StorageError as exc:
-                self._note_durability_failure(exc)
-                await write_message(writer, ResumeAck(
-                    decision="reject", reason=f"session store fault: {exc}",
-                    retry_after_s=cfg.lease_retry_s,
-                ))
-                return
-            session = _Session(session_id, hello, self,
-                               resume_token=msg.resume_token, journal=journal,
-                               restored=restored)
-            session.stats.resumes = restored.resumes + 1
-            session.stats.replayed = len(replay)
-            next_frame_index = restored.next_frame_index
-            try:
-                await loop.run_in_executor(
-                    self._journal_pool, self._journal_write,
-                    journal, "resume", lambda: {
-                        "have_below": msg.have_below,
-                        "next_frame_index": next_frame_index,
-                        "session_id": session_id,
-                        "owner": self._owner,
-                    },
-                )
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                # The restored state is already in memory; serve the
-                # session journal-less rather than failing the resume.
-                await self._durability_brownout(session, exc)
-            await write_message(writer, ResumeAck(
-                decision="accept", session_id=session_id,
-                next_frame_index=next_frame_index,
-                replayed=len(replay), reason=reason,
-                queue_frames=cfg.queue_frames,
-                resume_token=session.resume_token,
-            ))
-            for encoded in replay:
-                await write_message(writer, encoded)
-                registry.inc("repro_serving_frames_total", direction="out",
-                             help="Frames crossing the wire by direction")
-                registry.inc("repro_serving_bytes_total", len(encoded.luma),
-                             direction="out",
-                             help="Payload bytes crossing the wire by "
-                                  "direction")
-            registry.inc("repro_serving_resumes_total",
-                         help="Sessions reattached via RESUME")
-            registry.observe(
-                "repro_serving_resume_latency_seconds",
-                time.perf_counter() - started,
-                help="RESUME to RESUME_ACK (journal restore + replay)",
+                return restored, []
+            return restored, replay_messages(restored, msg.have_below)
+
+        # Reading, hashing and folding a whole journal is too much
+        # for the event loop, and running it on the single journal
+        # writer thread is also the barrier this needs: any append
+        # the old session scheduled before teardown has landed in
+        # the file or failed against the closed handle by the time
+        # the restore reads it.
+        try:
+            restoring = loop.run_in_executor(self._journal_pool, restore)
+        except RuntimeError:
+            # Writer pool dead: journaling is gone for this process,
+            # so a resume cannot be served safely.  Typed refusal.
+            return await refuse("journal writer unavailable", transient=True)
+        try:
+            restored, replay = await restoring
+        except JournalCorruptionError as exc:
+            registry.inc("repro_serving_journal_corruptions_total",
+                         help="Journals rejected by integrity checks")
+            return await refuse(f"journal corrupt: {exc}")
+        except StorageError as exc:
+            # An unreadable journal is a *transient* reject, distinct
+            # from corruption: the bytes may be fine, the read failed.
+            return await refuse(f"journal unreadable: {exc}", transient=True)
+        if restored.tombstoned:
+            # A previous run browned this session out and its
+            # tombstone record did land: same clean refusal as the
+            # in-memory set, surviving restarts.
+            return await refuse_tombstoned()
+        adopted = restored.last_owner not in ("", self._owner)
+        if adopted:
+            registry.inc(
+                "repro_serving_sessions_adopted_total",
+                help="Journaled sessions adopted from a dead worker",
             )
             get_tracer().event(
-                "serving.resume", session=session_id,
-                token=msg.resume_token, replayed=session.stats.replayed,
-                next_frame_index=next_frame_index,
+                "serving.adopt", token=msg.resume_token,
+                previous_owner=restored.last_owner, owner=self._owner,
+                reclaimed=lease.reclaimed,
             )
-            # The planes under ``restored`` are views of the journal's
-            # one read buffer; the session took the few it needs, the
-            # rest must not stay pinned for as long as it is served.
-            del restored, replay, restoring
-            handed_over = True
-            await self._serve_admitted(session, reader, writer)
-        finally:
-            if not handed_over:
-                if self._attached.get(msg.resume_token) is task:
-                    del self._attached[msg.resume_token]
-                if session is not None:
-                    session.close_encoder()
-                if journal is not None:
-                    journal.close()
-                if admitted:
-                    self.admission.release(session_id)
-                    self._capacity_freed.set()
-                store.release(msg.resume_token)
+        admit = restored.admit
+        ladder = admit.get("ladder")
+        hello = Hello(
+            width=int(admit["width"]), height=int(admit["height"]),
+            fps=float(admit["fps"]),
+            num_frames=int(admit.get("num_frames", 0)),
+            gop=int(admit["gop"]),
+            content_class=admit.get("content_class"),
+            client_id=msg.client_id or str(admit.get("client_id", "")),
+            ladder=(tuple((int(w), int(h)) for w, h in ladder)
+                    if ladder else None),
+            tenant=str(admit.get("tenant", "")),
+        )
+        # A resumed session re-charges admission capacity like any
+        # other: its old ticket died with its old connection.
+        admitted = await self._admit(hello, writer, claim, ResumeAck)
+        if admitted is None:
+            return None
+        session_id, reason, rungs = admitted
+        # A mid-append crash leaves a torn final record; cut the file
+        # back to its last intact record before appending, or the
+        # next record would merge with the partial one mid-file and
+        # poison every later strict restore.
+        try:
+            claim.journal = store.reopen(msg.resume_token, restored.next_seq,
+                                         truncate_to=restored.intact_bytes)
+        except StorageError as exc:
+            self._note_durability_failure(exc)
+            return await refuse(f"session store fault: {exc}",
+                                transient=True)
+        session = claim.session = _Session(
+            session_id, hello, self, rungs, resume_token=msg.resume_token,
+            journal=claim.journal, restored=restored,
+        )
+        session.stats.resumes = restored.resumes + 1
+        session.stats.replayed = len(replay)
+        next_frame_index = restored.next_frame_index
+        # On failure the restored state is already in memory: the
+        # session is served journal-less rather than failing the resume.
+        await self._journal_handshake(claim, "resume", lambda: {
+            "have_below": msg.have_below,
+            "next_frame_index": next_frame_index,
+            "session_id": session_id,
+            "owner": self._owner,
+        })
+        await write_message(writer, ResumeAck(
+            decision="accept", session_id=session_id,
+            next_frame_index=next_frame_index,
+            replayed=len(replay), reason=reason,
+            queue_frames=cfg.queue_frames,
+            resume_token=session.resume_token,
+        ))
+        for encoded in replay:
+            await write_message(writer, encoded)
+            registry.inc("repro_serving_frames_total", direction="out",
+                         help="Frames crossing the wire by direction")
+            registry.inc("repro_serving_bytes_total", len(encoded.luma),
+                         direction="out",
+                         help="Payload bytes crossing the wire by "
+                              "direction")
+        registry.inc("repro_serving_resumes_total",
+                     help="Sessions reattached via RESUME")
+        registry.observe(
+            "repro_serving_resume_latency_seconds",
+            time.perf_counter() - started,
+            help="RESUME to RESUME_ACK (journal restore + replay)",
+        )
+        get_tracer().event(
+            "serving.resume", session=session_id,
+            token=msg.resume_token, replayed=session.stats.replayed,
+            next_frame_index=next_frame_index,
+        )
+        # The planes under ``restored`` and ``replay`` are views of the
+        # journal's one read buffer; the session took the few it needs,
+        # and returning drops the rest instead of pinning them for as
+        # long as the session is served.
+        return session
 
     async def _serve_admitted(self, session: "_Session",
                               reader: asyncio.StreamReader,
@@ -1347,7 +1296,7 @@ class NetworkServer:
             holds_token = self._attached.get(session.resume_token) is task
             if holds_token:
                 del self._attached[session.resume_token]
-            session.close_encoder()
+            session.encoder.close()
             if session.journal is not None:
                 session.journal.close()
                 try:
@@ -1370,37 +1319,36 @@ class NetworkServer:
             self.admission.release(session.session_id)
             self._capacity_freed.set()
 
-    async def _wait_parked(self, session_id: int, hello: Hello):
+    async def _wait_parked(self, session_id: int, hello: Hello,
+                           writer: asyncio.StreamWriter,
+                           park_ack: Optional[HelloAck]):
         """Hold a parked session until capacity frees or the park
-        timeout elapses.  Returns what :meth:`AdmissionController.unpark`
-        does for this HELLO (a ladder HELLO's result carries the kept
-        rungs); a timeout is a REJECT of the same shape."""
+        timeout elapses (sending ``park_ack`` first, when the door has
+        one).  Returns what :meth:`AdmissionController.unpark` does; a
+        timeout is a REJECT.  Any other way out of the waiting room —
+        the park ACK not reaching a client already gone, cancellation
+        by a RESUME preemption or shutdown — returns the park slot,
+        which is still this session's to give back."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.config.park_timeout_s
-        timed_out = (AdmissionDecision.REJECT, "park timeout")
-        if hello.ladder is not None:
-            timed_out += ((),)
-        while True:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                self.admission.abandon_park()
-                return timed_out
-            self._capacity_freed.clear()
-            try:
+        try:
+            if park_ack is not None:
+                await write_message(writer, park_ack)
+            while True:
+                self._capacity_freed.clear()
                 await asyncio.wait_for(
-                    self._capacity_freed.wait(), timeout=remaining
+                    self._capacity_freed.wait(),
+                    timeout=max(0.0, deadline - loop.time()),
                 )
-            except asyncio.TimeoutError:
-                self.admission.abandon_park()
-                return timed_out
-            except asyncio.CancelledError:
-                # Cancelled in the waiting room (RESUME preemption,
-                # shutdown): the slot is still this session's to return.
-                self.admission.abandon_park()
-                raise
-            result = self.admission.unpark(session_id, hello)
-            if result[0] is not AdmissionDecision.PARK:
-                return result
+                result = self.admission.unpark(session_id, hello)
+                if result[0] is not AdmissionDecision.PARK:
+                    return result
+        except asyncio.TimeoutError:
+            self.admission.abandon_park()
+            return AdmissionDecision.REJECT, "park timeout", ()
+        except BaseException:
+            self.admission.abandon_park()
+            raise
 
     # -- session tasks -------------------------------------------------
     async def _run_session(self, session: _Session,
@@ -1523,7 +1471,7 @@ class NetworkServer:
         """Wall-clock budget for one ``push`` (at most one GOP encode),
         or ``None`` when the watchdog is disarmed."""
         multiple = self.config.watchdog_multiple
-        if multiple <= 0 or session.ladder is not None:
+        if multiple <= 0:
             return None
         return max(self.config.watchdog_min_s,
                    multiple * session.slot_s * session.gop_size)
@@ -1548,7 +1496,7 @@ class NetworkServer:
                 # wire before the tail flush and BYE.
                 await session.emit_queue.join()
                 outputs = await loop.run_in_executor(
-                    self._encode_pool, session.encode_finish
+                    self._encode_pool, session.encoder.finish
                 )
                 await self._emit_outputs(session, outputs)
                 session.completed = True
@@ -1592,21 +1540,18 @@ class NetworkServer:
         loop = asyncio.get_running_loop()
         if self._tracks_gop_state(session):
             session.replay_frames.append(frame)
-        if (session.ladder is None
-                and session.stream.pending_frames + 1 < session.gop_size):
-            # Mid-GOP push: validate-and-buffer only (no encode), so
-            # run it inline instead of paying an executor round-trip —
-            # the thread pool is reserved for GOP flushes.  Ladder
-            # pushes always take the executor: every push box-downscales
-            # the frame once per rung, real work the event loop should
-            # not absorb.
+        encoder = session.encoder
+        if encoder.only_buffers(frame):
+            # Mid-GOP push with nothing to scale: validate-and-buffer
+            # only, so run it inline instead of paying an executor
+            # round-trip.  The thread pool is for real work: GOP
+            # flushes, a session's first push (classification, rung
+            # set-up) and every push that box-downscales.
             try:
-                return session.stream.push(frame)
+                return encoder.push(frame)
             except CorruptFrameError as exc:
                 raise ProtocolError(f"unencodable frame: {exc}") from exc
-        future = loop.run_in_executor(
-            self._encode_pool, session.encode_push, frame
-        )
+        future = loop.run_in_executor(self._encode_pool, encoder.push, frame)
         timeout = self._watchdog_timeout(session)
         try:
             if timeout is None:
@@ -1616,15 +1561,18 @@ class NetworkServer:
             raise ProtocolError(f"unencodable frame: {exc}") from exc
         except asyncio.TimeoutError:
             # The executor thread is wedged; Python cannot kill it, so
-            # swallow whatever it eventually produces and move on.
-            future.add_done_callback(lambda f: f.exception())
+            # swallow whatever it eventually produces, retire its
+            # encoder when it lets go, and move on.
+            future.add_done_callback(
+                lambda f: (f.exception(), encoder.close())
+            )
             await self._fire_watchdog(session, frame)
             return []
 
     async def _fire_watchdog(self, session: _Session,
                              frame: Frame) -> None:
         """A push exceeded its deadline multiple: abandon it, rebuild
-        the stream at the last GOP boundary, drop the wedged frame,
+        the encoder at the last GOP boundary, drop the wedged frame,
         degrade, and re-pack the allocator around the sick core."""
         registry = get_registry()
         session.stats.watchdog_fires += 1
@@ -1642,22 +1590,23 @@ class NetworkServer:
         old_pool = self._encode_pool
         self._encode_pool = self._new_encode_pool()
         old_pool.shutdown(wait=False, cancel_futures=True)
-        # Rebuild the stream from the in-memory GOP-boundary snapshot
-        # and re-buffer the interrupted GOP minus the wedged frame.
+        # Rebuild the encoder — a fresh object, the wedged thread keeps
+        # the old one — from the in-memory per-rung GOP-boundary
+        # snapshot and re-buffer the interrupted GOP minus the wedged
+        # frame.
         replay = [f for f in session.replay_frames
                   if f.index != frame.index]
         session.replay_frames = []
-        stream = session.transcoder.open_session()
+        encoder = session.encoder = session.new_encoder()
         if session.last_state is not None:
-            stream.import_state(session.last_state)
-        session.stream = stream
+            encoder.import_state(session.last_state)
         loop = asyncio.get_running_loop()
         for f in replay:
             session.replay_frames.append(f)
-            # Mid-GOP pushes only validate and buffer (encoding happens
-            # at the flush), so re-feeding is cheap and cannot wedge.
-            await loop.run_in_executor(self._encode_pool, stream.push, f)
-        stream.bump_degradation(frame.index)
+            # Mid-GOP pushes only scale, validate and buffer (encoding
+            # happens at the flush), so re-feeding cannot wedge.
+            await loop.run_in_executor(self._encode_pool, encoder.push, f)
+        encoder.bump_degradation(frame.index)
         self.admission.replan_after_stall(
             session.session_id, 1.0 / session.slot_s
         )
@@ -1683,8 +1632,9 @@ class NetworkServer:
         """Hand one push's outputs to the emit loop.
 
         At a GOP boundary the cross-GOP state is captured *here*,
-        synchronously (``export_state`` builds a small dict and borrows
-        the previous-original plane without copying), so the watchdog
+        synchronously (``export_state`` builds a small dict per rung
+        and borrows the previous-original plane without copying), so
+        the watchdog
         and drain paths always see current recovery state.  The
         durability work — building the record, hashing its planes, the
         synced append — is scheduled on the journal writer thread and
@@ -1697,11 +1647,13 @@ class NetworkServer:
             return
         append = None
         if self._tracks_gop_state(session):
-            state = session.stream.export_state()
-            session.last_state = state
+            session.last_state = session.encoder.export_state()
             session.replay_frames = []
             journal = session.journal
             if journal is not None:
+                # Journaled sessions have one rung (the journal guard
+                # in the HELLO handshake): its snapshot is the record's.
+                state = session.last_state[0]
                 # Claim already-egressed watchdog drops synchronously:
                 # they become durable with this GOP record.
                 drops, session.pending_drops = session.pending_drops, []
@@ -1814,7 +1766,7 @@ class NetworkServer:
             # brownout path above): flush the partial GOP the classic
             # way so the client still gets every frame it sent.
             outputs = await loop.run_in_executor(
-                self._encode_pool, session.encode_finish
+                self._encode_pool, session.encoder.finish
             )
             await self._emit_outputs(session, outputs)
             reason = "server draining"

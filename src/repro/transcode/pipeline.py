@@ -111,18 +111,13 @@ class PipelineConfig:
     #: answered by the graded degradation ladder instead of the single
     #: lighter configuration.
     resilience: Optional[ResilienceConfig] = None
-    #: Encode each frame's tiles concurrently on a process pool
+    #: Encode each frame's tiles concurrently on a thread pool
     #: (:mod:`repro.parallel.executor`).  Bit-exact with the serial
     #: path; off by default because the pool only pays off with
     #: several cores and tiles.
     parallel_tiles: bool = False
     #: Worker count for the tile pool; ``None`` uses one per core.
     parallel_workers: Optional[int] = None
-    #: Tile pool backend: ``"process"`` (fork + pickle, works without
-    #: native kernels) or ``"thread"`` (shared-memory frame views, no
-    #: pickle; real parallelism only while the GIL-releasing native
-    #: kernels are active).
-    parallel_backend: str = "process"
     #: Output luma height when this pipeline encodes one rung of a
     #: rendition ladder (``repro.ladder``).  Stamped into every
     #: :class:`WorkloadKey` the session records so the LUT learns
@@ -321,9 +316,7 @@ class StreamTranscoder:
         self._workload_keys: Dict[tuple, WorkloadKey] = {}
         self._parallel: Optional[TileParallelExecutor] = None
         if config.parallel_tiles:
-            self._parallel = TileParallelExecutor(
-                config.parallel_workers, backend=config.parallel_backend
-            )
+            self._parallel = TileParallelExecutor(config.parallel_workers)
         self.fault_injector = fault_injector
 
     def _encode_frame(self, *args, **kwargs):

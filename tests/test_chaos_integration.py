@@ -80,13 +80,15 @@ def _frame_msg(frame) -> FrameMsg:
                     luma=frame.luma.tobytes())
 
 
-async def _collect_until_bye(reader, received):
-    """Read ENCODED/STATS until BYE; first outcome per index wins."""
+async def _collect_until_bye(reader, received,
+                             key=lambda msg: msg.frame_index):
+    """Read ENCODED/STATS until BYE; first outcome per key (frame
+    index unless told otherwise) wins."""
     stats = None
     while True:
         msg = await read_message(reader)
         if isinstance(msg, Encoded):
-            received.setdefault(msg.frame_index, msg)
+            received.setdefault(key(msg), msg)
         elif isinstance(msg, Stats):
             stats = msg.data
         elif isinstance(msg, Bye):
@@ -396,14 +398,21 @@ class TestSigtermDrain:
 
 
 class TestEncodeWatchdog:
+    @pytest.mark.parametrize("ladder", [None, ((_W, _H), (32, 32))],
+                             ids=["plain", "2-rung"])
     def test_wedged_encode_cancelled_session_continues(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, ladder):
+        """The watchdog's snapshot is in memory and per rung, so it
+        arms for every session shape."""
+        import dataclasses
+
         import repro.transcode.pipeline as pipeline_mod
 
         content = ContentClass.LUNG
         video = generate_video(content, width=_W, height=_H,
                                num_frames=_FRAMES, seed=23)
-        hello = _hello(video, content)
+        hello = dataclasses.replace(_hello(video, content), ladder=ladder)
+        rungs = range(len(ladder or (None,)))
 
         orig_push = pipeline_mod.ProposedStreamSession.push
         wedged = {"fired": False}
@@ -437,7 +446,8 @@ class TestEncodeWatchdog:
                         await write_message(writer, _frame_msg(frame))
                     await write_message(writer, Bye("done"))
                     reason, stats = await _collect_until_bye(
-                        reader, received)
+                        reader, received,
+                        key=lambda msg: (msg.rung, msg.frame_index))
                 finally:
                     await _close(writer)
             finally:
@@ -458,10 +468,12 @@ class TestEncodeWatchdog:
         assert fires == 1 and dropped == 1
         assert stats["recovery"]["watchdog_fires"] == 1
         assert stats["frames_dropped"]["watchdog"] == 1
-        assert sorted(received) == list(range(_FRAMES))
-        assert received[7].dropped == "watchdog"
-        others = [i for i in range(_FRAMES) if i != 7]
-        assert all(received[i].dropped is None for i in others)
+        # One watchdog drop for the wedged frame (the ingest frame, not
+        # a rung of it); every rung of every other frame.
+        assert received.pop((0, 7)).dropped == "watchdog"
+        assert sorted(received) == [(rung, i) for rung in rungs
+                                    for i in range(_FRAMES) if i != 7]
+        assert all(msg.dropped is None for msg in received.values())
 
 
 class TestChaosBoundedDegradation:

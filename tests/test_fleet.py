@@ -119,14 +119,14 @@ class TestFleetAdmission:
             fleet = self._fleet(workers=1)
             decision, worker, _ = fleet.place(hello)
             worker_side = AdmissionController()
-            assert worker_side.decide_ladder(1, hello)[2] == ladder
+            assert worker_side.decide(1, hello)[2] == ladder
         assert decision is AdmissionDecision.ACCEPT
         charged = fleet.workers[worker].pending_cores
         assert charged == pytest.approx(worker_side.occupancy_cores)
         assert charged == pytest.approx(
             worker_side.estimate_ladder(hello, ladder)[0])
         # ... which is more than the primary rung alone (the old charge).
-        assert charged > worker_side.estimate_session(hello)[0]
+        assert charged > worker_side.estimate_ladder(hello, ladder[:1])[0]
 
     def test_saturated_fleet_parks_then_rejects(self):
         with scoped():

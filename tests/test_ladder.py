@@ -38,6 +38,8 @@ from repro.ladder.planner import LadderPlanner, complexity_score
 from repro.ladder.segments import LadderSegmentReader, LadderSegmentWriter
 from repro.ladder.session import LadderSession
 from repro.platform.schedule import ThreadTask
+from repro.resilience.degradation import DegradationLevel, ResilienceConfig
+from repro.resilience.faults import FaultConfig, FaultInjector
 from repro.serving.admission import (
     AdmissionController,
     AdmissionDecision,
@@ -285,6 +287,114 @@ class TestLadderBitIdentity:
                 session.push(ladder_video.frames[1])
 
 
+def _spiky():
+    # Seeded CPU-time spikes: the resilient pipeline answers them with
+    # deadline drops, so the comparisons below cover drop classes too.
+    return FaultInjector(FaultConfig(seed=3, time_spike_rate=0.3,
+                                     time_spike_factor=80.0))
+
+
+def _push_all(session, frames):
+    outputs = [out for frame in frames for out in session.push(frame)]
+    return outputs + session.finish()
+
+
+def _rung_digests(outputs):
+    return {rung: _outputs_digest([o for o in outputs if o.rung == rung])
+            for rung in {o.rung for o in outputs}}
+
+
+class TestOneRungIsThePlainSession:
+    """The network server encodes every session through a
+    :class:`LadderSession`; what it may rely on is pinned here."""
+
+    @pytest.mark.parametrize("pinned", [True, False],
+                             ids=["pinned", "classified"])
+    @pytest.mark.parametrize("content", [
+        ContentClass.BRAIN, ContentClass.CARDIAC, ContentClass.BONE,
+        ContentClass.LUNG,
+    ], ids=lambda c: c.value)
+    @pytest.mark.parametrize("size", [(96, 64), (160, 128)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_same_bits_recon_and_drops(self, size, content, pinned):
+        width, height = size
+        video = BioMedicalVideoGenerator(GeneratorConfig(
+            width=width, height=height, num_frames=20, seed=5,
+            content_class=content, motion=MotionPreset.PAN_RIGHT,
+        )).generate()
+        config = PipelineConfig(
+            fps=24.0, gop=GopConfig(8), resilience=ResilienceConfig(),
+            content_class=content if pinned else None,
+        )
+        with StreamTranscoder(config, fault_injector=_spiky()) as plain:
+            want = _push_all(plain.open_session(), video.frames)
+        with LadderSession(
+            config, LadderConfig(rungs=(LadderRung(width, height),),
+                                 prune=False),
+            fault_injector=_spiky(),
+        ) as session:
+            got = _push_all(session, video.frames)
+            # The feature pass runs only when something consumes it.
+            assert (session.features is None) == pinned
+        assert {o.rung for o in got} == {0}
+        assert _outputs_digest(got) == _outputs_digest(want)
+        if size == (96, 64):  # the spikes bite hardest on small frames
+            assert {o.dropped for o in want} == {None, "deadline"}
+
+    def test_only_buffers_names_the_pushes_that_do_no_work(self, ladder_video):
+        frames = ladder_video.frames
+        config = PipelineConfig(fps=24.0, gop=GopConfig(_GOP))
+        with LadderSession(config, LadderConfig(rungs=_RUNGS[:1],
+                                                prune=False)) as session:
+            # First push opens the rungs; the last of a GOP encodes it.
+            verdicts = []
+            for frame in frames[:_GOP + 1]:
+                verdicts.append(session.only_buffers(frame))
+                assert session.pending_frames == frame.index % _GOP
+                session.push(frame)
+            assert verdicts == [False, True, True, False, True]
+        with LadderSession(config, LadderConfig(rungs=_RUNGS,
+                                                prune=False)) as session:
+            session.push(frames[0])
+            # Sub-rungs scale on every push: never "only buffers".
+            assert not session.only_buffers(frames[1])
+
+    @pytest.mark.parametrize("rungs", [_RUNGS[:1], _RUNGS],
+                             ids=["1-rung", "3-rung"])
+    def test_exported_state_resumes_the_same_tail(self, ladder_video, rungs):
+        frames = ladder_video.frames
+        config = PipelineConfig(fps=24.0, gop=GopConfig(_GOP),
+                                resilience=ResilienceConfig())
+        ladder = LadderConfig(rungs=rungs, prune=False)
+        with LadderSession(config, ladder) as whole:
+            head = [o for f in frames[:_GOP] for o in whole.push(f)]
+            assert whole.pending_frames == 0
+            snapshot = whole.export_state()
+            tail = _push_all(whole, frames[_GOP:])
+        assert sorted(snapshot) == list(range(len(rungs)))
+        assert len(head) == _GOP * len(rungs)
+        with LadderSession(config, ladder) as resumed:
+            resumed.import_state(snapshot)
+            assert resumed.started and resumed.pending_frames == 0
+            with pytest.raises(ValueError, match="fresh"):
+                resumed.import_state(snapshot)
+            got = _push_all(resumed, frames[_GOP:])
+        assert _rung_digests(got) == _rung_digests(tail)
+
+    def test_bump_before_the_first_push_is_not_lost(self, ladder_video):
+        config = PipelineConfig(fps=24.0, gop=GopConfig(_GOP),
+                                resilience=ResilienceConfig())
+        ladder = LadderConfig(rungs=_RUNGS[:2], prune=False)
+        with LadderSession(config, ladder) as session:
+            assert session.bump_degradation(0) is None  # no rung yet
+            session.push(ladder_video.frames[0])
+            levels = [rs.session._feedback.level
+                      for rs in session.rung_sessions]
+            assert levels == [DegradationLevel.QP_BUMP] * 2
+            assert session.bump_degradation(1) \
+                is DegradationLevel.WINDOW_SHRINK
+
+
 class TestPlanner:
     def test_flat_content_collapses_to_top_and_bottom(self):
         flat = np.full((64, 96), 128, dtype=np.uint8)
@@ -468,7 +578,7 @@ def _controller():
 def _fill(controller, singles, start=100):
     sid = start
     for w, h in singles:
-        decision, reason = controller.decide(
+        decision, reason, _ = controller.decide(
             sid, Hello(width=w, height=h, fps=24.0)
         )
         assert decision is AdmissionDecision.ACCEPT, reason
@@ -523,7 +633,7 @@ class TestLadderAdmission:
     def test_empty_capacity_accepts_full_ladder(self):
         controller = _controller()
         hello = Hello(width=160, height=128, fps=24.0, ladder=_LADDER)
-        decision, reason, kept = controller.decide_ladder(1, hello)
+        decision, reason, kept = controller.decide(1, hello)
         assert decision is AdmissionDecision.ACCEPT, reason
         assert kept == _LADDER
         assert "3/3 rungs" in reason
@@ -532,7 +642,7 @@ class TestLadderAdmission:
         controller = _controller()
         _fill(controller, [(160, 128)] * 4 + [(80, 64)] * 2)
         hello = Hello(width=160, height=128, fps=24.0, ladder=_LADDER)
-        decision, reason, kept = controller.decide_ladder(1, hello)
+        decision, reason, kept = controller.decide(1, hello)
         assert decision is AdmissionDecision.ACCEPT, reason
         # Bottom rung shed, the rest admitted — and kept is a prefix
         # of the request with the primary first.
@@ -543,7 +653,7 @@ class TestLadderAdmission:
         controller = _controller()
         _fill(controller, [(160, 128)] * 5)
         hello = Hello(width=160, height=128, fps=24.0, ladder=_LADDER)
-        decision, reason, kept = controller.decide_ladder(1, hello)
+        decision, reason, kept = controller.decide(1, hello)
         assert decision is AdmissionDecision.ACCEPT, reason
         assert kept == _LADDER[:1]
         assert "1/3 rungs" in reason
@@ -552,33 +662,33 @@ class TestLadderAdmission:
         controller = _controller()
         _fill(controller, [(160, 128)] * 6)
         hello = Hello(width=160, height=128, fps=24.0, ladder=_LADDER)
-        decision, reason, kept = controller.decide_ladder(1, hello)
+        decision, reason, kept = controller.decide(1, hello)
         assert decision is AdmissionDecision.PARK
         assert kept == ()
         assert "even for the primary rung" in reason
         # Waiting room (capacity 1) is now full: the next ladder is
         # shed outright.
-        decision, reason, kept = controller.decide_ladder(2, hello)
+        decision, reason, kept = controller.decide(2, hello)
         assert decision is AdmissionDecision.REJECT
         assert kept == ()
 
     def test_release_restores_capacity(self):
         controller = _controller()
         hello = Hello(width=160, height=128, fps=24.0, ladder=_LADDER)
-        decision, _, kept = controller.decide_ladder(1, hello)
+        decision, _, kept = controller.decide(1, hello)
         assert decision is AdmissionDecision.ACCEPT
         occupied = controller.occupancy_cores
         assert occupied > 0
         controller.release(1)
         assert controller.occupancy_cores == 0
-        decision, _, kept = controller.decide_ladder(2, hello)
+        decision, _, kept = controller.decide(2, hello)
         assert decision is AdmissionDecision.ACCEPT and kept == _LADDER
 
     def test_rejects_upscaling_ladder(self):
         controller = _controller()
         hello = Hello(width=160, height=128, fps=24.0,
                       ladder=((320, 256), (160, 128)))
-        decision, reason, kept = controller.decide_ladder(1, hello)
+        decision, reason, kept = controller.decide(1, hello)
         assert decision is AdmissionDecision.REJECT
         assert kept == ()
         assert "never upscale" in reason
@@ -587,7 +697,7 @@ class TestLadderAdmission:
         controller = _controller()
         hello = Hello(width=160, height=128, fps=24.0,
                       ladder=((160, 128), (100, 76)))
-        decision, reason, kept = controller.decide_ladder(1, hello)
+        decision, reason, kept = controller.decide(1, hello)
         assert decision is AdmissionDecision.REJECT
         assert kept == ()
         assert f"multiples of {RUNG_MULTIPLE}" in reason
@@ -596,7 +706,7 @@ class TestLadderAdmission:
         controller = _controller()
         hello = Hello(width=160, height=128, fps=24.0,
                       ladder=((80, 64), (160, 128)))
-        decision, reason, kept = controller.decide_ladder(1, hello)
+        decision, reason, kept = controller.decide(1, hello)
         assert decision is AdmissionDecision.REJECT
         assert "decreasing" in reason
 

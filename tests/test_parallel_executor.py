@@ -2,9 +2,9 @@
 
 The inline (``workers=1``) tests exercise the whole parallel code path
 — per-tile writers, payload splicing, reconstruction stitching, policy
-snapshot/merge — without forking, so they run in the fast tier.  The
-``slow``-marked tests repeat the guarantees through a real process
-pool (run with ``-m slow`` or no marker filter).
+snapshot/merge — without a pool; the pool tests repeat the guarantees
+on real worker threads (the ``slow``-marked ones over whole
+transcodes; run with ``-m slow`` or no marker filter).
 """
 
 import os
@@ -125,7 +125,8 @@ def test_hook_spec_is_picklable():
 def test_recommended_parallel():
     assert not recommended_parallel(num_tiles=1, workers=8)
     assert not recommended_parallel(num_tiles=8, workers=1)
-    assert recommended_parallel(num_tiles=4, workers=2)
+    assert recommended_parallel(num_tiles=4, workers=2) \
+        == (native.lib is not None)
 
 
 def test_executor_validates_shapes(video):
@@ -154,15 +155,8 @@ def test_pipeline_inline_parallel_identical(video):
 
 
 @pytest.mark.slow
-def test_process_pool_bitstream_identical(video):
-    with TileParallelExecutor(workers=2) as executor:
-        serial_bytes, parallel_bytes = _encode_sequence(video, executor)
-    assert serial_bytes == parallel_bytes
-
-
-@pytest.mark.slow
 @pytest.mark.parametrize("mode", [PipelineMode.PROPOSED, PipelineMode.KHAN])
-def test_process_pool_pipeline_identical(video, mode):
+def test_pool_pipeline_identical(video, mode):
     """Full transcode through a real pool: identical trace to serial."""
     if mode is PipelineMode.KHAN:
         serial_cfg = PipelineConfig.khan(fps=24.0)
@@ -182,7 +176,7 @@ def test_process_pool_pipeline_identical(video, mode):
 
 
 @pytest.mark.slow
-def test_video_encoder_process_pool_identical(video):
+def test_video_encoder_pool_identical(video):
     grid = uniform_tiling(128, 96, 2, 2)
     serial = VideoEncoder(EncoderConfig(qp=32), GopConfig(4)).encode(video, grid)
     parallel = VideoEncoder(
@@ -193,83 +187,43 @@ def test_video_encoder_process_pool_identical(video):
 
 
 def test_recommended_parallel_thread_backend(monkeypatch):
-    from repro import native
-
     if native.lib is not None:
-        assert recommended_parallel(num_tiles=4, workers=2,
-                                    backend="thread")
+        assert recommended_parallel(num_tiles=4, workers=2)
     # Without GIL-releasing kernels, threads only interleave: the
     # recommendation must fall back to "don't".
     monkeypatch.setattr(native, "lib", None)
-    assert not recommended_parallel(num_tiles=4, workers=2,
-                                    backend="thread")
-    # The process recommendation does not depend on native kernels.
-    assert recommended_parallel(num_tiles=4, workers=2,
-                                backend="process")
-
-
-def test_invalid_backend_rejected():
-    with pytest.raises(ValueError):
-        TileParallelExecutor(workers=2, backend="greenlet")
+    assert not recommended_parallel(num_tiles=4, workers=2)
 
 
 class TestThreadBackendWithoutNativeKernels:
     """A multi-worker thread pool without GIL-releasing kernels is a
-    silent pessimization; construction must fail with a message that
-    explains *why* the kernels are missing and what to do instead."""
+    silent pessimization, so the executor works that out itself and
+    encodes inline — same bits, no pool."""
 
-    def test_raises_actionably_on_build_failure(self, monkeypatch):
-        from repro import native
-
+    def test_encodes_inline_without_pool(self, video, monkeypatch):
         monkeypatch.setattr(native, "lib", None)
-        monkeypatch.delenv("REPRO_NATIVE", raising=False)
-        with pytest.raises(ValueError) as exc:
-            TileParallelExecutor(workers=2, backend="thread")
-        message = str(exc.value)
-        assert "native kernels" in message
-        assert "failed to build" in message
-        assert "backend='process'" in message
-
-    def test_names_repro_native_env_interaction(self, monkeypatch):
-        from repro import native
-
-        monkeypatch.setattr(native, "lib", None)
-        monkeypatch.setenv("REPRO_NATIVE", "0")
-        with pytest.raises(ValueError) as exc:
-            TileParallelExecutor(workers=2, backend="thread")
-        message = str(exc.value)
-        # The message must name the env-var interaction, not just the
-        # missing kernels: with REPRO_NATIVE=0 the fix is "unset it",
-        # not "find a compiler".
-        assert "REPRO_NATIVE=0" in message
-        assert "unset" in message
-
-    def test_single_worker_and_process_backend_unaffected(
-        self, monkeypatch
-    ):
-        from repro import native
-
-        monkeypatch.setattr(native, "lib", None)
-        # workers=1 encodes inline (no pool, no GIL contention) and the
-        # process backend never needs the native kernels.
-        TileParallelExecutor(workers=1, backend="thread").close()
-        TileParallelExecutor(workers=2, backend="process").close()
+        for workers in (1, 2):
+            with TileParallelExecutor(workers=workers) as executor:
+                serial_bytes, parallel_bytes = _encode_sequence(
+                    video, executor)
+                assert executor._pool is None
+            assert serial_bytes == parallel_bytes
 
 
 def test_thread_pool_bitstream_identical(video):
     """Shared-memory thread workers splice the same bitstream as the
-    serial encoder (and therefore as the process pool)."""
-    with TileParallelExecutor(workers=2, backend="thread") as executor:
+    serial encoder."""
+    with TileParallelExecutor(workers=2) as executor:
         serial_bytes, parallel_bytes = _encode_sequence(video, executor)
     assert serial_bytes == parallel_bytes
 
 
 def test_thread_pool_pipeline_identical(video):
-    """Full proposed-pipeline transcode through the thread backend:
+    """Full proposed-pipeline transcode through the tile pool:
     identical trace to serial (policy snapshot/merge included)."""
     serial = StreamTranscoder(PipelineConfig(fps=24.0)).run(video)
     cfg = PipelineConfig(fps=24.0, parallel_tiles=True,
-                         parallel_workers=2, parallel_backend="thread")
+                         parallel_workers=2)
     with StreamTranscoder(cfg) as transcoder:
         parallel = transcoder.run(video)
     assert serial.total_bits == parallel.total_bits
@@ -282,14 +236,10 @@ def test_thread_pool_pipeline_identical(video):
 
 @pytest.mark.skipif(native.lib is None,
                     reason="only the native tile driver declines tiles")
-@pytest.mark.parametrize("workers,backend", [
-    (1, "process"), (2, "thread"), (2, "process"),
-], ids=["inline", "thread", "process"])
-def test_declined_tiles_counted_once_in_parent(video, workers, backend):
+@pytest.mark.parametrize("workers", [1, 2], ids=["inline", "thread"])
+def test_declined_tiles_counted_once_in_parent(video, workers):
     """A tile the native driver declines (half-pel here) is counted in
-    the *caller's* registry exactly once however the tile ran — a
-    forked worker's own registry dies with it, so the count must come
-    home through the worker's metrics snapshot."""
+    the *caller's* registry exactly once however the tile ran."""
     grid = uniform_tiling(128, 96, 2, 1)
     configs = [EncoderConfig(qp=32, half_pel=True)] * 2
     encoder = FrameEncoder()
@@ -302,7 +252,7 @@ def test_declined_tiles_counted_once_in_parent(video, workers, backend):
                                   reason="half_pel")
 
     assert declined(encoder.encode) == 2
-    with TileParallelExecutor(workers=workers, backend=backend) as executor:
+    with TileParallelExecutor(workers=workers) as executor:
         assert declined(executor.encode_frame) == 2
 
 
@@ -362,8 +312,6 @@ def test_concurrent_sessions_bit_identical_to_serial():
     policy state crosses the GIL-free call only as data."""
     import sys
 
-    from repro import native
-
     if not native.available():
         pytest.skip("native kernels unavailable")
     videos = [
@@ -394,8 +342,6 @@ def test_two_sessions_scale_across_cores():
     """Two concurrent 320x240 sessions finish in < 1.4x the wall time
     of one: the encode runs GIL-free, one native call per tile."""
     import time
-
-    from repro import native
 
     if not native.available():
         pytest.skip("native kernels unavailable")

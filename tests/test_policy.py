@@ -9,6 +9,12 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.observability import scoped
 from repro.platform.mpsoc import GHZ, MpsocConfig, XEON_E5_2667
@@ -406,11 +412,32 @@ class TestAdmissionGates:
             ctrl = _policy_controller()
             hello = Hello(width=96, height=96, fps=24.0, tenant="clinic")
             assert ctrl.decide(0, hello)[0] is AdmissionDecision.ACCEPT
-            decision, reason = ctrl.decide(1, hello)
+            decision, reason, _ = ctrl.decide(1, hello)
             assert decision is AdmissionDecision.PARK
-            decision, reason = ctrl.decide(2, hello)
+            decision, reason, _ = ctrl.decide(2, hello)
             assert decision is AdmissionDecision.REJECT
             assert "entitlement" in reason
+
+    def test_ladder_over_entitlement_is_the_tenants_problem(self):
+        """A ladder HELLO over its tenant's entitlement waits on (or is
+        refused for) the *tenant's* cap like any other: entitlement
+        reason, entitlement metric, and no step on the server-wide
+        overload ladder of a server that is mostly idle."""
+        with scoped() as (registry, _):
+            ctrl = _policy_controller()
+            plain = Hello(width=96, height=96, fps=24.0, tenant="clinic")
+            assert ctrl.decide(0, plain)[0] is AdmissionDecision.ACCEPT
+            ladder = Hello(width=96, height=96, fps=24.0, tenant="clinic",
+                           ladder=((96, 96), (48, 48)))
+            for sid in range(1, 6):
+                decision, reason, kept = ctrl.decide(sid, ladder)
+                assert decision in (AdmissionDecision.PARK,
+                                    AdmissionDecision.REJECT)
+                assert kept == ()
+                assert "entitlement" in reason
+            assert registry.value("repro_serving_tenant_entitlement_total",
+                                  tenant="clinic") == 5
+            assert ctrl.level is DegradationLevel.NONE
 
     def test_other_tenant_unaffected_by_full_neighbour(self):
         with scoped():
@@ -446,7 +473,7 @@ class TestAdmissionGates:
             ctrl.set_policy(ctrl.compiled, energy=sched)
             sched.observe(1.0, 500.0)
             sched.check(1.0)
-            decision, reason = ctrl.decide(
+            decision, reason, _ = ctrl.decide(
                 0, Hello(width=96, height=96, fps=24.0, tenant="archive")
             )
             assert decision is AdmissionDecision.REJECT
@@ -463,6 +490,95 @@ class TestAdmissionGates:
             assert qp_er == 32  # er is capped at NONE: untouched
             qp_arch, _ = ctrl.lighten(32, 64, tenant="archive")
             assert qp_arch > 32
+
+
+class AdmissionMachine(RuleBasedStateMachine):
+    """decide / unpark / abandon_park / release against a model that
+    only counts: which sessions hold a ticket (and for how many rungs),
+    which hold a park slot.  One rule to drive — every HELLO shape goes
+    through :meth:`AdmissionController.decide`."""
+
+    _LADDERS = (((96, 96),), ((96, 96), (48, 48)),
+                ((96, 96), (48, 48), (24, 24)))
+    _RUNG_CORES = 0.45
+
+    def __init__(self):
+        super().__init__()
+        self._scope = scoped()
+        self._scope.__enter__()
+        # 2 cores; clinic is entitled to 0.67 of them, er to 1.0, and
+        # every rung prices at 0.45: slot cap, entitlement, rung drops
+        # and the waiting room all come into play within a few HELLOs.
+        self.ctrl = AdmissionController(
+            estimator=_FixedEstimator(self._RUNG_CORES / 24.0),
+            platform=MpsocConfig(num_sockets=1, cores_per_socket=2),
+            policy=AdmissionPolicy(park_capacity=2),
+        )
+        self.ctrl.set_policy(compile_policy(parse_policy(_doc())))
+        self.hellos = {}
+        self.tickets = {}  # session id -> rungs kept
+        self.parked = set()
+
+    def teardown(self):
+        self._scope.__exit__(None, None, None)
+
+    def _settle(self, sid, outcome):
+        decision, reason, kept = outcome
+        asked = self.hellos[sid].ladder
+        if decision is AdmissionDecision.ACCEPT:
+            # A prefix of the request; the primary is never dropped.
+            assert kept and kept == asked[:len(kept)], (asked, kept)
+            self.tickets[sid] = len(kept)
+            return
+        assert kept == ()
+        # Nothing here is unservable, so a refusal means "no room":
+        # parked while the waiting room has a slot, rejected after.
+        room = len(self.parked) < self.ctrl.policy.park_capacity
+        assert (decision is AdmissionDecision.PARK) == room, reason
+        if room:
+            self.parked.add(sid)
+
+    @rule(tenant=st.sampled_from(["clinic", "er"]),
+          ladder=st.sampled_from(_LADDERS))
+    def hello(self, tenant, ladder):
+        sid = len(self.hellos)
+        self.hellos[sid] = Hello(width=96, height=96, fps=24.0,
+                                 tenant=tenant, ladder=ladder)
+        self._settle(sid, self.ctrl.decide(sid, self.hellos[sid]))
+
+    @precondition(lambda self: self.parked)
+    @rule(data=st.data())
+    def unpark(self, data):
+        sid = data.draw(st.sampled_from(sorted(self.parked)))
+        self.parked.remove(sid)
+        self._settle(sid, self.ctrl.unpark(sid, self.hellos[sid]))
+
+    @precondition(lambda self: self.parked)
+    @rule(data=st.data())
+    def abandon_park(self, data):
+        self.parked.remove(data.draw(st.sampled_from(sorted(self.parked))))
+        self.ctrl.abandon_park()
+
+    @precondition(lambda self: self.tickets)
+    @rule(data=st.data())
+    def release(self, data):
+        sid = data.draw(st.sampled_from(sorted(self.tickets)))
+        del self.tickets[sid]
+        self.ctrl.release(sid)
+
+    @invariant()
+    def park_slots_and_tickets_are_conserved(self):
+        assert self.ctrl._parked == len(self.parked)
+        assert 0 <= self.ctrl._parked <= self.ctrl.policy.park_capacity
+        assert self.ctrl.active_sessions == len(self.tickets)
+        assert self.ctrl.occupancy_cores == pytest.approx(
+            self._RUNG_CORES * sum(self.tickets.values()))
+
+
+AdmissionMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None,
+)
+TestAdmissionStateMachine = AdmissionMachine.TestCase
 
 
 # ----------------------------------------------------------------------

@@ -1,27 +1,34 @@
-"""RESUME handshake exits against a live loopback server.
+"""Handshake exits against a live loopback server.
 
 Small frames, one GOP per session: these run in the default tier.
-What is pinned here is what the handshake leaves behind — which thread
+What is pinned here is what a handshake leaves behind — which thread
 read the journal, and that every way out short of serving the session
-gives the token's ``_attached`` entry and its lease back.
+(RESUME or HELLO) gives back what it took: the token's ``_attached``
+entry, its lease, the admission ticket, the park slot.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
+import socket
+import struct
 import threading
 
 import numpy as np
+import pytest
 
-from repro.observability import scoped
+from repro.observability import get_registry, scoped
 from repro.serving.protocol import (
+    Bye,
     Encoded,
     FrameMsg,
     Hello,
     HelloAck,
     Resume,
     ResumeAck,
+    Stats,
+    encode_message,
     read_message,
     write_message,
 )
@@ -245,3 +252,171 @@ def test_cancelled_while_parked_gives_the_park_slot_back(tmp_path):
             w.close()
 
     _run(drill, tmp_path, admission=admission)
+
+
+def test_hello_reset_while_parked_gives_everything_back(tmp_path):
+    """The HELLO door has the RESUME door's claim scope: a client that
+    resets while parked and is then unparked never reads its ACK, and
+    the ticket, lease and journal handle the handshake had taken by
+    then all go back — nothing stays held for the life of the process.
+    """
+    admission = _tight_admission(park_capacity=1)  # two fit, a third parks
+
+    def leases():
+        return sorted(name for name in os.listdir(tmp_path)
+                      if name.endswith(".lease"))
+
+    async def drill(server):
+        holders = []
+        for i in range(2):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            await write_message(writer, Hello(width=_W, height=_H, fps=24.0,
+                                              gop=_GOP, client_id=f"held{i}"))
+            assert (await read_message(reader)).decision == "accept"
+            holders.append(writer)
+        before = set(asyncio.all_tasks())
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port)
+        await write_message(writer, Hello(width=_W, height=_H, fps=24.0,
+                                          gop=_GOP, client_id="third"))
+        assert (await read_message(reader)).decision == "park"
+        (handler,) = [
+            t for t in asyncio.all_tasks() - before
+            if t.get_coro().__qualname__.endswith("_handle_client")
+        ]
+        # RST, not FIN: the parked handler is not reading, so only its
+        # next write — the accept ACK — finds the client gone.
+        writer.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        writer.transport.abort()
+        await asyncio.sleep(0.05)
+        holders[0].close()  # frees capacity: the third is unparked
+        await asyncio.wait({handler}, timeout=10)
+        assert handler.done()
+        await _until(lambda: server.admission.active_sessions == 1,
+                     "the reset session's ticket was never released")
+        assert [name.split("-")[0] for name in leases()] == ["held1"]
+        holders[1].close()
+        await _until(lambda: server.admission.active_sessions == 0,
+                     "last holder never torn down")
+        assert server.admission.occupancy_cores == 0
+        assert server.admission._parked == 0
+        assert server._attached == {}
+        await _until(lambda: leases() == [], "a lease outlived its session")
+
+    _run(drill, tmp_path, admission=admission)
+
+
+def test_park_ack_to_a_gone_client_gives_the_park_slot_back(tmp_path):
+    """The park ACK is written from inside the waiting room's guard: a
+    client already gone when it is sent must not keep the park slot."""
+    admission = _tight_admission(park_capacity=1)
+
+    class GoneWriter:
+        def write(self, data):
+            pass
+
+        async def drain(self):
+            raise ConnectionResetError("client gone")
+
+    async def drill(server):
+        hello = Hello(width=_W, height=_H, fps=24.0, gop=_GOP)
+        assert admission.decide(0, hello)[0].value == "accept"
+        assert admission.decide(1, hello)[0].value == "accept"
+        decision, reason, _ = admission.decide(2, hello)
+        assert decision.value == "park" and admission._parked == 1
+        with pytest.raises(ConnectionResetError):
+            await server._wait_parked(
+                2, hello, GoneWriter(),
+                HelloAck(decision="park", session_id=2, reason=reason))
+        assert admission._parked == 0
+
+    _run(drill, tmp_path, admission=admission)
+
+
+async def _send_frames(writer, indices) -> None:
+    for i in indices:
+        await write_message(writer, FrameMsg(frame_index=i, width=_W,
+                                             height=_H, luma=_frame(i)))
+
+
+async def _until_bye(reader):
+    """(wire bytes of every ENCODED in arrival order, STATS payload)."""
+    encoded, stats = [], None
+    while True:
+        msg = await read_message(reader)
+        if isinstance(msg, Encoded):
+            encoded.append(bytes(encode_message(msg, flags=msg.rung)))
+        elif isinstance(msg, Stats):
+            stats = msg.data
+        elif isinstance(msg, Bye):
+            return encoded, stats
+
+
+def test_one_rung_ladder_hello_is_the_plain_session_on_the_wire(tmp_path):
+    """One door: ``Hello(...)`` and ``Hello(..., ladder=((w, h),))``
+    are the same session — byte-identical ENCODED stream, equal STATS,
+    both journaled (resume token in the ACK) — and the explicit form
+    resumes bit-identically from a mid-GOP cut.  A plain-only run moves
+    no metric family named after ladders."""
+    total = 2 * _GOP
+
+    async def whole(server, hello):
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port)
+        await write_message(writer, hello)
+        ack = await read_message(reader)
+        await _send_frames(writer, range(total))
+        await write_message(writer, Bye("done"))
+        encoded, stats = await _until_bye(reader)
+        writer.close()
+        return ack, encoded, stats
+
+    async def plain_drill(server):
+        result = await whole(server, Hello(width=_W, height=_H, fps=24.0,
+                                           gop=_GOP, client_id="same"))
+        return result, [m["name"] for m in get_registry().to_dict()["metrics"]]
+
+    (ack, want, stats), families = _run(plain_drill, tmp_path / "plain")
+    assert ack.decision == "accept" and ack.resume_token and ack.rungs == ()
+    assert len(want) == total
+    assert [name for name in families if "ladder" in name] == []
+
+    ladder_hello = Hello(width=_W, height=_H, fps=24.0, gop=_GOP,
+                         client_id="same", ladder=((_W, _H),))
+
+    async def ladder_drill(server):
+        uncut = await whole(server, ladder_hello)
+        # Second session: one durable GOP, two frames into the next,
+        # then the client vanishes mid-GOP.
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port)
+        await write_message(writer, ladder_hello)
+        token = (await read_message(reader)).resume_token
+        await _send_frames(writer, range(_GOP + 2))
+        for _ in range(_GOP):
+            assert isinstance(await read_message(reader), Encoded)
+        writer.close()
+        await _until(lambda: not server._attached
+                     and not os.path.exists(_lease(server, token)),
+                     "cut session never torn down")
+        rack, reader, writer = await _resume(server, token)
+        assert rack.decision == "accept" and rack.replayed == _GOP, rack
+        assert rack.next_frame_index == _GOP
+        await _send_frames(writer, range(_GOP, total))
+        await write_message(writer, Bye("done"))
+        resumed, _ = await _until_bye(reader)
+        writer.close()
+        return uncut, resumed
+
+    (lack, got, lstats), resumed = _run(ladder_drill, tmp_path / "ladder")
+    assert lack.decision == "accept" and lack.resume_token
+    assert lack.rungs == ((0, _W, _H),)
+    assert got == want
+
+    def counters(data):  # queue peaks are timing, not outcome
+        return {k: v for k, v in data.items() if not k.startswith("peak_")}
+
+    assert counters(lstats) == counters(stats)
+    assert resumed == want  # replayed first GOP + re-encoded second

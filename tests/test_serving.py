@@ -356,7 +356,7 @@ class TestHandshakeGeometry:
         assert good.decision == "accept"
 
     def test_ladder_ingest_need_not_be_multiple_of_8(self):
-        # Only the rungs are encoded; decide_ladder checks those.
+        # Only the rungs are encoded; admission checks those.
         (ack,) = self._acks([Hello(width=100, height=100, fps=24.0,
                                    ladder=((96, 96), (48, 48)))])
         assert ack.decision == "accept"
@@ -395,7 +395,7 @@ class TestAdmission:
             assert ctrl.decide(0, _HELLO)[0] is AdmissionDecision.ACCEPT
             assert ctrl.decide(1, _HELLO)[0] is AdmissionDecision.ACCEPT
             assert ctrl.decide(2, _HELLO)[0] is AdmissionDecision.PARK
-            decision, reason = ctrl.decide(3, _HELLO)
+            decision, reason, _ = ctrl.decide(3, _HELLO)
             assert decision is AdmissionDecision.REJECT
             assert "waiting room" in reason
 
@@ -445,6 +445,42 @@ class TestAdmission:
             ctrl.release(1)
             ctrl.decide(3, _HELLO)  # accept at low occupancy -> relief
             assert ctrl.level is DegradationLevel.NONE
+
+    def test_every_way_out_of_decide_reports_the_same_telemetry(self):
+        """One exit: whatever the decision and the HELLO's shape, the
+        admission counter, the overload-level gauge and one
+        ``admission.decide`` event (with ``rungs``/``dropped``) move."""
+        ladder = Hello(width=96, height=96, fps=24.0,
+                       ladder=((96, 96), (48, 48)))
+        with scoped() as (registry, tracer):
+            tracer.enable()
+            ctrl = _controller(park_capacity=1)
+            paths = [
+                (Hello(width=96, height=96, fps=0.0), "reject"),  # fps
+                (Hello(width=96, height=100, fps=24.0), "reject"),  # rung
+                (ladder, "accept"),     # both rungs: 0.90 of 1 core
+                (ladder, "park"),       # not even the primary fits
+                (_HELLO, "reject"),     # ... and the room is full
+            ]
+            for sid, (hello, want) in enumerate(paths):
+                registry.set_gauge("repro_serving_overload_level", -1)
+                assert ctrl.decide(sid, hello)[0].value == want
+                assert registry.value("repro_serving_overload_level") \
+                    == int(ctrl.level)
+            ctrl.begin_drain()
+            assert ctrl.decide(9, _HELLO)[0] is AdmissionDecision.REJECT
+            events = [r.attrs for r in tracer.records()
+                      if r.name == "admission.decide"]
+            assert [r.name for r in tracer.records()
+                    if r.name.startswith("admission.decide")] \
+                == ["admission.decide"] * 6
+            assert [(e["decision"], e["rungs"], e["dropped"])
+                    for e in events] == [
+                ("reject", 0, 0), ("reject", 0, 0), ("accept", 2, 0),
+                ("park", 0, 0), ("reject", 0, 0), ("reject", 0, 0),
+            ]
+            assert registry.value("repro_serving_admission_total",
+                                  decision="reject") == 4
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
