@@ -385,7 +385,7 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     )
     config = FleetConfig(
         workers=args.workers, host=args.host, port=args.port,
-        mode=args.mode, heartbeat_s=args.heartbeat, server=server,
+        heartbeat_s=args.heartbeat, server=server,
         restart=RestartPolicy(backoff_base_s=args.backoff_base,
                               breaker_threshold=args.breaker_threshold),
         drain_grace_s=args.drain_grace,
@@ -396,7 +396,7 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
         await supervisor.start()
         await supervisor.wait_ready()
         print(f"fleet serving on {config.host}:{supervisor.port} "
-              f"({config.workers} workers, mode {config.mode})", flush=True)
+              f"({config.workers} workers)", flush=True)
         loop = asyncio.get_running_loop()
         term = asyncio.Event()
         try:
@@ -763,13 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number of worker processes")
     sf.add_argument("--host", default="127.0.0.1")
     sf.add_argument("--port", type=int, default=0,
-                    help="public TCP port (0 = ephemeral in router mode; "
-                         "reuseport mode requires an explicit port)")
-    sf.add_argument("--mode", default="router",
-                    choices=["router", "reuseport"],
-                    help="router: supervisor owns the port and splices to "
-                         "workers; reuseport: workers share the port via "
-                         "SO_REUSEPORT")
+                    help="public TCP port of the router (0 = ephemeral)")
     sf.add_argument("--fps", type=float, default=24.0)
     sf.add_argument("--gop", type=int, default=8)
     sf.add_argument("--seed", type=int, default=0)

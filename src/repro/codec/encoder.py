@@ -54,10 +54,10 @@ from repro.tiling.tile import Tile, TileGrid
 from repro.video.frame import Frame, Video
 from repro.video.metrics import psnr_from_mse
 
-#: Signature of a motion hook: receives a context factory
-#: ``(window) -> SearchContext`` and the MV predictor, returns the
-#: search result.  Lets the proposed bio-medical policy plug into the
-#: block loop.
+#: Signature of the block loop's internal motion hook: receives a
+#: context factory ``(window) -> SearchContext`` and the MV predictor,
+#: returns the search result.  Built from a :class:`TileHookSpec` by
+#: :func:`spec_hook`; no public signature takes one.
 MotionHook = Callable[[Callable[[int], SearchContext], tuple], MotionSearchResult]
 
 #: A reference argument: a single reconstructed plane, a sequence of
@@ -251,7 +251,6 @@ class TileEncoder:
         tile: Tile,
         frame_type: FrameType,
         writer: Optional[BitWriter] = None,
-        motion_hook: Optional[MotionHook] = None,
         upsampled_refs: Optional[List[np.ndarray]] = None,
         block_info_out: Optional[List[BlockInfo]] = None,
         measure_stages: bool = False,
@@ -270,8 +269,7 @@ class TileEncoder:
 
         ``hook_spec`` drives the motion search with the proposed policy
         as plain data; what a first-P-frame tile learned comes back in
-        :attr:`TileStats.learned`.  A callable ``motion_hook`` takes
-        precedence and always runs the per-block path.
+        :attr:`TileStats.learned`.
 
         I/P tiles at integer-pel precision on contiguous uint8 planes
         run as **one** native call (:func:`repro.native.encode_tile`,
@@ -282,11 +280,11 @@ class TileEncoder:
         """
         references = normalize_references(reference, frame_type)
         if frame_type is FrameType.I:
-            motion_hook = hook_spec = None  # no motion estimation to drive
+            hook_spec = None  # no motion estimation to drive
         if native.lib is not None:
             plan = self._driver_plan(
                 original, references, reconstruction, tile, frame_type,
-                motion_hook, hook_spec,
+                hook_spec,
             )
             if not isinstance(plan, str):
                 return self._encode_tile_driver(
@@ -297,8 +295,8 @@ class TileEncoder:
                 "repro_codec_tile_fallback_total", reason=plan,
                 help="Tiles the native tile driver declined, by reason",
             )
-        policy = None
-        if motion_hook is None and hook_spec is not None:
+        policy = motion_hook = None
+        if hook_spec is not None:
             policy = hook_spec.policy()
             motion_hook = spec_hook(hook_spec, policy)
         if self.config.half_pel and upsampled_refs is None:
@@ -364,7 +362,6 @@ class TileEncoder:
         reconstruction: np.ndarray,
         tile: Tile,
         frame_type: FrameType,
-        motion_hook: Optional[MotionHook],
         hook_spec: Optional[TileHookSpec],
     ):
         """What the native tile driver needs to run this tile, or the
@@ -394,8 +391,6 @@ class TileEncoder:
             return "partial_block"
         if frame_type is FrameType.I:
             return (0, 0, 0, None, False)
-        if motion_hook is not None:
-            return "motion_hook"
         if hook_spec is not None:
             algorithm, window = hook_spec.algorithm(), hook_spec.window
             predictor, learn = hook_spec.predictor, hook_spec.is_first
@@ -748,7 +743,6 @@ class FrameEncoder:
         reference: ReferenceLike = None,
         frame_index: int = 0,
         writer: Optional[BitWriter] = None,
-        motion_hooks: Optional[Sequence[Optional[MotionHook]]] = None,
         block_infos_out: Optional[List[List[BlockInfo]]] = None,
         hook_specs: Optional[Sequence[Optional[TileHookSpec]]] = None,
     ) -> tuple:
@@ -759,15 +753,12 @@ class FrameEncoder:
         frames).  ``hook_specs`` carries the proposed policy's per-tile
         decisions as data (see :meth:`TileEncoder.encode`); after a
         first-P-frame call fold ``[t.learned for t in stats.tiles]``
-        into the policy with ``merge_learned``.  ``motion_hooks``
-        (callables) force the per-block path.
+        into the policy with ``merge_learned``.
         """
         if len(configs) != len(grid):
             raise ValueError(
                 f"{len(configs)} configs for {len(grid)} tiles"
             )
-        if motion_hooks is not None and len(motion_hooks) != len(grid):
-            raise ValueError("motion_hooks length must match tile count")
         if hook_specs is not None and len(hook_specs) != len(grid):
             raise ValueError("hook_specs length must match tile count")
         if original.shape != (grid.frame_height, grid.frame_width):
@@ -786,7 +777,6 @@ class FrameEncoder:
         tracer = get_tracer()
         trace_on = tracer.enabled
         for i, tile in enumerate(grid):
-            hook = motion_hooks[i] if motion_hooks is not None else None
             spec = hook_specs[i] if hook_specs is not None else None
             encoder = TileEncoder(configs[i])
             info_sink: Optional[List[BlockInfo]] = None
@@ -797,7 +787,7 @@ class FrameEncoder:
                              type=frame_type.value):
                 stats = encoder.encode(
                     original, reference, reconstruction, tile, frame_type,
-                    writer=writer, motion_hook=hook,
+                    writer=writer,
                     upsampled_refs=upsampled_refs if configs[i].half_pel else None,
                     block_info_out=info_sink,
                     measure_stages=trace_on, hook_spec=spec,
@@ -863,7 +853,6 @@ class FrameCodec:
         reference_frames: Optional[Sequence[Frame]] = None,
         frame_index: int = 0,
         writer: Optional[BitWriter] = None,
-        motion_hooks: Optional[Sequence[Optional[MotionHook]]] = None,
     ) -> tuple:
         """Returns ``(FrameStats, Optional[ChromaStats], Frame)``."""
         reference_frames = list(reference_frames or [])
@@ -872,7 +861,7 @@ class FrameCodec:
         stats, recon_luma = self._frame_encoder.encode(
             frame.luma, grid, configs, frame_type,
             reference=luma_refs, frame_index=frame_index, writer=writer,
-            motion_hooks=motion_hooks, block_infos_out=infos,
+            block_infos_out=infos,
         )
         recon = Frame(recon_luma, index=frame_index)
         if frame.chroma_u is None or frame.chroma_v is None:
@@ -924,19 +913,9 @@ class VideoEncoder:
         self.parallel_workers = parallel_workers
 
     def encode(
-        self,
-        video: Video,
-        grid: Optional[TileGrid] = None,
-        motion_hook_factory: Optional[Callable[[int, int], Optional[MotionHook]]] = None,
+        self, video: Video, grid: Optional[TileGrid] = None
     ) -> SequenceStats:
-        """Encode ``video``; returns sequence statistics.
-
-        ``motion_hook_factory(frame_index, tile_index)`` may supply a
-        per-tile motion hook (used to drive the proposed search policy).
-        Hook closures cannot cross process boundaries, so frames with
-        hooks are always encoded serially even when ``parallel_workers``
-        is set.
-        """
+        """Encode ``video``; returns sequence statistics."""
         if len(video) == 0:
             raise ValueError("cannot encode an empty video")
         if grid is None:
@@ -953,12 +932,7 @@ class VideoEncoder:
         try:
             for frame in video:
                 frame_type = self.gop.frame_type(frame.index)
-                hooks = None
-                if motion_hook_factory is not None and frame_type is not FrameType.I:
-                    hooks = [
-                        motion_hook_factory(frame.index, t) for t in range(len(grid))
-                    ]
-                if executor is not None and hooks is None:
+                if executor is not None:
                     frame_stats, reconstruction = executor.encode_frame(
                         frame.luma, grid, configs, frame_type,
                         reference=references, frame_index=frame.index,
@@ -967,7 +941,6 @@ class VideoEncoder:
                     frame_stats, reconstruction = self._frame_encoder.encode(
                         frame.luma, grid, configs, frame_type,
                         reference=references, frame_index=frame.index,
-                        motion_hooks=hooks,
                     )
                 stats.frames.append(frame_stats)
                 references = [reconstruction] + references[:1]

@@ -16,8 +16,8 @@ The other tier is the per-block loop in :mod:`repro.codec.encoder`,
 which is pure NumPy: it is the reference the driver is tested against
 (``tests/test_native_kernels.py`` runs it with :data:`lib` replaced by a
 stub that raises on any access) and the only thing that runs what the
-driver declines (B frames, half-pel, callable motion hooks, search
-algorithms without a ``native_spec``, oversized windows, odd layouts —
+driver declines (B frames, half-pel, search algorithms without a
+``native_spec``, oversized windows, odd layouts —
 ``TileEncoder._driver_plan``) or anything at all under
 ``REPRO_NATIVE=0``.  The two tiers agree to the bit: the C arithmetic
 is IEEE, one rounding per operation (``-ffp-contract=off``), and the
@@ -131,12 +131,6 @@ def _load(extra_cflags: Sequence[str] = ()) -> Optional[ctypes.CDLL]:
     i64 = ctypes.c_int64
     i32 = ctypes.c_int
     f64 = ctypes.c_double
-    cdll.simd_detect.argtypes = []
-    cdll.simd_detect.restype = i32
-    cdll.simd_set_level.argtypes = [i32]
-    cdll.simd_set_level.restype = None
-    cdll.simd_get_level.argtypes = []
-    cdll.simd_get_level.restype = i32
     cdll.encode_tile_u8.argtypes = [
         ptr, i64, ptr, i64, i64, i64, ptr, i64,      # cur, ref, recon
         i64, i64, i64, i64, i32,                     # tile x/y/w/h, bs
@@ -327,22 +321,11 @@ def downscale_box(
     return out
 
 
-#: Active SIMD level of the SAD kernels: 0 = scalar/SSE2 baseline,
-#: 1 = AVX2, 2 = AVX-512.  Set at import from the CPU capabilities,
-#: clamped by the ``REPRO_NATIVE_SIMD`` environment escape hatch.
+#: Always 0: the SAD kernels have no runtime dispatch (SSE2 ``psadbw``
+#: on x86 for block widths that are a multiple of 16, the plain C loop
+#: otherwise).  Kept only because ``bench/machine.py`` reads it into the
+#: machine record (ROADMAP item 17 drops it there, then here).
 simd_level: int = 0
-
-
-def _init_simd(cdll: ctypes.CDLL) -> int:
-    want = cdll.simd_detect()
-    env = os.environ.get("REPRO_NATIVE_SIMD")
-    if env is not None:
-        try:
-            want = min(want, int(env))
-        except ValueError:
-            pass
-    cdll.simd_set_level(want)
-    return int(cdll.simd_get_level())
 
 
 def rebuild(extra_cflags: Sequence[str]) -> None:
@@ -354,16 +337,13 @@ def rebuild(extra_cflags: Sequence[str]) -> None:
     loaded — an instrumented run must never quietly test the NumPy
     fallback instead.
     """
-    global lib, simd_level
+    global lib
     cdll = _load(extra_cflags)
     if cdll is None:
         raise RuntimeError(
             f"native kernels did not build/load with {list(extra_cflags)}"
         )
     lib = cdll
-    simd_level = _init_simd(cdll)
 
 
 lib = _load()
-if lib is not None:
-    simd_level = _init_simd(lib)

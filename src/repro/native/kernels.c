@@ -4,10 +4,9 @@
  * contraction: the double arithmetic must follow IEEE semantics, one
  * rounding per operation, so results stay deterministic and equal to
  * the NumPy reference in repro.codec).  The non-static functions are
- * the whole ctypes surface — the SIMD level controls, encode_tile_u8
- * and downscale_box_u8; everything else is a static building block of
- * the tile driver.  All arrays are C-contiguous buffers prepared by
- * the Python wrappers.
+ * the whole ctypes surface — encode_tile_u8 and downscale_box_u8;
+ * everything else is a static building block of the tile driver.  All
+ * arrays are C-contiguous buffers prepared by the Python wrappers.
  */
 
 #include <math.h>
@@ -24,45 +23,15 @@
 #endif
 
 /* ------------------------------------------------------------------ */
-/* SIMD dispatch.                                                      */
+/* SAD.                                                                */
 /*                                                                     */
-/* Every SIMD path computes *integer* sums of absolute differences,    */
-/* which are exact in any lane order — bit-identical to the scalar     */
-/* loop and to the NumPy oracle by construction.  The active level is  */
-/* set from Python after load (REPRO_NATIVE_SIMD escape hatch); level  */
-/* 0 forces the scalar loops, 1 allows AVX2, 2 allows AVX-512.  The    */
-/* x86-64 SSE2 baseline psadbw path counts as level 0: it needs no     */
-/* runtime dispatch and is always safe.                                */
+/* Two kernels, chosen from the build target and the block width with  */
+/* no runtime state: the plain C loop (every width, every platform)    */
+/* and SSE2 psadbw, which is part of the x86-64 baseline so it needs   */
+/* no CPU detection.  Both compute *integer* sums of absolute          */
+/* differences, exact in any lane order — bit-identical to each other  */
+/* and to the NumPy oracle by construction.                            */
 /* ------------------------------------------------------------------ */
-
-static int g_simd_level = 0;
-
-int simd_detect(void)
-{
-#if REPRO_X86
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw"))
-        return 2;
-    if (__builtin_cpu_supports("avx2"))
-        return 1;
-#endif
-    return 0;
-}
-
-void simd_set_level(int level)
-{
-    int cap = simd_detect();
-    if (level > cap)
-        level = cap;
-    if (level < 0)
-        level = 0;
-    g_simd_level = level;
-}
-
-int simd_get_level(void)
-{
-    return g_simd_level;
-}
 
 /* Plain C SAD of a (bh, bw) uint8 block (row stride cs) against a
  * window of the reference plane (row stride ws). */
@@ -101,105 +70,16 @@ static int64_t sad_win_sse2(const uint8_t *win, ptrdiff_t ws,
     return (int64_t)(_mm_cvtsi128_si64(acc)
                      + _mm_cvtsi128_si64(_mm_unpackhi_epi64(acc, acc)));
 }
-
-/* AVX2: 32-byte rows, or two 16-byte rows packed into one ymm. */
-__attribute__((target("avx2")))
-static int64_t sad_win_avx2(const uint8_t *win, ptrdiff_t ws,
-                            const uint8_t *cur, ptrdiff_t cs,
-                            int bh, int bw)
-{
-    __m256i acc = _mm256_setzero_si256();
-    if (bw % 32 == 0) {
-        for (int r = 0; r < bh; r++) {
-            const uint8_t *wr = win + (ptrdiff_t)r * ws;
-            const uint8_t *cr = cur + (ptrdiff_t)r * cs;
-            for (int c = 0; c < bw; c += 32) {
-                __m256i a = _mm256_loadu_si256((const __m256i *)(wr + c));
-                __m256i b = _mm256_loadu_si256((const __m256i *)(cr + c));
-                acc = _mm256_add_epi64(acc, _mm256_sad_epu8(a, b));
-            }
-        }
-    } else { /* bw % 16 == 0, bh % 2 == 0: two rows per iteration */
-        for (int r = 0; r < bh; r += 2) {
-            const uint8_t *wr = win + (ptrdiff_t)r * ws;
-            const uint8_t *cr = cur + (ptrdiff_t)r * cs;
-            for (int c = 0; c < bw; c += 16) {
-                __m256i a = _mm256_set_m128i(
-                    _mm_loadu_si128((const __m128i *)(wr + ws + c)),
-                    _mm_loadu_si128((const __m128i *)(wr + c)));
-                __m256i b = _mm256_set_m128i(
-                    _mm_loadu_si128((const __m128i *)(cr + cs + c)),
-                    _mm_loadu_si128((const __m128i *)(cr + c)));
-                acc = _mm256_add_epi64(acc, _mm256_sad_epu8(a, b));
-            }
-        }
-    }
-    __m128i lo = _mm256_castsi256_si128(acc);
-    __m128i hi = _mm256_extracti128_si256(acc, 1);
-    __m128i s = _mm_add_epi64(lo, hi);
-    return (int64_t)(_mm_cvtsi128_si64(s)
-                     + _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s)));
-}
-
-/* AVX-512: 64-byte rows (bw % 64 == 0), or four 16-byte rows per zmm. */
-__attribute__((target("avx512f,avx512bw")))
-static int64_t sad_win_avx512(const uint8_t *win, ptrdiff_t ws,
-                              const uint8_t *cur, ptrdiff_t cs,
-                              int bh, int bw)
-{
-    __m512i acc = _mm512_setzero_si512();
-    if (bw % 64 == 0) {
-        for (int r = 0; r < bh; r++) {
-            const uint8_t *wr = win + (ptrdiff_t)r * ws;
-            const uint8_t *cr = cur + (ptrdiff_t)r * cs;
-            for (int c = 0; c < bw; c += 64) {
-                __m512i a = _mm512_loadu_si512((const void *)(wr + c));
-                __m512i b = _mm512_loadu_si512((const void *)(cr + c));
-                acc = _mm512_add_epi64(acc, _mm512_sad_epu8(a, b));
-            }
-        }
-    } else { /* bw % 16 == 0, bh % 4 == 0: four rows per iteration */
-        for (int r = 0; r < bh; r += 4) {
-            const uint8_t *wr = win + (ptrdiff_t)r * ws;
-            const uint8_t *cr = cur + (ptrdiff_t)r * cs;
-            for (int c = 0; c < bw; c += 16) {
-                __m512i a = _mm512_castsi128_si512(
-                    _mm_loadu_si128((const __m128i *)(wr + c)));
-                a = _mm512_inserti32x4(a,
-                    _mm_loadu_si128((const __m128i *)(wr + ws + c)), 1);
-                a = _mm512_inserti32x4(a,
-                    _mm_loadu_si128((const __m128i *)(wr + 2 * ws + c)), 2);
-                a = _mm512_inserti32x4(a,
-                    _mm_loadu_si128((const __m128i *)(wr + 3 * ws + c)), 3);
-                __m512i b = _mm512_castsi128_si512(
-                    _mm_loadu_si128((const __m128i *)(cr + c)));
-                b = _mm512_inserti32x4(b,
-                    _mm_loadu_si128((const __m128i *)(cr + cs + c)), 1);
-                b = _mm512_inserti32x4(b,
-                    _mm_loadu_si128((const __m128i *)(cr + 2 * cs + c)), 2);
-                b = _mm512_inserti32x4(b,
-                    _mm_loadu_si128((const __m128i *)(cr + 3 * cs + c)), 3);
-                acc = _mm512_add_epi64(acc, _mm512_sad_epu8(a, b));
-            }
-        }
-    }
-    return (int64_t)_mm512_reduce_add_epi64(acc);
-}
 #endif /* REPRO_X86 */
 
-/* Width/level dispatch for the u8-vs-u8 SAD. */
+/* Platform/width dispatch for the u8-vs-u8 SAD. */
 static inline int64_t sad_win_u8(const uint8_t *win, ptrdiff_t ws,
                                  const uint8_t *cur, ptrdiff_t cs,
                                  int bh, int bw)
 {
 #if REPRO_X86
-    if (bw % 16 == 0) {
-        if (g_simd_level >= 2 && (bw % 64 == 0 || bh % 4 == 0))
-            return sad_win_avx512(win, ws, cur, cs, bh, bw);
-        if (g_simd_level >= 1 && (bw % 32 == 0 || bh % 2 == 0))
-            return sad_win_avx2(win, ws, cur, cs, bh, bw);
+    if (bw % 16 == 0)
         return sad_win_sse2(win, ws, cur, cs, bh, bw);
-    }
 #endif
     return sad_win_scalar(win, ws, cur, cs, bh, bw);
 }

@@ -183,8 +183,7 @@ class TileParallelExecutor:
         block_infos_out: Optional[List[List[BlockInfo]]] = None,
     ) -> Tuple[FrameStats, np.ndarray]:
         """Drop-in parallel replacement for ``FrameEncoder.encode``
-        (minus ``motion_hooks``: the policy crosses as
-        :class:`TileHookSpec` data)."""
+        (the search policy crosses as :class:`TileHookSpec` data)."""
         if len(configs) != len(grid):
             raise ValueError(f"{len(configs)} configs for {len(grid)} tiles")
         if hook_specs is not None and len(hook_specs) != len(grid):

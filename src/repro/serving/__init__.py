@@ -17,9 +17,9 @@ This package puts a real network path in front of the reproduction:
   burst arrivals, a content-class mix and a latency report;
 * :mod:`repro.serving.smoke` — the ``make serve-smoke`` end-to-end
   gate;
-* :mod:`repro.serving.statestore` — externalised session state behind
-  the pluggable :class:`~repro.serving.statestore.StateStore` interface
-  (shared-directory journals + single-owner lease records);
+* :mod:`repro.serving.statestore` — externalised session state
+  (:class:`~repro.serving.statestore.SharedDirStateStore`:
+  shared-directory journals + single-owner lease records);
 * :mod:`repro.serving.fleet` — supervised multi-worker fleet: crash
   restarts with backoff, heartbeat monitoring and cross-worker session
   adoption (``repro serve-fleet``).
@@ -49,11 +49,7 @@ from repro.serving.protocol import (
 )
 from repro.serving.server import NetworkServer, ServeNetConfig
 from repro.serving.loadgen import LoadGenConfig, LoadReport, run_loadgen
-from repro.serving.statestore import (
-    Lease,
-    SharedDirStateStore,
-    StateStore,
-)
+from repro.serving.statestore import Lease, SharedDirStateStore
 from repro.serving.fleet import (
     FleetConfig,
     FleetSupervisor,
@@ -85,7 +81,6 @@ __all__ = [
     "RestartTracker",
     "ServeNetConfig",
     "SharedDirStateStore",
-    "StateStore",
     "Stats",
     "WorkerLoad",
     "encode_message",

@@ -648,11 +648,12 @@ class FleetAdmission:
     among workers with headroom for the session, pick the one with the
     most free cores (ties: fewest active sessions, then worker id, so
     placement is deterministic).  Unlike the tile level — where
-    best-fit preserves contiguous headroom for expensive tiles — each
-    worker serializes *all* its sessions through one encode thread
-    (shared estimator/LUT state, see ``NetworkServer``), so spreading
-    streams across workers is what buys session concurrency; packing
-    them would idle the other encode threads.  When no worker has
+    best-fit preserves contiguous headroom for expensive tiles — a
+    worker's encode pool is only as wide as its share of the core
+    grant (``NetworkServer._encode_pool_size``: capacity split across
+    the fleet, clamped to the host), so spreading streams keeps every
+    worker's encode threads busy; packing them would queue sessions
+    behind one worker's pool while the others idle.  When no worker has
     headroom the fleet parks the session (bounded waiting room scaled
     by the live-worker count); with no live workers at all it rejects.
     """

@@ -22,9 +22,7 @@ Architecture (DESIGN.md §12):
     so survivors adopt orphaned sessions without waiting for a
     pid-liveness probe.
 
-Front door — two modes:
-
-``router`` (default)
+Front door — the router:
     The supervisor owns the public port and speaks the first message
     of each connection itself: a HELLO is *placed* by
     :class:`~repro.serving.admission.FleetAdmission` (Algorithm 2's
@@ -33,12 +31,8 @@ Front door — two modes:
     routed to its lease owner's worker when that worker is alive
     (in-process preemption handles the half-open race) and to the
     least-loaded survivor otherwise (adoption).  After placement the
-    router splices bytes verbatim.
-
-``reuseport``
-    Every worker binds the public port with ``SO_REUSEPORT`` and the
-    kernel balances accepts.  No per-session placement — cheapest data
-    path, used where the router hop matters more than packing quality.
+    router splices bytes verbatim.  Each worker listens on a private
+    ephemeral port it reports over the control channel.
 
 Worker capacity is the platform divided by the fleet width: each
 worker's admission controller runs the unchanged single-node
@@ -78,7 +72,11 @@ from repro.serving.protocol import (
     read_message,
     write_message,
 )
-from repro.serving.server import NetworkServer, ServeNetConfig
+from repro.serving.server import (
+    HELLO_TIMEOUT_S,
+    NetworkServer,
+    ServeNetConfig,
+)
 from repro.serving.statestore import SharedDirStateStore
 from repro.storage.errors import StorageError
 
@@ -158,10 +156,6 @@ class FleetConfig:
     #: Public port clients connect to (0 = ephemeral; resolved after
     #: :meth:`FleetSupervisor.start`).
     port: int = 0
-    #: ``"router"`` (supervisor places sessions, two-level Algorithm 2)
-    #: or ``"reuseport"`` (kernel-balanced ``SO_REUSEPORT`` accept
-    #: group, no placement).
-    mode: str = "router"
     heartbeat_s: float = 0.25
     #: Worker template.  ``journal_dir`` is mandatory — shared session
     #: state is what makes cross-worker adoption possible at all.
@@ -178,8 +172,6 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.mode not in ("router", "reuseport"):
-            raise ValueError("mode must be 'router' or 'reuseport'")
         if self.heartbeat_s <= 0:
             raise ValueError("heartbeat_s must be positive")
         if self.server.journal_dir is None:
@@ -192,24 +184,19 @@ class FleetConfig:
 def _worker_config(config: FleetConfig, worker_id: str) -> ServeNetConfig:
     """Specialize the worker template for one slot.
 
-    Router mode gives each worker a private ephemeral port (reported
-    back over the control channel); reuseport mode binds the shared
-    public port.  Capacity is split: ``utilization / workers`` keeps
-    the fleet's aggregate admission exactly the single node's.
+    Each worker gets a private ephemeral port (reported back over the
+    control channel; the router owns the public one).  Capacity is
+    split: ``utilization / workers`` keeps the fleet's aggregate
+    admission exactly the single node's.
     """
     policy = config.server.admission
     split = replace(
         policy,
         utilization=max(1e-6, policy.utilization / config.workers),
     )
-    if config.mode == "router":
-        return replace(
-            config.server, worker_id=worker_id, admission=split,
-            host="127.0.0.1", port=0, reuse_port=False,
-        )
     return replace(
         config.server, worker_id=worker_id, admission=split,
-        host=config.host, port=config.port, reuse_port=True,
+        host="127.0.0.1", port=0,
     )
 
 
@@ -276,8 +263,7 @@ async def _worker_async(spec: _WorkerSpec) -> None:
             line = await reader.readline()
             if not line:
                 # Control channel gone: the supervisor died.  Drain —
-                # orphaned workers must not squat the shared port and
-                # the session leases forever.
+                # orphaned workers must not hold session leases forever.
                 draining.set()
                 return
             try:
@@ -405,17 +391,10 @@ class FleetSupervisor:
             self._handle_control, "127.0.0.1", 0
         )
         self._control_port = self._control.sockets[0].getsockname()[1]
-        if self.config.mode == "router":
-            self._router = await asyncio.start_server(
-                self._handle_client, self.config.host, self.config.port
-            )
-            self._public_port = self._router.sockets[0].getsockname()[1]
-        else:
-            # Workers share the configured port via SO_REUSEPORT; an
-            # explicit port is required (0 would scatter them).
-            if self.config.port == 0:
-                raise ValueError("reuseport mode requires an explicit port")
-            self._public_port = self.config.port
+        self._router = await asyncio.start_server(
+            self._handle_client, self.config.host, self.config.port
+        )
+        self._public_port = self._router.sockets[0].getsockname()[1]
         for handle in self._handles.values():
             self._spawn(handle)
         self._monitor_task = asyncio.ensure_future(self._monitor())
@@ -428,14 +407,11 @@ class FleetSupervisor:
         handle.incarnation += 1
         handle.ready = False
         handle.port = None
-        worker_cfg = _worker_config(self.config, handle.worker_id)
-        if self.config.mode == "reuseport":
-            worker_cfg = replace(worker_cfg, port=self._public_port
-                                 or self.config.port)
         spec = _WorkerSpec(
             worker_id=handle.worker_id, incarnation=handle.incarnation,
             control_port=self._control_port,
-            heartbeat_s=self.config.heartbeat_s, server=worker_cfg,
+            heartbeat_s=self.config.heartbeat_s,
+            server=_worker_config(self.config, handle.worker_id),
         )
         process = self._mp.Process(
             target=_worker_main, args=(spec,),
@@ -451,8 +427,8 @@ class FleetSupervisor:
 
     async def wait_ready(self, timeout_s: float = 30.0) -> None:
         """Block until every non-breakered worker slot is routable and
-        (router mode) has gossiped a first load snapshot — before that
-        the placement table prices it at zero capacity."""
+        has gossiped a first load snapshot — before that the placement
+        table prices it at zero capacity."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout_s
 
@@ -461,8 +437,6 @@ class FleetSupervisor:
                 return False
             if not handle.routable():
                 return True
-            if self.config.mode != "router":
-                return False
             load = self.fleet_admission.workers.get(handle.worker_id)
             return load is None or not load.accepts_sessions()
 
@@ -692,10 +666,9 @@ class FleetSupervisor:
 
     async def _route(self, reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
-        cfg = self.config
         first = await asyncio.wait_for(
             read_message(reader, max_payload=self._recv_max_payload),
-            timeout=cfg.server.hello_timeout_s,
+            timeout=HELLO_TIMEOUT_S,
         )
         if isinstance(first, Hello):
             await self._route_hello(first, reader, writer)

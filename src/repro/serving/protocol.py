@@ -246,11 +246,12 @@ class HelloAck:
 class FrameMsg:
     """One raw 8-bit luma frame.
 
-    ``luma`` is any C-contiguous byte buffer (``bytes`` or a
-    ``memoryview`` slice of the wire payload — the decode path hands
+    ``luma`` is any flat C-contiguous byte buffer: ``bytes``, a
+    ``memoryview`` slice of the wire payload (the decode path hands
     out zero-copy views of the received chunk, so consumers should
     wrap it with ``np.frombuffer`` rather than expect ``bytes``
-    methods).
+    methods) or, on the send side, a flat ``uint8`` ``ndarray`` view
+    of a plane.  :func:`encode_frame_into` is the one serialiser.
     """
 
     frame_index: int
@@ -266,14 +267,6 @@ class FrameMsg:
                 f"FRAME luma length {len(self.luma)} != "
                 f"{self.width}x{self.height}"
             )
-
-    def payload(self) -> bytes:
-        luma = self.luma
-        if not isinstance(luma, bytes):
-            luma = bytes(luma)
-        return _FRAME_PREFIX.pack(
-            self.frame_index, self.width, self.height
-        ) + luma
 
     @classmethod
     def from_payload(cls, flags: int, data: bytes) -> "FrameMsg":
@@ -295,8 +288,10 @@ class Encoded:
     ``luma`` carries the reconstructed (decoded) plane — the server's
     proof of what the client's decoder would display; it is empty when
     the frame was dropped (``dropped`` names the reason).  Like
-    :class:`FrameMsg` it may be a zero-copy ``memoryview`` of the
-    received chunk on the decode path.
+    :class:`FrameMsg` it is a zero-copy ``memoryview`` of the received
+    chunk on the decode path and may be a flat ``uint8`` ``ndarray``
+    view of the reconstruction on the send side (what the server's
+    egress queue holds); :func:`encode_encoded_into` serialises it.
     """
 
     frame_index: int
@@ -310,9 +305,7 @@ class Encoded:
     #: Rendition-ladder rung id this frame belongs to, carried in the
     #: low byte of the header ``flags`` field — the payload layout is
     #: untouched, so rung 0 (the primary, and every pre-ladder sender)
-    #: stays wire-identical to protocol v2 as shipped.  Senders pass
-    #: ``flags=rung`` to :func:`encode_message` /
-    #: :func:`encode_encoded_into`.
+    #: stays wire-identical to protocol v2 as shipped.
     rung: int = 0
 
     type = MsgType.ENCODED
@@ -323,20 +316,6 @@ class Encoded:
                 f"ENCODED luma length {len(self.luma)} != "
                 f"{self.width}x{self.height}"
             )
-
-    def payload(self) -> bytes:
-        try:
-            ftype = FRAME_TYPE_CODES[self.frame_type]
-            drop = DROP_CODES[self.dropped]
-        except KeyError as exc:
-            raise ProtocolError(f"unencodable ENCODED field: {exc}") from exc
-        luma = self.luma
-        if not isinstance(luma, bytes):
-            luma = bytes(luma)
-        return _ENCODED_PREFIX.pack(
-            self.frame_index, ftype, drop, self.width, self.height,
-            self.bits, self.psnr,
-        ) + luma
 
     @classmethod
     def from_payload(cls, flags: int, data: bytes) -> "Encoded":
@@ -540,16 +519,26 @@ def _json_obj(data) -> dict:
 # ----------------------------------------------------------------------
 # Framing
 # ----------------------------------------------------------------------
-def encode_message(msg: Message, flags: int = 0) -> bytes:
-    """Serialize one message to its wire frame.
-
-    An :class:`Encoded` message's ``rung`` rides in the header flags;
-    when the caller does not pass explicit flags, the field supplies
-    them — so ``encode_message``/``from_payload`` round-trip the rung
-    without every call site knowing about ladders.
+def _serialise(msg: Message, flags: int) -> Union[bytes, bytearray]:
+    """One message as its wire frame.  FRAME and ENCODED go through
+    their ``*_into`` serialiser (pixels copied once, into the returned
+    buffer); the rest are small JSON payloads.  An :class:`Encoded`
+    message's ``rung`` rides in the header flags: when the caller
+    passes none the field supplies them, so ``encode_message`` /
+    ``from_payload`` round-trip it without call sites knowing ladders.
     """
-    if flags == 0:
-        flags = getattr(msg, "rung", 0)
+    if isinstance(msg, FrameMsg):
+        out = bytearray()
+        encode_frame_into(out, msg.frame_index, msg.width, msg.height,
+                          msg.luma, flags)
+        return out
+    if isinstance(msg, Encoded):
+        out = bytearray()
+        encode_encoded_into(
+            out, msg.frame_index, msg.frame_type, msg.dropped, msg.width,
+            msg.height, msg.bits, msg.psnr, msg.luma, flags or msg.rung,
+        )
+        return out
     payload = msg.payload()
     if len(payload) > MAX_PAYLOAD:
         raise ProtocolError(
@@ -560,6 +549,26 @@ def encode_message(msg: Message, flags: int = 0) -> bytes:
         len(payload), zlib.crc32(payload) & 0xFFFFFFFF,
     )
     return header + payload
+
+
+def encode_message(msg: Message, flags: int = 0) -> bytes:
+    """Serialize one message to its wire frame, as ``bytes``."""
+    return bytes(_serialise(msg, flags))
+
+
+def _pixels(luma) -> Tuple[object, int]:
+    """``luma`` (``bytes``, ``memoryview`` or ``uint8`` ``ndarray``) as
+    ``(flat byte buffer, byte count)`` without copying.  A plane that
+    is not C-contiguous has no such view and is refused — its memory
+    order is not its pixel order."""
+    if isinstance(luma, bytes):
+        return luma, len(luma)
+    view = memoryview(luma)
+    if not view.c_contiguous:
+        raise ProtocolError("luma buffer is not C-contiguous")
+    if view.ndim != 1 or view.format != "B":
+        view = view.cast("B")
+    return view, view.nbytes
 
 
 def encode_frame_into(
@@ -574,18 +583,11 @@ def encode_frame_into(
 
     Sender-side counterpart of :func:`encode_encoded_into`: ``luma``
     may be ``bytes``, a ``memoryview`` or a C-contiguous ``uint8``
-    ``ndarray`` plane, copied exactly once into the arena.  Produces
-    bytes identical to ``encode_message(FrameMsg(...), flags)``.
-    Returns the number of bytes appended.
+    ``ndarray`` plane, copied exactly once, into ``out``.  The one FRAME
+    serialiser (:func:`encode_message` and :func:`write_message` call
+    it).  Returns the number of bytes appended.
     """
-    if isinstance(luma, bytes):
-        view = luma
-        nbytes = len(luma)
-    else:
-        view = memoryview(luma)
-        if view.ndim != 1:
-            view = view.cast("B")
-        nbytes = view.nbytes
+    view, nbytes = _pixels(luma)
     if nbytes != width * height:
         raise ProtocolError(
             f"FRAME luma length {nbytes} != {width}x{height}"
@@ -620,27 +622,19 @@ def encode_encoded_into(
 ) -> int:
     """Serialize one ENCODED wire frame straight into ``out``.
 
-    The zero-copy egress path: ``luma`` may be ``bytes``, a
-    ``memoryview`` or a C-contiguous ``uint8`` ``ndarray`` (the
-    reconstruction plane), and its pixels flow into the output arena
-    exactly once — no :class:`Encoded` dataclass, no ``tobytes()``
-    and no intermediate header+payload concatenation.  Produces bytes
-    identical to ``encode_message(Encoded(...), flags)``.  Returns the
-    number of bytes appended.
+    ``luma`` may be ``bytes``, a ``memoryview`` or a C-contiguous
+    ``uint8`` ``ndarray`` (the reconstruction plane), and its pixels
+    flow into ``out`` exactly once — no ``tobytes()`` and no
+    intermediate header+payload concatenation.  The one ENCODED
+    serialiser (:func:`encode_message` and :func:`write_message` call
+    it).  Returns the number of bytes appended.
     """
     try:
         ftype = FRAME_TYPE_CODES[frame_type]
         drop = DROP_CODES[dropped]
     except KeyError as exc:
         raise ProtocolError(f"unencodable ENCODED field: {exc}") from exc
-    if isinstance(luma, bytes):
-        view = luma
-        nbytes = len(luma)
-    else:
-        view = memoryview(luma)
-        if view.ndim != 1:
-            view = view.cast("B")
-        nbytes = view.nbytes
+    view, nbytes = _pixels(luma)
     if nbytes not in (0, width * height):
         raise ProtocolError(
             f"ENCODED luma length {nbytes} != {width}x{height}"
@@ -844,6 +838,10 @@ async def read_message(
 
 
 async def write_message(writer, msg: Message, flags: int = 0) -> None:
-    """Write one message to an ``asyncio.StreamWriter`` and drain."""
-    writer.write(encode_message(msg, flags))
+    """Write one message to an ``asyncio.StreamWriter`` and drain.
+
+    The transport gets the buffer the serialiser built, so a plane's
+    pixels are copied once on their way to the socket.
+    """
+    writer.write(_serialise(msg, flags))
     await writer.drain()

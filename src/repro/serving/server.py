@@ -1,12 +1,14 @@
 """Asyncio streaming front-end for the transcoding pipeline.
 
 One TCP connection is one session: HELLO -> admission decision ->
-frame ingest -> encoded-bitstream egress -> STATS/BYE.  There is one
-session shape: a rendition ladder over the rungs admission kept.  A
-HELLO without a ``ladder`` key is a ladder of one rung at ingest
-geometry and takes the same handshake, the same admission decision and
-the same encoder (:class:`repro.ladder.session.LadderSession`) as a
-three-rung HELLO.  Per session the server runs three tasks:
+frame ingest -> reconstructed-plane egress -> STATS/BYE.  (Each ENCODED
+carries the decoded picture and a bit *count*; the bitstream itself is
+not shipped — ROADMAP item 15.)  There is one session shape: a
+rendition ladder over the rungs admission kept.  A HELLO without a
+``ladder`` key is a ladder of one rung at ingest geometry and takes the
+same handshake, the same admission decision and the same encoder
+(:class:`repro.ladder.session.LadderSession`) as a three-rung HELLO.
+Per session the server runs three tasks:
 
 * **ingest** reads FRAME messages off the socket and feeds a *bounded*
   queue; when the client outruns the encoder and the queue is full,
@@ -101,7 +103,6 @@ from repro.serving.protocol import (
     Resume,
     ResumeAck,
     Stats,
-    encode_encoded_into,
     read_message,
     write_message,
 )
@@ -120,6 +121,21 @@ from repro.video.generator import ContentClass
 from repro.workload.estimator import WorkloadEstimator
 
 __all__ = ["NetworkServer", "ServeNetConfig", "SessionStats"]
+
+#: Handshake timeout (connection to first HELLO / RESUME); also how
+#: long a RESUME waits for the handler it preempts to let go.
+HELLO_TIMEOUT_S = 10.0
+#: Geometry ceiling of a HELLO; sizes the per-message read bound.
+MAX_FRAME_WIDTH = 4096
+MAX_FRAME_HEIGHT = 4096
+#: Per-message allocation bound for reads: the largest FRAME the
+#: geometry ceiling permits (plus framing slack), never beyond the
+#: wire-format ceiling — a client cannot make the server commit to a
+#: 32 MiB buffer by inflating the declared length.
+_RECV_MAX_PAYLOAD = min(MAX_PAYLOAD, MAX_FRAME_WIDTH * MAX_FRAME_HEIGHT + 1024)
+#: RESUME retry hint sent when a session's lease is held by a worker
+#: not yet confirmed dead (transient reject).
+LEASE_RETRY_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -140,19 +156,8 @@ class ServeNetConfig:
     egress_frames: int = 32
     #: How long a parked session waits for capacity before rejection.
     park_timeout_s: float = 2.0
-    #: Handshake timeout (connection to first HELLO).
-    hello_timeout_s: float = 10.0
-    max_frame_width: int = 4096
-    max_frame_height: int = 4096
     #: Tile thread pool per session (``None`` = serial encode).
     parallel_workers: Optional[int] = None
-    #: Size of the shared encode thread pool (one GOP flush runs per
-    #: thread; per-session pushes stay strictly ordered regardless).
-    #: ``None`` derives the size from the Algorithm-2 core grant: the
-    #: admission controller's core capacity, bounded by the host's
-    #: cores — on a single-core host this collapses to the classic
-    #: single encode thread.
-    encode_workers: Optional[int] = None
     #: Per-stream resilience (degradation ladder, corrupt-frame drops).
     resilience: Optional[ResilienceConfig] = field(
         default_factory=ResilienceConfig
@@ -182,12 +187,6 @@ class ServeNetConfig:
     #: Fleet worker identity, recorded in lease records and journal
     #: admit/resume records (``""`` = standalone single-server mode).
     worker_id: str = ""
-    #: Bind with ``SO_REUSEPORT`` so N workers share one listen port
-    #: (the fleet's kernel-balanced accept group).
-    reuse_port: bool = False
-    #: RESUME retry hint sent when a session's lease is held by a
-    #: worker not yet confirmed dead (transient reject).
-    lease_retry_s: float = 0.5
     #: Tenant policy document (``None`` = pre-policy behaviour: no
     #: tenants, no energy budget, bit-identical to a policy-less build).
     policy_file: Optional[str] = None
@@ -199,14 +198,9 @@ class ServeNetConfig:
     #: filesystem; tests and the torture harness pass a
     #: :class:`repro.storage.faultfs.FaultFS`.
     fileops: Optional[FileOps] = None
-    #: Bounded retry for *transient* journal-append faults (total
-    #: tries; 1 disables retry) and the backoff base of the schedule.
-    journal_retry_attempts: int = 3
+    #: Backoff base of the bounded retry of *transient* journal-append
+    #: faults (:class:`repro.storage.RetryPolicy` fixes the tries).
     journal_retry_backoff_s: float = 0.005
-    #: Consecutive successful durability probes required to leave
-    #: brownout (hysteresis: one lucky write must not re-enable
-    #: journaling on a flapping volume).
-    durability_readmit_successes: int = 3
     #: Seconds between durability probes while browned out.
     durability_probe_s: float = 0.25
 
@@ -229,7 +223,6 @@ class SessionStats:
     psnr_sum: float = 0.0
     peak_ingest_depth: int = 0
     peak_egress_depth: int = 0
-    latencies_s: List[float] = field(default_factory=list)
     #: Recovery counters: how many times this session has reattached,
     #: how many journaled outcomes the last resume replayed, and how
     #: often the encode watchdog fired on it.
@@ -276,33 +269,6 @@ class SessionStats:
 
 _BYE_SENTINEL = object()
 _DRAIN_SENTINEL = object()
-
-
-class _EncodedOut:
-    """Egress-queue stand-in for a successful ENCODED frame.
-
-    Carries the reconstruction plane *by reference*; the egress loop
-    serializes it straight into the session's reusable wire arena
-    (:func:`encode_encoded_into`), so the plane's pixels are copied
-    exactly once — into the socket — instead of ``tobytes()`` +
-    payload concat + header concat.  Drops and control messages keep
-    using the regular dataclasses (their payloads are tiny).
-    """
-
-    __slots__ = ("frame_index", "frame_type", "width", "height",
-                 "bits", "psnr", "recon", "rung")
-
-    def __init__(self, frame_index: int, frame_type: str, width: int,
-                 height: int, bits: int, psnr: float, recon: np.ndarray,
-                 rung: int = 0):
-        self.frame_index = frame_index
-        self.frame_type = frame_type
-        self.width = width
-        self.height = height
-        self.bits = bits
-        self.psnr = psnr
-        self.recon = recon
-        self.rung = rung
 
 
 class _Session:
@@ -405,10 +371,6 @@ class _Session:
         #: encoder stays at most a few GOPs ahead of durable emission
         #: (deep enough to ride out an occasional slow fsync).
         self.emit_queue: asyncio.Queue = asyncio.Queue(maxsize=4)
-        #: Reusable egress serialization buffer (one wire frame at a
-        #: time; the selector transport either sends synchronously or
-        #: copies the unsent remainder, so reuse after write is safe).
-        self.wire_arena = bytearray()
         self.completed = False
         if restored is not None:
             if restored.state is not None:
@@ -460,9 +422,7 @@ class NetworkServer:
         #: Durability health latch (DESIGN.md §16): ``healthy`` gates
         #: journaling for new admits; the probe loop readmits it
         #: hysteretically after a brownout.
-        self._durability = DurabilityMonitor(
-            readmit_successes=config.durability_readmit_successes
-        )
+        self._durability = DurabilityMonitor()
         self._durability_task: Optional[asyncio.Task] = None
         #: Resume tokens invalidated by a durability brownout.  The
         #: in-memory set is authoritative for this process; the
@@ -473,10 +433,7 @@ class NetworkServer:
             self._journal_store = SharedDirStateStore(
                 config.journal_dir, fsync=config.journal_fsync,
                 owner=self._owner, fileops=config.fileops,
-                retry=RetryPolicy(
-                    attempts=max(1, config.journal_retry_attempts),
-                    backoff_s=config.journal_retry_backoff_s,
-                ),
+                retry=RetryPolicy(backoff_s=config.journal_retry_backoff_s),
                 on_retry=self._on_journal_retry,
             )
             # Warm-start the shared LUT from the drain checkpoint, if
@@ -533,16 +490,6 @@ class NetworkServer:
         # side has not noticed) so two sessions never append to one
         # journal concurrently.
         self._attached: Dict[str, asyncio.Task] = {}
-        # Per-message allocation bound for reads: sized to the largest
-        # FRAME the configured geometry ceiling permits (plus framing
-        # slack), never beyond the wire-format ceiling — a client
-        # cannot make the server commit to a 32 MiB buffer by inflating
-        # the declared length.
-        self._recv_max_payload = min(
-            MAX_PAYLOAD,
-            max(65536,
-                config.max_frame_width * config.max_frame_height + 1024),
-        )
 
     # -- tenant policy -------------------------------------------------
     def _apply_policy(self, policy: CompiledPolicy) -> None:
@@ -654,8 +601,8 @@ class NetworkServer:
 
     async def _durability_loop(self) -> None:
         """Probe the journal volume while browned out; readmit
-        journaling after ``durability_readmit_successes`` consecutive
-        clean probes (hysteresis against a flapping disk)."""
+        journaling after the monitor's streak of consecutive clean
+        probes (hysteresis against a flapping disk)."""
         registry = get_registry()
         loop = asyncio.get_running_loop()
         store = self._journal_store
@@ -737,14 +684,11 @@ class NetworkServer:
         self._note_durability_failure(error)
 
     def _encode_pool_size(self) -> int:
-        """Encode threads granted to this server.
-
-        Explicit ``encode_workers`` wins; otherwise the grant is the
-        admission controller's core capacity (the Algorithm-2 budget
-        sessions are packed into) clamped to the physical host.
-        """
-        if self.config.encode_workers is not None:
-            return max(1, int(self.config.encode_workers))
+        """Encode threads granted to this server: the admission
+        controller's core capacity (the Algorithm-2 budget sessions are
+        packed into) clamped to the physical host — one thread on a
+        single-core host.  One GOP flush runs per thread; per-session
+        pushes stay strictly ordered regardless."""
         grant = max(1, int(self.admission.capacity_cores))
         return min(grant, os.cpu_count() or 1)
 
@@ -791,7 +735,6 @@ class NetworkServer:
     async def start(self) -> None:
         self._server = await asyncio.start_server(
             self._handle_client, self.config.host, self.config.port,
-            reuse_port=self.config.reuse_port or None,
         )
         if self.policy_manager is not None and self._policy_task is None:
             self._policy_task = asyncio.ensure_future(self._policy_loop())
@@ -905,8 +848,8 @@ class NetworkServer:
     async def _run_connection(self, reader: asyncio.StreamReader,
                               writer: asyncio.StreamWriter) -> None:
         msg = await asyncio.wait_for(
-            read_message(reader, max_payload=self._recv_max_payload),
-            timeout=self.config.hello_timeout_s,
+            read_message(reader, max_payload=_RECV_MAX_PAYLOAD),
+            timeout=HELLO_TIMEOUT_S,
         )
         if isinstance(msg, Resume):
             handshake = self._resume_handshake
@@ -999,12 +942,12 @@ class NetworkServer:
         exactly those rungs arrive on the wire, each ENCODED tagged
         with its rung id in the header flags."""
         cfg = self.config
-        if not (0 < hello.width <= cfg.max_frame_width
-                and 0 < hello.height <= cfg.max_frame_height):
+        if not (0 < hello.width <= MAX_FRAME_WIDTH
+                and 0 < hello.height <= MAX_FRAME_HEIGHT):
             await write_message(writer, HelloAck(
                 decision="reject", reason=(
                     f"geometry {hello.width}x{hello.height} outside "
-                    f"1..{cfg.max_frame_width} x 1..{cfg.max_frame_height}"
+                    f"1..{MAX_FRAME_WIDTH} x 1..{MAX_FRAME_HEIGHT}"
                 ),
             ))
             return None
@@ -1091,7 +1034,7 @@ class NetworkServer:
             """Reject; ``transient`` tells the client a retry may work."""
             await write_message(writer, ResumeAck(
                 decision="reject", reason=reason,
-                retry_after_s=cfg.lease_retry_s if transient else 0.0,
+                retry_after_s=LEASE_RETRY_S if transient else 0.0,
             ))
 
         async def refuse_tombstoned() -> None:
@@ -1119,7 +1062,7 @@ class NetworkServer:
             registry.inc("repro_serving_resume_preemptions_total",
                          help="Attached sessions preempted by a RESUME")
             old.cancel()
-            await asyncio.wait({old}, timeout=cfg.hello_timeout_s)
+            await asyncio.wait({old}, timeout=HELLO_TIMEOUT_S)
             if not old.done():
                 return await refuse(
                     "session still attached; preemption timed out")
@@ -1382,7 +1325,7 @@ class NetworkServer:
         try:
             while True:
                 read_task = asyncio.ensure_future(
-                    read_message(reader, max_payload=self._recv_max_payload)
+                    read_message(reader, max_payload=_RECV_MAX_PAYLOAD)
                 )
                 await asyncio.wait(
                     {read_task, drain_wait},
@@ -1422,16 +1365,7 @@ class NetworkServer:
                     # Backpressure: the client outruns the encoder.  The
                     # incoming frame is dropped (never buffered), keeping
                     # the queue depth at its configured bound.
-                    session.stats.dropped_backpressure += 1
-                    registry.inc(
-                        "repro_serving_frames_dropped_total",
-                        reason="backpressure",
-                        help="Frames dropped by the serving layer, by reason",
-                    )
-                    await self._egress_put(session, Encoded(
-                        frame_index=index, frame_type="",
-                        dropped="backpressure",
-                    ))
+                    await self._drop(session, index, "backpressure")
                     continue
                 # Zero-copy ingest: the wire payload backs the frame
                 # directly (read_message hands out an immutable view,
@@ -1520,16 +1454,8 @@ class NetworkServer:
                     and not self.energy.serves(session.tenant)):
                 # Brownout: the tenant is shed — the connection stays up
                 # but frames degrade to policy drops until readmission.
-                session.stats.dropped_policy += 1
                 session.arrival_s.pop(item.index, None)
-                get_registry().inc(
-                    "repro_serving_frames_dropped_total", reason="policy",
-                    help="Frames dropped by the serving layer, by reason",
-                )
-                await self._egress_put(session, Encoded(
-                    frame_index=item.index, frame_type="",
-                    dropped="policy",
-                ))
+                await self._drop(session, item.index, "policy")
                 continue
             outputs = await self._push_frame(session, item)
             await self._queue_boundary(session, outputs)
@@ -1576,11 +1502,8 @@ class NetworkServer:
         degrade, and re-pack the allocator around the sick core."""
         registry = get_registry()
         session.stats.watchdog_fires += 1
-        session.stats.dropped_watchdog += 1
         registry.inc("repro_serving_watchdog_fires_total",
                      help="Encode watchdog firings")
-        registry.inc("repro_serving_frames_dropped_total", reason="watchdog",
-                     help="Frames dropped by the serving layer, by reason")
         session.epoch += 1
         # Replace the shared executor: its single worker thread is
         # stuck inside the wedged push.  Sessions with work queued on
@@ -1619,9 +1542,7 @@ class NetworkServer:
                 "frame_index": int(frame.index), "dropped": "watchdog",
                 "frame_type": "", "bits": 0, "psnr": 0.0, "recon": None,
             })
-        await self._egress_put(session, Encoded(
-            frame_index=frame.index, frame_type="", dropped="watchdog",
-        ))
+        await self._drop(session, frame.index, "watchdog")
         get_tracer().event(
             "serving.watchdog", session=session.session_id,
             frame=frame.index, epoch=session.epoch,
@@ -1785,14 +1706,9 @@ class NetworkServer:
         for out in outputs:
             arrival = session.arrival_s.pop(out.frame_index, None)
             if out.dropped is not None:
-                if out.dropped == "corrupt":
-                    session.stats.dropped_corrupt += 1
-                else:
-                    session.stats.dropped_deadline += 1
-                await self._egress_put(session, Encoded(
-                    frame_index=out.frame_index, frame_type="",
-                    dropped=out.dropped, rung=out.rung,
-                ))
+                # "corrupt" or "deadline": the pipeline gave the frame up.
+                await self._drop(session, out.frame_index, out.dropped,
+                                 rung=out.rung)
                 continue
             record = out.record
             critical = max(t.cpu_time_fmax for t in record.tiles)
@@ -1821,18 +1737,45 @@ class NetworkServer:
                          "the 1/FPS slot",
                 )
             if arrival is not None:
-                latency = now - arrival
-                session.stats.latencies_s.append(latency)
                 registry.observe(
-                    "repro_serving_frame_latency_seconds", latency,
+                    "repro_serving_frame_latency_seconds", now - arrival,
                     help="End-to-end frame latency (arrival to encoded)",
                 )
             recon = out.reconstruction
-            await self._egress_put(session, _EncodedOut(
-                out.frame_index, out.frame_type.value,
-                recon.shape[1], recon.shape[0],
-                record.bits, psnr, recon, rung=out.rung,
+            # The plane rides by reference (a flat view, no copy): its
+            # pixels are copied once, by write_message, on the way to
+            # the socket.
+            await self._egress_put(session, Encoded(
+                frame_index=out.frame_index,
+                frame_type=out.frame_type.value,
+                width=recon.shape[1], height=recon.shape[0],
+                bits=record.bits, psnr=psnr, luma=recon.reshape(-1),
+                rung=out.rung,
             ))
+
+    @staticmethod
+    def _count_drop(session: _Session, reason: str) -> None:
+        """The one place a dropped frame is counted: the session's
+        STATS field and the ``repro_serving_frames_dropped_total``
+        family together, so no reason can be on one ledger and not the
+        other."""
+        field_name = f"dropped_{reason}"
+        setattr(session.stats, field_name,
+                getattr(session.stats, field_name) + 1)
+        get_registry().inc(
+            "repro_serving_frames_dropped_total", reason=reason,
+            help="Frames dropped by the serving layer, by reason",
+        )
+
+    async def _drop(self, session: _Session, frame_index: int,
+                    reason: str, rung: int = 0) -> None:
+        """Give one frame up: count it and queue the ENCODED notice
+        that is its outcome on the wire."""
+        self._count_drop(session, reason)
+        await self._egress_put(session, Encoded(
+            frame_index=frame_index, frame_type="", dropped=reason,
+            rung=rung,
+        ))
 
     async def _egress_put(self, session: _Session, msg: Message,
                           coalesce: bool = True) -> None:
@@ -1853,11 +1796,9 @@ class NetworkServer:
                 if stale is _BYE_SENTINEL:
                     session.egress.put_nowait(stale)
                     break
-                session.stats.dropped_egress += 1
-                registry.inc(
-                    "repro_serving_frames_dropped_total", reason="egress",
-                    help="Frames dropped by the serving layer, by reason",
-                )
+                # No notice: the wire has no code for it, and queueing
+                # one into a full queue would evict another frame.
+                self._count_drop(session, "egress")
         await session.egress.put(msg)
         depth = session.egress.qsize()
         if depth > session.stats.peak_egress_depth:
@@ -1874,28 +1815,6 @@ class NetworkServer:
             msg = await session.egress.get()
             if msg is _BYE_SENTINEL:
                 return
-            if type(msg) is _EncodedOut:
-                # Arena egress: serialize the reconstruction plane
-                # directly into the per-session buffer and hand that
-                # to the transport — no tobytes(), no concatenation.
-                arena = session.wire_arena
-                del arena[:]
-                encode_encoded_into(
-                    arena, msg.frame_index, frame_type=msg.frame_type,
-                    width=msg.width, height=msg.height,
-                    bits=msg.bits, psnr=msg.psnr, luma=msg.recon,
-                    flags=msg.rung,
-                )
-                writer.write(arena)
-                await writer.drain()
-                registry.inc("repro_serving_frames_total", direction="out",
-                             help="Frames crossing the wire by direction")
-                registry.inc(
-                    "repro_serving_bytes_total", msg.recon.nbytes,
-                    direction="out",
-                    help="Payload bytes crossing the wire by direction",
-                )
-                continue
             await write_message(writer, msg)
             if isinstance(msg, Encoded):
                 registry.inc("repro_serving_frames_total", direction="out",

@@ -1,20 +1,17 @@
-"""Pluggable externalized session state for the serving fleet.
+"""Externalized session state for the serving fleet.
 
 PR 5 made a single server crash-safe by journaling every session to
 disk; the journal format already makes a session *portable* — nothing
 in it is bound to the process that wrote it.  This module externalizes
-that state behind a small interface so **any** worker of a fleet can
-adopt a RESUME token whose original owner died:
-
-``StateStore``
-    The contract a serving worker needs: token-addressed session
-    journals (create/reopen/restore/discard), a shared LUT checkpoint,
-    and **single-owner leases**.
+that state so **any** worker of a fleet can adopt a RESUME token whose
+original owner died:
 
 ``SharedDirStateStore``
-    The first implementation: a shared directory of per-session
-    journals (:class:`repro.serving.recovery.JournalStore`), the LUT
-    checkpoint next to them, and a sidecar lease file per token.
+    What a serving worker needs: token-addressed session journals
+    (create/reopen/restore/discard — inherited from
+    :class:`repro.serving.recovery.JournalStore`), a shared LUT
+    checkpoint next to them, and **single-owner leases** (a sidecar
+    lease file per token).
 
 The lease protocol is what prevents the *diverging-twin-session* race
 across processes (PR 5's review fixed it within one process with the
@@ -44,7 +41,6 @@ to notice.
 
 from __future__ import annotations
 
-import abc
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
@@ -62,11 +58,7 @@ from repro.resilience.checkpoint import (
     save_lut,
 )
 from repro.resilience.errors import LeaseHeldError
-from repro.serving.recovery import (
-    JournalStore,
-    RestoredSession,
-    SessionJournal,
-)
+from repro.serving.recovery import JournalStore
 from repro.storage.errors import RetryPolicy, StorageError
 from repro.storage.faultfs import FileOps
 from repro.workload.lut import WorkloadLut
@@ -75,7 +67,6 @@ __all__ = [
     "Lease",
     "LEASE_SUFFIX",
     "SharedDirStateStore",
-    "StateStore",
     "pid_alive",
 ]
 
@@ -119,63 +110,7 @@ class Lease:
     reclaimed: bool = False
 
 
-class StateStore(abc.ABC):
-    """What a serving worker needs from externalized session state.
-
-    The interface is deliberately the union of what
-    :class:`~repro.serving.server.NetworkServer` already consumed from
-    :class:`~repro.serving.recovery.JournalStore` plus the lease and
-    LUT-checkpoint operations, so a worker is indifferent to where the
-    state actually lives (shared directory today; a network KV store
-    would slot in behind the same contract).
-    """
-
-    # -- journals ------------------------------------------------------
-    @abc.abstractmethod
-    def new_token(self, session_id: int, client_id: str = "") -> str: ...
-
-    @abc.abstractmethod
-    def exists(self, token: str) -> bool: ...
-
-    @abc.abstractmethod
-    def create(self, token: str) -> SessionJournal: ...
-
-    @abc.abstractmethod
-    def reopen(self, token: str, next_seq: int,
-               truncate_to: Optional[int] = None) -> SessionJournal: ...
-
-    @abc.abstractmethod
-    def restore(self, token: str,
-                strict: bool = False) -> RestoredSession: ...
-
-    @abc.abstractmethod
-    def tokens(self) -> List[str]: ...
-
-    @abc.abstractmethod
-    def discard(self, token: str) -> None: ...
-
-    # -- leases --------------------------------------------------------
-    @abc.abstractmethod
-    def acquire(self, token: str) -> Lease: ...
-
-    @abc.abstractmethod
-    def release(self, token: str) -> None: ...
-
-    @abc.abstractmethod
-    def lease_info(self, token: str) -> Optional[Dict[str, object]]: ...
-
-    @abc.abstractmethod
-    def break_owner(self, pid: int) -> List[str]: ...
-
-    # -- shared LUT checkpoint -----------------------------------------
-    @abc.abstractmethod
-    def load_lut(self) -> CheckpointLoadResult: ...
-
-    @abc.abstractmethod
-    def save_lut(self, lut: WorkloadLut) -> None: ...
-
-
-class SharedDirStateStore(JournalStore, StateStore):
+class SharedDirStateStore(JournalStore):
     """Shared-directory state store: journals + LUT + lease sidecars.
 
     ``owner`` identifies this store's holder in lease records

@@ -1,7 +1,10 @@
 """Recipes quoted in the docs must exist: every ``python -m repro.x``
 module imports, every ``repro <subcommand>`` is registered in the CLI
-parser and every ``make <target>`` is a Makefile target — so deleting
-a module, subcommand or target cannot leave a dangling recipe behind."""
+parser with every ``--flag`` its recipe passes, every ``make <target>``
+is a Makefile target and every ``REPRO_*`` variable is read from the
+environment somewhere under ``src/repro`` — so deleting a module,
+subcommand, flag, target or knob cannot leave a dangling recipe
+behind."""
 
 import argparse
 import importlib
@@ -17,17 +20,32 @@ DOCS = ("README.md", "DESIGN.md", "Makefile", ".claude/skills/verify/SKILL.md")
 _MODULE = re.compile(r"-m (repro(?:\.\w+)+)")
 #: ``python -m repro.cli serve-net`` anywhere, or a backticked
 #: ``repro serve-net`` in prose (a bare "repro x" is usually English or
-#: an import statement).
-_SUBCOMMAND = re.compile(r"(?:-m repro\.cli|`repro) ([a-z][a-z0-9-]*)")
+#: an import statement).  The second group is the rest of the recipe:
+#: up to the closing backtick or the end of the (continued) line.
+_SUBCOMMAND = re.compile(
+    r"(?:-m repro\.cli|`repro) ([a-z][a-z0-9-]*)((?:\\\n|[^`\n])*)")
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+#: An environment knob, quoted anywhere; and how ``src/repro`` reads one.
+_ENV = re.compile(r"\bREPRO_[A-Z_]*[A-Z]\b")
+_ENV_READ = re.compile(
+    r"""(?:environ(?:\.get\(|\[)|getenv\()\s*["'](REPRO_[A-Z_]+)["']""")
 #: Backticked only, for the same reason ("...that make threads...").
 _MAKE = re.compile(r"`make ([a-z][a-z0-9-]*)")
 _MAKE_TARGET = re.compile(r"^([a-z][a-z0-9-]*):", re.MULTILINE)
 
 
-def _subcommands() -> set:
+def _subcommands() -> dict:
+    """Each CLI subcommand with the option strings its parser defines."""
     (sub,) = (a for a in build_parser()._actions
               if isinstance(a, argparse._SubParsersAction))
-    return set(sub.choices)
+    return {name: set(parser._option_string_actions)
+            for name, parser in sub.choices.items()}
+
+
+def _env_knobs() -> set:
+    """Every ``REPRO_*`` variable some file under ``src/repro`` reads."""
+    return {name for path in (ROOT / "src" / "repro").rglob("*.py")
+            for name in _ENV_READ.findall(path.read_text())}
 
 
 def _importable(module: str) -> bool:
@@ -44,10 +62,17 @@ def dangling(text: str) -> list:
     subcommands = _subcommands()
     bad = [f"python -m {m}" for m in sorted(set(_MODULE.findall(text)))
            if not _importable(m)]
-    bad += [f"repro {s}" for s in sorted(set(_SUBCOMMAND.findall(text)))
+    recipes = _SUBCOMMAND.findall(text)
+    bad += [f"repro {s}" for s in sorted({s for s, _ in recipes})
             if s not in subcommands]
+    bad += sorted({f"repro {s} {flag}" for s, rest in recipes
+                   if s in subcommands for flag in _FLAG.findall(rest)
+                   if flag not in subcommands[s]})
     bad += [f"make {t}" for t in sorted(set(_MAKE.findall(text)))
             if t not in targets]
+    knobs = _env_knobs()
+    bad += [f"env {v}" for v in sorted(set(_ENV.findall(text)))
+            if v not in knobs]
     return bad
 
 
@@ -58,14 +83,19 @@ def test_docs_quote_only_recipes_that_exist():
 
 def test_scanner_sees_each_kind_of_recipe():
     """The check above is only as good as its patterns: a made-up
-    module, subcommand and target must each be reported, in the forms
-    the docs use."""
+    module, subcommand, flag, target and environment knob must each be
+    reported, in the forms the docs use."""
     text = (
         "run `python -m repro.serving.no_such_module --smoke`,\n"
         "\tPYTHONPATH=src $(PY) -m repro.no_such_driver\n"
         "    python -m repro.cli no-such-cmd --out x.json\n"
         "or `repro no-such-verb` (in `make no-such-target`);\n"
-        "`python -m repro.cli serve-net`, `repro metrics` and\n"
+        "`repro serve-fleet --workers 2 --no-such-flag x` and\n"
+        "\tPYTHONPATH=src $(PY) -m repro.cli serve --videos 2 \\\n"
+        "\t\t--no-such-option 8\n"
+        "pass flags nothing defines; `REPRO_NO_SUCH_KNOB=0` is read by\n"
+        "nothing.  `python -m repro.cli serve-net --port 0`,\n"
+        "`repro metrics` --not-part-of-the-recipe, `REPRO_NATIVE=0` and\n"
         "`make check` are fine, and so is prose that would make threads\n"
         "of repro output."
     )
@@ -74,5 +104,8 @@ def test_scanner_sees_each_kind_of_recipe():
         "python -m repro.serving.no_such_module",
         "repro no-such-cmd",
         "repro no-such-verb",
+        "repro serve --no-such-option",
+        "repro serve-fleet --no-such-flag",
         "make no-such-target",
+        "env REPRO_NO_SUCH_KNOB",
     ]

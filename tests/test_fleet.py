@@ -180,13 +180,6 @@ class TestWorkerConfig:
     def test_router_mode_gives_private_ports(self):
         worker = _worker_config(self._config(workers=2), "w0")
         assert worker.port == 0 and worker.host == "127.0.0.1"
-        assert worker.reuse_port is False
-
-    def test_reuseport_mode_binds_public_port(self):
-        config = self._config(workers=2, mode="reuseport", port=9470)
-        worker = _worker_config(config, "w0")
-        assert worker.port == 9470
-        assert worker.reuse_port is True
 
     def test_fleet_requires_journal_dir(self):
         with pytest.raises(ValueError):

@@ -108,22 +108,6 @@ def test_native_disabled_by_environment():
     assert out.stdout.strip() == "False"
 
 
-@needs_driver
-def test_simd_disabled_by_environment():
-    """REPRO_NATIVE_SIMD=0 must pin the dispatch to the scalar tier."""
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from repro import native; "
-         "print(native.simd_level, native.lib.simd_get_level())"],
-        capture_output=True, text=True,
-        env={"PYTHONPATH": "src", "REPRO_NATIVE_SIMD": "0",
-             "PATH": "/usr/bin:/bin", "HOME": "/root"},
-        cwd=str(REPO_ROOT),
-        check=True,
-    )
-    assert out.stdout.split() == ["0", "0"]
-
-
 # ----------------------------------------------------------------------
 # Tile driver (encode_tile_u8) vs the per-block loop
 # ----------------------------------------------------------------------
@@ -208,45 +192,38 @@ def _tile_cases(draw):
 
 def _assert_driver_matches_oracle(config, cur, ref, tile, frame_type, spec,
                                   emit, want_info):
-    """Encode ``tile`` through the driver on every SIMD tier the CPU
-    has and compare each outcome with the per-block loop's."""
+    """Encode ``tile`` through the driver and compare the outcome with
+    the per-block loop's."""
     bits, ssd, ops, want_recon, stream, want_infos, learned = _oracle(
         config, cur, ref, tile, frame_type, spec, emit, want_info)
     region = np.s_[tile.y:tile.y_end, tile.x:tile.x_end]
     outside = np.ones(cur.shape, dtype=bool)
     outside[region] = False
-    detected = native.lib.simd_detect()
-    try:
-        for level in range(detected + 1):
-            native.lib.simd_set_level(level)
-            assert native.lib.simd_get_level() == level
-            recon = np.full_like(cur, 7)  # outside the tile: untouched
-            writer = BitWriter() if emit else None
-            infos = [] if want_info else None
-            with scoped() as (registry, _):
-                stats = TileEncoder(config).encode(
-                    cur, ref if frame_type is FrameType.P else None, recon,
-                    tile, frame_type, writer=writer, block_info_out=infos,
-                    measure_stages=True,
-                    hook_spec=spec if frame_type is FrameType.P else None,
-                )
-                assert FALLBACK not in registry.names()
-            assert (stats.bits, stats.ssd, stats.ops) == (bits, ssd, ops)
-            np.testing.assert_array_equal(recon[region], want_recon[region])
-            assert (recon[outside] == 7).all()
-            if emit:
-                assert (writer.bits_written, writer.flush()) == stream
-                assert stream[0] == bits
-            assert infos == want_infos
-            got = stats.learned
-            assert (learned is None) == (got is None)
-            if got is not None:
-                assert got.tile_id == spec.tile_id
-                assert (got.first_axis, got.final_mv) == learned
-            assert set(stats.stage_seconds) == {"motion", "entropy"}
-            assert all(v >= 0.0 for v in stats.stage_seconds.values())
-    finally:
-        native.lib.simd_set_level(detected)
+    recon = np.full_like(cur, 7)  # outside the tile: untouched
+    writer = BitWriter() if emit else None
+    infos = [] if want_info else None
+    with scoped() as (registry, _):
+        stats = TileEncoder(config).encode(
+            cur, ref if frame_type is FrameType.P else None, recon,
+            tile, frame_type, writer=writer, block_info_out=infos,
+            measure_stages=True,
+            hook_spec=spec if frame_type is FrameType.P else None,
+        )
+        assert FALLBACK not in registry.names()
+    assert (stats.bits, stats.ssd, stats.ops) == (bits, ssd, ops)
+    np.testing.assert_array_equal(recon[region], want_recon[region])
+    assert (recon[outside] == 7).all()
+    if emit:
+        assert (writer.bits_written, writer.flush()) == stream
+        assert stream[0] == bits
+    assert infos == want_infos
+    got = stats.learned
+    assert (learned is None) == (got is None)
+    if got is not None:
+        assert got.tile_id == spec.tile_id
+        assert (got.first_axis, got.final_mv) == learned
+    assert set(stats.stage_seconds) == {"motion", "entropy"}
+    assert all(v >= 0.0 for v in stats.stage_seconds.values())
 
 
 @needs_driver
@@ -256,7 +233,7 @@ def _assert_driver_matches_oracle(config, cur, ref, tile, frame_type, spec,
 def test_tile_driver_matches_block_loop(case):
     """One native call per tile == the per-block loop: bits, SSD, every
     op counter, reconstruction, emitted bitstream, BlockInfo list and
-    what a first-P-frame tile learned — on every SIMD tier."""
+    what a first-P-frame tile learned."""
     ref, cur = _moving_planes(case["seed"], *case["frame"])
     _assert_driver_matches_oracle(
         case["config"], cur, ref, case["tile"], case["frame_type"],
@@ -274,14 +251,16 @@ def _at_odd_address(plane, offset):
 
 
 @needs_driver
-def test_sad_simd_levels_bit_identical():
-    """Every SIMD tier the CPU supports (scalar/SSE2, AVX2, AVX-512)
-    encodes the same tile as the NumPy reference when block widths,
-    tile offsets and row pitch are not multiples of the vector width
-    and the planes start at unaligned addresses — the geometry
-    ``make sanitize`` needs to see an out-of-bounds vector load."""
-    # Block widths 16 (AVX2 two-row, AVX-512 four-row packing), 32, 64
-    # and the 8/24/40/48-wide remainders (scalar, SSE2, AVX2 two-row).
+def test_sad_kernels_bit_identical():
+    """Both SAD kernels (the plain C loop and SSE2 ``psadbw``) encode
+    the same tile as the NumPy reference when block widths, tile
+    offsets and row pitch are not multiples of the vector width and the
+    planes start at unaligned addresses — the geometry ``make
+    sanitize`` needs to see an out-of-bounds vector load in
+    ``sad_win_sse2``."""
+    # Block widths 16, 32, 64 (SSE2: one, two, four 16-byte loads per
+    # row) and the remainder blocks at the tile's right edge: 8 and 24
+    # wide take the scalar loop, 48 wide SSE2 again.
     for block_size, tile in (
         (16, Tile(5, 3, 72, 40)),
         (32, Tile(13, 9, 104, 72)),
@@ -302,14 +281,14 @@ def test_sad_simd_levels_bit_identical():
 
 
 def _fallback_case(reason):
-    """``(config, cur, references, tile, frame_type, kwargs)`` forcing
-    the driver to decline with ``reason``."""
+    """``(config, cur, references, tile, frame_type)`` forcing the
+    driver to decline with ``reason``."""
     rng = np.random.default_rng(5)
     cur = rng.integers(0, 256, (64, 80), dtype=np.uint8)
     ref = np.roll(cur, 1, axis=1)
     tile = Tile(16, 16, 48, 32)
     config = EncoderConfig(qp=32, search_window=16)
-    frame_type, references, kwargs = FrameType.P, ref, {}
+    frame_type, references = FrameType.P, ref
     if reason == "b_frame":
         frame_type, references = FrameType.B, [ref, cur]
     elif reason == "half_pel":
@@ -318,36 +297,32 @@ def _fallback_case(reason):
         cur = np.asfortranarray(cur)
     elif reason == "partial_block":
         tile = Tile(16, 16, 44, 32)
-    elif reason == "motion_hook":
-        spec = TileHookSpec(MotionClass.LOW, True, 0, 16, None, (0, 0))
-        kwargs["motion_hook"] = spec_hook(spec, spec.policy())
     elif reason == "search":
         config = EncoderConfig(qp=32, search="tz", search_window=16)
     elif reason == "window":
         config = EncoderConfig(qp=32, search_window=128)
-    return config, cur, references, tile, frame_type, kwargs
+    return config, cur, references, tile, frame_type
 
 
 @needs_driver
 @pytest.mark.parametrize("reason", [
-    "b_frame", "half_pel", "layout", "motion_hook", "search", "window",
+    "b_frame", "half_pel", "layout", "search", "window",
 ])
 def test_tile_driver_fallback_is_counted(reason, monkeypatch):
     """Everything the driver declines is counted by reason and runs
     the per-block loop without one call into ``kernels.c`` — encoding
     what ``REPRO_NATIVE=0`` encodes."""
-    config, cur, references, tile, frame_type, kwargs = _fallback_case(reason)
+    config, cur, references, tile, frame_type = _fallback_case(reason)
     recon = np.zeros(cur.shape, dtype=np.uint8)
     with scoped() as (registry, _), native_forbidden():
         stats = TileEncoder(config).encode(
-            cur, references, recon, tile, frame_type, **kwargs)
+            cur, references, recon, tile, frame_type)
         assert registry.value(FALLBACK, reason=reason) == 1
     monkeypatch.setattr(native, "lib", None)
-    kwargs = _fallback_case(reason)[-1]  # hooks carry state: a fresh one
     numpy_recon = np.zeros(cur.shape, dtype=np.uint8)
     with scoped() as (registry, _):
         numpy_stats = TileEncoder(config).encode(
-            cur, references, numpy_recon, tile, frame_type, **kwargs)
+            cur, references, numpy_recon, tile, frame_type)
         # No driver, nothing declined: the counter is never created.
         assert FALLBACK not in registry.names()
     np.testing.assert_array_equal(recon, numpy_recon)
@@ -359,7 +334,7 @@ def test_tile_driver_declines_unaligned_tile():
     """A tile that is not a whole number of 8x8 transforms never reaches
     the driver (it would silently skip the remainder); the per-block
     loop rejects it as it always has."""
-    config, cur, ref, tile, frame_type, _ = _fallback_case("partial_block")
+    config, cur, ref, tile, frame_type = _fallback_case("partial_block")
     with scoped() as (registry, _):
         with pytest.raises(ValueError, match="transform size"):
             TileEncoder(config).encode(

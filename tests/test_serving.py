@@ -4,6 +4,8 @@ bit-exactness and metrics digest."""
 from __future__ import annotations
 
 import asyncio
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -44,6 +46,7 @@ from repro.serving.protocol import (
     write_message,
 )
 from repro.resilience.degradation import DegradationLevel
+from repro.serving.loadgen import LoadGenConfig, run_loadgen_async
 from repro.serving.server import NetworkServer, ServeNetConfig
 from repro.transcode.pipeline import PipelineConfig, StreamTranscoder
 from repro.video.generator import ContentClass, generate_video
@@ -135,8 +138,35 @@ class TestProtocolRoundTrip:
         assert decoder.pending_bytes == 0
 
 
+def _wire_frame(mtype: int, flags: int, prefix: bytes, pixels: bytes) -> bytes:
+    """One wire frame packed from the documented layout (protocol.py's
+    module docstring), independently of the module's serialisers."""
+    payload = prefix + pixels
+    return struct.pack("!4sBBHII", b"RPRV", 2, mtype, flags, len(payload),
+                       zlib.crc32(payload)) + payload
+
+
+def _written(msg, flags: int = 0) -> bytes:
+    """What ``write_message`` hands the transport for ``msg``."""
+    class Writer:
+        def __init__(self):
+            self.chunks = []
+
+        def write(self, data):
+            self.chunks.append(bytes(data))
+
+        async def drain(self):
+            pass
+
+    writer = Writer()
+    asyncio.run(write_message(writer, msg, flags))
+    return b"".join(writer.chunks)
+
+
 class TestZeroCopyWire:
-    """The zero-copy hot path is wire-identical to the object path."""
+    """Each pixel-carrying message has one serialiser, reached three
+    ways (``encode_*_into``, ``encode_message``, ``write_message``);
+    all three produce the documented wire bytes."""
 
     @given(msgs=st.lists(_any_message, min_size=1, max_size=4),
            chunk=st.integers(1, 13))
@@ -170,44 +200,71 @@ class TestZeroCopyWire:
     @settings(max_examples=50, deadline=None)
     def test_encode_frame_into_wire_identity(self, frame_index, width,
                                              height, flags):
+        """Every way of sending a FRAME produces the documented bytes."""
         rng = np.random.default_rng(frame_index & 0xFFFF)
         plane = rng.integers(0, 256, (height, width), dtype=np.uint8)
-        want = encode_message(
-            FrameMsg(frame_index=frame_index, width=width, height=height,
-                     luma=plane.tobytes()), flags=flags)
-        for luma in (plane, plane.tobytes(), memoryview(plane.tobytes())):
+        want = _wire_frame(
+            3, flags, struct.pack("!IHH", frame_index, width, height),
+            plane.tobytes())
+        for luma in (plane.tobytes(), memoryview(plane.tobytes()),
+                     plane, plane.reshape(-1)):
             arena = bytearray(b"junk-from-last-message")
             del arena[:]
             n = encode_frame_into(arena, frame_index, width, height,
                                   luma, flags=flags)
             assert n == len(arena) and bytes(arena) == want
+            if getattr(luma, "ndim", 1) == 1:  # FrameMsg.luma is flat
+                msg = FrameMsg(frame_index=frame_index, width=width,
+                               height=height, luma=luma)
+                wire = encode_message(msg, flags=flags)
+                assert type(wire) is bytes and wire == want
+                assert _written(msg, flags) == want
 
     @given(frame_index=st.integers(0, 2**31 - 1),
            frame_type=st.sampled_from(["I", "P", "B"]),
+           dropped=st.sampled_from([None, "corrupt", "deadline",
+                                    "backpressure", "watchdog", "policy"]),
+           rung=st.sampled_from([0, 2]),
            width=st.integers(1, 40), height=st.integers(1, 40),
            bits=st.integers(0, 2**40),
            psnr=st.floats(0, 120, allow_nan=False))
     @settings(max_examples=50, deadline=None)
     def test_encode_encoded_into_wire_identity(self, frame_index,
-                                               frame_type, width, height,
-                                               bits, psnr):
+                                               frame_type, dropped, rung,
+                                               width, height, bits, psnr):
+        """Every way of sending an ENCODED — delivered or dropped, rung
+        0 or 2, any luma buffer type — produces the documented bytes."""
         rng = np.random.default_rng(frame_index & 0xFFFF)
         recon = rng.integers(0, 256, (height, width), dtype=np.uint8)
-        want = encode_message(Encoded(
-            frame_index=frame_index, frame_type=frame_type, dropped=None,
-            width=width, height=height, bits=bits, psnr=psnr,
-            luma=recon.tobytes()))
-        arena = bytearray()
-        n = encode_encoded_into(arena, frame_index, frame_type=frame_type,
-                                width=width, height=height, bits=bits,
-                                psnr=psnr, luma=recon)
-        assert n == len(arena) and bytes(arena) == want
-        # Arena reuse: a second message in the same buffer is intact.
-        del arena[:]
-        encode_encoded_into(arena, frame_index, frame_type=frame_type,
-                            width=width, height=height, bits=bits,
-                            psnr=psnr, luma=recon)
-        assert bytes(arena) == want
+        if dropped is not None:  # a notice carries no picture
+            frame_type, width, height, bits, psnr = "", 0, 0, 0, 0.0
+            recon = recon.reshape(-1)[:0]
+        want = _wire_frame(
+            4, rung,
+            struct.pack(
+                "!IBBHHQd", frame_index,
+                {"I": 0, "P": 1, "B": 2, "": 3}[frame_type],
+                {None: 0, "corrupt": 1, "deadline": 2, "backpressure": 3,
+                 "watchdog": 4, "policy": 5}[dropped],
+                width, height, bits, psnr),
+            recon.tobytes())
+        for luma in (recon.tobytes(), memoryview(recon.tobytes()),
+                     recon, recon.reshape(-1)):
+            arena = bytearray(b"junk-from-last-message")
+            del arena[:]
+            n = encode_encoded_into(
+                arena, frame_index, frame_type=frame_type, dropped=dropped,
+                width=width, height=height, bits=bits, psnr=psnr,
+                luma=luma, flags=rung)
+            assert n == len(arena) and bytes(arena) == want
+            if getattr(luma, "ndim", 1) == 1:  # Encoded.luma is flat
+                msg = Encoded(
+                    frame_index=frame_index, frame_type=frame_type,
+                    dropped=dropped, width=width, height=height, bits=bits,
+                    psnr=psnr, luma=luma, rung=rung)
+                wire = encode_message(msg)
+                assert type(wire) is bytes and wire == want
+                assert _written(msg) == want
 
     def test_encode_into_validates_geometry(self):
         with pytest.raises(ProtocolError):
@@ -215,6 +272,24 @@ class TestZeroCopyWire:
         with pytest.raises(ProtocolError):
             encode_encoded_into(bytearray(), 0, width=4, height=4,
                                 bits=0, psnr=0.0, luma=b"\x00" * 15)
+
+    def test_non_contiguous_plane_is_refused(self):
+        """A strided view's memory order is not its pixel order: every
+        entry point raises rather than put garbage on the wire."""
+        plane = np.arange(64, dtype=np.uint8).reshape(8, 8)
+        for luma in (plane[:, ::2], plane.T, plane.reshape(-1)[::2]):
+            h, w = luma.shape if luma.ndim == 2 else (4, 8)
+            out = bytearray()
+            with pytest.raises(ProtocolError, match="contiguous"):
+                encode_frame_into(out, 0, w, h, luma)
+            with pytest.raises(ProtocolError, match="contiguous"):
+                encode_encoded_into(out, 0, width=w, height=h, luma=luma)
+            assert out == b""
+        flat = plane.reshape(-1)[::2]
+        with pytest.raises(ProtocolError, match="contiguous"):
+            encode_message(FrameMsg(0, 8, 4, flat))
+        with pytest.raises(ProtocolError, match="contiguous"):
+            _written(Encoded(0, width=8, height=4, luma=flat))
 
     def test_memoryview_fed_session_bitstream_identical(self):
         """Sessions fed read-only socket-buffer views produce the same
@@ -360,6 +435,47 @@ class TestHandshakeGeometry:
         (ack,) = self._acks([Hello(width=100, height=100, fps=24.0,
                                    ladder=((96, 96), (48, 48)))])
         assert ack.decision == "accept"
+
+
+class TestDropAccounting:
+    """One frame given up is one drop on every ledger: the client's
+    tally of ENCODED notices, the session's STATS and the registry
+    family that ``serving_summary`` / ``repro metrics`` read."""
+
+    def test_deadline_drops_agree_across_client_stats_and_summary(self):
+        # Seeded CPU-time spikes push most frames past their slot, so
+        # the pipeline drops them with reason "deadline" — a reason the
+        # server forwarded and put in STATS but never counted in
+        # repro_serving_frames_dropped_total.
+        async def run():
+            server = NetworkServer(ServeNetConfig(
+                port=0, seed=3, fault_spike_rate=0.6,
+                fault_spike_factor=400.0))
+            await server.start()
+            try:
+                return await run_loadgen_async(LoadGenConfig(
+                    port=server.port, sessions=1, frames=24, width=64,
+                    height=64, seed=3, frame_interval_s=0.01))
+            finally:
+                await server.aclose()
+
+        with scoped() as (registry, _):
+            report = asyncio.run(run())
+            summary = serving_summary(registry.to_dict())
+            counted = {
+                reason: registry.value(
+                    "repro_serving_frames_dropped_total", reason=reason) or 0
+                for reason in ("backpressure", "egress", "corrupt",
+                               "deadline", "watchdog")
+            }
+        (session,) = report.sessions
+        assert session.error is None and report.protocol_errors == 0
+        stats = session.server_stats["frames_dropped"]
+        assert stats["deadline"] >= 1
+        assert session.frames_dropped == sum(stats.values())
+        assert summary["frames_dropped"] == session.frames_dropped
+        assert counted == stats
+        assert session.frames_dropped + session.frames_encoded == 24
 
 
 # ----------------------------------------------------------------------
