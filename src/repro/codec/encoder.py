@@ -110,8 +110,9 @@ def reconstruct_block(prediction: np.ndarray, levels: np.ndarray, qp: int) -> np
     blocks covering the prediction block.  Returns the reconstructed
     samples as ``uint8``.  The per-block encoder loop and the decoder
     call exactly this function; the native tile driver's
-    reconstruction (``recon_sub8`` in ``kernels.c``) performs the same
-    operations in the same order (see ``transform._matmul_in_order``),
+    reconstruction (in ``encode_block_plane``, ``kernels.c``) performs
+    the same operations in the same order (see
+    ``transform._matmul_in_order``),
     so a decoder without ``kernels.c`` rebuilds a driver-encoded
     stream sample for sample.
     """

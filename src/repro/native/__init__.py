@@ -20,8 +20,11 @@ driver declines (B frames, half-pel, search algorithms without a
 ``native_spec``, oversized windows, odd layouts —
 ``TileEncoder._driver_plan``) or anything at all under
 ``REPRO_NATIVE=0``.  The two tiers agree to the bit: the C arithmetic
-is IEEE, one rounding per operation (``-ffp-contract=off``), and the
-NumPy transform and SAD reductions accumulate in the same order.
+is IEEE, one rounding per operation (``-ffp-contract=off``), the NumPy
+transform and SAD reductions accumulate in the same order, and where
+the driver takes a shorter way to a number (integer residuals, a
+norm bound instead of a DCT, an abandoned planar trial) the way is an
+equality, argued in ``kernels.c`` and DESIGN.md §8.
 Nothing between the tiers is native, because nothing would use it:
 in every ``BENCHMARK.json`` workload and every golden all tiles take
 the driver (16 frames each of a VGA, a 96x96 and a 3-rung-ladder
@@ -36,9 +39,10 @@ per-call ``data_as`` pointer objects), and the driver's fixed-size
 outputs live in thread-local scratch whose pointers are computed once.
 
 Everything degrades gracefully: if no compiler is available, if
-compilation fails, or if ``REPRO_NATIVE=0`` is set, :data:`lib` is
-``None`` and every tile runs the NumPy loop.  The compiled object is
-cached under ``_build/``, keyed by a hash of the source and flags.
+compilation fails (:data:`build_error` then holds the compiler's
+message), or if ``REPRO_NATIVE=0`` is set, :data:`lib` is ``None`` and
+every tile runs the NumPy loop.  The compiled object is cached under
+``_build/``, keyed by a hash of the source and flags.
 """
 
 from __future__ import annotations
@@ -63,8 +67,9 @@ _BUILD_DIR = _HERE / "_build"
 #: bit-exactness of the intra prediction and transform arithmetic.
 #: ``-Wall -Werror`` is the compile-time guard: a kernel change that
 #: introduces any warning fails the build, and the package falls back
-#: to NumPy (tests comparing native vs. fallback would then expose the
-#: regression as a missing-native skip rather than silent corruption).
+#: to NumPy with the compiler's message kept in :data:`build_error`
+#: (``tests/test_native_kernels.py`` fails on it wherever a compiler
+#: exists, so a broken kernel cannot pass as a missing-native skip).
 _CFLAGS = ["-O3", "-ffp-contract=off", "-fPIC", "-shared", "-Wall", "-Werror"]
 
 #: Half-extent of the motion-search cost cache table (must match
@@ -77,8 +82,15 @@ MOTION_CACHE_HALF = 160
 #: The loaded shared library, or None when native kernels are off.
 lib: Optional[ctypes.CDLL] = None
 
+#: Why the last build produced nothing to call (the compiler's stderr,
+#: or the failure to run it or to load its output); ``None`` once one
+#: succeeds.
+build_error: Optional[str] = None
+
 
 def _compile(extra_cflags: Sequence[str] = ()) -> Optional[Path]:
+    global build_error
+    build_error = None
     cflags = [*_CFLAGS, *extra_cflags]
     source = _SOURCE.read_text()
     digest = hashlib.sha256(
@@ -109,7 +121,11 @@ def _compile(extra_cflags: Sequence[str] = ()) -> Optional[Path]:
         except OSError:
             pass
         return so_path
-    except (OSError, subprocess.SubprocessError):
+    except (OSError, subprocess.SubprocessError) as exc:
+        stderr = getattr(exc, "stderr", None)
+        build_error = (
+            stderr.decode(errors="replace").strip() if stderr else repr(exc)
+        )
         try:
             os.unlink(tmp_name)
         except OSError:
@@ -118,6 +134,7 @@ def _compile(extra_cflags: Sequence[str] = ()) -> Optional[Path]:
 
 
 def _load(extra_cflags: Sequence[str] = ()) -> Optional[ctypes.CDLL]:
+    global build_error
     if os.environ.get("REPRO_NATIVE", "1") == "0":
         return None
     try:
@@ -125,7 +142,8 @@ def _load(extra_cflags: Sequence[str] = ()) -> Optional[ctypes.CDLL]:
         if so_path is None:
             return None
         cdll = ctypes.CDLL(str(so_path))
-    except OSError:
+    except OSError as exc:
+        build_error = repr(exc)
         return None
     ptr = ctypes.c_void_p  # callers pass ndarray.ctypes.data integers
     i64 = ctypes.c_int64
@@ -203,6 +221,11 @@ class TileResult(NamedTuple):
     #: meaningful when the call was learning).
     first_axis: Optional[str]
     final_mv: Tuple[int, int]
+    #: Stage clocks, zero unless the call was measuring.  ``motion`` is
+    #: the search; ``entropy`` is everything after the mode decision —
+    #: residual, zero tests, DCT, quantization, run-length syntax,
+    #: reconstruction and SSD — and includes writing bits only when
+    #: emitting.  The intra choice is in neither.
     motion_seconds: float
     entropy_seconds: float
 
@@ -342,6 +365,7 @@ def rebuild(extra_cflags: Sequence[str]) -> None:
     if cdll is None:
         raise RuntimeError(
             f"native kernels did not build/load with {list(extra_cflags)}"
+            + (f":\n{build_error}" if build_error else "")
         )
     lib = cdll
 

@@ -12,6 +12,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #include <time.h>
 
@@ -98,67 +99,61 @@ static inline int64_t se_bits(int64_t value)
     return ue_bits(mapped);
 }
 
-/* Reconstruction of one 8x8 sub-block from its levels and prediction.
- *
- * Replicates repro.codec.encoder.reconstruct_block: all-zero levels
- * short-circuit to rint(pred); otherwise dequantize (level * step),
- * inverse DCT (basis^T @ X @ basis) and rint(pred + residual); both
- * paths then bound to [0, 255].  rint() uses round-half-to-even like
- * np.rint.  pred strides by pstride doubles per row; out strides by
- * ostride bytes.
- */
-static void recon_sub8(const int32_t *levels, const double *pred,
-                       ptrdiff_t pstride, double step, const double *basis,
-                       uint8_t *out, ptrdiff_t ostride)
+/* ------------------------------------------------------------------ */
+/* 8x8 transform arithmetic, two lanes per operation.                  */
+/*                                                                     */
+/* v2d is the GCC/Clang vector extension: `a * b + c` on it is one     */
+/* IEEE multiply and one IEEE add per lane (no FMA: -ffp-contract=off) */
+/* — each lane runs exactly the scalar operations of the definition,   */
+/* so a product summed lane-wise is the product summed one element at  */
+/* a time.  No intrinsics, no -march: SSE2 / NEON where the target has */
+/* them, plain scalar code where it does not.                          */
+/* ------------------------------------------------------------------ */
+
+typedef double v2d __attribute__((vector_size(16), aligned(8), may_alias));
+
+/* out = a @ b over row-major 8x8 doubles: out[i][j] is the sum over
+ * ascending k of a[i][k] * b[k][j], started from +0.0, every product
+ * rounded once and then added — the arithmetic of
+ * repro.codec.transform._matmul_in_order.  Only the terms k in kmask
+ * are taken: a caller may drop a k whose a[.][k] or b[k][.] are all
+ * +0.0, because such a term is +-0.0 and adding a signed zero to a
+ * running sum that started at +0.0 (and so is never -0.0) leaves it
+ * bit for bit what it was. */
+static void mat8_mul(const double *a, const double *b, double *out,
+                     unsigned kmask)
 {
-    int zero = 1;
-    for (int k = 0; k < 64; k++)
-        if (levels[k]) {
-            zero = 0;
-            break;
+    const v2d *bv = (const v2d *)b;
+    v2d *ov = (v2d *)out;
+    for (int i = 0; i < 8; i++) {
+        v2d acc0 = {0.0, 0.0}, acc1 = acc0, acc2 = acc0, acc3 = acc0;
+        for (int k = 0; k < 8; k++) {
+            if (!(kmask >> k & 1))
+                continue;
+            v2d av = {a[i * 8 + k], a[i * 8 + k]};
+            acc0 += av * bv[k * 4 + 0];
+            acc1 += av * bv[k * 4 + 1];
+            acc2 += av * bv[k * 4 + 2];
+            acc3 += av * bv[k * 4 + 3];
         }
-    if (zero) {
-        for (int r = 0; r < 8; r++) {
-            const double *pr = pred + (ptrdiff_t)r * pstride;
-            uint8_t *orow = out + (ptrdiff_t)r * ostride;
-            for (int c = 0; c < 8; c++) {
-                double v = rint(pr[c]);
-                if (v > 255.0)
-                    v = 255.0;
-                if (v < 0.0)
-                    v = 0.0;
-                orow[c] = (uint8_t)v;
-            }
-        }
-        return;
+        ov[i * 4 + 0] = acc0;
+        ov[i * 4 + 1] = acc1;
+        ov[i * 4 + 2] = acc2;
+        ov[i * 4 + 3] = acc3;
     }
-    double coef[64], tmp[64];
-    for (int k = 0; k < 64; k++)
-        coef[k] = (double)levels[k] * step;
-    /* tmp = basis^T @ coef */
-    for (int i = 0; i < 8; i++)
-        for (int j = 0; j < 8; j++) {
-            double acc = 0.0;
-            for (int k = 0; k < 8; k++)
-                acc += basis[k * 8 + i] * coef[k * 8 + j];
-            tmp[i * 8 + j] = acc;
-        }
-    /* resid = tmp @ basis */
-    for (int r = 0; r < 8; r++) {
-        const double *pr = pred + (ptrdiff_t)r * pstride;
-        uint8_t *orow = out + (ptrdiff_t)r * ostride;
-        for (int c = 0; c < 8; c++) {
-            double acc = 0.0;
-            for (int k = 0; k < 8; k++)
-                acc += tmp[r * 8 + k] * basis[k * 8 + c];
-            double v = rint(acc + pr[c]);
-            if (v > 255.0)
-                v = 255.0;
-            if (v < 0.0)
-                v = 0.0;
-            orow[c] = (uint8_t)v;
-        }
-    }
+}
+
+/* clip(rint(v), 0, 255) as a byte, rint() rounding half to even like
+ * np.rint: for |v| < 2^51 the sum v + 1.5 * 2^52 lies where doubles
+ * are the integers, so the addition itself rounds v to the nearest
+ * integer, ties to even (the constant is even), and the subtraction is
+ * exact.  Branch-free, so a row of these vectorises. */
+static inline uint8_t round_u8(double v)
+{
+    v = (v + 6755399441055744.0) - 6755399441055744.0;
+    v = v > 255.0 ? 255.0 : v;
+    v = v < 0.0 ? 0.0 : v;
+    return (uint8_t)v;
 }
 
 /* ------------------------------------------------------------------ */
@@ -471,227 +466,357 @@ static inline void bs_flush(BitSink *b)
 /* building blocks of the tile driver below.                          */
 /* ------------------------------------------------------------------ */
 
-/* Intra mode decision for one coding block.
+/* The intra candidate's prediction: integer-valued ones as bytes (u8
+ * with row pitch u8_stride — 0 repeats one row down the block), the
+ * others as doubles (d, block-width pitch) with u8 == NULL. */
+typedef struct {
+    const uint8_t *u8;
+    int64_t u8_stride;
+    uint8_t top[64], flat[64], rows[64 * 64];
+    double d[64 * 64];
+} IntraPred;
+
+/* Intra mode decision for one coding block, driven by what can still
+ * change the decision.
  *
- * Computes the DC / planar / horizontal / vertical predictions and
- * their SADs in one pass, picks the SAD-best mode (strict <, ties
- * toward the lower mode index, DC first — same order as
- * repro.codec.intra.choose_mode) and writes the winning prediction
- * into pred_out.  The prediction arithmetic replicates predict()
- * operation-for-operation and the SADs accumulate in raster order, as
- * choose_mode's do, so mode, SAD and prediction block are the ones the
- * NumPy reference computes and the decoder rebuilds from the coded
- * mode.
+ * The definition (repro.codec.intra.choose_mode) takes the raster-order
+ * float SAD of the DC / planar / horizontal / vertical predictions and
+ * picks the smallest (strict <, ties toward the lower mode index, DC
+ * first); the block is then inter coded when inter_cost <= that SAD.
+ * The same mode and the same decision are reached with less arithmetic:
+ *
+ *  - horizontal and vertical predict integers, so their SADs are exact
+ *    integer sums in any order (sad_win_u8 against the prediction);
+ *  - with a power-of-two neighbour count n (16, 32, ...: every full
+ *    block) the DC value total/n and every |x - dc| = |n*x - total| / n
+ *    are multiples of 1/n far below 2^53: the float chain is exact and
+ *    equals sum|n*x - total| / n.  With total = n*q + rem, 0 <= rem < n,
+ *    no sample lies strictly between q and q + 1, so |n*x - total| is
+ *    (n - rem) * |x - q| + rem * |x - (q + 1)| for every x: two byte
+ *    SADs against a constant (one when the DC value is an integer).
+ *    Other counts (the 16x8 remainder blocks of a 480x360 rung: n = 24)
+ *    keep the serial float chain;
+ *  - planar wins only when s_pl < s_dc, s_pl <= min(s_h, s_v) and —
+ *    should the inter candidate beat the other three — s_pl <
+ *    inter_cost.  Its float chain runs in the definition's order, row
+ *    by row, and is abandoned at the first row whose partial sum
+ *    breaks one of those bounds: a sum of non-negative terms never
+ *    decreases, so the final sum would break it too.
+ *
+ * Returns the winning mode {0=DC, 1=planar, 2=horizontal, 3=vertical}
+ * with its prediction (the values repro.codec.intra.predict builds) in
+ * out, or -1 when inter_cost is <= every intra SAD: the block is inter
+ * coded and no prediction is built.  I frames pass inter_cost =
+ * INFINITY.
  *
  * Reference samples come from the recon plane; availability follows
  * repro.codec.intra.reference_samples: the top row exists when
  * by - 1 >= tile_y, the left column when bx - 1 >= tile_x (tile
  * boundaries break prediction), and the neutral sample 128 substitutes
- * for a missing one.  mode_out[0] in {0=DC, 1=planar, 2=horizontal,
- * 3=vertical}; sad_out[0] is the winning SAD.
+ * for a missing one.
  */
-static void choose_intra_plane_u8(const uint8_t *cur, int64_t cstride,
-                                  const uint8_t *recon, int64_t rstride,
-                                  int bh, int bw, int64_t bx, int64_t by,
-                                  int64_t tile_x, int64_t tile_y,
-                                  double *pred_out, int32_t *mode_out,
-                                  double *sad_out)
+static int choose_intra_plane_u8(const uint8_t *cur, int64_t cstride,
+                                 const uint8_t *recon, int64_t rstride,
+                                 int bh, int bw, int64_t bx, int64_t by,
+                                 int64_t tile_x, int64_t tile_y,
+                                 double inter_cost, IntraPred *out)
 {
-    int has_top = by - 1 >= tile_y;
-    int has_left = bx - 1 >= tile_x;
-    const uint8_t *top_row =
-        has_top ? recon + (by - 1) * rstride + bx : NULL;
-    const uint8_t *left_col =
-        has_left ? recon + by * rstride + (bx - 1) : NULL;
-
-    double s_dc = 0.0, s_pl = 0.0, s_h = 0.0, s_v = 0.0;
-    double dc = 128.0;
-    if (has_top || has_left) {
-        double total = 0.0;
-        int64_t count = 0;
-        if (has_top) {
-            for (int c = 0; c < bw; c++)
-                total += (double)top_row[c];
-            count += bw;
-        }
-        if (has_left) {
-            for (int r = 0; r < bh; r++)
-                total += (double)left_col[(ptrdiff_t)r * rstride];
-            count += bh;
-        }
-        dc = total / (double)count;
-    }
-    double tr = has_top ? (double)top_row[bw - 1] : 128.0;
-    double bl = has_left ? (double)left_col[(ptrdiff_t)(bh - 1) * rstride]
-                         : 128.0;
-    double inv_w = (double)(bw + 1);
-    double inv_h = (double)(bh + 1);
-    for (int r = 0; r < bh; r++) {
-        const uint8_t *cr = cur + (ptrdiff_t)r * cstride;
-        double *pr = pred_out + (ptrdiff_t)r * bw;
-        double lv = has_left ? (double)left_col[(ptrdiff_t)r * rstride]
-                             : 128.0;
-        double wy = (double)(r + 1) / inv_h;
+    uint8_t left[64];
+    int total = 0, n = 0;
+    memset(out->top, 128, sizeof out->top);
+    memset(left, 128, sizeof left);
+    if (by - 1 >= tile_y) {
+        const uint8_t *row = recon + (by - 1) * rstride + bx;
         for (int c = 0; c < bw; c++) {
-            double x = (double)cr[c];
-            double tv = has_top ? (double)top_row[c] : 128.0;
-            double wx = (double)(c + 1) / inv_w;
-            double horiz = lv * (1.0 - wx) + tr * wx;
-            double vert = tv * (1.0 - wy) + bl * wy;
-            double pl = (horiz + vert) / 2.0;
-            pr[c] = pl;
-            s_dc += fabs(x - dc);
-            s_pl += fabs(x - pl);
-            s_h += fabs(x - lv);
-            s_v += fabs(x - tv);
+            out->top[c] = row[c];
+            total += row[c];
+        }
+        n += bw;
+    }
+    if (bx - 1 >= tile_x) {
+        const uint8_t *col = recon + by * rstride + (bx - 1);
+        for (int r = 0; r < bh; r++) {
+            left[r] = col[(ptrdiff_t)r * rstride];
+            total += left[r];
+        }
+        n += bh;
+    }
+    if (n == 0) { /* no neighbour: the neutral sample, an integer */
+        total = 128;
+        n = 1;
+    }
+    double dc = (double)total / (double)n;
+    int q = total / n, rem = total % n;
+    memset(out->flat, q, sizeof out->flat);
+    for (int r = 0; r < bh; r++) { /* bw is a multiple of 8 */
+        uint64_t lv8 = left[r] * UINT64_C(0x0101010101010101);
+        for (int c = 0; c < bw; c += 8)
+            memcpy(out->rows + (ptrdiff_t)r * bw + c, &lv8, 8);
+    }
+
+    double s_h = (double)sad_win_u8(out->rows, bw, cur, cstride, bh, bw);
+    double s_v = (double)sad_win_u8(out->top, 0, cur, cstride, bh, bw);
+    double s_dc = 0.0;
+    if ((n & (n - 1)) == 0) {
+        int64_t sum =
+            (n - rem) * sad_win_u8(out->flat, 0, cur, cstride, bh, bw);
+        if (rem) {
+            memset(out->flat, q + 1, sizeof out->flat);
+            sum += rem * sad_win_u8(out->flat, 0, cur, cstride, bh, bw);
+        }
+        s_dc = (double)sum / (double)n;
+    } else {
+        for (int r = 0; r < bh; r++) {
+            const uint8_t *cr = cur + (ptrdiff_t)r * cstride;
+            for (int c = 0; c < bw; c++)
+                s_dc += fabs((double)cr[c] - dc);
         }
     }
-    double sads[4] = {s_dc, s_pl, s_h, s_v};
     int best = 0;
-    for (int m = 1; m < 4; m++)
-        if (sads[m] < sads[best])
-            best = m;
-    mode_out[0] = best;
-    sad_out[0] = sads[best];
-    if (best == 0) {
-        for (ptrdiff_t k = 0; k < (ptrdiff_t)bh * bw; k++)
-            pred_out[k] = dc;
-    } else if (best == 2) {
-        for (int r = 0; r < bh; r++) {
-            double lv = has_left ? (double)left_col[(ptrdiff_t)r * rstride]
-                                 : 128.0;
-            double *pr = pred_out + (ptrdiff_t)r * bw;
-            for (int c = 0; c < bw; c++)
-                pr[c] = lv;
+    double best_sad = s_dc;
+    if (s_h < best_sad) {
+        best = 2;
+        best_sad = s_h;
+    }
+    if (s_v < best_sad) {
+        best = 3;
+        best_sad = s_v;
+    }
+
+    /* Planar, while it can still matter. */
+    double below = s_dc < inter_cost ? s_dc : inter_cost; /* s_pl <  */
+    double upto = s_h < s_v ? s_h : s_v;                  /* s_pl <= */
+    if (0.0 < below) {
+        double one_wx[64], tr_wx[64];
+        double tr = (double)out->top[bw - 1], bl = (double)left[bh - 1];
+        for (int c = 0; c < bw; c++) {
+            double wx = (double)(c + 1) / (double)(bw + 1);
+            one_wx[c] = 1.0 - wx;
+            tr_wx[c] = tr * wx;
         }
-    } else if (best == 3) {
-        for (int r = 0; r < bh; r++) {
-            double *pr = pred_out + (ptrdiff_t)r * bw;
+        double s_pl = 0.0;
+        int r = 0;
+        for (; r < bh; r++) {
+            const uint8_t *cr = cur + (ptrdiff_t)r * cstride;
+            double *pr = out->d + (ptrdiff_t)r * bw;
+            double lv = (double)left[r];
+            double wy = (double)(r + 1) / (double)(bh + 1);
+            double one_wy = 1.0 - wy, bl_wy = bl * wy;
+            for (int c = 0; c < bw; c++) {
+                double horiz = lv * one_wx[c] + tr_wx[c];
+                double vert = (double)out->top[c] * one_wy + bl_wy;
+                pr[c] = (horiz + vert) / 2.0;
+            }
             for (int c = 0; c < bw; c++)
-                pr[c] = has_top ? (double)top_row[c] : 128.0;
+                s_pl += fabs((double)cr[c] - pr[c]);
+            if (s_pl >= below || s_pl > upto)
+                break;
+        }
+        if (r == bh) { /* every bound held to the last row: planar wins */
+            out->u8 = NULL;
+            return 1;
         }
     }
+    if (inter_cost <= best_sad)
+        return -1;
+    out->u8 = best == 2 ? out->rows : best == 3 ? out->top : out->flat;
+    out->u8_stride = best == 2 ? bw : 0;
+    if (best == 0 && rem) { /* the one non-integer prediction besides planar */
+        out->u8 = NULL;
+        for (ptrdiff_t k = 0; k < (ptrdiff_t)bh * bw; k++)
+            out->d[k] = dc;
+    }
+    return best;
 }
 
 /* Fused residual coding of one (h, w) block, per 8x8 sub-block in
  * blockify order: residual -> zero skip (a sub-block whose residual
- * SAD is below 3 * step provably quantizes to all zeros and skips its
- * transform) -> DCT (basis @ R @ basis^T) -> dead-zone quantization ->
- * zigzag run-length syntax -> reconstruction written straight into the
- * recon plane -> SSD against the current block.  The prediction is
- * either a float64 buffer (predd, row pitch pdstride doubles: intra)
- * or a uint8 reference window (predu, row pitch pustride bytes:
- * integer-pel motion compensation); basis is the orthonormal 8x8
- * DCT-II matrix (row-major) and zz_order maps scan position ->
- * row-major index.  The residual syntax is emitted into sink when it
- * is not NULL.  Returns the residual bit count; active_out / ssd_out
- * accumulate the transformed sub-blocks and the block SSD (integer
- * squares: exact in any order).
+ * SAD is below 3 * step provably quantizes to all zeros and is not
+ * counted as transformed) -> zero proof -> DCT (basis @ R @ basis^T)
+ * -> dead-zone quantization -> zigzag run-length syntax ->
+ * reconstruction written straight into the recon plane -> SSD against
+ * the current block.  Each result is reached by the cheapest
+ * arithmetic that is provably the same number:
+ *
+ *  - zero proof: the 8x8 basis is orthonormal, so no coefficient
+ *    exceeds the residual's 2-norm, and a level is non-zero only from
+ *    |coef| >= 0.75 * step; a sub-block with sum(res^2) < 0.54 * step^2
+ *    (0.735^2: the gap to 0.75 swallows any float error) counts as
+ *    transformed, emits the same ue(0) and skips the DCT;
+ *  - a uint8 prediction (predu, row pitch pustride bytes: the
+ *    reference window of an inter block, or an integer-valued intra
+ *    prediction) makes the residual integer: SAD and sum of squares
+ *    are integer sums, exact in any order, and an all-zero sub-block
+ *    reconstructs to the prediction itself — eight row copies, with
+ *    the sum of squares as its SSD.  With predu == NULL the prediction
+ *    is float64 (predd, row pitch pdstride doubles: planar, or a DC
+ *    value that is not an integer) and the SAD is the definition's
+ *    raster-order float sum;
+ *  - quantizer: |c| < 0.5 * step gives floor(|c| / step + 0.25) = 0,
+ *    so a coefficient row that stays below it is zero without one
+ *    division; otherwise the same division, truncated (the argument
+ *    is >= 0, where truncation is floor);
+ *  - inverse DCT: coefficient rows and columns whose levels are all
+ *    zero are left out of the sums (mat8_mul).
+ *
+ * basis is the orthonormal 8x8 DCT-II matrix (row-major), basis_t its
+ * transpose, zz_order maps scan position -> row-major index.  The
+ * residual syntax is emitted into sink when it is not NULL.  Returns
+ * the residual bit count; active_out / ssd_out accumulate the
+ * transformed sub-blocks and the block SSD (integer squares).
  */
 static int64_t encode_block_plane(const uint8_t *cur, int64_t cstride,
                                   const double *predd, int64_t pdstride,
                                   const uint8_t *predu, int64_t pustride,
                                   int h, int w, double step,
-                                  const double *basis,
+                                  const double *basis, const double *basis_t,
                                   const int32_t *zz_order,
                                   uint8_t *recon_out, int64_t recon_stride,
                                   BitSink *sink,
-                                  int64_t *active_out, double *ssd_out)
+                                  int64_t *active_out, int64_t *ssd_out)
 {
+    const double skip_below = 3.0 * step, zero_below = 0.54 * step * step;
+    const double half_step = 0.5 * step;
     int rows = h / 8, cols = w / 8;
     double res[64], tmp[64], coef[64], pred8[64];
     int32_t levels[64];
-    int64_t bits = 0, active = 0;
-    double ssd = 0.0;
+    int64_t bits = 0, active = 0, ssd = 0;
     for (int rb = 0; rb < rows; rb++) {
         for (int cb = 0; cb < cols; cb++) {
             const uint8_t *csub = cur + (ptrdiff_t)rb * 8 * cstride + cb * 8;
+            const uint8_t *psub = predu
+                ? predu + (ptrdiff_t)rb * 8 * pustride + cb * 8 : NULL;
             uint8_t *osub = recon_out
                 + (ptrdiff_t)rb * 8 * recon_stride + cb * 8;
-            /* Stage the 8x8 prediction as doubles (exact). */
-            if (predd) {
-                const double *psub =
-                    predd + (ptrdiff_t)rb * 8 * pdstride + cb * 8;
-                for (int r = 0; r < 8; r++)
-                    for (int c = 0; c < 8; c++)
-                        pred8[r * 8 + c] = psub[(ptrdiff_t)r * pdstride + c];
-            } else {
-                const uint8_t *psub =
-                    predu + (ptrdiff_t)rb * 8 * pustride + cb * 8;
-                for (int r = 0; r < 8; r++)
-                    for (int c = 0; c < 8; c++)
-                        pred8[r * 8 + c] =
-                            (double)psub[(ptrdiff_t)r * pustride + c];
-            }
-            double sad = 0.0;
-            for (int r = 0; r < 8; r++) {
-                const uint8_t *crow = csub + (ptrdiff_t)r * cstride;
-                for (int c = 0; c < 8; c++) {
-                    double d = (double)crow[c] - pred8[r * 8 + c];
-                    res[r * 8 + c] = d;
-                    sad += fabs(d);
+            int sq = 0; /* integer residual: sum of squares */
+            int skip, zero;
+            if (psub) {
+                int sad = 0;
+                for (int r = 0; r < 8; r++) {
+                    const uint8_t *crow = csub + (ptrdiff_t)r * cstride;
+                    const uint8_t *prow = psub + (ptrdiff_t)r * pustride;
+                    for (int c = 0; c < 8; c++) {
+                        int d = (int)crow[c] - (int)prow[c];
+                        sad += abs(d);
+                        sq += d * d;
+                    }
                 }
+                skip = (double)sad < skip_below;
+                zero = skip || (double)sq < zero_below;
+            } else {
+                const double *pd =
+                    predd + (ptrdiff_t)rb * 8 * pdstride + cb * 8;
+                double sad = 0.0, ssq = 0.0;
+                for (int r = 0; r < 8; r++) {
+                    const uint8_t *crow = csub + (ptrdiff_t)r * cstride;
+                    for (int c = 0; c < 8; c++) {
+                        double p = pd[(ptrdiff_t)r * pdstride + c];
+                        double d = (double)crow[c] - p;
+                        pred8[r * 8 + c] = p;
+                        res[r * 8 + c] = d;
+                        sad += fabs(d);
+                        ssq += d * d;
+                    }
+                }
+                skip = sad < skip_below;
+                zero = skip || ssq < zero_below;
             }
-            if (sad < 3.0 * step) {
-                for (int k = 0; k < 64; k++)
-                    levels[k] = 0;
+            active += !skip;
+            unsigned rowmask = 0, colmask = 0;
+            if (!zero) {
+                if (psub)
+                    for (int r = 0; r < 8; r++) {
+                        const uint8_t *crow = csub + (ptrdiff_t)r * cstride;
+                        const uint8_t *prow = psub + (ptrdiff_t)r * pustride;
+                        for (int c = 0; c < 8; c++) {
+                            pred8[r * 8 + c] = (double)prow[c];
+                            res[r * 8 + c] =
+                                (double)((int)crow[c] - (int)prow[c]);
+                        }
+                    }
+                mat8_mul(basis, res, tmp, 0xff);
+                mat8_mul(tmp, basis_t, coef, 0xff);
+                for (int r = 0; r < 8; r++) {
+                    const double *crow = coef + r * 8;
+                    int32_t *lrow = levels + r * 8;
+                    int any = 0;
+                    for (int c = 0; c < 8; c++)
+                        any |= fabs(crow[c]) >= half_step;
+                    if (!any) { /* the whole row rounds to zero */
+                        memset(lrow, 0, 8 * sizeof *lrow);
+                        continue;
+                    }
+                    for (int c = 0; c < 8; c++) {
+                        int32_t lv = (int32_t)(fabs(crow[c]) / step + 0.25);
+                        lrow[c] = crow[c] < 0.0 ? -lv : lv;
+                    }
+                    unsigned nz = 0;
+                    for (int c = 0; c < 8; c++)
+                        nz |= (unsigned)(lrow[c] != 0) << c;
+                    colmask |= nz;
+                    rowmask |= (unsigned)(nz != 0) << r;
+                }
+                zero = !rowmask;
+            }
+            if (zero) {
+                /* All levels zero: ue(0), reconstruction = rint(pred). */
                 bits += 1;
                 if (sink)
                     bs_put_ue(sink, 0);
-            } else {
-                active++;
-                for (int i = 0; i < 8; i++)
-                    for (int j = 0; j < 8; j++) {
-                        double acc = 0.0;
-                        for (int k = 0; k < 8; k++)
-                            acc += basis[i * 8 + k] * res[k * 8 + j];
-                        tmp[i * 8 + j] = acc;
+                for (int r = 0; r < 8; r++) {
+                    const uint8_t *crow = csub + (ptrdiff_t)r * cstride;
+                    uint8_t *orow = osub + (ptrdiff_t)r * recon_stride;
+                    if (psub) { /* sq is already the SSD */
+                        memcpy(orow, psub + (ptrdiff_t)r * pustride, 8);
+                    } else {
+                        for (int c = 0; c < 8; c++) {
+                            orow[c] = round_u8(pred8[r * 8 + c]);
+                            int d = (int)crow[c] - (int)orow[c];
+                            sq += d * d;
+                        }
                     }
-                for (int i = 0; i < 8; i++)
-                    for (int j = 0; j < 8; j++) {
-                        double acc = 0.0;
-                        for (int k = 0; k < 8; k++)
-                            acc += tmp[i * 8 + k] * basis[j * 8 + k];
-                        coef[i * 8 + j] = acc;
-                    }
-                for (int k = 0; k < 64; k++) {
-                    double c = coef[k];
-                    double mag = floor(fabs(c) / step + 0.25);
-                    levels[k] = c > 0.0 ? (int32_t)mag
-                              : c < 0.0 ? -(int32_t)mag : 0;
                 }
-                int last = -1;
-                for (int s2 = 63; s2 >= 0; s2--)
-                    if (levels[zz_order[s2]] != 0) {
-                        last = s2;
-                        break;
-                    }
-                bits += ue_bits((int64_t)last + 1);
-                if (sink)
-                    bs_put_ue(sink, (int64_t)last + 1);
-                int prev = -1;
-                for (int s2 = 0; s2 <= last; s2++) {
-                    int32_t lv = levels[zz_order[s2]];
-                    if (lv == 0)
-                        continue;
-                    bits += ue_bits((int64_t)(s2 - prev - 1));
-                    bits += se_bits((int64_t)lv);
-                    if (sink) {
-                        bs_put_ue(sink, (int64_t)(s2 - prev - 1));
-                        bs_put_se(sink, (int64_t)lv);
-                    }
-                    prev = s2;
-                }
+                ssd += sq;
+                continue;
             }
-            recon_sub8(levels, pred8, 8, step, basis, osub, recon_stride);
+            /* Zigzag run-length syntax: the scan positions of the
+             * non-zero levels as a bit set (not empty here). */
+            uint64_t scan = 0;
+            for (int s2 = 0; s2 < 64; s2++)
+                scan |= (uint64_t)(levels[zz_order[s2]] != 0) << s2;
+            int last = 63 - __builtin_clzll(scan);
+            bits += ue_bits((int64_t)last + 1);
+            if (sink)
+                bs_put_ue(sink, (int64_t)last + 1);
+            for (int prev = -1; scan; scan &= scan - 1) {
+                int s2 = __builtin_ctzll(scan);
+                int32_t lv = levels[zz_order[s2]];
+                bits += ue_bits((int64_t)(s2 - prev - 1));
+                bits += se_bits((int64_t)lv);
+                if (sink) {
+                    bs_put_ue(sink, (int64_t)(s2 - prev - 1));
+                    bs_put_se(sink, (int64_t)lv);
+                }
+                prev = s2;
+            }
+            /* Dequantize (level * step), inverse DCT (basis^T @ X @
+             * basis) and rint(pred + residual), bounded to [0, 255]:
+             * repro.codec.encoder.reconstruct_block. */
+            for (int k = 0; k < 64; k++)
+                coef[k] = (double)levels[k] * step;
+            mat8_mul(basis_t, coef, tmp, rowmask);
+            mat8_mul(tmp, basis, res, colmask);
+            sq = 0;
             for (int r = 0; r < 8; r++) {
                 const uint8_t *crow = csub + (ptrdiff_t)r * cstride;
-                const uint8_t *orow = osub + (ptrdiff_t)r * recon_stride;
+                uint8_t *orow = osub + (ptrdiff_t)r * recon_stride;
                 for (int c = 0; c < 8; c++) {
-                    double d = (double)crow[c] - (double)orow[c];
-                    ssd += d * d;
+                    orow[c] = round_u8(res[r * 8 + c] + pred8[r * 8 + c]);
+                    int d = (int)crow[c] - (int)orow[c];
+                    sq += d * d;
                 }
             }
+            ssd += sq;
         }
     }
     *active_out += active;
@@ -703,12 +828,17 @@ static int64_t encode_block_plane(const uint8_t *cur, int64_t cstride,
 /* Tile driver: the whole block raster of one tile in one call.        */
 /*                                                                     */
 /* Replicates TileEncoder's block loop (repro.codec.encoder) for I/P   */
-/* tiles at integer-pel precision: intra choice, seeded motion search, */
-/* inter-vs-intra decision with the exp-Golomb MVD rate, fused         */
-/* residual + reconstruction into the recon plane, header and residual */
-/* bit emission, the op counters and — on a GOP's first P frame — the  */
+/* tiles at integer-pel precision: seeded motion search, intra choice  */
+/* (after the search — its outcome does not depend on the order, and   */
+/* the inter cost bounds how much of it must be computed), inter-vs-   */
+/* intra decision with the exp-Golomb MVD rate, fused residual +       */
+/* reconstruction into the recon plane, header and residual bit        */
+/* emission, the op counters and — on a GOP's first P frame — the      */
 /* proposed policy's learning (the temporal predictor follows every    */
-/* block's MV; the first non-zero MV votes the dominant axis).  ctypes */
+/* block's MV; the first non-zero MV votes the dominant axis).  The op */
+/* counters describe the modelled encoder, not the instructions run    */
+/* here: an abandoned planar chain is still four mode trials, a        */
+/* sub-block proven zero is still a transformed one.  ctypes           */
 /* releases the GIL for the duration, so tiles of different sessions   */
 /* run on different cores; everything the driver touches is either     */
 /* read-only (cur, ref), private to the tile (its recon region) or     */
@@ -726,7 +856,12 @@ static int64_t encode_block_plane(const uint8_t *cur, int64_t cstride,
 /* out_i = {bits, pred_pixels, sad_pixel_ops, me_candidates,           */
 /* transform_blocks, emitted_bits (-1: bits_buf too small), first_axis */
 /* (0 none, 1 x, 2 y), final_dx, final_dy}; out_d = {ssd, motion_s,    */
-/* entropy_s} (stage seconds are only clocked when measure is set).    */
+/* entropy_s} (stage seconds are only clocked when measure is set:     */
+/* motion_s brackets the search; entropy_s brackets the header bits    */
+/* and encode_block_plane — residual, zero tests, DCT, quantization,   */
+/* run-length syntax, reconstruction and SSD, i.e. everything after    */
+/* the mode decision, of which bit writing is a part only when         */
+/* bits_buf is given; the intra choice is in neither).                 */
 /* ------------------------------------------------------------------ */
 
 static inline int64_t now_ns(void)
@@ -753,15 +888,18 @@ void encode_tile_u8(const uint8_t *cur, int64_t cstride,
                     int32_t *info_out, int measure,
                     int64_t *out_i, double *out_d)
 {
-    double pred[64 * 64];
+    IntraPred intra;
+    double basis_t[64];
     BitSink sink = {bits_buf, bits_cap, 0, 0, 0, 0};
     BitSink *emit = bits_buf ? &sink : NULL;
     int not_i = ref != NULL;
-    int64_t bits = 0, pp = 0, spx = 0, mec = 0, tb = 0;
+    int64_t bits = 0, pp = 0, spx = 0, mec = 0, tb = 0, ssd = 0;
     int64_t t_motion = 0, t_entropy = 0, t0 = 0;
     int64_t first_axis = 0;
-    double ssd = 0.0;
     int64_t x_end = tile_x + tile_w, y_end = tile_y + tile_h;
+    for (int i = 0; i < 8; i++)
+        for (int j = 0; j < 8; j++)
+            basis_t[j * 8 + i] = basis[i * 8 + j];
 
     for (int64_t by = tile_y; by < y_end; by += bs) {
         int bh = (int)(y_end - by < bs ? y_end - by : bs);
@@ -771,15 +909,10 @@ void encode_tile_u8(const uint8_t *cur, int64_t cstride,
             int64_t area = (int64_t)bw * bh;
             const uint8_t *blk = cur + by * cstride + bx;
 
-            int32_t mode;
-            double intra_sad;
-            choose_intra_plane_u8(blk, cstride, recon, ostride, bh, bw,
-                                  bx, by, tile_x, tile_y,
-                                  pred, &mode, &intra_sad);
-            pp += 4 * area; /* four intra mode trials */
-
-            int use_inter = 0;
+            /* The inter candidate first: its cost bounds how much of
+             * the intra decision has to be computed. */
             int64_t mvx = 0, mvy = 0, rate = 0;
+            double inter_cost = INFINITY;
             if (not_i) {
                 if (measure)
                     t0 = now_ns();
@@ -807,11 +940,16 @@ void encode_tile_u8(const uint8_t *cur, int64_t cstride,
                 mec += found[2];
                 pp += area; /* motion-compensated prediction fetch */
                 rate = se_bits(mvx - left_dx) + se_bits(mvy - left_dy);
-                use_inter =
-                    (double)found[3] + lambda * (double)rate <= intra_sad;
+                inter_cost = (double)found[3] + lambda * (double)rate;
                 if (measure)
                     t_motion += now_ns() - t0;
             }
+
+            int mode = choose_intra_plane_u8(blk, cstride, recon, ostride,
+                                             bh, bw, bx, by, tile_x, tile_y,
+                                             inter_cost, &intra);
+            int use_inter = mode < 0;
+            pp += 4 * area; /* four intra mode trials */
 
             if (measure)
                 t0 = now_ns();
@@ -827,10 +965,10 @@ void encode_tile_u8(const uint8_t *cur, int64_t cstride,
             }
             bits += not_i + (use_inter ? rate : 2);
             bits += encode_block_plane(
-                blk, cstride,
-                use_inter ? NULL : pred, bw,
-                use_inter ? ref + (by + mvy) * rstride + (bx + mvx) : NULL,
-                rstride, bh, bw, step, basis, zz_order,
+                blk, cstride, intra.d, bw,
+                use_inter ? ref + (by + mvy) * rstride + (bx + mvx) : intra.u8,
+                use_inter ? rstride : intra.u8_stride,
+                bh, bw, step, basis, basis_t, zz_order,
                 recon + by * ostride + bx, ostride, emit, &tb, &ssd);
             pp += area; /* reconstruction */
             if (measure)
@@ -867,7 +1005,7 @@ void encode_tile_u8(const uint8_t *cur, int64_t cstride,
     out_i[6] = first_axis;
     out_i[7] = pred_dx;
     out_i[8] = pred_dy;
-    out_d[0] = ssd;
+    out_d[0] = (double)ssd;
     out_d[1] = (double)t_motion * 1e-9;
     out_d[2] = (double)t_entropy * 1e-9;
 }

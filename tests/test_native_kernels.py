@@ -9,8 +9,13 @@ so it demonstrably never enters ``kernels.c`` — which is also what
 keeps ``REPRO_NATIVE=0`` a faithful fallback.
 """
 
+import math
+import os
+import shutil
 import subprocess
 import sys
+import zlib
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +28,7 @@ from repro.codec.bitstream import BitWriter
 from repro.codec.config import EncoderConfig, FrameType
 from repro.codec.encoder import FrameEncoder, TileEncoder
 from repro.codec.ops import OpCounts
+from repro.codec.quant import quantization_step
 from repro.motion.proposed import TileHookSpec, spec_hook
 from repro.observability import scoped
 from repro.tiling.tile import Tile
@@ -39,6 +45,20 @@ needs_driver = pytest.mark.skipif(
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FALLBACK = "repro_codec_tile_fallback_total"
+
+
+@pytest.mark.skipif(
+    shutil.which("cc") is None or os.environ.get("REPRO_NATIVE") == "0",
+    reason="no C compiler, or the native tier is switched off",
+)
+def test_kernels_build_where_a_compiler_exists():
+    """Where ``cc`` exists the driver must be loaded.  ``kernels.c``
+    builds under ``-Werror`` and a failed build falls back to NumPy, so
+    without this test a kernel that does not compile turns every driver
+    test below into a skip and the suite green."""
+    assert native.available(), (
+        f"kernels.c did not build or load:\n{native.build_error}")
+    assert native.build_error is None
 
 
 @needs_driver
@@ -71,6 +91,32 @@ def test_tile_encode_identical_without_native(monkeypatch):
             assert a.ops == b.ops
 
 
+def _session_digest(video, monkeypatch):
+    """What a push-fed session over ``video`` produced: every tile's
+    bits, SSD and op counters, and every frame's reconstruction."""
+    tiles = []
+    encode = TileEncoder.encode
+
+    def recording(self, original, reference, reconstruction, tile, *args,
+                  **kwargs):
+        stats = encode(self, original, reference, reconstruction, tile,
+                       *args, **kwargs)
+        tiles.append((zlib.crc32(original), tile.x, tile.y, stats.bits,
+                      stats.ssd, astuple(stats.ops)))
+        return stats
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TileEncoder, "encode", recording)
+        with StreamTranscoder(PipelineConfig()) as transcoder:
+            session = transcoder.open_session()
+            outputs = [o for f in video for o in session.push(f)]
+            outputs += session.finish()
+    assert tiles
+    return sorted(tiles), [
+        (o.frame_index, o.record.bits, zlib.crc32(o.reconstruction))
+        for o in outputs]
+
+
 @needs_driver
 def test_generator_content_identical_without_native(monkeypatch):
     """A push-fed session over generator content (flat background,
@@ -81,18 +127,25 @@ def test_generator_content_identical_without_native(monkeypatch):
     frame 3 of this clip on."""
     video = generate_video(ContentClass.ULTRASOUND, 96, 96, 16,
                            MotionPreset.PAN_RIGHT, seed=4)
-
-    def run():
-        with StreamTranscoder(PipelineConfig()) as transcoder:
-            session = transcoder.open_session()
-            outputs = [o for f in video for o in session.push(f)]
-            outputs += session.finish()
-        return [(o.frame_index, o.record.bits, o.reconstruction.tobytes())
-                for o in outputs]
-
-    with_driver = run()
+    with_driver = _session_digest(video, monkeypatch)
     monkeypatch.setattr(native, "lib", None)
-    assert run() == with_driver
+    assert _session_digest(video, monkeypatch) == with_driver
+
+
+@needs_driver
+@pytest.mark.slow
+@pytest.mark.parametrize("size", [(640, 480), (480, 360)])
+@pytest.mark.parametrize("content", list(ContentClass))
+def test_generator_content_identical_at_served_sizes(content, size,
+                                                     monkeypatch):
+    """One GOP per content class at the sizes the bench serves.  The
+    480x360 rung is the only place the served path meets remainder
+    blocks (16x8: a neighbour count of 24, the DC path that is not a
+    power of two)."""
+    video = generate_video(content, size[0], size[1], 8, seed=11)
+    with_driver = _session_digest(video, monkeypatch)
+    monkeypatch.setattr(native, "lib", None)
+    assert _session_digest(video, monkeypatch) == with_driver
 
 
 def test_native_disabled_by_environment():
@@ -113,13 +166,21 @@ def test_native_disabled_by_environment():
 # ----------------------------------------------------------------------
 
 
+def _smooth_noise(rng, height, width):
+    """Random float plane in [0, 255] whose neighbouring samples
+    correlate (a cheap 3-tap smoothing along each axis)."""
+    plane = rng.integers(0, 256, (height, width)).astype(np.float64)
+    for axis in (0, 1):
+        plane = (plane + np.roll(plane, 1, axis)
+                 + np.roll(plane, -1, axis)) / 3.0
+    return plane
+
+
 def _moving_planes(seed, height, width):
     """A textured reference and a shifted, noisy current plane, so the
     inter/intra decision goes both ways across a tile."""
     rng = np.random.default_rng(seed)
-    big = rng.integers(0, 256, (height + 16, width + 16)).astype(np.float64)
-    for axis in (0, 1):  # cheap smoothing: neighbouring samples correlate
-        big = (big + np.roll(big, 1, axis) + np.roll(big, -1, axis)) / 3.0
+    big = _smooth_noise(rng, height + 16, width + 16)
     dx, dy = (int(v) for v in rng.integers(-4, 5, 2))
     ref = big[8:8 + height, 8:8 + width]
     cur = big[8 + dy:8 + dy + height, 8 + dx:8 + dx + width]
@@ -224,6 +285,7 @@ def _assert_driver_matches_oracle(config, cur, ref, tile, frame_type, spec,
         assert (got.first_axis, got.final_mv) == learned
     assert set(stats.stage_seconds) == {"motion", "entropy"}
     assert all(v >= 0.0 for v in stats.stage_seconds.values())
+    return stats, infos
 
 
 @needs_driver
@@ -240,12 +302,13 @@ def test_tile_driver_matches_block_loop(case):
         case["spec"], case["emit"], case["want_info"])
 
 
-def _at_odd_address(plane, offset):
-    """A C-contiguous copy of ``plane`` whose base address is
-    ``offset`` bytes past a 64-byte boundary."""
-    buf = np.empty(plane.size + 64 + offset, dtype=np.uint8)
-    start = offset + (-buf.ctypes.data) % 64
-    out = buf[start:start + plane.size].reshape(plane.shape)
+def _flush_to_buffer_end(plane, offset):
+    """A C-contiguous copy of ``plane`` that starts ``offset`` bytes
+    into its allocation (an odd address for an odd offset) and ends on
+    the allocation's last byte, so a row load that runs past the plane
+    runs into ASan's red zone."""
+    buf = np.empty(offset + plane.size, dtype=np.uint8)
+    out = buf[offset:].reshape(plane.shape)
     out[...] = plane
     return out
 
@@ -269,7 +332,7 @@ def test_sad_kernels_bit_identical():
     ):
         height, width = tile.y_end + 19, tile.x_end + 23  # odd row pitch
         ref, cur = _moving_planes(17 + block_size, height, width)
-        ref, cur = _at_odd_address(ref, 1), _at_odd_address(cur, 3)
+        ref, cur = _flush_to_buffer_end(ref, 1), _flush_to_buffer_end(cur, 3)
         config = EncoderConfig(qp=27, search="cross", search_window=32,
                                block_size=block_size)
         # Plain cross search, then the policy's rotating hexagon.
@@ -278,6 +341,193 @@ def test_sad_kernels_bit_identical():
         ):
             _assert_driver_matches_oracle(
                 config, cur, ref, tile, FrameType.P, spec, True, True)
+
+
+@needs_driver
+@pytest.mark.parametrize("frame_type", [FrameType.I, FrameType.P])
+def test_row_loads_stay_inside_the_planes(frame_type):
+    """The 8-byte SAD and copy loops of the residual path and the
+    intra neighbour gathers at the last rows and columns of planes with
+    an odd pitch and an odd base address: the tile's 8-wide remainder
+    column ends on the plane's last column, its last row on the
+    allocation's last byte (``make sanitize`` is what looks)."""
+    tile = Tile(5, 3, 72, 40)
+    ref, cur = _moving_planes(23, tile.y_end, tile.x_end)  # pitch 77
+    # Flat last rows and columns, equal in both planes: the edge
+    # sub-blocks are predicted exactly (inter on P, DC on I) and take
+    # the row-copy reconstruction.
+    for plane in (ref, cur):
+        plane[-16:] = plane[:, -16:] = 90
+    ref, cur = _flush_to_buffer_end(ref, 1), _flush_to_buffer_end(cur, 3)
+    for block_size in (16, 32):
+        config = EncoderConfig(qp=27, search="hexagon", search_window=16,
+                               block_size=block_size)
+        _assert_driver_matches_oracle(
+            config, cur, ref, tile, frame_type, None, True, True)
+
+
+# ----------------------------------------------------------------------
+# Content where an ulp or a tie decides
+# ----------------------------------------------------------------------
+
+#: Power-of-two quantization steps (8, 16, 32, 64): ``|c| / Qstep +
+#: 0.25`` lands on integers and ``3 * Qstep`` is an integer SAD.
+_EDGE_QPS = (22, 28, 34, 40)
+#: Tile at the plane's top-left corner (no neighbours, then one side
+#: only) whose last block row and column are remainders: 16x8, 8x16 and
+#: 8x8 at block size 16, 24 wide at block size 32 — neighbour counts of
+#: 24 and 56, the DC path that is not a power of two.
+_EDGE_TILE = Tile(0, 0, 56, 40)
+_EDGE_SHAPE = (56, 72)
+
+
+def _textured(seed):
+    """Smooth texture kept inside [64, 192], so a crafted difference
+    never clips and intra prediction never beats a near-exact match."""
+    plane = _smooth_noise(np.random.default_rng(seed), *_EDGE_SHAPE)
+    return np.rint(64 + plane / 2).astype(np.uint8)
+
+
+def _edge_planes(name):
+    """``(ref, cur)`` for one named content case."""
+    rng = np.random.default_rng(len(name))
+    if name in ("black", "grey", "white"):
+        # All four intra SADs tie at zero: DC, planar abandoned on >=.
+        cur = np.full(_EDGE_SHAPE, {"black": 0, "grey": 119, "white": 255}
+                      [name], dtype=np.uint8)
+        return cur, cur
+    if name == "same":  # inter cost is rate only, zero skip everywhere
+        cur = _textured(1)
+        return cur, cur
+    if name in ("rows", "columns"):
+        # Step edges along one axis: horizontal / vertical prediction
+        # wins, with an integer prediction.
+        line = rng.integers(0, 256, (_EDGE_SHAPE[0], 1), dtype=np.uint8)
+        cur = np.ascontiguousarray(np.broadcast_to(line, _EDGE_SHAPE))
+        if name == "columns":
+            line = rng.integers(0, 256, (1, _EDGE_SHAPE[1]), dtype=np.uint8)
+            cur = np.ascontiguousarray(np.broadcast_to(line, _EDGE_SHAPE))
+        noisy = cur.astype(np.int64) + rng.integers(-9, 10, _EDGE_SHAPE)
+        return np.clip(noisy, 0, 255).astype(np.uint8), cur
+    if name == "clamp":
+        # 0 / 255 checks: the quantization error lands below 0 and
+        # above 255 before the reconstruction is bounded.
+        cells = rng.integers(0, 2, (_EDGE_SHAPE[0] // 2, _EDGE_SHAPE[1] // 2))
+        cur = (np.kron(cells, np.ones((2, 2))) * 255).astype(np.uint8)
+        return np.roll(cur, 1, axis=0), cur
+    raise AssertionError(name)
+
+
+@needs_driver
+@pytest.mark.parametrize("frame_type", [FrameType.I, FrameType.P])
+@pytest.mark.parametrize("name", [
+    "black", "grey", "white", "same", "rows", "columns", "clamp"])
+def test_edge_content_matches_block_loop(name, frame_type):
+    """Each named content through the driver and the block loop, at the
+    four power-of-two steps and over full, remainder and neighbourless
+    blocks."""
+    ref, cur = _edge_planes(name)
+    for qp in _EDGE_QPS:
+        for block_size in (16, 32):
+            config = EncoderConfig(qp=qp, search="hexagon", search_window=16,
+                                   block_size=block_size)
+            _assert_driver_matches_oracle(
+                config, cur, ref, _EDGE_TILE, frame_type, None,
+                emit=block_size == 16, want_info=True)
+
+
+def _four_squares(total):
+    """``total`` as a sum of four squares (Lagrange), largest first."""
+    for a in range(math.isqrt(total), -1, -1):
+        for b in range(math.isqrt(total - a * a), -1, -1):
+            for c in range(math.isqrt(total - a * a - b * b), -1, -1):
+                d = math.isqrt(total - a * a - b * b - c * c)
+                if a * a + b * b + c * c + d * d == total:
+                    return [a, b, c, d]
+    raise AssertionError(total)
+
+
+def _with_sad(sad):
+    """64 differences of alternating sign whose absolute sum is ``sad``."""
+    mags = np.full(64, sad // 64)
+    mags[: sad % 64] += 1
+    return mags * np.where(np.arange(64) % 2, -1, 1)
+
+
+def _with_energy(energy):
+    """64 differences of alternating sign whose squares sum to
+    ``energy``, spread wide so that their SAD clears the zero skip."""
+    bulk = max(1, math.isqrt(energy // 60))
+    count = min(60, energy // (bulk * bulk))
+    mags = np.zeros(64, dtype=np.int64)
+    mags[:count] = bulk
+    mags[60:] = _four_squares(energy - count * bulk * bulk)
+    return mags * np.where(np.arange(64) % 2, -1, 1)
+
+
+@needs_driver
+@pytest.mark.parametrize("qp", _EDGE_QPS)
+def test_thresholds_of_the_zero_tests_match_block_loop(qp):
+    """Inter sub-blocks whose residual sits on a decision boundary of
+    the integer path: SAD one below and exactly on ``3 * Qstep`` (the
+    zero skip is a strict ``<``), and sum of squares just below and
+    just above ``0.54 * Qstep^2`` (proven zero without a DCT vs
+    transformed — the levels are zero either way, and both count as
+    transformed)."""
+    step = quantization_step(qp)
+    assert step == int(step)
+    proof = int(0.54 * step * step)
+    ref = _textured(2)
+    cur = ref.astype(np.int64)
+    crafted = {
+        (0, 0): _with_sad(3 * int(step) - 1),
+        (0, 16): _with_sad(3 * int(step)),
+        (16, 0): _with_energy(proof),
+        (16, 16): _with_energy(proof + 1),
+    }
+    for (y, x), diff in crafted.items():
+        cur[y:y + 8, x:x + 8] += diff.reshape(8, 8)
+    cur = cur.astype(np.uint8)
+    for (y, x), diff in crafted.items():
+        got = cur[y:y + 8, x:x + 8].astype(np.int64) - ref[y:y + 8, x:x + 8]
+        assert (got.ravel() == diff).all()
+    assert proof < 0.54 * step * step < proof + 1
+    for origin in ((16, 0), (16, 16)):  # past the zero skip
+        assert np.abs(crafted[origin]).sum() >= 3 * step
+    config = EncoderConfig(qp=qp, search="hexagon", search_window=16,
+                           block_size=16)
+    for emit in (False, True):
+        stats, infos = _assert_driver_matches_oracle(
+            config, cur, ref, _EDGE_TILE, FrameType.P, None, emit, True)
+    # The crafted blocks are coded against the co-located reference,
+    # so the residuals above are the ones the thresholds saw.
+    by_origin = {(i.by, i.bx): i for i in infos}
+    for origin in crafted:
+        assert by_origin[origin].use_inter
+        assert by_origin[origin].mvs == ((0, 0),)
+    # Everything else in the tile equals the reference and the SAD one
+    # below the bound is skipped: the other three count as transformed.
+    assert stats.ops.transform_blocks == 3
+
+
+@needs_driver
+def test_inter_wins_an_exact_tie_with_intra():
+    """``cost <= intra_sad``.  At a tile's first block every intra mode
+    predicts the neutral 128 exactly (planar too: ``128 * (1 - w) +
+    128 * w`` is 128 for every weight), so a block of 128s with twenty
+    samples at 129 has an intra SAD of 20 — and a reference that
+    differs from it in twelve samples costs 12 + lambda * 2 bits = 20."""
+    ref = _textured(3)
+    cur = ref.copy()
+    cur[:16, :16] = ref[:16, :16] = 128
+    cur[0, :16] = cur[1, :4] = 129
+    ref[0, :8] = 129
+    config = EncoderConfig(qp=32, search="hexagon", search_window=16,
+                           block_size=16)
+    assert config.lambda_mv == 4.0
+    _, infos = _assert_driver_matches_oracle(
+        config, cur, ref, _EDGE_TILE, FrameType.P, None, True, True)
+    assert infos[0].use_inter and infos[0].mvs == ((0, 0),)
 
 
 def _fallback_case(reason):
