@@ -131,6 +131,78 @@ def reconstruct_block(prediction: np.ndarray, levels: np.ndarray, qp: int) -> np
     return out.astype(np.uint8)
 
 
+def _planes_fit_driver(
+    original: np.ndarray, reconstruction: np.ndarray,
+    references: Sequence[np.ndarray],
+) -> bool:
+    """The native driver's plane contract: C-contiguous uint8 planes
+    of one shape (checked once per frame, not per tile)."""
+    return not any(
+        p.dtype != np.uint8 or not p.flags.c_contiguous
+        or p.shape != original.shape
+        for p in (original, reconstruction, *references)
+    )
+
+
+def _driver_row(
+    config: EncoderConfig,
+    planes_fit: bool,
+    frame_shape: tuple,
+    tile: Tile,
+    frame_type: FrameType,
+    hook_spec: Optional[TileHookSpec],
+):
+    """The tile's row of :func:`repro.native.encode_frame`'s table, or
+    the reason (a ``str``) the native driver cannot run the tile.
+
+    The row is ``(x, y, width, height, block_size, alg, param, window,
+    use_pred, learn, pred_dx, pred_dy, step, lambda_mv)``; the checks
+    are the driver's contract (see ``encode_tile`` in ``kernels.c``).
+    """
+    if frame_type is FrameType.B:
+        return "b_frame"
+    if config.half_pel:
+        return "half_pel"
+    height, width = frame_shape
+    if (
+        not planes_fit
+        or config.block_size > 64
+        or tile.x + tile.width > width
+        or tile.y + tile.height > height
+    ):
+        return "layout"
+    if tile.width % TRANSFORM_SIZE or tile.height % TRANSFORM_SIZE:
+        return "partial_block"
+    alg = param = window = 0
+    predictor = None
+    learn = False
+    if frame_type is not FrameType.I:
+        if hook_spec is not None:
+            algorithm, window = hook_spec.algorithm(), hook_spec.window
+            predictor, learn = hook_spec.predictor, hook_spec.is_first
+        else:
+            algorithm, window = config.make_search(), config.search_window
+        spec = algorithm.native_spec()
+        if spec is None:
+            return "search"
+        # Pattern offsets reach at most window + window // 2 (cross)
+        # past the origin; seeds and candidates must stay inside the
+        # driver's cost-cache table.
+        half = native.MOTION_CACHE_HALF
+        if window + window // 2 >= half or (
+            predictor is not None
+            and max(abs(predictor[0]), abs(predictor[1])) >= half
+        ):
+            return "window"
+        alg, param = spec
+    dx, dy = predictor or (0, 0)
+    return (
+        tile.x, tile.y, tile.width, tile.height, config.block_size,
+        alg, param, window, predictor is not None, learn, dx, dy,
+        quantization_step(config.qp), config.lambda_mv,
+    )
+
+
 @dataclass
 class TileStats:
     """Per-tile encoding outcome."""
@@ -141,10 +213,10 @@ class TileStats:
     ops: OpCounts
     #: Wall-clock seconds spent in the motion-search and residual
     #: coding (transform/quant/entropy) stages of this tile, measured
-    #: only when the encode ran with ``measure_stages=True`` (i.e. the
-    #: span tracer was enabled); ``None`` otherwise.  Comes back
-    #: from the tile pool so the caller can emit stage spans for tiles
-    #: encoded on workers.
+    #: only when the encode ran with ``measure_stages=True`` (or the
+    #: span tracer was enabled); ``None`` otherwise.  A frame-level
+    #: encode adds the whole tile under ``"encode"``; the caller emits
+    #: the stage spans from these.
     stage_seconds: Optional[Dict[str, float]] = None
     #: What the tile learned for the proposed search policy (first P
     #: frame of a GOP, encodes driven by a ``hook_spec`` only); fold
@@ -162,6 +234,54 @@ class TileStats:
     @property
     def psnr(self) -> float:
         return psnr_from_mse(self.mse)
+
+
+def _driver_tile_stats(
+    tile: Tile,
+    res: "native.TileResult",
+    measured: bool,
+    hook_spec: Optional[TileHookSpec],
+) -> TileStats:
+    """One row of the native driver's results in the encoder's types
+    (``hook_spec``: what drove the tile's search, ``None`` on I
+    frames)."""
+    return TileStats(
+        tile=tile, bits=res.bits, ssd=res.ssd,
+        ops=OpCounts(
+            pred_pixels=res.pred_pixels,
+            sad_pixel_ops=res.sad_pixel_ops,
+            me_candidates=res.me_candidates,
+            transform_blocks=res.transform_blocks,
+            quant_coeffs=res.transform_blocks * TRANSFORM_SIZE * TRANSFORM_SIZE,
+            entropy_bits=res.bits,
+        ),
+        stage_seconds=(
+            {"motion": res.motion_seconds, "entropy": res.entropy_seconds}
+            if measured else None
+        ),
+        learned=(
+            TileLearned(hook_spec.tile_id, res.first_axis, res.final_mv)
+            if hook_spec is not None and hook_spec.is_first else None
+        ),
+    )
+
+
+def _driver_block_infos(
+    tile: Tile, block_size: int, rows: List[List[int]]
+) -> List[BlockInfo]:
+    """The driver's ``[use_inter, mv_x, mv_y]`` rows (raster order) as
+    the block loop's :class:`BlockInfo` list."""
+    infos = []
+    it = iter(rows)
+    for by in range(tile.y, tile.y_end, block_size):
+        for bx in range(tile.x, tile.x_end, block_size):
+            use_inter, dx, dy = next(it)
+            infos.append(BlockInfo(
+                bx=bx, by=by, bw=min(block_size, tile.x_end - bx),
+                bh=min(block_size, tile.y_end - by),
+                use_inter=bool(use_inter), mode=0, mvs=((dx, dy),),
+            ))
+    return infos
 
 
 @dataclass
@@ -283,17 +403,27 @@ class TileEncoder:
         if frame_type is FrameType.I:
             hook_spec = None  # no motion estimation to drive
         if native.lib is not None:
-            plan = self._driver_plan(
-                original, references, reconstruction, tile, frame_type,
-                hook_spec,
+            row = _driver_row(
+                self.config,
+                _planes_fit_driver(original, reconstruction, references),
+                original.shape, tile, frame_type, hook_spec,
             )
-            if not isinstance(plan, str):
-                return self._encode_tile_driver(
-                    plan, original, references, reconstruction, tile,
-                    writer, block_info_out, measure_stages, hook_spec,
+            if not isinstance(row, str):
+                res = native.encode_tile(
+                    original, references[0] if references else None,
+                    reconstruction, row, _BASIS8_PTR, _ZZ_ORDER8_PTR,
+                    emit=writer is not None,
+                    want_info=block_info_out is not None,
+                    measure=measure_stages,
                 )
+                if writer is not None:
+                    writer.append_bits(*res.payload)
+                if block_info_out is not None:
+                    block_info_out.extend(_driver_block_infos(
+                        tile, self.config.block_size, res.info))
+                return _driver_tile_stats(tile, res, measure_stages, hook_spec)
             get_registry().inc(
-                "repro_codec_tile_fallback_total", reason=plan,
+                "repro_codec_tile_fallback_total", reason=row,
                 help="Tiles the native tile driver declined, by reason",
             )
         policy = motion_hook = None
@@ -354,120 +484,6 @@ class TileEncoder:
                 if block_info_out is not None:
                     block_info_out.append(info)
         return bits, ssd
-
-    # ------------------------------------------------------------------
-    def _driver_plan(
-        self,
-        original: np.ndarray,
-        references: List[np.ndarray],
-        reconstruction: np.ndarray,
-        tile: Tile,
-        frame_type: FrameType,
-        hook_spec: Optional[TileHookSpec],
-    ):
-        """What the native tile driver needs to run this tile, or the
-        reason (a ``str``) it cannot.
-
-        The plan is ``(alg, param, window, predictor, learn)``; the
-        checks are the driver's contract (see ``encode_tile_u8``).
-        """
-        cfg = self.config
-        if frame_type is FrameType.B:
-            return "b_frame"
-        if cfg.half_pel:
-            return "half_pel"
-        height, width = original.shape
-        if (
-            cfg.block_size > 64
-            or tile.x_end > width
-            or tile.y_end > height
-            or any(
-                p.dtype != np.uint8 or not p.flags.c_contiguous
-                or p.shape != original.shape
-                for p in (original, reconstruction, *references)
-            )
-        ):
-            return "layout"
-        if tile.width % TRANSFORM_SIZE or tile.height % TRANSFORM_SIZE:
-            return "partial_block"
-        if frame_type is FrameType.I:
-            return (0, 0, 0, None, False)
-        if hook_spec is not None:
-            algorithm, window = hook_spec.algorithm(), hook_spec.window
-            predictor, learn = hook_spec.predictor, hook_spec.is_first
-        else:
-            algorithm, window = self._get_search(), cfg.search_window
-            predictor, learn = None, False
-        spec = algorithm.native_spec()
-        if spec is None:
-            return "search"
-        # Pattern offsets reach at most window + window // 2 (cross)
-        # past the origin; seeds and candidates must stay inside the
-        # driver's cost-cache table.
-        half = native.MOTION_CACHE_HALF
-        if window + window // 2 >= half or (
-            predictor is not None
-            and max(abs(predictor[0]), abs(predictor[1])) >= half
-        ):
-            return "window"
-        return (spec[0], spec[1], window, predictor, learn)
-
-    def _encode_tile_driver(
-        self,
-        plan: tuple,
-        original: np.ndarray,
-        references: List[np.ndarray],
-        reconstruction: np.ndarray,
-        tile: Tile,
-        writer: Optional[BitWriter],
-        block_info_out: Optional[List[BlockInfo]],
-        measure_stages: bool,
-        hook_spec: Optional[TileHookSpec],
-    ) -> TileStats:
-        """Run the tile through :func:`repro.native.encode_tile` and
-        translate its counters back into the encoder's types."""
-        cfg = self.config
-        alg, param, window, predictor, learn = plan
-        res = native.encode_tile(
-            original, references[0] if references else None, reconstruction,
-            tile, cfg.block_size, quantization_step(cfg.qp), cfg.lambda_mv,
-            _BASIS8_PTR, _ZZ_ORDER8_PTR,
-            search=(alg, param, window), predictor=predictor, learn=learn,
-            emit=writer is not None, want_info=block_info_out is not None,
-            measure=measure_stages,
-        )
-        if writer is not None:
-            writer.append_bits(*res.payload)
-        if block_info_out is not None:
-            bs = cfg.block_size
-            rows = iter(res.info)
-            for by in range(tile.y, tile.y_end, bs):
-                for bx in range(tile.x, tile.x_end, bs):
-                    use_inter, dx, dy = next(rows)
-                    block_info_out.append(BlockInfo(
-                        bx=bx, by=by, bw=min(bs, tile.x_end - bx),
-                        bh=min(bs, tile.y_end - by),
-                        use_inter=bool(use_inter), mode=0, mvs=((dx, dy),),
-                    ))
-        ops = OpCounts(
-            pred_pixels=res.pred_pixels,
-            sad_pixel_ops=res.sad_pixel_ops,
-            me_candidates=res.me_candidates,
-            transform_blocks=res.transform_blocks,
-            quant_coeffs=res.transform_blocks * TRANSFORM_SIZE * TRANSFORM_SIZE,
-            entropy_bits=res.bits,
-        )
-        return TileStats(
-            tile=tile, bits=res.bits, ssd=res.ssd, ops=ops,
-            stage_seconds=(
-                {"motion": res.motion_seconds, "entropy": res.entropy_seconds}
-                if measure_stages else None
-            ),
-            learned=(
-                TileLearned(hook_spec.tile_id, res.first_axis, res.final_mv)
-                if learn else None
-            ),
-        )
 
     # ------------------------------------------------------------------
     def _search_reference(
@@ -746,6 +762,7 @@ class FrameEncoder:
         writer: Optional[BitWriter] = None,
         block_infos_out: Optional[List[List[BlockInfo]]] = None,
         hook_specs: Optional[Sequence[Optional[TileHookSpec]]] = None,
+        measure_stages: bool = False,
     ) -> tuple:
         """Returns ``(FrameStats, reconstruction)``.
 
@@ -755,6 +772,19 @@ class FrameEncoder:
         decisions as data (see :meth:`TileEncoder.encode`); after a
         first-P-frame call fold ``[t.learned for t in stats.tiles]``
         into the policy with ``merge_learned``.
+
+        The whole frame is **one** native call
+        (:func:`repro.native.encode_frame`: the planes are vetted once,
+        every tile becomes a table row, the GIL is released for all of
+        them).  A frame with any tile the driver declines — or a run
+        without the compiled kernels — is encoded tile by tile through
+        :meth:`TileEncoder.encode`, which counts each declined tile in
+        ``repro_codec_tile_fallback_total{reason}``.
+
+        ``measure_stages`` clocks each tile's motion search, residual
+        coding and whole encode into :attr:`TileStats.stage_seconds`
+        (``motion`` / ``entropy`` / ``encode``); an enabled span tracer
+        turns it on by itself and receives them as ``stage.*`` spans.
         """
         if len(configs) != len(grid):
             raise ValueError(
@@ -769,45 +799,102 @@ class FrameEncoder:
             )
         if writer is not None:
             writer.write_bits(self.FRAME_TYPE_CODES[frame_type], 2)
-        upsampled_refs = None
-        if frame_type is not FrameType.I and any(c.half_pel for c in configs):
-            refs = normalize_references(reference, frame_type)
-            upsampled_refs = [upsample2x_cached(r) for r in refs]
+        if frame_type is FrameType.I or hook_specs is None:
+            hook_specs = [None] * len(grid)  # no policy drives the search
         reconstruction = np.zeros_like(original)
-        tile_stats = []
         tracer = get_tracer()
-        trace_on = tracer.enabled
-        for i, tile in enumerate(grid):
-            spec = hook_specs[i] if hook_specs is not None else None
-            encoder = TileEncoder(configs[i])
-            info_sink: Optional[List[BlockInfo]] = None
-            if block_infos_out is not None:
-                info_sink = []
-                block_infos_out.append(info_sink)
-            with tracer.span("stage.encode", tile=i, frame=frame_index,
-                             type=frame_type.value):
-                stats = encoder.encode(
-                    original, reference, reconstruction, tile, frame_type,
-                    writer=writer,
-                    upsampled_refs=upsampled_refs if configs[i].half_pel else None,
-                    block_info_out=info_sink,
-                    measure_stages=trace_on, hook_spec=spec,
-                )
-                if trace_on and stats.stage_seconds is not None:
-                    tracer.record_span(
-                        "stage.motion", stats.stage_seconds["motion"],
-                        tile=i, frame=frame_index,
-                    )
-                    tracer.record_span(
-                        "stage.entropy", stats.stage_seconds["entropy"],
-                        tile=i, frame=frame_index,
-                    )
-            tile_stats.append(stats)
+        measure = measure_stages or tracer.enabled
+        tile_stats = None
+        if native.lib is not None:
+            tile_stats = self._encode_tiles_driver(
+                original, grid, configs, frame_type, reference,
+                reconstruction, writer, block_infos_out, hook_specs, measure,
+            )
+        if tile_stats is None:
+            tile_stats = self._encode_tiles_one_by_one(
+                original, grid, configs, frame_type, reference,
+                reconstruction, writer, block_infos_out, hook_specs, measure,
+            )
+        if tracer.enabled:
+            for i, stats in enumerate(tile_stats):
+                stages = stats.stage_seconds
+                tracer.record_span("stage.encode", stages["encode"], tile=i,
+                                   frame=frame_index, type=frame_type.value)
+                tracer.record_span("stage.motion", stages["motion"],
+                                   tile=i, frame=frame_index)
+                tracer.record_span("stage.entropy", stages["entropy"],
+                                   tile=i, frame=frame_index)
         return (
             FrameStats(frame_index=frame_index, frame_type=frame_type,
                        tiles=tile_stats),
             reconstruction,
         )
+
+    @staticmethod
+    def _encode_tiles_driver(
+        original, grid, configs, frame_type, reference, reconstruction,
+        writer, block_infos_out, hook_specs, measure,
+    ) -> Optional[List[TileStats]]:
+        """Every tile through one :func:`repro.native.encode_frame`
+        call; ``None`` (nothing encoded, nothing counted) when the
+        driver declines any of them."""
+        references = normalize_references(reference, frame_type)
+        planes_fit = _planes_fit_driver(original, reconstruction, references)
+        rows = []
+        for i, tile in enumerate(grid):
+            row = _driver_row(configs[i], planes_fit, original.shape, tile,
+                              frame_type, hook_specs[i])
+            if isinstance(row, str):
+                return None
+            rows.append(row)
+        results = native.encode_frame(
+            original, references[0] if references else None, reconstruction,
+            rows, _BASIS8_PTR, _ZZ_ORDER8_PTR,
+            emit=writer is not None, want_info=block_infos_out is not None,
+            measure=measure,
+        )
+        tile_stats = []
+        for i, (tile, res) in enumerate(zip(grid, results)):
+            if writer is not None:
+                writer.append_bits(*res.payload)
+            if block_infos_out is not None:
+                block_infos_out.append(_driver_block_infos(
+                    tile, configs[i].block_size, res.info))
+            stats = _driver_tile_stats(tile, res, measure, hook_specs[i])
+            if measure:
+                stats.stage_seconds["encode"] = res.wall_seconds
+            tile_stats.append(stats)
+        return tile_stats
+
+    @staticmethod
+    def _encode_tiles_one_by_one(
+        original, grid, configs, frame_type, reference, reconstruction,
+        writer, block_infos_out, hook_specs, measure,
+    ) -> List[TileStats]:
+        """The per-tile loop: what runs when the driver cannot take the
+        frame whole (each tile still takes it where it can)."""
+        upsampled_refs = None
+        if frame_type is not FrameType.I and any(c.half_pel for c in configs):
+            refs = normalize_references(reference, frame_type)
+            upsampled_refs = [upsample2x_cached(r) for r in refs]
+        tile_stats = []
+        for i, tile in enumerate(grid):
+            info_sink: Optional[List[BlockInfo]] = None
+            if block_infos_out is not None:
+                info_sink = []
+                block_infos_out.append(info_sink)
+            t0 = time.perf_counter()
+            stats = TileEncoder(configs[i]).encode(
+                original, reference, reconstruction, tile, frame_type,
+                writer=writer,
+                upsampled_refs=upsampled_refs if configs[i].half_pel else None,
+                block_info_out=info_sink, measure_stages=measure,
+                hook_spec=hook_specs[i],
+            )
+            if measure:
+                stats.stage_seconds["encode"] = time.perf_counter() - t0
+            tile_stats.append(stats)
+        return tile_stats
 
 
 @dataclass

@@ -188,8 +188,9 @@ class LadderSession:
         """Whether ``push(frame)`` would do no real work: the rungs are
         open, the frame lands mid-GOP (each rung just validates and
         buffers it) and no rung needs scaling (a same-size "downscale"
-        is one plane copy).  The serving layer runs such pushes inline
-        on its event loop and keeps the encode pool for the rest."""
+        is at most one plane copy).  The serving layer runs such pushes
+        inline on its event loop and keeps the encode pool for the
+        rest."""
         return (
             self.started
             and self.pending_frames + 1 < self.base_config.gop.size
@@ -244,8 +245,9 @@ class LadderSession:
 
         Returns the rung-tagged outputs of every GOP that completed,
         primary rung first (``FrameOutput.rung`` names the rung).  The
-        frame is box-downscaled once per rung; the primary receives a
-        copy so no rung aliases the (possibly reused) ingest buffer.
+        frame is box-downscaled once per rung; a rung at ingest
+        resolution receives a copy of a writable frame, so it never
+        aliases a reused ingest buffer, and a read-only frame itself.
         """
         if self._finished:
             raise ValueError("ladder session already finished")

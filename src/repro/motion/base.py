@@ -277,7 +277,8 @@ class MotionSearch(abc.ABC):
         """Run the search and return the best motion vector found."""
 
     def native_spec(self) -> Optional[Tuple[int, int]]:
-        """``(alg_code, param)`` for :func:`repro.native.encode_tile`.
+        """``(alg_code, param)`` of a :func:`repro.native.encode_frame`
+        table row.
 
         Algorithms the native tile driver replicates
         evaluation-for-evaluation return their dispatch code; others

@@ -4,11 +4,14 @@ The codec has two tiers.  This package is the fast one: it compiles
 ``kernels.c`` once per machine with the system C compiler (``cc``),
 loads it through :mod:`ctypes`, and wraps its two entry points:
 
-* :func:`encode_tile` — the whole block raster of an I/P tile in **one
-  foreign call** (intra choice, seeded motion search, mode decision,
-  residual, reconstruction, bit emission, op counts, first-P-frame
-  learning).  ctypes drops the GIL for the call, so tiles encoded from
-  different threads run on different cores.
+* :func:`encode_frame` — every tile of an I/P frame in **one foreign
+  call**: a table with one row per tile goes in, the driver runs each
+  tile's whole block raster (intra choice, seeded motion search, mode
+  decision, residual, reconstruction, bit emission, op counts,
+  first-P-frame learning) in table order, and one row of counters and
+  clocks per tile comes back.  ctypes drops the GIL for the call, so
+  frames encoded from different threads run on different cores.
+  :func:`encode_tile` is the one-row case.
 * :func:`downscale_box` — the rendition ladder's exact integer box
   downscale.
 
@@ -18,7 +21,7 @@ which is pure NumPy: it is the reference the driver is tested against
 stub that raises on any access) and the only thing that runs what the
 driver declines (B frames, half-pel, search algorithms without a
 ``native_spec``, oversized windows, odd layouts —
-``TileEncoder._driver_plan``) or anything at all under
+``repro.codec.encoder._driver_row``) or anything at all under
 ``REPRO_NATIVE=0``.  The two tiers agree to the bit: the C arithmetic
 is IEEE, one rounding per operation (``-ffp-contract=off``), the NumPy
 transform and SAD reductions accumulate in the same order, and where
@@ -28,15 +31,17 @@ equality, argued in ``kernels.c`` and DESIGN.md §8.
 Nothing between the tiers is native, because nothing would use it:
 in every ``BENCHMARK.json`` workload and every golden all tiles take
 the driver (16 frames each of a VGA, a 96x96 and a 3-rung-ladder
-session: 904 ``encode_tile_u8`` and 32 ``downscale_box_u8`` calls, no
-declined tile); in the offline report harness 6768 tiles take the
-driver and the 1848 tiles of Table I's TZ-search reference, whose cost
-is reported in operation counts, take the loop.
+session: 904 tiles in 80 ``encode_frame_u8`` calls and 32
+``downscale_box_u8`` calls, no declined tile); in the offline report
+harness 6768 tiles take the driver and the 1848 tiles of Table I's
+TZ-search reference, whose cost is reported in operation counts, take
+the loop.
 
 Every exported function is declared with ``c_void_p`` pointer
 arguments so callers pass raw ``ndarray.ctypes.data`` integers (no
-per-call ``data_as`` pointer objects), and the driver's fixed-size
-outputs live in thread-local scratch whose pointers are computed once.
+per-call ``data_as`` pointer objects); the motion cost cache is
+thread-local scratch whose pointers are computed once, every other
+buffer is private to the call.
 
 Everything degrades gracefully: if no compiler is available, if
 compilation fails (:data:`build_error` then holds the compiler's
@@ -75,7 +80,7 @@ _CFLAGS = ["-O3", "-ffp-contract=off", "-fPIC", "-shared", "-Wall", "-Werror"]
 #: Half-extent of the motion-search cost cache table (must match
 #: ``MS_H`` in ``kernels.c``): the C driver caches candidate costs for
 #: displacements in ``[-MOTION_CACHE_HALF, MOTION_CACHE_HALF]`` per
-#: axis.  ``TileEncoder._driver_plan`` declines windows/seeds that
+#: axis.  ``repro.codec.encoder._driver_row`` declines windows/seeds that
 #: could step outside.
 MOTION_CACHE_HALF = 160
 
@@ -148,17 +153,15 @@ def _load(extra_cflags: Sequence[str] = ()) -> Optional[ctypes.CDLL]:
     ptr = ctypes.c_void_p  # callers pass ndarray.ctypes.data integers
     i64 = ctypes.c_int64
     i32 = ctypes.c_int
-    f64 = ctypes.c_double
-    cdll.encode_tile_u8.argtypes = [
+    cdll.encode_frame_u8.argtypes = [
         ptr, i64, ptr, i64, i64, i64, ptr, i64,      # cur, ref, recon
-        i64, i64, i64, i64, i32,                     # tile x/y/w/h, bs
-        f64, f64, ptr, ptr,                          # step, lambda, tables
-        i32, i32, i32, i32, i32, i64, i64,           # search + policy
+        i64, ptr, ptr,                               # tile table
+        ptr, ptr,                                    # basis, zigzag order
         ptr, ptr, ptr,                               # cost cache
-        ptr, i64, ptr, i32, ptr, ptr,                # bits, info, outputs
+        ptr, ptr, i32, ptr, ptr,                     # bits, info, outputs
     ]
-    cdll.encode_tile_u8.restype = None
-    cdll.downscale_box_u8.argtypes = [ptr, i64, i64, i64, ptr, i64, i64]
+    cdll.encode_frame_u8.restype = None
+    cdll.downscale_box_u8.argtypes = [ptr, i64, i64, i64, ptr, i64, i64, ptr]
     cdll.downscale_box_u8.restype = None
     return cdll
 
@@ -169,7 +172,7 @@ def available() -> bool:
 
 
 class _Scratch(threading.local):
-    """Per-thread fixed-size output buffers with precomputed pointers.
+    """Per-thread motion cost cache with precomputed pointers.
 
     ctypes releases the GIL during foreign calls, so module-global
     scratch would race if two threads encoded concurrently;
@@ -177,14 +180,6 @@ class _Scratch(threading.local):
     """
 
     def __init__(self):
-        # Bit emission buffer (grown by encode_tile to its worst-case
-        # bound) and the driver's integer / double outputs.
-        self.bitbuf = np.empty(1 << 16, dtype=np.uint8)
-        self.bitbuf_ptr = self.bitbuf.ctypes.data
-        self.tile_i = np.empty(9, dtype=np.int64)
-        self.tile_i_ptr = self.tile_i.ctypes.data
-        self.tile_d = np.empty(3, dtype=np.float64)
-        self.tile_d_ptr = self.tile_d.ctypes.data
         # The ~1.7 MiB motion cost-cache table is lazy: only threads
         # that encode P tiles pay for it.
         self.mcache_costs: Optional[np.ndarray] = None
@@ -205,7 +200,8 @@ _scratch = _Scratch()
 
 
 class TileResult(NamedTuple):
-    """Outcome of one :func:`encode_tile` call."""
+    """One tile's outcome: a row of what :func:`encode_frame` returns
+    (all of it, for the one-row :func:`encode_tile`)."""
 
     bits: int
     ssd: float
@@ -218,17 +214,23 @@ class TileResult(NamedTuple):
     #: ``[use_inter, mv_x, mv_y]`` per block in raster order, on request.
     info: Optional[List[List[int]]]
     #: First non-zero-MV axis vote and the tile's last block MV (only
-    #: meaningful when the call was learning).
+    #: meaningful when the row was learning).
     first_axis: Optional[str]
     final_mv: Tuple[int, int]
     #: Stage clocks, zero unless the call was measuring.  ``motion`` is
     #: the search; ``entropy`` is everything after the mode decision —
     #: residual, zero tests, DCT, quantization, run-length syntax,
     #: reconstruction and SSD — and includes writing bits only when
-    #: emitting.  The intra choice is in neither.
+    #: emitting.  The intra choice is in neither; ``wall`` is the whole
+    #: tile.
     motion_seconds: float
     entropy_seconds: float
+    wall_seconds: float
 
+
+#: Widths of a tile-table row and of a result row (``ROW_I`` / ``ROW_D``
+#: / ``OUT_I`` / ``OUT_D`` in ``kernels.c``).
+_ROW_INTS, _ROW_DOUBLES, _OUT_INTS, _OUT_DOUBLES = 15, 2, 9, 4
 
 #: Bytes of emission buffer per tile pixel, above the worst case: an
 #: 8x8 sub-block emits at most ue(64) + 64 * (ue(0) + se(level)) bits
@@ -237,86 +239,114 @@ class TileResult(NamedTuple):
 _TILE_BYTES_PER_PIXEL = 4
 
 
-def encode_tile(
+def encode_frame(
     original: np.ndarray,
     reference: Optional[np.ndarray],
     reconstruction: np.ndarray,
-    tile,
-    block_size: int,
-    step: float,
-    lambda_mv: float,
+    rows: Sequence[tuple],
     basis_ptr: int,
     zz_order_ptr: int,
-    search: Tuple[int, int, int] = (0, 0, 0),
-    predictor: Optional[Tuple[int, int]] = None,
-    learn: bool = False,
     emit: bool = False,
     want_info: bool = False,
     measure: bool = False,
-) -> TileResult:
-    """Encode one I/P tile's whole block raster in the C driver.
+) -> List[TileResult]:
+    """Encode the tiles of one I/P frame in the C driver, in one call.
 
-    The caller (``TileEncoder.encode``) has vetted the envelope: all
-    planes are C-contiguous uint8 of one shape, the tile lies inside
-    them with 8-aligned width and height, ``block_size <= 64``, and
-    ``search = (alg, param, window)`` plus ``predictor`` fit the motion
+    ``rows`` holds one ``(x, y, width, height, block_size, alg, param,
+    window, use_pred, learn, pred_dx, pred_dy, step, lambda_mv)`` per
+    tile; the results come back in the same order.  The caller
+    (``FrameEncoder.encode`` / ``TileEncoder.encode``) has vetted the
+    envelope: all planes are C-contiguous uint8 of one shape, every
+    tile lies inside them with 8-aligned width and height,
+    ``block_size <= 64``, and the search and predictor fit the motion
     cost-cache table.  ``reference`` is ``None`` on I frames.  The GIL
     is released for the whole call; every mutable buffer handed over is
-    either this thread's scratch or the tile's own region of
-    ``reconstruction``.
+    either this thread's scratch, private to the call, or a tile's own
+    region of ``reconstruction``.
     """
     sc = _scratch
-    if reference is not None and sc.mcache_costs is None:
-        sc.ensure_motion()
-    if emit:
-        cap = _TILE_BYTES_PER_PIXEL * tile.area + 64
-        if sc.bitbuf.size < cap:
-            sc.bitbuf = np.empty(cap, dtype=np.uint8)
-            sc.bitbuf_ptr = sc.bitbuf.ctypes.data
-    info = None
-    if want_info:
-        blocks = -(-tile.width // block_size) * -(-tile.height // block_size)
-        info = np.empty((blocks, 3), dtype=np.int32)
     has_ref = reference is not None
-    lib.encode_tile_u8(
+    if has_ref and sc.mcache_costs is None:
+        sc.ensure_motion()
+    ints: List[int] = []
+    doubles: List[float] = []
+    # Where each tile's bits (bytes into ``bitbuf``) and block infos
+    # (int32s into ``info``) start; one entry past the last tile.
+    offsets = [(0, 0)]
+    for row in rows:
+        width, height, block = row[2], row[3], row[4]
+        bits_off, info_off = offsets[-1]
+        cap = _TILE_BYTES_PER_PIXEL * width * height + 64 if emit else 0
+        ints += row[:12]
+        ints += (bits_off, cap, info_off)
+        doubles += row[12:]
+        if want_info:
+            info_off += 3 * (-(-width // block) * -(-height // block))
+        offsets.append((bits_off + cap, info_off))
+    n = len(rows)
+    table_i = np.array(ints, dtype=np.int64)
+    table_d = np.array(doubles, dtype=np.float64)
+    if table_i.size != n * _ROW_INTS or table_d.size != n * _ROW_DOUBLES:
+        raise ValueError("malformed tile table row")
+    bitbuf = np.empty(offsets[-1][0], dtype=np.uint8)
+    info = np.empty(offsets[-1][1], dtype=np.int32)
+    out_i = np.empty((n, _OUT_INTS), dtype=np.int64)
+    out_d = np.empty((n, _OUT_DOUBLES), dtype=np.float64)
+    lib.encode_frame_u8(
         original.ctypes.data, original.strides[0],
         reference.ctypes.data if has_ref else None,
         reference.strides[0] if has_ref else 0,
         reference.shape[0] if has_ref else 0,
         reference.shape[1] if has_ref else 0,
         reconstruction.ctypes.data, reconstruction.strides[0],
-        tile.x, tile.y, tile.width, tile.height, block_size,
-        step, lambda_mv, basis_ptr, zz_order_ptr,
-        search[0], search[1], search[2],
-        predictor is not None, learn,
-        predictor[0] if predictor else 0, predictor[1] if predictor else 0,
+        n, table_i.ctypes.data, table_d.ctypes.data,
+        basis_ptr, zz_order_ptr,
         sc.mcache_costs_ptr if has_ref else None,
         sc.mcache_stamps_ptr if has_ref else None,
         sc.mcache_epoch_ptr if has_ref else None,
-        sc.bitbuf_ptr if emit else None, sc.bitbuf.size if emit else 0,
+        bitbuf.ctypes.data if emit else None,
         info.ctypes.data if want_info else None, measure,
-        sc.tile_i_ptr, sc.tile_d_ptr,
+        out_i.ctypes.data, out_d.ctypes.data,
     )
-    (bits, pred_pixels, sad_pixel_ops, me_candidates, transform_blocks,
-     emitted, axis, final_dx, final_dy) = sc.tile_i.tolist()
-    ssd, motion_s, entropy_s = sc.tile_d.tolist()
-    if emitted < 0:
-        raise RuntimeError(
-            f"tile bit buffer overflow ({sc.bitbuf.size} bytes for {tile})"
-        )
-    return TileResult(
-        bits=bits, ssd=ssd, pred_pixels=pred_pixels,
-        sad_pixel_ops=sad_pixel_ops, me_candidates=me_candidates,
-        transform_blocks=transform_blocks,
-        payload=(
-            (sc.bitbuf[: (emitted + 7) // 8].tobytes(), emitted)
-            if emit else None
-        ),
-        info=info.tolist() if want_info else None,
-        first_axis=(None, "x", "y")[axis],
-        final_mv=(final_dx, final_dy),
-        motion_seconds=motion_s, entropy_seconds=entropy_s,
-    )
+    results = []
+    for t, (counts, clocks) in enumerate(zip(out_i.tolist(), out_d.tolist())):
+        emitted = counts[5]
+        if emitted < 0:
+            raise RuntimeError(
+                f"tile bit buffer overflow (tile {t}: {rows[t][:4]})"
+            )
+        bits_at, info_at = offsets[t]
+        payload = info_rows = None
+        if emit:
+            stop = bits_at + (emitted + 7) // 8
+            payload = (bitbuf[bits_at:stop].tobytes(), emitted)
+        if want_info:
+            info_rows = info[info_at:offsets[t + 1][1]].reshape(-1, 3).tolist()
+        results.append(TileResult(
+            counts[0], clocks[0], counts[1], counts[2], counts[3], counts[4],
+            payload, info_rows, (None, "x", "y")[counts[6]],
+            (counts[7], counts[8]), clocks[1], clocks[2], clocks[3],
+        ))
+    return results
+
+
+def encode_tile(
+    original: np.ndarray,
+    reference: Optional[np.ndarray],
+    reconstruction: np.ndarray,
+    row: tuple,
+    basis_ptr: int,
+    zz_order_ptr: int,
+    emit: bool = False,
+    want_info: bool = False,
+    measure: bool = False,
+) -> TileResult:
+    """Encode one I/P tile: :func:`encode_frame` over a table of the
+    one ``row`` (same contract, same foreign call)."""
+    return encode_frame(
+        original, reference, reconstruction, [row], basis_ptr, zz_order_ptr,
+        emit, want_info, measure,
+    )[0]
 
 
 def downscale_box(
@@ -327,19 +357,23 @@ def downscale_box(
     Bit-identical to ``repro.video.scale.downscale_box_reference`` for
     every valid geometry (``1 <= out_h <= h``, ``1 <= out_w <= w``);
     ``None`` when the native layer is off or the input falls outside
-    the kernel's envelope — callers then run the NumPy oracle.
+    the kernel's envelope (a plane of 2^24 samples or more: its box
+    sums could leave the kernel's 32-bit lanes) — callers then run the
+    NumPy oracle.
     """
     if lib is None:
         return None
     if src.dtype != np.uint8 or not src.flags.c_contiguous:
         return None
     h, w = src.shape
-    if not (1 <= out_h <= h) or not (1 <= out_w <= w):
+    if not (1 <= out_h <= h) or not (1 <= out_w <= w) or h * w >= 1 << 24:
         return None
     out = np.empty((out_h, out_w), dtype=np.uint8)
+    # The kernel's column edges and one row of column sums.
+    scratch = np.empty(out_w + 1 + w, dtype=np.uint32)
     lib.downscale_box_u8(
         src.ctypes.data, src.strides[0], h, w,
-        out.ctypes.data, out_h, out_w,
+        out.ctypes.data, out_h, out_w, scratch.ctypes.data,
     )
     return out
 

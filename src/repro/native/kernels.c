@@ -4,7 +4,7 @@
  * contraction: the double arithmetic must follow IEEE semantics, one
  * rounding per operation, so results stay deterministic and equal to
  * the NumPy reference in repro.codec).  The non-static functions are
- * the whole ctypes surface — encode_tile_u8 and downscale_box_u8;
+ * the whole ctypes surface — encode_frame_u8 and downscale_box_u8;
  * everything else is a static building block of the tile driver.  All
  * arrays are C-contiguous buffers prepared by the Python wrappers.
  */
@@ -825,7 +825,7 @@ static int64_t encode_block_plane(const uint8_t *cur, int64_t cstride,
 }
 
 /* ------------------------------------------------------------------ */
-/* Tile driver: the whole block raster of one tile in one call.        */
+/* Tile driver: the whole block raster of one tile.                    */
 /*                                                                     */
 /* Replicates TileEncoder's block loop (repro.codec.encoder) for I/P   */
 /* tiles at integer-pel precision: seeded motion search, intra choice  */
@@ -838,11 +838,10 @@ static int64_t encode_block_plane(const uint8_t *cur, int64_t cstride,
 /* block's MV; the first non-zero MV votes the dominant axis).  The op */
 /* counters describe the modelled encoder, not the instructions run    */
 /* here: an abandoned planar chain is still four mode trials, a        */
-/* sub-block proven zero is still a transformed one.  ctypes           */
-/* releases the GIL for the duration, so tiles of different sessions   */
-/* run on different cores; everything the driver touches is either     */
-/* read-only (cur, ref), private to the tile (its recon region) or     */
-/* owned by the calling thread (cost cache, bit buffer, outputs).      */
+/* sub-block proven zero is still a transformed one.  Everything the   */
+/* driver touches is either read-only (cur, ref), private to the tile  */
+/* (its recon region) or owned by the calling thread (cost cache, bit  */
+/* buffer, outputs).                                                   */
 /*                                                                     */
 /* Contract (checked by the Python wrapper): tile_w and tile_h are     */
 /* multiples of 8, bs is a multiple of 8 and <= 64, the tile lies      */
@@ -871,22 +870,22 @@ static inline int64_t now_ns(void)
     return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
 }
 
-void encode_tile_u8(const uint8_t *cur, int64_t cstride,
-                    const uint8_t *ref, int64_t rstride,
-                    int64_t ref_h, int64_t ref_w,
-                    uint8_t *recon, int64_t ostride,
-                    int64_t tile_x, int64_t tile_y,
-                    int64_t tile_w, int64_t tile_h, int bs,
-                    double step, double lambda,
-                    const double *basis, const int32_t *zz_order,
-                    int alg, int param, int window,
-                    int use_pred, int learn,
-                    int64_t pred_dx, int64_t pred_dy,
-                    double *cache_costs, int64_t *cache_stamps,
-                    int64_t *epoch_io,
-                    uint8_t *bits_buf, int64_t bits_cap,
-                    int32_t *info_out, int measure,
-                    int64_t *out_i, double *out_d)
+static void encode_tile(const uint8_t *cur, int64_t cstride,
+                        const uint8_t *ref, int64_t rstride,
+                        int64_t ref_h, int64_t ref_w,
+                        uint8_t *recon, int64_t ostride,
+                        int64_t tile_x, int64_t tile_y,
+                        int64_t tile_w, int64_t tile_h, int bs,
+                        double step, double lambda,
+                        const double *basis, const int32_t *zz_order,
+                        int alg, int param, int window,
+                        int use_pred, int learn,
+                        int64_t pred_dx, int64_t pred_dy,
+                        double *cache_costs, int64_t *cache_stamps,
+                        int64_t *epoch_io,
+                        uint8_t *bits_buf, int64_t bits_cap,
+                        int32_t *info_out, int measure,
+                        int64_t *out_i, double *out_d)
 {
     IntraPred intra;
     double basis_t[64];
@@ -1011,37 +1010,105 @@ void encode_tile_u8(const uint8_t *cur, int64_t cstride,
 }
 
 /* ------------------------------------------------------------------ */
+/* Frame entry: every tile of one frame in one foreign call.           */
+/*                                                                     */
+/* A row of the tile table is the argument list of encode_tile — the   */
+/* integers in rows_i (ROW_I per tile: x, y, w, h, bs, alg, param,     */
+/* window, use_pred, learn, pred_dx, pred_dy, then where the tile's    */
+/* bits and block infos go: byte offset and capacity inside bits_buf,  */
+/* int32 offset inside info_out), step and lambda in rows_d — and the  */
+/* tiles run in table order through that one body, so a frame encoded  */
+/* here is the frame encoded by one call per tile: tiles share nothing */
+/* but the read-only planes and the calling thread's cost cache, whose */
+/* epoch advances per block exactly as it did across calls.  Row t of  */
+/* out_i / out_d is the tile's out_i / out_d above, out_d with a       */
+/* fourth column: the tile's wall seconds (clocked, like the stage     */
+/* seconds, only when measure is set).  ctypes releases the GIL for    */
+/* the whole frame, so frames of different sessions run on different   */
+/* cores.  Keep ROW_I / ROW_D / OUT_I / OUT_D in step with             */
+/* repro.native.                                                       */
+/* ------------------------------------------------------------------ */
+
+#define ROW_I 15
+#define ROW_D 2
+#define OUT_I 9
+#define OUT_D 4
+
+void encode_frame_u8(const uint8_t *cur, int64_t cstride,
+                     const uint8_t *ref, int64_t rstride,
+                     int64_t ref_h, int64_t ref_w,
+                     uint8_t *recon, int64_t ostride,
+                     int64_t n_tiles,
+                     const int64_t *rows_i, const double *rows_d,
+                     const double *basis, const int32_t *zz_order,
+                     double *cache_costs, int64_t *cache_stamps,
+                     int64_t *epoch_io,
+                     uint8_t *bits_buf, int32_t *info_out, int measure,
+                     int64_t *out_i, double *out_d)
+{
+    for (int64_t t = 0; t < n_tiles; t++) {
+        const int64_t *ri = rows_i + t * ROW_I;
+        const double *rd = rows_d + t * ROW_D;
+        double *od = out_d + t * OUT_D;
+        int64_t t0 = measure ? now_ns() : 0;
+        encode_tile(cur, cstride, ref, rstride, ref_h, ref_w, recon, ostride,
+                    ri[0], ri[1], ri[2], ri[3], (int)ri[4], rd[0], rd[1],
+                    basis, zz_order, (int)ri[5], (int)ri[6], (int)ri[7],
+                    (int)ri[8], (int)ri[9], ri[10], ri[11],
+                    cache_costs, cache_stamps, epoch_io,
+                    bits_buf ? bits_buf + ri[12] : NULL, ri[13],
+                    info_out ? info_out + ri[14] : NULL, measure,
+                    out_i + t * OUT_I, od);
+        od[3] = measure ? (double)(now_ns() - t0) * 1e-9 : 0.0;
+    }
+}
+
+/* ------------------------------------------------------------------ */
 /* Integer box downscale (rendition ladder).                           */
 /*                                                                     */
 /* Output pixel (i, j) is the floor mean of the source box             */
-/* rows [i*h/h_out, (i+1)*h/h_out) x cols [j*w/w_out, (j+1)*w/w_out),  */
-/* accumulated in int64 — defined for every geometry with              */
-/* h_out <= h, w_out <= w (each box holds >= 1 pixel), bit-identical   */
-/* to the NumPy oracle in repro.video.scale by construction: integer   */
-/* box sums are exact in any lane order, the same property that makes  */
-/* the SAD tiers above dispatch freely.  Like the psadbw SAD path,     */
-/* the SSE2 2x2 fast path below counts as level 0: it needs no         */
-/* runtime dispatch and is always safe on x86-64.                      */
+/* rows [i*h/h_out, (i+1)*h/h_out) x cols [j*w/w_out, (j+1)*w/w_out)   */
+/* — defined for every geometry with h_out <= h, w_out <= w (each box  */
+/* holds >= 1 pixel), bit-identical to the NumPy oracle in             */
+/* repro.video.scale by construction: integer box sums are exact in    */
+/* any order, the same property that makes the SAD tiers above         */
+/* dispatch freely, and the division is the oracle's floor division.   */
+/* The wrapper keeps h * w < 2^24, so every box sum (<= 255 * h * w)   */
+/* fits the 32-bit lanes.  Like the psadbw SAD path, the SSE2 2x2 fast */
+/* path below counts as level 0: it needs no runtime dispatch and is   */
+/* always safe on x86-64.                                              */
 /* ------------------------------------------------------------------ */
 
+/* Separable: the column edges once per call, then per output row the
+ * box's source rows summed into one row of w lanes (a loop the
+ * compiler vectorises) and <= ceil(w / w_out) lanes added per output
+ * pixel.  scratch holds w_out + 1 edges and w lanes. */
 static void downscale_box_scalar(const uint8_t *src, ptrdiff_t sstride,
                                  int64_t h, int64_t w, uint8_t *dst,
-                                 int64_t h_out, int64_t w_out)
+                                 int64_t h_out, int64_t w_out,
+                                 uint32_t *scratch)
 {
+    uint32_t *edge = scratch, *lane = scratch + w_out + 1;
+    for (int64_t j = 0; j <= w_out; j++)
+        edge[j] = (uint32_t)(j * w / w_out);
     for (int64_t i = 0; i < h_out; i++) {
         int64_t r0 = i * h / h_out;
         int64_t r1 = (i + 1) * h / h_out;
+        const uint8_t *sr = src + (ptrdiff_t)r0 * sstride;
+        for (int64_t c = 0; c < w; c++)
+            lane[c] = sr[c];
+        for (int64_t r = r0 + 1; r < r1; r++) {
+            sr += sstride;
+            for (int64_t c = 0; c < w; c++)
+                lane[c] += sr[c];
+        }
+        uint32_t rows = (uint32_t)(r1 - r0);
         uint8_t *drow = dst + (ptrdiff_t)i * w_out;
         for (int64_t j = 0; j < w_out; j++) {
-            int64_t c0 = j * w / w_out;
-            int64_t c1 = (j + 1) * w / w_out;
-            int64_t acc = 0;
-            for (int64_t r = r0; r < r1; r++) {
-                const uint8_t *sr = src + (ptrdiff_t)r * sstride;
-                for (int64_t c = c0; c < c1; c++)
-                    acc += sr[c];
-            }
-            drow[j] = (uint8_t)(acc / ((r1 - r0) * (c1 - c0)));
+            uint32_t acc = 0;
+            for (uint32_t c = edge[j]; c < edge[j + 1]; c++)
+                acc += lane[c];
+            drow[j] = (uint8_t)(acc / (rows * (edge[j + 1] - edge[j])));
         }
     }
 }
@@ -1086,7 +1153,7 @@ static void downscale_half_sse2(const uint8_t *src, ptrdiff_t sstride,
 
 void downscale_box_u8(const uint8_t *src, int64_t sstride,
                       int64_t h, int64_t w, uint8_t *dst,
-                      int64_t h_out, int64_t w_out)
+                      int64_t h_out, int64_t w_out, uint32_t *scratch)
 {
 #if REPRO_X86
     if (h == 2 * h_out && w == 2 * w_out && w_out >= 8) {
@@ -1094,5 +1161,6 @@ void downscale_box_u8(const uint8_t *src, int64_t sstride,
         return;
     }
 #endif
-    downscale_box_scalar(src, (ptrdiff_t)sstride, h, w, dst, h_out, w_out);
+    downscale_box_scalar(src, (ptrdiff_t)sstride, h, w, dst, h_out, w_out,
+                         scratch);
 }

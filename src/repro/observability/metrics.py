@@ -197,6 +197,14 @@ class MetricsRegistry:
                 buckets: Optional[Sequence[float]] = None,
                 **labels: object) -> None:
         """Record one observation into a fixed-bucket histogram."""
+        self.observe_many(name, (value,), help, buckets, **labels)
+
+    def observe_many(self, name: str, values: Sequence[float],
+                     help: str = "",
+                     buckets: Optional[Sequence[float]] = None,
+                     **labels: object) -> None:
+        """Record a batch of observations, in order, into one
+        fixed-bucket histogram sample under one lock acquisition."""
         key = _label_key({k: v for k, v in labels.items()})
         with self._lock:
             fam = self._family(name, "histogram", help,
@@ -206,7 +214,8 @@ class MetricsRegistry:
                 hist = HistogramValue(fam.buckets or DEFAULT_TIME_BUCKETS)
                 fam.samples[key] = hist
             assert isinstance(hist, HistogramValue)
-            hist.observe(value)
+            for value in values:
+                hist.observe(value)
 
     # -- reads ---------------------------------------------------------
     def value(self, name: str, **labels: object) -> Optional[

@@ -573,6 +573,8 @@ class StreamTranscoder:
         registry = get_registry()
         tracer = get_tracer()
         tile_records = []
+        frame_keys = []
+        cpu_times = []
         for i, tile_stat in enumerate(frame_stats.tiles):
             cpu_time = self.cost_model.seconds(tile_stat.ops, f_max)
             if self.fault_injector is not None:
@@ -607,11 +609,8 @@ class StreamTranscoder:
                     content_class=content_class,
                     resolution=resolution,
                 )
-            self.estimator.observe(key, cpu_time)
-            registry.observe(
-                "repro_tile_cpu_seconds", cpu_time, mode=mode,
-                help="Simulated per-tile CPU time at f_max",
-            )
+            frame_keys.append(key)
+            cpu_times.append(cpu_time)
             if tracer.enabled:
                 tracer.event(
                     "tile.record",
@@ -626,6 +625,12 @@ class StreamTranscoder:
                     bits=tile_stat.bits,
                     cpu_time_fmax=cpu_time,
                 )
+        # One LUT lock acquisition and one registry batch per frame.
+        self.estimator.observe_many(frame_keys, cpu_times)
+        registry.observe_many(
+            "repro_tile_cpu_seconds", cpu_times, mode=mode,
+            help="Simulated per-tile CPU time at f_max",
+        )
         registry.inc("repro_frames_encoded_total", mode=mode,
                      help="Frames encoded by the pipeline")
         registry.inc("repro_tiles_encoded_total", len(frame_stats.tiles),

@@ -107,11 +107,17 @@ def chroma_dims(out_w: int, out_h: int) -> Tuple[int, int]:
 def downscale_frame(frame: Frame, out_w: int, out_h: int) -> Frame:
     """Downscale a frame (luma + any 4:2:0 chroma) to ``out_w x out_h``.
 
-    A same-size request returns a copy, so ladder rungs at ingest
-    resolution never alias the shared ingest buffer.
+    A same-size request never hands out a buffer somebody can still
+    write: a frame whose planes are all read-only (the serving layer's
+    zero-copy ingest) is returned as it is — nothing can mutate it
+    under the rung — and any other frame is copied, so a rung at ingest
+    resolution never aliases a reused ingest buffer.
     """
     if (out_h, out_w) == frame.luma.shape:
-        return frame.copy()
+        planes = (frame.luma, frame.chroma_u, frame.chroma_v)
+        if any(p is not None and p.flags.writeable for p in planes):
+            return frame.copy()
+        return frame
     luma = downscale_plane(frame.luma, out_h, out_w)
     cw, ch = chroma_dims(out_w, out_h)
     u = v = None

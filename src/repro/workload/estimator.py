@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.analysis.motion_probe import MotionClass
 from repro.codec.config import FrameType
@@ -69,7 +69,7 @@ class WorkloadEstimator:
         self.quantile = quantile
         # One estimator is shared by every session of a serving
         # process; with a multi-thread encode pool the histogram
-        # read-modify-writes in ``observe`` need mutual exclusion.
+        # read-modify-writes of an observation need mutual exclusion.
         self._observe_lock = threading.Lock()
 
     def estimate(self, key: WorkloadKey, area: int) -> float:
@@ -88,10 +88,18 @@ class WorkloadEstimator:
 
     def observe(self, key: WorkloadKey, cpu_time: float) -> None:
         """Record a measured tile CPU time after the frame retires."""
+        self.observe_many((key,), (cpu_time,))
+
+    def observe_many(
+        self, keys: Sequence[WorkloadKey], cpu_times: Sequence[float]
+    ) -> None:
+        """Record a frame's tile CPU times under one lock acquisition:
+        the LUT ends in the state the same :meth:`observe` calls, in
+        order, leave it in."""
         with self._observe_lock:
-            self.lut.observe(key, cpu_time)
+            self.lut.observe_many(keys, cpu_times)
         get_registry().inc(
-            "repro_lut_updates_total",
+            "repro_lut_updates_total", len(keys),
             help="Workload-LUT histogram updates",
         )
 

@@ -46,6 +46,18 @@ class WorkloadKey:
     #: with everything recorded before ladders existed.
     resolution: Optional[int] = None
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        # Computed once per key (four of the fields are enums, whose
+        # hash is a Python-level call): the LUT hashes the same key
+        # objects twice per observation.
+        return hash((self.texture, self.motion, self.qp, self.search_window,
+                     self.frame_type, self.area_bucket, self.content_class,
+                     self.resolution))
+
     def generalized(self) -> "WorkloadKey":
         """Key with the content class erased.
 

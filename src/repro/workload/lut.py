@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -143,12 +143,20 @@ class WorkloadLut:
     tables: Dict[WorkloadKey, CpuTimeHistogram] = field(default_factory=dict)
 
     def observe(self, key: WorkloadKey, cpu_time: float) -> None:
-        for k in (key, key.generalized()):
-            hist = self.tables.get(k)
-            if hist is None:
-                hist = CpuTimeHistogram()
-                self.tables[k] = hist
-            hist.observe(cpu_time)
+        self.observe_many((key,), (cpu_time,))
+
+    def observe_many(
+        self, keys: Sequence[WorkloadKey], cpu_times: Sequence[float]
+    ) -> None:
+        """Observations in order, each under its key and the key's
+        content-class-agnostic twin."""
+        tables = self.tables
+        for key, cpu_time in zip(keys, cpu_times):
+            for k in (key, key.generalized()):
+                hist = tables.get(k)
+                if hist is None:
+                    hist = tables[k] = CpuTimeHistogram()
+                hist.observe(cpu_time)
 
     def lookup(self, key: WorkloadKey) -> Optional[CpuTimeHistogram]:
         hist = self.tables.get(key)

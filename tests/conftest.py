@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 
 import numpy as np
@@ -101,3 +102,49 @@ def native_forbidden():
         yield
     finally:
         native.lib = saved
+
+
+class _CountingLib:
+    """The ctypes handle with every foreign call counted by name."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        fn = getattr(self._lib, name)
+
+        def counted(*args):
+            self.calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+
+@contextlib.contextmanager
+def counted_native():
+    """Run a block with the foreign calls it makes counted; yields the
+    ``Counter``, keyed by exported name (helper importable from
+    conftest)."""
+    from repro import native
+
+    counting = _CountingLib(native.lib)
+    saved, native.lib = native.lib, counting
+    try:
+        yield counting.calls
+    finally:
+        native.lib = saved
+
+
+class CountingLock:
+    """Stands in for a ``threading.Lock`` used as a context manager and
+    counts its acquisitions (helper importable from conftest)."""
+
+    def __init__(self):
+        self.acquisitions = 0
+
+    def __enter__(self):
+        self.acquisitions += 1
+
+    def __exit__(self, *exc):
+        return None

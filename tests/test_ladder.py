@@ -53,7 +53,11 @@ from repro.serving.protocol import (
     ProtocolError,
     encode_message,
 )
-from repro.transcode.pipeline import PipelineConfig, StreamTranscoder
+from repro.transcode.pipeline import (
+    PipelineConfig,
+    ProposedStreamSession,
+    StreamTranscoder,
+)
 from repro.video.frame import Frame
 from repro.video.generator import (
     BioMedicalVideoGenerator,
@@ -68,6 +72,7 @@ from repro.video.scale import (
     downscale_plane,
 )
 from repro.workload.keys import WorkloadKey, area_bucket
+from tests.conftest import CountingLock, counted_native
 
 
 # ----------------------------------------------------------------------
@@ -358,6 +363,82 @@ class TestOneRungIsThePlainSession:
             session.push(frames[0])
             # Sub-rungs scale on every push: never "only buffers".
             assert not session.only_buffers(frames[1])
+
+    def test_read_only_ingest_plane_reaches_the_rung_uncopied(
+            self, ladder_video, monkeypatch):
+        """The served shape: the wire payload backs a read-only plane,
+        and the rung at ingest resolution receives that very buffer —
+        nothing can mutate it, so nothing needs copying."""
+        seen = []
+        push = ProposedStreamSession.push
+        monkeypatch.setattr(
+            ProposedStreamSession, "push",
+            lambda self, frame: seen.append(frame) or push(self, frame))
+        config = PipelineConfig(fps=24.0, gop=GopConfig(_GOP))
+        frame = Frame(np.frombuffer(ladder_video.frames[0].luma.tobytes(),
+                                    dtype=np.uint8).reshape(_H, _W), index=0)
+        assert not frame.luma.flags.writeable
+        with LadderSession(config, LadderConfig(rungs=_RUNGS,
+                                                prune=False)) as session:
+            session.push(frame)
+        assert seen[0] is frame
+        assert np.shares_memory(seen[0].luma, frame.luma)
+        assert [f.luma.shape for f in seen] == [(r.height, r.width)
+                                                for r in _RUNGS]
+
+    def test_mutating_a_writable_ingest_plane_changes_no_rung(
+            self, ladder_video):
+        """A caller that reuses its ingest buffer: scribbling over each
+        plane right after ``push`` leaves every rung's output what a
+        run over untouched frames produces."""
+        want, _, _ = _run_ladder(ladder_video)
+        config = PipelineConfig(fps=ladder_video.fps, gop=GopConfig(_GOP))
+        got = {}
+        buffer = np.empty((_H, _W), dtype=np.uint8)
+        with LadderSession(config, LadderConfig(rungs=_RUNGS,
+                                                prune=False)) as session:
+            for frame in ladder_video.frames:
+                buffer[...] = frame.luma
+                for out in session.push(Frame(buffer, index=frame.index)):
+                    got.setdefault(out.rung, []).append(out)
+                buffer[...] = 255 - buffer
+            for out in session.finish():
+                got.setdefault(out.rung, []).append(out)
+        assert sorted(got) == sorted(want)
+        for rung in want:
+            assert _outputs_digest(got[rung]) == _outputs_digest(want[rung])
+
+    @pytest.mark.skipif(native.lib is None, reason="native kernels not built")
+    @pytest.mark.parametrize("num_rungs", [1, 3])
+    def test_a_push_crosses_once_per_frame_per_rung(self, num_rungs):
+        """What a push costs in crossings: one ``encode_frame_u8`` per
+        frame per rung when a GOP flushes (however many tiles), one
+        ``downscale_box_u8`` per scaled rung on every push, nothing on a
+        mid-GOP push of a plain session — and one ``WorkloadEstimator``
+        lock acquisition per encoded frame."""
+        # Large enough to be cut into several tiles on every rung.
+        rungs = (LadderRung(256, 192), LadderRung(192, 144),
+                 LadderRung(128, 96))[:num_rungs]
+        video = BioMedicalVideoGenerator(GeneratorConfig(
+            width=256, height=192, num_frames=_GOP, seed=5,
+            content_class=ContentClass.BRAIN, motion=MotionPreset.PAN_RIGHT,
+        )).generate()
+        config = PipelineConfig(fps=24.0, gop=GopConfig(_GOP))
+        with LadderSession(config, LadderConfig(rungs=rungs,
+                                                prune=False)) as session:
+            lock = session.estimator._observe_lock = CountingLock()
+            for frame in video.frames:
+                lock.acquisitions = 0
+                with counted_native() as calls:
+                    outputs = session.push(frame)
+                flushed = frame.index == _GOP - 1
+                assert len(outputs) == (_GOP * len(rungs) if flushed else 0)
+                assert calls["downscale_box_u8"] == len(rungs) - 1
+                assert calls["encode_frame_u8"] == len(outputs)
+                assert lock.acquisitions == len(outputs)
+                assert set(calls) <= {"downscale_box_u8", "encode_frame_u8"}
+            # Several tiles behind every one of those calls.
+            assert all(len(o.record.tiles) > 1 for o in outputs)
 
     @pytest.mark.parametrize("rungs", [_RUNGS[:1], _RUNGS],
                              ids=["1-rung", "3-rung"])

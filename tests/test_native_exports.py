@@ -58,7 +58,7 @@ def test_every_export_is_bound_and_reached():
     exports = _EXPORT.findall((SRC / "native" / "kernels.c").read_text())
     # The whole list, pinned: a new export is a new configuration for
     # `make sanitize` / `make reference` to hold bit-exact.
-    assert set(exports) == {"encode_tile_u8", "downscale_box_u8"}
+    assert set(exports) == {"encode_frame_u8", "downscale_box_u8"}
     assert unreached(exports, inspect.getsource(native._load), _sources()) == []
 
 
@@ -78,7 +78,7 @@ def test_audit_reports_a_dead_and_an_unbound_export():
     assert _EXPORT.findall(
         "int orphan_u8(void)\n{\n}\nstatic int hidden(void)\n"
         "void stray_u8(int x)\n") == ["orphan_u8", "stray_u8"]
-    assert unreached(["orphan_u8", "stray_u8", "encode_tile_u8"],
+    assert unreached(["orphan_u8", "stray_u8", "encode_frame_u8"],
                      binding_plus, sources) == [
         "orphan_u8: no caller under src/repro",
         "stray_u8: not bound in native._load",

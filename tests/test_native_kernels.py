@@ -1,12 +1,15 @@
 """The native tile driver is bit-exact with the pure-NumPy block loop.
 
-The codec has two tiers: ``encode_tile_u8`` (one C call per tile) and
-the per-block NumPy loop, which is the driver's reference and the only
-thing that runs what the driver declines.  The tests here encode the
-same tile through both and assert byte-level equality — with the
-reference side running under :func:`tests.conftest.native_forbidden`,
-so it demonstrably never enters ``kernels.c`` — which is also what
-keeps ``REPRO_NATIVE=0`` a faithful fallback.
+The codec has two tiers: ``encode_frame_u8`` (one C call per frame, a
+table row per tile; one row for a lone tile) and the per-block NumPy
+loop, which is the driver's reference and the only thing that runs what
+the driver declines.  The tests here encode the same tiles and frames
+through both and assert byte-level equality — with the reference side
+running under :func:`tests.conftest.native_forbidden`, so it
+demonstrably never enters ``kernels.c`` — which is also what keeps
+``REPRO_NATIVE=0`` a faithful fallback.  The ladder's box downscale
+(``downscale_box_u8``) is held to its NumPy oracle here too, so that
+``make sanitize`` sees it.
 """
 
 import math
@@ -35,7 +38,8 @@ from repro.tiling.tile import Tile
 from repro.tiling.uniform import uniform_tiling
 from repro.transcode.pipeline import PipelineConfig, StreamTranscoder
 from repro.video.generator import ContentClass, MotionPreset, generate_video
-from tests.conftest import native_forbidden
+from repro.video.scale import downscale_box_reference
+from tests.conftest import counted_native, native_forbidden
 
 #: Everything below compares against the driver except the
 #: ``REPRO_NATIVE=0`` check itself, which `make reference` still runs.
@@ -95,18 +99,18 @@ def _session_digest(video, monkeypatch):
     """What a push-fed session over ``video`` produced: every tile's
     bits, SSD and op counters, and every frame's reconstruction."""
     tiles = []
-    encode = TileEncoder.encode
+    encode = FrameEncoder.encode
 
-    def recording(self, original, reference, reconstruction, tile, *args,
-                  **kwargs):
-        stats = encode(self, original, reference, reconstruction, tile,
-                       *args, **kwargs)
-        tiles.append((zlib.crc32(original), tile.x, tile.y, stats.bits,
-                      stats.ssd, astuple(stats.ops)))
-        return stats
+    def recording(self, original, *args, **kwargs):
+        frame_stats, reconstruction = encode(self, original, *args, **kwargs)
+        tiles.extend(
+            (zlib.crc32(original), t.tile.x, t.tile.y, t.bits, t.ssd,
+             astuple(t.ops))
+            for t in frame_stats.tiles)
+        return frame_stats, reconstruction
 
     with monkeypatch.context() as patch:
-        patch.setattr(TileEncoder, "encode", recording)
+        patch.setattr(FrameEncoder, "encode", recording)
         with StreamTranscoder(PipelineConfig()) as transcoder:
             session = transcoder.open_session()
             outputs = [o for f in video for o in session.push(f)]
@@ -162,7 +166,7 @@ def test_native_disabled_by_environment():
 
 
 # ----------------------------------------------------------------------
-# Tile driver (encode_tile_u8) vs the per-block loop
+# Tile driver (one table row) vs the per-block loop
 # ----------------------------------------------------------------------
 
 
@@ -590,3 +594,252 @@ def test_tile_driver_declines_unaligned_tile():
             TileEncoder(config).encode(
                 cur, ref, np.zeros_like(cur), tile, frame_type)
         assert registry.value(FALLBACK, reason="partial_block") == 1
+
+
+# ----------------------------------------------------------------------
+# Frame entry (every tile in one foreign call) vs the per-block loop
+# ----------------------------------------------------------------------
+
+
+def _frame_oracle(configs, cur, ref, grid, frame_type, specs, emit, want_info):
+    """The frame as the block loop encodes it — tile by tile through
+    :func:`_oracle` (NumPy only, no ``FrameEncoder``), the tiles'
+    regions, streams, infos and learning put together in grid order."""
+    recon = np.zeros_like(cur)
+    writer = BitWriter() if emit else None
+    if emit:
+        writer.write_bits(FrameEncoder.FRAME_TYPE_CODES[frame_type], 2)
+    tiles, infos, learned = [], [], []
+    for i, tile in enumerate(grid):
+        bits, ssd, ops, tile_recon, stream, tile_infos, tile_learned = _oracle(
+            configs[i], cur, ref, tile, frame_type,
+            specs[i] if specs else None, emit, want_info)
+        region = np.s_[tile.y:tile.y_end, tile.x:tile.x_end]
+        recon[region] = tile_recon[region]
+        if emit:
+            writer.append_bits(stream[1], stream[0])
+        tiles.append((bits, ssd, ops))
+        infos.append(tile_infos)
+        learned.append(tile_learned)
+    stream = (writer.bits_written, writer.flush()) if emit else None
+    return tiles, recon, stream, infos if want_info else None, learned
+
+
+def _assert_frame_matches_oracle(configs, cur, ref, grid, frame_type, specs,
+                                 emit, want_info):
+    """Encode the frame through ``FrameEncoder.encode`` — one foreign
+    call — and compare everything it returns with the block loop's."""
+    if frame_type is FrameType.I:
+        specs = None
+    tiles, want_recon, stream, want_infos, learned = _frame_oracle(
+        configs, cur, ref, grid, frame_type, specs, emit, want_info)
+    writer = BitWriter() if emit else None
+    infos = [] if want_info else None
+    with scoped() as (registry, _), counted_native() as calls:
+        stats, recon = FrameEncoder().encode(
+            cur, grid, configs, frame_type,
+            reference=ref if frame_type is FrameType.P else None,
+            frame_index=5, writer=writer, block_infos_out=infos,
+            hook_specs=specs, measure_stages=True,
+        )
+        assert FALLBACK not in registry.names()
+    assert calls == {"encode_frame_u8": 1}
+    assert (stats.frame_index, stats.frame_type) == (5, frame_type)
+    assert [t.tile for t in stats.tiles] == list(grid)
+    assert [(t.bits, t.ssd, t.ops) for t in stats.tiles] == tiles
+    np.testing.assert_array_equal(recon, want_recon)
+    if emit:
+        assert (writer.bits_written, writer.flush()) == stream
+        assert stream[0] == 2 + sum(bits for bits, _, _ in tiles)
+    assert infos == want_infos
+    for i, (tile_stats, want) in enumerate(zip(stats.tiles, learned)):
+        got = tile_stats.learned
+        assert (want is None) == (got is None)
+        if got is not None:
+            assert got.tile_id == specs[i].tile_id
+            assert (got.first_axis, got.final_mv) == want
+        assert set(tile_stats.stage_seconds) == {"motion", "entropy", "encode"}
+        assert all(v >= 0.0 for v in tile_stats.stage_seconds.values())
+
+
+def _mixed_table(num_tiles, is_first):
+    """Per-tile configs and hook specs that differ row by row: QP 22 /
+    32 / 40, windows 8 to 64, both motion classes, and every third tile
+    with no spec at all (the configured search, no predictor)."""
+    configs = [
+        EncoderConfig(qp=(22, 32, 40)[i % 3], search="hexagon",
+                      search_window=(16, 32)[i % 2])
+        for i in range(num_tiles)
+    ]
+    specs = [
+        None if i % 3 == 2 else TileHookSpec(
+            motion=(MotionClass.LOW, MotionClass.HIGH)[i % 2],
+            is_first=is_first, tile_id=i, window=(8, 16, 32, 64)[i % 4],
+            axis=(None, "x", "y")[i % 3], predictor=(i % 5 - 2, 1 - i % 3),
+        )
+        for i in range(num_tiles)
+    ]
+    return configs, specs
+
+
+@needs_driver
+@pytest.mark.parametrize("size", [(640, 480), (480, 360)])
+def test_frame_entry_matches_block_loop_at_served_sizes(size):
+    """An I frame, the GOP's first P frame (every spec learning) and a
+    later one on a 4x3 grid whose rows differ in QP, window, predictor
+    and search — at 480x360 the tiles are 120x120, so every tile ends
+    in 16x8 / 8x16 / 8x8 remainder blocks."""
+    width, height = size
+    ref, cur = _moving_planes(41, height, width)
+    grid = uniform_tiling(width, height, 4, 3)
+    for frame_type, is_first, emit, want_info in (
+        (FrameType.I, False, True, True),
+        (FrameType.P, True, True, False),
+        (FrameType.P, False, False, True),
+    ):
+        configs, specs = _mixed_table(len(grid), is_first)
+        _assert_frame_matches_oracle(
+            configs, cur, ref, grid, frame_type, specs, emit, want_info)
+
+
+@st.composite
+def _frame_cases(draw):
+    cols, rows = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    # Tile edges on multiples of 8 that need not be multiples of the
+    # block size: remainder blocks on some tiles and not on others.
+    width = 8 * draw(st.integers(2 * cols, 5 * cols))
+    height = 8 * draw(st.integers(2 * rows, 5 * rows))
+    num_tiles = cols * rows
+    is_first = draw(st.booleans())
+    configs, specs = [], []
+    for i in range(num_tiles):
+        window = draw(st.sampled_from([8, 16, 32, 64]))
+        configs.append(EncoderConfig(
+            qp=draw(st.sampled_from([22, 32, 40])),
+            search=draw(st.sampled_from([
+                "cross", "one_at_a_time", "hexagon", "hexagon_rotating"])),
+            search_window=window,
+            block_size=draw(st.sampled_from([8, 16, 16, 32])),
+        ))
+        specs.append(None if draw(st.booleans()) else TileHookSpec(
+            motion=draw(st.sampled_from([MotionClass.LOW, MotionClass.HIGH])),
+            is_first=is_first, tile_id=i, window=window,
+            axis=draw(st.sampled_from([None, "x", "y"])),
+            predictor=(draw(st.integers(-6, 6)), draw(st.integers(-6, 6))),
+        ))
+    return dict(
+        size=(width, height), grid=(cols, rows), configs=configs, specs=specs,
+        frame_type=draw(st.sampled_from([FrameType.I, FrameType.P, FrameType.P])),
+        emit=draw(st.booleans()), want_info=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@needs_driver
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_frame_cases())
+def test_frame_entry_matches_block_loop(case):
+    """One native call per frame == the per-block loop over its tiles,
+    whatever the table mixes."""
+    width, height = case["size"]
+    ref, cur = _moving_planes(case["seed"], height, width)
+    grid = uniform_tiling(width, height, *case["grid"])
+    _assert_frame_matches_oracle(
+        case["configs"], cur, ref, grid, case["frame_type"], case["specs"],
+        case["emit"], case["want_info"])
+
+
+@needs_driver
+def test_frame_with_a_declined_tile_runs_tile_by_tile():
+    """One tile the driver must decline (TZ search) sends the whole
+    frame down the per-tile loop: the oracle's output, that one tile
+    counted under its reason, and the other tiles still in the driver —
+    one row each."""
+    ref, cur = _moving_planes(43, 96, 128)
+    grid = uniform_tiling(128, 96, 2, 2)
+    configs = [EncoderConfig(qp=32, search="hexagon", search_window=16)
+               for _ in grid]
+    configs[2] = EncoderConfig(qp=32, search="tz", search_window=16)
+    tiles, want_recon, stream, want_infos, _ = _frame_oracle(
+        configs, cur, ref, grid, FrameType.P, None, True, True)
+    writer, infos = BitWriter(), []
+    with scoped() as (registry, _), counted_native() as calls:
+        stats, recon = FrameEncoder().encode(
+            cur, grid, configs, FrameType.P, reference=ref, writer=writer,
+            block_infos_out=infos)
+        fallbacks = next(f for f in registry.to_dict()["metrics"]
+                         if f["name"] == FALLBACK)
+        assert [(s["labels"], s["value"]) for s in fallbacks["samples"]] == [
+            ({"reason": "search"}, 1.0)]
+    assert calls == {"encode_frame_u8": len(grid) - 1}
+    assert [(t.bits, t.ssd, t.ops) for t in stats.tiles] == tiles
+    np.testing.assert_array_equal(recon, want_recon)
+    assert (writer.bits_written, writer.flush()) == stream
+    assert infos == want_infos
+    assert all(t.stage_seconds is None for t in stats.tiles)
+
+
+# ----------------------------------------------------------------------
+# Box downscale (downscale_box_u8) vs its NumPy oracle
+# ----------------------------------------------------------------------
+
+
+def _assert_downscale_matches_oracle(plane, out_h, out_w):
+    """``plane`` through the kernel from a buffer that ends on its
+    allocation's last byte (and starts at an odd address), against
+    ``downscale_box_reference``."""
+    got = native.downscale_box(_flush_to_buffer_end(plane, 1), out_h, out_w)
+    assert got is not None
+    np.testing.assert_array_equal(
+        got, downscale_box_reference(plane, out_h, out_w))
+
+
+@needs_driver
+@pytest.mark.parametrize("shape, out_shape", [
+    ((480, 640), (360, 480)),  # the ladder's middle rung: boxes 1 or 2 wide
+    ((480, 640), (240, 320)),  # its bottom rung: the SSE2 2x2 path
+    ((480, 640), (480, 640)),  # same size: every box one sample
+    ((61, 97), (7, 13)),       # prime extents, boxes 7-8 wide, 8-9 tall
+    ((61, 97), (1, 1)),        # one box: the whole plane
+    ((61, 97), (61, 96)),      # one output column short: a lone 2-wide box
+    ((7, 13), (7, 13)),
+    ((14, 26), (7, 13)),       # exact half: one SSE2 step and a 5-wide tail
+    ((10, 12), (5, 6)),        # exact half below the SSE2 gate (w_out < 8)
+    ((9, 7), (2, 3)),
+], ids=lambda v: "x".join(map(str, v)))
+def test_downscale_matches_oracle_at_served_and_odd_geometries(shape,
+                                                               out_shape):
+    rng = np.random.default_rng(shape[0] * out_shape[1])
+    _assert_downscale_matches_oracle(
+        rng.integers(0, 256, shape, dtype=np.uint8), *out_shape)
+    # All 255: the largest sum a box of this geometry can hold.
+    _assert_downscale_matches_oracle(
+        np.full(shape, 255, dtype=np.uint8), *out_shape)
+
+
+@st.composite
+def _downscale_cases(draw):
+    h, w = draw(st.integers(1, 72)), draw(st.integers(1, 72))
+    return (h, w, draw(st.integers(1, h)), draw(st.integers(1, w)),
+            draw(st.integers(0, 2**16)))
+
+
+@needs_driver
+@settings(max_examples=200, deadline=None)
+@given(_downscale_cases())
+def test_downscale_matches_oracle(case):
+    h, w, out_h, out_w, seed = case
+    plane = np.random.default_rng(seed).integers(0, 256, (h, w), dtype=np.uint8)
+    _assert_downscale_matches_oracle(plane, out_h, out_w)
+
+
+@needs_driver
+def test_downscale_declines_planes_its_lanes_cannot_sum():
+    """A box sum is at most 255 * h * w; from 2^24 samples on it could
+    leave the kernel's 32-bit lanes, and the caller's oracle runs."""
+    assert native.downscale_box(
+        np.zeros((4096, 4096), dtype=np.uint8), 1, 1) is None
+    # The largest plane it takes, at the largest sum it can hold.
+    assert native.downscale_box(
+        np.full((4095, 4096), 255, dtype=np.uint8), 1, 1).tolist() == [[255]]

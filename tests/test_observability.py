@@ -73,6 +73,16 @@ class TestRegistry:
         assert hist.count == 4
         assert hist.sum == pytest.approx(8.0)
 
+    def test_observe_many_is_the_observes_in_order(self):
+        """A batch lands in one labelled sample exactly as the same
+        ``observe`` calls would (the float sum included)."""
+        values = [0.3, 1e-7, 2.5, 0.3, 11.0, 1e-3]
+        one_by_one, batched = MetricsRegistry(), MetricsRegistry()
+        for v in values:
+            one_by_one.observe("t_seconds", v, help="h", mode="proposed")
+        batched.observe_many("t_seconds", values, help="h", mode="proposed")
+        assert batched.to_json() == one_by_one.to_json()
+
     def test_kind_conflict_raises(self):
         reg = MetricsRegistry()
         reg.inc("x_total")

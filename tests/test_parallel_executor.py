@@ -332,11 +332,15 @@ def test_concurrent_sessions_bit_identical_to_serial():
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
 @pytest.mark.xfail(
     strict=False,
-    reason="ISSUE 12 target; measured 1.9-2.3x at 320x240 (1.3-1.7x at "
-           "640x480) on the 2-vCPU KVM builder: with the codec in one "
-           "GIL-free call per tile, the GIL-held rest of a push (analysis, "
-           "re-tiling, records, LUT) is ~50% of it at this size, and the "
-           "guest kernel stacks the two GIL-trading threads on one vCPU",
+    reason="ISSUE 12 target; re-measured at ISSUE 21 (one native call per "
+           "frame, one record pass) on the 2-vCPU KVM builder, 0/10 passes: "
+           "solo 0.027-0.029 s, duo 0.061-0.069 s = 2.2-2.4x (parent: 0.035 "
+           "/ 0.079-0.102 s, 2.3-2.9x).  A 320x240 push is 0.80 ms, 0.36 of "
+           "it GIL-free; the GIL-held 55% that remains is re-tiling 0.14, "
+           "plan + marshalling 0.12, records 0.09, session bookkeeping "
+           "0.09 - and the builder's second vCPU comes and goes: two "
+           "threads of nothing but GIL-free native calls took 1.2-2.0x the "
+           "time of one that day",
 )
 def test_two_sessions_scale_across_cores():
     """Two concurrent 320x240 sessions finish in < 1.4x the wall time

@@ -11,6 +11,7 @@ from repro.video.generator import ContentClass
 from repro.workload.estimator import SeedModel, WorkloadEstimator
 from repro.workload.keys import WorkloadKey, area_bucket
 from repro.workload.lut import CpuTimeHistogram, WorkloadLut
+from tests.conftest import CountingLock
 
 
 def make_key(qp=32, window=16, texture=TextureClass.MEDIUM,
@@ -115,6 +116,54 @@ class TestWorkloadLut:
         lut.observe(make_key(qp=42), 0.001)
         assert lut.lookup(make_key(qp=22)).mean == pytest.approx(0.010)
         assert lut.lookup(make_key(qp=42)).mean == pytest.approx(0.001)
+
+
+def _key_sequences():
+    """Observation sequences whose keys repeat, interleave and share a
+    content-class-agnostic twin."""
+    key = st.builds(
+        make_key, qp=st.sampled_from([22, 32]), window=st.sampled_from([8, 64]),
+        content=st.sampled_from([None, ContentClass.BRAIN, ContentClass.LUNG]),
+    )
+    time = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
+    return st.lists(st.tuples(key, time), max_size=40)
+
+
+class TestObserveMany:
+    @settings(max_examples=60, deadline=None)
+    @given(_key_sequences())
+    def test_checkpoint_bytes_equal_to_observes_in_order(self, tmp_path_factory,
+                                                         pairs):
+        """One batched call leaves the LUT byte-equal — as the
+        checkpoint writes it — to the same ``observe`` calls in order
+        (running sums are floats: the order is part of the state)."""
+        from repro.resilience.checkpoint import save_lut
+
+        one_by_one, batched = WorkloadEstimator(), WorkloadEstimator()
+        for key, cpu_time in pairs:
+            one_by_one.observe(key, cpu_time)
+        batched.observe_many([k for k, _ in pairs], [t for _, t in pairs])
+        out = tmp_path_factory.mktemp("lut")
+        files = []
+        for name, estimator in (("a", one_by_one), ("b", batched)):
+            save_lut(estimator.lut, out / name)
+            files.append((out / name).read_bytes())
+        assert files[0] == files[1]
+        assert len(batched.lut) == len(one_by_one.lut)
+
+    def test_one_lock_acquisition_and_one_counter_update_per_batch(self):
+        from repro.observability import scoped
+
+        estimator = WorkloadEstimator()
+        lock = estimator._observe_lock = CountingLock()
+        brain = ContentClass.BRAIN
+        keys = [make_key(qp=22, content=brain), make_key(qp=32, content=brain),
+                make_key(qp=22, content=brain)]
+        with scoped() as (registry, _):
+            estimator.observe_many(keys, [0.001, 0.002, 0.003])
+            assert registry.value("repro_lut_updates_total") == 3
+        assert lock.acquisitions == 1
+        assert estimator.lut.lookup(keys[0]).count == 2
 
 
 class TestWorkloadEstimator:
