@@ -10,7 +10,8 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.frame_analysis import FrameAnalysis, tile_rects
+from repro.analysis import frame_analysis
+from repro.analysis.frame_analysis import tile_rects
 from repro.analysis.motion_probe import MotionClass, MotionProbeConfig
 from repro.analysis.texture import TextureClass, TextureThresholds
 
@@ -32,10 +33,12 @@ class TileContent:
 class ContentEvaluator:
     """Evaluates texture and motion for each tile of a frame.
 
-    Every statistic comes from one :class:`FrameAnalysis` of the frame
-    (block sums and a batched probe), never from a tile's own pixels:
-    :meth:`evaluate_tiles` answers any batch of block-aligned tiles —
-    the re-tiler's growing strips as well as a finished grid — and
+    Every statistic comes from one analysis of the frame
+    (:func:`~repro.analysis.frame_analysis.analyse_frame`: block sums
+    and a batched probe), never from a tile's own pixels:
+    :meth:`evaluate_rects` answers any batch of block-aligned
+    rectangles — the re-tiler's growing strips as well as a finished
+    grid —, :meth:`evaluate_tiles` wraps its answers per tile and
     :meth:`evaluate` is the grid-level entry point.
 
     The paper notes (§III-A) that in bio-medical imaging the parts of
@@ -58,26 +61,34 @@ class ContentEvaluator:
         self.motion_config = motion_config
         self.shared_motion = shared_motion
 
-    def evaluate_tiles(
-        self, tiles: Sequence[Tile], analysis: FrameAnalysis
-    ) -> List[TileContent]:
-        """Evaluate a batch of tiles lying on ``analysis``' block
-        lattice.  Without a previous frame (first frame of a stream)
-        there is no motion."""
-        rects = tile_rects(tiles)
-        cvs, textures = analysis.texture(rects, self.texture_thresholds)
-        if analysis.previous is None:
-            scores = [0.0] * len(tiles)
-        else:
-            scores = analysis.motion_scores(rects, self.motion_config)
+    def evaluate_rects(self, rects: np.ndarray, analysis) -> tuple:
+        """``(cvs, textures, scores, motions)`` of a batch of ``(x, y,
+        width, height)`` rows lying on ``analysis``' block lattice.
+        Without a previous frame (first frame of a stream) there is no
+        motion to score."""
+        cvs, textures, scores = analysis.evaluate(
+            rects, self.texture_thresholds, self.motion_config
+        )
         threshold = self.motion_config.threshold
+        motions = [
+            MotionClass.HIGH if score >= threshold else MotionClass.LOW
+            for score in scores
+        ]
+        return cvs, textures, scores, motions
+
+    def evaluate_tiles(
+        self, tiles: Sequence[Tile], analysis,
+        rects: Optional[np.ndarray] = None,
+    ) -> List[TileContent]:
+        """:meth:`evaluate_rects` of a batch of tiles, per tile
+        (``rects``: their :func:`tile_rects`, when the caller has
+        them)."""
+        cvs, textures, scores, motions = self.evaluate_rects(
+            tile_rects(tiles) if rects is None else rects, analysis
+        )
         return [
-            TileContent(
-                tile, texture,
-                MotionClass.HIGH if score >= threshold else MotionClass.LOW,
-                cv, score,
-            )
-            for tile, texture, cv, score in zip(tiles, textures, cvs, scores)
+            TileContent(*row)
+            for row in zip(tiles, textures, motions, cvs, scores)
         ]
 
     def evaluate(
@@ -85,7 +96,7 @@ class ContentEvaluator:
         grid: TileGrid,
         current: np.ndarray,
         previous: Optional[np.ndarray],
-        analysis: Optional[FrameAnalysis] = None,
+        analysis=None,
     ) -> List[TileContent]:
         """Evaluate every tile of a grid against the previous frame.
 
@@ -93,12 +104,11 @@ class ContentEvaluator:
         reused when the grid lies on its block lattice; otherwise one is
         built at the coarsest block the grid's own coordinates share.
         """
-        block = math.gcd(
-            *(v for t in grid for v in (t.x, t.y, t.width, t.height))
-        )
+        rects = tile_rects(grid.tiles)
+        block = math.gcd(*rects.ravel().tolist())
         if analysis is None or block % analysis.block:
-            analysis = FrameAnalysis(current, previous, block)
-        contents = self.evaluate_tiles(grid.tiles, analysis)
+            analysis = frame_analysis.analyse_frame(current, previous, block)
+        contents = self.evaluate_tiles(grid.tiles, analysis, rects)
         if self.shared_motion and previous is not None and contents:
             contents = self._propagate_central_motion(grid, contents)
         return contents
@@ -108,10 +118,13 @@ class ContentEvaluator:
     ) -> List[TileContent]:
         """Propagate the central tile's motion class to textured tiles."""
         fx, fy = grid.frame_width / 2.0, grid.frame_height / 2.0
-        central = min(
-            contents,
-            key=lambda c: (c.tile.center[0] - fx) ** 2 + (c.tile.center[1] - fy) ** 2,
-        )
+
+        def off_centre(content: TileContent) -> float:
+            tile = content.tile  # (tile.center - frame centre) squared
+            return ((tile.x + tile.width / 2.0 - fx) ** 2
+                    + (tile.y + tile.height / 2.0 - fy) ** 2)
+
+        central = min(contents, key=off_centre)
         out = []
         for c in contents:
             if c.texture is TextureClass.LOW or c is central:

@@ -2,9 +2,9 @@
 
 Re-tiling asks the same two questions — Eq. 1's CV and Eq. 2's 6-point
 score — of some fifty nested, overlapping rectangles of one frame.
-Answering each from the pixels costs a pass over the rectangle;
-:class:`FrameAnalysis` makes one pass over the frame instead and
-answers every block-aligned rectangle from what it kept:
+Answering each from the pixels costs a pass over the rectangle; a
+frame analysis makes one pass over the frame instead and answers every
+block-aligned rectangle from what it kept:
 
 * ``Σx`` and ``Σx²`` per ``block x block`` cell, as summed-area tables
   over the (small) cell map — any rectangle's sums are four lookups,
@@ -13,7 +13,18 @@ answers every block-aligned rectangle from what it kept:
   the first row-major maximum of a union of cells is the earliest of
   the maximal cells' own first maxima, which is the probe's max point;
 * the planes themselves, from which the probe's six patches per
-  rectangle are read as one fancy-indexed gather for a whole batch.
+  rectangle are read.
+
+There are two of them with one query, ``evaluate(rects, thresholds,
+config)``, and :func:`analyse_frame` picks: :class:`NativeFrameAnalysis`
+keeps the tables in ``kernels.c``'s layout and answers a batch in one
+GIL-free foreign call — what the pipeline runs — and
+:class:`FrameAnalysis` is the same arithmetic in NumPy: the oracle the
+native one is tested against, and what runs without the compiled
+kernels or on a plane outside their envelope.  The two agree to the
+bit (``tests/test_native_kernels.py``): every sum is an exact integer,
+and CV, mean and the probe's quotients are single IEEE operations on
+them in both.
 
 :func:`~repro.analysis.texture.coefficient_of_variation`,
 :func:`~repro.analysis.texture.classify_texture` and
@@ -29,19 +40,79 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import native
 from repro.analysis.motion_probe import MotionProbeConfig
 from repro.analysis.texture import TextureClass, TextureThresholds
 
+_TEXTURE_CLASSES = tuple(TextureClass)
 
-#: Which of the six probe points sit on a rectangle's far row / far
-#: column / middle: corners (0,0) (0,w-1) (h-1,0) (h-1,w-1), centre, max.
-_FAR_Y = np.array([0, 0, 1, 1, 0, 0])
-_FAR_X = np.array([0, 1, 0, 1, 0, 0])
-_MIDDLE = np.array([0, 0, 0, 0, 1, 0])
+
+def _check_planes(
+    current: np.ndarray, previous: Optional[np.ndarray], block: int
+) -> None:
+    if current.ndim != 2 or current.dtype != np.uint8:
+        raise ValueError("content analysis needs a 2-D uint8 luma plane")
+    if previous is not None and (
+        previous.shape != current.shape or previous.dtype != np.uint8
+    ):
+        raise ValueError(
+            f"previous plane {previous.shape}/{previous.dtype} does not "
+            f"match current {current.shape}/uint8"
+        )
+    height, width = current.shape
+    if block <= 0 or height % block or width % block:
+        raise ValueError(
+            f"block {block} does not divide frame {width}x{height}"
+        )
+
+
+def analyse_frame(
+    current: np.ndarray, previous: Optional[np.ndarray], block: int
+):
+    """The analysis of a frame the pipeline queries: native where the
+    kernels are loaded and both planes are inside their envelope
+    (:func:`repro.native.analysis_fits`), NumPy otherwise."""
+    _check_planes(current, previous, block)
+    if (
+        native.lib is not None and native.analysis_fits(current)
+        and (previous is None or native.analysis_fits(previous))
+    ):
+        return NativeFrameAnalysis(current, previous, block)
+    return FrameAnalysis(current, previous, block)
+
+
+class NativeFrameAnalysis:
+    """Block statistics of one luma plane (and its predecessor), kept
+    and queried in ``kernels.c`` (:class:`repro.native.FrameTables`).
+    Built by :func:`analyse_frame`, which has checked the planes."""
+
+    def __init__(
+        self, current: np.ndarray, previous: Optional[np.ndarray], block: int
+    ):
+        self.current = current
+        self.previous = previous
+        self.block = block
+        self._tables = native.FrameTables(current, previous, block)
+
+    def evaluate(
+        self, rects: np.ndarray, thresholds: TextureThresholds,
+        config: MotionProbeConfig,
+    ) -> Tuple[List[float], List[TextureClass], List[float]]:
+        """CV, texture class and motion score (0 without a previous
+        plane) of each ``(x, y, width, height)`` row of ``rects``."""
+        cvs, classes, scores = self._tables.query(
+            rects,
+            (thresholds.low, thresholds.high, thresholds.dark_mean),
+            (config.alpha, config.beta, config.gamma,
+             config.pixel_tolerance, config.patch_radius),
+        )
+        return cvs, [_TEXTURE_CLASSES[k] for k in classes], scores
 
 
 class FrameAnalysis:
-    """Block statistics of one luma plane (and its predecessor).
+    """Block statistics of one luma plane (and its predecessor), in
+    NumPy: the oracle of :class:`NativeFrameAnalysis` and the fallback
+    of :func:`analyse_frame`.
 
     ``block`` must divide both frame dimensions; rectangles handed to
     :meth:`texture` and :meth:`motion_scores` are ``(x, y, width,
@@ -53,20 +124,8 @@ class FrameAnalysis:
     def __init__(
         self, current: np.ndarray, previous: Optional[np.ndarray], block: int
     ):
-        if current.ndim != 2 or current.dtype != np.uint8:
-            raise ValueError("content analysis needs a 2-D uint8 luma plane")
-        if previous is not None and (
-            previous.shape != current.shape or previous.dtype != np.uint8
-        ):
-            raise ValueError(
-                f"previous plane {previous.shape}/{previous.dtype} does not "
-                f"match current {current.shape}/uint8"
-            )
+        _check_planes(current, previous, block)
         height, width = current.shape
-        if block <= 0 or height % block or width % block:
-            raise ValueError(
-                f"block {block} does not divide frame {width}x{height}"
-            )
         self.current = current
         self.previous = previous
         self.block = block
@@ -98,6 +157,17 @@ class FrameAnalysis:
             + (current.size - 1 - raster)
         ).reshape(rows, cols)
 
+    def evaluate(
+        self, rects: np.ndarray, thresholds: TextureThresholds,
+        config: MotionProbeConfig,
+    ) -> Tuple[List[float], List[TextureClass], List[float]]:
+        """CV, texture class and motion score (0 without a previous
+        plane) of each rectangle."""
+        cvs, classes = self.texture(rects, thresholds)
+        if self.previous is None:
+            return cvs, classes, [0.0] * len(rects)
+        return cvs, classes, self.motion_scores(rects, config)
+
     # ------------------------------------------------------------------
     # Texture (Eq. 1)
     # ------------------------------------------------------------------
@@ -113,62 +183,6 @@ class FrameAnalysis:
         cells = rects // self.block
         x0, y0 = cells[:, 0], cells[:, 1]
         x1, y1 = x0 + cells[:, 2], y0 + cells[:, 3]
-        sums = []
-        for sat in (self._sat1, self._sat2):
-            sums.append(
-                (sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0]).tolist()
-            )
-        counts = (rects[:, 2] * rects[:, 3]).tolist()
-        cvs, classes = [], []
-        for n, s1, s2 in zip(counts, *sums):
-            cv = math.sqrt(n * s2 - s1 * s1) / s1 if s1 else 0.0
-            cvs.append(cv)
-            classes.append(thresholds.classify(s1 / n, cv))
-        return cvs, classes
-
-    # ------------------------------------------------------------------
-    # Motion (Eq. 2)
-    # ------------------------------------------------------------------
-    def _max_points(self, rects: np.ndarray) -> np.ndarray:
-        """Raster index of each rectangle's first row-major maximum."""
-        peaks = np.array([
-            self._cell_peak[y : y + h, x : x + w].max()
-            for x, y, w, h in (rects // self.block).tolist()
-        ])
-        return self.current.size - 1 - peaks % self.current.size
-
-    def motion_scores(
-        self, rects: np.ndarray, config: MotionProbeConfig
-    ) -> List[float]:
-        """Motion metric M of each rectangle against the previous frame.
-
-        Probes the four corners, the centre and the current frame's
-        maximum point of every rectangle; each probe compares the mean
-        of a ``(2r+1)²`` patch clipped to the rectangle, kept as the
-        float64 expression ``|Sa/n − Sb/n| > tolerance`` of the
-        definition (an integer rewrite is not equivalent at the
-        boundary).
-        """
-        if self.previous is None:
-            raise ValueError("no previous frame to score motion against")
-        width = self.current.shape[1]
-        x, y, w, h = (rects[:, i : i + 1] for i in range(4))
-        # (rects, 6) probe points in frame coordinates: four corners,
-        # the centre, and (filled in below) the maximum point.
-        py = y + (h - 1) * _FAR_Y + (h // 2) * _MIDDLE
-        px = x + (w - 1) * _FAR_X + (w // 2) * _MIDDLE
-        py[:, 5], px[:, 5] = np.divmod(self._max_points(rects), width)
-        offsets = np.arange(-config.patch_radius, config.patch_radius + 1)
-        # (rects, 6, patch) rows / columns of every patch, clamped into
-        # the rectangle; a clamped tap is outside it and masked.
-        yy = py[:, :, None] + offsets
-        xx = px[:, :, None] + offsets
-        rows = np.clip(yy, y[:, :, None], (y + h - 1)[:, :, None])
-        cols = np.clip(xx, x[:, :, None], (x + w - 1)[:, :, None])
-        in_y, in_x = rows == yy, cols == xx
-        inside = in_y[:, :, :, None] & in_x[:, :, None, :]
-        counts = in_y.sum(axis=2) * in_x.sum(axis=2)
-        rows, cols = rows[:, :, :, None], cols[:, :, None, :]
         sums = []
         for sat in (self._sat1, self._sat2):
             sums.append(

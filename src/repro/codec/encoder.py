@@ -144,63 +144,88 @@ def _planes_fit_driver(
     )
 
 
-def _driver_row(
-    config: EncoderConfig,
-    planes_fit: bool,
-    frame_shape: tuple,
-    tile: Tile,
-    frame_type: FrameType,
-    hook_spec: Optional[TileHookSpec],
+def driver_table(
+    tiles: Sequence[Tile], block_sizes: Sequence[int], frame_shape: tuple
 ):
-    """The tile's row of :func:`repro.native.encode_frame`'s table, or
-    the reason (a ``str``) the native driver cannot run the tile.
+    """The native frame driver's table for these tiles
+    (:class:`repro.native.TileTable`, per-frame columns still to be
+    loaded), or the reason (a ``str``) the driver cannot run one of
+    them: its geometry contract (see ``encode_tile`` in ``kernels.c``)
+    is tiles inside the frame, whole 8x8 transforms, blocks of at most
+    64 samples."""
+    height, width = frame_shape
+    for tile, block_size in zip(tiles, block_sizes):
+        if (
+            block_size > 64
+            or tile.x + tile.width > width
+            or tile.y + tile.height > height
+        ):
+            return "layout"
+        if tile.width % TRANSFORM_SIZE or tile.height % TRANSFORM_SIZE:
+            return "partial_block"
+    return native.TileTable(
+        [(t.x, t.y, t.width, t.height) for t in tiles], block_sizes
+    )
 
-    The row is ``(x, y, width, height, block_size, alg, param, window,
-    use_pred, learn, pred_dx, pred_dy, step, lambda_mv)``; the checks
-    are the driver's contract (see ``encode_tile`` in ``kernels.c``).
-    """
+
+#: A table row's search columns on an I frame (the driver reads none).
+_NO_SEARCH = (0, 0, 0, False, False, 0, 0)
+
+
+def search_columns(
+    algorithm, window: int, predictor: Optional[tuple], learn: bool
+):
+    """One tile's ``(alg, param, window, use_pred, learn, pred_dx,
+    pred_dy)`` columns of the driver's table, or the reason (a ``str``)
+    the driver cannot run the search."""
+    spec = algorithm.native_spec()
+    if spec is None:
+        return "search"
+    # Pattern offsets reach at most window + window // 2 (cross) past
+    # the origin; seeds and candidates must stay inside the driver's
+    # cost-cache table.
+    half = native.MOTION_CACHE_HALF
+    if window + window // 2 >= half:
+        return "window"
+    if predictor is None:
+        return (*spec, window, False, learn, 0, 0)
+    dx, dy = predictor
+    if not (-half < dx < half and -half < dy < half):
+        return "window"
+    return (*spec, window, True, learn, dx, dy)
+
+
+def _codec_decline(config: EncoderConfig,
+                   frame_type: FrameType) -> Optional[str]:
+    """Why the native driver cannot run a tile of this frame type under
+    this config, whatever its geometry and search."""
     if frame_type is FrameType.B:
         return "b_frame"
     if config.half_pel:
         return "half_pel"
-    height, width = frame_shape
-    if (
-        not planes_fit
-        or config.block_size > 64
-        or tile.x + tile.width > width
-        or tile.y + tile.height > height
-    ):
-        return "layout"
-    if tile.width % TRANSFORM_SIZE or tile.height % TRANSFORM_SIZE:
-        return "partial_block"
-    alg = param = window = 0
-    predictor = None
-    learn = False
-    if frame_type is not FrameType.I:
-        if hook_spec is not None:
-            algorithm, window = hook_spec.algorithm(), hook_spec.window
-            predictor, learn = hook_spec.predictor, hook_spec.is_first
-        else:
-            algorithm, window = config.make_search(), config.search_window
-        spec = algorithm.native_spec()
-        if spec is None:
-            return "search"
-        # Pattern offsets reach at most window + window // 2 (cross)
-        # past the origin; seeds and candidates must stay inside the
-        # driver's cost-cache table.
-        half = native.MOTION_CACHE_HALF
-        if window + window // 2 >= half or (
-            predictor is not None
-            and max(abs(predictor[0]), abs(predictor[1])) >= half
-        ):
-            return "window"
-        alg, param = spec
-    dx, dy = predictor or (0, 0)
-    return (
-        tile.x, tile.y, tile.width, tile.height, config.block_size,
-        alg, param, window, predictor is not None, learn, dx, dy,
-        quantization_step(config.qp), config.lambda_mv,
-    )
+    return None
+
+
+def _tile_columns(
+    config: EncoderConfig,
+    frame_type: FrameType,
+    hook_spec: Optional[TileHookSpec],
+):
+    """``(search columns, (step, lambda_mv))`` of one tile's table row
+    from its config and hook spec (an I or integer-pel P tile:
+    :func:`_codec_decline`), or the reason (a ``str``) the native
+    driver cannot run its search."""
+    if frame_type is FrameType.I:
+        search = _NO_SEARCH
+    elif hook_spec is not None:
+        search = search_columns(hook_spec.algorithm(), hook_spec.window,
+                                hook_spec.predictor, hook_spec.is_first)
+    else:
+        search = search_columns(config.make_search(), config.search_window,
+                                None, False)
+    if isinstance(search, str):
+        return search
+    return search, (quantization_step(config.qp), config.lambda_mv)
 
 
 @dataclass
@@ -236,34 +261,51 @@ class TileStats:
         return psnr_from_mse(self.mse)
 
 
+_AXES = (None, "x", "y")
+
+
+def _row_learned(learner: Optional[int],
+                 counts: Sequence[int]) -> Optional[TileLearned]:
+    """What a result row's tile learned; ``learner`` is the policy's
+    tile id when the row was learning, else ``None``."""
+    if learner is None:
+        return None
+    return TileLearned(learner, _AXES[counts[6]], (counts[7], counts[8]))
+
+
 def _driver_tile_stats(
     tile: Tile,
-    res: "native.TileResult",
+    counts: Sequence[int],
+    clocks: Sequence[float],
+    learner: Optional[int],
     measured: bool,
-    hook_spec: Optional[TileHookSpec],
 ) -> TileStats:
-    """One row of the native driver's results in the encoder's types
-    (``hook_spec``: what drove the tile's search, ``None`` on I
-    frames)."""
+    """One tile's rows of the native driver's results
+    (:attr:`repro.native.TileTable.counts` / ``clocks``) in the
+    encoder's types; ``learner`` is the policy's tile id when the row
+    was learning."""
+    bits, pred_pixels, sad_pixel_ops, me_candidates, blocks = counts[:5]
+    stages = None
+    if measured:
+        stages = {"motion": clocks[1], "entropy": clocks[2]}
     return TileStats(
-        tile=tile, bits=res.bits, ssd=res.ssd,
+        tile=tile, bits=bits, ssd=clocks[0],
         ops=OpCounts(
-            pred_pixels=res.pred_pixels,
-            sad_pixel_ops=res.sad_pixel_ops,
-            me_candidates=res.me_candidates,
-            transform_blocks=res.transform_blocks,
-            quant_coeffs=res.transform_blocks * TRANSFORM_SIZE * TRANSFORM_SIZE,
-            entropy_bits=res.bits,
+            pred_pixels=pred_pixels,
+            sad_pixel_ops=sad_pixel_ops,
+            me_candidates=me_candidates,
+            transform_blocks=blocks,
+            quant_coeffs=blocks * TRANSFORM_SIZE * TRANSFORM_SIZE,
+            entropy_bits=bits,
         ),
-        stage_seconds=(
-            {"motion": res.motion_seconds, "entropy": res.entropy_seconds}
-            if measured else None
-        ),
-        learned=(
-            TileLearned(hook_spec.tile_id, res.first_axis, res.final_mv)
-            if hook_spec is not None and hook_spec.is_first else None
-        ),
+        stage_seconds=stages,
+        learned=_row_learned(learner, counts),
     )
+
+
+def _check_emitted(counts: Sequence[int], tile: Tile) -> None:
+    if counts[5] < 0:
+        raise RuntimeError(f"tile bit buffer overflow ({tile})")
 
 
 def _driver_block_infos(
@@ -284,13 +326,75 @@ def _driver_block_infos(
     return infos
 
 
-@dataclass
 class FrameStats:
-    """Per-frame encoding outcome."""
+    """Per-frame encoding outcome.
 
-    frame_index: int
-    frame_type: FrameType
-    tiles: List[TileStats]
+    A frame the native driver encoded keeps the driver's result rows
+    (:meth:`rows`) and builds :attr:`tiles` from them when first asked:
+    the pipeline records a frame straight from the rows and never asks.
+    A frame the per-tile loop encoded is built from its ``tiles``.
+    """
+
+    def __init__(
+        self,
+        frame_index: int,
+        frame_type: FrameType,
+        tiles: Optional[List[TileStats]] = None,
+        *,
+        grid_tiles: Sequence[Tile] = (),
+        counts: Optional[List[List[int]]] = None,
+        clocks: Optional[List[List[float]]] = None,
+        measured: bool = False,
+        learners: Optional[Sequence[Optional[int]]] = None,
+    ):
+        self.frame_index = frame_index
+        self.frame_type = frame_type
+        self._tiles = tiles
+        self._grid_tiles = grid_tiles
+        self._counts = counts
+        self._clocks = clocks
+        self._measured = measured
+        #: Per tile, the policy's tile id where the row was learning.
+        self._learners = learners
+
+    @property
+    def tiles(self) -> List[TileStats]:
+        if self._tiles is None:
+            learners = self._learners or [None] * len(self._grid_tiles)
+            self._tiles = [
+                _driver_tile_stats(*row, self._measured)
+                for row in zip(self._grid_tiles, self._counts, self._clocks,
+                               learners)
+            ]
+            if self._measured:
+                for stats, clocks in zip(self._tiles, self._clocks):
+                    stats.stage_seconds["encode"] = clocks[3]
+        return self._tiles
+
+    def rows(self) -> tuple:
+        """``(counts, clocks)``: per tile ``[bits, pred_pixels,
+        sad_pixel_ops, me_candidates, transform_blocks, ...]`` and
+        ``[ssd, ...]``, the head of the driver's result rows
+        (:class:`repro.native.TileTable`) whichever tier encoded the
+        frame."""
+        if self._counts is None:
+            self._counts = [
+                [t.bits, t.ops.pred_pixels, t.ops.sad_pixel_ops,
+                 t.ops.me_candidates, t.ops.transform_blocks]
+                for t in self._tiles
+            ]
+            self._clocks = [[t.ssd] for t in self._tiles]
+        return self._counts, self._clocks
+
+    def learned(self) -> List[Optional[TileLearned]]:
+        """What each tile learned for the proposed search policy (see
+        :attr:`TileStats.learned`), for ``merge_learned``."""
+        if self._tiles is not None:
+            return [t.learned for t in self._tiles]
+        if self._learners is None:
+            return []
+        return [_row_learned(learner, row)
+                for learner, row in zip(self._learners, self._counts)]
 
     @property
     def bits(self) -> int:
@@ -359,6 +463,25 @@ class TileEncoder:
             self._search = self.config.make_search()
         return self._search
 
+    def _driver_table(self, original, references, reconstruction, tile,
+                      frame_type, hook_spec):
+        """The driver's table of this one tile, loaded for the frame,
+        or the reason (a ``str``) the driver cannot run it."""
+        reason = _codec_decline(self.config, frame_type)
+        if reason is not None:
+            return reason
+        if not _planes_fit_driver(original, reconstruction, references):
+            return "layout"
+        table = driver_table([tile], [self.config.block_size],
+                             original.shape)
+        if isinstance(table, str):
+            return table
+        columns = _tile_columns(self.config, frame_type, hook_spec)
+        if isinstance(columns, str):
+            return columns
+        table.load([columns[0]], [columns[1]])
+        return table
+
     @staticmethod
     def _is_b_coded(frame_type: FrameType, references: List[np.ndarray]) -> bool:
         """B-frame list signalling applies only with two references."""
@@ -403,27 +526,32 @@ class TileEncoder:
         if frame_type is FrameType.I:
             hook_spec = None  # no motion estimation to drive
         if native.lib is not None:
-            row = _driver_row(
-                self.config,
-                _planes_fit_driver(original, reconstruction, references),
-                original.shape, tile, frame_type, hook_spec,
+            table = self._driver_table(
+                original, references, reconstruction, tile, frame_type,
+                hook_spec,
             )
-            if not isinstance(row, str):
-                res = native.encode_tile(
+            if not isinstance(table, str):
+                native.encode_frame(
                     original, references[0] if references else None,
-                    reconstruction, row, _BASIS8_PTR, _ZZ_ORDER8_PTR,
+                    reconstruction, table, _BASIS8_PTR, _ZZ_ORDER8_PTR,
                     emit=writer is not None,
                     want_info=block_info_out is not None,
                     measure=measure_stages,
                 )
+                (counts,), (clocks,) = table.counts, table.clocks
+                _check_emitted(counts, tile)
                 if writer is not None:
-                    writer.append_bits(*res.payload)
+                    writer.append_bits(*table.payload(0, counts[5]))
                 if block_info_out is not None:
                     block_info_out.extend(_driver_block_infos(
-                        tile, self.config.block_size, res.info))
-                return _driver_tile_stats(tile, res, measure_stages, hook_spec)
+                        tile, self.config.block_size, table.block_info(0)))
+                learner = None
+                if hook_spec is not None and hook_spec.is_first:
+                    learner = hook_spec.tile_id
+                return _driver_tile_stats(tile, counts, clocks, learner,
+                                          measure_stages)
             get_registry().inc(
-                "repro_codec_tile_fallback_total", reason=row,
+                "repro_codec_tile_fallback_total", reason=table,
                 help="Tiles the native tile driver declined, by reason",
             )
         policy = motion_hook = None
@@ -755,7 +883,7 @@ class FrameEncoder:
         self,
         original: np.ndarray,
         grid: TileGrid,
-        configs: Sequence[EncoderConfig],
+        configs: Optional[Sequence[EncoderConfig]],
         frame_type: FrameType,
         reference: ReferenceLike = None,
         frame_index: int = 0,
@@ -763,6 +891,8 @@ class FrameEncoder:
         block_infos_out: Optional[List[List[BlockInfo]]] = None,
         hook_specs: Optional[Sequence[Optional[TileHookSpec]]] = None,
         measure_stages: bool = False,
+        table: Optional["native.TileTable"] = None,
+        learners: Optional[Sequence[Optional[int]]] = None,
     ) -> tuple:
         """Returns ``(FrameStats, reconstruction)``.
 
@@ -770,28 +900,40 @@ class FrameEncoder:
         or a sequence of up to two planes, most recent first (B
         frames).  ``hook_specs`` carries the proposed policy's per-tile
         decisions as data (see :meth:`TileEncoder.encode`); after a
-        first-P-frame call fold ``[t.learned for t in stats.tiles]``
-        into the policy with ``merge_learned``.
+        first-P-frame call fold ``stats.learned()`` into the policy
+        with ``merge_learned``.
 
         The whole frame is **one** native call
         (:func:`repro.native.encode_frame`: the planes are vetted once,
-        every tile becomes a table row, the GIL is released for all of
-        them).  A frame with any tile the driver declines — or a run
-        without the compiled kernels — is encoded tile by tile through
-        :meth:`TileEncoder.encode`, which counts each declined tile in
-        ``repro_codec_tile_fallback_total{reason}``.
+        every tile is a row of the driver's table, the GIL is released
+        for all of them).  A frame with any tile the driver declines —
+        or a run without the compiled kernels — is encoded tile by tile
+        through :meth:`TileEncoder.encode`, which counts each declined
+        tile in ``repro_codec_tile_fallback_total{reason}``.
+
+        A caller that encodes frame after frame over one grid passes
+        ``table``: the grid's :func:`driver_table`, which it has loaded
+        for this frame (:func:`search_columns`,
+        :meth:`repro.native.TileTable.load`) — then ``configs`` and
+        ``hook_specs`` are not read (``learners`` names, per tile, the
+        policy tile id of a row that is learning) and nothing is built
+        per frame but the result.  Such a frame must fit the driver
+        (C-contiguous uint8 planes of one shape, I or P).
 
         ``measure_stages`` clocks each tile's motion search, residual
         coding and whole encode into :attr:`TileStats.stage_seconds`
         (``motion`` / ``entropy`` / ``encode``); an enabled span tracer
         turns it on by itself and receives them as ``stage.*`` spans.
         """
-        if len(configs) != len(grid):
-            raise ValueError(
-                f"{len(configs)} configs for {len(grid)} tiles"
-            )
-        if hook_specs is not None and len(hook_specs) != len(grid):
-            raise ValueError("hook_specs length must match tile count")
+        if table is None:
+            if len(configs) != len(grid):
+                raise ValueError(
+                    f"{len(configs)} configs for {len(grid)} tiles"
+                )
+            if hook_specs is not None and len(hook_specs) != len(grid):
+                raise ValueError("hook_specs length must match tile count")
+            if frame_type is FrameType.I or hook_specs is None:
+                hook_specs = [None] * len(grid)  # no policy drives the search
         if original.shape != (grid.frame_height, grid.frame_width):
             raise ValueError(
                 f"frame {original.shape} does not match grid "
@@ -799,72 +941,90 @@ class FrameEncoder:
             )
         if writer is not None:
             writer.write_bits(self.FRAME_TYPE_CODES[frame_type], 2)
-        if frame_type is FrameType.I or hook_specs is None:
-            hook_specs = [None] * len(grid)  # no policy drives the search
         reconstruction = np.zeros_like(original)
         tracer = get_tracer()
         measure = measure_stages or tracer.enabled
-        tile_stats = None
-        if native.lib is not None:
-            tile_stats = self._encode_tiles_driver(
+        references = normalize_references(reference, frame_type)
+        planes_fit = _planes_fit_driver(original, reconstruction, references)
+        if table is not None:
+            if (native.lib is None or not planes_fit
+                    or frame_type is FrameType.B or table.size != len(grid)):
+                raise ValueError(
+                    "a driver table needs the native driver, contiguous "
+                    "uint8 planes and an I or P frame over its own grid"
+                )
+        elif native.lib is not None and planes_fit:
+            table, learners = self._load_table(
+                grid, configs, frame_type, hook_specs, original.shape)
+        if table is not None:
+            native.encode_frame(
+                original, references[0] if references else None,
+                reconstruction, table, _BASIS8_PTR, _ZZ_ORDER8_PTR,
+                emit=writer is not None,
+                want_info=block_infos_out is not None, measure=measure,
+            )
+            stats = FrameStats(
+                frame_index, frame_type, grid_tiles=grid.tiles,
+                counts=table.counts, clocks=table.clocks, measured=measure,
+                learners=learners,
+            )
+            if writer is not None or block_infos_out is not None:
+                self._collect_streams(table, stats, grid, writer,
+                                      block_infos_out)
+        else:
+            stats = FrameStats(frame_index, frame_type,
+                               self._encode_tiles_one_by_one(
                 original, grid, configs, frame_type, reference,
                 reconstruction, writer, block_infos_out, hook_specs, measure,
-            )
-        if tile_stats is None:
-            tile_stats = self._encode_tiles_one_by_one(
-                original, grid, configs, frame_type, reference,
-                reconstruction, writer, block_infos_out, hook_specs, measure,
-            )
+            ))
         if tracer.enabled:
-            for i, stats in enumerate(tile_stats):
-                stages = stats.stage_seconds
+            for i, tile_stats in enumerate(stats.tiles):
+                stages = tile_stats.stage_seconds
                 tracer.record_span("stage.encode", stages["encode"], tile=i,
                                    frame=frame_index, type=frame_type.value)
                 tracer.record_span("stage.motion", stages["motion"],
                                    tile=i, frame=frame_index)
                 tracer.record_span("stage.entropy", stages["entropy"],
                                    tile=i, frame=frame_index)
-        return (
-            FrameStats(frame_index=frame_index, frame_type=frame_type,
-                       tiles=tile_stats),
-            reconstruction,
-        )
+        return stats, reconstruction
 
     @staticmethod
-    def _encode_tiles_driver(
-        original, grid, configs, frame_type, reference, reconstruction,
-        writer, block_infos_out, hook_specs, measure,
-    ) -> Optional[List[TileStats]]:
-        """Every tile through one :func:`repro.native.encode_frame`
-        call; ``None`` (nothing encoded, nothing counted) when the
-        driver declines any of them."""
-        references = normalize_references(reference, frame_type)
-        planes_fit = _planes_fit_driver(original, reconstruction, references)
-        rows = []
+    def _load_table(grid, configs, frame_type, hook_specs, frame_shape):
+        """``(table, learners)`` for one frame from per-tile configs
+        and hook specs: the grid's :func:`driver_table`, loaded;
+        ``(None, None)`` (nothing encoded, nothing counted) when the
+        driver declines any tile."""
+        searches, quants, learners = [], [], []
+        for config, spec in zip(configs, hook_specs):
+            if _codec_decline(config, frame_type) is not None:
+                return None, None
+            columns = _tile_columns(config, frame_type, spec)
+            if isinstance(columns, str):
+                return None, None
+            searches.append(columns[0])
+            quants.append(columns[1])
+            learners.append(
+                spec.tile_id if spec is not None and spec.is_first else None
+            )
+        table = driver_table(grid.tiles, [c.block_size for c in configs],
+                             frame_shape)
+        if isinstance(table, str):
+            return None, None
+        table.load(searches, quants)
+        return table, learners
+
+    @staticmethod
+    def _collect_streams(table, stats, grid, writer, block_infos_out):
+        """Splice an emitting call's per-tile payloads into ``writer``
+        and hand out the block infos it was asked for, in tile order."""
+        counts, _ = stats.rows()
         for i, tile in enumerate(grid):
-            row = _driver_row(configs[i], planes_fit, original.shape, tile,
-                              frame_type, hook_specs[i])
-            if isinstance(row, str):
-                return None
-            rows.append(row)
-        results = native.encode_frame(
-            original, references[0] if references else None, reconstruction,
-            rows, _BASIS8_PTR, _ZZ_ORDER8_PTR,
-            emit=writer is not None, want_info=block_infos_out is not None,
-            measure=measure,
-        )
-        tile_stats = []
-        for i, (tile, res) in enumerate(zip(grid, results)):
             if writer is not None:
-                writer.append_bits(*res.payload)
+                _check_emitted(counts[i], tile)
+                writer.append_bits(*table.payload(i, counts[i][5]))
             if block_infos_out is not None:
                 block_infos_out.append(_driver_block_infos(
-                    tile, configs[i].block_size, res.info))
-            stats = _driver_tile_stats(tile, res, measure, hook_specs[i])
-            if measure:
-                stats.stage_seconds["encode"] = res.wall_seconds
-            tile_stats.append(stats)
-        return tile_stats
+                    tile, table.block_sizes[i], table.block_info(i)))
 
     @staticmethod
     def _encode_tiles_one_by_one(

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.ladder.planner import LadderPlan
 from repro.serving.protocol import (
     Encoded,
@@ -54,7 +52,7 @@ def frame_psnr(output: FrameOutput) -> float:
     """The serving layer's per-frame PSNR convention (mean over tiles)."""
     if output.record is None or not output.record.tiles:
         return 0.0
-    return float(np.mean([t.psnr for t in output.record.tiles]))
+    return output.record.psnr
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,20 @@
 
 The codec has two tiers.  This package is the fast one: it compiles
 ``kernels.c`` once per machine with the system C compiler (``cc``),
-loads it through :mod:`ctypes`, and wraps its two entry points:
+loads it through :mod:`ctypes`, and wraps its three entry points:
 
 * :func:`encode_frame` — every tile of an I/P frame in **one foreign
-  call**: a table with one row per tile goes in, the driver runs each
-  tile's whole block raster (intra choice, seeded motion search, mode
-  decision, residual, reconstruction, bit emission, op counts,
-  first-P-frame learning) in table order, and one row of counters and
-  clocks per tile comes back.  ctypes drops the GIL for the call, so
-  frames encoded from different threads run on different cores.
-  :func:`encode_tile` is the one-row case.
+  call**: a :class:`TileTable` with one row per tile goes in, the
+  driver runs each tile's whole block raster (intra choice, seeded
+  motion search, mode decision, residual, reconstruction, bit
+  emission, op counts, first-P-frame learning) in table order, and one
+  row of counters and clocks per tile comes back in the table.  ctypes
+  drops the GIL for the call, so frames encoded from different threads
+  run on different cores.  A lone tile is a table of one row.
+* :class:`FrameTables` — the re-tiler's content analysis: a frame's
+  block statistics built once, then CV, texture class and motion score
+  of any batch of block-aligned rectangles
+  (:class:`repro.analysis.frame_analysis.NativeFrameAnalysis`).
 * :func:`downscale_box` — the rendition ladder's exact integer box
   downscale.
 
@@ -21,7 +25,8 @@ which is pure NumPy: it is the reference the driver is tested against
 stub that raises on any access) and the only thing that runs what the
 driver declines (B frames, half-pel, search algorithms without a
 ``native_spec``, oversized windows, odd layouts —
-``repro.codec.encoder._driver_row``) or anything at all under
+``repro.codec.encoder.driver_table`` / ``search_columns``) or anything
+at all under
 ``REPRO_NATIVE=0``.  The two tiers agree to the bit: the C arithmetic
 is IEEE, one rounding per operation (``-ffp-contract=off``), the NumPy
 transform and SAD reductions accumulate in the same order, and where
@@ -39,9 +44,11 @@ the loop.
 
 Every exported function is declared with ``c_void_p`` pointer
 arguments so callers pass raw ``ndarray.ctypes.data`` integers (no
-per-call ``data_as`` pointer objects); the motion cost cache is
-thread-local scratch whose pointers are computed once, every other
-buffer is private to the call.
+per-call ``data_as`` pointer objects; fetching one costs more than a
+foreign call, so whatever outlives a call keeps its own): the motion
+cost cache is thread-local scratch whose pointers are computed once, a
+:class:`TileTable` and a :class:`FrameTables` fetch theirs when built,
+and only the planes of the frame at hand are looked up per call.
 
 Everything degrades gracefully: if no compiler is available, if
 compilation fails (:data:`build_error` then holds the compiler's
@@ -59,7 +66,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,8 +87,8 @@ _CFLAGS = ["-O3", "-ffp-contract=off", "-fPIC", "-shared", "-Wall", "-Werror"]
 #: Half-extent of the motion-search cost cache table (must match
 #: ``MS_H`` in ``kernels.c``): the C driver caches candidate costs for
 #: displacements in ``[-MOTION_CACHE_HALF, MOTION_CACHE_HALF]`` per
-#: axis.  ``repro.codec.encoder._driver_row`` declines windows/seeds that
-#: could step outside.
+#: axis.  ``repro.codec.encoder.search_columns`` declines windows/seeds
+#: that could step outside.
 MOTION_CACHE_HALF = 160
 
 #: The loaded shared library, or None when native kernels are off.
@@ -161,6 +168,14 @@ def _load(extra_cflags: Sequence[str] = ()) -> Optional[ctypes.CDLL]:
         ptr, ptr, i32, ptr, ptr,                     # bits, info, outputs
     ]
     cdll.encode_frame_u8.restype = None
+    f64 = ctypes.c_double
+    cdll.analyze_frame_u8.argtypes = [
+        ptr, i64, ptr, i64, i64, i64, i64,           # cur, prev, h, w, block
+        ptr, i32, ptr, i64,                          # tables, build, rects
+        f64, f64, f64, f64, f64, f64, f64, i64,      # Eq. 1 / Eq. 2 constants
+        ptr, ptr, ptr,                               # outputs
+    ]
+    cdll.analyze_frame_u8.restype = i64
     cdll.downscale_box_u8.argtypes = [ptr, i64, i64, i64, ptr, i64, i64, ptr]
     cdll.downscale_box_u8.restype = None
     return cdll
@@ -199,35 +214,6 @@ class _Scratch(threading.local):
 _scratch = _Scratch()
 
 
-class TileResult(NamedTuple):
-    """One tile's outcome: a row of what :func:`encode_frame` returns
-    (all of it, for the one-row :func:`encode_tile`)."""
-
-    bits: int
-    ssd: float
-    pred_pixels: int
-    sad_pixel_ops: int
-    me_candidates: int
-    transform_blocks: int
-    #: ``(payload, nbits)`` for ``BitWriter.append_bits`` when emitting.
-    payload: Optional[Tuple[bytes, int]]
-    #: ``[use_inter, mv_x, mv_y]`` per block in raster order, on request.
-    info: Optional[List[List[int]]]
-    #: First non-zero-MV axis vote and the tile's last block MV (only
-    #: meaningful when the row was learning).
-    first_axis: Optional[str]
-    final_mv: Tuple[int, int]
-    #: Stage clocks, zero unless the call was measuring.  ``motion`` is
-    #: the search; ``entropy`` is everything after the mode decision —
-    #: residual, zero tests, DCT, quantization, run-length syntax,
-    #: reconstruction and SSD — and includes writing bits only when
-    #: emitting.  The intra choice is in neither; ``wall`` is the whole
-    #: tile.
-    motion_seconds: float
-    entropy_seconds: float
-    wall_seconds: float
-
-
 #: Widths of a tile-table row and of a result row (``ROW_I`` / ``ROW_D``
 #: / ``OUT_I`` / ``OUT_D`` in ``kernels.c``).
 _ROW_INTS, _ROW_DOUBLES, _OUT_INTS, _OUT_DOUBLES = 15, 2, 9, 4
@@ -239,59 +225,123 @@ _ROW_INTS, _ROW_DOUBLES, _OUT_INTS, _OUT_DOUBLES = 15, 2, 9, 4
 _TILE_BYTES_PER_PIXEL = 4
 
 
+class TileTable:
+    """The frame driver's view of one tile grid: a table row per tile
+    going in, a result row per tile coming back.
+
+    What a grid fixes — each tile's rectangle and block size, and where
+    its bits and block infos land in the emission buffers — is written
+    once, here.  What a frame can change is rewritten by :meth:`load`
+    before each :func:`encode_frame`: per tile ``(alg, param, window,
+    use_pred, learn, pred_dx, pred_dy)`` and ``(step, lambda_mv)``.  A
+    table outlives its frame: the pipeline builds one per GOP and rung,
+    and nothing is allocated or marshalled per frame but those columns.
+
+    After a call, :attr:`counts` rows are ``[bits, pred_pixels,
+    sad_pixel_ops, me_candidates, transform_blocks, emitted,
+    first_axis, final_dx, final_dy]`` (``first_axis``: 0 none, 1 ``x``,
+    2 ``y`` — the tile's first non-zero-MV axis vote; with the tile's
+    last block MV, meaningful only for a row that was learning) and
+    :attr:`clocks` rows ``[ssd, motion_s, entropy_s, tile_wall_s]``
+    (the seconds zero unless the call was measuring: ``motion`` is the
+    search; ``entropy`` everything after the mode decision — residual,
+    zero tests, DCT, quantization, run-length syntax, reconstruction
+    and SSD — and includes writing bits only when emitting; the intra
+    choice is in neither).
+    """
+
+    def __init__(self, rects: Sequence[Tuple[int, int, int, int]],
+                 block_sizes: Sequence[int]):
+        n = self.size = len(rects)
+        self.block_sizes = list(block_sizes)
+        self._rows_i = np.zeros((n, _ROW_INTS), dtype=np.int64)
+        self._rows_d = np.zeros((n, _ROW_DOUBLES), dtype=np.float64)
+        self._out_i = np.empty((n, _OUT_INTS), dtype=np.int64)
+        self._out_d = np.empty((n, _OUT_DOUBLES), dtype=np.float64)
+        fixed = []
+        # Where each tile's bits (bytes) and block infos (int32s)
+        # start; one entry past the last tile.
+        self._offsets = [(0, 0)]
+        for (x, y, width, height), block in zip(rects, block_sizes):
+            bits_off, info_off = self._offsets[-1]
+            cap = _TILE_BYTES_PER_PIXEL * width * height + 64
+            fixed.append((x, y, width, height, block, bits_off, cap, info_off))
+            self._offsets.append((
+                bits_off + cap,
+                info_off + 3 * (-(-width // block) * -(-height // block)),
+            ))
+        fixed = np.array(fixed, dtype=np.int64).reshape(n, 8)
+        self._rows_i[:, :5] = fixed[:, :5]
+        self._rows_i[:, 12:] = fixed[:, 5:]
+        self._bits: Optional[np.ndarray] = None
+        self._info: Optional[np.ndarray] = None
+        self._ptrs = (n, self._rows_i.ctypes.data, self._rows_d.ctypes.data)
+        self._out_ptrs = (self._out_i.ctypes.data, self._out_d.ctypes.data)
+
+    def load(self, searches: Optional[Sequence[tuple]],
+             quants: Sequence[tuple]) -> None:
+        """Write one frame's columns: per tile ``(alg, param, window,
+        use_pred, learn, pred_dx, pred_dy)`` — ``None`` for an I frame,
+        which reads none of them — and ``(step, lambda_mv)``."""
+        if searches is not None:
+            self._rows_i[:, 5:12] = searches
+        self._rows_d[:] = quants
+
+    @property
+    def counts(self) -> List[List[int]]:
+        return self._out_i.tolist()
+
+    @property
+    def clocks(self) -> List[List[float]]:
+        return self._out_d.tolist()
+
+    def payload(self, tile: int, emitted: int) -> Tuple[bytes, int]:
+        """``(payload, nbits)`` for ``BitWriter.append_bits``: the
+        ``emitted`` bits tile ``tile`` wrote in an emitting call."""
+        start = self._offsets[tile][0]
+        stop = start + (emitted + 7) // 8
+        return self._bits[start:stop].tobytes(), emitted
+
+    def block_info(self, tile: int) -> List[List[int]]:
+        """``[use_inter, mv_x, mv_y]`` per block of tile ``tile`` in
+        raster order, after a call that asked for infos."""
+        start, stop = self._offsets[tile][1], self._offsets[tile + 1][1]
+        return self._info[start:stop].reshape(-1, 3).tolist()
+
+
 def encode_frame(
     original: np.ndarray,
     reference: Optional[np.ndarray],
     reconstruction: np.ndarray,
-    rows: Sequence[tuple],
+    table: TileTable,
     basis_ptr: int,
     zz_order_ptr: int,
     emit: bool = False,
     want_info: bool = False,
     measure: bool = False,
-) -> List[TileResult]:
-    """Encode the tiles of one I/P frame in the C driver, in one call.
+) -> None:
+    """Encode the tiles of one I/P frame in the C driver, in one call;
+    the results are ``table``'s result rows (and, when emitting or
+    asking for block infos, its :meth:`~TileTable.payload` /
+    :meth:`~TileTable.block_info`).
 
-    ``rows`` holds one ``(x, y, width, height, block_size, alg, param,
-    window, use_pred, learn, pred_dx, pred_dy, step, lambda_mv)`` per
-    tile; the results come back in the same order.  The caller
-    (``FrameEncoder.encode`` / ``TileEncoder.encode``) has vetted the
-    envelope: all planes are C-contiguous uint8 of one shape, every
-    tile lies inside them with 8-aligned width and height,
-    ``block_size <= 64``, and the search and predictor fit the motion
-    cost-cache table.  ``reference`` is ``None`` on I frames.  The GIL
-    is released for the whole call; every mutable buffer handed over is
-    either this thread's scratch, private to the call, or a tile's own
-    region of ``reconstruction``.
+    The caller (``FrameEncoder.encode`` / ``TileEncoder.encode``) has
+    vetted the envelope: all planes are C-contiguous uint8 of one
+    shape, every tile of the table lies inside them with 8-aligned
+    width and height, ``block_size <= 64``, and the loaded searches and
+    predictors fit the motion cost-cache table.  ``reference`` is
+    ``None`` on I frames.  The GIL is released for the whole call;
+    every mutable buffer handed over is either this thread's scratch,
+    the table's own, or a tile's own region of ``reconstruction``.
     """
     sc = _scratch
     has_ref = reference is not None
     if has_ref and sc.mcache_costs is None:
         sc.ensure_motion()
-    ints: List[int] = []
-    doubles: List[float] = []
-    # Where each tile's bits (bytes into ``bitbuf``) and block infos
-    # (int32s into ``info``) start; one entry past the last tile.
-    offsets = [(0, 0)]
-    for row in rows:
-        width, height, block = row[2], row[3], row[4]
-        bits_off, info_off = offsets[-1]
-        cap = _TILE_BYTES_PER_PIXEL * width * height + 64 if emit else 0
-        ints += row[:12]
-        ints += (bits_off, cap, info_off)
-        doubles += row[12:]
-        if want_info:
-            info_off += 3 * (-(-width // block) * -(-height // block))
-        offsets.append((bits_off + cap, info_off))
-    n = len(rows)
-    table_i = np.array(ints, dtype=np.int64)
-    table_d = np.array(doubles, dtype=np.float64)
-    if table_i.size != n * _ROW_INTS or table_d.size != n * _ROW_DOUBLES:
-        raise ValueError("malformed tile table row")
-    bitbuf = np.empty(offsets[-1][0], dtype=np.uint8)
-    info = np.empty(offsets[-1][1], dtype=np.int32)
-    out_i = np.empty((n, _OUT_INTS), dtype=np.int64)
-    out_d = np.empty((n, _OUT_DOUBLES), dtype=np.float64)
+    if emit and table._bits is None:
+        table._bits = np.empty(table._offsets[-1][0], dtype=np.uint8)
+    if want_info and table._info is None:
+        table._info = np.empty(table._offsets[-1][1], dtype=np.int32)
     lib.encode_frame_u8(
         original.ctypes.data, original.strides[0],
         reference.ctypes.data if has_ref else None,
@@ -299,54 +349,116 @@ def encode_frame(
         reference.shape[0] if has_ref else 0,
         reference.shape[1] if has_ref else 0,
         reconstruction.ctypes.data, reconstruction.strides[0],
-        n, table_i.ctypes.data, table_d.ctypes.data,
-        basis_ptr, zz_order_ptr,
+        *table._ptrs, basis_ptr, zz_order_ptr,
         sc.mcache_costs_ptr if has_ref else None,
         sc.mcache_stamps_ptr if has_ref else None,
         sc.mcache_epoch_ptr if has_ref else None,
-        bitbuf.ctypes.data if emit else None,
-        info.ctypes.data if want_info else None, measure,
-        out_i.ctypes.data, out_d.ctypes.data,
+        table._bits.ctypes.data if emit else None,
+        table._info.ctypes.data if want_info else None, measure,
+        *table._out_ptrs,
     )
-    results = []
-    for t, (counts, clocks) in enumerate(zip(out_i.tolist(), out_d.tolist())):
-        emitted = counts[5]
-        if emitted < 0:
-            raise RuntimeError(
-                f"tile bit buffer overflow (tile {t}: {rows[t][:4]})"
+
+
+def analysis_fits(plane: np.ndarray) -> bool:
+    """Whether :class:`FrameTables` can take a luma plane: unit-stride
+    uint8 rows, and small enough for the kernel's integers — a
+    rectangle of ``n`` samples needs ``n * Σx² <= n² * 255²`` inside 63
+    bits (``n <= 2^23``) and one cell row's ``Σx²`` inside 32
+    (``width < 2^16``).  Anything else takes the NumPy analysis."""
+    height, width = plane.shape
+    return (
+        plane.dtype == np.uint8 and plane.strides[1] == 1
+        and plane.strides[0] >= width
+        and height * width <= 1 << 23 and width < 1 << 16
+    )
+
+
+class FrameTables:
+    """One frame's block statistics in ``kernels.c``'s layout (two
+    summed-area tables and the per-cell peak keys) and the foreign call
+    that fills and queries them.
+
+    The caller (:func:`repro.analysis.frame_analysis.analyse_frame`)
+    has vetted the planes: :func:`analysis_fits`, one shape, ``block``
+    divides both dimensions.  The tables are filled by the first
+    :meth:`query`, so analysing a frame and asking the first batch of
+    rectangles of it is one crossing; every pointer the call takes
+    except the batch's own is computed here, once.
+    """
+
+    def __init__(
+        self, current: np.ndarray, previous: Optional[np.ndarray], block: int
+    ):
+        height, width = current.shape
+        rows, cols = height // block, width // block
+        self._planes = (current, previous)  # keeps the pointers valid
+        self._table_words = 2 * (rows + 1) * (cols + 1) + rows * cols
+        has_prev = previous is not None
+        self._frame = (
+            current.ctypes.data, current.strides[0],
+            previous.ctypes.data if has_prev else None,
+            previous.strides[0] if has_prev else 0,
+            height, width, block,
+        )
+        self._built = False
+        self._words: Optional[np.ndarray] = None
+        self._reserve(64)
+
+    def _reserve(self, capacity: int) -> None:
+        """One allocation, one pointer fetched: the tables, then room
+        for ``capacity`` rectangles and their three result columns."""
+        old = self._words
+        tables = self._table_words
+        self._words = np.empty(tables + 7 * capacity, dtype=np.int64)
+        if old is not None:
+            self._words[:tables] = old[:tables]
+        base = self._words.ctypes.data
+        spans = [tables + k * capacity for k in (0, 4, 5, 6, 7)]
+        self._capacity = capacity
+        self._rects = self._words[spans[0]:spans[1]].reshape(capacity, 4)
+        self._cv = self._words[spans[1]:spans[2]].view(np.float64)
+        self._score = self._words[spans[2]:spans[3]].view(np.float64)
+        self._class = self._words[spans[3]:spans[4]]
+        self._tables_ptr = base
+        self._rects_ptr = base + 8 * spans[0]
+        self._out_ptrs = tuple(base + 8 * span for span in spans[1:4])
+
+    def query(
+        self,
+        rects,
+        texture: Tuple[float, float, float],
+        probe: Tuple[float, float, float, float, int],
+    ) -> Tuple[List[float], List[int], List[float]]:
+        """``(cvs, texture class indices, motion scores)`` of the
+        ``(x, y, width, height)`` rows of ``rects`` (an ``(n, 4)``
+        integer array or nested sequence), in one foreign call with
+        the GIL released.
+
+        ``texture`` is ``(low, high, dark_mean)`` of Eq. 1, ``probe``
+        ``(alpha, beta, gamma, pixel_tolerance, patch_radius)`` of Eq.
+        2; without a previous plane every score is 0.  The rectangles
+        are checked inside the call, before anything is read through
+        them: one off the block lattice or outside the plane raises
+        ``ValueError``.
+        """
+        n = len(rects)
+        if n > self._capacity:
+            self._reserve(n)
+        self._rects[:n] = rects
+        bad = lib.analyze_frame_u8(
+            *self._frame, self._tables_ptr, not self._built,
+            self._rects_ptr, n, *texture, *probe, *self._out_ptrs,
+        )
+        self._built = True
+        if bad >= 0:
+            height, width, block = self._frame[4:]
+            raise ValueError(
+                f"rectangle {self._rects[bad].tolist()} is off the "
+                f"{block}-sample lattice or outside the {width}x{height} "
+                "plane"
             )
-        bits_at, info_at = offsets[t]
-        payload = info_rows = None
-        if emit:
-            stop = bits_at + (emitted + 7) // 8
-            payload = (bitbuf[bits_at:stop].tobytes(), emitted)
-        if want_info:
-            info_rows = info[info_at:offsets[t + 1][1]].reshape(-1, 3).tolist()
-        results.append(TileResult(
-            counts[0], clocks[0], counts[1], counts[2], counts[3], counts[4],
-            payload, info_rows, (None, "x", "y")[counts[6]],
-            (counts[7], counts[8]), clocks[1], clocks[2], clocks[3],
-        ))
-    return results
-
-
-def encode_tile(
-    original: np.ndarray,
-    reference: Optional[np.ndarray],
-    reconstruction: np.ndarray,
-    row: tuple,
-    basis_ptr: int,
-    zz_order_ptr: int,
-    emit: bool = False,
-    want_info: bool = False,
-    measure: bool = False,
-) -> TileResult:
-    """Encode one I/P tile: :func:`encode_frame` over a table of the
-    one ``row`` (same contract, same foreign call)."""
-    return encode_frame(
-        original, reference, reconstruction, [row], basis_ptr, zz_order_ptr,
-        emit, want_info, measure,
-    )[0]
+        return (self._cv[:n].tolist(), self._class[:n].tolist(),
+                self._score[:n].tolist())
 
 
 def downscale_box(

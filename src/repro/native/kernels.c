@@ -4,8 +4,8 @@
  * contraction: the double arithmetic must follow IEEE semantics, one
  * rounding per operation, so results stay deterministic and equal to
  * the NumPy reference in repro.codec).  The non-static functions are
- * the whole ctypes surface — encode_frame_u8 and downscale_box_u8;
- * everything else is a static building block of the tile driver.  All
+ * the whole ctypes surface — encode_frame_u8, analyze_frame_u8 and
+ * downscale_box_u8; everything else is a static building block.  All
  * arrays are C-contiguous buffers prepared by the Python wrappers.
  */
 
@@ -1061,6 +1061,236 @@ void encode_frame_u8(const uint8_t *cur, int64_t cstride,
                     out_i + t * OUT_I, od);
         od[3] = measure ? (double)(now_ns() - t0) * 1e-9 : 0.0;
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* Content analysis: the re-tiler's block statistics and its two       */
+/* questions (Eq. 1 texture, Eq. 2 motion probe), the native twin of   */
+/* repro.analysis.frame_analysis.FrameAnalysis.                        */
+/*                                                                     */
+/* build: one pass over the plane leaves, per block x block cell, the  */
+/* sums of x and x*x as int64 summed-area tables ((rows + 1) x         */
+/* (cols + 1), entry [i][j] sums cells [:i][:j]) and the cell's        */
+/* maximum packed with the frame raster index of its first             */
+/* occurrence, max * size + (size - 1 - raster): the largest key over  */
+/* a union of cells names the union's first row-major maximum.  All    */
+/* of it is integer arithmetic, exact in any order, so the tables are  */
+/* the oracle's tables whatever order the lanes add in.                */
+/*                                                                     */
+/* query: each (x, y, w, h) rectangle (multiples of block, inside the  */
+/* plane — checked here, before anything is read) gets                 */
+/*   CV    = sqrt((double)(n * S2 - S1 * S1)) / (double)S1, 0 when S1  */
+/*           is 0: the integer under the root is exact (the wrapper's  */
+/*           envelope keeps n * S2 <= n * n * 255^2 inside 63 bits),   */
+/*           its conversion to double is the one correctly rounded     */
+/*           conversion Python's math.sqrt(int) makes, and sqrt and /  */
+/*           are IEEE operations;                                      */
+/*   class = Eq. 1's ladder on mean = S1 / n and CV, dark regions LOW; */
+/*   score = k_corner * (corner probes that differ) + k_centre *       */
+/*           centre + k_max * max point (Eq. 2's alpha, beta, gamma),  */
+/*           a probe comparing the means of the                        */
+/*           (2r+1)^2 patch clipped to the rectangle in both planes as */
+/*           the definition writes it, |Sa/n - Sb/n| > tol on float64  */
+/*           quotients (the integer form |Sa - Sb| > tol * n is a      */
+/*           different predicate when n is 6 or 9).                    */
+/* Returns -1, or the index of the first rectangle that is off the     */
+/* lattice or outside the plane (nothing is written for it or after).  */
+/* ------------------------------------------------------------------ */
+
+/* Σx, Σx² and the maximum of one block x block cell, with the
+ * in-cell position of the maximum's first row-major occurrence. */
+static void cell_stats_scalar(const uint8_t *cell, int64_t stride,
+                              int64_t block, int64_t *s1, int64_t *s2,
+                              int *max, int64_t *at_y, int64_t *at_x)
+{
+    int64_t a1 = 0, a2 = 0;
+    int m = -1;
+    for (int64_t y = 0; y < block; y++) {
+        const uint8_t *q = cell + y * stride;
+        /* block <= w < 2^16 (the wrapper's envelope): one row of a
+         * cell sums inside 32 bits. */
+        uint32_t s = 0, q2 = 0;
+        for (int64_t i = 0; i < block; i++) {
+            uint32_t v = q[i];
+            s += v;
+            q2 += v * v;
+            /* Strictly greater: an equal sample later in the raster
+             * is not the first. */
+            if ((int)v > m) {
+                m = (int)v;
+                *at_y = y;
+                *at_x = i;
+            }
+        }
+        a1 += s;
+        a2 += q2;
+    }
+    *s1 = a1;
+    *s2 = a2;
+    *max = m;
+}
+
+#if REPRO_X86
+/* The same for a cell whose side is a multiple of 8 and at most 256:
+ * psadbw sums the samples, pmaddwd their squares (a 32-bit lane takes
+ * at most 4 * 255^2 per 16 samples, 2^12 times per cell: no overflow),
+ * pmaxub the maximum; a second pass finds the first row holding it. */
+static void cell_stats_sse2(const uint8_t *cell, int64_t stride,
+                            int64_t block, int64_t *s1, int64_t *s2,
+                            int *max, int64_t *at_y, int64_t *at_x)
+{
+    const __m128i zero = _mm_setzero_si128();
+    int wide = block % 16 == 0;
+    int64_t step = wide ? 16 : 8;
+    __m128i vsum = zero, vsq = zero, vmax = zero;
+    for (int64_t y = 0; y < block; y++) {
+        const uint8_t *q = cell + y * stride;
+        for (int64_t i = 0; i < block; i += step) {
+            __m128i v = wide ? _mm_loadu_si128((const __m128i *)(q + i))
+                             : _mm_loadl_epi64((const __m128i *)(q + i));
+            __m128i lo = _mm_unpacklo_epi8(v, zero);
+            __m128i hi = _mm_unpackhi_epi8(v, zero);
+            vsum = _mm_add_epi64(vsum, _mm_sad_epu8(v, zero));
+            vsq = _mm_add_epi32(vsq, _mm_add_epi32(_mm_madd_epi16(lo, lo),
+                                                   _mm_madd_epi16(hi, hi)));
+            vmax = _mm_max_epu8(vmax, v);
+        }
+    }
+    uint32_t sq[4];
+    _mm_storeu_si128((__m128i *)sq, vsq);
+    *s1 = _mm_cvtsi128_si64(vsum)
+        + _mm_cvtsi128_si64(_mm_unpackhi_epi64(vsum, vsum));
+    *s2 = (int64_t)sq[0] + sq[1] + sq[2] + sq[3];
+    vmax = _mm_max_epu8(vmax, _mm_srli_si128(vmax, 8));
+    vmax = _mm_max_epu8(vmax, _mm_srli_si128(vmax, 4));
+    vmax = _mm_max_epu8(vmax, _mm_srli_si128(vmax, 2));
+    vmax = _mm_max_epu8(vmax, _mm_srli_si128(vmax, 1));
+    int m = _mm_cvtsi128_si32(vmax) & 0xFF;
+    *max = m;
+    for (int64_t y = 0; y < block; y++) {
+        const uint8_t *at = memchr(cell + y * stride, m, (size_t)block);
+        if (at) {
+            *at_y = y;
+            *at_x = at - (cell + y * stride);
+            return;
+        }
+    }
+}
+#endif /* REPRO_X86 */
+
+static void analysis_build(const uint8_t *cur, int64_t stride,
+                           int64_t h, int64_t w, int64_t block,
+                           int64_t *sat1, int64_t *sat2, int64_t *peak)
+{
+    int64_t rows = h / block, cols = w / block, size = h * w;
+    int64_t sw = cols + 1;
+    for (int64_t j = 0; j < sw; j++)
+        sat1[j] = sat2[j] = 0;
+    for (int64_t r = 0; r < rows; r++) {
+        int64_t *t1 = sat1 + (r + 1) * sw, *t2 = sat2 + (r + 1) * sw;
+        int64_t run1 = 0, run2 = 0;
+        t1[0] = t2[0] = 0;
+        for (int64_t c = 0; c < cols; c++) {
+            const uint8_t *cell = cur + r * block * stride + c * block;
+            int64_t s1, s2, at_y = 0, at_x = 0;
+            int m;
+#if REPRO_X86
+            if (block % 8 == 0 && block <= 256)
+                cell_stats_sse2(cell, stride, block, &s1, &s2, &m,
+                                &at_y, &at_x);
+            else
+#endif
+                cell_stats_scalar(cell, stride, block, &s1, &s2, &m,
+                                  &at_y, &at_x);
+            run1 += s1;
+            run2 += s2;
+            t1[c + 1] = t1[c + 1 - sw] + run1;
+            t2[c + 1] = t2[c + 1 - sw] + run2;
+            int64_t raster = (r * block + at_y) * w + c * block + at_x;
+            peak[r * cols + c] = (int64_t)m * size + (size - 1 - raster);
+        }
+    }
+}
+
+/* Whether the (2r+1)^2 patches around (py, px), clipped to the
+ * rectangle, differ in their means between the two planes. */
+static int probe_differs(const uint8_t *cur, int64_t cstride,
+                         const uint8_t *prev, int64_t pstride,
+                         int64_t py, int64_t px, int64_t radius,
+                         int64_t x, int64_t y, int64_t rw, int64_t rh,
+                         double tol)
+{
+    int64_t y0 = py - radius < y ? y : py - radius;
+    int64_t y1 = py + radius > y + rh - 1 ? y + rh - 1 : py + radius;
+    int64_t x0 = px - radius < x ? x : px - radius;
+    int64_t x1 = px + radius > x + rw - 1 ? x + rw - 1 : px + radius;
+    int64_t sa = 0, sb = 0;
+    for (int64_t yy = y0; yy <= y1; yy++)
+        for (int64_t xx = x0; xx <= x1; xx++) {
+            sa += cur[yy * cstride + xx];
+            sb += prev[yy * pstride + xx];
+        }
+    double n = (double)((y1 - y0 + 1) * (x1 - x0 + 1));
+    return fabs((double)sa / n - (double)sb / n) > tol;
+}
+
+int64_t analyze_frame_u8(const uint8_t *cur, int64_t cstride,
+                         const uint8_t *prev, int64_t pstride,
+                         int64_t h, int64_t w, int64_t block,
+                         int64_t *tables, int build,
+                         const int64_t *rects, int64_t n_rects,
+                         double low, double high, double dark_mean,
+                         double k_corner, double k_centre, double k_max,
+                         double tol, int64_t radius,
+                         double *out_cv, double *out_score,
+                         int64_t *out_class)
+{
+    int64_t rows = h / block, cols = w / block, size = h * w;
+    int64_t sw = cols + 1;
+    int64_t *sat1 = tables, *sat2 = sat1 + (rows + 1) * sw;
+    int64_t *peak = sat2 + (rows + 1) * sw;
+    if (build)
+        analysis_build(cur, cstride, h, w, block, sat1, sat2, peak);
+    for (int64_t k = 0; k < n_rects; k++) {
+        int64_t x = rects[4 * k], y = rects[4 * k + 1];
+        int64_t rw = rects[4 * k + 2], rh = rects[4 * k + 3];
+        if (x < 0 || y < 0 || rw <= 0 || rh <= 0 || rw > w - x || rh > h - y
+                || x % block || y % block || rw % block || rh % block)
+            return k;
+        int64_t cx0 = x / block, cy0 = y / block;
+        int64_t cx1 = cx0 + rw / block, cy1 = cy0 + rh / block;
+        int64_t s1 = sat1[cy1 * sw + cx1] - sat1[cy0 * sw + cx1]
+                   - sat1[cy1 * sw + cx0] + sat1[cy0 * sw + cx0];
+        int64_t s2 = sat2[cy1 * sw + cx1] - sat2[cy0 * sw + cx1]
+                   - sat2[cy1 * sw + cx0] + sat2[cy0 * sw + cx0];
+        int64_t n = rw * rh;
+        double cv = s1 ? sqrt((double)(n * s2 - s1 * s1)) / (double)s1 : 0.0;
+        double mean = (double)s1 / (double)n;
+        out_class[k] = (mean < dark_mean || cv <= low) ? 0
+                     : cv <= high ? 1 : 2;
+        double score = 0.0;
+        if (prev) {
+            int64_t best = -1;
+            for (int64_t cy = cy0; cy < cy1; cy++)
+                for (int64_t cx = cx0; cx < cx1; cx++)
+                    if (peak[cy * cols + cx] > best)
+                        best = peak[cy * cols + cx];
+            int64_t raster = size - 1 - best % size;
+            const int64_t py[6] = {y, y, y + rh - 1, y + rh - 1,
+                                   y + rh / 2, raster / w};
+            const int64_t px[6] = {x, x + rw - 1, x, x + rw - 1,
+                                   x + rw / 2, raster % w};
+            int d[6];
+            for (int p = 0; p < 6; p++)
+                d[p] = probe_differs(cur, cstride, prev, pstride, py[p],
+                                     px[p], radius, x, y, rw, rh, tol);
+            score = k_corner * (double)(d[0] + d[1] + d[2] + d[3])
+                  + k_centre * (double)d[4] + k_max * (double)d[5];
+        }
+        out_cv[k] = cv;
+        out_score[k] = score;
+    }
+    return -1;
 }
 
 /* ------------------------------------------------------------------ */

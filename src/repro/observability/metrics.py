@@ -46,8 +46,29 @@ DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
 LabelKey = Tuple[Tuple[str, str], ...]
 
 
-def _label_key(labels: Dict[str, str]) -> LabelKey:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+#: Label sets already canonicalised, by their items in call order.  Only
+#: all-``str`` label sets are remembered (a ``1`` and a ``True`` are
+#: equal as dictionary keys and different as labels; no non-``str``
+#: equals a ``str``), and only a bounded number of them — the hot
+#: call sites pass the same few literal label sets on every frame.
+_LABEL_KEYS: Dict[tuple, "LabelKey"] = {}
+_LABEL_KEYS_MAX = 4096
+
+
+def _label_key(labels: Dict[str, object]) -> LabelKey:
+    if not labels:
+        return ()
+    items = tuple(labels.items())
+    try:
+        key = _LABEL_KEYS.get(items)
+    except TypeError:  # an unhashable label value
+        key = None
+    if key is None:
+        key = tuple(sorted((str(k), str(v)) for k, v in items))
+        if (len(_LABEL_KEYS) < _LABEL_KEYS_MAX
+                and all(type(v) is str for _, v in items)):
+            _LABEL_KEYS[items] = key
+    return key
 
 
 class HistogramValue:
@@ -180,7 +201,7 @@ class MetricsRegistry:
         """Add ``value`` to a counter (created on first use)."""
         if value < 0:
             raise ValueError("counters only go up")
-        key = _label_key({k: v for k, v in labels.items()})
+        key = _label_key(labels)
         with self._lock:
             fam = self._family(name, "counter", help)
             fam.samples[key] = float(fam.samples.get(key, 0.0)) + value
@@ -188,7 +209,7 @@ class MetricsRegistry:
     def set_gauge(self, name: str, value: float, help: str = "",
                   **labels: object) -> None:
         """Set a gauge to ``value`` (last write wins)."""
-        key = _label_key({k: v for k, v in labels.items()})
+        key = _label_key(labels)
         with self._lock:
             fam = self._family(name, "gauge", help)
             fam.samples[key] = float(value)
@@ -205,7 +226,7 @@ class MetricsRegistry:
                      **labels: object) -> None:
         """Record a batch of observations, in order, into one
         fixed-bucket histogram sample under one lock acquisition."""
-        key = _label_key({k: v for k, v in labels.items()})
+        key = _label_key(labels)
         with self._lock:
             fam = self._family(name, "histogram", help,
                                buckets or DEFAULT_TIME_BUCKETS)
@@ -221,7 +242,7 @@ class MetricsRegistry:
     def value(self, name: str, **labels: object) -> Optional[
             Union[float, HistogramValue]]:
         """The sample for ``name``/``labels``; ``None`` when absent."""
-        key = _label_key({k: v for k, v in labels.items()})
+        key = _label_key(labels)
         with self._lock:
             fam = self._families.get(name)
             if fam is None:

@@ -61,14 +61,26 @@ class CostModel:
         self.weights = weights
 
     def cycles(self, ops: OpCounts) -> float:
+        return self.count_cycles(
+            ops.sad_pixel_ops, ops.me_candidates, ops.transform_blocks,
+            ops.quant_coeffs, ops.entropy_bits, ops.pred_pixels,
+        )
+
+    def count_cycles(
+        self, sad_pixel_ops: int, me_candidates: int, transform_blocks: int,
+        quant_coeffs: int, entropy_bits: int, pred_pixels: int,
+    ) -> float:
+        """:meth:`cycles` of the six counts themselves (the one place
+        the weights are applied; the pipeline prices a tile straight
+        from the native driver's result row through here)."""
         w = self.weights
         return (
-            w.sad_pixel * ops.sad_pixel_ops
-            + w.me_candidate * ops.me_candidates
-            + w.transform_block * ops.transform_blocks
-            + w.quant_coeff * ops.quant_coeffs
-            + w.entropy_bit * ops.entropy_bits
-            + w.pred_pixel * ops.pred_pixels
+            w.sad_pixel * sad_pixel_ops
+            + w.me_candidate * me_candidates
+            + w.transform_block * transform_blocks
+            + w.quant_coeff * quant_coeffs
+            + w.entropy_bit * entropy_bits
+            + w.pred_pixel * pred_pixels
         )
 
     def seconds(self, ops: OpCounts, frequency_hz: float) -> float:

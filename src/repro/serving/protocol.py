@@ -61,6 +61,7 @@ __all__ = [
     "encode_frame_into",
     "encode_message",
     "read_message",
+    "serialise_into",
     "write_message",
 ]
 
@@ -310,12 +311,9 @@ class Encoded:
 
     type = MsgType.ENCODED
 
-    def __post_init__(self) -> None:
-        if len(self.luma) not in (0, self.width * self.height):
-            raise ProtocolError(
-                f"ENCODED luma length {len(self.luma)} != "
-                f"{self.width}x{self.height}"
-            )
+    # No check at construction: ``from_payload`` checks what arrives
+    # and :func:`encode_encoded_into` what leaves, and the server
+    # builds one of these per frame from a plane's own shape.
 
     @classmethod
     def from_payload(cls, flags: int, data: bytes) -> "Encoded":
@@ -519,41 +517,41 @@ def _json_obj(data) -> dict:
 # ----------------------------------------------------------------------
 # Framing
 # ----------------------------------------------------------------------
-def _serialise(msg: Message, flags: int) -> Union[bytes, bytearray]:
-    """One message as its wire frame.  FRAME and ENCODED go through
-    their ``*_into`` serialiser (pixels copied once, into the returned
-    buffer); the rest are small JSON payloads.  An :class:`Encoded`
+def serialise_into(out: bytearray, msg: Message, flags: int = 0) -> None:
+    """Append one message's wire frame to ``out`` — how a sender puts
+    several messages into one buffer, and so into one ``write``.  FRAME
+    and ENCODED go through their ``*_into`` serialiser (pixels copied
+    once, into ``out``); the rest are small JSON payloads.  An :class:`Encoded`
     message's ``rung`` rides in the header flags: when the caller
     passes none the field supplies them, so ``encode_message`` /
     ``from_payload`` round-trip it without call sites knowing ladders.
     """
     if isinstance(msg, FrameMsg):
-        out = bytearray()
         encode_frame_into(out, msg.frame_index, msg.width, msg.height,
                           msg.luma, flags)
-        return out
-    if isinstance(msg, Encoded):
-        out = bytearray()
+    elif isinstance(msg, Encoded):
         encode_encoded_into(
             out, msg.frame_index, msg.frame_type, msg.dropped, msg.width,
             msg.height, msg.bits, msg.psnr, msg.luma, flags or msg.rung,
         )
-        return out
-    payload = msg.payload()
-    if len(payload) > MAX_PAYLOAD:
-        raise ProtocolError(
-            f"payload of {len(payload)} bytes exceeds MAX_PAYLOAD"
+    else:
+        payload = msg.payload()
+        if len(payload) > MAX_PAYLOAD:
+            raise ProtocolError(
+                f"payload of {len(payload)} bytes exceeds MAX_PAYLOAD"
+            )
+        out += _HEADER.pack(
+            MAGIC, PROTOCOL_VERSION, int(msg.type), flags,
+            len(payload), zlib.crc32(payload) & 0xFFFFFFFF,
         )
-    header = _HEADER.pack(
-        MAGIC, PROTOCOL_VERSION, int(msg.type), flags,
-        len(payload), zlib.crc32(payload) & 0xFFFFFFFF,
-    )
-    return header + payload
+        out += payload
 
 
 def encode_message(msg: Message, flags: int = 0) -> bytes:
     """Serialize one message to its wire frame, as ``bytes``."""
-    return bytes(_serialise(msg, flags))
+    out = bytearray()
+    serialise_into(out, msg, flags)
+    return bytes(out)
 
 
 def _pixels(luma) -> Tuple[object, int]:
@@ -843,5 +841,7 @@ async def write_message(writer, msg: Message, flags: int = 0) -> None:
     The transport gets the buffer the serialiser built, so a plane's
     pixels are copied once on their way to the socket.
     """
-    writer.write(_serialise(msg, flags))
+    out = bytearray()
+    serialise_into(out, msg, flags)
+    writer.write(out)
     await writer.drain()

@@ -16,8 +16,10 @@ that durability layer:
     checksum is the SHA-256 of the header without its ``checksum``
     field — the canonicalisation the LUT checkpoint uses
     (:mod:`repro.resilience.checkpoint`) — continued over every blob
-    byte.  A record is written by one append and (by default) one
-    ``fdatasync``; the server journals once per GOP, off the encode
+    byte.  A record is written by one append (the header line and the
+    planes handed over as they are — nothing joins them) and, by
+    default, one ``fdatasync``, after which the kernel is told the range
+    will not be read back; the server journals once per GOP, off the encode
     thread, and ``append`` is the whole durability cost
     (``recovery.journal_append_ms`` in the ``bench/run.py`` ledger of
     a journaled workload).  The price of skipping the compressor is
@@ -185,13 +187,12 @@ def frame_output_record(out) -> Dict[str, object]:
             "recon": None,
         }
     record = out.record
-    psnr = float(np.mean([t.psnr for t in record.tiles]))
     return {
         "frame_index": int(out.frame_index),
         "dropped": None,
         "frame_type": out.frame_type.value,
         "bits": int(record.bits),
-        "psnr": psnr,
+        "psnr": record.psnr,
         "recon": out.reconstruction,
     }
 
@@ -297,18 +298,22 @@ class SessionJournal:
         digest = hashlib.sha256(body)
         for blob in blobs:
             digest.update(blob)
-        data = b"".join([_HEAD, digest.hexdigest().encode("ascii"), b'",',
-                         body[1:], b"\n", *blobs])
+        # The header line, then the planes as they are: the seam writes
+        # the parts back to back, no copy joins them.
+        parts = [b"".join([_HEAD, digest.hexdigest().encode("ascii"), b'",',
+                           body[1:], b"\n"]), *blobs]
+        size = len(parts[0]) + sum(blob.nbytes for blob in blobs)
 
         def write_record() -> None:
             try:
-                self._ops.append(self._fh, data, point="journal.append")
+                self._ops.append(self._fh, parts, point="journal.append")
                 if self.fsync:
                     # fdatasync is durability-equivalent for an
                     # append-only record (it flushes the data and the
                     # file size) and avoids the unrelated-metadata
                     # stalls full fsync can incur.
                     self._ops.fsync_handle(self._fh, point="journal.fsync")
+                    self._ops.drop_cache(self._fh, self.size, size)
             except StorageError as exc:
                 try:
                     self._ops.truncate_handle(self._fh, self.size,
@@ -319,7 +324,7 @@ class SessionJournal:
                 raise
 
         run_with_retries(write_record, self._retry, on_retry=self._on_retry)
-        self.size += len(data)
+        self.size += size
         self._seq += 1
         return self._seq - 1
 

@@ -104,6 +104,7 @@ from repro.serving.protocol import (
     ResumeAck,
     Stats,
     read_message,
+    serialise_into,
     write_message,
 )
 from repro.serving.recovery import (
@@ -482,6 +483,11 @@ class NetworkServer:
         self._capacity_freed = asyncio.Event()
         self._next_session_id = 0
         self._active_handlers = 0
+        #: Handlers past their session, giving back what they held: the
+        #: lease release and journal discard run on the writer thread,
+        #: so a teardown spans loop iterations and :meth:`aclose` lets
+        #: it land before the pools go.
+        self._closing: set = set()
         self._draining = False
         self._drain_event = asyncio.Event()
         # resume_token -> the connection-handler task currently serving
@@ -571,6 +577,26 @@ class NetworkServer:
             "repro_serving_journal_bytes_total", journal.size - before,
             help="Bytes appended to session journals",
         )
+
+    async def _on_journal_thread(self, fn: Callable, *args):
+        """Run one blocking state-store call (a lease's lock file,
+        write and sync; a journal's open; a teardown's unlinks) on the
+        journal writer thread, like every append: the event loop serves
+        the other sessions' sockets meanwhile, and the call keeps its
+        place in the order of that journal's writes.  ``RuntimeError``
+        when the writer pool is gone."""
+        return await asyncio.get_running_loop().run_in_executor(
+            self._journal_pool, fn, *args
+        )
+
+    async def _give_back(self, fn: Callable, token: str) -> None:
+        """Teardown's lease release / journal discard: off the loop
+        where it can be, inline when the writer pool is gone — the
+        lease goes back on every exit."""
+        try:
+            await self._on_journal_thread(fn, token)
+        except RuntimeError:
+            fn(token)
 
     def _note_durability_failure(self, error: BaseException) -> None:
         """Record a durable-write failure; on the healthy->browned
@@ -665,9 +691,7 @@ class NetworkServer:
                     except Exception:
                         pass
             try:
-                await asyncio.get_running_loop().run_in_executor(
-                    self._journal_pool, tombstone
-                )
+                await self._on_journal_thread(tombstone)
             except RuntimeError:
                 # The writer pool itself is gone (thread death /
                 # shutdown) — the very fault being handled.  Close the
@@ -678,7 +702,7 @@ class NetworkServer:
                     pass
         if token and self._journal_store is not None:
             try:
-                self._journal_store.release(token)
+                await self._give_back(self._journal_store.release, token)
             except (StorageError, OSError):
                 pass
         self._note_durability_failure(error)
@@ -767,6 +791,8 @@ class NetworkServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        if self._closing:
+            await asyncio.wait(set(self._closing), timeout=HELLO_TIMEOUT_S)
         self._encode_pool.shutdown(wait=True)
         self._journal_pool.shutdown(wait=True)
         get_registry().set_gauge(
@@ -837,6 +863,8 @@ class NetworkServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            finally:
+                self._closing.discard(asyncio.current_task())
 
     async def _try_send(self, writer: asyncio.StreamWriter,
                         msg: Message) -> None:
@@ -871,6 +899,7 @@ class NetworkServer:
             session = await handshake(msg, writer, claim)
         finally:
             if session is None:
+                self._closing.add(asyncio.current_task())
                 if self._attached.get(claim.token) is asyncio.current_task():
                     del self._attached[claim.token]
                 if claim.session is not None:
@@ -881,7 +910,15 @@ class NetworkServer:
                     self.admission.release(claim.session_id)
                     self._capacity_freed.set()
                 if claim.token:
-                    self._journal_store.release(claim.token)
+                    def give_back(token: str) -> None:
+                        # Runs behind a storage call the handshake was
+                        # cancelled in: whatever that call still took
+                        # is on the claim by now.
+                        if claim.journal is not None:
+                            claim.journal.close()
+                        self._journal_store.release(token)
+
+                    await self._give_back(give_back, claim.token)
         if session is not None:
             await self._serve_admitted(session, reader, writer)
 
@@ -963,16 +1000,25 @@ class NetworkServer:
         # new sessions are admitted journal-less too (degrade, never
         # crash); the probe loop re-enables journaling hysteretically.
         if len(rungs) == 1 and store is not None and self._durability.healthy:
-            try:
-                claim.token = store.new_token(session_id, hello.client_id)
+            claim.token = store.new_token(session_id, hello.client_id)
+
+            def open_journal() -> None:
                 # A fresh token is uncontended, but taking its lease
                 # here makes the invariant uniform: a journal with an
                 # appender always has a lease naming that appender.
+                # The claim takes the handle on the writer thread, so
+                # a handshake cancelled mid-call still finds it to
+                # close.
                 store.acquire(claim.token)
                 claim.journal = store.create(claim.token)
-            except StorageError as exc:
+
+            try:
+                await self._on_journal_thread(open_journal)
+            except (StorageError, RuntimeError) as exc:
+                # A failing volume, or no writer thread to journal on:
+                # the session is served journal-less.
                 try:
-                    store.release(claim.token)
+                    await self._give_back(store.release, claim.token)
                 except (StorageError, OSError):
                     pass
                 claim.token = ""
@@ -1072,8 +1118,17 @@ class NetworkServer:
         # its session is still appending (transient reject: the client
         # should retry after the fleet confirms the worker's fate);
         # dead means we adopt, which is the crash-failover headline.
+        # The claim holds the token from before the call: a handshake
+        # cancelled while the writer thread takes the lease still gives
+        # it back (releasing a lease someone else holds is a no-op).
+        claim.token = msg.resume_token
         try:
-            lease = store.acquire(msg.resume_token)
+            lease = await self._on_journal_thread(store.acquire,
+                                                  msg.resume_token)
+        except RuntimeError:
+            # Writer pool dead: journaling is gone for this process,
+            # so a resume cannot be served safely.  Typed refusal.
+            return await refuse("journal writer unavailable", transient=True)
         except LeaseHeldError as exc:
             registry.inc("repro_serving_lease_conflicts_total",
                          help="RESUMEs rejected: lease held by a live peer")
@@ -1086,10 +1141,9 @@ class NetworkServer:
             self._note_durability_failure(exc)
             return await refuse(f"session store fault: {exc}",
                                 transient=True)
-        # Claim the token before touching the journal so a concurrent
-        # RESUME for the same token preempts *this* handler instead of
-        # racing it to the reopen.
-        claim.token = msg.resume_token
+        # Attach before touching the journal so a concurrent RESUME for
+        # the same token preempts *this* handler instead of racing it
+        # to the reopen.
         self._attached[claim.token] = asyncio.current_task()
         loop = asyncio.get_running_loop()
 
@@ -1160,10 +1214,13 @@ class NetworkServer:
         # back to its last intact record before appending, or the
         # next record would merge with the partial one mid-file and
         # poison every later strict restore.
-        try:
+        def reopen() -> None:
             claim.journal = store.reopen(msg.resume_token, restored.next_seq,
                                          truncate_to=restored.intact_bytes)
-        except StorageError as exc:
+
+        try:
+            await self._on_journal_thread(reopen)
+        except (StorageError, RuntimeError) as exc:
             self._note_durability_failure(exc)
             return await refuse(f"session store fault: {exc}",
                                 transient=True)
@@ -1236,6 +1293,7 @@ class NetworkServer:
                          help="Finished sessions by outcome")
             raise
         finally:
+            self._closing.add(task)
             holds_token = self._attached.get(session.resume_token) is task
             if holds_token:
                 del self._attached[session.resume_token]
@@ -1247,13 +1305,15 @@ class NetworkServer:
                             and self._journal_store is not None):
                         # Clean BYE: the journal has served its purpose
                         # (discard removes the lease with it).
-                        self._journal_store.discard(session.resume_token)
+                        await self._give_back(self._journal_store.discard,
+                                              session.resume_token)
                     elif holds_token and self._journal_store is not None:
                         # Interrupted (disconnect, park, preemption
                         # target already re-leased the token — hence
                         # holds_token): free the lease so *any* worker
                         # can resume it.
-                        self._journal_store.release(session.resume_token)
+                        await self._give_back(self._journal_store.release,
+                                              session.resume_token)
                 except StorageError as exc:
                     # Teardown is best-effort: an undeletable journal
                     # or lease is garbage a later sweep reclaims, not
@@ -1318,88 +1378,103 @@ class NetworkServer:
 
     async def _ingest_loop(self, session: _Session,
                            reader: asyncio.StreamReader) -> None:
+        """Feed the ingest queue until the client's BYE or a drain.
+
+        One task reads the connection (:meth:`_read_frames`); this one
+        waits for it or for the drain signal, whichever comes first —
+        once per connection, not once per FRAME.
+        """
+        reads = asyncio.ensure_future(self._read_frames(session, reader))
+        drained = asyncio.ensure_future(self._drain_event.wait())
+        try:
+            await asyncio.wait({reads, drained},
+                               return_when=asyncio.FIRST_COMPLETED)
+            if reads.done():
+                reads.result()  # the client's BYE, or what broke the read
+                end = _BYE_SENTINEL
+            else:
+                # Drain signalled mid-read: stop ingesting; the encode
+                # loop parks or flushes what is in flight.
+                reads.cancel()
+                await asyncio.gather(reads, return_exceptions=True)
+                end = _DRAIN_SENTINEL
+            await session.ingest.put(end)
+        finally:
+            reads.cancel()
+            drained.cancel()
+            await asyncio.gather(reads, drained, return_exceptions=True)
+
+    async def _read_frames(self, session: _Session,
+                           reader: asyncio.StreamReader) -> None:
+        """Read FRAME messages into the ingest queue; returns at BYE."""
         cfg = self.config
         registry = get_registry()
         hello = session.hello
-        drain_wait = asyncio.ensure_future(self._drain_event.wait())
-        try:
-            while True:
-                read_task = asyncio.ensure_future(
-                    read_message(reader, max_payload=_RECV_MAX_PAYLOAD)
+        frame_bytes = hello.width * hello.height
+        # A StreamReader pauses its transport at twice its limit and a
+        # read larger than the buffer resumes it chunk by chunk; the
+        # default limit (64 KiB) puts every VGA FRAME through that.
+        # asyncio has no public way to resize a connected reader.
+        if getattr(reader, "_limit", 0) < 2 * frame_bytes:
+            reader._limit = 2 * frame_bytes
+        while True:
+            msg = await read_message(reader, max_payload=_RECV_MAX_PAYLOAD)
+            if isinstance(msg, Bye):
+                return
+            if not isinstance(msg, FrameMsg):
+                raise ProtocolError(
+                    f"expected FRAME or BYE, got {msg.type.name}"
                 )
-                await asyncio.wait(
-                    {read_task, drain_wait},
-                    return_when=asyncio.FIRST_COMPLETED,
+            if (msg.width, msg.height) != (hello.width, hello.height):
+                raise ProtocolError(
+                    f"FRAME geometry {msg.width}x{msg.height} disagrees "
+                    f"with HELLO {hello.width}x{hello.height}"
                 )
-                if not read_task.done():
-                    # Drain signalled mid-read: stop ingesting; the
-                    # encode loop parks or flushes what is in flight.
-                    read_task.cancel()
-                    await asyncio.gather(read_task, return_exceptions=True)
-                    await session.ingest.put(_DRAIN_SENTINEL)
-                    return
-                msg = read_task.result()
-                if isinstance(msg, Bye):
-                    await session.ingest.put(_BYE_SENTINEL)
-                    return
-                if not isinstance(msg, FrameMsg):
-                    raise ProtocolError(
-                        f"expected FRAME or BYE, got {msg.type.name}"
-                    )
-                if (msg.width, msg.height) != (hello.width, hello.height):
-                    raise ProtocolError(
-                        f"FRAME geometry {msg.width}x{msg.height} disagrees "
-                        f"with HELLO {hello.width}x{hello.height}"
-                    )
-                registry.inc("repro_serving_frames_total", direction="in",
-                             help="Frames crossing the wire by direction")
+            registry.inc("repro_serving_frames_total", direction="in",
+                         help="Frames crossing the wire by direction")
+            registry.inc(
+                "repro_serving_bytes_total", frame_bytes, direction="in",
+                help="Payload bytes crossing the wire by direction",
+            )
+            index = session.next_index
+            session.next_index += 1
+            session.stats.frames_received += 1
+            if session.ingest.full():
+                # Backpressure: the client outruns the encoder.  The
+                # incoming frame is dropped (never buffered), keeping
+                # the queue depth at its configured bound.
+                await self._drop(session, index, "backpressure")
+                continue
+            # Zero-copy ingest: the wire payload backs the frame
+            # directly (read_message hands out an immutable view,
+            # so frombuffer yields a read-only plane — the encoder
+            # only ever reads the original).  A writable buffer
+            # means something mutable backs the view; snapshot it
+            # and surface the copy in metrics so hot-path copy
+            # regressions are visible.
+            luma = np.frombuffer(msg.luma, dtype=np.uint8).reshape(
+                msg.height, msg.width
+            )
+            if luma.flags.writeable:
+                luma = luma.copy()
                 registry.inc(
-                    "repro_serving_bytes_total", len(msg.luma),
-                    direction="in",
-                    help="Payload bytes crossing the wire by direction",
+                    "repro_serving_frame_copies_total", path="ingest",
+                    help="Hot-path pixel copies (0 when zero-copy holds)",
                 )
-                index = session.next_index
-                session.next_index += 1
-                session.stats.frames_received += 1
-                if session.ingest.full():
-                    # Backpressure: the client outruns the encoder.  The
-                    # incoming frame is dropped (never buffered), keeping
-                    # the queue depth at its configured bound.
-                    await self._drop(session, index, "backpressure")
-                    continue
-                # Zero-copy ingest: the wire payload backs the frame
-                # directly (read_message hands out an immutable view,
-                # so frombuffer yields a read-only plane — the encoder
-                # only ever reads the original).  A writable buffer
-                # means something mutable backs the view; snapshot it
-                # and surface the copy in metrics so hot-path copy
-                # regressions are visible.
-                luma = np.frombuffer(msg.luma, dtype=np.uint8).reshape(
-                    msg.height, msg.width
+            session.arrival_s[index] = time.perf_counter()
+            session.ingest.put_nowait(Frame(luma, index=index))
+            depth = session.ingest.qsize()
+            if depth > session.stats.peak_ingest_depth:
+                session.stats.peak_ingest_depth = depth
+                registry.set_gauge(
+                    "repro_serving_queue_depth_peak", depth,
+                    queue="ingest",
+                    help="Highest per-session queue depth observed",
                 )
-                if luma.flags.writeable:
-                    luma = luma.copy()
-                    registry.inc(
-                        "repro_serving_frame_copies_total", path="ingest",
-                        help="Hot-path pixel copies (0 when zero-copy holds)",
-                    )
-                session.arrival_s[index] = time.perf_counter()
-                session.ingest.put_nowait(Frame(luma, index=index))
-                depth = session.ingest.qsize()
-                if depth > session.stats.peak_ingest_depth:
-                    session.stats.peak_ingest_depth = depth
-                    registry.set_gauge(
-                        "repro_serving_queue_depth_peak", depth,
-                        queue="ingest",
-                        help="Highest per-session queue depth observed",
-                    )
-                if cfg.queue_frames and depth > cfg.queue_frames:
-                    raise RuntimeError(
-                        "ingest queue exceeded its bound"
-                    )  # pragma: no cover - guarded by maxsize
-        finally:
-            drain_wait.cancel()
-            await asyncio.gather(drain_wait, return_exceptions=True)
+            if cfg.queue_frames and depth > cfg.queue_frames:
+                raise RuntimeError(
+                    "ingest queue exceeded its bound"
+                )  # pragma: no cover - guarded by maxsize
 
     def _watchdog_timeout(self, session: _Session) -> Optional[float]:
         """Wall-clock budget for one ``push`` (at most one GOP encode),
@@ -1429,9 +1504,12 @@ class NetworkServer:
                 # Let every queued GOP become durable and reach the
                 # wire before the tail flush and BYE.
                 await session.emit_queue.join()
-                outputs = await loop.run_in_executor(
-                    self._encode_pool, session.encoder.finish
-                )
+                if session.encoder.pending_frames:
+                    outputs = await loop.run_in_executor(
+                        self._encode_pool, session.encoder.finish
+                    )
+                else:  # no tail GOP to encode: nothing for a thread
+                    outputs = session.encoder.finish()
                 await self._emit_outputs(session, outputs)
                 session.completed = True
                 await self._egress_put(
@@ -1703,6 +1781,8 @@ class NetworkServer:
                             outputs: List[FrameOutput]) -> None:
         registry = get_registry()
         now = time.perf_counter()
+        latencies = []
+        encoded = 0
         for out in outputs:
             arrival = session.arrival_s.pop(out.frame_index, None)
             if out.dropped is not None:
@@ -1723,12 +1803,11 @@ class NetworkServer:
                         self.admission.platform.f_max),
                     session.tenant,
                 )
+            bits, psnr = record.bits, record.psnr
             session.stats.frames_encoded += 1
-            session.stats.total_bits += record.bits
-            psnr = float(np.mean([t.psnr for t in record.tiles]))
+            session.stats.total_bits += bits
             session.stats.psnr_sum += psnr
-            registry.inc("repro_serving_frames_encoded_total",
-                         help="Frames encoded by the serving layer")
+            encoded += 1
             if critical > session.slot_s:
                 session.stats.deadline_misses += 1
                 registry.inc(
@@ -1737,10 +1816,7 @@ class NetworkServer:
                          "the 1/FPS slot",
                 )
             if arrival is not None:
-                registry.observe(
-                    "repro_serving_frame_latency_seconds", now - arrival,
-                    help="End-to-end frame latency (arrival to encoded)",
-                )
+                latencies.append(now - arrival)
             recon = out.reconstruction
             # The plane rides by reference (a flat view, no copy): its
             # pixels are copied once, by write_message, on the way to
@@ -1749,9 +1825,18 @@ class NetworkServer:
                 frame_index=out.frame_index,
                 frame_type=out.frame_type.value,
                 width=recon.shape[1], height=recon.shape[0],
-                bits=record.bits, psnr=psnr, luma=recon.reshape(-1),
+                bits=bits, psnr=psnr, luma=recon.reshape(-1),
                 rung=out.rung,
             ))
+        # One registry batch per call (a GOP's outputs), not per frame.
+        if encoded:
+            registry.inc("repro_serving_frames_encoded_total", encoded,
+                         help="Frames encoded by the serving layer")
+        if latencies:
+            registry.observe_many(
+                "repro_serving_frame_latency_seconds", latencies,
+                help="End-to-end frame latency (arrival to encoded)",
+            )
 
     @staticmethod
     def _count_drop(session: _Session, reason: str) -> None:
@@ -1810,17 +1895,36 @@ class NetworkServer:
 
     async def _egress_loop(self, session: _Session,
                            writer: asyncio.StreamWriter) -> None:
+        """Write queued messages in order.  Whatever is queued when the
+        loop wakes is serialised into one buffer — up to the
+        transport's high-water mark, so a slow reader still backs up
+        into the queue, where stale frames coalesce — and goes out
+        under one ``write``, one ``drain()`` and one bump of the
+        out-direction counters."""
         registry = get_registry()
+        high_water = writer.transport.get_write_buffer_limits()[1]
         while True:
             msg = await session.egress.get()
-            if msg is _BYE_SENTINEL:
-                return
-            await write_message(writer, msg)
-            if isinstance(msg, Encoded):
-                registry.inc("repro_serving_frames_total", direction="out",
+            batch = bytearray()
+            frames = payload = 0
+            while msg is not _BYE_SENTINEL:
+                serialise_into(batch, msg)
+                if isinstance(msg, Encoded):
+                    frames += 1
+                    payload += len(msg.luma)
+                if session.egress.empty() or len(batch) > high_water:
+                    break
+                msg = session.egress.get_nowait()
+            if batch:
+                writer.write(batch)
+                await writer.drain()
+            if frames:
+                registry.inc("repro_serving_frames_total", frames,
+                             direction="out",
                              help="Frames crossing the wire by direction")
                 registry.inc(
-                    "repro_serving_bytes_total", len(msg.luma),
-                    direction="out",
+                    "repro_serving_bytes_total", payload, direction="out",
                     help="Payload bytes crossing the wire by direction",
                 )
+            if msg is _BYE_SENTINEL:
+                return

@@ -78,6 +78,18 @@ def _fdatasync(fileno: int) -> None:
     getattr(os, "fdatasync", os.fsync)(fileno)
 
 
+#: What :meth:`FileOps.append` writes: one buffer, or several written
+#: back to back (a record's header line, then its plane blobs).
+_Parts = Union[bytes, Sequence]
+
+
+def _byte_views(data: _Parts) -> List[memoryview]:
+    """The buffers of an append as flat byte views, in order."""
+    parts = [data] if isinstance(data, (bytes, bytearray, memoryview)) \
+        else data
+    return [memoryview(part).cast("B") for part in parts]
+
+
 class FileOps:
     """The real file-operations seam (pass-through implementation).
 
@@ -118,15 +130,39 @@ class FileOps:
         except OSError as exc:
             raise classify_os_error(exc, point) from exc
 
-    def append(self, handle: io.FileIO, data: bytes,
+    def append(self, handle: io.FileIO, data: _Parts,
                point: str = "") -> None:
+        """Append ``data`` — one buffer, or a sequence of C-contiguous
+        buffers written in order with no copy joining them (the file
+        gets exactly their concatenation)."""
         try:
-            view = memoryview(data)
+            views = _byte_views(data)
             fd = handle.fileno()
-            while len(view):
-                view = view[os.write(fd, view):]
+            writev = getattr(os, "writev", None)
+            while views:
+                written = (writev(fd, views) if writev
+                           else os.write(fd, views[0]))
+                while views and written >= len(views[0]):
+                    written -= len(views.pop(0))
+                if written:
+                    views[0] = views[0][written:]
         except OSError as exc:
             raise classify_os_error(exc, point) from exc
+
+    def drop_cache(self, handle: io.FileIO, offset: int,
+                   length: int) -> None:
+        """Tell the kernel a synced range will not be read back (an
+        append-only journal is read only by a RESUME, after a crash or
+        a reconnect): its pages leave the cache now instead of pushing
+        out something live.  Advice only — best effort, a no-op where
+        ``posix_fadvise`` does not exist."""
+        advise = getattr(os, "posix_fadvise", None)
+        if advise is None:
+            return
+        try:
+            advise(handle.fileno(), offset, length, os.POSIX_FADV_DONTNEED)
+        except OSError:
+            pass
 
     def fsync_handle(self, handle: io.FileIO, point: str = "") -> None:
         try:
@@ -440,18 +476,26 @@ class FaultFS(FileOps):
             self._record(point, "create", path)
         return handle
 
-    def append(self, handle: io.FileIO, data: bytes,
+    def append(self, handle: io.FileIO, data: _Parts,
                point: str = "") -> None:
-        torn = self._check(point, "write", data_len=len(data))
+        views = _byte_views(data)
+        total = sum(len(view) for view in views)
+        torn = self._check(point, "write", data_len=total)
         if torn is not None:
-            partial = data[:torn]
+            # The tear falls where it would in the joined bytes.
+            partial = b"".join(views)[:torn]
             self.base.append(handle, partial, point)
             self._record(point, "append", handle.name, data=partial)
             raise TornWriteError(
-                f"short write: {torn} of {len(data)} bytes", point=point
+                f"short write: {torn} of {total} bytes", point=point
             )
-        self.base.append(handle, data, point)
-        self._record(point, "append", handle.name, data=data)
+        self.base.append(handle, views, point)
+        if self.recorder is not None:
+            self._record(point, "append", handle.name, data=b"".join(views))
+
+    def drop_cache(self, handle: io.FileIO, offset: int,
+                   length: int) -> None:
+        self.base.drop_cache(handle, offset, length)
 
     def fsync_handle(self, handle: io.FileIO, point: str = "") -> None:
         self._check(point, "fsync")

@@ -26,12 +26,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis import frame_analysis
 from repro.analysis.evaluator import ContentEvaluator, TileContent
-from repro.analysis.frame_analysis import FrameAnalysis
 from repro.analysis.motion_probe import MotionClass
 from repro.analysis.texture import TextureClass
 from repro.observability import get_registry, get_tracer
@@ -70,6 +70,9 @@ class ContentAwareRetiler:
     ):
         self.constraints = constraints
         self.evaluator = evaluator or ContentEvaluator()
+        # Per frame geometry: the strips every side can grow to, as
+        # (side index per strip, size per strip, rectangles).
+        self._candidates: Dict[Tuple[int, int], tuple] = {}
 
     # ------------------------------------------------------------------
     def retile(
@@ -101,10 +104,11 @@ class ContentAwareRetiler:
         with tracer.span("stage.tiling"):
             # Every strip and the centre lie on this lattice, so one
             # analysis of the frame answers all of them.
-            analysis = FrameAnalysis(current, previous, math.gcd(
-                width, height, cons.align,
-                cons.min_tile_width, cons.min_tile_height,
-            ))
+            analysis = frame_analysis.analyse_frame(
+                current, previous, math.gcd(
+                    width, height, cons.align,
+                    cons.min_tile_width, cons.min_tile_height,
+                ))
             left, right, top, bottom = self._grow_margins(analysis)
             grid = self._build_grid(analysis, left, right, top, bottom)
         with tracer.span("stage.analysis", tiles=len(grid)):
@@ -119,7 +123,7 @@ class ContentAwareRetiler:
     # ------------------------------------------------------------------
     # Margin growth
     # ------------------------------------------------------------------
-    def _grow_margins(self, analysis: FrameAnalysis) -> List[int]:
+    def _grow_margins(self, analysis) -> List[int]:
         """Grow a border strip from each side while its content stays
         low; returns the ``[left, right, top, bottom]`` margins.
 
@@ -133,30 +137,44 @@ class ContentAwareRetiler:
         the last size before its first non-low strip.
         """
         height, width = analysis.current.shape
-        cons = self.constraints
-        candidates = []  # (side index, size, strip)
-        for index, side in enumerate(("left", "right", "top", "bottom")):
-            horizontal = side in ("left", "right")
-            for size in self._margin_sizes(
-                width if horizontal else height,
-                cons.min_tile_width if horizontal else cons.min_tile_height,
-            ):
-                candidates.append(
-                    (index, size, self._strip(width, height, side, size))
-                )
-        contents = self.evaluator.evaluate_tiles(
-            [strip for _, _, strip in candidates], analysis
+        sides, sizes, rects = self._margin_candidates(width, height)
+        _, textures, _, motions = self.evaluator.evaluate_rects(
+            rects, analysis
         )
         margins = [0] * 4  # 0 = no low-content strip at all
         growing = [True] * 4
-        for (index, size, _), content in zip(candidates, contents):
+        for index, size, texture, motion in zip(
+            sides, sizes, textures, motions
+        ):
             growing[index] = growing[index] and (
-                content.texture is TextureClass.LOW
-                and content.motion is MotionClass.LOW
+                texture is TextureClass.LOW and motion is MotionClass.LOW
             )
             if growing[index]:
                 margins[index] = size
         return margins
+
+    def _margin_candidates(self, width: int, height: int) -> tuple:
+        """Every strip a side of a ``width x height`` frame can grow to:
+        ``(side index per strip, size per strip, (x, y, w, h) rows)``,
+        sides in ``[left, right, top, bottom]`` order."""
+        cached = self._candidates.get((width, height))
+        if cached is None:
+            cons = self.constraints
+            sides, sizes, rects = [], [], []
+            for size in self._margin_sizes(width, cons.min_tile_width):
+                sides += (0, 1)
+                sizes += (size, size)
+                rects += ((0, 0, size, height),
+                          (width - size, 0, size, height))
+            for size in self._margin_sizes(height, cons.min_tile_height):
+                sides += (2, 3)
+                sizes += (size, size)
+                rects += ((0, 0, width, size),
+                          (0, height - size, width, size))
+            cached = self._candidates[(width, height)] = (
+                sides, sizes, np.array(rects, dtype=np.int64).reshape(-1, 4)
+            )
+        return cached
 
     def _margin_sizes(self, dim: int, start: int) -> List[int]:
         """Candidate strip sizes along a dimension of ``dim`` samples."""
@@ -170,17 +188,6 @@ class ContentAwareRetiler:
             size = max(grown, size + cons.align)
         return sizes
 
-    def _strip(self, width: int, height: int, side: str, size: int) -> Tile:
-        if side == "left":
-            return Tile(0, 0, size, height)
-        if side == "right":
-            return Tile(width - size, 0, size, height)
-        if side == "top":
-            return Tile(0, 0, width, size)
-        if side == "bottom":
-            return Tile(0, height - size, width, size)
-        raise ValueError(f"unknown side {side!r}")
-
     def _align_down(self, value: int) -> int:
         align = self.constraints.align
         return (value // align) * align
@@ -190,7 +197,7 @@ class ContentAwareRetiler:
     # ------------------------------------------------------------------
     def _build_grid(
         self,
-        analysis: FrameAnalysis,
+        analysis,
         left: int,
         right: int,
         top: int,
@@ -246,7 +253,7 @@ class ContentAwareRetiler:
     def _partition_center(
         self,
         center: Tile,
-        analysis: FrameAnalysis,
+        analysis,
         budget: int,
     ) -> List[Tile]:
         """Split the centre into a near-square grid of similar-size tiles."""

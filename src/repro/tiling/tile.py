@@ -99,22 +99,26 @@ class TileGrid:
     def validate(self) -> None:
         """Raise ``ValueError`` unless tiles exactly partition the frame."""
         total_area = 0
+        spans = []  # (y, x, y_end, x_end, tile), top-left first
         for tile in self.tiles:
-            if tile.x_end > self.frame_width or tile.y_end > self.frame_height:
+            x_end, y_end = tile.x + tile.width, tile.y + tile.height
+            if x_end > self.frame_width or y_end > self.frame_height:
                 raise ValueError(f"tile {tile} exceeds frame bounds")
-            total_area += tile.area
+            total_area += tile.width * tile.height
+            spans.append((tile.y, tile.x, y_end, x_end, tile))
         if total_area != self.frame_width * self.frame_height:
             raise ValueError(
                 f"tiles cover {total_area} samples, frame has "
                 f"{self.frame_width * self.frame_height}"
             )
         # Area match + bounds + pairwise disjointness <=> exact cover.
-        tiles = sorted(self.tiles, key=lambda t: (t.y, t.x))
-        for i, a in enumerate(tiles):
-            for b in tiles[i + 1 :]:
-                if b.y >= a.y_end:
+        spans.sort(key=lambda span: span[:2])
+        for i, (_, ax, ay_end, ax_end, a) in enumerate(spans):
+            for by, bx, _, bx_end, b in spans[i + 1:]:
+                if by >= ay_end:
                     break
-                if a.overlaps(b):
+                # b starts inside a's rows, so columns decide.
+                if bx < ax_end and ax < bx_end:
                     raise ValueError(f"tiles overlap: {a} and {b}")
 
     def __len__(self) -> int:

@@ -30,8 +30,16 @@ import numpy as np
 from repro.analysis.evaluator import ContentEvaluator, TileContent
 from repro.analysis.motion_probe import MotionClass
 from repro.analysis.texture import TextureClass
+from repro import native
 from repro.codec.config import EncoderConfig, FrameType, GopConfig
-from repro.codec.encoder import FrameEncoder, FrameStats
+from repro.codec.encoder import (
+    FrameEncoder,
+    FrameStats,
+    driver_table,
+    search_columns,
+)
+from repro.codec.quant import quantization_step
+from repro.codec.transform import TRANSFORM_SIZE
 from repro.motion.proposed import (
     BioMedicalSearchPolicy,
     ProposedSearchConfig,
@@ -56,9 +64,14 @@ from repro.tiling.content_aware import ContentAwareRetiler
 from repro.tiling.tile import TileGrid
 from repro.transcode.feedback import FramerateFeedback
 from repro.video.frame import Video
+from repro.video.metrics import average_psnr, psnr_from_mse
 from repro.video.generator import ContentClass
 from repro.workload.estimator import WorkloadEstimator
 from repro.workload.keys import WorkloadKey, area_bucket
+
+
+#: Coefficients the codec quantizes per active transform block.
+_COEFFS_PER_BLOCK = TRANSFORM_SIZE * TRANSFORM_SIZE
 
 
 class PipelineMode(enum.Enum):
@@ -168,6 +181,12 @@ class FrameRecord:
         return sum(t.bits for t in self.tiles)
 
     @property
+    def psnr(self) -> float:
+        """Mean tile PSNR: the frame's PSNR on the wire, in the journal
+        and in the trace."""
+        return average_psnr([t.psnr for t in self.tiles])
+
+    @property
     def cpu_time_fmax(self) -> float:
         return sum(t.cpu_time_fmax for t in self.tiles)
 
@@ -253,11 +272,7 @@ class StreamTrace:
     def frame_psnrs(self) -> List[float]:
         """Per-frame PSNR (bit-weighted over tiles is not needed: tile
         PSNRs are aggregated from SSD, so the frame value is exact)."""
-        psnrs = []
-        for frame in self.frame_records:
-            # Recombine tile MSEs exactly via areas encoded in records.
-            psnrs.append(float(np.mean([t.psnr for t in frame.tiles])))
-        return psnrs
+        return [frame.psnr for frame in self.frame_records]
 
     @property
     def average_psnr(self) -> float:
@@ -291,6 +306,47 @@ class StreamTrace:
         raise ValueError("empty trace")
 
 
+class GopPlan:
+    """What the frames of one GOP share on one rung: the grid, and per
+    tile everything about it a frame cannot change — content classes,
+    area, LUT area bucket, the head of its LUT keys — plus, given a
+    ``block_size``, the native driver's tile table
+    (:func:`repro.codec.encoder.driver_table`; ``None`` without the
+    compiled kernels or for a grid outside their contract), whose
+    per-frame columns are all a frame rewrites.  Built once per
+    re-tiling."""
+
+    def __init__(self, grid: TileGrid,
+                 contents: Optional[Sequence[TileContent]],
+                 block_size: Optional[int] = None):
+        self.grid = grid
+        self.contents = contents
+        tiles = grid.tiles
+        if contents:
+            self.textures = [c.texture for c in contents]
+            self.motions = [c.motion for c in contents]
+        else:  # [19] evaluates no content: mid texture, moving
+            self.textures = [TextureClass.MEDIUM] * len(tiles)
+            self.motions = [MotionClass.HIGH] * len(tiles)
+        self.areas = [t.width * t.height for t in tiles]
+        self.buckets = [area_bucket(area) for area in self.areas]
+        #: Per tile, the part of its LUT keys' identity a frame cannot
+        #: change, as plain ints (an enum member hashes in Python).
+        self.key_heads = [
+            (int(texture), int(motion), bucket) for texture, motion, bucket
+            in zip(self.textures, self.motions, self.buckets)
+        ]
+        self.tile_ids = range(len(tiles))
+        self.table = None
+        if block_size is not None and native.lib is not None:
+            table = driver_table(
+                tiles, [block_size] * len(tiles),
+                (grid.frame_height, grid.frame_width),
+            )
+            if not isinstance(table, str):
+                self.table = table
+
+
 class StreamTranscoder:
     """Transcodes one video stream according to a
     :class:`PipelineConfig`."""
@@ -309,11 +365,14 @@ class StreamTranscoder:
         self.retiler = ContentAwareRetiler(config.tiling, self.evaluator)
         self._merged_retiler: Optional[ContentAwareRetiler] = None
         self._frame_encoder = FrameEncoder()
-        # Per-tile values that repeat frame after frame, built once:
-        # the base config at each QP, and the LUT key of each
-        # (texture, motion, QP, window, frame type, area bucket).
+        # Values that repeat frame after frame, built once: the base
+        # config at each QP, its (step, lambda) driver columns, and the
+        # LUT key of each (texture, motion, area bucket, QP, window,
+        # frame type) under the content class the keys were built for.
         self._qp_configs: Dict[int, EncoderConfig] = {}
+        self._qp_quants: Dict[int, tuple] = {}
         self._workload_keys: Dict[tuple, WorkloadKey] = {}
+        self._keys_class: Optional[ContentClass] = None
         self._parallel: Optional[TileParallelExecutor] = None
         if config.parallel_tiles:
             self._parallel = TileParallelExecutor(config.parallel_workers)
@@ -454,54 +513,116 @@ class StreamTranscoder:
         frame_index: int,
         frame_type: FrameType,
         gop_position: int,
-        grid: TileGrid,
-        contents: Sequence[TileContent],
+        plan: GopPlan,
         reference: Optional[np.ndarray],
         adapter: QpAdapter,
         policy: BioMedicalSearchPolicy,
         feedback: FramerateFeedback,
-        prev_feedback: Dict[int, TileQualityFeedback],
+        prev_feedback: Sequence[TileQualityFeedback],
         stream_bitrate_mbps: Optional[float] = None,
     ):
-        cfg = self.config
+        """Encode one frame over the GOP's plan; returns ``(record,
+        reconstruction, per-tile CPU times)``.  ``prev_feedback`` is the
+        previous frame's outcome per tile (empty on the first frame
+        after a re-tiling)."""
         bottlenecks = feedback.bottleneck_tiles
         is_first = gop_position <= 1
-        configs = []
-        specs = []
-        windows = []
-        for i, content in enumerate(contents):
+        is_p = frame_type is FrameType.P
+        # The policy's (algorithm, window) per motion class: the whole
+        # decision but for the feedback's per-tile window shrink.
+        # (Indexed by the class, LOW = 0 and HIGH = 1: an IntEnum member
+        # indexes a tuple, and hashes in Python.)
+        by_motion = (policy.select(MotionClass.LOW, is_first),
+                     policy.select(MotionClass.HIGH, is_first))
+        motions = plan.motions
+        qps, windows = [], []
+        for i, texture in enumerate(plan.textures):
             qp = adapter.adapt(
-                i, content.texture, prev_feedback.get(i),
+                i, texture, prev_feedback[i] if prev_feedback else None,
                 stream_bitrate_mbps=stream_bitrate_mbps,
             )
-            _, window = policy.select(content.motion, is_first)
             # Lighter configuration (§III-D2) — either the paper's
             # single alternative or the resilience ladder's current rung.
             qp, window = feedback.adjust_tile(
-                qp, window, i in bottlenecks, QP_MAX, DELTA_QP
+                qp, by_motion[motions[i]][1], i in bottlenecks,
+                QP_MAX, DELTA_QP,
             )
-            config = self._qp_configs.get(qp)
-            if config is None:
-                config = self._qp_configs[qp] = cfg.base_config.with_qp(qp)
-            configs.append(config)
+            qps.append(qp)
             windows.append(window)
-            # The policy's per-tile decision as plain data.  The motion
+
+        frame_stats = None
+        if plan.table is not None and self._parallel is None:
+            frame_stats, reconstruction = self._encode_planned(
+                luma, frame_index, frame_type, plan, reference, policy,
+                by_motion, is_first, qps, windows,
+            )
+        if frame_stats is None:
+            # Without the driver (or on the tile pool) the decision
+            # travels per tile, as a config and a hook spec.  The motion
             # direction is learned on the first *P* frame of the GOP
             # (the I frame has no motion estimation).
-            specs.append(policy.tile_spec(content.motion, is_first, i, window))
-
-        is_p = frame_type is FrameType.P
-        frame_stats, reconstruction = self._encode_frame(
-            luma, grid, configs, frame_type,
-            reference=reference, frame_index=frame_index,
-            hook_specs=specs if is_p else None,
-        )
+            configs = [self._qp_config(qp) for qp in qps]
+            specs = None
+            if is_p:
+                specs = [
+                    policy.tile_spec(motion, is_first, i, windows[i])
+                    for i, motion in enumerate(motions)
+                ]
+            frame_stats, reconstruction = self._encode_frame(
+                luma, plan.grid, configs, frame_type,
+                reference=reference, frame_index=frame_index,
+                hook_specs=specs,
+            )
         if is_p:
-            merge_learned(policy.state, [t.learned for t in frame_stats.tiles])
-        record = self._record_frame(
-            frame_stats, frame_type, contents, configs, windows
+            merge_learned(policy.state, frame_stats.learned())
+        record, cpu_times = self._record_frame(
+            frame_stats, frame_type, plan, qps, windows
         )
-        return record, reconstruction
+        return record, reconstruction, cpu_times
+
+    def _qp_config(self, qp: int) -> EncoderConfig:
+        config = self._qp_configs.get(qp)
+        if config is None:
+            config = self._qp_configs[qp] = self.config.base_config.with_qp(qp)
+        return config
+
+    def _encode_planned(self, luma, frame_index, frame_type, plan, reference,
+                        policy, by_motion, is_first, qps, windows):
+        """The frame through the plan's driver table: its per-frame
+        columns rewritten, one ``FrameEncoder.encode``.  ``(None,
+        None)`` when the driver cannot take this frame (a plane that is
+        not contiguous uint8, a B frame or half-pel search, a search
+        outside its envelope)."""
+        base = self.config.base_config
+        if (frame_type is FrameType.B or base.half_pel
+                or luma.dtype != np.uint8 or not luma.flags.c_contiguous):
+            return None, None
+        quants = []
+        for qp in qps:
+            quant = self._qp_quants.get(qp)
+            if quant is None:
+                quant = self._qp_quants[qp] = (
+                    quantization_step(qp), base.lambda_mv)
+            quants.append(quant)
+        searches = learners = None
+        if frame_type is FrameType.P:
+            predictors = policy.state.tile_mv
+            searches = []
+            for i, motion in enumerate(plan.motions):
+                columns = search_columns(
+                    by_motion[motion][0], windows[i],
+                    predictors.get(i, (0, 0)), is_first,
+                )
+                if isinstance(columns, str):
+                    return None, None
+                searches.append(columns)
+            if is_first:
+                learners = plan.tile_ids
+        plan.table.load(searches, quants)
+        return self._frame_encoder.encode(
+            luma, plan.grid, None, frame_type, reference=reference,
+            frame_index=frame_index, table=plan.table, learners=learners,
+        )
 
     # ------------------------------------------------------------------
     # Khan [19] baseline pipeline
@@ -527,6 +648,7 @@ class StreamTranscoder:
         for g in range(num_gops):
             frames = video.frames[g * gop_size : (g + 1) * gop_size]
             record = GopRecord(gop_index=g, grid=grid, contents=contents_stub)
+            plan = GopPlan(grid, None)  # [19]: no content, no table
             for pos, frame in enumerate(frames):
                 frame_type = cfg.gop.frame_type(pos)
                 configs = [cfg.base_config] * len(grid)
@@ -538,12 +660,11 @@ class StreamTranscoder:
                         frame.luma, grid, configs, frame_type,
                         reference=reference, frame_index=frame.index,
                     )
-                record.frames.append(
-                    self._record_frame(
-                        frame_stats, frame_type, None, configs,
-                        [cfg.base_config.search_window] * len(grid),
-                    )
-                )
+                record.frames.append(self._record_frame(
+                    frame_stats, frame_type, plan,
+                    [cfg.base_config.qp] * len(grid),
+                    [cfg.base_config.search_window] * len(grid),
+                )[0])
             trace.gops.append(record)
 
             if cfg.khan_cores is None and g == 0:
@@ -561,42 +682,48 @@ class StreamTranscoder:
         self,
         frame_stats: FrameStats,
         frame_type: FrameType,
-        contents: Optional[Sequence[TileContent]],
-        configs: Sequence[EncoderConfig],
+        plan: GopPlan,
+        qps: Sequence[int],
         windows: Sequence[int],
-    ) -> FrameRecord:
+    ) -> tuple:
+        """One pass over the frame's result rows: price each tile,
+        record it, feed the LUT and the registry.  Returns ``(record,
+        per-tile CPU times)``."""
         f_max = self.config.platform.f_max
         mode = self.config.mode.value
-        content_class = getattr(self, "_resolved_class", None)
-        resolution = self.config.rung_resolution
-        keys = self._workload_keys
+        count_cycles = self.cost_model.count_cycles
+        injector = self.fault_injector
         registry = get_registry()
         tracer = get_tracer()
+        type_name = frame_type.value
+        content_class = getattr(self, "_resolved_class", None)
+        if content_class is not self._keys_class:
+            self._workload_keys = {}
+            self._keys_class = content_class
+        keys = self._workload_keys
+        counts, clocks = frame_stats.rows()
         tile_records = []
         frame_keys = []
         cpu_times = []
-        for i, tile_stat in enumerate(frame_stats.tiles):
-            cpu_time = self.cost_model.seconds(tile_stat.ops, f_max)
-            if self.fault_injector is not None:
-                cpu_time = self.fault_injector.perturb_cpu_time(cpu_time)
-            texture = contents[i].texture if contents else TextureClass.MEDIUM
-            motion = contents[i].motion if contents else MotionClass.HIGH
-            qp, window = configs[i].qp, windows[i]
-            tile_records.append(
-                TileRecord(
-                    tile_index=i,
-                    texture=texture,
-                    motion=motion,
-                    qp=qp,
-                    search_window=window,
-                    bits=tile_stat.bits,
-                    psnr=tile_stat.psnr,
-                    cpu_time_fmax=cpu_time,
-                )
-            )
-            bucket = area_bucket(tile_stat.tile.area)
-            memo = (texture, motion, qp, window, frame_type, bucket,
-                    content_class)
+        for i, (row, clock, qp, window) in enumerate(
+            zip(counts, clocks, qps, windows)
+        ):
+            bits, pred_pixels, sad_pixel_ops, me_candidates, blocks = row[:5]
+            cpu_time = count_cycles(
+                sad_pixel_ops, me_candidates, blocks,
+                blocks * _COEFFS_PER_BLOCK, bits, pred_pixels,
+            ) / f_max
+            if injector is not None:
+                cpu_time = injector.perturb_cpu_time(cpu_time)
+            texture, motion = plan.textures[i], plan.motions[i]
+            tile_records.append(TileRecord(
+                i, texture, motion, qp, window, bits,
+                psnr_from_mse(clock[0] / plan.areas[i]), cpu_time,
+            ))
+            # The one key object per descriptor: the LUT hashes it
+            # twice per observation, and a key caches its hash and its
+            # class-agnostic twin.
+            memo = plan.key_heads[i] + (qp, window, type_name)
             key = keys.get(memo)
             if key is None:
                 key = keys[memo] = WorkloadKey(
@@ -605,9 +732,9 @@ class StreamTranscoder:
                     qp=qp,
                     search_window=window,
                     frame_type=frame_type,
-                    area_bucket=bucket,
+                    area_bucket=plan.buckets[i],
                     content_class=content_class,
-                    resolution=resolution,
+                    resolution=self.config.rung_resolution,
                 )
             frame_keys.append(key)
             cpu_times.append(cpu_time)
@@ -616,13 +743,13 @@ class StreamTranscoder:
                     "tile.record",
                     tile=i,
                     frame=frame_stats.frame_index,
-                    type=frame_type.value,
+                    type=type_name,
                     texture=texture.name,
                     motion=motion.name,
                     qp=qp,
                     window=window,
-                    area_bucket=bucket,
-                    bits=tile_stat.bits,
+                    area_bucket=plan.buckets[i],
+                    bits=bits,
                     cpu_time_fmax=cpu_time,
                 )
         # One LUT lock acquisition and one registry batch per frame.
@@ -633,13 +760,13 @@ class StreamTranscoder:
         )
         registry.inc("repro_frames_encoded_total", mode=mode,
                      help="Frames encoded by the pipeline")
-        registry.inc("repro_tiles_encoded_total", len(frame_stats.tiles),
+        registry.inc("repro_tiles_encoded_total", len(tile_records),
                      mode=mode, help="Tiles encoded by the pipeline")
         return FrameRecord(
             frame_index=frame_stats.frame_index,
             frame_type=frame_type,
             tiles=tile_records,
-        )
+        ), cpu_times
 
 
 class ProposedStreamSession:
@@ -687,7 +814,9 @@ class ProposedStreamSession:
         self._resilient = isinstance(self._feedback, DegradationController)
         self._reference: Optional[np.ndarray] = None
         self._previous_original: Optional[np.ndarray] = None
-        self._prev_frame_feedback: Dict[int, TileQualityFeedback] = {}
+        #: The previous frame's outcome per tile (Algorithm 1's input);
+        #: empty until a frame has been encoded over the current grid.
+        self._prev_frame_feedback: List[TileQualityFeedback] = []
         self._recent_bits: List[int] = []  # rolling ~1 s window
         self._pending: List = []  # buffered frames of the current GOP
         self._pending_corrupt: Set[int] = set()
@@ -888,11 +1017,13 @@ class ProposedStreamSession:
             frames[0].luma, self._previous_original,
             merged=self._resilient and feedback.merge_tiles,
         )
-        grid, contents = retiling.grid, retiling.contents
+        block_size = cfg.base_config.block_size
+        plan = GopPlan(retiling.grid, retiling.contents, block_size)
         self._adapter.reset()
         self._policy.start_gop()
-        self._prev_frame_feedback.clear()
-        record = GopRecord(gop_index=g, grid=grid, contents=contents)
+        self._prev_frame_feedback = []
+        record = GopRecord(gop_index=g, grid=plan.grid,
+                           contents=plan.contents)
 
         for pos, frame in enumerate(frames):
             frame_type = cfg.gop.frame_type(pos)
@@ -917,10 +1048,10 @@ class ProposedStreamSession:
                     frame.luma, self._previous_original,
                     merged=self._resilient and feedback.merge_tiles,
                 )
-                grid, contents = retiling.grid, retiling.contents
-                record.grid, record.contents = grid, contents
+                plan = GopPlan(retiling.grid, retiling.contents, block_size)
+                record.grid, record.contents = plan.grid, plan.contents
                 self._adapter.reset()
-                self._prev_frame_feedback.clear()
+                self._prev_frame_feedback = []
             window = max(1, int(round(cfg.fps)))
             recent = self._recent_bits[-window:]
             stream_bitrate = (
@@ -929,12 +1060,12 @@ class ProposedStreamSession:
             )
             with get_tracer().span(
                 "pipeline.frame", frame=frame.index,
-                type=frame_type.value, gop=g, tiles=len(grid),
+                type=frame_type.value, gop=g, tiles=len(plan.grid),
             ):
-                frame_record, self._reference = (
+                frame_record, self._reference, cpu_times = (
                     transcoder._encode_proposed_frame(
-                        frame.luma, frame.index, frame_type, pos, grid,
-                        contents, self._reference, self._adapter,
+                        frame.luma, frame.index, frame_type, pos, plan,
+                        self._reference, self._adapter,
                         self._policy, feedback, self._prev_frame_feedback,
                         stream_bitrate,
                     )
@@ -943,14 +1074,11 @@ class ProposedStreamSession:
             self._recent_bits.append(frame_record.bits)
             if len(self._recent_bits) > window:
                 self._recent_bits = self._recent_bits[-window:]
-            feedback.observe_frame(
-                [t.cpu_time_fmax for t in frame_record.tiles],
-                frame.index,
-            )
-            self._prev_frame_feedback = {
-                t.tile_index: TileQualityFeedback(psnr_db=t.psnr, bits=t.bits)
+            feedback.observe_frame(cpu_times, frame.index)
+            self._prev_frame_feedback = [
+                TileQualityFeedback(psnr_db=t.psnr, bits=t.bits)
                 for t in frame_record.tiles
-            }
+            ]
             self._previous_original = frame.luma
             outputs.append(FrameOutput(
                 frame_index=frame.index,

@@ -50,11 +50,36 @@ def psnr_from_mse(err: float) -> float:
 
 
 def average_psnr(psnrs: Iterable[float]) -> float:
-    """Arithmetic mean of per-frame PSNR values (CTC convention)."""
+    """Arithmetic mean of PSNR values (CTC convention): exactly the
+    float64 ``numpy.mean`` returns, without a trip through an array —
+    the serving path takes a frame's mean over its eight to twelve
+    tiles per frame, where NumPy's dispatch costs more than the sum.
+
+    The order is NumPy's: below eight values a running sum; from eight
+    (up to its 128-value block) eight interleaved partial sums folded
+    as a balanced tree, then the tail.  Longer inputs go to NumPy.
+    """
     values = list(psnrs)
-    if not values:
+    count = len(values)
+    if not count:
         raise ValueError("no PSNR values to average")
-    return float(np.mean(values))
+    if count > 128:
+        return float(np.mean(values))
+    if count < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total / count
+    lanes = values[:8]
+    full = count - count % 8
+    for start in range(8, full, 8):
+        for lane in range(8):
+            lanes[lane] += values[start + lane]
+    total = (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+             + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
+    for value in values[full:]:
+        total += value
+    return total / count
 
 
 def bitrate_mbps(total_bits: int, num_frames: int, fps: float) -> float:

@@ -46,14 +46,6 @@ class CpuTimeHistogram:
         self._sum = 0.0
         self._count = 0
 
-    def _bin(self, value: float) -> int:
-        if value <= self.t_min:
-            return 0
-        if value >= self.t_max:
-            return self.num_bins - 1
-        frac = (math.log(value) - self._log_min) / self._log_ratio
-        return min(self.num_bins - 1, int(frac * self.num_bins))
-
     def _bin_center(self, index: int) -> float:
         frac = (index + 0.5) / self.num_bins
         return math.exp(self._log_min + frac * self._log_ratio)
@@ -61,7 +53,19 @@ class CpuTimeHistogram:
     def observe(self, cpu_time: float) -> None:
         if cpu_time < 0:
             raise ValueError("CPU time must be non-negative")
-        self.counts[self._bin(cpu_time)] += 1
+        # The bin, in line: the LUT observes every tile of every frame
+        # twice (its key and the key's class-agnostic twin).
+        last = self.num_bins - 1
+        if cpu_time <= self.t_min:
+            index = 0
+        elif cpu_time >= self.t_max:
+            index = last
+        else:
+            frac = (math.log(cpu_time) - self._log_min) / self._log_ratio
+            index = int(frac * self.num_bins)
+            if index > last:
+                index = last
+        self.counts[index] += 1
         self._sum += cpu_time
         self._count += 1
 

@@ -51,12 +51,16 @@ def per_pixel_content(tile, current, previous, thresholds, config):
 class PerPixelEvaluator(ContentEvaluator):
     """The evaluator the pipeline used to have: the oracle."""
 
-    def evaluate_tiles(self, tiles, analysis):
-        return [
-            per_pixel_content(t, analysis.current, analysis.previous,
-                              self.texture_thresholds, self.motion_config)
-            for t in tiles
+    def evaluate_rects(self, rects, analysis):
+        contents = [
+            per_pixel_content(Tile(*rect), analysis.current,
+                              analysis.previous, self.texture_thresholds,
+                              self.motion_config)
+            for rect in np.asarray(rects).tolist()
         ]
+        return ([c.cv for c in contents], [c.texture for c in contents],
+                [c.motion_score for c in contents],
+                [c.motion for c in contents])
 
 
 def assert_same_contents(fast, oracle):

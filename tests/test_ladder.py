@@ -98,6 +98,24 @@ def _case(params):
     return plane, out_h, out_w
 
 
+def _record_tables(monkeypatch):
+    """The ``table`` every ``FrameEncoder.encode`` call is handed from
+    here on, in call order (the list keeps them alive, so their ids
+    stay distinct)."""
+    from repro.codec.encoder import FrameEncoder
+
+    tables = []
+    encode = FrameEncoder.encode
+
+    def recording(self, *args, **kwargs):
+        tables.append(kwargs.get("table"))
+        assert tables[-1] is not None
+        return encode(self, *args, **kwargs)
+
+    monkeypatch.setattr(FrameEncoder, "encode", recording)
+    return tables
+
+
 class TestDownscalerDifferential:
     @pytest.mark.skipif(native.lib is None, reason="native kernels not built")
     @given(params=_geometry)
@@ -410,35 +428,104 @@ class TestOneRungIsThePlainSession:
 
     @pytest.mark.skipif(native.lib is None, reason="native kernels not built")
     @pytest.mark.parametrize("num_rungs", [1, 3])
-    def test_a_push_crosses_once_per_frame_per_rung(self, num_rungs):
+    def test_a_push_crosses_once_per_frame_per_rung(self, num_rungs,
+                                                    monkeypatch):
         """What a push costs in crossings: one ``encode_frame_u8`` per
-        frame per rung when a GOP flushes (however many tiles), one
-        ``downscale_box_u8`` per scaled rung on every push, nothing on a
-        mid-GOP push of a plain session — and one ``WorkloadEstimator``
-        lock acquisition per encoded frame."""
+        frame per rung when a GOP flushes (however many tiles), three
+        ``analyze_frame_u8`` per rung per GOP (margins, centre, grid),
+        one ``downscale_box_u8`` per scaled rung on every push, nothing
+        on a mid-GOP push of a plain session — and one
+        ``WorkloadEstimator`` lock acquisition per encoded frame.  The
+        frames of a GOP go through one tile table per rung, built when
+        the GOP is re-tiled."""
         # Large enough to be cut into several tiles on every rung.
         rungs = (LadderRung(256, 192), LadderRung(192, 144),
                  LadderRung(128, 96))[:num_rungs]
         video = BioMedicalVideoGenerator(GeneratorConfig(
-            width=256, height=192, num_frames=_GOP, seed=5,
+            width=256, height=192, num_frames=2 * _GOP, seed=5,
             content_class=ContentClass.BRAIN, motion=MotionPreset.PAN_RIGHT,
         )).generate()
         config = PipelineConfig(fps=24.0, gop=GopConfig(_GOP))
+        tables = _record_tables(monkeypatch)
         with LadderSession(config, LadderConfig(rungs=rungs,
                                                 prune=False)) as session:
             lock = session.estimator._observe_lock = CountingLock()
             for frame in video.frames:
                 lock.acquisitions = 0
+                del tables[:]
                 with counted_native() as calls:
                     outputs = session.push(frame)
-                flushed = frame.index == _GOP - 1
+                flushed = frame.index % _GOP == _GOP - 1
                 assert len(outputs) == (_GOP * len(rungs) if flushed else 0)
                 assert calls["downscale_box_u8"] == len(rungs) - 1
                 assert calls["encode_frame_u8"] == len(outputs)
+                assert calls["analyze_frame_u8"] == (
+                    3 * len(rungs) if flushed else 0)
                 assert lock.acquisitions == len(outputs)
-                assert set(calls) <= {"downscale_box_u8", "encode_frame_u8"}
+                assert set(calls) <= {"downscale_box_u8", "encode_frame_u8",
+                                      "analyze_frame_u8"}
+                if flushed:
+                    # Rung by rung, a GOP's frames: one table each.
+                    per_rung = [tables[r * _GOP:(r + 1) * _GOP]
+                                for r in range(len(rungs))]
+                    assert all(len(set(map(id, gop))) == 1
+                               for gop in per_rung)
+                    gop_tables = [gop[0] for gop in per_rung]
+                    assert len(set(map(id, gop_tables))) == len(rungs)
+                    if frame.index > _GOP:  # rebuilt at the boundary
+                        assert not (set(map(id, gop_tables))
+                                    & set(map(id, first_gop_tables)))
+                    first_gop_tables = gop_tables  # kept alive: ids stay unique
             # Several tiles behind every one of those calls.
             assert all(len(o.record.tiles) > 1 for o in outputs)
+
+    @pytest.mark.skipif(native.lib is None, reason="native kernels not built")
+    def test_per_frame_retiling_builds_a_table_per_frame(self, monkeypatch):
+        """The ablation mode re-tiles on every frame: every frame gets
+        its own table (and its own three analysis crossings)."""
+        video = BioMedicalVideoGenerator(GeneratorConfig(
+            width=256, height=192, num_frames=_GOP, seed=5,
+            content_class=ContentClass.BRAIN, motion=MotionPreset.PAN_RIGHT,
+        )).generate()
+        config = PipelineConfig(fps=24.0, gop=GopConfig(_GOP),
+                                retile_per_gop=False)
+        tables = _record_tables(monkeypatch)
+        ladder = LadderConfig(rungs=(LadderRung(256, 192),), prune=False)
+        with LadderSession(config, ladder) as session, \
+                counted_native() as calls:
+            outputs = _push_all(session, video.frames)
+        assert len(outputs) == _GOP
+        assert len(set(map(id, tables))) == len(tables) == _GOP
+        assert calls["analyze_frame_u8"] == 3 * _GOP
+
+    @pytest.mark.skipif(native.lib is None, reason="native kernels not built")
+    def test_a_rebuilt_encoder_plans_its_gop_afresh(self, monkeypatch):
+        """The watchdog's rebuild mid-GOP: a fresh session restored to
+        the last boundary and re-fed the interrupted GOP builds its own
+        table for it, and encodes what the uninterrupted session does."""
+        video = BioMedicalVideoGenerator(GeneratorConfig(
+            width=256, height=192, num_frames=2 * _GOP, seed=5,
+            content_class=ContentClass.BRAIN, motion=MotionPreset.PAN_RIGHT,
+        )).generate()
+        config = PipelineConfig(fps=24.0, gop=GopConfig(_GOP),
+                                resilience=ResilienceConfig())
+        ladder = LadderConfig(rungs=(LadderRung(256, 192),), prune=False)
+        tables = _record_tables(monkeypatch)
+        with LadderSession(config, ladder) as whole:
+            for frame in video.frames[:_GOP]:
+                whole.push(frame)
+            snapshot = whole.export_state()
+            for frame in video.frames[_GOP:_GOP + 3]:  # wedged mid-GOP
+                assert whole.push(frame) == []
+            first = list(tables)
+            with LadderSession(config, ladder) as rebuilt:
+                rebuilt.import_state(snapshot)
+                got = _push_all(rebuilt, video.frames[_GOP:])
+            want = _push_all(whole, video.frames[_GOP + 3:])
+        assert _rung_digests(got) == _rung_digests(want)
+        mine, theirs = tables[_GOP:2 * _GOP], tables[2 * _GOP:]
+        assert len(first) == len(mine) == len(theirs) == _GOP
+        assert len({id(t) for t in first + mine + theirs}) == 3
 
     @pytest.mark.parametrize("rungs", [_RUNGS[:1], _RUNGS],
                              ids=["1-rung", "3-rung"])

@@ -21,8 +21,8 @@ _EXPORT = re.compile(
 )
 
 
-#: Top-level functions of ``repro.native``, body included.
-_NATIVE_DEF = re.compile(r"^def (\w+)\(.*?(?=^(?:def|class) |\Z)",
+#: Top-level functions and classes of ``repro.native``, body included.
+_NATIVE_DEF = re.compile(r"^(?:def|class) (\w+)\b.*?(?=^(?:def|class) |\Z)",
                          re.MULTILINE | re.DOTALL)
 
 
@@ -38,7 +38,8 @@ def unreached(exports, binding_block: str, sources: dict) -> list:
             bad.append(f"{name}: not bound in native._load")
             continue
         # Called on the handle from another module, or from a function
-        # of repro.native that something besides its own ``def`` calls.
+        # (or a class) of repro.native that something besides its own
+        # definition calls.
         wrappers = [m.group(1) for m in _NATIVE_DEF.finditer(native_src)
                     if re.search(rf"\b(?:lib|cdll)\.{name}\(", m.group(0))]
         if not (re.search(rf"\blib\.{name}\b", elsewhere) or any(
@@ -58,7 +59,8 @@ def test_every_export_is_bound_and_reached():
     exports = _EXPORT.findall((SRC / "native" / "kernels.c").read_text())
     # The whole list, pinned: a new export is a new configuration for
     # `make sanitize` / `make reference` to hold bit-exact.
-    assert set(exports) == {"encode_frame_u8", "downscale_box_u8"}
+    assert set(exports) == {"encode_frame_u8", "analyze_frame_u8",
+                            "downscale_box_u8"}
     assert unreached(exports, inspect.getsource(native._load), _sources()) == []
 
 

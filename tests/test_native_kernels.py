@@ -843,3 +843,310 @@ def test_downscale_declines_planes_its_lanes_cannot_sum():
     # The largest plane it takes, at the largest sum it can hold.
     assert native.downscale_box(
         np.full((4095, 4096), 255, dtype=np.uint8), 1, 1).tolist() == [[255]]
+
+
+# ----------------------------------------------------------------------
+# Content analysis and re-tiling: analyze_frame_u8 vs the NumPy analysis
+# ----------------------------------------------------------------------
+from dataclasses import replace  # noqa: E402
+
+from repro.analysis import frame_analysis  # noqa: E402
+from repro.analysis.evaluator import ContentEvaluator  # noqa: E402
+from repro.analysis.frame_analysis import (  # noqa: E402
+    FrameAnalysis,
+    NativeFrameAnalysis,
+    analyse_frame,
+)
+from repro.analysis.motion_probe import (  # noqa: E402
+    MotionProbe,
+    MotionProbeConfig,
+)
+from repro.analysis.texture import (  # noqa: E402
+    TextureClass,
+    TextureThresholds,
+)
+from repro.tiling.constraints import TilingConstraints  # noqa: E402
+from repro.tiling.content_aware import ContentAwareRetiler  # noqa: E402
+
+
+def _numpy_retile(retiler, current, previous, monkeypatch):
+    """The same re-tiling with the NumPy analysis — the oracle — and
+    the ctypes handle forbidden: it is NumPy all the way."""
+    with monkeypatch.context() as patch, native_forbidden():
+        patch.setattr(frame_analysis, "analyse_frame", FrameAnalysis)
+        return retiler.retile(current, previous)
+
+
+def _assert_same_retiling(retiler, current, previous, monkeypatch):
+    """Grids, classes, CVs and motion scores: equal, not close."""
+    with counted_native() as calls:
+        fast = retiler.retile(current, previous)
+    oracle = _numpy_retile(retiler, current, previous, monkeypatch)
+    assert fast.grid.tiles == oracle.grid.tiles
+    assert fast.contents == oracle.contents
+    # One crossing per batch of questions: the margins (which also
+    # builds the tables), the centre, the finished grid — one in all
+    # for a frame too small to split.
+    assert set(calls) == {"analyze_frame_u8"}
+    assert calls["analyze_frame_u8"] == (3 if len(fast.grid) > 1 else 1)
+    return fast
+
+
+def _both_analyses(current, previous, block):
+    fast = analyse_frame(current, previous, block)
+    assert isinstance(fast, NativeFrameAnalysis)
+    return fast, FrameAnalysis(current, previous, block)
+
+
+def _assert_same_answers(current, previous, block, rects,
+                         thresholds=TextureThresholds(),
+                         config=MotionProbeConfig()):
+    fast, oracle = _both_analyses(current, previous, block)
+    rects = np.asarray(rects, dtype=np.int64).reshape(-1, 4)
+    got = fast.evaluate(rects, thresholds, config)
+    with native_forbidden():
+        want = oracle.evaluate(rects, thresholds, config)
+    assert got == want
+    return got
+
+
+@needs_driver
+@pytest.mark.parametrize("size", [(640, 480), (480, 360), (320, 240),
+                                  (96, 96)])
+@pytest.mark.parametrize("content", list(ContentClass))
+def test_native_retiling_matches_numpy_on_generated_content(
+        content, size, monkeypatch):
+    width, height = size
+    for seed in range(2):
+        video = generate_video(content_class=content, width=width,
+                               height=height, num_frames=3, seed=seed)
+        planes = [_flush_to_buffer_end(f.luma, 1 + 2 * seed)
+                  for f in video.frames]
+        retiler = ContentAwareRetiler()
+        _assert_same_retiling(retiler, planes[0], None, monkeypatch)
+        _assert_same_retiling(retiler, planes[2], planes[1], monkeypatch)
+
+
+@needs_driver
+def test_native_retiling_under_tile_merge_constraints(monkeypatch):
+    """The halved tile cap the degradation ladder's TILE_MERGE rung
+    re-tiles with, and a frame too small to split at all."""
+    constraints = TilingConstraints()
+    merged = replace(constraints, max_tiles=max(
+        constraints.min_center_tiles + 1, constraints.max_tiles // 2))
+    video = generate_video(content_class=ContentClass.BRAIN, width=640,
+                           height=480, num_frames=2, seed=16)
+    previous, current = (f.luma for f in video.frames)
+    full = _assert_same_retiling(
+        ContentAwareRetiler(constraints), current, previous, monkeypatch)
+    capped = _assert_same_retiling(
+        ContentAwareRetiler(merged), current, previous, monkeypatch)
+    assert len(capped.grid) <= merged.max_tiles < len(full.grid)
+    single = _assert_same_retiling(
+        ContentAwareRetiler(), current[:64, :64].copy(),
+        previous[:64, :64].copy(), monkeypatch)
+    assert len(single.grid) == 1
+
+
+@needs_driver
+def test_native_texture_sits_on_both_thresholds():
+    """Two-valued planes whose CV is exactly 0.25 (150 | 90) and 0.6
+    (200 | 50): ``<=`` keeps each in the lower class, and one ulp of
+    threshold either way moves it — the same way in both tiers.  The
+    dark-mean guard is a strict ``<``."""
+    rect = [(0, 0, 32, 32)]
+    for (a, b), cv, classes in (
+        ((150, 90), 0.25, (TextureClass.LOW, TextureClass.MEDIUM)),
+        ((200, 50), 0.6, (TextureClass.MEDIUM, TextureClass.HIGH)),
+    ):
+        plane = np.full((32, 32), a, dtype=np.uint8)
+        plane[:, 16:] = b
+        cvs, textures, _ = _assert_same_answers(plane, None, 16, rect)
+        assert cvs == [cv] and textures == [classes[0]]
+        below = math.nextafter(cv, 0.0)
+        shifted = (TextureThresholds(low=below) if cv == 0.25
+                   else TextureThresholds(high=below))
+        _, textures, _ = _assert_same_answers(plane, None, 16, rect, shifted)
+        assert textures == [classes[1]]
+    plane = np.full((32, 32), 150, dtype=np.uint8)
+    plane[:, 16:] = 90  # mean exactly 120
+    for dark_mean, texture in ((120.0, TextureClass.MEDIUM),
+                               (math.nextafter(120.0, 200.0),
+                                TextureClass.LOW)):
+        thresholds = TextureThresholds(low=0.1, dark_mean=dark_mean)
+        _, textures, _ = _assert_same_answers(plane, None, 16, rect,
+                                              thresholds)
+        assert textures == [texture]
+
+
+@needs_driver
+@pytest.mark.parametrize("count", [4, 6, 9])
+def test_native_probe_keeps_the_float_predicate(count):
+    """Patches whose sums differ by exactly ``tol * n`` — where the
+    float64 quotients and the integer form disagree for n = 6, 9 — at a
+    tile corner (4 taps), an edge (6) and an interior point (9)."""
+    config = MotionProbeConfig()
+    shape = {4: (16, 16), 6: (2, 16), 9: (16, 16)}[count]
+    rng = np.random.default_rng(count)
+    scores = set()
+    for _ in range(200):
+        current = rng.integers(0, 256, shape, dtype=np.uint8)
+        previous = current.copy()
+        y, x = (0, 0) if count == 4 else (shape[0] // 2, shape[1] // 2)
+        patch = (slice(max(0, y - 1), y + 2), slice(max(0, x - 1), x + 2))
+        flat = previous[patch].reshape(-1).astype(np.int64)
+        assert flat.size == count
+        delta = config.pixel_tolerance * count
+        for i in range(flat.size):
+            step = min(delta, 255 - int(flat[i]))
+            flat[i] += step
+            delta -= step
+        previous[patch] = flat.reshape(previous[patch].shape)
+        _, _, got = _assert_same_answers(
+            current, previous, 2, [(0, 0, shape[1], shape[0])])
+        assert got == [MotionProbe(config).score(current, previous)]
+        scores.update(got)
+    # Quotients by 4 are exact and never exceed the tolerance; by 6 and
+    # 9 they round, and some pairs land a hair above it.
+    assert (scores == {0.0}) if count == 4 else (len(scores) > 1)
+
+
+@needs_driver
+def test_native_max_point_is_the_first_row_major_maximum():
+    """All-0 and all-255 planes (every sample is a maximum), a single
+    peak anywhere, equal peaks in different cells and in one cell: the
+    probe's sixth point is the first in raster order, which shows in
+    the score when only one of the tied maxima moved."""
+    config = MotionProbeConfig(alpha=0.0, beta=0.0, gamma=1.0)
+    whole = [(0, 0, 48, 32), (16, 0, 32, 32), (0, 16, 48, 16)]
+    for value in (0, 255):
+        flat = np.full((32, 48), value, dtype=np.uint8)
+        moved = flat.copy()
+        moved[0, 0] = 255 - value  # the first sample of two rectangles
+        assert _assert_same_answers(flat, moved, 16, whole, config=config)[2] \
+            == [1.0, 0.0, 0.0]
+    rng = np.random.default_rng(8)
+    base = rng.integers(0, 200, (32, 48), dtype=np.uint8)
+    for peaks in (
+        [(31, 47)], [(0, 0)], [(5, 20)],           # a single peak
+        [(3, 40), (20, 2)], [(20, 2), (20, 40)],   # ties across cells
+        [(17, 18), (17, 30)], [(18, 17), (30, 17)],  # ties within a cell
+    ):
+        current = base.copy()
+        for y, x in peaks:
+            current[y, x] = 255
+        for y, x in peaks:  # each peak in turn is the one that moved
+            previous = current.copy()
+            previous[max(0, y - 1):y + 2, max(0, x - 1):x + 2] = 0
+            _, _, scores = _assert_same_answers(
+                current, previous, 16, whole, config=config)
+            first = min(peaks)
+            # Whole frame: the max point is the first peak.
+            assert scores[0] == (1.0 if (y, x) == first else 0.0)
+    # Without a previous plane nothing is scored.
+    assert _assert_same_answers(base, None, 16, whole)[2] == [0.0] * 3
+
+
+@st.composite
+def _analysis_cases(draw):
+    block = draw(st.sampled_from([1, 2, 3, 4, 8, 16, 24]))
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["random", "black", "white", "sparse"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    previous = draw(st.sampled_from(["none", "same", "other"]))
+    rects = []
+    for _ in range(draw(st.integers(1, 6))):
+        x = draw(st.integers(0, cols - 1))
+        y = draw(st.integers(0, rows - 1))
+        rects.append((x * block, y * block,
+                      draw(st.integers(1, cols - x)) * block,
+                      draw(st.integers(1, rows - y)) * block))
+    return block, rows, cols, kind, seed, previous, rects
+
+
+@needs_driver
+@given(_analysis_cases(),
+       st.sampled_from([TextureThresholds(),
+                        TextureThresholds(low=0.1, high=0.3, dark_mean=0.0)]),
+       st.sampled_from([MotionProbeConfig(), MotionProbeConfig(patch_radius=0),
+                        MotionProbeConfig(patch_radius=2, pixel_tolerance=0),
+                        MotionProbeConfig(alpha=0.5, beta=1.25, gamma=2.0,
+                                          pixel_tolerance=1.5)]))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_native_analysis_matches_numpy(case, thresholds, config):
+    """Every lattice (the SSE2 cell pass at 8 / 16 / 24, the scalar one
+    elsewhere), planes that end on their allocation's last byte."""
+    block, rows, cols, kind, seed, previous, rects = case
+    height, width = rows * block, cols * block
+    rng = np.random.default_rng(seed)
+
+    def plane(offset):
+        if kind == "black":
+            out = np.zeros((height, width), dtype=np.uint8)
+        elif kind == "white":
+            out = np.full((height, width), 255, dtype=np.uint8)
+        elif kind == "sparse":  # many equal maxima: ties everywhere
+            out = (rng.integers(0, 4, (height, width)) * 85).astype(np.uint8)
+        else:
+            out = rng.integers(0, 256, (height, width), dtype=np.uint8)
+        return _flush_to_buffer_end(out, offset)
+
+    current = plane(1)
+    previous = {"none": None, "same": current.copy(),
+                "other": plane(3)}[previous]
+    _assert_same_answers(current, previous, block, rects, thresholds, config)
+
+
+@needs_driver
+def test_native_analysis_declines_what_it_cannot_hold():
+    """Outside the kernel's envelope ``analyse_frame`` hands out the
+    NumPy analysis: rows that are not unit-stride, planes whose sums
+    could leave the kernel's integers.  Rectangles off the lattice or
+    outside the plane are refused before anything is read."""
+    rng = np.random.default_rng(2)
+    plane = rng.integers(0, 256, (32, 64), dtype=np.uint8)
+    assert isinstance(analyse_frame(plane, None, 8), NativeFrameAnalysis)
+    for odd in (plane[:, ::2], plane.T):  # strided columns
+        assert isinstance(analyse_frame(odd, None, 8), FrameAnalysis)
+    assert isinstance(analyse_frame(plane, plane[:, ::-1], 8), FrameAnalysis)
+    assert isinstance(analyse_frame(plane[::2], None, 8),
+                      NativeFrameAnalysis)  # a row pitch is fine
+    _assert_same_answers(plane[::2], plane[1::2], 8, [(8, 0, 32, 16)])
+    wide = np.zeros((1, 1 << 16), dtype=np.uint8)
+    assert not native.analysis_fits(wide)
+    assert native.analysis_fits(wide[:, :-1])
+    big = np.zeros((2064, 4096), dtype=np.uint8)
+    assert not native.analysis_fits(big)
+    assert native.analysis_fits(big[:2048])
+    with native_forbidden():
+        assert isinstance(analyse_frame(big, None, 16), FrameAnalysis)
+    # The largest plane it takes, all white: n * S2 at its maximum.
+    white = np.full((2048, 4096), 255, dtype=np.uint8)
+    cvs, textures, _ = _assert_same_answers(
+        white, None, 2048, [(0, 0, 4096, 2048)])
+    assert cvs == [0.0] and textures == [TextureClass.LOW]
+    fast = analyse_frame(plane, None, 8)
+    for rect in ((4, 0, 8, 8), (0, 0, 8, 12), (0, 0, 72, 8), (0, 24, 8, 16),
+                 (-8, 0, 8, 8), (0, 0, 0, 8)):
+        with pytest.raises(ValueError, match="lattice"):
+            fast.evaluate(np.array([rect]), TextureThresholds(),
+                          MotionProbeConfig())
+
+
+@needs_driver
+def test_grid_evaluation_takes_the_native_analysis(vga_frame_pair):
+    """``ContentEvaluator.evaluate`` on its own (the bench's
+    ``analysis.evaluate`` row): one crossing, the NumPy answers."""
+    previous, current = vga_frame_pair
+    for cols, rows in ((1, 1), (5, 3)):
+        grid = uniform_tiling(640, 480, cols, rows)
+        with counted_native() as calls:
+            fast = ContentEvaluator().evaluate(grid, current, previous)
+        assert dict(calls) == {"analyze_frame_u8": 1}
+        with native_forbidden():
+            oracle = ContentEvaluator().evaluate(
+                grid, current, previous,
+                FrameAnalysis(current, previous, 32))
+        assert fast == oracle

@@ -484,3 +484,27 @@ class TestServeArtifacts:
         prom = capsys.readouterr().out
         assert "# TYPE repro_frames_encoded_total counter" in prom
         assert "repro_tile_cpu_seconds_bucket" in prom
+
+
+def test_label_sets_are_canonical_however_often_they_are_seen():
+    """The registry remembers the sorted form of the label sets it
+    meets; what it remembers must never merge two label sets that
+    differ — ``1``, ``True`` and ``1.0`` are one dictionary key and
+    three labels — nor split one (``1`` and ``"1"`` are one label)."""
+    registry = MetricsRegistry()
+    for _ in range(3):  # first sight, then from memory
+        registry.inc("t_total", direction="in", mode="a")
+        registry.inc("t_total", mode="a", direction="in")  # other order
+        registry.inc("t_total", mode=1)
+        registry.inc("t_total", mode=True)
+        registry.inc("t_total", mode="1")
+        registry.inc("t_total", mode=1.0)
+        registry.inc("t_total")
+    assert registry.value("t_total", mode="a", direction="in") == 6.0
+    assert registry.value("t_total", mode=1) == 6.0  # with mode="1"
+    assert registry.value("t_total", mode="1") == 6.0
+    assert registry.value("t_total", mode=True) == 3.0
+    assert registry.value("t_total", mode=1.0) == 3.0
+    assert registry.value("t_total") == 3.0
+    registry.set_gauge("t_gauge", 2.0, tags=["unhashable"])
+    assert registry.value("t_gauge", tags=["unhashable"]) == 2.0

@@ -332,15 +332,16 @@ def test_concurrent_sessions_bit_identical_to_serial():
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
 @pytest.mark.xfail(
     strict=False,
-    reason="ISSUE 12 target; re-measured at ISSUE 21 (one native call per "
-           "frame, one record pass) on the 2-vCPU KVM builder, 0/10 passes: "
-           "solo 0.027-0.029 s, duo 0.061-0.069 s = 2.2-2.4x (parent: 0.035 "
-           "/ 0.079-0.102 s, 2.3-2.9x).  A 320x240 push is 0.80 ms, 0.36 of "
-           "it GIL-free; the GIL-held 55% that remains is re-tiling 0.14, "
-           "plan + marshalling 0.12, records 0.09, session bookkeeping "
-           "0.09 - and the builder's second vCPU comes and goes: two "
-           "threads of nothing but GIL-free native calls took 1.2-2.0x the "
-           "time of one that day",
+    reason="ISSUE 12 target; re-measured at ISSUE 22 (a GOP planned once: "
+           "native re-tiling, a tile table per GOP) on the 2-vCPU KVM "
+           "builder, 0/10 passes: solo 0.021-0.023 s, duo 0.046-0.051 s = "
+           "2.1-2.3x (parent: 0.027-0.029 / 0.061-0.069 s, 2.2-2.4x).  A "
+           "320x240 push is 0.62 ms, 0.39 of it GIL-free; the GIL-held 37% "
+           "that remains is records 0.08, re-tiling 0.03, per-tile policy "
+           "and session bookkeeping 0.12.  Both sides got faster and the "
+           "ratio did not move, because it is not ours to move here: the "
+           "builder's second vCPU comes and goes, and that day two threads "
+           "of nothing but GIL-free NumPy took 2.6x the time of one",
 )
 def test_two_sessions_scale_across_cores():
     """Two concurrent 320x240 sessions finish in < 1.4x the wall time

@@ -140,3 +140,59 @@ class TestPipelineConfig:
     def test_default_is_proposed(self):
         assert PipelineConfig().mode is PipelineMode.PROPOSED
         assert PipelineConfig().gop.size == 8
+
+
+class TestPlannedRouteAndItsFallbacks:
+    """The proposed pipeline encodes over a per-GOP plan whose driver
+    table takes I and integer-pel P frames on contiguous planes; what
+    the table cannot take goes the config/hook-spec way — and either
+    way the trace is the one a run without the compiled kernels
+    produces."""
+
+    @staticmethod
+    def _digest(trace):
+        return [
+            (f.frame_index, f.frame_type,
+             [(t.bits, t.psnr, t.qp, t.search_window, t.cpu_time_fmax,
+               t.texture, t.motion) for t in f.tiles])
+            for f in trace.frame_records
+        ]
+
+    @pytest.mark.parametrize("config", [
+        PipelineConfig(content_class=ContentClass.BRAIN),
+        PipelineConfig(content_class=ContentClass.BRAIN,
+                       gop=GopConfig(4, use_b_frames=True)),
+        PipelineConfig(content_class=ContentClass.BRAIN,
+                       base_config=EncoderConfig(
+                           qp=32, search="hexagon", search_window=64,
+                           half_pel=True)),
+        PipelineConfig(content_class=ContentClass.BRAIN,
+                       retile_per_gop=False),
+    ], ids=["i+p", "b-frames", "half-pel", "retile-per-frame"])
+    def test_trace_identical_without_native(self, config, test_video,
+                                            monkeypatch):
+        from repro import native
+
+        video = Video(test_video.frames[:8], fps=test_video.fps)
+        with_driver = StreamTranscoder(config).run(video)
+        monkeypatch.setattr(native, "lib", None)
+        without = StreamTranscoder(config).run(video)
+        assert self._digest(with_driver) == self._digest(without)
+
+    def test_a_strided_plane_takes_the_fallback(self, test_video):
+        """A frame whose rows are not contiguous cannot go through the
+        table; it encodes to what its contiguous copy encodes to."""
+        from repro.video.frame import Frame
+
+        config = PipelineConfig(content_class=ContentClass.BRAIN)
+        frames = test_video.frames[:8]
+        padded = [np.zeros((f.luma.shape[0], f.luma.shape[1] + 16),
+                           dtype=np.uint8) for f in frames]
+        strided = []
+        for pad, f in zip(padded, frames):
+            pad[:, :-16] = f.luma
+            strided.append(Frame(pad[:, :-16], index=f.index))
+        assert not strided[0].luma.flags.c_contiguous
+        want = StreamTranscoder(config).run(Video(frames, fps=24.0))
+        got = StreamTranscoder(config).run(Video(strided, fps=24.0))
+        assert self._digest(got) == self._digest(want)

@@ -172,6 +172,41 @@ def test_faultfs_torn_write_leaves_partial_bytes(tmp_path):
     assert target.read_bytes() == b"abcd"  # the crash signature is real
 
 
+def test_append_of_parts_is_the_append_of_their_join(tmp_path):
+    """A record handed over as parts (a header line, then planes as the
+    arrays they are) lands as the bytes of their concatenation — through
+    the real seam, through an idle FaultFS, in the recorder's log — and
+    a torn write tears the joined bytes where it always did."""
+    import numpy as np
+
+    planes = [np.arange(48, dtype=np.uint8).reshape(6, 8),
+              np.full((3, 5), 7, dtype=np.uint8)]
+    parts = [b'{"header":1}\n', *planes, memoryview(b"tail")]
+    joined = b"".join(bytes(memoryview(part).cast("B")) for part in parts)
+    recording = FaultFS(root=tmp_path, record=True)
+    for name, ops in (("real", REAL_FILEOPS), ("idle", FaultFS()),
+                      ("recorded", recording)):
+        handle = ops.append_open(tmp_path / name, point="j.open")
+        try:
+            ops.append(handle, b"first|", point="j.append")
+            ops.append(handle, parts, point="j.append")
+            ops.drop_cache(handle, 0, len(joined))  # advice: never fails
+        finally:
+            handle.close()
+        assert (tmp_path / name).read_bytes() == b"first|" + joined
+    assert [op.data for op in recording.recorder.ops if op.op == "append"] \
+        == [b"first|", joined]
+    torn = FaultFS(rules=[FaultRule(point="j.append", kind="torn",
+                                    torn_fraction=0.5)])
+    handle = torn.append_open(tmp_path / "torn", point="j.open")
+    try:
+        with pytest.raises(TornWriteError, match=f"of {len(joined)} bytes"):
+            torn.append(handle, parts, point="j.append")
+    finally:
+        handle.close()
+    assert (tmp_path / "torn").read_bytes() == joined[:len(joined) // 2]
+
+
 def test_faultfs_fsync_rule_only_hits_sync_calls(tmp_path):
     ffs = FaultFS(rules=[FaultRule(point="j.*", kind="fsync")])
     handle = ffs.append_open(tmp_path / "j", point="j.open")
