@@ -22,15 +22,13 @@ check: test reference sanitize bench-smoke bench-check serve-smoke chaos \
 test:
 	$(PYTEST) -x -q $(COVOPTS)
 
-# The NumPy reference on its own: the codec tests that exercise what
-# only the per-block loop runs (half-pel, B frames, the decoder) plus
-# the native test file's REPRO_NATIVE=0 check, with kernels.c never
-# compiled or loaded — the reference the tile driver is tested against
-# must stand without it.
+# The NumPy reference on its own: the codec round trip (the per-block
+# loop's stream through the decoder) plus the native test file's
+# REPRO_NATIVE=0 check, with kernels.c never compiled or loaded — the
+# reference the tile driver is tested against must stand without it.
 reference:
 	REPRO_NATIVE=0 $(PYTEST) tests/test_native_kernels.py \
-		tests/test_codec_roundtrip.py tests/test_halfpel.py \
-		tests/test_b_frames.py -q -p no:cacheprovider
+		tests/test_codec_roundtrip.py -q -p no:cacheprovider
 
 # The tile driver under AddressSanitizer + UBSan: kernels.c is rebuilt
 # with the sanitizer flags (a separate _build/ cache entry — the flags

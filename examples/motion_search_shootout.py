@@ -17,9 +17,8 @@ from repro.tiling.uniform import uniform_tiling
 from repro.video.generator import ContentClass, MotionPreset, generate_video
 
 ALGORITHMS = [
-    "full", "tz", "three_step", "diamond", "cross",
-    "one_at_a_time", "hexagon_horizontal", "hexagon_vertical",
-    "hexagon_rotating",
+    "full", "tz", "cross", "one_at_a_time", "hexagon_horizontal",
+    "hexagon_vertical", "hexagon_rotating",
 ]
 
 

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.cli generate --content brain --out video.npz
     python -m repro.cli encode video.npz --qp 32 --search hexagon --tiles 2x2
-    python -m repro.cli transcode video.npz [--baseline] [--parallel-workers N]
+    python -m repro.cli transcode video.npz [--baseline]
     python -m repro.cli serve --metrics-out metrics.json --trace-out trace.jsonl
     python -m repro.cli serve-net --port 9470 [--duration 10] [--journal-dir j]
     python -m repro.cli serve-fleet --workers 4 --journal-dir j [--port 9470]
@@ -22,10 +22,6 @@ tables/figures (forwarding the remaining arguments to that harness);
 ``fault-drill`` runs a seeded chaos scenario (corrupt frames, CPU-time
 spikes, core failures, LUT corruption) through the whole serving stack
 and prints a survival report.
-
-``--parallel-workers N`` on ``encode``/``transcode`` encodes each
-frame's tiles concurrently on a thread pool (N=0 uses every core);
-the output is bit-exact with the serial path.
 
 ``serve`` runs the multi-user serving simulation end-to-end (measure a
 small corpus, pack users with Algorithm 2) and exports the
@@ -68,6 +64,7 @@ from typing import List, Optional
 
 from repro.codec.config import EncoderConfig, GopConfig
 from repro.codec.encoder import VideoEncoder
+from repro.motion.registry import SEARCH_REGISTRY
 from repro.platform.cost_model import CostModel
 from repro.platform.mpsoc import XEON_E5_2667
 from repro.tiling.uniform import uniform_tiling
@@ -109,8 +106,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     grid = uniform_tiling(video.width, video.height, cols, rows)
     config = EncoderConfig(qp=args.qp, search=args.search,
                            search_window=args.window)
-    encoder = VideoEncoder(config, GopConfig(args.gop, use_b_frames=args.b_frames),
-                           parallel_workers=args.parallel_workers)
+    encoder = VideoEncoder(config, GopConfig(args.gop))
     stats = encoder.encode(video, grid)
     cpu = CostModel().seconds(stats.ops, XEON_E5_2667.f_max)
     print(f"encoded {len(stats.frames)} frames "
@@ -124,15 +120,11 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 def _cmd_transcode(args: argparse.Namespace) -> int:
     video = video_io.load_npz(args.video)
-    parallel = {}
-    if args.parallel_workers is not None:
-        parallel = dict(parallel_tiles=True,
-                        parallel_workers=args.parallel_workers or None)
     if args.baseline:
-        config = PipelineConfig.khan(fps=video.fps, **parallel)
+        config = PipelineConfig.khan(fps=video.fps)
         label = "Khan et al. [19] baseline"
     else:
-        config = PipelineConfig(fps=video.fps, **parallel)
+        config = PipelineConfig(fps=video.fps)
         label = "proposed content-aware pipeline"
     with StreamTranscoder(config) as transcoder:
         trace = transcoder.run(video)
@@ -301,7 +293,6 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
         host=args.host, port=args.port, fps=args.fps, gop=args.gop,
         seed=args.seed, queue_frames=args.queue_frames,
         egress_frames=args.egress_frames,
-        parallel_workers=args.parallel_workers,
         fault_spike_rate=args.spike_rate,
         fault_spike_factor=args.spike_factor,
         admission=AdmissionPolicy(utilization=args.utilization,
@@ -635,21 +626,17 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("encode", help="encode with a fixed configuration")
     e.add_argument("video", help="input .npz (from `generate`)")
     e.add_argument("--qp", type=int, default=32)
-    e.add_argument("--search", default="hexagon")
+    e.add_argument("--search", default="hexagon",
+                   choices=sorted(SEARCH_REGISTRY))
     e.add_argument("--window", type=int, default=64)
     e.add_argument("--tiles", default="1x1")
     e.add_argument("--gop", type=int, default=8)
-    e.add_argument("--b-frames", action="store_true")
-    e.add_argument("--parallel-workers", type=int, default=None, metavar="N",
-                   help="encode tiles on an N-worker thread pool (0 = all cores)")
     e.set_defaults(func=_cmd_encode)
 
     t = sub.add_parser("transcode", help="run the full pipeline")
     t.add_argument("video")
     t.add_argument("--baseline", action="store_true",
                    help="use the Khan et al. [19] baseline instead")
-    t.add_argument("--parallel-workers", type=int, default=None, metavar="N",
-                   help="encode tiles on an N-worker thread pool (0 = all cores)")
     t.set_defaults(func=_cmd_transcode)
 
     la = sub.add_parser(
@@ -720,8 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fraction of cores admission may fill")
     sn.add_argument("--park-capacity", type=int, default=2,
                     help="waiting-room size for parked sessions")
-    sn.add_argument("--parallel-workers", type=int, default=None, metavar="N",
-                    help="per-session tile thread pool (0 = all cores)")
     sn.add_argument("--spike-rate", type=float, default=0.0,
                     help="seeded CPU-time spike injection rate (0 = off)")
     sn.add_argument("--spike-factor", type=float, default=8.0)

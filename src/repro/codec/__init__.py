@@ -22,8 +22,6 @@ from repro.codec.config import EncoderConfig, GopConfig, FrameType
 from repro.codec.encoder import (
     TileEncoder,
     FrameEncoder,
-    FrameCodec,
-    ChromaStats,
     VideoEncoder,
     TileStats,
     FrameStats,
@@ -39,8 +37,6 @@ __all__ = [
     "FrameType",
     "TileEncoder",
     "FrameEncoder",
-    "FrameCodec",
-    "ChromaStats",
     "VideoEncoder",
     "TileStats",
     "FrameStats",

@@ -19,46 +19,32 @@ from repro.motion.registry import get_search
 
 
 class FrameType(enum.Enum):
-    """Frame coding types.
+    """Frame coding types: I (intra-only) and P (one past reference,
+    the previous frame's reconstruction).
 
-    The paper's Random Access configuration uses B slices.  The
-    substrate supports I (intra-only), P (one past reference) and B
-    (bi-prediction from the two most recent references, low-delay
-    order).  The default pipeline uses I+P — bi-prediction shifts
-    absolute rate but not the content/QP/search-window dependences the
-    paper's mechanisms exploit (see DESIGN.md) — and B frames are
-    enabled via ``GopConfig(use_b_frames=True)``.
+    The paper's Random Access configuration uses B slices; this
+    substrate does not — bi-prediction shifts absolute rate but not the
+    content/QP/search-window dependences the paper's mechanisms
+    exploit (see DESIGN.md).
     """
 
     I = "I"
     P = "P"
-    B = "B"
 
 
 @dataclass(frozen=True)
 class GopConfig:
-    """Group-of-pictures structure (paper: RA, GOP of size 8).
-
-    With ``use_b_frames=True``, frames after the second of each GOP are
-    coded as B (low-delay: both references are past frames), matching
-    the paper's "B slices allow both intra- and inter-picture
-    predictions" at the substrate's single-direction reordering level.
-    """
+    """Group-of-pictures structure (paper: RA, GOP of size 8): an I
+    frame, then P frames."""
 
     size: int = 8
-    use_b_frames: bool = False
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError("GOP size must be >= 1")
 
     def frame_type(self, frame_index: int) -> FrameType:
-        pos = frame_index % self.size
-        if pos == 0:
-            return FrameType.I
-        if self.use_b_frames and pos >= 2:
-            return FrameType.B
-        return FrameType.P
+        return FrameType.P if frame_index % self.size else FrameType.I
 
     def is_gop_start(self, frame_index: int) -> bool:
         return frame_index % self.size == 0
@@ -92,11 +78,6 @@ class EncoderConfig:
     search_window: int = 64
     block_size: int = 16
     lambda_mv: float = 4.0
-    #: Refine integer motion vectors to half-pel precision (6-tap
-    #: interpolation, H.264-style).  MVs are then coded in half-pel
-    #: units.  Off by default: the paper's mechanisms operate on
-    #: integer-search complexity.
-    half_pel: bool = False
 
     def __post_init__(self) -> None:
         if not MIN_QP <= self.qp <= MAX_QP:

@@ -14,24 +14,21 @@ As in HEVC, the tile layout and per-tile QPs travel out-of-band
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.codec.bitstream import BitReader
-from repro.codec.chroma import BlockInfo, decode_chroma_plane
 from repro.codec.config import EncoderConfig, FrameType
-from repro.codec.encoder import normalize_references, reconstruct_block
-from repro.codec.interpolate import sample_halfpel, upsample2x_cached
+from repro.codec.encoder import reconstruct_block, reference_plane
 from repro.codec.entropy import read_block
 from repro.codec.inter import motion_compensate, read_mvd
 from repro.codec.intra import IntraMode, predict, reference_samples
 from repro.codec.transform import TRANSFORM_SIZE
 from repro.codec.zigzag import zigzag_unscan
 from repro.tiling.tile import Tile, TileGrid
-from repro.video.frame import Frame
 
-_FRAME_TYPE_BY_CODE = {0: FrameType.I, 1: FrameType.P, 2: FrameType.B}
+_FRAME_TYPE_BY_CODE = {0: FrameType.I, 1: FrameType.P}
 
 
 class FrameDecoder:
@@ -42,14 +39,13 @@ class FrameDecoder:
         reader: BitReader,
         grid: TileGrid,
         configs: Sequence[EncoderConfig],
-        reference=None,
-        block_infos_out: Optional[List[List[BlockInfo]]] = None,
+        reference: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Decode the next frame; returns the reconstructed luma plane.
 
-        ``reference`` accepts a single reconstructed plane or a
-        sequence of planes, most recent first (two are used for B
-        frames), mirroring the encoder.
+        ``reference`` is the previous frame's reconstruction (needed by
+        a P frame, ignored by an I frame), mirroring the encoder.  A
+        frame-type code outside the grammar (2, 3) is a ``ValueError``.
         """
         if len(configs) != len(grid):
             raise ValueError(f"{len(configs)} configs for {len(grid)} tiles")
@@ -58,22 +54,12 @@ class FrameDecoder:
             frame_type = _FRAME_TYPE_BY_CODE[code]
         except KeyError:
             raise ValueError(f"invalid frame-type code {code}") from None
-        references = normalize_references(reference, frame_type)
-        upsampled = None
-        if frame_type is not FrameType.I and any(c.half_pel for c in configs):
-            upsampled = [upsample2x_cached(r) for r in references]
+        reference = reference_plane(reference, frame_type)
         reconstruction = np.zeros(
             (grid.frame_height, grid.frame_width), dtype=np.uint8
         )
         for tile, config in zip(grid, configs):
-            info_sink: Optional[List[BlockInfo]] = None
-            if block_infos_out is not None:
-                info_sink = []
-                block_infos_out.append(info_sink)
-            self._decode_tile(
-                reader, tile, config, frame_type, references, reconstruction,
-                upsampled if config.half_pel else None, info_sink,
-            )
+            self._decode_tile(reader, tile, config, reference, reconstruction)
         return reconstruction
 
     def _decode_tile(
@@ -81,11 +67,8 @@ class FrameDecoder:
         reader: BitReader,
         tile: Tile,
         config: EncoderConfig,
-        frame_type: FrameType,
-        references: List[np.ndarray],
+        reference: Optional[np.ndarray],
         reconstruction: np.ndarray,
-        upsampled: Optional[List[np.ndarray]] = None,
-        info_sink: Optional[List[BlockInfo]] = None,
     ) -> None:
         bs = config.block_size
         for by in range(tile.y, tile.y_end, bs):
@@ -94,8 +77,8 @@ class FrameDecoder:
                 bw = min(bs, tile.x_end - bx)
                 bh = min(bs, tile.y_end - by)
                 left_mv = self._decode_block(
-                    reader, bx, by, bw, bh, tile, config, frame_type,
-                    references, reconstruction, left_mv, upsampled, info_sink,
+                    reader, bx, by, bw, bh, tile, config, reference,
+                    reconstruction, left_mv,
                 )
 
     def _decode_block(
@@ -107,29 +90,19 @@ class FrameDecoder:
         bh: int,
         tile: Tile,
         config: EncoderConfig,
-        frame_type: FrameType,
-        references: List[np.ndarray],
+        reference: Optional[np.ndarray],
         reconstruction: np.ndarray,
         left_mv: tuple,
-        upsampled: Optional[List[np.ndarray]] = None,
-        info_sink: Optional[List[BlockInfo]] = None,
     ) -> tuple:
-        use_inter = False
-        if frame_type is not FrameType.I:
-            use_inter = reader.read_bits(1) == 0
-        if use_inter:
-            prediction, mv, info = self._decode_inter(
-                reader, bx, by, bw, bh, frame_type, references, left_mv,
-                config, upsampled,
-            )
+        """Decode one block (``reference`` is ``None`` on an I frame);
+        returns the next left MV predictor."""
+        if reference is not None and reader.read_bits(1) == 0:
+            left_mv = read_mvd(reader, left_mv)
+            prediction = motion_compensate(reference, bx, by, left_mv, bw, bh)
         else:
             intra_mode = IntraMode(reader.read_bits(2))
             top, left = reference_samples(reconstruction, bx, by, bw, bh, tile)
             prediction = predict(intra_mode, top, left, bw, bh)
-            mv = left_mv
-            info = BlockInfo(bx=bx, by=by, bw=bw, bh=bh, use_inter=False)
-        if info_sink is not None:
-            info_sink.append(info)
 
         num_sub = (bw // TRANSFORM_SIZE) * (bh // TRANSFORM_SIZE)
         vectors = np.stack(
@@ -141,89 +114,4 @@ class FrameDecoder:
         levels = zigzag_unscan(vectors, TRANSFORM_SIZE)
         recon = reconstruct_block(prediction, levels, config.qp)
         reconstruction[by : by + bh, bx : bx + bw] = recon
-        return mv
-
-    def _decode_inter(
-        self,
-        reader: BitReader,
-        bx: int,
-        by: int,
-        bw: int,
-        bh: int,
-        frame_type: FrameType,
-        references: List[np.ndarray],
-        left_mv: tuple,
-        config: EncoderConfig,
-        upsampled: Optional[List[np.ndarray]] = None,
-    ) -> tuple:
-        """Returns (prediction, next left predictor, BlockInfo)."""
-        b_coded = frame_type is FrameType.B and len(references) == 2
-        mode = reader.read_bits(2) if b_coded else 0
-        mv0 = read_mvd(reader, left_mv)
-
-        def compensate(ref_index: int, mv: tuple) -> np.ndarray:
-            if config.half_pel:
-                if mv[0] % 2 == 0 and mv[1] % 2 == 0:
-                    return motion_compensate(
-                        references[ref_index], bx, by,
-                        (mv[0] // 2, mv[1] // 2), bw, bh,
-                    )
-                if upsampled is None:
-                    raise ValueError("half-pel MV without an upsampled grid")
-                return sample_halfpel(upsampled[ref_index], bx, by, mv, bw, bh)
-            return motion_compensate(references[ref_index], bx, by, mv, bw, bh)
-
-        mvs = (mv0,)
-        if mode == 0:
-            prediction = compensate(0, mv0)
-        elif mode == 1:
-            prediction = compensate(1, mv0)
-        elif mode == 2:
-            mv1 = read_mvd(reader, mv0)
-            prediction = (compensate(0, mv0) + compensate(1, mv1)) / 2.0
-            mvs = (mv0, mv1)
-        else:
-            raise ValueError(f"invalid B prediction mode {mode}")
-        info = BlockInfo(bx=bx, by=by, bw=bw, bh=bh, use_inter=True,
-                         mode=mode, mvs=mvs)
-        return prediction, mv0, info
-
-    def decode_frame(
-        self,
-        reader: BitReader,
-        grid: TileGrid,
-        configs: Sequence[EncoderConfig],
-        reference_frames: Optional[Sequence[Frame]] = None,
-        with_chroma: bool = False,
-        frame_index: int = 0,
-    ) -> Frame:
-        """Decode one frame including optional 4:2:0 chroma payload.
-
-        The counterpart of :meth:`repro.codec.encoder.FrameCodec.encode_frame`;
-        ``with_chroma`` must match the encoder side (side-information,
-        like the tile layout).
-        """
-        reference_frames = list(reference_frames or [])
-        luma_refs = [f.luma for f in reference_frames]
-        infos: List[List[BlockInfo]] = []
-        luma = self.decode(
-            reader, grid, configs, reference=luma_refs,
-            block_infos_out=infos,
-        )
-        frame = Frame(luma, index=frame_index)
-        if not with_chroma:
-            return frame
-        refs_u = [f.chroma_u for f in reference_frames if f.chroma_u is not None]
-        refs_v = [f.chroma_v for f in reference_frames if f.chroma_v is not None]
-        recon_u = np.zeros((grid.frame_height // 2, grid.frame_width // 2),
-                           dtype=np.uint8)
-        recon_v = np.zeros_like(recon_u)
-        for i, tile in enumerate(grid):
-            for refs, recon_plane in ((refs_u, recon_u), (refs_v, recon_v)):
-                decode_chroma_plane(
-                    reader, refs, recon_plane, tile, infos[i],
-                    configs[i].qp, half_pel=configs[i].half_pel,
-                )
-        frame.chroma_u = recon_u
-        frame.chroma_v = recon_v
-        return frame
+        return left_mv

@@ -3,9 +3,10 @@
 The encoding loop mirrors a real HEVC encoder structure:
 
 * frames are encoded tile by tile; tiles are independent within a
-  frame (no prediction across tile boundaries) and can therefore be
-  dispatched as parallel threads — the property the paper's workload
-  allocation builds on;
+  frame (no prediction across tile boundaries) — the property the
+  paper's per-tile workload allocation builds on (here in the modelled
+  domain: a frame's tiles run in one native call, and sessions are what
+  spreads over cores);
 * each tile is encoded in ``block_size`` coding blocks (raster order):
   intra or inter prediction, residual transform (8x8 DCT),
   quantization, entropy coding, and reconstruction through the same
@@ -29,11 +30,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.codec.bitstream import BitWriter
-from repro.codec.chroma import BlockInfo, encode_chroma_plane
 from repro.codec.config import EncoderConfig, FrameType, GopConfig
 from repro.codec.entropy import count_stack_bits, write_block
 from repro.codec.inter import clamp_mv, motion_compensate, mvd_bit_length, write_mvd
-from repro.codec.interpolate import halfpel_feasible, upsample2x_cached
 from repro.codec.intra import choose_mode, reference_samples
 from repro.codec.ops import OpCounts
 from repro.codec.quant import dequantize, quantization_step, quantize
@@ -51,7 +50,7 @@ from repro.observability import get_registry, get_tracer
 from repro.motion.base import MotionSearchResult, SearchContext
 from repro.motion.proposed import TileHookSpec, TileLearned, spec_hook
 from repro.tiling.tile import Tile, TileGrid
-from repro.video.frame import Frame, Video
+from repro.video.frame import Video
 from repro.video.metrics import psnr_from_mse
 
 #: Signature of the block loop's internal motion hook: receives a
@@ -59,11 +58,6 @@ from repro.video.metrics import psnr_from_mse
 #: returns the search result.  Built from a :class:`TileHookSpec` by
 #: :func:`spec_hook`; no public signature takes one.
 MotionHook = Callable[[Callable[[int], SearchContext], tuple], MotionSearchResult]
-
-#: A reference argument: a single reconstructed plane, a sequence of
-#: them (most recent first; B frames use up to two), or None (I frames).
-ReferenceLike = Optional[object]
-
 
 def _zz_order8() -> np.ndarray:
     """Zigzag scan order of an 8x8 block as flat row-major indices."""
@@ -82,25 +76,16 @@ _BASIS8_PTR = _BASIS8.ctypes.data
 _ZZ_ORDER8_PTR = _ZZ_ORDER8.ctypes.data
 
 
-def normalize_references(
-    reference: ReferenceLike, frame_type: FrameType
-) -> List[np.ndarray]:
-    """Normalize the ``reference`` argument to a list of planes."""
+def reference_plane(
+    reference: Optional[np.ndarray], frame_type: FrameType
+) -> Optional[np.ndarray]:
+    """The plane a frame of ``frame_type`` predicts from: the previous
+    reconstruction for a P frame (required), nothing for an I frame."""
+    if frame_type is FrameType.I:
+        return None
     if reference is None:
-        refs: List[np.ndarray] = []
-    elif isinstance(reference, np.ndarray):
-        refs = [reference]
-    else:
-        refs = [np.asarray(r) for r in reference]
-    if frame_type in (FrameType.P, FrameType.B) and not refs:
-        raise ValueError(f"{frame_type.value} frame requires a reference frame")
-    if frame_type is FrameType.P:
-        refs = refs[:1]
-    elif frame_type is FrameType.B:
-        refs = refs[:2]
-    else:
-        refs = []
-    return refs
+        raise ValueError("P frame requires a reference frame")
+    return reference
 
 
 def reconstruct_block(prediction: np.ndarray, levels: np.ndarray, qp: int) -> np.ndarray:
@@ -133,14 +118,17 @@ def reconstruct_block(prediction: np.ndarray, levels: np.ndarray, qp: int) -> np
 
 def _planes_fit_driver(
     original: np.ndarray, reconstruction: np.ndarray,
-    references: Sequence[np.ndarray],
+    reference: Optional[np.ndarray],
 ) -> bool:
     """The native driver's plane contract: C-contiguous uint8 planes
     of one shape (checked once per frame, not per tile)."""
+    planes = [original, reconstruction]
+    if reference is not None:
+        planes.append(reference)
     return not any(
         p.dtype != np.uint8 or not p.flags.c_contiguous
         or p.shape != original.shape
-        for p in (original, reconstruction, *references)
+        for p in planes
     )
 
 
@@ -195,25 +183,13 @@ def search_columns(
     return (*spec, window, True, learn, dx, dy)
 
 
-def _codec_decline(config: EncoderConfig,
-                   frame_type: FrameType) -> Optional[str]:
-    """Why the native driver cannot run a tile of this frame type under
-    this config, whatever its geometry and search."""
-    if frame_type is FrameType.B:
-        return "b_frame"
-    if config.half_pel:
-        return "half_pel"
-    return None
-
-
 def _tile_columns(
     config: EncoderConfig,
     frame_type: FrameType,
     hook_spec: Optional[TileHookSpec],
 ):
     """``(search columns, (step, lambda_mv))`` of one tile's table row
-    from its config and hook spec (an I or integer-pel P tile:
-    :func:`_codec_decline`), or the reason (a ``str``) the native
+    from its config and hook spec, or the reason (a ``str``) the native
     driver cannot run its search."""
     if frame_type is FrameType.I:
         search = _NO_SEARCH
@@ -306,24 +282,6 @@ def _driver_tile_stats(
 def _check_emitted(counts: Sequence[int], tile: Tile) -> None:
     if counts[5] < 0:
         raise RuntimeError(f"tile bit buffer overflow ({tile})")
-
-
-def _driver_block_infos(
-    tile: Tile, block_size: int, rows: List[List[int]]
-) -> List[BlockInfo]:
-    """The driver's ``[use_inter, mv_x, mv_y]`` rows (raster order) as
-    the block loop's :class:`BlockInfo` list."""
-    infos = []
-    it = iter(rows)
-    for by in range(tile.y, tile.y_end, block_size):
-        for bx in range(tile.x, tile.x_end, block_size):
-            use_inter, dx, dy = next(it)
-            infos.append(BlockInfo(
-                bx=bx, by=by, bw=min(block_size, tile.x_end - bx),
-                bh=min(block_size, tile.y_end - by),
-                use_inter=bool(use_inter), mode=0, mvs=((dx, dy),),
-            ))
-    return infos
 
 
 class FrameStats:
@@ -463,14 +421,11 @@ class TileEncoder:
             self._search = self.config.make_search()
         return self._search
 
-    def _driver_table(self, original, references, reconstruction, tile,
+    def _driver_table(self, original, reference, reconstruction, tile,
                       frame_type, hook_spec):
         """The driver's table of this one tile, loaded for the frame,
         or the reason (a ``str``) the driver cannot run it."""
-        reason = _codec_decline(self.config, frame_type)
-        if reason is not None:
-            return reason
-        if not _planes_fit_driver(original, reconstruction, references):
+        if not _planes_fit_driver(original, reconstruction, reference):
             return "layout"
         table = driver_table([tile], [self.config.block_size],
                              original.shape)
@@ -482,32 +437,22 @@ class TileEncoder:
         table.load([columns[0]], [columns[1]])
         return table
 
-    @staticmethod
-    def _is_b_coded(frame_type: FrameType, references: List[np.ndarray]) -> bool:
-        """B-frame list signalling applies only with two references."""
-        return frame_type is FrameType.B and len(references) == 2
-
     def encode(
         self,
         original: np.ndarray,
-        reference: "ReferenceLike",
+        reference: Optional[np.ndarray],
         reconstruction: np.ndarray,
         tile: Tile,
         frame_type: FrameType,
         writer: Optional[BitWriter] = None,
-        upsampled_refs: Optional[List[np.ndarray]] = None,
-        block_info_out: Optional[List[BlockInfo]] = None,
         measure_stages: bool = False,
         hook_spec: Optional[TileHookSpec] = None,
     ) -> TileStats:
         """Encode ``tile`` of ``original`` into ``reconstruction``.
 
-        ``reference`` is the reconstructed reference frame (P) or a
-        sequence of up to two reference frames, most recent first (B).
-        ``reconstruction`` is the current frame's output buffer, filled
-        in place.  ``upsampled_refs`` carries the half-pel grids when
-        the configuration enables sub-pel refinement (the frame encoder
-        computes them once per frame).  ``measure_stages`` accumulates
+        ``reference`` is the reconstructed previous frame (P; ignored
+        on an I frame).  ``reconstruction`` is the current frame's
+        output buffer, filled in place.  ``measure_stages`` accumulates
         per-stage wall time into :attr:`TileStats.stage_seconds`
         (tracing support; off by default so the hot path pays nothing).
 
@@ -515,36 +460,31 @@ class TileEncoder:
         as plain data; what a first-P-frame tile learned comes back in
         :attr:`TileStats.learned`.
 
-        I/P tiles at integer-pel precision on contiguous uint8 planes
-        run as **one** native call (:func:`repro.native.encode_tile`,
-        GIL released for the whole tile).  Everything the driver
-        declines runs the per-block loop below, which is pure NumPy —
-        same bits, same reconstruction, same op counts — and is counted in
+        A tile on contiguous uint8 planes runs as **one** native call
+        (:func:`repro.native.encode_frame` over a table of one row, GIL
+        released for the whole tile).  Everything the driver declines
+        runs the per-block loop below, which is pure NumPy — same bits,
+        same reconstruction, same op counts — and is counted in
         ``repro_codec_tile_fallback_total{reason}``.
         """
-        references = normalize_references(reference, frame_type)
+        reference = reference_plane(reference, frame_type)
         if frame_type is FrameType.I:
             hook_spec = None  # no motion estimation to drive
         if native.lib is not None:
             table = self._driver_table(
-                original, references, reconstruction, tile, frame_type,
+                original, reference, reconstruction, tile, frame_type,
                 hook_spec,
             )
             if not isinstance(table, str):
                 native.encode_frame(
-                    original, references[0] if references else None,
-                    reconstruction, table, _BASIS8_PTR, _ZZ_ORDER8_PTR,
-                    emit=writer is not None,
-                    want_info=block_info_out is not None,
-                    measure=measure_stages,
+                    original, reference, reconstruction, table,
+                    _BASIS8_PTR, _ZZ_ORDER8_PTR,
+                    emit=writer is not None, measure=measure_stages,
                 )
                 (counts,), (clocks,) = table.counts, table.clocks
                 _check_emitted(counts, tile)
                 if writer is not None:
                     writer.append_bits(*table.payload(0, counts[5]))
-                if block_info_out is not None:
-                    block_info_out.extend(_driver_block_infos(
-                        tile, self.config.block_size, table.block_info(0)))
                 learner = None
                 if hook_spec is not None and hook_spec.is_first:
                     learner = hook_spec.tile_id
@@ -558,13 +498,11 @@ class TileEncoder:
         if hook_spec is not None:
             policy = hook_spec.policy()
             motion_hook = spec_hook(hook_spec, policy)
-        if self.config.half_pel and upsampled_refs is None:
-            upsampled_refs = [upsample2x_cached(r) for r in references]
         ops = OpCounts()
         stage_acc = {"motion": 0.0, "entropy": 0.0} if measure_stages else None
         bits, ssd = self._encode_tile_blocks(
-            original, references, reconstruction, tile, frame_type, writer,
-            motion_hook, ops, upsampled_refs, block_info_out, stage_acc,
+            original, reference, reconstruction, tile, writer, motion_hook,
+            ops, stage_acc,
         )
         learned = None
         if policy is not None and hook_spec.is_first:
@@ -579,19 +517,17 @@ class TileEncoder:
     def _encode_tile_blocks(
         self,
         original: np.ndarray,
-        references: List[np.ndarray],
+        reference: Optional[np.ndarray],
         reconstruction: np.ndarray,
         tile: Tile,
-        frame_type: FrameType,
         writer: Optional[BitWriter],
         motion_hook: Optional[MotionHook],
         ops: OpCounts,
-        upsampled_refs: Optional[List[np.ndarray]],
-        block_info_out: Optional[List[BlockInfo]],
         stage_acc: Optional[Dict[str, float]],
     ) -> tuple:
         """The per-block raster loop — NumPy only, the reference the
-        tile driver is tested against; returns ``(bits, ssd)``."""
+        tile driver is tested against; returns ``(bits, ssd)``.
+        ``reference`` is ``None`` on an I frame."""
         bs = self.config.block_size
         bits = 0
         ssd = 0.0
@@ -601,16 +537,12 @@ class TileEncoder:
                 bw = min(bs, tile.x_end - bx)
                 bh = min(bs, tile.y_end - by)
                 block = original[by : by + bh, bx : bx + bw]
-                block_bits, block_ssd, mv, info = self._encode_block(
-                    block, bx, by, bw, bh, tile, frame_type, references,
-                    reconstruction, left_mv, writer, motion_hook, ops,
-                    upsampled_refs, stage_acc,
+                block_bits, block_ssd, left_mv = self._encode_block(
+                    block, bx, by, bw, bh, tile, reference, reconstruction,
+                    left_mv, writer, motion_hook, ops, stage_acc,
                 )
                 bits += block_bits
                 ssd += block_ssd
-                left_mv = mv
-                if block_info_out is not None:
-                    block_info_out.append(info)
         return bits, ssd
 
     # ------------------------------------------------------------------
@@ -625,18 +557,9 @@ class TileEncoder:
         left_mv: tuple,
         motion_hook: Optional[MotionHook],
         ops: OpCounts,
-        upsampled: Optional[np.ndarray] = None,
     ) -> tuple:
-        """Motion-search one reference; returns (mv, prediction).
-
-        With ``half_pel`` enabled, ``left_mv`` and the returned MV are
-        in half-pel units and the integer search result is refined over
-        the eight half-pel neighbours on the upsampled grid.
-        """
+        """Motion-search the reference; returns (mv, prediction)."""
         cfg = self.config
-        start = left_mv
-        if cfg.half_pel:
-            start = (left_mv[0] // 2, left_mv[1] // 2)
 
         def ctx_factory(window: int) -> SearchContext:
             return SearchContext(
@@ -644,89 +567,17 @@ class TileEncoder:
             )
 
         if motion_hook is not None:
-            result = motion_hook(ctx_factory, start)
+            result = motion_hook(ctx_factory, left_mv)
         else:
             result = self._get_search().search(
-                ctx_factory(cfg.search_window), start=start
+                ctx_factory(cfg.search_window), start=left_mv
             )
         ops.sad_pixel_ops += result.pixel_ops
         ops.me_candidates += result.sad_evaluations
         mv = clamp_mv(
             result.mv, bx, by, bw, bh, reference.shape[1], reference.shape[0]
         )
-        prediction = motion_compensate(reference, bx, by, mv, bw, bh)
-        if not cfg.half_pel:
-            return mv, prediction
-        assert upsampled is not None, "half_pel requires an upsampled reference"
-        return self._halfpel_refine(
-            upsampled, reference, block, bx, by, bw, bh, mv, prediction, ops
-        )
-
-    def _halfpel_refine(
-        self,
-        upsampled: np.ndarray,
-        reference: np.ndarray,
-        block: np.ndarray,
-        bx: int,
-        by: int,
-        bw: int,
-        bh: int,
-        int_mv: tuple,
-        int_prediction: np.ndarray,
-        ops: OpCounts,
-    ) -> tuple:
-        """Evaluate the 8 half-pel neighbours of the integer optimum.
-
-        All feasible neighbour blocks are gathered from the upsampled
-        grid with one strided fancy index and reduced to SADs in a
-        single pass — same candidates, same visiting order, same
-        strict-improvement comparison as probing them one by one.
-        """
-        block_f = block.astype(np.float64)
-        best_mv = (2 * int_mv[0], 2 * int_mv[1])
-        best_pred = int_prediction
-        best_sad = float(np.abs(block_f - int_prediction).sum())
-        ref_h, ref_w = reference.shape
-        base_sx = 2 * bx + 2 * int_mv[0]
-        base_sy = 2 * by + 2 * int_mv[1]
-        cands = []
-        xs = []
-        ys = []
-        for hy in (-1, 0, 1):
-            for hx in (-1, 0, 1):
-                if hx == 0 and hy == 0:
-                    continue
-                cand = (2 * int_mv[0] + hx, 2 * int_mv[1] + hy)
-                if not halfpel_feasible(cand, bx, by, bw, bh, ref_w, ref_h):
-                    continue
-                cands.append(cand)
-                xs.append(base_sx + hx)
-                ys.append(base_sy + hy)
-        if not cands:
-            return best_mv, best_pred
-        # Windows of the half-pel grid sampled at integer pitch: outer
-        # axes address the half-pel anchor, inner axes stride by 2.
-        s0, s1 = upsampled.strides
-        uh, uw = upsampled.shape
-        windows = np.ndarray(
-            shape=(uh - 2 * bh + 2, uw - 2 * bw + 2, bh, bw),
-            strides=(s0, s1, 2 * s0, 2 * s1),
-            dtype=upsampled.dtype,
-            buffer=upsampled,
-        )
-        gathered = windows[np.asarray(ys), np.asarray(xs)]  # (k, bh, bw)
-        sads = np.abs(block_f - gathered).sum(axis=(1, 2))
-        k = len(cands)
-        ops.sad_pixel_ops += k * bw * bh
-        ops.me_candidates += k
-        ops.pred_pixels += k * bw * bh  # interpolation fetch
-        best_idx = -1
-        for idx, sad in enumerate(sads.tolist()):
-            if sad < best_sad:
-                best_mv, best_sad, best_idx = cands[idx], sad, idx
-        if best_idx >= 0:
-            best_pred = gathered[best_idx].astype(np.float64)
-        return best_mv, best_pred
+        return mv, motion_compensate(reference, bx, by, mv, bw, bh)
 
     def _encode_block(
         self,
@@ -736,70 +587,46 @@ class TileEncoder:
         bw: int,
         bh: int,
         tile: Tile,
-        frame_type: FrameType,
-        references: List[np.ndarray],
+        reference: Optional[np.ndarray],
         reconstruction: np.ndarray,
         left_mv: tuple,
         writer: Optional[BitWriter],
         motion_hook: Optional[MotionHook],
         ops: OpCounts,
-        upsampled_refs: Optional[List[np.ndarray]] = None,
         stage_acc: Optional[Dict[str, float]] = None,
     ) -> tuple:
+        """Returns ``(bits, ssd, next left MV predictor)``."""
         cfg = self.config
         block_f = block.astype(np.float64)
         area = bw * bh
+        is_p = reference is not None
 
         # --- intra candidate -------------------------------------------------
         top, left = reference_samples(reconstruction, bx, by, bw, bh, tile)
         intra_mode, intra_pred, intra_sad = choose_mode(block_f, top, left)
         ops.pred_pixels += 4 * area  # four intra mode trials
 
-        # --- inter candidates (P: list 0; B: list 0, list 1, bi) --------------
-        # Each option: (mode_code, prediction, cost, rate_bits, mvs).
-        options = []
+        # --- inter candidate (P frames: the one reference) -------------------
         if stage_acc is not None:
             _t_motion = time.perf_counter()
-        if frame_type is not FrameType.I and references:
-            per_ref = []
-            for ref_index, ref in enumerate(references):
-                up = upsampled_refs[ref_index] if upsampled_refs else None
-                mv, pred = self._search_reference(
-                    ref, block, bx, by, bw, bh, left_mv, motion_hook, ops,
-                    upsampled=up,
-                )
-                sad = float(np.abs(block_f - pred).sum())
-                ops.pred_pixels += area
-                per_ref.append((mv, pred, sad))
-            list_bits = 2 if self._is_b_coded(frame_type, references) else 0
-            for idx, (mv, pred, sad) in enumerate(per_ref):
-                rate = list_bits + mvd_bit_length(mv, left_mv)
-                options.append((idx, pred, sad + cfg.lambda_mv * rate, rate, (mv,)))
-            if self._is_b_coded(frame_type, references):
-                mv0, pred0, _ = per_ref[0]
-                mv1, pred1, _ = per_ref[1]
-                bi_pred = (pred0 + pred1) / 2.0
-                bi_sad = float(np.abs(block_f - bi_pred).sum())
-                ops.pred_pixels += area
-                rate = list_bits + mvd_bit_length(mv0, left_mv) + mvd_bit_length(mv1, mv0)
-                options.append((2, bi_pred, bi_sad + cfg.lambda_mv * rate, rate, (mv0, mv1)))
-
+        use_inter = False
+        inter_rate = 0
+        mv = left_mv
+        prediction = intra_pred
+        if is_p:
+            mv, inter_pred = self._search_reference(
+                reference, block, bx, by, bw, bh, left_mv, motion_hook, ops,
+            )
+            inter_sad = float(np.abs(block_f - inter_pred).sum())
+            ops.pred_pixels += area
+            inter_rate = mvd_bit_length(mv, left_mv)
+            use_inter = inter_sad + cfg.lambda_mv * inter_rate <= intra_sad
+            if use_inter:
+                prediction = inter_pred
+            else:
+                mv = left_mv  # an intra block leaves the predictor alone
         if stage_acc is not None:
             stage_acc["motion"] += time.perf_counter() - _t_motion
-
-        use_inter = False
-        inter_mode = 0
-        inter_rate = 0
-        mvs: tuple = ((0, 0),)
-        inter_pred = None
-        if options:
-            inter_mode, inter_pred, cost, inter_rate, mvs = min(
-                options, key=lambda o: o[2]
-            )
-            use_inter = cost <= intra_sad
-        mv = mvs[0]
-
-        prediction = inter_pred if use_inter else intra_pred
 
         # --- residual coding --------------------------------------------------
         # Zero-block early skip: an orthonormal 8x8 DCT coefficient is
@@ -830,7 +657,7 @@ class TileEncoder:
         ops.quant_coeffs += num_active * TRANSFORM_SIZE * TRANSFORM_SIZE
 
         header_bits = 0
-        if frame_type is not FrameType.I:
+        if is_p:
             header_bits += 1  # inter/intra flag
         if use_inter:
             header_bits += inter_rate
@@ -840,16 +667,10 @@ class TileEncoder:
         ops.entropy_bits += total_bits
 
         if writer is not None:
-            if frame_type is not FrameType.I:
+            if is_p:
                 writer.write_bits(0 if use_inter else 1, 1)
             if use_inter:
-                if self._is_b_coded(frame_type, references):
-                    writer.write_bits(inter_mode, 2)
-                write_mvd(writer, mvs[0], left_mv)
-                if inter_mode == 2:
-                    write_mvd(writer, mvs[1], mvs[0])
-                elif inter_mode == 1:
-                    pass  # list-1 MV was written as mvs[0]
+                write_mvd(writer, mv, left_mv)
             else:
                 writer.write_bits(int(intra_mode), 2)
             for i in range(zz.shape[0]):
@@ -864,20 +685,15 @@ class TileEncoder:
         diff = block_f - recon
         ssd = float((diff * diff).sum())
         ops.pred_pixels += area
-
-        info = BlockInfo(
-            bx=bx, by=by, bw=bw, bh=bh,
-            use_inter=use_inter, mode=inter_mode if use_inter else 0,
-            mvs=mvs if use_inter else ((0, 0),),
-        )
-        return total_bits, ssd, (mv if use_inter else left_mv), info
+        return total_bits, ssd, mv
 
 
 class FrameEncoder:
     """Encodes a full frame over a tile grid with per-tile configs."""
 
-    #: Frame-type codes in the bitstream header.
-    FRAME_TYPE_CODES = {FrameType.I: 0, FrameType.P: 1, FrameType.B: 2}
+    #: Frame-type codes in the bitstream header (two bits; 2 and 3 are
+    #: not in the grammar and the decoder rejects them).
+    FRAME_TYPE_CODES = {FrameType.I: 0, FrameType.P: 1}
 
     def encode(
         self,
@@ -885,10 +701,9 @@ class FrameEncoder:
         grid: TileGrid,
         configs: Optional[Sequence[EncoderConfig]],
         frame_type: FrameType,
-        reference: ReferenceLike = None,
+        reference: Optional[np.ndarray] = None,
         frame_index: int = 0,
         writer: Optional[BitWriter] = None,
-        block_infos_out: Optional[List[List[BlockInfo]]] = None,
         hook_specs: Optional[Sequence[Optional[TileHookSpec]]] = None,
         measure_stages: bool = False,
         table: Optional["native.TileTable"] = None,
@@ -896,12 +711,11 @@ class FrameEncoder:
     ) -> tuple:
         """Returns ``(FrameStats, reconstruction)``.
 
-        ``reference`` accepts a single reconstructed plane (P frames)
-        or a sequence of up to two planes, most recent first (B
-        frames).  ``hook_specs`` carries the proposed policy's per-tile
-        decisions as data (see :meth:`TileEncoder.encode`); after a
-        first-P-frame call fold ``stats.learned()`` into the policy
-        with ``merge_learned``.
+        ``reference`` is the previous frame's reconstruction (P frames;
+        ignored on an I frame).  ``hook_specs`` carries the proposed
+        policy's per-tile decisions as data (see
+        :meth:`TileEncoder.encode`); after a first-P-frame call fold
+        ``stats.learned()`` into the policy with ``merge_learned``.
 
         The whole frame is **one** native call
         (:func:`repro.native.encode_frame`: the planes are vetted once,
@@ -918,7 +732,7 @@ class FrameEncoder:
         ``hook_specs`` are not read (``learners`` names, per tile, the
         policy tile id of a row that is learning) and nothing is built
         per frame but the result.  Such a frame must fit the driver
-        (C-contiguous uint8 planes of one shape, I or P).
+        (C-contiguous uint8 planes of one shape).
 
         ``measure_stages`` clocks each tile's motion search, residual
         coding and whole encode into :attr:`TileStats.stage_seconds`
@@ -944,38 +758,39 @@ class FrameEncoder:
         reconstruction = np.zeros_like(original)
         tracer = get_tracer()
         measure = measure_stages or tracer.enabled
-        references = normalize_references(reference, frame_type)
-        planes_fit = _planes_fit_driver(original, reconstruction, references)
+        reference = reference_plane(reference, frame_type)
+        planes_fit = _planes_fit_driver(original, reconstruction, reference)
         if table is not None:
             if (native.lib is None or not planes_fit
-                    or frame_type is FrameType.B or table.size != len(grid)):
+                    or table.size != len(grid)):
                 raise ValueError(
-                    "a driver table needs the native driver, contiguous "
-                    "uint8 planes and an I or P frame over its own grid"
+                    "a driver table needs the native driver and contiguous "
+                    "uint8 planes over its own grid"
                 )
         elif native.lib is not None and planes_fit:
             table, learners = self._load_table(
                 grid, configs, frame_type, hook_specs, original.shape)
         if table is not None:
             native.encode_frame(
-                original, references[0] if references else None,
-                reconstruction, table, _BASIS8_PTR, _ZZ_ORDER8_PTR,
-                emit=writer is not None,
-                want_info=block_infos_out is not None, measure=measure,
+                original, reference, reconstruction, table,
+                _BASIS8_PTR, _ZZ_ORDER8_PTR,
+                emit=writer is not None, measure=measure,
             )
             stats = FrameStats(
                 frame_index, frame_type, grid_tiles=grid.tiles,
                 counts=table.counts, clocks=table.clocks, measured=measure,
                 learners=learners,
             )
-            if writer is not None or block_infos_out is not None:
-                self._collect_streams(table, stats, grid, writer,
-                                      block_infos_out)
+            if writer is not None:
+                # Splice the per-tile payloads in, in tile order.
+                for i, (tile, counts) in enumerate(zip(grid, stats.rows()[0])):
+                    _check_emitted(counts, tile)
+                    writer.append_bits(*table.payload(i, counts[5]))
         else:
             stats = FrameStats(frame_index, frame_type,
                                self._encode_tiles_one_by_one(
                 original, grid, configs, frame_type, reference,
-                reconstruction, writer, block_infos_out, hook_specs, measure,
+                reconstruction, writer, hook_specs, measure,
             ))
         if tracer.enabled:
             for i, tile_stats in enumerate(stats.tiles):
@@ -996,8 +811,6 @@ class FrameEncoder:
         driver declines any tile."""
         searches, quants, learners = [], [], []
         for config, spec in zip(configs, hook_specs):
-            if _codec_decline(config, frame_type) is not None:
-                return None, None
             columns = _tile_columns(config, frame_type, spec)
             if isinstance(columns, str):
                 return None, None
@@ -1014,127 +827,24 @@ class FrameEncoder:
         return table, learners
 
     @staticmethod
-    def _collect_streams(table, stats, grid, writer, block_infos_out):
-        """Splice an emitting call's per-tile payloads into ``writer``
-        and hand out the block infos it was asked for, in tile order."""
-        counts, _ = stats.rows()
-        for i, tile in enumerate(grid):
-            if writer is not None:
-                _check_emitted(counts[i], tile)
-                writer.append_bits(*table.payload(i, counts[i][5]))
-            if block_infos_out is not None:
-                block_infos_out.append(_driver_block_infos(
-                    tile, table.block_sizes[i], table.block_info(i)))
-
-    @staticmethod
     def _encode_tiles_one_by_one(
         original, grid, configs, frame_type, reference, reconstruction,
-        writer, block_infos_out, hook_specs, measure,
+        writer, hook_specs, measure,
     ) -> List[TileStats]:
         """The per-tile loop: what runs when the driver cannot take the
         frame whole (each tile still takes it where it can)."""
-        upsampled_refs = None
-        if frame_type is not FrameType.I and any(c.half_pel for c in configs):
-            refs = normalize_references(reference, frame_type)
-            upsampled_refs = [upsample2x_cached(r) for r in refs]
         tile_stats = []
         for i, tile in enumerate(grid):
-            info_sink: Optional[List[BlockInfo]] = None
-            if block_infos_out is not None:
-                info_sink = []
-                block_infos_out.append(info_sink)
             t0 = time.perf_counter()
             stats = TileEncoder(configs[i]).encode(
                 original, reference, reconstruction, tile, frame_type,
-                writer=writer,
-                upsampled_refs=upsampled_refs if configs[i].half_pel else None,
-                block_info_out=info_sink, measure_stages=measure,
+                writer=writer, measure_stages=measure,
                 hook_spec=hook_specs[i],
             )
             if measure:
                 stats.stage_seconds["encode"] = time.perf_counter() - t0
             tile_stats.append(stats)
         return tile_stats
-
-
-@dataclass
-class ChromaStats:
-    """Chroma-plane encoding outcome of one frame (U and V)."""
-
-    bits: int = 0
-    ssd_u: float = 0.0
-    ssd_v: float = 0.0
-    num_pixels: int = 0  # per plane
-    ops: OpCounts = field(default_factory=OpCounts)
-
-    @property
-    def psnr_u(self) -> float:
-        if self.num_pixels == 0:
-            raise ValueError("no chroma pixels encoded")
-        return psnr_from_mse(self.ssd_u / self.num_pixels)
-
-    @property
-    def psnr_v(self) -> float:
-        if self.num_pixels == 0:
-            raise ValueError("no chroma pixels encoded")
-        return psnr_from_mse(self.ssd_v / self.num_pixels)
-
-
-class FrameCodec:
-    """Frame-level encode with 4:2:0 chroma (extension entry point).
-
-    ``encode_frame`` wraps :class:`FrameEncoder` for luma and appends
-    the chroma payload (U then V per tile) when the frame carries
-    chroma planes.  References are :class:`~repro.video.frame.Frame`
-    objects so chroma reconstruction travels with luma.
-    """
-
-    def __init__(self) -> None:
-        self._frame_encoder = FrameEncoder()
-
-    def encode_frame(
-        self,
-        frame: Frame,
-        grid: TileGrid,
-        configs: Sequence[EncoderConfig],
-        frame_type: FrameType,
-        reference_frames: Optional[Sequence[Frame]] = None,
-        frame_index: int = 0,
-        writer: Optional[BitWriter] = None,
-    ) -> tuple:
-        """Returns ``(FrameStats, Optional[ChromaStats], Frame)``."""
-        reference_frames = list(reference_frames or [])
-        luma_refs = [f.luma for f in reference_frames]
-        infos: List[List[BlockInfo]] = []
-        stats, recon_luma = self._frame_encoder.encode(
-            frame.luma, grid, configs, frame_type,
-            reference=luma_refs, frame_index=frame_index, writer=writer,
-            block_infos_out=infos,
-        )
-        recon = Frame(recon_luma, index=frame_index)
-        if frame.chroma_u is None or frame.chroma_v is None:
-            return stats, None, recon
-
-        refs_u = [f.chroma_u for f in reference_frames if f.chroma_u is not None]
-        refs_v = [f.chroma_v for f in reference_frames if f.chroma_v is not None]
-        recon_u = np.zeros_like(frame.chroma_u)
-        recon_v = np.zeros_like(frame.chroma_v)
-        chroma = ChromaStats(num_pixels=int(frame.chroma_u.size))
-        for i, tile in enumerate(grid):
-            for plane, refs, recon_plane, attr in (
-                (frame.chroma_u, refs_u, recon_u, "ssd_u"),
-                (frame.chroma_v, refs_v, recon_v, "ssd_v"),
-            ):
-                bits, ssd = encode_chroma_plane(
-                    plane, refs, recon_plane, tile, infos[i],
-                    configs[i].qp, half_pel=configs[i].half_pel,
-                    writer=writer, ops=chroma.ops,
-                )
-                chroma.bits += bits
-                setattr(chroma, attr, getattr(chroma, attr) + ssd)
-        recon.chroma_u = recon_u
-        recon.chroma_v = recon_v
-        return stats, chroma, recon
 
 
 class VideoEncoder:
@@ -1146,19 +856,10 @@ class VideoEncoder:
     :mod:`repro.transcode.pipeline`.
     """
 
-    def __init__(
-        self,
-        config: EncoderConfig,
-        gop: GopConfig = GopConfig(),
-        parallel_workers: Optional[int] = None,
-    ):
+    def __init__(self, config: EncoderConfig, gop: GopConfig = GopConfig()):
         self.config = config
         self.gop = gop
         self._frame_encoder = FrameEncoder()
-        #: ``None`` encodes serially; an integer enables the
-        #: tile-parallel executor with that many workers (0 means one
-        #: per core).  Bit-exact either way.
-        self.parallel_workers = parallel_workers
 
     def encode(
         self, video: Video, grid: Optional[TileGrid] = None
@@ -1168,31 +869,13 @@ class VideoEncoder:
             raise ValueError("cannot encode an empty video")
         if grid is None:
             grid = TileGrid.single(video.width, video.height)
-        executor = None
-        if self.parallel_workers is not None:
-            # Deferred import: the executor module imports this one.
-            from repro.parallel.executor import TileParallelExecutor
-
-            executor = TileParallelExecutor(self.parallel_workers or None)
         configs = [self.config] * len(grid)
         stats = SequenceStats()
-        references: List[np.ndarray] = []  # most recent first
-        try:
-            for frame in video:
-                frame_type = self.gop.frame_type(frame.index)
-                if executor is not None:
-                    frame_stats, reconstruction = executor.encode_frame(
-                        frame.luma, grid, configs, frame_type,
-                        reference=references, frame_index=frame.index,
-                    )
-                else:
-                    frame_stats, reconstruction = self._frame_encoder.encode(
-                        frame.luma, grid, configs, frame_type,
-                        reference=references, frame_index=frame.index,
-                    )
-                stats.frames.append(frame_stats)
-                references = [reconstruction] + references[:1]
-        finally:
-            if executor is not None:
-                executor.close()
+        reference: Optional[np.ndarray] = None
+        for frame in video:
+            frame_stats, reference = self._frame_encoder.encode(
+                frame.luma, grid, configs, self.gop.frame_type(frame.index),
+                reference=reference, frame_index=frame.index,
+            )
+            stats.frames.append(frame_stats)
         return stats

@@ -5,8 +5,6 @@ Implements the classical search algorithms surveyed in the paper's
 
 * full search (exhaustive; quality upper bound, used in tests)
 * TZ search (HEVC reference software; the paper's Table I baseline)
-* three step search [11]
-* diamond search [12]
 * cross search [13]
 * one-at-a-time search [14]
 * hexagon-based search [15] — horizontal, vertical and rotating
@@ -24,8 +22,6 @@ from repro.motion.base import (
 )
 from repro.motion.full_search import FullSearch
 from repro.motion.tz_search import TZSearch
-from repro.motion.three_step import ThreeStepSearch
-from repro.motion.diamond import DiamondSearch
 from repro.motion.cross import CrossSearch
 from repro.motion.one_at_a_time import OneAtATimeSearch
 from repro.motion.hexagon import HexagonSearch, HexagonOrientation
@@ -39,8 +35,6 @@ __all__ = [
     "MotionSearch",
     "FullSearch",
     "TZSearch",
-    "ThreeStepSearch",
-    "DiamondSearch",
     "CrossSearch",
     "OneAtATimeSearch",
     "HexagonSearch",

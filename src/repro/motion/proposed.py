@@ -176,9 +176,9 @@ class TileHookSpec:
     Captures everything :meth:`BioMedicalSearchPolicy.search_block`
     reads for this tile — motion class, GOP position, the
     feedback-adjusted window, the GOP's learned dominant axis and this
-    tile's MV predictor — so the native tile driver, or a worker
-    process, can run the tile without sharing the stream's mutable
-    policy state.
+    tile's MV predictor — so the native tile driver (or the per-block
+    loop, through :func:`spec_hook`) can run the tile without sharing
+    the stream's mutable policy state.
     """
 
     motion: MotionClass

@@ -10,18 +10,14 @@ from typing import Callable, Dict
 
 from repro.motion.base import MotionSearch
 from repro.motion.cross import CrossSearch
-from repro.motion.diamond import DiamondSearch
 from repro.motion.full_search import FullSearch
 from repro.motion.hexagon import HexagonOrientation, HexagonSearch
 from repro.motion.one_at_a_time import OneAtATimeSearch
-from repro.motion.three_step import ThreeStepSearch
 from repro.motion.tz_search import TZSearch
 
 SEARCH_REGISTRY: Dict[str, Callable[[], MotionSearch]] = {
     "full": FullSearch,
     "tz": TZSearch,
-    "three_step": ThreeStepSearch,
-    "diamond": DiamondSearch,
     "cross": CrossSearch,
     "one_at_a_time": OneAtATimeSearch,
     "hexagon": lambda: HexagonSearch(HexagonOrientation.HORIZONTAL),

@@ -113,7 +113,7 @@ def _compile(extra_cflags: Sequence[str] = ()) -> Optional[Path]:
         return so_path
     _BUILD_DIR.mkdir(exist_ok=True)
     # Compile into a temp file then rename, so concurrent interpreters
-    # (the tile-parallel worker pool) never load a half-written object.
+    # (fleet workers, test runs) never load a half-written object.
     fd, tmp_name = tempfile.mkstemp(suffix=".so", dir=_BUILD_DIR)
     os.close(fd)
     cmd = ["cc", *cflags, str(_SOURCE), "-o", tmp_name, "-lm"]
@@ -165,7 +165,7 @@ def _load(extra_cflags: Sequence[str] = ()) -> Optional[ctypes.CDLL]:
         i64, ptr, ptr,                               # tile table
         ptr, ptr,                                    # basis, zigzag order
         ptr, ptr, ptr,                               # cost cache
-        ptr, ptr, i32, ptr, ptr,                     # bits, info, outputs
+        ptr, i32, ptr, ptr,                          # bits, measure, outputs
     ]
     cdll.encode_frame_u8.restype = None
     f64 = ctypes.c_double
@@ -216,7 +216,7 @@ _scratch = _Scratch()
 
 #: Widths of a tile-table row and of a result row (``ROW_I`` / ``ROW_D``
 #: / ``OUT_I`` / ``OUT_D`` in ``kernels.c``).
-_ROW_INTS, _ROW_DOUBLES, _OUT_INTS, _OUT_DOUBLES = 15, 2, 9, 4
+_ROW_INTS, _ROW_DOUBLES, _OUT_INTS, _OUT_DOUBLES = 14, 2, 9, 4
 
 #: Bytes of emission buffer per tile pixel, above the worst case: an
 #: 8x8 sub-block emits at most ue(64) + 64 * (ue(0) + se(level)) bits
@@ -230,10 +230,10 @@ class TileTable:
     going in, a result row per tile coming back.
 
     What a grid fixes — each tile's rectangle and block size, and where
-    its bits and block infos land in the emission buffers — is written
-    once, here.  What a frame can change is rewritten by :meth:`load`
-    before each :func:`encode_frame`: per tile ``(alg, param, window,
-    use_pred, learn, pred_dx, pred_dy)`` and ``(step, lambda_mv)``.  A
+    its bits land in the emission buffer — is written once, here.  What
+    a frame can change is rewritten by :meth:`load` before each
+    :func:`encode_frame`: per tile ``(alg, param, window, use_pred,
+    learn, pred_dx, pred_dy)`` and ``(step, lambda_mv)``.  A
     table outlives its frame: the pipeline builds one per GOP and rung,
     and nothing is allocated or marshalled per frame but those columns.
 
@@ -259,22 +259,18 @@ class TileTable:
         self._out_i = np.empty((n, _OUT_INTS), dtype=np.int64)
         self._out_d = np.empty((n, _OUT_DOUBLES), dtype=np.float64)
         fixed = []
-        # Where each tile's bits (bytes) and block infos (int32s)
-        # start; one entry past the last tile.
-        self._offsets = [(0, 0)]
+        # Where each tile's bits start in the emission buffer (bytes);
+        # one entry past the last tile.
+        self._offsets = [0]
         for (x, y, width, height), block in zip(rects, block_sizes):
-            bits_off, info_off = self._offsets[-1]
+            bits_off = self._offsets[-1]
             cap = _TILE_BYTES_PER_PIXEL * width * height + 64
-            fixed.append((x, y, width, height, block, bits_off, cap, info_off))
-            self._offsets.append((
-                bits_off + cap,
-                info_off + 3 * (-(-width // block) * -(-height // block)),
-            ))
-        fixed = np.array(fixed, dtype=np.int64).reshape(n, 8)
+            fixed.append((x, y, width, height, block, bits_off, cap))
+            self._offsets.append(bits_off + cap)
+        fixed = np.array(fixed, dtype=np.int64).reshape(n, 7)
         self._rows_i[:, :5] = fixed[:, :5]
         self._rows_i[:, 12:] = fixed[:, 5:]
         self._bits: Optional[np.ndarray] = None
-        self._info: Optional[np.ndarray] = None
         self._ptrs = (n, self._rows_i.ctypes.data, self._rows_d.ctypes.data)
         self._out_ptrs = (self._out_i.ctypes.data, self._out_d.ctypes.data)
 
@@ -298,15 +294,9 @@ class TileTable:
     def payload(self, tile: int, emitted: int) -> Tuple[bytes, int]:
         """``(payload, nbits)`` for ``BitWriter.append_bits``: the
         ``emitted`` bits tile ``tile`` wrote in an emitting call."""
-        start = self._offsets[tile][0]
+        start = self._offsets[tile]
         stop = start + (emitted + 7) // 8
         return self._bits[start:stop].tobytes(), emitted
-
-    def block_info(self, tile: int) -> List[List[int]]:
-        """``[use_inter, mv_x, mv_y]`` per block of tile ``tile`` in
-        raster order, after a call that asked for infos."""
-        start, stop = self._offsets[tile][1], self._offsets[tile + 1][1]
-        return self._info[start:stop].reshape(-1, 3).tolist()
 
 
 def encode_frame(
@@ -317,13 +307,11 @@ def encode_frame(
     basis_ptr: int,
     zz_order_ptr: int,
     emit: bool = False,
-    want_info: bool = False,
     measure: bool = False,
 ) -> None:
-    """Encode the tiles of one I/P frame in the C driver, in one call;
-    the results are ``table``'s result rows (and, when emitting or
-    asking for block infos, its :meth:`~TileTable.payload` /
-    :meth:`~TileTable.block_info`).
+    """Encode the tiles of one frame in the C driver, in one call; the
+    results are ``table``'s result rows (and, when emitting, its
+    :meth:`~TileTable.payload`).
 
     The caller (``FrameEncoder.encode`` / ``TileEncoder.encode``) has
     vetted the envelope: all planes are C-contiguous uint8 of one
@@ -339,9 +327,7 @@ def encode_frame(
     if has_ref and sc.mcache_costs is None:
         sc.ensure_motion()
     if emit and table._bits is None:
-        table._bits = np.empty(table._offsets[-1][0], dtype=np.uint8)
-    if want_info and table._info is None:
-        table._info = np.empty(table._offsets[-1][1], dtype=np.int32)
+        table._bits = np.empty(table._offsets[-1], dtype=np.uint8)
     lib.encode_frame_u8(
         original.ctypes.data, original.strides[0],
         reference.ctypes.data if has_ref else None,
@@ -353,8 +339,7 @@ def encode_frame(
         sc.mcache_costs_ptr if has_ref else None,
         sc.mcache_stamps_ptr if has_ref else None,
         sc.mcache_epoch_ptr if has_ref else None,
-        table._bits.ctypes.data if emit else None,
-        table._info.ctypes.data if want_info else None, measure,
+        table._bits.ctypes.data if emit else None, measure,
         *table._out_ptrs,
     )
 

@@ -850,8 +850,7 @@ static int64_t encode_block_plane(const uint8_t *cur, int64_t cstride,
 /* never needs clamping.                                               */
 /*                                                                     */
 /* seeds: (0,0), the left neighbour's MV and, when use_pred, the       */
-/* temporal predictor (pred_dx, pred_dy).  info_out (may be NULL)      */
-/* receives {use_inter, mv_x, mv_y} per block in raster order.         */
+/* temporal predictor (pred_dx, pred_dy).                              */
 /* out_i = {bits, pred_pixels, sad_pixel_ops, me_candidates,           */
 /* transform_blocks, emitted_bits (-1: bits_buf too small), first_axis */
 /* (0 none, 1 x, 2 y), final_dx, final_dy}; out_d = {ssd, motion_s,    */
@@ -883,8 +882,7 @@ static void encode_tile(const uint8_t *cur, int64_t cstride,
                         int64_t pred_dx, int64_t pred_dy,
                         double *cache_costs, int64_t *cache_stamps,
                         int64_t *epoch_io,
-                        uint8_t *bits_buf, int64_t bits_cap,
-                        int32_t *info_out, int measure,
+                        uint8_t *bits_buf, int64_t bits_cap, int measure,
                         int64_t *out_i, double *out_d)
 {
     IntraPred intra;
@@ -973,14 +971,6 @@ static void encode_tile(const uint8_t *cur, int64_t cstride,
             if (measure)
                 t_entropy += now_ns() - t0;
 
-            if (!use_inter)
-                mvx = mvy = 0;
-            if (info_out) {
-                info_out[0] = use_inter;
-                info_out[1] = (int32_t)mvx;
-                info_out[2] = (int32_t)mvy;
-                info_out += 3;
-            }
             if (use_inter) {
                 left_dx = mvx;
                 left_dy = mvy;
@@ -1015,21 +1005,20 @@ static void encode_tile(const uint8_t *cur, int64_t cstride,
 /* A row of the tile table is the argument list of encode_tile — the   */
 /* integers in rows_i (ROW_I per tile: x, y, w, h, bs, alg, param,     */
 /* window, use_pred, learn, pred_dx, pred_dy, then where the tile's    */
-/* bits and block infos go: byte offset and capacity inside bits_buf,  */
-/* int32 offset inside info_out), step and lambda in rows_d — and the  */
-/* tiles run in table order through that one body, so a frame encoded  */
-/* here is the frame encoded by one call per tile: tiles share nothing */
-/* but the read-only planes and the calling thread's cost cache, whose */
-/* epoch advances per block exactly as it did across calls.  Row t of  */
-/* out_i / out_d is the tile's out_i / out_d above, out_d with a       */
-/* fourth column: the tile's wall seconds (clocked, like the stage     */
-/* seconds, only when measure is set).  ctypes releases the GIL for    */
-/* the whole frame, so frames of different sessions run on different   */
-/* cores.  Keep ROW_I / ROW_D / OUT_I / OUT_D in step with             */
-/* repro.native.                                                       */
+/* bits go: byte offset and capacity inside bits_buf), step and lambda */
+/* in rows_d — and the tiles run in table order through that one body, */
+/* so a frame encoded here is the frame encoded by one call per tile:  */
+/* tiles share nothing but the read-only planes and the calling        */
+/* thread's cost cache, whose epoch advances per block exactly as it   */
+/* did across calls.  Row t of out_i / out_d is the tile's out_i /     */
+/* out_d above, out_d with a fourth column: the tile's wall seconds    */
+/* (clocked, like the stage seconds, only when measure is set).        */
+/* ctypes releases the GIL for the whole frame, so frames of different */
+/* sessions run on different cores.  Keep ROW_I / ROW_D / OUT_I /      */
+/* OUT_D in step with repro.native.                                    */
 /* ------------------------------------------------------------------ */
 
-#define ROW_I 15
+#define ROW_I 14
 #define ROW_D 2
 #define OUT_I 9
 #define OUT_D 4
@@ -1043,7 +1032,7 @@ void encode_frame_u8(const uint8_t *cur, int64_t cstride,
                      const double *basis, const int32_t *zz_order,
                      double *cache_costs, int64_t *cache_stamps,
                      int64_t *epoch_io,
-                     uint8_t *bits_buf, int32_t *info_out, int measure,
+                     uint8_t *bits_buf, int measure,
                      int64_t *out_i, double *out_d)
 {
     for (int64_t t = 0; t < n_tiles; t++) {
@@ -1056,8 +1045,7 @@ void encode_frame_u8(const uint8_t *cur, int64_t cstride,
                     basis, zz_order, (int)ri[5], (int)ri[6], (int)ri[7],
                     (int)ri[8], (int)ri[9], ri[10], ri[11],
                     cache_costs, cache_stamps, epoch_io,
-                    bits_buf ? bits_buf + ri[12] : NULL, ri[13],
-                    info_out ? info_out + ri[14] : NULL, measure,
+                    bits_buf ? bits_buf + ri[12] : NULL, ri[13], measure,
                     out_i + t * OUT_I, od);
         od[3] = measure ? (double)(now_ns() - t0) * 1e-9 : 0.0;
     }

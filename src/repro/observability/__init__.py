@@ -14,8 +14,8 @@ Tests and scoped runs swap in fresh instances with :func:`scoped`::
         ...  # run instrumented code
         assert registry.value("repro_frames_encoded_total", mode="proposed")
 
-The tile pool's workers are threads (:mod:`repro.parallel.executor`):
-they count in the same registry as their caller, under its lock.
+The server's encode threads count in the same registry as their
+caller, under its lock.
 """
 
 from __future__ import annotations

@@ -16,9 +16,9 @@ Per session the server runs three tasks:
   ``dropped="backpressure"`` tells the client) instead of growing RAM;
 * **encode** pulls frames in order and pushes them through the
   session's :class:`~repro.ladder.session.LadderSession` on the encode
-  thread pool, so the event loop never blocks on CPU work (with
-  ``parallel_workers`` set, the tile thread pool of
-  :mod:`repro.parallel.executor` spreads a frame's tiles over cores);
+  thread pool, so the event loop never blocks on CPU work (a frame is
+  one GIL-free native call; sessions, not tiles, are what spreads over
+  cores);
 * **egress** writes ENCODED messages from a second bounded queue; a
   slow reader causes the *oldest* undelivered frame to be coalesced
   away (newest results win — a viewer wants the current frame, not a
@@ -157,8 +157,6 @@ class ServeNetConfig:
     egress_frames: int = 32
     #: How long a parked session waits for capacity before rejection.
     park_timeout_s: float = 2.0
-    #: Tile thread pool per session (``None`` = serial encode).
-    parallel_workers: Optional[int] = None
     #: Per-stream resilience (degradation ladder, corrupt-frame drops).
     resilience: Optional[ResilienceConfig] = field(
         default_factory=ResilienceConfig
@@ -324,8 +322,6 @@ class _Session:
             content_class=content,
             resilience=server.resilience_for(hello),
             platform=cfg.platform,
-            parallel_tiles=cfg.parallel_workers is not None,
-            parallel_workers=cfg.parallel_workers or None,
         )
         injector = None
         if cfg.fault_spike_rate > 0:

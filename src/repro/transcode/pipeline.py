@@ -46,7 +46,6 @@ from repro.motion.proposed import (
     merge_learned,
 )
 from repro.observability import get_registry, get_tracer
-from repro.parallel.executor import TileParallelExecutor
 from repro.platform.cost_model import CostModel
 from repro.platform.mpsoc import MpsocConfig, XEON_E5_2667
 from repro.platform.schedule import ThreadTask
@@ -124,13 +123,6 @@ class PipelineConfig:
     #: answered by the graded degradation ladder instead of the single
     #: lighter configuration.
     resilience: Optional[ResilienceConfig] = None
-    #: Encode each frame's tiles concurrently on a thread pool
-    #: (:mod:`repro.parallel.executor`).  Bit-exact with the serial
-    #: path; off by default because the pool only pays off with
-    #: several cores and tiles.
-    parallel_tiles: bool = False
-    #: Worker count for the tile pool; ``None`` uses one per core.
-    parallel_workers: Optional[int] = None
     #: Output luma height when this pipeline encodes one rung of a
     #: rendition ladder (``repro.ladder``).  Stamped into every
     #: :class:`WorkloadKey` the session records so the LUT learns
@@ -373,22 +365,12 @@ class StreamTranscoder:
         self._qp_quants: Dict[int, tuple] = {}
         self._workload_keys: Dict[tuple, WorkloadKey] = {}
         self._keys_class: Optional[ContentClass] = None
-        self._parallel: Optional[TileParallelExecutor] = None
-        if config.parallel_tiles:
-            self._parallel = TileParallelExecutor(config.parallel_workers)
         self.fault_injector = fault_injector
 
-    def _encode_frame(self, *args, **kwargs):
-        """Encode one frame serially or on the tile pool (the pool's
-        ``encode_frame`` is a drop-in for ``FrameEncoder.encode``)."""
-        if self._parallel is not None:
-            return self._parallel.encode_frame(*args, **kwargs)
-        return self._frame_encoder.encode(*args, **kwargs)
-
     def close(self) -> None:
-        """Shut down the tile worker pool (no-op when serial)."""
-        if self._parallel is not None:
-            self._parallel.close()
+        """A transcoder owns no thread or handle; this is the end of
+        the ``with StreamTranscoder(...)`` / ``LadderSession.close()``
+        lifetime its owners already bracket it with."""
 
     def __enter__(self) -> "StreamTranscoder":
         return self
@@ -551,16 +533,16 @@ class StreamTranscoder:
             windows.append(window)
 
         frame_stats = None
-        if plan.table is not None and self._parallel is None:
+        if plan.table is not None:
             frame_stats, reconstruction = self._encode_planned(
                 luma, frame_index, frame_type, plan, reference, policy,
                 by_motion, is_first, qps, windows,
             )
         if frame_stats is None:
-            # Without the driver (or on the tile pool) the decision
-            # travels per tile, as a config and a hook spec.  The motion
-            # direction is learned on the first *P* frame of the GOP
-            # (the I frame has no motion estimation).
+            # Without the driver the decision travels per tile, as a
+            # config and a hook spec.  The motion direction is learned
+            # on the first *P* frame of the GOP (the I frame has no
+            # motion estimation).
             configs = [self._qp_config(qp) for qp in qps]
             specs = None
             if is_p:
@@ -568,7 +550,7 @@ class StreamTranscoder:
                     policy.tile_spec(motion, is_first, i, windows[i])
                     for i, motion in enumerate(motions)
                 ]
-            frame_stats, reconstruction = self._encode_frame(
+            frame_stats, reconstruction = self._frame_encoder.encode(
                 luma, plan.grid, configs, frame_type,
                 reference=reference, frame_index=frame_index,
                 hook_specs=specs,
@@ -591,11 +573,9 @@ class StreamTranscoder:
         """The frame through the plan's driver table: its per-frame
         columns rewritten, one ``FrameEncoder.encode``.  ``(None,
         None)`` when the driver cannot take this frame (a plane that is
-        not contiguous uint8, a B frame or half-pel search, a search
-        outside its envelope)."""
+        not contiguous uint8, a search outside its envelope)."""
         base = self.config.base_config
-        if (frame_type is FrameType.B or base.half_pel
-                or luma.dtype != np.uint8 or not luma.flags.c_contiguous):
+        if luma.dtype != np.uint8 or not luma.flags.c_contiguous:
             return None, None
         quants = []
         for qp in qps:
@@ -656,7 +636,7 @@ class StreamTranscoder:
                     "pipeline.frame", frame=frame.index,
                     type=frame_type.value, gop=g, tiles=len(grid),
                 ):
-                    frame_stats, reference = self._encode_frame(
+                    frame_stats, reference = self._frame_encoder.encode(
                         frame.luma, grid, configs, frame_type,
                         reference=reference, frame_index=frame.index,
                     )

@@ -2,15 +2,15 @@
 
 The codec operates on 8-bit luma (Y) planes, matching the paper's focus:
 texture evaluation uses "the diversity in luma samples" and motion
-estimation operates on luma only.  Chroma planes are carried along
-(4:2:0) when present but all cost/quality accounting is luma-based,
-which is the HEVC common-test-condition convention for PSNR-Y.
+estimation operates on luma only.  All cost/quality accounting is
+luma-based, which is the HEVC common-test-condition convention for
+PSNR-Y.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
@@ -25,14 +25,10 @@ class Frame:
         ``(height, width)`` array of ``uint8`` luma samples.
     index:
         Display index of the frame within its video (0-based).
-    chroma_u, chroma_v:
-        Optional 4:2:0 chroma planes of shape ``(height//2, width//2)``.
     """
 
     luma: np.ndarray
     index: int = 0
-    chroma_u: Optional[np.ndarray] = None
-    chroma_v: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         self.luma = np.asarray(self.luma)
@@ -67,12 +63,7 @@ class Frame:
         return self.luma[y : y + height, x : x + width]
 
     def copy(self) -> "Frame":
-        return Frame(
-            luma=self.luma.copy(),
-            index=self.index,
-            chroma_u=None if self.chroma_u is None else self.chroma_u.copy(),
-            chroma_v=None if self.chroma_v is None else self.chroma_v.copy(),
-        )
+        return Frame(luma=self.luma.copy(), index=self.index)
 
     @classmethod
     def blank(cls, width: int, height: int, value: int = 0, index: int = 0) -> "Frame":

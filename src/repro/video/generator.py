@@ -78,10 +78,6 @@ class GeneratorConfig:
     # Direction of panning/rotation is re-drawn every `redirect_seconds`
     # (specialists change the viewing axis only occasionally).
     redirect_seconds: float = 4.0
-    #: Also synthesize 4:2:0 chroma planes.  Medical imagery is mostly
-    #: grayscale with a modality-specific tint (e.g. doppler overlays,
-    #: stained endoscopy); chroma is a smooth function of luma here.
-    with_chroma: bool = False
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
@@ -290,27 +286,6 @@ class BioMedicalVideoGenerator:
         )
         return sampled
 
-    #: Per-class chroma tint (dU, dV per unit of normalised luma).
-    _TINTS = {
-        ContentClass.BRAIN: (-6.0, 4.0),
-        ContentClass.BONE: (-3.0, 8.0),
-        ContentClass.LUNG: (5.0, -4.0),
-        ContentClass.CARDIAC: (-8.0, 12.0),
-        ContentClass.ULTRASOUND: (10.0, -6.0),
-    }
-
-    def _synthesize_chroma(self, luma: np.ndarray):
-        """4:2:0 chroma planes: a smooth modality tint over the luma."""
-        du, dv = self._TINTS[self.config.content_class]
-        h, w = luma.shape
-        sub = luma[: h - h % 2, : w - w % 2].astype(np.float64)
-        sub = (sub[0::2, 0::2] + sub[1::2, 0::2]
-               + sub[0::2, 1::2] + sub[1::2, 1::2]) / 4.0
-        norm = (sub - 128.0) / 128.0
-        u = np.clip(128.0 + du * norm * 8.0, 0, 255).astype(np.uint8)
-        v = np.clip(128.0 + dv * norm * 8.0, 0, 255).astype(np.uint8)
-        return u, v
-
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
@@ -334,10 +309,7 @@ class BioMedicalVideoGenerator:
             if cfg.noise_sigma > 0:
                 pixels = pixels + self._rng.normal(0.0, cfg.noise_sigma, pixels.shape)
             luma = np.clip(pixels, 0, 255).astype(np.uint8)
-            frame = Frame(luma, index=i)
-            if cfg.with_chroma:
-                frame.chroma_u, frame.chroma_v = self._synthesize_chroma(luma)
-            frames.append(frame)
+            frames.append(Frame(luma, index=i))
         return Video(frames=frames, fps=cfg.fps,
                      name=f"{cfg.content_class.value}_{cfg.motion.value}_{cfg.seed}")
 

@@ -18,15 +18,9 @@ determinism, not visual polish:
 * it **never upscales**: a rung larger than the ingest has boxes with
   zero pixels, so the request is rejected up front (the ladder-wide
   rule of the same name descends from this check).
-
-All quality accounting upstream stays luma-based (PSNR-Y); chroma
-planes ride along through :func:`downscale_frame` using the same box
-method at 4:2:0 geometry.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 
@@ -99,30 +93,16 @@ def downscale_plane(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return downscale_box_reference(plane, out_h, out_w)
 
 
-def chroma_dims(out_w: int, out_h: int) -> Tuple[int, int]:
-    """4:2:0 chroma geometry for a ``out_w x out_h`` luma plane."""
-    return out_w // 2, out_h // 2
-
-
 def downscale_frame(frame: Frame, out_w: int, out_h: int) -> Frame:
-    """Downscale a frame (luma + any 4:2:0 chroma) to ``out_w x out_h``.
+    """Downscale a frame to ``out_w x out_h``.
 
     A same-size request never hands out a buffer somebody can still
-    write: a frame whose planes are all read-only (the serving layer's
+    write: a frame whose plane is read-only (the serving layer's
     zero-copy ingest) is returned as it is — nothing can mutate it
     under the rung — and any other frame is copied, so a rung at ingest
     resolution never aliases a reused ingest buffer.
     """
     if (out_h, out_w) == frame.luma.shape:
-        planes = (frame.luma, frame.chroma_u, frame.chroma_v)
-        if any(p is not None and p.flags.writeable for p in planes):
-            return frame.copy()
-        return frame
-    luma = downscale_plane(frame.luma, out_h, out_w)
-    cw, ch = chroma_dims(out_w, out_h)
-    u = v = None
-    if frame.chroma_u is not None and cw >= 1 and ch >= 1:
-        u = downscale_plane(np.ascontiguousarray(frame.chroma_u), ch, cw)
-        if frame.chroma_v is not None:
-            v = downscale_plane(np.ascontiguousarray(frame.chroma_v), ch, cw)
-    return Frame(luma=luma, index=frame.index, chroma_u=u, chroma_v=v)
+        return frame.copy() if frame.luma.flags.writeable else frame
+    return Frame(luma=downscale_plane(frame.luma, out_h, out_w),
+                 index=frame.index)

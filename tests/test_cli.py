@@ -43,10 +43,18 @@ class TestEncode:
         out = capsys.readouterr().out
         assert "PSNR" in out and "bitrate" in out
 
-    def test_b_frames_flag(self, video_file, capsys):
-        code = main(["encode", str(video_file), "--b-frames",
-                     "--window", "8"])
-        assert code == 0
+    @pytest.mark.parametrize("search", ["diamond", "three_step", "nope"])
+    def test_unknown_search_is_a_usage_error(self, search, video_file,
+                                             capsys):
+        """Not a ``ValueError`` traceback out of ``get_search``: argparse
+        exits 2 and names the searches that exist."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["encode", str(video_file), "--search", search])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        for survivor in ("full", "tz", "cross", "one_at_a_time", "hexagon",
+                         "hexagon_rotating"):
+            assert repr(survivor) in err
 
     def test_invalid_tiles_spec(self, video_file):
         with pytest.raises(SystemExit):

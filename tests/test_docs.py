@@ -4,9 +4,14 @@ parser with every ``--flag`` its recipe passes, every ``make <target>``
 is a Makefile target and every ``REPRO_*`` variable is read from the
 environment somewhere under ``src/repro`` — so deleting a module,
 subcommand, flag, target or knob cannot leave a dangling recipe
-behind."""
+behind.  Likewise every ``examples/`` / ``tests/`` / ``benchmarks/`` /
+``src/repro/`` source file a document names exists, and every name an
+example or a paper-table benchmark imports from ``repro`` resolves:
+tier-1 runs neither, so a deletion could otherwise break them
+silently."""
 
 import argparse
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -15,6 +20,9 @@ from repro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ("README.md", "DESIGN.md", "Makefile", ".claude/skills/verify/SKILL.md")
+#: Where quoted source paths are checked too (EXPERIMENTS.md quotes no
+#: recipe the scanner above would understand).
+PATH_DOCS = DOCS + ("EXPERIMENTS.md",)
 
 #: ``python -m repro.x.y`` and the Makefile's ``$(PY) -m repro.x.y``.
 _MODULE = re.compile(r"-m (repro(?:\.\w+)+)")
@@ -32,6 +40,10 @@ _ENV_READ = re.compile(
 #: Backticked only, for the same reason ("...that make threads...").
 _MAKE = re.compile(r"`make ([a-z][a-z0-9-]*)")
 _MAKE_TARGET = re.compile(r"^([a-z][a-z0-9-]*):", re.MULTILINE)
+#: A source file named from the repository root (not ``bench/tests/x.py``
+#: read as ``tests/x.py``, not a ``tests/test_*.py`` glob).
+_SOURCE_PATH = re.compile(
+    r"(?<![\w/*.-])((?:examples|tests|benchmarks|src/repro)/[\w/]*\w\.(?:py|c))\b")
 
 
 def _subcommands() -> dict:
@@ -76,9 +88,49 @@ def dangling(text: str) -> list:
     return bad
 
 
+def missing_paths(text: str) -> list:
+    """Every quoted source path in ``text`` that is not a file."""
+    return sorted({p for p in _SOURCE_PATH.findall(text)
+                   if not (ROOT / p).is_file()})
+
+
+def unresolved_imports(source: str) -> list:
+    """Every ``from repro... import name`` / ``import repro...`` in
+    ``source`` that does not resolve."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            bad += [f"import {a.name}" for a in node.names
+                    if a.name.split(".")[0] == "repro"
+                    and not _importable(a.name)]
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                and (node.module or "").split(".")[0] == "repro"):
+            if not _importable(node.module):
+                bad.append(f"from {node.module} import ...")
+                continue
+            module = importlib.import_module(node.module)
+            bad += [f"from {node.module} import {a.name}" for a in node.names
+                    if not hasattr(module, a.name)
+                    and not _importable(f"{node.module}.{a.name}")]
+    return bad
+
+
 def test_docs_quote_only_recipes_that_exist():
     for name in DOCS:
         assert dangling((ROOT / name).read_text()) == [], name
+
+
+def test_docs_quote_only_source_files_that_exist():
+    for name in PATH_DOCS:
+        assert missing_paths((ROOT / name).read_text()) == [], name
+
+
+def test_examples_and_benchmarks_import_only_what_exists():
+    scripts = sorted((ROOT / "examples").glob("*.py")) \
+        + sorted((ROOT / "benchmarks").glob("*.py"))
+    assert scripts
+    for script in scripts:
+        assert unresolved_imports(script.read_text()) == [], script.name
 
 
 def test_scanner_sees_each_kind_of_recipe():
@@ -109,3 +161,14 @@ def test_scanner_sees_each_kind_of_recipe():
         "make no-such-target",
         "env REPRO_NO_SUCH_KNOB",
     ]
+    assert missing_paths(
+        "see `tests/test_no_such.py`, src/repro/codec/no_such.py and\n"
+        "\t\ttests/test_docs.py \\\n (`bench/tests/test_client.py`, "
+        "`tests/test_*.py`, src/repro/native/kernels.c are fine)"
+    ) == ["src/repro/codec/no_such.py", "tests/test_no_such.py"]
+    assert unresolved_imports(
+        "import repro.no_such\nimport os\n"
+        "from repro.codec import FrameEncoder, NoSuchCodec\n"
+        "from repro.no_such_pkg import x\nfrom repro import native\n"
+    ) == ["import repro.no_such", "from repro.codec import NoSuchCodec",
+          "from repro.no_such_pkg import ..."]

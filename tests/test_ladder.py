@@ -198,18 +198,15 @@ class TestDownscalerDifferential:
         with pytest.raises(ValueError):
             downscale_plane(plane, 0, 8)
 
-    def test_frame_downscale_carries_chroma_and_index(self):
+    def test_frame_downscale_carries_index(self):
         rng = np.random.default_rng(5)
         frame = Frame(
             luma=rng.integers(0, 256, (32, 48), dtype=np.uint8),
             index=7,
-            chroma_u=rng.integers(0, 256, (16, 24), dtype=np.uint8),
-            chroma_v=rng.integers(0, 256, (16, 24), dtype=np.uint8),
         )
         small = downscale_frame(frame, 24, 16)
         assert small.index == 7
         assert small.luma.shape == (16, 24)
-        assert small.chroma_u is not None and small.chroma_u.shape == (8, 12)
         same = downscale_frame(frame, 48, 32)
         assert np.array_equal(same.luma, frame.luma)
         assert same.luma is not frame.luma  # copy, never an alias

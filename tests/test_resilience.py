@@ -402,6 +402,28 @@ class TestLutCheckpoint:
         assert not loaded.recovered
         assert len(loaded.lut) == 0
 
+    def test_unknown_frame_type_key_is_a_typed_corruption(
+            self, small_video, tmp_path):
+        """A checkpoint holding a key of a frame type the codec does not
+        have (``"B"``: written by a build that still had B frames, or
+        forged) verifies its checksum and still must not load: degrade
+        to a cold start, or ``LutCorruptionError`` when strict."""
+        import json
+
+        from repro.resilience.checkpoint import payload_checksum
+
+        path = tmp_path / "lut.json"
+        save_lut(_trained_lut(small_video), path)
+        document = json.loads(path.read_text())
+        document["payload"]["entries"][0]["key"]["frame_type"] = "B"
+        document["checksum"] = payload_checksum(document["payload"])
+        path.write_text(json.dumps(document, sort_keys=True))
+        loaded = load_lut(path)
+        assert not loaded.recovered and len(loaded.lut) == 0
+        assert "B" in loaded.reason
+        with pytest.raises(LutCorruptionError):
+            load_lut(path, strict=True)
+
     def test_validate_drops_corrupted_entries(self, small_video):
         lut = _trained_lut(small_video)
         before = len(lut)
