@@ -26,6 +26,15 @@ ladder's per-rung output is **bit-identical** to N independent
 sessions — the property `tests/test_ladder.py` and the smoke drill
 assert, and what makes the shared-analysis savings free.
 
+The ingest frame is shared too, until a rung can use it: no rung
+encodes anything before its GOP closes, so a mid-GOP :meth:`push` only
+checks the frame and holds it, and the push that closes the GOP (or
+:meth:`finish`) scales and feeds the held frames rung by rung.  Rungs
+have always *encoded* in that order — the primary's whole GOP, then
+the next rung's — so the shared fault stream, the LUT's observation
+order and every output are what they were when each push scaled on
+arrival.
+
 A ladder of **one** rung at ingest geometry is the plain session: same
 bits, same reconstruction, same drops as
 ``StreamTranscoder.open_session()`` fed the same frames.  The network
@@ -55,6 +64,7 @@ from repro.transcode.pipeline import (
     ProposedStreamSession,
     StreamTranscoder,
     _shared_classifier,
+    frame_is_corrupt,
 )
 from repro.video.frame import Frame
 from repro.video.generator import ContentClass
@@ -112,6 +122,11 @@ class LadderSession:
         self.rung_sessions: List[RungSession] = []
         #: Degradation bumps asked for before any rung session exists.
         self._early_bumps: List[Tuple[int, str]] = []
+        #: The open GOP's ingest frames, each with its check's verdict
+        #: (``True``: corrupt, every rung drops it), and the plane
+        #: shape the first good frame fixed for that check.
+        self._held: List[Tuple[Frame, bool]] = []
+        self._ingest_shape: Optional[tuple] = None
         self._finished = False
 
     # -- lifecycle -----------------------------------------------------
@@ -178,30 +193,26 @@ class LadderSession:
     # -- GOP-boundary surface (what the network server drives) ---------
     @property
     def pending_frames(self) -> int:
-        """Frames buffered since the last GOP boundary (every rung
-        buffers the same frames, so the primary speaks for all)."""
-        if not self.rung_sessions:
-            return 0
-        return self.rung_sessions[0].session.pending_frames
+        """Frames held since the last GOP boundary."""
+        return len(self._held)
 
-    def only_buffers(self, frame: Frame) -> bool:
-        """Whether ``push(frame)`` would do no real work: the rungs are
-        open, the frame lands mid-GOP (each rung just validates and
-        buffers it) and no rung needs scaling (a same-size "downscale"
-        is at most one plane copy).  The serving layer runs such pushes
-        inline on its event loop and keeps the encode pool for the
-        rest."""
-        return (
-            self.started
-            and self.pending_frames + 1 < self.base_config.gop.size
-            and all((rs.rung.height, rs.rung.width) == frame.luma.shape
-                    for rs in self.rung_sessions)
-        )
+    def only_buffers(self) -> bool:
+        """Whether the next :meth:`push` would do no real work: the
+        rungs are open and the frame lands mid-GOP, where it is checked
+        and held.  The serving layer runs such pushes inline on its
+        event loop and keeps the encode pool for the rest."""
+        return (self.started
+                and len(self._held) + 1 < self.base_config.gop.size)
 
     def export_state(self) -> Dict[int, Dict[str, object]]:
         """Every rung's cross-GOP snapshot, keyed by rung id (see
         :meth:`ProposedStreamSession.export_state`; same GOP-boundary
         precondition — the rungs flush together)."""
+        if self._held:
+            raise ValueError(
+                "export_state requires a GOP boundary "
+                f"({len(self._held)} frames held)"
+            )
         return {rs.rung_id: rs.session.export_state()
                 for rs in self.rung_sessions}
 
@@ -241,34 +252,57 @@ class LadderSession:
 
     # -- ingest --------------------------------------------------------
     def push(self, frame: Frame) -> List[FrameOutput]:
-        """Push one full-resolution ingest frame into every rung.
+        """Push one full-resolution ingest frame.
 
-        Returns the rung-tagged outputs of every GOP that completed,
-        primary rung first (``FrameOutput.rung`` names the rung).  The
-        frame is box-downscaled once per rung; a rung at ingest
-        resolution receives a copy of a writable frame, so it never
-        aliases a reused ingest buffer, and a read-only frame itself.
+        The frame is checked (the rung sessions' own check, on the
+        ingest plane: a bad frame raises, or is absorbed as a
+        ``corrupt`` drop on every rung, at its own push) and held; a
+        writable plane is copied first, so the ladder never aliases a
+        buffer its caller reuses, and a read-only one is held as it is.
+        The push that completes a GOP feeds the rungs and returns
+        their rung-tagged outputs, primary rung first
+        (``FrameOutput.rung`` names the rung); any other returns none.
         """
         if self._finished:
             raise ValueError("ladder session already finished")
         if not self.started:
             self._start(frame)
+        corrupt = frame_is_corrupt(frame, self._ingest_shape,
+                                   self.base_config)
+        if not corrupt:
+            self._ingest_shape = frame.luma.shape
+            if frame.luma.flags.writeable:
+                frame = frame.copy()
+                frame.luma.flags.writeable = False
+        self._held.append((frame, corrupt))
+        if len(self._held) < self.base_config.gop.size:
+            return []
+        return self._feed_rungs()
+
+    def _feed_rungs(self, finish: bool = False) -> List[FrameOutput]:
+        """Scale the held frames for each rung in turn and push them
+        into it (a held plane is read-only, so a rung at ingest size
+        takes the frame itself)."""
+        held, self._held = self._held, []
         outputs: List[FrameOutput] = []
         for rs in self.rung_sessions:
-            scaled = downscale_frame(frame, rs.rung.width, rs.rung.height)
-            for out in rs.session.push(scaled):
+            first = len(outputs)
+            for frame, corrupt in held:
+                if corrupt:
+                    outputs += rs.session.push(frame, corrupt=True)
+                else:
+                    outputs += rs.session.push(downscale_frame(
+                        frame, rs.rung.width, rs.rung.height))
+            if finish:
+                outputs += rs.session.finish()
+            for out in outputs[first:]:
                 out.rung = rs.rung_id
-                outputs.append(out)
         return outputs
 
     def finish(self) -> List[FrameOutput]:
-        """Flush every rung's partial tail GOP and close the ladder."""
+        """Feed every rung the held tail of a partial GOP, flush it and
+        close the ladder."""
         if self._finished:
             return []
         self._finished = True
-        outputs: List[FrameOutput] = []
-        for rs in self.rung_sessions:
-            for out in rs.session.finish():
-                out.rung = rs.rung_id
-                outputs.append(out)
-        return outputs
+        return self._feed_rungs(finish=True)

@@ -455,8 +455,9 @@ def downscale_box(
     every valid geometry (``1 <= out_h <= h``, ``1 <= out_w <= w``);
     ``None`` when the native layer is off or the input falls outside
     the kernel's envelope (a plane of 2^24 samples or more: its box
-    sums could leave the kernel's 32-bit lanes) — callers then run the
-    NumPy oracle.
+    sums could leave the kernel's 32-bit lanes, and its populations the
+    range the kernel's multiply-shift quotient is proved for) — callers
+    then run the NumPy oracle.
     """
     if lib is None:
         return None
@@ -466,7 +467,8 @@ def downscale_box(
     if not (1 <= out_h <= h) or not (1 <= out_w <= w) or h * w >= 1 << 24:
         return None
     out = np.empty((out_h, out_w), dtype=np.uint8)
-    # The kernel's column edges and one row of column sums.
+    # The kernel's per-column table and one row of lanes (its largest
+    # user: out_w + 1 edges and w 32-bit column sums).
     scratch = np.empty(out_w + 1 + w, dtype=np.uint32)
     lib.downscale_box_u8(
         src.ctypes.data, src.strides[0], h, w,

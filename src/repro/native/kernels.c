@@ -1290,12 +1290,40 @@ int64_t analyze_frame_u8(const uint8_t *cur, int64_t cstride,
 /* holds >= 1 pixel), bit-identical to the NumPy oracle in             */
 /* repro.video.scale by construction: integer box sums are exact in    */
 /* any order, the same property that makes the SAD tiers above         */
-/* dispatch freely, and the division is the oracle's floor division.   */
-/* The wrapper keeps h * w < 2^24, so every box sum (<= 255 * h * w)   */
-/* fits the 32-bit lanes.  Like the psadbw SAD path, the SSE2 2x2 fast */
-/* path below counts as level 0: it needs no runtime dispatch and is   */
-/* always safe on x86-64.                                              */
+/* dispatch freely, and the quotient is the oracle's floor division,   */
+/* taken without dividing per pixel.                                   */
+/*                                                                     */
+/* Boxes: along an axis cut n_in -> n_out every box is lo or lo + 1    */
+/* samples long, lo = n_in / n_out, so a box population is one of two  */
+/* row counts times one of two column counts and an output row meets   */
+/* two populations, d and d + rows.  With j * n_in = e * n_out + err   */
+/* the next box is the long one iff err + n_in % n_out >= n_out: the   */
+/* edge pattern is stepped, not divided for.                           */
+/*                                                                     */
+/* Quotient: for 1 <= d <= 2^24 and 0 <= acc <= 255 * d,               */
+/*     acc / d == (acc * (2^56 / d + 1)) >> 56       (both floors).    */
+/* Let m = 2^56 / d + 1, so m * d = 2^56 + e with 1 <= e <= d, and     */
+/* acc = q * d + r with r < d, q <= 255.  Then acc * m = q * 2^56 +    */
+/* (q * e + r * m), and 0 <= q * e + r * m <= q * e + (d - 1) * m      */
+/* = q * e + 2^56 + e - m < 2^56 because (q + 1) * e <= 256 * d        */
+/* <= 2^56 / d < m.  The product is below 255 * 2^56 + 255 * d < 2^64. */
+/* When d is a power of two the same quotient is a shift.  The wrapper */
+/* keeps h * w < 2^24, which bounds every population and keeps every   */
+/* box sum (<= 255 * h * w) inside 32 bits.                            */
+/*                                                                     */
+/* Three routines, chosen from the geometry alone: exact halving       */
+/* (SSE2 2x2), ratios below two across and at most two down (boxes of  */
+/* 1, 2 or 4 samples, 16-bit lanes: every lane's one- and two-lane     */
+/* quotient by shifts, then a byte pick per output), and the general   */
+/* one (32-bit lanes, the box's lanes added per output, reciprocals).  */
+/* Like the psadbw SAD path, the SSE2 code counts as level 0: it needs */
+/* no runtime dispatch and is always safe on x86-64.                   */
 /* ------------------------------------------------------------------ */
+
+static inline uint64_t box_reciprocal(uint64_t population)
+{
+    return (UINT64_C(1) << 56) / population + 1;
+}
 
 /* Separable: the column edges once per call, then per output row the
  * box's source rows summed into one row of w lanes (a loop the
@@ -1307,6 +1335,7 @@ static void downscale_box_scalar(const uint8_t *src, ptrdiff_t sstride,
                                  uint32_t *scratch)
 {
     uint32_t *edge = scratch, *lane = scratch + w_out + 1;
+    uint32_t narrow = (uint32_t)(w / w_out);
     for (int64_t j = 0; j <= w_out; j++)
         edge[j] = (uint32_t)(j * w / w_out);
     for (int64_t i = 0; i < h_out; i++) {
@@ -1320,13 +1349,16 @@ static void downscale_box_scalar(const uint8_t *src, ptrdiff_t sstride,
             for (int64_t c = 0; c < w; c++)
                 lane[c] += sr[c];
         }
-        uint32_t rows = (uint32_t)(r1 - r0);
+        uint64_t rows = (uint64_t)(r1 - r0);
+        uint64_t reciprocal[2] = {box_reciprocal(rows * narrow),
+                                  box_reciprocal(rows * (narrow + 1))};
         uint8_t *drow = dst + (ptrdiff_t)i * w_out;
         for (int64_t j = 0; j < w_out; j++) {
-            uint32_t acc = 0;
+            uint64_t acc = 0;
             for (uint32_t c = edge[j]; c < edge[j + 1]; c++)
                 acc += lane[c];
-            drow[j] = (uint8_t)(acc / (rows * (edge[j + 1] - edge[j])));
+            acc *= reciprocal[edge[j + 1] - edge[j] - narrow];
+            drow[j] = (uint8_t)(acc >> 56);
         }
     }
 }
@@ -1367,7 +1399,94 @@ static void downscale_half_sse2(const uint8_t *src, ptrdiff_t sstride,
         }
     }
 }
+
+/* downscale_box_near's quotients of one output row of one or two
+ * source rows (shift = rows - 1), 16 lanes at a time: quot[c] = lane
+ * c's column sum >> shift, quot[w + c] = lanes c and c + 1 >>
+ * (shift + 1).  Returns the first lane it left (it reads lane c + 16,
+ * so it leaves at least one). */
+static int64_t near_quotients_sse2(const uint8_t *src, ptrdiff_t sstride,
+                                   int64_t rows, int64_t w, uint8_t *quot)
+{
+    const __m128i zero = _mm_setzero_si128();
+    const __m128i one = _mm_cvtsi32_si128((int)rows - 1);
+    const __m128i two = _mm_cvtsi32_si128((int)rows);
+    int64_t c = 0;
+    for (; c + 17 <= w; c += 16) {
+        __m128i a_lo = zero, a_hi = zero, b_lo = zero, b_hi = zero;
+        const uint8_t *p = src + c;
+        for (int64_t r = 0; r < rows; r++, p += sstride) {
+            __m128i a = _mm_loadu_si128((const __m128i *)p);
+            __m128i b = _mm_loadu_si128((const __m128i *)(p + 1));
+            a_lo = _mm_add_epi16(a_lo, _mm_unpacklo_epi8(a, zero));
+            a_hi = _mm_add_epi16(a_hi, _mm_unpackhi_epi8(a, zero));
+            b_lo = _mm_add_epi16(b_lo, _mm_unpacklo_epi8(b, zero));
+            b_hi = _mm_add_epi16(b_hi, _mm_unpackhi_epi8(b, zero));
+        }
+        b_lo = _mm_add_epi16(b_lo, a_lo);
+        b_hi = _mm_add_epi16(b_hi, a_hi);
+        _mm_storeu_si128((__m128i *)(quot + c), _mm_packus_epi16(
+            _mm_srl_epi16(a_lo, one), _mm_srl_epi16(a_hi, one)));
+        _mm_storeu_si128((__m128i *)(quot + w + c), _mm_packus_epi16(
+            _mm_srl_epi16(b_lo, two), _mm_srl_epi16(b_hi, two)));
+    }
+    return c;
+}
 #endif
+
+/* w < 2 * w_out, h <= 2 * h_out: every box is one or two lanes wide
+ * and one or two rows tall, so its population is 1, 2 or 4 and its
+ * quotient a shift.  Once per call, which quotient each output column
+ * takes (lane e for a one-lane box, w + e for the box of lanes e and
+ * e + 1); per output row, both quotients of every lane (cheap across a
+ * row: the row's two populations are two constants), then one byte
+ * picked per output.  scratch holds the w_out picks and 2 * w quotient
+ * bytes — less than downscale_box_scalar's. */
+static void downscale_box_near(const uint8_t *src, ptrdiff_t sstride,
+                               int64_t h, int64_t w, uint8_t *dst,
+                               int64_t h_out, int64_t w_out,
+                               uint32_t *scratch)
+{
+    uint32_t *pick = scratch;
+    uint8_t *quot = (uint8_t *)(scratch + w_out);
+    int64_t err = 0, e = 0;
+    for (int64_t j = 0; j < w_out; j++) {
+        int wide = (err += w - w_out) >= w_out;
+        if (wide)
+            err -= w_out;
+        pick[j] = (uint32_t)(wide ? w + e : e);
+        e += 1 + wide;
+    }
+    err = 0;
+    for (int64_t i = 0; i < h_out; i++, dst += w_out) {
+        int64_t rows = h / h_out;
+        if ((err += h % h_out) >= h_out) {
+            err -= h_out;
+            rows++;
+        }
+        /* The box's last row: the second, or src itself again. */
+        const uint8_t *below = src + (ptrdiff_t)(rows - 1) * sstride;
+        int64_t c = 0;
+#if REPRO_X86
+        c = near_quotients_sse2(src, sstride, rows, w, quot);
+#endif
+        for (; c < w; c++) {  /* the lanes SSE2 left: all, off x86 */
+            int a = src[c] + (rows - 1) * below[c];
+            int b = c + 1 < w ? src[c + 1] + (rows - 1) * below[c + 1] : 0;
+            quot[c] = (uint8_t)(a >> (rows - 1));
+            quot[w + c] = (uint8_t)((a + b) >> rows);
+        }
+        src = below + sstride;
+        int64_t j = 0;
+        for (; j + 4 <= w_out; j += 4) {  /* one 32-bit store per four */
+            uint8_t four[4] = {quot[pick[j]], quot[pick[j + 1]],
+                               quot[pick[j + 2]], quot[pick[j + 3]]};
+            memcpy(dst + j, four, 4);
+        }
+        for (; j < w_out; j++)
+            dst[j] = quot[pick[j]];
+    }
+}
 
 void downscale_box_u8(const uint8_t *src, int64_t sstride,
                       int64_t h, int64_t w, uint8_t *dst,
@@ -1379,6 +1498,10 @@ void downscale_box_u8(const uint8_t *src, int64_t sstride,
         return;
     }
 #endif
-    downscale_box_scalar(src, (ptrdiff_t)sstride, h, w, dst, h_out, w_out,
-                         scratch);
+    if (w < 2 * w_out && h <= 2 * h_out)
+        downscale_box_near(src, (ptrdiff_t)sstride, h, w, dst, h_out, w_out,
+                           scratch);
+    else
+        downscale_box_scalar(src, (ptrdiff_t)sstride, h, w, dst, h_out,
+                             w_out, scratch);
 }

@@ -573,6 +573,14 @@ class NetworkServer:
             "repro_serving_journal_bytes_total", journal.size - before,
             help="Bytes appended to session journals",
         )
+        if kind == "gop":
+            # Counted here, where the record became durable: a cut that
+            # cancels the handler awaiting this append must not leave a
+            # record RESUME will replay out of the count.
+            registry.inc(
+                "repro_serving_journal_gops_total",
+                help="GOP records made durable by session journals",
+            )
 
     async def _on_journal_thread(self, fn: Callable, *args):
         """Run one blocking state-store call (a lease's lock file,
@@ -585,14 +593,14 @@ class NetworkServer:
             self._journal_pool, fn, *args
         )
 
-    async def _give_back(self, fn: Callable, token: str) -> None:
-        """Teardown's lease release / journal discard: off the loop
-        where it can be, inline when the writer pool is gone — the
-        lease goes back on every exit."""
+    async def _give_back(self, fn: Callable, *args) -> None:
+        """Teardown's journal close and lease release / journal
+        discard: off the loop where it can be, inline when the writer
+        pool is gone — the lease goes back on every exit."""
         try:
-            await self._on_journal_thread(fn, token)
+            await self._on_journal_thread(fn, *args)
         except RuntimeError:
-            fn(token)
+            fn(*args)
 
     def _note_durability_failure(self, error: BaseException) -> None:
         """Record a durable-write failure; on the healthy->browned
@@ -1295,7 +1303,10 @@ class NetworkServer:
                 del self._attached[session.resume_token]
             session.encoder.close()
             if session.journal is not None:
-                session.journal.close()
+                # Behind any append still in flight on the writer
+                # thread: closing the handle under one fails it after
+                # its bytes reached the file, and RESUME replays those.
+                await self._give_back(session.journal.close)
                 try:
                     if (session.completed
                             and self._journal_store is not None):
@@ -1541,12 +1552,12 @@ class NetworkServer:
         if self._tracks_gop_state(session):
             session.replay_frames.append(frame)
         encoder = session.encoder
-        if encoder.only_buffers(frame):
-            # Mid-GOP push with nothing to scale: validate-and-buffer
-            # only, so run it inline instead of paying an executor
-            # round-trip.  The thread pool is for real work: GOP
-            # flushes, a session's first push (classification, rung
-            # set-up) and every push that box-downscales.
+        if encoder.only_buffers():
+            # Mid-GOP push: check-and-hold only, so run it inline
+            # instead of paying an executor round-trip.  The thread
+            # pool is for real work: a session's first push
+            # (classification, rung set-up) and GOP flushes, where a
+            # ladder also does its scaling.
             try:
                 return encoder.push(frame)
             except CorruptFrameError as exc:
@@ -1600,8 +1611,8 @@ class NetworkServer:
         loop = asyncio.get_running_loop()
         for f in replay:
             session.replay_frames.append(f)
-            # Mid-GOP pushes only scale, validate and buffer (encoding
-            # happens at the flush), so re-feeding cannot wedge.
+            # Mid-GOP pushes only check and hold (scaling and encoding
+            # happen at the flush), so re-feeding cannot wedge.
             await loop.run_in_executor(self._encode_pool, encoder.push, f)
         encoder.bump_degradation(frame.index)
         self.admission.replan_after_stall(
@@ -1708,12 +1719,6 @@ class NetworkServer:
                         # anyway and brown the session out —
                         # availability over resumability.
                         await self._durability_brownout(session, exc)
-                    else:
-                        get_registry().inc(
-                            "repro_serving_journal_gops_total",
-                            help="GOP records made durable by session "
-                                 "journals",
-                        )
                 await self._emit_outputs(session, outputs)
             finally:
                 session.emit_queue.task_done()

@@ -749,6 +749,27 @@ class StreamTranscoder:
         ), cpu_times
 
 
+def frame_is_corrupt(frame, shape: Optional[tuple],
+                     config: PipelineConfig) -> bool:
+    """The online sessions' frame check: ``False`` for a frame whose
+    luma is a 2-D uint8 plane of ``shape`` (of any shape while ``None``
+    — the stream's first frame fixes it).  Anything else is corrupt:
+    ``True`` when ``config``'s resilience absorbs corrupt frames (the
+    frame becomes a ``corrupt`` drop), :class:`CorruptFrameError` when
+    it does not."""
+    luma = frame.luma
+    if (isinstance(luma, np.ndarray) and luma.ndim == 2
+            and luma.dtype == np.uint8
+            and (shape is None or luma.shape == shape)):
+        return False
+    if config.resilience is None or not config.resilience.drop_corrupt_frames:
+        raise CorruptFrameError(
+            f"corrupt frame at index {frame.index}: mismatched "
+            "geometry or non-finite luma"
+        )
+    return True
+
+
 class ProposedStreamSession:
     """Push-based online transcoding session (proposed pipeline).
 
@@ -810,14 +831,9 @@ class ProposedStreamSession:
     def _check_frame(self, frame) -> bool:
         """``True`` when the frame is corrupt (mirrors
         :meth:`StreamTranscoder._validate_video` frame-by-frame)."""
-        luma = frame.luma
-        ok = (
-            isinstance(luma, np.ndarray)
-            and luma.ndim == 2
-            and luma.dtype == np.uint8
-        )
-        if ok and self._reference_shape is None:
-            height, width = luma.shape
+        corrupt = frame_is_corrupt(frame, self._reference_shape, self.config)
+        if not corrupt and self._reference_shape is None:
+            height, width = frame.luma.shape
             tiling = self.config.tiling
             if (width < tiling.min_tile_width
                     or height < tiling.min_tile_height):
@@ -825,22 +841,8 @@ class ProposedStreamSession:
                     f"frame {width}x{height} smaller than the minimum tile "
                     f"size {tiling.min_tile_width}x{tiling.min_tile_height}"
                 )
-            self._reference_shape = luma.shape
-        elif ok and luma.shape != self._reference_shape:
-            ok = False
-        if ok:
-            return False
-        absorb = (
-            self._resilient
-            and self.config.resilience is not None
-            and self.config.resilience.drop_corrupt_frames
-        )
-        if not absorb:
-            raise CorruptFrameError(
-                f"corrupt frame at index {frame.index}: mismatched "
-                "geometry or non-finite luma"
-            )
-        return True
+            self._reference_shape = frame.luma.shape
+        return corrupt
 
     def _resolve_class(self, frame) -> None:
         if getattr(self.transcoder, "_resolved_class", None) is not None:
@@ -862,13 +864,16 @@ class ProposedStreamSession:
         """
         return len(self._pending)
 
-    def push(self, frame) -> List[FrameOutput]:
+    def push(self, frame, corrupt: bool = False) -> List[FrameOutput]:
         """Buffer one frame; encode and return outputs when a GOP
-        completes (an empty list otherwise)."""
+        completes (an empty list otherwise).  ``corrupt`` hands over a
+        frame the caller's own check already rejected and absorbed (a
+        ladder checks the ingest frame once, for all its rungs): it is
+        dropped as one this session's check rejects."""
         if self._finished:
             raise ValueError("session already finished")
         if self._validate:
-            if self._check_frame(frame):
+            if corrupt or self._check_frame(frame):
                 self._pending_corrupt.add(frame.index)
             else:
                 self._resolve_class(frame)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.video.frame import Frame, Video
 
@@ -104,6 +103,11 @@ def _elliptical_mask(height: int, width: int, rx: float, ry: float) -> np.ndarra
 
 def _smooth_noise(rng: np.random.Generator, shape: Tuple[int, int], sigma: float) -> np.ndarray:
     """Zero-mean spatially-correlated noise in [-1, 1]."""
+    # SciPy loads here, not with the module: importing the package (a
+    # server, a fleet worker, any CLI call) must not pay 0.3 s for a
+    # filter only clip synthesis uses.
+    from scipy import ndimage
+
     raw = rng.standard_normal(shape)
     smooth = ndimage.gaussian_filter(raw, sigma=sigma)
     peak = np.max(np.abs(smooth))
@@ -280,6 +284,8 @@ class BioMedicalVideoGenerator:
         out_c = np.array([(cfg.height - 1) / 2.0, (cfg.width - 1) / 2.0])
         world_c = np.array([cy + offset_y, cx + offset_x])
         offset = world_c - matrix @ out_c
+        from scipy import ndimage  # see _smooth_noise
+
         sampled = ndimage.affine_transform(
             world, matrix, offset=offset,
             output_shape=(cfg.height, cfg.width), order=1, mode="nearest",

@@ -11,9 +11,11 @@ determinism, not visual polish:
   dimensions included — because the box edges are pure integer floor
   expressions and every box holds at least one pixel whenever the
   output is no larger than the input;
-* the arithmetic is exact (integer sums commute), so the native C
-  kernel (:func:`repro.native.downscale_box`) is bit-identical to the
-  NumPy oracle here by construction, the property `tests/test_ladder.py`
+* the arithmetic is exact (integer sums commute, and the kernel's
+  shift or multiply-shift by a tabulated reciprocal *is* the floor
+  division — ``kernels.c`` carries the proof), so the native C kernel
+  (:func:`repro.native.downscale_box`) is bit-identical to the NumPy
+  oracle here by construction, the property `tests/test_ladder.py`
   checks with hypothesis;
 * it **never upscales**: a rung larger than the ingest has boxes with
   zero pixels, so the request is rejected up front (the ladder-wide

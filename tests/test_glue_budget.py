@@ -31,6 +31,7 @@ from repro.tiling.uniform import uniform_tiling
 from repro.transcode.pipeline import PipelineConfig
 from repro.video.frame import Frame
 from repro.video.generator import ContentClass, generate_video
+from tests.conftest import counted_native
 
 _GOP = 8
 
@@ -95,3 +96,44 @@ def test_a_12_tile_vga_push_stays_inside_its_call_budget(monkeypatch):
     calls, tiles = _calls_per_push(640, 480)
     assert tiles == 12
     assert calls <= 663, calls  # 603 when set; 1096 before the GOP plan
+
+
+def test_a_mid_gop_ladder_push_is_a_check_and_an_append():
+    """Three rungs, served shape (a read-only ingest plane): between
+    GOP boundaries a push checks the frame and holds it — no rung, no
+    scaling, no foreign call.  (It was 52 events when every push scaled
+    and fed every rung on arrival.)"""
+    video = generate_video(content_class=ContentClass.BRAIN, width=96,
+                           height=96, num_frames=2 * _GOP, seed=16)
+    config = PipelineConfig(
+        fps=24.0, gop=GopConfig(_GOP),
+        base_config=EncoderConfig(qp=32, search="hexagon", search_window=64),
+        content_class=ContentClass.BRAIN, resilience=ResilienceConfig(),
+    )
+    ladder = LadderConfig(rungs=(LadderRung(96, 96), LadderRung(72, 72),
+                                 LadderRung(48, 48)), prune=False)
+    events = []
+
+    def count(frame, event, arg):
+        if event in ("call", "c_call"):
+            events.append(event)
+
+    with LadderSession(config, ladder) as session:
+        frames = [Frame(f.luma, index=f.index) for f in video.frames]
+        for frame in frames:
+            frame.luma.flags.writeable = False
+        for frame in frames[:_GOP + 1]:
+            session.push(frame)
+        mid_gop = frames[_GOP + 1:2 * _GOP - 1]
+        with counted_native() as crossings:
+            sys.setprofile(count)
+            try:
+                for frame in mid_gop:
+                    assert session.push(frame) == []
+            finally:
+                sys.setprofile(None)
+        assert not crossings
+        assert session.pending_frames == _GOP - 1
+    # push, started, frame_is_corrupt, isinstance, append, len — and
+    # the list comparison is not a call event.
+    assert (len(events) - 1) / len(mid_gop) == 6, events

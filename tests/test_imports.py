@@ -9,10 +9,16 @@ in the module (annotations included, also quoted ones), is listed in
 import x as x`` spelling.  ``__init__.py`` files without ``__all__``
 exist to re-export and are skipped; ``__future__`` imports bind
 nothing.
+
+And what a server or a CLI call never uses is not loaded with it:
+SciPy (0.3 s) is the clip generator's alone.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -110,3 +116,17 @@ class C:
     assert unused_imports("from m import a, b\n__all__ = ['a']\n", True) == [
         "b (line 1)"]
     assert unused_imports("from m import a, b\n", True) == []
+
+
+def test_the_cli_and_the_server_start_without_scipy():
+    """In a fresh interpreter: a test process has long since loaded
+    SciPy for a fixture."""
+    probe = ("import sys, repro.cli, repro.serving.server; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -16,6 +16,7 @@ implementation of the same contract) rather than against goldens:
   session is parked or shed, and the primary is never dropped.
 """
 
+import contextlib
 import dataclasses
 import json
 import zlib
@@ -39,6 +40,7 @@ from repro.ladder.segments import LadderSegmentReader, LadderSegmentWriter
 from repro.ladder.session import LadderSession
 from repro.platform.schedule import ThreadTask
 from repro.resilience.degradation import DegradationLevel, ResilienceConfig
+from repro.resilience.errors import CorruptFrameError
 from repro.resilience.faults import FaultConfig, FaultInjector
 from repro.serving.admission import (
     AdmissionController,
@@ -243,14 +245,19 @@ def _outputs_digest(outputs):
     return digest
 
 
-def _run_ladder(video, prune=False):
+def _run_ladder(video, prune=False, hop_at=None):
+    """``hop_at``: the frame index (a GOP boundary) where the session
+    is swapped for a fresh one restored from its exported state."""
     base = PipelineConfig(fps=video.fps, gop=GopConfig(_GOP))
+    ladder = LadderConfig(rungs=_RUNGS, prune=prune)
     by_rung = {}
-    with LadderSession(
-        base_config=base,
-        ladder=LadderConfig(rungs=_RUNGS, prune=prune),
-    ) as session:
+    with contextlib.ExitStack() as stack:
+        session = stack.enter_context(LadderSession(base, ladder))
         for frame in video.frames:
+            if frame.index == hop_at:
+                state = session.export_state()
+                session = stack.enter_context(LadderSession(base, ladder))
+                session.import_state(state)
             for out in session.push(frame):
                 by_rung.setdefault(out.rung, []).append(out)
         for out in session.finish():
@@ -265,7 +272,18 @@ def _run_ladder(video, prune=False):
 
 class TestLadderBitIdentity:
     def test_rungs_match_independent_sessions(self, ladder_video):
-        by_rung, pinned, plan = _run_ladder(ladder_video)
+        self._assert_rungs_match_independent_sessions(ladder_video)
+
+    def test_rungs_match_independent_sessions_across_a_state_hop(
+            self, ladder_video):
+        """The journaled-resume shape: nothing is held at a GOP
+        boundary, so the exported state is all a fresh ladder needs."""
+        self._assert_rungs_match_independent_sessions(ladder_video,
+                                                      hop_at=_GOP)
+
+    @staticmethod
+    def _assert_rungs_match_independent_sessions(ladder_video, hop_at=None):
+        by_rung, pinned, plan = _run_ladder(ladder_video, hop_at=hop_at)
         assert sorted(by_rung) == [0, 1, 2]
         for planned in plan.rungs:
             rid, rung = planned.rung_id, planned.rung
@@ -362,22 +380,20 @@ class TestOneRungIsThePlainSession:
             assert {o.dropped for o in want} == {None, "deadline"}
 
     def test_only_buffers_names_the_pushes_that_do_no_work(self, ladder_video):
-        frames = ladder_video.frames
+        """However many rungs: nothing is scaled before the GOP closes,
+        so every mid-GOP push of a started ladder only checks and
+        holds."""
         config = PipelineConfig(fps=24.0, gop=GopConfig(_GOP))
-        with LadderSession(config, LadderConfig(rungs=_RUNGS[:1],
-                                                prune=False)) as session:
-            # First push opens the rungs; the last of a GOP encodes it.
-            verdicts = []
-            for frame in frames[:_GOP + 1]:
-                verdicts.append(session.only_buffers(frame))
-                assert session.pending_frames == frame.index % _GOP
-                session.push(frame)
-            assert verdicts == [False, True, True, False, True]
-        with LadderSession(config, LadderConfig(rungs=_RUNGS,
-                                                prune=False)) as session:
-            session.push(frames[0])
-            # Sub-rungs scale on every push: never "only buffers".
-            assert not session.only_buffers(frames[1])
+        for rungs in (_RUNGS[:1], _RUNGS):
+            with LadderSession(config, LadderConfig(rungs=rungs,
+                                                    prune=False)) as session:
+                # First push opens the rungs; the last of a GOP encodes.
+                verdicts = []
+                for frame in ladder_video.frames[:_GOP + 1]:
+                    verdicts.append(session.only_buffers())
+                    assert session.pending_frames == frame.index % _GOP
+                    session.push(frame)
+                assert verdicts == [False, True, True, False, True]
 
     def test_read_only_ingest_plane_reaches_the_rung_uncopied(
             self, ladder_video, monkeypatch):
@@ -395,7 +411,8 @@ class TestOneRungIsThePlainSession:
         assert not frame.luma.flags.writeable
         with LadderSession(config, LadderConfig(rungs=_RUNGS,
                                                 prune=False)) as session:
-            session.push(frame)
+            assert session.push(frame) == [] and seen == []  # held
+            session.finish()
         assert seen[0] is frame
         assert np.shares_memory(seen[0].luma, frame.luma)
         assert [f.luma.shape for f in seen] == [(r.height, r.width)
@@ -427,14 +444,14 @@ class TestOneRungIsThePlainSession:
     @pytest.mark.parametrize("num_rungs", [1, 3])
     def test_a_push_crosses_once_per_frame_per_rung(self, num_rungs,
                                                     monkeypatch):
-        """What a push costs in crossings: one ``encode_frame_u8`` per
-        frame per rung when a GOP flushes (however many tiles), three
-        ``analyze_frame_u8`` per rung per GOP (margins, centre, grid),
-        one ``downscale_box_u8`` per scaled rung on every push, nothing
-        on a mid-GOP push of a plain session — and one
-        ``WorkloadEstimator`` lock acquisition per encoded frame.  The
-        frames of a GOP go through one tile table per rung, built when
-        the GOP is re-tiled."""
+        """What a push costs in crossings: nothing at all mid-GOP,
+        however many rungs; when the GOP closes, one
+        ``downscale_box_u8`` per held frame per scaled rung, one
+        ``encode_frame_u8`` per frame per rung (however many tiles) and
+        three ``analyze_frame_u8`` per rung (margins, centre, grid) —
+        and one ``WorkloadEstimator`` lock acquisition per encoded
+        frame.  The frames of a GOP go through one tile table per rung,
+        built when the GOP is re-tiled."""
         # Large enough to be cut into several tiles on every rung.
         rungs = (LadderRung(256, 192), LadderRung(192, 144),
                  LadderRung(128, 96))[:num_rungs]
@@ -450,31 +467,84 @@ class TestOneRungIsThePlainSession:
             for frame in video.frames:
                 lock.acquisitions = 0
                 del tables[:]
+                flushed = frame.index % _GOP == _GOP - 1
+                assert session.only_buffers() == (frame.index > 0
+                                                  and not flushed)
                 with counted_native() as calls:
                     outputs = session.push(frame)
-                flushed = frame.index % _GOP == _GOP - 1
-                assert len(outputs) == (_GOP * len(rungs) if flushed else 0)
-                assert calls["downscale_box_u8"] == len(rungs) - 1
-                assert calls["encode_frame_u8"] == len(outputs)
-                assert calls["analyze_frame_u8"] == (
-                    3 * len(rungs) if flushed else 0)
+                if not flushed:
+                    assert outputs == [] and not calls
+                    assert lock.acquisitions == 0 and not tables
+                    continue
+                assert len(outputs) == _GOP * len(rungs)
+                expected = {"encode_frame_u8": _GOP * len(rungs),
+                            "analyze_frame_u8": 3 * len(rungs)}
+                if len(rungs) > 1:
+                    expected["downscale_box_u8"] = _GOP * (len(rungs) - 1)
+                assert calls == expected
                 assert lock.acquisitions == len(outputs)
-                assert set(calls) <= {"downscale_box_u8", "encode_frame_u8",
-                                      "analyze_frame_u8"}
-                if flushed:
-                    # Rung by rung, a GOP's frames: one table each.
-                    per_rung = [tables[r * _GOP:(r + 1) * _GOP]
-                                for r in range(len(rungs))]
-                    assert all(len(set(map(id, gop))) == 1
-                               for gop in per_rung)
-                    gop_tables = [gop[0] for gop in per_rung]
-                    assert len(set(map(id, gop_tables))) == len(rungs)
-                    if frame.index > _GOP:  # rebuilt at the boundary
-                        assert not (set(map(id, gop_tables))
-                                    & set(map(id, first_gop_tables)))
-                    first_gop_tables = gop_tables  # kept alive: ids stay unique
+                # Rung by rung, a GOP's frames: one table each.
+                per_rung = [tables[r * _GOP:(r + 1) * _GOP]
+                            for r in range(len(rungs))]
+                assert all(len(set(map(id, gop))) == 1 for gop in per_rung)
+                gop_tables = [gop[0] for gop in per_rung]
+                assert len(set(map(id, gop_tables))) == len(rungs)
+                if frame.index > _GOP:  # rebuilt at the boundary
+                    assert not (set(map(id, gop_tables))
+                                & set(map(id, first_gop_tables)))
+                first_gop_tables = gop_tables  # kept alive: ids stay unique
             # Several tiles behind every one of those calls.
             assert all(len(o.record.tiles) > 1 for o in outputs)
+
+    def test_finish_drains_the_held_frames_of_a_partial_gop(self,
+                                                            ladder_video):
+        frames = ladder_video.frames[:_GOP + 2]
+        config = PipelineConfig(fps=24.0, gop=GopConfig(_GOP))
+        with LadderSession(config, LadderConfig(rungs=_RUNGS,
+                                                prune=False)) as session:
+            head = [o for f in frames for o in session.push(f)]
+            assert len(head) == _GOP * len(_RUNGS)
+            assert session.pending_frames == 2
+            with pytest.raises(ValueError, match="GOP boundary"):
+                session.export_state()
+            tail = session.finish()
+            assert session.pending_frames == 0
+        # Rung-major, each rung's two held frames in order.
+        assert [(o.rung, o.frame_index) for o in tail] == [
+            (rung, _GOP + k) for rung in range(len(_RUNGS)) for k in (0, 1)]
+        assert all(o.dropped is None for o in tail)
+        assert tail[0].frame_type is FrameType.I
+
+    @pytest.mark.parametrize("spoil", ["shape", "dtype"])
+    def test_a_bad_frame_is_caught_at_its_own_push(self, ladder_video, spoil):
+        """The rung sessions' check, made on the ingest frame when it
+        is pushed — not when the GOP closes: without resilience the
+        push raises, with it every rung drops that frame as corrupt."""
+        def spoiled(frame):
+            bad = Frame(frame.luma, index=frame.index)
+            bad.luma = (frame.luma[:_RUNGS[2].height, :_RUNGS[2].width]
+                        if spoil == "shape"
+                        else frame.luma.astype(np.float64))
+            return bad
+
+        frames = list(ladder_video.frames[:_GOP])
+        frames[1] = spoiled(frames[1])
+        ladder = LadderConfig(rungs=_RUNGS, prune=False)
+        config = PipelineConfig(fps=24.0, gop=GopConfig(_GOP))
+        with LadderSession(config, ladder) as session:
+            session.push(frames[0])
+            with pytest.raises(CorruptFrameError, match="index 1"):
+                session.push(frames[1])
+            assert session.pending_frames == 1
+        config = dataclasses.replace(config, resilience=ResilienceConfig())
+        with LadderSession(config, ladder) as session, \
+                counted_native() as calls:
+            outputs = [o for f in frames for o in session.push(f)]
+        assert calls["downscale_box_u8"] == (_GOP - 1) * (len(_RUNGS) - 1)
+        assert [(o.rung, o.frame_index) for o in outputs if o.dropped] == [
+            (rung, 1) for rung in range(len(_RUNGS))]
+        assert {o.dropped for o in outputs} == {None, "corrupt"}
+        assert len(outputs) == _GOP * len(_RUNGS)
 
     @pytest.mark.skipif(native.lib is None, reason="native kernels not built")
     def test_per_frame_retiling_builds_a_table_per_frame(self, monkeypatch):

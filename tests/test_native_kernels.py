@@ -810,6 +810,9 @@ def _assert_downscale_matches_oracle(plane, out_h, out_w):
 @pytest.mark.parametrize("shape, out_shape", [
     ((480, 640), (360, 480)),  # the ladder's middle rung: boxes 1 or 2 wide
     ((480, 640), (240, 320)),  # its bottom rung: the SSE2 2x2 path
+    ((480, 640), (270, 480)),  # 16:9 of the same width: 1, 2 rows x 1, 2 wide
+    ((360, 480), (270, 360)),  # a rung of a rung
+    ((480, 640), (160, 480)),  # three-row boxes: the reciprocal, not a shift
     ((480, 640), (480, 640)),  # same size: every box one sample
     ((61, 97), (7, 13)),       # prime extents, boxes 7-8 wide, 8-9 tall
     ((61, 97), (1, 1)),        # one box: the whole plane
@@ -843,6 +846,68 @@ def test_downscale_matches_oracle(case):
     h, w, out_h, out_w, seed = case
     plane = np.random.default_rng(seed).integers(0, 256, (h, w), dtype=np.uint8)
     _assert_downscale_matches_oracle(plane, out_h, out_w)
+
+
+def _reciprocal_quotient(acc, population):
+    """``kernels.c``'s quotient, in uint64 as it is there."""
+    magic = np.uint64((1 << 56) // population + 1)
+    return (acc * magic) >> np.uint64(56)
+
+
+def test_reciprocal_quotient_is_floor_division():
+    """``(acc * (2**56 // d + 1)) >> 56 == acc // d`` for every sum a
+    box of ``d`` samples can hold.  The left side never decreases in
+    ``acc``, so it is checked where the right side steps: at both ends
+    of every run ``q*d .. q*d + d - 1`` and at the top sum ``255*d`` —
+    for every population to 4096, then every 4099th (a prime stride: all
+    residues) to the envelope's last, 2**24 - 1."""
+    q = np.arange(256, dtype=np.uint64)
+    populations = list(range(1, 4097)) + list(range(4097, 1 << 24, 4099))
+    for d in populations + [(1 << 24) - 1]:
+        first = q * np.uint64(d)
+        assert np.array_equal(_reciprocal_quotient(first, d), q), d
+        last = first[:255] + np.uint64(d - 1)
+        assert np.array_equal(_reciprocal_quotient(last, d), q[:255]), d
+        assert int(last[-1]) * ((1 << 56) // d + 1) < 1 << 64  # as claimed
+
+
+@needs_driver
+def test_downscale_quotient_steps_where_floor_division_does():
+    """The same ends of runs, through the kernel: a plane of ``d`` rows
+    cut into one box of one column (population ``d``) and one of two
+    (``2 * d``), each holding a chosen sum.  One and two rows are the
+    16-bit-lane routine's shifts; from three on, the general routine's
+    reciprocals."""
+    def column(rows, cols, mean, extra):
+        plane = np.full((rows, cols), mean, dtype=np.uint8)
+        plane.reshape(-1)[:extra] += 1
+        return plane
+
+    def check(d, widths=(1, 2)):
+        runs = [(0, 0), (0, 1), (1, 0), (127, 1), (254, 0), (254, 1),
+                (255, 0)]
+        for mean, at_end in runs:
+            plane = _flush_to_buffer_end(np.hstack([
+                column(d, cols, mean, at_end * (d * cols - 1))
+                for cols in widths]), 1)
+            got = native.downscale_box(plane, 1, len(widths))
+            assert got.tolist() == [[mean] * len(widths)], (d, mean, at_end)
+
+    for d in range(1, 131):
+        check(d)
+    for d in (255, 256, 257, 4095, 4096, 4097, 65535, 65536, 65537,
+              (1 << 20) + 7):
+        check(d)
+    check((1 << 24) - 1, widths=(1,))  # the envelope's last population
+    # Seventeen lanes and more: the SSE2 quotients and the lanes they
+    # leave, over rows of one box height and of both.
+    rng = np.random.default_rng(8)
+    for shape, out_h in (((3, 17), 3), ((6, 33), 3), ((5, 40), 3),
+                         ((7, 18), 4), ((9, 35), 9)):
+        plane = rng.integers(0, 256, shape, dtype=np.uint8)
+        for fill in (plane, np.full_like(plane, 255)):
+            _assert_downscale_matches_oracle(
+                fill, out_h, shape[1] - shape[1] // 3)
 
 
 @needs_driver

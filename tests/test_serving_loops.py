@@ -219,6 +219,103 @@ def test_a_full_ingest_queue_drops_and_control_messages_are_never_coalesced():
             == stats["frames_encoded"] + drops["backpressure"])
 
 
+_LADDER = ((64, 64), (48, 48), (32, 32))
+
+
+def test_a_ladder_session_takes_one_encode_pool_job_per_gop(monkeypatch):
+    """A three-rung session is served like a plain one: its first push
+    (rung set-up) and each GOP-closing push go to the encode pool, with
+    the watchdog armed; every other push is a check and an append, made
+    inline — nothing is scaled before its GOP closes."""
+    width, height = _LADDER[0]
+    frames = 3 * _GOP
+    _, planes = _planes(width, height, frames)
+    jobs, guarded = [], []
+    wait_for = asyncio.wait_for
+
+    def spying_wait_for(awaitable, timeout):
+        guarded.append(timeout)
+        return wait_for(awaitable, timeout)
+
+    async def drill(server):
+        loop = asyncio.get_running_loop()
+        run_in_executor = loop.run_in_executor
+
+        def counting(executor, fn, *args):
+            if executor is server._encode_pool:
+                jobs.append((fn.__name__, *(a.index for a in args)))
+            return run_in_executor(executor, fn, *args)
+
+        monkeypatch.setattr(loop, "run_in_executor", counting)
+        monkeypatch.setattr(asyncio, "wait_for", spying_wait_for)
+        reader, writer, ack = await _hello(server.port, width, height,
+                                           frames, ladder=_LADDER)
+        assert len(ack.rungs) == len(_LADDER)
+        for index, plane in enumerate(planes):
+            writer.write(encode_message(
+                FrameMsg(index, width, height, plane.tobytes())))
+        await write_message(writer, Bye("done"))
+        messages, stats, _ = await _collect(reader)
+        await _close(writer)
+        return messages, stats
+
+    messages, stats = _serve(drill, queue_frames=frames,
+                             egress_frames=4 * frames,
+                             watchdog_multiple=33.0)
+    assert jobs == [("push", 0)] + [("push", gop * _GOP + _GOP - 1)
+                                    for gop in range(3)]
+    watchdog = 33.0 * _GOP / 24.0  # no other wait in the server is 11 s
+    assert guarded.count(watchdog) == len(jobs)
+    encoded = [m for m in messages if isinstance(m, Encoded)]
+    assert sorted((m.frame_index, m.rung) for m in encoded) == [
+        (index, rung) for index in range(frames)
+        for rung in range(len(_LADDER))]
+    assert all(m.dropped is None for m in encoded)
+    assert stats["frames_received"] == frames
+    assert stats["frames_encoded"] == frames * len(_LADDER)
+    assert stats["recovery"]["watchdog_fires"] == 0
+
+
+def test_a_backpressured_ladder_closes_its_ledger():
+    """A flooded three-rung session: a frame the full ingest queue
+    turns away is one drop with one notice, whatever the rung count; a
+    frame that got in comes back once per rung; STATS say both."""
+    width, height = _LADDER[0]
+    frames = 6 * _GOP
+    _, planes = _planes(width, height, frames)
+
+    async def drill(server):
+        reader, writer, _ = await _hello(server.port, width, height, frames,
+                                         ladder=_LADDER)
+        for index, plane in enumerate(planes):
+            writer.write(encode_message(
+                FrameMsg(index, width, height, plane.tobytes())))
+        await write_message(writer, Bye("done"))
+        messages, stats, _ = await _collect(reader)
+        await _close(writer)
+        registry = get_registry()
+        counted = registry.value("repro_serving_frames_dropped_total",
+                                 reason="backpressure")
+        return messages, stats, counted
+
+    messages, stats, counted = _serve(drill, queue_frames=4,
+                                      egress_frames=4 * frames)
+    assert [type(m) for m in messages[-2:]] == [Stats, Bye]
+    encoded = messages[:-2]
+    turned_away = [m.frame_index for m in encoded
+                   if m.dropped == "backpressure"]
+    drops = stats["frames_dropped"]
+    assert turned_away and len(turned_away) == len(set(turned_away))
+    assert drops["backpressure"] == len(turned_away) == counted
+    assert drops["egress"] == 0 and stats["peak_ingest_depth"] <= 4
+    assert stats["frames_received"] == frames
+    kept = sorted(set(range(frames)) - set(turned_away))
+    assert stats["frames_encoded"] == len(kept) * len(_LADDER)
+    assert sorted((m.frame_index, m.rung) for m in encoded
+                  if m.dropped is None) == [
+        (index, rung) for index in kept for rung in range(len(_LADDER))]
+
+
 def test_a_stalled_lease_write_does_not_stall_the_event_loop(tmp_path):
     """The lease write of a new journaled session stalls for half a
     second on a slow volume.  It runs on the journal writer thread, so
@@ -261,6 +358,48 @@ def test_a_stalled_lease_write_does_not_stall_the_event_loop(tmp_path):
     assert faultfs.injected == {("lease.create", "stall"): 1}
     assert ack2.resume_token  # the stalled session is journaled after all
     assert flowed < stall <= waited
+
+
+def test_a_cut_under_an_append_in_flight_leaves_a_counted_record(tmp_path):
+    """A cut lands while a GOP record's append is on the journal writer
+    thread (a slow volume).  The handler awaiting it is cancelled; its
+    teardown closes the journal *behind* the append, not under it, so
+    the record lands whole — RESUME will replay it — and
+    ``repro_serving_journal_gops_total``, counted on the writer thread
+    where the record became durable, holds it."""
+    from repro.serving.recovery import JournalStore, read_journal
+
+    width = height = 64
+    _, planes = _planes(width, height, _GOP)
+    faultfs = FaultFS(rules=[  # the admit record passes, the GOP's stalls
+        FaultRule(point="journal.append", kind="stall", stall_s=0.3,
+                  after=1, count=1),
+    ])
+
+    async def until(condition):
+        while not condition():
+            await asyncio.sleep(0.01)
+
+    async def drill(server):
+        registry = get_registry()
+        _, writer, ack = await _hello(server.port, width, height, 0)
+        for index, plane in enumerate(planes):
+            writer.write(encode_message(
+                FrameMsg(index, width, height, plane.tobytes())))
+        await until(lambda: faultfs.injected)  # submitted, not complete
+        writer.transport.abort()
+        await until(lambda: not server._active_handlers)  # torn down
+        return (ack.resume_token,
+                registry.value("repro_serving_journal_gops_total"),
+                registry.value("repro_serving_frames_total", direction="out"))
+
+    token, counted, sent = _serve(drill, journal_dir=str(tmp_path),
+                                  fileops=faultfs)
+    assert faultfs.injected == {("journal.append", "stall"): 1}
+    kinds = [kind for kind, _ in read_journal(
+        JournalStore(str(tmp_path)).path_for(token)).records]
+    assert kinds == ["admit", "gop"]
+    assert counted == 1 and not sent  # durable, counted, never egressed
 
 
 def test_average_psnr_is_numpy_mean_to_the_bit():
