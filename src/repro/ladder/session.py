@@ -26,20 +26,20 @@ ladder's per-rung output is **bit-identical** to N independent
 sessions — the property `tests/test_ladder.py` and the smoke drill
 assert, and what makes the shared-analysis savings free.
 
-The ingest frame is shared too, until a rung can use it: no rung
-encodes anything before its GOP closes, so a mid-GOP :meth:`push` only
-checks the frame and holds it, and the push that closes the GOP (or
-:meth:`finish`) scales and feeds the held frames rung by rung.  Rungs
-have always *encoded* in that order — the primary's whole GOP, then
-the next rung's — so the shared fault stream, the LUT's observation
-order and every output are what they were when each push scaled on
-arrival.
+The ingest frame is shared too, until the rungs use it.  Several
+rungs encode rung-major — the primary's whole GOP, then the next
+rung's — so the shared fault stream and the LUT's observation order
+are what they were when each push scaled on arrival: a mid-GOP
+:meth:`push` only checks the frame and holds it, and the push that
+closes the GOP (or :meth:`finish`) scales and feeds the held frames
+rung by rung.  A ladder of **one** rung has no order to keep: each
+push feeds its frame to the rung, which encodes it there and then.
 
-A ladder of **one** rung at ingest geometry is the plain session: same
+A ladder of one rung at ingest geometry is the plain session: same
 bits, same reconstruction, same drops as
-``StreamTranscoder.open_session()`` fed the same frames.  The network
-server relies on that — every session it serves is a
-:class:`LadderSession` over the admitted rungs — and on the
+``StreamTranscoder.open_session()`` fed the same frames, each at its
+own push.  The network server relies on that — every session it serves
+is a :class:`LadderSession` over the admitted rungs — and on the
 GOP-boundary surface below (:attr:`~LadderSession.pending_frames`,
 :meth:`~LadderSession.only_buffers`,
 :meth:`~LadderSession.export_state` /
@@ -193,25 +193,32 @@ class LadderSession:
     # -- GOP-boundary surface (what the network server drives) ---------
     @property
     def pending_frames(self) -> int:
-        """Frames held since the last GOP boundary."""
-        return len(self._held)
+        """Frames pushed since the last GOP boundary: held, on a ladder
+        of several rungs, or already encoded by the one rung, whose GOP
+        is still open."""
+        pending = len(self._held)
+        if self.rung_sessions:
+            pending += self.rung_sessions[0].session.pending_frames
+        return pending
 
     def only_buffers(self) -> bool:
-        """Whether the next :meth:`push` would do no real work: the
-        rungs are open and the frame lands mid-GOP, where it is checked
-        and held.  The serving layer runs such pushes inline on its
+        """Whether the next :meth:`push` would do no real work: a
+        ladder of several rungs is open and the frame lands mid-GOP,
+        where it is checked and held.  (A one-rung push always
+        encodes.)  The serving layer runs such pushes inline on its
         event loop and keeps the encode pool for the rest."""
-        return (self.started
+        return (len(self.rung_sessions) > 1
                 and len(self._held) + 1 < self.base_config.gop.size)
 
     def export_state(self) -> Dict[int, Dict[str, object]]:
         """Every rung's cross-GOP snapshot, keyed by rung id (see
         :meth:`ProposedStreamSession.export_state`; same GOP-boundary
-        precondition — the rungs flush together)."""
-        if self._held:
+        precondition — the rungs close their GOPs together)."""
+        pending = self.pending_frames
+        if pending:
             raise ValueError(
                 "export_state requires a GOP boundary "
-                f"({len(self._held)} frames held)"
+                f"({pending} frames pending)"
             )
         return {rs.rung_id: rs.session.export_state()
                 for rs in self.rung_sessions}
@@ -256,12 +263,14 @@ class LadderSession:
 
         The frame is checked (the rung sessions' own check, on the
         ingest plane: a bad frame raises, or is absorbed as a
-        ``corrupt`` drop on every rung, at its own push) and held; a
-        writable plane is copied first, so the ladder never aliases a
-        buffer its caller reuses, and a read-only one is held as it is.
-        The push that completes a GOP feeds the rungs and returns
-        their rung-tagged outputs, primary rung first
-        (``FrameOutput.rung`` names the rung); any other returns none.
+        ``corrupt`` drop on every rung, at its own push).  A ladder of
+        one rung feeds it to the rung and returns its output.  A ladder
+        of several holds it — a writable plane is copied first, so the
+        ladder never aliases a buffer its caller reuses, and a
+        read-only one is held as it is — and the push that completes
+        the GOP feeds the rungs and returns their outputs, primary rung
+        first; any other returns none.  ``FrameOutput.rung`` names the
+        rung.
         """
         if self._finished:
             raise ValueError("ladder session already finished")
@@ -271,37 +280,45 @@ class LadderSession:
                                    self.base_config)
         if not corrupt:
             self._ingest_shape = frame.luma.shape
-            if frame.luma.flags.writeable:
-                frame = frame.copy()
-                frame.luma.flags.writeable = False
+        if len(self.rung_sessions) == 1:
+            return self._feed(self.rung_sessions[0], [(frame, corrupt)])
+        if not corrupt and frame.luma.flags.writeable:
+            frame = frame.copy()
+            frame.luma.flags.writeable = False
         self._held.append((frame, corrupt))
         if len(self._held) < self.base_config.gop.size:
             return []
         return self._feed_rungs()
 
+    @staticmethod
+    def _feed(rs: RungSession, frames) -> List[FrameOutput]:
+        """Push checked ingest frames into one rung, scaled to it (a
+        rung at ingest size takes a read-only plane itself and a copy
+        of a writable one); returns its outputs, tagged."""
+        outputs: List[FrameOutput] = []
+        for frame, corrupt in frames:
+            if corrupt:
+                outputs += rs.session.push(frame, corrupt=True)
+            else:
+                outputs += rs.session.push(downscale_frame(
+                    frame, rs.rung.width, rs.rung.height))
+        for out in outputs:
+            out.rung = rs.rung_id
+        return outputs
+
     def _feed_rungs(self, finish: bool = False) -> List[FrameOutput]:
-        """Scale the held frames for each rung in turn and push them
-        into it (a held plane is read-only, so a rung at ingest size
-        takes the frame itself)."""
+        """Feed the held frames to each rung in turn."""
         held, self._held = self._held, []
         outputs: List[FrameOutput] = []
         for rs in self.rung_sessions:
-            first = len(outputs)
-            for frame, corrupt in held:
-                if corrupt:
-                    outputs += rs.session.push(frame, corrupt=True)
-                else:
-                    outputs += rs.session.push(downscale_frame(
-                        frame, rs.rung.width, rs.rung.height))
+            outputs += self._feed(rs, held)
             if finish:
-                outputs += rs.session.finish()
-            for out in outputs[first:]:
-                out.rung = rs.rung_id
+                rs.session.finish()
         return outputs
 
     def finish(self) -> List[FrameOutput]:
-        """Feed every rung the held tail of a partial GOP, flush it and
-        close the ladder."""
+        """Feed every rung the held tail of a partial GOP (a ladder of
+        several rungs), close the rungs' last GOPs and the ladder."""
         if self._finished:
             return []
         self._finished = True

@@ -2,8 +2,13 @@
 
 The serving fault-tolerance story (DESIGN.md §11) rests on one
 invariant: **everything the encoder needs to continue a session
-bit-identically is durable at every GOP boundary**.  This module owns
-that durability layer:
+bit-identically is durable at every GOP boundary**.  From there a
+RESUME re-encodes the frames the client resends, and the server lets
+nothing leave that this cannot reproduce: an outcome goes out as soon
+as it is encoded, ahead of its GOP's record, unless a fault injector
+is armed or a timing decision (backpressure, policy, watchdog) gave a
+frame up that no record covers yet — then it waits for the record.
+This module owns that durability layer:
 
 ``SessionJournal``
     An append-only file of checksummed, length-framed records.  A
@@ -46,17 +51,18 @@ Record kinds, in the order a journal accumulates them:
 ``gop``
     Written at every GOP boundary: the stream's cross-GOP state
     snapshot (:meth:`ProposedStreamSession.export_state`) and the
-    GOP's per-frame outcomes, reconstruction planes included, so a
-    reconnecting client can be replayed outcomes its previous
-    connection never delivered.
+    GOP's per-frame outcomes, reconstruction planes included, plus the
+    timing drops its ``next_frame_index`` covers, so a reconnecting
+    client can be replayed outcomes its previous connection never
+    delivered, each with its own reason.
 ``park``
     Written by graceful drain when a session is interrupted mid-GOP:
     the raw frames pushed since the last boundary plus anything still
     queued, so a restarted server re-feeds them and the GOP
     structure — hence the output bytes — match an uninterrupted run.
-    Also carries any outcomes egressed since the last boundary that no
-    ``gop`` record covers (watchdog drops), so replay classification
-    matches the original delivery.
+    Also carries the timing drops since the last boundary that no
+    ``gop`` record covers, so replay classification matches the
+    original delivery.
 ``resume``
     A marker written when a reconnecting client reattaches; it
     invalidates any earlier ``park`` record (its frames were
@@ -544,9 +550,9 @@ def restore_session(path: Union[str, os.PathLike],
                 (int(f["frame_index"]), f["plane"])
                 for f in payload.get("frames", [])
             ]
-            # Outcomes egressed outside a gop record (watchdog drops)
-            # ride along in the park record so a replay classifies
-            # them identically to the original delivery.
+            # Timing drops no gop record covers ride along in the
+            # park record so a replay classifies them identically to
+            # the original delivery.
             for rec in payload.get("outputs", []):
                 outputs[int(rec["frame_index"])] = rec
             next_frame_index = int(payload["next_frame_index"])
@@ -574,10 +580,13 @@ def replay_messages(restored: RestoredSession,
     """Build the replay stream for a reconnecting client.
 
     Every journaled outcome with ``frame_index >= have_below`` is
-    replayed in index order.  Indices below ``next_frame_index`` that
-    are neither journaled nor parked were consumed by ingest
-    backpressure before ever reaching the encoder; they are
-    synthesised as backpressure drops so the client's
+    replayed in index order (none when ``next_frame_index`` is below
+    ``have_below``: the client holds more than the journal, and what
+    it resends is re-encoded without being re-sent).  An index below
+    ``next_frame_index`` that is neither journaled nor parked — left
+    only by journals written before timing drops were journaled — was
+    consumed by ingest backpressure before ever reaching the encoder;
+    it is synthesised as a backpressure drop so the client's
     contiguous-delivery watermark never wedges on a hole.  Parked
     indices are skipped — re-feeding encodes them afresh.
     """

@@ -18,7 +18,9 @@ Per session the server runs three tasks:
   session's :class:`~repro.ladder.session.LadderSession` on the encode
   thread pool, so the event loop never blocks on CPU work (a frame is
   one GIL-free native call; sessions, not tiles, are what spreads over
-  cores);
+  cores).  One pool job takes every frame queued up to the open GOP's
+  end: a paced session gets one job per frame, a backlogged one one
+  per GOP;
 * **egress** writes ENCODED messages from a second bounded queue; a
   slow reader causes the *oldest* undelivered frame to be coalesced
   away (newest results win — a viewer wants the current frame, not a
@@ -42,13 +44,18 @@ themselves.  (A ``gop`` record holds one rung's raw planes; multi-rung
 sessions run journal-less until ROADMAP item 15 replaces what the
 record holds.)  A client that loses
 its connection reattaches with RESUME and continues *bit-identically* —
-the journal restores the encoder to the last GOP boundary and replays
-any outcomes the old connection never delivered.  ``watchdog_multiple``
-arms an encode watchdog: a push that exceeds the deadline multiple is
+the journal restores the encoder to the last GOP boundary, replays any
+journaled outcomes the old connection never delivered, and the client
+resends from the boundary.  The contract is that nothing leaves that
+RESUME cannot reproduce: an outcome leaves as soon as it is encoded
+unless a timing decision (backpressure, policy, watchdog) gave a frame
+up since the last record, or a fault injector is armed — then it waits
+for its GOP's record.  ``watchdog_multiple``
+arms an encode watchdog: a job that exceeds the deadline multiple is
 abandoned (the executor is replaced), the encoder is rebuilt from the
-in-memory per-rung GOP-boundary snapshot, the wedged frame is dropped as
-``"watchdog"``, the degradation ladder climbs one rung, and the
-allocator re-packs around the presumed-sick core.  :meth:`drain`
+in-memory per-rung GOP-boundary snapshot, the job's last frame is
+dropped as ``"watchdog"``, the degradation ladder climbs one rung, and
+the allocator re-packs around the presumed-sick core.  :meth:`drain`
 (SIGTERM) stops admissions, finishes or parks in-flight GOPs,
 checkpoints the LUT and exits cleanly; parked sessions survive a full
 server restart.
@@ -173,7 +180,7 @@ class ServeNetConfig:
     #: fsync each journal append (off only for benchmarks that want to
     #: isolate the serialization cost from the disk).
     journal_fsync: bool = True
-    #: Encode watchdog: a single ``push`` call (at most one GOP encode)
+    #: Encode watchdog: one encode job (at most one GOP of frames)
     #: exceeding ``watchdog_multiple`` x GOP x ``1/FPS`` wall seconds is
     #: declared wedged and cancelled (0 disables).
     watchdog_multiple: float = 0.0
@@ -270,6 +277,15 @@ _BYE_SENTINEL = object()
 _DRAIN_SENTINEL = object()
 
 
+def _push_all(encoder: LadderSession,
+              frames: List[Frame]) -> List[FrameOutput]:
+    """One encode-pool job: push ``frames`` in order; their outputs."""
+    outputs: List[FrameOutput] = []
+    for frame in frames:
+        outputs += encoder.push(frame)
+    return outputs
+
+
 class _Session:
     """Mutable state of one accepted client session.
 
@@ -349,6 +365,9 @@ class _Session:
         # -- recovery state --------------------------------------------
         self.resume_token = resume_token
         self.journal = journal
+        #: The injector's seeded stream does not rewind on RESUME, so an
+        #: armed one keeps every outcome behind its GOP's record.
+        self.spiky = injector is not None
         #: Bumped by the watchdog; cooperative cancellation hook for
         #: anything (tests, instrumented encoders) polling it.
         self.epoch = 0
@@ -357,16 +376,25 @@ class _Session:
         self.replay_frames: List[Frame] = []
         #: In-memory copy of the last GOP-boundary snapshot, per rung.
         self.last_state: Optional[Dict[int, Dict[str, object]]] = None
-        #: Outcomes egressed outside the GOP flush (watchdog drops),
-        #: awaiting durability in the next ``gop``/``park`` record so a
-        #: resume replays them with their original classification.
-        self.pending_drops: List[Dict[str, object]] = []
+        #: Journaled sessions: the open GOP's outputs (its ``gop``
+        #: record's), those of them waiting for that record, and the
+        #: frames a timing decision gave up that no record covers yet —
+        #: the next ``gop``/``park`` record carries them, so a resume
+        #: replays them with their original reason, and their notices
+        #: leave with it.
+        self.gop_outputs: List[FrameOutput] = []
+        self.withheld: List[FrameOutput] = []
+        self.pending_drops: List[FrameOutput] = []
         #: Parked frames a resume must re-push before reading the wire.
         self.prefeed: List[Frame] = []
+        #: A resumed client's contiguous-delivery watermark: outcomes
+        #: below it are re-encoded to rebuild the encoder, not re-sent.
+        self.have_below = 0
         #: Ordered hand-off from the encode loop to the emit loop:
-        #: ``(append_future_or_None, outputs)`` pairs.  Bounded so the
-        #: encoder stays at most a few GOPs ahead of durable emission
-        #: (deep enough to ride out an occasional slow fsync).
+        #: ``(outputs, append_future_or_None, released)`` triples — the
+        #: outputs leave at once, the released ones after the append.
+        #: Bounded so the encoder stays at most a few GOPs ahead of
+        #: durable emission (deep enough to ride out a slow fsync).
         self.emit_queue: asyncio.Queue = asyncio.Queue(maxsize=4)
         self.completed = False
         if restored is not None:
@@ -468,11 +496,11 @@ class NetworkServer:
         self._encode_pool = self._new_encode_pool()
         # Journal writes (plane packing, checksumming, fsync) get their
         # own single writer thread so durability work overlaps with the
-        # encode thread instead of stealing its time.  Egress for a GOP
-        # still *awaits* the append, preserving journal-before-egress;
-        # per-journal ordering holds because each session awaits its
-        # append before issuing the next.  The watchdog only swaps the
-        # encode pool, so pending appends survive a wedged encode.
+        # encode thread instead of stealing its time.  An outcome RESUME
+        # could not reproduce still *awaits* its GOP's append; one
+        # writer thread keeps each journal's records in order.  The
+        # watchdog only swaps the encode pool, so pending appends
+        # survive a wedged encode.
         self._journal_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-journal"
         )
@@ -1234,6 +1262,7 @@ class NetworkServer:
         )
         session.stats.resumes = restored.resumes + 1
         session.stats.replayed = len(replay)
+        session.have_below = msg.have_below
         next_frame_index = restored.next_frame_index
         # On failure the restored state is already in memory: the
         # session is served journal-less rather than failing the resume.
@@ -1450,7 +1479,7 @@ class NetworkServer:
                 # Backpressure: the client outruns the encoder.  The
                 # incoming frame is dropped (never buffered), keeping
                 # the queue depth at its configured bound.
-                await self._drop(session, index, "backpressure")
+                await self._give_up(session, index, "backpressure")
                 continue
             # Zero-copy ingest: the wire payload backs the frame
             # directly (read_message hands out an immutable view,
@@ -1484,8 +1513,8 @@ class NetworkServer:
                 )  # pragma: no cover - guarded by maxsize
 
     def _watchdog_timeout(self, session: _Session) -> Optional[float]:
-        """Wall-clock budget for one ``push`` (at most one GOP encode),
-        or ``None`` when the watchdog is disarmed."""
+        """Wall-clock budget for one encode job (at most one GOP of
+        frames), or ``None`` when the watchdog is disarmed."""
         multiple = self.config.watchdog_multiple
         if multiple <= 0:
             return None
@@ -1497,72 +1526,72 @@ class NetworkServer:
                 or self._watchdog_timeout(session) is not None)
 
     async def _encode_loop(self, session: _Session) -> None:
-        loop = asyncio.get_running_loop()
         # Re-push frames parked by a previous drain before touching the
         # wire queue: they carry their original indices, so the resumed
-        # GOP is built from exactly the frames the old run accepted.
+        # GOP is built from exactly the frames the old run accepted
+        # (fewer than a GOP: the open GOP's).
         prefeed, session.prefeed = session.prefeed, []
-        for frame in prefeed:
-            outputs = await self._push_frame(session, frame)
-            await self._queue_boundary(session, outputs)
-        while True:
-            item = await session.ingest.get()
-            if item is _BYE_SENTINEL:
-                # Let every queued GOP become durable and reach the
-                # wire before the tail flush and BYE.
-                await session.emit_queue.join()
-                if session.encoder.pending_frames:
-                    outputs = await loop.run_in_executor(
-                        self._encode_pool, session.encoder.finish
-                    )
-                else:  # no tail GOP to encode: nothing for a thread
-                    outputs = session.encoder.finish()
-                await self._emit_outputs(session, outputs)
-                session.completed = True
-                await self._egress_put(
-                    session,
-                    Stats(session.stats.to_dict(self.config.queue_frames)),
-                    coalesce=False,
-                )
-                await self._egress_put(
-                    session, Bye("session complete"), coalesce=False
-                )
-                await session.egress.put(_BYE_SENTINEL)
-                await session.emit_queue.put(_BYE_SENTINEL)
-                return
-            if item is _DRAIN_SENTINEL:
-                await session.emit_queue.join()
-                await self._park_session(session)
-                await session.emit_queue.put(_BYE_SENTINEL)
-                return
+        if prefeed:
+            await self._encode_batch(session, prefeed)
+        end = None
+        while end is None:
+            frames, end = await self._next_batch(session)
+            if frames:
+                await self._encode_batch(session, frames)
+        await self._end_session(session, end)
+
+    async def _next_batch(self, session: _Session):
+        """Wait for a frame, then take every frame queued behind it up
+        to the open GOP's end — one frame when the client is paced, the
+        rest of the GOP when it is backlogged.  Returns ``(frames,
+        end)``: ``end`` is the BYE or drain sentinel that stopped the
+        take, ``None`` while the session goes on."""
+        ingest = session.ingest
+        room = session.gop_size - session.encoder.pending_frames
+        frames: List[Frame] = []
+        item = await ingest.get()
+        while item is not _BYE_SENTINEL and item is not _DRAIN_SENTINEL:
             if (self.energy is not None
                     and not self.energy.serves(session.tenant)):
                 # Brownout: the tenant is shed — the connection stays up
                 # but frames degrade to policy drops until readmission.
                 session.arrival_s.pop(item.index, None)
-                await self._drop(session, item.index, "policy")
-                continue
-            outputs = await self._push_frame(session, item)
-            await self._queue_boundary(session, outputs)
+                await self._give_up(session, item.index, "policy")
+            else:
+                frames.append(item)
+            if len(frames) == room or ingest.empty():
+                return frames, None
+            item = ingest.get_nowait()
+        return frames, item
 
-    async def _push_frame(self, session: _Session,
-                          frame: Frame) -> List[FrameOutput]:
-        """One encoder push, watchdog-guarded when armed."""
-        loop = asyncio.get_running_loop()
+    async def _encode_batch(self, session: _Session,
+                            frames: List[Frame]) -> None:
+        """Push one batch through the encoder and hand its outputs to
+        the emit loop.  A ladder's mid-GOP pushes only check and hold,
+        so they run inline; the rest of the batch is one pool job."""
         if self._tracks_gop_state(session):
-            session.replay_frames.append(frame)
+            session.replay_frames += frames
         encoder = session.encoder
-        if encoder.only_buffers():
-            # Mid-GOP push: check-and-hold only, so run it inline
-            # instead of paying an executor round-trip.  The thread
-            # pool is for real work: a session's first push
-            # (classification, rung set-up) and GOP flushes, where a
-            # ladder also does its scaling.
-            try:
-                return encoder.push(frame)
-            except CorruptFrameError as exc:
-                raise ProtocolError(f"unencodable frame: {exc}") from exc
-        future = loop.run_in_executor(self._encode_pool, encoder.push, frame)
+        held = 0
+        try:
+            while held < len(frames) and encoder.only_buffers():
+                encoder.push(frames[held])
+                held += 1
+        except CorruptFrameError as exc:
+            raise ProtocolError(f"unencodable frame: {exc}") from exc
+        outputs: List[FrameOutput] = []
+        if held < len(frames):
+            outputs = await self._encode_job(session, frames[held:])
+        await self._queue_boundary(session, outputs)
+
+    async def _encode_job(self, session: _Session,
+                          frames: List[Frame]) -> List[FrameOutput]:
+        """One encode-pool job over ``frames``, watchdog-guarded when
+        armed."""
+        loop = asyncio.get_running_loop()
+        encoder = session.encoder
+        future = loop.run_in_executor(self._encode_pool, _push_all,
+                                      encoder, frames)
         timeout = self._watchdog_timeout(session)
         try:
             if timeout is None:
@@ -1577,21 +1606,21 @@ class NetworkServer:
             future.add_done_callback(
                 lambda f: (f.exception(), encoder.close())
             )
-            await self._fire_watchdog(session, frame)
-            return []
+            return await self._fire_watchdog(session, frames)
 
     async def _fire_watchdog(self, session: _Session,
-                             frame: Frame) -> None:
-        """A push exceeded its deadline multiple: abandon it, rebuild
-        the encoder at the last GOP boundary, drop the wedged frame,
-        degrade, and re-pack the allocator around the sick core."""
+                             job: List[Frame]) -> List[FrameOutput]:
+        """An encode job exceeded its deadline multiple: abandon it,
+        rebuild the encoder at the last GOP boundary, drop the job's
+        last frame, degrade, and re-pack the allocator around the sick
+        core.  Returns the outputs of the job's other frames."""
         registry = get_registry()
         session.stats.watchdog_fires += 1
         registry.inc("repro_serving_watchdog_fires_total",
                      help="Encode watchdog firings")
         session.epoch += 1
         # Replace the shared executor: its single worker thread is
-        # stuck inside the wedged push.  Sessions with work queued on
+        # stuck inside the wedged job.  Sessions with work queued on
         # the old pool see a cancellation and abort — their journals
         # (when enabled) let them resume; head-of-line blocking behind
         # a wedged thread would stall them forever anyway.
@@ -1600,118 +1629,145 @@ class NetworkServer:
         old_pool.shutdown(wait=False, cancel_futures=True)
         # Rebuild the encoder — a fresh object, the wedged thread keeps
         # the old one — from the in-memory per-rung GOP-boundary
-        # snapshot and re-buffer the interrupted GOP minus the wedged
-        # frame.
-        replay = [f for f in session.replay_frames
-                  if f.index != frame.index]
-        session.replay_frames = []
+        # snapshot, and re-feed the open GOP minus the wedged frame.
+        wedged, others = job[-1], job[:-1]
+        prior = session.replay_frames[:len(session.replay_frames) - len(job)]
+        session.replay_frames = prior + others
         encoder = session.encoder = session.new_encoder()
         if session.last_state is not None:
             encoder.import_state(session.last_state)
         loop = asyncio.get_running_loop()
-        for f in replay:
-            session.replay_frames.append(f)
-            # Mid-GOP pushes only check and hold (scaling and encoding
-            # happen at the flush), so re-feeding cannot wedge.
-            await loop.run_in_executor(self._encode_pool, encoder.push, f)
-        encoder.bump_degradation(frame.index)
+        # Re-feeding encodes (a one-rung push does), so it runs on the
+        # fresh pool, without a watchdog of its own.  The GOP's earlier
+        # frames go before the bump, as they went the first time: their
+        # outputs, already handed on, come out the same and are
+        # discarded.  The job's other frames follow the bump.
+        await loop.run_in_executor(self._encode_pool, _push_all,
+                                   encoder, prior)
+        encoder.bump_degradation(wedged.index)
+        outputs = await loop.run_in_executor(self._encode_pool, _push_all,
+                                             encoder, others)
         self.admission.replan_after_stall(
             session.session_id, 1.0 / session.slot_s
         )
-        session.arrival_s.pop(frame.index, None)
-        if session.journal is not None:
-            # The drop is egressed here, outside any GOP flush, so it
-            # rides in the next gop/park record — a resume must replay
-            # it as "watchdog", not re-synthesize it as backpressure.
-            session.pending_drops.append({
-                "frame_index": int(frame.index), "dropped": "watchdog",
-                "frame_type": "", "bits": 0, "psnr": 0.0, "recon": None,
-            })
-        await self._drop(session, frame.index, "watchdog")
+        session.arrival_s.pop(wedged.index, None)
+        await self._give_up(session, wedged.index, "watchdog")
         get_tracer().event(
             "serving.watchdog", session=session.session_id,
-            frame=frame.index, epoch=session.epoch,
+            frame=wedged.index, epoch=session.epoch,
         )
+        return outputs
+
+    async def _give_up(self, session: _Session, frame_index: int,
+                       reason: str) -> None:
+        """A timing decision (backpressure, policy, watchdog) gave a
+        frame up.  Journal-less, its notice leaves now.  Journaled, the
+        drop waits in ``pending_drops`` for the next ``gop``/``park``
+        record, which carries it and whose ``next_frame_index`` covers
+        it; until then no outcome leaves early, and the notice leaves
+        with the record."""
+        if session.journal is None:
+            await self._drop(session, frame_index, reason)
+        else:
+            session.pending_drops.append(
+                FrameOutput(frame_index=frame_index, dropped=reason))
 
     async def _queue_boundary(self, session: _Session,
-                              outputs: List[FrameOutput]) -> None:
-        """Hand one push's outputs to the emit loop.
+                             outputs: List[FrameOutput]) -> None:
+        """Hand one batch's outputs to the emit loop: at once, unless
+        RESUME could not reproduce them (DESIGN.md §11) — a journaled
+        session holds them for their GOP's record while a fault
+        injector is armed, a timing drop awaits a record, or earlier
+        outputs are held (they leave in order).
 
         At a GOP boundary the cross-GOP state is captured *here*,
         synchronously (``export_state`` builds a small dict per rung
         and borrows the previous-original plane without copying), so
-        the watchdog
-        and drain paths always see current recovery state.  The
-        durability work — building the record, hashing its planes, the
-        synced append — is scheduled on the journal writer thread and
-        the resulting future queued alongside the outputs: the encode
-        thread moves straight on to the next frame while
-        :meth:`_emit_loop` awaits the append before letting the GOP
-        reach egress (journal-before-egress is what makes everything
-        the client ever saw replayable)."""
-        if not outputs:
-            return
-        append = None
-        if self._tracks_gop_state(session):
-            session.last_state = session.encoder.export_state()
+        the watchdog and drain paths always see current recovery state.
+        The ``gop`` record — the state, every output of the GOP and the
+        drops it covers — is built, hashed and appended on the journal
+        writer thread; the emit loop releases what waited for it once
+        the append is done."""
+        encoder = session.encoder
+        boundary = not encoder.pending_frames
+        if boundary and self._tracks_gop_state(session):
+            session.last_state = encoder.export_state()
             session.replay_frames = []
-            journal = session.journal
-            if journal is not None:
-                # Journaled sessions have one rung (the journal guard
-                # in the HELLO handshake): its snapshot is the record's.
-                state = session.last_state[0]
-                # Claim already-egressed watchdog drops synchronously:
-                # they become durable with this GOP record.
-                drops, session.pending_drops = session.pending_drops, []
+        journal = session.journal
+        if journal is None:
+            # Journal-less, or browned out since: nothing waits.
+            released = session.withheld + session.pending_drops + outputs
+            session.gop_outputs, session.withheld = [], []
+            session.pending_drops = []
+            if released:
+                await session.emit_queue.put((released, None, []))
+            return
+        session.gop_outputs += outputs
+        if session.spiky or session.pending_drops or session.withheld:
+            session.withheld += outputs
+            outputs = []
+        if not boundary:
+            if outputs:
+                await session.emit_queue.put((outputs, None, []))
+            return
+        # Journaled sessions have one rung (the journal guard in the
+        # HELLO handshake): its snapshot is the record's.
+        state = session.last_state[0]
+        gop_outputs, session.gop_outputs = session.gop_outputs, []
+        next_index = max(o.frame_index for o in gop_outputs) + 1
+        drops = [d for d in session.pending_drops
+                 if d.frame_index < next_index]
+        session.pending_drops = [d for d in session.pending_drops
+                                 if d.frame_index >= next_index]
+        released, session.withheld = session.withheld + drops, []
 
-                def gop_record() -> Dict[str, object]:
-                    return {
-                        "gop_index": int(state["gop_index"]) - 1,
-                        "state": state,
-                        "outputs": drops + [
-                            frame_output_record(o) for o in outputs
-                        ],
-                        "next_frame_index": max(
-                            [o.frame_index for o in outputs]
-                            + [int(d["frame_index"]) for d in drops]
-                        ) + 1,
-                    }
+        def gop_record() -> Dict[str, object]:
+            return {
+                "gop_index": int(state["gop_index"]) - 1,
+                "state": state,
+                "outputs": [frame_output_record(o)
+                            for o in drops + gop_outputs],
+                "next_frame_index": next_index,
+            }
 
-                try:
-                    append = asyncio.get_running_loop().run_in_executor(
-                        self._journal_pool, self._journal_write,
-                        journal, "gop", gop_record,
-                    )
-                except RuntimeError as exc:
-                    # Writer pool dead (thread death / shutdown): same
-                    # contract as a failed append — emit anyway, brown
-                    # the session out.
-                    append = None
-                    await self._durability_brownout(session, exc)
-                else:
-                    # The emit loop awaits this; retrieve defensively
-                    # too, for sessions torn down with an append still
-                    # queued.
-                    append.add_done_callback(
-                        lambda f: f.cancelled() or f.exception()
-                    )
-        await session.emit_queue.put((append, outputs))
+        append = None
+        try:
+            append = asyncio.get_running_loop().run_in_executor(
+                self._journal_pool, self._journal_write,
+                journal, "gop", gop_record,
+            )
+        except RuntimeError as exc:
+            # Writer pool dead (thread death / shutdown): same contract
+            # as a failed append — emit anyway, brown the session out.
+            await self._durability_brownout(session, exc)
+        else:
+            # The emit loop awaits this; retrieve defensively too, for
+            # sessions torn down with an append still queued.
+            append.add_done_callback(
+                lambda f: f.cancelled() or f.exception()
+            )
+        await session.emit_queue.put((outputs, append, released))
 
     async def _emit_loop(self, session: _Session) -> None:
-        """Per-session emitter: for each queued GOP, await its journal
-        append (when journaling) and only then emit the outputs.  Runs
-        concurrently with the encode loop so durability work overlaps
-        encode work instead of stalling it."""
+        """Per-session emitter: for each queued triple, emit the
+        outputs, await the journal append (when there is one) and only
+        then emit what waited for it.  Runs concurrently with the
+        encode loop so durability work overlaps encode work instead of
+        stalling it."""
         while True:
             item = await session.emit_queue.get()
             if item is _BYE_SENTINEL:
                 session.emit_queue.task_done()
                 return
-            append, outputs = item
+            outputs, append, released = item
             try:
+                await self._emit_outputs(session, outputs)
                 if append is not None:
                     try:
-                        await append
+                        # Shielded: outputs may have left ahead of the
+                        # record, and a cut must not cancel it before
+                        # the writer thread gets to it.
+                        await asyncio.shield(append)
                     except asyncio.CancelledError:
                         raise
                     except Exception as exc:
@@ -1719,57 +1775,29 @@ class NetworkServer:
                         # anyway and brown the session out —
                         # availability over resumability.
                         await self._durability_brownout(session, exc)
-                await self._emit_outputs(session, outputs)
+                await self._emit_outputs(session, released)
             finally:
                 session.emit_queue.task_done()
 
-    async def _park_session(self, session: _Session) -> None:
-        """Drain-path exit: journal the in-flight GOP's raw frames (a
-        ``park`` record) so a restarted server resumes bit-identically,
-        or — journal-less — flush the partial GOP the classic way."""
-        loop = asyncio.get_running_loop()
-        if session.journal is not None:
-            journal = session.journal
-            frames = list(session.replay_frames)
-            next_index = session.next_index
-            drops, session.pending_drops = session.pending_drops, []
-
-            def park_record() -> Dict[str, object]:
-                return {
-                    "next_frame_index": next_index,
-                    "frames": [
-                        {"frame_index": f.index, "plane": f.luma}
-                        for f in frames
-                    ],
-                    "outputs": drops,
-                }
-
-            try:
-                await loop.run_in_executor(
-                    self._journal_pool, self._journal_write,
-                    journal, "park", park_record,
-                )
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                await self._durability_brownout(session, exc)
-            else:
-                session.stats.parked = True
-                get_registry().inc(
-                    "repro_serving_sessions_parked_total",
-                    help="Sessions parked to their journal by a drain",
-                )
-        if session.stats.parked:
+    async def _end_session(self, session: _Session, end: object) -> None:
+        """The client's BYE or a drain: close the stream, or park it
+        when a drain finds it journaled, then STATS and BYE."""
+        # Let every queued output reach the wire (its GOP durable)
+        # first.
+        await session.emit_queue.join()
+        if end is _DRAIN_SENTINEL and await self._park_session(session):
+            # The park record holds the open GOP's frames and drops: a
+            # resume re-encodes what waited, so only the drops leave.
+            released = session.pending_drops
             reason = "server draining; session parked for resume"
         else:
-            # Journal-less (or the park record failed to land — the
-            # brownout path above): flush the partial GOP the classic
-            # way so the client still gets every frame it sent.
-            outputs = await loop.run_in_executor(
-                self._encode_pool, session.encoder.finish
-            )
-            await self._emit_outputs(session, outputs)
-            reason = "server draining"
+            released = (session.withheld + session.pending_drops
+                        + session.encoder.finish())
+            reason = ("session complete" if end is _BYE_SENTINEL
+                      else "server draining")
+        session.withheld, session.pending_drops = [], []
+        await self._emit_outputs(session, released)
+        session.completed = end is _BYE_SENTINEL
         await self._egress_put(
             session,
             Stats(session.stats.to_dict(self.config.queue_frames)),
@@ -1777,6 +1805,46 @@ class NetworkServer:
         )
         await self._egress_put(session, Bye(reason), coalesce=False)
         await session.egress.put(_BYE_SENTINEL)
+        await session.emit_queue.put(_BYE_SENTINEL)
+
+    async def _park_session(self, session: _Session) -> bool:
+        """Drain-path exit of a journaled session: journal the open
+        GOP's raw frames and pending drops (a ``park`` record) so a
+        restarted server resumes bit-identically.  ``False`` when the
+        session has no journal or the record did not land."""
+        journal = session.journal
+        if journal is None:
+            return False
+        frames = list(session.replay_frames)
+        next_index = session.next_index
+        drops = list(session.pending_drops)
+
+        def park_record() -> Dict[str, object]:
+            return {
+                "next_frame_index": next_index,
+                "frames": [
+                    {"frame_index": f.index, "plane": f.luma}
+                    for f in frames
+                ],
+                "outputs": [frame_output_record(d) for d in drops],
+            }
+
+        try:
+            await asyncio.get_running_loop().run_in_executor(
+                self._journal_pool, self._journal_write,
+                journal, "park", park_record,
+            )
+        except asyncio.CancelledError:
+            raise
+        except Exception as exc:
+            await self._durability_brownout(session, exc)
+            return False
+        session.stats.parked = True
+        get_registry().inc(
+            "repro_serving_sessions_parked_total",
+            help="Sessions parked to their journal by a drain",
+        )
+        return True
 
     async def _emit_outputs(self, session: _Session,
                             outputs: List[FrameOutput]) -> None:
@@ -1786,6 +1854,10 @@ class NetworkServer:
         encoded = 0
         for out in outputs:
             arrival = session.arrival_s.pop(out.frame_index, None)
+            if out.frame_index < session.have_below:
+                # Re-encoded after a RESUME to rebuild the encoder: the
+                # client holds this outcome already.
+                continue
             if out.dropped is not None:
                 # "corrupt" or "deadline": the pipeline gave the frame up.
                 await self._drop(session, out.frame_index, out.dropped,
@@ -1829,7 +1901,7 @@ class NetworkServer:
                 bits=bits, psnr=psnr, luma=recon.reshape(-1),
                 rung=out.rung,
             ))
-        # One registry batch per call (a GOP's outputs), not per frame.
+        # One registry batch per call (a batch's outputs), not per frame.
         if encoded:
             registry.inc("repro_serving_frames_encoded_total", encoded,
                          help="Frames encoded by the serving layer")

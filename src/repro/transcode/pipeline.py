@@ -462,10 +462,9 @@ class StreamTranscoder:
     def open_session(self) -> "ProposedStreamSession":
         """Open a push-based online session (proposed mode only).
 
-        Frames are validated on arrival; GOPs are encoded as soon as
-        they complete, so the caller gets encoded output while the
-        stream is still arriving — the network serving layer's entry
-        point.  Output is bit-identical to :meth:`run` fed the same
+        Frames are validated and encoded on arrival, so the caller
+        gets each frame's output at its push — the network serving
+        layer's entry point.  Output is bit-identical to :meth:`run` fed the same
         frames (both paths run through
         :class:`ProposedStreamSession`)."""
         if self.config.mode is not PipelineMode.PROPOSED:
@@ -773,10 +772,12 @@ def frame_is_corrupt(frame, shape: Optional[tuple],
 class ProposedStreamSession:
     """Push-based online transcoding session (proposed pipeline).
 
-    Frames are pushed one at a time; whenever a GOP's worth has
-    accumulated (or :meth:`finish` flushes the tail) the GOP is encoded
-    through the exact per-GOP logic of :meth:`StreamTranscoder.run` and
-    the per-frame outputs are returned.  All cross-GOP state (QP
+    Frames are pushed one at a time and each is encoded (or dropped) at
+    its own push, which returns its output: the GOP is planned on its
+    first valid frame and closed by its ``gop.size``-th push or by
+    :meth:`finish`.  Nothing in a GOP's encode needs a later frame, so
+    this is the per-GOP logic of :meth:`StreamTranscoder.run` frame by
+    frame — the same decisions, the same bytes.  All cross-GOP state (QP
     adapter, motion policy, framerate feedback/degradation ladder,
     reference plane, rolling bitrate window) lives on the session, so
     a sequence of pushes is bit-identical to one offline run over the
@@ -819,9 +820,14 @@ class ProposedStreamSession:
         #: empty until a frame has been encoded over the current grid.
         self._prev_frame_feedback: List[TileQualityFeedback] = []
         self._recent_bits: List[int] = []  # rolling ~1 s window
-        self._pending: List = []  # buffered frames of the current GOP
-        self._pending_corrupt: Set[int] = set()
         self._reference_shape: Optional[tuple] = None
+        #: The open GOP: frames pushed into it, valid frames among them
+        #: (the frame-type position), and its plan and record — set by
+        #: its first valid frame, ``None`` while every push was corrupt.
+        self._gop_pushes = 0
+        self._gop_pos = 0
+        self._plan: Optional[GopPlan] = None
+        self._record: Optional[GopRecord] = None
         self._gop_index = 0
         self._frames_pushed = 0
         self._finished = False
@@ -855,35 +861,40 @@ class ProposedStreamSession:
     # -- ingest --------------------------------------------------------
     @property
     def pending_frames(self) -> int:
-        """Frames buffered since the last GOP boundary.
+        """Frames pushed into the open GOP.
 
-        A :meth:`push` with ``pending_frames + 1 < gop.size`` only
-        validates and buffers — no encoding happens — which is what
-        lets the serving layer run mid-GOP pushes inline on its event
-        loop and reserve the encode thread pool for GOP flushes.
+        They are encoded or dropped already — every push returns its
+        output — but their GOP is not closed: :meth:`export_state`
+        waits for zero, which the ``gop.size``-th push or
+        :meth:`finish` brings back.
         """
-        return len(self._pending)
+        return self._gop_pushes
 
     def push(self, frame, corrupt: bool = False) -> List[FrameOutput]:
-        """Buffer one frame; encode and return outputs when a GOP
-        completes (an empty list otherwise).  ``corrupt`` hands over a
-        frame the caller's own check already rejected and absorbed (a
-        ladder checks the ingest frame once, for all its rungs): it is
-        dropped as one this session's check rejects."""
+        """Encode one frame, or drop it as ``corrupt`` / ``deadline``;
+        returns its one output.  ``corrupt`` hands over a frame the
+        caller's own check already rejected and absorbed (a ladder
+        checks the ingest frame once, for all its rungs): it is dropped
+        as one this session's check rejects."""
         if self._finished:
             raise ValueError("session already finished")
         if self._validate:
-            if corrupt or self._check_frame(frame):
-                self._pending_corrupt.add(frame.index)
-            else:
-                self._resolve_class(frame)
-        elif frame.index in self._known_corrupt:
-            self._pending_corrupt.add(frame.index)
-        self._pending.append(frame)
+            if not corrupt:
+                corrupt = self._check_frame(frame)
+                if not corrupt:
+                    self._resolve_class(frame)
+        else:
+            corrupt = frame.index in self._known_corrupt
         self._frames_pushed += 1
-        if len(self._pending) >= self.config.gop.size:
-            return self._flush_gop()
-        return []
+        self._gop_pushes += 1
+        if corrupt:
+            self._feedback.observe_corrupt_frame(frame.index)
+            output = self._drop(frame.index, "corrupt")
+        else:
+            output = self._encode(frame)
+        if self._gop_pushes >= self.config.gop.size:
+            self._close_gop()
+        return [output]
 
     def bump_degradation(self, frame_index: int = -1,
                          kind: str = "watchdog"):
@@ -911,10 +922,10 @@ class ProposedStreamSession:
         serialization is the caller's concern (the session journal
         writes its bytes as they are).
         """
-        if self._pending:
+        if self._gop_pushes:
             raise ValueError(
                 "export_state requires a GOP boundary "
-                f"({len(self._pending)} frames pending)"
+                f"({self._gop_pushes} frames pending)"
             )
         resolved = getattr(self.transcoder, "_resolved_class", None)
         return {
@@ -936,7 +947,7 @@ class ProposedStreamSession:
     def import_state(self, state: Dict[str, object]) -> None:
         """Restore a snapshot from :meth:`export_state` into a *fresh*
         session (nothing pushed yet)."""
-        if self._frames_pushed or self._pending or self._finished:
+        if self._frames_pushed or self._finished:
             raise ValueError("import_state requires a fresh session")
         self._gop_index = int(state["gop_index"])
         self._frames_pushed = int(state["frames_pushed"])
@@ -960,117 +971,111 @@ class ProposedStreamSession:
         self._reference = None
 
     def finish(self) -> List[FrameOutput]:
-        """Flush the final partial GOP and close the session."""
+        """Close the final partial GOP and the session.  Every frame
+        got its output at its push, so none is left to return."""
         if self._finished:
             return []
         self._finished = True
-        outputs = self._flush_gop() if self._pending else []
+        if self._gop_pushes:
+            self._close_gop()
         if self._resilient:
             self.trace.resilience = self._feedback.report
-        return outputs
+        return []
 
-    # -- per-GOP encode (the body of the offline per-GOP loop) ---------
-    def _flush_gop(self) -> List[FrameOutput]:
-        cfg = self.config
-        transcoder = self.transcoder
+    # -- per-frame encode (the body of the offline per-GOP loop) -------
+    def _drop(self, frame_index: int, reason: str) -> FrameOutput:
+        self.trace.dropped_frames.append(frame_index)
+        get_registry().inc(
+            "repro_frames_dropped_total", reason=reason,
+            help="Frames not encoded, by reason",
+        )
+        return FrameOutput(frame_index=frame_index, dropped=reason)
+
+    def _start_gop(self, first) -> None:
+        """Plan the open GOP on its first valid frame: re-tiling once
+        per GOP (§III-D2); under TILE_MERGE pressure the maximum tile
+        count is halved."""
         feedback = self._feedback
-        g = self._gop_index
-        self._gop_index += 1
-        all_frames, self._pending = self._pending, []
-        corrupt, self._pending_corrupt = self._pending_corrupt, set()
-
-        outputs: List[FrameOutput] = []
-        frames = []
-        for frame in all_frames:
-            if frame.index in corrupt:
-                self.trace.dropped_frames.append(frame.index)
-                feedback.observe_corrupt_frame(frame.index)
-                get_registry().inc(
-                    "repro_frames_dropped_total", reason="corrupt",
-                    help="Frames not encoded, by reason",
-                )
-                outputs.append(
-                    FrameOutput(frame_index=frame.index, dropped="corrupt")
-                )
-            else:
-                frames.append(frame)
-        if not frames:
-            return outputs  # whole GOP corrupt: nothing to encode
-        # Re-tiling once per GOP on its first frame (§III-D2); under
-        # TILE_MERGE pressure the maximum tile count is halved.
-        retiling = transcoder._retile(
-            frames[0].luma, self._previous_original,
+        retiling = self.transcoder._retile(
+            first.luma, self._previous_original,
             merged=self._resilient and feedback.merge_tiles,
         )
-        block_size = cfg.base_config.block_size
-        plan = GopPlan(retiling.grid, retiling.contents, block_size)
+        self._plan = GopPlan(retiling.grid, retiling.contents,
+                             self.config.base_config.block_size)
         self._adapter.reset()
         self._policy.start_gop()
         self._prev_frame_feedback = []
-        record = GopRecord(gop_index=g, grid=plan.grid,
-                           contents=plan.contents)
+        self._record = GopRecord(gop_index=self._gop_index,
+                                 grid=self._plan.grid,
+                                 contents=self._plan.contents)
 
-        for pos, frame in enumerate(frames):
-            frame_type = cfg.gop.frame_type(pos)
-            if self._resilient and pos > 0 and feedback.should_drop_frame():
-                # Top ladder rung: skip this P frame outright; its
-                # whole slot is reclaimed against the debt.
-                self.trace.dropped_frames.append(frame.index)
-                feedback.observe_dropped_frame(frame.index)
-                get_registry().inc(
-                    "repro_frames_dropped_total", reason="deadline",
-                    help="Frames not encoded, by reason",
-                )
-                outputs.append(
-                    FrameOutput(frame_index=frame.index, dropped="deadline")
-                )
-                continue
-            if not cfg.retile_per_gop and pos > 0:
-                # Ablation mode: re-tile on every frame.  Tile
-                # identities change, so per-tile adaptation state
-                # restarts — the cost the per-GOP scheme avoids.
-                retiling = transcoder._retile(
-                    frame.luma, self._previous_original,
-                    merged=self._resilient and feedback.merge_tiles,
-                )
-                plan = GopPlan(retiling.grid, retiling.contents, block_size)
-                record.grid, record.contents = plan.grid, plan.contents
-                self._adapter.reset()
-                self._prev_frame_feedback = []
-            window = max(1, int(round(cfg.fps)))
-            recent = self._recent_bits[-window:]
-            stream_bitrate = (
-                sum(recent) / (len(recent) / cfg.fps) / 1e6
-                if recent else None
+    def _close_gop(self) -> None:
+        if self._record is not None:
+            self.trace.gops.append(self._record)
+        self._plan = self._record = None
+        self._gop_pushes = self._gop_pos = 0
+        self._gop_index += 1
+
+    def _encode(self, frame) -> FrameOutput:
+        cfg = self.config
+        transcoder = self.transcoder
+        feedback = self._feedback
+        if self._plan is None:
+            self._start_gop(frame)
+        pos = self._gop_pos
+        self._gop_pos += 1
+        frame_type = cfg.gop.frame_type(pos)
+        if self._resilient and pos > 0 and feedback.should_drop_frame():
+            # Top ladder rung: skip this P frame outright; its whole
+            # slot is reclaimed against the debt.
+            feedback.observe_dropped_frame(frame.index)
+            return self._drop(frame.index, "deadline")
+        record = self._record
+        if not cfg.retile_per_gop and pos > 0:
+            # Ablation mode: re-tile on every frame.  Tile identities
+            # change, so per-tile adaptation state restarts — the cost
+            # the per-GOP scheme avoids.
+            retiling = transcoder._retile(
+                frame.luma, self._previous_original,
+                merged=self._resilient and feedback.merge_tiles,
             )
-            with get_tracer().span(
-                "pipeline.frame", frame=frame.index,
-                type=frame_type.value, gop=g, tiles=len(plan.grid),
-            ):
-                frame_record, self._reference, cpu_times = (
-                    transcoder._encode_proposed_frame(
-                        frame.luma, frame.index, frame_type, pos, plan,
-                        self._reference, self._adapter,
-                        self._policy, feedback, self._prev_frame_feedback,
-                        stream_bitrate,
-                    )
+            self._plan = GopPlan(retiling.grid, retiling.contents,
+                                 cfg.base_config.block_size)
+            record.grid, record.contents = self._plan.grid, self._plan.contents
+            self._adapter.reset()
+            self._prev_frame_feedback = []
+        plan = self._plan
+        window = max(1, int(round(cfg.fps)))
+        recent = self._recent_bits[-window:]
+        stream_bitrate = (
+            sum(recent) / (len(recent) / cfg.fps) / 1e6
+            if recent else None
+        )
+        with get_tracer().span(
+            "pipeline.frame", frame=frame.index,
+            type=frame_type.value, gop=self._gop_index, tiles=len(plan.grid),
+        ):
+            frame_record, self._reference, cpu_times = (
+                transcoder._encode_proposed_frame(
+                    frame.luma, frame.index, frame_type, pos, plan,
+                    self._reference, self._adapter,
+                    self._policy, feedback, self._prev_frame_feedback,
+                    stream_bitrate,
                 )
-            record.frames.append(frame_record)
-            self._recent_bits.append(frame_record.bits)
-            if len(self._recent_bits) > window:
-                self._recent_bits = self._recent_bits[-window:]
-            feedback.observe_frame(cpu_times, frame.index)
-            self._prev_frame_feedback = [
-                TileQualityFeedback(psnr_db=t.psnr, bits=t.bits)
-                for t in frame_record.tiles
-            ]
-            self._previous_original = frame.luma
-            outputs.append(FrameOutput(
-                frame_index=frame.index,
-                frame_type=frame_type,
-                record=frame_record,
-                reconstruction=self._reference,
-            ))
-        if record.frames:
-            self.trace.gops.append(record)
-        return outputs
+            )
+        record.frames.append(frame_record)
+        self._recent_bits.append(frame_record.bits)
+        if len(self._recent_bits) > window:
+            self._recent_bits = self._recent_bits[-window:]
+        feedback.observe_frame(cpu_times, frame.index)
+        self._prev_frame_feedback = [
+            TileQualityFeedback(psnr_db=t.psnr, bits=t.bits)
+            for t in frame_record.tiles
+        ]
+        self._previous_original = frame.luma
+        return FrameOutput(
+            frame_index=frame.index,
+            frame_type=frame_type,
+            record=frame_record,
+            reconstruction=self._reference,
+        )

@@ -41,9 +41,11 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _calls_per_push(width, height, warm_gops=2):
+def _calls_per_push(width, height, warm_gops=2, push=None):
     """Interpreter call events per push over one steady-state GOP of a
-    session configured as the network server configures it."""
+    session configured as the network server configures it
+    (``push(session, frame)`` drives each push; ``session.push`` by
+    default)."""
     video = generate_video(content_class=ContentClass.BRAIN, width=width,
                            height=height, num_frames=(warm_gops + 1) * _GOP,
                            seed=16)
@@ -67,7 +69,7 @@ def _calls_per_push(width, height, warm_gops=2):
         sys.setprofile(count)
         try:
             for frame in frames[warm_gops * _GOP:]:
-                outputs += session.push(frame)
+                outputs += (push or LadderSession.push)(session, frame)
         finally:
             sys.setprofile(None)
     assert len(outputs) == _GOP
@@ -96,6 +98,17 @@ def test_a_12_tile_vga_push_stays_inside_its_call_budget(monkeypatch):
     calls, tiles = _calls_per_push(640, 480)
     assert tiles == 12
     assert calls <= 663, calls  # 603 when set; 1096 before the GOP plan
+
+
+def test_a_paced_one_rung_push_job_stays_inside_its_call_budget():
+    """What the server adds around a paced session's push: the encode
+    pool's job over a batch of one frame."""
+    from repro.serving.server import _push_all
+
+    calls, tiles = _calls_per_push(
+        96, 96, push=lambda session, frame: _push_all(session, [frame]))
+    assert tiles == 7
+    assert calls <= 497, calls  # 452 when set, the bare push 450
 
 
 def test_a_mid_gop_ladder_push_is_a_check_and_an_append():
@@ -134,6 +147,7 @@ def test_a_mid_gop_ladder_push_is_a_check_and_an_append():
                 sys.setprofile(None)
         assert not crossings
         assert session.pending_frames == _GOP - 1
-    # push, started, frame_is_corrupt, isinstance, append, len — and
-    # the list comparison is not a call event.
-    assert (len(events) - 1) / len(mid_gop) == 6, events
+    # push, started, frame_is_corrupt, isinstance, len (one rung or
+    # several), append, len — and the list comparison is not a call
+    # event.
+    assert (len(events) - 1) / len(mid_gop) == 7, events

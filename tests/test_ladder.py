@@ -380,20 +380,31 @@ class TestOneRungIsThePlainSession:
             assert {o.dropped for o in want} == {None, "deadline"}
 
     def test_only_buffers_names_the_pushes_that_do_no_work(self, ladder_video):
-        """However many rungs: nothing is scaled before the GOP closes,
-        so every mid-GOP push of a started ladder only checks and
-        holds."""
+        """Several rungs: nothing is scaled before the GOP closes, so
+        every mid-GOP push of a started ladder only checks and holds."""
         config = PipelineConfig(fps=24.0, gop=GopConfig(_GOP))
-        for rungs in (_RUNGS[:1], _RUNGS):
-            with LadderSession(config, LadderConfig(rungs=rungs,
-                                                    prune=False)) as session:
-                # First push opens the rungs; the last of a GOP encodes.
-                verdicts = []
-                for frame in ladder_video.frames[:_GOP + 1]:
-                    verdicts.append(session.only_buffers())
-                    assert session.pending_frames == frame.index % _GOP
-                    session.push(frame)
-                assert verdicts == [False, True, True, False, True]
+        with LadderSession(config, LadderConfig(rungs=_RUNGS,
+                                                prune=False)) as session:
+            # First push opens the rungs; the last of a GOP encodes.
+            verdicts = []
+            for frame in ladder_video.frames[:_GOP + 1]:
+                verdicts.append(session.only_buffers())
+                assert session.pending_frames == frame.index % _GOP
+                session.push(frame)
+            assert verdicts == [False, True, True, False, True]
+
+    def test_a_one_rung_push_encodes_its_frame(self, ladder_video):
+        """One rung: every push does work — it encodes its frame and
+        returns its output — while ``pending_frames`` still counts the
+        pushes since the GOP boundary."""
+        config = PipelineConfig(fps=24.0, gop=GopConfig(_GOP))
+        with LadderSession(config, LadderConfig(rungs=_RUNGS[:1],
+                                                prune=False)) as session:
+            for frame in ladder_video.frames[:_GOP + 1]:
+                assert not session.only_buffers()
+                assert session.pending_frames == frame.index % _GOP
+                (out,) = session.push(frame)
+                assert out.frame_index == frame.index and out.rung == 0
 
     def test_read_only_ingest_plane_reaches_the_rung_uncopied(
             self, ladder_video, monkeypatch):
@@ -444,14 +455,16 @@ class TestOneRungIsThePlainSession:
     @pytest.mark.parametrize("num_rungs", [1, 3])
     def test_a_push_crosses_once_per_frame_per_rung(self, num_rungs,
                                                     monkeypatch):
-        """What a push costs in crossings: nothing at all mid-GOP,
-        however many rungs; when the GOP closes, one
-        ``downscale_box_u8`` per held frame per scaled rung, one
-        ``encode_frame_u8`` per frame per rung (however many tiles) and
-        three ``analyze_frame_u8`` per rung (margins, centre, grid) —
-        and one ``WorkloadEstimator`` lock acquisition per encoded
-        frame.  The frames of a GOP go through one tile table per rung,
-        built when the GOP is re-tiled."""
+        """What a push costs in crossings.  One rung: its frame's one
+        ``encode_frame_u8`` (however many tiles), plus three
+        ``analyze_frame_u8`` (margins, centre, grid) when it is the
+        GOP's first.  Several rungs: nothing at all mid-GOP; when the
+        GOP closes, one ``downscale_box_u8`` per held frame per scaled
+        rung, one ``encode_frame_u8`` per frame per rung and three
+        ``analyze_frame_u8`` per rung.  Either way one
+        ``WorkloadEstimator`` lock acquisition per encoded frame, and
+        the frames of a GOP go through one tile table per rung, built
+        when the GOP is re-tiled."""
         # Large enough to be cut into several tiles on every rung.
         rungs = (LadderRung(256, 192), LadderRung(192, 144),
                  LadderRung(128, 96))[:num_rungs]
@@ -466,23 +479,29 @@ class TestOneRungIsThePlainSession:
             lock = session.estimator._observe_lock = CountingLock()
             for frame in video.frames:
                 lock.acquisitions = 0
-                del tables[:]
-                flushed = frame.index % _GOP == _GOP - 1
+                if frame.index % _GOP == 0:
+                    del tables[:]
+                closes = frame.index % _GOP == _GOP - 1
+                encodes = num_rungs == 1 or closes
                 assert session.only_buffers() == (frame.index > 0
-                                                  and not flushed)
+                                                  and not encodes)
                 with counted_native() as calls:
                     outputs = session.push(frame)
-                if not flushed:
+                if not encodes:
                     assert outputs == [] and not calls
                     assert lock.acquisitions == 0 and not tables
                     continue
-                assert len(outputs) == _GOP * len(rungs)
-                expected = {"encode_frame_u8": _GOP * len(rungs),
-                            "analyze_frame_u8": 3 * len(rungs)}
+                fed = 1 if num_rungs == 1 else _GOP
+                assert len(outputs) == fed * len(rungs)
+                expected = {"encode_frame_u8": fed * len(rungs)}
+                if num_rungs > 1 or frame.index % _GOP == 0:  # re-tiled
+                    expected["analyze_frame_u8"] = 3 * len(rungs)
                 if len(rungs) > 1:
                     expected["downscale_box_u8"] = _GOP * (len(rungs) - 1)
                 assert calls == expected
                 assert lock.acquisitions == len(outputs)
+                if not closes:
+                    continue
                 # Rung by rung, a GOP's frames: one table each.
                 per_rung = [tables[r * _GOP:(r + 1) * _GOP]
                             for r in range(len(rungs))]
@@ -568,8 +587,10 @@ class TestOneRungIsThePlainSession:
     @pytest.mark.skipif(native.lib is None, reason="native kernels not built")
     def test_a_rebuilt_encoder_plans_its_gop_afresh(self, monkeypatch):
         """The watchdog's rebuild mid-GOP: a fresh session restored to
-        the last boundary and re-fed the interrupted GOP builds its own
-        table for it, and encodes what the uninterrupted session does."""
+        the last boundary and re-fed the interrupted GOP — three frames
+        of it already encoded — builds its own table for it, and
+        encodes what the uninterrupted session does, those three
+        included."""
         video = BioMedicalVideoGenerator(GeneratorConfig(
             width=256, height=192, num_frames=2 * _GOP, seed=5,
             content_class=ContentClass.BRAIN, motion=MotionPreset.PAN_RIGHT,
@@ -582,16 +603,19 @@ class TestOneRungIsThePlainSession:
             for frame in video.frames[:_GOP]:
                 whole.push(frame)
             snapshot = whole.export_state()
-            for frame in video.frames[_GOP:_GOP + 3]:  # wedged mid-GOP
-                assert whole.push(frame) == []
-            first = list(tables)
+            want = [out for frame in video.frames[_GOP:_GOP + 3]
+                    for out in whole.push(frame)]  # wedged mid-GOP
+            assert len(want) == 3
             with LadderSession(config, ladder) as rebuilt:
                 rebuilt.import_state(snapshot)
                 got = _push_all(rebuilt, video.frames[_GOP:])
-            want = _push_all(whole, video.frames[_GOP + 3:])
+            want += _push_all(whole, video.frames[_GOP + 3:])
         assert _rung_digests(got) == _rung_digests(want)
-        mine, theirs = tables[_GOP:2 * _GOP], tables[2 * _GOP:]
+        first, mine = tables[:_GOP], tables[_GOP + 3:2 * _GOP + 3]
+        theirs = tables[_GOP:_GOP + 3] + tables[2 * _GOP + 3:]
         assert len(first) == len(mine) == len(theirs) == _GOP
+        for gop in (first, mine, theirs):
+            assert len({id(t) for t in gop}) == 1
         assert len({id(t) for t in first + mine + theirs}) == 3
 
     @pytest.mark.parametrize("rungs", [_RUNGS[:1], _RUNGS],

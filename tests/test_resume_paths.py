@@ -14,11 +14,14 @@ import os
 import socket
 import struct
 import threading
+import time
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.observability import get_registry, scoped
+from repro.resilience.checkpoint import canonical_json
 from repro.serving.protocol import (
     Bye,
     Encoded,
@@ -32,7 +35,9 @@ from repro.serving.protocol import (
     read_message,
     write_message,
 )
+from repro.serving.recovery import read_journal
 from repro.serving.server import NetworkServer, ServeNetConfig
+from repro.storage.faultfs import FaultFS, FaultRule
 from tests.test_journal_format import write_line_format_journal
 from tests.test_serving_integration import _tight_admission
 
@@ -420,3 +425,319 @@ def test_one_rung_ladder_hello_is_the_plain_session_on_the_wire(tmp_path):
 
     assert counters(lstats) == counters(stats)
     assert resumed == want  # replayed first GOP + re-encoded second
+
+
+# ----------------------------------------------------------------------
+# Early egress: nothing leaves that RESUME cannot reproduce
+# ----------------------------------------------------------------------
+def _serve(coro_fn, journal_dir, **config):
+    async def main():
+        server = NetworkServer(ServeNetConfig(
+            port=0, seed=0, journal_dir=str(journal_dir), **config))
+        await server.start()
+        try:
+            return await coro_fn(server)
+        finally:
+            await server.aclose()
+
+    with scoped():
+        return asyncio.run(asyncio.wait_for(main(), 60))
+
+
+def _outcome(msg: Encoded) -> tuple:
+    return (msg.dropped, msg.frame_type, msg.bits, msg.psnr,
+            zlib.crc32(msg.luma))
+
+
+def _gop_records(path: str) -> list:
+    """Each ``gop`` record's payload, its planes as their bytes."""
+    def plain(node):
+        if isinstance(node, np.ndarray):
+            return [list(node.shape), node.tobytes().hex()]
+        return node
+    return [canonical_json(payload, default=plain)
+            for kind, payload in read_journal(path).records if kind == "gop"]
+
+
+async def _journaled(server, token: str, gops: int) -> list:
+    """The journal's ``gop`` records once it holds ``gops`` of them."""
+    path = server._journal_store.path_for(token)
+    await _until(lambda: len(_gop_records(path)) >= gops,
+                 f"{gops} gop records never landed")
+    return _gop_records(path)[:gops]
+
+
+@pytest.mark.parametrize("k", [1, 4, 7])
+def test_a_cut_after_early_outcomes_resumes_bit_identically(tmp_path, k):
+    """A paced, journaled session: every frame's outcome leaves when it
+    is encoded, ahead of its GOP's record.  The client vanishes after
+    one GOP and ``k`` early outcomes of the next, and resumes with its
+    ``have_below``: the server answers the last boundary, below what
+    the client holds, and the client resends from there.  Outcomes it
+    holds are re-encoded, not re-sent; every index's outcome equals an
+    uninterrupted run's; the journal's records equal that run's."""
+    gop, total = 8, 24
+    hello = Hello(width=_W, height=_H, fps=24.0, gop=gop, client_id="oracle")
+
+    async def paced(reader, writer, indices, got):
+        for i in indices:
+            await _send_frames(writer, [i])
+            msg = await read_message(reader)
+            assert isinstance(msg, Encoded) and msg.frame_index == i, msg
+            got[i] = _outcome(msg)
+
+    async def uninterrupted(server):
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port)
+        await write_message(writer, hello)
+        token = (await read_message(reader)).resume_token
+        got = {}
+        await paced(reader, writer, range(2 * gop), got)
+        records = await _journaled(server, token, 2)
+        await paced(reader, writer, range(2 * gop, total), got)
+        await write_message(writer, Bye("done"))
+        await _until_bye(reader)
+        writer.close()
+        return got, records
+
+    async def cut_and_resumed(server):
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port)
+        await write_message(writer, hello)
+        token = (await read_message(reader)).resume_token
+        got = {}
+        await paced(reader, writer, range(gop + k), got)
+        writer.transport.abort()
+        await _until(lambda: not server._attached
+                     and not os.path.exists(_lease(server, token)),
+                     "cut session never torn down")
+        have_below = gop + k
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port)
+        await write_message(writer, Resume(
+            resume_token=token, have_below=have_below, client_id="oracle"))
+        ack = await read_message(reader)
+        assert ack.decision == "accept", ack
+        assert ack.next_frame_index == gop and ack.replayed == 0, ack
+        resent = []
+        for i in range(ack.next_frame_index, total):
+            await _send_frames(writer, [i])
+            if i >= have_below:
+                msg = await read_message(reader)
+                resent.append(msg.frame_index)
+                assert msg.frame_index not in got
+                got[msg.frame_index] = _outcome(msg)
+            if i == 2 * gop - 1:
+                records = await _journaled(server, token, 2)
+        await write_message(writer, Bye("done"))
+        tail, _ = await _until_bye(reader)
+        writer.close()
+        return got, records, resent, tail
+
+    want, want_records = _serve(uninterrupted, tmp_path / "whole")
+    got, records, resent, tail = _serve(cut_and_resumed, tmp_path / "cut")
+    assert resent == list(range(gop + k, total)) and tail == []
+    assert got == want
+    assert records == want_records
+
+
+def _stalled_first_gop(**rule):
+    """A volume whose first ``gop`` append (after the admit record)
+    stalls, so what waits for that record shows in arrival times."""
+    return FaultFS(rules=[FaultRule(point="journal.append", kind="stall",
+                                    after=1, count=1, **rule)])
+
+
+async def _record_appends(server) -> list:
+    """``(kind, next_frame_index, finished_at)`` of every journal
+    record the server writes, from here on."""
+    appends, write = [], server._journal_write
+
+    def recording(journal, kind, build):
+        payload = build()
+        write(journal, kind, lambda: payload)
+        appends.append((kind, payload.get("next_frame_index"),
+                        time.perf_counter()))
+
+    server._journal_write = recording
+    return appends
+
+
+@pytest.mark.parametrize("taint", [
+    "none", "backpressure", "fault_spike_rate", "watchdog"])
+def test_early_egress_is_off_while_a_taint_holds(tmp_path, monkeypatch,
+                                                 taint):
+    """Each of the three conditions keeps the outcomes of its GOP behind
+    the GOP's ``gop`` append (stalled here, so the order shows): a
+    backpressure drop mid-GOP, an armed fault injector, a watchdog fire.
+    Untainted, they leave before it.  Outcomes encoded before the
+    watchdog fired left already: a resume reproduces them."""
+    import repro.serving.server as server_mod
+
+    config = {}
+    early = set()
+    push_all, stalled = server_mod._push_all, []
+    if taint == "none":
+        early = {0, 1, 2, 3}
+    elif taint == "fault_spike_rate":
+        config = {"fault_spike_rate": 0.5}
+    elif taint == "backpressure":
+        config = {"queue_frames": 2}
+    elif taint == "watchdog":
+        config = {"watchdog_multiple": 1.0, "watchdog_min_s": 0.05}
+        early = {0, 1}
+
+    def stalling(encoder, frames):
+        # Backpressure: the session's first job is slow, so the burst
+        # behind it overflows the queue.  Watchdog: frame 2's job
+        # wedges past its budget.
+        slow = {"backpressure": 0, "watchdog": 2}.get(taint)
+        if slow in [f.index for f in frames] and not stalled:
+            stalled.append(slow)
+            time.sleep(0.5)
+        return push_all(encoder, frames)
+
+    monkeypatch.setattr(server_mod, "_push_all", stalling)
+
+    async def drill(server):
+        appends = await _record_appends(server)
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port)
+        await write_message(writer, Hello(width=_W, height=_H, fps=24.0,
+                                          gop=_GOP, client_id="taint"))
+        assert (await read_message(reader)).resume_token
+        arrived, dropped = {}, {}
+
+        async def receive():
+            while True:
+                msg = await read_message(reader)
+                if isinstance(msg, Bye):
+                    return
+                if isinstance(msg, Encoded):
+                    arrived[msg.frame_index] = time.perf_counter()
+                    dropped[msg.frame_index] = msg.dropped
+
+        receiving = asyncio.ensure_future(receive())
+        if taint == "backpressure":
+            await _send_frames(writer, range(4))  # a burst
+            await asyncio.sleep(0.7)
+            await _send_frames(writer, range(4, 8))
+        else:
+            for i in range(8):
+                await _send_frames(writer, [i])
+                if i in early:  # sent once the previous has left
+                    await _until(lambda: i in arrived, f"frame {i} held")
+                else:
+                    await asyncio.sleep(0.05)
+        await write_message(writer, Bye("done"))
+        await receiving
+        writer.close()
+        return appends, arrived, dropped
+
+    appends, arrived, dropped = _serve(
+        drill, tmp_path, fileops=_stalled_first_gop(stall_s=0.4), **config)
+    kind, next_index, durable_at = appends[1]
+    assert kind == "gop"
+    gop = range(next_index)
+    assert sorted(i for i in gop if arrived[i] < durable_at) == sorted(early)
+    assert len(arrived) == 8
+    if taint in ("backpressure", "watchdog"):  # the taint is in the GOP
+        assert stalled
+        assert taint in [dropped[i] for i in gop]
+
+
+class _ShedsTheThirdFrame:
+    """An energy budget that sheds the tenant for one frame: the third
+    the encode loop takes."""
+
+    def __init__(self):
+        self.asked = 0
+
+    def serves(self, tenant):
+        self.asked += 1
+        return self.asked != 3
+
+    def observe(self, now, joules, tenant):
+        pass
+
+
+def test_a_policy_drop_rides_its_gop_record(tmp_path):
+    """A timing drop — here the energy policy's, of frame 2 — is
+    journaled: the GOP record that covers it carries it, and its notice
+    leaves with that record.  The client is cut while the record's
+    append is stalled, holding frames 0 and 1 only; the record lands
+    anyway, RESUME replays frame 2 as ``policy`` (not as a synthesised
+    ``backpressure`` hole) and the GOP's other frames, and across both
+    connections every index has exactly one outcome — the
+    uninterrupted run's."""
+    from repro.platform.power import PowerModel
+
+    total = 3 * _GOP
+    hello = Hello(width=_W, height=_H, fps=24.0, gop=_GOP, client_id="shed")
+
+    def shedding(server):
+        server.energy = _ShedsTheThirdFrame()
+        server._power_model = PowerModel()
+
+    async def until_bye(reader):
+        outcomes = []
+        while not isinstance(msg := await read_message(reader), Bye):
+            if isinstance(msg, Encoded):
+                outcomes.append(msg)
+        return outcomes
+
+    async def uninterrupted(server):
+        shedding(server)
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port)
+        await write_message(writer, hello)
+        await read_message(reader)
+        await _send_frames(writer, range(total))
+        await write_message(writer, Bye("done"))
+        encoded = await until_bye(reader)
+        writer.close()
+        return encoded
+
+    async def cut_and_resumed(server):
+        shedding(server)
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port)
+        await write_message(writer, hello)
+        token = (await read_message(reader)).resume_token
+        received = []
+        for i in range(2):  # early: nothing was given up yet
+            await _send_frames(writer, [i])
+            received.append(await read_message(reader))
+        await _send_frames(writer, range(2, _GOP + 1))
+        await _until(lambda: faultfs.injected, "GOP append never started")
+        writer.transport.abort()  # cut while the record is stalled
+        await _until(lambda: not server._attached
+                     and not os.path.exists(_lease(server, token)),
+                     "cut session never torn down")
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port)
+        await write_message(writer, Resume(resume_token=token, have_below=2,
+                                           client_id="shed"))
+        ack = await read_message(reader)
+        assert ack.decision == "accept", ack
+        assert (ack.next_frame_index, ack.replayed) == (_GOP + 1, 3), ack
+        await _send_frames(writer, range(ack.next_frame_index, total))
+        await write_message(writer, Bye("done"))
+        encoded = await until_bye(reader)
+        writer.close()
+        return received, encoded
+
+    want = _serve(uninterrupted, tmp_path / "whole")
+    faultfs = _stalled_first_gop(stall_s=0.3)
+    received, resumed = _serve(cut_and_resumed, tmp_path / "cut",
+                               fileops=faultfs)
+    first = [m.frame_index for m in received]
+    assert first == [0, 1] and all(m.dropped is None for m in received)
+    assert [(m.frame_index, m.dropped) for m in resumed[:3]] == [
+        (2, "policy"), (3, None), (4, None)]
+    got = {m.frame_index: _outcome(m) for m in received}
+    for msg in resumed:
+        assert msg.frame_index not in got  # one outcome per index
+        got[msg.frame_index] = _outcome(msg)
+    assert got == {m.frame_index: _outcome(m) for m in want}
+    assert len(got) == total

@@ -45,10 +45,11 @@ from repro.serving.protocol import (
     read_message,
     write_message,
 )
-from repro.resilience.degradation import DegradationLevel
+from repro.resilience.degradation import DegradationLevel, ResilienceConfig
 from repro.serving.loadgen import LoadGenConfig, run_loadgen_async
 from repro.serving.server import NetworkServer, ServeNetConfig
 from repro.transcode.pipeline import PipelineConfig, StreamTranscoder
+from repro.video.frame import Frame, Video
 from repro.video.generator import ContentClass, generate_video
 
 
@@ -642,15 +643,59 @@ class TestStreamingSession:
             assert out.reconstruction.shape == (64, 64)
 
     def test_push_returns_outputs_per_gop(self):
+        """Nothing in a GOP's encode needs a later frame, so each push
+        encodes its frame and returns its output: six pushes, six
+        outputs, and nothing left for :meth:`finish`.  Mid-GOP the
+        session still refuses a snapshot."""
         video = generate_video(ContentClass.BRAIN, width=64, height=64,
                                num_frames=6, seed=1)
         with scoped(), StreamTranscoder(
                 PipelineConfig(gop=GopConfig(4))) as t:
             session = t.open_session()
-            sizes = [len(session.push(f)) for f in video.frames]
+            sizes = []
+            for frame in video.frames:
+                sizes.append(len(session.push(frame)))
+                if session.pending_frames:
+                    with pytest.raises(ValueError, match="GOP boundary"):
+                        session.export_state()
+            assert session.pending_frames == 2
             tail = session.finish()
-        assert sizes == [0, 0, 0, 4, 0, 0]
-        assert len(tail) == 2
+            assert session.pending_frames == 0
+        assert sizes == [1] * 6
+        assert tail == []
+
+    def test_per_push_outputs_are_the_per_gop_outputs_in_push_order(self):
+        """A resilient session fed corrupt frames: the outputs of its
+        pushes, concatenated, are one per frame in push order — the
+        corrupt drops at their own pushes — and the encoded ones are
+        the offline run's frames, bit for bit, with the same GOPs and
+        the same dropped set."""
+        video = generate_video(ContentClass.BONE, width=96, height=64,
+                               num_frames=13, seed=3)
+        config = PipelineConfig(gop=GopConfig(4),
+                                resilience=ResilienceConfig())
+        bad = {2, 5, 6, 12}
+        frames = [Frame(f.luma, index=f.index) for f in video.frames]
+        for index in bad:  # spoiled past the constructor's conversion
+            frames[index].luma = frames[index].luma.astype(np.float64)
+        with scoped(), StreamTranscoder(config) as t:
+            offline = t.run(Video(frames=frames, fps=video.fps))
+        with scoped(), StreamTranscoder(config) as t:
+            session = t.open_session()
+            outputs = [o for f in frames for o in session.push(f)]
+            assert session.finish() == []
+            online = session.trace
+        assert [o.frame_index for o in outputs] == list(range(len(frames)))
+        assert {o.frame_index for o in outputs if o.dropped} == bad
+        assert {o.dropped for o in outputs if o.dropped} == {"corrupt"}
+        assert online.dropped_frames == sorted(bad)
+        assert sorted(offline.dropped_frames) == sorted(bad)
+        want = [(f.frame_index, f.frame_type, f.bits, f.psnr)
+                for g in offline.gops for f in g.frames]
+        assert [(o.frame_index, o.frame_type, o.record.bits, o.record.psnr)
+                for o in outputs if o.dropped is None] == want
+        assert [len(g.frames) for g in online.gops] == \
+            [len(g.frames) for g in offline.gops]
 
     def test_open_session_requires_proposed_mode(self):
         with StreamTranscoder(PipelineConfig.khan()) as t:

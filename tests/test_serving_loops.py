@@ -13,6 +13,7 @@ import asyncio
 import time
 
 import numpy as np
+import pytest
 
 from repro.observability import get_registry, scoped
 from repro.serving.protocol import (
@@ -222,38 +223,62 @@ def test_a_full_ingest_queue_drops_and_control_messages_are_never_coalesced():
 _LADDER = ((64, 64), (48, 48), (32, 32))
 
 
-def test_a_ladder_session_takes_one_encode_pool_job_per_gop(monkeypatch):
-    """A three-rung session is served like a plain one: its first push
-    (rung set-up) and each GOP-closing push go to the encode pool, with
-    the watchdog armed; every other push is a check and an append, made
-    inline — nothing is scaled before its GOP closes."""
+@pytest.mark.parametrize("ladder", [None, _LADDER], ids=["plain", "3-rung"])
+@pytest.mark.parametrize("paced", [True, False], ids=["paced", "backlogged"])
+def test_one_encode_pool_job_takes_what_is_queued_up_to_the_gop_end(
+        monkeypatch, ladder, paced):
+    """One pool job takes every frame queued up to the open GOP's end,
+    with the watchdog armed.  Paced, a plain session's every frame is
+    its own job; a backlogged one makes one job per GOP.  A three-rung
+    ladder's mid-GOP pushes only check and hold, inline, so paced or
+    backlogged it makes one job per GOP: the first (rung set-up) and
+    each GOP-closing push."""
+    from repro.ladder.session import LadderSession
+
     width, height = _LADDER[0]
     frames = 3 * _GOP
     _, planes = _planes(width, height, frames)
-    jobs, guarded = [], []
+    jobs, guarded, pushed = [], [], []
     wait_for = asyncio.wait_for
+    push = LadderSession.push
 
     def spying_wait_for(awaitable, timeout):
         guarded.append(timeout)
         return wait_for(awaitable, timeout)
 
+    async def until(condition):
+        while not condition():
+            await asyncio.sleep(0.002)
+
     async def drill(server):
         loop = asyncio.get_running_loop()
         run_in_executor = loop.run_in_executor
+        encode_loop = server._encode_loop
 
         def counting(executor, fn, *args):
             if executor is server._encode_pool:
-                jobs.append((fn.__name__, *(a.index for a in args)))
+                jobs.append([f.index for f in args[1]])
             return run_in_executor(executor, fn, *args)
+
+        async def after_the_backlog(session):
+            # Backlogged: every frame (and the BYE) is queued before
+            # the encode loop takes its first.
+            await until(lambda: paced or session.ingest.full())
+            return await encode_loop(session)
 
         monkeypatch.setattr(loop, "run_in_executor", counting)
         monkeypatch.setattr(asyncio, "wait_for", spying_wait_for)
+        monkeypatch.setattr(LadderSession, "push", lambda self, frame: (
+            pushed.append(frame.index) or push(self, frame)))
+        server._encode_loop = after_the_backlog
         reader, writer, ack = await _hello(server.port, width, height,
-                                           frames, ladder=_LADDER)
-        assert len(ack.rungs) == len(_LADDER)
+                                           frames, ladder=ladder)
+        assert len(ack.rungs) == len(ladder or ())
         for index, plane in enumerate(planes):
             writer.write(encode_message(
                 FrameMsg(index, width, height, plane.tobytes())))
+            if paced:  # the next frame is sent once this one is taken
+                await until(lambda: index in pushed)
         await write_message(writer, Bye("done"))
         messages, stats, _ = await _collect(reader)
         await _close(writer)
@@ -262,17 +287,22 @@ def test_a_ladder_session_takes_one_encode_pool_job_per_gop(monkeypatch):
     messages, stats = _serve(drill, queue_frames=frames,
                              egress_frames=4 * frames,
                              watchdog_multiple=33.0)
-    assert jobs == [("push", 0)] + [("push", gop * _GOP + _GOP - 1)
-                                    for gop in range(3)]
+    gops = [list(range(g * _GOP, (g + 1) * _GOP)) for g in range(3)]
+    if ladder is None:
+        assert jobs == ([[i] for i in range(frames)] if paced else gops)
+    elif paced:
+        assert jobs == [[0]] + [[gop[-1]] for gop in gops]
+    else:
+        assert jobs == [gops[0]] + [[gop[-1]] for gop in gops[1:]]
     watchdog = 33.0 * _GOP / 24.0  # no other wait in the server is 11 s
     assert guarded.count(watchdog) == len(jobs)
+    rungs = range(len(ladder or (None,)))
     encoded = [m for m in messages if isinstance(m, Encoded)]
     assert sorted((m.frame_index, m.rung) for m in encoded) == [
-        (index, rung) for index in range(frames)
-        for rung in range(len(_LADDER))]
+        (index, rung) for index in range(frames) for rung in rungs]
     assert all(m.dropped is None for m in encoded)
     assert stats["frames_received"] == frames
-    assert stats["frames_encoded"] == frames * len(_LADDER)
+    assert stats["frames_encoded"] == frames * len(rungs)
     assert stats["recovery"]["watchdog_fires"] == 0
 
 
@@ -390,16 +420,15 @@ def test_a_cut_under_an_append_in_flight_leaves_a_counted_record(tmp_path):
         writer.transport.abort()
         await until(lambda: not server._active_handlers)  # torn down
         return (ack.resume_token,
-                registry.value("repro_serving_journal_gops_total"),
-                registry.value("repro_serving_frames_total", direction="out"))
+                registry.value("repro_serving_journal_gops_total"))
 
-    token, counted, sent = _serve(drill, journal_dir=str(tmp_path),
-                                  fileops=faultfs)
+    token, counted = _serve(drill, journal_dir=str(tmp_path),
+                            fileops=faultfs)
     assert faultfs.injected == {("journal.append", "stall"): 1}
     kinds = [kind for kind, _ in read_journal(
         JournalStore(str(tmp_path)).path_for(token)).records]
     assert kinds == ["admit", "gop"]
-    assert counted == 1 and not sent  # durable, counted, never egressed
+    assert counted == 1  # durable and counted
 
 
 def test_average_psnr_is_numpy_mean_to_the_bit():
