@@ -365,9 +365,6 @@ class _Session:
         # -- recovery state --------------------------------------------
         self.resume_token = resume_token
         self.journal = journal
-        #: The injector's seeded stream does not rewind on RESUME, so an
-        #: armed one keeps every outcome behind its GOP's record.
-        self.spiky = injector is not None
         #: Bumped by the watchdog; cooperative cancellation hook for
         #: anything (tests, instrumented encoders) polling it.
         self.epoch = 0
@@ -1689,7 +1686,11 @@ class NetworkServer:
         writer thread; the emit loop releases what waited for it once
         the append is done."""
         encoder = session.encoder
-        boundary = not encoder.pending_frames
+        # A GOP closes when nothing is left pending *and* something was
+        # pushed into it: a watchdog that wedged a GOP's first frame
+        # leaves the encoder empty at its boundary, with no GOP to close.
+        boundary = (not encoder.pending_frames
+                    and bool(outputs or session.gop_outputs))
         if boundary and self._tracks_gop_state(session):
             session.last_state = encoder.export_state()
             session.replay_frames = []
@@ -1703,7 +1704,10 @@ class NetworkServer:
                 await session.emit_queue.put((released, None, []))
             return
         session.gop_outputs += outputs
-        if session.spiky or session.pending_drops or session.withheld:
+        # The injector's seeded stream does not rewind on RESUME, so an
+        # armed one keeps every outcome behind its GOP's record.
+        if (self.config.fault_spike_rate > 0 or session.pending_drops
+                or session.withheld):
             session.withheld += outputs
             outputs = []
         if not boundary:
@@ -1791,8 +1795,11 @@ class NetworkServer:
             released = session.pending_drops
             reason = "server draining; session parked for resume"
         else:
-            released = (session.withheld + session.pending_drops
-                        + session.encoder.finish())
+            # A ladder of several rungs still scales and encodes its
+            # held frames here, so the tail runs on the pool.
+            tail = await asyncio.get_running_loop().run_in_executor(
+                self._encode_pool, session.encoder.finish)
+            released = session.withheld + session.pending_drops + tail
             reason = ("session complete" if end is _BYE_SENTINEL
                       else "server draining")
         session.withheld, session.pending_drops = [], []

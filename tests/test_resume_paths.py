@@ -646,6 +646,59 @@ def test_early_egress_is_off_while_a_taint_holds(tmp_path, monkeypatch,
         assert taint in [dropped[i] for i in gop]
 
 
+@pytest.mark.parametrize("wedged", [0, _GOP])
+def test_a_watchdog_on_a_gops_first_frame_loses_one_frame(
+        tmp_path, monkeypatch, wedged):
+    """A paced, journaled session whose watchdog fires on a GOP's first
+    frame — the session's very first, or the second GOP's: the rebuilt
+    encoder holds nothing, so there is no GOP to close and no state to
+    export.  One frame is lost; the session continues, and the next
+    ``gop`` record carries the drop."""
+    import repro.serving.server as server_mod
+
+    push_all, stalled = server_mod._push_all, []
+
+    def stalling(encoder, frames):
+        if wedged in [f.index for f in frames] and not stalled:
+            stalled.append(wedged)
+            time.sleep(0.5)
+        return push_all(encoder, frames)
+
+    monkeypatch.setattr(server_mod, "_push_all", stalling)
+    total = 3 * _GOP
+
+    async def drill(server):
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port)
+        await write_message(writer, Hello(width=_W, height=_H, fps=24.0,
+                                          gop=_GOP, client_id="first"))
+        token = (await read_message(reader)).resume_token
+        for i in range(total):
+            await _send_frames(writer, [i])
+            await asyncio.sleep(0.05)
+        await write_message(writer, Bye("done"))
+        dropped = {}
+        while True:
+            msg = await read_message(reader)
+            if isinstance(msg, Bye):
+                break
+            if isinstance(msg, Encoded):
+                dropped[msg.frame_index] = msg.dropped
+        writer.close()
+        path = server._journal_store.path_for(token)
+        return dropped, [payload for kind, payload
+                         in read_journal(path).records if kind == "gop"]
+
+    dropped, records = _serve(
+        drill, tmp_path, watchdog_multiple=1.0, watchdog_min_s=0.05)
+    assert stalled == [wedged]
+    assert dropped == {i: "watchdog" if i == wedged else None
+                       for i in range(total)}
+    carried = [o for r in records for o in r["outputs"]
+               if o["frame_index"] == wedged]
+    assert [o["dropped"] for o in carried] == ["watchdog"]
+
+
 class _ShedsTheThirdFrame:
     """An energy budget that sheds the tenant for one frame: the third
     the encode loop takes."""
