@@ -33,9 +33,8 @@ trace buffer as JSONL.  ``metrics`` pretty-prints such a snapshot
 ``serve-net`` runs the real asyncio network front-end (admission
 control, backpressure, online GOP encoding); ``loadgen`` drives it with
 a seeded arrival process and content mix and prints a latency /
-deadline-miss report.  ``--seed`` on ``serve``/``serve-net``/``loadgen``
-makes every stochastic component (corpus, fault injection, arrivals,
-content mix) reproducible.
+deadline-miss report.  ``--seed`` on ``serve``/``loadgen`` makes every
+stochastic component (corpus, arrivals, content mix) reproducible.
 
 ``serve-net --journal-dir`` enables the fault-tolerance stack of
 ``DESIGN.md`` §11: per-session journals, RESUME after a connection
@@ -290,28 +289,22 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
 
     _enter_run_dir(args.run_dir, "server")
     config = ServeNetConfig(
-        host=args.host, port=args.port, fps=args.fps, gop=args.gop,
-        seed=args.seed, queue_frames=args.queue_frames,
+        host=args.host, port=args.port, queue_frames=args.queue_frames,
         egress_frames=args.egress_frames,
-        fault_spike_rate=args.spike_rate,
-        fault_spike_factor=args.spike_factor,
         admission=AdmissionPolicy(utilization=args.utilization,
                                   park_capacity=args.park_capacity),
         journal_dir=args.journal_dir,
-        journal_fsync=not args.no_journal_fsync,
         watchdog_multiple=args.watchdog_multiple,
         watchdog_min_s=args.watchdog_min,
         drain_grace_s=args.drain_grace,
         policy_file=args.policy,
-        policy_reload_s=args.policy_reload,
     )
 
     async def run() -> None:
         server = NetworkServer(config)
         await server.start()
         print(f"serving on {config.host}:{server.port} "
-              f"(fps {config.fps:g}, gop {config.gop}, "
-              f"queue {config.queue_frames} frames)", flush=True)
+              f"(queue {config.queue_frames} frames)", flush=True)
         loop = asyncio.get_running_loop()
         term = asyncio.Event()
         try:
@@ -364,13 +357,11 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
 
     _enter_run_dir(args.run_dir, "supervisor")
     server = ServeNetConfig(
-        fps=args.fps, gop=args.gop, seed=args.seed,
         queue_frames=args.queue_frames,
         egress_frames=args.egress_frames,
         admission=AdmissionPolicy(utilization=args.utilization,
                                   park_capacity=args.park_capacity),
         journal_dir=args.journal_dir,
-        journal_fsync=not args.no_journal_fsync,
         drain_grace_s=args.drain_grace,
         policy_file=args.policy,
     )
@@ -474,23 +465,9 @@ def _parse_weighted(specs) -> tuple:
 
 
 def _cmd_policy(args: argparse.Namespace) -> int:
-    from repro.policy import (
-        PolicyError,
-        compile_policy,
-        load_policy_file,
-        plan_change,
-    )
+    from repro.policy import PolicyError, compile_policy, load_policy_file
 
-    if args.action == "plan" and not args.new_file:
-        print("policy plan needs two documents: <current> <proposed>",
-              file=sys.stderr)
-        return 2
     try:
-        if args.action == "plan":
-            old = compile_policy(load_policy_file(args.file))
-            new = compile_policy(load_policy_file(args.new_file))
-            print(plan_change(old, new).summary())
-            return 0
         policy = compile_policy(load_policy_file(args.file))
     except PolicyError as exc:
         print(f"policy invalid: {exc}", file=sys.stderr)
@@ -694,11 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     sn.add_argument("--host", default="127.0.0.1")
     sn.add_argument("--port", type=int, default=0,
                     help="TCP port (0 = ephemeral; the bound port is printed)")
-    sn.add_argument("--fps", type=float, default=24.0)
-    sn.add_argument("--gop", type=int, default=8)
-    sn.add_argument("--seed", type=int, default=0,
-                    help="seed for stochastic serving components "
-                         "(fault injection)")
     sn.add_argument("--queue-frames", type=int, default=16,
                     help="per-session ingest queue bound")
     sn.add_argument("--egress-frames", type=int, default=32,
@@ -707,9 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fraction of cores admission may fill")
     sn.add_argument("--park-capacity", type=int, default=2,
                     help="waiting-room size for parked sessions")
-    sn.add_argument("--spike-rate", type=float, default=0.0,
-                    help="seeded CPU-time spike injection rate (0 = off)")
-    sn.add_argument("--spike-factor", type=float, default=8.0)
     sn.add_argument("--duration", type=float, default=None, metavar="SECONDS",
                     help="stop after this long (default: run until ^C)")
     sn.add_argument("--metrics-out", default=None, metavar="PATH",
@@ -717,8 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     sn.add_argument("--journal-dir", default=None, metavar="DIR",
                     help="per-session journal directory (enables RESUME, "
                          "drain parking and the warm LUT checkpoint)")
-    sn.add_argument("--no-journal-fsync", action="store_true",
-                    help="skip fsync on journal appends (benchmarks only)")
     sn.add_argument("--watchdog-multiple", type=float, default=0.0,
                     help="cancel an encode exceeding this multiple of the "
                          "GOP real-time budget (0 = watchdog off)")
@@ -731,10 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="tenant policy document (YAML/JSON); compiles "
                          "into admission weights, degradation caps, "
                          "DVFS bounds and the energy budget")
-    sn.add_argument("--policy-reload", type=float, default=0.0,
-                    metavar="SECONDS", dest="policy_reload",
-                    help="poll the policy file for hot reload "
-                         "(0 = no reload)")
     sn.add_argument("--run-dir", default=None, metavar="DIR",
                     help="directory for runtime artifacts (pidfile); "
                          "created if missing")
@@ -749,9 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
     sf.add_argument("--host", default="127.0.0.1")
     sf.add_argument("--port", type=int, default=0,
                     help="public TCP port of the router (0 = ephemeral)")
-    sf.add_argument("--fps", type=float, default=24.0)
-    sf.add_argument("--gop", type=int, default=8)
-    sf.add_argument("--seed", type=int, default=0)
     sf.add_argument("--queue-frames", type=int, default=16)
     sf.add_argument("--egress-frames", type=int, default=32)
     sf.add_argument("--utilization", type=float, default=1.0,
@@ -763,7 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
     sf.add_argument("--journal-dir", required=True, metavar="DIR",
                     help="shared state directory (journals, leases, LUT "
                          "checkpoint); required — adoption needs it")
-    sf.add_argument("--no-journal-fsync", action="store_true")
     sf.add_argument("--heartbeat", type=float, default=0.25,
                     metavar="SECONDS", help="worker heartbeat interval")
     sf.add_argument("--backoff-base", type=float, default=0.25,
@@ -876,14 +835,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     po = sub.add_parser(
         "policy",
-        help="validate, inspect or diff tenant policy documents",
+        help="validate or inspect a tenant policy document",
     )
-    po.add_argument("action", choices=["validate", "show", "plan"],
+    po.add_argument("action", choices=["validate", "show"],
                     help="validate: parse+compile; show: print the "
-                         "compiled knobs; plan: diff two documents")
+                         "compiled knobs")
     po.add_argument("file", help="policy document (YAML or JSON)")
-    po.add_argument("new_file", nargs="?", default=None,
-                    help="proposed document (plan only)")
     po.set_defaults(func=_cmd_policy)
 
     m = sub.add_parser(

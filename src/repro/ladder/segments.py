@@ -258,8 +258,3 @@ class LadderSegmentReader:
                     f"segment {ref.uri} carries a foreign message {msg!r}"
                 )
         return messages
-
-    def iter_rung(self, rung_id: int):
-        """Every ENCODED message of one rung, in frame order."""
-        for i in range(len(self.segment_refs(rung_id))):
-            yield from self.read_segment(rung_id, i)

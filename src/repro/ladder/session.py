@@ -28,8 +28,8 @@ assert, and what makes the shared-analysis savings free.
 
 The ingest frame is shared too, until the rungs use it.  Several
 rungs encode rung-major — the primary's whole GOP, then the next
-rung's — so the shared fault stream and the LUT's observation order
-are what they were when each push scaled on arrival: a mid-GOP
+rung's — so the LUT's observation order is what it was when each
+push scaled on arrival: a mid-GOP
 :meth:`push` only checks the frame and holds it, and the push that
 closes the GOP (or :meth:`finish`) scales and feeds the held frames
 rung by rung.  A ladder of **one** rung has no order to keep: each
@@ -57,7 +57,6 @@ from repro.analysis.classes import FrameFeatures, extract_features
 from repro.ladder.config import LadderConfig
 from repro.ladder.planner import LadderPlan, LadderPlanner, PlannedRung
 from repro.observability import get_registry
-from repro.resilience.faults import FaultInjector
 from repro.transcode.pipeline import (
     FrameOutput,
     PipelineConfig,
@@ -98,9 +97,7 @@ class LadderSession:
     are inherited by every rung, only ``content_class`` (pinned to the
     shared classification) and ``rung_resolution`` (the LUT key tag;
     ``None`` on the primary so full-resolution statistics keep pooling
-    with pre-ladder sessions) differ per rung.  ``fault_injector``
-    perturbs every rung's measured tile times (one seeded stream
-    shared by the rungs, in encode order).
+    with pre-ladder sessions) differ per rung.
     """
 
     def __init__(
@@ -108,14 +105,12 @@ class LadderSession:
         base_config: Optional[PipelineConfig] = None,
         ladder: Optional[LadderConfig] = None,
         estimator: Optional[WorkloadEstimator] = None,
-        fault_injector: Optional[FaultInjector] = None,
     ):
         self.base_config = base_config or PipelineConfig()
         self.ladder = ladder or LadderConfig()
         #: Shared across rungs: every rung's tile observations land in
         #: one LUT, under per-resolution keys.
         self.estimator = estimator or WorkloadEstimator()
-        self.fault_injector = fault_injector
         self.planner = LadderPlanner(self.ladder)
         self.plan: Optional[LadderPlan] = None
         self.features: Optional[FrameFeatures] = None
@@ -173,9 +168,7 @@ class LadderSession:
                 ),
             )
             rs = RungSession(planned, StreamTranscoder(
-                cfg, estimator=self.estimator,
-                fault_injector=self.fault_injector,
-            ))
+                cfg, estimator=self.estimator))
             for bump in self._early_bumps:
                 rs.session.bump_degradation(*bump)
             self.rung_sessions.append(rs)

@@ -1,6 +1,6 @@
 """Declarative per-tenant policy: documents, compiler, energy budget.
 
-The package splits cleanly into four layers:
+The package splits cleanly into three layers:
 
 * :mod:`repro.policy.document` — YAML/JSON grammar, schema validation
   with actionable line/key errors, the frozen :class:`PolicyDocument`.
@@ -9,8 +9,9 @@ The package splits cleanly into four layers:
   shed order, ladder caps, DVFS bounds).
 * :mod:`repro.policy.energy` — the sliding energy ledger and the
   brownout scheduler that enforces the power envelope.
-* :mod:`repro.policy.manager` — versioned plan/apply lifecycle with
-  mtime-polled hot reload.
+
+A server loads its policy once, at start; a changed file takes a drain
+and a restart.
 """
 
 from repro.policy.compiler import CompiledPolicy, TenantRuntime, compile_policy
@@ -25,7 +26,6 @@ from repro.policy.document import (
     parse_policy,
 )
 from repro.policy.energy import BrownoutEvent, EnergyBudgetScheduler, EnergyLedger
-from repro.policy.manager import PolicyManager, PolicyPlan, plan_change
 
 __all__ = [
     "PRIORITY_TIERS",
@@ -37,12 +37,9 @@ __all__ = [
     "EnergyLedger",
     "PolicyDocument",
     "PolicyError",
-    "PolicyManager",
-    "PolicyPlan",
     "TenantRuntime",
     "TenantSpec",
     "compile_policy",
     "load_policy_file",
     "parse_policy",
-    "plan_change",
 ]

@@ -404,10 +404,9 @@ def load_policy_file(path: str, fileops=None) -> PolicyDocument:
     line/column context.
 
     ``fileops`` is the injectable filesystem seam of
-    :mod:`repro.storage.faultfs` (``None`` = real filesystem); a torn
-    or failing read surfaces as a typed ``OSError`` subclass which the
-    hot-reload path (:meth:`repro.policy.manager.PolicyManager
-    .maybe_reload`) turns into a counted, non-fatal reload error.
+    :mod:`repro.storage.faultfs` (``None`` = real filesystem); a
+    failing read surfaces as a typed ``OSError`` subclass, which
+    refuses to start the server that asked for the policy.
     """
     if fileops is not None:
         text = fileops.read_bytes(path, point="policy.read").decode("utf-8")

@@ -149,10 +149,6 @@ class EnergyBudgetScheduler:
     def shed_tenants(self) -> Tuple[str, ...]:
         return tuple(self._shed)
 
-    @property
-    def brownout_active(self) -> bool:
-        return bool(self._shed)
-
     def admits(self, tenant: str) -> Tuple[bool, str]:
         """May a new session of ``tenant`` be admitted right now?"""
         name = self.policy.resolve_name(tenant)

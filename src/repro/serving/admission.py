@@ -35,6 +35,7 @@ relief threshold walks the ladder back down.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -167,7 +168,7 @@ class AdmissionController:
     # -- tenant policy -------------------------------------------------
     def set_policy(self, compiled: Optional[CompiledPolicy],
                    energy: Optional[EnergyBudgetScheduler] = None) -> None:
-        """(Re)wire the tenant policy; hot-reload entry point.
+        """Wire the tenant policy (once, when the server starts).
 
         A policy with DVFS bounds swaps in an allocator on the clamped
         platform, so every capacity estimate from here on prices
@@ -300,14 +301,14 @@ class AdmissionController:
     # -- decisions -----------------------------------------------------
     def decide(
         self, session_id: int, hello: Hello,
-        fps: Optional[float] = None,
     ) -> Tuple[AdmissionDecision, str, Rungs]:
         """Admission decision for one HELLO:
         ``(decision, reason, kept_rungs)``.
 
-        ``fps`` overrides the HELLO's frame rate (the server's slot
-        clock wins when they disagree).  An ACCEPT immediately charges
-        the session; callers must :meth:`release` it when it ends.
+        The HELLO's frame rate is the session's one slot clock; a rate
+        that is not finite and positive is refused.  An ACCEPT
+        immediately charges the session; callers must :meth:`release`
+        it when it ends.
         ``kept_rungs`` are the ``(width, height)`` pairs actually
         admitted, a prefix of :func:`requested_rungs` (empty unless
         ACCEPT).  Degradation order: before parking or shedding the
@@ -319,9 +320,10 @@ class AdmissionController:
         and feeds the overload ladder, against the tenant's own
         entitlement it is not.
         """
-        fps = fps if fps is not None else hello.fps
+        fps = hello.fps
         rungs = requested_rungs(hello)
-        refusal = ("non-positive fps" if fps <= 0
+        refusal = ("fps must be finite and positive"
+                   if not (math.isfinite(fps) and fps > 0)
                    else _rung_problem(hello, rungs))
         if not refusal and self._draining:
             refusal = "server draining; admissions stopped"
@@ -363,7 +365,7 @@ class AdmissionController:
         # shorter prefixes, before giving up on the session entirely.
         for cut in range(len(rungs), 0, -1):
             candidate = UserDemand(user_id=session_id, threads=threads[:cut])
-            cores = cores_needed(candidate, hello.fps)
+            cores = cores_needed(candidate, fps)
             over_entitlement = (entitled is not None
                                 and occupied + cores > entitled + 1e-9)
             if over_entitlement:
@@ -451,12 +453,12 @@ class AdmissionController:
         return decision, reason, kept
 
     def unpark(
-        self, session_id: int, hello: Hello, fps: Optional[float] = None,
+        self, session_id: int, hello: Hello,
     ) -> Tuple[AdmissionDecision, str, Rungs]:
         """Retry admission for a parked session (frees its park slot;
         a PARK outcome re-takes it)."""
         self._parked = max(0, self._parked - 1)
-        return self.decide(session_id, hello, fps)
+        return self.decide(session_id, hello)
 
     def abandon_park(self) -> None:
         """A parked session gave up (timeout or disconnect)."""

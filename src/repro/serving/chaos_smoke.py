@@ -27,7 +27,7 @@ SEED = 11
 async def _run(sessions: int, frames: int) -> int:
     with tempfile.TemporaryDirectory() as journal_dir:
         server = NetworkServer(ServeNetConfig(
-            port=0, seed=SEED, journal_dir=journal_dir,
+            port=0, journal_dir=journal_dir,
         ))
         await server.start()
         try:

@@ -339,8 +339,7 @@ class FleetSupervisor:
     def __init__(self, config: FleetConfig):
         self.config = config
         self._store = SharedDirStateStore(
-            config.server.journal_dir, fsync=config.server.journal_fsync,
-            owner=f"supervisor:{os.getpid()}",
+            config.server.journal_dir, owner=f"supervisor:{os.getpid()}",
         )
         self.fleet_admission = FleetAdmission(
             platform=config.server.platform,
@@ -353,7 +352,8 @@ class FleetSupervisor:
         # single server.
         if config.server.policy_file is not None:
             self.fleet_admission.set_policy(
-                compile_policy(load_policy_file(config.server.policy_file))
+                compile_policy(load_policy_file(
+                    config.server.policy_file, fileops=config.server.fileops))
             )
         self._mp = multiprocessing.get_context("spawn")
         self._handles: Dict[str, _WorkerHandle] = {

@@ -59,10 +59,7 @@ async def _run_pass(
         workers=WORKERS,
         heartbeat_s=0.15,
         restart=RestartPolicy(backoff_base_s=0.2),
-        server=ServeNetConfig(
-            gop=GOP, seed=SEED, journal_dir=journal_dir,
-            journal_fsync=False,
-        ),
+        server=ServeNetConfig(journal_dir=journal_dir),
     )
     supervisor = FleetSupervisor(config)
     await supervisor.start()

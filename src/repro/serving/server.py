@@ -49,8 +49,8 @@ journaled outcomes the old connection never delivered, and the client
 resends from the boundary.  The contract is that nothing leaves that
 RESUME cannot reproduce: an outcome leaves as soon as it is encoded
 unless a timing decision (backpressure, policy, watchdog) gave a frame
-up since the last record, or a fault injector is armed — then it waits
-for its GOP's record.  ``watchdog_multiple``
+up since the last record — then it waits for its GOP's record.
+``watchdog_multiple``
 arms an encode watchdog: a job that exceeds the deadline multiple is
 abandoned (the executor is replaced), the encoder is rebuilt from the
 in-memory per-rung GOP-boundary snapshot, the job's last frame is
@@ -77,15 +77,14 @@ from repro.codec.config import EncoderConfig, GopConfig
 from repro.observability import get_registry, get_tracer
 from repro.platform.mpsoc import MpsocConfig, XEON_E5_2667
 from repro.platform.power import PowerModel
-from repro.policy.compiler import CompiledPolicy
+from repro.policy.compiler import CompiledPolicy, compile_policy
+from repro.policy.document import load_policy_file
 from repro.policy.energy import EnergyBudgetScheduler
-from repro.policy.manager import PolicyManager
 from repro.resilience.errors import (
     CorruptFrameError,
     JournalCorruptionError,
     LeaseHeldError,
 )
-from repro.resilience.faults import FaultConfig, FaultInjector
 from repro.resilience.degradation import ResilienceConfig
 # Submodule imports (not the repro.ladder package) keep the
 # ladder <-> serving import cycle unwound: repro.ladder.segments
@@ -152,11 +151,6 @@ class ServeNetConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral
-    fps: float = 24.0
-    gop: int = 8
-    #: Seed for every stochastic serving component (currently the
-    #: optional CPU-time fault injection below).
-    seed: int = 0
     #: Bound of the per-session ingest queue (frames awaiting encode).
     queue_frames: int = 16
     #: Bound of the per-session egress queue (encoded frames awaiting
@@ -168,18 +162,11 @@ class ServeNetConfig:
     resilience: Optional[ResilienceConfig] = field(
         default_factory=ResilienceConfig
     )
-    #: Seeded CPU-time spike injection (0 disables); reproducible from
-    #: ``seed``.
-    fault_spike_rate: float = 0.0
-    fault_spike_factor: float = 8.0
     admission: AdmissionPolicy = AdmissionPolicy()
     platform: MpsocConfig = XEON_E5_2667
     #: Directory of per-session journals (``None`` disables journaled
     #: resume, graceful parking and the warm LUT checkpoint).
     journal_dir: Optional[str] = None
-    #: fsync each journal append (off only for benchmarks that want to
-    #: isolate the serialization cost from the disk).
-    journal_fsync: bool = True
     #: Encode watchdog: one encode job (at most one GOP of frames)
     #: exceeding ``watchdog_multiple`` x GOP x ``1/FPS`` wall seconds is
     #: declared wedged and cancelled (0 disables).
@@ -194,11 +181,10 @@ class ServeNetConfig:
     #: admit/resume records (``""`` = standalone single-server mode).
     worker_id: str = ""
     #: Tenant policy document (``None`` = pre-policy behaviour: no
-    #: tenants, no energy budget, bit-identical to a policy-less build).
+    #: tenants, no energy budget, bit-identical to a policy-less build),
+    #: loaded once at construction; a changed file takes a drain and a
+    #: restart.
     policy_file: Optional[str] = None
-    #: Seconds between policy-file mtime polls for hot reload (0
-    #: disables reload; the startup load still happens).
-    policy_reload_s: float = 0.0
     #: Injectable filesystem seam for every durable write (journals,
     #: leases, LUT checkpoints, policy reads).  ``None`` = the real
     #: filesystem; tests and the torture harness pass a
@@ -331,7 +317,7 @@ class _Session:
         self.qp = qp
         self.window = window
         pipeline = PipelineConfig(
-            fps=hello.fps if hello.fps > 0 else cfg.fps,
+            fps=hello.fps,
             gop=GopConfig(max(1, hello.gop)),
             base_config=EncoderConfig(qp=qp, search="hexagon",
                                       search_window=window),
@@ -339,24 +325,16 @@ class _Session:
             resilience=server.resilience_for(hello),
             platform=cfg.platform,
         )
-        injector = None
-        if cfg.fault_spike_rate > 0:
-            injector = FaultInjector(FaultConfig(
-                seed=cfg.seed + session_id,
-                time_spike_rate=cfg.fault_spike_rate,
-                time_spike_factor=cfg.fault_spike_factor,
-            ))
         #: Builds a fresh encoder over the admitted rungs: the session's
-        #: first, and the one the watchdog rebuilds it on (the fault
-        #: injector's seeded stream carries over).  The rung set is the
-        #: *admitted* ladder, so the planner's own content pruning is
-        #: off — the client receives exactly the rungs the HELLO_ACK
-        #: promised.
+        #: first, and the one the watchdog rebuilds it on.  The rung set
+        #: is the *admitted* ladder, so the planner's own content
+        #: pruning is off — the client receives exactly the rungs the
+        #: HELLO_ACK promised.
         self.new_encoder = functools.partial(
             LadderSession, pipeline,
             LadderConfig(rungs=tuple(LadderRung(w, h) for w, h in rungs),
                          prune=False),
-            estimator=server.estimator, fault_injector=injector,
+            estimator=server.estimator,
         )
         #: The session's one encoder; its outputs are rung-tagged.
         self.encoder: LadderSession = self.new_encoder()
@@ -365,9 +343,6 @@ class _Session:
         # -- recovery state --------------------------------------------
         self.resume_token = resume_token
         self.journal = journal
-        #: Bumped by the watchdog; cooperative cancellation hook for
-        #: anything (tests, instrumented encoders) polling it.
-        self.epoch = 0
         #: Raw frames pushed since the last GOP boundary — the watchdog
         #: rebuild and the drain park record re-feed from here.
         self.replay_frames: List[Frame] = []
@@ -453,8 +428,7 @@ class NetworkServer:
         self._tombstoned: set = set()
         if config.journal_dir is not None:
             self._journal_store = SharedDirStateStore(
-                config.journal_dir, fsync=config.journal_fsync,
-                owner=self._owner, fileops=config.fileops,
+                config.journal_dir, owner=self._owner, fileops=config.fileops,
                 retry=RetryPolicy(backoff_s=config.journal_retry_backoff_s),
                 on_retry=self._on_journal_retry,
             )
@@ -470,19 +444,23 @@ class NetworkServer:
         )
         #: Tenant policy plumbing (all ``None`` without --policy; every
         #: policy hook below degrades to a single branch).
-        self.policy_manager: Optional[PolicyManager] = None
+        self.compiled_policy: Optional[CompiledPolicy] = None
         self.energy: Optional[EnergyBudgetScheduler] = None
         self._power_model: Optional[PowerModel] = None
         if config.policy_file is not None:
-            # A broken policy file refuses to start the server (the
-            # manager's initial load is strict); hot-reload failures
-            # later keep the active policy and count an error.
-            self.policy_manager = PolicyManager(config.policy_file,
-                                                fileops=config.fileops)
-            self._apply_policy(self.policy_manager.active)
-            self.policy_manager.on_apply(
-                lambda policy, plan, rev: self._apply_policy(policy)
+            # Loaded once and strictly: a torn, invalid or unreadable
+            # file refuses to start the server.
+            policy = self.compiled_policy = compile_policy(
+                load_policy_file(config.policy_file, fileops=config.fileops)
             )
+            self.energy = EnergyBudgetScheduler(policy)
+            self._power_model = PowerModel()
+            self.admission.set_policy(policy, self.energy)
+            get_registry().set_gauge(
+                "repro_policy_tenants", len(policy.tenants),
+                help="Tenants defined by the applied policy",
+            )
+            get_tracer().event("policy.apply", source=policy.source or "")
         self._policy_task: Optional[asyncio.Task] = None
         self._server: Optional[asyncio.base_events.Server] = None
         # The encode pool: CPU work leaves the event loop here.  Each
@@ -519,18 +497,6 @@ class NetworkServer:
         self._attached: Dict[str, asyncio.Task] = {}
 
     # -- tenant policy -------------------------------------------------
-    def _apply_policy(self, policy: CompiledPolicy) -> None:
-        """Make a compiled policy live: fresh energy scheduler (the
-        ledger restarts — an edited cap judges only post-edit draw) and
-        a re-wired admission controller on the clamped platform."""
-        self.energy = EnergyBudgetScheduler(policy)
-        self._power_model = PowerModel()
-        self.admission.set_policy(policy, self.energy)
-
-    @property
-    def compiled_policy(self) -> Optional[CompiledPolicy]:
-        return self.policy_manager.active if self.policy_manager else None
-
     def resolve_tenant(self, hello: Hello) -> str:
         policy = self.compiled_policy
         if policy is None:
@@ -545,30 +511,16 @@ class NetworkServer:
         return policy.resilience_for(hello.tenant, self.config.resilience)
 
     async def _policy_loop(self) -> None:
-        """Housekeeping tick: energy-budget checks plus (optionally)
-        policy-file hot reload."""
-        cfg = self.config
+        """Housekeeping tick: energy-budget checks."""
         loop = asyncio.get_running_loop()
-        interval = 0.05
-        if self.energy is not None:
-            interval = max(
-                0.05, min(1.0, self.energy.policy.energy_window_s / 4)
-            )
-        next_reload = (loop.time() + cfg.policy_reload_s
-                       if cfg.policy_reload_s > 0 else None)
+        interval = max(0.05, min(1.0, self.energy.policy.energy_window_s / 4))
         while True:
             await asyncio.sleep(interval)
-            if self.energy is not None:
-                events = self.energy.check(loop.time())
-                if any(e.kind in ("readmit", "unthrottle")
-                       for e in events):
-                    # Readmission frees admission headroom for tenants
-                    # parked behind the brownout gate.
-                    self._capacity_freed.set()
-            if (next_reload is not None and loop.time() >= next_reload
-                    and self.policy_manager is not None):
-                next_reload = loop.time() + cfg.policy_reload_s
-                self.policy_manager.maybe_reload()
+            events = self.energy.check(loop.time())
+            if any(e.kind in ("readmit", "unthrottle") for e in events):
+                # Readmission frees admission headroom for tenants
+                # parked behind the brownout gate.
+                self._capacity_freed.set()
 
     # -- durability brownout (DESIGN.md §16) ---------------------------
     def _on_journal_retry(self, exc: StorageError) -> None:
@@ -789,7 +741,7 @@ class NetworkServer:
         self._server = await asyncio.start_server(
             self._handle_client, self.config.host, self.config.port,
         )
-        if self.policy_manager is not None and self._policy_task is None:
+        if self.energy is not None and self._policy_task is None:
             self._policy_task = asyncio.ensure_future(self._policy_loop())
         get_registry().set_gauge(
             "repro_serving_listening", 1, help="1 while the server accepts",
@@ -1615,7 +1567,6 @@ class NetworkServer:
         session.stats.watchdog_fires += 1
         registry.inc("repro_serving_watchdog_fires_total",
                      help="Encode watchdog firings")
-        session.epoch += 1
         # Replace the shared executor: its single worker thread is
         # stuck inside the wedged job.  Sessions with work queued on
         # the old pool see a cancellation and abort — their journals
@@ -1651,7 +1602,7 @@ class NetworkServer:
         await self._give_up(session, wedged.index, "watchdog")
         get_tracer().event(
             "serving.watchdog", session=session.session_id,
-            frame=wedged.index, epoch=session.epoch,
+            frame=wedged.index,
         )
         return outputs
 
@@ -1673,9 +1624,9 @@ class NetworkServer:
                              outputs: List[FrameOutput]) -> None:
         """Hand one batch's outputs to the emit loop: at once, unless
         RESUME could not reproduce them (DESIGN.md §11) — a journaled
-        session holds them for their GOP's record while a fault
-        injector is armed, a timing drop awaits a record, or earlier
-        outputs are held (they leave in order).
+        session holds them for their GOP's record while a timing drop
+        awaits a record, or earlier outputs are held (they leave in
+        order).
 
         At a GOP boundary the cross-GOP state is captured *here*,
         synchronously (``export_state`` builds a small dict per rung
@@ -1704,10 +1655,7 @@ class NetworkServer:
                 await session.emit_queue.put((released, None, []))
             return
         session.gop_outputs += outputs
-        # The injector's seeded stream does not rewind on RESUME, so an
-        # armed one keeps every outcome behind its GOP's record.
-        if (self.config.fault_spike_rate > 0 or session.pending_drops
-                or session.withheld):
+        if session.pending_drops or session.withheld:
             session.withheld += outputs
             outputs = []
         if not boundary:

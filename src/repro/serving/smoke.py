@@ -17,7 +17,7 @@ from repro.serving.server import NetworkServer, ServeNetConfig
 
 
 async def _run(sessions: int, frames: int) -> int:
-    server = NetworkServer(ServeNetConfig(port=0, seed=7))
+    server = NetworkServer(ServeNetConfig(port=0))
     await server.start()
     try:
         report = await run_loadgen_async(LoadGenConfig(

@@ -111,14 +111,6 @@ class FileOps:
         except OSError as exc:
             raise classify_os_error(exc, point) from exc
 
-    def getmtime(self, path: _PathLike, point: str = "") -> float:
-        try:
-            return os.path.getmtime(path)
-        except FileNotFoundError:
-            raise
-        except OSError as exc:
-            raise classify_os_error(exc, point) from exc
-
     # -- append-handle lifecycle (journals) ----------------------------
     def append_open(self, path: _PathLike, point: str = "") -> io.FileIO:
         # Unbuffered on purpose: a failed write must leave no residue
@@ -462,10 +454,6 @@ class FaultFS(FileOps):
     def read_bytes(self, path: _PathLike, point: str = "") -> bytes:
         self._check(point, "read")
         return self.base.read_bytes(path, point)
-
-    def getmtime(self, path: _PathLike, point: str = "") -> float:
-        self._check(point, "read")
-        return self.base.getmtime(path, point)
 
     # -- append-handle lifecycle ---------------------------------------
     def append_open(self, path: _PathLike, point: str = "") -> io.FileIO:

@@ -164,7 +164,7 @@ async def _drill(root: str, fileops: Optional[FileOps]) -> List[Tuple]:
                    json.dumps(_POLICY_V1, sort_keys=True).encode(),
                    point="policy.write")
     config = ServeNetConfig(
-        port=0, seed=0, gop=_GOP, journal_dir=root, fileops=fileops,
+        port=0, journal_dir=root, fileops=fileops,
         policy_file=policy_path, drain_grace_s=30.0,
     )
     digests: List[Tuple] = []
@@ -189,11 +189,14 @@ async def _drill(root: str, fileops: Optional[FileOps]) -> List[Tuple]:
                 frame_index=i, width=_W, height=_H, luma=_frame(i),
             ))
         got = []
-        while len(got) < _GOP:  # the GOP record is durable once these
-            msg = await read_message(reader)  # arrive (journal-before-
-            if isinstance(msg, Encoded):  # egress)
+        while len(got) < _GOP:
+            msg = await read_message(reader)
+            if isinstance(msg, Encoded):
                 got.append(msg)
         digests += [_digest(m) for m in got]
+        # The GOP's outcomes may leave before its record lands; the
+        # drain's ``emit_queue.join()`` awaits the append, so the GOP
+        # is durable before the park record and the restart.
         drain_task = asyncio.ensure_future(server.drain())
         _, _ = await _read_to_bye(reader)
         writer.close()
@@ -202,16 +205,15 @@ async def _drill(root: str, fileops: Optional[FileOps]) -> List[Tuple]:
         if not server._draining:
             await server.aclose()
 
-    # Restart: a fresh server over the same store (and the same
-    # recording seam), a policy rewrite, then beta's RESUME.
+    # Restart: a policy rewrite, then a fresh server over the same
+    # store (and the same recording seam) that loads it, then beta's
+    # RESUME.
     ops.write_file(policy_path,
                    json.dumps(_POLICY_V2, sort_keys=True).encode(),
                    point="policy.write")
     server = NetworkServer(config)
     await server.start()
     try:
-        if server.policy_manager is not None:
-            server.policy_manager.maybe_reload()
         reader, writer = await asyncio.open_connection(
             "127.0.0.1", server.port)
         await write_message(writer, Resume(
@@ -397,7 +399,7 @@ async def _brownout_drill(root: str) -> None:
         FaultRule(point="journal.append", kind="enospc", after=2, count=2),
     ], seed=0)
     server = NetworkServer(ServeNetConfig(
-        port=0, seed=0, gop=_GOP, journal_dir=root, fileops=faultfs,
+        port=0, journal_dir=root, fileops=faultfs,
         durability_probe_s=0.05, journal_retry_backoff_s=0.001,
     ))
     await server.start()

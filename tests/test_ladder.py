@@ -41,7 +41,6 @@ from repro.ladder.session import LadderSession
 from repro.platform.schedule import ThreadTask
 from repro.resilience.degradation import DegradationLevel, ResilienceConfig
 from repro.resilience.errors import CorruptFrameError
-from repro.resilience.faults import FaultConfig, FaultInjector
 from repro.serving.admission import (
     AdmissionController,
     AdmissionDecision,
@@ -325,13 +324,6 @@ class TestLadderBitIdentity:
                 session.push(ladder_video.frames[1])
 
 
-def _spiky():
-    # Seeded CPU-time spikes: the resilient pipeline answers them with
-    # deadline drops, so the comparisons below cover drop classes too.
-    return FaultInjector(FaultConfig(seed=3, time_spike_rate=0.3,
-                                     time_spike_factor=80.0))
-
-
 def _push_all(session, frames):
     outputs = [out for frame in frames for out in session.push(frame)]
     return outputs + session.finish()
@@ -360,24 +352,25 @@ class TestOneRungIsThePlainSession:
             width=width, height=height, num_frames=20, seed=5,
             content_class=content, motion=MotionPreset.PAN_RIGHT,
         )).generate()
+        # A 2000 fps slot is shorter than most frames' modelled CPU
+        # time: the resilient pipeline answers with deadline drops, so
+        # the comparisons below cover drop classes too.
         config = PipelineConfig(
-            fps=24.0, gop=GopConfig(8), resilience=ResilienceConfig(),
+            fps=2000.0, gop=GopConfig(8), resilience=ResilienceConfig(),
             content_class=content if pinned else None,
         )
-        with StreamTranscoder(config, fault_injector=_spiky()) as plain:
+        with StreamTranscoder(config) as plain:
             want = _push_all(plain.open_session(), video.frames)
         with LadderSession(
             config, LadderConfig(rungs=(LadderRung(width, height),),
                                  prune=False),
-            fault_injector=_spiky(),
         ) as session:
             got = _push_all(session, video.frames)
             # The feature pass runs only when something consumes it.
             assert (session.features is None) == pinned
         assert {o.rung for o in got} == {0}
         assert _outputs_digest(got) == _outputs_digest(want)
-        if size == (96, 64):  # the spikes bite hardest on small frames
-            assert {o.dropped for o in want} == {None, "deadline"}
+        assert {o.dropped for o in want} == {None, "deadline"}
 
     def test_only_buffers_names_the_pushes_that_do_no_work(self, ladder_video):
         """Several rungs: nothing is scaled before the GOP closes, so

@@ -1,6 +1,6 @@
 """Tenant policy subsystem: document validation, compilation,
-energy-budgeted brownout, hot reload, admission gates and the wire
-compatibility of the HELLO ``tenant`` key."""
+energy-budgeted brownout, the strict startup load, admission gates and
+the wire compatibility of the HELLO ``tenant`` key."""
 
 from __future__ import annotations
 
@@ -22,11 +22,9 @@ from repro.policy import (
     EnergyBudgetScheduler,
     EnergyLedger,
     PolicyError,
-    PolicyManager,
     compile_policy,
     load_policy_file,
     parse_policy,
-    plan_change,
 )
 from repro.policy import smoke as policy_smoke
 from repro.resilience.degradation import DegradationLevel, ResilienceConfig
@@ -35,7 +33,9 @@ from repro.serving.admission import (
     AdmissionDecision,
     AdmissionPolicy,
 )
+from repro.serving.fleet import FleetConfig, FleetSupervisor
 from repro.serving.protocol import Hello, MessageDecoder, encode_message
+from repro.serving.server import NetworkServer, ServeNetConfig
 
 
 def _doc(**overrides) -> dict:
@@ -323,63 +323,20 @@ class TestBrownout:
 
 
 # ----------------------------------------------------------------------
-# Manager: versioned plan/apply + hot reload
+# Startup: a policy is loaded once, strictly
 # ----------------------------------------------------------------------
-class TestManager:
+class TestStartupLoad:
     def test_initial_load_is_strict(self, tmp_path):
+        """A server or a fleet must refuse to start on a broken policy
+        rather than silently run unpoliced."""
         path = tmp_path / "pol.json"
         path.write_text('{"tenants": []}')
+        server = ServeNetConfig(journal_dir=str(tmp_path / "j"),
+                                policy_file=str(path))
         with pytest.raises(PolicyError):
-            PolicyManager(str(path))
-
-    def test_plan_apply_bumps_revision(self, tmp_path):
-        with scoped():
-            path = tmp_path / "pol.json"
-            path.write_text(json.dumps(_doc()))
-            manager = PolicyManager(str(path))
-            assert manager.revision == 1
-            seen = []
-            manager.on_apply(
-                lambda policy, plan, rev: seen.append((rev, plan))
-            )
-            new = compile_policy(parse_policy(_doc(power_cap_w=50.0)))
-            assert "power_cap_w" in manager.plan(new).summary()
-            applied = manager.apply(new)
-            assert "power_cap_w" in applied.summary()
-            assert manager.revision == 2
-            assert seen and seen[0][0] == 2
-
-    def test_reload_error_keeps_active_policy(self, tmp_path):
-        import os
-        with scoped():
-            path = tmp_path / "pol.json"
-            path.write_text(json.dumps(_doc()))
-            manager = PolicyManager(str(path))
-            active = manager.active
-            path.write_text("{broken")
-            os.utime(path, (1e9, 4e9))  # force an mtime change
-            assert manager.maybe_reload() is None
-            assert manager.reload_errors == 1
-            assert manager.last_error is not None
-            assert manager.active is active
-
-    def test_reload_applies_changed_file(self, tmp_path):
-        import os
-        with scoped():
-            path = tmp_path / "pol.json"
-            path.write_text(json.dumps(_doc()))
-            manager = PolicyManager(str(path))
-            path.write_text(json.dumps(_doc(power_cap_w=60.0)))
-            os.utime(path, (1e9, 4e9))
-            plan = manager.maybe_reload()
-            assert plan is not None and not plan.empty
-            assert manager.active.power_cap_w == 60.0
-            assert manager.revision == 2
-
-    def test_plan_change_no_diff_is_empty(self):
-        policy = compile_policy(parse_policy(_doc()))
-        again = compile_policy(parse_policy(_doc()))
-        assert plan_change(policy, again).empty
+            NetworkServer(server)
+        with pytest.raises(PolicyError):
+            FleetSupervisor(FleetConfig(server=server))
 
 
 # ----------------------------------------------------------------------

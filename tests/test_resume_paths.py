@@ -53,8 +53,7 @@ def _frame(index: int) -> bytes:
 def _run(coro_fn, tmp_path, **server_kwargs):
     async def main():
         server = NetworkServer(
-            ServeNetConfig(port=0, seed=0, gop=_GOP,
-                           journal_dir=str(tmp_path)),
+            ServeNetConfig(port=0, journal_dir=str(tmp_path)),
             **server_kwargs,
         )
         await server.start()
@@ -433,7 +432,7 @@ def test_one_rung_ladder_hello_is_the_plain_session_on_the_wire(tmp_path):
 def _serve(coro_fn, journal_dir, **config):
     async def main():
         server = NetworkServer(ServeNetConfig(
-            port=0, seed=0, journal_dir=str(journal_dir), **config))
+            port=0, journal_dir=str(journal_dir), **config))
         await server.start()
         try:
             return await coro_fn(server)
@@ -563,13 +562,12 @@ async def _record_appends(server) -> list:
     return appends
 
 
-@pytest.mark.parametrize("taint", [
-    "none", "backpressure", "fault_spike_rate", "watchdog"])
+@pytest.mark.parametrize("taint", ["none", "backpressure", "watchdog"])
 def test_early_egress_is_off_while_a_taint_holds(tmp_path, monkeypatch,
                                                  taint):
-    """Each of the three conditions keeps the outcomes of its GOP behind
+    """Each of the two conditions keeps the outcomes of its GOP behind
     the GOP's ``gop`` append (stalled here, so the order shows): a
-    backpressure drop mid-GOP, an armed fault injector, a watchdog fire.
+    backpressure drop mid-GOP, a watchdog fire.
     Untainted, they leave before it.  Outcomes encoded before the
     watchdog fired left already: a resume reproduces them."""
     import repro.serving.server as server_mod
@@ -579,8 +577,6 @@ def test_early_egress_is_off_while_a_taint_holds(tmp_path, monkeypatch,
     push_all, stalled = server_mod._push_all, []
     if taint == "none":
         early = {0, 1, 2, 3}
-    elif taint == "fault_spike_rate":
-        config = {"fault_spike_rate": 0.5}
     elif taint == "backpressure":
         config = {"queue_frames": 2}
     elif taint == "watchdog":

@@ -4,6 +4,9 @@ bit-exactness and metrics digest."""
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import inspect
+import re
 import struct
 import zlib
 
@@ -398,7 +401,7 @@ class TestHandshakeGeometry:
     handshake, not accepted and then dropped mid-stream."""
 
     @staticmethod
-    def _acks(hellos):
+    def _acks(hellos, registry=None):
         async def run():
             server = NetworkServer(ServeNetConfig(port=0))
             await server.start()
@@ -414,8 +417,19 @@ class TestHandshakeGeometry:
             finally:
                 await server.aclose()
 
-        with scoped():
+        with scoped(registry):
             return asyncio.run(run())
+
+    def test_non_finite_fps_is_refused_uncharged(self):
+        # Was: accepted at "estimated nan cores"; the occupancy gauge
+        # read NaN while the session was held, and it encoded at a
+        # server-side fallback rate.
+        registry = MetricsRegistry()
+        (ack,) = self._acks([Hello(width=96, height=96, fps=float("nan"))],
+                            registry)
+        assert (ack.decision, ack.reason) == (
+            "reject", "fps must be finite and positive")
+        assert registry.value("repro_serving_occupancy_cores") == 0.0
 
     def test_plain_hello_must_be_multiple_of_8(self):
         # Was: ACCEPT, then the first GOP flush died in blockify
@@ -444,19 +458,17 @@ class TestDropAccounting:
     family that ``serving_summary`` / ``repro metrics`` read."""
 
     def test_deadline_drops_agree_across_client_stats_and_summary(self):
-        # Seeded CPU-time spikes push most frames past their slot, so
-        # the pipeline drops them with reason "deadline" — a reason the
-        # server forwarded and put in STATS but never counted in
-        # repro_serving_frames_dropped_total.
+        # A 2000 fps slot is shorter than most frames' modelled CPU
+        # time, so the pipeline drops them with reason "deadline" — a
+        # reason the server forwarded and put in STATS but never
+        # counted in repro_serving_frames_dropped_total.
         async def run():
-            server = NetworkServer(ServeNetConfig(
-                port=0, seed=3, fault_spike_rate=0.6,
-                fault_spike_factor=400.0))
+            server = NetworkServer(ServeNetConfig(port=0))
             await server.start()
             try:
                 return await run_loadgen_async(LoadGenConfig(
                     port=server.port, sessions=1, frames=24, width=64,
-                    height=64, seed=3, frame_interval_s=0.01))
+                    height=64, fps=2000.0, seed=3, frame_interval_s=0.01))
             finally:
                 await server.aclose()
 
@@ -527,10 +539,15 @@ class TestAdmission:
             assert ctrl.active_sessions == 2
 
     def test_rejects_non_positive_fps(self):
-        with scoped():
-            ctrl = _controller()
-            hello = Hello(width=96, height=96, fps=0.0)
-            assert ctrl.decide(0, hello)[0] is AdmissionDecision.REJECT
+        for fps in (0.0, -24.0, float("nan"), float("inf")):
+            with scoped():
+                ctrl = _controller()
+                hello = Hello(width=96, height=96, fps=fps)
+                decision, reason, _ = ctrl.decide(0, hello)
+                assert (decision, reason) == (
+                    AdmissionDecision.REJECT,
+                    "fps must be finite and positive"), fps
+                assert ctrl.occupancy_cores == 0.0, fps
 
     def test_overload_ladder_escalates_and_lightens(self):
         with scoped():
@@ -606,6 +623,30 @@ class TestAdmission:
             AdmissionPolicy(park_capacity=-1)
         with pytest.raises(ValueError):
             AdmissionPolicy(overload_trip=0)
+
+
+# ----------------------------------------------------------------------
+# Configuration surface
+# ----------------------------------------------------------------------
+def test_every_serve_net_field_is_read_by_the_server():
+    """Every knob is read off a config object in ``serving/server.py``
+    or ``serving/fleet.py``, and the field set is pinned: a new knob is
+    a diff here, whose change names the non-test caller that sets it."""
+    import repro.serving.fleet as fleet_mod
+    import repro.serving.server as server_mod
+
+    names = [f.name for f in dataclasses.fields(ServeNetConfig)]
+    assert names == [
+        "host", "port", "queue_frames", "egress_frames", "park_timeout_s",
+        "resilience", "admission", "platform", "journal_dir",
+        "watchdog_multiple", "watchdog_min_s", "drain_grace_s",
+        "worker_id", "policy_file", "fileops", "journal_retry_backoff_s",
+        "durability_probe_s",
+    ]
+    source = inspect.getsource(server_mod).replace(
+        inspect.getsource(ServeNetConfig), "") + inspect.getsource(fleet_mod)
+    assert [name for name in names if not re.search(
+        rf"(?:\bconfig|\bcfg|\.server)\.{name}\b", source)] == []
 
 
 # ----------------------------------------------------------------------

@@ -283,7 +283,7 @@ class TestLoopback:
 
     def test_loadgen_against_live_server(self):
         async def run():
-            server = NetworkServer(ServeNetConfig(port=0, seed=3))
+            server = NetworkServer(ServeNetConfig(port=0))
             await server.start()
             try:
                 return await run_loadgen_async(LoadGenConfig(

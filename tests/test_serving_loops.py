@@ -76,7 +76,7 @@ async def _close(writer):
 
 def _serve(coro_fn, **config):
     async def main():
-        server = NetworkServer(ServeNetConfig(port=0, gop=_GOP, **config))
+        server = NetworkServer(ServeNetConfig(port=0, **config))
         await server.start()
         try:
             return await asyncio.wait_for(coro_fn(server), 60)

@@ -21,9 +21,11 @@ from repro.observability.metrics import (
     format_metrics,
     serving_summary,
 )
-from repro.policy.manager import PolicyManager
+from repro.policy import PolicyError
 from repro.resilience.checkpoint import load_lut, save_lut
+from repro.serving.fleet import FleetConfig, FleetSupervisor
 from repro.serving.recovery import SessionJournal, read_journal
+from repro.serving.server import NetworkServer, ServeNetConfig
 from repro.storage import (
     CrashPointRecorder,
     DurabilityMonitor,
@@ -403,7 +405,7 @@ def test_lut_stage_fault_keeps_previous_checkpoint(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Policy hot reload: a torn rewrite must not evict the active policy
+# Policy load: a torn or unreadable file refuses to start, typed
 # ----------------------------------------------------------------------
 _POLICY = {
     "version": 1,
@@ -413,41 +415,34 @@ _POLICY = {
 }
 
 
+def _refuse_to_start(tmp_path, path, error, fileops=None):
+    """A server's and a fleet's policy load both refuse, typed."""
+    server = ServeNetConfig(journal_dir=str(tmp_path / "j"),
+                            policy_file=str(path), fileops=fileops)
+    with pytest.raises(error):
+        NetworkServer(server)
+    with pytest.raises(error):
+        FleetSupervisor(FleetConfig(server=server))
+
+
 def test_policy_torn_rewrite_keeps_active_policy(tmp_path):
     path = tmp_path / "policy.json"
     full = json.dumps(_POLICY).encode()
     path.write_bytes(full)
-    manager = PolicyManager(str(path))
-    active = manager.active
-    assert active is not None
-
-    # A crash mid-rewrite leaves a torn prefix with a fresh mtime.
+    server = NetworkServer(ServeNetConfig(policy_file=str(path)))
+    active = server.compiled_policy
+    # A crash mid-rewrite leaves a torn prefix: the running server
+    # keeps what it loaded, and the next incarnation refuses to start.
     path.write_bytes(full[: len(full) // 2])
-    os.utime(path, (1.0, 1.0))
-    assert manager.maybe_reload() is None
-    assert manager.active is active  # old policy stays enforced
-    assert manager.reload_errors == 1
-    assert manager.last_error
-
-    # The repaired file reloads cleanly afterwards.
-    fixed = dict(_POLICY, power_cap_w=120)
-    path.write_bytes(json.dumps(fixed).encode())
-    os.utime(path, (2.0, 2.0))
-    assert manager.maybe_reload() is not None
-    assert manager.active.power_cap_w == 120
-    assert manager.reload_errors == 1
+    _refuse_to_start(tmp_path, path, PolicyError)
+    assert server.compiled_policy is active and active.power_cap_w == 140
 
 
-def test_policy_read_fault_counts_as_reload_error(tmp_path):
+def test_policy_read_fault_refuses_to_start(tmp_path):
     path = tmp_path / "policy.json"
     path.write_bytes(json.dumps(_POLICY).encode())
-    ffs = FaultFS(rules=[FaultRule(point="policy.read", kind="eio",
-                                   after=1)])
-    manager = PolicyManager(str(path), fileops=ffs)
-    os.utime(path, (1.0, 1.0))
-    assert manager.maybe_reload() is None
-    assert manager.reload_errors == 1
-    assert manager.active is not None
+    ffs = FaultFS(rules=[FaultRule(point="policy.read", kind="eio")])
+    _refuse_to_start(tmp_path, path, StorageIOError, fileops=ffs)
 
 
 # ----------------------------------------------------------------------

@@ -46,7 +46,7 @@ def _frame(index: int) -> bytes:
 
 def _config(journal_dir: str, fileops=None, **overrides) -> ServeNetConfig:
     return ServeNetConfig(
-        port=0, seed=0, gop=_GOP, journal_dir=journal_dir,
+        port=0, journal_dir=journal_dir,
         fileops=fileops, journal_retry_backoff_s=0.001,
         durability_probe_s=0.05, **overrides,
     )
