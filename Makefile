@@ -13,8 +13,7 @@ HAS_COV := $(shell $(PY) -c "import pytest_cov" 2>/dev/null && echo 1)
 COVOPTS := $(if $(HAS_COV),--cov=repro --cov-report=term-missing)
 
 .PHONY: check test reference sanitize bench-smoke bench-check golden \
-	serve-demo serve-smoke chaos fleet-chaos ladder-smoke policy-smoke \
-	torture clean
+	serve-smoke chaos fleet-chaos ladder-smoke policy-smoke torture clean
 
 check: test reference sanitize bench-smoke bench-check serve-smoke chaos \
 	fleet-chaos ladder-smoke policy-smoke torture
@@ -129,11 +128,6 @@ policy-smoke:
 # `make torture UPDATE=--update-golden`.
 torture:
 	PYTHONPATH=src $(PY) -m repro.storage.torture $(UPDATE)
-
-# One-shot observability demo: writes metrics.json + trace.jsonl.
-serve-demo:
-	PYTHONPATH=src $(PY) -m repro.cli serve --videos 2 --frames 8 \
-		--users 8 --metrics-out metrics.json --trace-out trace.jsonl
 
 clean:
 	rm -rf .pytest_cache .hypothesis metrics.json trace.jsonl

@@ -93,8 +93,8 @@ class KhanAllocator:
         carry_in: Optional[dict] = None,
     ) -> AllocationResult:
         """One dedicated core per thread; cores at f_max."""
-        if fps <= 0:
-            raise ValueError("fps must be positive")
+        if not 0.0 < fps < math.inf:
+            raise ValueError("fps must be finite and positive")
         slot_duration = 1.0 / fps
         admitted, rejected, used = self.admit(demands, fps)
         slots = []
@@ -117,8 +117,8 @@ class KhanAllocator:
 
     def cores_for_user(self, frame_cpu_time_fmax: float, fps: float) -> int:
         """Tile/core count for a user under [19]'s capacity rule."""
-        if fps <= 0:
-            raise ValueError("fps must be positive")
+        if not 0.0 < fps < math.inf:
+            raise ValueError("fps must be finite and positive")
         if frame_cpu_time_fmax <= 0:
             return 1
         return max(1, math.ceil(frame_cpu_time_fmax * fps))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List
 
@@ -39,8 +40,8 @@ def cores_needed(demand: UserDemand, fps: float) -> float:
     core count (rounding up here would forfeit exactly the packing gain
     the paper exploits).
     """
-    if fps <= 0:
-        raise ValueError("fps must be positive")
+    if not 0.0 < fps < math.inf:
+        raise ValueError("fps must be finite and positive")
     if not demand.threads:
         return 0.0
     return demand.total_cpu_time_fmax * fps

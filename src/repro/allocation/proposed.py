@@ -133,8 +133,8 @@ class ProposedAllocator:
         removes dead cores from the packing pool: admission is bounded
         by the surviving capacity and no thread lands on a failed id.
         """
-        if fps <= 0:
-            raise AllocationError("fps must be positive")
+        if not 0.0 < fps < math.inf:
+            raise AllocationError("fps must be finite and positive")
         slot_duration = 1.0 / fps
         tracer = get_tracer()
         with tracer.span("allocator.allocate", requested=len(demands)):
@@ -222,8 +222,8 @@ class ProposedAllocator:
         :class:`AllocationResult` whose ``shed`` lists the evicted
         users.
         """
-        if fps <= 0:
-            raise AllocationError("fps must be positive")
+        if not 0.0 < fps < math.inf:
+            raise AllocationError("fps must be finite and positive")
         slot_duration = 1.0 / fps
         schedule = result.schedule
         orphans: List[ThreadTask] = []

@@ -12,16 +12,12 @@ Usage::
     python -m repro.cli chaos --port 9471 --upstream-port 9470 --reset-rate 0.01
     python -m repro.cli metrics metrics.json [--prom]
     python -m repro.cli experiment table1|fig3|table2|fig4 [options...]
-    python -m repro.cli fault-drill --seed 0
 
 ``generate`` writes a synthetic bio-medical video; ``encode`` runs the
 codec substrate with a fixed configuration and reports PSNR/bitrate and
 simulated CPU time; ``transcode`` runs the full content-aware pipeline
 (or the [19] baseline); ``experiment`` regenerates one of the paper's
-tables/figures (forwarding the remaining arguments to that harness);
-``fault-drill`` runs a seeded chaos scenario (corrupt frames, CPU-time
-spikes, core failures, LUT corruption) through the whole serving stack
-and prints a survival report.
+tables/figures (forwarding the remaining arguments to that harness).
 
 ``serve`` runs the multi-user serving simulation end-to-end (measure a
 small corpus, pack users with Algorithm 2) and exports the
@@ -222,6 +218,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.transcode.server import TranscodingServer
     from repro.workload.estimator import WorkloadEstimator
 
+    server = TranscodingServer(fps=args.fps)
     if args.trace_out:
         enable_tracing()
     try:
@@ -235,7 +232,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             config = PipelineConfig(fps=args.fps)
             with StreamTranscoder(config, estimator=estimator) as transcoder:
                 traces.append(transcoder.run(video))
-        server = TranscodingServer(fps=args.fps)
         report = server.serve(
             traces, ProposedAllocator(), num_users=args.users
         )
@@ -548,26 +544,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fault_drill(args: argparse.Namespace) -> int:
-    from repro.resilience.drill import DrillConfig, run_drill
-
-    config = DrillConfig(
-        seed=args.seed,
-        num_streams=args.streams,
-        frames_per_stream=args.frames,
-        fps=args.fps,
-        core_failure_rate=args.core_failure_rate,
-        frame_corruption_rate=args.corrupt_frame_rate,
-        time_spike_rate=args.spike_rate,
-        time_spike_factor=args.spike_factor,
-        num_slots=args.slots,
-        num_users=args.users,
-    )
-    report = run_drill(config)
-    print(report.format())
-    return 0 if report.passed else 1
-
-
 def _cmd_torture(args: argparse.Namespace) -> int:
     from repro.storage.torture import main as torture_main
 
@@ -851,22 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--prom", action="store_true",
                    help="emit Prometheus text exposition instead")
     m.set_defaults(func=_cmd_metrics)
-
-    f = sub.add_parser(
-        "fault-drill",
-        help="run a seeded chaos scenario and print a survival report",
-    )
-    f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--streams", type=int, default=4)
-    f.add_argument("--frames", type=int, default=12)
-    f.add_argument("--fps", type=float, default=120.0)
-    f.add_argument("--core-failure-rate", type=float, default=0.2)
-    f.add_argument("--corrupt-frame-rate", type=float, default=0.05)
-    f.add_argument("--spike-rate", type=float, default=0.1)
-    f.add_argument("--spike-factor", type=float, default=8.0)
-    f.add_argument("--slots", type=int, default=6)
-    f.add_argument("--users", type=int, default=12)
-    f.set_defaults(func=_cmd_fault_drill)
 
     to = sub.add_parser(
         "torture",

@@ -55,12 +55,12 @@ def run_fig4(
     videos: Optional[Sequence[Video]] = None,
 ) -> Fig4Result:
     """Regenerate Fig. 4 on the synthetic corpus."""
+    server = TranscodingServer(platform=platform, fps=fps)
     if videos is None:
         videos = medical_corpus(
             width=width, height=height, num_frames=num_frames,
             seed=seed, num_videos=num_videos,
         )
-    server = TranscodingServer(platform=platform, fps=fps)
     traces_p = [
         StreamTranscoder(
             PipelineConfig(mode=PipelineMode.PROPOSED, fps=fps, platform=platform)

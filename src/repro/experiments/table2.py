@@ -103,12 +103,12 @@ def run_table2(
     videos: Optional[Sequence[Video]] = None,
 ) -> Table2Result:
     """Regenerate Table II on the synthetic corpus."""
+    server = TranscodingServer(platform=platform, fps=fps)
     if videos is None:
         videos = medical_corpus(
             width=width, height=height, num_frames=num_frames,
             seed=seed, num_videos=num_videos,
         )
-    server = TranscodingServer(platform=platform, fps=fps)
     proposed = _measure_side(
         "Proposed", videos,
         lambda: PipelineConfig(mode=PipelineMode.PROPOSED, fps=fps, platform=platform),

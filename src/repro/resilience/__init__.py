@@ -1,5 +1,5 @@
-"""Resilience subsystem: fault injection, deadline monitoring and
-graceful degradation for the transcoding server.
+"""Resilience subsystem: typed errors, deadline monitoring, graceful
+degradation and LUT checkpoints for the transcoding server.
 
 The paper's allocator promises *online* operation — every admitted
 stream must retire a frame each ``1/FPS`` slot — but says nothing about
@@ -8,15 +8,11 @@ arrives corrupt, an encode blows past its LUT estimate.  This package
 supplies the missing failure semantics:
 
 * :mod:`repro.resilience.errors` — typed error taxonomy.
-* :mod:`repro.resilience.faults` — seeded fault injector (core
-  failures, CPU-time spikes, corrupt frames, LUT-entry corruption).
 * :mod:`repro.resilience.degradation` — deadline monitor with a graded
   degradation ladder (QP bump → window shrink → tile merge → frame
   drop) and hysteresis-based recovery.
 * :mod:`repro.resilience.checkpoint` — checksummed LUT checkpoint /
   restore with corruption fallback.
-* :mod:`repro.resilience.drill` — end-to-end seeded chaos scenario
-  (``repro fault-drill``).
 """
 
 from repro.resilience.errors import (
@@ -26,7 +22,6 @@ from repro.resilience.errors import (
     LutCorruptionError,
     TranscodeError,
 )
-from repro.resilience.faults import FaultConfig, FaultInjector
 from repro.resilience.degradation import (
     DegradationAction,
     DegradationController,
@@ -45,8 +40,6 @@ __all__ = [
     "DegradationController",
     "DegradationLevel",
     "DegradationReport",
-    "FaultConfig",
-    "FaultInjector",
     "LutCorruptionError",
     "ResilienceConfig",
     "TranscodeError",

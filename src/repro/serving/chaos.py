@@ -14,10 +14,9 @@ an online transcoding service actually meets:
   stays open (the failure mode watchdogs exist for).
 
 All randomness flows through per-connection, per-direction
-``numpy`` generators derived from ``ChaosConfig.seed`` — the same
-discipline as :class:`repro.resilience.faults.FaultInjector` — so a
-drill with one seed injects one reproducible fault sequence per
-connection regardless of task scheduling order.
+``numpy`` generators derived from ``ChaosConfig.seed``, so a drill
+with one seed injects one reproducible fault sequence per connection
+regardless of task scheduling order.
 
 For the bit-identity resume test the rate-based faults are too coarse:
 ``cut_after_c2s_bytes`` cuts a connection after *exactly* that many

@@ -238,7 +238,7 @@ async def _drill(root: str, fileops: Optional[FileOps]) -> List[Tuple]:
     return digests
 
 
-def _run_drill(root: str, fileops: Optional[FileOps]) -> List[Tuple]:
+def _drill_sync(root: str, fileops: Optional[FileOps]) -> List[Tuple]:
     with scoped():
         return asyncio.run(
             asyncio.wait_for(_drill(root, fileops), _PHASE_TIMEOUT_S)
@@ -467,7 +467,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print("torture: phase 1 — recording the pinned serving drill")
     with tempfile.TemporaryDirectory(prefix="torture-rec-") as root:
         faultfs = FaultFS(seed=0, root=root, record=True)
-        recorded_digests = _run_drill(root, faultfs)
+        recorded_digests = _drill_sync(root, faultfs)
         recorder = faultfs.recorder
         counts = recorder.point_counts()
     print(f"torture: {len(recorder.ops)} mutations across "
@@ -495,7 +495,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     print("torture: phase 3 — no-fault bit-identity arm")
     with tempfile.TemporaryDirectory(prefix="torture-raw-") as root:
-        raw_digests = _run_drill(root, None)
+        raw_digests = _drill_sync(root, None)
     if raw_digests != recorded_digests:
         print("torture FAILED: FaultFS(no rules) changed wire outputs "
               "vs the raw filesystem", file=sys.stderr)

@@ -57,7 +57,6 @@ from repro.resilience.degradation import (
     ResilienceConfig,
 )
 from repro.resilience.errors import CorruptFrameError
-from repro.resilience.faults import FaultInjector
 from repro.tiling.constraints import TilingConstraints
 from repro.tiling.content_aware import ContentAwareRetiler
 from repro.tiling.tile import TileGrid
@@ -348,7 +347,6 @@ class StreamTranscoder:
         config: PipelineConfig = PipelineConfig(),
         cost_model: Optional[CostModel] = None,
         estimator: Optional[WorkloadEstimator] = None,
-        fault_injector: Optional[FaultInjector] = None,
     ):
         self.config = config
         self.cost_model = cost_model or CostModel()
@@ -365,7 +363,6 @@ class StreamTranscoder:
         self._qp_quants: Dict[int, tuple] = {}
         self._workload_keys: Dict[tuple, WorkloadKey] = {}
         self._keys_class: Optional[ContentClass] = None
-        self.fault_injector = fault_injector
 
     def close(self) -> None:
         """A transcoder owns no thread or handle; this is the end of
@@ -671,7 +668,6 @@ class StreamTranscoder:
         f_max = self.config.platform.f_max
         mode = self.config.mode.value
         count_cycles = self.cost_model.count_cycles
-        injector = self.fault_injector
         registry = get_registry()
         tracer = get_tracer()
         type_name = frame_type.value
@@ -692,8 +688,6 @@ class StreamTranscoder:
                 sad_pixel_ops, me_candidates, blocks,
                 blocks * _COEFFS_PER_BLOCK, bits, pred_pixels,
             ) / f_max
-            if injector is not None:
-                cpu_time = injector.perturb_cpu_time(cpu_time)
             texture, motion = plan.textures[i], plan.motions[i]
             tile_records.append(TileRecord(
                 i, texture, motion, qp, window, bits,

@@ -12,8 +12,9 @@ datacentre simulator would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import math
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from repro.observability import get_registry, get_tracer
 from repro.platform.mpsoc import MpsocConfig, XEON_E5_2667
 from repro.platform.power import PowerModel
 from repro.resilience.errors import AllocationError
-from repro.resilience.faults import FaultInjector
 from repro.transcode.pipeline import StreamTrace
 
 
@@ -69,55 +69,6 @@ def _sample_stats(values: Sequence[float]) -> Tuple[
     return float(np.mean(values)), float(np.min(values)), float(np.max(values))
 
 
-@dataclass
-class SlotOutcome:
-    """What happened during one served ``1/FPS`` slot of a fault run."""
-
-    slot_index: int
-    users_served: int
-    power_w: float
-    failed_cores: List[int] = field(default_factory=list)
-    shed_users: List[int] = field(default_factory=list)
-    retried_users: List[int] = field(default_factory=list)
-    readmitted_users: List[int] = field(default_factory=list)
-
-
-@dataclass
-class ResilientServingReport:
-    """Outcome of a multi-slot serving run under injected core
-    failures (see :meth:`TranscodingServer.serve_with_faults`)."""
-
-    num_users_requested: int
-    num_slots: int
-    slots: List[SlotOutcome] = field(default_factory=list)
-
-    @property
-    def cores_failed(self) -> int:
-        return sum(len(s.failed_cores) for s in self.slots)
-
-    @property
-    def users_shed(self) -> int:
-        return sum(len(s.shed_users) for s in self.slots)
-
-    @property
-    def users_readmitted(self) -> int:
-        return sum(len(s.readmitted_users) for s in self.slots)
-
-    @property
-    def retry_attempts(self) -> int:
-        return sum(len(s.retried_users) for s in self.slots)
-
-    @property
-    def final_users_served(self) -> int:
-        return self.slots[-1].users_served if self.slots else 0
-
-    @property
-    def average_power_w(self) -> float:
-        if not self.slots:
-            return 0.0
-        return float(np.mean([s.power_w for s in self.slots]))
-
-
 class TranscodingServer:
     """Serves users from measured stream traces."""
 
@@ -127,8 +78,8 @@ class TranscodingServer:
         power_model: Optional[PowerModel] = None,
         fps: float = 24.0,
     ):
-        if fps <= 0:
-            raise ValueError("fps must be positive")
+        if not 0.0 < fps < math.inf:
+            raise ValueError("fps must be finite and positive")
         self.platform = platform
         self.power_model = power_model or PowerModel()
         self.fps = fps
@@ -200,123 +151,6 @@ class TranscodingServer:
             bitrate_max_mbps=rate_stats[2],
             allocation=result,
         )
-
-    # ------------------------------------------------------------------
-    def serve_with_faults(
-        self,
-        traces: Sequence[StreamTrace],
-        allocator,
-        injector: FaultInjector,
-        num_slots: int = 6,
-        num_users: Optional[int] = None,
-        max_backoff_slots: int = 8,
-    ) -> ResilientServingReport:
-        """Serve users across several slots while cores fail.
-
-        The injector assigns each failing core a failure slot.  When a
-        core dies, the allocator evicts its :class:`CoreSlot`, re-packs
-        the orphaned threads onto the survivors and sheds the
-        lowest-priority users if the remaining capacity no longer
-        covers the admitted demand.  Rejected and shed users retry
-        admission with exponential backoff (1, 2, 4, ... slots, capped
-        at ``max_backoff_slots``).
-
-        ``allocator`` must support the re-allocation API
-        (:meth:`~repro.allocation.proposed.ProposedAllocator.reallocate`
-        and the ``failed_cores`` parameter of ``allocate``).
-        """
-        if num_slots < 1:
-            raise AllocationError("need at least one slot")
-        requested = (
-            4 * self.platform.num_cores if num_users is None else num_users
-        )
-        demands = self.demands(traces, requested)
-        by_id = {d.user_id: d for d in demands}
-        failure_schedule = injector.failure_schedule(
-            list(range(self.platform.num_cores)), num_slots
-        )
-        failed: Set[int] = set()
-        # user_id -> [next attempt slot, next backoff]
-        waiting: Dict[int, List[int]] = {}
-
-        def schedule_retry(user_id: int, now: int, backoff: int) -> None:
-            waiting[user_id] = [now + backoff,
-                                min(backoff * 2, max_backoff_slots)]
-
-        result = allocator.allocate(demands, self.fps)
-        for demand in result.rejected:
-            schedule_retry(demand.user_id, 0, 1)
-
-        report = ResilientServingReport(
-            num_users_requested=requested, num_slots=num_slots
-        )
-        tracer = get_tracer()
-        registry = get_registry()
-        for slot_index in range(num_slots):
-            slot_span = tracer.span("server.slot", slot=slot_index)
-            slot_span.__enter__()
-            outcome = SlotOutcome(slot_index=slot_index, users_served=0,
-                                  power_w=0.0)
-            if slot_index > 0:
-                newly_failed = failure_schedule.get(slot_index, [])
-                if newly_failed:
-                    failed.update(newly_failed)
-                    outcome.failed_cores = list(newly_failed)
-                    result = allocator.reallocate(
-                        result, newly_failed, self.fps
-                    )
-                    for demand in result.shed:
-                        outcome.shed_users.append(demand.user_id)
-                        schedule_retry(demand.user_id, slot_index, 1)
-                due = [uid for uid, (when, _) in waiting.items()
-                       if when <= slot_index]
-                if due and len(failed) < self.platform.num_cores:
-                    outcome.retried_users = sorted(due)
-                    candidates = list(result.admitted) + [
-                        by_id[uid] for uid in sorted(due)
-                    ]
-                    result = allocator.allocate(
-                        candidates, self.fps, failed_cores=failed
-                    )
-                    admitted_ids = {d.user_id for d in result.admitted}
-                    for uid in sorted(due):
-                        if uid in admitted_ids:
-                            outcome.readmitted_users.append(uid)
-                            del waiting[uid]
-                        else:
-                            backoff = waiting[uid][1]
-                            schedule_retry(uid, slot_index, backoff)
-                    # A previously-active user squeezed out by the
-                    # re-admission counts as shed and retries too.
-                    for demand in candidates:
-                        uid = demand.user_id
-                        if uid not in admitted_ids and uid not in waiting:
-                            outcome.shed_users.append(uid)
-                            schedule_retry(uid, slot_index, 1)
-            outcome.users_served = result.num_users_served
-            outcome.power_w = result.schedule.average_power(self.power_model)
-            report.slots.append(outcome)
-            registry.set_gauge(
-                "repro_slot_deadline_margin_seconds",
-                _deadline_margin(result, 1.0 / self.fps),
-                slot=slot_index,
-                help="Worst-core slack against the 1/FPS deadline at f_max",
-            )
-            registry.set_gauge(
-                "repro_server_users_served", outcome.users_served,
-                slot=slot_index,
-                help="Users admitted by the last serve pass",
-            )
-            tracer.event(
-                "server.slot_outcome",
-                slot=slot_index,
-                users_served=outcome.users_served,
-                failed_cores=list(outcome.failed_cores),
-                shed=sorted(outcome.shed_users),
-                readmitted=sorted(outcome.readmitted_users),
-            )
-            slot_span.__exit__(None, None, None)
-        return report
 
     # ------------------------------------------------------------------
     def power_savings_percent(

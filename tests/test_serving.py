@@ -24,6 +24,7 @@ from repro.observability.metrics import (
     serving_summary,
 )
 from repro.platform.mpsoc import MpsocConfig
+from repro.policy import compile_policy, parse_policy
 from repro.serving.admission import (
     AdmissionController,
     AdmissionDecision,
@@ -504,12 +505,12 @@ class _FixedEstimator:
         return self.cpu_per_frame
 
 
-def _controller(cpu_per_frame=0.45 / 24.0, **policy_kw):
+def _controller(cpu_per_frame=0.45 / 24.0, cores=1, **policy_kw):
     # One core; each session needs cpu_per_frame * 24 fps = 0.45 cores,
     # so two sessions fit and the third exceeds the slot cap.
     return AdmissionController(
         estimator=_FixedEstimator(cpu_per_frame),
-        platform=MpsocConfig(num_sockets=1, cores_per_socket=1),
+        platform=MpsocConfig(num_sockets=1, cores_per_socket=cores),
         policy=AdmissionPolicy(**policy_kw),
     )
 
@@ -623,6 +624,67 @@ class TestAdmission:
             AdmissionPolicy(park_capacity=-1)
         with pytest.raises(ValueError):
             AdmissionPolicy(overload_trip=0)
+
+
+class TestReplanAfterStall:
+    """The watchdog's core-failure path: the stalled session's core is
+    taken for dead, Algorithm 2 re-packs the survivors, and the
+    sessions that no longer fit lose their tickets."""
+
+    @staticmethod
+    def _six_sessions(ctrl, tenants=("",) * 6):
+        for sid, tenant in enumerate(tenants):
+            hello = Hello(width=96, height=96, fps=24.0, tenant=tenant)
+            assert ctrl.decide(sid, hello)[0] is AdmissionDecision.ACCEPT
+
+    def test_without_policy_reallocate_sheds_lowest_priority(self):
+        with scoped() as (registry, tracer):
+            tracer.enable()
+            # Three cores, six sessions at 0.45 cores each: losing one
+            # core leaves 2.0 cores for 2.7 cores of demand.
+            ctrl = _controller(cores=3)
+            self._six_sessions(ctrl)
+            packed = ctrl.allocator.allocate(
+                [t.demand for t in ctrl._active.values()], 24.0)
+            stalled_core, = [s.core_id for s in packed.schedule.slots
+                             if any(t.user_id == 0 for t in s.tasks)]
+            assert ctrl.replan_after_stall(0, 24.0) == [4, 5]
+            assert sorted(ctrl._active) == [0, 1, 2, 3]
+            assert ctrl.occupancy_cores == pytest.approx(1.8)
+            assert registry.value("repro_serving_occupancy_cores") \
+                == pytest.approx(1.8)
+            assert registry.value("repro_allocator_users_shed_total") == 2
+            assert registry.value(
+                "repro_serving_watchdog_replans_total") == 1
+            repack, = [r.attrs for r in tracer.records()
+                       if r.name == "allocator.reallocate"]
+            assert repack["failed"] == [stalled_core]
+            assert repack["shed"] == [4, 5]
+            assert repack["survivors"] == 2
+
+    def test_policy_sheds_in_tier_order_and_top_tier_last(self):
+        policy = compile_policy(parse_policy({
+            "version": 1, "default_tenant": "clinic", "tenants": [
+                {"name": "er", "tier": "emergency", "weight": 4.0},
+                {"name": "clinic", "tier": "urgent", "weight": 1.0},
+                {"name": "archive", "tier": "archival", "weight": 1.0},
+            ],
+        }))
+        with scoped() as (registry, _):
+            # Two cores, six sessions at 0.3 cores each: er is entitled
+            # to 1.33 cores (four sessions), clinic and archive to 0.33
+            # (one each).  One surviving core holds three sessions.
+            ctrl = _controller(cpu_per_frame=0.3 / 24.0, cores=2)
+            ctrl.set_policy(policy)
+            self._six_sessions(
+                ctrl, ("clinic", "archive", "er", "er", "er", "er"))
+            # archive, then clinic, and only then the top tier.  The
+            # allocator's own order would have shed 5, 4 and 3 (er).
+            assert ctrl.replan_after_stall(3, 24.0) == [1, 0, 2]
+            assert sorted(ctrl._active) == [3, 4, 5]
+            assert ctrl.occupancy_cores == pytest.approx(0.9)
+            assert registry.value(
+                "repro_serving_watchdog_replans_total") == 1
 
 
 # ----------------------------------------------------------------------
