@@ -116,7 +116,7 @@ class LadderSession:
         self.features: Optional[FrameFeatures] = None
         self.rung_sessions: List[RungSession] = []
         #: Degradation bumps asked for before any rung session exists.
-        self._early_bumps: List[Tuple[int, str]] = []
+        self._early_bumps = 0
         #: The open GOP's ingest frames, each with its check's verdict
         #: (``True``: corrupt, every rung drops it), and the plane
         #: shape the first good frame fixed for that check.
@@ -169,8 +169,8 @@ class LadderSession:
             )
             rs = RungSession(planned, StreamTranscoder(
                 cfg, estimator=self.estimator))
-            for bump in self._early_bumps:
-                rs.session.bump_degradation(*bump)
+            for _ in range(self._early_bumps):
+                rs.session.bump_degradation()
             self.rung_sessions.append(rs)
 
     def close(self) -> None:
@@ -236,19 +236,14 @@ class LadderSession:
         for rs in self.rung_sessions:
             rs.session.import_state(states[rs.rung_id])
 
-    def bump_degradation(self, frame_index: int = -1,
-                         kind: str = "watchdog"):
+    def bump_degradation(self) -> None:
         """Force one step of degradation-ladder escalation on every
-        rung (serving watchdog hook).  Returns the primary's new
-        :class:`DegradationLevel` — ``None`` without a resilience
-        config, or before the first push, when the bump is held for
-        the rung sessions to come."""
+        rung (serving watchdog hook).  Before the first push the bump
+        is held for the rung sessions to come."""
         if not self.rung_sessions:
-            self._early_bumps.append((frame_index, kind))
-            return None
-        levels = [rs.session.bump_degradation(frame_index, kind)
-                  for rs in self.rung_sessions]
-        return levels[0]
+            self._early_bumps += 1
+        for rs in self.rung_sessions:
+            rs.session.bump_degradation()
 
     # -- ingest --------------------------------------------------------
     def push(self, frame: Frame) -> List[FrameOutput]:

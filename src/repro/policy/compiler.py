@@ -13,7 +13,7 @@ policy grammar's semantics — documented here and in DESIGN.md §15:
   highest-rank/lowest-priority tenant sheds first; the document's
   most important tier is never shed at all).
 * ``min_psnr_db`` → degradation-ladder cap: a floor of 36 dB or more
-  compiles to ``NONE`` (the stream is never lightened), 30 dB or more
+  compiles to ``NONE`` (the stream is never degraded), 30 dB or more
   to ``QP_BUMP`` at most; below that the explicit ``max_degradation``
   rung applies unchanged.  The final cap is the minimum of both.
 * ``max_deadline_miss_rate`` → ladder aggressiveness: a rate of 5% or
@@ -137,12 +137,9 @@ class CompiledPolicy:
 
     # -- compilation targets -------------------------------------------
     def resilience_for(self, tenant: str,
-                       base: Optional[ResilienceConfig]
-                       ) -> Optional[ResilienceConfig]:
+                       base: ResilienceConfig) -> ResilienceConfig:
         """Per-stream degradation config bounded by the tenant's QoS
         floor (the ladder never climbs past the compiled cap)."""
-        if base is None:
-            return None
         rt = self.resolve(tenant)
         return dataclasses.replace(
             base,

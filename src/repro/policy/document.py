@@ -160,7 +160,7 @@ class TenantSpec:
     #: capacity is ``weight / sum(weights)``.
     weight: float = 1.0
     #: QoS floor: minimum acceptable PSNR.  Compiles into a cap on the
-    #: degradation ladder (a stream this tenant owns is never lightened
+    #: degradation ladder (a stream this tenant owns is never degraded
     #: below its floor).  ``None`` = no floor.
     min_psnr_db: Optional[float] = None
     #: Deadline class: acceptable miss rate.  Compiles into the

@@ -18,12 +18,10 @@ supplies the missing failure semantics:
 from repro.resilience.errors import (
     AllocationError,
     CorruptFrameError,
-    DeadlineMissError,
     LutCorruptionError,
     TranscodeError,
 )
 from repro.resilience.degradation import (
-    DegradationAction,
     DegradationController,
     DegradationLevel,
     DegradationReport,
@@ -35,8 +33,6 @@ __all__ = [
     "AllocationError",
     "CheckpointLoadResult",
     "CorruptFrameError",
-    "DeadlineMissError",
-    "DegradationAction",
     "DegradationController",
     "DegradationLevel",
     "DegradationReport",

@@ -1,13 +1,18 @@
 """Deadline monitor and graded degradation ladder.
 
-Generalizes :class:`repro.transcode.feedback.FramerateFeedback` (the
-paper's single "alternative lighter configuration", §III-D2) into a
-graded response to sustained deadline pressure:
+The paper's framerate feedback (§III-D2) is the ladder's first rung:
+when a frame misses ``1/FPS``, the bottleneck tiles of the next frame
+get a higher QP and a smaller search window.  Capped at ``QP_BUMP``
+the controller is exactly that rule (the offline default of
+:class:`~repro.transcode.pipeline.PipelineConfig`); uncapped it answers
+sustained deadline pressure with the graded response a served stream
+gets:
 
 ====================  ==============================================
 level                 response applied to the next frame(s)
 ====================  ==============================================
-``QP_BUMP``           bottleneck tiles get ``QP + ΔQP``
+``QP_BUMP``           bottleneck tiles get ``QP + ΔQP`` and a halved
+                      search window
 ``WINDOW_SHRINK``     additionally, every tile's search window halves
 ``TILE_MERGE``        additionally, the next re-tiling halves the
                       maximum tile count (fewer, larger tiles — less
@@ -17,18 +22,19 @@ level                 response applied to the next frame(s)
 ====================  ==============================================
 
 Escalation happens after ``escalate_after`` consecutive deadline
-misses; de-escalation requires ``recover_after`` consecutive on-time
-frames *and* a drained debt — the hysteresis that stops a stream from
-oscillating between levels when load hovers near the budget.
+misses; de-escalation requires :data:`RECOVER_AFTER` consecutive
+on-time frames *and* a drained debt — the hysteresis that stops a
+stream from oscillating between levels when load hovers near the
+budget.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
-
-from repro.resilience.errors import DeadlineMissError
+from typing import Dict, Sequence, Set
 
 
 class DegradationLevel(enum.IntEnum):
@@ -41,87 +47,68 @@ class DegradationLevel(enum.IntEnum):
     FRAME_DROP = 4
 
 
+#: Relative headroom before a frame counts as a deadline miss.
+TOLERANCE = 0.05
+#: Outstanding debt (in slots) that forces one rung of escalation per
+#: frame even without consecutive misses — a single huge spike leaves
+#: the stream behind budget although every following frame is
+#: individually on time.
+ESCALATE_DEBT_SLOTS = 1.0
+#: Consecutive on-time frames (with drained debt) to descend one rung —
+#: the hysteresis.
+RECOVER_AFTER = 3
+
+
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Knobs of the deadline monitor and degradation ladder."""
+    """Knobs of the deadline monitor and degradation ladder.
 
-    #: Relative headroom before a frame counts as a deadline miss.
-    tolerance: float = 0.05
+    The defaults are a served stream's full ladder."""
+
     #: Consecutive misses required to climb one rung.
     escalate_after: int = 1
-    #: Outstanding debt (in slots) that forces one rung of escalation
-    #: per frame even without consecutive misses — a single huge spike
-    #: leaves the stream behind budget although every following frame
-    #: is individually on time.
-    escalate_debt_slots: float = 1.0
-    #: Consecutive on-time frames (with drained debt) to descend one
-    #: rung — the hysteresis.
-    recover_after: int = 3
     #: Highest rung the ladder may reach.
     max_level: DegradationLevel = DegradationLevel.FRAME_DROP
     #: Drop corrupt input frames instead of raising
     #: :class:`~repro.resilience.errors.CorruptFrameError`.
     drop_corrupt_frames: bool = True
-    #: Raise :class:`~repro.resilience.errors.DeadlineMissError` when
-    #: the ladder is exhausted and debt still exceeds this many slots
-    #: (``None`` disables the hard failure — degrade forever).
-    fail_after_debt_slots: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be non-negative")
-        if self.escalate_after < 1 or self.recover_after < 1:
-            raise ValueError("escalate_after/recover_after must be >= 1")
-
-
-@dataclass(frozen=True)
-class DegradationAction:
-    """One logged resilience event."""
-
-    frame_index: int
-    kind: str  # "escalate", "recover", "frame_drop", "corrupt_drop"
-    level: DegradationLevel
+        if self.escalate_after < 1:
+            raise ValueError("escalate_after must be >= 1")
 
 
 @dataclass
 class DegradationReport:
     """Summary of one stream's resilience behaviour."""
 
-    actions: List[DegradationAction] = field(default_factory=list)
     frames_observed: int = 0
     deadline_misses: int = 0
     frames_dropped: int = 0
     corrupt_frames_dropped: int = 0
-    final_debt_seconds: float = 0.0
-    final_level: DegradationLevel = DegradationLevel.NONE
-
-    @property
-    def deadline_miss_rate(self) -> float:
-        if self.frames_observed == 0:
-            return 0.0
-        return self.deadline_misses / self.frames_observed
+    #: ``kind -> count`` of the ladder's actions ("escalate",
+    #: "recover", "frame_drop", "corrupt_drop", "watchdog").  A count,
+    #: not a log: a served session lives for as long as its client
+    #: keeps pushing.
+    action_totals: Counter = field(default_factory=Counter)
 
     def action_counts(self) -> Dict[str, int]:
         """Deterministically ordered ``kind -> count`` map."""
-        counts: Dict[str, int] = {}
-        for a in self.actions:
-            counts[a.kind] = counts.get(a.kind, 0) + 1
-        return {k: counts[k] for k in sorted(counts)}
+        return dict(sorted(self.action_totals.items()))
 
 
 class DegradationController:
     """Per-stream deadline monitor driving the degradation ladder.
 
-    Exposes the same observation interface as
-    :class:`~repro.transcode.feedback.FramerateFeedback`
-    (``observe_frame`` / ``bottleneck_tiles`` / ``debt_seconds``) so the
-    pipeline can use either interchangeably, plus the ladder state the
-    resilient pipeline consumes.
+    Every pipeline session owns one: ``observe_frame`` reads a frame's
+    per-tile CPU times against the slot, ``bottleneck_tiles`` and
+    ``adjust_tile`` shape the next frame, and ``merge_tiles`` /
+    ``should_drop_frame`` are the upper rungs.
     """
 
     def __init__(self, fps: float, config: ResilienceConfig = ResilienceConfig()):
-        if fps <= 0:
-            raise ValueError("fps must be positive")
+        if not (math.isfinite(fps) and fps > 0):
+            raise ValueError("fps must be finite and positive")
         self.fps = fps
         self.config = config
         self._level = DegradationLevel.NONE
@@ -151,8 +138,7 @@ class DegradationController:
     def framerate_satisfied(self) -> bool:
         return self._debt_seconds <= 0.0
 
-    def observe_frame(self, tile_cpu_times: Sequence[float],
-                      frame_index: int = -1) -> bool:
+    def observe_frame(self, tile_cpu_times: Sequence[float]) -> bool:
         """Record one encoded frame's per-tile CPU times.
 
         Returns ``True`` when the frame missed its deadline.  Work is
@@ -162,7 +148,7 @@ class DegradationController:
         if not tile_cpu_times:
             raise ValueError("no tile times supplied")
         slot = self.slot_duration
-        threshold = slot * (1 + self.config.tolerance)
+        threshold = slot * (1 + TOLERANCE)
         critical = max(tile_cpu_times)
         self._debt_seconds = max(0.0, self._debt_seconds + critical - slot)
         self._bottlenecks = {
@@ -175,58 +161,35 @@ class DegradationController:
             self._miss_streak += 1
             self._hit_streak = 0
             if self._miss_streak >= self.config.escalate_after:
-                self._escalate(frame_index)
+                self._escalate()
                 self._miss_streak = 0
-        elif self._debt_seconds > self.config.escalate_debt_slots * slot:
+        elif self._debt_seconds > ESCALATE_DEBT_SLOTS * slot:
             # On time, but still behind budget: keep climbing the
             # ladder so the backlog drains instead of lingering.
             self._hit_streak = 0
             self._miss_streak = 0
-            self._escalate(frame_index)
+            self._escalate()
         else:
             self._hit_streak += 1
             self._miss_streak = 0
             if (
-                self._hit_streak >= self.config.recover_after
+                self._hit_streak >= RECOVER_AFTER
                 and self._debt_seconds <= 0.0
                 and self._level > DegradationLevel.NONE
             ):
-                self._recover(frame_index)
+                self._recover()
                 self._hit_streak = 0
-        self._check_hard_failure(frame_index)
-        self._snapshot()
         return missed
 
-    def _escalate(self, frame_index: int) -> None:
+    def _escalate(self) -> None:
         if self._level >= self.config.max_level:
             return
         self._level = DegradationLevel(self._level + 1)
-        self.report.actions.append(
-            DegradationAction(frame_index, "escalate", self._level)
-        )
+        self.report.action_totals["escalate"] += 1
 
-    def _recover(self, frame_index: int) -> None:
+    def _recover(self) -> None:
         self._level = DegradationLevel(self._level - 1)
-        self.report.actions.append(
-            DegradationAction(frame_index, "recover", self._level)
-        )
-
-    def _check_hard_failure(self, frame_index: int) -> None:
-        limit = self.config.fail_after_debt_slots
-        if limit is None:
-            return
-        if (
-            self._level >= self.config.max_level
-            and self._debt_seconds > limit * self.slot_duration
-        ):
-            raise DeadlineMissError(
-                f"frame {frame_index}: ladder exhausted at "
-                f"{self._level.name} with {self._debt_seconds:.4f}s debt"
-            )
-
-    def _snapshot(self) -> None:
-        self.report.final_debt_seconds = self._debt_seconds
-        self.report.final_level = self._level
+        self.report.action_totals["recover"] += 1
 
     # -- responses -----------------------------------------------------
     def adjust_tile(self, qp: int, window: int, is_bottleneck: bool,
@@ -252,45 +215,34 @@ class DegradationController:
             and self._debt_seconds > 0.0
         )
 
-    def observe_dropped_frame(self, frame_index: int) -> None:
+    def observe_dropped_frame(self) -> None:
         """Account for a deliberately dropped frame: its whole slot is
         reclaimed against the debt."""
         self._debt_seconds = max(0.0, self._debt_seconds - self.slot_duration)
         self.report.frames_dropped += 1
-        self.report.actions.append(
-            DegradationAction(frame_index, "frame_drop", self._level)
-        )
+        self.report.action_totals["frame_drop"] += 1
         if self._debt_seconds <= 0.0:
             # Budget restored; resume encoding one rung down.
-            self._recover(frame_index)
+            self._recover()
             self._hit_streak = 0
-        self._snapshot()
 
-    def observe_corrupt_frame(self, frame_index: int) -> None:
+    def observe_corrupt_frame(self) -> None:
         """Account for a corrupt input frame dropped by validation."""
         self.report.corrupt_frames_dropped += 1
-        self.report.actions.append(
-            DegradationAction(frame_index, "corrupt_drop", self._level)
-        )
-        self._snapshot()
+        self.report.action_totals["corrupt_drop"] += 1
 
-    def force_escalate(self, frame_index: int = -1,
-                       kind: str = "watchdog") -> DegradationLevel:
+    def force_escalate(self, kind: str = "watchdog") -> None:
         """Climb one rung outside the normal miss-streak path.
 
         Used by the serving watchdog when an encode task wedges: the
         session continues degraded instead of stalling, and the action
-        log records why (``kind``).  Returns the new level.
+        counts record why (``kind``).
         """
         if self._level < self.config.max_level:
             self._level = DegradationLevel(self._level + 1)
         self._hit_streak = 0
         self._miss_streak = 0
-        self.report.actions.append(
-            DegradationAction(frame_index, kind, self._level)
-        )
-        self._snapshot()
-        return self._level
+        self.report.action_totals[kind] += 1
 
     # -- persistence ---------------------------------------------------
     def export_state(self) -> Dict[str, object]:
@@ -298,8 +250,8 @@ class DegradationController:
 
         Everything that influences *future* decisions is captured
         (level, debt, streaks, bottleneck set) plus the report counters
-        so a resumed stream's summary stays continuous.  The per-action
-        log is not carried across a resume.
+        so a resumed stream's summary stays continuous.  The action
+        counts are not carried across a resume.
         """
         return {
             "level": int(self._level),
@@ -329,7 +281,6 @@ class DegradationController:
         self.report.corrupt_frames_dropped = int(
             counters.get("corrupt_frames_dropped", 0)
         )
-        self._snapshot()
 
     def reset(self) -> None:
         self._debt_seconds = 0.0

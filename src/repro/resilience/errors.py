@@ -1,10 +1,11 @@
 """Typed error taxonomy for the transcoding stack.
 
 Bare ``ValueError``s give callers no way to distinguish "the input is
-garbage" from "the platform ran out of cores" from "the stream fell
-behind the framerate budget" — three situations with three different
-recovery strategies (drop the frame, shed a user, degrade the encoding
-configuration).  The hierarchy below makes the distinction explicit.
+garbage" from "the platform ran out of cores" — two situations with
+two different recovery strategies (drop the frame, shed a user).  The
+hierarchy below makes the distinction explicit.  A stream behind its
+framerate budget is not an error: the degradation ladder
+(:mod:`repro.resilience.degradation`) answers it.
 
 Errors that replace pre-existing ``ValueError`` raises inherit from
 ``ValueError`` too, so existing ``except ValueError`` call sites (and
@@ -22,11 +23,6 @@ class CorruptFrameError(TranscodeError, ValueError):
     """An input frame (or whole video) failed validation: mismatched
     geometry, non-finite luma samples, or a frame too small for the
     minimum tile size."""
-
-
-class DeadlineMissError(TranscodeError, RuntimeError):
-    """A stream exhausted the degradation ladder and still cannot meet
-    its ``1/FPS`` slot budget."""
 
 
 class AllocationError(TranscodeError, ValueError):

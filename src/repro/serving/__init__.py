@@ -7,8 +7,7 @@ This package puts a real network path in front of the reproduction:
 * :mod:`repro.serving.protocol` — length-prefixed binary wire protocol
   (HELLO/FRAME/ENCODED/STATS/BYE messages, versioned, CRC-checked);
 * :mod:`repro.serving.admission` — admission controller driven by the
-  workload-LUT estimator and Algorithm-2 occupancy, with a sustained-
-  overload degradation ladder;
+  workload-LUT estimator and Algorithm-2 occupancy;
 * :mod:`repro.serving.server` — asyncio server with per-client
   sessions, bounded queues and backpressure, encoding GOPs online
   through :class:`repro.transcode.pipeline.ProposedStreamSession`

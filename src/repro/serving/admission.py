@@ -23,13 +23,10 @@ outcomes:
   request can never be served (unencodable rung, draining server,
   energy brownout).
 
-Sustained overload (a run of park/reject decisions) trips a
-server-level degradation ladder: instead of admitting sessions that
-would miss deadlines, *new* sessions are admitted with progressively
-lighter encoder configurations (QP bump, then search-window shrink —
-the same rungs as :class:`repro.resilience.degradation`'s
-per-stream ladder).  A run of accepts with occupancy back under the
-relief threshold walks the ladder back down.
+Every admitted session starts at the base configuration admission
+prices (:data:`BASE_QP` / :data:`BASE_WINDOW`); deadline pressure once
+it runs is answered by the session's own degradation ladder
+(:mod:`repro.resilience.degradation`), not by admission.
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ from repro.platform.mpsoc import MpsocConfig, XEON_E5_2667
 from repro.platform.schedule import ThreadTask
 from repro.policy.compiler import CompiledPolicy
 from repro.policy.energy import EnergyBudgetScheduler
-from repro.resilience.degradation import DegradationLevel
 from repro.serving.protocol import Hello
 from repro.video.generator import ContentClass
 from repro.workload.estimator import WorkloadEstimator
@@ -60,6 +56,8 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "AdmissionPolicy",
+    "BASE_QP",
+    "BASE_WINDOW",
     "FleetAdmission",
     "SessionTicket",
     "WorkerLoad",
@@ -67,6 +65,11 @@ __all__ = [
 ]
 
 Rungs = Tuple[Tuple[int, int], ...]
+
+#: The encoder configuration a new session starts at — and the one
+#: :meth:`AdmissionController.estimate_ladder` prices a rung at.
+BASE_QP = 32
+BASE_WINDOW = 64
 
 
 def requested_rungs(hello: Hello) -> Rungs:
@@ -107,25 +110,12 @@ class AdmissionPolicy:
     utilization: float = 1.0
     #: Waiting-room size for parked sessions.
     park_capacity: int = 2
-    #: Consecutive non-accept decisions before the overload ladder
-    #: climbs one rung.
-    overload_trip: int = 3
-    #: Occupancy fraction below which an accept walks the ladder down.
-    relief_occupancy: float = 0.75
-    #: Highest rung of the server-level ladder (new sessions only ever
-    #: get lighter configs; the server never drops admitted streams).
-    max_level: DegradationLevel = DegradationLevel.WINDOW_SHRINK
-    #: Pessimism of the LUT estimate (``None`` = histogram mean; e.g.
-    #: 0.9 prices sessions at the 90th percentile of observed cost).
-    quantile: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 0 < self.utilization <= 1:
             raise ValueError("utilization must be in (0, 1]")
         if self.park_capacity < 0:
             raise ValueError("park_capacity must be >= 0")
-        if self.overload_trip < 1:
-            raise ValueError("overload_trip must be >= 1")
 
 
 @dataclass
@@ -149,16 +139,12 @@ class AdmissionController:
         platform: MpsocConfig = XEON_E5_2667,
         policy: AdmissionPolicy = AdmissionPolicy(),
     ):
-        self.estimator = estimator or WorkloadEstimator(
-            quantile=policy.quantile
-        )
+        self.estimator = estimator or WorkloadEstimator()
         self.platform = platform
         self.allocator = allocator or ProposedAllocator(platform=platform)
         self.policy = policy
         self._active: Dict[int, SessionTicket] = {}
         self._parked = 0
-        self._overload_streak = 0
-        self._level = DegradationLevel.NONE
         self._draining = False
         #: Tenant policy (``None`` = pre-policy behaviour, untouched).
         self.compiled: Optional[CompiledPolicy] = None
@@ -223,7 +209,7 @@ class AdmissionController:
         """Price a whole rendition ladder: the sum of per-rung estimates.
 
         The LUT key describes a rung's steady state: a P frame at the
-        pipeline's default QP/window with mid texture and high motion
+        base QP/window a session starts at, with mid texture and high motion
         (the conservative prior before any tile statistics exist; once
         the LUT has observations for the stream's content class, the
         estimate sharpens automatically), the rung's area bucket, and
@@ -247,8 +233,8 @@ class AdmissionController:
             key = WorkloadKey(
                 texture=TextureClass.MEDIUM,
                 motion=MotionClass.HIGH,
-                qp=32,
-                search_window=64,
+                qp=BASE_QP,
+                search_window=BASE_WINDOW,
                 frame_type=FrameType.P,
                 area_bucket=area_bucket(area),
                 content_class=content,
@@ -275,29 +261,6 @@ class AdmissionController:
     def active_sessions(self) -> int:
         return len(self._active)
 
-    @property
-    def level(self) -> DegradationLevel:
-        """Current rung of the server-level overload ladder."""
-        return self._level
-
-    def lighten(self, qp: int, window: int,
-                tenant: str = "") -> Tuple[int, int]:
-        """Apply the overload ladder to a new session's base config.
-
-        With a policy loaded, the effective rung is capped by the
-        tenant's compiled degradation ceiling — an emergency tenant
-        whose PSNR floor compiled to ``NONE`` is admitted at full
-        quality even while the server-level ladder is up.
-        """
-        level = self._level
-        if self.compiled is not None:
-            level = min(level, self.compiled.resolve(tenant).max_level)
-        if level >= DegradationLevel.QP_BUMP:
-            qp = min(51, qp + 2)
-        if level >= DegradationLevel.WINDOW_SHRINK:
-            window = max(8, window // 2)
-        return qp, window
-
     # -- decisions -----------------------------------------------------
     def decide(
         self, session_id: int, hello: Hello,
@@ -316,9 +279,8 @@ class AdmissionController:
         ladder — the primary rung is the clinical deliverable and is
         never dropped; low rungs are bandwidth conveniences.  Only
         when the primary alone still overflows does the session park
-        or get rejected: against the slot cap that is server overload
-        and feeds the overload ladder, against the tenant's own
-        entitlement it is not.
+        or get rejected, against the slot cap or against the tenant's
+        own entitlement.
         """
         fps = hello.fps
         rungs = requested_rungs(hello)
@@ -390,7 +352,6 @@ class AdmissionController:
                     "repro_serving_tenant_sessions_total", tenant=tenant,
                     help="Sessions admitted per policy tenant",
                 )
-            self._observe_accept()
             return self._decided(
                 session_id, AdmissionDecision.ACCEPT,
                 f"{cut}/{len(rungs)} rungs at estimated {cores:.2f} cores "
@@ -414,7 +375,6 @@ class AdmissionController:
                 "entitled cores occupied"
             )
         else:
-            self._observe_overload()
             detail = (
                 f"slot cap exceeded even for the primary rung: need "
                 f"{cores:.2f} cores, {self.occupancy_cores:.2f}/"
@@ -440,15 +400,10 @@ class AdmissionController:
             "repro_serving_occupancy_cores", self.occupancy_cores,
             help="Estimated core demand of active sessions",
         )
-        registry.set_gauge(
-            "repro_serving_overload_level", int(self._level),
-            help="Server-level overload degradation rung",
-        )
         get_tracer().event(
             "admission.decide", session=session_id,
             decision=decision.value, rungs=len(kept), dropped=dropped,
             cores=cores, occupancy=self.occupancy_cores,
-            level=self._level.name,
         )
         return decision, reason, kept
 
@@ -581,25 +536,6 @@ class AdmissionController:
             "admission.release", session=session_id,
             occupancy=self.occupancy_cores,
         )
-
-    # -- overload ladder -----------------------------------------------
-    def _observe_overload(self) -> None:
-        self._overload_streak += 1
-        if (self._overload_streak >= self.policy.overload_trip
-                and self._level < self.policy.max_level):
-            self._level = DegradationLevel(self._level + 1)
-            self._overload_streak = 0
-            get_registry().inc(
-                "repro_serving_overload_escalations_total",
-                help="Overload-ladder escalations",
-            )
-
-    def _observe_accept(self) -> None:
-        self._overload_streak = 0
-        relief = self.capacity_cores * self.policy.relief_occupancy
-        if self._level > DegradationLevel.NONE and (
-                self.occupancy_cores <= relief):
-            self._level = DegradationLevel(self._level - 1)
 
 
 # ----------------------------------------------------------------------

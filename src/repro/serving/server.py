@@ -68,7 +68,7 @@ import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Type, Union
 
 import numpy as np
@@ -92,6 +92,8 @@ from repro.resilience.degradation import ResilienceConfig
 from repro.ladder.config import LadderConfig, LadderRung
 from repro.ladder.session import LadderSession
 from repro.serving.admission import (
+    BASE_QP,
+    BASE_WINDOW,
     AdmissionController,
     AdmissionDecision,
     AdmissionPolicy,
@@ -158,10 +160,6 @@ class ServeNetConfig:
     egress_frames: int = 32
     #: How long a parked session waits for capacity before rejection.
     park_timeout_s: float = 2.0
-    #: Per-stream resilience (degradation ladder, corrupt-frame drops).
-    resilience: Optional[ResilienceConfig] = field(
-        default_factory=ResilienceConfig
-    )
     admission: AdmissionPolicy = AdmissionPolicy()
     platform: MpsocConfig = XEON_E5_2667
     #: Directory of per-session journals (``None`` disables journaled
@@ -281,8 +279,9 @@ class _Session:
     restored to the last GOP-boundary snapshot, parked in-flight frames
     are staged in ``prefeed`` for the encode loop to re-push, and the
     encoder configuration (``qp``/``window``) comes from the journaled
-    admit record rather than the *current* overload ladder — the same
-    config the original admission chose is what bit-identity requires.
+    admit record rather than the base one a new session starts at — the
+    same config the original admission chose is what bit-identity
+    requires.
     """
 
     def __init__(self, session_id: int, hello: Hello,
@@ -307,20 +306,15 @@ class _Session:
                 content = None
         #: Resolved policy tenant this session bills to ("" = no policy).
         self.tenant = server.resolve_tenant(hello)
+        self.qp, self.window = BASE_QP, BASE_WINDOW
         if restored is not None:
-            qp = int(restored.admit["qp"])
-            window = int(restored.admit["window"])
-        else:
-            qp, window = server.admission.lighten(
-                32, 64, tenant=hello.tenant
-            )
-        self.qp = qp
-        self.window = window
+            self.qp = int(restored.admit["qp"])
+            self.window = int(restored.admit["window"])
         pipeline = PipelineConfig(
             fps=hello.fps,
             gop=GopConfig(max(1, hello.gop)),
-            base_config=EncoderConfig(qp=qp, search="hexagon",
-                                      search_window=window),
+            base_config=EncoderConfig(qp=self.qp, search="hexagon",
+                                      search_window=self.window),
             content_class=content,
             resilience=server.resilience_for(hello),
             platform=cfg.platform,
@@ -411,9 +405,7 @@ class NetworkServer:
         admission: Optional[AdmissionController] = None,
     ):
         self.config = config
-        self.estimator = estimator or WorkloadEstimator(
-            quantile=config.admission.quantile
-        )
+        self.estimator = estimator or WorkloadEstimator()
         self._owner = f"{config.worker_id or 'solo'}:{os.getpid()}"
         self._journal_store: Optional[SharedDirStateStore] = None
         #: Durability health latch (DESIGN.md §16): ``healthy`` gates
@@ -503,12 +495,13 @@ class NetworkServer:
             return ""
         return policy.resolve_name(hello.tenant)
 
-    def resilience_for(self, hello: Hello) -> Optional[ResilienceConfig]:
-        """Per-stream resilience bounded by the tenant's QoS floor."""
+    def resilience_for(self, hello: Hello) -> ResilienceConfig:
+        """Per-stream resilience: the full ladder, bounded by the
+        tenant's QoS floor."""
         policy = self.compiled_policy
         if policy is None:
-            return self.config.resilience
-        return policy.resilience_for(hello.tenant, self.config.resilience)
+            return ResilienceConfig()
+        return policy.resilience_for(hello.tenant, ResilienceConfig())
 
     async def _policy_loop(self) -> None:
         """Housekeeping tick: energy-budget checks."""
@@ -1592,7 +1585,7 @@ class NetworkServer:
         # discarded.  The job's other frames follow the bump.
         await loop.run_in_executor(self._encode_pool, _push_all,
                                    encoder, prior)
-        encoder.bump_degradation(wedged.index)
+        encoder.bump_degradation()
         outputs = await loop.run_in_executor(self._encode_pool, _push_all,
                                              encoder, others)
         self.admission.replan_after_stall(

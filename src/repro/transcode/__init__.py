@@ -9,7 +9,6 @@ from repro.transcode.pipeline import (
     FrameRecord,
     TileRecord,
 )
-from repro.transcode.feedback import FramerateFeedback
 from repro.transcode.server import TranscodingServer, ServingReport
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "GopRecord",
     "FrameRecord",
     "TileRecord",
-    "FramerateFeedback",
     "TranscodingServer",
     "ServingReport",
 ]

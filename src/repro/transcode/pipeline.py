@@ -10,7 +10,9 @@ For each GOP of an input video:
    :class:`~repro.platform.schedule.ThreadTask` demands for the
    allocator (§III-D2),
 5. apply framerate feedback: bottleneck tiles get a smaller search
-   window and a higher QP on the next frame.
+   window and a higher QP on the next frame — the first rung of the
+   session's :class:`~repro.resilience.degradation.DegradationController`,
+   which a served stream may climb further.
 
 The same class also runs the Khan et al. [19] baseline mode (uniform
 workload-balanced tiling, one global QP, default hexagon search) so
@@ -53,6 +55,7 @@ from repro.qp.adaptation import QpAdapter, TileQualityFeedback
 from repro.qp.defaults import DELTA_QP, QP_MAX, QualityConstraints
 from repro.resilience.degradation import (
     DegradationController,
+    DegradationLevel,
     DegradationReport,
     ResilienceConfig,
 )
@@ -60,7 +63,6 @@ from repro.resilience.errors import CorruptFrameError
 from repro.tiling.constraints import TilingConstraints
 from repro.tiling.content_aware import ContentAwareRetiler
 from repro.tiling.tile import TileGrid
-from repro.transcode.feedback import FramerateFeedback
 from repro.video.frame import Video
 from repro.video.metrics import average_psnr, psnr_from_mse
 from repro.video.generator import ContentClass
@@ -117,11 +119,14 @@ class PipelineConfig:
     #: [19]: tile/core count per user; ``None`` derives it from the
     #: first GOP's measured workload (capacity rule).
     khan_cores: Optional[int] = None
-    #: Enables the resilience layer (proposed mode only): corrupt
-    #: frames are dropped instead of raising, and deadline pressure is
-    #: answered by the graded degradation ladder instead of the single
-    #: lighter configuration.
-    resilience: Optional[ResilienceConfig] = None
+    #: The deadline controller's ladder and corrupt-frame handling
+    #: (proposed mode only).  The default is the paper's framerate
+    #: feedback (§III-D2): the ladder capped at its first rung, and a
+    #: corrupt frame raises.  A served stream climbs the full ladder
+    #: and drops corrupt frames (``ResilienceConfig()``).
+    resilience: ResilienceConfig = ResilienceConfig(
+        max_level=DegradationLevel.QP_BUMP, drop_corrupt_frames=False,
+    )
     #: Output luma height when this pipeline encodes one rung of a
     #: rendition ladder (``repro.ladder``).  Stamped into every
     #: :class:`WorkloadKey` the session records so the LUT learns
@@ -251,8 +256,8 @@ class StreamTrace:
     #: Display indices of frames that were not encoded: corrupt inputs
     #: dropped by validation plus deliberate degradation-ladder drops.
     dropped_frames: List[int] = field(default_factory=list)
-    #: Degradation-ladder summary (``None`` without a resilience
-    #: config).
+    #: Degradation-ladder summary (``None`` in the Khan baseline
+    #: mode).
     resilience: Optional[DegradationReport] = None
 
     @property
@@ -383,8 +388,8 @@ class StreamTranscoder:
         frames are all corrupt, or a frame smaller than the minimum
         tile size raise :class:`CorruptFrameError`; individual corrupt
         frames (mismatched geometry, non-finite luma) raise too unless
-        a resilience config is set, in which case they are dropped and
-        logged.
+        the resilience config drops corrupt frames, in which case they
+        are dropped and logged.
         """
         if len(video) == 0:
             raise CorruptFrameError("cannot transcode an empty video")
@@ -434,8 +439,7 @@ class StreamTranscoder:
                 f"size {tiling.min_tile_width}x{tiling.min_tile_height}"
             )
         resilient = (
-            self.config.resilience is not None
-            and self.config.resilience.drop_corrupt_frames
+            self.config.resilience.drop_corrupt_frames
             and self.config.mode is PipelineMode.PROPOSED
         )
         if corrupt and not resilient:
@@ -495,7 +499,7 @@ class StreamTranscoder:
         reference: Optional[np.ndarray],
         adapter: QpAdapter,
         policy: BioMedicalSearchPolicy,
-        feedback: FramerateFeedback,
+        feedback: DegradationController,
         prev_feedback: Sequence[TileQualityFeedback],
         stream_bitrate_mbps: Optional[float] = None,
     ):
@@ -519,8 +523,7 @@ class StreamTranscoder:
                 i, texture, prev_feedback[i] if prev_feedback else None,
                 stream_bitrate_mbps=stream_bitrate_mbps,
             )
-            # Lighter configuration (§III-D2) — either the paper's
-            # single alternative or the resilience ladder's current rung.
+            # Lighter configuration (§III-D2): the ladder's current rung.
             qp, window = feedback.adjust_tile(
                 qp, by_motion[motions[i]][1], i in bottlenecks,
                 QP_MAX, DELTA_QP,
@@ -755,7 +758,7 @@ def frame_is_corrupt(frame, shape: Optional[tuple],
             and luma.dtype == np.uint8
             and (shape is None or luma.shape == shape)):
         return False
-    if config.resilience is None or not config.resilience.drop_corrupt_frames:
+    if not config.resilience.drop_corrupt_frames:
         raise CorruptFrameError(
             f"corrupt frame at index {frame.index}: mismatched "
             "geometry or non-finite luma"
@@ -803,11 +806,7 @@ class ProposedStreamSession:
         self._known_corrupt = known_corrupt or set()
         self._adapter = QpAdapter(cfg.quality)
         self._policy = BioMedicalSearchPolicy(cfg.search)
-        if cfg.resilience is not None:
-            self._feedback = DegradationController(cfg.fps, cfg.resilience)
-        else:
-            self._feedback = FramerateFeedback(fps=cfg.fps)
-        self._resilient = isinstance(self._feedback, DegradationController)
+        self._feedback = DegradationController(cfg.fps, cfg.resilience)
         self._reference: Optional[np.ndarray] = None
         self._previous_original: Optional[np.ndarray] = None
         #: The previous frame's outcome per tile (Algorithm 1's input);
@@ -882,7 +881,7 @@ class ProposedStreamSession:
         self._frames_pushed += 1
         self._gop_pushes += 1
         if corrupt:
-            self._feedback.observe_corrupt_frame(frame.index)
+            self._feedback.observe_corrupt_frame()
             output = self._drop(frame.index, "corrupt")
         else:
             output = self._encode(frame)
@@ -890,15 +889,9 @@ class ProposedStreamSession:
             self._close_gop()
         return [output]
 
-    def bump_degradation(self, frame_index: int = -1,
-                         kind: str = "watchdog"):
-        """Force one rung of ladder escalation (serving watchdog hook).
-
-        Returns the new :class:`DegradationLevel`, or ``None`` when the
-        session runs without a resilience config."""
-        if not self._resilient:
-            return None
-        return self._feedback.force_escalate(frame_index, kind=kind)
+    def bump_degradation(self) -> None:
+        """Force one rung of ladder escalation (serving watchdog hook)."""
+        self._feedback.force_escalate()
 
     # -- persistence ---------------------------------------------------
     def export_state(self) -> Dict[str, object]:
@@ -931,9 +924,7 @@ class ProposedStreamSession:
                 if self._reference_shape is not None else None
             ),
             "content_class": resolved.value if resolved else None,
-            "feedback": (
-                self._feedback.export_state() if self._resilient else None
-            ),
+            "feedback": self._feedback.export_state(),
             "dropped_frames": list(self.trace.dropped_frames),
             "previous_original": self._previous_original,
         }
@@ -954,9 +945,7 @@ class ProposedStreamSession:
         content = state.get("content_class")
         if content:
             self.transcoder._resolved_class = ContentClass(content)
-        feedback = state.get("feedback")
-        if feedback is not None and self._resilient:
-            self._feedback.import_state(feedback)
+        self._feedback.import_state(state["feedback"])
         previous = state.get("previous_original")
         if previous is not None:
             self._previous_original = np.asarray(previous, dtype=np.uint8)
@@ -972,8 +961,7 @@ class ProposedStreamSession:
         self._finished = True
         if self._gop_pushes:
             self._close_gop()
-        if self._resilient:
-            self.trace.resilience = self._feedback.report
+        self.trace.resilience = self._feedback.report
         return []
 
     # -- per-frame encode (the body of the offline per-GOP loop) -------
@@ -992,7 +980,7 @@ class ProposedStreamSession:
         feedback = self._feedback
         retiling = self.transcoder._retile(
             first.luma, self._previous_original,
-            merged=self._resilient and feedback.merge_tiles,
+            merged=feedback.merge_tiles,
         )
         self._plan = GopPlan(retiling.grid, retiling.contents,
                              self.config.base_config.block_size)
@@ -1019,10 +1007,10 @@ class ProposedStreamSession:
         pos = self._gop_pos
         self._gop_pos += 1
         frame_type = cfg.gop.frame_type(pos)
-        if self._resilient and pos > 0 and feedback.should_drop_frame():
+        if pos > 0 and feedback.should_drop_frame():
             # Top ladder rung: skip this P frame outright; its whole
             # slot is reclaimed against the debt.
-            feedback.observe_dropped_frame(frame.index)
+            feedback.observe_dropped_frame()
             return self._drop(frame.index, "deadline")
         record = self._record
         if not cfg.retile_per_gop and pos > 0:
@@ -1031,7 +1019,7 @@ class ProposedStreamSession:
             # the per-GOP scheme avoids.
             retiling = transcoder._retile(
                 frame.luma, self._previous_original,
-                merged=self._resilient and feedback.merge_tiles,
+                merged=feedback.merge_tiles,
             )
             self._plan = GopPlan(retiling.grid, retiling.contents,
                                  cfg.base_config.block_size)
@@ -1061,7 +1049,7 @@ class ProposedStreamSession:
         self._recent_bits.append(frame_record.bits)
         if len(self._recent_bits) > window:
             self._recent_bits = self._recent_bits[-window:]
-        feedback.observe_frame(cpu_times, frame.index)
+        feedback.observe_frame(cpu_times)
         self._prev_frame_feedback = [
             TileQualityFeedback(psnr_db=t.psnr, bits=t.bits)
             for t in frame_record.tiles

@@ -638,13 +638,17 @@ class TestOneRungIsThePlainSession:
                                 resilience=ResilienceConfig())
         ladder = LadderConfig(rungs=_RUNGS[:2], prune=False)
         with LadderSession(config, ladder) as session:
-            assert session.bump_degradation(0) is None  # no rung yet
+            session.bump_degradation()  # no rung yet: held
+            assert not session.rung_sessions
             session.push(ladder_video.frames[0])
-            levels = [rs.session._feedback.level
-                      for rs in session.rung_sessions]
-            assert levels == [DegradationLevel.QP_BUMP] * 2
-            assert session.bump_degradation(1) \
-                is DegradationLevel.WINDOW_SHRINK
+
+            def levels():
+                return [rs.session._feedback.level
+                        for rs in session.rung_sessions]
+
+            assert levels() == [DegradationLevel.QP_BUMP] * 2
+            session.bump_degradation()
+            assert levels() == [DegradationLevel.WINDOW_SHRINK] * 2
 
 
 class TestPlanner:

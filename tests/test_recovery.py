@@ -436,7 +436,7 @@ class TestDegradationSnapshot:
     def test_force_escalate_counts_in_snapshot(self):
         ctl = DegradationController(fps=24.0)
         before = ctl.level
-        ctl.force_escalate(frame_index=5, kind="watchdog")
+        ctl.force_escalate()
         assert ctl.level > before
         restored = DegradationController(fps=24.0)
         restored.import_state(ctl.export_state())

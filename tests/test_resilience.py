@@ -13,6 +13,7 @@ from repro.platform.mpsoc import MpsocConfig
 from repro.platform.schedule import ThreadTask
 from repro.resilience.checkpoint import load_lut, save_lut
 from repro.resilience.degradation import (
+    RECOVER_AFTER,
     DegradationController,
     DegradationLevel,
     ResilienceConfig,
@@ -20,7 +21,6 @@ from repro.resilience.degradation import (
 from repro.resilience.errors import (
     AllocationError,
     CorruptFrameError,
-    DeadlineMissError,
     LutCorruptionError,
     TranscodeError,
 )
@@ -49,8 +49,7 @@ def make_demand(user_id: int, thread_times, fps: float = 24.0) -> UserDemand:
 # ---------------------------------------------------------------------------
 class TestErrorTaxonomy:
     def test_all_errors_share_base(self):
-        for exc in (CorruptFrameError, DeadlineMissError, AllocationError,
-                    LutCorruptionError):
+        for exc in (CorruptFrameError, AllocationError, LutCorruptionError):
             assert issubclass(exc, TranscodeError)
 
     def test_value_error_compatibility(self):
@@ -58,7 +57,6 @@ class TestErrorTaxonomy:
         assert issubclass(CorruptFrameError, ValueError)
         assert issubclass(AllocationError, ValueError)
         assert issubclass(LutCorruptionError, ValueError)
-        assert issubclass(DeadlineMissError, RuntimeError)
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +172,7 @@ class TestDegradationLadder:
     FPS = 100.0  # slot = 10 ms
 
     def controller(self, **overrides) -> DegradationController:
-        defaults = dict(escalate_after=1, recover_after=2,
-                        escalate_debt_slots=1.0)
-        defaults.update(overrides)
-        return DegradationController(self.FPS, ResilienceConfig(**defaults))
+        return DegradationController(self.FPS, ResilienceConfig(**overrides))
 
     def test_escalates_on_consecutive_misses(self):
         ctl = self.controller(escalate_after=2)
@@ -196,13 +191,24 @@ class TestDegradationLadder:
         assert ctl.level is DegradationLevel.WINDOW_SHRINK
 
     def test_hysteresis_requires_streak_and_drained_debt(self):
-        ctl = self.controller(recover_after=2)
+        assert RECOVER_AFTER == 3
+        ctl = self.controller()
         ctl.observe_frame([0.012])  # small miss -> QP_BUMP, slight debt
         assert ctl.level is DegradationLevel.QP_BUMP
         ctl.observe_frame([0.002])  # on time, drains debt (streak 1)
+        assert ctl.debt_seconds == 0.0
+        ctl.observe_frame([0.002])  # streak 2: not yet
         assert ctl.level is DegradationLevel.QP_BUMP
-        ctl.observe_frame([0.002])  # streak 2 and no debt: descend
+        ctl.observe_frame([0.002])  # streak 3 and no debt: descend
         assert ctl.level is DegradationLevel.NONE
+
+    def test_outstanding_debt_holds_the_rung(self):
+        ctl = self.controller()
+        ctl.observe_frame([0.019])  # miss with 0.9 slot of debt
+        for _ in range(RECOVER_AFTER):
+            ctl.observe_frame([0.0099])  # on time, debt barely moves
+        assert ctl.debt_seconds > 0.0
+        assert ctl.level is DegradationLevel.QP_BUMP
 
     def test_max_level_caps_the_ladder(self):
         ctl = self.controller(max_level=DegradationLevel.WINDOW_SHRINK)
@@ -230,28 +236,46 @@ class TestDegradationLadder:
         assert ctl.should_drop_frame()
         drops = 0
         while ctl.should_drop_frame():
-            ctl.observe_dropped_frame(100 + drops)
+            ctl.observe_dropped_frame()
             drops += 1
             assert drops < 100  # each drop reclaims a slot: must end
         assert ctl.debt_seconds == 0.0
         assert ctl.level is DegradationLevel.TILE_MERGE  # one rung down
         assert ctl.report.frames_dropped == drops
 
-    def test_hard_failure_when_ladder_exhausted(self):
-        ctl = self.controller(fail_after_debt_slots=2.0,
-                              max_level=DegradationLevel.QP_BUMP)
-        with pytest.raises(DeadlineMissError):
-            for _ in range(5):
-                ctl.observe_frame([0.1])
-
     def test_report_action_counts_sorted(self):
         ctl = self.controller()
         ctl.observe_frame([0.05])
-        ctl.observe_corrupt_frame(7)
+        ctl.observe_corrupt_frame()
+        ctl.force_escalate()
         counts = ctl.report.action_counts()
+        assert counts == {"corrupt_drop": 1, "escalate": 1, "watchdog": 1}
         assert list(counts) == sorted(counts)
-        assert counts["escalate"] == 1
-        assert counts["corrupt_drop"] == 1
+
+    def test_report_memory_is_bounded_by_action_kinds(self):
+        """A served session can run for hours: what its report keeps
+        must not grow with the frames it has seen."""
+        import gc
+        import tracemalloc
+
+        def retained(frames: int) -> int:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                ctl = self.controller()
+                for _ in range(frames):
+                    ctl.observe_frame([0.05])  # over budget, every frame
+                    if ctl.should_drop_frame():
+                        ctl.observe_dropped_frame()
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        # Slack for allocator noise only (tens of bytes between runs); a
+        # per-action log would add ~2 MB over the 18k extra frames.
+        small = retained(2_000)
+        assert retained(20_000) <= small + 512
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from repro.serving.protocol import (
     read_message,
     write_message,
 )
-from repro.resilience.degradation import DegradationLevel, ResilienceConfig
+from repro.resilience.degradation import ResilienceConfig
 from repro.serving.loadgen import LoadGenConfig, run_loadgen_async
 from repro.serving.server import NetworkServer, ServeNetConfig
 from repro.transcode.pipeline import PipelineConfig, StreamTranscoder
@@ -550,40 +550,9 @@ class TestAdmission:
                     "fps must be finite and positive"), fps
                 assert ctrl.occupancy_cores == 0.0, fps
 
-    def test_overload_ladder_escalates_and_lightens(self):
-        with scoped():
-            ctrl = _controller(park_capacity=0, overload_trip=2)
-            ctrl.decide(0, _HELLO)
-            ctrl.decide(1, _HELLO)
-            assert ctrl.level is DegradationLevel.NONE
-            ctrl.decide(2, _HELLO)
-            ctrl.decide(3, _HELLO)  # second consecutive reject: trip
-            assert ctrl.level is DegradationLevel.QP_BUMP
-            assert ctrl.lighten(32, 64) == (34, 64)
-            ctrl.decide(4, _HELLO)
-            ctrl.decide(5, _HELLO)
-            assert ctrl.level is DegradationLevel.WINDOW_SHRINK
-            assert ctrl.lighten(32, 64) == (34, 32)
-            # Never past the configured ceiling.
-            ctrl.decide(6, _HELLO)
-            ctrl.decide(7, _HELLO)
-            assert ctrl.level is DegradationLevel.WINDOW_SHRINK
-
-    def test_relief_walks_ladder_down(self):
-        with scoped():
-            ctrl = _controller(park_capacity=0, overload_trip=1)
-            ctrl.decide(0, _HELLO)
-            ctrl.decide(1, _HELLO)
-            ctrl.decide(2, _HELLO)  # reject -> QP_BUMP
-            assert ctrl.level is DegradationLevel.QP_BUMP
-            ctrl.release(0)
-            ctrl.release(1)
-            ctrl.decide(3, _HELLO)  # accept at low occupancy -> relief
-            assert ctrl.level is DegradationLevel.NONE
-
     def test_every_way_out_of_decide_reports_the_same_telemetry(self):
         """One exit: whatever the decision and the HELLO's shape, the
-        admission counter, the overload-level gauge and one
+        admission counter, the occupancy gauge and one
         ``admission.decide`` event (with ``rungs``/``dropped``) move."""
         ladder = Hello(width=96, height=96, fps=24.0,
                        ladder=((96, 96), (48, 48)))
@@ -598,10 +567,10 @@ class TestAdmission:
                 (_HELLO, "reject"),     # ... and the room is full
             ]
             for sid, (hello, want) in enumerate(paths):
-                registry.set_gauge("repro_serving_overload_level", -1)
+                registry.set_gauge("repro_serving_occupancy_cores", -1)
                 assert ctrl.decide(sid, hello)[0].value == want
-                assert registry.value("repro_serving_overload_level") \
-                    == int(ctrl.level)
+                assert registry.value("repro_serving_occupancy_cores") \
+                    == ctrl.occupancy_cores
             ctrl.begin_drain()
             assert ctrl.decide(9, _HELLO)[0] is AdmissionDecision.REJECT
             events = [r.attrs for r in tracer.records()
@@ -622,8 +591,6 @@ class TestAdmission:
             AdmissionPolicy(utilization=0.0)
         with pytest.raises(ValueError):
             AdmissionPolicy(park_capacity=-1)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(overload_trip=0)
 
 
 class TestReplanAfterStall:
@@ -690,25 +657,47 @@ class TestReplanAfterStall:
 # ----------------------------------------------------------------------
 # Configuration surface
 # ----------------------------------------------------------------------
+def _unread_fields(cls, receiver: str, *modules) -> list:
+    """Fields of ``cls`` that no ``<receiver>.<field>`` read in
+    ``modules`` (the class's own body left out) ever touches."""
+    source = "".join(inspect.getsource(m) for m in modules).replace(
+        inspect.getsource(cls), "")
+    return [f.name for f in dataclasses.fields(cls) if not re.search(
+        rf"(?:{receiver})\.{f.name}\b", source)]
+
+
 def test_every_serve_net_field_is_read_by_the_server():
-    """Every knob is read off a config object in ``serving/server.py``
-    or ``serving/fleet.py``, and the field set is pinned: a new knob is
-    a diff here, whose change names the non-test caller that sets it."""
+    """Every knob is read off a config object in non-test code — the
+    server's in ``serving/server.py`` or ``serving/fleet.py``, the
+    admission policy's in ``serving/admission.py``, the per-stream
+    ladder's in the controller or the pipeline — and each field set is
+    pinned: a new knob is a diff here, whose change names the non-test
+    caller that sets it."""
+    import repro.resilience.degradation as degradation_mod
+    import repro.serving.admission as admission_mod
     import repro.serving.fleet as fleet_mod
     import repro.serving.server as server_mod
+    import repro.transcode.pipeline as pipeline_mod
 
-    names = [f.name for f in dataclasses.fields(ServeNetConfig)]
-    assert names == [
+    assert [f.name for f in dataclasses.fields(ServeNetConfig)] == [
         "host", "port", "queue_frames", "egress_frames", "park_timeout_s",
-        "resilience", "admission", "platform", "journal_dir",
+        "admission", "platform", "journal_dir",
         "watchdog_multiple", "watchdog_min_s", "drain_grace_s",
         "worker_id", "policy_file", "fileops", "journal_retry_backoff_s",
         "durability_probe_s",
     ]
-    source = inspect.getsource(server_mod).replace(
-        inspect.getsource(ServeNetConfig), "") + inspect.getsource(fleet_mod)
-    assert [name for name in names if not re.search(
-        rf"(?:\bconfig|\bcfg|\.server)\.{name}\b", source)] == []
+    assert _unread_fields(ServeNetConfig, r"\bconfig|\bcfg|\.server",
+                          server_mod, fleet_mod) == []
+    assert [f.name for f in dataclasses.fields(AdmissionPolicy)] == [
+        "utilization", "park_capacity",
+    ]
+    assert _unread_fields(AdmissionPolicy, r"\bpolicy",
+                          admission_mod) == []
+    assert [f.name for f in dataclasses.fields(ResilienceConfig)] == [
+        "escalate_after", "max_level", "drop_corrupt_frames",
+    ]
+    assert _unread_fields(ResilienceConfig, r"\bconfig|\bresilience",
+                          degradation_mod, pipeline_mod) == []
 
 
 # ----------------------------------------------------------------------
