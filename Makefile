@@ -40,6 +40,17 @@ ASAN_RT := $(shell cc -print-file-name=libasan.so 2>/dev/null)
 SANFLAGS := -fsanitize=address,undefined -fno-sanitize-recover=undefined \
 	-fno-omit-frame-pointer -g
 
+# Then the frame split under ThreadSanitizer: kernels.c rebuilt with
+# -fsanitize=thread, and the tests where helper threads run a frame's
+# tiles — the split differentials, callers racing for the helpers, the
+# pinned and the forked process.  The runtime is preloaded into the
+# interpreter binary itself (a shell wrapper such as a pyenv shim may
+# not start under it); a child that forks from a threaded parent and
+# starts helpers needs die_after_fork=0; the first report fails the
+# run.  Without a runtime that loads, the pass says so and skips.
+TSAN_RT := $(shell cc -print-file-name=libtsan.so 2>/dev/null)
+PYEXE := $(shell $(PY) -c "import sys; print(sys.executable)" 2>/dev/null)
+
 sanitize:
 	@if [ -f "$(ASAN_RT)" ]; then \
 		LD_PRELOAD=$(ASAN_RT) ASAN_OPTIONS=detect_leaks=0 \
@@ -48,6 +59,18 @@ sanitize:
 			--native-cflags="$(SANFLAGS)"; \
 	else \
 		echo "sanitize: SKIPPED - no ASan runtime (cc -print-file-name=libasan.so)"; \
+	fi
+	@if [ ! -f "$(TSAN_RT)" ]; then \
+		echo "sanitize: SKIPPED - no TSan runtime (cc -print-file-name=libtsan.so)"; \
+	elif ! LD_PRELOAD=$(TSAN_RT) $(PYEXE) -c pass 2>/dev/null; then \
+		echo "sanitize: SKIPPED - the TSan runtime does not load into $(PYEXE)"; \
+	else \
+		LD_PRELOAD=$(TSAN_RT) TSAN_OPTIONS="die_after_fork=0 halt_on_error=1" \
+		PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYEXE) -m pytest \
+			tests/test_native_kernels.py tests/test_pipeline.py \
+			-k "split or pinned or forked or concurrent" \
+			-q -p no:cacheprovider --capture=sys \
+			--native-cflags="-fsanitize=thread -g"; \
 	fi
 
 bench-smoke:

@@ -291,6 +291,8 @@ class FrameStats:
     (:meth:`rows`) and builds :attr:`tiles` from them when first asked:
     the pipeline records a frame straight from the rows and never asks.
     A frame the per-tile loop encoded is built from its ``tiles``.
+    :attr:`threads` is how many threads ran the frame's tiles (the
+    driver's count; 1 for a frame that stayed on its caller).
     """
 
     def __init__(
@@ -304,9 +306,11 @@ class FrameStats:
         clocks: Optional[List[List[float]]] = None,
         measured: bool = False,
         learners: Optional[Sequence[Optional[int]]] = None,
+        threads: int = 1,
     ):
         self.frame_index = frame_index
         self.frame_type = frame_type
+        self.threads = threads
         self._tiles = tiles
         self._grid_tiles = grid_tiles
         self._counts = counts
@@ -720,7 +724,9 @@ class FrameEncoder:
         The whole frame is **one** native call
         (:func:`repro.native.encode_frame`: the planes are vetted once,
         every tile is a row of the driver's table, the GIL is released
-        for all of them).  A frame with any tile the driver declines —
+        for all of them, and a large frame's tiles run on the cores no
+        other frame is using — :attr:`FrameStats.threads` says on how
+        many threads).  A frame with any tile the driver declines —
         or a run without the compiled kernels — is encoded tile by tile
         through :meth:`TileEncoder.encode`, which counts each declined
         tile in ``repro_codec_tile_fallback_total{reason}``.
@@ -771,7 +777,7 @@ class FrameEncoder:
             table, learners = self._load_table(
                 grid, configs, frame_type, hook_specs, original.shape)
         if table is not None:
-            native.encode_frame(
+            threads = native.encode_frame(
                 original, reference, reconstruction, table,
                 _BASIS8_PTR, _ZZ_ORDER8_PTR,
                 emit=writer is not None, measure=measure,
@@ -779,7 +785,7 @@ class FrameEncoder:
             stats = FrameStats(
                 frame_index, frame_type, grid_tiles=grid.tiles,
                 counts=table.counts, clocks=table.clocks, measured=measure,
-                learners=learners,
+                learners=learners, threads=threads,
             )
             if writer is not None:
                 # Splice the per-tile payloads in, in tile order.

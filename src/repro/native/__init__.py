@@ -8,10 +8,12 @@ loads it through :mod:`ctypes`, and wraps its three entry points:
   call**: a :class:`TileTable` with one row per tile goes in, the
   driver runs each tile's whole block raster (intra choice, seeded
   motion search, mode decision, residual, reconstruction, bit
-  emission, op counts, first-P-frame learning) in table order, and one
-  row of counters and clocks per tile comes back in the table.  ctypes
-  drops the GIL for the call, so frames encoded from different threads
-  run on different cores.  A lone tile is a table of one row.
+  emission, op counts, first-P-frame learning), and one row of counters
+  and clocks per tile comes back in the table.  ctypes drops the GIL
+  for the call, so frames encoded from different threads run on
+  different cores; inside the call, a large frame's tiles are shared
+  with native helper threads on the cores no other frame is using.  A
+  lone tile is a table of one row.
 * :class:`FrameTables` — the re-tiler's content analysis: a frame's
   block statistics built once, then CV, texture class and motion score
   of any batch of block-aligned rectangles
@@ -82,7 +84,8 @@ _BUILD_DIR = _HERE / "_build"
 #: to NumPy with the compiler's message kept in :data:`build_error`
 #: (``tests/test_native_kernels.py`` fails on it wherever a compiler
 #: exists, so a broken kernel cannot pass as a missing-native skip).
-_CFLAGS = ["-O3", "-ffp-contract=off", "-fPIC", "-shared", "-Wall", "-Werror"]
+_CFLAGS = ["-O3", "-ffp-contract=off", "-fPIC", "-shared", "-pthread",
+           "-Wall", "-Werror"]
 
 #: Half-extent of the motion-search cost cache table (must match
 #: ``MS_H`` in ``kernels.c``): the C driver caches candidate costs for
@@ -167,7 +170,7 @@ def _load(extra_cflags: Sequence[str] = ()) -> Optional[ctypes.CDLL]:
         ptr, ptr, ptr,                               # cost cache
         ptr, i32, ptr, ptr,                          # bits, measure, outputs
     ]
-    cdll.encode_frame_u8.restype = None
+    cdll.encode_frame_u8.restype = i64              # threads that ran tiles
     f64 = ctypes.c_double
     cdll.analyze_frame_u8.argtypes = [
         ptr, i64, ptr, i64, i64, i64, i64,           # cur, prev, h, w, block
@@ -308,10 +311,13 @@ def encode_frame(
     zz_order_ptr: int,
     emit: bool = False,
     measure: bool = False,
-) -> None:
+) -> int:
     """Encode the tiles of one frame in the C driver, in one call; the
     results are ``table``'s result rows (and, when emitting, its
-    :meth:`~TileTable.payload`).
+    :meth:`~TileTable.payload`).  Returns the number of threads that
+    ran its tiles: 1 when the frame stayed on this thread, more when
+    the driver's helper threads took tiles on cores no other frame was
+    using (``kernels.c``, "Frame entry").
 
     The caller (``FrameEncoder.encode`` / ``TileEncoder.encode``) has
     vetted the envelope: all planes are C-contiguous uint8 of one
@@ -320,7 +326,8 @@ def encode_frame(
     predictors fit the motion cost-cache table.  ``reference`` is
     ``None`` on I frames.  The GIL is released for the whole call;
     every mutable buffer handed over is either this thread's scratch,
-    the table's own, or a tile's own region of ``reconstruction``.
+    the table's own, or a tile's own region of ``reconstruction`` (a
+    helper thread brings its own motion cost cache).
     """
     sc = _scratch
     has_ref = reference is not None
@@ -328,7 +335,7 @@ def encode_frame(
         sc.ensure_motion()
     if emit and table._bits is None:
         table._bits = np.empty(table._offsets[-1], dtype=np.uint8)
-    lib.encode_frame_u8(
+    return lib.encode_frame_u8(
         original.ctypes.data, original.strides[0],
         reference.ctypes.data if has_ref else None,
         reference.strides[0] if has_ref else 0,

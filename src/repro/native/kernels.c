@@ -9,12 +9,21 @@
  * arrays are C-contiguous buffers prepared by the Python wrappers.
  */
 
+#ifdef __linux__
+#define _GNU_SOURCE /* sched_getaffinity, CPU_COUNT */
+#include <sched.h>
+#endif
+
 #include <math.h>
+#include <pthread.h>
+#include <signal.h>
+#include <stdatomic.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 #include <time.h>
+#include <unistd.h>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -165,8 +174,9 @@ static inline uint8_t round_u8(double v)
 /* the same cost cache semantics (revisited candidates are free and    */
 /* never recounted), the same INFEASIBLE = +inf convention and the     */
 /* same cost arithmetic ((double)sad + lam * (double)(|dx| + |dy|)).   */
-/* The cost cache is an epoch-stamped table supplied by the caller     */
-/* (thread-local in Python), covering displacements in [-MS_H, MS_H]   */
+/* The cost cache is an epoch-stamped table owned by the thread that   */
+/* runs the tile (thread-local in Python for the calling thread, one   */
+/* per helper in C), covering displacements in [-MS_H, MS_H]           */
 /* per axis; the Python wrapper only engages the tile driver when the  */
 /* window and seeds fit the table.                                     */
 /* ------------------------------------------------------------------ */
@@ -840,8 +850,8 @@ static int64_t encode_block_plane(const uint8_t *cur, int64_t cstride,
 /* here: an abandoned planar chain is still four mode trials, a        */
 /* sub-block proven zero is still a transformed one.  Everything the   */
 /* driver touches is either read-only (cur, ref), private to the tile  */
-/* (its recon region) or owned by the calling thread (cost cache, bit  */
-/* buffer, outputs).                                                   */
+/* (its recon region, its bits, its result rows) or owned by the       */
+/* thread running the tile (the cost cache).                           */
 /*                                                                     */
 /* Contract (checked by the Python wrapper): tile_w and tile_h are     */
 /* multiples of 8, bs is a multiple of 8 and <= 64, the tile lies      */
@@ -1000,22 +1010,65 @@ static void encode_tile(const uint8_t *cur, int64_t cstride,
 }
 
 /* ------------------------------------------------------------------ */
-/* Frame entry: every tile of one frame in one foreign call.           */
+/* Frame entry: every tile of one frame in one foreign call, its tiles */
+/* spread over the cores no other frame is using.                      */
 /*                                                                     */
 /* A row of the tile table is the argument list of encode_tile — the   */
 /* integers in rows_i (ROW_I per tile: x, y, w, h, bs, alg, param,     */
 /* window, use_pred, learn, pred_dx, pred_dy, then where the tile's    */
 /* bits go: byte offset and capacity inside bits_buf), step and lambda */
-/* in rows_d — and the tiles run in table order through that one body, */
-/* so a frame encoded here is the frame encoded by one call per tile:  */
-/* tiles share nothing but the read-only planes and the calling        */
-/* thread's cost cache, whose epoch advances per block exactly as it   */
-/* did across calls.  Row t of out_i / out_d is the tile's out_i /     */
-/* out_d above, out_d with a fourth column: the tile's wall seconds    */
+/* in rows_d.  Row t of out_i / out_d is the tile's out_i / out_d      */
+/* above, out_d with a fourth column: the tile's wall seconds          */
 /* (clocked, like the stage seconds, only when measure is set).        */
-/* ctypes releases the GIL for the whole frame, so frames of different */
-/* sessions run on different cores.  Keep ROW_I / ROW_D / OUT_I /      */
-/* OUT_D in step with repro.native.                                    */
+/* ctypes releases the GIL for the whole frame.  Keep ROW_I / ROW_D /  */
+/* OUT_I / OUT_D in step with repro.native.                            */
+/*                                                                     */
+/* Who runs a tile.  The calling thread and the pool's helper threads  */
+/* claim tiles from the frame's atomic cursor over its tiles sorted by */
+/* descending area, largest first (LPT list scheduling: area order     */
+/* lands within a few per cent of the two-thread bound on measured     */
+/* per-tile times, and the true cost order gains under 1 %).  The      */
+/* caller never waits for a helper to start; once the cursor is spent  */
+/* it waits only for the tiles helpers have already taken.  A frame    */
+/* stays on its caller alone when                                      */
+/*  - its tiles cover fewer than SPLIT_MIN_PIXELS pixels, or it has    */
+/*    one tile, or the mask holds one CPU;                             */
+/*  - no CPU is idle: the frames inside this function plus the helpers */
+/*    running a tile are as many as the CPUs.  Helpers apply the same  */
+/*    rule before each tile they take, so a core goes to a frame's     */
+/*    tiles only while no other frame is using it.                     */
+/* The count is this process's own: processes sharing a host (the      */
+/* workers of serve-fleet) each see only their frames, so two of them  */
+/* can put three threads on two cores for a while.                     */
+/*                                                                     */
+/* Helpers: at most one fewer than the CPUs in the process affinity    */
+/* mask (every online CPU where the platform has no mask), and no more */
+/* than the largest frame seen so far has tiles beyond its first;      */
+/* started as frames need them and kept for the life of the process.   */
+/* A frame that splits wakes one helper per tile beyond its first, as  */
+/* far as there are idle CPUs and started helpers; a frame that leaves */
+/* while another is open wakes one, since its CPU may be the idle one  */
+/* a helper passed over.  A lost wake-up costs time, never a tile: the */
+/* caller claims every tile no helper took.                            */
+/*                                                                     */
+/* Why the split is the serial frame, bit for bit.  Tiles share only   */
+/* the read-only planes cur and ref.  Each tile writes its own recon   */
+/* rectangle (intra prediction reads recon only inside the tile: tile  */
+/* boundaries break prediction), its own byte range of bits_buf and    */
+/* its own result rows.  The only other state is the motion cost       */
+/* cache, and it is a memo: every block starts a new epoch, so no      */
+/* entry written for one block is read for another, and a tile's       */
+/* result is the same whichever thread's cache — the caller's (from    */
+/* Python) or a helper's own (allocated once, in C) — it runs on.  So  */
+/* the order in which tiles run, and on which thread, changes nothing  */
+/* but the time.                                                       */
+/*                                                                     */
+/* fork(): handlers registered with the pool leave a child a pool with */
+/* no helpers, no open frame and fresh locks; its first frame that     */
+/* splits starts helpers of its own, on the caches the child inherited.*/
+/*                                                                     */
+/* Returns the number of threads that ran tiles of the frame: 1 when   */
+/* it stayed serial.                                                   */
 /* ------------------------------------------------------------------ */
 
 #define ROW_I 14
@@ -1023,32 +1076,299 @@ static void encode_tile(const uint8_t *cur, int64_t cstride,
 #define OUT_I 9
 #define OUT_D 4
 
-void encode_frame_u8(const uint8_t *cur, int64_t cstride,
-                     const uint8_t *ref, int64_t rstride,
-                     int64_t ref_h, int64_t ref_w,
-                     uint8_t *recon, int64_t ostride,
-                     int64_t n_tiles,
-                     const int64_t *rows_i, const double *rows_d,
-                     const double *basis, const int32_t *zz_order,
-                     double *cache_costs, int64_t *cache_stamps,
-                     int64_t *epoch_io,
-                     uint8_t *bits_buf, int measure,
-                     int64_t *out_i, double *out_d)
+/* Below this many pixels a frame runs serially: a helper's wake-up
+ * costs more than its share of the tiles saves.  Measured on a 2-vCPU
+ * KVM guest (Xeon, CPUID model 207), pushes of a brain session, six
+ * alternating pairs per size, median encode time per frame serial vs
+ * split: 192x144 0.20 vs 0.23 ms (split won 1/6), 256x192 (49,152
+ * pixels) 0.37 vs 0.37 ms (3/6), 320x240 (76,800) 0.55 vs 0.53 ms
+ * (4/6); a helper's first claim came 17 us to 0.4 ms after the frame
+ * opened. */
+#define SPLIT_MIN_PIXELS 65536
+
+/* One frame's arguments, shared read-only by every thread that runs a
+ * tile of it, plus the claim state. */
+typedef struct FrameJob {
+    const uint8_t *cur;
+    int64_t cstride;
+    const uint8_t *ref;
+    int64_t rstride, ref_h, ref_w;
+    uint8_t *recon;
+    int64_t ostride;
+    const int64_t *rows_i;
+    const double *rows_d;
+    const double *basis;
+    const int32_t *zz_order;
+    uint8_t *bits_buf;
+    int measure;
+    int64_t *out_i;
+    double *out_d;
+    const int64_t *order;       /* tile indices, largest area first */
+    int64_t n_tiles;
+    _Atomic int64_t next;       /* claim cursor into order */
+    int64_t outstanding;        /* taken by helpers, unfinished (lock) */
+    int64_t serial;             /* pool-wide job number (lock) */
+    int helpers;                /* helpers that ran a tile (lock) */
+    struct FrameJob *link;      /* next open job (lock) */
+} FrameJob;
+
+/* A helper thread's state: its own motion cost cache (the table
+ * encode_tile's search memoises into, see MSearch; zero stamps and
+ * epoch 0 to start) and the last job it ran a tile of. */
+typedef struct {
+    double *costs;
+    int64_t *stamps;
+    int64_t epoch;
+    int64_t last_serial;
+} Helper;
+
+static struct {
+    pthread_mutex_t lock;
+    pthread_cond_t work;        /* a tile may be there for a helper */
+    pthread_cond_t done;        /* a job's outstanding fell to 0 */
+    FrameJob *jobs;             /* open jobs, newest first */
+    int64_t serial;
+    int ncpu;                   /* CPUs in the affinity mask (pool_once) */
+    int started;                /* helpers running in this process */
+    int busy;                   /* helpers running a tile */
+    Helper *helper;             /* ncpu - 1 slots, caches kept across fork */
+    _Atomic int in_flight;      /* frames inside encode_frame_u8 */
+} pool = {PTHREAD_MUTEX_INITIALIZER, PTHREAD_COND_INITIALIZER,
+          PTHREAD_COND_INITIALIZER};
+static pthread_once_t pool_once = PTHREAD_ONCE_INIT;
+
+static void run_tile(const FrameJob *j, int64_t t, double *costs,
+                     int64_t *stamps, int64_t *epoch)
 {
-    for (int64_t t = 0; t < n_tiles; t++) {
-        const int64_t *ri = rows_i + t * ROW_I;
-        const double *rd = rows_d + t * ROW_D;
-        double *od = out_d + t * OUT_D;
-        int64_t t0 = measure ? now_ns() : 0;
-        encode_tile(cur, cstride, ref, rstride, ref_h, ref_w, recon, ostride,
-                    ri[0], ri[1], ri[2], ri[3], (int)ri[4], rd[0], rd[1],
-                    basis, zz_order, (int)ri[5], (int)ri[6], (int)ri[7],
-                    (int)ri[8], (int)ri[9], ri[10], ri[11],
-                    cache_costs, cache_stamps, epoch_io,
-                    bits_buf ? bits_buf + ri[12] : NULL, ri[13], measure,
-                    out_i + t * OUT_I, od);
-        od[3] = measure ? (double)(now_ns() - t0) * 1e-9 : 0.0;
+    const int64_t *ri = j->rows_i + t * ROW_I;
+    const double *rd = j->rows_d + t * ROW_D;
+    double *od = j->out_d + t * OUT_D;
+    int64_t t0 = j->measure ? now_ns() : 0;
+    encode_tile(j->cur, j->cstride, j->ref, j->rstride, j->ref_h, j->ref_w,
+                j->recon, j->ostride,
+                ri[0], ri[1], ri[2], ri[3], (int)ri[4], rd[0], rd[1],
+                j->basis, j->zz_order, (int)ri[5], (int)ri[6], (int)ri[7],
+                (int)ri[8], (int)ri[9], ri[10], ri[11],
+                costs, stamps, epoch,
+                j->bits_buf ? j->bits_buf + ri[12] : NULL, ri[13],
+                j->measure, j->out_i + t * OUT_I, od);
+    od[3] = j->measure ? (double)(now_ns() - t0) * 1e-9 : 0.0;
+}
+
+/* CPUs that nothing of this process's encoding is using: neither a
+ * frame's caller (inside encode_frame_u8) nor a helper running a tile.
+ * Under pool.lock. */
+static int pool_idle_cpus(void)
+{
+    return pool.ncpu - atomic_load(&pool.in_flight) - pool.busy;
+}
+
+/* The first open job with a tile left, while a CPU is idle; NULL
+ * otherwise.  Under pool.lock. */
+static FrameJob *pool_open_job(void)
+{
+    if (pool_idle_cpus() <= 0)
+        return NULL;
+    for (FrameJob *j = pool.jobs; j; j = j->link)
+        if (atomic_load(&j->next) < j->n_tiles)
+            return j;
+    return NULL;
+}
+
+static void *helper_main(void *arg)
+{
+    Helper *h = arg;
+    pthread_mutex_lock(&pool.lock);
+    for (;;) {
+        FrameJob *j = pool_open_job();
+        if (!j) {
+            pthread_cond_wait(&pool.work, &pool.lock);
+            continue;
+        }
+        /* Counted before the claim, while the job is still open: its
+         * caller unlinks it under the lock, then waits for this. */
+        j->outstanding++;
+        pool.busy++;
+        pthread_mutex_unlock(&pool.lock);
+        int64_t k = atomic_fetch_add(&j->next, 1);
+        if (k < j->n_tiles)
+            run_tile(j, j->order[k], h->costs, h->stamps, &h->epoch);
+        pthread_mutex_lock(&pool.lock);
+        pool.busy--;
+        if (k < j->n_tiles && h->last_serial != j->serial) {
+            h->last_serial = j->serial;
+            j->helpers++;
+        }
+        if (--j->outstanding == 0)
+            pthread_cond_broadcast(&pool.done);
     }
+    return NULL;
+}
+
+static void pool_before_fork(void) { pthread_mutex_lock(&pool.lock); }
+static void pool_after_fork_parent(void) { pthread_mutex_unlock(&pool.lock); }
+
+/* The child has one thread, the forking one, and it was not inside a
+ * frame: no helper, no open job, no frame in flight survives. */
+static void pool_after_fork_child(void)
+{
+    pthread_mutex_init(&pool.lock, NULL);
+    pthread_cond_init(&pool.work, NULL);
+    pthread_cond_init(&pool.done, NULL);
+    pool.jobs = NULL;
+    pool.started = 0;
+    pool.busy = 0;
+    atomic_store(&pool.in_flight, 0);
+}
+
+/* CPUs this process may run on: its affinity mask, which taskset or a
+ * cpuset narrows, where Linux has one; every online CPU otherwise (as
+ * repro.serving.server counts them). */
+static int mask_cpus(void)
+{
+#ifdef __linux__
+    cpu_set_t mask;
+    if (sched_getaffinity(0, sizeof mask, &mask) == 0)
+        return CPU_COUNT(&mask);
+#endif
+    long n = sysconf(_SC_NPROCESSORS_ONLN);
+    return n > 0 ? (int)n : 1;
+}
+
+/* Once per process, at its first frame: count the CPUs, and make room
+ * for a helper on each but one. */
+static void pool_init(void)
+{
+    pool.ncpu = mask_cpus();
+    if (pool.ncpu > 1)
+        pool.helper = calloc((size_t)pool.ncpu - 1, sizeof *pool.helper);
+    if (!pool.helper)
+        pool.ncpu = 1;
+    pthread_atfork(pool_before_fork, pool_after_fork_parent,
+                   pool_after_fork_child);
+}
+
+/* Start helpers until `want` run (at most ncpu - 1).  Under pool.lock;
+ * returns how many run.  Signals stay with the interpreter's threads. */
+static int pool_start_helpers(int64_t want)
+{
+    if (want > pool.ncpu - 1)
+        want = pool.ncpu - 1;
+    if (pool.started >= want)
+        return pool.started;
+    sigset_t all, saved;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &saved);
+    while (pool.started < want) {
+        Helper *h = &pool.helper[pool.started];
+        if (!h->costs) {
+            h->costs = malloc(sizeof(double) * MS_DIM * MS_DIM);
+            h->stamps = calloc(MS_DIM * MS_DIM, sizeof(int64_t));
+            if (!h->costs || !h->stamps) {
+                free(h->costs);
+                free(h->stamps);
+                h->costs = NULL;
+                h->stamps = NULL;
+                break;
+            }
+        }
+        pthread_t tid;
+        pthread_attr_t attr;
+        pthread_attr_init(&attr);
+        pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+        int failed = pthread_create(&tid, &attr, helper_main, h);
+        pthread_attr_destroy(&attr);
+        if (failed)
+            break;
+        pool.started++;
+    }
+    pthread_sigmask(SIG_SETMASK, &saved, NULL);
+    return pool.started;
+}
+
+int64_t encode_frame_u8(const uint8_t *cur, int64_t cstride,
+                        const uint8_t *ref, int64_t rstride,
+                        int64_t ref_h, int64_t ref_w,
+                        uint8_t *recon, int64_t ostride,
+                        int64_t n_tiles,
+                        const int64_t *rows_i, const double *rows_d,
+                        const double *basis, const int32_t *zz_order,
+                        double *cache_costs, int64_t *cache_stamps,
+                        int64_t *epoch_io,
+                        uint8_t *bits_buf, int measure,
+                        int64_t *out_i, double *out_d)
+{
+    FrameJob job = {
+        .cur = cur, .cstride = cstride, .ref = ref, .rstride = rstride,
+        .ref_h = ref_h, .ref_w = ref_w, .recon = recon, .ostride = ostride,
+        .rows_i = rows_i, .rows_d = rows_d, .basis = basis,
+        .zz_order = zz_order, .bits_buf = bits_buf, .measure = measure,
+        .out_i = out_i, .out_d = out_d, .n_tiles = n_tiles};
+    int64_t pixels = 0, *order = NULL;
+    for (int64_t t = 0; t < n_tiles; t++)
+        pixels += rows_i[t * ROW_I + 2] * rows_i[t * ROW_I + 3];
+    pthread_once(&pool_once, pool_init);
+    atomic_fetch_add(&pool.in_flight, 1);
+    int64_t helpers = 0;
+    if (pool.ncpu > 1 && n_tiles > 1 && pixels >= SPLIT_MIN_PIXELS
+        && (order = malloc(sizeof *order * (size_t)n_tiles)) != NULL) {
+        /* Insertion sort by descending area, ties in table order. */
+        for (int64_t t = 0; t < n_tiles; t++) {
+            int64_t area = rows_i[t * ROW_I + 2] * rows_i[t * ROW_I + 3], k;
+            for (k = t; k > 0; k--) {
+                int64_t o = order[k - 1];
+                if (rows_i[o * ROW_I + 2] * rows_i[o * ROW_I + 3] >= area)
+                    break;
+                order[k] = o;
+            }
+            order[k] = t;
+        }
+        job.order = order;
+        pthread_mutex_lock(&pool.lock);
+        int64_t idle = pool_idle_cpus();
+        if (idle > 0)
+            helpers = pool_start_helpers(n_tiles - 1);
+        if (helpers > 0) {
+            job.serial = ++pool.serial;
+            job.link = pool.jobs;
+            pool.jobs = &job;
+            int64_t wake = helpers < idle ? helpers : idle;
+            if (wake > n_tiles - 1)
+                wake = n_tiles - 1;
+            while (wake-- > 0)
+                pthread_cond_signal(&pool.work);
+        }
+        pthread_mutex_unlock(&pool.lock);
+    }
+    int ran = 0;
+    if (helpers == 0) {
+        for (int64_t t = 0; t < n_tiles; t++)
+            run_tile(&job, t, cache_costs, cache_stamps, epoch_io);
+        ran = 1;
+    } else {
+        int64_t k;
+        while ((k = atomic_fetch_add(&job.next, 1)) < n_tiles) {
+            run_tile(&job, order[k], cache_costs, cache_stamps, epoch_io);
+            ran = 1;
+        }
+        pthread_mutex_lock(&pool.lock);
+        FrameJob **p = &pool.jobs;
+        while (*p != &job)
+            p = &(*p)->link;
+        *p = job.link;
+        while (job.outstanding > 0)
+            pthread_cond_wait(&pool.done, &pool.lock);
+        pthread_mutex_unlock(&pool.lock);
+        ran += job.helpers;
+    }
+    free(order);
+    if (atomic_fetch_sub(&pool.in_flight, 1) > 1 && pool.ncpu > 1) {
+        pthread_mutex_lock(&pool.lock);
+        if (pool.jobs && pool_idle_cpus() > 0)
+            pthread_cond_signal(&pool.work);
+        pthread_mutex_unlock(&pool.lock);
+    }
+    return ran;
 }
 
 /* ------------------------------------------------------------------ */

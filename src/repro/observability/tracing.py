@@ -73,6 +73,9 @@ class _NullSpan:
     def __exit__(self, *exc) -> None:
         return None
 
+    def set(self, **attrs: object) -> None:
+        return None
+
 
 #: The singleton no-op span: returned by every ``span()`` call while
 #: the tracer is disabled, so tracing costs one branch and zero
@@ -101,6 +104,10 @@ class _ActiveSpan:
         stack.append((self._seq, self._name))
         self._start = time.perf_counter()
         return self
+
+    def set(self, **attrs: object) -> None:
+        """Add attributes learned inside the span (recorded on exit)."""
+        self._attrs.update(attrs)
 
     def __exit__(self, *exc) -> None:
         end = time.perf_counter()

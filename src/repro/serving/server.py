@@ -684,11 +684,17 @@ class NetworkServer:
     def _encode_pool_size(self) -> int:
         """Encode threads granted to this server: the admission
         controller's core capacity (the Algorithm-2 budget sessions are
-        packed into) clamped to the physical host — one thread on a
-        single-core host.  One GOP flush runs per thread; per-session
-        pushes stay strictly ordered regardless."""
+        packed into) clamped to the CPUs this process may run on (its
+        affinity mask, which taskset or a cpuset narrows; every online
+        CPU where the platform has no mask) — one thread on a single
+        core.  One GOP flush runs per thread; per-session pushes stay
+        strictly ordered regardless."""
         grant = max(1, int(self.admission.capacity_cores))
-        return min(grant, os.cpu_count() or 1)
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cpus = os.cpu_count() or 1
+        return min(grant, cpus)
 
     def _new_encode_pool(self) -> ThreadPoolExecutor:
         return ThreadPoolExecutor(

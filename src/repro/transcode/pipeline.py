@@ -154,7 +154,14 @@ class PipelineConfig:
 
 @dataclass
 class TileRecord:
-    """Per-tile, per-frame outcome."""
+    """Per-tile, per-frame outcome.  A session keeps one per tile of
+    every frame it encodes, so it is a slotted object: one allocation
+    and no per-instance dict.  (``__slots__`` is spelled out because
+    ``dataclass(slots=True)`` needs Python 3.10; no field has a default,
+    so the two are the same class.)"""
+
+    __slots__ = ("tile_index", "texture", "motion", "qp", "search_window",
+                 "bits", "psnr", "cpu_time_fmax")
 
     tile_index: int
     texture: TextureClass
@@ -504,9 +511,9 @@ class StreamTranscoder:
         stream_bitrate_mbps: Optional[float] = None,
     ):
         """Encode one frame over the GOP's plan; returns ``(record,
-        reconstruction, per-tile CPU times)``.  ``prev_feedback`` is the
-        previous frame's outcome per tile (empty on the first frame
-        after a re-tiling)."""
+        reconstruction, per-tile CPU times, threads that ran its
+        tiles)``.  ``prev_feedback`` is the previous frame's outcome per
+        tile (empty on the first frame after a re-tiling)."""
         bottlenecks = feedback.bottleneck_tiles
         is_first = gop_position <= 1
         is_p = frame_type is FrameType.P
@@ -559,7 +566,7 @@ class StreamTranscoder:
         record, cpu_times = self._record_frame(
             frame_stats, frame_type, plan, qps, windows
         )
-        return record, reconstruction, cpu_times
+        return record, reconstruction, cpu_times, frame_stats.threads
 
     def _qp_config(self, qp: int) -> EncoderConfig:
         config = self._qp_configs.get(qp)
@@ -634,11 +641,13 @@ class StreamTranscoder:
                 with get_tracer().span(
                     "pipeline.frame", frame=frame.index,
                     type=frame_type.value, gop=g, tiles=len(grid),
-                ):
+                ) as span:
                     frame_stats, reference = self._frame_encoder.encode(
                         frame.luma, grid, configs, frame_type,
                         reference=reference, frame_index=frame.index,
                     )
+                    if frame_stats.threads > 1:
+                        span.set(threads=frame_stats.threads)
                 record.frames.append(self._record_frame(
                     frame_stats, frame_type, plan,
                     [cfg.base_config.qp] * len(grid),
@@ -1036,8 +1045,8 @@ class ProposedStreamSession:
         with get_tracer().span(
             "pipeline.frame", frame=frame.index,
             type=frame_type.value, gop=self._gop_index, tiles=len(plan.grid),
-        ):
-            frame_record, self._reference, cpu_times = (
+        ) as span:
+            frame_record, self._reference, cpu_times, threads = (
                 transcoder._encode_proposed_frame(
                     frame.luma, frame.index, frame_type, pos, plan,
                     self._reference, self._adapter,
@@ -1045,6 +1054,8 @@ class ProposedStreamSession:
                     stream_bitrate,
                 )
             )
+            if threads > 1:  # a split frame: its tiles took idle cores
+                span.set(threads=threads)
         record.frames.append(frame_record)
         self._recent_bits.append(frame_record.bits)
         if len(self._recent_bits) > window:

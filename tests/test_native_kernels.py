@@ -36,7 +36,7 @@ from repro.codec.ops import OpCounts
 from repro.codec.quant import quantization_step
 from repro.motion.proposed import TileHookSpec, spec_hook
 from repro.observability import scoped
-from repro.tiling.tile import Tile
+from repro.tiling.tile import Tile, TileGrid
 from repro.tiling.uniform import uniform_tiling
 from repro.transcode.pipeline import PipelineConfig, StreamTranscoder
 from repro.video.generator import ContentClass, MotionPreset, generate_video
@@ -640,38 +640,43 @@ def _frame_oracle(configs, cur, ref, grid, frame_type, specs, emit):
 
 
 def _assert_frame_matches_oracle(configs, cur, ref, grid, frame_type, specs,
-                                 emit):
+                                 emit, repeats=1):
     """Encode the frame through ``FrameEncoder.encode`` — one foreign
-    call — and compare everything it returns with the block loop's."""
+    call — ``repeats`` times and compare everything each run returns
+    with one run of the block loop's, whichever threads took which
+    tiles (each run's thread count is within the mask and the grid)."""
     if frame_type is FrameType.I:
         specs = None
     tiles, want_recon, stream, learned = _frame_oracle(
         configs, cur, ref, grid, frame_type, specs, emit)
-    writer = BitWriter() if emit else None
-    with scoped() as (registry, _), counted_native() as calls:
-        stats, recon = FrameEncoder().encode(
-            cur, grid, configs, frame_type,
-            reference=ref if frame_type is FrameType.P else None,
-            frame_index=5, writer=writer, hook_specs=specs,
-            measure_stages=True,
-        )
-        assert FALLBACK not in registry.names()
-    assert calls == {"encode_frame_u8": 1}
-    assert (stats.frame_index, stats.frame_type) == (5, frame_type)
-    assert [t.tile for t in stats.tiles] == list(grid)
-    assert [(t.bits, t.ssd, t.ops) for t in stats.tiles] == tiles
-    np.testing.assert_array_equal(recon, want_recon)
-    if emit:
-        assert (writer.bits_written, writer.flush()) == stream
-        assert stream[0] == 2 + sum(bits for bits, _, _ in tiles)
-    for i, (tile_stats, want) in enumerate(zip(stats.tiles, learned)):
-        got = tile_stats.learned
-        assert (want is None) == (got is None)
-        if got is not None:
-            assert got.tile_id == specs[i].tile_id
-            assert (got.first_axis, got.final_mv) == want
-        assert set(tile_stats.stage_seconds) == {"motion", "entropy", "encode"}
-        assert all(v >= 0.0 for v in tile_stats.stage_seconds.values())
+    for _ in range(repeats):
+        writer = BitWriter() if emit else None
+        with scoped() as (registry, _), counted_native() as calls:
+            stats, recon = FrameEncoder().encode(
+                cur, grid, configs, frame_type,
+                reference=ref if frame_type is FrameType.P else None,
+                frame_index=5, writer=writer, hook_specs=specs,
+                measure_stages=True,
+            )
+            assert FALLBACK not in registry.names()
+        assert calls == {"encode_frame_u8": 1}
+        assert (stats.frame_index, stats.frame_type) == (5, frame_type)
+        assert [t.tile for t in stats.tiles] == list(grid)
+        assert [(t.bits, t.ssd, t.ops) for t in stats.tiles] == tiles
+        np.testing.assert_array_equal(recon, want_recon)
+        if emit:
+            assert (writer.bits_written, writer.flush()) == stream
+            assert stream[0] == 2 + sum(bits for bits, _, _ in tiles)
+        for i, (tile_stats, want) in enumerate(zip(stats.tiles, learned)):
+            got = tile_stats.learned
+            assert (want is None) == (got is None)
+            if got is not None:
+                assert got.tile_id == specs[i].tile_id
+                assert (got.first_axis, got.final_mv) == want
+            assert set(tile_stats.stage_seconds) == {
+                "motion", "entropy", "encode"}
+            assert all(v >= 0.0 for v in tile_stats.stage_seconds.values())
+        assert 1 <= stats.threads <= min(_affinity_cpus(), len(grid))
 
 
 def _mixed_table(num_tiles, is_first):
@@ -789,6 +794,146 @@ def test_frame_with_a_declined_tile_runs_tile_by_tile():
     np.testing.assert_array_equal(recon, want_recon)
     assert (writer.bits_written, writer.flush()) == stream
     assert all(t.stage_seconds is None for t in stats.tiles)
+
+
+# ----------------------------------------------------------------------
+# The frame split: a large frame's tiles on helper threads
+# ----------------------------------------------------------------------
+
+
+def _affinity_cpus():
+    return len(os.sched_getaffinity(0))
+
+
+def _class_frames(content, width, height):
+    video = generate_video(content, width, height, 2, seed=23)
+    return video[0].luma, video[1].luma
+
+
+@needs_driver
+@pytest.mark.parametrize("size", [(640, 480), (480, 360)])
+@pytest.mark.parametrize("content", list(ContentClass))
+def test_split_frame_matches_block_loop(content, size):
+    """An I frame and a GOP's first P frame of each content class, on a
+    4x3 grid whose rows differ in QP, window, predictor and search: the
+    frame the driver splits is the block loop's frame.  At 480x360 the
+    tiles are 120x120, so every tile ends in 16x8 remainder blocks,
+    whose DC prediction takes the serial float chain."""
+    width, height = size
+    ref, cur = _class_frames(content, width, height)
+    grid = uniform_tiling(width, height, 4, 3)
+    for frame_type in (FrameType.I, FrameType.P):
+        configs, specs = _mixed_table(len(grid), is_first=True)
+        _assert_frame_matches_oracle(configs, cur, ref, grid, frame_type,
+                                     specs, emit=True, repeats=3)
+
+
+@needs_driver
+@pytest.mark.parametrize("content", list(ContentClass))
+def test_split_with_one_dominant_tile_matches_block_loop(content):
+    """One tile covers 62.5 % of the frame and four small ones the
+    rest: claimed largest first, the big tile goes to the caller and
+    the small ones to whichever thread is free — same frame."""
+    ref, cur = _class_frames(content, 640, 480)
+    grid = TileGrid(640, 480, [Tile(0, 0, 400, 480)] + [
+        Tile(400, y, 240, 120) for y in range(0, 480, 120)])
+    for frame_type in (FrameType.I, FrameType.P):
+        configs, specs = _mixed_table(len(grid), is_first=False)
+        _assert_frame_matches_oracle(configs, cur, ref, grid, frame_type,
+                                     specs, emit=True, repeats=3)
+
+
+def _frame_threads(width, height, frames):
+    """``FrameStats.threads`` of ``frames`` encodes of one P frame."""
+    ref, cur = _class_frames(ContentClass.BRAIN, width, height)
+    grid = uniform_tiling(width, height, 4, 3)
+    configs = [EncoderConfig(qp=32, search="hexagon", search_window=32)
+               for _ in grid]
+    return [FrameEncoder().encode(cur, grid, configs, FrameType.P,
+                                  reference=ref)[0].threads
+            for _ in range(frames)]
+
+
+@needs_driver
+def test_a_vga_frame_splits_and_a_small_one_does_not():
+    """A VGA frame's tiles reach a second thread wherever the affinity
+    mask has a second CPU (a helper's wake-up can miss one frame, not
+    a hundred); a 96x96 frame never leaves its caller."""
+    if _affinity_cpus() < 2:
+        pytest.skip("one CPU in the affinity mask: every frame is serial")
+    threads = _frame_threads(640, 480, 100)
+    assert 2 <= max(threads) <= min(_affinity_cpus(), 12)
+    assert set(_frame_threads(96, 96, 20)) == {1}
+
+
+_PINNED = """
+import os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from repro import native
+assert native.available(), native.build_error
+from tests.test_native_kernels import _frame_threads
+print(sorted(set(_frame_threads(640, 480, 20))))
+"""
+
+
+@needs_driver
+def test_a_process_pinned_to_one_cpu_encodes_serially():
+    """The helper count comes from the affinity mask: a process that
+    taskset or a cpuset holds to one CPU starts no helper."""
+    out = subprocess.run(
+        [sys.executable, "-c", _PINNED], capture_output=True, text=True,
+        cwd=str(REPO_ROOT), timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(REPO_ROOT / "src"), str(REPO_ROOT)])},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[1]"
+
+
+def _fork_encode(queue):
+    """In the forked child: the digest of the frame the parent encodes
+    too, and the most threads any of 50 VGA encodes reported."""
+    threads = _frame_threads(640, 480, 50)
+    stats, recon = _fork_frame()
+    queue.put((_frame_digest(stats, recon), max(threads)))
+
+
+def _fork_frame():
+    ref, cur = _class_frames(ContentClass.CARDIAC, 640, 480)
+    grid = uniform_tiling(640, 480, 4, 3)
+    configs, specs = _mixed_table(len(grid), is_first=True)
+    return FrameEncoder().encode(cur, grid, configs, FrameType.P,
+                                 reference=ref, hook_specs=specs)
+
+
+def _frame_digest(stats, recon):
+    return ([(t.bits, t.ssd, astuple(t.ops)) for t in stats.tiles],
+            zlib.crc32(recon))
+
+
+@needs_driver
+def test_a_forked_child_rebuilds_the_pool():
+    """The parent's helpers do not survive fork(): a child that
+    encodes gets a pool of its own (no wait on a helper that is not
+    there, no lock a vanished thread held) and the parent's output."""
+    import multiprocessing
+
+    _frame_threads(640, 480, 5)  # the parent's helpers are running
+    want = _frame_digest(*_fork_frame())
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_fork_encode, args=(queue,))
+    child.start()
+    try:
+        got, threads = queue.get(timeout=60)
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert got == want
+    if _affinity_cpus() >= 2:
+        assert threads >= 2
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import inspect
+import os
 import re
 import struct
 import zlib
@@ -698,6 +699,21 @@ def test_every_serve_net_field_is_read_by_the_server():
     ]
     assert _unread_fields(ResilienceConfig, r"\bconfig|\bresilience",
                           degradation_mod, pipeline_mod) == []
+
+
+def test_encode_pool_counts_the_cpus_the_affinity_mask_allows(monkeypatch):
+    """A server pinned to one CPU (taskset, a cpuset) starts one encode
+    thread, however many CPUs the host has online; where the platform
+    has no affinity mask, the online count stands in."""
+    server = NetworkServer(ServeNetConfig(port=0))
+    assert server.admission.capacity_cores >= 2
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert server._encode_pool_size() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert server._encode_pool_size() == min(
+        8, int(server.admission.capacity_cores))
 
 
 # ----------------------------------------------------------------------
