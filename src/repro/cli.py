@@ -188,8 +188,7 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
                 )
             for out in outputs:
                 writer.add(out)
-        for out in session.finish():
-            writer.add(out)
+        session.finish()
         manifest = writer.finalize()
     print(f"wrote {args.out}: ladder of {len(manifest['rungs'])} rung(s) "
           f"from {video.width}x{video.height} "

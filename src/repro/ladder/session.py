@@ -26,14 +26,13 @@ ladder's per-rung output is **bit-identical** to N independent
 sessions — the property `tests/test_ladder.py` and the smoke drill
 assert, and what makes the shared-analysis savings free.
 
-The ingest frame is shared too, until the rungs use it.  Several
-rungs encode rung-major — the primary's whole GOP, then the next
-rung's — so the LUT's observation order is what it was when each
-push scaled on arrival: a mid-GOP
-:meth:`push` only checks the frame and holds it, and the push that
-closes the GOP (or :meth:`finish`) scales and feeds the held frames
-rung by rung.  A ladder of **one** rung has no order to keep: each
-push feeds its frame to the rung, which encodes it there and then.
+Every :meth:`~LadderSession.push` checks its ingest frame once, then
+pushes it, scaled, into every rung, and returns that frame's output on
+each rung, primary first.  The rungs need no common feed order: each
+rung session encodes its frame at its push, and the shared LUT keys
+its observations by rung height, so a key sees them in the order an
+independent session of that rung would (two rungs of one height share
+a key; no encode reads the LUT, so no output depends on that order).
 
 A ladder of one rung at ingest geometry is the plain session: same
 bits, same reconstruction, same drops as
@@ -41,7 +40,6 @@ bits, same reconstruction, same drops as
 own push.  The network server relies on that — every session it serves
 is a :class:`LadderSession` over the admitted rungs — and on the
 GOP-boundary surface below (:attr:`~LadderSession.pending_frames`,
-:meth:`~LadderSession.only_buffers`,
 :meth:`~LadderSession.export_state` /
 :meth:`~LadderSession.import_state`,
 :meth:`~LadderSession.bump_degradation`), which is the per-rung
@@ -51,12 +49,11 @@ sessions' own surface lifted over the rung list.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.analysis.classes import FrameFeatures, extract_features
 from repro.ladder.config import LadderConfig
 from repro.ladder.planner import LadderPlan, LadderPlanner, PlannedRung
-from repro.observability import get_registry
 from repro.transcode.pipeline import (
     FrameOutput,
     PipelineConfig,
@@ -117,10 +114,8 @@ class LadderSession:
         self.rung_sessions: List[RungSession] = []
         #: Degradation bumps asked for before any rung session exists.
         self._early_bumps = 0
-        #: The open GOP's ingest frames, each with its check's verdict
-        #: (``True``: corrupt, every rung drops it), and the plane
-        #: shape the first good frame fixed for that check.
-        self._held: List[Tuple[Frame, bool]] = []
+        #: The plane shape the first good frame fixed for the ingest
+        #: check.
         self._ingest_shape: Optional[tuple] = None
         self._finished = False
 
@@ -141,18 +136,6 @@ class LadderSession:
         self._open_rungs(
             self.planner.plan(first.luma, features=self.features), content
         )
-        if len(self.ladder.rungs) > 1:
-            # A one-rung ladder is the plain session; the ladder
-            # families count sessions that encode several renditions.
-            registry = get_registry()
-            registry.inc(
-                "repro_ladder_sessions_total",
-                help="Rendition-ladder sessions started",
-            )
-            registry.inc(
-                "repro_ladder_rungs_pruned_total", len(self.plan.pruned),
-                help="Ladder rungs pruned by the Green-VCA rule",
-            )
 
     def _open_rungs(self, plan: LadderPlan,
                     content: Optional[ContentClass]) -> None:
@@ -186,22 +169,11 @@ class LadderSession:
     # -- GOP-boundary surface (what the network server drives) ---------
     @property
     def pending_frames(self) -> int:
-        """Frames pushed since the last GOP boundary: held, on a ladder
-        of several rungs, or already encoded by the one rung, whose GOP
-        is still open."""
-        pending = len(self._held)
-        if self.rung_sessions:
-            pending += self.rung_sessions[0].session.pending_frames
-        return pending
-
-    def only_buffers(self) -> bool:
-        """Whether the next :meth:`push` would do no real work: a
-        ladder of several rungs is open and the frame lands mid-GOP,
-        where it is checked and held.  (A one-rung push always
-        encodes.)  The serving layer runs such pushes inline on its
-        event loop and keeps the encode pool for the rest."""
-        return (len(self.rung_sessions) > 1
-                and len(self._held) + 1 < self.base_config.gop.size)
+        """Frames pushed since the last GOP boundary (the rungs close
+        their GOPs together, so the primary's count is every rung's)."""
+        if not self.rung_sessions:
+            return 0
+        return self.rung_sessions[0].session.pending_frames
 
     def export_state(self) -> Dict[int, Dict[str, object]]:
         """Every rung's cross-GOP snapshot, keyed by rung id (see
@@ -247,18 +219,14 @@ class LadderSession:
 
     # -- ingest --------------------------------------------------------
     def push(self, frame: Frame) -> List[FrameOutput]:
-        """Push one full-resolution ingest frame.
+        """Push one full-resolution ingest frame; returns its output on
+        every rung, primary first (``FrameOutput.rung`` names the rung).
 
-        The frame is checked (the rung sessions' own check, on the
-        ingest plane: a bad frame raises, or is absorbed as a
-        ``corrupt`` drop on every rung, at its own push).  A ladder of
-        one rung feeds it to the rung and returns its output.  A ladder
-        of several holds it — a writable plane is copied first, so the
-        ladder never aliases a buffer its caller reuses, and a
-        read-only one is held as it is — and the push that completes
-        the GOP feeds the rungs and returns their outputs, primary rung
-        first; any other returns none.  ``FrameOutput.rung`` names the
-        rung.
+        The frame is checked once, on the ingest plane, with the rung
+        sessions' own check: a bad frame raises, or is absorbed as a
+        ``corrupt`` drop on every rung.  A good one is scaled to each
+        rung (a rung at ingest size takes a read-only plane itself and
+        a copy of a writable one) and encoded there.
         """
         if self._finished:
             raise ValueError("ladder session already finished")
@@ -268,46 +236,20 @@ class LadderSession:
                                    self.base_config)
         if not corrupt:
             self._ingest_shape = frame.luma.shape
-        if len(self.rung_sessions) == 1:
-            return self._feed(self.rung_sessions[0], [(frame, corrupt)])
-        if not corrupt and frame.luma.flags.writeable:
-            frame = frame.copy()
-            frame.luma.flags.writeable = False
-        self._held.append((frame, corrupt))
-        if len(self._held) < self.base_config.gop.size:
-            return []
-        return self._feed_rungs()
-
-    @staticmethod
-    def _feed(rs: RungSession, frames) -> List[FrameOutput]:
-        """Push checked ingest frames into one rung, scaled to it (a
-        rung at ingest size takes a read-only plane itself and a copy
-        of a writable one); returns its outputs, tagged."""
-        outputs: List[FrameOutput] = []
-        for frame, corrupt in frames:
-            if corrupt:
-                outputs += rs.session.push(frame, corrupt=True)
-            else:
-                outputs += rs.session.push(downscale_frame(
-                    frame, rs.rung.width, rs.rung.height))
-        for out in outputs:
-            out.rung = rs.rung_id
-        return outputs
-
-    def _feed_rungs(self, finish: bool = False) -> List[FrameOutput]:
-        """Feed the held frames to each rung in turn."""
-        held, self._held = self._held, []
         outputs: List[FrameOutput] = []
         for rs in self.rung_sessions:
-            outputs += self._feed(rs, held)
-            if finish:
-                rs.session.finish()
+            scaled = frame if corrupt else downscale_frame(
+                frame, rs.rung.width, rs.rung.height)
+            (out,) = rs.session.push(scaled, corrupt=corrupt)
+            out.rung = rs.rung_id
+            outputs.append(out)
         return outputs
 
     def finish(self) -> List[FrameOutput]:
-        """Feed every rung the held tail of a partial GOP (a ladder of
-        several rungs), close the rungs' last GOPs and the ladder."""
-        if self._finished:
-            return []
-        self._finished = True
-        return self._feed_rungs(finish=True)
+        """Close the rungs' last GOPs and the ladder.  Every frame got
+        its outputs at its push, so none is left to return."""
+        if not self._finished:
+            self._finished = True
+            for rs in self.rung_sessions:
+                rs.session.finish()
+        return []

@@ -85,7 +85,7 @@ def run(update_golden: bool = False) -> int:
         outputs: List[FrameOutput] = []
         for frame in video.frames:
             outputs.extend(session.push(frame))
-        outputs.extend(session.finish())
+        session.finish()
         plan = session.plan
         pinned = {
             rs.rung_id: rs.transcoder.config.content_class
@@ -150,7 +150,7 @@ def run(update_golden: bool = False) -> int:
                     frame, planned.rung.width, planned.rung.height
                 )
                 solo.extend(independent.push(scaled))
-            solo.extend(independent.finish())
+            independent.finish()
         ladder_outs = sorted(
             by_rung.get(planned.rung_id, []), key=lambda o: o.frame_index
         )

@@ -17,10 +17,11 @@ Per session the server runs three tasks:
 * **encode** pulls frames in order and pushes them through the
   session's :class:`~repro.ladder.session.LadderSession` on the encode
   thread pool, so the event loop never blocks on CPU work (a frame is
-  one GIL-free native call; sessions, not tiles, are what spreads over
-  cores).  One pool job takes every frame queued up to the open GOP's
-  end: a paced session gets one job per frame, a backlogged one one
-  per GOP;
+  one GIL-free native call per rung, whose tiles spread over idle
+  cores).  Every push encodes its frame on every rung, so whatever the
+  rung count, one pool job takes every frame queued up to the open
+  GOP's end: a paced session gets one job per frame, a backlogged one
+  one per GOP;
 * **egress** writes ENCODED messages from a second bounded queue; a
   slow reader causes the *oldest* undelivered frame to be coalesced
   away (newest results win — a viewer wants the current frame, not a
@@ -1029,12 +1030,6 @@ class NetworkServer:
                 return record
 
             await self._journal_handshake(claim, "admit", admit_record)
-        if hello.ladder is not None:
-            get_registry().inc(
-                "repro_serving_ladder_sessions_total",
-                help="Sessions admitted from a HELLO that asked for a "
-                     "rendition ladder",
-            )
         await write_message(writer, HelloAck(
             decision="accept", session_id=session_id, reason=reason,
             queue_frames=cfg.queue_frames,
@@ -1514,22 +1509,11 @@ class NetworkServer:
 
     async def _encode_batch(self, session: _Session,
                             frames: List[Frame]) -> None:
-        """Push one batch through the encoder and hand its outputs to
-        the emit loop.  A ladder's mid-GOP pushes only check and hold,
-        so they run inline; the rest of the batch is one pool job."""
+        """Push one batch through the encoder as one pool job and hand
+        its outputs to the emit loop."""
         if self._tracks_gop_state(session):
             session.replay_frames += frames
-        encoder = session.encoder
-        held = 0
-        try:
-            while held < len(frames) and encoder.only_buffers():
-                encoder.push(frames[held])
-                held += 1
-        except CorruptFrameError as exc:
-            raise ProtocolError(f"unencodable frame: {exc}") from exc
-        outputs: List[FrameOutput] = []
-        if held < len(frames):
-            outputs = await self._encode_job(session, frames[held:])
+        outputs = await self._encode_job(session, frames)
         await self._queue_boundary(session, outputs)
 
     async def _encode_job(self, session: _Session,
@@ -1584,7 +1568,7 @@ class NetworkServer:
         if session.last_state is not None:
             encoder.import_state(session.last_state)
         loop = asyncio.get_running_loop()
-        # Re-feeding encodes (a one-rung push does), so it runs on the
+        # Re-feeding encodes (every push does), so it runs on the
         # fresh pool, without a watchdog of its own.  The GOP's earlier
         # frames go before the bump, as they went the first time: their
         # outputs, already handed on, come out the same and are
@@ -1742,11 +1726,10 @@ class NetworkServer:
             released = session.pending_drops
             reason = "server draining; session parked for resume"
         else:
-            # A ladder of several rungs still scales and encodes its
-            # held frames here, so the tail runs on the pool.
-            tail = await asyncio.get_running_loop().run_in_executor(
-                self._encode_pool, session.encoder.finish)
-            released = session.withheld + session.pending_drops + tail
+            # Every frame was encoded at its push: finishing only
+            # closes the rungs' last GOPs.
+            session.encoder.finish()
+            released = session.withheld + session.pending_drops
             reason = ("session complete" if end is _BYE_SENTINEL
                       else "server draining")
         session.withheld, session.pending_drops = [], []

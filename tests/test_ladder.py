@@ -372,19 +372,23 @@ class TestOneRungIsThePlainSession:
         assert _outputs_digest(got) == _outputs_digest(want)
         assert {o.dropped for o in want} == {None, "deadline"}
 
-    def test_only_buffers_names_the_pushes_that_do_no_work(self, ladder_video):
-        """Several rungs: nothing is scaled before the GOP closes, so
-        every mid-GOP push of a started ladder only checks and holds."""
+    def test_a_three_rung_push_encodes_its_frame_on_every_rung(
+            self, ladder_video):
+        """Several rungs: every push does work — it scales and encodes
+        its frame on every rung and returns that frame's outputs,
+        primary first — while ``pending_frames`` counts the pushes
+        since the GOP boundary."""
         config = PipelineConfig(fps=24.0, gop=GopConfig(_GOP))
         with LadderSession(config, LadderConfig(rungs=_RUNGS,
                                                 prune=False)) as session:
-            # First push opens the rungs; the last of a GOP encodes.
-            verdicts = []
             for frame in ladder_video.frames[:_GOP + 1]:
-                verdicts.append(session.only_buffers())
                 assert session.pending_frames == frame.index % _GOP
-                session.push(frame)
-            assert verdicts == [False, True, True, False, True]
+                outputs = session.push(frame)
+                assert [(o.rung, o.frame_index) for o in outputs] == [
+                    (rung, frame.index) for rung in range(len(_RUNGS))]
+                assert all(o.dropped is None for o in outputs)
+                assert [o.reconstruction.shape for o in outputs] == [
+                    (r.height, r.width) for r in _RUNGS]
 
     def test_a_one_rung_push_encodes_its_frame(self, ladder_video):
         """One rung: every push does work — it encodes its frame and
@@ -394,7 +398,6 @@ class TestOneRungIsThePlainSession:
         with LadderSession(config, LadderConfig(rungs=_RUNGS[:1],
                                                 prune=False)) as session:
             for frame in ladder_video.frames[:_GOP + 1]:
-                assert not session.only_buffers()
                 assert session.pending_frames == frame.index % _GOP
                 (out,) = session.push(frame)
                 assert out.frame_index == frame.index and out.rung == 0
@@ -402,21 +405,22 @@ class TestOneRungIsThePlainSession:
     def test_read_only_ingest_plane_reaches_the_rung_uncopied(
             self, ladder_video, monkeypatch):
         """The served shape: the wire payload backs a read-only plane,
-        and the rung at ingest resolution receives that very buffer —
-        nothing can mutate it, so nothing needs copying."""
+        and the rung at ingest resolution receives that very buffer at
+        the frame's own push — nothing can mutate it, so nothing needs
+        copying."""
         seen = []
         push = ProposedStreamSession.push
         monkeypatch.setattr(
             ProposedStreamSession, "push",
-            lambda self, frame: seen.append(frame) or push(self, frame))
+            lambda self, frame, corrupt=False:
+                seen.append(frame) or push(self, frame, corrupt))
         config = PipelineConfig(fps=24.0, gop=GopConfig(_GOP))
         frame = Frame(np.frombuffer(ladder_video.frames[0].luma.tobytes(),
                                     dtype=np.uint8).reshape(_H, _W), index=0)
         assert not frame.luma.flags.writeable
         with LadderSession(config, LadderConfig(rungs=_RUNGS,
                                                 prune=False)) as session:
-            assert session.push(frame) == [] and seen == []  # held
-            session.finish()
+            assert len(session.push(frame)) == len(_RUNGS)
         assert seen[0] is frame
         assert np.shares_memory(seen[0].luma, frame.luma)
         assert [f.luma.shape for f in seen] == [(r.height, r.width)
@@ -448,16 +452,13 @@ class TestOneRungIsThePlainSession:
     @pytest.mark.parametrize("num_rungs", [1, 3])
     def test_a_push_crosses_once_per_frame_per_rung(self, num_rungs,
                                                     monkeypatch):
-        """What a push costs in crossings.  One rung: its frame's one
-        ``encode_frame_u8`` (however many tiles), plus three
-        ``analyze_frame_u8`` (margins, centre, grid) when it is the
-        GOP's first.  Several rungs: nothing at all mid-GOP; when the
-        GOP closes, one ``downscale_box_u8`` per held frame per scaled
-        rung, one ``encode_frame_u8`` per frame per rung and three
-        ``analyze_frame_u8`` per rung.  Either way one
-        ``WorkloadEstimator`` lock acquisition per encoded frame, and
-        the frames of a GOP go through one tile table per rung, built
-        when the GOP is re-tiled."""
+        """What a push costs in crossings, for any rung count: one
+        ``encode_frame_u8`` per rung (however many tiles), one
+        ``downscale_box_u8`` per scaled rung, plus three
+        ``analyze_frame_u8`` (margins, centre, grid) per rung when it
+        is the GOP's first.  One ``WorkloadEstimator`` lock acquisition
+        per output, and each rung takes a GOP's frames through one tile
+        table, built when the GOP is re-tiled."""
         # Large enough to be cut into several tiles on every rung.
         rungs = (LadderRung(256, 192), LadderRung(192, 144),
                  LadderRung(128, 96))[:num_rungs]
@@ -474,31 +475,23 @@ class TestOneRungIsThePlainSession:
                 lock.acquisitions = 0
                 if frame.index % _GOP == 0:
                     del tables[:]
-                closes = frame.index % _GOP == _GOP - 1
-                encodes = num_rungs == 1 or closes
-                assert session.only_buffers() == (frame.index > 0
-                                                  and not encodes)
                 with counted_native() as calls:
                     outputs = session.push(frame)
-                if not encodes:
-                    assert outputs == [] and not calls
-                    assert lock.acquisitions == 0 and not tables
-                    continue
-                fed = 1 if num_rungs == 1 else _GOP
-                assert len(outputs) == fed * len(rungs)
-                expected = {"encode_frame_u8": fed * len(rungs)}
-                if num_rungs > 1 or frame.index % _GOP == 0:  # re-tiled
+                assert [(o.rung, o.frame_index) for o in outputs] == [
+                    (rung, frame.index) for rung in range(len(rungs))]
+                expected = {"encode_frame_u8": len(rungs)}
+                if frame.index % _GOP == 0:  # re-tiled
                     expected["analyze_frame_u8"] = 3 * len(rungs)
                 if len(rungs) > 1:
-                    expected["downscale_box_u8"] = _GOP * (len(rungs) - 1)
+                    expected["downscale_box_u8"] = len(rungs) - 1
                 assert calls == expected
                 assert lock.acquisitions == len(outputs)
-                if not closes:
+                if frame.index % _GOP != _GOP - 1:
                     continue
-                # Rung by rung, a GOP's frames: one table each.
-                per_rung = [tables[r * _GOP:(r + 1) * _GOP]
-                            for r in range(len(rungs))]
-                assert all(len(set(map(id, gop))) == 1 for gop in per_rung)
+                # Frame by frame, each rung's table in rung order.
+                per_rung = [tables[r::len(rungs)] for r in range(len(rungs))]
+                assert all(len(gop) == _GOP and len(set(map(id, gop))) == 1
+                           for gop in per_rung)
                 gop_tables = [gop[0] for gop in per_rung]
                 assert len(set(map(id, gop_tables))) == len(rungs)
                 if frame.index > _GOP:  # rebuilt at the boundary
@@ -508,24 +501,29 @@ class TestOneRungIsThePlainSession:
             # Several tiles behind every one of those calls.
             assert all(len(o.record.tiles) > 1 for o in outputs)
 
-    def test_finish_drains_the_held_frames_of_a_partial_gop(self,
-                                                            ladder_video):
+    def test_finish_closes_a_partial_gop_and_returns_nothing(self,
+                                                             ladder_video):
+        """Every frame got its outputs at its push, so ``finish`` on a
+        partial GOP only closes it: every rung is left at a GOP
+        boundary."""
         frames = ladder_video.frames[:_GOP + 2]
         config = PipelineConfig(fps=24.0, gop=GopConfig(_GOP))
         with LadderSession(config, LadderConfig(rungs=_RUNGS,
                                                 prune=False)) as session:
-            head = [o for f in frames for o in session.push(f)]
-            assert len(head) == _GOP * len(_RUNGS)
+            outputs = [o for f in frames for o in session.push(f)]
+            assert len(outputs) == len(frames) * len(_RUNGS)
             assert session.pending_frames == 2
             with pytest.raises(ValueError, match="GOP boundary"):
                 session.export_state()
-            tail = session.finish()
+            assert session.finish() == []
             assert session.pending_frames == 0
-        # Rung-major, each rung's two held frames in order.
+            assert [rs.session.pending_frames
+                    for rs in session.rung_sessions] == [0] * len(_RUNGS)
+        tail = outputs[-2 * len(_RUNGS):]
         assert [(o.rung, o.frame_index) for o in tail] == [
-            (rung, _GOP + k) for rung in range(len(_RUNGS)) for k in (0, 1)]
+            (rung, _GOP + k) for k in (0, 1) for rung in range(len(_RUNGS))]
         assert all(o.dropped is None for o in tail)
-        assert tail[0].frame_type is FrameType.I
+        assert all(o.frame_type is FrameType.I for o in tail[:len(_RUNGS)])
 
     @pytest.mark.parametrize("spoil", ["shape", "dtype"])
     def test_a_bad_frame_is_caught_at_its_own_push(self, ladder_video, spoil):
@@ -551,8 +549,11 @@ class TestOneRungIsThePlainSession:
         config = dataclasses.replace(config, resilience=ResilienceConfig())
         with LadderSession(config, ladder) as session, \
                 counted_native() as calls:
-            outputs = [o for f in frames for o in session.push(f)]
+            pushes = [session.push(f) for f in frames]
         assert calls["downscale_box_u8"] == (_GOP - 1) * (len(_RUNGS) - 1)
+        assert [(o.rung, o.dropped) for o in pushes[1]] == [
+            (rung, "corrupt") for rung in range(len(_RUNGS))]
+        outputs = [o for outs in pushes for o in outs]
         assert [(o.rung, o.frame_index) for o in outputs if o.dropped] == [
             (rung, 1) for rung in range(len(_RUNGS))]
         assert {o.dropped for o in outputs} == {None, "corrupt"}
@@ -804,8 +805,7 @@ class TestSegments:
             base_config=base,
             ladder=LadderConfig(rungs=_RUNGS, prune=False),
         ) as session:
-            session.push(ladder_video.frames[0])
-            outputs = session.finish()  # flush the partial GOP
+            outputs = session.push(ladder_video.frames[0])
             writer = LadderSegmentWriter(
                 writer_dir / "fresh", session.plan, _W, _H,
                 gop=_GOP, segment_gops=1,

@@ -395,6 +395,33 @@ class TestAdmissionGates:
             assert registry.value("repro_serving_tenant_entitlement_total",
                                   tenant="clinic") == 5
 
+    def test_a_ladder_loses_low_rungs_to_its_cap_then_to_capacity(self):
+        """Before the session is refused, a ladder loses low rungs two
+        ways: its tenant's ``max_rungs`` trims them before pricing
+        (counted per tenant), and rung-drop-before-shed drops the ones
+        that do not fit (counted over every tenant)."""
+        tenants = [dict(t, max_rungs=2) if t["name"] == "er" else t
+                   for t in _doc()["tenants"]]
+        ladder = ((96, 96), (48, 48), (24, 24))
+        with scoped() as (registry, _):
+            ctrl = _policy_controller(tenants=tenants)
+            # er: trimmed to two rungs, 0.9 of its 1.0-core share.
+            decision, _, kept = ctrl.decide(
+                0, Hello(width=96, height=96, fps=24.0, tenant="er",
+                         ladder=ladder))
+            assert decision is AdmissionDecision.ACCEPT
+            assert kept == ladder[:2]
+            # clinic: its 0.67 cores hold one 0.45-core rung.
+            decision, _, kept = ctrl.decide(
+                1, Hello(width=96, height=96, fps=24.0, tenant="clinic",
+                         ladder=ladder))
+            assert decision is AdmissionDecision.ACCEPT
+            assert kept == ladder[:1]
+            assert registry.value("repro_serving_ladder_rungs_trimmed_total",
+                                  tenant="er") == 1
+            assert registry.value(
+                "repro_serving_ladder_rungs_dropped_total") == 2
+
     def test_other_tenant_unaffected_by_full_neighbour(self):
         with scoped():
             ctrl = _policy_controller()

@@ -228,11 +228,11 @@ _LADDER = ((64, 64), (48, 48), (32, 32))
 def test_one_encode_pool_job_takes_what_is_queued_up_to_the_gop_end(
         monkeypatch, ladder, paced):
     """One pool job takes every frame queued up to the open GOP's end,
-    with the watchdog armed.  Paced, a plain session's every frame is
-    its own job; a backlogged one makes one job per GOP.  A three-rung
-    ladder's mid-GOP pushes only check and hold, inline, so paced or
-    backlogged it makes one job per GOP: the first (rung set-up) and
-    each GOP-closing push.  The session's end is one more job."""
+    with the watchdog armed, whatever the rung count: paced, every
+    frame is its own job; backlogged, each GOP is one.  Every push
+    encodes its frame on every rung, so the outcomes leave frame by
+    frame, rung by rung within a frame, and the session's end runs no
+    job."""
     from repro.ladder.session import LadderSession
 
     width, height = _LADDER[0]
@@ -256,9 +256,8 @@ def test_one_encode_pool_job_takes_what_is_queued_up_to_the_gop_end(
         encode_loop = server._encode_loop
 
         def counting(executor, fn, *args):
-            if executor is server._encode_pool:  # a push job or finish
-                jobs.append([f.index for f in args[1]] if args
-                            else fn.__name__)
+            if executor is server._encode_pool:  # a push job
+                jobs.append([f.index for f in args[1]])
             return run_in_executor(executor, fn, *args)
 
         async def after_the_backlog(session):
@@ -289,20 +288,12 @@ def test_one_encode_pool_job_takes_what_is_queued_up_to_the_gop_end(
                              egress_frames=4 * frames,
                              watchdog_multiple=33.0)
     gops = [list(range(g * _GOP, (g + 1) * _GOP)) for g in range(3)]
-    # The session's end runs ``finish`` on the pool too: a ladder of
-    # several rungs may still hold a partial GOP there.
-    assert jobs.pop() == "finish"
-    if ladder is None:
-        assert jobs == ([[i] for i in range(frames)] if paced else gops)
-    elif paced:
-        assert jobs == [[0]] + [[gop[-1]] for gop in gops]
-    else:
-        assert jobs == [gops[0]] + [[gop[-1]] for gop in gops[1:]]
+    assert jobs == ([[i] for i in range(frames)] if paced else gops)
     watchdog = 33.0 * _GOP / 24.0  # no other wait in the server is 11 s
     assert guarded.count(watchdog) == len(jobs)
     rungs = range(len(ladder or (None,)))
     encoded = [m for m in messages if isinstance(m, Encoded)]
-    assert sorted((m.frame_index, m.rung) for m in encoded) == [
+    assert [(m.frame_index, m.rung) for m in encoded] == [
         (index, rung) for index in range(frames) for rung in rungs]
     assert all(m.dropped is None for m in encoded)
     assert stats["frames_received"] == frames
