@@ -13,10 +13,10 @@ HAS_COV := $(shell $(PY) -c "import pytest_cov" 2>/dev/null && echo 1)
 COVOPTS := $(if $(HAS_COV),--cov=repro --cov-report=term-missing)
 
 .PHONY: check test reference sanitize bench-smoke bench-check golden \
-	serve-smoke chaos fleet-chaos ladder-smoke policy-smoke torture clean
+	serve-smoke chaos fleet-chaos ladder-smoke torture clean
 
 check: test reference sanitize bench-smoke bench-check serve-smoke chaos \
-	fleet-chaos ladder-smoke policy-smoke torture
+	fleet-chaos ladder-smoke torture
 
 test:
 	$(PYTEST) -x -q $(COVOPTS)
@@ -129,16 +129,6 @@ fleet-chaos:
 # intentional codec change: `make ladder-smoke UPDATE=--update-golden`.
 ladder-smoke:
 	PYTHONPATH=src $(PY) -m repro.ladder.smoke $(UPDATE)
-
-# Fixed-seed brownout drill: four tenants through Algorithm 2 on a
-# policy-clamped platform with a mid-run surge; fails unless tenants
-# shed in strict reverse-priority order (emergency never dropped),
-# windowed power settles inside the cap, hysteretic readmission
-# restores everyone, and the event/power digest matches the golden.
-# After an intentional policy/model change:
-# `make policy-smoke UPDATE=--update-golden`.
-policy-smoke:
-	PYTHONPATH=src $(PY) -m repro.policy.smoke $(UPDATE)
 
 # Fixed-seed crash-consistency torture drill: records every durable
 # mutation of a pinned serving drill, checks the write-point digest

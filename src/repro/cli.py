@@ -472,21 +472,16 @@ def _cmd_policy(args: argparse.Namespace) -> int:
               f"shed order {' -> '.join(policy.shed_order) or 'none'})")
         return 0
     # show: the compiled lowering, knob by knob.
-    cap = (f"{policy.power_cap_w:g} W over {policy.energy_window_s:g} s"
-           if policy.power_cap_w is not None else "none")
     print(f"policy {args.file} (version {policy.version})")
-    print(f"  power cap   : {cap}")
     print(f"  default     : {policy.default_tenant}")
     print(f"  shed order  : {' -> '.join(policy.shed_order) or 'none'}")
     for name in policy.tenant_names():
         rt = policy.tenants[name]
-        budget = (f", budget {rt.power_budget_w:g} W"
-                  if rt.power_budget_w is not None else "")
         rungs = f", max {rt.max_rungs} rungs" if rt.max_rungs else ""
         print(f"  tenant {name:>8s}: rank {rt.rank}, "
               f"{rt.capacity_fraction:.0%} of cores, degradation <= "
               f"{rt.max_level.name.lower()} (escalate after "
-              f"{rt.escalate_after}){rungs}{budget}")
+              f"{rt.escalate_after}){rungs}")
     return 0
 
 
@@ -671,8 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="SIGTERM drain: max wait for in-flight sessions")
     sn.add_argument("--policy", default=None, metavar="FILE",
                     help="tenant policy document (YAML/JSON); compiles "
-                         "into admission weights, degradation caps, "
-                         "DVFS bounds and the energy budget")
+                         "into admission weights, shed order, "
+                         "degradation caps and ladder caps")
     sn.add_argument("--run-dir", default=None, metavar="DIR",
                     help="directory for runtime artifacts (pidfile); "
                          "created if missing")

@@ -516,31 +516,9 @@ def serving_summary(data: dict) -> Optional[Dict[str, object]]:
         "tenant_sessions": _counter_by_label(
             fams, "repro_serving_tenant_sessions_total", "tenant"
         ),
-        "tenant_energy_joules": _counter_by_label(
-            fams, "repro_policy_energy_joules_total", "tenant"
-        ),
-        "policy_rejects": _counter_sum(
-            fams, "repro_serving_policy_rejects_total"
-        ),
-        "policy_drops": _counter_sum(
-            fams, "repro_serving_frames_dropped_total", reason="policy"
-        ),
         "entitlement_blocks": _counter_sum(
             fams, "repro_serving_tenant_entitlement_total"
         ),
-        "brownout_sheds": _counter_sum(
-            fams, "repro_policy_brownout_transitions_total", kind="shed"
-        ),
-        "brownout_readmits": _counter_sum(
-            fams, "repro_policy_brownout_transitions_total", kind="readmit"
-        ),
-        "cap_violations": _counter_sum(
-            fams, "repro_policy_cap_violations_total"
-        ),
-        "energy_window_watts": _gauge_value(
-            fams, "repro_policy_energy_window_watts"
-        ),
-        "tenants_shed": _gauge_value(fams, "repro_policy_tenants_shed"),
         # Storage-durability counters (PR 10): absent families default
         # to zero and the gauge to healthy, so older snapshots (and a
         # journal-less server) summarise unchanged.
@@ -631,23 +609,9 @@ def format_metrics(data: dict) -> str:
             f"worker deaths {serving['worker_deaths']:g}, "
             f"restarts {serving['worker_restarts']:g}, "
             f"breaker trips {serving['worker_breaker_trips']:g}",
-            f"  policy       : rejects {serving['policy_rejects']:g}, "
-            f"drops {serving['policy_drops']:g}, entitlement blocks "
-            f"{serving['entitlement_blocks']:g}, sheds "
-            f"{serving['brownout_sheds']:g}, readmits "
-            f"{serving['brownout_readmits']:g}, cap violations "
-            f"{serving['cap_violations']:g}",
-            f"  energy       : window {serving['energy_window_watts']:g} W, "
-            f"tenants shed {serving['tenants_shed']:g}",
+            f"  policy       : entitlement blocks "
+            f"{serving['entitlement_blocks']:g}",
         ]
-        tenants = sorted(
-            set(serving["tenant_sessions"])
-            | set(serving["tenant_energy_joules"])
-        )
-        for name in tenants:
-            lines.append(
-                f"  tenant {name:>6s}: sessions "
-                f"{serving['tenant_sessions'].get(name, 0.0):g}, energy "
-                f"{serving['tenant_energy_joules'].get(name, 0.0):.3g} J"
-            )
+        for name, sessions in sorted(serving["tenant_sessions"].items()):
+            lines.append(f"  tenant {name:>6s}: sessions {sessions:g}")
     return "\n".join(lines)

@@ -1,17 +1,17 @@
 """Lowering: a validated :class:`PolicyDocument` becomes concrete knobs.
 
 The declarative layer talks about *intent* (tiers, PSNR floors,
-deadline classes, budgets); the serving stack consumes *mechanism*
-(admission weights, park/shed ordering, degradation-ladder caps, DVFS
-bounds).  This module is the bridge, and the mapping rules are the
+deadline classes, shares); the serving stack consumes *mechanism*
+(admission weights, shed ordering, degradation-ladder caps, ladder
+caps).  This module is the bridge, and the mapping rules are the
 policy grammar's semantics — documented here and in DESIGN.md §15:
 
 * ``weight``  → ``capacity_fraction`` (normalized share of the slot
   capacity; per-tenant occupancy is capped at its share so a batch
   flood can never starve the emergency entitlement).
-* ``tier``    → ``shed_rank`` (strict brownout order: the
-  highest-rank/lowest-priority tenant sheds first; the document's
-  most important tier is never shed at all).
+* ``tier``    → ``shed_rank`` (the order in which the watchdog's
+  re-pack sheds: the highest-rank/lowest-priority tenant first; the
+  document's most important tier only when nothing else fits).
 * ``min_psnr_db`` → degradation-ladder cap: a floor of 36 dB or more
   compiles to ``NONE`` (the stream is never degraded), 30 dB or more
   to ``QP_BUMP`` at most; below that the explicit ``max_degradation``
@@ -19,8 +19,7 @@ policy grammar's semantics — documented here and in DESIGN.md §15:
 * ``max_deadline_miss_rate`` → ladder aggressiveness: a rate of 5% or
   less compiles to ``escalate_after=1`` (react to every miss), looser
   classes to ``escalate_after=2``.
-* ``dvfs.min_ghz``/``max_ghz`` → a clamped platform whose frequency
-  list :class:`~repro.allocation.proposed.ProposedAllocator` consumes.
+* ``max_rungs`` → the ladder-rung entitlement admission trims to.
 """
 
 from __future__ import annotations
@@ -29,13 +28,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.platform.mpsoc import MpsocConfig
-from repro.policy.document import (
-    BrownoutSpec,
-    PolicyDocument,
-    PolicyError,
-    TenantSpec,
-)
+from repro.policy.document import PRIORITY_TIERS, PolicyDocument, TenantSpec
 from repro.resilience.degradation import DegradationLevel, ResilienceConfig
 
 __all__ = ["CompiledPolicy", "TenantRuntime", "compile_policy"]
@@ -64,8 +57,8 @@ class TenantRuntime:
     rank: int
     #: Normalized admission share of the slot capacity.
     capacity_fraction: float
-    #: Brownout order: 0 sheds first; ``None`` = never shed (the
-    #: document's most important tier).
+    #: Shed order: 0 sheds first; ``None`` = the document's most
+    #: important tier, shed last.
     shed_rank: Optional[int]
     #: Hard ceiling of the per-stream degradation ladder.
     max_level: DegradationLevel
@@ -73,14 +66,6 @@ class TenantRuntime:
     escalate_after: int
     #: Ladder-rung entitlement (0 = unlimited).
     max_rungs: int
-    #: Per-tenant windowed power budget (W); ``None`` = envelope only.
-    power_budget_w: Optional[float]
-    #: The declared QoS floors, kept for observability and reporting.
-    min_psnr_db: Optional[float]
-    max_deadline_miss_rate: float
-
-    def capacity_cores(self, platform_cores: float) -> float:
-        return self.capacity_fraction * platform_cores
 
 
 def _lower_tenant(spec: TenantSpec, total_weight: float,
@@ -93,15 +78,12 @@ def _lower_tenant(spec: TenantSpec, total_weight: float,
                 break
     return TenantRuntime(
         name=spec.name,
-        rank=spec.rank,
+        rank=PRIORITY_TIERS[spec.tier],
         capacity_fraction=spec.weight / total_weight,
         shed_rank=shed_rank,
         max_level=cap,
         escalate_after=1 if spec.max_deadline_miss_rate <= 0.05 else 2,
         max_rungs=spec.max_rungs,
-        power_budget_w=spec.power_budget_w,
-        min_psnr_db=spec.min_psnr_db,
-        max_deadline_miss_rate=spec.max_deadline_miss_rate,
     )
 
 
@@ -114,13 +96,8 @@ class CompiledPolicy:
     tenants: Dict[str, TenantRuntime]
     #: Tenant names in strict shed order (first entry sheds first).
     #: Tenants of the document's most important tier are absent — they
-    #: ride out the brownout.
+    #: are shed last.
     shed_order: Tuple[str, ...]
-    power_cap_w: Optional[float]
-    energy_window_s: float
-    brownout: BrownoutSpec
-    dvfs_min_hz: Optional[float]
-    dvfs_max_hz: Optional[float]
     source: Optional[str] = None
 
     # -- resolution ----------------------------------------------------
@@ -147,32 +124,6 @@ class CompiledPolicy:
             escalate_after=rt.escalate_after,
         )
 
-    def clamp_platform(self, platform: MpsocConfig) -> MpsocConfig:
-        """Platform with its DVFS levels restricted to the policy's
-        bounds — the frequency list Algorithm 2's DVFS stage picks
-        from.  Raises :class:`PolicyError` when no platform level
-        survives the bounds."""
-        lo = self.dvfs_min_hz
-        hi = self.dvfs_max_hz
-        if lo is None and hi is None:
-            return platform
-        kept = tuple(
-            f for f in platform.frequencies_hz
-            if (lo is None or f >= lo) and (hi is None or f <= hi)
-        )
-        if not kept:
-            ghz = [f / 1e9 for f in platform.frequencies_hz]
-            raise PolicyError(
-                "dvfs",
-                f"no platform frequency level inside "
-                f"[{(lo or 0) / 1e9:g}, "
-                f"{(hi / 1e9) if hi is not None else 'inf'}] GHz; "
-                f"platform levels: {ghz} GHz", self.source,
-            )
-        if kept == platform.frequencies_hz:
-            return platform
-        return dataclasses.replace(platform, frequencies_hz=kept)
-
     def max_rungs_for(self, tenant: str) -> int:
         return self.resolve(tenant).max_rungs
 
@@ -183,12 +134,13 @@ class CompiledPolicy:
 def compile_policy(doc: PolicyDocument) -> CompiledPolicy:
     """Lower a validated document into a :class:`CompiledPolicy`."""
     total_weight = sum(t.weight for t in doc.tenants)
-    top_rank = min(t.rank for t in doc.tenants)
+    rank = {t.name: PRIORITY_TIERS[t.tier] for t in doc.tenants}
+    top_rank = min(rank.values())
     # Strict shed order: lowest-priority (highest rank) tenants first,
-    # deterministic within a tier by name.  The top tier never sheds.
+    # deterministic within a tier by name.  The top tier is left out.
     sheddable = sorted(
-        (t for t in doc.tenants if t.rank > top_rank),
-        key=lambda t: (-t.rank, t.name),
+        (t for t in doc.tenants if rank[t.name] > top_rank),
+        key=lambda t: (-rank[t.name], t.name),
     )
     shed_order = tuple(t.name for t in sheddable)
     tenants = {
@@ -203,12 +155,5 @@ def compile_policy(doc: PolicyDocument) -> CompiledPolicy:
         default_tenant=doc.default_tenant,
         tenants=tenants,
         shed_order=shed_order,
-        power_cap_w=doc.power_cap_w,
-        energy_window_s=doc.energy_window_s,
-        brownout=doc.brownout,
-        dvfs_min_hz=(doc.dvfs.min_ghz * 1e9
-                     if doc.dvfs.min_ghz is not None else None),
-        dvfs_max_hz=(doc.dvfs.max_ghz * 1e9
-                     if doc.dvfs.max_ghz is not None else None),
         source=doc.source,
     )

@@ -2,18 +2,10 @@
 
 A policy document is plain YAML or JSON describing *intent* — who the
 tenants are, how important they are, what quality they must not fall
-below, and how much of the shared power envelope they may draw::
+below and what share of the server they are entitled to::
 
     version: 1
-    power_cap_w: 140
-    energy_window_s: 2.0
     default_tenant: general
-    brownout:
-      readmit_fraction: 0.8
-      readmit_after_checks: 3
-    dvfs:
-      min_ghz: 2.9
-      max_ghz: 3.6
     tenants:
       - name: emergency
         tier: emergency
@@ -28,31 +20,32 @@ below, and how much of the shared power envelope they may draw::
         tier: archival
         weight: 1
         max_rungs: 1
-        power_budget_w: 40
 
 Nothing in here is executable — the document is *compiled* into
-concrete knobs (admission weights, shed ordering, degradation-ladder
-caps, DVFS bounds) by :mod:`repro.policy.compiler`.
+concrete knobs (admission weights, shed ordering, degradation caps,
+ladder caps) by :mod:`repro.policy.compiler`.
 
 Validation is strict and errors are actionable: every
 :class:`PolicyError` names the offending key path
 (``tenants[2].tier``), what was found, and what would have been
 accepted — mirroring the style of the thread-backend executor errors.
 Unknown keys are rejected (a typo must not silently disable a QoS
-floor) with a did-you-mean suggestion.
+floor) with a did-you-mean suggestion, and so are numbers that are not
+finite (JSON's ``NaN``/``Infinity``, YAML's ``.nan``/``.inf``): a NaN
+compares false against every bound, so it would lift a floor or an
+entitlement without a word.
 """
 
 from __future__ import annotations
 
 import difflib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "PRIORITY_TIERS",
-    "BrownoutSpec",
-    "DvfsSpec",
     "PolicyDocument",
     "PolicyError",
     "TenantSpec",
@@ -61,9 +54,9 @@ __all__ = [
 ]
 
 #: Named priority tiers, most important first.  Lower rank = higher
-#: priority; brownout sheds strictly from the highest rank downward
-#: (archival first, emergency last — and the top occupied tier is never
-#: shed while a lower tier remains).
+#: priority; the watchdog's re-pack sheds strictly from the highest rank
+#: downward (archival first, emergency last — and the document's top
+#: tier only when nothing else fits).
 PRIORITY_TIERS: Dict[str, int] = {
     "emergency": 0,   # live telemedicine, OR feeds
     "urgent": 1,      # same-day diagnostics
@@ -134,12 +127,19 @@ def _number(obj: Mapping, key: str, path: str, source: Optional[str],
             f"{path}.{key}",
             f"expected a number, got {value!r}", source,
         )
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise PolicyError(
+            f"{path}.{key}",
+            f"must be a finite number, got {value!r}", source,
+        )
     if minimum is not None and value < minimum:
         raise PolicyError(
             f"{path}.{key}",
-            f"must be >= {minimum:g}, got {value:g} "
-            "(negative budgets cannot be enforced)", source,
+            f"must be >= {minimum:g}, got {value:g}", source,
         )
     if maximum is not None and value > maximum:
         raise PolicyError(
@@ -172,32 +172,6 @@ class TenantSpec:
     #: Hard ceiling of the degradation ladder for this tenant's
     #: streams (name from :data:`DEGRADATION_NAMES`).
     max_degradation: str = "frame_drop"
-    #: Per-tenant power budget (W) over the policy's energy window;
-    #: ``None`` = bounded only by the shared envelope.
-    power_budget_w: Optional[float] = None
-
-    @property
-    def rank(self) -> int:
-        return PRIORITY_TIERS[self.tier]
-
-
-@dataclass(frozen=True)
-class BrownoutSpec:
-    """Hysteresis of the brownout (energy-cap) response."""
-
-    #: Windowed power must fall below ``cap * readmit_fraction`` before
-    #: a shed tenant is readmitted.
-    readmit_fraction: float = 0.8
-    #: Consecutive clear observations required before readmission.
-    readmit_after_checks: int = 3
-
-
-@dataclass(frozen=True)
-class DvfsSpec:
-    """Frequency bounds the allocator may use (GHz; ``None`` = free)."""
-
-    min_ghz: Optional[float] = None
-    max_ghz: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -205,32 +179,15 @@ class PolicyDocument:
     """A validated policy document (pure data, pre-compilation)."""
 
     version: int = 1
-    #: Shared power envelope (W) over ``energy_window_s``; ``None`` =
-    #: uncapped (the energy ledger still runs for observability).
-    power_cap_w: Optional[float] = None
-    #: Sliding-window length of the energy ledger.
-    energy_window_s: float = 2.0
     default_tenant: str = "default"
-    brownout: BrownoutSpec = field(default_factory=BrownoutSpec)
-    dvfs: DvfsSpec = field(default_factory=DvfsSpec)
     tenants: Tuple[TenantSpec, ...] = ()
     #: Where this document came from (diagnostics only).
     source: Optional[str] = None
 
-    def tenant(self, name: str) -> TenantSpec:
-        for spec in self.tenants:
-            if spec.name == name:
-                return spec
-        raise KeyError(name)
 
-
-_TOP_KEYS = ("version", "power_cap_w", "energy_window_s", "default_tenant",
-             "brownout", "dvfs", "tenants")
+_TOP_KEYS = ("version", "default_tenant", "tenants")
 _TENANT_KEYS = ("name", "tier", "weight", "min_psnr_db",
-                "max_deadline_miss_rate", "max_rungs", "max_degradation",
-                "power_budget_w")
-_BROWNOUT_KEYS = ("readmit_fraction", "readmit_after_checks")
-_DVFS_KEYS = ("min_ghz", "max_ghz")
+                "max_deadline_miss_rate", "max_rungs", "max_degradation")
 
 
 def _parse_tenant(obj: object, path: str,
@@ -288,8 +245,6 @@ def _parse_tenant(obj: object, path: str,
         ),
         max_rungs=max_rungs,
         max_degradation=max_degradation,
-        power_budget_w=_number(obj, "power_budget_w", path, source,
-                               default=None, minimum=0.0, allow_none=True),
     )
 
 
@@ -345,50 +300,9 @@ def parse_policy(obj: object, source: Optional[str] = None) -> PolicyDocument:
             f"tenants: {', '.join(seen)}", source,
         )
 
-    brownout_obj = obj.get("brownout", {})
-    brownout_obj = _require_mapping(brownout_obj, "brownout", source)
-    _check_keys(brownout_obj, _BROWNOUT_KEYS, "brownout", source)
-    readmit_fraction = _number(
-        brownout_obj, "readmit_fraction", "brownout", source,
-        default=0.8, minimum=0.0, maximum=1.0,
-    )
-    readmit_after = brownout_obj.get("readmit_after_checks", 3)
-    if (isinstance(readmit_after, bool)
-            or not isinstance(readmit_after, int) or readmit_after < 1):
-        raise PolicyError(
-            "brownout.readmit_after_checks",
-            f"expected an integer >= 1, got {readmit_after!r}", source,
-        )
-
-    dvfs_obj = obj.get("dvfs", {})
-    dvfs_obj = _require_mapping(dvfs_obj, "dvfs", source)
-    _check_keys(dvfs_obj, _DVFS_KEYS, "dvfs", source)
-    dvfs = DvfsSpec(
-        min_ghz=_number(dvfs_obj, "min_ghz", "dvfs", source,
-                        default=None, minimum=0.0, allow_none=True),
-        max_ghz=_number(dvfs_obj, "max_ghz", "dvfs", source,
-                        default=None, minimum=0.0, allow_none=True),
-    )
-    if (dvfs.min_ghz is not None and dvfs.max_ghz is not None
-            and dvfs.min_ghz > dvfs.max_ghz):
-        raise PolicyError(
-            "dvfs.min_ghz",
-            f"min_ghz {dvfs.min_ghz:g} exceeds max_ghz "
-            f"{dvfs.max_ghz:g}", source,
-        )
-
     return PolicyDocument(
         version=version,
-        power_cap_w=_number(obj, "power_cap_w", "", source,
-                            default=None, minimum=0.0, allow_none=True),
-        energy_window_s=_number(obj, "energy_window_s", "", source,
-                                default=2.0, minimum=1e-3),
         default_tenant=default_tenant,
-        brownout=BrownoutSpec(
-            readmit_fraction=readmit_fraction,
-            readmit_after_checks=readmit_after,
-        ),
-        dvfs=dvfs,
         tenants=tuple(tenants),
         source=source,
     )

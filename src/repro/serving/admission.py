@@ -20,8 +20,7 @@ outcomes:
   tenant's entitlement) but a bounded waiting room has space; the
   server holds the connection and retries when an active session ends.
 * **reject** — capacity and waiting room are both exhausted, or the
-  request can never be served (unencodable rung, draining server,
-  energy brownout).
+  request can never be served (unencodable rung, draining server).
 
 Every admitted session starts at the base configuration admission
 prices (:data:`BASE_QP` / :data:`BASE_WINDOW`); deadline pressure once
@@ -46,7 +45,6 @@ from repro.observability import get_registry, get_tracer
 from repro.platform.mpsoc import MpsocConfig, XEON_E5_2667
 from repro.platform.schedule import ThreadTask
 from repro.policy.compiler import CompiledPolicy
-from repro.policy.energy import EnergyBudgetScheduler
 from repro.serving.protocol import Hello
 from repro.video.generator import ContentClass
 from repro.workload.estimator import WorkloadEstimator
@@ -148,26 +146,12 @@ class AdmissionController:
         self._draining = False
         #: Tenant policy (``None`` = pre-policy behaviour, untouched).
         self.compiled: Optional[CompiledPolicy] = None
-        self.energy: Optional[EnergyBudgetScheduler] = None
-        self._base_platform = platform
 
     # -- tenant policy -------------------------------------------------
-    def set_policy(self, compiled: Optional[CompiledPolicy],
-                   energy: Optional[EnergyBudgetScheduler] = None) -> None:
-        """Wire the tenant policy (once, when the server starts).
-
-        A policy with DVFS bounds swaps in an allocator on the clamped
-        platform, so every capacity estimate from here on prices
-        against the frequencies the policy permits.  ``None`` restores
-        the pre-policy controller exactly.
-        """
+    def set_policy(self, compiled: Optional[CompiledPolicy]) -> None:
+        """Wire the tenant policy (once, when the server starts);
+        ``None`` restores the pre-policy controller exactly."""
         self.compiled = compiled
-        self.energy = energy
-        platform = (compiled.clamp_platform(self._base_platform)
-                    if compiled is not None else self._base_platform)
-        if platform is not self.platform:
-            self.platform = platform
-            self.allocator = ProposedAllocator(platform=platform)
 
     def _tenant_name(self, hello: Hello) -> str:
         if self.compiled is None:
@@ -195,11 +179,6 @@ class AdmissionController:
             return None
         rt = self.compiled.tenants[tenant]
         return rt.capacity_fraction * self.capacity_cores
-
-    def _energy_gate(self, tenant: str) -> Tuple[bool, str]:
-        if self.energy is None or not tenant:
-            return True, ""
-        return self.energy.admits(tenant)
 
     # -- pricing -------------------------------------------------------
     def estimate_ladder(
@@ -294,13 +273,6 @@ class AdmissionController:
                                  refusal)
         registry = get_registry()
         tenant = self._tenant_name(hello)
-        allowed, why = self._energy_gate(tenant)
-        if not allowed:
-            registry.inc(
-                "repro_serving_policy_rejects_total", tenant=tenant,
-                help="Admissions refused by the energy/brownout policy",
-            )
-            return self._decided(session_id, AdmissionDecision.REJECT, why)
         trimmed = 0
         if self.compiled is not None:
             max_rungs = self.compiled.max_rungs_for(hello.tenant)

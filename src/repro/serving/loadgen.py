@@ -110,7 +110,7 @@ class LoadGenConfig:
     #: every ``shift_s`` seconds).
     scenario: str = ""
     #: Tenant mix of the surge cohort (defaults to ``tenants``) — skew
-    #: it toward low-priority tenants to drive a brownout.
+    #: it toward one tenant to press on that tenant's entitlement.
     surge_tenants: Tuple[Tuple[str, float], ...] = ()
     shift_s: float = 2.0
     night_fraction: float = 0.25
@@ -285,7 +285,6 @@ class LoadReport:
             row = rollup.setdefault(s.tenant, {
                 "sessions": 0, "accepted": 0, "rejected": 0, "parked": 0,
                 "frames_encoded": 0, "frames_dropped": 0,
-                "policy_drops": 0,
             })
             row["sessions"] += 1
             if s.decision == "accept":
@@ -296,10 +295,6 @@ class LoadReport:
                 row["parked"] += 1
             row["frames_encoded"] += s.frames_encoded
             row["frames_dropped"] += s.frames_dropped
-            if s.server_stats:
-                dropped = s.server_stats.get("dropped", {})
-                if isinstance(dropped, dict):
-                    row["policy_drops"] += int(dropped.get("policy", 0))
         return rollup
 
     def to_dict(self) -> Dict[str, object]:
@@ -364,8 +359,7 @@ class LoadReport:
                 f"(accepted {row['accepted']}, rejected {row['rejected']}, "
                 f"parked {row['parked']}), encoded "
                 f"{row['frames_encoded']}, dropped "
-                f"{row['frames_dropped']} "
-                f"({row['policy_drops']} by policy)"
+                f"{row['frames_dropped']}"
             )
         return "\n".join(lines)
 
@@ -416,7 +410,8 @@ def _scenario_plan(
 
     * ``"surge"``: the first half of the sessions arrive by the base
       process; the rest land *together* halfway through that ramp — a
-      mixed-tenant spike sized to drive the policy over its budget.
+      mixed-tenant spike that presses on admission and the tenants'
+      entitlements.
     * ``"diurnal"``: exponential inter-arrivals whose rate alternates
       between day (``rate_hz``) and night (``rate_hz *
       night_fraction``) every ``shift_s`` seconds — the hospital-shift

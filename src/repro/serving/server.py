@@ -49,8 +49,8 @@ the journal restores the encoder to the last GOP boundary, replays any
 journaled outcomes the old connection never delivered, and the client
 resends from the boundary.  The contract is that nothing leaves that
 RESUME cannot reproduce: an outcome leaves as soon as it is encoded
-unless a timing decision (backpressure, policy, watchdog) gave a frame
-up since the last record — then it waits for its GOP's record.
+unless a timing decision (backpressure, watchdog) gave a frame up
+since the last record — then it waits for its GOP's record.
 ``watchdog_multiple``
 arms an encode watchdog: a job that exceeds the deadline multiple is
 abandoned (the executor is replaced), the encoder is rebuilt from the
@@ -77,10 +77,8 @@ import numpy as np
 from repro.codec.config import EncoderConfig, GopConfig
 from repro.observability import get_registry, get_tracer
 from repro.platform.mpsoc import MpsocConfig, XEON_E5_2667
-from repro.platform.power import PowerModel
 from repro.policy.compiler import CompiledPolicy, compile_policy
 from repro.policy.document import load_policy_file
-from repro.policy.energy import EnergyBudgetScheduler
 from repro.resilience.errors import (
     CorruptFrameError,
     JournalCorruptionError,
@@ -180,9 +178,8 @@ class ServeNetConfig:
     #: admit/resume records (``""`` = standalone single-server mode).
     worker_id: str = ""
     #: Tenant policy document (``None`` = pre-policy behaviour: no
-    #: tenants, no energy budget, bit-identical to a policy-less build),
-    #: loaded once at construction; a changed file takes a drain and a
-    #: restart.
+    #: tenants, bit-identical to a policy-less build), loaded once at
+    #: construction; a changed file takes a drain and a restart.
     policy_file: Optional[str] = None
     #: Injectable filesystem seam for every durable write (journals,
     #: leases, LUT checkpoints, policy reads).  ``None`` = the real
@@ -208,7 +205,6 @@ class SessionStats:
     dropped_corrupt: int = 0
     dropped_deadline: int = 0
     dropped_watchdog: int = 0
-    dropped_policy: int = 0
     deadline_misses: int = 0
     total_bits: int = 0
     psnr_sum: float = 0.0
@@ -230,11 +226,6 @@ class SessionStats:
             "deadline": self.dropped_deadline,
             "watchdog": self.dropped_watchdog,
         }
-        if self.dropped_policy:
-            # Only present when a policy actually dropped frames, so a
-            # no-policy run's STATS payload is byte-identical to the
-            # pre-policy wire form.
-            dropped["policy"] = self.dropped_policy
         return {
             "session_id": self.session_id,
             "frames_received": self.frames_received,
@@ -305,8 +296,6 @@ class _Session:
                 content = ContentClass(hello.content_class)
             except ValueError:
                 content = None
-        #: Resolved policy tenant this session bills to ("" = no policy).
-        self.tenant = server.resolve_tenant(hello)
         self.qp, self.window = BASE_QP, BASE_WINDOW
         if restored is not None:
             self.qp = int(restored.admit["qp"])
@@ -435,26 +424,21 @@ class NetworkServer:
             platform=config.platform,
             policy=config.admission,
         )
-        #: Tenant policy plumbing (all ``None`` without --policy; every
-        #: policy hook below degrades to a single branch).
+        #: Tenant policy (``None`` without --policy; every policy hook
+        #: below degrades to a single branch).
         self.compiled_policy: Optional[CompiledPolicy] = None
-        self.energy: Optional[EnergyBudgetScheduler] = None
-        self._power_model: Optional[PowerModel] = None
         if config.policy_file is not None:
             # Loaded once and strictly: a torn, invalid or unreadable
             # file refuses to start the server.
             policy = self.compiled_policy = compile_policy(
                 load_policy_file(config.policy_file, fileops=config.fileops)
             )
-            self.energy = EnergyBudgetScheduler(policy)
-            self._power_model = PowerModel()
-            self.admission.set_policy(policy, self.energy)
+            self.admission.set_policy(policy)
             get_registry().set_gauge(
                 "repro_policy_tenants", len(policy.tenants),
                 help="Tenants defined by the applied policy",
             )
             get_tracer().event("policy.apply", source=policy.source or "")
-        self._policy_task: Optional[asyncio.Task] = None
         self._server: Optional[asyncio.base_events.Server] = None
         # The encode pool: CPU work leaves the event loop here.  Each
         # session awaits every push before issuing the next, so one
@@ -490,12 +474,6 @@ class NetworkServer:
         self._attached: Dict[str, asyncio.Task] = {}
 
     # -- tenant policy -------------------------------------------------
-    def resolve_tenant(self, hello: Hello) -> str:
-        policy = self.compiled_policy
-        if policy is None:
-            return ""
-        return policy.resolve_name(hello.tenant)
-
     def resilience_for(self, hello: Hello) -> ResilienceConfig:
         """Per-stream resilience: the full ladder, bounded by the
         tenant's QoS floor."""
@@ -503,18 +481,6 @@ class NetworkServer:
         if policy is None:
             return ResilienceConfig()
         return policy.resilience_for(hello.tenant, ResilienceConfig())
-
-    async def _policy_loop(self) -> None:
-        """Housekeeping tick: energy-budget checks."""
-        loop = asyncio.get_running_loop()
-        interval = max(0.05, min(1.0, self.energy.policy.energy_window_s / 4))
-        while True:
-            await asyncio.sleep(interval)
-            events = self.energy.check(loop.time())
-            if any(e.kind in ("readmit", "unthrottle") for e in events):
-                # Readmission frees admission headroom for tenants
-                # parked behind the brownout gate.
-                self._capacity_freed.set()
 
     # -- durability brownout (DESIGN.md §16) ---------------------------
     def _on_journal_retry(self, exc: StorageError) -> None:
@@ -741,8 +707,6 @@ class NetworkServer:
         self._server = await asyncio.start_server(
             self._handle_client, self.config.host, self.config.port,
         )
-        if self.energy is not None and self._policy_task is None:
-            self._policy_task = asyncio.ensure_future(self._policy_loop())
         get_registry().set_gauge(
             "repro_serving_listening", 1, help="1 while the server accepts",
         )
@@ -760,10 +724,6 @@ class NetworkServer:
             await self._server.serve_forever()
 
     async def aclose(self) -> None:
-        if self._policy_task is not None:
-            self._policy_task.cancel()
-            await asyncio.gather(self._policy_task, return_exceptions=True)
-            self._policy_task = None
         if self._durability_task is not None:
             self._durability_task.cancel()
             await asyncio.gather(self._durability_task,
@@ -1494,14 +1454,7 @@ class NetworkServer:
         frames: List[Frame] = []
         item = await ingest.get()
         while item is not _BYE_SENTINEL and item is not _DRAIN_SENTINEL:
-            if (self.energy is not None
-                    and not self.energy.serves(session.tenant)):
-                # Brownout: the tenant is shed — the connection stays up
-                # but frames degrade to policy drops until readmission.
-                session.arrival_s.pop(item.index, None)
-                await self._give_up(session, item.index, "policy")
-            else:
-                frames.append(item)
+            frames.append(item)
             if len(frames) == room or ingest.empty():
                 return frames, None
             item = ingest.get_nowait()
@@ -1591,12 +1544,12 @@ class NetworkServer:
 
     async def _give_up(self, session: _Session, frame_index: int,
                        reason: str) -> None:
-        """A timing decision (backpressure, policy, watchdog) gave a
-        frame up.  Journal-less, its notice leaves now.  Journaled, the
-        drop waits in ``pending_drops`` for the next ``gop``/``park``
-        record, which carries it and whose ``next_frame_index`` covers
-        it; until then no outcome leaves early, and the notice leaves
-        with the record."""
+        """A timing decision (backpressure, watchdog) gave a frame up.
+        Journal-less, its notice leaves now.  Journaled, the drop waits
+        in ``pending_drops`` for the next ``gop``/``park`` record, which
+        carries it and whose ``next_frame_index`` covers it; until then
+        no outcome leaves early, and the notice leaves with the
+        record."""
         if session.journal is None:
             await self._drop(session, frame_index, reason)
         else:
@@ -1802,17 +1755,6 @@ class NetworkServer:
                 continue
             record = out.record
             critical = max(t.cpu_time_fmax for t in record.tiles)
-            if self.energy is not None:
-                # Model-domain energy: the frame's summed tile CPU
-                # seconds at f_max priced by the fig4 busy power —
-                # billed to the session's tenant for the budget ledger.
-                self.energy.observe(
-                    asyncio.get_running_loop().time(),
-                    record.cpu_time_fmax
-                    * self._power_model.busy_power(
-                        self.admission.platform.f_max),
-                    session.tenant,
-                )
             bits, psnr = record.bits, record.psnr
             session.stats.frames_encoded += 1
             session.stats.total_bits += bits

@@ -86,11 +86,11 @@ _PHASE_TIMEOUT_S = 180.0
 
 _POLICY_V1 = {
     "version": 1,
-    "power_cap_w": 140,
     "default_tenant": "general",
     "tenants": [{"name": "general", "tier": "routine", "weight": 2}],
 }
-_POLICY_V2 = dict(_POLICY_V1, power_cap_w=120)
+_POLICY_V2 = dict(_POLICY_V1, tenants=[
+    {"name": "general", "tier": "routine", "weight": 3}])
 
 
 class TortureFailure(AssertionError):

@@ -461,20 +461,24 @@ class StreamTranscoder:
     # ------------------------------------------------------------------
     def _run_proposed(self, video: Video,
                       corrupt: Optional[Set[int]] = None) -> StreamTrace:
-        session = ProposedStreamSession(self, known_corrupt=corrupt or set())
+        trace = StreamTrace(fps=self.config.fps)
+        session = ProposedStreamSession(self, known_corrupt=corrupt or set(),
+                                        trace=trace)
         for frame in video.frames:
             session.push(frame)
         session.finish()
-        return session.trace
+        return trace
 
     def open_session(self) -> "ProposedStreamSession":
         """Open a push-based online session (proposed mode only).
 
         Frames are validated and encoded on arrival, so the caller
         gets each frame's output at its push — the network serving
-        layer's entry point.  Output is bit-identical to :meth:`run` fed the same
-        frames (both paths run through
-        :class:`ProposedStreamSession`)."""
+        layer's entry point.  Output is bit-identical to :meth:`run`
+        fed the same frames (both paths run through
+        :class:`ProposedStreamSession`); unlike :meth:`run`, the
+        session keeps no trace, so its memory does not grow with the
+        frames it is pushed."""
         if self.config.mode is not PipelineMode.PROPOSED:
             raise ValueError("online sessions require the proposed pipeline")
         return ProposedStreamSession(self)
@@ -799,12 +803,19 @@ class ProposedStreamSession:
       pipeline's resilience config absorbs them, in which case they are
       dropped and reported as a ``FrameOutput`` with
       ``dropped="corrupt"``.
+
+    ``trace`` is the sink the offline run passes in: every closed GOP's
+    record, every dropped index and, at :meth:`finish`, the degradation
+    report.  A served session has none — nothing on the served path
+    reads them, and a long session would keep every frame's tile
+    records — so it holds only the open GOP's.
     """
 
     def __init__(
         self,
         transcoder: StreamTranscoder,
         known_corrupt: Optional[Set[int]] = None,
+        trace: Optional[StreamTrace] = None,
     ):
         cfg = transcoder.config
         if cfg.mode is not PipelineMode.PROPOSED:
@@ -833,7 +844,7 @@ class ProposedStreamSession:
         self._gop_index = 0
         self._frames_pushed = 0
         self._finished = False
-        self.trace = StreamTrace(fps=cfg.fps)
+        self.trace = trace
 
     # -- validation (online mode) --------------------------------------
     def _check_frame(self, frame) -> bool:
@@ -934,13 +945,14 @@ class ProposedStreamSession:
             ),
             "content_class": resolved.value if resolved else None,
             "feedback": self._feedback.export_state(),
-            "dropped_frames": list(self.trace.dropped_frames),
             "previous_original": self._previous_original,
         }
 
     def import_state(self, state: Dict[str, object]) -> None:
         """Restore a snapshot from :meth:`export_state` into a *fresh*
-        session (nothing pushed yet)."""
+        session (nothing pushed yet).  Keys it does not read, such as
+        the ``dropped_frames`` list older snapshots carry, are
+        ignored."""
         if self._frames_pushed or self._finished:
             raise ValueError("import_state requires a fresh session")
         self._gop_index = int(state["gop_index"])
@@ -948,9 +960,6 @@ class ProposedStreamSession:
         self._recent_bits = [int(b) for b in state["recent_bits"]]
         shape = state.get("reference_shape")
         self._reference_shape = tuple(shape) if shape is not None else None
-        self.trace.dropped_frames = [
-            int(i) for i in state.get("dropped_frames", [])
-        ]
         content = state.get("content_class")
         if content:
             self.transcoder._resolved_class = ContentClass(content)
@@ -970,12 +979,14 @@ class ProposedStreamSession:
         self._finished = True
         if self._gop_pushes:
             self._close_gop()
-        self.trace.resilience = self._feedback.report
+        if self.trace is not None:
+            self.trace.resilience = self._feedback.report
         return []
 
     # -- per-frame encode (the body of the offline per-GOP loop) -------
     def _drop(self, frame_index: int, reason: str) -> FrameOutput:
-        self.trace.dropped_frames.append(frame_index)
+        if self.trace is not None:
+            self.trace.dropped_frames.append(frame_index)
         get_registry().inc(
             "repro_frames_dropped_total", reason=reason,
             help="Frames not encoded, by reason",
@@ -1001,7 +1012,7 @@ class ProposedStreamSession:
                                  contents=self._plan.contents)
 
     def _close_gop(self) -> None:
-        if self._record is not None:
+        if self._record is not None and self.trace is not None:
             self.trace.gops.append(self._record)
         self._plan = self._record = None
         self._gop_pushes = self._gop_pos = 0

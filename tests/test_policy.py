@@ -1,6 +1,6 @@
-"""Tenant policy subsystem: document validation, compilation,
-energy-budgeted brownout, the strict startup load, admission gates and
-the wire compatibility of the HELLO ``tenant`` key."""
+"""Tenant policy subsystem: document validation, compilation, the
+strict startup load, admission gates and the wire compatibility of the
+HELLO ``tenant`` key."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import asyncio
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -18,16 +18,13 @@ from hypothesis.stateful import (
 )
 
 from repro.observability import scoped
-from repro.platform.mpsoc import GHZ, MpsocConfig, XEON_E5_2667
+from repro.platform.mpsoc import MpsocConfig
 from repro.policy import (
-    EnergyBudgetScheduler,
-    EnergyLedger,
     PolicyError,
     compile_policy,
     load_policy_file,
     parse_policy,
 )
-from repro.policy import smoke as policy_smoke
 from repro.resilience.degradation import DegradationLevel, ResilienceConfig
 from repro.serving.admission import (
     AdmissionController,
@@ -43,17 +40,14 @@ from repro.serving.server import NetworkServer, ServeNetConfig
 def _doc(**overrides) -> dict:
     doc = {
         "version": 1,
-        "power_cap_w": 100.0,
-        "energy_window_s": 1.0,
         "default_tenant": "clinic",
-        "brownout": {"readmit_fraction": 0.5, "readmit_after_checks": 2},
         "tenants": [
             {"name": "er", "tier": "emergency", "weight": 3.0,
              "min_psnr_db": 37.0, "max_deadline_miss_rate": 0.02},
             {"name": "clinic", "tier": "urgent", "weight": 2.0,
              "min_psnr_db": 31.0},
             {"name": "archive", "tier": "archival", "weight": 1.0,
-             "max_rungs": 1, "power_budget_w": 20.0},
+             "max_rungs": 1},
         ],
     }
     doc.update(overrides)
@@ -68,7 +62,7 @@ class TestDocument:
         doc = parse_policy(_doc(), source="<test>")
         assert doc.default_tenant == "clinic"
         assert [t.name for t in doc.tenants] == ["er", "clinic", "archive"]
-        assert doc.tenant("archive").power_budget_w == 20.0
+        assert doc.tenants[2].max_rungs == 1
 
     def test_bad_tier_names_path_and_choices(self):
         bad = _doc()
@@ -82,12 +76,34 @@ class TestDocument:
         assert msg.startswith("pol.yaml:")
 
     def test_negative_budget_rejected_with_path(self):
+        """A negative bound (here the miss-rate budget) names its key."""
         bad = _doc()
-        bad["tenants"][2]["power_budget_w"] = -5
+        bad["tenants"][2]["max_deadline_miss_rate"] = -0.5
         with pytest.raises(PolicyError) as exc:
             parse_policy(bad)
-        assert "tenants[2].power_budget_w" in str(exc.value)
+        assert "tenants[2].max_deadline_miss_rate" in str(exc.value)
         assert ">= 0" in str(exc.value)
+
+    def test_non_finite_numbers_rejected_with_path(self):
+        """JSON's NaN/Infinity and YAML's .nan/.inf are refused.  A NaN
+        compares false against every bound: as ``min_psnr_db`` it would
+        compile to the weakest cap, as ``weight`` it would make every
+        share NaN and every entitlement check pass."""
+        for key in ("weight", "min_psnr_db", "max_deadline_miss_rate"):
+            for value in (float("nan"), float("inf"), float("-inf"),
+                          10 ** 400):  # JSON's ints have no float bound
+                bad = _doc()
+                bad["tenants"][1][key] = value
+                with pytest.raises(PolicyError) as exc:
+                    parse_policy(bad)
+                assert exc.value.path == f"tenants[1].{key}", value
+                assert "finite" in str(exc.value), (key, value)
+        # The same from a JSON text, as JSON spells it.
+        text = json.dumps(_doc()).replace('"min_psnr_db": 31.0',
+                                          '"min_psnr_db": NaN')
+        assert "NaN" in text
+        with pytest.raises(PolicyError, match=r"tenants\[1\].min_psnr_db"):
+            parse_policy(json.loads(text))
 
     def test_unknown_default_tenant_reference(self):
         with pytest.raises(PolicyError) as exc:
@@ -99,8 +115,13 @@ class TestDocument:
 
     def test_unknown_key_did_you_mean(self):
         with pytest.raises(PolicyError) as exc:
-            parse_policy(_doc(power_cap="100"))
-        assert "did you mean 'power_cap_w'" in str(exc.value)
+            parse_policy(_doc(default_tennant="er"))
+        assert "did you mean 'default_tenant'" in str(exc.value)
+        # A document written for the deleted energy brownout fails at
+        # start, whole, rather than being half-applied.
+        with pytest.raises(PolicyError, match="unknown key") as exc:
+            parse_policy(_doc(brownout={"readmit_fraction": 0.8}))
+        assert exc.value.path == "brownout"
 
     def test_duplicate_tenant_names_point_at_first(self):
         bad = _doc()
@@ -121,8 +142,11 @@ class TestDocument:
             parse_policy(_doc(version=2))
 
     def test_dvfs_inverted_bounds(self):
-        with pytest.raises(PolicyError, match="min_ghz"):
+        """The policy no longer clamps DVFS: a document that still sets
+        bounds — here inverted ones — is refused whole at start."""
+        with pytest.raises(PolicyError, match="unknown key") as exc:
             parse_policy(_doc(dvfs={"min_ghz": 3.6, "max_ghz": 2.9}))
+        assert exc.value.path == "dvfs"
 
     def test_empty_tenants_rejected(self):
         with pytest.raises(PolicyError, match="tenants"):
@@ -189,138 +213,6 @@ class TestCompiler:
         bounded = policy.resilience_for("er", base)
         assert bounded.max_level is DegradationLevel.NONE
         assert bounded.escalate_after == 1
-
-    def test_clamp_platform_filters_frequencies(self):
-        policy = compile_policy(parse_policy(_doc(dvfs={"max_ghz": 3.3})))
-        clamped = policy.clamp_platform(XEON_E5_2667)
-        assert clamped.f_max == 3.2 * GHZ
-        assert 3.6 * GHZ not in clamped.frequencies_hz
-
-    def test_clamp_platform_impossible_bounds_raise(self):
-        policy = compile_policy(parse_policy(_doc(dvfs={"max_ghz": 1.0})))
-        with pytest.raises(PolicyError, match="no platform frequency"):
-            policy.clamp_platform(XEON_E5_2667)
-
-
-# ----------------------------------------------------------------------
-# Energy ledger + brownout scheduler
-# ----------------------------------------------------------------------
-class TestEnergyLedger:
-    def test_windowed_power_is_energy_over_window(self):
-        ledger = EnergyLedger(window_s=2.0)
-        ledger.record(0.0, 10.0)
-        ledger.record(1.0, 10.0)
-        assert ledger.windowed_power(1.0) == pytest.approx(10.0)
-
-    def test_slot_grid_boundary_expires_exactly(self):
-        # Entries land on a 1/FPS grid; float subtraction of the window
-        # must not keep an extra slot alive (that inflates power 1.5x).
-        fps, window = 10.0, 0.2
-        ledger = EnergyLedger(window_s=window)
-        for slot in range(5):
-            ledger.record((slot + 1) / fps, 1.0)
-        # At now=0.5 the window [0.3, 0.5] holds exactly two entries.
-        assert ledger.windowed_energy(0.5) == pytest.approx(2.0)
-
-    def test_negative_energy_and_bad_window_rejected(self):
-        with pytest.raises(ValueError):
-            EnergyLedger(window_s=0.0)
-        with pytest.raises(ValueError):
-            EnergyLedger(window_s=1.0).record(0.0, -1.0)
-
-    @given(st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 5.0)),
-                    min_size=1, max_size=40))
-    @settings(max_examples=50, deadline=None)
-    def test_windowed_energy_never_exceeds_total(self, entries):
-        ledger = EnergyLedger(window_s=1.0)
-        now = 0.0
-        for dt, energy in entries:
-            now += dt
-            ledger.record(now, energy)
-        assert 0.0 <= ledger.windowed_energy(now) <= ledger.total_j + 1e-9
-
-
-class TestBrownout:
-    def _scheduler(self, **overrides) -> EnergyBudgetScheduler:
-        return EnergyBudgetScheduler(
-            compile_policy(parse_policy(_doc(**overrides)))
-        )
-
-    def test_sheds_in_strict_reverse_priority_order(self):
-        with scoped():
-            sched = self._scheduler()
-            sched.observe(1.0, 500.0)     # 500 W >> 100 W cap
-            assert [e.kind for e in sched.check(1.0)] == ["shed"]
-            assert sched.shed_tenants == ("archive",)
-            sched.observe(1.1, 500.0)
-            sched.check(1.1)
-            assert sched.shed_tenants == ("archive", "clinic")
-            assert not sched.serves("archive")
-            assert sched.serves("er")
-
-    def test_emergency_never_shed_cap_violation_counted(self):
-        with scoped():
-            sched = self._scheduler()
-            for i in range(5):
-                sched.observe(1.0 + i / 10, 500.0)
-                sched.check(1.0 + i / 10)
-            assert sched.shed_tenants == ("archive", "clinic")
-            assert sched.serves("er")
-            assert sched.cap_violations >= 1
-
-    def test_hysteretic_readmission_reverse_order(self):
-        with scoped():
-            sched = self._scheduler()
-            sched.observe(1.0, 500.0)
-            sched.check(1.0)
-            sched.observe(1.1, 500.0)
-            sched.check(1.1)
-            assert sched.shed_tenants == ("archive", "clinic")
-            # Window drains; below cap but above the readmit threshold
-            # (50 W): nothing comes back.
-            sched.observe(3.0, 60.0)
-            assert sched.check(3.0) == []
-            # Below the threshold: needs 2 consecutive clear checks.
-            assert sched.check(5.0) == []
-            events = sched.check(5.1)
-            assert [(e.kind, e.tenant) for e in events] == [
-                ("readmit", "clinic")
-            ]
-            sched.check(5.2)
-            events = sched.check(5.3)
-            assert [(e.kind, e.tenant) for e in events] == [
-                ("readmit", "archive")
-            ]
-            assert sched.shed_tenants == ()
-
-    def test_shed_tenant_admission_refused(self):
-        with scoped():
-            sched = self._scheduler()
-            sched.observe(1.0, 500.0)
-            sched.check(1.0)
-            ok, reason = sched.admits("archive")
-            assert not ok and "brownout" in reason
-            assert sched.admits("er") == (True, "")
-
-    def test_per_tenant_budget_throttles_only_that_tenant(self):
-        with scoped():
-            sched = self._scheduler(power_cap_w=None)
-            # archive's 20 W budget, exceeded by archive's own draw.
-            sched.observe(1.0, 100.0, tenant="archive")
-            events = sched.check(1.0)
-            assert [(e.kind, e.tenant) for e in events] == [
-                ("throttle", "archive")
-            ]
-            ok, reason = sched.admits("archive")
-            assert not ok and "20 W" in reason
-            assert sched.admits("clinic") == (True, "")
-            assert sched.serves("archive")  # throttle gates admission only
-            # Drained below 50% of budget for 2 checks: unthrottles.
-            sched.check(3.0)
-            events = sched.check(3.1)
-            assert [(e.kind, e.tenant) for e in events] == [
-                ("unthrottle", "archive")
-            ]
 
 
 # ----------------------------------------------------------------------
@@ -448,19 +340,6 @@ class TestAdmissionGates:
             occ = ctrl.tenant_occupancies()
             assert occ["er"] == pytest.approx(0.45)
             assert occ["clinic"] == pytest.approx(0.45)  # default tenant
-
-    def test_energy_gate_rejects_shed_tenant(self):
-        with scoped():
-            ctrl = _policy_controller()
-            sched = EnergyBudgetScheduler(ctrl.compiled)
-            ctrl.set_policy(ctrl.compiled, energy=sched)
-            sched.observe(1.0, 500.0)
-            sched.check(1.0)
-            decision, reason, _ = ctrl.decide(
-                0, Hello(width=96, height=96, fps=24.0, tenant="archive")
-            )
-            assert decision is AdmissionDecision.REJECT
-            assert "brownout" in reason
 
 
 class TestServedLadderCap:
@@ -609,24 +488,3 @@ class TestHelloTenantWire:
     def test_old_peer_payload_defaults_to_empty(self):
         old = Hello(width=64, height=64).payload()  # lacks the key
         assert Hello.from_payload(0, old).tenant == ""
-
-
-# ----------------------------------------------------------------------
-# The brownout drill
-# ----------------------------------------------------------------------
-class TestPolicySmoke:
-    def test_drill_passes_against_golden(self, capsys):
-        assert policy_smoke.run() == 0
-        out = capsys.readouterr().out
-        assert "policy-smoke OK" in out
-
-    def test_drill_is_deterministic(self):
-        first = policy_smoke._stream_demands()
-        second = policy_smoke._stream_demands()
-        assert {
-            t: [d.total_cpu_time_fmax for d in ds]
-            for t, ds in first.items()
-        } == {
-            t: [d.total_cpu_time_fmax for d in ds]
-            for t, ds in second.items()
-        }

@@ -469,9 +469,12 @@ class TestPipelineSnapshot:
             for frame in video.frames[:4]:
                 outputs.extend(first.push(frame))
             state = first.export_state()
+        # A served session keeps no trace, so its snapshot carries no
+        # dropped-index list; a snapshot from before still imports.
+        assert "dropped_frames" not in state
         with StreamTranscoder(config) as t:
             second = t.open_session()
-            second.import_state(state)
+            second.import_state(dict(state, dropped_frames=[1]))
             for frame in video.frames[4:]:
                 outputs.extend(second.push(frame))
             outputs.extend(second.finish())

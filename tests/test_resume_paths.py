@@ -695,38 +695,31 @@ def test_a_watchdog_on_a_gops_first_frame_loses_one_frame(
     assert [o["dropped"] for o in carried] == ["watchdog"]
 
 
-class _ShedsTheThirdFrame:
-    """An energy budget that sheds the tenant for one frame: the third
-    the encode loop takes."""
+def test_a_watchdog_drop_rides_its_gop_record(tmp_path, monkeypatch):
+    """A timing drop — here the watchdog's, of frame 2, whose encode
+    wedges — is journaled: the GOP record that covers it carries it,
+    and its notice leaves with that record.  The client is cut while
+    the record's append is stalled, holding frames 0 and 1 only; the
+    record lands anyway, RESUME replays frame 2 as ``watchdog`` (not as
+    a synthesised ``backpressure`` hole) and the GOP's other frames,
+    and across both connections every index has exactly one outcome —
+    the uninterrupted run's."""
+    import repro.serving.server as server_mod
 
-    def __init__(self):
-        self.asked = 0
+    push_all, stalled = server_mod._push_all, []
 
-    def serves(self, tenant):
-        self.asked += 1
-        return self.asked != 3
+    def stalling(encoder, frames):
+        if 2 in [f.index for f in frames] and not stalled:
+            stalled.append(2)
+            time.sleep(1.5)
+        return push_all(encoder, frames)
 
-    def observe(self, now, joules, tenant):
-        pass
-
-
-def test_a_policy_drop_rides_its_gop_record(tmp_path):
-    """A timing drop — here the energy policy's, of frame 2 — is
-    journaled: the GOP record that covers it carries it, and its notice
-    leaves with that record.  The client is cut while the record's
-    append is stalled, holding frames 0 and 1 only; the record lands
-    anyway, RESUME replays frame 2 as ``policy`` (not as a synthesised
-    ``backpressure`` hole) and the GOP's other frames, and across both
-    connections every index has exactly one outcome — the
-    uninterrupted run's."""
-    from repro.platform.power import PowerModel
-
+    monkeypatch.setattr(server_mod, "_push_all", stalling)
     total = 3 * _GOP
-    hello = Hello(width=_W, height=_H, fps=24.0, gop=_GOP, client_id="shed")
-
-    def shedding(server):
-        server.energy = _ShedsTheThirdFrame()
-        server._power_model = PowerModel()
+    hello = Hello(width=_W, height=_H, fps=24.0, gop=_GOP, client_id="wedge")
+    # A floor well above a cold process's first encode (≈ 0.5 s), so
+    # the wedged job is the only one the watchdog fires on.
+    watchdog = dict(watchdog_multiple=1.0, watchdog_min_s=1.0)
 
     async def until_bye(reader):
         outcomes = []
@@ -735,29 +728,37 @@ def test_a_policy_drop_rides_its_gop_record(tmp_path):
                 outcomes.append(msg)
         return outcomes
 
+    async def first_three(reader, writer):
+        """Frames 0 and 1 leave early (nothing was given up yet); frame
+        2 is a job of its own, so it is the job the watchdog drops."""
+        stalled.clear()
+        received = []
+        for i in range(2):
+            await _send_frames(writer, [i])
+            received.append(await read_message(reader))
+        await _send_frames(writer, [2])
+        await _until(lambda: stalled, "frame 2 never wedged")
+        return received
+
     async def uninterrupted(server):
-        shedding(server)
         reader, writer = await asyncio.open_connection(
             "127.0.0.1", server.port)
         await write_message(writer, hello)
         await read_message(reader)
-        await _send_frames(writer, range(total))
+        received = await first_three(reader, writer)
+        await _send_frames(writer, range(3, total))
         await write_message(writer, Bye("done"))
-        encoded = await until_bye(reader)
+        encoded = received + await until_bye(reader)
         writer.close()
         return encoded
 
     async def cut_and_resumed(server):
-        shedding(server)
         reader, writer = await asyncio.open_connection(
             "127.0.0.1", server.port)
         await write_message(writer, hello)
         token = (await read_message(reader)).resume_token
-        received = []
-        for i in range(2):  # early: nothing was given up yet
-            await _send_frames(writer, [i])
-            received.append(await read_message(reader))
-        await _send_frames(writer, range(2, _GOP + 1))
+        received = await first_three(reader, writer)
+        await _send_frames(writer, range(3, _GOP + 1))
         await _until(lambda: faultfs.injected, "GOP append never started")
         writer.transport.abort()  # cut while the record is stalled
         await _until(lambda: not server._attached
@@ -766,7 +767,7 @@ def test_a_policy_drop_rides_its_gop_record(tmp_path):
         reader, writer = await asyncio.open_connection(
             "127.0.0.1", server.port)
         await write_message(writer, Resume(resume_token=token, have_below=2,
-                                           client_id="shed"))
+                                           client_id="wedge"))
         ack = await read_message(reader)
         assert ack.decision == "accept", ack
         assert (ack.next_frame_index, ack.replayed) == (_GOP + 1, 3), ack
@@ -776,14 +777,14 @@ def test_a_policy_drop_rides_its_gop_record(tmp_path):
         writer.close()
         return received, encoded
 
-    want = _serve(uninterrupted, tmp_path / "whole")
+    want = _serve(uninterrupted, tmp_path / "whole", **watchdog)
     faultfs = _stalled_first_gop(stall_s=0.3)
     received, resumed = _serve(cut_and_resumed, tmp_path / "cut",
-                               fileops=faultfs)
+                               fileops=faultfs, **watchdog)
     first = [m.frame_index for m in received]
     assert first == [0, 1] and all(m.dropped is None for m in received)
     assert [(m.frame_index, m.dropped) for m in resumed[:3]] == [
-        (2, "policy"), (3, None), (4, None)]
+        (2, "watchdog"), (3, None), (4, None)]
     got = {m.frame_index: _outcome(m) for m in received}
     for msg in resumed:
         assert msg.frame_index not in got  # one outcome per index

@@ -4,11 +4,14 @@ bit-exactness and metrics digest."""
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import dataclasses
+import gc
 import inspect
 import os
 import re
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -17,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codec.config import GopConfig
+from repro.ladder.config import LadderConfig, LadderRung
+from repro.ladder.session import LadderSession
 from repro.observability import scoped
 from repro.observability.metrics import (
     HistogramValue,
@@ -701,6 +706,34 @@ def test_every_serve_net_field_is_read_by_the_server():
                           degradation_mod, pipeline_mod) == []
 
 
+def test_every_policy_field_is_read_by_non_test_code():
+    """The same guard for the tenant policy: a document field is read
+    by the compiler, a compiled tenant's knob by admission, the
+    compiler or ``repro policy show``.  A knob nothing reads is a
+    policy that looks applied and is not."""
+    import repro.cli as cli_mod
+    import repro.policy.compiler as compiler_mod
+    import repro.serving.admission as admission_mod
+    from repro.policy import PolicyDocument, TenantRuntime, TenantSpec
+
+    assert [f.name for f in dataclasses.fields(PolicyDocument)] == [
+        "version", "default_tenant", "tenants", "source",
+    ]
+    assert _unread_fields(PolicyDocument, r"\bdoc", compiler_mod) == []
+    assert [f.name for f in dataclasses.fields(TenantSpec)] == [
+        "name", "tier", "weight", "min_psnr_db", "max_deadline_miss_rate",
+        "max_rungs", "max_degradation",
+    ]
+    assert _unread_fields(TenantSpec, r"\bspec|\bt", compiler_mod) == []
+    assert [f.name for f in dataclasses.fields(TenantRuntime)] == [
+        "name", "rank", "capacity_fraction", "shed_rank", "max_level",
+        "escalate_after", "max_rungs",
+    ]
+    assert _unread_fields(
+        TenantRuntime, r"\brt|\bruntime|\.resolve\(tenant\)",
+        compiler_mod, admission_mod, cli_mod) == []
+
+
 def test_encode_pool_counts_the_cpus_the_affinity_mask_allows(monkeypatch):
     """A server pinned to one CPU (taskset, a cpuset) starts one encode
     thread, however many CPUs the host has online; where the platform
@@ -734,17 +767,19 @@ class TestStreamingSession:
                 for frame in video.frames:
                     outputs.extend(session.push(frame))
                 outputs.extend(session.finish())
-                online = session.trace
-        assert len(online.gops) == len(offline.gops)
-        for g_on, g_off in zip(online.gops, offline.gops):
-            assert [f.frame_type for f in g_on.frames] == \
-                [f.frame_type for f in g_off.frames]
-            assert [t_.bits for f in g_on.frames for t_ in f.tiles] == \
-                [t_.bits for f in g_off.frames for t_ in f.tiles]
-            assert [t_.psnr for f in g_on.frames for t_ in f.tiles] == \
-                [t_.psnr for f in g_off.frames for t_ in f.tiles]
-        assert online.dropped_frames == offline.dropped_frames
+                assert session.trace is None  # a served session keeps none
         encoded = [o for o in outputs if o.dropped is None]
+        offline_frames = offline.frame_records
+        assert len(encoded) == len(offline_frames)
+        for out, want in zip(encoded, offline_frames):
+            assert out.frame_index == want.frame_index
+            assert out.frame_type == want.frame_type
+            assert [t_.bits for t_ in out.record.tiles] == \
+                [t_.bits for t_ in want.tiles]
+            assert [t_.psnr for t_ in out.record.tiles] == \
+                [t_.psnr for t_ in want.tiles]
+        assert [o.frame_index for o in outputs if o.dropped] == \
+            offline.dropped_frames
         assert len(encoded) == len(video)
         for out in encoded:
             assert out.reconstruction.dtype == np.uint8
@@ -792,18 +827,56 @@ class TestStreamingSession:
             session = t.open_session()
             outputs = [o for f in frames for o in session.push(f)]
             assert session.finish() == []
-            online = session.trace
         assert [o.frame_index for o in outputs] == list(range(len(frames)))
         assert {o.frame_index for o in outputs if o.dropped} == bad
         assert {o.dropped for o in outputs if o.dropped} == {"corrupt"}
-        assert online.dropped_frames == sorted(bad)
         assert sorted(offline.dropped_frames) == sorted(bad)
         want = [(f.frame_index, f.frame_type, f.bits, f.psnr)
                 for g in offline.gops for f in g.frames]
         assert [(o.frame_index, o.frame_type, o.record.bits, o.record.psnr)
                 for o in outputs if o.dropped is None] == want
-        assert [len(g.frames) for g in online.gops] == \
-            [len(g.frames) for g in offline.gops]
+        # The same GOPs: each offline GOP's frames are the encoded
+        # outputs of its pushes (a GOP of corrupt pushes has no record).
+        gop = config.gop.size
+        per_gop = [sum(1 for o in outputs[i:i + gop] if o.dropped is None)
+                   for i in range(0, len(outputs), gop)]
+        assert [len(g.frames) for g in offline.gops] == [
+            n for n in per_gop if n]
+
+    @pytest.mark.parametrize("shape", ["plain", "ladder"])
+    def test_a_served_session_keeps_no_per_frame_records(self, shape):
+        """Retained memory is flat between N and 2N pushes, for a plain
+        session and for a 3-rung ladder: a session from
+        ``open_session()`` holds its open GOP, not every frame's tile
+        records (ROADMAP 29).  The frame is the same every push, so the
+        shared LUT's key space fills during the first N and stays put.
+        Keeping the records grows ≈ 3 kB per 160x128 frame."""
+        n = 32
+        luma = generate_video(ContentClass.BONE, width=160, height=128,
+                              num_frames=1, seed=3).frames[0].luma
+        config = PipelineConfig(gop=GopConfig(4),
+                                content_class=ContentClass.BONE)
+        retained = []
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(scoped())
+            if shape == "plain":
+                session = stack.enter_context(
+                    StreamTranscoder(config)).open_session()
+            else:
+                session = stack.enter_context(LadderSession(
+                    config, LadderConfig(rungs=(
+                        LadderRung(160, 128), LadderRung(96, 64),
+                        LadderRung(48, 32)), prune=False)))
+            tracemalloc.start()
+            try:
+                for index in range(2 * n):
+                    session.push(Frame(luma, index=index))
+                    if index + 1 in (n, 2 * n):
+                        gc.collect()
+                        retained.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+        assert retained[1] - retained[0] < 16 * 1024, retained
 
     def test_open_session_requires_proposed_mode(self):
         with StreamTranscoder(PipelineConfig.khan()) as t:

@@ -409,9 +409,9 @@ def test_lut_stage_fault_keeps_previous_checkpoint(tmp_path):
 # ----------------------------------------------------------------------
 _POLICY = {
     "version": 1,
-    "power_cap_w": 140,
     "default_tenant": "general",
-    "tenants": [{"name": "general", "tier": "routine", "weight": 2}],
+    "tenants": [{"name": "general", "tier": "routine", "weight": 2},
+                {"name": "bulk", "tier": "batch", "weight": 1}],
 }
 
 
@@ -435,7 +435,8 @@ def test_policy_torn_rewrite_keeps_active_policy(tmp_path):
     # keeps what it loaded, and the next incarnation refuses to start.
     path.write_bytes(full[: len(full) // 2])
     _refuse_to_start(tmp_path, path, PolicyError)
-    assert server.compiled_policy is active and active.power_cap_w == 140
+    assert server.compiled_policy is active
+    assert active.tenants["general"].capacity_fraction == pytest.approx(2 / 3)
 
 
 def test_policy_read_fault_refuses_to_start(tmp_path):
