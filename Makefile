@@ -13,10 +13,10 @@ HAS_COV := $(shell $(PY) -c "import pytest_cov" 2>/dev/null && echo 1)
 COVOPTS := $(if $(HAS_COV),--cov=repro --cov-report=term-missing)
 
 .PHONY: check test reference sanitize bench-smoke bench-check golden \
-	serve-smoke chaos fleet-chaos ladder-smoke torture clean
+	serve-smoke chaos restart-chaos ladder-smoke torture clean
 
 check: test reference sanitize bench-smoke bench-check serve-smoke chaos \
-	fleet-chaos ladder-smoke torture
+	restart-chaos ladder-smoke torture
 
 test:
 	$(PYTEST) -x -q $(COVOPTS)
@@ -116,12 +116,13 @@ serve-smoke:
 chaos:
 	PYTHONPATH=src $(PY) -m repro.serving.chaos_smoke
 
-# Fixed-seed fleet failover drill: SIGKILL one of two workers
-# mid-stream; fails unless the dead worker's sessions are adopted by
-# the survivor, delivery is bit-identical to an uninterrupted
-# reference pass, and the supervisor restarts the dead slot.
-fleet-chaos:
-	PYTHONPATH=src $(PY) -m repro.serving.fleet_smoke
+# Fixed-seed kill-and-restart drill: SIGKILL a journaled serve-net
+# child mid-stream, reap it, restart it on the same port and journal
+# directory; fails unless every session RESUMEs, the restarted process
+# adopts them and delivery is bit-identical to an uninterrupted
+# reference pass.
+restart-chaos:
+	PYTHONPATH=src $(PY) -m repro.serving.restart_smoke
 
 # Fixed-seed rendition-ladder drill: encodes one stream into a 3-rung
 # ladder, checks GOP-aligned segments + manifest, per-rung bit-identity

@@ -39,7 +39,7 @@ from repro.platform.schedule import CoreSlot, DvfsPolicy, SlotSchedule, ThreadTa
 from repro.resilience.errors import AllocationError
 
 
-def _record_schedule_metrics(schedule: SlotSchedule, kind: str) -> None:
+def _record_schedule_metrics(schedule: SlotSchedule) -> None:
     """Counters for one resolved schedule: per-frequency DVFS picks
     plus the paper's cores-at-f_max headcount."""
     registry = get_registry()
@@ -51,11 +51,6 @@ def _record_schedule_metrics(schedule: SlotSchedule, kind: str) -> None:
             freq_mhz=int(round(plan.busy_frequency_hz / 1e6)),
             help="Active cores per chosen DVFS frequency",
         )
-        if plan.carry_out_fmax > 0:
-            registry.inc(
-                "repro_allocator_slot_overruns_total", kind=kind,
-                help="Core slots whose load did not fit the 1/FPS slot",
-            )
 
 
 @dataclass
@@ -189,7 +184,7 @@ class ProposedAllocator:
                          help="Users rejected across allocation passes")
             registry.inc("repro_allocator_threads_placed_total", len(pool),
                          help="Threads packed onto core slots")
-            _record_schedule_metrics(schedule, "allocate")
+            _record_schedule_metrics(schedule)
             return AllocationResult(
                 admitted=admitted, rejected=rejected, schedule=schedule
             )
@@ -254,7 +249,7 @@ class ProposedAllocator:
                      help="Allocator invocations by kind")
         registry.inc("repro_allocator_users_shed_total", len(shed),
                      help="Users shed by core-failure recovery")
-        _record_schedule_metrics(schedule, "reallocate")
+        _record_schedule_metrics(schedule)
         get_tracer().event(
             "allocator.reallocate",
             failed=sorted(set(failed_core_ids)),

@@ -7,7 +7,6 @@ Usage::
     python -m repro.cli transcode video.npz [--baseline]
     python -m repro.cli serve --metrics-out metrics.json --trace-out trace.jsonl
     python -m repro.cli serve-net --port 9470 [--duration 10] [--journal-dir j]
-    python -m repro.cli serve-fleet --workers 4 --journal-dir j [--port 9470]
     python -m repro.cli loadgen --port 9470 --sessions 3 [--max-reconnects 3]
     python -m repro.cli chaos --port 9471 --upstream-port 9470 --reset-rate 0.01
     python -m repro.cli metrics metrics.json [--prom]
@@ -41,13 +40,11 @@ server's token).  ``chaos`` interposes a seeded TCP fault proxy —
 latency spikes, resets, corruption, half-open stalls, or a
 deterministic mid-stream cut — between the two.
 
-``serve-fleet`` runs the supervised multi-worker fleet of ``DESIGN.md``
-§12: N worker processes behind one public port, heartbeat monitoring,
-crash restarts with exponential backoff and a flap circuit breaker, and
-cross-worker session adoption — a RESUME token whose owning worker died
-is adopted by a survivor from the shared ``--journal-dir``.  The
-long-running commands accept ``--run-dir`` so their pidfiles land in a
-dedicated run directory instead of the CWD.
+A server killed on its host is restarted on the same ``--journal-dir``
+and its clients RESUME: the restarted process adopts the dead one's
+sessions from their journals.  The long-running commands accept
+``--run-dir`` so their pidfiles land in a dedicated run directory
+instead of the CWD.
 """
 
 from __future__ import annotations
@@ -258,7 +255,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _enter_run_dir(run_dir: Optional[str], name: str) -> Optional[str]:
     """Materialise ``run_dir`` and drop ``<name>.pid`` into it.
 
-    Long-running commands (``serve-net``, ``serve-fleet``, ``chaos``)
+    Long-running commands (``serve-net``, ``chaos``)
     own their runtime artifacts: the pidfile lands in the run directory
     instead of whatever the shell's CWD happens to be (historically the
     repo root), so harnesses that background them can find the pid
@@ -329,73 +326,6 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
                     fh.write("\n")
                 print(f"wrote metrics snapshot to {args.metrics_out}")
         print("drained; exiting", flush=True)
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        print("interrupted; shut down")
-    return 0
-
-
-def _cmd_serve_fleet(args: argparse.Namespace) -> int:
-    import asyncio
-    import json
-    import signal
-
-    from repro.serving.admission import AdmissionPolicy
-    from repro.serving.fleet import (
-        FleetConfig,
-        FleetSupervisor,
-        RestartPolicy,
-    )
-    from repro.serving.server import ServeNetConfig
-
-    _enter_run_dir(args.run_dir, "supervisor")
-    server = ServeNetConfig(
-        queue_frames=args.queue_frames,
-        egress_frames=args.egress_frames,
-        admission=AdmissionPolicy(utilization=args.utilization,
-                                  park_capacity=args.park_capacity),
-        journal_dir=args.journal_dir,
-        drain_grace_s=args.drain_grace,
-        policy_file=args.policy,
-    )
-    config = FleetConfig(
-        workers=args.workers, host=args.host, port=args.port,
-        heartbeat_s=args.heartbeat, server=server,
-        restart=RestartPolicy(backoff_base_s=args.backoff_base,
-                              breaker_threshold=args.breaker_threshold),
-        drain_grace_s=args.drain_grace,
-    )
-
-    async def run() -> None:
-        supervisor = FleetSupervisor(config)
-        await supervisor.start()
-        await supervisor.wait_ready()
-        print(f"fleet serving on {config.host}:{supervisor.port} "
-              f"({config.workers} workers)", flush=True)
-        loop = asyncio.get_running_loop()
-        term = asyncio.Event()
-        try:
-            loop.add_signal_handler(signal.SIGTERM, term.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass  # platform without signal handlers (e.g. Windows loop)
-        try:
-            stop = asyncio.ensure_future(term.wait())
-            done, _ = await asyncio.wait({stop}, timeout=args.duration)
-            if stop in done:
-                print("SIGTERM: draining fleet (admissions stopped, "
-                      "in-flight sessions parking)", flush=True)
-            stop.cancel()
-            await asyncio.gather(stop, return_exceptions=True)
-        finally:
-            await supervisor.drain()
-            if args.metrics_out:
-                with open(args.metrics_out, "w") as fh:
-                    json.dump(supervisor.metrics_snapshot(), fh)
-                    fh.write("\n")
-                print(f"wrote metrics snapshot to {args.metrics_out}")
-        print("fleet drained; exiting", flush=True)
 
     try:
         asyncio.run(run())
@@ -672,50 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="directory for runtime artifacts (pidfile); "
                          "created if missing")
     sn.set_defaults(func=_cmd_serve_net)
-
-    sf = sub.add_parser(
-        "serve-fleet",
-        help="supervised multi-worker serving fleet with crash failover",
-    )
-    sf.add_argument("--workers", type=int, default=2,
-                    help="number of worker processes")
-    sf.add_argument("--host", default="127.0.0.1")
-    sf.add_argument("--port", type=int, default=0,
-                    help="public TCP port of the router (0 = ephemeral)")
-    sf.add_argument("--queue-frames", type=int, default=16)
-    sf.add_argument("--egress-frames", type=int, default=32)
-    sf.add_argument("--utilization", type=float, default=1.0,
-                    help="fraction of cores admission may fill, split "
-                         "evenly across workers")
-    sf.add_argument("--park-capacity", type=int, default=2,
-                    help="per-worker waiting-room size (the fleet-wide "
-                         "park scales with live workers)")
-    sf.add_argument("--journal-dir", required=True, metavar="DIR",
-                    help="shared state directory (journals, leases, LUT "
-                         "checkpoint); required — adoption needs it")
-    sf.add_argument("--heartbeat", type=float, default=0.25,
-                    metavar="SECONDS", help="worker heartbeat interval")
-    sf.add_argument("--backoff-base", type=float, default=0.25,
-                    metavar="SECONDS", help="first restart backoff delay")
-    sf.add_argument("--breaker-threshold", type=int, default=5,
-                    help="worker deaths in the flap window before the "
-                         "slot's circuit breaker opens")
-    sf.add_argument("--drain-grace", type=float, default=10.0,
-                    metavar="SECONDS")
-    sf.add_argument("--duration", type=float, default=None,
-                    metavar="SECONDS",
-                    help="stop after this long (default: run until ^C)")
-    sf.add_argument("--metrics-out", default=None, metavar="PATH",
-                    help="write the merged fleet metrics snapshot as "
-                         "JSON on shutdown")
-    sf.add_argument("--policy", default=None, metavar="FILE",
-                    help="tenant policy document; the router enforces "
-                         "fleet-wide entitlements and every worker "
-                         "enforces it locally")
-    sf.add_argument("--run-dir", default=None, metavar="DIR",
-                    help="directory for runtime artifacts (pidfile); "
-                         "created if missing")
-    sf.set_defaults(func=_cmd_serve_fleet)
 
     ch = sub.add_parser(
         "chaos",

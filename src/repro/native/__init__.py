@@ -116,7 +116,8 @@ def _compile(extra_cflags: Sequence[str] = ()) -> Optional[Path]:
         return so_path
     _BUILD_DIR.mkdir(exist_ok=True)
     # Compile into a temp file then rename, so concurrent interpreters
-    # (fleet workers, test runs) never load a half-written object.
+    # (a server and its restart, test runs) never load a half-written
+    # object.
     fd, tmp_name = tempfile.mkstemp(suffix=".so", dir=_BUILD_DIR)
     os.close(fd)
     cmd = ["cc", *cflags, str(_SOURCE), "-o", tmp_name, "-lm"]

@@ -1037,9 +1037,9 @@ static void encode_tile(const uint8_t *cur, int64_t cstride,
 /*    running a tile are as many as the CPUs.  Helpers apply the same  */
 /*    rule before each tile they take, so a core goes to a frame's     */
 /*    tiles only while no other frame is using it.                     */
-/* The count is this process's own: processes sharing a host (the      */
-/* workers of serve-fleet) each see only their frames, so two of them  */
-/* can put three threads on two cores for a while.                     */
+/* The count is this process's own: processes sharing a host (two      */
+/* servers, or a server and a test run) each see only their frames,   */
+/* so two of them can put three threads on two cores for a while.     */
 /*                                                                     */
 /* Helpers: at most one fewer than the CPUs in the process affinity    */
 /* mask (every online CPU where the platform has no mask), and no more */

@@ -10,10 +10,10 @@ Three metric kinds, all keyed by a label tuple:
 Registries are *mergeable*: :meth:`MetricsRegistry.merge` folds another
 registry (or its :meth:`~MetricsRegistry.to_dict` snapshot) into this
 one — counters and histogram bins add, gauges take the other side's
-value when present.  That is how fleet workers' heartbeat snapshots
-fold into the supervisor's view (:mod:`repro.serving.fleet`), and the
-operation is commutative, associative and count/sum-preserving
-(property-tested in ``tests/test_observability.py``).
+value when present.  :meth:`MetricsRegistry.from_dict` is a merge into
+an empty registry (how ``repro metrics --prom`` re-exposes a saved
+snapshot), and the operation is commutative, associative and
+count/sum-preserving (property-tested in ``tests/test_observability.py``).
 
 Exposition formats: :meth:`~MetricsRegistry.to_dict` (JSON) and
 :meth:`~MetricsRegistry.to_prometheus_text` (Prometheus text format
@@ -449,6 +449,9 @@ def serving_summary(data: dict) -> Optional[Dict[str, object]]:
     appends = _histogram_merged(
         fams, "repro_serving_journal_append_seconds"
     )
+    resume = _histogram_merged(
+        fams, "repro_serving_resume_latency_seconds"
+    )
     encoded = _counter_sum(fams, "repro_serving_frames_encoded_total")
     misses = _counter_sum(fams, "repro_serving_deadline_miss_total")
     adm = "repro_serving_admission_total"
@@ -468,6 +471,14 @@ def serving_summary(data: dict) -> Optional[Dict[str, object]]:
         "deadline_misses": misses,
         "deadline_miss_rate": (misses / encoded) if encoded else None,
         "resumes": _counter_sum(fams, "repro_serving_resumes_total"),
+        "resume_p95_s": resume.quantile(0.95),
+        "connection_resets": _counter_sum(
+            fams, "repro_serving_connection_resets_total"
+        ),
+        # Pixel copies on the ingest path: 0 while zero-copy holds.
+        "frame_copies": _counter_sum(
+            fams, "repro_serving_frame_copies_total"
+        ),
         "watchdog_fires": _counter_sum(
             fams, "repro_serving_watchdog_fires_total"
         ),
@@ -484,32 +495,14 @@ def serving_summary(data: dict) -> Optional[Dict[str, object]]:
             fams, "repro_serving_sessions_parked_total"
         ),
         "drains": _counter_sum(fams, "repro_serving_drains_total"),
-        # Fleet counters.  ``_counter_sum`` yields 0.0 for absent families,
-        # so snapshots written before the multi-worker fleet existed still
-        # summarise cleanly with stable zero defaults.
+        # Crash restart: sessions a restarted server took over from a
+        # dead process, and RESUMEs refused because a live one held
+        # the lease.
         "sessions_adopted": _counter_sum(
             fams, "repro_serving_sessions_adopted_total"
         ),
         "lease_conflicts": _counter_sum(
             fams, "repro_serving_lease_conflicts_total"
-        ),
-        "worker_deaths": _counter_sum(
-            fams, "repro_serving_worker_deaths_total"
-        ),
-        "worker_restarts": _counter_sum(
-            fams, "repro_serving_worker_restarts_total"
-        ),
-        "worker_breaker_trips": _counter_sum(
-            fams, "repro_serving_worker_breaker_trips_total"
-        ),
-        "fleet_accepted": _counter_sum(
-            fams, "repro_serving_fleet_admission_total", decision="accept"
-        ),
-        "fleet_parked": _counter_sum(
-            fams, "repro_serving_fleet_admission_total", decision="park"
-        ),
-        "fleet_rejected": _counter_sum(
-            fams, "repro_serving_fleet_admission_total", decision="reject"
         ),
         # Tenant-policy counters (PR 9): every key below defaults to
         # zero/empty, so a pre-policy snapshot summarises unchanged.
@@ -587,12 +580,17 @@ def format_metrics(data: dict) -> str:
             f"p95 {_fmt_latency(serving['latency_p95_s'])}",
             f"  deadline miss: {serving['deadline_misses']:g} "
             + (f"({miss_rate:.1%})" if miss_rate is not None else "(n/a)"),
-            f"  protocol errs: {serving['protocol_errors']:g}",
-            f"  recovery     : resumes {serving['resumes']:g}, "
+            f"  protocol errs: {serving['protocol_errors']:g}, "
+            f"connection resets {serving['connection_resets']:g}, "
+            f"ingest copies {serving['frame_copies']:g}",
+            f"  recovery     : resumes {serving['resumes']:g} "
+            f"(p95 {_fmt_latency(serving['resume_p95_s'])}), "
             f"watchdog fires {serving['watchdog_fires']:g} "
             f"(replans {serving['watchdog_replans']:g}), "
             f"parked for resume {serving['sessions_parked_for_resume']:g}, "
-            f"drains {serving['drains']:g}",
+            f"drains {serving['drains']:g}, "
+            f"adopted {serving['sessions_adopted']:g}, "
+            f"lease conflicts {serving['lease_conflicts']:g}",
             f"  journal      : GOPs {serving['journal_gops']:g}, "
             f"corruptions {serving['journal_corruptions']:g}, "
             f"appends {serving['journal_appends']:g} "
@@ -604,11 +602,6 @@ def format_metrics(data: dict) -> str:
             f"readmits {serving['durability_readmits']:g}, "
             f"tombstone rejects {serving['tombstone_rejects']:g}, "
             f"write retries {serving['journal_retries']:g}",
-            f"  fleet        : adopted {serving['sessions_adopted']:g}, "
-            f"lease conflicts {serving['lease_conflicts']:g}, "
-            f"worker deaths {serving['worker_deaths']:g}, "
-            f"restarts {serving['worker_restarts']:g}, "
-            f"breaker trips {serving['worker_breaker_trips']:g}",
             f"  policy       : entitlement blocks "
             f"{serving['entitlement_blocks']:g}",
         ]

@@ -48,8 +48,8 @@ class LeaseHeldError(TranscodeError, RuntimeError):
 
     Raised by :meth:`repro.serving.statestore.SharedDirStateStore.acquire`
     when the single-owner lease of a resume token belongs to a different
-    worker whose process is still alive.  A lease whose owner pid is
-    dead is *not* an error — it is reclaimed in place (crash failover).
+    process that is still alive.  A lease whose owner pid is dead is
+    *not* an error — it is reclaimed in place (crash restart).
     """
 
     def __init__(self, token: str, owner: str, pid: int):

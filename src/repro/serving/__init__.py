@@ -18,18 +18,14 @@ This package puts a real network path in front of the reproduction:
   gate;
 * :mod:`repro.serving.statestore` — externalised session state
   (:class:`~repro.serving.statestore.SharedDirStateStore`:
-  shared-directory journals + single-owner lease records);
-* :mod:`repro.serving.fleet` — supervised multi-worker fleet: crash
-  restarts with backoff, heartbeat monitoring and cross-worker session
-  adoption (``repro serve-fleet``).
+  shared-directory journals + single-owner lease records, so a
+  restarted server adopts a killed one's sessions).
 """
 
 from repro.serving.admission import (
     AdmissionController,
     AdmissionDecision,
     AdmissionPolicy,
-    FleetAdmission,
-    WorkerLoad,
 )
 from repro.serving.protocol import (
     Bye,
@@ -49,12 +45,6 @@ from repro.serving.protocol import (
 from repro.serving.server import NetworkServer, ServeNetConfig
 from repro.serving.loadgen import LoadGenConfig, LoadReport, run_loadgen
 from repro.serving.statestore import Lease, SharedDirStateStore
-from repro.serving.fleet import (
-    FleetConfig,
-    FleetSupervisor,
-    RestartPolicy,
-    RestartTracker,
-)
 
 __all__ = [
     "AdmissionController",
@@ -63,9 +53,6 @@ __all__ = [
     "Bye",
     "Encoded",
     "ErrorMsg",
-    "FleetAdmission",
-    "FleetConfig",
-    "FleetSupervisor",
     "FrameMsg",
     "Hello",
     "HelloAck",
@@ -76,12 +63,9 @@ __all__ = [
     "MsgType",
     "NetworkServer",
     "ProtocolError",
-    "RestartPolicy",
-    "RestartTracker",
     "ServeNetConfig",
     "SharedDirStateStore",
     "Stats",
-    "WorkerLoad",
     "encode_message",
     "read_message",
     "run_loadgen",

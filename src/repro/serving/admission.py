@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.allocation.demand import UserDemand, cores_needed
@@ -56,9 +56,7 @@ __all__ = [
     "AdmissionPolicy",
     "BASE_QP",
     "BASE_WINDOW",
-    "FleetAdmission",
     "SessionTicket",
-    "WorkerLoad",
     "requested_rungs",
 ]
 
@@ -162,15 +160,6 @@ class AdmissionController:
         """Core charge of one tenant's active sessions."""
         return sum(t.cores for t in self._active.values()
                    if t.tenant == tenant)
-
-    def tenant_occupancies(self) -> Dict[str, float]:
-        """Per-tenant core charges (only tenants with active sessions)."""
-        out: Dict[str, float] = {}
-        for ticket in self._active.values():
-            if ticket.tenant:
-                out[ticket.tenant] = (out.get(ticket.tenant, 0.0)
-                                      + ticket.cores)
-        return out
 
     def _entitlement_cores(self, tenant: str) -> Optional[float]:
         """The tenant's hard share of the slot capacity (its normalized
@@ -392,18 +381,10 @@ class AdmissionController:
         self._parked = max(0, self._parked - 1)
 
     # -- drain / recovery ----------------------------------------------
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
     def begin_drain(self) -> None:
         """Stop admitting: every subsequent HELLO (and RESUME) is
         rejected while active sessions run to completion or park."""
         self._draining = True
-        get_registry().set_gauge(
-            "repro_serving_draining", 1,
-            help="1 while the server refuses new admissions",
-        )
 
     def replan_after_stall(self, session_id: int,
                            fps: float) -> List[int]:
@@ -508,235 +489,3 @@ class AdmissionController:
             "admission.release", session=session_id,
             occupancy=self.occupancy_cores,
         )
-
-
-# ----------------------------------------------------------------------
-# Cluster-level admission (Algorithm 2, one level up)
-# ----------------------------------------------------------------------
-@dataclass
-class WorkerLoad:
-    """One worker's load as last gossiped over the heartbeat channel.
-
-    ``pending_cores`` is the supervisor's optimistic charge for
-    placements routed since the last gossip tick — without it, every
-    session arriving inside one heartbeat interval would dogpile onto
-    the same "least loaded" worker.  A fresh gossip snapshot (which by
-    then reflects the worker's own admission accounting) resets it.
-    """
-
-    worker_id: str
-    occupancy_cores: float = 0.0
-    capacity_cores: float = 0.0
-    active_sessions: int = 0
-    draining: bool = False
-    alive: bool = True
-    pending_cores: float = 0.0
-    #: Per-tenant core charges from the worker's last gossip (policy
-    #: mode only; workers emit ``tenant_cores.<name>`` snapshot keys).
-    tenant_cores: Dict[str, float] = field(default_factory=dict)
-    #: Optimistic per-tenant charges for placements routed since the
-    #: last gossip tick (reset by each fresh snapshot, like
-    #: ``pending_cores``).
-    tenant_pending: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def free_cores(self) -> float:
-        return self.capacity_cores - self.occupancy_cores - self.pending_cores
-
-    def accepts_sessions(self) -> bool:
-        return self.alive and not self.draining and self.capacity_cores > 0
-
-
-class FleetAdmission:
-    """Packs *sessions onto workers* with the same min-distance-to-cap
-    heuristic Algorithm 2 uses to pack tiles onto cores.
-
-    The paper's admission stage asks "does the candidate fit the
-    platform's slot capacity?"; at cluster level each worker *is* a
-    capacity bin (its cores divided by the fleet width), and the
-    supervisor's router asks "which bin?".  Placement is least-loaded:
-    among workers with headroom for the session, pick the one with the
-    most free cores (ties: fewest active sessions, then worker id, so
-    placement is deterministic).  Unlike the tile level — where
-    best-fit preserves contiguous headroom for expensive tiles — a
-    worker's encode pool is only as wide as its share of the core
-    grant (``NetworkServer._encode_pool_size``: capacity split across
-    the fleet, clamped to the host), so spreading streams keeps every
-    worker's encode threads busy; packing them would queue sessions
-    behind one worker's pool while the others idle.  When no worker has
-    headroom the fleet parks the session (bounded waiting room scaled
-    by the live-worker count); with no live workers at all it rejects.
-    """
-
-    def __init__(
-        self,
-        estimator: Optional[WorkloadEstimator] = None,
-        platform: MpsocConfig = XEON_E5_2667,
-        policy: AdmissionPolicy = AdmissionPolicy(),
-    ):
-        self.policy = policy
-        # Pricing only: sessions are charged per worker, not here.
-        self._pricer = AdmissionController(
-            estimator=estimator, platform=platform, policy=policy,
-        )
-        self.workers: Dict[str, WorkerLoad] = {}
-        self._parked = 0
-        self.compiled: Optional[CompiledPolicy] = None
-
-    def set_policy(self, compiled: Optional[CompiledPolicy]) -> None:
-        """Route with tenant entitlements: each tenant's fleet-wide
-        charge (gossiped + optimistically pending) is capped at its
-        normalized weight share of the live fleet's capacity."""
-        self.compiled = compiled
-        self._pricer.set_policy(compiled)
-
-    def _tenant_fleet_usage(self, tenant: str) -> float:
-        return sum(
-            w.tenant_cores.get(tenant, 0.0)
-            + w.tenant_pending.get(tenant, 0.0)
-            for w in self.workers.values() if w.alive
-        )
-
-    # -- membership / gossip -------------------------------------------
-    def register(self, worker_id: str, capacity_cores: float) -> None:
-        self.workers[worker_id] = WorkerLoad(
-            worker_id=worker_id, capacity_cores=capacity_cores,
-        )
-
-    def mark_dead(self, worker_id: str) -> None:
-        load = self.workers.get(worker_id)
-        if load is not None:
-            load.alive = False
-
-    def update(self, worker_id: str, snapshot: Dict[str, float]) -> None:
-        """Fold one heartbeat's load gossip into the routing table."""
-        load = self.workers.get(worker_id)
-        if load is None:
-            load = self.workers[worker_id] = WorkerLoad(worker_id=worker_id)
-        load.occupancy_cores = float(
-            snapshot.get("occupancy_cores", load.occupancy_cores)
-        )
-        load.capacity_cores = float(
-            snapshot.get("capacity_cores", load.capacity_cores)
-        )
-        load.active_sessions = int(
-            snapshot.get("active_sessions", load.active_sessions)
-        )
-        load.draining = bool(snapshot.get("draining", 0.0))
-        load.alive = True
-        load.pending_cores = 0.0
-        load.tenant_cores = {
-            key.split(".", 1)[1]: float(value)
-            for key, value in snapshot.items()
-            if key.startswith("tenant_cores.")
-        }
-        load.tenant_pending = {}
-
-    # -- placement -----------------------------------------------------
-    @property
-    def live_workers(self) -> List[WorkerLoad]:
-        return [w for w in self.workers.values() if w.accepts_sessions()]
-
-    def place(self, hello: Hello,
-              prefer: str = "") -> Tuple[AdmissionDecision,
-                                         Optional[str], str]:
-        """Route one HELLO: ``(decision, worker_id, reason)``.
-
-        ``prefer`` pins the placement (the RESUME path routes to the
-        token's lease owner when that worker is alive) as long as the
-        preferred worker accepts sessions at all — a resumed session's
-        capacity charge lives on that worker regardless.
-        """
-        registry = get_registry()
-        # Priced as the worker will charge it: the whole ladder.
-        cores, _, _ = self._pricer.estimate_ladder(
-            hello, requested_rungs(hello)
-        )
-        live = self.live_workers
-        tenant = ""
-        if self.compiled is not None and live:
-            tenant = self.compiled.resolve_name(hello.tenant)
-            runtime = self.compiled.tenants[tenant]
-            total_capacity = sum(w.capacity_cores for w in live)
-            entitled = runtime.capacity_fraction * total_capacity
-            used = self._tenant_fleet_usage(tenant)
-            if used + cores > entitled + 1e-9:
-                registry.inc(
-                    "repro_serving_tenant_entitlement_total", tenant=tenant,
-                    help="Admissions deferred by a tenant's entitlement cap",
-                )
-                if self._parked < self.policy.park_capacity * len(live):
-                    self._parked += 1
-                    decision = AdmissionDecision.PARK
-                else:
-                    decision = AdmissionDecision.REJECT
-                reason = (
-                    f"tenant {tenant!r} fleet entitlement exceeded: need "
-                    f"{cores:.2f} cores, {used:.2f}/{entitled:.2f} "
-                    "entitled cores in use"
-                )
-                registry.inc(
-                    "repro_serving_fleet_admission_total",
-                    decision=decision.value,
-                    help="Fleet-level routing decisions by outcome",
-                )
-                get_tracer().event(
-                    "fleet.place", decision=decision.value, worker=None,
-                    cores=cores, live_workers=len(live), tenant=tenant,
-                )
-                return decision, None, reason
-        choice: Optional[WorkerLoad] = None
-        if prefer:
-            preferred = self.workers.get(prefer)
-            if preferred is not None and preferred.accepts_sessions():
-                choice = preferred
-        if choice is None:
-            fitting = [w for w in live if w.free_cores >= cores]
-            if fitting:
-                # Least loaded: the most free cores; deterministic ties.
-                choice = min(
-                    fitting,
-                    key=lambda w: (-w.free_cores, w.active_sessions,
-                                   w.worker_id),
-                )
-        if choice is not None:
-            choice.pending_cores += cores
-            if tenant:
-                choice.tenant_pending[tenant] = (
-                    choice.tenant_pending.get(tenant, 0.0) + cores
-                )
-            if self._parked:
-                self._parked = max(0, self._parked - 1)
-            decision = AdmissionDecision.ACCEPT
-            reason = (
-                f"routed to {choice.worker_id}: estimated {cores:.2f} "
-                f"cores, {choice.free_cores:.2f} free of "
-                f"{choice.capacity_cores:.0f}"
-            )
-            worker = choice.worker_id
-        elif live and self._parked < self.policy.park_capacity * len(live):
-            self._parked += 1
-            decision = AdmissionDecision.PARK
-            worker = None
-            reason = (
-                f"fleet saturated: need {cores:.2f} cores, no worker "
-                f"has headroom; parked"
-            )
-        else:
-            decision = AdmissionDecision.REJECT
-            worker = None
-            reason = ("no live workers" if not live else
-                      "fleet saturated and waiting room full")
-        registry.inc(
-            "repro_serving_fleet_admission_total", decision=decision.value,
-            help="Fleet-level routing decisions by outcome",
-        )
-        get_tracer().event(
-            "fleet.place", decision=decision.value, worker=worker,
-            cores=cores, live_workers=len(live),
-        )
-        return decision, worker, reason
-
-    def abandon_park(self) -> None:
-        """A fleet-parked session gave up (timeout or disconnect)."""
-        self._parked = max(0, self._parked - 1)

@@ -28,7 +28,8 @@ it to 1 and the reconnect sails through the same proxy untouched.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
 import numpy as np
@@ -57,6 +58,11 @@ class ChaosConfig:
     cut_connections: int = 1
 
     def __post_init__(self) -> None:
+        # A NaN or infinite delay reaches ``asyncio.sleep``, which
+        # never returns.
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("latency_spike_rate", "reset_rate", "corrupt_rate",
                      "stall_rate"):
             value = getattr(self, name)

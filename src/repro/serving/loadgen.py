@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import math
 import random
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.serving.protocol import (
@@ -116,6 +117,14 @@ class LoadGenConfig:
     night_fraction: float = 0.25
 
     def __post_init__(self) -> None:
+        # NaN passes every ordered comparison below, and a NaN or
+        # infinite delay reaches ``asyncio.sleep``, which never returns.
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        for name in ("mix", "tenants", "surge_tenants"):
+            if not all(math.isfinite(w) for _, w in getattr(self, name)):
+                raise ValueError(f"{name} weights must be finite")
         if self.sessions < 1:
             raise ValueError("sessions must be >= 1")
         if self.frames < 1:
@@ -170,14 +179,14 @@ class SessionReport:
     #: Connection attempts refused before a transport was established
     #: (the server was down or not accepting).
     connect_refusals: int = 0
-    #: Refusals while already holding a resume token: the *worker*
-    #: serving this session is down (a fleet restart window), not an
-    #: admission verdict — fleet drills assert these retry cleanly and
-    #: that ``connect_refusals`` proper stays zero.
+    #: Refusals while already holding a resume token: the server
+    #: serving this session is down (killed, not yet restarted), not
+    #: an admission verdict — the restart drill asserts these retry
+    #: cleanly and that ``connect_refusals`` proper stays zero.
     retryable_restarts: int = 0
     #: RESUMEs transiently rejected because the session's lease was
-    #: held by a worker whose fate the fleet had not yet resolved
-    #: (retried after the server's ``retry_after_s`` hint).
+    #: held by a live process or the store faulted (retried after the
+    #: server's ``retry_after_s`` hint).
     lease_retries: int = 0
     #: Established connections lost before the session completed.
     mid_stream_disconnects: int = 0
@@ -491,8 +500,8 @@ def _sync_counts(report: SessionReport, state: _SessionState) -> None:
 
 class _TransientResumeReject(ConnectionError):
     """A RESUME was rejected with a ``retry_after_s`` hint: the lease
-    owner's fate is unresolved (or the fleet is mid-restart) — retry
-    the same token, don't give up."""
+    owner is still alive (or the store faulted) — retry the same
+    token, don't give up."""
 
     def __init__(self, retry_after_s: float, reason: str):
         super().__init__(f"resume deferred: {reason}")
@@ -682,15 +691,15 @@ async def _run_session(config: LoadGenConfig, index: int,
             )
         except _TransientResumeReject as exc:
             # The server itself asked for a retry (lease held by a
-            # worker whose death is not yet confirmed, or a fleet
-            # mid-restart): honour its hint, then the normal backoff.
+            # live process, or a storage fault): honour its hint, then
+            # the normal backoff.
             report.lease_retries += 1
             await asyncio.sleep(exc.retry_after_s)
             await retry_or_raise(exc)
             continue
         except (ConnectionRefusedError,) as exc:
             if report.resume_token:
-                # Refused while holding a token: the worker that owed
+                # Refused while holding a token: the server that owed
                 # us a session is restarting — retryable, and distinct
                 # from an admission-level refusal.
                 report.retryable_restarts += 1

@@ -436,9 +436,10 @@ class ResumeAck:
     transmission at ``next_frame_index``.
 
     ``retry_after_s`` qualifies a ``reject``: non-zero means the
-    rejection is *transient* — the session's lease is held by a worker
-    the fleet has not yet confirmed dead — and the client should retry
-    the same RESUME after that many seconds rather than give up.
+    rejection is *transient* — the session's lease is held by a process
+    that is still alive, or the server's storage faulted — and the
+    client should retry the same RESUME after that many seconds rather
+    than give up.
     """
 
     decision: str  # "accept" | "reject"

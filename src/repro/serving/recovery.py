@@ -496,10 +496,10 @@ class RestoredSession:
     resumes: int
     #: Sequence number the continuing journal must start at.
     next_seq: int
-    #: Owner id (``"<worker>:<pid>"``) recorded by the last admit or
+    #: Owner id (``"solo:<pid>"``) recorded by the last admit or
     #: resume record — who was appending when the journal went quiet.
-    #: A worker resuming a journal whose ``last_owner`` differs from
-    #: its own id is *adopting* a dead peer's session.  ``""`` for
+    #: A server resuming a journal whose ``last_owner`` differs from
+    #: its own id is *adopting* a dead process's session.  ``""`` for
     #: journals written before owner tracking existed.
     last_owner: str = ""
     truncated: bool = False

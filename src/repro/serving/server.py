@@ -141,8 +141,8 @@ MAX_FRAME_HEIGHT = 4096
 #: wire-format ceiling — a client cannot make the server commit to a
 #: 32 MiB buffer by inflating the declared length.
 _RECV_MAX_PAYLOAD = min(MAX_PAYLOAD, MAX_FRAME_WIDTH * MAX_FRAME_HEIGHT + 1024)
-#: RESUME retry hint sent when a session's lease is held by a worker
-#: not yet confirmed dead (transient reject).
+#: RESUME retry hint sent when a session's lease is held by a live
+#: process (transient reject).
 LEASE_RETRY_S = 0.5
 
 
@@ -174,9 +174,6 @@ class ServeNetConfig:
     #: How long :meth:`NetworkServer.drain` waits for in-flight
     #: sessions to finish or park before closing anyway.
     drain_grace_s: float = 10.0
-    #: Fleet worker identity, recorded in lease records and journal
-    #: admit/resume records (``""`` = standalone single-server mode).
-    worker_id: str = ""
     #: Tenant policy document (``None`` = pre-policy behaviour: no
     #: tenants, bit-identical to a policy-less build), loaded once at
     #: construction; a changed file takes a drain and a restart.
@@ -396,7 +393,7 @@ class NetworkServer:
     ):
         self.config = config
         self.estimator = estimator or WorkloadEstimator()
-        self._owner = f"{config.worker_id or 'solo'}:{os.getpid()}"
+        self._owner = f"solo:{os.getpid()}"
         self._journal_store: Optional[SharedDirStateStore] = None
         #: Durability health latch (DESIGN.md §16): ``healthy`` gates
         #: journaling for new admits; the probe loop readmits it
@@ -434,10 +431,6 @@ class NetworkServer:
                 load_policy_file(config.policy_file, fileops=config.fileops)
             )
             self.admission.set_policy(policy)
-            get_registry().set_gauge(
-                "repro_policy_tenants", len(policy.tenants),
-                help="Tenants defined by the applied policy",
-            )
             get_tracer().event("policy.apply", source=policy.source or "")
         self._server: Optional[asyncio.base_events.Server] = None
         # The encode pool: CPU work leaves the event loop here.  Each
@@ -684,31 +677,9 @@ class NetworkServer:
             raise RuntimeError("server not started")
         return self._server.sockets[0].getsockname()[1]
 
-    @property
-    def owner(self) -> str:
-        """Lease-owner identity of this server (``worker:pid``)."""
-        return self._owner
-
-    def load_snapshot(self) -> Dict[str, float]:
-        """Point-in-time load for the fleet's utilization gossip."""
-        snapshot = {
-            "active_sessions": float(self.admission.active_sessions),
-            "occupancy_cores": float(self.admission.occupancy_cores),
-            "capacity_cores": float(self.admission.capacity_cores),
-            "active_handlers": float(self._active_handlers),
-            "draining": 1.0 if self._draining else 0.0,
-        }
-        if self.compiled_policy is not None:
-            for name, cores in self.admission.tenant_occupancies().items():
-                snapshot[f"tenant_cores.{name}"] = cores
-        return snapshot
-
     async def start(self) -> None:
         self._server = await asyncio.start_server(
             self._handle_client, self.config.host, self.config.port,
-        )
-        get_registry().set_gauge(
-            "repro_serving_listening", 1, help="1 while the server accepts",
         )
         if self._journal_store is not None:
             get_registry().set_gauge(
@@ -736,9 +707,6 @@ class NetworkServer:
             await asyncio.wait(set(self._closing), timeout=HELLO_TIMEOUT_S)
         self._encode_pool.shutdown(wait=True)
         self._journal_pool.shutdown(wait=True)
-        get_registry().set_gauge(
-            "repro_serving_listening", 0, help="1 while the server accepts",
-        )
 
     async def drain(self) -> None:
         """Graceful shutdown (the SIGTERM path).
@@ -780,10 +748,6 @@ class NetworkServer:
                              writer: asyncio.StreamWriter) -> None:
         registry = get_registry()
         self._active_handlers += 1
-        registry.set_gauge(
-            "repro_serving_active_connections", self._active_handlers,
-            help="Open client connections",
-        )
         try:
             await self._run_connection(reader, writer)
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -795,10 +759,6 @@ class NetworkServer:
             await self._try_send(writer, ErrorMsg("protocol", str(exc)))
         finally:
             self._active_handlers -= 1
-            registry.set_gauge(
-                "repro_serving_active_connections", self._active_handlers,
-                help="Open client connections",
-            )
             writer.close()
             try:
                 await writer.wait_closed()
@@ -833,7 +793,7 @@ class NetworkServer:
         # its ACK, cancellation in the waiting room — gives back
         # whatever the handshake took in the one ``finally`` below: a
         # ticket left behind occupies cores nobody uses, a lease left
-        # with a live worker locks every peer out of the token.
+        # with a live process locks every other out of the token.
         claim = _Claim()
         session: Optional[_Session] = None
         try:
@@ -1049,10 +1009,10 @@ class NetworkServer:
                     "session still attached; preemption timed out")
         # Cross-process exclusion: take the token's single-owner lease.
         # In-process preemption (above) already cleared our own path,
-        # so a held lease here names *another worker* — alive means
-        # its session is still appending (transient reject: the client
-        # should retry after the fleet confirms the worker's fate);
-        # dead means we adopt, which is the crash-failover headline.
+        # so a held lease here names *another process* — alive means
+        # its session may still append (transient reject: the client
+        # retries after ``LEASE_RETRY_S``); dead (a killed server this
+        # one restarted in place of) means we adopt the session.
         # The claim holds the token from before the call: a handshake
         # cancelled while the writer thread takes the lease still gives
         # it back (releasing a lease someone else holds is a no-op).
@@ -1119,7 +1079,7 @@ class NetworkServer:
         if adopted:
             registry.inc(
                 "repro_serving_sessions_adopted_total",
-                help="Journaled sessions adopted from a dead worker",
+                help="Journaled sessions adopted from a dead process",
             )
             get_tracer().event(
                 "serving.adopt", token=msg.resume_token,
@@ -1249,7 +1209,7 @@ class NetworkServer:
                     elif holds_token and self._journal_store is not None:
                         # Interrupted (disconnect, park, preemption
                         # target already re-leased the token — hence
-                        # holds_token): free the lease so *any* worker
+                        # holds_token): free the lease so *any* server
                         # can resume it.
                         await self._give_back(self._journal_store.release,
                                               session.resume_token)
@@ -1405,11 +1365,6 @@ class NetworkServer:
             depth = session.ingest.qsize()
             if depth > session.stats.peak_ingest_depth:
                 session.stats.peak_ingest_depth = depth
-                registry.set_gauge(
-                    "repro_serving_queue_depth_peak", depth,
-                    queue="ingest",
-                    help="Highest per-session queue depth observed",
-                )
             if cfg.queue_frames and depth > cfg.queue_frames:
                 raise RuntimeError(
                     "ingest queue exceeded its bound"
@@ -1840,10 +1795,6 @@ class NetworkServer:
         depth = session.egress.qsize()
         if depth > session.stats.peak_egress_depth:
             session.stats.peak_egress_depth = depth
-            registry.set_gauge(
-                "repro_serving_queue_depth_peak", depth, queue="egress",
-                help="Highest per-session queue depth observed",
-            )
 
     async def _egress_loop(self, session: _Session,
                            writer: asyncio.StreamWriter) -> None:

@@ -1,13 +1,14 @@
-"""Externalized session state for the serving fleet.
+"""Externalized session state: a journal directory a restarted server
+can take over.
 
 PR 5 made a single server crash-safe by journaling every session to
-disk; the journal format already makes a session *portable* — nothing
-in it is bound to the process that wrote it.  This module externalizes
-that state so **any** worker of a fleet can adopt a RESUME token whose
-original owner died:
+disk; nothing in a journal is bound to the process that wrote it.  So
+when a server is killed and a new ``serve-net`` starts on the same
+directory, the new process can adopt every RESUME token the dead one
+owned:
 
 ``SharedDirStateStore``
-    What a serving worker needs: token-addressed session journals
+    What a server needs: token-addressed session journals
     (create/reopen/restore/discard — inherited from
     :class:`repro.serving.recovery.JournalStore`), a shared LUT
     checkpoint next to them, and **single-owner leases** (a sidecar
@@ -15,37 +16,35 @@ original owner died:
 
 The lease protocol is what prevents the *diverging-twin-session* race
 across processes (PR 5's review fixed it within one process with the
-``_attached`` map): a journal admits exactly one writer, so a worker
+``_attached`` map): a journal admits exactly one writer, so a server
 must hold the token's lease for the whole time its handler may append.
 
 * **acquire** is atomic: the lease file is created with
-  ``O_CREAT | O_EXCL`` under a per-token ``flock``, so two workers
+  ``O_CREAT | O_EXCL`` under a per-token ``flock``, so two processes
   racing for one token get exactly one winner; the loser sees a typed
   :class:`~repro.resilience.errors.LeaseHeldError`.
-* A lease names its owner (``"<worker>:<pid>"``) and pid.  A lease
-  whose owner pid is **dead** is stale and is reclaimed in place —
-  that reclaim *is* crash failover: the adopting worker takes over the
-  journal exactly where the dead worker's last durable GOP left it.
+* A lease names its owner (``"solo:<pid>"``) and pid.  A lease whose
+  owner pid is **dead** is stale and is reclaimed in place — that
+  reclaim *is* crash restart: the restarted server takes over the
+  journal exactly where the dead one's last durable GOP left it.
 * A **torn lease file** (the mid-write crash signature, mirroring the
   journal's torn-tail semantics) is crash debris, never a verdict:
   it is reclaimable by anyone.
 * Acquire is idempotent for the holder: re-acquiring one's own lease
   succeeds (the in-process RESUME preemption path re-enters here).
 
-Liveness is pid-based, which assumes the store's directory is shared
-by workers of one machine (the supervisor's deployment model).  The
-fleet supervisor additionally calls :meth:`break_owner` the moment it
-reaps a dead worker, so adoption does not have to wait for a pid probe
-to notice.
+Liveness is a pid probe, which assumes the directory is used by
+processes of one machine.  Whoever restarts a killed server must reap
+it first: an unreaped zombie still probes alive and keeps its leases.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
-try:  # POSIX; the serving fleet targets Linux
+try:  # POSIX; the server targets Linux
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
@@ -79,8 +78,8 @@ def pid_alive(pid: int) -> bool:
 
     ``EPERM`` means the pid exists under another uid — alive.  A pid
     that was reaped raises ``ProcessLookupError`` — dead.  (A zombie
-    still counts as alive; the fleet supervisor reaps its children
-    promptly and sweeps their leases via :meth:`break_owner`.)
+    still counts as alive, so a killed server must be reaped before
+    its replacement can reclaim its leases.)
     """
     if pid <= 0:
         return False
@@ -103,7 +102,7 @@ class Lease:
     #: Owner recorded in the lease this acquire replaced: ``""`` for a
     #: fresh lease, the dead/torn previous holder for a reclaim.  A
     #: non-empty value from a *different* owner is what the server
-    #: counts as a cross-worker adoption.
+    #: counts as an adoption.
     previous_owner: str = ""
     #: True when the acquire reclaimed a stale (dead-owner or torn)
     #: lease rather than creating a fresh one.
@@ -114,7 +113,7 @@ class SharedDirStateStore(JournalStore):
     """Shared-directory state store: journals + LUT + lease sidecars.
 
     ``owner`` identifies this store's holder in lease records
-    (convention: ``"<worker_id>:<pid>"``; defaults to the bare pid).
+    (the server passes ``"solo:<pid>"``; defaults to the bare pid).
     """
 
     def __init__(self, root: Union[str, os.PathLike], fsync: bool = True,
@@ -163,19 +162,6 @@ class SharedDirStateStore(JournalStore):
         except (KeyError, TypeError, ValueError, UnicodeDecodeError):
             return None
 
-    def lease_info(self, token: str) -> Optional[Dict[str, object]]:
-        """Current lease record for ``token``; ``None`` when unleased
-        or torn.  Adds ``"alive"`` (owner-pid liveness) for routers."""
-        try:
-            raw = self._ops.read_bytes(self.lease_path(token),
-                                       point="lease.read")
-        except FileNotFoundError:
-            return None
-        info = self._parse_lease(raw)
-        if info is not None:
-            info["alive"] = pid_alive(int(info["pid"]))
-        return info
-
     def _write_lease(self, token: str, exclusive: bool) -> None:
         self._ops.write_file(
             self.lease_path(token), self._lease_body(token),
@@ -186,7 +172,7 @@ class SharedDirStateStore(JournalStore):
     def _token_lock(self, token: str):
         """Per-token critical section serializing acquire vs reclaim.
 
-        ``O_EXCL`` alone cannot make *reclaim* atomic (two workers can
+        ``O_EXCL`` alone cannot make *reclaim* atomic (two processes can
         both judge a lease stale, and unlink-then-create lets the
         second unlink destroy the first's fresh lease), so mutations go
         through a short ``flock`` on a sidecar lock file.
@@ -267,36 +253,6 @@ class SharedDirStateStore(JournalStore):
                 except StorageError:  # pragma: no cover - best effort
                     pass
 
-    def break_owner(self, pid: int) -> List[str]:
-        """Drop every lease held by ``pid`` (supervisor death sweep).
-
-        Returns the freed tokens.  Called by the fleet supervisor the
-        moment it reaps a dead worker, so surviving workers adopt the
-        orphaned sessions without waiting on a pid-liveness probe (a
-        not-yet-reaped child is a zombie that still probes alive).
-        """
-        freed: List[str] = []
-        for name in os.listdir(self.root):
-            if not name.endswith(LEASE_SUFFIX):
-                continue
-            token = name[: -len(LEASE_SUFFIX)]
-            with self._token_lock(token):
-                try:
-                    info = self._parse_lease(self._ops.read_bytes(
-                        os.path.join(self.root, name), point="lease.read"
-                    ))
-                except (FileNotFoundError, StorageError):
-                    continue
-                if info is None or int(info["pid"]) == pid:
-                    try:
-                        self._ops.unlink(os.path.join(self.root, name),
-                                         point="lease.unlink",
-                                         missing_ok=False)
-                        freed.append(token)
-                    except (FileNotFoundError, StorageError):
-                        pass  # pragma: no cover - best effort
-        return sorted(freed)
-
     # -- journal overrides ---------------------------------------------
     def discard(self, token: str) -> None:
         """Delete one journal and its lease/lock sidecars."""
@@ -334,7 +290,7 @@ class SharedDirStateStore(JournalStore):
         return load_lut(self.lut_path(), fileops=self._ops)
 
     def save_lut(self, lut: WorkloadLut) -> None:
-        # Concurrent workers checkpoint the same shared LUT; a fixed
+        # Two servers on one directory may checkpoint the LUT at once; a fixed
         # tmp name would let two in-flight saves race ``os.replace``
         # (the loser's staging file vanishes mid-rename).  Stage under
         # a per-pid name, then publish atomically — the publish fsyncs

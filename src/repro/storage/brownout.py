@@ -1,9 +1,8 @@
 """Durability-brownout state machine.
 
-Mirrors the hysteretic policy brownout (DESIGN.md §15): a persistent
-storage fault does not crash the server and does not flap.  One
-:class:`DurabilityMonitor` per server tracks whether the journal
-volume is believed writable:
+A persistent storage fault does not crash the server and does not
+flap (DESIGN.md §16).  One :class:`DurabilityMonitor` per server
+tracks whether the journal volume is believed writable:
 
 * Any persistent :class:`~repro.storage.errors.StorageError` (or a
   transient one that exhausted its retries) trips the monitor:

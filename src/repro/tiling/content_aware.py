@@ -24,7 +24,6 @@ the centre cell subdivided into a near-square grid.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -34,7 +33,7 @@ from repro.analysis import frame_analysis
 from repro.analysis.evaluator import ContentEvaluator, TileContent
 from repro.analysis.motion_probe import MotionClass
 from repro.analysis.texture import TextureClass
-from repro.observability import get_registry, get_tracer
+from repro.observability import get_tracer
 from repro.tiling.constraints import TilingConstraints
 from repro.tiling.tile import Tile, TileGrid, split_evenly
 
@@ -100,7 +99,6 @@ class ContentAwareRetiler:
                 contents = self.evaluator.evaluate(grid, current, previous)
             return RetilingResult(grid, contents)
 
-        started = time.perf_counter()
         with tracer.span("stage.tiling"):
             # Every strip and the centre lie on this lattice, so one
             # analysis of the frame answers all of them.
@@ -113,11 +111,6 @@ class ContentAwareRetiler:
             grid = self._build_grid(analysis, left, right, top, bottom)
         with tracer.span("stage.analysis", tiles=len(grid)):
             contents = self.evaluator.evaluate(grid, current, previous, analysis)
-        get_registry().observe(
-            "repro_tiling_retile_seconds", time.perf_counter() - started,
-            help="Wall time of one content-aware re-tiling pass "
-                 "(margin growth, centre partition, grid evaluation)",
-        )
         return RetilingResult(grid, contents)
 
     # ------------------------------------------------------------------

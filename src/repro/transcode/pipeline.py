@@ -987,10 +987,6 @@ class ProposedStreamSession:
     def _drop(self, frame_index: int, reason: str) -> FrameOutput:
         if self.trace is not None:
             self.trace.dropped_frames.append(frame_index)
-        get_registry().inc(
-            "repro_frames_dropped_total", reason=reason,
-            help="Frames not encoded, by reason",
-        )
         return FrameOutput(frame_index=frame_index, dropped=reason)
 
     def _start_gop(self, first) -> None:

@@ -104,7 +104,7 @@ def _elliptical_mask(height: int, width: int, rx: float, ry: float) -> np.ndarra
 def _smooth_noise(rng: np.random.Generator, shape: Tuple[int, int], sigma: float) -> np.ndarray:
     """Zero-mean spatially-correlated noise in [-1, 1]."""
     # SciPy loads here, not with the module: importing the package (a
-    # server, a fleet worker, any CLI call) must not pay 0.3 s for a
+    # server, a restarted server, any CLI call) must not pay 0.3 s for a
     # filter only clip synthesis uses.
     from scipy import ndimage
 

@@ -203,6 +203,10 @@ class TestResumeAfterCut:
         # reconstructions as raw bytes.
         assert summary["journal_appends"] >= summary["journal_gops"] + 2
         assert summary["journal_gops"] >= _FRAMES // _GOP
+        # The server saw the cut as a lost connection, and timed the
+        # RESUME that reattached it.
+        assert summary["connection_resets"] >= 1
+        assert summary["resume_p95_s"] is not None
         assert summary["journal_bytes"] >= _FRAMES * _W * _H
         assert summary["journal_append_s"] > 0.0
 
@@ -365,6 +369,27 @@ class TestDrainAndRestart:
         _assert_bit_identical(received, reference)
 
 
+    def test_killed_server_restarts_and_adopts_its_sessions(self, tmp_path):
+        """SIGKILL a journaled ``serve-net`` child mid-stream, reap it
+        and restart it on the same port and journal directory: every
+        session completes with one outcome per frame, the restarted
+        process adopts the killed one's sessions, and no client sees a
+        hard refusal (the bit-identity gate is ``make restart-chaos``)."""
+        from repro.serving import restart_smoke
+
+        report, adopted = asyncio.run(
+            restart_smoke._run_pass(str(tmp_path), kill=True))
+        assert report.accepted == restart_smoke.SESSIONS
+        assert report.errored == 0 and report.protocol_errors == 0
+        assert report.connect_refusals == 0
+        assert report.divergent_replays == 0
+        assert report.resumes >= 1
+        assert adopted >= 1
+        assert [s.frames_encoded + s.frames_dropped
+                for s in report.sessions] == [restart_smoke.FRAMES] * (
+                    restart_smoke.SESSIONS)
+
+
 class TestSigtermDrain:
     def test_subprocess_sigterm_exits_zero(self, tmp_path):
         env = dict(os.environ)
@@ -417,13 +442,13 @@ class TestEncodeWatchdog:
         orig_push = pipeline_mod.ProposedStreamSession.push
         wedged = {"fired": False}
 
-        def wedge_push(self, frame):
+        def wedge_push(self, frame, corrupt=False):
             # Wedge exactly one flush: the push completing the second
             # GOP stalls far past the watchdog budget.
             if frame.index == 7 and not wedged["fired"]:
                 wedged["fired"] = True
                 time.sleep(2.0)
-            return orig_push(self, frame)
+            return orig_push(self, frame, corrupt=corrupt)
 
         monkeypatch.setattr(
             pipeline_mod.ProposedStreamSession, "push", wedge_push)

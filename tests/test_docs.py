@@ -142,7 +142,7 @@ def test_scanner_sees_each_kind_of_recipe():
         "\tPYTHONPATH=src $(PY) -m repro.no_such_driver\n"
         "    python -m repro.cli no-such-cmd --out x.json\n"
         "or `repro no-such-verb` (in `make no-such-target`);\n"
-        "`repro serve-fleet --workers 2 --no-such-flag x` and\n"
+        "`repro serve-net --port 0 --no-such-flag x` and\n"
         "\tPYTHONPATH=src $(PY) -m repro.cli serve --videos 2 \\\n"
         "\t\t--no-such-option 8\n"
         "pass flags nothing defines; `REPRO_NO_SUCH_KNOB=0` is read by\n"
@@ -157,7 +157,7 @@ def test_scanner_sees_each_kind_of_recipe():
         "repro no-such-cmd",
         "repro no-such-verb",
         "repro serve --no-such-option",
-        "repro serve-fleet --no-such-flag",
+        "repro serve-net --no-such-flag",
         "make no-such-target",
         "env REPRO_NO_SUCH_KNOB",
     ]

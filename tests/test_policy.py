@@ -31,7 +31,6 @@ from repro.serving.admission import (
     AdmissionDecision,
     AdmissionPolicy,
 )
-from repro.serving.fleet import FleetConfig, FleetSupervisor
 from repro.serving.loadgen import LoadGenConfig, run_loadgen_async
 from repro.serving.protocol import Hello, MessageDecoder, encode_message
 from repro.serving.server import NetworkServer, ServeNetConfig
@@ -220,16 +219,14 @@ class TestCompiler:
 # ----------------------------------------------------------------------
 class TestStartupLoad:
     def test_initial_load_is_strict(self, tmp_path):
-        """A server or a fleet must refuse to start on a broken policy
-        rather than silently run unpoliced."""
+        """A server must refuse to start on a broken policy rather
+        than silently run unpoliced."""
         path = tmp_path / "pol.json"
         path.write_text('{"tenants": []}')
         server = ServeNetConfig(journal_dir=str(tmp_path / "j"),
                                 policy_file=str(path))
         with pytest.raises(PolicyError):
             NetworkServer(server)
-        with pytest.raises(PolicyError):
-            FleetSupervisor(FleetConfig(server=server))
 
 
 # ----------------------------------------------------------------------
@@ -337,9 +334,9 @@ class TestAdmissionGates:
             ctrl.decide(0, Hello(width=96, height=96, fps=24.0,
                                  tenant="er"))
             ctrl.decide(1, Hello(width=96, height=96, fps=24.0))
-            occ = ctrl.tenant_occupancies()
-            assert occ["er"] == pytest.approx(0.45)
-            assert occ["clinic"] == pytest.approx(0.45)  # default tenant
+            assert ctrl.tenant_occupancy("er") == pytest.approx(0.45)
+            # The tenant-less HELLO is charged to the default tenant.
+            assert ctrl.tenant_occupancy("clinic") == pytest.approx(0.45)
 
 
 class TestServedLadderCap:

@@ -11,6 +11,7 @@ chaos drills live in ``tests/test_chaos_integration.py``.
 from __future__ import annotations
 
 import asyncio
+import math
 import struct
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.resilience.degradation import (
     ResilienceConfig,
 )
 from repro.resilience.errors import JournalCorruptionError
+from repro.serving.chaos import ChaosConfig
 from repro.serving.loadgen import LoadGenConfig, run_loadgen_async
 from repro.serving.protocol import (
     DEFAULT_DECODER_MAX_PAYLOAD,
@@ -556,3 +558,28 @@ class TestLoadgenClassification:
             LoadGenConfig(backoff_jitter=1.5)
         with pytest.raises(ValueError):
             LoadGenConfig(backoff_base_s=-0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("setting", [
+        *(f"LoadGenConfig.{name}" for name in (
+            "fps", "rate_hz", "frame_interval_s", "timeout_s",
+            "backoff_base_s", "backoff_max_s", "backoff_jitter",
+            "shift_s", "night_fraction", "mix", "tenants",
+            "surge_tenants")),
+        *(f"ChaosConfig.{name}" for name in (
+            "latency_spike_rate", "latency_spike_s", "reset_rate",
+            "corrupt_rate", "stall_rate", "stall_s")),
+    ])
+    def test_non_finite_settings_are_refused(self, setting, value):
+        """NaN passes ``rate_hz <= 0`` and ``stall_s < 0``, and a NaN
+        or infinite delay reaches ``asyncio.sleep``, which never
+        returns: ``loadgen --rate nan`` hung at its second session."""
+        cls_name, name = setting.split(".")
+        cls = {"LoadGenConfig": LoadGenConfig, "ChaosConfig": ChaosConfig}
+        weighted = {"mix": ContentClass.BRAIN, "tenants": "icu",
+                    "surge_tenants": "icu"}
+        if name in weighted:
+            value = ((weighted[name], value),)
+        with pytest.raises(ValueError, match=name):
+            cls[cls_name](**{name: value})

@@ -23,7 +23,6 @@ from repro.observability.metrics import (
 )
 from repro.policy import PolicyError
 from repro.resilience.checkpoint import load_lut, save_lut
-from repro.serving.fleet import FleetConfig, FleetSupervisor
 from repro.serving.recovery import SessionJournal, read_journal
 from repro.serving.server import NetworkServer, ServeNetConfig
 from repro.storage import (
@@ -416,13 +415,11 @@ _POLICY = {
 
 
 def _refuse_to_start(tmp_path, path, error, fileops=None):
-    """A server's and a fleet's policy load both refuse, typed."""
+    """A server's policy load refuses, typed."""
     server = ServeNetConfig(journal_dir=str(tmp_path / "j"),
                             policy_file=str(path), fileops=fileops)
     with pytest.raises(error):
         NetworkServer(server)
-    with pytest.raises(error):
-        FleetSupervisor(FleetConfig(server=server))
 
 
 def test_policy_torn_rewrite_keeps_active_policy(tmp_path):
