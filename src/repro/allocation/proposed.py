@@ -29,28 +29,14 @@ Stages:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.allocation.demand import UserDemand, cores_needed
 from repro.observability import get_registry, get_tracer
 from repro.platform.mpsoc import MpsocConfig, XEON_E5_2667
 from repro.platform.schedule import CoreSlot, DvfsPolicy, SlotSchedule, ThreadTask
 from repro.resilience.errors import AllocationError
-
-
-def _record_schedule_metrics(schedule: SlotSchedule) -> None:
-    """Counters for one resolved schedule: per-frequency DVFS picks
-    plus the paper's cores-at-f_max headcount."""
-    registry = get_registry()
-    for plan in schedule.plans():
-        if not plan.is_active:
-            continue
-        registry.inc(
-            "repro_dvfs_core_level_total",
-            freq_mhz=int(round(plan.busy_frequency_hz / 1e6)),
-            help="Active cores per chosen DVFS frequency",
-        )
 
 
 @dataclass
@@ -60,9 +46,6 @@ class AllocationResult:
     admitted: List[UserDemand]
     rejected: List[UserDemand]
     schedule: SlotSchedule
-    #: Users evicted by a re-allocation after a core failure (empty on
-    #: a plain allocation pass).
-    shed: List[UserDemand] = field(default_factory=list)
 
     @property
     def num_users_served(self) -> int:
@@ -94,7 +77,7 @@ class ProposedAllocator:
         """Maximise served users (line 2): ascending core demand.
 
         ``capacity`` caps the usable core count below the platform's
-        total (cores lost to failures); ``None`` uses the full platform.
+        total; ``None`` uses the full platform.
         """
         if capacity is None:
             capacity = self.platform.num_cores
@@ -119,40 +102,29 @@ class ProposedAllocator:
         demands: Sequence[UserDemand],
         fps: float,
         carry_in: Optional[dict] = None,
-        failed_cores: Optional[Set[int]] = None,
     ) -> AllocationResult:
         """Run admission, packing and DVFS for one slot.
 
         ``carry_in`` maps core_id -> CPU time (at f_max) carried over
-        from the previous slot (Algorithm 2, line 22).  ``failed_cores``
-        removes dead cores from the packing pool: admission is bounded
-        by the surviving capacity and no thread lands on a failed id.
+        from the previous slot (Algorithm 2, line 22).
         """
         if not 0.0 < fps < math.inf:
             raise AllocationError("fps must be finite and positive")
         slot_duration = 1.0 / fps
         tracer = get_tracer()
         with tracer.span("allocator.allocate", requested=len(demands)):
-            available = [
-                k for k in range(self.platform.num_cores)
-                if not failed_cores or k not in failed_cores
-            ]
-            if not available:
-                raise AllocationError("no usable cores: all marked failed")
-            admitted, rejected, reserved = self.admit(
-                demands, fps, capacity=len(available)
-            )
+            admitted, rejected, reserved = self.admit(demands, fps)
 
             pool = reserved
             if self.energy_aware_pool and self.dvfs_policy is DvfsPolicy.STRETCH:
                 pool = reserved * self.platform.f_max / self.platform.f_min
-            num_slots = max(1, min(len(available), math.ceil(pool)))
+            num_slots = max(1, min(self.platform.num_cores, math.ceil(pool)))
             slots = [
                 CoreSlot(
                     core_id=k,
                     carry_in_fmax=(carry_in or {}).get(k, 0.0),
                 )
-                for k in available[:num_slots]
+                for k in range(num_slots)
             ]
 
             # Pool of all admitted users' threads, largest first: placing
@@ -184,7 +156,14 @@ class ProposedAllocator:
                          help="Users rejected across allocation passes")
             registry.inc("repro_allocator_threads_placed_total", len(pool),
                          help="Threads packed onto core slots")
-            _record_schedule_metrics(schedule)
+            # Per-frequency DVFS picks of the resolved schedule.
+            for plan in schedule.plans():
+                if plan.is_active:
+                    registry.inc(
+                        "repro_dvfs_core_level_total",
+                        freq_mhz=int(round(plan.busy_frequency_hz / 1e6)),
+                        help="Active cores per chosen DVFS frequency",
+                    )
             return AllocationResult(
                 admitted=admitted, rejected=rejected, schedule=schedule
             )
@@ -198,67 +177,3 @@ class ProposedAllocator:
             key=lambda s: (abs(cap - (s.load_fmax + task.cpu_time_fmax)), s.core_id),
         )
         best_slot.assign(task)
-
-    # -- core-failure recovery -----------------------------------------
-    def reallocate(
-        self,
-        result: AllocationResult,
-        failed_core_ids: Sequence[int],
-        fps: float,
-    ) -> AllocationResult:
-        """Recover an existing allocation after cores fail.
-
-        Evicts each failed :class:`CoreSlot`, sheds the lowest-priority
-        admitted users (highest ``user_id`` — admission order defines
-        priority) until the surviving capacity fits the remaining
-        demand, then re-places the orphaned threads with the same
-        min-distance-to-cap heuristic used for the initial packing.
-        The input schedule is mutated in place and returned in a new
-        :class:`AllocationResult` whose ``shed`` lists the evicted
-        users.
-        """
-        if not 0.0 < fps < math.inf:
-            raise AllocationError("fps must be finite and positive")
-        slot_duration = 1.0 / fps
-        schedule = result.schedule
-        orphans: List[ThreadTask] = []
-        for core_id in sorted(set(failed_core_ids)):
-            if schedule.has_core(core_id):
-                orphans.extend(schedule.evict_core(core_id))
-
-        admitted = sorted(result.admitted, key=lambda d: d.user_id)
-        shed: List[UserDemand] = []
-        survivors = schedule.slots
-        if not survivors:
-            # Every packed core died: the whole admitted set is shed.
-            shed, admitted = admitted, []
-            orphans = []
-        else:
-            capacity = len(survivors)
-            while admitted and sum(
-                cores_needed(d, fps) for d in admitted
-            ) > capacity:
-                victim = admitted.pop()  # highest user_id = lowest priority
-                shed.append(victim)
-                schedule.remove_user(victim.user_id)
-                orphans = [t for t in orphans if t.user_id != victim.user_id]
-            for task in sorted(orphans, key=lambda t: -t.cpu_time_fmax):
-                self._place(task, survivors, slot_duration)
-        registry = get_registry()
-        registry.inc("repro_allocator_runs_total", kind="reallocate",
-                     help="Allocator invocations by kind")
-        registry.inc("repro_allocator_users_shed_total", len(shed),
-                     help="Users shed by core-failure recovery")
-        _record_schedule_metrics(schedule)
-        get_tracer().event(
-            "allocator.reallocate",
-            failed=sorted(set(failed_core_ids)),
-            shed=sorted(d.user_id for d in shed),
-            survivors=len(schedule.slots),
-        )
-        return AllocationResult(
-            admitted=admitted,
-            rejected=list(result.rejected),
-            schedule=schedule,
-            shed=shed,
-        )

@@ -8,7 +8,7 @@ Usage::
     python -m repro.cli serve --metrics-out metrics.json --trace-out trace.jsonl
     python -m repro.cli serve-net --port 9470 [--duration 10] [--journal-dir j]
     python -m repro.cli loadgen --port 9470 --sessions 3 [--max-reconnects 3]
-    python -m repro.cli chaos --port 9471 --upstream-port 9470 --reset-rate 0.01
+    python -m repro.cli chaos --port 9471 --upstream-port 9470 --stall-rate 0.01
     python -m repro.cli metrics metrics.json [--prom]
     python -m repro.cli experiment table1|fig3|table2|fig4 [options...]
 
@@ -50,6 +50,7 @@ instead of the CWD.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import List, Optional
@@ -202,6 +203,16 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _usage_errors(args: argparse.Namespace):
+    """A ``ValueError`` raised while a command builds its config from
+    the flags is a usage error: one ``error:`` line, exit code 2."""
+    try:
+        yield
+    except ValueError as exc:
+        args.usage_error(str(exc))
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.allocation.proposed import ProposedAllocator
     from repro.experiments.common import medical_corpus
@@ -214,7 +225,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.transcode.server import TranscodingServer
     from repro.workload.estimator import WorkloadEstimator
 
-    server = TranscodingServer(fps=args.fps)
+    with _usage_errors(args):
+        server = TranscodingServer(fps=args.fps)
     if args.trace_out:
         enable_tracing()
     try:
@@ -279,18 +291,19 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
     from repro.serving.admission import AdmissionPolicy
     from repro.serving.server import NetworkServer, ServeNetConfig
 
+    with _usage_errors(args):
+        config = ServeNetConfig(
+            host=args.host, port=args.port, queue_frames=args.queue_frames,
+            egress_frames=args.egress_frames,
+            admission=AdmissionPolicy(utilization=args.utilization,
+                                      park_capacity=args.park_capacity),
+            journal_dir=args.journal_dir,
+            watchdog_multiple=args.watchdog_multiple,
+            watchdog_min_s=args.watchdog_min,
+            drain_grace_s=args.drain_grace,
+            policy_file=args.policy,
+        )
     _enter_run_dir(args.run_dir, "server")
-    config = ServeNetConfig(
-        host=args.host, port=args.port, queue_frames=args.queue_frames,
-        egress_frames=args.egress_frames,
-        admission=AdmissionPolicy(utilization=args.utilization,
-                                  park_capacity=args.park_capacity),
-        journal_dir=args.journal_dir,
-        watchdog_multiple=args.watchdog_multiple,
-        watchdog_min_s=args.watchdog_min,
-        drain_grace_s=args.drain_grace,
-        policy_file=args.policy,
-    )
 
     async def run() -> None:
         server = NetworkServer(config)
@@ -339,18 +352,17 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     from repro.serving.chaos import ChaosConfig, ChaosProxy
 
+    with _usage_errors(args):
+        config = ChaosConfig(
+            seed=args.seed,
+            latency_spike_rate=args.latency_rate,
+            latency_spike_s=args.latency_s,
+            stall_rate=args.stall_rate,
+            stall_s=args.stall_s,
+            cut_after_c2s_bytes=args.cut_after,
+            cut_connections=args.cut_connections,
+        )
     _enter_run_dir(args.run_dir, "chaos")
-    config = ChaosConfig(
-        seed=args.seed,
-        latency_spike_rate=args.latency_rate,
-        latency_spike_s=args.latency_s,
-        reset_rate=args.reset_rate,
-        corrupt_rate=args.corrupt_rate,
-        stall_rate=args.stall_rate,
-        stall_s=args.stall_s,
-        cut_after_c2s_bytes=args.cut_after,
-        cut_connections=args.cut_connections,
-    )
 
     async def run() -> None:
         proxy = ChaosProxy(args.upstream_host, args.upstream_port,
@@ -398,17 +410,15 @@ def _cmd_policy(args: argparse.Namespace) -> int:
         print(f"policy invalid: {exc}", file=sys.stderr)
         return 1
     if args.action == "validate":
-        print(f"{args.file}: OK ({len(policy.tenants)} tenants, "
-              f"shed order {' -> '.join(policy.shed_order) or 'none'})")
+        print(f"{args.file}: OK ({len(policy.tenants)} tenants)")
         return 0
     # show: the compiled lowering, knob by knob.
     print(f"policy {args.file} (version {policy.version})")
     print(f"  default     : {policy.default_tenant}")
-    print(f"  shed order  : {' -> '.join(policy.shed_order) or 'none'}")
     for name in policy.tenant_names():
         rt = policy.tenants[name]
         rungs = f", max {rt.max_rungs} rungs" if rt.max_rungs else ""
-        print(f"  tenant {name:>8s}: rank {rt.rank}, "
+        print(f"  tenant {name:>8s}: "
               f"{rt.capacity_fraction:.0%} of cores, degradation <= "
               f"{rt.max_level.name.lower()} (escalate after "
               f"{rt.escalate_after}){rungs}")
@@ -426,22 +436,23 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             name, _, weight = spec.partition(":")
             pairs.append((_CC(name), float(weight) if weight else 1.0))
         mix = tuple(pairs)
-    config = LoadGenConfig(
-        host=args.host, port=args.port, sessions=args.sessions,
-        frames=args.frames, width=args.width, height=args.height,
-        fps=args.fps, gop=args.gop, arrival=args.arrival,
-        rate_hz=args.rate, burst_size=args.burst_size,
-        frame_interval_s=args.frame_interval, seed=args.seed,
-        max_reconnects=args.max_reconnects,
-        backoff_base_s=args.backoff_base,
-        backoff_max_s=args.backoff_max,
-        backoff_jitter=args.backoff_jitter,
-        ladder=_parse_rungs(args.ladder) if args.ladder else (),
-        tenants=_parse_weighted(args.tenants),
-        surge_tenants=_parse_weighted(args.surge_tenants),
-        scenario=args.scenario,
-        **({"mix": mix} if mix else {}),
-    )
+    with _usage_errors(args):
+        config = LoadGenConfig(
+            host=args.host, port=args.port, sessions=args.sessions,
+            frames=args.frames, width=args.width, height=args.height,
+            fps=args.fps, gop=args.gop, arrival=args.arrival,
+            rate_hz=args.rate, burst_size=args.burst_size,
+            frame_interval_s=args.frame_interval, seed=args.seed,
+            max_reconnects=args.max_reconnects,
+            backoff_base_s=args.backoff_base,
+            backoff_max_s=args.backoff_max,
+            backoff_jitter=args.backoff_jitter,
+            ladder=_parse_rungs(args.ladder) if args.ladder else (),
+            tenants=_parse_weighted(args.tenants),
+            surge_tenants=_parse_weighted(args.surge_tenants),
+            scenario=args.scenario,
+            **({"mix": mix} if mix else {}),
+        )
     report = run_loadgen(config)
     print(report.summary())
     if args.json_out:
@@ -596,8 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="SIGTERM drain: max wait for in-flight sessions")
     sn.add_argument("--policy", default=None, metavar="FILE",
                     help="tenant policy document (YAML/JSON); compiles "
-                         "into admission weights, shed order, "
-                         "degradation caps and ladder caps")
+                         "into admission weights, degradation caps "
+                         "and ladder caps")
     sn.add_argument("--run-dir", default=None, metavar="DIR",
                     help="directory for runtime artifacts (pidfile); "
                          "created if missing")
@@ -617,10 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--latency-rate", type=float, default=0.0,
                     help="per-chunk latency-spike probability")
     ch.add_argument("--latency-s", type=float, default=0.05)
-    ch.add_argument("--reset-rate", type=float, default=0.0,
-                    help="per-chunk connection-reset probability")
-    ch.add_argument("--corrupt-rate", type=float, default=0.0,
-                    help="per-chunk byte-corruption probability")
     ch.add_argument("--stall-rate", type=float, default=0.0,
                     help="per-chunk half-open stall probability")
     ch.add_argument("--stall-s", type=float, default=0.25)
@@ -723,6 +730,10 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("rest", nargs=argparse.REMAINDER,
                    help="arguments forwarded to the harness")
     x.set_defaults(func=_cmd_experiment)
+    # A flag value a command's config refuses is that command's usage
+    # error (see _usage_errors).
+    for command in sub.choices.values():
+        command.set_defaults(usage_error=command.error)
     return parser
 
 

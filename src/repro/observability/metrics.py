@@ -482,9 +482,6 @@ def serving_summary(data: dict) -> Optional[Dict[str, object]]:
         "watchdog_fires": _counter_sum(
             fams, "repro_serving_watchdog_fires_total"
         ),
-        "watchdog_replans": _counter_sum(
-            fams, "repro_serving_watchdog_replans_total"
-        ),
         "journal_gops": _counter_sum(
             fams, "repro_serving_journal_gops_total"
         ),
@@ -585,8 +582,7 @@ def format_metrics(data: dict) -> str:
             f"ingest copies {serving['frame_copies']:g}",
             f"  recovery     : resumes {serving['resumes']:g} "
             f"(p95 {_fmt_latency(serving['resume_p95_s'])}), "
-            f"watchdog fires {serving['watchdog_fires']:g} "
-            f"(replans {serving['watchdog_replans']:g}), "
+            f"watchdog fires {serving['watchdog_fires']:g}, "
             f"parked for resume {serving['sessions_parked_for_resume']:g}, "
             f"drains {serving['drains']:g}, "
             f"adopted {serving['sessions_adopted']:g}, "

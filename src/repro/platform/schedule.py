@@ -23,7 +23,6 @@ from typing import Dict, List, Sequence
 
 from repro.platform.mpsoc import MpsocConfig
 from repro.platform.power import PowerModel
-from repro.resilience.errors import AllocationError
 
 
 @dataclass(frozen=True)
@@ -114,33 +113,6 @@ class SlotSchedule:
                 if key in seen:
                     raise ValueError(f"task {key} assigned to multiple cores")
                 seen.add(key)
-
-    # ------------------------------------------------------------------
-    def has_core(self, core_id: int) -> bool:
-        return any(s.core_id == core_id for s in self.slots)
-
-    def evict_core(self, core_id: int) -> List[ThreadTask]:
-        """Remove a failed core's slot and return its orphaned threads.
-
-        Carry-in work of the failed core is lost with it (the partial
-        frame cannot be resumed on another core mid-slot); the caller
-        re-places the returned threads and re-checks capacity.
-        """
-        for i, slot in enumerate(self.slots):
-            if slot.core_id == core_id:
-                del self.slots[i]
-                return list(slot.tasks)
-        raise AllocationError(f"core {core_id} not in schedule")
-
-    def remove_user(self, user_id: int) -> int:
-        """Strip every thread of one user (shedding); returns how many
-        threads were removed."""
-        removed = 0
-        for slot in self.slots:
-            kept = [t for t in slot.tasks if t.user_id != user_id]
-            removed += len(slot.tasks) - len(kept)
-            slot.tasks = kept
-        return removed
 
     # ------------------------------------------------------------------
     def plan(self, slot: CoreSlot) -> CorePlan:

@@ -6,7 +6,7 @@ The package splits cleanly into two layers:
   with actionable line/key errors, the frozen :class:`PolicyDocument`.
 * :mod:`repro.policy.compiler` — lowering into a
   :class:`CompiledPolicy` of concrete serving knobs (admission shares,
-  shed order, degradation caps, ladder caps).
+  degradation caps, ladder caps).
 
 A server loads its policy once, at start; a changed file takes a drain
 and a restart.
@@ -14,7 +14,6 @@ and a restart.
 
 from repro.policy.compiler import CompiledPolicy, TenantRuntime, compile_policy
 from repro.policy.document import (
-    PRIORITY_TIERS,
     PolicyDocument,
     PolicyError,
     TenantSpec,
@@ -23,7 +22,6 @@ from repro.policy.document import (
 )
 
 __all__ = [
-    "PRIORITY_TIERS",
     "CompiledPolicy",
     "PolicyDocument",
     "PolicyError",

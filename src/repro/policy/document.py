@@ -1,34 +1,31 @@
 """Declarative per-tenant serving policy documents.
 
 A policy document is plain YAML or JSON describing *intent* — who the
-tenants are, how important they are, what quality they must not fall
-below and what share of the server they are entitled to::
+tenants are, what quality they must not fall below and what share of
+the server they are entitled to::
 
     version: 1
     default_tenant: general
     tenants:
       - name: emergency
-        tier: emergency
         weight: 4
         min_psnr_db: 36.0
         max_deadline_miss_rate: 0.01
         max_rungs: 3
       - name: general
-        tier: routine
         weight: 2
       - name: archive
-        tier: archival
         weight: 1
         max_rungs: 1
 
 Nothing in here is executable — the document is *compiled* into
-concrete knobs (admission weights, shed ordering, degradation caps,
-ladder caps) by :mod:`repro.policy.compiler`.
+concrete knobs (admission weights, degradation caps, ladder caps) by
+:mod:`repro.policy.compiler`.
 
 Validation is strict and errors are actionable: every
 :class:`PolicyError` names the offending key path
-(``tenants[2].tier``), what was found, and what would have been
-accepted — mirroring the style of the thread-backend executor errors.
+(``tenants[2].max_degradation``), what was found, and what would have
+been accepted — mirroring the style of the thread-backend executor errors.
 Unknown keys are rejected (a typo must not silently disable a QoS
 floor) with a did-you-mean suggestion, and so are numbers that are not
 finite (JSON's ``NaN``/``Infinity``, YAML's ``.nan``/``.inf``): a NaN
@@ -45,25 +42,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
-    "PRIORITY_TIERS",
     "PolicyDocument",
     "PolicyError",
     "TenantSpec",
     "load_policy_file",
     "parse_policy",
 ]
-
-#: Named priority tiers, most important first.  Lower rank = higher
-#: priority; the watchdog's re-pack sheds strictly from the highest rank
-#: downward (archival first, emergency last — and the document's top
-#: tier only when nothing else fits).
-PRIORITY_TIERS: Dict[str, int] = {
-    "emergency": 0,   # live telemedicine, OR feeds
-    "urgent": 1,      # same-day diagnostics
-    "routine": 2,     # scheduled clinical review
-    "batch": 3,       # research / bulk re-encodes
-    "archival": 4,    # cold-storage transcodes, fully preemptible
-}
 
 #: Degradation-ladder rung names accepted by ``max_degradation``
 #: (values of :class:`repro.resilience.degradation.DegradationLevel`).
@@ -154,8 +138,6 @@ class TenantSpec:
     """Declared intent for one tenant."""
 
     name: str
-    #: Priority tier name (key of :data:`PRIORITY_TIERS`).
-    tier: str = "routine"
     #: Relative admission weight — the tenant's share of the slot
     #: capacity is ``weight / sum(weights)``.
     weight: float = 1.0
@@ -186,7 +168,7 @@ class PolicyDocument:
 
 
 _TOP_KEYS = ("version", "default_tenant", "tenants")
-_TENANT_KEYS = ("name", "tier", "weight", "min_psnr_db",
+_TENANT_KEYS = ("name", "weight", "min_psnr_db",
                 "max_deadline_miss_rate", "max_rungs", "max_degradation")
 
 
@@ -200,13 +182,6 @@ def _parse_tenant(obj: object, path: str,
             f"{path}.name",
             f"every tenant needs a non-empty string name, got {name!r}",
             source,
-        )
-    tier = obj.get("tier", "routine")
-    if tier not in PRIORITY_TIERS:
-        raise PolicyError(
-            f"{path}.tier",
-            f"unknown tier {tier!r}; accepted tiers (most important "
-            f"first): {', '.join(PRIORITY_TIERS)}", source,
         )
     max_degradation = obj.get("max_degradation", "frame_drop")
     if max_degradation not in DEGRADATION_NAMES:
@@ -235,7 +210,6 @@ def _parse_tenant(obj: object, path: str,
         )
     return TenantSpec(
         name=name,
-        tier=tier,
         weight=float(weight),
         min_psnr_db=_number(obj, "min_psnr_db", path, source,
                             default=None, minimum=0.0, allow_none=True),

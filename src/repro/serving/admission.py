@@ -386,96 +386,6 @@ class AdmissionController:
         rejected while active sessions run to completion or park."""
         self._draining = True
 
-    def replan_after_stall(self, session_id: int,
-                           fps: float) -> List[int]:
-        """Watchdog recovery: re-pack the active sessions around the
-        stalled session's core.
-
-        The wedged encode is indistinguishable from a sick core, so the
-        response is Algorithm 2's core-failure path: build the current
-        packing, mark the core hosting the stalled session's threads
-        failed, and let
-        :meth:`~repro.allocation.proposed.ProposedAllocator.reallocate`
-        evict it, shed what no longer fits and re-place the orphans.
-        Shed sessions lose their capacity tickets (they are the lowest
-        priority — the server keeps serving them degraded, but their
-        charge stops distorting admission).  Returns the shed ids.
-
-        With a policy loaded, victims are chosen in the policy's shed
-        order — lowest-priority tenants first, largest charge first
-        within a tenant — instead of the allocator's capacity-greedy
-        default; the top tier is only touched when nothing else fits.
-        """
-        if fps <= 0 or session_id not in self._active:
-            return []
-        demands = [t.demand for t in self._active.values()]
-        result = self.allocator.allocate(demands, fps)
-        stalled_core = None
-        for slot in result.schedule.slots:
-            if any(t.user_id == session_id for t in slot.tasks):
-                stalled_core = slot.core_id
-                break
-        if stalled_core is None:
-            return []
-        if self.compiled is None:
-            repacked = self.allocator.reallocate(result, [stalled_core], fps)
-            shed_ids = sorted(d.user_id for d in repacked.shed)
-        else:
-            shed_ids = self._policy_shed_for_capacity(fps, {stalled_core})
-        for sid in shed_ids:
-            self._active.pop(sid, None)
-        registry = get_registry()
-        registry.inc(
-            "repro_serving_watchdog_replans_total",
-            help="Allocator re-packs triggered by the encode watchdog",
-        )
-        registry.set_gauge(
-            "repro_serving_occupancy_cores", self.occupancy_cores,
-            help="Estimated core demand of active sessions",
-        )
-        get_tracer().event(
-            "admission.replan_after_stall", session=session_id,
-            failed_core=stalled_core, shed=len(shed_ids),
-        )
-        return shed_ids
-
-    def _policy_shed_victims(self) -> List[int]:
-        """Active session ids in strict policy shed order (first victim
-        first): sheddable tenants by their compiled ``shed_rank``, the
-        top tier last; within a tenant, the largest charge first so the
-        fewest sessions are lost."""
-        def key(ticket: SessionTicket):
-            rt = self.compiled.resolve(ticket.tenant)
-            sheddable = rt.shed_rank is not None
-            return (
-                0 if sheddable else 1,
-                rt.shed_rank if sheddable else 0,
-                -ticket.cores,
-                ticket.session_id,
-            )
-        return [t.session_id for t in sorted(self._active.values(), key=key)]
-
-    def _policy_shed_for_capacity(self, fps: float,
-                                  failed_cores: set) -> List[int]:
-        """Shed sessions in policy order until the survivors pack onto
-        the surviving cores."""
-        remaining = {t.session_id: t.demand for t in self._active.values()}
-        victims = self._policy_shed_victims()
-        shed_ids: List[int] = []
-        while remaining:
-            trial = self.allocator.allocate(
-                list(remaining.values()), fps, failed_cores=failed_cores,
-            )
-            if not trial.rejected:
-                break
-            victim = next((sid for sid in victims if sid in remaining), None)
-            if victim is None:  # pragma: no cover - victims covers active
-                shed_ids.extend(sorted(d.user_id for d in trial.rejected))
-                break
-            del remaining[victim]
-            shed_ids.append(victim)
-        return shed_ids
-
     def release(self, session_id: int) -> None:
         """An admitted session ended: free its capacity."""
         ticket = self._active.pop(session_id, None)

@@ -6,19 +6,17 @@ an online transcoding service actually meets:
 
 * **latency spikes** — a forwarded chunk is held for a configured
   delay (congestion, a retransmit burst),
-* **connection resets** — the transport is aborted mid-stream (NAT
-  timeout, a crashed middlebox; the peer sees ``ECONNRESET``),
-* **payload corruption** — a byte is flipped in flight (the wire CRC
-  must catch it; the protocol layer may never misparse),
 * **half-open stalls** — forwarding silently pauses while the socket
-  stays open (the failure mode watchdogs exist for).
+  stays open (the failure mode watchdogs exist for),
+* **a deterministic cut** — the transport is aborted mid-stream after
+  an exact byte count (NAT timeout, a crashed middlebox; the peer sees
+  ``ECONNRESET``).
 
 All randomness flows through per-connection, per-direction
 ``numpy`` generators derived from ``ChaosConfig.seed``, so a drill
 with one seed injects one reproducible fault sequence per connection
 regardless of task scheduling order.
 
-For the bit-identity resume test the rate-based faults are too coarse:
 ``cut_after_c2s_bytes`` cuts a connection after *exactly* that many
 client-to-server payload bytes have been forwarded, and
 ``cut_connections`` bounds how many connections suffer the cut — set
@@ -47,8 +45,6 @@ class ChaosConfig:
     seed: int = 0
     latency_spike_rate: float = 0.0
     latency_spike_s: float = 0.05
-    reset_rate: float = 0.0
-    corrupt_rate: float = 0.0
     stall_rate: float = 0.0
     stall_s: float = 0.25
     #: Deterministic cut: abort after exactly this many client->server
@@ -63,8 +59,7 @@ class ChaosConfig:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
-        for name in ("latency_spike_rate", "reset_rate", "corrupt_rate",
-                     "stall_rate"):
+        for name in ("latency_spike_rate", "stall_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -194,16 +189,6 @@ class ChaosProxy:
                         self._abort(writers)
                         return
                     cut_budget -= len(chunk)
-                if cfg.reset_rate > 0 and rng.random() < cfg.reset_rate:
-                    self._tally("reset")
-                    self._abort(writers)
-                    return
-                if cfg.corrupt_rate > 0 and rng.random() < cfg.corrupt_rate:
-                    self._tally("corrupt")
-                    pos = int(rng.integers(0, len(chunk)))
-                    damaged = bytearray(chunk)
-                    damaged[pos] ^= 0xFF
-                    chunk = bytes(damaged)
                 if cfg.stall_rate > 0 and rng.random() < cfg.stall_rate:
                     # Half-open stall: the socket stays up, nothing
                     # moves — the peer just sees silence.

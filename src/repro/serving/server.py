@@ -55,9 +55,9 @@ since the last record — then it waits for its GOP's record.
 arms an encode watchdog: a job that exceeds the deadline multiple is
 abandoned (the executor is replaced), the encoder is rebuilt from the
 in-memory per-rung GOP-boundary snapshot, the job's last frame is
-dropped as ``"watchdog"``, the degradation ladder climbs one rung, and
-the allocator re-packs around the presumed-sick core.  :meth:`drain`
-(SIGTERM) stops admissions, finishes or parks in-flight GOPs,
+dropped as ``"watchdog"`` and the degradation ladder climbs one rung;
+admission and every other session are left as they were.
+:meth:`drain` (SIGTERM) stops admissions, finishes or parks in-flight GOPs,
 checkpoints the LUT and exits cleanly; parked sessions survive a full
 server restart.
 """
@@ -1452,8 +1452,8 @@ class NetworkServer:
                              job: List[Frame]) -> List[FrameOutput]:
         """An encode job exceeded its deadline multiple: abandon it,
         rebuild the encoder at the last GOP boundary, drop the job's
-        last frame, degrade, and re-pack the allocator around the sick
-        core.  Returns the outputs of the job's other frames."""
+        last frame and degrade.  Returns the outputs of the job's other
+        frames."""
         registry = get_registry()
         session.stats.watchdog_fires += 1
         registry.inc("repro_serving_watchdog_fires_total",
@@ -1486,9 +1486,6 @@ class NetworkServer:
         encoder.bump_degradation()
         outputs = await loop.run_in_executor(self._encode_pool, _push_all,
                                              encoder, others)
-        self.admission.replan_after_stall(
-            session.session_id, 1.0 / session.slot_s
-        )
         session.arrival_s.pop(wedged.index, None)
         await self._give_up(session, wedged.index, "watchdog")
         get_tracer().event(

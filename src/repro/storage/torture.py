@@ -87,10 +87,10 @@ _PHASE_TIMEOUT_S = 180.0
 _POLICY_V1 = {
     "version": 1,
     "default_tenant": "general",
-    "tenants": [{"name": "general", "tier": "routine", "weight": 2}],
+    "tenants": [{"name": "general", "weight": 2}],
 }
 _POLICY_V2 = dict(_POLICY_V1, tenants=[
-    {"name": "general", "tier": "routine", "weight": 3}])
+    {"name": "general", "weight": 3}])
 
 
 class TortureFailure(AssertionError):

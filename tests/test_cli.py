@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import main
 from repro.video import io as video_io
 
@@ -79,3 +85,26 @@ class TestExperiment:
         ])
         assert code == 0
         assert "TABLE I" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["serve", "--fps", "nan"], "fps"),
+    (["serve-net", "--port", "0", "--utilization", "0"], "utilization"),
+    (["chaos", "--upstream-port", "1", "--latency-s", "nan"],
+     "latency_spike_s"),
+    (["loadgen", "--port", "1", "--rate", "nan"], "rate_hz"),
+], ids=["serve", "serve-net", "chaos", "loadgen"])
+def test_a_value_the_config_refuses_is_a_usage_error(argv, field):
+    """A flag value the command's config refuses stops it before it
+    runs: one ``error:`` line naming the field, exit code 2, no
+    traceback."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-m", "repro.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 2, done.stderr
+    errors = [line for line in done.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and field in errors[0], done.stderr
+    assert "Traceback" not in done.stderr

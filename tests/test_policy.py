@@ -41,11 +41,11 @@ def _doc(**overrides) -> dict:
         "version": 1,
         "default_tenant": "clinic",
         "tenants": [
-            {"name": "er", "tier": "emergency", "weight": 3.0,
+            {"name": "er", "weight": 3.0,
              "min_psnr_db": 37.0, "max_deadline_miss_rate": 0.02},
-            {"name": "clinic", "tier": "urgent", "weight": 2.0,
+            {"name": "clinic", "weight": 2.0,
              "min_psnr_db": 31.0},
-            {"name": "archive", "tier": "archival", "weight": 1.0,
+            {"name": "archive", "weight": 1.0,
              "max_rungs": 1},
         ],
     }
@@ -64,14 +64,17 @@ class TestDocument:
         assert doc.tenants[2].max_rungs == 1
 
     def test_bad_tier_names_path_and_choices(self):
+        """Tenant tiers are gone: a ``tier`` key is refused as unknown,
+        naming its path and the accepted keys, so a document written
+        for tiers fails at start instead of being half-applied."""
         bad = _doc()
-        bad["tenants"][0]["tier"] = "critical"
+        bad["tenants"][0]["tier"] = "emergency"
         with pytest.raises(PolicyError) as exc:
             parse_policy(bad, source="pol.yaml")
         msg = str(exc.value)
-        assert "tenants[0].tier" in msg
-        assert "'critical'" in msg
-        assert "emergency" in msg          # the accepted tiers are listed
+        assert exc.value.path == "tenants[0].tier"
+        assert "unknown key" in msg
+        assert "accepted keys: max_deadline_miss_rate, max_degradation" in msg
         assert msg.startswith("pol.yaml:")
 
     def test_negative_budget_rejected_with_path(self):
@@ -124,7 +127,7 @@ class TestDocument:
 
     def test_duplicate_tenant_names_point_at_first(self):
         bad = _doc()
-        bad["tenants"].append({"name": "er", "tier": "routine"})
+        bad["tenants"].append({"name": "er"})
         with pytest.raises(PolicyError) as exc:
             parse_policy(bad)
         assert "tenants[3].name" in str(exc.value)
@@ -178,11 +181,6 @@ class TestCompiler:
             {"er": 0.5, "clinic": 2 / 6, "archive": 1 / 6}
         )
         assert sum(fractions.values()) == pytest.approx(1.0)
-
-    def test_shed_order_reverse_priority_excludes_top_tier(self):
-        policy = compile_policy(parse_policy(_doc()))
-        assert policy.shed_order == ("archive", "clinic")
-        assert policy.tenants["er"].shed_rank is None
 
     def test_psnr_floor_caps_degradation_ladder(self):
         policy = compile_policy(parse_policy(_doc()))

@@ -568,8 +568,8 @@ class TestLoadgenClassification:
             "shift_s", "night_fraction", "mix", "tenants",
             "surge_tenants")),
         *(f"ChaosConfig.{name}" for name in (
-            "latency_spike_rate", "latency_spike_s", "reset_rate",
-            "corrupt_rate", "stall_rate", "stall_s")),
+            "latency_spike_rate", "latency_spike_s", "stall_rate",
+            "stall_s")),
     ])
     def test_non_finite_settings_are_refused(self, setting, value):
         """NaN passes ``rate_hz <= 0`` and ``stall_s < 0``, and a NaN

@@ -1,5 +1,5 @@
-"""Resilience subsystem: error taxonomy, degradation ladder,
-re-allocation on core failure, input validation and LUT checkpointing."""
+"""Resilience subsystem: error taxonomy, allocator edge cases,
+degradation ladder, input validation and LUT checkpointing."""
 
 from __future__ import annotations
 
@@ -90,79 +90,6 @@ class TestAllocatorEdgeCases:
                 KhanAllocator(SMALL_PLATFORM).allocate(demands, fps)
             with pytest.raises(ValueError, match="fps must be finite"):
                 TranscodingServer(SMALL_PLATFORM, fps=fps)
-
-    def test_allocate_with_all_cores_failed_raises(self):
-        allocator = ProposedAllocator(SMALL_PLATFORM)
-        with pytest.raises(AllocationError):
-            allocator.allocate(
-                [make_demand(0, [0.01])], fps=24.0,
-                failed_cores=set(range(SMALL_PLATFORM.num_cores)),
-            )
-
-    def test_allocate_avoids_failed_cores(self):
-        allocator = ProposedAllocator(SMALL_PLATFORM)
-        failed = {0, 2}
-        result = allocator.allocate(
-            [make_demand(0, [0.01, 0.01])], fps=24.0, failed_cores=failed
-        )
-        used = {s.core_id for s in result.schedule.slots}
-        assert not used & failed
-
-    def test_reallocate_repacks_orphans(self):
-        allocator = ProposedAllocator(SMALL_PLATFORM)
-        fps = 24.0
-        # ~0.96 cores per user: the packing spans several cores, so a
-        # failure orphans only part of the load.
-        demands = [make_demand(i, [0.02, 0.02]) for i in range(3)]
-        result = allocator.allocate(demands, fps)
-        assert len(result.schedule.slots) > 1
-        before = {
-            (t.user_id, t.thread_id)
-            for s in result.schedule.slots for t in s.tasks
-        }
-        failed = result.schedule.slots[0].core_id
-        recovered = allocator.reallocate(result, [failed], fps)
-        assert not recovered.schedule.has_core(failed)
-        after = {
-            (t.user_id, t.thread_id)
-            for s in recovered.schedule.slots for t in s.tasks
-        }
-        # No thread lost: every task re-packed onto a surviving core.
-        assert after == before
-        assert recovered.shed == []
-
-    def test_reallocate_sheds_lowest_priority_first(self):
-        platform = MpsocConfig(num_sockets=1, cores_per_socket=2)
-        allocator = ProposedAllocator(platform)
-        fps = 24.0
-        slot = 1.0 / fps
-        # Each user needs one full core; both cores start occupied.
-        demands = [make_demand(i, [slot]) for i in range(2)]
-        result = allocator.allocate(demands, fps)
-        assert result.num_users_served == 2
-        failed = result.schedule.slots[0].core_id
-        recovered = allocator.reallocate(result, [failed], fps)
-        # Highest user_id (= lowest priority) is the victim.
-        assert [d.user_id for d in recovered.shed] == [1]
-        assert [d.user_id for d in recovered.admitted] == [0]
-        for s in recovered.schedule.slots:
-            assert all(t.user_id == 0 for t in s.tasks)
-
-    def test_reallocate_all_cores_failed_sheds_everyone(self):
-        allocator = ProposedAllocator(SMALL_PLATFORM)
-        fps = 24.0
-        demands = [make_demand(i, [0.005]) for i in range(2)]
-        result = allocator.allocate(demands, fps)
-        every_core = [s.core_id for s in result.schedule.slots]
-        recovered = allocator.reallocate(result, every_core, fps)
-        assert recovered.admitted == []
-        assert {d.user_id for d in recovered.shed} == {0, 1}
-
-    def test_evict_unknown_core_raises(self):
-        allocator = ProposedAllocator(SMALL_PLATFORM)
-        result = allocator.allocate([make_demand(0, [0.005])], fps=24.0)
-        with pytest.raises(AllocationError):
-            result.schedule.evict_core(10_000)
 
 
 # ---------------------------------------------------------------------------

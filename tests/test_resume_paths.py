@@ -20,8 +20,12 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.ladder.session import LadderSession
 from repro.observability import get_registry, scoped
+from repro.platform.mpsoc import MpsocConfig
 from repro.resilience.checkpoint import canonical_json
+from repro.resilience.degradation import DegradationLevel
+from repro.serving.admission import AdmissionController
 from repro.serving.protocol import (
     Bye,
     Encoded,
@@ -39,7 +43,7 @@ from repro.serving.recovery import read_journal
 from repro.serving.server import NetworkServer, ServeNetConfig
 from repro.storage.faultfs import FaultFS, FaultRule
 from tests.test_journal_format import write_line_format_journal
-from tests.test_serving_integration import _tight_admission
+from tests.test_serving_integration import _FixedEstimator, _tight_admission
 
 _W, _H = 48, 32
 _GOP = 4
@@ -429,10 +433,11 @@ def test_one_rung_ladder_hello_is_the_plain_session_on_the_wire(tmp_path):
 # ----------------------------------------------------------------------
 # Early egress: nothing leaves that RESUME cannot reproduce
 # ----------------------------------------------------------------------
-def _serve(coro_fn, journal_dir, **config):
+def _serve(coro_fn, journal_dir, admission=None, **config):
     async def main():
         server = NetworkServer(ServeNetConfig(
-            port=0, journal_dir=str(journal_dir), **config))
+            port=0, journal_dir=str(journal_dir), **config),
+            admission=admission)
         await server.start()
         try:
             return await coro_fn(server)
@@ -693,6 +698,77 @@ def test_a_watchdog_on_a_gops_first_frame_loses_one_frame(
     carried = [o for r in records for o in r["outputs"]
                if o["frame_index"] == wedged]
     assert [o["dropped"] for o in carried] == ["watchdog"]
+
+
+def test_a_watchdog_fire_leaves_every_running_session_charged(
+        tmp_path, monkeypatch):
+    """A watchdog fire is answered inside its own stream: the wedged
+    frame is dropped as ``watchdog`` and the stream degrades one rung.
+    Admission is left as it was: on a full two-core platform every
+    running session — the wedged one too — keeps its ticket, and the
+    occupancy admission prices the next HELLO against is unchanged."""
+    import repro.serving.server as server_mod
+
+    push_all, stalled = server_mod._push_all, []
+
+    def stalling(encoder, frames):
+        if 2 in [f.index for f in frames] and not stalled:
+            stalled.append(2)
+            time.sleep(1.5)
+        return push_all(encoder, frames)
+
+    bump, levels = LadderSession.bump_degradation, []
+
+    def bumping(session):
+        bump(session)
+        levels.append([rs.session._feedback.level
+                       for rs in session.rung_sessions])
+
+    monkeypatch.setattr(server_mod, "_push_all", stalling)
+    monkeypatch.setattr(LadderSession, "bump_degradation", bumping)
+    total = 2 * _GOP
+    platform = MpsocConfig(num_sockets=1, cores_per_socket=2)
+    # 0.6 cores a session: three fill the two cores, a fourth would not.
+    admission = AdmissionController(estimator=_FixedEstimator(0.6 / 24.0),
+                                    platform=platform)
+
+    async def drill(server):
+        writers = []
+        for name in ("idle-a", "idle-b", "wedge"):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            await write_message(writer, Hello(width=_W, height=_H, fps=24.0,
+                                              gop=_GOP, client_id=name))
+            assert (await read_message(reader)).decision == "accept"
+            writers.append(writer)
+        charged = (admission.active_sessions, admission.occupancy_cores)
+        assert charged[0] == 3
+        assert charged[1] + 0.6 > admission.capacity_cores
+        dropped = {}
+        for i in range(2):  # each leaves before the next is sent
+            await _send_frames(writer, [i])
+            dropped[i] = (await read_message(reader)).dropped
+        await _send_frames(writer, [2])  # a job of its own
+        await _until(lambda: stalled, "frame 2 never wedged")
+        await _send_frames(writer, range(3, total))
+        while len(dropped) < total:
+            msg = await read_message(reader)
+            if isinstance(msg, Encoded):
+                dropped[msg.frame_index] = msg.dropped
+        after = (admission.active_sessions, admission.occupancy_cores)
+        for w in writers:
+            await write_message(w, Bye("done"))
+            w.close()
+        return charged, after, dropped
+
+    charged, after, dropped = _serve(
+        drill, tmp_path, admission=admission, platform=platform,
+        watchdog_multiple=1.0, watchdog_min_s=1.0)
+    assert stalled == [2]
+    assert dropped == {i: "watchdog" if i == 2 else None
+                       for i in range(total)}
+    assert levels == [[DegradationLevel.QP_BUMP]]
+    assert after == charged
 
 
 def test_a_watchdog_drop_rides_its_gop_record(tmp_path, monkeypatch):

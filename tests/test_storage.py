@@ -409,8 +409,8 @@ def test_lut_stage_fault_keeps_previous_checkpoint(tmp_path):
 _POLICY = {
     "version": 1,
     "default_tenant": "general",
-    "tenants": [{"name": "general", "tier": "routine", "weight": 2},
-                {"name": "bulk", "tier": "batch", "weight": 1}],
+    "tenants": [{"name": "general", "weight": 2},
+                {"name": "bulk", "weight": 1}],
 }
 
 
