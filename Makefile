@@ -1,7 +1,9 @@
 # Developer entry points.  `make check` is the pre-commit gate: the
-# tier-1 test suite, a fast smoke pass over the paper-table benchmarks
-# under benchmarks/ (their `-m 'not slow'` subset runs each
-# micro-benchmark once without timing loops), the bench harness's
+# tier-1 test suite, the slow tier (the loopback chaos, restart,
+# storage-fault and stall tests the default run skips), a fast smoke
+# pass over the paper-table benchmarks under benchmarks/ (their
+# `-m 'not slow'` subset runs each micro-benchmark once without timing
+# loops), the bench harness's
 # correctness gate and the fixed-seed drills.  Coverage is collected
 # when pytest-cov is installed and skipped silently otherwise — the
 # toolchain image does not bake the plugin in, and the suite must not
@@ -12,14 +14,19 @@ PYTEST  := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PY) -m pytest
 HAS_COV := $(shell $(PY) -c "import pytest_cov" 2>/dev/null && echo 1)
 COVOPTS := $(if $(HAS_COV),--cov=repro --cov-report=term-missing)
 
-.PHONY: check test reference sanitize bench-smoke bench-check golden \
-	serve-smoke chaos restart-chaos ladder-smoke torture clean
+.PHONY: check test test-slow reference sanitize bench-smoke bench-check \
+	golden serve-smoke chaos restart-chaos ladder-smoke torture clean
 
-check: test reference sanitize bench-smoke bench-check serve-smoke chaos \
-	restart-chaos ladder-smoke torture
+check: test test-slow reference sanitize bench-smoke bench-check \
+	serve-smoke chaos restart-chaos ladder-smoke torture
 
 test:
 	$(PYTEST) -x -q $(COVOPTS)
+
+# The slow tier on its own: the tests marked `slow` (live servers,
+# subprocesses, multi-second stalls) that `make test` deselects.
+test-slow:
+	$(PYTEST) -m slow -q -p no:cacheprovider
 
 # The NumPy reference on its own: the codec round trip (the per-block
 # loop's stream through the decoder) plus the native test file's

@@ -298,8 +298,6 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
             admission=AdmissionPolicy(utilization=args.utilization,
                                       park_capacity=args.park_capacity),
             journal_dir=args.journal_dir,
-            watchdog_multiple=args.watchdog_multiple,
-            watchdog_min_s=args.watchdog_min,
             drain_grace_s=args.drain_grace,
             policy_file=args.policy,
         )
@@ -597,11 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     sn.add_argument("--journal-dir", default=None, metavar="DIR",
                     help="per-session journal directory (enables RESUME, "
                          "drain parking and the warm LUT checkpoint)")
-    sn.add_argument("--watchdog-multiple", type=float, default=0.0,
-                    help="cancel an encode exceeding this multiple of the "
-                         "GOP real-time budget (0 = watchdog off)")
-    sn.add_argument("--watchdog-min", type=float, default=0.25,
-                    metavar="SECONDS", help="watchdog deadline floor")
     sn.add_argument("--drain-grace", type=float, default=10.0,
                     metavar="SECONDS",
                     help="SIGTERM drain: max wait for in-flight sessions")

@@ -41,9 +41,8 @@ own push.  The network server relies on that — every session it serves
 is a :class:`LadderSession` over the admitted rungs — and on the
 GOP-boundary surface below (:attr:`~LadderSession.pending_frames`,
 :meth:`~LadderSession.export_state` /
-:meth:`~LadderSession.import_state`,
-:meth:`~LadderSession.bump_degradation`), which is the per-rung
-sessions' own surface lifted over the rung list.
+:meth:`~LadderSession.import_state`), which is the per-rung sessions'
+own surface lifted over the rung list.
 """
 
 from __future__ import annotations
@@ -112,8 +111,6 @@ class LadderSession:
         self.plan: Optional[LadderPlan] = None
         self.features: Optional[FrameFeatures] = None
         self.rung_sessions: List[RungSession] = []
-        #: Degradation bumps asked for before any rung session exists.
-        self._early_bumps = 0
         #: The plane shape the first good frame fixed for the ingest
         #: check.
         self._ingest_shape: Optional[tuple] = None
@@ -150,11 +147,8 @@ class LadderSession:
                     else planned.rung.height
                 ),
             )
-            rs = RungSession(planned, StreamTranscoder(
-                cfg, estimator=self.estimator))
-            for _ in range(self._early_bumps):
-                rs.session.bump_degradation()
-            self.rung_sessions.append(rs)
+            self.rung_sessions.append(RungSession(planned, StreamTranscoder(
+                cfg, estimator=self.estimator)))
 
     def close(self) -> None:
         for rs in self.rung_sessions:
@@ -207,15 +201,6 @@ class LadderSession:
         )
         for rs in self.rung_sessions:
             rs.session.import_state(states[rs.rung_id])
-
-    def bump_degradation(self) -> None:
-        """Force one step of degradation-ladder escalation on every
-        rung (serving watchdog hook).  Before the first push the bump
-        is held for the rung sessions to come."""
-        if not self.rung_sessions:
-            self._early_bumps += 1
-        for rs in self.rung_sessions:
-            rs.session.bump_degradation()
 
     # -- ingest --------------------------------------------------------
     def push(self, frame: Frame) -> List[FrameOutput]:

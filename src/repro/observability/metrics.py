@@ -417,14 +417,6 @@ def _counter_by_label(fams: Dict[str, dict], name: str,
     return out
 
 
-def _gauge_value(fams: Dict[str, dict], name: str,
-                 default: float = 0.0) -> float:
-    fam = fams.get(name)
-    if fam is None or not fam["samples"]:
-        return default
-    return float(fam["samples"][-1]["value"])
-
-
 def _histogram_merged(fams: dict, name: str) -> HistogramValue:
     """Every sample of histogram family ``name`` merged into one
     (empty when the family is absent)."""
@@ -479,9 +471,6 @@ def serving_summary(data: dict) -> Optional[Dict[str, object]]:
         "frame_copies": _counter_sum(
             fams, "repro_serving_frame_copies_total"
         ),
-        "watchdog_fires": _counter_sum(
-            fams, "repro_serving_watchdog_fires_total"
-        ),
         "journal_gops": _counter_sum(
             fams, "repro_serving_journal_gops_total"
         ),
@@ -509,17 +498,12 @@ def serving_summary(data: dict) -> Optional[Dict[str, object]]:
         "entitlement_blocks": _counter_sum(
             fams, "repro_serving_tenant_entitlement_total"
         ),
-        # Storage-durability counters (PR 10): absent families default
-        # to zero and the gauge to healthy, so older snapshots (and a
-        # journal-less server) summarise unchanged.
-        "durability": _gauge_value(
-            fams, "repro_serving_durability", default=1.0
-        ),
+        # Storage-durability counters: absent families default to
+        # zero, so older snapshots (and a journal-less server)
+        # summarise unchanged.  A brownout is one session a storage
+        # fault took off its journal.
         "durability_brownouts": _counter_sum(
             fams, "repro_serving_durability_brownouts_total"
-        ),
-        "durability_readmits": _counter_sum(
-            fams, "repro_serving_durability_readmits_total"
         ),
         "tombstone_rejects": _counter_sum(
             fams, "repro_serving_tombstone_rejects_total"
@@ -582,7 +566,6 @@ def format_metrics(data: dict) -> str:
             f"ingest copies {serving['frame_copies']:g}",
             f"  recovery     : resumes {serving['resumes']:g} "
             f"(p95 {_fmt_latency(serving['resume_p95_s'])}), "
-            f"watchdog fires {serving['watchdog_fires']:g}, "
             f"parked for resume {serving['sessions_parked_for_resume']:g}, "
             f"drains {serving['drains']:g}, "
             f"adopted {serving['sessions_adopted']:g}, "
@@ -592,10 +575,8 @@ def format_metrics(data: dict) -> str:
             f"appends {serving['journal_appends']:g} "
             f"({serving['journal_append_s'] * 1e3:.1f} ms, "
             f"{serving['journal_bytes']:.0f} bytes)",
-            f"  durability   : "
-            + ("healthy" if serving["durability"] >= 1.0 else "BROWNOUT")
-            + f", brownouts {serving['durability_brownouts']:g}, "
-            f"readmits {serving['durability_readmits']:g}, "
+            f"  durability   : brownouts "
+            f"{serving['durability_brownouts']:g}, "
             f"tombstone rejects {serving['tombstone_rejects']:g}, "
             f"write retries {serving['journal_retries']:g}",
             f"  policy       : entitlement blocks "

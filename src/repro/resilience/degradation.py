@@ -87,9 +87,8 @@ class DegradationReport:
     frames_dropped: int = 0
     corrupt_frames_dropped: int = 0
     #: ``kind -> count`` of the ladder's actions ("escalate",
-    #: "recover", "frame_drop", "corrupt_drop", "watchdog").  A count,
-    #: not a log: a served session lives for as long as its client
-    #: keeps pushing.
+    #: "recover", "frame_drop", "corrupt_drop").  A count, not a log:
+    #: a served session lives for as long as its client keeps pushing.
     action_totals: Counter = field(default_factory=Counter)
 
     def action_counts(self) -> Dict[str, int]:
@@ -230,19 +229,6 @@ class DegradationController:
         """Account for a corrupt input frame dropped by validation."""
         self.report.corrupt_frames_dropped += 1
         self.report.action_totals["corrupt_drop"] += 1
-
-    def force_escalate(self, kind: str = "watchdog") -> None:
-        """Climb one rung outside the normal miss-streak path.
-
-        Used by the serving watchdog when an encode task wedges: the
-        session continues degraded instead of stalling, and the action
-        counts record why (``kind``).
-        """
-        if self._level < self.config.max_level:
-            self._level = DegradationLevel(self._level + 1)
-        self._hit_streak = 0
-        self._miss_streak = 0
-        self.report.action_totals[kind] += 1
 
     # -- persistence ---------------------------------------------------
     def export_state(self) -> Dict[str, object]:

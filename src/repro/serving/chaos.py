@@ -7,7 +7,7 @@ an online transcoding service actually meets:
 * **latency spikes** — a forwarded chunk is held for a configured
   delay (congestion, a retransmit burst),
 * **half-open stalls** — forwarding silently pauses while the socket
-  stays open (the failure mode watchdogs exist for),
+  stays open (the client's read timeout and RESUME answer it),
 * **a deterministic cut** — the transport is aborted mid-stream after
   an exact byte count (NAT timeout, a crashed middlebox; the peer sees
   ``ECONNRESET``).

@@ -42,7 +42,6 @@ __all__ = [
     "MAGIC",
     "MAX_PAYLOAD",
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
     "Bye",
     "Encoded",
     "ErrorMsg",
@@ -66,10 +65,10 @@ __all__ = [
 ]
 
 MAGIC = b"RPRV"
-#: v2 adds the RESUME / RESUME_ACK handshake (session fault tolerance);
-#: v1 frames remain accepted — the message set of v1 is a strict subset.
+#: v2 added the RESUME / RESUME_ACK handshake (session fault
+#: tolerance).  It is the only version spoken or accepted: a v1 header
+#: is refused like any unknown version.
 PROTOCOL_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
 #: Hard payload bound: a 4K 8-bit luma plane is ~8.3 MB; anything far
 #: beyond that is a corrupted length field, not a frame.
 MAX_PAYLOAD = 32 * 1024 * 1024
@@ -103,7 +102,9 @@ class MsgType(enum.IntEnum):
     RESUME_ACK = 9   # server -> client: resume decision + replay plan (v2)
 
 
-#: ``Encoded.dropped`` reason codes (0 = not dropped).
+#: ``Encoded.dropped`` reason codes (0 = not dropped).  No server sends
+#: ``watchdog`` any more; the code stays so that old journals' drops
+#: replay and old peers' notices decode.
 DROP_REASONS = {0: None, 1: "corrupt", 2: "deadline", 3: "backpressure",
                 4: "watchdog", 5: "policy"}
 DROP_CODES = {v: k for k, v in DROP_REASONS.items()}
@@ -663,11 +664,10 @@ def _parse_header(header: bytes) -> Tuple[MsgType, int, int, int]:
     magic, version, mtype, flags, length, crc = _HEADER.unpack(header)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}")
-    if version not in SUPPORTED_VERSIONS:
+    if version != PROTOCOL_VERSION:
         raise ProtocolError(
             f"unsupported protocol version {version} "
-            f"(speaking {PROTOCOL_VERSION}, accepting "
-            f"{list(SUPPORTED_VERSIONS)})"
+            f"(speaking {PROTOCOL_VERSION})"
         )
     if length > MAX_PAYLOAD:
         raise ProtocolError(f"declared payload of {length} bytes too large")
@@ -675,10 +675,6 @@ def _parse_header(header: bytes) -> Tuple[MsgType, int, int, int]:
         mtype = MsgType(mtype)
     except ValueError:
         raise ProtocolError(f"unknown message type {mtype}") from None
-    if version < 2 and mtype in (MsgType.RESUME, MsgType.RESUME_ACK):
-        raise ProtocolError(
-            f"{mtype.name} is a v2 message but the frame declares v{version}"
-        )
     return mtype, flags, length, crc
 
 

@@ -5,9 +5,10 @@ invariant: **everything the encoder needs to continue a session
 bit-identically is durable at every GOP boundary**.  From there a
 RESUME re-encodes the frames the client resends, and the server lets
 nothing leave that this cannot reproduce: an outcome goes out as soon
-as it is encoded, ahead of its GOP's record, unless a timing decision
-(backpressure, watchdog) gave a frame up that no record covers yet —
-then it waits for the record.
+as it is encoded, ahead of its GOP's record, unless a backpressure
+drop gave a frame up that no record covers yet — then it waits for the
+record.  (Journals written while the server had an encode watchdog may
+carry its ``watchdog`` drops too; they replay as such.)
 This module owns that durability layer:
 
 ``SessionJournal``

@@ -49,14 +49,13 @@ the journal restores the encoder to the last GOP boundary, replays any
 journaled outcomes the old connection never delivered, and the client
 resends from the boundary.  The contract is that nothing leaves that
 RESUME cannot reproduce: an outcome leaves as soon as it is encoded
-unless a timing decision (backpressure, watchdog) gave a frame up
-since the last record — then it waits for its GOP's record.
-``watchdog_multiple``
-arms an encode watchdog: a job that exceeds the deadline multiple is
-abandoned (the executor is replaced), the encoder is rebuilt from the
-in-memory per-rung GOP-boundary snapshot, the job's last frame is
-dropped as ``"watchdog"`` and the degradation ladder climbs one rung;
-admission and every other session are left as they were.
+unless a backpressure drop gave a frame up since the last record —
+then it waits for its GOP's record.  An encode that overruns its slot
+is answered inside its own stream, by the degradation ladder; a slow
+job only delays the frames behind it.  A journal append that fails
+beyond retry takes its session off the journal (the session keeps
+streaming, its token is tombstoned) and nothing else: the next HELLO
+tries to journal again.
 :meth:`drain` (SIGTERM) stops admissions, finishes or parks in-flight GOPs,
 checkpoints the LUT and exits cleanly; parked sessions survive a full
 server restart.
@@ -65,7 +64,6 @@ server restart.
 from __future__ import annotations
 
 import asyncio
-import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -122,7 +120,6 @@ from repro.serving.recovery import (
 )
 from repro.serving.statestore import SharedDirStateStore
 from repro.storage import FileOps, RetryPolicy, StorageError
-from repro.storage.brownout import DurabilityMonitor
 from repro.transcode.pipeline import FrameOutput, PipelineConfig
 from repro.video.frame import Frame
 from repro.video.generator import ContentClass
@@ -164,13 +161,6 @@ class ServeNetConfig:
     #: Directory of per-session journals (``None`` disables journaled
     #: resume, graceful parking and the warm LUT checkpoint).
     journal_dir: Optional[str] = None
-    #: Encode watchdog: one encode job (at most one GOP of frames)
-    #: exceeding ``watchdog_multiple`` x GOP x ``1/FPS`` wall seconds is
-    #: declared wedged and cancelled (0 disables).
-    watchdog_multiple: float = 0.0
-    #: Floor of the watchdog timeout, so high-FPS streams on slow CI
-    #: machines are not watchdogged spuriously.
-    watchdog_min_s: float = 0.25
     #: How long :meth:`NetworkServer.drain` waits for in-flight
     #: sessions to finish or park before closing anyway.
     drain_grace_s: float = 10.0
@@ -186,8 +176,6 @@ class ServeNetConfig:
     #: Backoff base of the bounded retry of *transient* journal-append
     #: faults (:class:`repro.storage.RetryPolicy` fixes the tries).
     journal_retry_backoff_s: float = 0.005
-    #: Seconds between durability probes while browned out.
-    durability_probe_s: float = 0.25
 
 
 @dataclass
@@ -201,27 +189,27 @@ class SessionStats:
     dropped_egress: int = 0
     dropped_corrupt: int = 0
     dropped_deadline: int = 0
-    dropped_watchdog: int = 0
     deadline_misses: int = 0
     total_bits: int = 0
     psnr_sum: float = 0.0
     peak_ingest_depth: int = 0
     peak_egress_depth: int = 0
-    #: Recovery counters: how many times this session has reattached,
-    #: how many journaled outcomes the last resume replayed, and how
-    #: often the encode watchdog fired on it.
+    #: Recovery counters: how many times this session has reattached
+    #: and how many journaled outcomes the last resume replayed.
     resumes: int = 0
     replayed: int = 0
-    watchdog_fires: int = 0
     parked: bool = False
 
     def to_dict(self, queue_frames: int) -> Dict[str, object]:
+        # The two ``watchdog`` keys stay, always 0, so STATS keeps its
+        # shape: drop code 4 and old journals' ``watchdog`` drops stay
+        # decodable, and readers of either key keep working.
         dropped = {
             "backpressure": self.dropped_backpressure,
             "egress": self.dropped_egress,
             "corrupt": self.dropped_corrupt,
             "deadline": self.dropped_deadline,
-            "watchdog": self.dropped_watchdog,
+            "watchdog": 0,
         }
         return {
             "session_id": self.session_id,
@@ -231,7 +219,7 @@ class SessionStats:
             "recovery": {
                 "resumes": self.resumes,
                 "replayed": self.replayed,
-                "watchdog_fires": self.watchdog_fires,
+                "watchdog_fires": 0,
                 "parked": self.parked,
             },
             "deadline_misses": self.deadline_misses,
@@ -306,32 +294,29 @@ class _Session:
             resilience=server.resilience_for(hello),
             platform=cfg.platform,
         )
-        #: Builds a fresh encoder over the admitted rungs: the session's
-        #: first, and the one the watchdog rebuilds it on.  The rung set
-        #: is the *admitted* ladder, so the planner's own content
-        #: pruning is off — the client receives exactly the rungs the
-        #: HELLO_ACK promised.
-        self.new_encoder = functools.partial(
-            LadderSession, pipeline,
+        #: The session's one encoder; its outputs are rung-tagged.  The
+        #: rung set is the *admitted* ladder, so the planner's own
+        #: content pruning is off — the client receives exactly the
+        #: rungs the HELLO_ACK promised.
+        self.encoder = LadderSession(
+            pipeline,
             LadderConfig(rungs=tuple(LadderRung(w, h) for w, h in rungs),
                          prune=False),
             estimator=server.estimator,
         )
-        #: The session's one encoder; its outputs are rung-tagged.
-        self.encoder: LadderSession = self.new_encoder()
         self.slot_s = 1.0 / pipeline.fps
         self.gop_size = max(1, hello.gop)
         # -- recovery state --------------------------------------------
         self.resume_token = resume_token
         self.journal = journal
-        #: Raw frames pushed since the last GOP boundary — the watchdog
-        #: rebuild and the drain park record re-feed from here.
+        #: Journaled sessions: raw frames pushed since the last GOP
+        #: boundary (what a drain's ``park`` record holds) and the last
+        #: GOP-boundary snapshot, per rung (what a ``gop`` record holds).
         self.replay_frames: List[Frame] = []
-        #: In-memory copy of the last GOP-boundary snapshot, per rung.
         self.last_state: Optional[Dict[int, Dict[str, object]]] = None
         #: Journaled sessions: the open GOP's outputs (its ``gop``
         #: record's), those of them waiting for that record, and the
-        #: frames a timing decision gave up that no record covers yet —
+        #: frames a backpressure drop gave up that no record covers yet —
         #: the next ``gop``/``park`` record carries them, so a resume
         #: replays them with their original reason, and their notices
         #: leave with it.
@@ -354,8 +339,7 @@ class _Session:
             if restored.state is not None:
                 # A journal holds one rung's snapshot (the journal guard
                 # in the HELLO handshake): the primary's.
-                self.last_state = {0: restored.state}
-                self.encoder.import_state(self.last_state)
+                self.encoder.import_state({0: restored.state})
             self.next_index = restored.next_frame_index
             self.prefeed = [
                 Frame(plane, index=index)
@@ -395,11 +379,6 @@ class NetworkServer:
         self.estimator = estimator or WorkloadEstimator()
         self._owner = f"solo:{os.getpid()}"
         self._journal_store: Optional[SharedDirStateStore] = None
-        #: Durability health latch (DESIGN.md §16): ``healthy`` gates
-        #: journaling for new admits; the probe loop readmits it
-        #: hysteretically after a brownout.
-        self._durability = DurabilityMonitor()
-        self._durability_task: Optional[asyncio.Task] = None
         #: Resume tokens invalidated by a durability brownout.  The
         #: in-memory set is authoritative for this process; the
         #: journaled tombstone record is best-effort (the disk was
@@ -438,14 +417,15 @@ class NetworkServer:
         # session never runs on two threads at once; cross-session
         # parallelism is bounded by the Algorithm-2 core grant (the
         # shared estimator serializes its own LUT updates).
-        self._encode_pool = self._new_encode_pool()
+        self._encode_pool = ThreadPoolExecutor(
+            max_workers=self._encode_pool_size(),
+            thread_name_prefix="repro-encode",
+        )
         # Journal writes (plane packing, checksumming, fsync) get their
         # own single writer thread so durability work overlaps with the
         # encode thread instead of stealing its time.  An outcome RESUME
         # could not reproduce still *awaits* its GOP's append; one
-        # writer thread keeps each journal's records in order.  The
-        # watchdog only swaps the encode pool, so pending appends
-        # survive a wedged encode.
+        # writer thread keeps each journal's records in order.
         self._journal_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-journal"
         )
@@ -532,65 +512,16 @@ class NetworkServer:
         except RuntimeError:
             fn(*args)
 
-    def _note_durability_failure(self, error: BaseException) -> None:
-        """Record a durable-write failure; on the healthy->browned
-        transition, count the episode and start the readmission probe.
-        """
-        if not self._durability.record_failure(error):
-            return
-        registry = get_registry()
-        registry.inc(
+    def _note_brownout(self, error: BaseException) -> None:
+        """Count one session a storage fault took off its journal."""
+        get_registry().inc(
             "repro_serving_durability_brownouts_total",
-            help="Durability brownout episodes (journaling disabled)",
-        )
-        registry.set_gauge(
-            "repro_serving_durability",
-            0, help="1 while journal storage is healthy, 0 in brownout",
+            help="Sessions a storage fault took off their journal",
         )
         get_tracer().event(
             "serving.durability_brownout", error=str(error),
             point=getattr(error, "point", ""),
         )
-        self._ensure_durability_probe()
-
-    def _ensure_durability_probe(self) -> None:
-        if self._durability_task is None or self._durability_task.done():
-            self._durability_task = asyncio.ensure_future(
-                self._durability_loop()
-            )
-
-    async def _durability_loop(self) -> None:
-        """Probe the journal volume while browned out; readmit
-        journaling after the monitor's streak of consecutive clean
-        probes (hysteresis against a flapping disk)."""
-        registry = get_registry()
-        loop = asyncio.get_running_loop()
-        store = self._journal_store
-        while store is not None and not self._durability.healthy:
-            await asyncio.sleep(self.config.durability_probe_s)
-            try:
-                # The probe shares the journal writer thread, so a
-                # stalled volume delays probes instead of piling them.
-                await loop.run_in_executor(
-                    self._journal_pool, store.probe_durability
-                )
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                self._durability.record_failure(exc)
-                continue
-            if self._durability.record_success():
-                registry.inc(
-                    "repro_serving_durability_readmits_total",
-                    help="Brownout episodes ended by clean probes",
-                )
-                registry.set_gauge(
-                    "repro_serving_durability",
-                    1,
-                    help="1 while journal storage is healthy, "
-                         "0 in brownout",
-                )
-                get_tracer().event("serving.durability_readmit")
 
     async def _durability_brownout(self, session: "_Session",
                                    error: BaseException) -> None:
@@ -602,44 +533,48 @@ class NetworkServer:
         failing, so the append may not land) and the journal handle is
         closed on the writer thread, *behind* any appends the session
         already queued.  The connection itself never notices: frames
-        keep flowing, only crash-resumability is lost.
+        keep flowing, only crash-resumability is lost.  A second failed
+        append the session had queued finds it off its journal already.
         """
+        if session.journal is None:
+            return
         token = session.resume_token
         journal, session.journal = session.journal, None
         session.resume_token = ""
         if token:
             self._tombstoned.add(token)
             self._attached.pop(token, None)
-        if journal is not None:
-            def tombstone() -> None:
-                try:
-                    self._journal_write(journal, "tombstone", lambda: {
-                        "token": token, "reason": str(error),
-                        "owner": self._owner,
-                    })
-                except Exception:
-                    pass  # best effort by design
-                finally:
-                    try:
-                        journal.close()
-                    except Exception:
-                        pass
+
+        def tombstone() -> None:
             try:
-                await self._on_journal_thread(tombstone)
-            except RuntimeError:
-                # The writer pool itself is gone (thread death /
-                # shutdown) — the very fault being handled.  Close the
-                # handle inline; the tombstone stays memory-only.
+                self._journal_write(journal, "tombstone", lambda: {
+                    "token": token, "reason": str(error),
+                    "owner": self._owner,
+                })
+            except Exception:
+                pass  # best effort by design
+            finally:
                 try:
                     journal.close()
                 except Exception:
                     pass
+
+        try:
+            await self._on_journal_thread(tombstone)
+        except RuntimeError:
+            # The writer pool itself is gone (thread death / shutdown)
+            # — the very fault being handled.  Close the handle inline;
+            # the tombstone stays memory-only.
+            try:
+                journal.close()
+            except Exception:
+                pass
         if token and self._journal_store is not None:
             try:
                 await self._give_back(self._journal_store.release, token)
             except (StorageError, OSError):
                 pass
-        self._note_durability_failure(error)
+        self._note_brownout(error)
 
     def _encode_pool_size(self) -> int:
         """Encode threads granted to this server: the admission
@@ -655,12 +590,6 @@ class NetworkServer:
         except AttributeError:
             cpus = os.cpu_count() or 1
         return min(grant, cpus)
-
-    def _new_encode_pool(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(
-            max_workers=self._encode_pool_size(),
-            thread_name_prefix="repro-encode",
-        )
 
     @property
     def parked_tokens(self) -> List[str]:
@@ -681,12 +610,6 @@ class NetworkServer:
         self._server = await asyncio.start_server(
             self._handle_client, self.config.host, self.config.port,
         )
-        if self._journal_store is not None:
-            get_registry().set_gauge(
-                "repro_serving_durability",
-                1 if self._durability.healthy else 0,
-                help="1 while journal storage is healthy, 0 in brownout",
-            )
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -695,11 +618,6 @@ class NetworkServer:
             await self._server.serve_forever()
 
     async def aclose(self) -> None:
-        if self._durability_task is not None:
-            self._durability_task.cancel()
-            await asyncio.gather(self._durability_task,
-                                 return_exceptions=True)
-            self._durability_task = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -897,10 +815,9 @@ class NetworkServer:
         # The one thing a multi-rung session lacks: a ``gop`` record
         # holds one rung's raw planes, and ROADMAP item 15 replaces what
         # it holds (bitstreams), so the N-rung record is not built
-        # twice.  Brownout gate: while the journal volume is failing,
-        # new sessions are admitted journal-less too (degrade, never
-        # crash); the probe loop re-enables journaling hysteretically.
-        if len(rungs) == 1 and store is not None and self._durability.healthy:
+        # twice.  A storage fault that took an earlier session off its
+        # journal leaves no latch: this session simply tries.
+        if len(rungs) == 1 and store is not None:
             claim.token = store.new_token(session_id, hello.client_id)
 
             def open_journal() -> None:
@@ -923,7 +840,7 @@ class NetworkServer:
                 except (StorageError, OSError):
                     pass
                 claim.token = ""
-                self._note_durability_failure(exc)
+                self._note_brownout(exc)
         session = claim.session = _Session(
             session_id, hello, self, rungs,
             resume_token=claim.token, journal=claim.journal,
@@ -1031,9 +948,7 @@ class NetworkServer:
                                 transient=True)
         except StorageError as exc:
             # The lease write itself failed: storage trouble, not
-            # contention.  Transient reject (the client may retry) and
-            # note the failure against the durability latch.
-            self._note_durability_failure(exc)
+            # contention.  Transient reject: the client may retry.
             return await refuse(f"session store fault: {exc}",
                                 transient=True)
         # Attach before touching the journal so a concurrent RESUME for
@@ -1116,7 +1031,6 @@ class NetworkServer:
         try:
             await self._on_journal_thread(reopen)
         except (StorageError, RuntimeError) as exc:
-            self._note_durability_failure(exc)
             return await refuse(f"session store fault: {exc}",
                                 transient=True)
         session = claim.session = _Session(
@@ -1213,11 +1127,11 @@ class NetworkServer:
                         # can resume it.
                         await self._give_back(self._journal_store.release,
                                               session.resume_token)
-                except StorageError as exc:
+                except StorageError:
                     # Teardown is best-effort: an undeletable journal
                     # or lease is garbage a later sweep reclaims, not
                     # a reason to abort the teardown path.
-                    self._note_durability_failure(exc)
+                    pass
             self.admission.release(session.session_id)
             self._capacity_freed.set()
 
@@ -1342,7 +1256,7 @@ class NetworkServer:
                 # Backpressure: the client outruns the encoder.  The
                 # incoming frame is dropped (never buffered), keeping
                 # the queue depth at its configured bound.
-                await self._give_up(session, index, "backpressure")
+                await self._give_up(session, index)
                 continue
             # Zero-copy ingest: the wire payload backs the frame
             # directly (read_message hands out an immutable view,
@@ -1369,19 +1283,6 @@ class NetworkServer:
                 raise RuntimeError(
                     "ingest queue exceeded its bound"
                 )  # pragma: no cover - guarded by maxsize
-
-    def _watchdog_timeout(self, session: _Session) -> Optional[float]:
-        """Wall-clock budget for one encode job (at most one GOP of
-        frames), or ``None`` when the watchdog is disarmed."""
-        multiple = self.config.watchdog_multiple
-        if multiple <= 0:
-            return None
-        return max(self.config.watchdog_min_s,
-                   multiple * session.slot_s * session.gop_size)
-
-    def _tracks_gop_state(self, session: _Session) -> bool:
-        return (session.journal is not None
-                or self._watchdog_timeout(session) is not None)
 
     async def _encode_loop(self, session: _Session) -> None:
         # Re-push frames parked by a previous drain before touching the
@@ -1419,121 +1320,51 @@ class NetworkServer:
                             frames: List[Frame]) -> None:
         """Push one batch through the encoder as one pool job and hand
         its outputs to the emit loop."""
-        if self._tracks_gop_state(session):
+        if session.journal is not None:
             session.replay_frames += frames
-        outputs = await self._encode_job(session, frames)
-        await self._queue_boundary(session, outputs)
-
-    async def _encode_job(self, session: _Session,
-                          frames: List[Frame]) -> List[FrameOutput]:
-        """One encode-pool job over ``frames``, watchdog-guarded when
-        armed."""
-        loop = asyncio.get_running_loop()
-        encoder = session.encoder
-        future = loop.run_in_executor(self._encode_pool, _push_all,
-                                      encoder, frames)
-        timeout = self._watchdog_timeout(session)
         try:
-            if timeout is None:
-                return await future
-            return await asyncio.wait_for(asyncio.shield(future), timeout)
+            outputs = await asyncio.get_running_loop().run_in_executor(
+                self._encode_pool, _push_all, session.encoder, frames)
         except CorruptFrameError as exc:
             raise ProtocolError(f"unencodable frame: {exc}") from exc
-        except asyncio.TimeoutError:
-            # The executor thread is wedged; Python cannot kill it, so
-            # swallow whatever it eventually produces, retire its
-            # encoder when it lets go, and move on.
-            future.add_done_callback(
-                lambda f: (f.exception(), encoder.close())
-            )
-            return await self._fire_watchdog(session, frames)
+        await self._queue_boundary(session, outputs)
 
-    async def _fire_watchdog(self, session: _Session,
-                             job: List[Frame]) -> List[FrameOutput]:
-        """An encode job exceeded its deadline multiple: abandon it,
-        rebuild the encoder at the last GOP boundary, drop the job's
-        last frame and degrade.  Returns the outputs of the job's other
-        frames."""
-        registry = get_registry()
-        session.stats.watchdog_fires += 1
-        registry.inc("repro_serving_watchdog_fires_total",
-                     help="Encode watchdog firings")
-        # Replace the shared executor: its single worker thread is
-        # stuck inside the wedged job.  Sessions with work queued on
-        # the old pool see a cancellation and abort — their journals
-        # (when enabled) let them resume; head-of-line blocking behind
-        # a wedged thread would stall them forever anyway.
-        old_pool = self._encode_pool
-        self._encode_pool = self._new_encode_pool()
-        old_pool.shutdown(wait=False, cancel_futures=True)
-        # Rebuild the encoder — a fresh object, the wedged thread keeps
-        # the old one — from the in-memory per-rung GOP-boundary
-        # snapshot, and re-feed the open GOP minus the wedged frame.
-        wedged, others = job[-1], job[:-1]
-        prior = session.replay_frames[:len(session.replay_frames) - len(job)]
-        session.replay_frames = prior + others
-        encoder = session.encoder = session.new_encoder()
-        if session.last_state is not None:
-            encoder.import_state(session.last_state)
-        loop = asyncio.get_running_loop()
-        # Re-feeding encodes (every push does), so it runs on the
-        # fresh pool, without a watchdog of its own.  The GOP's earlier
-        # frames go before the bump, as they went the first time: their
-        # outputs, already handed on, come out the same and are
-        # discarded.  The job's other frames follow the bump.
-        await loop.run_in_executor(self._encode_pool, _push_all,
-                                   encoder, prior)
-        encoder.bump_degradation()
-        outputs = await loop.run_in_executor(self._encode_pool, _push_all,
-                                             encoder, others)
-        session.arrival_s.pop(wedged.index, None)
-        await self._give_up(session, wedged.index, "watchdog")
-        get_tracer().event(
-            "serving.watchdog", session=session.session_id,
-            frame=wedged.index,
-        )
-        return outputs
-
-    async def _give_up(self, session: _Session, frame_index: int,
-                       reason: str) -> None:
-        """A timing decision (backpressure, watchdog) gave a frame up.
-        Journal-less, its notice leaves now.  Journaled, the drop waits
-        in ``pending_drops`` for the next ``gop``/``park`` record, which
+    async def _give_up(self, session: _Session, frame_index: int) -> None:
+        """A full ingest queue gave a frame up.  Journal-less, its
+        notice leaves now.  Journaled, the drop waits in
+        ``pending_drops`` for the next ``gop``/``park`` record, which
         carries it and whose ``next_frame_index`` covers it; until then
         no outcome leaves early, and the notice leaves with the
         record."""
         if session.journal is None:
-            await self._drop(session, frame_index, reason)
+            await self._drop(session, frame_index, "backpressure")
         else:
             session.pending_drops.append(
-                FrameOutput(frame_index=frame_index, dropped=reason))
+                FrameOutput(frame_index=frame_index, dropped="backpressure"))
 
     async def _queue_boundary(self, session: _Session,
                              outputs: List[FrameOutput]) -> None:
         """Hand one batch's outputs to the emit loop: at once, unless
         RESUME could not reproduce them (DESIGN.md §11) — a journaled
-        session holds them for their GOP's record while a timing drop
-        awaits a record, or earlier outputs are held (they leave in
+        session holds them for their GOP's record while a backpressure
+        drop awaits a record, or earlier outputs are held (they leave in
         order).
 
         At a GOP boundary the cross-GOP state is captured *here*,
         synchronously (``export_state`` builds a small dict per rung
         and borrows the previous-original plane without copying), so
-        the watchdog and drain paths always see current recovery state.
+        the drain path always sees current recovery state.
         The ``gop`` record — the state, every output of the GOP and the
         drops it covers — is built, hashed and appended on the journal
         writer thread; the emit loop releases what waited for it once
         the append is done."""
-        encoder = session.encoder
-        # A GOP closes when nothing is left pending *and* something was
-        # pushed into it: a watchdog that wedged a GOP's first frame
-        # leaves the encoder empty at its boundary, with no GOP to close.
-        boundary = (not encoder.pending_frames
-                    and bool(outputs or session.gop_outputs))
-        if boundary and self._tracks_gop_state(session):
-            session.last_state = encoder.export_state()
-            session.replay_frames = []
+        # Every batch pushed something, so nothing pending is a GOP's
+        # end.
+        boundary = not session.encoder.pending_frames
         journal = session.journal
+        if boundary and journal is not None:
+            session.last_state = session.encoder.export_state()
+            session.replay_frames = []
         if journal is None:
             # Journal-less, or browned out since: nothing waits.
             released = session.withheld + session.pending_drops + outputs

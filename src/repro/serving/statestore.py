@@ -267,21 +267,6 @@ class SharedDirStateStore(JournalStore):
         except (FileNotFoundError, OSError):
             pass
 
-    # -- durability probe ----------------------------------------------
-    def probe_durability(self) -> None:
-        """Write-and-fsync a scratch file in the store directory.
-
-        The brownout readmission path calls this to ask "does this
-        volume take durable writes again?" — the probe exercises the
-        same open/write/fsync surface a journal append needs, without
-        touching any real session file.  Raises the usual typed
-        :class:`~repro.storage.errors.StorageError` on failure.
-        """
-        path = os.path.join(self.root, f".durability.probe.{self.pid}")
-        self._ops.write_file(path, b"probe\n", point="probe.write",
-                             fsync=self.fsync)
-        self._ops.unlink(path, point="probe.unlink")
-
     # -- shared LUT checkpoint -----------------------------------------
     def lut_path(self) -> str:
         return os.path.join(self.root, "lut.json")

@@ -1,18 +1,18 @@
 """Storage-fault robustness for the serving stack (DESIGN.md §16).
 
-Three pieces:
+Two pieces:
 
 * :mod:`repro.storage.errors` — the typed :class:`StorageError`
   taxonomy (transient vs persistent) plus bounded retry/backoff;
 * :mod:`repro.storage.faultfs` — the injectable :class:`FileOps`
   seam, the seeded :class:`FaultFS` fault shim and the
-  :class:`CrashPointRecorder` behind ``make torture``;
-* :mod:`repro.storage.brownout` — the hysteretic
-  :class:`DurabilityMonitor` the server flips into when the journal
-  volume fails persistently (degrade, never crash).
+  :class:`CrashPointRecorder` behind ``make torture``.
+
+A journal volume that fails persistently takes the one session that
+hit it off its journal (degrade, never crash); the serving layer keeps
+no storage-health state beyond that.
 """
 
-from repro.storage.brownout import DurabilityMonitor
 from repro.storage.errors import (
     FsyncFailedError,
     RetryPolicy,
@@ -35,7 +35,6 @@ from repro.storage.faultfs import (
 
 __all__ = [
     "CrashPointRecorder",
-    "DurabilityMonitor",
     "FaultFS",
     "FaultRule",
     "FileOps",

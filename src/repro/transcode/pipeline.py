@@ -909,10 +909,6 @@ class ProposedStreamSession:
             self._close_gop()
         return [output]
 
-    def bump_degradation(self) -> None:
-        """Force one rung of ladder escalation (serving watchdog hook)."""
-        self._feedback.force_escalate()
-
     # -- persistence ---------------------------------------------------
     def export_state(self) -> Dict[str, object]:
         """Snapshot the session's cross-GOP state at a GOP boundary.

@@ -8,7 +8,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from repro.video.frame import Frame, Video
+from repro.video.frame import Video
 from repro.video.generator import (
     BioMedicalVideoGenerator,
     ContentClass,

@@ -8,7 +8,7 @@ from repro.codec.config import EncoderConfig, FrameType, GopConfig
 from repro.codec.encoder import FrameEncoder, VideoEncoder, reconstruct_block
 from repro.codec.ops import OpCounts
 from repro.codec.quant import quantization_step
-from repro.codec.transform import blockify, forward_dct
+from repro.codec.transform import forward_dct
 from repro.codec.quant import quantize
 from repro.tiling.tile import TileGrid
 from repro.tiling.uniform import uniform_tiling

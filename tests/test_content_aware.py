@@ -1,7 +1,6 @@
 """Tests for the content-aware re-tiling strategy (paper §III-B)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.texture import TextureClass

@@ -5,7 +5,6 @@ minute; the benchmarks/ directory runs the same harnesses at
 paper-comparable sizes.
 """
 
-import numpy as np
 import pytest
 
 from repro.experiments.common import medical_corpus

@@ -1,5 +1,5 @@
-"""No module under ``src/repro`` carries a module-level import it does
-not use.  An unused import is a dependency edge that is not there: it
+"""No module under ``src/repro`` or ``tests`` carries a module-level
+import it does not use.  An unused import is a dependency edge that is not there: it
 lengthens start-up, invites import cycles and tells the reader the
 module touches something it does not.
 
@@ -21,7 +21,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+TESTS = ROOT / "tests"
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
@@ -79,10 +81,10 @@ def unused_imports(source: str, is_package_init: bool = False) -> list:
 
 def test_no_unused_module_level_imports():
     offenders = {}
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted([*SRC.rglob("*.py"), *TESTS.rglob("*.py")]):
         bad = unused_imports(path.read_text(), path.name == "__init__.py")
         if bad:
-            offenders[str(path.relative_to(SRC.parent))] = bad
+            offenders[str(path.relative_to(ROOT))] = bad
     assert offenders == {}
 
 

@@ -1,7 +1,6 @@
 """Full-stack integration tests: generator -> pipeline -> allocator ->
 power, and cross-module consistency checks."""
 
-import numpy as np
 import pytest
 
 from repro.allocation import (

@@ -35,11 +35,11 @@ from repro.ladder.config import (
     RUNG_MULTIPLE,
     default_rungs_for,
 )
-from repro.ladder.planner import LadderPlanner, complexity_score
+from repro.ladder.planner import LadderPlanner
 from repro.ladder.segments import LadderSegmentReader, LadderSegmentWriter
 from repro.ladder.session import LadderSession
 from repro.platform.schedule import ThreadTask
-from repro.resilience.degradation import DegradationLevel, ResilienceConfig
+from repro.resilience.degradation import ResilienceConfig
 from repro.resilience.errors import CorruptFrameError
 from repro.serving.admission import (
     AdmissionController,
@@ -580,11 +580,11 @@ class TestOneRungIsThePlainSession:
 
     @pytest.mark.skipif(native.lib is None, reason="native kernels not built")
     def test_a_rebuilt_encoder_plans_its_gop_afresh(self, monkeypatch):
-        """The watchdog's rebuild mid-GOP: a fresh session restored to
-        the last boundary and re-fed the interrupted GOP — three frames
-        of it already encoded — builds its own table for it, and
-        encodes what the uninterrupted session does, those three
-        included."""
+        """RESUME's rebuild mid-GOP: a fresh session restored to the
+        last boundary and re-fed the interrupted GOP — three frames of
+        it already encoded before the cut — builds its own table for
+        it, and encodes what the uninterrupted session does, those
+        three included."""
         video = BioMedicalVideoGenerator(GeneratorConfig(
             width=256, height=192, num_frames=2 * _GOP, seed=5,
             content_class=ContentClass.BRAIN, motion=MotionPreset.PAN_RIGHT,
@@ -598,7 +598,7 @@ class TestOneRungIsThePlainSession:
                 whole.push(frame)
             snapshot = whole.export_state()
             want = [out for frame in video.frames[_GOP:_GOP + 3]
-                    for out in whole.push(frame)]  # wedged mid-GOP
+                    for out in whole.push(frame)]  # cut mid-GOP
             assert len(want) == 3
             with LadderSession(config, ladder) as rebuilt:
                 rebuilt.import_state(snapshot)
@@ -633,23 +633,6 @@ class TestOneRungIsThePlainSession:
                 resumed.import_state(snapshot)
             got = _push_all(resumed, frames[_GOP:])
         assert _rung_digests(got) == _rung_digests(tail)
-
-    def test_bump_before_the_first_push_is_not_lost(self, ladder_video):
-        config = PipelineConfig(fps=24.0, gop=GopConfig(_GOP),
-                                resilience=ResilienceConfig())
-        ladder = LadderConfig(rungs=_RUNGS[:2], prune=False)
-        with LadderSession(config, ladder) as session:
-            session.bump_degradation()  # no rung yet: held
-            assert not session.rung_sessions
-            session.push(ladder_video.frames[0])
-
-            def levels():
-                return [rs.session._feedback.level
-                        for rs in session.rung_sessions]
-
-            assert levels() == [DegradationLevel.QP_BUMP] * 2
-            session.bump_degradation()
-            assert levels() == [DegradationLevel.WINDOW_SHRINK] * 2
 
 
 class TestPlanner:

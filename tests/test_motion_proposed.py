@@ -1,7 +1,6 @@
 """Tests for the proposed bio-medical search policy (paper §III-C2)."""
 
 import numpy as np
-import pytest
 
 from repro.analysis.motion_probe import MotionClass
 from repro.motion.base import SearchContext

@@ -9,7 +9,6 @@ from repro.video.generator import (
     GeneratorConfig,
     MotionPreset,
 )
-from repro.workload.keys import WorkloadKey
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,5 @@
 """Tests for the reproduction-report generator."""
 
-import pytest
-
 from repro.experiments.report import PAPER_HEADLINES, build_report
 
 

@@ -174,9 +174,9 @@ class TestDegradationLadder:
         ctl = self.controller()
         ctl.observe_frame([0.05])
         ctl.observe_corrupt_frame()
-        ctl.force_escalate()
+        ctl.observe_dropped_frame()
         counts = ctl.report.action_counts()
-        assert counts == {"corrupt_drop": 1, "escalate": 1, "watchdog": 1}
+        assert counts == {"corrupt_drop": 1, "escalate": 1, "frame_drop": 1}
         assert list(counts) == sorted(counts)
 
     def test_report_memory_is_bounded_by_action_kinds(self):

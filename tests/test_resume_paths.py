@@ -20,12 +20,8 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.ladder.session import LadderSession
 from repro.observability import get_registry, scoped
-from repro.platform.mpsoc import MpsocConfig
 from repro.resilience.checkpoint import canonical_json
-from repro.resilience.degradation import DegradationLevel
-from repro.serving.admission import AdmissionController
 from repro.serving.protocol import (
     Bye,
     Encoded,
@@ -43,7 +39,7 @@ from repro.serving.recovery import read_journal
 from repro.serving.server import NetworkServer, ServeNetConfig
 from repro.storage.faultfs import FaultFS, FaultRule
 from tests.test_journal_format import write_line_format_journal
-from tests.test_serving_integration import _FixedEstimator, _tight_admission
+from tests.test_serving_integration import _tight_admission
 
 _W, _H = 48, 32
 _GOP = 4
@@ -433,11 +429,10 @@ def test_one_rung_ladder_hello_is_the_plain_session_on_the_wire(tmp_path):
 # ----------------------------------------------------------------------
 # Early egress: nothing leaves that RESUME cannot reproduce
 # ----------------------------------------------------------------------
-def _serve(coro_fn, journal_dir, admission=None, **config):
+def _serve(coro_fn, journal_dir, **config):
     async def main():
         server = NetworkServer(ServeNetConfig(
-            port=0, journal_dir=str(journal_dir), **config),
-            admission=admission)
+            port=0, journal_dir=str(journal_dir), **config))
         await server.start()
         try:
             return await coro_fn(server)
@@ -567,14 +562,12 @@ async def _record_appends(server) -> list:
     return appends
 
 
-@pytest.mark.parametrize("taint", ["none", "backpressure", "watchdog"])
+@pytest.mark.parametrize("taint", ["none", "backpressure"])
 def test_early_egress_is_off_while_a_taint_holds(tmp_path, monkeypatch,
                                                  taint):
-    """Each of the two conditions keeps the outcomes of its GOP behind
-    the GOP's ``gop`` append (stalled here, so the order shows): a
-    backpressure drop mid-GOP, a watchdog fire.
-    Untainted, they leave before it.  Outcomes encoded before the
-    watchdog fired left already: a resume reproduces them."""
+    """A backpressure drop mid-GOP keeps the outcomes of its GOP behind
+    the GOP's ``gop`` append (stalled here, so the order shows).
+    Untainted, they leave before it."""
     import repro.serving.server as server_mod
 
     config = {}
@@ -582,19 +575,14 @@ def test_early_egress_is_off_while_a_taint_holds(tmp_path, monkeypatch,
     push_all, stalled = server_mod._push_all, []
     if taint == "none":
         early = {0, 1, 2, 3}
-    elif taint == "backpressure":
+    else:
         config = {"queue_frames": 2}
-    elif taint == "watchdog":
-        config = {"watchdog_multiple": 1.0, "watchdog_min_s": 0.05}
-        early = {0, 1}
 
     def stalling(encoder, frames):
         # Backpressure: the session's first job is slow, so the burst
-        # behind it overflows the queue.  Watchdog: frame 2's job
-        # wedges past its budget.
-        slow = {"backpressure": 0, "watchdog": 2}.get(taint)
-        if slow in [f.index for f in frames] and not stalled:
-            stalled.append(slow)
+        # behind it overflows the queue.
+        if taint == "backpressure" and not stalled:
+            stalled.append(0)
             time.sleep(0.5)
         return push_all(encoder, frames)
 
@@ -642,160 +630,41 @@ def test_early_egress_is_off_while_a_taint_holds(tmp_path, monkeypatch,
     gop = range(next_index)
     assert sorted(i for i in gop if arrived[i] < durable_at) == sorted(early)
     assert len(arrived) == 8
-    if taint in ("backpressure", "watchdog"):  # the taint is in the GOP
+    if taint == "backpressure":  # the taint is in the GOP
         assert stalled
         assert taint in [dropped[i] for i in gop]
 
 
-@pytest.mark.parametrize("wedged", [0, _GOP])
-def test_a_watchdog_on_a_gops_first_frame_loses_one_frame(
-        tmp_path, monkeypatch, wedged):
-    """A paced, journaled session whose watchdog fires on a GOP's first
-    frame — the session's very first, or the second GOP's: the rebuilt
-    encoder holds nothing, so there is no GOP to close and no state to
-    export.  One frame is lost; the session continues, and the next
-    ``gop`` record carries the drop."""
+def test_a_backpressure_drop_rides_its_gop_record(tmp_path, monkeypatch):
+    """A timing drop — here backpressure: frame 1's encode stalls, the
+    one-frame ingest queue holds frame 2 and turns frame 3 away — is
+    journaled: the GOP record that covers it carries it, and its notice
+    leaves with that record, as do the GOP's outcomes after the drop.
+    The client is cut while the record's append is stalled, holding
+    frame 0 only; the record lands anyway, RESUME replays frames 1 to 4
+    with frame 3 as ``backpressure``, and across both connections every
+    index has exactly one outcome — the uninterrupted run's."""
     import repro.serving.server as server_mod
 
-    push_all, stalled = server_mod._push_all, []
+    push_all, stalled, pushed = server_mod._push_all, [], []
 
     def stalling(encoder, frames):
-        if wedged in [f.index for f in frames] and not stalled:
-            stalled.append(wedged)
-            time.sleep(0.5)
-        return push_all(encoder, frames)
+        if 1 in [f.index for f in frames] and not stalled:
+            stalled.append(1)
+            time.sleep(1.0)
+        outputs = push_all(encoder, frames)
+        pushed.extend(f.index for f in frames)
+        return outputs
 
     monkeypatch.setattr(server_mod, "_push_all", stalling)
     total = 3 * _GOP
+    hello = Hello(width=_W, height=_H, fps=24.0, gop=_GOP, client_id="full")
 
-    async def drill(server):
-        reader, writer = await asyncio.open_connection(
-            "127.0.0.1", server.port)
-        await write_message(writer, Hello(width=_W, height=_H, fps=24.0,
-                                          gop=_GOP, client_id="first"))
-        token = (await read_message(reader)).resume_token
-        for i in range(total):
+    async def paced(writer, indices):
+        """Each frame once the one before it was pushed: no more drops."""
+        for i in indices:
             await _send_frames(writer, [i])
-            await asyncio.sleep(0.05)
-        await write_message(writer, Bye("done"))
-        dropped = {}
-        while True:
-            msg = await read_message(reader)
-            if isinstance(msg, Bye):
-                break
-            if isinstance(msg, Encoded):
-                dropped[msg.frame_index] = msg.dropped
-        writer.close()
-        path = server._journal_store.path_for(token)
-        return dropped, [payload for kind, payload
-                         in read_journal(path).records if kind == "gop"]
-
-    dropped, records = _serve(
-        drill, tmp_path, watchdog_multiple=1.0, watchdog_min_s=0.05)
-    assert stalled == [wedged]
-    assert dropped == {i: "watchdog" if i == wedged else None
-                       for i in range(total)}
-    carried = [o for r in records for o in r["outputs"]
-               if o["frame_index"] == wedged]
-    assert [o["dropped"] for o in carried] == ["watchdog"]
-
-
-def test_a_watchdog_fire_leaves_every_running_session_charged(
-        tmp_path, monkeypatch):
-    """A watchdog fire is answered inside its own stream: the wedged
-    frame is dropped as ``watchdog`` and the stream degrades one rung.
-    Admission is left as it was: on a full two-core platform every
-    running session — the wedged one too — keeps its ticket, and the
-    occupancy admission prices the next HELLO against is unchanged."""
-    import repro.serving.server as server_mod
-
-    push_all, stalled = server_mod._push_all, []
-
-    def stalling(encoder, frames):
-        if 2 in [f.index for f in frames] and not stalled:
-            stalled.append(2)
-            time.sleep(1.5)
-        return push_all(encoder, frames)
-
-    bump, levels = LadderSession.bump_degradation, []
-
-    def bumping(session):
-        bump(session)
-        levels.append([rs.session._feedback.level
-                       for rs in session.rung_sessions])
-
-    monkeypatch.setattr(server_mod, "_push_all", stalling)
-    monkeypatch.setattr(LadderSession, "bump_degradation", bumping)
-    total = 2 * _GOP
-    platform = MpsocConfig(num_sockets=1, cores_per_socket=2)
-    # 0.6 cores a session: three fill the two cores, a fourth would not.
-    admission = AdmissionController(estimator=_FixedEstimator(0.6 / 24.0),
-                                    platform=platform)
-
-    async def drill(server):
-        writers = []
-        for name in ("idle-a", "idle-b", "wedge"):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port)
-            await write_message(writer, Hello(width=_W, height=_H, fps=24.0,
-                                              gop=_GOP, client_id=name))
-            assert (await read_message(reader)).decision == "accept"
-            writers.append(writer)
-        charged = (admission.active_sessions, admission.occupancy_cores)
-        assert charged[0] == 3
-        assert charged[1] + 0.6 > admission.capacity_cores
-        dropped = {}
-        for i in range(2):  # each leaves before the next is sent
-            await _send_frames(writer, [i])
-            dropped[i] = (await read_message(reader)).dropped
-        await _send_frames(writer, [2])  # a job of its own
-        await _until(lambda: stalled, "frame 2 never wedged")
-        await _send_frames(writer, range(3, total))
-        while len(dropped) < total:
-            msg = await read_message(reader)
-            if isinstance(msg, Encoded):
-                dropped[msg.frame_index] = msg.dropped
-        after = (admission.active_sessions, admission.occupancy_cores)
-        for w in writers:
-            await write_message(w, Bye("done"))
-            w.close()
-        return charged, after, dropped
-
-    charged, after, dropped = _serve(
-        drill, tmp_path, admission=admission, platform=platform,
-        watchdog_multiple=1.0, watchdog_min_s=1.0)
-    assert stalled == [2]
-    assert dropped == {i: "watchdog" if i == 2 else None
-                       for i in range(total)}
-    assert levels == [[DegradationLevel.QP_BUMP]]
-    assert after == charged
-
-
-def test_a_watchdog_drop_rides_its_gop_record(tmp_path, monkeypatch):
-    """A timing drop — here the watchdog's, of frame 2, whose encode
-    wedges — is journaled: the GOP record that covers it carries it,
-    and its notice leaves with that record.  The client is cut while
-    the record's append is stalled, holding frames 0 and 1 only; the
-    record lands anyway, RESUME replays frame 2 as ``watchdog`` (not as
-    a synthesised ``backpressure`` hole) and the GOP's other frames,
-    and across both connections every index has exactly one outcome —
-    the uninterrupted run's."""
-    import repro.serving.server as server_mod
-
-    push_all, stalled = server_mod._push_all, []
-
-    def stalling(encoder, frames):
-        if 2 in [f.index for f in frames] and not stalled:
-            stalled.append(2)
-            time.sleep(1.5)
-        return push_all(encoder, frames)
-
-    monkeypatch.setattr(server_mod, "_push_all", stalling)
-    total = 3 * _GOP
-    hello = Hello(width=_W, height=_H, fps=24.0, gop=_GOP, client_id="wedge")
-    # A floor well above a cold process's first encode (≈ 0.5 s), so
-    # the wedged job is the only one the watchdog fires on.
-    watchdog = dict(watchdog_multiple=1.0, watchdog_min_s=1.0)
+            await _until(lambda: i in pushed, f"frame {i} never pushed")
 
     async def until_bye(reader):
         outcomes = []
@@ -804,16 +673,18 @@ def test_a_watchdog_drop_rides_its_gop_record(tmp_path, monkeypatch):
                 outcomes.append(msg)
         return outcomes
 
-    async def first_three(reader, writer):
-        """Frames 0 and 1 leave early (nothing was given up yet); frame
-        2 is a job of its own, so it is the job the watchdog drops."""
+    async def first_five(reader, writer):
+        """Frame 0 leaves early (nothing was given up yet); frame 1's
+        job stalls while frames 2 and 3 arrive, so 3 is dropped."""
         stalled.clear()
-        received = []
-        for i in range(2):
-            await _send_frames(writer, [i])
-            received.append(await read_message(reader))
-        await _send_frames(writer, [2])
-        await _until(lambda: stalled, "frame 2 never wedged")
+        pushed.clear()
+        await _send_frames(writer, [0])
+        received = [await read_message(reader)]
+        await _send_frames(writer, [1])
+        await _until(lambda: stalled, "frame 1 never stalled")
+        await _send_frames(writer, [2, 3])
+        await _until(lambda: 2 in pushed, "frame 2 never pushed")
+        await paced(writer, [4])
         return received
 
     async def uninterrupted(server):
@@ -821,8 +692,8 @@ def test_a_watchdog_drop_rides_its_gop_record(tmp_path, monkeypatch):
             "127.0.0.1", server.port)
         await write_message(writer, hello)
         await read_message(reader)
-        received = await first_three(reader, writer)
-        await _send_frames(writer, range(3, total))
+        received = await first_five(reader, writer)
+        await paced(writer, range(5, total))
         await write_message(writer, Bye("done"))
         encoded = received + await until_bye(reader)
         writer.close()
@@ -833,34 +704,37 @@ def test_a_watchdog_drop_rides_its_gop_record(tmp_path, monkeypatch):
             "127.0.0.1", server.port)
         await write_message(writer, hello)
         token = (await read_message(reader)).resume_token
-        received = await first_three(reader, writer)
-        await _send_frames(writer, range(3, _GOP + 1))
+        received = await first_five(reader, writer)
         await _until(lambda: faultfs.injected, "GOP append never started")
         writer.transport.abort()  # cut while the record is stalled
         await _until(lambda: not server._attached
                      and not os.path.exists(_lease(server, token)),
                      "cut session never torn down")
+        (record,) = [payload for kind, payload in read_journal(
+            server._journal_store.path_for(token)).records if kind == "gop"]
         reader, writer = await asyncio.open_connection(
             "127.0.0.1", server.port)
-        await write_message(writer, Resume(resume_token=token, have_below=2,
-                                           client_id="wedge"))
+        await write_message(writer, Resume(resume_token=token, have_below=1,
+                                           client_id="full"))
         ack = await read_message(reader)
         assert ack.decision == "accept", ack
-        assert (ack.next_frame_index, ack.replayed) == (_GOP + 1, 3), ack
-        await _send_frames(writer, range(ack.next_frame_index, total))
+        assert (ack.next_frame_index, ack.replayed) == (_GOP + 1, 4), ack
+        pushed.clear()
+        await paced(writer, range(ack.next_frame_index, total))
         await write_message(writer, Bye("done"))
         encoded = await until_bye(reader)
         writer.close()
-        return received, encoded
+        return received, record, encoded
 
-    want = _serve(uninterrupted, tmp_path / "whole", **watchdog)
+    want = _serve(uninterrupted, tmp_path / "whole", queue_frames=1)
     faultfs = _stalled_first_gop(stall_s=0.3)
-    received, resumed = _serve(cut_and_resumed, tmp_path / "cut",
-                               fileops=faultfs, **watchdog)
-    first = [m.frame_index for m in received]
-    assert first == [0, 1] and all(m.dropped is None for m in received)
-    assert [(m.frame_index, m.dropped) for m in resumed[:3]] == [
-        (2, "watchdog"), (3, None), (4, None)]
+    received, record, resumed = _serve(
+        cut_and_resumed, tmp_path / "cut", fileops=faultfs, queue_frames=1)
+    assert [(m.frame_index, m.dropped) for m in received] == [(0, None)]
+    assert [(o["frame_index"], o["dropped"]) for o in record["outputs"]
+            if o["dropped"]] == [(3, "backpressure")]
+    assert [(m.frame_index, m.dropped) for m in resumed[:4]] == [
+        (1, None), (2, None), (3, "backpressure"), (4, None)]
     got = {m.frame_index: _outcome(m) for m in received}
     for msg in resumed:
         assert msg.frame_index not in got  # one outcome per index

@@ -376,7 +376,7 @@ class TestProtocolRejection:
     def test_oversized_length_rejected_before_buffering(self):
         import struct
 
-        header = struct.pack("!4sBBHII", b"RPRV", 1, int(Bye.type), 0,
+        header = struct.pack("!4sBBHII", b"RPRV", 2, int(Bye.type), 0,
                              MAX_PAYLOAD + 1, 0)
         with pytest.raises(ProtocolError, match="too large"):
             decode_frame(header)
@@ -393,7 +393,7 @@ class TestProtocolRejection:
         import zlib
 
         payload = bad[HEADER_SIZE:]
-        header = struct.pack("!4sBBHII", b"RPRV", 1, int(HelloAck.type), 0,
+        header = struct.pack("!4sBBHII", b"RPRV", 2, int(HelloAck.type), 0,
                              len(payload), zlib.crc32(payload))
         with pytest.raises(ProtocolError, match="decision"):
             decode_frame(header + payload)
@@ -626,10 +626,8 @@ def test_every_serve_net_field_is_read_by_the_server():
 
     assert [f.name for f in dataclasses.fields(ServeNetConfig)] == [
         "host", "port", "queue_frames", "egress_frames", "park_timeout_s",
-        "admission", "platform", "journal_dir",
-        "watchdog_multiple", "watchdog_min_s", "drain_grace_s",
+        "admission", "platform", "journal_dir", "drain_grace_s",
         "policy_file", "fileops", "journal_retry_backoff_s",
-        "durability_probe_s",
     ]
     assert _unread_fields(ServeNetConfig, r"\bconfig|\bcfg",
                           server_mod) == []

@@ -228,37 +228,34 @@ _LADDER = ((64, 64), (48, 48), (32, 32))
 def test_one_encode_pool_job_takes_what_is_queued_up_to_the_gop_end(
         monkeypatch, ladder, paced):
     """One pool job takes every frame queued up to the open GOP's end,
-    with the watchdog armed, whatever the rung count: paced, every
-    frame is its own job; backlogged, each GOP is one.  Every push
-    encodes its frame on every rung, so the outcomes leave frame by
-    frame, rung by rung within a frame, and the session's end runs no
-    job."""
+    whatever the rung count: paced, every frame is its own job;
+    backlogged, each GOP is one.  Every job runs on an encode-pool
+    thread.  Every push encodes its frame on every rung, so the
+    outcomes leave frame by frame, rung by rung within a frame, and the
+    session's end runs no job."""
+    import threading
+
+    import repro.serving.server as server_mod
     from repro.ladder.session import LadderSession
 
     width, height = _LADDER[0]
     frames = 3 * _GOP
     _, planes = _planes(width, height, frames)
-    jobs, guarded, pushed = [], [], []
-    wait_for = asyncio.wait_for
+    jobs, threads, pushed = [], set(), []
+    push_all = server_mod._push_all
     push = LadderSession.push
 
-    def spying_wait_for(awaitable, timeout):
-        guarded.append(timeout)
-        return wait_for(awaitable, timeout)
+    def counting(encoder, batch):
+        jobs.append([f.index for f in batch])
+        threads.add(threading.current_thread().name)
+        return push_all(encoder, batch)
 
     async def until(condition):
         while not condition():
             await asyncio.sleep(0.002)
 
     async def drill(server):
-        loop = asyncio.get_running_loop()
-        run_in_executor = loop.run_in_executor
         encode_loop = server._encode_loop
-
-        def counting(executor, fn, *args):
-            if executor is server._encode_pool:  # a push job
-                jobs.append([f.index for f in args[1]])
-            return run_in_executor(executor, fn, *args)
 
         async def after_the_backlog(session):
             # Backlogged: every frame (and the BYE) is queued before
@@ -266,8 +263,7 @@ def test_one_encode_pool_job_takes_what_is_queued_up_to_the_gop_end(
             await until(lambda: paced or session.ingest.full())
             return await encode_loop(session)
 
-        monkeypatch.setattr(loop, "run_in_executor", counting)
-        monkeypatch.setattr(asyncio, "wait_for", spying_wait_for)
+        monkeypatch.setattr(server_mod, "_push_all", counting)
         monkeypatch.setattr(LadderSession, "push", lambda self, frame: (
             pushed.append(frame.index) or push(self, frame)))
         server._encode_loop = after_the_backlog
@@ -285,12 +281,11 @@ def test_one_encode_pool_job_takes_what_is_queued_up_to_the_gop_end(
         return messages, stats
 
     messages, stats = _serve(drill, queue_frames=frames,
-                             egress_frames=4 * frames,
-                             watchdog_multiple=33.0)
+                             egress_frames=4 * frames)
     gops = [list(range(g * _GOP, (g + 1) * _GOP)) for g in range(3)]
     assert jobs == ([[i] for i in range(frames)] if paced else gops)
-    watchdog = 33.0 * _GOP / 24.0  # no other wait in the server is 11 s
-    assert guarded.count(watchdog) == len(jobs)
+    assert threads and all(name.startswith("repro-encode")
+                           for name in threads)
     rungs = range(len(ladder or (None,)))
     encoded = [m for m in messages if isinstance(m, Encoded)]
     assert [(m.frame_index, m.rung) for m in encoded] == [
@@ -298,7 +293,7 @@ def test_one_encode_pool_job_takes_what_is_queued_up_to_the_gop_end(
     assert all(m.dropped is None for m in encoded)
     assert stats["frames_received"] == frames
     assert stats["frames_encoded"] == frames * len(rungs)
-    assert stats["recovery"]["watchdog_fires"] == 0
+    assert pushed == list(range(frames))
 
 
 def test_a_backpressured_ladder_closes_its_ledger():

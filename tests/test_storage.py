@@ -26,8 +26,6 @@ from repro.resilience.checkpoint import load_lut, save_lut
 from repro.serving.recovery import SessionJournal, read_journal
 from repro.serving.server import NetworkServer, ServeNetConfig
 from repro.storage import (
-    CrashPointRecorder,
-    DurabilityMonitor,
     FaultFS,
     FaultRule,
     FsyncFailedError,
@@ -293,34 +291,6 @@ def test_recorder_ignores_paths_outside_root(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Durability brownout state machine
-# ----------------------------------------------------------------------
-def test_durability_monitor_transitions_once():
-    monitor = DurabilityMonitor(readmit_successes=2)
-    assert monitor.healthy
-    assert monitor.record_failure(StorageFullError("full")) is True
-    assert not monitor.healthy
-    # Further failures while browned out are not new episodes.
-    assert monitor.record_failure(StorageFullError("full")) is False
-
-
-def test_durability_monitor_readmits_hysteretically():
-    monitor = DurabilityMonitor(readmit_successes=3)
-    monitor.record_failure(StorageIOError("io"))
-    assert monitor.record_success() is False
-    assert monitor.record_success() is False
-    assert monitor.record_success() is True  # third clean probe readmits
-    assert monitor.healthy
-    # A failure mid-streak resets the hysteresis.
-    monitor.record_failure(StorageIOError("io"))
-    assert monitor.record_success() is False
-    assert monitor.record_failure(StorageIOError("io")) is False
-    assert monitor.record_success() is False
-    assert monitor.record_success() is False
-    assert monitor.record_success() is True
-
-
-# ----------------------------------------------------------------------
 # Journal append under injected faults (retry + rollback)
 # ----------------------------------------------------------------------
 def test_journal_append_retries_transient_eio(tmp_path):
@@ -448,14 +418,12 @@ def test_policy_read_fault_refuses_to_start(tmp_path):
 # ----------------------------------------------------------------------
 def test_serving_summary_storage_defaults_are_stable():
     # A snapshot from a server that never browned out (or predates the
-    # storage counters) must read as fully durable with zero events.
+    # storage counters) must read zero storage events.
     registry = MetricsRegistry()
     registry.inc("repro_serving_sessions_total")
     summary = serving_summary(registry.to_dict())
     assert summary is not None
-    assert summary["durability"] == 1.0
     assert summary["durability_brownouts"] == 0
-    assert summary["durability_readmits"] == 0
     assert summary["tombstone_rejects"] == 0
     assert summary["journal_retries"] == 0
     assert summary["journal_appends"] == 0
@@ -479,10 +447,10 @@ def test_serving_summary_reports_journal_cost():
 def test_serving_summary_reports_brownout_state():
     registry = MetricsRegistry()
     registry.inc("repro_serving_sessions_total")
-    registry.set_gauge("repro_serving_durability", 0.0)
     registry.inc("repro_serving_durability_brownouts_total")
     registry.inc("repro_serving_journal_retries_total", 3)
     summary = serving_summary(registry.to_dict())
-    assert summary["durability"] == 0.0
     assert summary["durability_brownouts"] == 1
     assert summary["journal_retries"] == 3
+    assert "durability   : brownouts 1, " in format_metrics(
+        registry.to_dict())

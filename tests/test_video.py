@@ -5,7 +5,6 @@ import pytest
 
 from repro.video.frame import Frame, Video
 from repro.video.generator import (
-    BioMedicalVideoGenerator,
     ContentClass,
     GeneratorConfig,
     MotionPreset,
