@@ -1,13 +1,12 @@
 # Developer entry points.  `make check` is the pre-commit gate: the
 # tier-1 test suite, the slow tier (the loopback chaos, restart,
-# storage-fault and stall tests the default run skips), a fast smoke
-# pass over the paper-table benchmarks under benchmarks/ (their
-# `-m 'not slow'` subset runs each micro-benchmark once without timing
-# loops), the bench harness's
-# correctness gate and the fixed-seed drills.  Coverage is collected
-# when pytest-cov is installed and skipped silently otherwise — the
-# toolchain image does not bake the plugin in, and the suite must not
-# depend on it.
+# crash-consistency, storage-fault and stall tests the default run
+# skips), a fast smoke pass over the paper-table benchmarks under
+# benchmarks/ (their `-m 'not slow'` subset runs each micro-benchmark
+# once without timing loops) and the bench harness's correctness
+# gate.  Coverage is collected when pytest-cov is installed and skipped
+# silently otherwise — the toolchain image does not bake the plugin
+# in, and the suite must not depend on it.
 
 PY      := python
 PYTEST  := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PY) -m pytest
@@ -15,10 +14,9 @@ HAS_COV := $(shell $(PY) -c "import pytest_cov" 2>/dev/null && echo 1)
 COVOPTS := $(if $(HAS_COV),--cov=repro --cov-report=term-missing)
 
 .PHONY: check test test-slow reference sanitize bench-smoke bench-check \
-	golden serve-smoke chaos restart-chaos ladder-smoke torture clean
+	golden clean
 
-check: test test-slow reference sanitize bench-smoke bench-check \
-	serve-smoke chaos restart-chaos ladder-smoke torture
+check: test test-slow reference sanitize bench-smoke bench-check
 
 test:
 	$(PYTEST) -x -q $(COVOPTS)
@@ -107,48 +105,11 @@ bench-check:
 	python3 bench/run.py --workload vga_duo --seed 1 --seconds 3 --trace 0
 	python3 bench/run.py --workload vga_ladder --seed 1 --seconds 3 --trace 0
 
-# Regenerate the golden trace after an intentional instrumentation change.
+# Rewrite every golden (the trace, the ladder's per-rung digests, the
+# torture write points) after an intentional change to what it pins.
 golden:
-	$(PYTEST) tests/test_golden_trace.py -q --update-golden
-
-# End-to-end gate for the network serving layer: ephemeral port, a few
-# short loadgen sessions, fails on any protocol error or an empty
-# serving-metrics snapshot.
-serve-smoke:
-	PYTHONPATH=src $(PY) -m repro.serving.smoke
-
-# Fixed-seed chaos drill: journaled server behind the chaos proxy, a
-# deterministic mid-stream cut, fault-tolerant clients; fails unless
-# the severed session RESUMEs and every frame outcome is delivered.
-chaos:
-	PYTHONPATH=src $(PY) -m repro.serving.chaos_smoke
-
-# Fixed-seed kill-and-restart drill: SIGKILL a journaled serve-net
-# child mid-stream, reap it, restart it on the same port and journal
-# directory; fails unless every session RESUMEs, the restarted process
-# adopts them and delivery is bit-identical to an uninterrupted
-# reference pass.
-restart-chaos:
-	PYTHONPATH=src $(PY) -m repro.serving.restart_smoke
-
-# Fixed-seed rendition-ladder drill: encodes one stream into a 3-rung
-# ladder, checks GOP-aligned segments + manifest, per-rung bit-identity
-# with independent sessions, and the golden per-rung digests.  After an
-# intentional codec change: `make ladder-smoke UPDATE=--update-golden`.
-ladder-smoke:
-	PYTHONPATH=src $(PY) -m repro.ladder.smoke $(UPDATE)
-
-# Fixed-seed crash-consistency torture drill: records every durable
-# mutation of a pinned serving drill, checks the write-point digest
-# against tests/golden/torture_points.json, simulates a crash (and a
-# torn write) at every recorded point asserting each prefix restores
-# bit-identically or fails with a typed StorageError (and that the
-# torn variants of the gop appends cut both a header and a plane
-# blob), then runs a live ENOSPC durability-brownout drill.  After an
-# intentional change to the set of durable write paths:
-# `make torture UPDATE=--update-golden`.
-torture:
-	PYTHONPATH=src $(PY) -m repro.storage.torture $(UPDATE)
+	$(PYTEST) -m "" tests/test_golden_trace.py tests/test_ladder.py \
+		tests/test_torture.py -k golden -q --update-golden
 
 clean:
 	rm -rf .pytest_cache .hypothesis metrics.json trace.jsonl

@@ -477,12 +477,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_torture(args: argparse.Namespace) -> int:
-    from repro.storage.torture import main as torture_main
-
-    return torture_main(["--update-golden"] if args.update_golden else [])
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import fig3, fig4, table1, table2
     module = {"table1": table1, "fig3": fig3, "table2": table2,
@@ -707,16 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--prom", action="store_true",
                    help="emit Prometheus text exposition instead")
     m.set_defaults(func=_cmd_metrics)
-
-    to = sub.add_parser(
-        "torture",
-        help="crash-consistency torture harness over the storage layer",
-    )
-    to.add_argument("--update-golden", action="store_true",
-                    dest="update_golden",
-                    help="rewrite tests/golden/torture_points.json from "
-                         "this run's write-point digest")
-    to.set_defaults(func=_cmd_torture)
 
     x = sub.add_parser("experiment", help="regenerate a paper table/figure")
     x.add_argument("name", choices=["table1", "fig3", "table2", "fig4"])

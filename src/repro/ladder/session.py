@@ -23,8 +23,8 @@ Each surviving rung then runs an ordinary
 a rung session with a pinned content class is exactly what an
 independent single-rung run with the same pinned class would be, the
 ladder's per-rung output is **bit-identical** to N independent
-sessions — the property `tests/test_ladder.py` and the smoke drill
-assert, and what makes the shared-analysis savings free.
+sessions — the property `tests/test_ladder.py` asserts, and what
+makes the shared-analysis savings free.
 
 Every :meth:`~LadderSession.push` checks its ingest frame once, then
 pushes it, scaled, into every rung, and returns that frame's output on

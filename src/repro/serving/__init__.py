@@ -14,8 +14,6 @@ This package puts a real network path in front of the reproduction:
   (bit-identical to the offline path);
 * :mod:`repro.serving.loadgen` — load-generator client with Poisson or
   burst arrivals, a content-class mix and a latency report;
-* :mod:`repro.serving.smoke` — the ``make serve-smoke`` end-to-end
-  gate;
 * :mod:`repro.serving.statestore` — externalised session state
   (:class:`~repro.serving.statestore.SharedDirStateStore`:
   shared-directory journals + single-owner lease records, so a

@@ -181,8 +181,8 @@ class SessionReport:
     connect_refusals: int = 0
     #: Refusals while already holding a resume token: the server
     #: serving this session is down (killed, not yet restarted), not
-    #: an admission verdict — the restart drill asserts these retry
-    #: cleanly and that ``connect_refusals`` proper stays zero.
+    #: an admission verdict — the SIGKILL restart test asserts these
+    #: retry cleanly and that ``connect_refusals`` proper stays zero.
     retryable_restarts: int = 0
     #: RESUMEs transiently rejected because the session's lease was
     #: held by a live process or the store faulted (retried after the

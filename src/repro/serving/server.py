@@ -170,8 +170,7 @@ class ServeNetConfig:
     policy_file: Optional[str] = None
     #: Injectable filesystem seam for every durable write (journals,
     #: leases, LUT checkpoints, policy reads).  ``None`` = the real
-    #: filesystem; tests and the torture harness pass a
-    #: :class:`repro.storage.faultfs.FaultFS`.
+    #: filesystem; tests pass a :class:`repro.storage.faultfs.FaultFS`.
     fileops: Optional[FileOps] = None
     #: Backoff base of the bounded retry of *transient* journal-append
     #: faults (:class:`repro.storage.RetryPolicy` fixes the tries).

@@ -6,7 +6,8 @@ Two pieces:
   taxonomy (transient vs persistent) plus bounded retry/backoff;
 * :mod:`repro.storage.faultfs` — the injectable :class:`FileOps`
   seam, the seeded :class:`FaultFS` fault shim and the
-  :class:`CrashPointRecorder` behind ``make torture``.
+  :class:`CrashPointRecorder` that ``tests/test_torture.py``
+  restarts from.
 
 A journal volume that fails persistently takes the one session that
 hit it off its journal (degrade, never crash); the serving layer keeps

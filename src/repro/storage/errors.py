@@ -45,7 +45,7 @@ class StorageError(TranscodeError, OSError):
 
     ``point`` names the instrumented write point (``"journal.append"``,
     ``"lut.publish"``, ...) so faults are attributable in logs and the
-    torture harness can assert *where* an error surfaced.
+    tests can assert *where* an error surfaced.
     """
 
     transient = False

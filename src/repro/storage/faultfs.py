@@ -24,8 +24,8 @@ directly.  Three implementations of interest:
     log into a scratch directory — the ALICE/ferrite-style crash
     model: a crash may happen between any two completed operations,
     or mid-operation for the write ops, leaving a torn tail.  The
-    torture harness (:mod:`repro.storage.torture`) restarts from every
-    such state and asserts the loaders' verdicts.
+    torture test (``tests/test_torture.py``) restarts from every such
+    state and asserts the loaders' verdicts.
 
 Write points are plain dotted names matched by ``fnmatch`` patterns,
 so a rule of ``point="journal.*"`` faults the whole journal surface
@@ -388,7 +388,7 @@ class FaultFS(FileOps):
 
     Wraps a base seam (default :data:`REAL_FILEOPS`); with no rules
     and recording off it is behaviourally identical to the base — the
-    no-fault torture arm relies on that.
+    torture test's no-fault arm checks that.
     """
 
     def __init__(self, rules: Sequence[FaultRule] = (), seed: int = 0,

@@ -20,7 +20,9 @@ from repro.video.generator import (
 def pytest_addoption(parser):
     parser.addoption(
         "--update-golden", action="store_true", default=False,
-        help="rewrite the golden-trace files instead of comparing",
+        help="rewrite every golden under tests/golden (the trace, the "
+             "ladder's rung digests, the torture write points) instead of "
+             "comparing; `make golden` runs each golden test with it",
     )
     parser.addoption(
         "--native-cflags", default="",

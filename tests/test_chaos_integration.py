@@ -12,6 +12,7 @@ the deadline-miss metrics bounded.  Marked slow.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import re
 import signal
@@ -41,6 +42,7 @@ from repro.serving.protocol import (
     read_message,
     write_message,
 )
+from repro.serving.recovery import JournalStore
 from repro.serving.server import NetworkServer, ServeNetConfig
 from repro.transcode.pipeline import PipelineConfig, StreamTranscoder
 from repro.video.generator import ContentClass, generate_video
@@ -294,6 +296,89 @@ class TestResumePreemption:
         _assert_bit_identical(received, reference)
 
 
+_RESTART_SESSIONS = 4
+_RESTART_FRAMES = 24
+_PORT_LINE = re.compile(rb"serving on [^\s:]+:(\d+)")
+
+
+def _child_env() -> dict:
+    """The environment a ``serve-net`` child imports this tree from."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+async def _start_server(port: int, journal_dir: str, metrics_out: str):
+    """Start ``serve-net``; returns (process, the port it reports)."""
+    proc = await asyncio.create_subprocess_exec(
+        sys.executable, "-m", "repro.cli", "serve-net", "--port", str(port),
+        "--journal-dir", journal_dir, "--metrics-out", metrics_out,
+        stdout=asyncio.subprocess.PIPE, stdin=asyncio.subprocess.DEVNULL,
+        env=_child_env(),
+    )
+    line = await asyncio.wait_for(proc.stdout.readline(), timeout=60.0)
+    match = _PORT_LINE.search(line)
+    if match is None:
+        proc.kill()
+        await proc.wait()
+        raise AssertionError(f"serve-net did not report its port: {line!r}")
+    return proc, int(match.group(1))
+
+
+async def _wait_mid_stream(journal_dir: str, timeout_s: float) -> bool:
+    """Until every session has a durable GOP and none has finished."""
+    store = JournalStore(journal_dir, fsync=False)
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout_s
+    while loop.time() < deadline:
+        durable = 0
+        for token in store.tokens():
+            try:
+                if store.restore(token).next_frame_index >= _GOP:
+                    durable += 1
+            except (OSError, ValueError):
+                pass  # mid-create or torn tail: not durable yet
+        if durable == _RESTART_SESSIONS:
+            return True
+        await asyncio.sleep(0.02)
+    return False
+
+
+async def _restart_pass(journal_dir: str, kill: bool):
+    """One loadgen pass against a ``serve-net`` child, SIGKILLed and
+    restarted mid-stream if ``kill``; returns (report, sessions adopted
+    by the child running at the end)."""
+    os.makedirs(journal_dir)
+    metrics_out = os.path.join(journal_dir, "metrics.json")
+    proc, port = await _start_server(0, journal_dir, metrics_out)
+    try:
+        task = asyncio.ensure_future(run_loadgen_async(LoadGenConfig(
+            port=port, sessions=_RESTART_SESSIONS, frames=_RESTART_FRAMES,
+            width=_W, height=_H, gop=_GOP, seed=23,
+            arrival="burst", burst_size=_RESTART_SESSIONS, rate_hz=100.0,
+            # Paced, so the stream is long enough to kill the server in
+            # the middle of it.
+            frame_interval_s=0.05,
+            max_reconnects=8, backoff_base_s=0.05, timeout_s=120.0,
+        )))
+        if kill:
+            assert await _wait_mid_stream(journal_dir, 30.0)
+            proc.kill()
+            await proc.wait()  # reap: a zombie still holds its leases
+            proc, _ = await _start_server(port, journal_dir, metrics_out)
+        report = await task
+    finally:
+        if proc.returncode is None:
+            proc.terminate()  # drain, then the metrics snapshot
+            await proc.communicate()
+    with open(metrics_out) as fh:
+        summary = serving_summary(json.load(fh)) or {}
+    return report, summary.get("sessions_adopted", 0.0)
+
+
 class TestDrainAndRestart:
     def test_parked_session_survives_server_restart(self, tmp_path):
         content = ContentClass.BONE
@@ -370,38 +455,40 @@ class TestDrainAndRestart:
 
 
     def test_killed_server_restarts_and_adopts_its_sessions(self, tmp_path):
-        """SIGKILL a journaled ``serve-net`` child mid-stream, reap it
-        and restart it on the same port and journal directory: every
-        session completes with one outcome per frame, the restarted
-        process adopts the killed one's sessions, and no client sees a
-        hard refusal (the bit-identity gate is ``make restart-chaos``)."""
-        from repro.serving import restart_smoke
-
-        report, adopted = asyncio.run(
-            restart_smoke._run_pass(str(tmp_path), kill=True))
-        assert report.accepted == restart_smoke.SESSIONS
-        assert report.errored == 0 and report.protocol_errors == 0
-        assert report.connect_refusals == 0
-        assert report.divergent_replays == 0
-        assert report.resumes >= 1
+        """SIGKILL a journaled ``serve-net`` child once every session
+        has a durable GOP, reap it and restart it on the same port and
+        journal directory.  Every session completes with one outcome
+        per frame and none dropped, the restarted process adopts the
+        killed one's sessions, no client sees a hard refusal or a
+        divergent replay, and every session's output digest equals an
+        uninterrupted reference pass's."""
+        reference, _ = asyncio.run(
+            _restart_pass(str(tmp_path / "reference"), kill=False))
+        drilled, adopted = asyncio.run(
+            _restart_pass(str(tmp_path / "killed"), kill=True))
+        for report in (reference, drilled):
+            assert report.accepted == _RESTART_SESSIONS
+            assert report.errored == 0 and report.protocol_errors == 0
+            assert report.divergent_replays == 0
+            # Paced frames never overflow a queue: a drop would void
+            # the digest comparison below.
+            assert [(s.frames_encoded, s.frames_dropped)
+                    for s in report.sessions] == [(_RESTART_FRAMES, 0)] * (
+                        _RESTART_SESSIONS)
+        assert drilled.connect_refusals == 0
+        assert drilled.resumes >= 1
         assert adopted >= 1
-        assert [s.frames_encoded + s.frames_dropped
-                for s in report.sessions] == [restart_smoke.FRAMES] * (
-                    restart_smoke.SESSIONS)
+        assert ({s.session: s.output_digest for s in drilled.sessions}
+                == {s.session: s.output_digest for s in reference.sessions})
 
 
 class TestSigtermDrain:
     def test_subprocess_sigterm_exits_zero(self, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            "src" + os.pathsep + env["PYTHONPATH"]
-            if env.get("PYTHONPATH") else "src"
-        )
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve-net", "--port", "0",
              "--journal-dir", str(tmp_path), "--drain-grace", "5"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, cwd=os.path.dirname(os.path.dirname(__file__)),
+            env=_child_env(), stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True,
         )
         try:
             banner = proc.stdout.readline()
@@ -498,7 +585,13 @@ class TestStalledEncode:
 
 
 class TestChaosBoundedDegradation:
-    def test_rate_faults_keep_miss_metrics_bounded(self, tmp_path):
+    @pytest.mark.parametrize("cut_after", [0, 6 * _W * _H],
+                             ids=["rate", "rate+cut"])
+    def test_rate_faults_keep_miss_metrics_bounded(self, tmp_path,
+                                                   cut_after):
+        """Seeded latency spikes and stalls, and with ``cut_after`` the
+        first connection cut about six frames into its twelve: every
+        frame still gets one outcome, and the cut session RESUMEs."""
         sessions, frames = 3, 12
 
         async def run():
@@ -510,7 +603,7 @@ class TestChaosBoundedDegradation:
                     "127.0.0.1", server.port,
                     ChaosConfig(seed=13, latency_spike_rate=0.05,
                                 latency_spike_s=0.02, stall_rate=0.02,
-                                stall_s=0.1),
+                                stall_s=0.1, cut_after_c2s_bytes=cut_after),
                 ) as proxy:
                     report = await run_loadgen_async(LoadGenConfig(
                         port=proxy.port, sessions=sessions, frames=frames,
@@ -523,12 +616,13 @@ class TestChaosBoundedDegradation:
 
         with scoped():
             report, counts = asyncio.run(run())
+            resumes = get_registry().value(
+                "repro_serving_resumes_total") or 0
 
         assert report.protocol_errors == 0
         assert report.errored == 0
-        delivered = report.frames_encoded + sum(
-            s.frames_dropped for s in report.sessions)
-        assert delivered == sessions * frames
+        assert [s.frames_encoded + s.frames_dropped
+                for s in report.sessions] == [frames] * sessions
         # Latency injection may cost deadlines but must stay bounded:
         # the ladder degrades, it does not collapse the service.
         encoded = report.frames_encoded
@@ -536,3 +630,7 @@ class TestChaosBoundedDegradation:
         assert report.deadline_misses <= encoded * 0.5
         # The drill actually injected something (seeded, so stable).
         assert sum(counts.values()) > 0
+        if cut_after:
+            assert counts["cut"] == 1
+            assert report.resumes >= 1
+            assert resumes >= 1

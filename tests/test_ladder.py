@@ -14,12 +14,17 @@ implementation of the same contract) rather than against goldens:
 * ladder admission prices the *whole* ladder (sum of per-rung
   estimates) and degrades bottom-up — rungs are dropped before the
   session is parked or shed, and the primary is never dropped.
+
+One golden (``tests/golden/ladder_smoke.json``) pins the default
+ladder's per-rung output digests, so an encoder change that keeps
+every rung equal to its independent session still cannot slip by.
 """
 
 import contextlib
 import dataclasses
 import json
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,6 +337,62 @@ def _push_all(session, frames):
 def _rung_digests(outputs):
     return {rung: _outputs_digest([o for o in outputs if o.rung == rung])
             for rung in {o.rung for o in outputs}}
+
+
+LADDER_GOLDEN = Path(__file__).parent / "golden" / "ladder_smoke.json"
+
+
+def _rung_crc(outputs):
+    """CRC-32 folded over one rung's outputs in frame order."""
+    crc = 0
+    for out in sorted(outputs, key=lambda o: o.frame_index):
+        ftype = "" if out.frame_type is None else out.frame_type.value
+        bits = out.record.bits if out.record else 0
+        head = f"{out.frame_index}:{ftype}:{out.dropped or ''}:{bits}"
+        crc = zlib.crc32(head.encode(), crc)
+        if out.reconstruction is not None:
+            crc = zlib.crc32(out.reconstruction.tobytes(), crc)
+    return f"{crc & 0xFFFFFFFF:08x}"
+
+
+def test_default_ladder_rung_digests_match_golden(update_golden):
+    """A 256x192 brain pan through the default ladder: the planner
+    keeps all three rungs for this content, every rung emits one output
+    per frame, and each rung's CRC-32 matches the committed golden.
+    After an intentional encoder change, regenerate with
+    ``pytest --update-golden``."""
+    width, height, frames, gop, segment_gops, seed = 256, 192, 16, 4, 2, 7
+    content = ContentClass.BRAIN
+    video = BioMedicalVideoGenerator(GeneratorConfig(
+        width=width, height=height, num_frames=frames, seed=seed,
+        content_class=content, motion=MotionPreset.PAN_RIGHT,
+    )).generate()
+    with LadderSession(
+        base_config=PipelineConfig(fps=video.fps, gop=GopConfig(gop)),
+        ladder=LadderConfig(rungs=default_rungs_for(width, height),
+                            segment_gops=segment_gops),
+    ) as session:
+        outputs = _push_all(session, video.frames)
+        plan = session.plan
+    assert len(plan.rungs) == 3, f"pruned {plan.pruned}"
+    by_rung = {p.rung_id: [o for o in outputs if o.rung == p.rung_id]
+               for p in plan.rungs}
+    assert [len(outs) for outs in by_rung.values()] == [frames] * 3
+    payload = {
+        "geometry": f"{width}x{height}",
+        "frames": frames, "gop": gop, "segment_gops": segment_gops,
+        "seed": seed, "content": content.value,
+        "complexity": round(plan.complexity, 6),
+        "rung_digests": {str(rung_id): _rung_crc(outs)
+                         for rung_id, outs in by_rung.items()},
+    }
+    if update_golden:
+        LADDER_GOLDEN.write_text(json.dumps(payload, indent=2, sort_keys=True)
+                                 + "\n")
+        pytest.skip(f"rewrote {LADDER_GOLDEN}")
+    assert json.loads(LADDER_GOLDEN.read_text()) == payload, (
+        "per-rung digests drifted; if intentional, regenerate with "
+        "pytest --update-golden")
 
 
 class TestOneRungIsThePlainSession:

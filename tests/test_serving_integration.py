@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.codec.config import EncoderConfig, GopConfig
-from repro.observability import scoped
+from repro.observability import get_registry, scoped
 from repro.platform.mpsoc import MpsocConfig
 from repro.resilience.degradation import ResilienceConfig
 from repro.serving.admission import AdmissionController, AdmissionPolicy
@@ -296,9 +296,14 @@ class TestLoopback:
 
         with scoped():
             report = asyncio.run(run())
+            serving_families = [
+                fam["name"] for fam in get_registry().to_dict()["metrics"]
+                if fam["name"].startswith("repro_serving_")
+                and fam["samples"]]
         assert report.accepted == 3
         assert report.protocol_errors == 0
         assert report.errored == 0
         assert report.frames_encoded > 0
+        assert serving_families
         d = report.to_dict()
         assert d["latency_p95_s"] >= d["latency_p50_s"] > 0
