@@ -447,8 +447,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             backoff_jitter=args.backoff_jitter,
             ladder=_parse_rungs(args.ladder) if args.ladder else (),
             tenants=_parse_weighted(args.tenants),
-            surge_tenants=_parse_weighted(args.surge_tenants),
-            scenario=args.scenario,
             **({"mix": mix} if mix else {}),
         )
     report = run_loadgen(config)
@@ -671,14 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="NAME[:W]",
                     help="weighted tenant mix sessions bill to "
                          "(omit for pre-policy HELLOs)")
-    lg.add_argument("--surge-tenants", nargs="+", default=None,
-                    metavar="NAME[:W]",
-                    help="tenant mix of the surge cohort "
-                         "(scenario=surge; defaults to --tenants)")
-    lg.add_argument("--scenario", default="",
-                    choices=["", "surge", "diurnal"],
-                    help="load shape: mixed-tenant mid-run surge, or "
-                         "diurnal hospital-shift arrivals")
     lg.add_argument("--backoff-jitter", type=float, default=0.5,
                     help="seeded jitter fraction applied to each backoff")
     lg.set_defaults(func=_cmd_loadgen)

@@ -44,18 +44,14 @@ class JournalCorruptionError(TranscodeError, ValueError):
 
 
 class LeaseHeldError(TranscodeError, RuntimeError):
-    """A session lease is held by another live owner.
+    """A session lease is held by another open file.
 
     Raised by :meth:`repro.serving.statestore.SharedDirStateStore.acquire`
-    when the single-owner lease of a resume token belongs to a different
-    process that is still alive.  A lease whose owner pid is dead is
-    *not* an error — it is reclaimed in place (crash restart).
+    when the ``flock`` that is a resume token's lease is held elsewhere —
+    another store, in this process or a live one.  A dead holder's lock
+    is gone with it, so a killed server never blocks its replacement.
     """
 
-    def __init__(self, token: str, owner: str, pid: int):
-        super().__init__(
-            f"lease for {token!r} held by {owner!r} (pid {pid})"
-        )
+    def __init__(self, token: str):
+        super().__init__(f"lease for {token!r} is held")
         self.token = token
-        self.owner = owner
-        self.pid = pid

@@ -16,8 +16,9 @@ This package puts a real network path in front of the reproduction:
   burst arrivals, a content-class mix and a latency report;
 * :mod:`repro.serving.statestore` — externalised session state
   (:class:`~repro.serving.statestore.SharedDirStateStore`:
-  shared-directory journals + single-owner lease records, so a
-  restarted server adopts a killed one's sessions).
+  shared-directory journals + one ``flock`` per token as its
+  single-owner lease, so a restarted server adopts a killed one's
+  sessions).
 """
 
 from repro.serving.admission import (
@@ -42,7 +43,7 @@ from repro.serving.protocol import (
 )
 from repro.serving.server import NetworkServer, ServeNetConfig
 from repro.serving.loadgen import LoadGenConfig, LoadReport, run_loadgen
-from repro.serving.statestore import Lease, SharedDirStateStore
+from repro.serving.statestore import SharedDirStateStore
 
 __all__ = [
     "AdmissionController",
@@ -54,7 +55,6 @@ __all__ = [
     "FrameMsg",
     "Hello",
     "HelloAck",
-    "Lease",
     "LoadGenConfig",
     "LoadReport",
     "MessageDecoder",

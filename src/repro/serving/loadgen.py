@@ -103,18 +103,6 @@ class LoadGenConfig:
     #: Weighted tenant mix sessions draw their HELLO ``tenant`` from
     #: (empty = no tenant key on the wire, pre-policy behaviour).
     tenants: Tuple[Tuple[str, float], ...] = ()
-    #: Load shape: ``""`` (plain arrival process), ``"surge"`` (half
-    #: the sessions arrive by the base process, the rest land together
-    #: mid-run as a mixed-tenant surge drawn from ``surge_tenants``),
-    #: or ``"diurnal"`` (hospital shifts: the arrival rate alternates
-    #: between day ``rate_hz`` and night ``rate_hz * night_fraction``
-    #: every ``shift_s`` seconds).
-    scenario: str = ""
-    #: Tenant mix of the surge cohort (defaults to ``tenants``) — skew
-    #: it toward one tenant to press on that tenant's entitlement.
-    surge_tenants: Tuple[Tuple[str, float], ...] = ()
-    shift_s: float = 2.0
-    night_fraction: float = 0.25
 
     def __post_init__(self) -> None:
         # NaN passes every ordered comparison below, and a NaN or
@@ -122,7 +110,7 @@ class LoadGenConfig:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
-        for name in ("mix", "tenants", "surge_tenants"):
+        for name in ("mix", "tenants"):
             if not all(math.isfinite(w) for _, w in getattr(self, name)):
                 raise ValueError(f"{name} weights must be finite")
         if self.sessions < 1:
@@ -146,17 +134,11 @@ class LoadGenConfig:
         for w, h in self.ladder:
             if w < 1 or h < 1:
                 raise ValueError("ladder rungs must be positive")
-        if self.scenario not in ("", "surge", "diurnal"):
-            raise ValueError("scenario must be '', 'surge' or 'diurnal'")
-        for name, weight in (*self.tenants, *self.surge_tenants):
+        for name, weight in self.tenants:
             if not name:
                 raise ValueError("tenant names must be non-empty")
             if weight <= 0:
                 raise ValueError("tenant weights must be positive")
-        if self.shift_s <= 0:
-            raise ValueError("shift_s must be positive")
-        if not 0.0 < self.night_fraction <= 1.0:
-            raise ValueError("night_fraction must be in (0, 1]")
 
 
 @dataclass
@@ -389,67 +371,13 @@ def _arrival_delays(config: LoadGenConfig, rng: random.Random) -> List[float]:
     return delays
 
 
-def _pick_tenants(config: LoadGenConfig, rng: random.Random,
-                  surge_from: int) -> List[str]:
-    """Tenant of each session (empty strings when no mix is set).
-
-    Sessions at index >= ``surge_from`` are the surge cohort and draw
-    from ``surge_tenants`` when provided.
-    """
+def _pick_tenants(config: LoadGenConfig, rng: random.Random) -> List[str]:
+    """Tenant of each session (empty strings when no mix is set)."""
     if not config.tenants:
         return [""] * config.sessions
     names = [n for n, _ in config.tenants]
     weights = [w for _, w in config.tenants]
-    surge_mix = config.surge_tenants or config.tenants
-    picks: List[str] = []
-    for i in range(config.sessions):
-        if i >= surge_from:
-            picks.append(rng.choices(
-                [n for n, _ in surge_mix], [w for _, w in surge_mix],
-            )[0])
-        else:
-            picks.append(rng.choices(names, weights)[0])
-    return picks
-
-
-def _scenario_plan(
-    config: LoadGenConfig, rng: random.Random,
-) -> Tuple[List[float], List[str]]:
-    """Arrival offsets + tenant picks, shaped by ``scenario``.
-
-    * ``"surge"``: the first half of the sessions arrive by the base
-      process; the rest land *together* halfway through that ramp — a
-      mixed-tenant spike that presses on admission and the tenants'
-      entitlements.
-    * ``"diurnal"``: exponential inter-arrivals whose rate alternates
-      between day (``rate_hz``) and night (``rate_hz *
-      night_fraction``) every ``shift_s`` seconds — the hospital-shift
-      load the paper's traces motivate.
-    """
-    if config.scenario == "surge":
-        calm = max(1, config.sessions - config.sessions // 2)
-        delays: List[float] = []
-        t = 0.0
-        for _ in range(calm):
-            delays.append(t)
-            t += rng.expovariate(config.rate_hz)
-        surge_at = (delays[-1] if delays else 0.0) * 0.5
-        delays.extend(surge_at for _ in range(config.sessions - calm))
-        return delays, _pick_tenants(config, rng, surge_from=calm)
-    if config.scenario == "diurnal":
-        delays = []
-        t = 0.0
-        for _ in range(config.sessions):
-            delays.append(t)
-            day = int(t / config.shift_s) % 2 == 0
-            rate = config.rate_hz * (1.0 if day else config.night_fraction)
-            t += rng.expovariate(rate)
-        return delays, _pick_tenants(config, rng,
-                                     surge_from=config.sessions)
-    return (
-        _arrival_delays(config, rng),
-        _pick_tenants(config, rng, surge_from=config.sessions),
-    )
+    return [rng.choices(names, weights)[0] for _ in range(config.sessions)]
 
 
 class _SessionState:
@@ -735,7 +663,8 @@ async def run_loadgen_async(config: LoadGenConfig) -> LoadReport:
     classes = [c for c, _ in config.mix]
     weights = [w for _, w in config.mix]
     picks = rng.choices(classes, weights=weights, k=config.sessions)
-    delays, tenant_picks = _scenario_plan(config, rng)
+    delays = _arrival_delays(config, rng)
+    tenant_picks = _pick_tenants(config, rng)
     seeds = [rng.randrange(2**31) for _ in range(config.sessions)]
     report = LoadReport()
     report.sessions = [

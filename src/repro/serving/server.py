@@ -169,7 +169,7 @@ class ServeNetConfig:
     #: construction; a changed file takes a drain and a restart.
     policy_file: Optional[str] = None
     #: Injectable filesystem seam for every durable write (journals,
-    #: leases, LUT checkpoints, policy reads).  ``None`` = the real
+    #: LUT checkpoints, policy reads).  ``None`` = the real
     #: filesystem; tests pass a :class:`repro.storage.faultfs.FaultFS`.
     fileops: Optional[FileOps] = None
     #: Backoff base of the bounded retry of *transient* journal-append
@@ -385,7 +385,7 @@ class NetworkServer:
         self._tombstoned: set = set()
         if config.journal_dir is not None:
             self._journal_store = SharedDirStateStore(
-                config.journal_dir, owner=self._owner, fileops=config.fileops,
+                config.journal_dir, fileops=config.fileops,
                 retry=RetryPolicy(backoff_s=config.journal_retry_backoff_s),
                 on_retry=self._on_journal_retry,
             )
@@ -492,12 +492,12 @@ class NetworkServer:
             )
 
     async def _on_journal_thread(self, fn: Callable, *args):
-        """Run one blocking state-store call (a lease's lock file,
-        write and sync; a journal's open; a teardown's unlinks) on the
-        journal writer thread, like every append: the event loop serves
-        the other sessions' sockets meanwhile, and the call keeps its
-        place in the order of that journal's writes.  ``RuntimeError``
-        when the writer pool is gone."""
+        """Run one blocking state-store call (a lease's lock, a
+        journal's open, a teardown's unlinks) on the journal writer
+        thread, like every append: the event loop serves the other
+        sessions' sockets meanwhile, and the call keeps its place in
+        the order of that journal's writes.  ``RuntimeError`` when the
+        writer pool is gone."""
         return await asyncio.get_running_loop().run_in_executor(
             self._journal_pool, fn, *args
         )
@@ -822,7 +822,7 @@ class NetworkServer:
             def open_journal() -> None:
                 # A fresh token is uncontended, but taking its lease
                 # here makes the invariant uniform: a journal with an
-                # appender always has a lease naming that appender.
+                # appender always holds its lease.
                 # The claim takes the handle on the writer thread, so
                 # a handshake cancelled mid-call still finds it to
                 # close.
@@ -925,28 +925,28 @@ class NetworkServer:
                     "session still attached; preemption timed out")
         # Cross-process exclusion: take the token's single-owner lease.
         # In-process preemption (above) already cleared our own path,
-        # so a held lease here names *another process* — alive means
-        # its session may still append (transient reject: the client
-        # retries after ``LEASE_RETRY_S``); dead (a killed server this
-        # one restarted in place of) means we adopt the session.
+        # so a held lease here is *another live process*, whose session
+        # may still append (transient reject: the client retries after
+        # ``LEASE_RETRY_S``).  A killed server's lock died with it, so
+        # the server restarted in its place simply takes the token.
         # The claim holds the token from before the call: a handshake
         # cancelled while the writer thread takes the lease still gives
         # it back (releasing a lease someone else holds is a no-op).
         claim.token = msg.resume_token
         try:
-            lease = await self._on_journal_thread(store.acquire,
-                                                  msg.resume_token)
+            await self._on_journal_thread(store.acquire, msg.resume_token)
+        except LeaseHeldError:
+            # Before ``RuntimeError``, which it also is.
+            registry.inc("repro_serving_lease_conflicts_total",
+                         help="RESUMEs rejected: lease held by a live peer")
+            return await refuse("session lease held by another process",
+                                transient=True)
         except RuntimeError:
             # Writer pool dead: journaling is gone for this process,
             # so a resume cannot be served safely.  Typed refusal.
             return await refuse("journal writer unavailable", transient=True)
-        except LeaseHeldError as exc:
-            registry.inc("repro_serving_lease_conflicts_total",
-                         help="RESUMEs rejected: lease held by a live peer")
-            return await refuse(f"session lease held by {exc.owner}",
-                                transient=True)
         except StorageError as exc:
-            # The lease write itself failed: storage trouble, not
+            # The lock sidecar could not be opened: storage trouble, not
             # contention.  Transient reject: the client may retry.
             return await refuse(f"session store fault: {exc}",
                                 transient=True)
@@ -998,7 +998,6 @@ class NetworkServer:
             get_tracer().event(
                 "serving.adopt", token=msg.resume_token,
                 previous_owner=restored.last_owner, owner=self._owner,
-                reclaimed=lease.reclaimed,
             )
         admit = restored.admit
         ladder = admit.get("ladder")
@@ -1128,8 +1127,8 @@ class NetworkServer:
                                               session.resume_token)
                 except StorageError:
                     # Teardown is best-effort: an undeletable journal
-                    # or lease is garbage a later sweep reclaims, not
-                    # a reason to abort the teardown path.
+                    # is garbage a later sweep reclaims, not a reason
+                    # to abort the teardown path.
                     pass
             self.admission.release(session.session_id)
             self._capacity_freed.set()

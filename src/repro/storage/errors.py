@@ -1,17 +1,18 @@
 """Typed storage-fault taxonomy and bounded retry.
 
-The durability layer (journals, leases, LUT checkpoints, policy reads)
-historically let bare ``OSError`` propagate, which gave callers no way
-to distinguish a *transient* hiccup (an ``EIO`` the next attempt may
-clear) from a *persistent* condition (``ENOSPC`` — retrying a full
-disk is just a slower failure).  The hierarchy below makes the
-distinction explicit so the serving layer can retry the former and
-enter durability brownout on the latter (DESIGN.md §16).
+The durability layer (journals, LUT checkpoints, policy reads, the
+open of a lease's lock sidecar) historically let bare ``OSError``
+propagate, which gave callers no way to distinguish a *transient*
+hiccup (an ``EIO`` the next attempt may clear) from a *persistent*
+condition (``ENOSPC`` — retrying a full disk is just a slower
+failure).  The hierarchy below makes the distinction explicit so the
+serving layer can retry the former and enter durability brownout on
+the latter (DESIGN.md §16).
 
 Every class inherits from both :class:`~repro.resilience.errors.
 TranscodeError` (the stack-wide root) and ``OSError``, so pre-existing
 ``except OSError`` call sites — the LUT loader's corruption fallback,
-the lease sweep's best-effort unlinks — keep working unchanged.
+the server's best-effort teardown — keep working unchanged.
 """
 
 from __future__ import annotations

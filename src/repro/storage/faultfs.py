@@ -1,9 +1,10 @@
 """Injectable file-ops seam, seeded fault injection, crash-point log.
 
-Every durable write of the serving stack — journal appends, lease
-sidecars, LUT checkpoint staging/publish, policy reads — goes through
-a :class:`FileOps` instance instead of calling ``os``/``open``
-directly.  Three implementations of interest:
+Every durable write of the serving stack — journal appends, LUT
+checkpoint staging/publish, policy reads — goes through a
+:class:`FileOps` instance instead of calling ``os``/``open`` directly
+(a lease is an ``flock`` on an empty sidecar, no durable write).
+Three implementations of interest:
 
 :data:`REAL_FILEOPS`
     The pass-through used in production: plain filesystem calls, with
@@ -96,9 +97,8 @@ class FileOps:
     Each method takes a ``point`` name identifying the instrumented
     write point; the base class uses it only to tag raised
     :class:`StorageError`\\ s, subclasses use it to target injection
-    and recording.  ``FileNotFoundError`` / ``FileExistsError`` pass
-    through unwrapped — they are protocol signals (cold start, lease
-    contention), not storage faults.
+    and recording.  ``FileNotFoundError`` passes through unwrapped — it
+    is a protocol signal (cold start), not a storage fault.
     """
 
     # -- reads ---------------------------------------------------------
@@ -170,17 +170,12 @@ class FileOps:
         except OSError as exc:
             raise classify_os_error(exc, point) from exc
 
-    # -- whole-file writes (leases, checkpoint staging) ----------------
+    # -- whole-file writes (checkpoint staging) ------------------------
     def write_file(self, path: _PathLike, data: bytes, point: str = "",
-                   exclusive: bool = False, fsync: bool = True,
-                   mode: int = 0o644) -> None:
-        flags = os.O_WRONLY | os.O_CREAT | (
-            os.O_EXCL if exclusive else os.O_TRUNC
-        )
+                   fsync: bool = True, mode: int = 0o644) -> None:
+        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
         try:
             fd = os.open(os.fspath(path), flags, mode)
-        except FileExistsError:
-            raise
         except OSError as exc:
             raise classify_os_error(exc, point) from exc
         try:
@@ -497,19 +492,17 @@ class FaultFS(FileOps):
 
     # -- whole-file writes ---------------------------------------------
     def write_file(self, path: _PathLike, data: bytes, point: str = "",
-                   exclusive: bool = False, fsync: bool = True,
-                   mode: int = 0o644) -> None:
+                   fsync: bool = True, mode: int = 0o644) -> None:
         torn = self._check(point, "write", data_len=len(data))
         if torn is not None:
             partial = data[:torn]
-            self.base.write_file(path, partial, point, exclusive=exclusive,
-                                 fsync=False, mode=mode)
+            self.base.write_file(path, partial, point, fsync=False,
+                                 mode=mode)
             self._record(point, "write_file", path, data=partial)
             raise TornWriteError(
                 f"short write: {torn} of {len(data)} bytes", point=point
             )
-        self.base.write_file(path, data, point, exclusive=exclusive,
-                             fsync=fsync, mode=mode)
+        self.base.write_file(path, data, point, fsync=fsync, mode=mode)
         self._record(point, "write_file", path, data=data)
 
     def replace(self, src: _PathLike, dst: _PathLike, point: str = "",

@@ -366,9 +366,12 @@ async def _restart_pass(journal_dir: str, kill: bool):
         )))
         if kill:
             assert await _wait_mid_stream(journal_dir, 30.0)
-            proc.kill()
-            await proc.wait()  # reap: a zombie still holds its leases
+            killed = proc
+            killed.kill()
+            # The replacement starts before the killed child is reaped:
+            # its leases went with its exit.
             proc, _ = await _start_server(port, journal_dir, metrics_out)
+            await killed.wait()
         report = await task
     finally:
         if proc.returncode is None:

@@ -38,7 +38,7 @@ _ENV = re.compile(r"\bREPRO_[A-Z_]*[A-Z]\b")
 _ENV_READ = re.compile(
     r"""(?:environ(?:\.get\(|\[)|getenv\()\s*["'](REPRO_[A-Z_]+)["']""")
 #: Backticked only, for the same reason ("...that make threads...").
-_MAKE = re.compile(r"`make ([a-z][a-z0-9-]*)")
+_MAKE = re.compile(r"`make\s+([a-z][a-z0-9-]*)")
 _MAKE_TARGET = re.compile(r"^([a-z][a-z0-9-]*):", re.MULTILINE)
 #: A source file named from the repository root (not ``bench/tests/x.py``
 #: read as ``tests/x.py``, not a ``tests/test_*.py`` glob).
@@ -161,6 +161,8 @@ def test_scanner_sees_each_kind_of_recipe():
         "make no-such-target",
         "env REPRO_NO_SUCH_KNOB",
     ]
+    # A backticked recipe wrapped onto the next line is still a recipe.
+    assert dangling("`make\nno-such`") == ["make no-such"]
     assert missing_paths(
         "see `tests/test_no_such.py`, src/repro/codec/no_such.py and\n"
         "\t\ttests/test_docs.py \\\n (`bench/tests/test_client.py`, "

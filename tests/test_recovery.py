@@ -561,8 +561,7 @@ class TestLoadgenClassification:
         *(f"LoadGenConfig.{name}" for name in (
             "fps", "rate_hz", "frame_interval_s", "timeout_s",
             "backoff_base_s", "backoff_max_s", "backoff_jitter",
-            "shift_s", "night_fraction", "mix", "tenants",
-            "surge_tenants")),
+            "mix", "tenants")),
         *(f"ChaosConfig.{name}" for name in (
             "latency_spike_rate", "latency_spike_s", "stall_rate",
             "stall_s")),
@@ -573,8 +572,7 @@ class TestLoadgenClassification:
         returns: ``loadgen --rate nan`` hung at its second session."""
         cls_name, name = setting.split(".")
         cls = {"LoadGenConfig": LoadGenConfig, "ChaosConfig": ChaosConfig}
-        weighted = {"mix": ContentClass.BRAIN, "tenants": "icu",
-                    "surge_tenants": "icu"}
+        weighted = {"mix": ContentClass.BRAIN, "tenants": "icu"}
         if name in weighted:
             value = ((weighted[name], value),)
         with pytest.raises(ValueError, match=name):

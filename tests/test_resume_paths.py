@@ -10,7 +10,6 @@ entry, its lease, the admission ticket, the park slot.
 from __future__ import annotations
 
 import asyncio
-import os
 import socket
 import struct
 import threading
@@ -21,7 +20,9 @@ import numpy as np
 import pytest
 
 from repro.observability import get_registry, scoped
+from repro.observability.metrics import serving_summary
 from repro.resilience.checkpoint import canonical_json
+from repro.resilience.errors import LeaseHeldError
 from repro.serving.protocol import (
     Bye,
     Encoded,
@@ -37,6 +38,7 @@ from repro.serving.protocol import (
 )
 from repro.serving.recovery import read_journal
 from repro.serving.server import NetworkServer, ServeNetConfig
+from repro.serving.statestore import SharedDirStateStore
 from repro.storage.faultfs import FaultFS, FaultRule
 from tests.test_journal_format import write_line_format_journal
 from tests.test_serving_integration import _tight_admission
@@ -89,13 +91,21 @@ async def _cut_after_one_gop(server) -> str:
         assert isinstance(await read_message(reader), Encoded)
     writer.close()
     await _until(lambda: not server._attached
-                 and not os.path.exists(_lease(server, ack.resume_token)),
+                 and not _leased(server, ack.resume_token),
                  "cut session never torn down")
     return ack.resume_token
 
 
-def _lease(server, token: str) -> str:
-    return server._journal_store.lease_path(token)
+def _leased(server, token: str) -> bool:
+    """Whether ``token``'s lease is held: a second store on the
+    server's directory is refused it."""
+    probe = SharedDirStateStore(server._journal_store.root, fsync=False)
+    try:
+        probe.acquire(token)
+    except LeaseHeldError:
+        return True
+    probe.release(token)
+    return False
 
 
 async def _resume(server, token: str):
@@ -147,7 +157,29 @@ def test_resume_with_dead_writer_pool_is_a_clean_reject(tmp_path):
         assert ack.reason == "journal writer unavailable"
         assert ack.retry_after_s > 0
         assert server._attached == {}
-        assert not os.path.exists(_lease(server, token))
+        assert not _leased(server, token)
+
+    _run(drill, tmp_path)
+
+
+def test_resume_of_a_token_held_elsewhere_is_a_lease_conflict(tmp_path):
+    """Another store on the directory holds the token, as another live
+    server would: the RESUME is a transient reject counted as a lease
+    conflict, and once the holder lets go the token resumes."""
+    async def drill(server):
+        token = await _cut_after_one_gop(server)
+        holder = SharedDirStateStore(server._journal_store.root, fsync=False)
+        holder.acquire(token)
+        ack = await _rejected(server, token)
+        assert ack.reason == "session lease held by another process"
+        assert ack.retry_after_s > 0
+        assert server._attached == {}
+        summary = serving_summary(get_registry().to_dict())
+        assert summary["lease_conflicts"] == 1
+        holder.release(token)
+        ack, _, writer = await _resume(server, token)
+        assert ack.decision == "accept", ack
+        writer.close()
 
     _run(drill, tmp_path)
 
@@ -164,7 +196,7 @@ def test_corrupt_journal_reject_leaves_nothing_attached(tmp_path):
         ack = await _rejected(server, token)
         assert ack.reason.startswith("journal corrupt")
         assert server._attached == {}
-        assert not os.path.exists(_lease(server, token))
+        assert not _leased(server, token)
 
     _run(drill, tmp_path)
 
@@ -177,7 +209,7 @@ def test_line_format_journal_resume_is_a_clean_reject(tmp_path):
         ack = await _rejected(server, token)
         assert ack.reason.startswith("journal corrupt")
         assert server._attached == {}
-        assert not os.path.exists(_lease(server, token))
+        assert not _leased(server, token)
 
     _run(drill, tmp_path)
 
@@ -200,13 +232,13 @@ def test_cancelled_while_parked_gives_the_lease_back(tmp_path):
         await write_message(writer, Resume(resume_token=token, have_below=0))
         await _until(lambda: server.admission._parked == 1,
                      "RESUME never parked")
-        assert os.path.exists(_lease(server, token))
+        assert _leased(server, token)
         handler = server._attached[token]
         handler.cancel()
         await asyncio.wait({handler}, timeout=10)
         assert handler.done()
         assert token not in server._attached
-        assert not os.path.exists(_lease(server, token))
+        assert not _leased(server, token)
         for w in fillers + [writer]:
             w.close()
 
@@ -266,9 +298,9 @@ def test_hello_reset_while_parked_gives_everything_back(tmp_path):
     """
     admission = _tight_admission(park_capacity=1)  # two fit, a third parks
 
-    def leases():
-        return sorted(name for name in os.listdir(tmp_path)
-                      if name.endswith(".lease"))
+    def leases(server):
+        return [token for token in server._journal_store.tokens()
+                if _leased(server, token)]
 
     async def drill(server):
         holders = []
@@ -300,14 +332,15 @@ def test_hello_reset_while_parked_gives_everything_back(tmp_path):
         assert handler.done()
         await _until(lambda: server.admission.active_sessions == 1,
                      "the reset session's ticket was never released")
-        assert [name.split("-")[0] for name in leases()] == ["held1"]
+        assert [name.split("-")[0] for name in leases(server)] == ["held1"]
         holders[1].close()
         await _until(lambda: server.admission.active_sessions == 0,
                      "last holder never torn down")
         assert server.admission.occupancy_cores == 0
         assert server.admission._parked == 0
         assert server._attached == {}
-        await _until(lambda: leases() == [], "a lease outlived its session")
+        await _until(lambda: leases(server) == [],
+                     "a lease outlived its session")
 
     _run(drill, tmp_path, admission=admission)
 
@@ -403,7 +436,7 @@ def test_one_rung_ladder_hello_is_the_plain_session_on_the_wire(tmp_path):
             assert isinstance(await read_message(reader), Encoded)
         writer.close()
         await _until(lambda: not server._attached
-                     and not os.path.exists(_lease(server, token)),
+                     and not _leased(server, token),
                      "cut session never torn down")
         rack, reader, writer = await _resume(server, token)
         assert rack.decision == "accept" and rack.replayed == _GOP, rack
@@ -508,7 +541,7 @@ def test_a_cut_after_early_outcomes_resumes_bit_identically(tmp_path, k):
         await paced(reader, writer, range(gop + k), got)
         writer.transport.abort()
         await _until(lambda: not server._attached
-                     and not os.path.exists(_lease(server, token)),
+                     and not _leased(server, token),
                      "cut session never torn down")
         have_below = gop + k
         reader, writer = await asyncio.open_connection(
@@ -708,7 +741,7 @@ def test_a_backpressure_drop_rides_its_gop_record(tmp_path, monkeypatch):
         await _until(lambda: faultfs.injected, "GOP append never started")
         writer.transport.abort()  # cut while the record is stalled
         await _until(lambda: not server._attached
-                     and not os.path.exists(_lease(server, token)),
+                     and not _leased(server, token),
                      "cut session never torn down")
         (record,) = [payload for kind, payload in read_journal(
             server._journal_store.path_for(token)).records if kind == "gop"]

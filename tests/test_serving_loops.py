@@ -336,18 +336,19 @@ def test_a_backpressured_ladder_closes_its_ledger():
         (index, rung) for index in kept for rung in range(len(_LADDER))]
 
 
-def test_a_stalled_lease_write_does_not_stall_the_event_loop(tmp_path):
-    """The lease write of a new journaled session stalls for half a
+def test_a_stalled_journal_create_does_not_stall_the_event_loop(tmp_path):
+    """The journal create of a new journaled session stalls for half a
     second on a slow volume.  It runs on the journal writer thread, so
     meanwhile the loop keeps serving a session that needs no journal (a
     two-rung ladder): all of its frames come back while the other
-    session's handshake is still waiting for its lease."""
+    session's handshake is still waiting for its journal."""
     width = height = 64
     frames = 2 * _GOP
     _, planes = _planes(width, height, frames)
     stall = 0.6
     faultfs = FaultFS(rules=[
-        FaultRule(point="lease.create", kind="stall", stall_s=stall, count=1),
+        FaultRule(point="journal.create", kind="stall", stall_s=stall,
+                  count=1),
     ])
 
     async def drill(server):
@@ -358,7 +359,7 @@ def test_a_stalled_lease_write_does_not_stall_the_event_loop(tmp_path):
         started = time.perf_counter()
         journaled = asyncio.ensure_future(
             _hello(server.port, width, height, frames))
-        await asyncio.sleep(0.05)  # its lease write is now stalled
+        await asyncio.sleep(0.05)  # its journal create is now stalled
         for index, plane in enumerate(planes):
             writer.write(encode_message(
                 FrameMsg(index, width, height, plane.tobytes())))
@@ -375,7 +376,7 @@ def test_a_stalled_lease_write_does_not_stall_the_event_loop(tmp_path):
     stats, flowed, waited, ack2 = _serve(
         drill, journal_dir=str(tmp_path), fileops=faultfs)
     assert stats["frames_encoded"] == 2 * frames  # both rungs
-    assert faultfs.injected == {("lease.create", "stall"): 1}
+    assert faultfs.injected == {("journal.create", "stall"): 1}
     assert ack2.resume_token  # the stalled session is journaled after all
     assert flowed < stall <= waited
 

@@ -1,78 +1,75 @@
 """Unit tests for the externalized session state store.
 
-The single-owner lease protocol is what makes adoption by a restarted
-server safe: a journal admits exactly one writer, so the lease must
-grant exactly one owner per token under every interleaving — two live
-processes racing, a stale lease whose owner died, and the torn lease
-file a crash leaves behind mid-write.
+The single-owner lease is what makes adoption by a restarted server
+safe: a journal admits exactly one writer, so the lease must grant
+exactly one owner per token under every interleaving — two stores
+racing, a holder killed before it is reaped, and the lease files an
+older version of the store left in the directory.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import fcntl
 import os
+import signal
+import subprocess
+import sys
 import threading
 
 import pytest
 
+from repro.resilience.checkpoint import canonical_json, payload_checksum
 from repro.resilience.errors import LeaseHeldError
-from repro.serving.statestore import SharedDirStateStore, pid_alive
+from repro.serving.statestore import SharedDirStateStore
+from repro.storage.errors import StorageFullError
+from repro.storage.faultfs import FaultFS, FaultRule
 
 
-def _store(root, owner: str, pid: int = 0, **kwargs) -> SharedDirStateStore:
-    return SharedDirStateStore(
-        root, fsync=False, owner=owner, pid=pid or os.getpid(), **kwargs
-    )
+def _store(root, pid: int = 0) -> SharedDirStateStore:
+    return SharedDirStateStore(root, fsync=False, pid=pid or os.getpid())
 
 
-def _lease_owner(store: SharedDirStateStore, token: str):
-    """Owner named by ``token``'s lease file; ``None`` when unleased."""
+def _held_elsewhere(root, token: str) -> bool:
+    """Whether a fresh store on ``root`` is refused ``token``."""
+    probe = _store(root)
     try:
-        with open(store.lease_path(token), "rb") as fh:
-            info = store._parse_lease(fh.read())
-    except FileNotFoundError:
-        return None
-    return None if info is None else info["owner"]
+        probe.acquire(token)
+    except LeaseHeldError:
+        return True
+    probe.release(token)
+    return False
 
 
-def _dead_pid() -> int:
-    """A real pid that is guaranteed dead (spawned, exited, reaped)."""
-    process = multiprocessing.get_context("spawn").Process(target=int)
-    process.start()
-    process.join()
-    assert process.pid is not None
-    return process.pid
+def _child_env() -> dict:
+    """The environment a child imports this tree from."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 class TestLeaseProtocol:
-    def test_fresh_acquire_grants(self, tmp_path):
-        store = _store(tmp_path, "w0:1")
-        lease = store.acquire("tok")
-        assert lease.owner == "w0:1"
-        assert not lease.reclaimed
-        assert lease.previous_owner == ""
-        assert os.path.exists(store.lease_path("tok"))
-
     def test_reacquire_own_lease_is_idempotent(self, tmp_path):
-        store = _store(tmp_path, "w0:1")
+        store = _store(tmp_path)
         store.acquire("tok")
-        again = store.acquire("tok")
-        assert again.owner == "w0:1"
+        store.acquire("tok")
+        store.release("tok")  # one release gives it back
+        assert not _held_elsewhere(tmp_path, "tok")
 
-    def test_live_foreign_lease_raises_typed_error(self, tmp_path):
-        holder = _store(tmp_path, "w0:1")
+    def test_held_lease_raises_typed_error(self, tmp_path):
+        holder = _store(tmp_path)
         holder.acquire("tok")
-        contender = _store(tmp_path, "w1:2")
+        contender = _store(tmp_path)
         with pytest.raises(LeaseHeldError) as exc:
             contender.acquire("tok")
         assert exc.value.token == "tok"
-        assert exc.value.owner == "w0:1"
-        assert exc.value.pid == holder.pid
 
     def test_two_stores_racing_exactly_one_wins(self, tmp_path):
-        """N threads x 2 owners hammer one token: one winner each time."""
-        a = _store(tmp_path, "w0:a")
-        b = _store(tmp_path, "w1:b")
+        """Two stores hammer one token at once: one winner each time."""
+        a = _store(tmp_path)
+        b = _store(tmp_path)
         for round_no in range(20):
             token = f"tok-{round_no}"
             outcomes = {}
@@ -95,61 +92,114 @@ class TestLeaseProtocol:
             for t in threads:
                 t.join()
             assert sorted(outcomes.values()) == ["lost", "won"], outcomes
-            winner = a if outcomes["a"] == "won" else b
-            assert _lease_owner(winner, token) == winner.owner
-
-    def test_stale_lease_dead_pid_is_reclaimed(self, tmp_path):
-        dead = _dead_pid()
-        crashed = _store(tmp_path, "w0:dead", pid=dead)
-        crashed.acquire("tok")
-        assert not pid_alive(dead)
-        survivor = _store(tmp_path, "w1:live")
-        lease = survivor.acquire("tok")
-        assert lease.reclaimed
-        assert lease.previous_owner == "w0:dead"
-        assert _lease_owner(survivor, "tok") == "w1:live"
-
-    @pytest.mark.parametrize("debris", [
-        b"",                                   # zero-length: crash at open
-        b'{"checksum":"deadbeef","token"',     # truncated mid-write
-        b"\x00\xff garbage not json\n",        # scribbled block
-        b'{"checksum":"0000","token":"tok","owner":"x","pid":1}\n',
-    ])
-    def test_torn_lease_file_is_reclaimable(self, tmp_path, debris):
-        store = _store(tmp_path, "w1:live")
-        with open(store.lease_path("tok"), "wb") as fh:
-            fh.write(debris)
-        lease = store.acquire("tok")
-        assert lease.reclaimed
-        assert lease.previous_owner == ""  # debris names no valid owner
-        assert _lease_owner(store, "tok") == "w1:live"
+            loser = b if outcomes["a"] == "won" else a
+            with pytest.raises(LeaseHeldError):
+                loser.acquire(token)
 
     def test_release_only_drops_own_lease(self, tmp_path):
-        holder = _store(tmp_path, "w0:1")
+        holder = _store(tmp_path)
         holder.acquire("tok")
-        other = _store(tmp_path, "w1:2")
+        other = _store(tmp_path)
         other.release("tok")  # no-op: not the holder
-        assert _lease_owner(holder, "tok") == "w0:1"
+        assert _held_elsewhere(tmp_path, "tok")
         holder.release("tok")
-        assert _lease_owner(holder, "tok") is None
+        assert not _held_elsewhere(tmp_path, "tok")
         holder.release("tok")  # releasing an unheld token is a no-op
+
+    def test_an_old_lease_file_naming_a_live_pid_blocks_nothing(
+            self, tmp_path):
+        """A ``<token>.lease`` record in the format an older store
+        wrote, left by a dead ``solo:<pid>`` whose pid now belongs to an
+        unrelated live process (here: this test's parent).  The file
+        is inert: a fresh store takes the token at once."""
+        store = _store(tmp_path)
+        pid = os.getppid()
+        body = {"token": "tok", "owner": f"solo:{pid}", "pid": pid}
+        line = ('{"checksum":"' + payload_checksum(body) + '",'
+                + canonical_json(body)[1:] + "\n")
+        lease = store.path_for("tok")[: -len(".journal")] + ".lease"
+        with open(lease, "w") as fh:
+            fh.write(line)
+        store.acquire("tok")
+        assert _held_elsewhere(tmp_path, "tok")
+
+    def test_a_killed_holder_frees_its_lease_before_anyone_waits(
+            self, tmp_path):
+        """The kernel drops a dead process's ``flock`` when it exits,
+        not when its parent reaps it: a SIGKILLed holder still in the
+        process table as a zombie blocks no one."""
+        holder = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys, time\n"
+             "from repro.serving.statestore import SharedDirStateStore\n"
+             "SharedDirStateStore(sys.argv[1], fsync=False).acquire('tok')\n"
+             "print('held', flush=True)\n"
+             "time.sleep(60)\n",
+             str(tmp_path)],
+            stdout=subprocess.PIPE, env=_child_env())
+        try:
+            assert holder.stdout.readline() == b"held\n"
+            assert _held_elsewhere(tmp_path, "tok")
+            holder.send_signal(signal.SIGKILL)
+            # Wait for the exit but leave the child unreaped.
+            os.waitid(os.P_PID, holder.pid, os.WEXITED | os.WNOWAIT)
+            with open(f"/proc/{holder.pid}/stat") as fh:
+                assert fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+            _store(tmp_path).acquire("tok")
+        finally:
+            holder.kill()
+            holder.wait()
+            holder.stdout.close()
 
 
 class TestStoreHousekeeping:
-    def test_discard_removes_lease_and_lock_sidecars(self, tmp_path):
-        store = _store(tmp_path, "w0:1")
+    def test_discard_removes_the_lock_sidecar_and_frees_the_token(
+            self, tmp_path):
+        store = _store(tmp_path)
         token = store.new_token(1)
-        journal = store.create(token)
-        journal.close()
         store.acquire(token)
-        assert os.path.exists(store.lease_path(token))
+        store.create(token).close()
+        sidecar = store.path_for(token)[: -len(".journal")] + ".lock"
+        assert os.path.exists(sidecar)
         store.discard(token)
-        assert not os.path.exists(store.path_for(token))
-        assert not os.path.exists(store.lease_path(token))
-        assert not os.path.exists(store._lock_path(token))
+        assert os.listdir(tmp_path) == []
+        assert not _held_elsewhere(tmp_path, token)
 
-    def test_lease_files_are_not_journal_tokens(self, tmp_path):
-        store = _store(tmp_path, "w0:1")
+    def test_a_sidecar_discarded_between_open_and_lock_is_no_lease(
+            self, tmp_path, monkeypatch):
+        """A store opens the sidecar; before it locks, the holder
+        discards the token, unlinking the sidecar and dropping its lock.
+        The store has then locked a dead inode.  That must not count,
+        or a third store would take the token too, on the new sidecar
+        its own open creates."""
+        holder = _store(tmp_path)
+        holder.acquire("tok")
+        flock = fcntl.flock
+
+        def discard_first(fd, operation):
+            monkeypatch.setattr(fcntl, "flock", flock)
+            holder.discard("tok")
+            flock(fd, operation)
+
+        monkeypatch.setattr(fcntl, "flock", discard_first)
+        with pytest.raises(LeaseHeldError):
+            _store(tmp_path).acquire("tok")
+        assert not _held_elsewhere(tmp_path, "tok")
+
+    def test_a_failed_journal_unlink_still_gives_the_lease_back(
+            self, tmp_path):
+        faulty = SharedDirStateStore(tmp_path, fsync=False, fileops=FaultFS(
+            rules=[FaultRule(point="journal.unlink", kind="enospc")]))
+        token = faulty.new_token(1)
+        faulty.acquire(token)
+        faulty.create(token).close()
+        with pytest.raises(StorageFullError):
+            faulty.discard(token)
+        assert faulty.exists(token)  # the journal stays behind
+        assert not _held_elsewhere(tmp_path, token)
+
+    def test_lock_sidecars_are_not_journal_tokens(self, tmp_path):
+        store = _store(tmp_path)
         token = store.new_token(1)
         store.create(token).close()
         store.acquire(token)
@@ -158,8 +208,8 @@ class TestStoreHousekeeping:
     def test_concurrent_lut_saves_do_not_collide(self, tmp_path):
         from repro.workload.lut import WorkloadLut
 
-        a = _store(tmp_path, "w0:1", pid=111)
-        b = _store(tmp_path, "w1:2", pid=222)
+        a = _store(tmp_path, pid=111)
+        b = _store(tmp_path, pid=222)
         errors = []
 
         def save(store):

@@ -64,10 +64,10 @@ def test_storage_error_is_both_transcode_and_os_error():
 ])
 def test_classify_known_errnos(code, cls, transient):
     raw = OSError(code, os.strerror(code))
-    wrapped = classify_os_error(raw, point="lease.create")
+    wrapped = classify_os_error(raw, point="lut.stage")
     assert isinstance(wrapped, cls)
     assert wrapped.transient is transient
-    assert wrapped.point == "lease.create"
+    assert wrapped.point == "lut.stage"
     assert wrapped.errno == code
 
 
@@ -159,7 +159,7 @@ def test_faultfs_point_patterns_are_fnmatch(tmp_path):
     with pytest.raises(StorageIOError):
         ffs.write_file(tmp_path / "j", b"x", point="journal.append")
     # A non-matching point is untouched.
-    ffs.write_file(tmp_path / "k", b"x", point="lease.create")
+    ffs.write_file(tmp_path / "k", b"x", point="lut.stage")
 
 
 def test_faultfs_torn_write_leaves_partial_bytes(tmp_path):

@@ -207,7 +207,7 @@ class TestDurabilityBrownout:
     def test_lease_store_fault_on_admit_degrades_to_unjournaled(
             self, tmp_path):
         faultfs = FaultFS(rules=[
-            FaultRule(point="lease.create", kind="enospc"),
+            FaultRule(point="journal.create", kind="enospc"),
         ])
 
         async def run():
@@ -215,8 +215,8 @@ class TestDurabilityBrownout:
             await server.start()
             try:
                 ack, encoded, _ = await _stream(server.port, _GOP)
-                # No lease means no resumability — but the session is
-                # still admitted and served.
+                # No journal means no resumability — but the session
+                # is still admitted and served.
                 assert ack.decision == "accept"
                 assert ack.resume_token == ""
                 assert len(encoded) == _GOP

@@ -56,7 +56,6 @@ from repro.serving.protocol import (
 )
 from repro.serving.recovery import JOURNAL_SUFFIX, read_journal
 from repro.serving.server import NetworkServer, ServeNetConfig
-from repro.serving.statestore import LEASE_SUFFIX, SharedDirStateStore
 from repro.storage.faultfs import FaultFS, FileOps
 
 pytestmark = pytest.mark.slow
@@ -257,11 +256,6 @@ def _verify_crash_state(root: str, full_journals: Dict[str, bytes],
                 read_journal(path, strict=True)
             except JournalCorruptionError:
                 pass
-        elif name.endswith(LEASE_SUFFIX):
-            with open(path, "rb") as fh:
-                # A record or reclaimable torn debris (None): an
-                # exception here would wedge acquire().
-                SharedDirStateStore._parse_lease(fh.read())
         elif name == "lut.json":
             result = load_lut(path)
             assert result.recovered or result.reason != "ok", (
