@@ -336,20 +336,13 @@ def test_a_backpressured_ladder_closes_its_ledger():
         (index, rung) for index in kept for rung in range(len(_LADDER))]
 
 
-def test_a_stalled_journal_create_does_not_stall_the_event_loop(tmp_path):
-    """The journal create of a new journaled session stalls for half a
-    second on a slow volume.  It runs on the journal writer thread, so
-    meanwhile the loop keeps serving a session that needs no journal (a
-    two-rung ladder): all of its frames come back while the other
-    session's handshake is still waiting for its journal."""
+def _drill_beside_a_stalled_journal_open(tmp_path, stall, **config):
+    """Serve a two-rung ladder session (which needs no journal) while a
+    journaled session's handshake is stalled ``stall`` seconds opening
+    its journal.  Returns when each finished, from the stall's start."""
     width = height = 64
     frames = 2 * _GOP
     _, planes = _planes(width, height, frames)
-    stall = 0.6
-    faultfs = FaultFS(rules=[
-        FaultRule(point="journal.create", kind="stall", stall_s=stall,
-                  count=1),
-    ])
 
     async def drill(server):
         ladder = ((width, height), (32, 32))
@@ -359,7 +352,7 @@ def test_a_stalled_journal_create_does_not_stall_the_event_loop(tmp_path):
         started = time.perf_counter()
         journaled = asyncio.ensure_future(
             _hello(server.port, width, height, frames))
-        await asyncio.sleep(0.05)  # its journal create is now stalled
+        await asyncio.sleep(0.05)  # its journal open is now stalled
         for index, plane in enumerate(planes):
             writer.write(encode_message(
                 FrameMsg(index, width, height, plane.tobytes())))
@@ -374,11 +367,47 @@ def test_a_stalled_journal_create_does_not_stall_the_event_loop(tmp_path):
         return stats, flowed, waited, ack2
 
     stats, flowed, waited, ack2 = _serve(
-        drill, journal_dir=str(tmp_path), fileops=faultfs)
+        drill, journal_dir=str(tmp_path), **config)
     assert stats["frames_encoded"] == 2 * frames  # both rungs
-    assert faultfs.injected == {("journal.create", "stall"): 1}
     assert ack2.resume_token  # the stalled session is journaled after all
     assert flowed < stall <= waited
+
+
+def test_a_stalled_journal_create_does_not_stall_the_event_loop(tmp_path):
+    """The journal create of a new journaled session stalls for half a
+    second on a slow volume.  It runs on the journal writer thread, so
+    meanwhile the loop keeps serving a session that needs no journal (a
+    two-rung ladder): all of its frames come back while the other
+    session's handshake is still waiting for its journal."""
+    stall = 0.6
+    faultfs = FaultFS(rules=[
+        FaultRule(point="journal.create", kind="stall", stall_s=stall,
+                  count=1),
+    ])
+    _drill_beside_a_stalled_journal_open(tmp_path, stall, fileops=faultfs)
+    assert faultfs.injected == {("journal.create", "stall"): 1}
+
+
+def test_a_stalled_lease_lock_does_not_stall_the_event_loop(
+        tmp_path, monkeypatch):
+    """Taking a new session's lease (``flock`` on its sidecar) stalls
+    on a slow volume.  The lease is taken on the journal writer thread
+    too, so the loop keeps serving the ladder session meanwhile."""
+    import fcntl
+
+    stall = 0.6
+    flock = fcntl.flock
+    stalled = []
+
+    def slow_flock(fd, operation):
+        if not stalled:
+            stalled.append(operation)
+            time.sleep(stall)
+        return flock(fd, operation)
+
+    monkeypatch.setattr(fcntl, "flock", slow_flock)
+    _drill_beside_a_stalled_journal_open(tmp_path, stall)
+    assert stalled == [fcntl.LOCK_EX | fcntl.LOCK_NB]
 
 
 def test_a_cut_under_an_append_in_flight_leaves_a_counted_record(tmp_path):

@@ -21,7 +21,7 @@ import pytest
 from repro.resilience.checkpoint import canonical_json, payload_checksum
 from repro.resilience.errors import LeaseHeldError
 from repro.serving.statestore import SharedDirStateStore
-from repro.storage.errors import StorageFullError
+from repro.storage.errors import StorageError, StorageFullError
 from repro.storage.faultfs import FaultFS, FaultRule
 
 
@@ -50,7 +50,39 @@ def _child_env() -> dict:
     return env
 
 
+def _holder(root, then: str = "time.sleep(60)") -> subprocess.Popen:
+    """A child process that takes ``tok``'s lease on ``root``, says
+    ``held``, then runs ``then`` (by default: holds it for a minute)."""
+    holder = subprocess.Popen(
+        [sys.executable, "-c",
+         "import os, sys, time\n"
+         "from repro.serving.statestore import SharedDirStateStore\n"
+         "SharedDirStateStore(sys.argv[1], fsync=False).acquire('tok')\n"
+         "print('held', flush=True)\n"
+         + then + "\n",
+         str(root)],
+        stdout=subprocess.PIPE, env=_child_env())
+    if holder.stdout.readline() != b"held\n":
+        _stop(holder)
+        raise AssertionError("the holder did not take the lease")
+    return holder
+
+
+def _stop(holder: subprocess.Popen) -> None:
+    holder.kill()
+    holder.wait()
+    holder.stdout.close()
+
+
 class TestLeaseProtocol:
+    def test_fresh_acquire_grants(self, tmp_path):
+        store = _store(tmp_path)
+        store.acquire("tok")
+        sidecar = store.path_for("tok")[: -len(".journal")] + ".lock"
+        assert os.path.exists(sidecar)
+        assert _held_elsewhere(tmp_path, "tok")
+        assert not store.exists("tok")  # a lease creates no journal
+
     def test_reacquire_own_lease_is_idempotent(self, tmp_path):
         store = _store(tmp_path)
         store.acquire("tok")
@@ -65,6 +97,17 @@ class TestLeaseProtocol:
         with pytest.raises(LeaseHeldError) as exc:
             contender.acquire("tok")
         assert exc.value.token == "tok"
+
+    def test_live_foreign_lease_raises_typed_error(self, tmp_path):
+        """The holder is another live process, as a second server on
+        the same journal directory would be."""
+        holder = _holder(tmp_path)
+        try:
+            with pytest.raises(LeaseHeldError) as exc:
+                _store(tmp_path).acquire("tok")
+            assert exc.value.token == "tok"
+        finally:
+            _stop(holder)
 
     def test_two_stores_racing_exactly_one_wins(self, tmp_path):
         """Two stores hammer one token at once: one winner each time."""
@@ -106,6 +149,35 @@ class TestLeaseProtocol:
         assert not _held_elsewhere(tmp_path, "tok")
         holder.release("tok")  # releasing an unheld token is a no-op
 
+    def test_stale_lease_dead_pid_is_reclaimed(self, tmp_path):
+        """A holder that exits without releasing (and is reaped) leaves
+        its sidecar behind, unlocked: the next store takes the token."""
+        holder = _holder(tmp_path, then="os._exit(0)")
+        assert holder.wait() == 0
+        holder.stdout.close()
+        survivor = _store(tmp_path)
+        survivor.acquire("tok")
+        assert _held_elsewhere(tmp_path, "tok")
+
+    @pytest.mark.parametrize("debris", [
+        b"",                                   # zero-length: crash at open
+        b'{"checksum":"deadbeef","token"',     # truncated mid-write
+        b"\x00\xff garbage not json\n",        # scribbled block
+        b'{"checksum":"0000","token":"tok","owner":"x","pid":1}\n',
+    ])
+    def test_torn_lease_file_is_reclaimable(self, tmp_path, debris):
+        """Whatever bytes an older store's ``.lease`` file or the lock
+        sidecar hold, nothing reads them: the token is free."""
+        store = _store(tmp_path)
+        stem = store.path_for("tok")[: -len(".journal")]
+        for suffix in (".lease", ".lock"):
+            with open(stem + suffix, "wb") as fh:
+                fh.write(debris)
+        store.acquire("tok")
+        assert _held_elsewhere(tmp_path, "tok")
+        with open(stem + ".lock", "rb") as fh:
+            assert fh.read() == debris  # the lock wrote nothing either
+
     def test_an_old_lease_file_naming_a_live_pid_blocks_nothing(
             self, tmp_path):
         """A ``<token>.lease`` record in the format an older store
@@ -128,17 +200,8 @@ class TestLeaseProtocol:
         """The kernel drops a dead process's ``flock`` when it exits,
         not when its parent reaps it: a SIGKILLed holder still in the
         process table as a zombie blocks no one."""
-        holder = subprocess.Popen(
-            [sys.executable, "-c",
-             "import sys, time\n"
-             "from repro.serving.statestore import SharedDirStateStore\n"
-             "SharedDirStateStore(sys.argv[1], fsync=False).acquire('tok')\n"
-             "print('held', flush=True)\n"
-             "time.sleep(60)\n",
-             str(tmp_path)],
-            stdout=subprocess.PIPE, env=_child_env())
+        holder = _holder(tmp_path)
         try:
-            assert holder.stdout.readline() == b"held\n"
             assert _held_elsewhere(tmp_path, "tok")
             holder.send_signal(signal.SIGKILL)
             # Wait for the exit but leave the child unreaped.
@@ -147,9 +210,7 @@ class TestLeaseProtocol:
                 assert fh.read().rsplit(")", 1)[1].split()[0] == "Z"
             _store(tmp_path).acquire("tok")
         finally:
-            holder.kill()
-            holder.wait()
-            holder.stdout.close()
+            _stop(holder)
 
 
 class TestStoreHousekeeping:
@@ -164,6 +225,26 @@ class TestStoreHousekeeping:
         store.discard(token)
         assert os.listdir(tmp_path) == []
         assert not _held_elsewhere(tmp_path, token)
+
+    def test_discard_of_an_unheld_token_leaves_the_holders_lock(
+            self, tmp_path):
+        """Only the holder unlinks the sidecar: a store that discards a
+        token it does not hold must not free that token for a third."""
+        holder = _store(tmp_path)
+        token = holder.new_token(1)
+        holder.acquire(token)
+        holder.create(token).close()
+        _store(tmp_path).discard(token)
+        assert not holder.exists(token)
+        assert _held_elsewhere(tmp_path, token)
+
+    def test_an_unopenable_sidecar_is_a_typed_storage_error(self, tmp_path):
+        store = _store(tmp_path)
+        os.mkdir(store.path_for("tok")[: -len(".journal")] + ".lock")
+        with pytest.raises(StorageError) as exc:
+            store.acquire("tok")
+        assert exc.value.point == "lease.lock"
+        assert not isinstance(exc.value, LeaseHeldError)
 
     def test_a_sidecar_discarded_between_open_and_lock_is_no_lease(
             self, tmp_path, monkeypatch):
@@ -203,6 +284,17 @@ class TestStoreHousekeeping:
         token = store.new_token(1)
         store.create(token).close()
         store.acquire(token)
+        assert store.tokens() == [token]
+
+    def test_lease_files_are_not_journal_tokens(self, tmp_path):
+        """An older store kept each lease in a ``<token>.lease`` file;
+        one left in the directory is not a session to adopt."""
+        store = _store(tmp_path)
+        token = store.new_token(1)
+        store.create(token).close()
+        stale = store.path_for("old")[: -len(".journal")] + ".lease"
+        with open(stale, "w") as fh:
+            fh.write('{"token":"old"}\n')
         assert store.tokens() == [token]
 
     def test_concurrent_lut_saves_do_not_collide(self, tmp_path):
