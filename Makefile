@@ -1,28 +1,30 @@
 # Developer entry points.  `make check` is the pre-commit gate: the
-# tier-1 test suite, the slow tier (the loopback chaos, restart,
+# tier-1 test suite, the slow tier (the paper's tables at the sizes
+# EXPERIMENTS.md quotes, and the loopback chaos, restart,
 # crash-consistency, storage-fault and stall tests the default run
-# skips), a fast smoke pass over the paper-table benchmarks under
-# benchmarks/ (their `-m 'not slow'` subset runs each micro-benchmark
-# once without timing loops) and the bench harness's correctness
-# gate.  Coverage is collected when pytest-cov is installed and skipped
-# silently otherwise — the toolchain image does not bake the plugin
-# in, and the suite must not depend on it.
+# skips), the NumPy reference and sanitizer passes, and the bench
+# harness's correctness gate.  The paper's tables themselves are
+# regenerated by `python -m repro.experiments.report` (or one
+# `python -m repro.experiments.<name>` each).  Coverage is collected
+# when pytest-cov is installed and skipped silently otherwise — the
+# toolchain image does not bake the plugin in, and the suite must not
+# depend on it.
 
 PY      := python
 PYTEST  := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PY) -m pytest
 HAS_COV := $(shell $(PY) -c "import pytest_cov" 2>/dev/null && echo 1)
 COVOPTS := $(if $(HAS_COV),--cov=repro --cov-report=term-missing)
 
-.PHONY: check test test-slow reference sanitize bench-smoke bench-check \
-	golden clean
+.PHONY: check test test-slow reference sanitize bench-check golden clean
 
-check: test test-slow reference sanitize bench-smoke bench-check
+check: test test-slow reference sanitize bench-check
 
 test:
 	$(PYTEST) -x -q $(COVOPTS)
 
-# The slow tier on its own: the tests marked `slow` (live servers,
-# subprocesses, multi-second stalls) that `make test` deselects.
+# The slow tier on its own: the tests marked `slow` (the paper's tables
+# at full experiment size, live servers, subprocesses, multi-second
+# stalls) that `make test` deselects.
 test-slow:
 	$(PYTEST) -m slow -q -p no:cacheprovider
 
@@ -77,12 +79,6 @@ sanitize:
 			-q -p no:cacheprovider --capture=sys \
 			--native-cflags="-fsanitize=thread -g"; \
 	fi
-
-bench-smoke:
-	$(PYTEST) benchmarks -q -p no:cacheprovider --override-ini="addopts=" \
-		-m "not slow" --co -q >/dev/null
-	$(PYTEST) benchmarks/test_micro.py -q --override-ini="addopts=" \
-		-m "not slow" --benchmark-disable
 
 # The one bench harness (bench/run.py, see bench/README.md) checked for
 # correctness, not speed: its self-tests, then a short run of the

@@ -4,7 +4,6 @@ Khan et al. (IEEE TVLSI 2016, ref [19]) baseline."""
 from repro.allocation.demand import UserDemand, cores_needed
 from repro.allocation.proposed import ProposedAllocator, AllocationResult
 from repro.allocation.baseline_khan import KhanAllocator, khan_tiling
-from repro.allocation.alternatives import FirstFitAllocator, WorstFitAllocator
 
 __all__ = [
     "UserDemand",
@@ -13,6 +12,4 @@ __all__ = [
     "AllocationResult",
     "KhanAllocator",
     "khan_tiling",
-    "FirstFitAllocator",
-    "WorstFitAllocator",
 ]

@@ -20,7 +20,8 @@ Stages:
    "set the operating frequency of each one" and Fig. 3's outcome
    where only a subset of cores operates at the maximum frequency.
    ``RACE_TO_IDLE`` (the literal reading of lines 17-19: f_max busy,
-   min(F) during slack) is available for the ablation benchmark.
+   min(F) during slack) is what Fig. 4's DVFS decomposition compares
+   it against.
    Overloaded cores stay at f_max and carry the excess into the next
    slot (compensated by under-utilisation of following frames, checked
    against the per-second framerate budget).

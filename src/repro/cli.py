@@ -37,8 +37,8 @@ loss, SIGTERM graceful drain (parked sessions survive a restart) and a
 warm LUT checkpoint.  ``loadgen --max-reconnects N`` makes the clients
 fault tolerant (exponential backoff + seeded jitter, RESUME with the
 server's token).  ``chaos`` interposes a seeded TCP fault proxy —
-latency spikes, resets, corruption, half-open stalls, or a
-deterministic mid-stream cut — between the two.
+latency spikes, half-open stalls, or a deterministic mid-stream cut —
+between the two.
 
 A server killed on its host is restarted on the same ``--journal-dir``
 and its clients RESUME: the restarted process adopts the dead one's
@@ -427,14 +427,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.serving.loadgen import LoadGenConfig, run_loadgen
     from repro.video.generator import ContentClass as _CC
 
-    mix = None
-    if args.mix:
-        pairs = []
-        for spec in args.mix:
-            name, _, weight = spec.partition(":")
-            pairs.append((_CC(name), float(weight) if weight else 1.0))
-        mix = tuple(pairs)
     with _usage_errors(args):
+        mix = tuple((_CC(name), weight)
+                    for name, weight in _parse_weighted(args.mix))
         config = LoadGenConfig(
             host=args.host, port=args.port, sessions=args.sessions,
             frames=args.frames, width=args.width, height=args.height,
@@ -687,7 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="pretty-print a metrics.json snapshot",
     )
-    m.add_argument("snapshot", help="metrics JSON written by `serve`")
+    m.add_argument("snapshot", help="metrics JSON written by `serve` or "
+                                    "`serve-net --metrics-out`")
     m.add_argument("--prom", action="store_true",
                    help="emit Prometheus text exposition instead")
     m.set_defaults(func=_cmd_metrics)

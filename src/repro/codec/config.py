@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from repro.codec.quant import MAX_QP, MIN_QP
 from repro.motion.base import MotionSearch
@@ -94,11 +93,3 @@ class EncoderConfig:
 
     def with_qp(self, qp: int) -> "EncoderConfig":
         return replace(self, qp=qp)
-
-    def with_search(self, search: str, window: Optional[int] = None) -> "EncoderConfig":
-        if window is None:
-            return replace(self, search=search)
-        return replace(self, search=search, search_window=window)
-
-    def with_window(self, window: int) -> "EncoderConfig":
-        return replace(self, search_window=window)

@@ -8,12 +8,14 @@ paper's evaluation (§IV).
 * :mod:`repro.experiments.table2` — Table II: PSNR, bitrate, number of
   users served under a saturated queue.
 * :mod:`repro.experiments.fig4` — Fig. 4: power savings vs number of
-  users.
+  users, and their DVFS decomposition.
+* :mod:`repro.experiments.report` — all four into one markdown report.
 
-Every module exposes ``run_*`` (programmatic) and ``main()`` (CLI)
-entry points; ``python -m repro.experiments.<name>`` prints the
-paper-format rows.  Benchmarks under ``benchmarks/`` call the same
-``run_*`` functions.
+Every table module exposes ``run_*`` (programmatic) and ``main()``
+(CLI) entry points; ``python -m repro.experiments.<name>`` prints the
+paper-format rows.  ``tests/test_experiments.py`` asserts the paper's
+shape on the same ``run_*`` functions, at miniature sizes in tier 1
+and at the sizes EXPERIMENTS.md quotes in the slow tier.
 """
 
 from repro.experiments.common import (

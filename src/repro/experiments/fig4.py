@@ -5,6 +5,12 @@ The paper sweeps 1, 2, 3, 4, 5, 6, 8, 10 and 12 users at equal
 throughput (both approaches sustain every user's 24 fps) and reports up
 to 44% average power savings; savings persist (40% down to 7%) even
 beyond 16 users, where [19] saturates.
+
+The output ends with a DVFS decomposition of the proposed power at
+:data:`DVFS_USERS` users on the same traces: the allocator's
+energy-aware stretch, then race-to-idle and always-on cores on an
+ordinary packing pool — what each part of Algorithm 2's DVFS stage
+contributes to the savings.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import numpy as np
 
 from repro.allocation import KhanAllocator, ProposedAllocator
 from repro.platform.mpsoc import MpsocConfig, XEON_E5_2667
+from repro.platform.schedule import DvfsPolicy
 from repro.transcode.pipeline import PipelineConfig, PipelineMode, StreamTranscoder
 from repro.transcode.server import TranscodingServer
 from repro.video.frame import Video
@@ -24,6 +31,16 @@ from repro.experiments.common import medical_corpus
 
 #: User counts on the paper's Fig. 4 x-axis.
 FIG4_USER_COUNTS = (1, 2, 3, 4, 5, 6, 8, 10, 12)
+
+#: User count of the DVFS decomposition.
+DVFS_USERS = 8
+
+#: The decomposition's allocators: (DVFS policy, energy-aware pool).
+_DVFS_SETTINGS = (
+    (DvfsPolicy.STRETCH, True),
+    (DvfsPolicy.RACE_TO_IDLE, False),
+    (DvfsPolicy.ALWAYS_ON, False),
+)
 
 
 @dataclass
@@ -33,6 +50,8 @@ class Fig4Result:
     savings_percent: Dict[int, float] = field(default_factory=dict)
     power_proposed_w: Dict[int, float] = field(default_factory=dict)
     power_baseline_w: Dict[int, float] = field(default_factory=dict)
+    #: Proposed power (W) at :data:`DVFS_USERS` users per DVFS policy.
+    dvfs_power_w: Dict[DvfsPolicy, float] = field(default_factory=dict)
 
     @property
     def average_savings(self) -> float:
@@ -81,6 +100,11 @@ def run_fig4(
         result.savings_percent[n] = (
             (1.0 - rep_p.average_power_w / rep_b.average_power_w) * 100.0
         )
+    for policy, energy_aware in _DVFS_SETTINGS:
+        allocator = ProposedAllocator(platform, dvfs_policy=policy,
+                                      energy_aware_pool=energy_aware)
+        result.dvfs_power_w[policy] = server.serve(
+            traces_p, allocator, num_users=DVFS_USERS).average_power_w
     return result
 
 
@@ -98,6 +122,13 @@ def format_fig4(result: Fig4Result) -> str:
     lines.append(
         f"average savings: {result.average_savings:.1f}% "
         f"(paper: up to 44% on average), peak {result.peak_savings:.1f}%"
+    )
+    lines.append(
+        f"proposed power @ {DVFS_USERS} users by DVFS policy: "
+        + ", ".join(
+            f"{policy.value.replace('_', '-')} {watts:.1f} W"
+            for policy, watts in result.dvfs_power_w.items()
+        )
     )
     return "\n".join(lines)
 

@@ -91,7 +91,3 @@ class Mpsoc:
 
     def core(self, core_id: int) -> Core:
         return self.cores[core_id]
-
-    def set_all_frequencies(self, frequency_hz: float) -> None:
-        for core in self.cores:
-            core.set_frequency(frequency_hz, self.config)

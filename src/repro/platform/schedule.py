@@ -12,7 +12,8 @@ Two DVFS policies are provided:
 * ``RACE_TO_IDLE`` — the literal Algorithm 2: busy at f_max, slack
   idles at min(F).
 * ``STRETCH`` — run the whole slot at the lowest frequency that still
-  fits the load (a common alternative; exposed for the ablation bench).
+  fits the load (a common alternative, and the allocator's default;
+  Fig. 4's DVFS decomposition prints what each policy draws).
 """
 
 from __future__ import annotations
@@ -164,9 +165,6 @@ class SlotSchedule:
             if p.busy_frequency_hz == self.platform.f_max
             and p.busy_seconds >= self.slot_duration * (1 - 1e-9)
         )
-
-    def total_carry_out(self) -> Dict[int, float]:
-        return {p.core_id: p.carry_out_fmax for p in self.plans() if p.carry_out_fmax > 0}
 
     def energy(self, power_model: PowerModel, include_unused_cores: bool = True) -> float:
         """Energy (J) consumed during the slot.

@@ -436,6 +436,9 @@ class NetworkServer:
         #: so a teardown spans loop iterations and :meth:`aclose` lets
         #: it land before the pools go.
         self._closing: set = set()
+        #: Completed sessions whose journal a teardown could not
+        #: delete; :meth:`drain` tries each once more.
+        self._undiscarded: List[str] = []
         self._draining = False
         self._drain_event = asyncio.Event()
         # resume_token -> the connection-handler task currently serving
@@ -633,7 +636,8 @@ class NetworkServer:
         the in-flight GOP's raw frames land in the journal so a
         restarted server can resume the session bit-identically), waits
         up to ``drain_grace_s`` for sessions to flush their STATS/BYE,
-        checkpoints the shared LUT next to the journals, and closes.
+        retries the journal deletes teardowns failed, checkpoints the
+        shared LUT next to the journals, and closes.
         Idempotent; concurrent callers share one drain.
         """
         if self._draining:
@@ -651,6 +655,12 @@ class NetworkServer:
         while self._active_handlers > 0 and loop.time() < deadline:
             await asyncio.sleep(0.02)
         if self._journal_store is not None:
+            for token in self._undiscarded:
+                try:
+                    await self._give_back(self._journal_store.discard, token)
+                except (StorageError, OSError):
+                    pass  # it stays, as after a kill
+            self._undiscarded.clear()
             try:
                 self._journal_store.save_lut(self.estimator.lut)
             except (StorageError, OSError) as exc:
@@ -1127,9 +1137,12 @@ class NetworkServer:
                                               session.resume_token)
                 except StorageError:
                     # Teardown is best-effort: an undeletable journal
-                    # is garbage a later sweep reclaims, not a reason
-                    # to abort the teardown path.
-                    pass
+                    # is no reason to abort it.  A completed session's
+                    # is discarded again by drain(); a server killed
+                    # instead of drained leaves it in the journal
+                    # directory, where a restart lists it as parked.
+                    if session.completed:
+                        self._undiscarded.append(session.resume_token)
             self.admission.release(session.session_id)
             self._capacity_freed.set()
 

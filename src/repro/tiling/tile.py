@@ -73,9 +73,6 @@ class Tile:
             )
         return plane[self.y : self.y_end, self.x : self.x_end]
 
-    def with_size(self, width: int, height: int) -> "Tile":
-        return Tile(self.x, self.y, width, height)
-
 
 @dataclass
 class TileGrid:

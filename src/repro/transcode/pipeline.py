@@ -25,7 +25,7 @@ import enum
 import math
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -111,14 +111,6 @@ class PipelineConfig:
     search: ProposedSearchConfig = ProposedSearchConfig()
     platform: MpsocConfig = XEON_E5_2667
     content_class: Optional[ContentClass] = None
-    #: Re-tile once per GOP (the paper's choice, §III-D2).  ``False``
-    #: re-tiles on every frame — the ablation knob quantifying what the
-    #: per-GOP amortisation buys (bio-medical tilings stay valid for
-    #: ~1 s, paper Fig. 1).
-    retile_per_gop: bool = True
-    #: [19]: tile/core count per user; ``None`` derives it from the
-    #: first GOP's measured workload (capacity rule).
-    khan_cores: Optional[int] = None
     #: The deadline controller's ladder and corrupt-frame handling
     #: (proposed mode only).  The default is the paper's framerate
     #: feedback (§III-D2): the ladder capped at its first rung, and a
@@ -204,21 +196,14 @@ class GopRecord:
     frames: List[FrameRecord] = field(default_factory=list)
 
     def mean_tile_cpu_times(self) -> List[float]:
-        """Per-tile CPU time (at f_max) averaged over the GOP's frames.
-
-        Averages over the frames that actually contain each tile index
-        (counts can differ across frames in the per-frame re-tiling
-        ablation mode)."""
+        """Per-tile CPU time (at f_max) averaged over the GOP's frames
+        (every frame of a GOP is encoded over its one grid)."""
         if not self.frames:
             raise ValueError("GOP has no frames")
-        num_tiles = max(len(f.tiles) for f in self.frames)
-        totals = [0.0] * num_tiles
-        counts = [0] * num_tiles
-        for frame in self.frames:
-            for t in frame.tiles:
-                totals[t.tile_index] += t.cpu_time_fmax
-                counts[t.tile_index] += 1
-        return [x / c for x, c in zip(totals, counts) if c > 0]
+        return [
+            sum(t.cpu_time_fmax for t in column) / len(self.frames)
+            for column in zip(*(f.tiles for f in self.frames))
+        ]
 
     def threads(self, user_id: int = 0) -> List[ThreadTask]:
         """Per-slot thread demands for the allocator."""
@@ -375,6 +360,9 @@ class StreamTranscoder:
         self._qp_quants: Dict[int, tuple] = {}
         self._workload_keys: Dict[tuple, WorkloadKey] = {}
         self._keys_class: Optional[ContentClass] = None
+        #: The stream's body-part class (the LUT keys'); set by its
+        #: first valid frame, a config naming it or a restored session.
+        self._resolved_class: Optional[ContentClass] = None
 
     def close(self) -> None:
         """A transcoder owns no thread or handle; this is the end of
@@ -391,82 +379,43 @@ class StreamTranscoder:
     def run(self, video: Video) -> StreamTrace:
         """Transcode the whole video; returns the stream trace.
 
-        Input validation happens here: an empty video, a video whose
-        frames are all corrupt, or a frame smaller than the minimum
-        tile size raise :class:`CorruptFrameError`; individual corrupt
-        frames (mismatched geometry, non-finite luma) raise too unless
-        the resilience config drops corrupt frames, in which case they
-        are dropped and logged.
+        Each frame takes the online sessions' check as it is pushed
+        (:func:`frame_is_corrupt`): a frame smaller than the minimum
+        tile size raises :class:`CorruptFrameError`, and so does a
+        corrupt frame (mismatched geometry, non-finite luma) unless the
+        resilience config drops corrupt frames — then it is dropped and
+        logged.  An empty video, or one whose every frame is corrupt,
+        raises too.
         """
         if len(video) == 0:
             raise CorruptFrameError("cannot transcode an empty video")
-        corrupt = self._validate_video(video)
+        # Each video is classified afresh: the body-part class lets its
+        # LUT entries be shared with earlier videos of the class (§III-D1).
         self._resolved_class = self.config.content_class
-        if self._resolved_class is None:
-            # Recognise the body-part class so LUT entries are shared
-            # with previously-seen videos of the same class (§III-D1).
-            first_valid = next(
-                f for f in video.frames if f.index not in corrupt
-            )
-            self._resolved_class = _shared_classifier().classify_frame(first_valid)
         if self.config.mode is PipelineMode.PROPOSED:
-            return self._run_proposed(video, corrupt)
+            return self._run_proposed(video)
         return self._run_khan(video)
 
-    # ------------------------------------------------------------------
-    def _validate_video(self, video: Video) -> Set[int]:
-        """Find corrupt frames; raise unless resilience absorbs them.
-
-        A frame is corrupt when its luma plane is not a 2-D ``uint8``
-        array (NaN poisoning converts the dtype), contains non-finite
-        values, or disagrees with the video's reference geometry.
-        """
-        reference_shape = None
-        corrupt: Set[int] = set()
-        for frame in video.frames:
-            luma = frame.luma
-            ok = (
-                isinstance(luma, np.ndarray)
-                and luma.ndim == 2
-                and luma.dtype == np.uint8
-            )
-            if ok and reference_shape is None:
-                reference_shape = luma.shape
-            elif ok and luma.shape != reference_shape:
-                ok = False
-            if not ok:
-                corrupt.add(frame.index)
-        if reference_shape is None:
-            raise CorruptFrameError("every frame of the video is corrupt")
-        height, width = reference_shape
-        tiling = self.config.tiling
-        if width < tiling.min_tile_width or height < tiling.min_tile_height:
-            raise CorruptFrameError(
-                f"frame {width}x{height} smaller than the minimum tile "
-                f"size {tiling.min_tile_width}x{tiling.min_tile_height}"
-            )
-        resilient = (
-            self.config.resilience.drop_corrupt_frames
-            and self.config.mode is PipelineMode.PROPOSED
-        )
-        if corrupt and not resilient:
-            raise CorruptFrameError(
-                f"corrupt frames at indices {sorted(corrupt)}: mismatched "
-                "geometry or non-finite luma"
-            )
-        return corrupt
+    def _resolve_class(self, frame) -> None:
+        """Classify the stream on its first valid frame, unless the
+        config names its class or a restored session brought it."""
+        if self._resolved_class is None:
+            resolved = self.config.content_class
+            if resolved is None:
+                resolved = _shared_classifier().classify_frame(frame)
+            self._resolved_class = resolved
 
     # ------------------------------------------------------------------
     # Proposed pipeline
     # ------------------------------------------------------------------
-    def _run_proposed(self, video: Video,
-                      corrupt: Optional[Set[int]] = None) -> StreamTrace:
+    def _run_proposed(self, video: Video) -> StreamTrace:
         trace = StreamTrace(fps=self.config.fps)
-        session = ProposedStreamSession(self, known_corrupt=corrupt or set(),
-                                        trace=trace)
+        session = ProposedStreamSession(self, trace=trace)
         for frame in video.frames:
             session.push(frame)
         session.finish()
+        if not trace.gops:
+            raise CorruptFrameError("every frame of the video is corrupt")
         return trace
 
     def open_session(self) -> "ProposedStreamSession":
@@ -624,14 +573,23 @@ class StreamTranscoder:
         gop_size = cfg.gop.size
         trace = StreamTrace(fps=cfg.fps)
         reference: Optional[np.ndarray] = None
+        shape = None
+        for frame in video.frames:
+            # [19] drops no frame: a corrupt one raises even where the
+            # resilience config would absorb it.
+            if frame_is_corrupt(frame, shape, cfg):
+                raise CorruptFrameError(
+                    f"corrupt frame at index {frame.index}: the [19] "
+                    "baseline drops no frame"
+                )
+            if shape is None:
+                shape = frame.luma.shape
+                _check_tile_size(shape, cfg.tiling)
+        self._resolve_class(video.frames[0])
 
         # Capacity rule: derive the core count from the first GOP
         # measured on a probe tiling, then keep the balanced tiling.
-        if cfg.khan_cores is not None:
-            num_cores = cfg.khan_cores
-            grid = khan_tiling(video.width, video.height, num_cores)
-        else:
-            grid = khan_tiling(video.width, video.height, 4)
+        grid = khan_tiling(video.width, video.height, 4)
         contents_stub: List[TileContent] = []
 
         num_gops = math.ceil(len(video) / gop_size)
@@ -659,7 +617,7 @@ class StreamTranscoder:
                 )[0])
             trace.gops.append(record)
 
-            if cfg.khan_cores is None and g == 0:
+            if g == 0:
                 # Re-tile per the capacity rule after the probe GOP.
                 frame_time = float(
                     np.mean([f.cpu_time_fmax for f in record.frames])
@@ -687,7 +645,7 @@ class StreamTranscoder:
         registry = get_registry()
         tracer = get_tracer()
         type_name = frame_type.value
-        content_class = getattr(self, "_resolved_class", None)
+        content_class = self._resolved_class
         if content_class is not self._keys_class:
             self._workload_keys = {}
             self._keys_class = content_class
@@ -779,6 +737,17 @@ def frame_is_corrupt(frame, shape: Optional[tuple],
     return True
 
 
+def _check_tile_size(shape: tuple, tiling: TilingConstraints) -> None:
+    """Raise :class:`CorruptFrameError` when a stream of ``shape``
+    frames cannot hold one minimum-size tile."""
+    height, width = shape
+    if width < tiling.min_tile_width or height < tiling.min_tile_height:
+        raise CorruptFrameError(
+            f"frame {width}x{height} smaller than the minimum tile "
+            f"size {tiling.min_tile_width}x{tiling.min_tile_height}"
+        )
+
+
 class ProposedStreamSession:
     """Push-based online transcoding session (proposed pipeline).
 
@@ -793,16 +762,11 @@ class ProposedStreamSession:
     a sequence of pushes is bit-identical to one offline run over the
     same frames.
 
-    Two validation modes:
-
-    * ``known_corrupt`` given (the offline :meth:`StreamTranscoder.run`
-      path): the whole video was validated upfront; per-frame checks
-      are skipped.
-    * otherwise (online serving): each frame is validated on arrival.
-      Corrupt frames raise :class:`CorruptFrameError` unless the
-      pipeline's resilience config absorbs them, in which case they are
-      dropped and reported as a ``FrameOutput`` with
-      ``dropped="corrupt"``.
+    Each frame is checked on arrival (:func:`frame_is_corrupt`): a
+    corrupt frame raises :class:`CorruptFrameError` unless the
+    pipeline's resilience config absorbs it, in which case it is
+    dropped and reported as a ``FrameOutput`` with
+    ``dropped="corrupt"``.
 
     ``trace`` is the sink the offline run passes in: every closed GOP's
     record, every dropped index and, at :meth:`finish`, the degradation
@@ -814,7 +778,6 @@ class ProposedStreamSession:
     def __init__(
         self,
         transcoder: StreamTranscoder,
-        known_corrupt: Optional[Set[int]] = None,
         trace: Optional[StreamTrace] = None,
     ):
         cfg = transcoder.config
@@ -822,8 +785,6 @@ class ProposedStreamSession:
             raise ValueError("streaming sessions require the proposed pipeline")
         self.transcoder = transcoder
         self.config = cfg
-        self._validate = known_corrupt is None
-        self._known_corrupt = known_corrupt or set()
         self._adapter = QpAdapter(cfg.quality)
         self._policy = BioMedicalSearchPolicy(cfg.search)
         self._feedback = DegradationController(cfg.fps, cfg.resilience)
@@ -846,30 +807,15 @@ class ProposedStreamSession:
         self._finished = False
         self.trace = trace
 
-    # -- validation (online mode) --------------------------------------
+    # -- validation --------------------------------------------------
     def _check_frame(self, frame) -> bool:
-        """``True`` when the frame is corrupt (mirrors
-        :meth:`StreamTranscoder._validate_video` frame-by-frame)."""
+        """``True`` when the frame is corrupt; the stream's first valid
+        frame fixes its geometry, which must hold the minimum tile."""
         corrupt = frame_is_corrupt(frame, self._reference_shape, self.config)
         if not corrupt and self._reference_shape is None:
-            height, width = frame.luma.shape
-            tiling = self.config.tiling
-            if (width < tiling.min_tile_width
-                    or height < tiling.min_tile_height):
-                raise CorruptFrameError(
-                    f"frame {width}x{height} smaller than the minimum tile "
-                    f"size {tiling.min_tile_width}x{tiling.min_tile_height}"
-                )
+            _check_tile_size(frame.luma.shape, self.config.tiling)
             self._reference_shape = frame.luma.shape
         return corrupt
-
-    def _resolve_class(self, frame) -> None:
-        if getattr(self.transcoder, "_resolved_class", None) is not None:
-            return
-        resolved = self.config.content_class
-        if resolved is None:
-            resolved = _shared_classifier().classify_frame(frame)
-        self.transcoder._resolved_class = resolved
 
     # -- ingest --------------------------------------------------------
     @property
@@ -891,13 +837,10 @@ class ProposedStreamSession:
         as one this session's check rejects."""
         if self._finished:
             raise ValueError("session already finished")
-        if self._validate:
+        if not corrupt:
+            corrupt = self._check_frame(frame)
             if not corrupt:
-                corrupt = self._check_frame(frame)
-                if not corrupt:
-                    self._resolve_class(frame)
-        else:
-            corrupt = frame.index in self._known_corrupt
+                self.transcoder._resolve_class(frame)
         self._frames_pushed += 1
         self._gop_pushes += 1
         if corrupt:
@@ -930,7 +873,7 @@ class ProposedStreamSession:
                 "export_state requires a GOP boundary "
                 f"({self._gop_pushes} frames pending)"
             )
-        resolved = getattr(self.transcoder, "_resolved_class", None)
+        resolved = self.transcoder._resolved_class
         return {
             "gop_index": self._gop_index,
             "frames_pushed": self._frames_pushed,
@@ -1025,19 +968,6 @@ class ProposedStreamSession:
             feedback.observe_dropped_frame()
             return self._drop(frame.index, "deadline")
         record = self._record
-        if not cfg.retile_per_gop and pos > 0:
-            # Ablation mode: re-tile on every frame.  Tile identities
-            # change, so per-tile adaptation state restarts — the cost
-            # the per-GOP scheme avoids.
-            retiling = transcoder._retile(
-                frame.luma, self._previous_original,
-                merged=feedback.merge_tiles,
-            )
-            self._plan = GopPlan(retiling.grid, retiling.contents,
-                                 cfg.base_config.block_size)
-            record.grid, record.contents = self._plan.grid, self._plan.contents
-            self._adapter.reset()
-            self._prev_frame_feedback = []
         plan = self._plan
         window = max(1, int(round(cfg.fps)))
         recent = self._recent_bits[-window:]

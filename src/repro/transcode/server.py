@@ -23,7 +23,6 @@ from repro.allocation.proposed import AllocationResult
 from repro.observability import get_registry, get_tracer
 from repro.platform.mpsoc import MpsocConfig, XEON_E5_2667
 from repro.platform.power import PowerModel
-from repro.resilience.errors import AllocationError
 from repro.transcode.pipeline import StreamTrace
 
 
@@ -151,24 +150,3 @@ class TranscodingServer:
             bitrate_max_mbps=rate_stats[2],
             allocation=result,
         )
-
-    # ------------------------------------------------------------------
-    def power_savings_percent(
-        self,
-        traces_proposed: Sequence[StreamTrace],
-        traces_baseline: Sequence[StreamTrace],
-        allocator_proposed,
-        allocator_baseline,
-        num_users: int,
-    ) -> float:
-        """Average power savings of proposed vs baseline at equal users
-        (the paper's Fig. 4 metric)."""
-        rep_p = self.serve(traces_proposed, allocator_proposed, num_users)
-        rep_b = self.serve(traces_baseline, allocator_baseline, num_users)
-        if rep_p.num_users_served == 0 or rep_b.num_users_served == 0:
-            raise AllocationError(
-                "power savings undefined: a side admitted zero users"
-            )
-        if rep_b.average_power_w <= 0:
-            raise ValueError("baseline power must be positive")
-        return (1.0 - rep_p.average_power_w / rep_b.average_power_w) * 100.0

@@ -56,6 +56,18 @@ def small_video() -> Video:
 
 
 @pytest.fixture(scope="session")
+def panning_qvga() -> Video:
+    """A 320x240, 16-frame panning brain video: enough frames and tiles
+    for per-tile statistics (motion classes, LUT errors) to settle."""
+    cfg = GeneratorConfig(
+        width=320, height=240, num_frames=16, seed=0,
+        content_class=ContentClass.BRAIN, motion=MotionPreset.PAN_RIGHT,
+        motion_magnitude=3.0,
+    )
+    return BioMedicalVideoGenerator(cfg).generate()
+
+
+@pytest.fixture(scope="session")
 def vga_frame_pair():
     """Two consecutive VGA frames of a panning brain video."""
     cfg = GeneratorConfig(

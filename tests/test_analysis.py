@@ -16,6 +16,7 @@ from repro.analysis.texture import (
     classify_texture,
     coefficient_of_variation,
 )
+from repro.tiling.content_aware import ContentAwareRetiler
 from repro.tiling.uniform import uniform_tiling
 
 
@@ -149,6 +150,27 @@ class TestMotionProbe:
         cfg = MotionProbeConfig()
         assert (cfg.alpha, cfg.beta, cfg.gamma) == (1.0, 3.0, 3.0)
         assert cfg.threshold == 3.0
+
+    def test_paper_coefficients_flag_no_more_high_tiles_than_uniform(
+            self, panning_qvga):
+        # Why (1, 3, 3): medical information concentrates centrally, so
+        # at the same threshold the centre-weighted probe is more
+        # selective than a uniform (1, 1, 1) one — a tile goes HIGH
+        # when its relevant points move, not when 3 of 4 border corners
+        # flicker — while still catching the content motion.  Every
+        # HIGH tile costs a bigger search window downstream.
+        def high_tiles(config):
+            retiler = ContentAwareRetiler(
+                evaluator=ContentEvaluator(motion_config=config))
+            frames = panning_qvga.frames
+            return sum(
+                content.motion is MotionClass.HIGH
+                for prev, cur in zip(frames, frames[1:])
+                for content in retiler.retile(cur.luma, prev.luma).contents
+            )
+
+        paper = high_tiles(MotionProbeConfig())
+        assert 0 < paper <= high_tiles(MotionProbeConfig(beta=1.0, gamma=1.0))
 
 
 class TestContentEvaluator:

@@ -93,7 +93,8 @@ class TestExperiment:
     (["chaos", "--upstream-port", "1", "--latency-s", "nan"],
      "latency_spike_s"),
     (["loadgen", "--port", "1", "--rate", "nan"], "rate_hz"),
-], ids=["serve", "serve-net", "chaos", "loadgen"])
+    (["loadgen", "--port", "1", "--mix", "foo"], "ContentClass"),
+], ids=["serve", "serve-net", "chaos", "loadgen", "loadgen-mix"])
 def test_a_value_the_config_refuses_is_a_usage_error(argv, field):
     """A flag value the command's config refuses stops it before it
     runs: one ``error:`` line naming the field, exit code 2, no

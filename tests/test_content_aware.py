@@ -135,3 +135,14 @@ class TestGrowthBehaviour:
             cons = TilingConstraints(growth_step=step)
             result = ContentAwareRetiler(cons).retile(cur, prev)
             assert sum(t.area for t in result.grid) == cur.size
+
+    def test_a_finer_growth_step_evaluates_more_candidates(self):
+        """A finer step evaluates more candidate strips (the paper's 25%
+        balances margin precision against evaluation count)."""
+        evaluated = []
+        for step in (0.1, 0.25, 0.5):
+            retiler = ContentAwareRetiler(TilingConstraints(growth_step=step))
+            _, sizes, _ = retiler._margin_candidates(640, 480)
+            evaluated.append(len(sizes))
+        assert evaluated == sorted(evaluated, reverse=True)
+        assert evaluated[0] > evaluated[-1]

@@ -5,10 +5,10 @@ is a Makefile target and every ``REPRO_*`` variable is read from the
 environment somewhere under ``src/repro`` — so deleting a module,
 subcommand, flag, target or knob cannot leave a dangling recipe
 behind.  Likewise every ``examples/`` / ``tests/`` / ``benchmarks/`` /
-``src/repro/`` source file a document names exists, and every name an
-example or a paper-table benchmark imports from ``repro`` resolves:
-tier-1 runs neither, so a deletion could otherwise break them
-silently."""
+``src/repro/`` source file a document names exists (there is no
+``benchmarks/`` any more, so a document naming one of its files fails),
+and every name an example imports from ``repro`` resolves: tier-1 runs
+no example, so a deletion could otherwise break one silently."""
 
 import argparse
 import ast
@@ -125,9 +125,8 @@ def test_docs_quote_only_source_files_that_exist():
         assert missing_paths((ROOT / name).read_text()) == [], name
 
 
-def test_examples_and_benchmarks_import_only_what_exists():
-    scripts = sorted((ROOT / "examples").glob("*.py")) \
-        + sorted((ROOT / "benchmarks").glob("*.py"))
+def test_examples_import_only_what_exists():
+    scripts = sorted((ROOT / "examples").glob("*.py"))
     assert scripts
     for script in scripts:
         assert unresolved_imports(script.read_text()) == [], script.name

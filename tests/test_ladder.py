@@ -621,25 +621,6 @@ class TestOneRungIsThePlainSession:
         assert len(outputs) == _GOP * len(_RUNGS)
 
     @pytest.mark.skipif(native.lib is None, reason="native kernels not built")
-    def test_per_frame_retiling_builds_a_table_per_frame(self, monkeypatch):
-        """The ablation mode re-tiles on every frame: every frame gets
-        its own table (and its own three analysis crossings)."""
-        video = BioMedicalVideoGenerator(GeneratorConfig(
-            width=256, height=192, num_frames=_GOP, seed=5,
-            content_class=ContentClass.BRAIN, motion=MotionPreset.PAN_RIGHT,
-        )).generate()
-        config = PipelineConfig(fps=24.0, gop=GopConfig(_GOP),
-                                retile_per_gop=False)
-        tables = _record_tables(monkeypatch)
-        ladder = LadderConfig(rungs=(LadderRung(256, 192),), prune=False)
-        with LadderSession(config, ladder) as session, \
-                counted_native() as calls:
-            outputs = _push_all(session, video.frames)
-        assert len(outputs) == _GOP
-        assert len(set(map(id, tables))) == len(tables) == _GOP
-        assert calls["analyze_frame_u8"] == 3 * _GOP
-
-    @pytest.mark.skipif(native.lib is None, reason="native kernels not built")
     def test_a_rebuilt_encoder_plans_its_gop_afresh(self, monkeypatch):
         """RESUME's rebuild mid-GOP: a fresh session restored to the
         last boundary and re-fed the interrupted GOP — three frames of

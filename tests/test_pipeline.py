@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro import native
-from repro.codec.config import FrameType
+from repro.codec.config import FrameType, GopConfig
 from repro.qp.defaults import QP_MAX, QP_MIN
 from repro.transcode.pipeline import (
     PipelineConfig,
@@ -112,12 +112,6 @@ class TestKhanPipeline:
         expected = max(1, int(np.ceil(frame_time * 24.0)))
         assert len(steady.grid) == expected
 
-    def test_explicit_core_count_respected(self, test_video):
-        config = PipelineConfig.khan(khan_cores=4)
-        trace = StreamTranscoder(config).run(test_video)
-        for gop in trace.gops:
-            assert len(gop.grid) == 4
-
     def test_single_qp_everywhere(self, khan_trace):
         qps = {
             t.qp for f in khan_trace.frame_records for t in f.tiles
@@ -144,9 +138,9 @@ class TestPipelineConfig:
         assert cfg.base_config.search == "hexagon"
 
     def test_khan_factory_overrides(self):
-        cfg = PipelineConfig.khan(fps=30.0, khan_cores=3)
+        cfg = PipelineConfig.khan(fps=30.0, gop=GopConfig(4))
         assert cfg.fps == 30.0
-        assert cfg.khan_cores == 3
+        assert cfg.gop.size == 4
 
     def test_default_is_proposed(self):
         assert PipelineConfig().mode is PipelineMode.PROPOSED
@@ -168,13 +162,8 @@ class TestPlannedRouteAndItsFallbacks:
             for f in trace.frame_records
         ]
 
-    @pytest.mark.parametrize("config", [
-        PipelineConfig(content_class=ContentClass.BRAIN),
-        PipelineConfig(content_class=ContentClass.BRAIN,
-                       retile_per_gop=False),
-    ], ids=["i+p", "retile-per-frame"])
-    def test_trace_identical_without_native(self, config, test_video,
-                                            monkeypatch):
+    def test_trace_identical_without_native(self, test_video, monkeypatch):
+        config = PipelineConfig(content_class=ContentClass.BRAIN)
         video = Video(test_video.frames[:8], fps=test_video.fps)
         with_driver = StreamTranscoder(config).run(video)
         monkeypatch.setattr(native, "lib", None)

@@ -235,6 +235,29 @@ class TestInputValidation:
         assert trace.resilience.corrupt_frames_dropped == 1
         assert len(trace.frame_records) == len(frames) - 1
 
+    def test_a_resilient_run_is_the_sessions_pushes(self, small_video):
+        """``run`` checks each frame as a session push does: over a
+        video with a NaN frame it encodes and drops what pushing the
+        same frames into an ``open_session()`` does."""
+        frames = [Frame(index=f.index, luma=f.luma.copy())
+                  for f in small_video.frames]
+        poisoned = frames[4].luma.astype(np.float64)
+        poisoned[::8] = np.nan
+        frames[4].luma = poisoned
+        video = Video(name="nan", fps=small_video.fps, frames=frames)
+        config = PipelineConfig(fps=video.fps, resilience=ResilienceConfig())
+        trace = StreamTranscoder(config).run(video)
+        session = StreamTranscoder(config).open_session()
+        outputs = [out for f in frames for out in session.push(f)]
+        session.finish()
+        assert [(f.frame_index, f.bits, f.psnr)
+                for f in trace.frame_records] == [
+            (o.frame_index, o.record.bits, o.record.psnr)
+            for o in outputs if o.dropped is None]
+        assert trace.dropped_frames == [
+            o.frame_index for o in outputs if o.dropped]
+        assert trace.dropped_frames == [4]
+
     def test_frame_below_min_tile_size_raises(self, rng):
         tiny = Frame(index=0, luma=rng.integers(0, 255, (16, 16)))
         video = Video(name="tiny", fps=24.0, frames=[tiny])

@@ -85,9 +85,10 @@ class TestServe:
         assert rep_p.num_users_served >= rep_k.num_users_served
 
     def test_power_savings_positive(self, traces):
+        """Fig. 4's metric at equal users: the proposed side draws less."""
         prop, khan = traces
         server = TranscodingServer()
-        savings = server.power_savings_percent(
-            prop, khan, ProposedAllocator(), KhanAllocator(), num_users=4
-        )
-        assert savings > 0
+        rep_p = server.serve(prop, ProposedAllocator(), num_users=4)
+        rep_k = server.serve(khan, KhanAllocator(), num_users=4)
+        assert rep_p.num_users_served == rep_k.num_users_served == 4
+        assert rep_p.average_power_w < rep_k.average_power_w

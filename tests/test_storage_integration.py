@@ -204,6 +204,35 @@ class TestDurabilityBrownout:
         with scoped():
             asyncio.run(asyncio.wait_for(run(), 60))
 
+    def test_a_journal_teardown_could_not_delete_goes_at_drain(
+            self, tmp_path):
+        """A completed session's journal whose delete failed at
+        teardown stays (listed as parked) until drain() deletes it."""
+        faultfs = FaultFS(rules=[
+            FaultRule(point="journal.unlink", kind="enospc", count=1),
+        ])
+
+        async def run():
+            server = NetworkServer(_config(str(tmp_path), faultfs))
+            await server.start()
+            try:
+                ack, encoded, _ = await _stream(server.port, _GOP)
+                assert ack.resume_token and len(encoded) == _GOP
+                # The BYE leaves before the teardown runs.
+                for _ in range(500):
+                    if faultfs.injected:
+                        break
+                    await asyncio.sleep(0.01)
+                assert faultfs.injected == {("journal.unlink", "enospc"): 1}
+                assert server.parked_tokens == [ack.resume_token]
+                await server.drain()
+                assert server.parked_tokens == []
+            finally:
+                await server.aclose()
+
+        with scoped():
+            asyncio.run(asyncio.wait_for(run(), 60))
+
     def test_lease_store_fault_on_admit_degrades_to_unjournaled(
             self, tmp_path):
         faultfs = FaultFS(rules=[

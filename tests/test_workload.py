@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.motion_probe import MotionClass
 from repro.analysis.texture import TextureClass
 from repro.codec.config import FrameType
+from repro.transcode.pipeline import PipelineConfig, StreamTranscoder
 from repro.video.generator import ContentClass
 from repro.workload.estimator import SeedModel, WorkloadEstimator
 from repro.workload.keys import WorkloadKey, area_bucket
@@ -191,6 +192,34 @@ class TestWorkloadEstimator:
             est.observe(key, true + rng.normal(0, 5e-5))
         err = abs(est.estimation_error(key, area=64 * 64, actual=true))
         assert err < 100e-6
+
+    def test_lut_beats_one_global_mean_on_transcoded_tiles(
+            self, panning_qvga):
+        """On a transcode's own tiles, each predicted before it is
+        observed, the per-key LUT beats one global mean once warmed
+        up."""
+        trace = StreamTranscoder(PipelineConfig()).run(panning_qvga)
+        est = WorkloadEstimator()
+        errors, times = [], []
+        for gop in trace.gops:
+            for frame in gop.frames:
+                for t in frame.tiles:
+                    area = gop.grid.tiles[t.tile_index].area
+                    key = WorkloadKey(
+                        texture=t.texture, motion=t.motion, qp=t.qp,
+                        search_window=t.search_window,
+                        frame_type=frame.frame_type,
+                        area_bucket=area_bucket(area),
+                    )
+                    errors.append(abs(est.estimate(key, area)
+                                      - t.cpu_time_fmax))
+                    est.observe(key, t.cpu_time_fmax)
+                    times.append(t.cpu_time_fmax)
+        assert len(times) > 20
+        lut_err = np.mean(errors[len(errors) // 2:])
+        naive_err = np.mean(np.abs(np.mean(times) - np.array(times)))
+        assert lut_err < naive_err
+        assert lut_err < 500e-6
 
     def test_quantile_mode_is_conservative(self):
         est_mean = WorkloadEstimator()
